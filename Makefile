@@ -2,7 +2,7 @@
 # so a clean `make lint` locally means the static-analysis gate passes.
 GO ?= go
 
-.PHONY: lint test short race fmt check bench
+.PHONY: lint test short race fmt check bench-module
 
 ## lint: go vet + the opera-lint determinism/hot-path analyzers over ./...
 lint:
@@ -24,14 +24,15 @@ race:
 	$(GO) test -race -short -run 'Source' .
 	$(GO) test -race -run 'Fault|Flap|Lossy' ./internal/sim/ ./scenario/
 
-## bench: engine/transport hot-path benchmarks -> BENCH_engine.json
-## (PortEnqueue, EngineSchedule dense/sparse wheel-vs-heap, SourceSteadyState)
-bench:
-	$(GO) run ./cmd/opera-bench -out BENCH_engine.json
+## bench-module: vet + test bench/ — its own module, which `./...` at the
+## root never compiles (run the benchmark itself with `go run -C bench .`)
+bench-module:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 ## fmt: list files needing gofmt (exits nonzero if any)
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 ## check: everything a PR should pass locally before push
-check: fmt lint short
+check: fmt lint short bench-module

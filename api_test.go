@@ -24,10 +24,11 @@ func runShuffle(t *testing.T, cl *opera.Cluster) (done, total int, meanUs, p99Us
 	return done, total, s.Mean(), s.P99()
 }
 
-// Every registered Kind must build through both construction paths — the
-// functional-options New and the legacy NewCluster shim — and produce
-// identical FCT metrics for an identical workload, since both feed the
-// same registry builder.
+// Every registered Kind must build from New's documented defaults (16
+// racks × 4 hosts, 4 uplinks, Clos k=8 F=3) and produce FCT metrics
+// identical to a cluster with every size spelled out — including through
+// WithClos's keep-the-current-value zero arguments. (The name dates from
+// when the defaulted side was the since-deleted config-struct constructor.)
 func TestOptionsMatchLegacyConfig(t *testing.T) {
 	kinds := []opera.Kind{
 		opera.KindOpera, opera.KindExpander, opera.KindFoldedClos,
@@ -36,15 +37,13 @@ func TestOptionsMatchLegacyConfig(t *testing.T) {
 	for _, k := range kinds {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
-			legacy, err := opera.NewCluster(opera.ClusterConfig{
-				Kind:  k,
-				Racks: 16, HostsPerRack: 4, Uplinks: 4,
-				ClosK: 8, ClosF: 3,
-				BulkThreshold: 200_000,
-				Seed:          3,
-			})
+			legacy, err := opera.New(k,
+				opera.WithClos(0, 3), opera.WithClos(8, 0),
+				opera.WithBulkThreshold(200_000),
+				opera.WithSeed(3),
+			)
 			if err != nil {
-				t.Fatalf("NewCluster: %v", err)
+				t.Fatalf("New over defaults: %v", err)
 			}
 			modern, err := opera.New(k,
 				opera.WithRacks(16),

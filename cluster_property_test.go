@@ -23,17 +23,8 @@ func TestClusterConservationProperty(t *testing.T) {
 		seed := int64(trial*7 + 1)
 		rng := rand.New(rand.NewSource(seed))
 		kind := kinds[trial%len(kinds)]
-		cl, err := opera.NewCluster(opera.ClusterConfig{
-			Kind:         kind,
-			Racks:        16,
-			HostsPerRack: 4,
-			Uplinks:      4,
-			ClosK:        8,
-			ClosF:        3,
-			// A low threshold exercises the bulk path with modest flows.
-			BulkThreshold: 200_000,
-			Seed:          seed,
-		})
+		// A low threshold exercises the bulk path with modest flows.
+		cl, err := opera.New(kind, opera.WithBulkThreshold(200_000), opera.WithSeed(seed))
 		if err != nil {
 			t.Fatalf("trial %d (%v): %v", trial, kind, err)
 		}

@@ -29,170 +29,30 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/obs"
-	"github.com/opera-net/opera/internal/sim"
 	"github.com/opera-net/opera/internal/workload"
 	"github.com/opera-net/opera/scenario"
 )
 
 // parseFaultSchedule turns "-fail-at 500us:link:3:2,2ms:switch:1" into
-// scenario Events: each comma-separated entry is TIME:ACTION with ACTION
-// one of link:R:S, tor:R, switch:S, recover-link:R:S, recover-tor:R,
-// recover-switch:S, random-links:FRAC, the gray failures lossy:R:S:RATE,
-// degraded:R:S:FRAC and flap:R:S:UP:DOWN (durations like 200us), or the
-// tier-addressed forms tier-link:T:S:P, recover-tier-link:T:S:P,
-// tier-switch:T:S and recover-tier-switch:T:S for multi-tier fabrics
-// (folded Clos: tier 1 = ToR uplinks, 2 = agg uplinks/switches,
-// 3 = core switches).
+// scenario Events; the grammar is scenario.ParseEvents'.
 func parseFaultSchedule(s string) ([]scenario.Event, error) {
-	if s == "" {
-		return nil, nil
+	specs, err := scenario.ParseEvents(s)
+	if err != nil {
+		return nil, err
 	}
 	var out []scenario.Event
-	for _, item := range strings.Split(s, ",") {
-		parts := strings.Split(strings.TrimSpace(item), ":")
-		if len(parts) < 2 {
-			return nil, fmt.Errorf("fault %q: want TIME:ACTION[:ARGS]", item)
-		}
-		d, err := time.ParseDuration(parts[0])
-		if err != nil {
-			return nil, fmt.Errorf("fault %q: %v", item, err)
-		}
-		args := parts[2:]
-		argInt := func(i int) (int, error) {
-			if i >= len(args) {
-				return 0, fmt.Errorf("fault %q: action %s wants more arguments", item, parts[1])
-			}
-			return strconv.Atoi(args[i])
-		}
-		two := func(mk func(a, b int) scenario.Action) (scenario.Action, error) {
-			a, err := argInt(0)
-			if err != nil {
-				return scenario.Action{}, err
-			}
-			b, err := argInt(1)
-			if err != nil {
-				return scenario.Action{}, err
-			}
-			return mk(a, b), nil
-		}
-		one := func(mk func(a int) scenario.Action) (scenario.Action, error) {
-			a, err := argInt(0)
-			if err != nil {
-				return scenario.Action{}, err
-			}
-			return mk(a), nil
-		}
-		argFloat := func(i int) (float64, error) {
-			if i >= len(args) {
-				return 0, fmt.Errorf("fault %q: action %s wants more arguments", item, parts[1])
-			}
-			return strconv.ParseFloat(args[i], 64)
-		}
-		argDur := func(i int) (eventsim.Time, error) {
-			if i >= len(args) {
-				return 0, fmt.Errorf("fault %q: action %s wants more arguments", item, parts[1])
-			}
-			dd, err := time.ParseDuration(args[i])
-			if err != nil {
-				return 0, fmt.Errorf("fault %q: %v", item, err)
-			}
-			return eventsim.Time(dd.Nanoseconds()), nil
-		}
-		// twoFloat parses R:S:X actions (lossy, degraded).
-		twoFloat := func(mk func(a, b int, x float64) scenario.Action) (scenario.Action, error) {
-			a, err := argInt(0)
-			if err != nil {
-				return scenario.Action{}, err
-			}
-			b, err := argInt(1)
-			if err != nil {
-				return scenario.Action{}, err
-			}
-			x, err := argFloat(2)
-			if err != nil {
-				return scenario.Action{}, err
-			}
-			return mk(a, b, x), nil
-		}
-		var act scenario.Action
-		switch parts[1] {
-		case "link":
-			act, err = two(scenario.FailLink)
-		case "tor":
-			act, err = one(scenario.FailToR)
-		case "switch":
-			act, err = one(scenario.FailSwitch)
-		case "recover-link":
-			act, err = two(scenario.RecoverLink)
-		case "recover-tor":
-			act, err = one(scenario.RecoverToR)
-		case "recover-switch":
-			act, err = one(scenario.RecoverSwitch)
-		case "lossy":
-			act, err = twoFloat(scenario.LossyLink)
-		case "degraded":
-			act, err = twoFloat(scenario.DegradedLink)
-		case "flap":
-			var r, sw int
-			var up, down eventsim.Time
-			if r, err = argInt(0); err == nil {
-				if sw, err = argInt(1); err == nil {
-					if up, err = argDur(2); err == nil {
-						if down, err = argDur(3); err == nil {
-							act = scenario.FlappingLink(r, sw, up, down)
-						}
-					}
-				}
-			}
-		case "tier-link":
-			var tier, sw, port int
-			if tier, err = argInt(0); err == nil {
-				if sw, err = argInt(1); err == nil {
-					if port, err = argInt(2); err == nil {
-						act = scenario.Inject(
-							sim.LinkTarget(sim.LinkID{Tier: tier, Switch: sw, Port: port}),
-							sim.DownFault())
-					}
-				}
-			}
-		case "recover-tier-link":
-			var tier, sw, port int
-			if tier, err = argInt(0); err == nil {
-				if sw, err = argInt(1); err == nil {
-					if port, err = argInt(2); err == nil {
-						act = scenario.Recover(
-							sim.LinkTarget(sim.LinkID{Tier: tier, Switch: sw, Port: port}))
-					}
-				}
-			}
-		case "tier-switch":
-			act, err = two(scenario.FailTierSwitch)
-		case "recover-tier-switch":
-			act, err = two(scenario.RecoverTierSwitch)
-		case "random-links":
-			if len(args) < 1 {
-				return nil, fmt.Errorf("fault %q: random-links wants a fraction", item)
-			}
-			frac, ferr := strconv.ParseFloat(args[0], 64)
-			if ferr != nil {
-				return nil, fmt.Errorf("fault %q: %v", item, ferr)
-			}
-			act = scenario.FailRandomLinks(frac)
-		default:
-			return nil, fmt.Errorf("fault %q: unknown action %q", item, parts[1])
-		}
+	for _, es := range specs {
+		ev, err := es.Event()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, scenario.At(eventsim.Time(d.Nanoseconds()), act))
+		out = append(out, ev)
 	}
 	return out, nil
 }

@@ -27,23 +27,6 @@ func ExampleNew() {
 	// Output: opera 64 hosts, 4 per rack
 }
 
-// The legacy config-struct constructor remains as a shim over the same
-// registry-driven builder.
-func ExampleNewCluster() {
-	cl, err := opera.NewCluster(opera.ClusterConfig{
-		Kind:         opera.KindOpera,
-		Racks:        16,
-		HostsPerRack: 4,
-		Uplinks:      4,
-		Seed:         1,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(cl.Kind(), cl.NumHosts(), "hosts,", cl.HostsPerRack(), "per rack")
-	// Output: opera 64 hosts, 4 per rack
-}
-
 // Flows below the 15 MB threshold are latency-sensitive; larger ones are
 // bulk; application tagging overrides size.
 func ExampleCluster_AddFlow() {

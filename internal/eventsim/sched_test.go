@@ -336,8 +336,8 @@ func benchSchedule(b *testing.B, mk func() Scheduler, next func(i int) Time, bac
 }
 
 // BenchmarkEngineSchedule is the scheduler acceptance benchmark: on the
-// dense workload the wheel must beat the heap by ≥25% ns/op (tracked in
-// BENCH_engine.json via `make bench`). Sparse scatters events uniformly
+// dense workload the wheel must beat the heap by ≥25% ns/op (bench/'s
+// eventsim.schedule_fire_ns cell tracks the wheel). Sparse scatters events uniformly
 // across 50 ms — mostly beyond the horizon, exercising the overflow tier,
 // where the wheel is expected to roughly match the heap, not beat it.
 func BenchmarkEngineSchedule(b *testing.B) {

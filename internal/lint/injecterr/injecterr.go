@@ -3,7 +3,7 @@
 //
 // Three API families in this repository report failure only through their
 // return value, and do nothing at all when the call is invalid:
-// sim.FaultInjector.Inject/Recover (bad coordinates or an unsupported
+// sim.Faults.Inject/Recover (bad coordinates or an unsupported
 // target mean the fault is never scheduled — the scenario then measures a
 // healthy fabric and publishes wrong numbers), telemetry's Sketch.TryMerge
 // (an alpha mismatch leaves the receiver untouched — a shard's samples
@@ -27,7 +27,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "injecterr",
 	Doc: "require checking the error results that are silent no-ops when dropped\n\n" +
-		"Flags discarded errors from sim FaultInjector Inject/Recover,\n" +
+		"Flags discarded errors from sim Faults Inject/Recover,\n" +
 		"telemetry TryMerge, and the telemetry codec's UnmarshalBinary; a\n" +
 		"dropped error means the fault was never injected or the state never\n" +
 		"merged. Annotate intentional drops with //operalint:allow injecterr.",

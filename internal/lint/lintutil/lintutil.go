@@ -70,7 +70,7 @@ func Callee(info *types.Info, call *ast.CallExpr) types.Object {
 
 // CalleeMethod resolves call to a method and reports the method object
 // along with the base of its defining package — ("sim", Inject) for both
-// sim.FaultInjector.Inject and a fixture's sim.Injector.Inject. ok is
+// sim.Faults.Inject and a fixture's sim.Injector.Inject. ok is
 // false for non-methods.
 func CalleeMethod(info *types.Info, call *ast.CallExpr) (fn *types.Func, pkgBase string, ok bool) {
 	fn, _ = Callee(info, call).(*types.Func)

@@ -232,17 +232,11 @@ func classQuantiles(name string, sk *telemetry.Sketch) ClassQuantiles {
 	return cq
 }
 
-// faultState reads the injector's live view through the same optional
-// type assertions Cluster.Faults uses for stranded-byte wiring.
-func faultState(inj sim.FaultInjector) *FaultState {
-	fs := &FaultState{}
-	if af, ok := inj.(interface{ ActiveFaults() []sim.ActiveFault }); ok {
-		for _, a := range af.ActiveFaults() {
-			fs.Active = append(fs.Active, ActiveFault{Target: a.Target.String(), Fault: a.Fault.String()})
-		}
-	}
-	if sb, ok := inj.(interface{ StrandedBytes() int64 }); ok {
-		fs.StrandedBytes = sb.StrandedBytes()
+// faultState reads the injector's live view.
+func faultState(inj *sim.Faults) *FaultState {
+	fs := &FaultState{StrandedBytes: inj.StrandedBytes()}
+	for _, a := range inj.ActiveFaults() {
+		fs.Active = append(fs.Active, ActiveFault{Target: a.Target.String(), Fault: a.Fault.String()})
 	}
 	return fs
 }

@@ -10,23 +10,12 @@ import (
 	opera "github.com/opera-net/opera"
 )
 
-// activeFaulter is the type-assertion surface ActiveFaults is reached
-// through — mirroring how SetStrandedProbe is wired, the interface stays
-// narrow and observability rides an assertion.
-type activeFaulter interface {
-	ActiveFaults() []sim.ActiveFault
-}
-
 // TestActiveFaultsLifecycle walks a fault through its whole life on an
 // Opera fabric and checks the live view at each stage: empty before the
 // injection fires, listed (sorted) while applied, gone after recovery.
 func TestActiveFaultsLifecycle(t *testing.T) {
-	cl := newCluster(t, opera.ClusterConfig{Kind: opera.KindOpera, Racks: 8, HostsPerRack: 2, Uplinks: 4, Seed: 1})
+	cl := newCluster(t, opera.KindOpera, opera.WithRacks(8), opera.WithHostsPerRack(2))
 	inj := cl.Faults()
-	af, ok := inj.(activeFaulter)
-	if !ok {
-		t.Fatalf("%T should expose ActiveFaults via type assertion", inj)
-	}
 
 	// Injected later, sorted earlier: the listing must be coordinate
 	// order, not injection order.
@@ -42,7 +31,7 @@ func TestActiveFaultsLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := af.ActiveFaults(); got != nil {
+	if got := inj.ActiveFaults(); got != nil {
 		t.Fatalf("before anything fires: %v, want nil", got)
 	}
 
@@ -51,13 +40,13 @@ func TestActiveFaultsLifecycle(t *testing.T) {
 		{Target: linkA, Fault: sim.DownFault()},
 		{Target: linkB, Fault: sim.LossyFault(0.25)},
 	}
-	if got := af.ActiveFaults(); !reflect.DeepEqual(got, want) {
+	if got := inj.ActiveFaults(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("while applied:\n got %v\nwant %v", got, want)
 	}
 
 	cl.Run(600 * eventsim.Microsecond)
 	want = want[:1] // linkB recovered
-	if got := af.ActiveFaults(); !reflect.DeepEqual(got, want) {
+	if got := inj.ActiveFaults(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after recovery:\n got %v\nwant %v", got, want)
 	}
 }
@@ -66,9 +55,8 @@ func TestActiveFaultsLifecycle(t *testing.T) {
 // the same target replaces the earlier entry, and a flapping target stays
 // listed through both phases of the cycle.
 func TestActiveFaultsLatestWins(t *testing.T) {
-	cl := newCluster(t, opera.ClusterConfig{Kind: opera.KindOpera, Racks: 8, HostsPerRack: 2, Uplinks: 4, Seed: 1})
+	cl := newCluster(t, opera.KindOpera, opera.WithRacks(8), opera.WithHostsPerRack(2))
 	inj := cl.Faults()
-	af := inj.(activeFaulter)
 
 	link := sim.LinkTarget(sim.FlatLink(1, 1))
 	flap := sim.FlappingFault(50*eventsim.Microsecond, 50*eventsim.Microsecond)
@@ -81,12 +69,12 @@ func TestActiveFaultsLatestWins(t *testing.T) {
 
 	// Mid-cycle, in an "up" phase, the flap is still the active fault.
 	cl.Run(175 * eventsim.Microsecond)
-	if got := af.ActiveFaults(); len(got) != 1 || got[0].Fault.Kind != sim.FaultFlapping {
+	if got := inj.ActiveFaults(); len(got) != 1 || got[0].Fault.Kind != sim.FaultFlapping {
 		t.Fatalf("mid-flap: %v, want one flapping entry", got)
 	}
 
 	cl.Run(1100 * eventsim.Microsecond)
-	if got := af.ActiveFaults(); len(got) != 1 || got[0].Fault.Kind != sim.FaultDown {
+	if got := inj.ActiveFaults(); len(got) != 1 || got[0].Fault.Kind != sim.FaultDown {
 		t.Fatalf("after hard cut: %v, want one down entry", got)
 	}
 }

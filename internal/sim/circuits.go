@@ -57,11 +57,11 @@ func (n *OperaNet) DirectReachable(rack, dst int) bool {
 	if rack == dst {
 		return false
 	}
-	if n.failures == nil {
+	if n.faults == nil {
 		return true
 	}
 	sw := n.topo.PairSwitch(rack, dst)
-	return sw >= 0 && n.failures.LinkUp(rack, sw) && n.failures.LinkUp(dst, sw)
+	return sw >= 0 && n.faults.LinkUp(rack, sw) && n.faults.LinkUp(dst, sw)
 }
 
 // ActiveCircuits implements CircuitNetwork: every installed matching's peer
@@ -80,7 +80,7 @@ func (n *OperaNet) ActiveCircuits(absSlice int64, rack int) []Circuit {
 		// Dead circuits (either end's cable, the switch, or the peer ToR)
 		// are excluded: the ToR sees its own signal loss immediately and
 		// learns the rest through hellos (§3.5, §3.6.2).
-		if n.failures != nil && (!n.failures.LinkUp(rack, sw) || !n.failures.LinkUp(peer, sw)) {
+		if n.faults != nil && (!n.faults.LinkUp(rack, sw) || !n.faults.LinkUp(peer, sw)) {
 			continue
 		}
 		start, end := topo.BulkWindow(sw, sc)

@@ -1,295 +1,102 @@
 package sim
 
-import (
-	"fmt"
-
-	"github.com/opera-net/opera/internal/eventsim"
-)
-
-// This file closes the folded Clos fault gap: ClosFaults is the fourth
-// FaultInjector, built on the structured coordinate space the flat
-// (rack, sw) surface could not express. Cables live on two tiers —
-// ClosTierToR (ToR→agg uplinks, Switch = ToR index) and ClosTierAgg
-// (agg→core uplinks, Switch = agg index) — and switch targets address
-// aggregation (ClosTierAgg) and core (ClosTierCore) switches; ToRs use
-// ToRTarget like every other fabric. Tier-0 link coordinates are
-// normalized to ClosTierToR so flat schedules (FlatLink(rack, up)) run
-// unchanged on the Clos.
+// This file is the folded Clos's share of the fault mechanism
+// (faultapi.go). Cables live on two tiers — ClosTierToR (ToR→agg uplinks,
+// Switch = ToR index) and ClosTierAgg (agg→core uplinks, Switch = agg
+// index) — and switch targets address aggregation (ClosTierAgg) and core
+// (ClosTierCore) switches; ToRs use ToRTarget like every other fabric.
+// Tier-0 link coordinates alias ClosTierToR so flat schedules
+// (FlatLink(rack, up)) run unchanged on the Clos.
 //
 // The failure model matches the expander's: a static packet fabric where
 // link-state knowledge is instant. ECMP spraying is failure-aware at
 // each hop's local ports — a ToR sprays only over live uplinks, an agg
 // only over live core uplinks — and the deterministic downward path
-// drops packets at a dead hop (counted in LostToDeadLinks; NDP's
-// trim/RTO machinery retransmits). When an element fails, every queue
-// draining into it is emptied with failed-cable semantics through
-// Port.DropAll, per tier: a tier-1 cut drains the ToR uplink and the
-// agg's reverse down-port, a tier-2 cut drains the agg uplink and the
-// core's reverse down-port, and switch failures drain every port
-// touching the switch.
+// drops packets at a dead hop (counted in Faults.Lost; NDP's trim/RTO
+// machinery retransmits). When an element fails, every queue draining
+// into it is emptied with failed-cable semantics through Port.DropAll: a
+// cable cut drains its two directional ports, a ToR or switch failure
+// drains both ports of every cable touching it. Recoveries are pure
+// state flips.
 
-// ClosFaults implements FaultInjector for ClosNet.
-type ClosFaults struct {
-	faultCore
-	net *ClosNet
-
-	torLinkDown [][]bool // [tor][uplink]        (tier 1 cables)
-	aggLinkDown [][]bool // [agg][core uplink]   (tier 2 cables)
-	torDown     []bool
-	aggDown     []bool
-	coreDown    []bool
-
-	// LostToDeadLinks counts packets dropped at a hop with no live next
-	// hop plus control/low-latency packets drained from failed elements'
-	// queues (bulk-class drops land in PortStats.BulkDrop).
-	LostToDeadLinks uint64
-}
-
-func newClosFaults(n *ClosNet) *ClosFaults {
-	cf := &ClosFaults{net: n}
-	topo := n.topo
-	cf.torLinkDown = make([][]bool, topo.NumToRs)
-	for t := range cf.torLinkDown {
-		cf.torLinkDown[t] = make([]bool, topo.UplinksPerToR)
-	}
-	cf.aggLinkDown = make([][]bool, topo.NumAgg)
-	for a := range cf.aggLinkDown {
-		cf.aggLinkDown[a] = make([]bool, topo.K/2)
-	}
-	cf.torDown = make([]bool, topo.NumToRs)
-	cf.aggDown = make([]bool, topo.NumAgg)
-	cf.coreDown = make([]bool, topo.NumCore)
-	cf.faultCore.init(n.eng, n.faultSeed, cf)
-	return cf
-}
-
-// Faults returns the network's failure state, creating it lazily. A nil
-// (never-created) state keeps the no-fault forwarding paths untouched.
-func (n *ClosNet) Faults() *ClosFaults {
+// Faults returns the network's fault injector, creating it lazily. A nil
+// (never-created) injector keeps the no-fault forwarding paths untouched.
+//
+// The wiring arithmetic below relies on NewFoldedClos guaranteeing
+// AggPerPod == UplinksPerToR (each ToR has exactly one cable to each agg
+// of its pod) and NumCore == AggPerPod·(K/2) (each agg position's uplinks
+// land on a disjoint group of K/2 cores), so every reverse port is unique.
+func (n *ClosNet) Faults() *Faults {
 	if n.faults == nil {
-		n.faults = newClosFaults(n)
+		topo := n.topo
+		half := topo.K / 2
+		aggNode, coreNode := topo.NumToRs, topo.NumToRs+topo.NumAgg
+		cables := make([]cable, 0, topo.NumToRs*topo.UplinksPerToR+topo.NumAgg*half)
+		for t := 0; t < topo.NumToRs; t++ {
+			for i := 0; i < topo.UplinksPerToR; i++ {
+				a := topo.ToRPod(t)*topo.AggPerPod + i // the agg terminating ToR t's uplink i
+				id := LinkID{Tier: ClosTierToR, Switch: t, Port: i}
+				cables = append(cables, cable{id: id, alias: id,
+					ends:  [2]int32{int32(t), int32(aggNode + a)},
+					ports: [2]*Port{n.tors[t].up[i], n.aggs[a].down[t%topo.ToRsPerPod]}})
+			}
+		}
+		for a := 0; a < topo.NumAgg; a++ {
+			for j := 0; j < half; j++ {
+				c := (a%topo.AggPerPod)*half + j // the core terminating agg a's uplink j
+				id := LinkID{Tier: ClosTierAgg, Switch: a, Port: j}
+				cables = append(cables, cable{id: id, alias: id,
+					ends:  [2]int32{int32(aggNode + a), int32(coreNode + c)},
+					ports: [2]*Port{n.aggs[a].up[j], n.cores[c].down[a/topo.AggPerPod]}})
+			}
+		}
+		n.faults = newFaults(n.eng, n.faultSeed, faultMap{
+			fabric: n.Kind(),
+			tors:   topo.NumToRs,
+			links: []linkPlane{
+				{tier: ClosTierToR, flat: true, n: topo.NumToRs, ports: topo.UplinksPerToR, swName: "ToR", portName: "ToR uplink"},
+				{tier: ClosTierAgg, n: topo.NumAgg, ports: half, swName: "agg", portName: "agg uplink"},
+			},
+			switches: []switchPlane{
+				{tier: ClosTierAgg, n: topo.NumAgg, name: "agg"},
+				{tier: ClosTierCore, n: topo.NumCore, name: "core"},
+			},
+			cables: cables,
+			react: func(_ Target, cables []int32, down bool) {
+				if down {
+					n.faults.dropQueued(cables)
+				}
+			},
+		})
 	}
 	return n.faults
 }
 
-// FaultInjector implements FaultNetwork.
-func (n *ClosNet) FaultInjector() FaultInjector { return n.Faults() }
-
-// Wiring arithmetic. NewFoldedClos guarantees AggPerPod == UplinksPerToR
-// (each ToR has exactly one cable to each agg of its pod) and
-// NumCore == AggPerPod·(K/2) (each agg position's uplinks land on a
-// disjoint group of K/2 cores), so every reverse port is unique.
-
-// aggOf returns the agg index terminating ToR t's uplink i.
-func (cf *ClosFaults) aggOf(t, i int) int {
-	topo := cf.net.topo
-	return topo.ToRPod(t)*topo.AggPerPod + i
-}
-
-// coreOf returns the core index terminating agg a's uplink j.
-func (cf *ClosFaults) coreOf(a, j int) int {
-	topo := cf.net.topo
-	return (a%topo.AggPerPod)*(topo.K/2) + j
-}
+// The four liveness reads of the forwarding path are the one predicate —
+// cable and both end nodes up — on one cable each, indexed arithmetically
+// into the usable table: ToR t's uplink i sits in slot t·UplinksPerToR+i,
+// and agg a's uplink j after all of those, at a·(K/2)+j.
 
 // torUplinkUp reports whether ToR t can launch up its uplink i.
-func (cf *ClosFaults) torUplinkUp(t, i int) bool {
-	return !cf.torDown[t] && !cf.torLinkDown[t][i] && !cf.aggDown[cf.aggOf(t, i)]
+func (n *ClosNet) torUplinkUp(t, i int) bool {
+	return n.faults.usable[t*n.topo.UplinksPerToR+i]
+}
+
+// aggDownToTor reports whether agg a can deliver down to ToR t of its pod
+// (the reverse direction of t's tier-1 cable to a).
+func (n *ClosNet) aggDownToTor(a, t int) bool {
+	return n.torUplinkUp(t, a%n.topo.AggPerPod)
 }
 
 // aggUplinkUp reports whether agg a can launch up its core uplink j.
-func (cf *ClosFaults) aggUplinkUp(a, j int) bool {
-	return !cf.aggDown[a] && !cf.aggLinkDown[a][j] && !cf.coreDown[cf.coreOf(a, j)]
-}
-
-// aggDownToTor reports whether agg a can deliver down to ToR t (the
-// reverse direction of t's tier-1 cable to a).
-func (cf *ClosFaults) aggDownToTor(a, t int) bool {
-	return !cf.aggDown[a] && !cf.torDown[t] && !cf.torLinkDown[t][a%cf.net.topo.AggPerPod]
+func (n *ClosNet) aggUplinkUp(a, j int) bool {
+	topo := n.topo
+	return n.faults.usable[topo.NumToRs*topo.UplinksPerToR+a*(topo.K/2)+j]
 }
 
 // coreDownToAgg reports whether core c can deliver down to the agg of
 // the given pod (the reverse direction of that agg's tier-2 cable to c).
-func (cf *ClosFaults) coreDownToAgg(c, pod int) bool {
-	topo := cf.net.topo
-	a := pod*topo.AggPerPod + (c/(topo.K/2))%topo.AggPerPod
-	return !cf.coreDown[c] && !cf.aggDown[a] && !cf.aggLinkDown[a][c%(topo.K/2)]
-}
-
-// canon normalizes flat Tier-0 link coordinates to the ToR-uplink tier,
-// so flat fault schedules address Clos ToR uplinks like any other
-// fabric's rack uplinks. Canonicalizing before dispatch keeps flap
-// generations and recoveries keyed consistently.
-func (cf *ClosFaults) canon(t Target) Target {
-	if t.Kind == TargetLink && t.Link.Tier == 0 {
-		t.Link.Tier = ClosTierToR
-	}
-	return t
-}
-
-// Inject implements FaultInjector.
-func (cf *ClosFaults) Inject(t Target, f Fault, at eventsim.Time) error {
-	return cf.faultCore.inject(cf.canon(t), f, at)
-}
-
-// Recover implements FaultInjector.
-func (cf *ClosFaults) Recover(t Target, at eventsim.Time) error {
-	return cf.faultCore.recover(cf.canon(t), at)
-}
-
-// Links enumerates every cable: all tier-1 ToR uplinks (ToR-major), then
-// all tier-2 agg uplinks (agg-major).
-func (cf *ClosFaults) Links() []LinkID {
-	topo := cf.net.topo
-	out := make([]LinkID, 0, topo.NumToRs*topo.UplinksPerToR+topo.NumAgg*(topo.K/2))
-	for t := 0; t < topo.NumToRs; t++ {
-		for i := 0; i < topo.UplinksPerToR; i++ {
-			out = append(out, LinkID{Tier: ClosTierToR, Switch: t, Port: i})
-		}
-	}
-	for a := 0; a < topo.NumAgg; a++ {
-		for j := 0; j < topo.K/2; j++ {
-			out = append(out, LinkID{Tier: ClosTierAgg, Switch: a, Port: j})
-		}
-	}
-	return out
-}
-
-// checkTarget implements fabricFaultOps.
-func (cf *ClosFaults) checkTarget(t Target) error {
-	topo := cf.net.topo
-	switch t.Kind {
-	case TargetLink:
-		switch t.Link.Tier {
-		case ClosTierToR:
-			if t.Link.Switch < 0 || t.Link.Switch >= topo.NumToRs {
-				return fmt.Errorf("sim: %v: ToR %d out of range [0,%d)", t, t.Link.Switch, topo.NumToRs)
-			}
-			if t.Link.Port < 0 || t.Link.Port >= topo.UplinksPerToR {
-				return fmt.Errorf("sim: %v: ToR uplink %d out of range [0,%d)", t, t.Link.Port, topo.UplinksPerToR)
-			}
-		case ClosTierAgg:
-			if t.Link.Switch < 0 || t.Link.Switch >= topo.NumAgg {
-				return fmt.Errorf("sim: %v: agg %d out of range [0,%d)", t, t.Link.Switch, topo.NumAgg)
-			}
-			if t.Link.Port < 0 || t.Link.Port >= topo.K/2 {
-				return fmt.Errorf("sim: %v: agg uplink %d out of range [0,%d)", t, t.Link.Port, topo.K/2)
-			}
-		default:
-			return fmt.Errorf("sim: %v: clos cables live on tiers %d (ToR uplinks) and %d (agg uplinks)",
-				t, ClosTierToR, ClosTierAgg)
-		}
-	case TargetToR:
-		if t.ID < 0 || t.ID >= topo.NumToRs {
-			return fmt.Errorf("sim: %v: ToR %d out of range [0,%d)", t, t.ID, topo.NumToRs)
-		}
-	case TargetSwitch:
-		switch t.Tier {
-		case ClosTierAgg:
-			if t.ID < 0 || t.ID >= topo.NumAgg {
-				return fmt.Errorf("sim: %v: agg %d out of range [0,%d)", t, t.ID, topo.NumAgg)
-			}
-		case ClosTierCore:
-			if t.ID < 0 || t.ID >= topo.NumCore {
-				return fmt.Errorf("sim: %v: core %d out of range [0,%d)", t, t.ID, topo.NumCore)
-			}
-		default:
-			return fmt.Errorf("sim: %v on foldedclos: %w (switch targets need an explicit tier: %d = agg, %d = core; ToRs use ToRTarget)",
-				t, ErrUnsupportedTarget, ClosTierAgg, ClosTierCore)
-		}
-	default:
-		return fmt.Errorf("sim: %v: unknown target kind", t)
-	}
-	return nil
-}
-
-// linkPorts implements fabricFaultOps: one physical cable, two
-// directional ports.
-func (cf *ClosFaults) linkPorts(l LinkID) []*Port {
-	n := cf.net
+func (n *ClosNet) coreDownToAgg(c, pod int) bool {
 	topo := n.topo
-	if l.Tier == ClosTierToR {
-		t, i := l.Switch, l.Port
-		agg := n.aggs[cf.aggOf(t, i)]
-		return []*Port{n.tors[t].up[i], agg.down[t%topo.ToRsPerPod]}
-	}
-	a, j := l.Switch, l.Port
-	core := n.cores[cf.coreOf(a, j)]
-	return []*Port{n.aggs[a].up[j], core.down[a/topo.AggPerPod]}
-}
-
-// drop runs a failed-element drain on a port, folding control and
-// low-latency losses into LostToDeadLinks.
-func (cf *ClosFaults) drop(pt *Port) { cf.LostToDeadLinks += pt.DropAll() }
-
-// lose counts and releases a packet that reached a hop with no live next
-// hop; transports recover through retransmission.
-func (cf *ClosFaults) lose(p *Packet) {
-	cf.LostToDeadLinks++
-	p.Release()
-}
-
-// setDown implements fabricFaultOps: instant link-state knowledge (the
-// forwarding paths read the liveness helpers live), plus per-tier drains
-// through Port.DropAll on the way down. Recoveries are pure state flips.
-func (cf *ClosFaults) setDown(t Target, down bool) {
-	n := cf.net
-	topo := n.topo
-	switch t.Kind {
-	case TargetLink:
-		if t.Link.Tier == ClosTierToR {
-			tor, i := t.Link.Switch, t.Link.Port
-			cf.torLinkDown[tor][i] = down
-			if down {
-				cf.drop(n.tors[tor].up[i])
-				cf.drop(n.aggs[cf.aggOf(tor, i)].down[tor%topo.ToRsPerPod])
-			}
-		} else {
-			a, j := t.Link.Switch, t.Link.Port
-			cf.aggLinkDown[a][j] = down
-			if down {
-				cf.drop(n.aggs[a].up[j])
-				cf.drop(n.cores[cf.coreOf(a, j)].down[a/topo.AggPerPod])
-			}
-		}
-	case TargetToR:
-		tor := t.ID
-		cf.torDown[tor] = down
-		if down {
-			for i, pt := range n.tors[tor].up {
-				cf.drop(pt)
-				cf.drop(n.aggs[cf.aggOf(tor, i)].down[tor%topo.ToRsPerPod])
-			}
-		}
-	case TargetSwitch:
-		if t.Tier == ClosTierAgg {
-			a := t.ID
-			cf.aggDown[a] = down
-			if down {
-				agg := n.aggs[a]
-				pod, inPod := a/topo.AggPerPod, a%topo.AggPerPod
-				for _, pt := range agg.down {
-					cf.drop(pt)
-				}
-				for j, pt := range agg.up {
-					cf.drop(pt)
-					cf.drop(n.cores[cf.coreOf(a, j)].down[pod])
-				}
-				for tt := pod * topo.ToRsPerPod; tt < (pod+1)*topo.ToRsPerPod; tt++ {
-					cf.drop(n.tors[tt].up[inPod])
-				}
-			}
-		} else {
-			c := t.ID
-			cf.coreDown[c] = down
-			if down {
-				core := n.cores[c]
-				for pod, pt := range core.down {
-					cf.drop(pt)
-					a := pod*topo.AggPerPod + (c/(topo.K/2))%topo.AggPerPod
-					cf.drop(n.aggs[a].up[c%(topo.K/2)])
-				}
-			}
-		}
-	}
+	return n.aggUplinkUp(pod*topo.AggPerPod+(c/(topo.K/2))%topo.AggPerPod, c%(topo.K/2))
 }

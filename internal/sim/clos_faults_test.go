@@ -12,16 +12,10 @@ import (
 
 // closTestbed builds a folded-Clos cluster via the public API (k=8, F=3:
 // 216 hosts over 24 ToRs) and exposes its failure state.
-func closTestbed(t *testing.T) (*opera.Cluster, *sim.ClosFaults) {
+func closTestbed(t *testing.T) (*opera.Cluster, *sim.Faults) {
 	t.Helper()
-	cl, err := opera.NewCluster(opera.ClusterConfig{
-		Kind: opera.KindFoldedClos, ClosK: 8, ClosF: 3, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cn := cl.Network().(*sim.ClosNet)
-	return cl, cn.Faults()
+	cl := newCluster(t, opera.KindFoldedClos, opera.WithClos(8, 3), opera.WithSeed(1))
+	return cl, cl.Faults()
 }
 
 // crossPodFlows schedules flows between distant racks so traffic
@@ -40,9 +34,8 @@ func crossPodFlows(cl *opera.Cluster, bytes int64, stride int) {
 // surviving uplinks and NDP retransmits what was queued on dead cables.
 func TestClosFlowsSurviveLinkFailure(t *testing.T) {
 	cl, cf := closTestbed(t)
-	cf.Inject(sim.LinkTarget(sim.FlatLink(0, 1)), sim.DownFault(), 500*eventsim.Microsecond)
-	cf.Inject(sim.LinkTarget(sim.LinkID{Tier: sim.ClosTierAgg, Switch: 2, Port: 3}),
-		sim.DownFault(), 500*eventsim.Microsecond)
+	cut(t, cf, link(0, 1), 500*eventsim.Microsecond)
+	cut(t, cf, sim.LinkTarget(sim.LinkID{Tier: sim.ClosTierAgg, Switch: 2, Port: 3}), 500*eventsim.Microsecond)
 	crossPodFlows(cl, 30_000, 13)
 	if !cl.RunUntilDone(3000 * eventsim.Millisecond) {
 		done, total := cl.Metrics().DoneCount()
@@ -74,7 +67,7 @@ func TestClosCoreFailure(t *testing.T) {
 		done, total := cl.Metrics().DoneCount()
 		t.Fatalf("only %d/%d flows survived the core failure", done, total)
 	}
-	if cf.LostToDeadLinks == 0 {
+	if cf.Lost == 0 {
 		t.Log("no packets caught in the dead core (timing-dependent; informational)")
 	}
 }
@@ -125,12 +118,7 @@ func TestClosFaultDeterminism(t *testing.T) {
 // down (byte-identity of pre-injector results).
 func TestClosIdleInjectorPreservesDeterminism(t *testing.T) {
 	run := func(attach bool) (int, uint64) {
-		cl, err := opera.NewCluster(opera.ClusterConfig{
-			Kind: opera.KindFoldedClos, ClosK: 8, ClosF: 3, Seed: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cl := newCluster(t, opera.KindFoldedClos, opera.WithClos(8, 3), opera.WithSeed(1))
 		if attach {
 			cl.Network().(*sim.ClosNet).Faults()
 		}

@@ -21,7 +21,7 @@ type ClosNet struct {
 	aggs    []*ClosAgg
 	cores   []*ClosCore
 	metrics *Metrics
-	faults  *ClosFaults // lazily created; see clos_faults.go
+	faults  *Faults // lazily created; see clos_faults.go
 	// faultSeed seeds deterministic gray-failure (lossy-link) draws.
 	faultSeed int64
 }
@@ -149,8 +149,9 @@ type ClosToR struct {
 // restricted to live uplinks — the draw count stays identical while
 // nothing is down, so attaching an idle injector preserves byte-identity.
 func (t *ClosToR) Receive(p *Packet, _ *Port) {
-	cf := t.net.faults
-	if cf != nil && cf.torDown[int(t.id)] {
+	n := t.net
+	cf := n.faults
+	if cf != nil && cf.nodeDown[t.id] { // a dead ToR forwards nothing, rack-local included
 		cf.lose(p)
 		return
 	}
@@ -171,7 +172,7 @@ func (t *ClosToR) Receive(p *Packet, _ *Port) {
 	}
 	live := 0
 	for i := range t.up {
-		if cf.torUplinkUp(int(t.id), i) {
+		if n.torUplinkUp(int(t.id), i) {
 			live++
 		}
 	}
@@ -181,7 +182,7 @@ func (t *ClosToR) Receive(p *Packet, _ *Port) {
 	}
 	k := t.rng.Intn(live)
 	for i := range t.up {
-		if cf.torUplinkUp(int(t.id), i) {
+		if n.torUplinkUp(int(t.id), i) {
 			if k == 0 {
 				p.Hops++
 				t.up[i].Enqueue(p)
@@ -202,17 +203,16 @@ type ClosAgg struct {
 	rng  *rand.Rand
 }
 
-// Receive implements Node; see ClosToR.Receive on fault gating.
+// Receive implements Node; see ClosToR.Receive on fault gating. A dead agg
+// needs no check of its own: every cable touching it is unusable, so both
+// branches below lose the packet before any RNG draw.
 func (a *ClosAgg) Receive(p *Packet, _ *Port) {
-	topo := a.net.topo
-	cf := a.net.faults
-	if cf != nil && cf.aggDown[int(a.id)] {
-		cf.lose(p)
-		return
-	}
+	n := a.net
+	topo := n.topo
+	cf := n.faults
 	dstPod := topo.ToRPod(int(p.DstRack))
 	if int32(dstPod) == a.pod {
-		if cf != nil && !cf.aggDownToTor(int(a.id), int(p.DstRack)) {
+		if cf != nil && !n.aggDownToTor(int(a.id), int(p.DstRack)) {
 			cf.lose(p)
 			return
 		}
@@ -225,7 +225,7 @@ func (a *ClosAgg) Receive(p *Packet, _ *Port) {
 	}
 	live := 0
 	for j := range a.up {
-		if cf.aggUplinkUp(int(a.id), j) {
+		if n.aggUplinkUp(int(a.id), j) {
 			live++
 		}
 	}
@@ -235,7 +235,7 @@ func (a *ClosAgg) Receive(p *Packet, _ *Port) {
 	}
 	k := a.rng.Intn(live)
 	for j := range a.up {
-		if cf.aggUplinkUp(int(a.id), j) {
+		if n.aggUplinkUp(int(a.id), j) {
 			if k == 0 {
 				a.up[j].Enqueue(p)
 				return
@@ -257,7 +257,7 @@ type ClosCore struct {
 // core or dead tier-2 reverse cable drops the packet (NDP retransmits).
 func (c *ClosCore) Receive(p *Packet, _ *Port) {
 	pod := c.net.topo.ToRPod(int(p.DstRack))
-	if cf := c.net.faults; cf != nil && !cf.coreDownToAgg(int(c.id), pod) {
+	if cf := c.net.faults; cf != nil && !c.net.coreDownToAgg(int(c.id), pod) {
 		cf.lose(p)
 		return
 	}

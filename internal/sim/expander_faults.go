@@ -1,14 +1,11 @@
 package sim
 
 import (
-	"fmt"
-
-	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/routing"
 )
 
-// This file brings runtime link and ToR failures to the static expander,
-// so fault scenarios (scenario.At(t, FailLink…)) run on the baselines too.
+// This file is the static expander's share of the fault mechanism
+// (faultapi.go), so fault scenarios run on the baselines too.
 //
 // The failure model is simpler than Opera's §3.6.2 epidemic: a static
 // fabric's ToRs sit on an always-on packet network, where link-state
@@ -23,233 +20,73 @@ import (
 //     retransmits what was lost);
 //   - a transmission already on the wire still delivers.
 //
-// ToR failures are modelled as all of the ToR's fabric cables going dark.
-// Switch targets have no referent here — the expander has no fabric
-// switches — so Inject/Recover on a switch target return an
-// ErrUnsupportedTarget diagnostic (the deprecated FailSwitch shim stays a
-// silent no-op for compatibility with the old flat surface).
+// ToR failures are modelled as all of the ToR's fabric cables going dark:
+// its hosts become unreachable from other racks while rack-local traffic
+// still flows. Switch targets have no referent here — the expander has no
+// fabric switches — so they return ErrUnsupportedTarget.
 
-// ExpanderFaults implements FaultInjector for ExpanderNet. Tier-0 link
-// coordinates name a ToR's neighbor slot: FlatLink(r, i) is the cable
-// between rack r and its i-th expander neighbor (both directions — it is
-// one physical cable, and gray impairments apply to both end ports).
-type ExpanderFaults struct {
-	faultCore
-	net *ExpanderNet
-
-	linkDown [][]bool // [rack][neighbor slot], marked symmetrically
-	torDown  []bool
-
-	// LostToFailedLinks counts control/low-latency packets dropped from
-	// failed cables' queues (bulk-class drops land in PortStats.BulkDrop).
-	LostToFailedLinks uint64
-}
-
-func newExpanderFaults(n *ExpanderNet) *ExpanderFaults {
-	ef := &ExpanderFaults{net: n}
-	ef.linkDown = make([][]bool, n.topo.NumRacks)
-	for r := range ef.linkDown {
-		ef.linkDown[r] = make([]bool, len(n.topo.G.Neighbors(r)))
-	}
-	ef.torDown = make([]bool, n.topo.NumRacks)
-	ef.faultCore.init(n.eng, n.faultSeed, ef)
-	return ef
-}
-
-// Faults returns the network's failure state, creating it lazily.
-func (n *ExpanderNet) Faults() *ExpanderFaults {
+// Faults returns the network's fault injector, creating it lazily. Tier-0
+// link coordinates name a ToR's neighbor slot: FlatLink(r, i) is the
+// cable between rack r and its i-th expander neighbor. That names every
+// cable twice, once from each end; the canonical name is the
+// lower-numbered rack's, and it is one physical cable whichever name is
+// used — a cut takes both directions, gray impairments apply to both end
+// ports.
+func (n *ExpanderNet) Faults() *Faults {
 	if n.faults == nil {
-		n.faults = newExpanderFaults(n)
+		topo := n.topo
+		var cables []cable
+		for r := 0; r < topo.NumRacks; r++ {
+			for slot, nb := range topo.G.Neighbors(r) {
+				if peer := int(nb); peer > r {
+					rev := n.peerSlot(r, slot)
+					cables = append(cables, cable{
+						id: FlatLink(r, slot), alias: FlatLink(peer, rev),
+						ends:  [2]int32{int32(r), int32(peer)},
+						ports: [2]*Port{n.tors[r].up[slot], n.tors[peer].up[rev]},
+					})
+				}
+			}
+		}
+		n.faults = newFaults(n.eng, n.faultSeed, faultMap{
+			fabric: n.Kind(),
+			tors:   topo.NumRacks,
+			links:  []linkPlane{{n: topo.NumRacks, ports: topo.Degree, swName: "rack", portName: "neighbor slot"}},
+			cables: cables,
+			react:  n.reconverge,
+		})
 	}
 	return n.faults
 }
 
-// FaultInjector implements FaultNetwork.
-func (n *ExpanderNet) FaultInjector() FaultInjector { return n.Faults() }
-
-// Uplinks returns the fabric degree u — the number of neighbor slots the
-// flat link coordinate ranges over.
-func (n *ExpanderNet) Uplinks() int { return n.topo.Degree }
-
-// LinkUp reports whether rack's i-th fabric cable is intact and both end
-// ToRs are alive.
-func (ef *ExpanderFaults) LinkUp(rack, slot int) bool {
-	peer := int(ef.net.topo.G.Neighbors(rack)[slot])
-	return !ef.linkDown[rack][slot] && !ef.torDown[rack] && !ef.torDown[peer]
-}
-
-// peerSlot finds the reverse slot: the index of rack in peer's neighbor
-// list (the graph is simple, so it is unique).
-func (ef *ExpanderFaults) peerSlot(rack, slot int) (peer, rev int) {
-	peer = int(ef.net.topo.G.Neighbors(rack)[slot])
-	for j, nb := range ef.net.topo.G.Neighbors(peer) {
+// peerSlot finds the reverse slot: the index of rack in its slot-th
+// neighbor's own neighbor list (the graph is simple, so it is unique).
+func (n *ExpanderNet) peerSlot(rack, slot int) int {
+	peer := int(n.topo.G.Neighbors(rack)[slot])
+	for j, nb := range n.topo.G.Neighbors(peer) {
 		if int(nb) == rack {
-			return peer, j
+			return j
 		}
 	}
 	panic("sim: expander neighbor lists asymmetric")
 }
 
-// Inject implements FaultInjector. Switch targets return an
-// ErrUnsupportedTarget diagnostic: the expander has no fabric switches.
-func (ef *ExpanderFaults) Inject(t Target, f Fault, at eventsim.Time) error {
-	return ef.faultCore.inject(t, f, at)
-}
-
-// Recover implements FaultInjector.
-func (ef *ExpanderFaults) Recover(t Target, at eventsim.Time) error {
-	return ef.faultCore.recover(t, at)
-}
-
-// Links enumerates one canonical coordinate per physical cable (from the
-// lower-numbered end ToR), in deterministic order. The expander's
-// (rack, slot) space names every cable twice — once from each end — and
-// a Down fault cuts the whole cable, so random-failure sweeps must
-// sample from this deduplicated universe or they would fail roughly
-// twice the requested fraction.
-func (ef *ExpanderFaults) Links() []LinkID {
-	var out []LinkID
-	for r := 0; r < ef.net.topo.NumRacks; r++ {
-		for slot, nb := range ef.net.topo.G.Neighbors(r) {
-			if int(nb) > r {
-				out = append(out, FlatLink(r, slot))
-			}
-		}
-	}
-	return out
-}
-
-// checkTarget implements fabricFaultOps.
-func (ef *ExpanderFaults) checkTarget(t Target) error {
-	topo := ef.net.topo
-	switch t.Kind {
-	case TargetLink:
-		if t.Link.Tier != 0 {
-			return fmt.Errorf("sim: expander links are flat {rack, neighbor slot}; got %v", t.Link)
-		}
-		if t.Link.Switch < 0 || t.Link.Switch >= topo.NumRacks {
-			return fmt.Errorf("sim: %v: rack %d out of range [0,%d)", t, t.Link.Switch, topo.NumRacks)
-		}
-		if n := len(topo.G.Neighbors(t.Link.Switch)); t.Link.Port < 0 || t.Link.Port >= n {
-			return fmt.Errorf("sim: %v: neighbor slot %d out of range [0,%d)", t, t.Link.Port, n)
-		}
-	case TargetToR:
-		if t.ID < 0 || t.ID >= topo.NumRacks {
-			return fmt.Errorf("sim: %v: rack %d out of range [0,%d)", t, t.ID, topo.NumRacks)
-		}
-	case TargetSwitch:
-		return fmt.Errorf("sim: %v on expander: %w (its links connect ToRs directly; use a link or ToR target)",
-			t, ErrUnsupportedTarget)
-	default:
-		return fmt.Errorf("sim: %v: unknown target kind", t)
-	}
-	return nil
-}
-
-// linkPorts implements fabricFaultOps: one physical cable, two ports.
-func (ef *ExpanderFaults) linkPorts(l LinkID) []*Port {
-	peer, rev := ef.peerSlot(l.Switch, l.Port)
-	return []*Port{ef.net.tors[l.Switch].up[l.Port], ef.net.tors[peer].up[rev]}
-}
-
-// setDown implements fabricFaultOps: instant reconvergence plus
-// failed-cable drains (see the file comment).
-func (ef *ExpanderFaults) setDown(t Target, down bool) {
-	switch t.Kind {
-	case TargetLink:
-		rack, slot := t.Link.Switch, t.Link.Port
-		peer, rev := ef.peerSlot(rack, slot)
-		ef.linkDown[rack][slot] = down
-		ef.linkDown[peer][rev] = down
-		ef.rebuild()
-		if down {
-			ef.LostToFailedLinks += ef.net.tors[rack].up[slot].DropAll()
-			ef.LostToFailedLinks += ef.net.tors[peer].up[rev].DropAll()
-		}
-	case TargetToR:
-		rack := t.ID
-		ef.torDown[rack] = down
-		ef.rebuild()
-		if down {
-			for slot, pt := range ef.net.tors[rack].up {
-				ef.LostToFailedLinks += pt.DropAll()
-				peer, rev := ef.peerSlot(rack, slot)
-				ef.LostToFailedLinks += ef.net.tors[peer].up[rev].DropAll()
-			}
-		}
-	}
-}
-
-// FailLink schedules the rack↔neighbor-slot cable to fail at the given
-// time.
-//
-// Deprecated: use Inject(LinkTarget(FlatLink(rack, slot)), DownFault(), at).
-func (ef *ExpanderFaults) FailLink(rack, slot int, at eventsim.Time) {
-	mustInject(ef.Inject(LinkTarget(FlatLink(rack, slot)), DownFault(), at))
-}
-
-// RecoverLink schedules the cable back up.
-//
-// Deprecated: use Recover(LinkTarget(FlatLink(rack, slot)), at).
-func (ef *ExpanderFaults) RecoverLink(rack, slot int, at eventsim.Time) {
-	mustInject(ef.Recover(LinkTarget(FlatLink(rack, slot)), at))
-}
-
-// FailToR schedules a whole ToR to drop off the fabric: every one of its
-// expander cables goes dark and its hosts become unreachable from other
-// racks (rack-local traffic still flows).
-//
-// Deprecated: use Inject(ToRTarget(rack), DownFault(), at).
-func (ef *ExpanderFaults) FailToR(rack int, at eventsim.Time) {
-	mustInject(ef.Inject(ToRTarget(rack), DownFault(), at))
-}
-
-// RecoverToR schedules a failed ToR back online.
-//
-// Deprecated: use Recover(ToRTarget(rack), at).
-func (ef *ExpanderFaults) RecoverToR(rack int, at eventsim.Time) {
-	mustInject(ef.Recover(ToRTarget(rack), at))
-}
-
-// FailSwitch is a no-op: the expander has no fabric switches to fail.
-//
-// Deprecated: the structured surface reports this properly —
-// Inject(SwitchTarget(sw), …) returns ErrUnsupportedTarget instead of
-// silently doing nothing.
-func (ef *ExpanderFaults) FailSwitch(sw int, at eventsim.Time) {}
-
-// RecoverSwitch is a no-op; see FailSwitch.
-//
-// Deprecated: see FailSwitch.
-func (ef *ExpanderFaults) RecoverSwitch(sw int, at eventsim.Time) {}
-
-// DistinctLinks enumerates one canonical (rack, slot) coordinate per
-// physical cable, in deterministic order.
-//
-// Deprecated: use Links, which returns the same universe as LinkIDs.
-func (ef *ExpanderFaults) DistinctLinks() [][2]int {
-	links := ef.Links()
-	out := make([][2]int, len(links))
-	for i, l := range links {
-		out[i] = [2]int{l.Switch, l.Port}
-	}
-	return out
-}
-
-// rebuild recomputes the shared shortest-path tables against the
-// surviving topology — instant convergence, per the model above.
-func (ef *ExpanderFaults) rebuild() {
-	maps := routing.ExpanderPortMap(ef.net.topo)
+// reconverge is the expander's reaction rule: recompute the shared
+// shortest-path tables against the surviving topology — instant
+// convergence, per the model above — and lose what was queued on cables
+// that just died.
+func (n *ExpanderNet) reconverge(_ Target, cables []int32, down bool) {
+	maps := routing.ExpanderPortMap(n.topo)
 	pm := maps[0]
 	for r := range pm {
 		for slot, peer := range pm[r] {
-			if peer < 0 {
-				continue
-			}
-			if !ef.LinkUp(r, slot) {
+			if peer >= 0 && !n.faults.LinkUp(r, slot) {
 				pm[r][slot] = -1
 			}
 		}
 	}
-	ef.net.tables = routing.MustBuild(maps)
+	n.tables = routing.MustBuild(maps)
+	if down {
+		n.faults.dropQueued(cables)
+	}
 }

@@ -12,22 +12,17 @@ import (
 
 // expanderTestbed builds an expander cluster via the public API so NDP is
 // attached, and exposes its failure state.
-func expanderTestbed(t *testing.T) (*opera.Cluster, *sim.ExpanderFaults) {
+func expanderTestbed(t *testing.T) (*opera.Cluster, *sim.Faults) {
 	t.Helper()
-	cl, err := opera.NewCluster(opera.ClusterConfig{
-		Kind: opera.KindExpander, Racks: 16, HostsPerRack: 4, Uplinks: 5, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	en := cl.Network().(*sim.ExpanderNet)
-	return cl, en.Faults()
+	cl := newCluster(t, opera.KindExpander,
+		opera.WithRacks(16), opera.WithHostsPerRack(4), opera.WithUplinks(5), opera.WithSeed(1))
+	return cl, cl.Faults()
 }
 
 func TestExpanderFaultInjectorExposed(t *testing.T) {
 	cl, _ := expanderTestbed(t)
 	if cl.Faults() == nil {
-		t.Fatal("expander cluster should expose a FaultInjector")
+		t.Fatal("expander cluster should expose a fault injector")
 	}
 }
 
@@ -35,8 +30,8 @@ func TestExpanderFaultInjectorExposed(t *testing.T) {
 // the dead cables and NDP retransmits whatever was queued on them.
 func TestExpanderFlowsSurviveLinkFailure(t *testing.T) {
 	cl, ef := expanderTestbed(t)
-	ef.FailLink(0, 1, 1*eventsim.Millisecond)
-	ef.FailLink(7, 3, 1*eventsim.Millisecond)
+	cut(t, ef, link(0, 1), 1*eventsim.Millisecond)
+	cut(t, ef, link(7, 3), 1*eventsim.Millisecond)
 	n := cl.NumHosts()
 	for i := 0; i < n; i++ {
 		cl.AddFlow(workload.FlowSpec{
@@ -57,8 +52,8 @@ func TestExpanderFlowsSurviveLinkFailure(t *testing.T) {
 // outage (around it) and after recovery (over it again).
 func TestExpanderLinkRecovery(t *testing.T) {
 	cl, ef := expanderTestbed(t)
-	ef.FailLink(2, 0, 500*eventsim.Microsecond)
-	ef.RecoverLink(2, 0, 5*eventsim.Millisecond)
+	cut(t, ef, link(2, 0), 500*eventsim.Microsecond)
+	heal(t, ef, link(2, 0), 5*eventsim.Millisecond)
 	n := cl.NumHosts()
 	for i := 0; i < n; i += 2 {
 		cl.AddFlow(workload.FlowSpec{
@@ -79,7 +74,7 @@ func TestExpanderLinkRecovery(t *testing.T) {
 // keeps working, and recovery brings the rack back.
 func TestExpanderToRFailureIsolatesRack(t *testing.T) {
 	cl, ef := expanderTestbed(t)
-	ef.FailToR(3, 1*eventsim.Millisecond)
+	cut(t, ef, sim.ToRTarget(3), 1*eventsim.Millisecond)
 	n := cl.NumHosts()
 	d := cl.HostsPerRack()
 	for i := 0; i < n; i++ {
@@ -103,7 +98,7 @@ func TestExpanderToRFailureIsolatesRack(t *testing.T) {
 func TestExpanderFaultDeterminism(t *testing.T) {
 	run := func() (int, uint64) {
 		cl, ef := expanderTestbed(t)
-		ef.FailLink(1, 2, 700*eventsim.Microsecond)
+		cut(t, ef, link(1, 2), 700*eventsim.Microsecond)
 		cl.AddSource(workload.FromSpecs(workload.Shuffle(12, 25_000, eventsim.Millisecond, 1)))
 		cl.RunUntilDone(500 * eventsim.Millisecond)
 		done, _ := cl.Metrics().DoneCount()

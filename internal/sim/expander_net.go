@@ -20,7 +20,7 @@ type ExpanderNet struct {
 	hosts   []*Host
 	tors    []*ExpanderToR
 	metrics *Metrics
-	faults  *ExpanderFaults // lazily created; see expander_faults.go
+	faults  *Faults // lazily created; see expander_faults.go
 	// faultSeed seeds deterministic gray-failure (lossy-link) draws.
 	faultSeed int64
 }

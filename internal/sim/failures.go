@@ -1,13 +1,11 @@
 package sim
 
 import (
-	"fmt"
-
-	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/routing"
 )
 
-// This file implements §3.6.2's failure handling in the running fabric:
+// This file is Opera's share of the fault mechanism (faultapi.go): its
+// coordinate map and §3.6.2's failure handling as the reaction rule.
 //
 //   - Links, ToRs and circuit switches can fail at any simulated time.
 //   - The ToRs adjacent to a failure detect it through the hello exchange
@@ -25,20 +23,13 @@ import (
 //
 // The post-failure tables are computed once per failure event (they are
 // what distributed recomputation converges to); each ToR simply switches
-// to them when the epidemic reaches it.
+// to them when the epidemic reaches it. Recoveries spread the same way:
+// distant ToRs keep routing around a restored link until the good news
+// reaches them.
 
-// FailureState tracks runtime failures and the information epidemic. It
-// implements FaultInjector over flat {rack, rotor-switch} coordinates:
-// Tier-0 links name rack uplinks, ToR targets name racks, Tier-0 switch
-// targets name rotor switches. Gray impairments (lossy/degraded) apply to
-// the named rack's uplink port — the rack side of the circuit.
-type FailureState struct {
-	faultCore
+// helloEpidemic tracks what each ToR knows about the current failure set.
+type helloEpidemic struct {
 	net *OperaNet
-
-	linkDown [][]bool // [rack][switch]
-	torDown  []bool
-	swDown   []bool
 
 	// informed marks ToRs that have learned of the latest failure set and
 	// therefore use the recovery tables.
@@ -47,205 +38,96 @@ type FailureState struct {
 	epoch int
 
 	recovery *routing.Tables
-
-	// LostToDeadLinks counts packets that sailed into a failed circuit.
-	LostToDeadLinks uint64
 }
 
-func newFailureState(n *OperaNet) *FailureState {
-	fs := &FailureState{net: n}
-	fs.linkDown = make([][]bool, n.topo.NumRacks())
-	for i := range fs.linkDown {
-		fs.linkDown[i] = make([]bool, n.topo.Uplinks())
+// Faults returns the network's fault injector, creating it lazily. The
+// coordinate map is flat {rack, rotor switch}: tier-0 links name rack
+// uplinks, tier-0 switch targets name rotor switches, and gray
+// impairments apply to the named rack's uplink port — the rack side of
+// the circuit.
+func (n *OperaNet) Faults() *Faults {
+	if n.faults == nil {
+		racks, sws := n.topo.NumRacks(), n.topo.Uplinks()
+		n.epidemic = &helloEpidemic{net: n, informed: make([]bool, racks)}
+		n.faults = newFaults(n.eng, n.faultSeed, faultMap{
+			fabric:   n.Kind(),
+			tors:     racks,
+			links:    []linkPlane{{n: racks, ports: sws, swName: "rack", portName: "rotor switch"}},
+			switches: []switchPlane{{n: sws, name: "rotor switch"}},
+			cables: rotorCables(racks, sws, func(rack, sw int) *Port {
+				return n.tors[rack].up[sw]
+			}),
+			react: n.epidemic.react,
+		})
 	}
-	fs.torDown = make([]bool, n.topo.NumRacks())
-	fs.swDown = make([]bool, n.topo.Uplinks())
-	fs.informed = make([]bool, n.topo.NumRacks())
-	fs.faultCore.init(n.eng, n.faultSeed, fs)
-	return fs
+	return n.faults
 }
 
-// Inject implements FaultInjector.
-func (fs *FailureState) Inject(t Target, f Fault, at eventsim.Time) error {
-	return fs.faultCore.inject(t, f, at)
-}
-
-// Recover implements FaultInjector: down state, gray impairments and flap
-// cycles on the target all clear at the given time, and the epidemic
-// spreads the good news like any other topology change.
-func (fs *FailureState) Recover(t Target, at eventsim.Time) error {
-	return fs.faultCore.recover(t, at)
-}
-
-// Links enumerates every rack↔rotor-switch cable, rack-major.
-func (fs *FailureState) Links() []LinkID {
-	topo := fs.net.topo
-	out := make([]LinkID, 0, topo.NumRacks()*topo.Uplinks())
-	for rack := 0; rack < topo.NumRacks(); rack++ {
-		for sw := 0; sw < topo.Uplinks(); sw++ {
-			out = append(out, FlatLink(rack, sw))
+// rotorCables lists a rotor fabric's rack↔rotor-switch cables, rack-major.
+// Each carries only its rack-side port: the far end is an optical switch.
+func rotorCables(racks, sws int, uplink func(rack, sw int) *Port) []cable {
+	out := make([]cable, 0, racks*sws)
+	for rack := 0; rack < racks; rack++ {
+		for sw := 0; sw < sws; sw++ {
+			id := FlatLink(rack, sw)
+			out = append(out, cable{id: id, alias: id,
+				ends:  [2]int32{int32(rack), int32(racks + sw)},
+				ports: [2]*Port{uplink(rack, sw)}})
 		}
 	}
 	return out
 }
 
-// checkTarget implements fabricFaultOps.
-func (fs *FailureState) checkTarget(t Target) error {
-	topo := fs.net.topo
+// react is Opera's reaction rule: who detects the change first, carrying
+// §3.6.2's detection semantics for each coordinate kind.
+func (ep *helloEpidemic) react(t Target, _ []int32, down bool) {
+	topo := ep.net.topo
+	var detectors []int
 	switch t.Kind {
 	case TargetLink:
-		if t.Link.Tier != 0 {
-			return fmt.Errorf("sim: opera links are flat {rack, rotor switch}; got %v", t.Link)
-		}
-		if t.Link.Switch < 0 || t.Link.Switch >= topo.NumRacks() {
-			return fmt.Errorf("sim: %v: rack %d out of range [0,%d)", t, t.Link.Switch, topo.NumRacks())
-		}
-		if t.Link.Port < 0 || t.Link.Port >= topo.Uplinks() {
-			return fmt.Errorf("sim: %v: rotor switch %d out of range [0,%d)", t, t.Link.Port, topo.Uplinks())
-		}
+		detectors = []int{t.Link.Switch}
 	case TargetToR:
-		if t.ID < 0 || t.ID >= topo.NumRacks() {
-			return fmt.Errorf("sim: %v: rack %d out of range [0,%d)", t, t.ID, topo.NumRacks())
-		}
-	case TargetSwitch:
-		if t.Tier != 0 {
-			return fmt.Errorf("sim: %v: opera switches live on tier 0 (the rotor plane)", t)
-		}
-		if t.ID < 0 || t.ID >= topo.Uplinks() {
-			return fmt.Errorf("sim: %v: rotor switch %d out of range [0,%d)", t, t.ID, topo.Uplinks())
-		}
-	default:
-		return fmt.Errorf("sim: %v: unknown target kind", t)
-	}
-	return nil
-}
-
-// linkPorts implements fabricFaultOps: gray impairments ride the named
-// rack's uplink port toward the rotor switch.
-func (fs *FailureState) linkPorts(l LinkID) []*Port {
-	return []*Port{fs.net.tors[l.Switch].up[l.Port]}
-}
-
-// setDown implements fabricFaultOps, carrying §3.6.2's detection
-// semantics for each coordinate kind (see the file comment).
-func (fs *FailureState) setDown(t Target, down bool) {
-	switch t.Kind {
-	case TargetLink:
-		rack := t.Link.Switch
-		fs.linkDown[rack][t.Link.Port] = down
-		fs.onFailure([]int{rack})
-	case TargetToR:
+		// The racks currently circuit-connected to it notice at their next
+		// hello; on recovery the rack itself also knows.
 		rack := t.ID
-		fs.torDown[rack] = down
-		// Detection: the racks currently circuit-connected to it notice at
-		// their next hello; on recovery the rack itself also knows.
-		sc := int(fs.net.curSlice % int64(fs.net.topo.SlicesPerCycle()))
-		var detectors []int
+		sc := int(ep.net.curSlice % int64(topo.SlicesPerCycle()))
 		if !down {
 			detectors = append(detectors, rack)
 		}
-		for sw := 0; sw < fs.net.topo.Uplinks(); sw++ {
-			p := fs.net.topo.SwitchMatching(sw, sc).Peer(rack)
-			if p != rack {
+		for sw := 0; sw < topo.Uplinks(); sw++ {
+			if p := topo.SwitchMatching(sw, sc).Peer(rack); p != rack {
 				detectors = append(detectors, p)
 			}
 		}
-		fs.onFailure(detectors)
 	case TargetSwitch:
-		fs.swDown[t.ID] = down
 		// Every ToR detects on its own uplink (signal loss, §3.5).
-		all := make([]int, fs.net.topo.NumRacks())
-		for i := range all {
-			all[i] = i
+		detectors = make([]int, topo.NumRacks())
+		for i := range detectors {
+			detectors[i] = i
 		}
-		fs.onFailure(all)
 	}
-}
-
-// Failures returns the network's failure state, creating it lazily.
-func (n *OperaNet) Failures() *FailureState {
-	if n.failures == nil {
-		n.failures = newFailureState(n)
-	}
-	return n.failures
-}
-
-// FaultInjector implements FaultNetwork.
-func (n *OperaNet) FaultInjector() FaultInjector { return n.Failures() }
-
-// LinkUp reports whether the rack↔switch cable is intact and both ends
-// functional.
-func (fs *FailureState) LinkUp(rack, sw int) bool {
-	return !fs.linkDown[rack][sw] && !fs.torDown[rack] && !fs.swDown[sw]
-}
-
-// FailLink schedules the rack↔switch cable to fail at the given time.
-//
-// Deprecated: use Inject(LinkTarget(FlatLink(rack, sw)), DownFault(), at).
-func (fs *FailureState) FailLink(rack, sw int, at eventsim.Time) {
-	mustInject(fs.Inject(LinkTarget(FlatLink(rack, sw)), DownFault(), at))
-}
-
-// FailToR schedules a whole ToR to fail: its hosts drop off the network
-// and its circuits go dark. Neighbors detect via missing hellos.
-//
-// Deprecated: use Inject(ToRTarget(rack), DownFault(), at).
-func (fs *FailureState) FailToR(rack int, at eventsim.Time) {
-	mustInject(fs.Inject(ToRTarget(rack), DownFault(), at))
-}
-
-// FailSwitch schedules a rotor switch to fail entirely.
-//
-// Deprecated: use Inject(SwitchTarget(sw), DownFault(), at).
-func (fs *FailureState) FailSwitch(sw int, at eventsim.Time) {
-	mustInject(fs.Inject(SwitchTarget(sw), DownFault(), at))
-}
-
-// RecoverLink schedules the rack↔switch cable to come back up at the
-// given time. Both ends see the restored signal and start spreading the
-// news; distant ToRs keep routing around the link until the epidemic
-// reaches them.
-//
-// Deprecated: use Recover(LinkTarget(FlatLink(rack, sw)), at).
-func (fs *FailureState) RecoverLink(rack, sw int, at eventsim.Time) {
-	mustInject(fs.Recover(LinkTarget(FlatLink(rack, sw)), at))
-}
-
-// RecoverToR schedules a failed ToR to rejoin: its circuits light up
-// again and its current-slice peers detect it through fresh hellos.
-//
-// Deprecated: use Recover(ToRTarget(rack), at).
-func (fs *FailureState) RecoverToR(rack int, at eventsim.Time) {
-	mustInject(fs.Recover(ToRTarget(rack), at))
-}
-
-// RecoverSwitch schedules a failed rotor switch back into rotation; every
-// ToR sees its uplink signal return (§3.5).
-//
-// Deprecated: use Recover(SwitchTarget(sw), at).
-func (fs *FailureState) RecoverSwitch(sw int, at eventsim.Time) {
-	mustInject(fs.Recover(SwitchTarget(sw), at))
+	ep.onFailure(detectors)
 }
 
 // onFailure starts a new epoch: rebuild recovery tables against the
 // surviving topology and seed the epidemic with the detecting ToRs.
-func (fs *FailureState) onFailure(detectors []int) {
-	fs.epoch++
-	for i := range fs.informed {
-		fs.informed[i] = false
+func (ep *helloEpidemic) onFailure(detectors []int) {
+	ep.epoch++
+	for i := range ep.informed {
+		ep.informed[i] = false
 	}
 	for _, d := range detectors {
-		if !fs.torDown[d] {
-			fs.informed[d] = true
+		if !ep.net.faults.nodeDown[d] {
+			ep.informed[d] = true
 		}
 	}
-	fs.recovery = routing.MustBuild(fs.portMaps())
+	ep.recovery = routing.MustBuild(ep.portMaps())
 }
 
 // portMaps derives per-slice port maps of the surviving topology.
-func (fs *FailureState) portMaps() []routing.PortMap {
-	topo := fs.net.topo
-	maps := routing.OperaPortMaps(topo)
+func (ep *helloEpidemic) portMaps() []routing.PortMap {
+	fs := ep.net.faults
+	maps := routing.OperaPortMaps(ep.net.topo)
 	for s := range maps {
 		for rack := range maps[s] {
 			for sw := range maps[s][rack] {
@@ -264,13 +146,14 @@ func (fs *FailureState) portMaps() []routing.PortMap {
 
 // spread runs the hello-protocol epidemic for one slice boundary: the two
 // ends of every newly configured circuit exchange failure news (§3.6.2).
-func (fs *FailureState) spread(sliceInCycle int) {
-	if fs.epoch == 0 {
+func (ep *helloEpidemic) spread(sliceInCycle int) {
+	if ep.epoch == 0 {
 		return
 	}
-	topo := fs.net.topo
+	fs := ep.net.faults
+	topo := ep.net.topo
 	for sw := 0; sw < topo.Uplinks(); sw++ {
-		if fs.swDown[sw] {
+		if fs.nodeDown[topo.NumRacks()+sw] {
 			continue
 		}
 		m := topo.SwitchMatching(sw, sliceInCycle)
@@ -282,23 +165,27 @@ func (fs *FailureState) spread(sliceInCycle int) {
 			if !fs.LinkUp(a, sw) || !fs.LinkUp(b, sw) {
 				continue
 			}
-			if fs.informed[a] || fs.informed[b] {
-				fs.informed[a] = true
-				fs.informed[b] = true
+			if ep.informed[a] || ep.informed[b] {
+				ep.informed[a] = true
+				ep.informed[b] = true
 			}
 		}
 	}
 }
 
 // InformedCount returns how many surviving ToRs have learned the current
-// failure set.
-func (fs *FailureState) InformedCount() (informed, survivors int) {
-	for r, up := range fs.torDown {
-		if up {
+// failure set; with no fault ever injected every ToR survives and there is
+// nothing to learn.
+func (n *OperaNet) InformedCount() (informed, survivors int) {
+	if n.faults == nil {
+		return 0, n.topo.NumRacks()
+	}
+	for r, knows := range n.epidemic.informed {
+		if n.faults.nodeDown[r] {
 			continue
 		}
 		survivors++
-		if fs.informed[r] {
+		if knows {
 			informed++
 		}
 	}
@@ -307,9 +194,9 @@ func (fs *FailureState) InformedCount() (informed, survivors int) {
 
 // tablesFor returns the routing tables ToR rack should use: the recovery
 // tables once informed, the original ones otherwise.
-func (fs *FailureState) tablesFor(rack int) *routing.Tables {
-	if fs.epoch > 0 && fs.informed[rack] && fs.recovery != nil {
-		return fs.recovery
+func (ep *helloEpidemic) tablesFor(rack int) *routing.Tables {
+	if ep.epoch > 0 && ep.informed[rack] && ep.recovery != nil {
+		return ep.recovery
 	}
-	return fs.net.tables
+	return ep.net.tables
 }

@@ -12,25 +12,35 @@ import (
 
 // failureTestbed builds an Opera cluster via the public API so transports
 // are attached, and exposes the failure state.
-func failureTestbed(t *testing.T) (*opera.Cluster, *sim.FailureState) {
+func failureTestbed(t *testing.T) (*opera.Cluster, *sim.Faults) {
 	t.Helper()
-	cl, err := opera.NewCluster(opera.ClusterConfig{
-		Kind: opera.KindOpera, Racks: 16, HostsPerRack: 4, Uplinks: 4, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cl, cl.OperaNet().Failures()
+	cl := newCluster(t, opera.KindOpera,
+		opera.WithRacks(16), opera.WithHostsPerRack(4), opera.WithUplinks(4), opera.WithSeed(1))
+	return cl, cl.OperaNet().Faults()
+}
+
+// link names the flat {rack, uplink} cable; cut and heal schedule a clean
+// down fault and its recovery, failing the test on a rejected target.
+func link(rack, uplink int) sim.Target { return sim.LinkTarget(sim.FlatLink(rack, uplink)) }
+
+func cut(t *testing.T, fs *sim.Faults, target sim.Target, at eventsim.Time) {
+	t.Helper()
+	mustOK(t, fs.Inject(target, sim.DownFault(), at))
+}
+
+func heal(t *testing.T, fs *sim.Faults, target sim.Target, at eventsim.Time) {
+	t.Helper()
+	mustOK(t, fs.Recover(target, at))
 }
 
 func TestHelloEpidemicConvergesWithinTwoCycles(t *testing.T) {
 	cl, fs := failureTestbed(t)
 	// Fail one link early on.
-	fs.FailLink(3, 2, 500*eventsim.Microsecond)
+	cut(t, fs, link(3, 2), 500*eventsim.Microsecond)
 	// Cycle time: 16 slices × 100 µs = 1.6 ms. §3.6.2: any connected ToR
 	// learns within at most two cycles.
 	cl.Run(500*eventsim.Microsecond + 2*1600*eventsim.Microsecond)
-	informed, survivors := fs.InformedCount()
+	informed, survivors := cl.OperaNet().InformedCount()
 	if informed != survivors {
 		t.Fatalf("only %d/%d ToRs informed after two cycles", informed, survivors)
 	}
@@ -38,8 +48,8 @@ func TestHelloEpidemicConvergesWithinTwoCycles(t *testing.T) {
 
 func TestFlowsSurviveLinkFailure(t *testing.T) {
 	cl, fs := failureTestbed(t)
-	fs.FailLink(0, 1, 1*eventsim.Millisecond)
-	fs.FailLink(7, 3, 1*eventsim.Millisecond)
+	cut(t, fs, link(0, 1), 1*eventsim.Millisecond)
+	cut(t, fs, link(7, 3), 1*eventsim.Millisecond)
 	n := cl.NumHosts()
 	for i := 0; i < n; i++ {
 		cl.AddFlow(workload.FlowSpec{
@@ -55,7 +65,7 @@ func TestFlowsSurviveLinkFailure(t *testing.T) {
 
 func TestFlowsSurviveSwitchFailure(t *testing.T) {
 	cl, fs := failureTestbed(t)
-	fs.FailSwitch(2, 2*eventsim.Millisecond)
+	cut(t, fs, sim.SwitchTarget(2), 2*eventsim.Millisecond)
 	n := cl.NumHosts()
 	for i := 0; i < n; i += 2 {
 		cl.AddFlow(workload.FlowSpec{Src: i, Dst: (i + 9) % n, Bytes: 15_000})
@@ -71,8 +81,8 @@ func TestFlowsSurviveSwitchFailure(t *testing.T) {
 
 func TestBulkSurvivesLinkFailure(t *testing.T) {
 	cl, fs := failureTestbed(t)
-	fs.FailLink(0, 0, 500*eventsim.Microsecond)
-	fs.FailLink(0, 1, 500*eventsim.Microsecond)
+	cut(t, fs, link(0, 0), 500*eventsim.Microsecond)
+	cut(t, fs, link(0, 1), 500*eventsim.Microsecond)
 	f := cl.AddBulkFlow(workload.FlowSpec{Src: 0, Dst: 60, Bytes: 1 << 20})
 	if !cl.RunUntilDone(3000 * eventsim.Millisecond) {
 		t.Fatalf("bulk flow incomplete after failures: %d/%d (NACKs %d)",
@@ -88,8 +98,8 @@ func TestLostToDeadLinksCounted(t *testing.T) {
 	for i := 0; i < n; i++ {
 		cl.AddFlow(workload.FlowSpec{Src: i, Dst: (i + 31) % n, Bytes: 100_000})
 	}
-	fs.FailLink(5, 2, 300*eventsim.Microsecond)
-	fs.FailLink(9, 0, 400*eventsim.Microsecond)
+	cut(t, fs, link(5, 2), 300*eventsim.Microsecond)
+	cut(t, fs, link(9, 0), 400*eventsim.Microsecond)
 	cl.RunUntilDone(1000 * eventsim.Millisecond)
 	// The counter is advisory; it must not panic and is usually nonzero
 	// under load. Completion is the hard requirement.
@@ -97,17 +107,17 @@ func TestLostToDeadLinksCounted(t *testing.T) {
 	if done != total {
 		t.Fatalf("%d/%d flows done", done, total)
 	}
-	t.Logf("packets lost to dead links: %d", fs.LostToDeadLinks)
+	t.Logf("packets lost to dead links: %d", fs.Lost)
 }
 
 func TestRecoveryRestoresLinks(t *testing.T) {
 	cl, fs := failureTestbed(t)
-	fs.FailLink(3, 2, 500*eventsim.Microsecond)
-	fs.FailSwitch(1, 500*eventsim.Microsecond)
-	fs.FailToR(7, 500*eventsim.Microsecond)
-	fs.RecoverLink(3, 2, 2*eventsim.Millisecond)
-	fs.RecoverSwitch(1, 2*eventsim.Millisecond)
-	fs.RecoverToR(7, 2*eventsim.Millisecond)
+	cut(t, fs, link(3, 2), 500*eventsim.Microsecond)
+	cut(t, fs, sim.SwitchTarget(1), 500*eventsim.Microsecond)
+	cut(t, fs, sim.ToRTarget(7), 500*eventsim.Microsecond)
+	heal(t, fs, link(3, 2), 2*eventsim.Millisecond)
+	heal(t, fs, sim.SwitchTarget(1), 2*eventsim.Millisecond)
+	heal(t, fs, sim.ToRTarget(7), 2*eventsim.Millisecond)
 	cl.Run(1 * eventsim.Millisecond)
 	if fs.LinkUp(3, 2) || fs.LinkUp(0, 1) || fs.LinkUp(7, 0) {
 		t.Fatal("failures not in effect at 1ms")
@@ -117,7 +127,7 @@ func TestRecoveryRestoresLinks(t *testing.T) {
 	if !fs.LinkUp(3, 2) || !fs.LinkUp(0, 1) || !fs.LinkUp(7, 0) {
 		t.Fatal("recovery did not restore links")
 	}
-	informed, survivors := fs.InformedCount()
+	informed, survivors := cl.OperaNet().InformedCount()
 	if survivors != 16 || informed != survivors {
 		t.Fatalf("informed=%d survivors=%d after recovery epidemic", informed, survivors)
 	}
@@ -125,8 +135,8 @@ func TestRecoveryRestoresLinks(t *testing.T) {
 
 func TestFlowsCompleteAcrossFailAndRecover(t *testing.T) {
 	cl, fs := failureTestbed(t)
-	fs.FailSwitch(2, 1*eventsim.Millisecond)
-	fs.RecoverSwitch(2, 4*eventsim.Millisecond)
+	cut(t, fs, sim.SwitchTarget(2), 1*eventsim.Millisecond)
+	heal(t, fs, sim.SwitchTarget(2), 4*eventsim.Millisecond)
 	n := cl.NumHosts()
 	for i := 0; i < n; i++ {
 		cl.AddFlow(workload.FlowSpec{
@@ -141,11 +151,11 @@ func TestFlowsCompleteAcrossFailAndRecover(t *testing.T) {
 }
 
 func TestLinkUpAccessors(t *testing.T) {
-	_, fs := failureTestbed(t)
+	cl, fs := failureTestbed(t)
 	if !fs.LinkUp(0, 0) {
 		t.Fatal("fresh network should have all links up")
 	}
-	informed, survivors := fs.InformedCount()
+	informed, survivors := cl.OperaNet().InformedCount()
 	if informed != 0 || survivors != 16 {
 		t.Fatalf("initial informed=%d survivors=%d", informed, survivors)
 	}

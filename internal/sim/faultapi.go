@@ -5,25 +5,28 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"github.com/opera-net/opera/internal/eventsim"
 )
 
-// This file is the structured fault-injection surface shared by every
-// fabric: coordinates (LinkID, Target), fault descriptors (Fault), the
-// FaultInjector interface, and the dispatch core (faultCore) the four
-// per-fabric injectors build on. The old flat FailLink/FailToR/... calls
-// survive as thin Deprecated shims on the concrete injector types.
+// This file is the whole runtime fault mechanism: coordinates (LinkID,
+// Target), fault descriptors (Fault), and Faults — the one injector every
+// fabric shares. The model: a fabric is a set of cables, each joining two
+// nodes (a ToR or a tier-qualified switch), and a cable is usable iff the
+// cable and both its end nodes are up. A fabric contributes only its
+// coordinate map and its reaction to a state change (faultMap, built in
+// failures.go, expander_faults.go, rotornet_faults.go and clos_faults.go);
+// everything else is written once, here.
 //
 // Coordinates are fabric-interpreted. Flat fabrics (Opera, RotorNet, the
 // expander) name links as {Tier: 0, Switch: rack, Port: uplink}; the
 // folded Clos names its two cable tiers explicitly (ClosTierToR,
-// ClosTierAgg) and normalizes Tier 0 to the ToR-uplink tier so flat
-// schedules run unchanged. Switch targets carry a tier too: Tier 0 is the
-// fabric's default switch plane (the rotor switches on Opera/RotorNet);
-// the Clos requires an explicit tier (ClosTierAgg or ClosTierCore), and
-// the expander — which has no fabric switches at all — rejects switch
-// targets with ErrUnsupportedTarget.
+// ClosTierAgg) and accepts Tier 0 as an alias of the ToR-uplink tier so
+// flat schedules run unchanged. Switch targets carry a tier too: Tier 0 is
+// the rotor plane on Opera/RotorNet; the Clos requires an explicit tier
+// (ClosTierAgg or ClosTierCore), and the expander — which has no fabric
+// switches at all — rejects switch targets with ErrUnsupportedTarget.
 
 // LinkID names one physical cable in a fabric-interpreted coordinate
 // space. Flat fabrics use {Tier: 0, Switch: rack, Port: uplink} (see
@@ -238,91 +241,292 @@ func (f Fault) Validate() error {
 // Test with errors.Is.
 var ErrUnsupportedTarget = errors.New("fault target unsupported on this fabric")
 
-// FaultInjector schedules runtime failures (and recoveries) into a live
-// fabric using structured coordinates. All four built-in fabrics
-// implement it: Opera (§3.6.2's detection-and-epidemic model,
-// FailureState), the expander (instant link-state reconvergence,
-// ExpanderFaults), RotorNet (instant global knowledge over the OOB
-// management channel, RotorFaults) and the folded Clos (instant local
-// link-state, ClosFaults).
+// faultMap is everything a fabric contributes to the fault mechanism: its
+// coordinate map and its reaction rule. Faults derives the rest from it.
+// Nodes are numbered ToRs first (ToR r is node r), then each switch plane
+// in order.
+type faultMap struct {
+	fabric string // registered architecture name, for error text
+	tors   int
+	// links are the cable coordinate planes; links[0] is the flat
+	// {rack, uplink} plane that FlatLink and LinkUp address.
+	links    []linkPlane
+	switches []switchPlane
+	// cables lists every physical cable once, in Links() order.
+	cables []cable
+	// react is the fabric's reaction rule, run inside the engine after
+	// every state flip with the canonical target and the cables whose
+	// usability it governs. Nil when forwarding reads the usable table
+	// live and nothing else needs doing (RotorNet).
+	react func(t Target, cables []int32, down bool)
+}
+
+// linkPlane is one tier of cable coordinates: Switch ∈ [0,n) is the rack
+// or switch whose uplink the cable is, Port ∈ [0,ports) the uplink.
+type linkPlane struct {
+	tier     int  // the LinkID.Tier naming the plane
+	flat     bool // Tier 0 names it too (the Clos's ToR-uplink tier)
+	n, ports int
+	swName   string // "rack", "agg", … for error text
+	portName string // "rotor switch", "neighbor slot", …
+	base     int    // the plane's first slot in the usable table (newFaults sets it)
+}
+
+// switchPlane is one tier of fabric switches: switch targets address it
+// and cables end at its nodes.
+type switchPlane struct {
+	tier, n int
+	name    string
+	base    int // the plane's first node (newFaults sets it)
+}
+
+// cable is one physical cable.
+type cable struct {
+	id    LinkID   // canonical name
+	alias LinkID   // its name from the other end (expander); equal to id when it has one name
+	ends  [2]int32 // end nodes
+	// ports transmit onto the cable: ports[0] from the id end, ports[1]
+	// back (nil on rotor fabrics, whose far end is an optical switch).
+	ports [2]*Port
+	slots [2]int32 // usable-table slots of id and alias, the latter -1 when absent (newFaults sets them)
+}
+
+// Faults schedules runtime failures and recoveries into a live fabric and
+// owns its only link-state table. Every built-in fabric hands one out
+// through FaultNetwork.Faults; what differs per fabric is the coordinate
+// map and the reaction rule documented next to each fabric's faultMap.
 //
 // Inject validates the target and descriptor synchronously — bad
 // coordinates or an unsupported target kind return an error before
 // anything is scheduled — and then schedules the fault to take effect at
-// the given virtual time. Recover clears every effect on the target
-// (down state, gray impairments, an active flap cycle) at the given
-// time. Links enumerates the fabric's physical-cable universe, one
-// canonical LinkID per cable, in deterministic order — the sampling
-// space for random-failure sweeps.
-type FaultInjector interface {
-	Inject(t Target, f Fault, at eventsim.Time) error
-	Recover(t Target, at eventsim.Time) error
-	Links() []LinkID
-}
+// the given virtual time. Recover clears every effect on the target (down
+// state, gray impairments, an active flap cycle) at the given time. A
+// cable with two names (the expander's, one per end; a Clos ToR uplink's
+// flat and tiered forms) is one target under either. All methods are only
+// safe from the engine goroutine.
+type Faults struct {
+	eng   *eventsim.Engine
+	seed  int64
+	m     faultMap
+	ports int // links[0].ports: LinkUp's row stride
 
-// fabricFaultOps is the per-fabric primitive set faultCore drives: pure
-// coordinate validation, link→endpoint-port resolution (for gray
-// impairments), and the fabric's own up/down state transition (which
-// runs inside the scheduled event and carries the fabric's failure
-// semantics — Opera's epidemic, the expander's rebuild, Clos drains).
-type fabricFaultOps interface {
-	// checkTarget validates coordinates; it must not mutate anything.
-	checkTarget(t Target) error
-	// linkPorts resolves a (validated) link to the output ports that
-	// carry its gray impairments.
-	linkPorts(l LinkID) []*Port
-	// setDown applies or clears the fabric's down state for a validated
-	// target. It runs inside the engine at the scheduled time.
-	setDown(t Target, down bool)
-}
+	slotCable []int32   // usable-table slot → cable
+	incident  [][]int32 // node → the cables ending at it, in cable order
+	cut       []bool    // per cable: the cable itself is cut
+	nodeDown  []bool    // per node: the ToR or switch is down
+	// usable is the one table forwarding reads: per coordinate slot,
+	// whether the cable there and both its end nodes are up.
+	usable []bool
 
-// faultCore is the shared dispatch engine embedded by every injector:
-// it validates, schedules, seeds gray impairments deterministically, and
-// runs flap cycles with generation-counted cancellation.
-type faultCore struct {
-	eng  *eventsim.Engine
-	seed int64
-	ops  fabricFaultOps
-
-	// flapGen cancels flap cycles: each new fault or recovery on a
+	// flapGen cancels flap cycles: each new down, flap or recovery on a
 	// target bumps its generation at its scheduled time, and a flap
-	// transition whose generation is stale stops rescheduling. Only
-	// engine callbacks touch it, so no locking is needed.
+	// transition whose generation is stale stops rescheduling.
 	flapGen map[Target]uint64
-
-	// active tracks the fault currently applied to each target,
-	// maintained at fire time by faultOp.OnEvent (latest fault wins per
-	// target; Recover deletes) so it reflects what the fabric actually
-	// sees, not what has merely been scheduled. Only engine callbacks
-	// touch it. Read through ActiveFaults.
+	// active is the fault currently applied to each (canonical) target,
+	// maintained at fire time — latest fault wins, Recover deletes — so it
+	// reflects what the fabric sees, not what has merely been scheduled.
 	active map[Target]Fault
 
-	// strandedProbe, when wired (Cluster.Faults does it for circuit
-	// fabrics), reports RotorLB VLB bytes stranded at relays whose
-	// second leg is unreachable. See StrandedBytes.
 	strandedProbe func() int64
+
+	// Lost counts packets that reached a dead hop — sailed into a failed
+	// circuit, or found no live next hop — plus control and low-latency
+	// packets drained from failed cables' queues (bulk-class drains land
+	// in PortStats.BulkDrop). Transports recover them by retransmission.
+	Lost uint64
 }
 
-func (fc *faultCore) init(eng *eventsim.Engine, seed int64, ops fabricFaultOps) {
-	fc.eng = eng
-	fc.seed = seed
-	fc.ops = ops
-	fc.flapGen = make(map[Target]uint64)
-	fc.active = make(map[Target]Fault)
+func newFaults(eng *eventsim.Engine, seed int64, m faultMap) *Faults {
+	f := &Faults{eng: eng, seed: seed, m: m, ports: m.links[0].ports,
+		flapGen: make(map[Target]uint64), active: make(map[Target]Fault)}
+	slots := 0
+	for i := range m.links {
+		m.links[i].base = slots
+		slots += m.links[i].n * m.links[i].ports
+	}
+	nodes := m.tors
+	for i := range m.switches {
+		m.switches[i].base = nodes
+		nodes += m.switches[i].n
+	}
+	f.slotCable = make([]int32, slots)
+	f.incident = make([][]int32, nodes)
+	f.cut = make([]bool, len(m.cables))
+	f.nodeDown = make([]bool, nodes)
+	f.usable = make([]bool, slots)
+	for i := range f.usable {
+		f.usable[i] = true
+	}
+	for ci := range m.cables {
+		c := &m.cables[ci]
+		c.slots = [2]int32{f.linkPlane(c.id.Tier).slot(c.id), -1}
+		f.slotCable[c.slots[0]] = int32(ci)
+		if c.alias != c.id {
+			c.slots[1] = f.linkPlane(c.alias.Tier).slot(c.alias)
+			f.slotCable[c.slots[1]] = int32(ci)
+		}
+		for _, e := range c.ends {
+			f.incident[e] = append(f.incident[e], int32(ci))
+		}
+	}
+	return f
 }
 
-func (fc *faultCore) bumpGen(t Target) uint64 {
-	fc.flapGen[t]++
-	return fc.flapGen[t]
+// linkPlane finds the cable plane a link tier names, nil if none.
+func (f *Faults) linkPlane(tier int) *linkPlane {
+	for i := range f.m.links {
+		if p := &f.m.links[i]; p.tier == tier || (tier == 0 && p.flat) {
+			return p
+		}
+	}
+	return nil
+}
+
+// slot maps an in-range coordinate on the plane to its usable-table slot.
+func (p *linkPlane) slot(l LinkID) int32 { return int32(p.base + l.Switch*p.ports + l.Port) }
+
+// LinkUp reports whether the flat-plane cable at {rack, uplink} is usable:
+// the cable intact and both its end nodes up.
+func (f *Faults) LinkUp(rack, uplink int) bool { return f.usable[rack*f.ports+uplink] }
+
+// Links enumerates the fabric's physical cables, one canonical LinkID
+// each, in deterministic order — the sampling space for random-failure
+// sweeps. (The expander's {rack, slot} space names every cable from both
+// ends; sampling it raw would fail twice the requested fraction.)
+func (f *Faults) Links() []LinkID {
+	out := make([]LinkID, len(f.m.cables))
+	for i := range f.m.cables {
+		out[i] = f.m.cables[i].id
+	}
+	return out
+}
+
+// resolved is a validated target: what a state flip or impairment on it
+// touches.
+type resolved struct {
+	t     Target   // canonical form; a link target names its cable by cable.id
+	cable int32    // link targets: the cable, else -1
+	node  int32    // ToR and switch targets: the node, else -1
+	link  LinkID   // link targets: the coordinate as written, on its plane's own tier
+	ports [2]*Port // link targets: the cable's ports, the written end's first
+}
+
+// resolve validates a target against the coordinate map without mutating
+// anything.
+func (f *Faults) resolve(t Target) (resolved, error) {
+	r := resolved{cable: -1, node: -1}
+	inRange := func(what string, v, n int) error {
+		if v < 0 || v >= n {
+			return fmt.Errorf("sim: %v: %s %d out of range [0,%d)", t, what, v, n)
+		}
+		return nil
+	}
+	switch t.Kind {
+	case TargetLink:
+		l := t.Link
+		p := f.linkPlane(l.Tier)
+		if p == nil {
+			return r, fmt.Errorf("sim: %v: %s has no cable tier %d", t, f.m.fabric, l.Tier)
+		}
+		if err := inRange(p.swName, l.Switch, p.n); err != nil {
+			return r, err
+		}
+		if err := inRange(p.portName, l.Port, p.ports); err != nil {
+			return r, err
+		}
+		l.Tier = p.tier
+		s := p.slot(l)
+		c := &f.m.cables[f.slotCable[s]]
+		r.cable, r.link, r.ports = f.slotCable[s], l, c.ports
+		if s == c.slots[1] {
+			r.ports[0], r.ports[1] = c.ports[1], c.ports[0]
+		}
+		r.t = LinkTarget(c.id)
+	case TargetToR:
+		if err := inRange("rack", t.ID, f.m.tors); err != nil {
+			return r, err
+		}
+		r.node, r.t = int32(t.ID), ToRTarget(t.ID)
+	case TargetSwitch:
+		var p *switchPlane
+		var have []string
+		for i := range f.m.switches {
+			sp := &f.m.switches[i]
+			if sp.tier == t.Tier {
+				p = sp
+			}
+			have = append(have, fmt.Sprintf("tier %d = %s", sp.tier, sp.name))
+		}
+		if p == nil {
+			hint := "it has no fabric switches; use a link or ToR target"
+			if have != nil {
+				hint = "its switch planes are " + strings.Join(have, ", ")
+			}
+			return r, fmt.Errorf("sim: %v on %s: %w (%s)", t, f.m.fabric, ErrUnsupportedTarget, hint)
+		}
+		if err := inRange(p.name, t.ID, p.n); err != nil {
+			return r, err
+		}
+		r.node, r.t = int32(p.base+t.ID), TierSwitchTarget(t.Tier, t.ID)
+	default:
+		return r, fmt.Errorf("sim: %v: unknown target kind", t)
+	}
+	return r, nil
+}
+
+// setDown flips a target's own state, refreshes the usable table for the
+// cables it governs, and hands the change to the fabric's reaction rule.
+func (f *Faults) setDown(r *resolved, down bool) {
+	var touched []int32
+	if r.cable >= 0 {
+		f.cut[r.cable] = down
+		touched = []int32{r.cable}
+	} else {
+		f.nodeDown[r.node] = down
+		touched = f.incident[r.node]
+	}
+	for _, ci := range touched {
+		c := &f.m.cables[ci]
+		up := !f.cut[ci] && !f.nodeDown[c.ends[0]] && !f.nodeDown[c.ends[1]]
+		f.usable[c.slots[0]] = up
+		if c.slots[1] >= 0 {
+			f.usable[c.slots[1]] = up
+		}
+	}
+	if f.m.react != nil {
+		f.m.react(r.t, touched, down)
+	}
+}
+
+// dropQueued empties the ports of cables that just went down, with
+// failed-cable semantics (Port.DropAll): the static fabrics' share of a
+// reaction rule. Packets queued on a dead cable are lost; a transmission
+// already on the wire still delivers.
+func (f *Faults) dropQueued(cables []int32) {
+	for _, ci := range cables {
+		for _, pt := range f.m.cables[ci].ports {
+			f.Lost += pt.DropAll()
+		}
+	}
+}
+
+// lose counts and releases a packet that reached a hop with no live next
+// hop.
+func (f *Faults) lose(p *Packet) {
+	f.Lost++
+	p.Release()
 }
 
 // linkSeed derives a per-link, per-endpoint deterministic seed for lossy
 // draws: stable across runs and independent of scheduling parallelism,
 // decorrelated across links and from the workload generators (which
-// consume the fabric seed directly).
-func (fc *faultCore) linkSeed(l LinkID, end int) int64 {
+// consume the fabric seed directly). It is keyed by the coordinate as
+// written, with end 0 the written end, so a two-named cable draws a
+// different loss stream under each name — by design: renaming the key
+// would silently change every recorded lossy run.
+func (f *Faults) linkSeed(l LinkID, end int) int64 {
 	const grayFaultSalt = int64(-0x61c8864680b583eb) // 0x9e3779b97f4a7c15
-	z := fc.seed ^ grayFaultSalt
+	z := f.seed ^ grayFaultSalt
 	z ^= int64(l.Tier)<<48 ^ int64(l.Switch)<<24 ^ int64(l.Port)<<8 ^ int64(end)
 	// splitmix64 finalizer to spread the structured bits.
 	z = (z ^ (z >> 30)) * -0x40a7b892e31b1a47
@@ -349,50 +553,52 @@ const (
 // flap schedules exactly one successor, so the op is never doubly
 // pending.
 type faultOp struct {
-	fc   *faultCore
-	kind faultOpKind
-	t    Target
-	f    Fault
-	gen  uint64 // flap-cycle generation; stale ⇒ the cycle is over
-	down bool   // phase the next flap transition applies
+	resolved
+	f     *Faults
+	kind  faultOpKind
+	fault Fault
+	gen   uint64 // flap-cycle generation; stale ⇒ the cycle is over
+	down  bool   // phase the next flap transition applies
 }
 
 // OnEvent implements eventsim.Handler.
 func (op *faultOp) OnEvent(any) {
-	fc := op.fc
+	f := op.f
 	switch op.kind {
 	case opGray:
-		for end, pt := range fc.ops.linkPorts(op.t.Link) {
-			if op.f.Kind == FaultLossy {
-				pt.SetLossRate(op.f.Rate, fc.linkSeed(op.t.Link, end))
+		for end, pt := range op.ports {
+			if pt == nil {
+				continue
+			}
+			if op.fault.Kind == FaultLossy {
+				pt.SetLossRate(op.fault.Rate, f.linkSeed(op.link, end))
 			} else {
-				pt.SetRateDerating(op.f.RateFraction)
+				pt.SetRateDerating(op.fault.RateFraction)
 			}
 		}
-		fc.active[op.t] = op.f
+		f.active[op.t] = op.fault
 	case opDown:
-		fc.bumpGen(op.t) // an explicit cut overrides an active flap
-		fc.ops.setDown(op.t, true)
-		fc.active[op.t] = op.f
+		f.flapGen[op.t]++ // an explicit cut overrides an active flap
+		f.setDown(&op.resolved, true)
+		f.active[op.t] = op.fault
 	case opFlapStart:
 		// The generation is claimed at fire time, not at Inject time, so
 		// an earlier-scheduled fault on the same target stays overridden.
-		op.kind = opFlapStep
-		op.gen = fc.bumpGen(op.t)
-		op.down = true
-		fc.active[op.t] = op.f
+		f.flapGen[op.t]++
+		op.kind, op.gen, op.down = opFlapStep, f.flapGen[op.t], true
+		f.active[op.t] = op.fault
 		op.flapStep()
 	case opFlapStep:
 		op.flapStep()
 	case opRecover:
-		fc.bumpGen(op.t)
-		if op.t.Kind == TargetLink {
-			for _, pt := range fc.ops.linkPorts(op.t.Link) {
+		f.flapGen[op.t]++
+		for _, pt := range op.ports {
+			if pt != nil {
 				pt.ClearImpairments()
 			}
 		}
-		fc.ops.setDown(op.t, false)
-		delete(fc.active, op.t)
+		f.setDown(&op.resolved, false)
+		delete(f.active, op.t)
 	}
 }
 
@@ -400,78 +606,74 @@ func (op *faultOp) OnEvent(any) {
 // generation (a newer fault or a recovery reached the target) ends the
 // cycle without touching the fabric.
 func (op *faultOp) flapStep() {
-	fc := op.fc
-	if fc.flapGen[op.t] != op.gen {
+	f := op.f
+	if f.flapGen[op.t] != op.gen {
 		return
 	}
-	fc.ops.setDown(op.t, op.down)
-	d := op.f.Up
+	f.setDown(&op.resolved, op.down)
+	d := op.fault.Up
 	if op.down {
-		d = op.f.Down
+		d = op.fault.Down
 	}
 	op.down = !op.down
-	fc.eng.AfterCall(d, op, nil)
+	f.eng.AfterCall(d, op, nil)
 }
 
-// inject implements FaultInjector.Inject over the fabric ops.
-func (fc *faultCore) inject(t Target, f Fault, at eventsim.Time) error {
-	if err := f.Validate(); err != nil {
+// Inject schedules the fault on the target at the given virtual time.
+func (f *Faults) Inject(t Target, fault Fault, at eventsim.Time) error {
+	if err := fault.Validate(); err != nil {
 		return err
 	}
 	if at < 0 {
 		return fmt.Errorf("sim: inject %v at negative time %v", t, at)
 	}
-	if err := fc.ops.checkTarget(t); err != nil {
+	r, err := f.resolve(t)
+	if err != nil {
 		return err
 	}
-	if f.Kind == FaultLossy || f.Kind == FaultDegraded {
-		if t.Kind != TargetLink {
-			return fmt.Errorf("sim: %v fault applies to links, not %v targets", f.Kind, t.Kind)
-		}
-		fc.eng.AtCall(at, &faultOp{fc: fc, kind: opGray, t: t, f: f}, nil)
-		return nil
-	}
-	if f.Kind == FaultFlapping && t.Kind != TargetLink {
-		return fmt.Errorf("sim: flapping fault applies to links, not %v targets", t.Kind)
-	}
-	switch f.Kind {
-	case FaultDown:
-		fc.eng.AtCall(at, &faultOp{fc: fc, kind: opDown, t: t, f: f}, nil)
+	kind := opDown
+	switch fault.Kind {
+	case FaultLossy, FaultDegraded:
+		kind = opGray
 	case FaultFlapping:
-		fc.eng.AtCall(at, &faultOp{fc: fc, kind: opFlapStart, t: t, f: f}, nil)
+		kind = opFlapStart
 	}
+	if kind != opDown && t.Kind != TargetLink {
+		return fmt.Errorf("sim: %v fault applies to links, not %v targets", fault.Kind, t.Kind)
+	}
+	f.eng.AtCall(at, &faultOp{resolved: r, f: f, kind: kind, fault: fault}, nil)
 	return nil
 }
 
-// recover implements FaultInjector.Recover over the fabric ops: at the
-// scheduled time the target's down state, gray impairments and any flap
-// cycle are all cleared.
-func (fc *faultCore) recover(t Target, at eventsim.Time) error {
+// Recover schedules the target's down state, gray impairments and any
+// flap cycle to clear at the given virtual time.
+func (f *Faults) Recover(t Target, at eventsim.Time) error {
 	if at < 0 {
 		return fmt.Errorf("sim: recover %v at negative time %v", t, at)
 	}
-	if err := fc.ops.checkTarget(t); err != nil {
+	r, err := f.resolve(t)
+	if err != nil {
 		return err
 	}
-	fc.eng.AtCall(at, &faultOp{fc: fc, kind: opRecover, t: t}, nil)
+	f.eng.AtCall(at, &faultOp{resolved: r, f: f, kind: opRecover}, nil)
 	return nil
 }
 
-// SetStrandedProbe wires the injector's StrandedBytes counter to a live
-// transport-layer probe. Cluster.Faults installs RotorLB's stranded-VLB
-// accounting on circuit fabrics; fabrics without RotorLB leave it unset.
-func (fc *faultCore) SetStrandedProbe(fn func() int64) { fc.strandedProbe = fn }
+// SetStrandedProbe wires StrandedBytes to a live transport-layer probe.
+// Cluster.Faults installs RotorLB's stranded-VLB accounting on circuit
+// fabrics; fabrics without RotorLB leave it unset.
+func (f *Faults) SetStrandedProbe(fn func() int64) { f.strandedProbe = fn }
 
 // StrandedBytes reports VLB bytes currently parked at relay racks that
 // cannot reach the bytes' final destination over any direct circuit —
 // the known RotorLB model gap: such bytes are not re-offloaded to a
 // third rack, they wait for recovery (see rotorlb.LB.StrandedBytes).
 // Zero when no probe is wired or nothing is stranded.
-func (fc *faultCore) StrandedBytes() int64 {
-	if fc.strandedProbe == nil {
+func (f *Faults) StrandedBytes() int64 {
+	if f.strandedProbe == nil {
 		return 0
 	}
-	return fc.strandedProbe()
+	return f.strandedProbe()
 }
 
 // ActiveFault pairs a target with the fault currently applied to it — one
@@ -482,25 +684,19 @@ type ActiveFault struct {
 }
 
 // ActiveFaults returns the faults currently applied to the fabric, in a
-// deterministic coordinate order (kind, tier, ID, link coordinates). A
-// fault is listed from the virtual time its injection fires until its
-// recovery fires; per target the latest-applied fault wins, exactly
-// mirroring the fabric's state. A flapping target is listed for the whole
-// cycle, through both phases. Like every injector method, ActiveFaults is
-// only safe from the engine goroutine (e.g. an observer's sampling event).
-//
-// ActiveFaults is not part of the FaultInjector interface — reach it with
-// a type assertion, like SetStrandedProbe:
-//
-//	if af, ok := inj.(interface{ ActiveFaults() []ActiveFault }); ok { ... }
-func (fc *faultCore) ActiveFaults() []ActiveFault {
-	if len(fc.active) == 0 {
+// deterministic coordinate order (kind, tier, ID, link coordinates), each
+// under its target's canonical name. A fault is listed from the virtual
+// time its injection fires until its recovery fires; per target the
+// latest-applied fault wins, exactly mirroring the fabric's state. A
+// flapping target is listed for the whole cycle, through both phases.
+func (f *Faults) ActiveFaults() []ActiveFault {
+	if len(f.active) == 0 {
 		return nil
 	}
-	out := make([]ActiveFault, 0, len(fc.active))
+	out := make([]ActiveFault, 0, len(f.active))
 	//operalint:allow maporder -- sorted into canonical coordinate order below
-	for t, f := range fc.active {
-		out = append(out, ActiveFault{Target: t, Fault: f})
+	for t, fault := range f.active {
+		out = append(out, ActiveFault{Target: t, Fault: fault})
 	}
 	sort.Slice(out, func(i, j int) bool { return targetLess(out[i].Target, out[j].Target) })
 	return out
@@ -531,12 +727,3 @@ func targetLess(a, b Target) bool {
 // here (not in port.go) so the seeding policy lives with the rest of the
 // fault machinery.
 func grayRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-// mustInject backs the deprecated flat shims: they have no error return,
-// and the old surface paniced (at fire time) on bad coordinates, so a
-// synchronous validation failure panics too.
-func mustInject(err error) {
-	if err != nil {
-		panic(err)
-	}
-}

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,9 +16,9 @@ import (
 // The structured fault surface: coordinate universes, validation, and
 // the per-fabric target support matrix.
 
-func newCluster(t *testing.T, cfg opera.ClusterConfig) *opera.Cluster {
+func newCluster(t *testing.T, kind opera.Kind, opts ...opera.Option) *opera.Cluster {
 	t.Helper()
-	cl, err := opera.NewCluster(cfg)
+	cl, err := opera.New(kind, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,8 +26,7 @@ func newCluster(t *testing.T, cfg opera.ClusterConfig) *opera.Cluster {
 }
 
 // Satellite pin: switch targets on the expander surface a clean
-// "unsupported on this fabric" error through the structured API — not a
-// silent no-op like the deprecated FailSwitch shim.
+// "unsupported on this fabric" error, not a silent no-op.
 func TestExpanderSwitchTargetUnsupported(t *testing.T) {
 	_, ef := expanderTestbed(t)
 	err := ef.Inject(sim.SwitchTarget(0), sim.DownFault(), eventsim.Millisecond)
@@ -49,11 +49,8 @@ func TestExpanderSwitchTargetUnsupported(t *testing.T) {
 // A tier-0 switch target on the folded Clos is rejected the same way:
 // its switch planes are ClosTierAgg and ClosTierCore.
 func TestClosDefaultSwitchPlaneUnsupported(t *testing.T) {
-	cl := newCluster(t, opera.ClusterConfig{Kind: opera.KindFoldedClos, ClosK: 8, ClosF: 3, Seed: 1})
+	cl := newCluster(t, opera.KindFoldedClos)
 	inj := cl.Faults()
-	if inj == nil {
-		t.Fatal("folded Clos should expose a FaultInjector")
-	}
 	err := inj.Inject(sim.SwitchTarget(0), sim.DownFault(), eventsim.Millisecond)
 	if !errors.Is(err, sim.ErrUnsupportedTarget) {
 		t.Fatalf("Inject(tier-0 switch) err = %v, want ErrUnsupportedTarget", err)
@@ -65,70 +62,131 @@ func TestClosDefaultSwitchPlaneUnsupported(t *testing.T) {
 	}
 }
 
-// Links enumerates one canonical coordinate per physical cable, in a
-// deterministic order, sized by the fabric's cable count.
+// The coordinate map of every fabric, checked through the one injector:
+// Links enumerates one canonical coordinate per physical cable (sized by
+// the fabric's cable count, no duplicates) and each injects and recovers
+// cleanly; an alias resolves to its canonical cable; out-of-range and
+// wrong-tier coordinates and an absent switch plane are synchronous errors
+// that schedule nothing.
 func TestLinksUniverses(t *testing.T) {
-	t.Run("opera", func(t *testing.T) {
-		_, fs := failureTestbed(t)
-		links := fs.Links()
-		// failureTestbed: 16 racks × 4 uplinks, rack-major flat coords.
-		if len(links) != 16*4 {
-			t.Fatalf("opera universe = %d links, want 64", len(links))
-		}
-		if links[5] != sim.FlatLink(1, 1) {
-			t.Fatalf("opera enumeration not rack-major: links[5] = %v", links[5])
-		}
-	})
-	t.Run("expander", func(t *testing.T) {
-		_, ef := expanderTestbed(t)
-		links := ef.Links()
-		// 16 racks × degree 5 names each cable twice: 40 physical cables.
-		if len(links) != 16*5/2 {
-			t.Fatalf("expander universe = %d links, want 40 deduplicated cables", len(links))
-		}
-		seen := map[sim.LinkID]bool{}
-		for _, l := range links {
-			if seen[l] {
-				t.Fatalf("duplicate canonical link %v", l)
+	tier := func(tier, sw, port int) sim.LinkID { return sim.LinkID{Tier: tier, Switch: sw, Port: port} }
+	small := []opera.Option{opera.WithRacks(8), opera.WithHostsPerRack(2), opera.WithUplinks(4), opera.WithSeed(1)}
+	cases := []struct {
+		kind   opera.Kind
+		opts   []opera.Option
+		cables int
+		// Links()[orderAt] == orderID pins the enumeration order (0 = unchecked).
+		orderAt int
+		orderID sim.LinkID
+		// alias → canonical name of one two-named cable (zero = none).
+		alias, canonical sim.LinkID
+		bad              []sim.Target // plain errors
+		unsupported      []sim.Target // errors.Is ErrUnsupportedTarget
+	}{
+		{kind: opera.KindOpera, cables: 16 * 4,
+			orderAt: 5, orderID: sim.FlatLink(1, 1), // rack-major
+			bad: []sim.Target{link(16, 0), link(-1, 0), link(0, 4), sim.LinkTarget(tier(1, 0, 0)),
+				sim.ToRTarget(16), sim.SwitchTarget(4)},
+			unsupported: []sim.Target{sim.TierSwitchTarget(sim.ClosTierAgg, 0)}},
+		{kind: opera.KindExpander, opts: []opera.Option{opera.WithUplinks(5)}, cables: 16 * 5 / 2,
+			bad:         []sim.Target{link(16, 0), link(0, 5), link(0, -1), sim.LinkTarget(tier(1, 0, 0)), sim.ToRTarget(-1)},
+			unsupported: []sim.Target{sim.SwitchTarget(0), sim.TierSwitchTarget(sim.ClosTierAgg, 0)}},
+		{kind: opera.KindRotorNet, opts: small, cables: 8 * 4,
+			bad:         []sim.Target{link(8, 0), link(0, 4), sim.LinkTarget(tier(2, 0, 0)), sim.ToRTarget(8), sim.SwitchTarget(-1)},
+			unsupported: []sim.Target{sim.TierSwitchTarget(sim.ClosTierCore, 0)}},
+		// The hybrid's packet uplink is not a fault coordinate: 3 rotor
+		// switches per rack remain.
+		{kind: opera.KindRotorNetHybrid, opts: small, cables: 8 * 3,
+			bad:         []sim.Target{link(0, 3), sim.SwitchTarget(3)},
+			unsupported: []sim.Target{sim.TierSwitchTarget(1, 0)}},
+		// k=8, F=3: 32 ToRs × 2 uplinks on tier 1, 16 aggs × 4 on tier 2, 8 cores.
+		{kind: opera.KindFoldedClos, cables: 32*2 + 16*4,
+			orderAt: 32 * 2, orderID: tier(sim.ClosTierAgg, 0, 0), // tier 1 first, then tier 2
+			alias: sim.FlatLink(2, 1), canonical: tier(sim.ClosTierToR, 2, 1),
+			bad: []sim.Target{link(32, 0), link(0, 2), sim.LinkTarget(tier(sim.ClosTierAgg, 16, 0)),
+				sim.LinkTarget(tier(sim.ClosTierAgg, 0, 4)), sim.LinkTarget(tier(sim.ClosTierCore, 0, 0)),
+				sim.ToRTarget(32), sim.TierSwitchTarget(sim.ClosTierAgg, 16), sim.TierSwitchTarget(sim.ClosTierCore, 8)},
+			unsupported: []sim.Target{sim.SwitchTarget(0), sim.TierSwitchTarget(sim.ClosTierToR, 0)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			cl := newCluster(t, tc.kind, tc.opts...)
+			inj, eng := cl.Faults(), cl.Engine()
+			if en, ok := cl.Network().(*sim.ExpanderNet); ok {
+				// Every expander cable has two names; take rack 2's first.
+				g := en.Topology().G
+				peer := int(g.Neighbors(2)[0])
+				for rev, nb := range g.Neighbors(peer) {
+					if int(nb) == 2 {
+						tc.alias, tc.canonical = sim.FlatLink(2, 0), sim.FlatLink(peer, rev)
+					}
+				}
+				if peer > 2 {
+					tc.alias, tc.canonical = tc.canonical, tc.alias
+				}
 			}
-			seen[l] = true
-		}
-	})
-	t.Run("foldedclos", func(t *testing.T) {
-		cl := newCluster(t, opera.ClusterConfig{Kind: opera.KindFoldedClos, ClosK: 8, ClosF: 3, Seed: 1})
-		cn := cl.Network().(*sim.ClosNet)
-		topo := cn.Topology()
-		links := cl.Faults().Links()
-		want := topo.NumToRs*topo.UplinksPerToR + topo.NumAgg*topo.K/2
-		if len(links) != want {
-			t.Fatalf("clos universe = %d links, want %d (tier-1 + tier-2 cables)", len(links), want)
-		}
-		var t1, t2 int
-		for _, l := range links {
-			switch l.Tier {
-			case sim.ClosTierToR:
-				t1++
-			case sim.ClosTierAgg:
-				t2++
-			default:
-				t.Fatalf("unexpected tier in clos universe: %v", l)
+
+			pending := eng.Len()
+			for _, target := range append(tc.bad, tc.unsupported...) {
+				for _, err := range []error{
+					inj.Inject(target, sim.DownFault(), eventsim.Millisecond),
+					inj.Recover(target, eventsim.Millisecond),
+				} {
+					if err == nil {
+						t.Errorf("%v accepted, want an error", target)
+					}
+				}
 			}
-		}
-		if t1 != topo.NumToRs*topo.UplinksPerToR || t2 != topo.NumAgg*topo.K/2 {
-			t.Fatalf("tier split = %d + %d, want %d + %d",
-				t1, t2, topo.NumToRs*topo.UplinksPerToR, topo.NumAgg*topo.K/2)
-		}
-	})
-	t.Run("rotornet", func(t *testing.T) {
-		_, rf := rotorTestbed(t, opera.KindRotorNet)
-		if links := rf.Links(); len(links) != 8*4 {
-			t.Fatalf("rotornet universe = %d links, want 32", len(links))
-		}
-	})
+			for _, target := range tc.unsupported {
+				err := inj.Inject(target, sim.DownFault(), eventsim.Millisecond)
+				if !errors.Is(err, sim.ErrUnsupportedTarget) || !strings.Contains(err.Error(), tc.kind.String()) {
+					t.Errorf("%v: err = %v, want ErrUnsupportedTarget naming the fabric", target, err)
+				}
+			}
+			if eng.Len() != pending {
+				t.Fatalf("rejected targets scheduled %d events", eng.Len()-pending)
+			}
+
+			if tc.alias != tc.canonical {
+				mustOK(t, inj.Inject(sim.LinkTarget(tc.alias), sim.DownFault(), eng.Now()+eventsim.Microsecond))
+				cl.Run(eng.Now() + 2*eventsim.Microsecond)
+				want := []sim.ActiveFault{{Target: sim.LinkTarget(tc.canonical), Fault: sim.DownFault()}}
+				if got := inj.ActiveFaults(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("fault on alias %v listed as %v, want %v", tc.alias, got, want)
+				}
+				mustOK(t, inj.Recover(sim.LinkTarget(tc.canonical), eng.Now()+eventsim.Microsecond))
+				cl.Run(eng.Now() + 2*eventsim.Microsecond)
+				if got := inj.ActiveFaults(); got != nil {
+					t.Fatalf("recovery under the canonical name left %v", got)
+				}
+			}
+
+			links := inj.Links()
+			if len(links) != tc.cables {
+				t.Fatalf("universe = %d links, want %d cables", len(links), tc.cables)
+			}
+			if tc.orderAt > 0 && links[tc.orderAt] != tc.orderID {
+				t.Fatalf("links[%d] = %v, want %v", tc.orderAt, links[tc.orderAt], tc.orderID)
+			}
+			seen := map[sim.LinkID]bool{}
+			for _, l := range links {
+				if seen[l] {
+					t.Fatalf("duplicate canonical link %v", l)
+				}
+				seen[l] = true
+				mustOK(t, inj.Inject(sim.LinkTarget(l), sim.DownFault(), eventsim.Millisecond))
+				mustOK(t, inj.Recover(sim.LinkTarget(l), 2*eventsim.Millisecond))
+			}
+			if seen[tc.alias] && tc.alias != tc.canonical {
+				t.Fatalf("alias %v enumerated beside its canonical name", tc.alias)
+			}
+		})
+	}
 }
 
-// Inject validates synchronously: bad descriptors, bad coordinates and
-// gray faults on non-link targets are errors before anything schedules.
+// Inject validates synchronously: bad descriptors, negative times and gray
+// faults on non-link targets are errors before anything schedules (bad
+// coordinates are TestLinksUniverses').
 func TestInjectValidation(t *testing.T) {
 	_, fs := failureTestbed(t)
 	cases := []struct {
@@ -138,9 +196,6 @@ func TestInjectValidation(t *testing.T) {
 		{"bad-lossy-rate", fs.Inject(sim.LinkTarget(sim.FlatLink(0, 0)), sim.LossyFault(1.5), 0)},
 		{"bad-degraded-frac", fs.Inject(sim.LinkTarget(sim.FlatLink(0, 0)), sim.DegradedFault(1.0), 0)},
 		{"bad-flap-phase", fs.Inject(sim.LinkTarget(sim.FlatLink(0, 0)), sim.FlappingFault(0, eventsim.Millisecond), 0)},
-		{"rack-range", fs.Inject(sim.LinkTarget(sim.FlatLink(99, 0)), sim.DownFault(), 0)},
-		{"uplink-range", fs.Inject(sim.LinkTarget(sim.FlatLink(0, 99)), sim.DownFault(), 0)},
-		{"tor-range", fs.Inject(sim.ToRTarget(-1), sim.DownFault(), 0)},
 		{"negative-time", fs.Inject(sim.LinkTarget(sim.FlatLink(0, 0)), sim.DownFault(), -1)},
 		{"gray-on-tor", fs.Inject(sim.ToRTarget(0), sim.LossyFault(0.1), 0)},
 		{"gray-on-switch", fs.Inject(sim.SwitchTarget(0), sim.DegradedFault(0.5), 0)},
@@ -156,7 +211,7 @@ func TestInjectValidation(t *testing.T) {
 // flat injection can be recovered through its explicit tier-1 name (they
 // are the same target), and traffic flows normally afterwards.
 func TestClosFlatCoordinateNormalization(t *testing.T) {
-	cl := newCluster(t, opera.ClusterConfig{Kind: opera.KindFoldedClos, ClosK: 8, ClosF: 3, Seed: 1})
+	cl := newCluster(t, opera.KindFoldedClos)
 	inj := cl.Faults()
 	if err := inj.Inject(sim.LinkTarget(sim.FlatLink(2, 1)), sim.DownFault(), eventsim.Microsecond); err != nil {
 		t.Fatal(err)
@@ -175,30 +230,6 @@ func TestClosFlatCoordinateNormalization(t *testing.T) {
 	if !cl.RunUntilDone(500 * eventsim.Millisecond) {
 		done, total := cl.Metrics().DoneCount()
 		t.Fatalf("only %d/%d flows after normalized fail+recover", done, total)
-	}
-}
-
-// The deprecated flat shims still work and agree with the structured
-// calls they delegate to (byte-identity of the old call sites).
-func TestDeprecatedShimsDelegate(t *testing.T) {
-	run := func(structured bool) uint64 {
-		cl, fs := failureTestbed(t)
-		if structured {
-			mustOK(t, fs.Inject(sim.LinkTarget(sim.FlatLink(3, 2)), sim.DownFault(), 500*eventsim.Microsecond))
-			mustOK(t, fs.Inject(sim.ToRTarget(5), sim.DownFault(), 700*eventsim.Microsecond))
-			mustOK(t, fs.Recover(sim.LinkTarget(sim.FlatLink(3, 2)), 2*eventsim.Millisecond))
-			mustOK(t, fs.Recover(sim.ToRTarget(5), 3*eventsim.Millisecond))
-		} else {
-			fs.FailLink(3, 2, 500*eventsim.Microsecond)
-			fs.FailToR(5, 700*eventsim.Microsecond)
-			fs.RecoverLink(3, 2, 2*eventsim.Millisecond)
-			fs.RecoverToR(5, 3*eventsim.Millisecond)
-		}
-		cl.Run(5 * eventsim.Millisecond)
-		return cl.Engine().Steps()
-	}
-	if a, b := run(true), run(false); a != b {
-		t.Fatalf("structured (%d steps) and shim (%d steps) schedules diverge", a, b)
 	}
 }
 

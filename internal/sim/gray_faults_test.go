@@ -7,6 +7,8 @@ import (
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/sim"
 	"github.com/opera-net/opera/internal/workload"
+
+	opera "github.com/opera-net/opera"
 )
 
 // Gray failures: lossy, degraded and flapping links through the
@@ -104,32 +106,56 @@ func TestDegradedLinkFaultSlowsButDelivers(t *testing.T) {
 }
 
 // A flapping link alternates down/up phases on schedule, and Recover
-// cancels the cycle, pinning the link up.
+// cancels the cycle, pinning the link up and clearing the fault listing —
+// under either of the cable's names: on the expander FlatLink(2, 0) and
+// FlatLink(1, 3) are one cable seen from its two ends.
 func TestFlappingLinkCycleAndRecovery(t *testing.T) {
-	cl, fs := failureTestbed(t)
-	link := sim.FlatLink(4, 2)
-	mustOK(t, fs.Inject(sim.LinkTarget(link), sim.FlappingFault(eventsim.Millisecond, eventsim.Millisecond), 0))
-	// Cycle: down at 0, up at 1 ms, down at 2 ms, …
-	steps := []struct {
-		at eventsim.Time
-		up bool
+	cases := []struct {
+		name             string
+		testbed          func(*testing.T) (*opera.Cluster, *sim.Faults)
+		inject, recovery sim.LinkID
 	}{
-		{500 * eventsim.Microsecond, false},
-		{1500 * eventsim.Microsecond, true},
-		{2500 * eventsim.Microsecond, false},
+		{"opera", failureTestbed, sim.FlatLink(4, 2), sim.FlatLink(4, 2)},
+		{"expander-other-end", expanderTestbed, sim.FlatLink(2, 0), sim.FlatLink(1, 3)},
 	}
-	for _, s := range steps {
-		cl.Run(s.at)
-		if got := fs.LinkUp(4, 2); got != s.up {
-			t.Fatalf("at %v: LinkUp = %v, want %v", s.at, got, s.up)
-		}
-	}
-	mustOK(t, fs.Recover(sim.LinkTarget(link), 3200*eventsim.Microsecond))
-	for _, at := range []eventsim.Time{3500 * eventsim.Microsecond, 7 * eventsim.Millisecond} {
-		cl.Run(at)
-		if !fs.LinkUp(4, 2) {
-			t.Fatalf("at %v: link should stay up after Recover cancelled the flap", at)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, fs := tc.testbed(t)
+			if en, ok := cl.Network().(*sim.ExpanderNet); ok {
+				g := en.Topology().G
+				if g.Neighbors(2)[0] != 1 || g.Neighbors(1)[3] != 2 {
+					t.Fatal("testbed changed: (2,0) and (1,3) no longer name one cable")
+				}
+			}
+			rack, up := tc.inject.Switch, tc.inject.Port
+			mustOK(t, fs.Inject(sim.LinkTarget(tc.inject), sim.FlappingFault(eventsim.Millisecond, eventsim.Millisecond), 0))
+			// Cycle: down at 0, up at 1 ms, down at 2 ms, …
+			steps := []struct {
+				at eventsim.Time
+				up bool
+			}{
+				{500 * eventsim.Microsecond, false},
+				{1500 * eventsim.Microsecond, true},
+				{2500 * eventsim.Microsecond, false},
+			}
+			for _, s := range steps {
+				cl.Run(s.at)
+				if got := fs.LinkUp(rack, up); got != s.up {
+					t.Fatalf("at %v: LinkUp = %v, want %v", s.at, got, s.up)
+				}
+			}
+			mustOK(t, fs.Recover(sim.LinkTarget(tc.recovery), 3200*eventsim.Microsecond))
+			// Both instants fall in down phases of the uncancelled cycle.
+			for _, at := range []eventsim.Time{4500 * eventsim.Microsecond, 6500 * eventsim.Microsecond} {
+				cl.Run(at)
+				if !fs.LinkUp(rack, up) {
+					t.Fatalf("at %v: link should stay up after Recover cancelled the flap", at)
+				}
+			}
+			if got := fs.ActiveFaults(); got != nil {
+				t.Fatalf("recovered flap still listed: %v", got)
+			}
+		})
 	}
 }
 

@@ -47,17 +47,17 @@ type Transport interface {
 }
 
 // FaultNetwork is the capability interface for runtime failure injection:
-// a Network that can expose a FaultInjector (see faultapi.go) over its
-// live state. All four built-in fabrics implement it — OperaNet
-// (§3.6.2's detection-and-epidemic model, FailureState), ExpanderNet
-// (instant link-state reconvergence, ExpanderFaults), RotorNetSim
-// (instant global knowledge over the OOB management channel, RotorFaults)
-// and ClosNet (instant local link-state with tier-addressed coordinates,
-// ClosFaults).
+// a Network that hands out the Faults injector (see faultapi.go) over its
+// live state. All four built-in fabrics implement it, each contributing
+// its coordinate map and its reaction to a state change: OperaNet
+// (§3.6.2's detection-and-epidemic model), ExpanderNet (instant
+// link-state reconvergence), RotorNetSim (instant global knowledge over
+// the OOB management channel) and ClosNet (instant local link-state with
+// tier-addressed coordinates).
 type FaultNetwork interface {
 	Network
-	// FaultInjector returns the fabric's failure-injection surface.
-	FaultInjector() FaultInjector
+	// Faults returns the fabric's fault injector, creating it on first use.
+	Faults() *Faults
 }
 
 // BuildParams carries everything a registered architecture needs to
@@ -141,8 +141,4 @@ var (
 	_ FaultNetwork   = (*ExpanderNet)(nil)
 	_ FaultNetwork   = (*RotorNetSim)(nil)
 	_ FaultNetwork   = (*ClosNet)(nil)
-	_ FaultInjector  = (*FailureState)(nil)
-	_ FaultInjector  = (*ExpanderFaults)(nil)
-	_ FaultInjector  = (*RotorFaults)(nil)
-	_ FaultInjector  = (*ClosFaults)(nil)
 )

@@ -31,9 +31,11 @@ type OperaNet struct {
 	tick      operaSliceTick
 	blackouts []operaBlackout
 
-	// failures tracks runtime failures and the §3.6.2 hello-protocol
-	// epidemic; nil until Failures() is first used.
-	failures *FailureState
+	// faults is the runtime fault injector and epidemic the §3.6.2
+	// hello-protocol state reacting to it; both nil until Faults() is
+	// first used (see failures.go).
+	faults   *Faults
+	epidemic *helloEpidemic
 	// faultSeed seeds deterministic gray-failure (lossy-link) draws.
 	faultSeed int64
 }
@@ -183,8 +185,8 @@ func (n *OperaNet) sliceBoundary(S int64) {
 		n.eng.AfterCall(dur-r, &n.blackouts[sw], nil)
 	}
 	// Hello exchange on every fresh circuit spreads failure news (§3.6.2).
-	if n.failures != nil {
-		n.failures.spread(sc)
+	if n.epidemic != nil {
+		n.epidemic.spread(sc)
 	}
 	for _, fn := range n.listeners {
 		fn(S)
@@ -238,8 +240,8 @@ func (t *OperaToR) wire() {
 			if peer == int(t.rack) {
 				return nil // self-loop: dark port this configuration
 			}
-			if fs := n.failures; fs != nil && (!fs.LinkUp(int(t.rack), sw) || !fs.LinkUp(peer, sw)) {
-				fs.LostToDeadLinks++
+			if fs := n.faults; fs != nil && (!fs.LinkUp(int(t.rack), sw) || !fs.LinkUp(peer, sw)) {
+				fs.Lost++
 				return nil // failed cable, switch, or peer ToR
 			}
 			return n.tors[peer]
@@ -276,8 +278,8 @@ func (t *OperaToR) Receive(p *Packet, from *Port) {
 	slices := int64(n.topo.SlicesPerCycle())
 	sc := int(p.SliceTag % slices)
 	tables := n.tables
-	if n.failures != nil {
-		tables = n.failures.tablesFor(int(t.rack))
+	if n.epidemic != nil {
+		tables = n.epidemic.tablesFor(int(t.rack))
 	}
 	uplink := tables.PickUplink(sc, int(t.rack), int(p.DstRack), t.rng.Uint32())
 	if uplink < 0 {
@@ -322,7 +324,7 @@ func (t *OperaToR) receiveBulk(p *Packet) {
 		return
 	}
 	// A ToR knows its own links' state immediately (signal loss, §3.5).
-	if fs := t.net.failures; fs != nil && !fs.LinkUp(int(t.rack), sw) {
+	if fs := t.net.faults; fs != nil && !fs.LinkUp(int(t.rack), sw) {
 		t.bulkNACK(p)
 		return
 	}

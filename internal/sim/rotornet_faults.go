@@ -1,12 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"github.com/opera-net/opera/internal/eventsim"
-)
-
-// This file brings runtime fault injection to RotorNet. The
+// This file is RotorNet's share of the fault mechanism (faultapi.go). The
 // failure-information model is simpler than Opera's epidemic: RotorNet
 // assumes an out-of-band management channel to keep its rotors
 // slot-synchronized (this simulator models that channel explicitly — the
@@ -19,8 +13,9 @@ import (
 //     ActiveCircuits excludes it), so RotorLB offloads stranded queues via
 //     VLB relays or NACKs mistimed packets as usual (§4.2.2);
 //   - packets already queued on the dead uplink are lost when their
-//     transmission resolves no peer (bulk takes the NACK path, counted in
-//     LostToDeadCircuits otherwise);
+//     transmission resolves no peer (all classes are counted in
+//     Faults.Lost; bulk ones then take the NACK path, control and
+//     low-latency ones rely on transport retransmission);
 //   - a transmission already on the wire still delivers.
 //
 // ToR failures darken every rotor circuit of the rack; its hosts become
@@ -33,176 +28,27 @@ import (
 // One RotorLB model gap is surfaced rather than fixed: VLB bytes parked
 // at a relay whose second leg then dies are not re-offloaded to a third
 // rack — they wait at the relay until the destination becomes directly
-// reachable again. StrandedBytes (wired by Cluster.Faults) reports them.
+// reachable again. Faults.StrandedBytes (wired by Cluster.Faults) reports
+// them.
 
-// RotorFaults implements FaultInjector for RotorNetSim. Tier-0 link
-// coordinates are {rack, rotor switch} with the switch in
-// [0, NumSwitches) — the hybrid variant's packet uplink is not a fault
-// coordinate. Gray impairments (lossy/degraded) apply to the named
-// rack's uplink port.
-type RotorFaults struct {
-	faultCore
-	net *RotorNetSim
-
-	linkDown [][]bool // [rack][switch]
-	torDown  []bool
-	swDown   []bool
-
-	// LostToDeadCircuits counts packets that sailed into a failed circuit
-	// (all classes, like Opera's LostToDeadLinks): bulk ones are then
-	// recovered through the §4.2.2 NACK path, control/low-latency ones
-	// rely on transport retransmission.
-	LostToDeadCircuits uint64
-}
-
-func newRotorFaults(n *RotorNetSim) *RotorFaults {
-	rf := &RotorFaults{net: n}
-	rf.linkDown = make([][]bool, n.topo.NumRacks)
-	for r := range rf.linkDown {
-		rf.linkDown[r] = make([]bool, n.topo.NumSwitches)
-	}
-	rf.torDown = make([]bool, n.topo.NumRacks)
-	rf.swDown = make([]bool, n.topo.NumSwitches)
-	rf.faultCore.init(n.eng, n.faultSeed, rf)
-	return rf
-}
-
-// Faults returns the network's failure state, creating it lazily.
-func (n *RotorNetSim) Faults() *RotorFaults {
+// Faults returns the network's fault injector, creating it lazily. The
+// coordinate map is Opera's — flat {rack, rotor switch}, gray impairments
+// on the rack's uplink port — with the switch in [0, NumSwitches): the
+// hybrid variant's packet uplink is not a fault coordinate. There is no
+// reaction rule: knowledge is instant, so a state flip is complete once
+// the usable table, which routing reads live, is updated.
+func (n *RotorNetSim) Faults() *Faults {
 	if n.faults == nil {
-		n.faults = newRotorFaults(n)
+		racks, sws := n.topo.NumRacks, n.topo.NumSwitches
+		n.faults = newFaults(n.eng, n.faultSeed, faultMap{
+			fabric:   n.Kind(),
+			tors:     racks,
+			links:    []linkPlane{{n: racks, ports: sws, swName: "rack", portName: "rotor switch"}},
+			switches: []switchPlane{{n: sws, name: "rotor switch"}},
+			cables: rotorCables(racks, sws, func(rack, sw int) *Port {
+				return n.tors[rack].up[sw]
+			}),
+		})
 	}
 	return n.faults
-}
-
-// FaultInjector implements FaultNetwork.
-func (n *RotorNetSim) FaultInjector() FaultInjector { return n.Faults() }
-
-// Uplinks returns the rotor-switch count — the range of the flat link and
-// switch coordinates.
-func (n *RotorNetSim) Uplinks() int { return n.topo.NumSwitches }
-
-// LinkUp reports whether the rack↔rotor-switch cable is intact and both
-// ends functional.
-func (rf *RotorFaults) LinkUp(rack, sw int) bool {
-	return !rf.linkDown[rack][sw] && !rf.torDown[rack] && !rf.swDown[sw]
-}
-
-// Inject implements FaultInjector.
-func (rf *RotorFaults) Inject(t Target, f Fault, at eventsim.Time) error {
-	return rf.faultCore.inject(t, f, at)
-}
-
-// Recover implements FaultInjector.
-func (rf *RotorFaults) Recover(t Target, at eventsim.Time) error {
-	return rf.faultCore.recover(t, at)
-}
-
-// Links enumerates every rack↔rotor-switch cable, rack-major.
-func (rf *RotorFaults) Links() []LinkID {
-	topo := rf.net.topo
-	out := make([]LinkID, 0, topo.NumRacks*topo.NumSwitches)
-	for rack := 0; rack < topo.NumRacks; rack++ {
-		for sw := 0; sw < topo.NumSwitches; sw++ {
-			out = append(out, FlatLink(rack, sw))
-		}
-	}
-	return out
-}
-
-// checkTarget implements fabricFaultOps.
-func (rf *RotorFaults) checkTarget(t Target) error {
-	topo := rf.net.topo
-	switch t.Kind {
-	case TargetLink:
-		if t.Link.Tier != 0 {
-			return fmt.Errorf("sim: rotornet links are flat {rack, rotor switch}; got %v", t.Link)
-		}
-		if t.Link.Switch < 0 || t.Link.Switch >= topo.NumRacks {
-			return fmt.Errorf("sim: %v: rack %d out of range [0,%d)", t, t.Link.Switch, topo.NumRacks)
-		}
-		if t.Link.Port < 0 || t.Link.Port >= topo.NumSwitches {
-			return fmt.Errorf("sim: %v: rotor switch %d out of range [0,%d)", t, t.Link.Port, topo.NumSwitches)
-		}
-	case TargetToR:
-		if t.ID < 0 || t.ID >= topo.NumRacks {
-			return fmt.Errorf("sim: %v: rack %d out of range [0,%d)", t, t.ID, topo.NumRacks)
-		}
-	case TargetSwitch:
-		if t.Tier != 0 {
-			return fmt.Errorf("sim: %v: rotornet switches live on tier 0 (the rotor plane)", t)
-		}
-		if t.ID < 0 || t.ID >= topo.NumSwitches {
-			return fmt.Errorf("sim: %v: rotor switch %d out of range [0,%d)", t, t.ID, topo.NumSwitches)
-		}
-	default:
-		return fmt.Errorf("sim: %v: unknown target kind", t)
-	}
-	return nil
-}
-
-// linkPorts implements fabricFaultOps: gray impairments ride the named
-// rack's uplink port toward the rotor switch.
-func (rf *RotorFaults) linkPorts(l LinkID) []*Port {
-	return []*Port{rf.net.tors[l.Switch].up[l.Port]}
-}
-
-// setDown implements fabricFaultOps: instant global knowledge, so the
-// transition is a pure state flip — routing reads LinkUp live.
-func (rf *RotorFaults) setDown(t Target, down bool) {
-	switch t.Kind {
-	case TargetLink:
-		rf.linkDown[t.Link.Switch][t.Link.Port] = down
-	case TargetToR:
-		rf.torDown[t.ID] = down
-	case TargetSwitch:
-		rf.swDown[t.ID] = down
-	}
-}
-
-// FailLink schedules the rack↔rotor-switch cable to fail at the given
-// time.
-//
-// Deprecated: use Inject(LinkTarget(FlatLink(rack, sw)), DownFault(), at).
-func (rf *RotorFaults) FailLink(rack, sw int, at eventsim.Time) {
-	mustInject(rf.Inject(LinkTarget(FlatLink(rack, sw)), DownFault(), at))
-}
-
-// RecoverLink schedules the cable back up; circuits over it are used
-// again from the next slot that installs them.
-//
-// Deprecated: use Recover(LinkTarget(FlatLink(rack, sw)), at).
-func (rf *RotorFaults) RecoverLink(rack, sw int, at eventsim.Time) {
-	mustInject(rf.Recover(LinkTarget(FlatLink(rack, sw)), at))
-}
-
-// FailToR schedules a whole ToR to fail: all of its rotor circuits go
-// dark and its hosts become unreachable from other racks (rack-local
-// traffic still flows).
-//
-// Deprecated: use Inject(ToRTarget(rack), DownFault(), at).
-func (rf *RotorFaults) FailToR(rack int, at eventsim.Time) {
-	mustInject(rf.Inject(ToRTarget(rack), DownFault(), at))
-}
-
-// RecoverToR schedules a failed ToR back online.
-//
-// Deprecated: use Recover(ToRTarget(rack), at).
-func (rf *RotorFaults) RecoverToR(rack int, at eventsim.Time) {
-	mustInject(rf.Recover(ToRTarget(rack), at))
-}
-
-// FailSwitch schedules a rotor switch to fail entirely: one uplink per
-// ToR leaves the rotation.
-//
-// Deprecated: use Inject(SwitchTarget(sw), DownFault(), at).
-func (rf *RotorFaults) FailSwitch(sw int, at eventsim.Time) {
-	mustInject(rf.Inject(SwitchTarget(sw), DownFault(), at))
-}
-
-// RecoverSwitch schedules a failed rotor switch back into rotation.
-//
-// Deprecated: use Recover(SwitchTarget(sw), at).
-func (rf *RotorFaults) RecoverSwitch(sw int, at eventsim.Time) {
-	mustInject(rf.Recover(SwitchTarget(sw), at))
 }

@@ -12,22 +12,18 @@ import (
 
 // rotorTestbed builds a small RotorNet cluster via the public API so
 // RotorLB (and, for the hybrid, NDP) attach, and exposes its fault state.
-func rotorTestbed(t *testing.T, kind opera.Kind) (*opera.Cluster, *sim.RotorFaults) {
+func rotorTestbed(t *testing.T, kind opera.Kind) (*opera.Cluster, *sim.Faults) {
 	t.Helper()
-	cl, err := opera.New(kind,
+	cl := newCluster(t, kind,
 		opera.WithRacks(8), opera.WithHostsPerRack(2), opera.WithUplinks(4), opera.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rn := cl.Network().(*sim.RotorNetSim)
-	return cl, rn.Faults()
+	return cl, cl.Faults()
 }
 
 func TestRotorNetFaultInjectorExposed(t *testing.T) {
 	for _, kind := range []opera.Kind{opera.KindRotorNet, opera.KindRotorNetHybrid} {
 		cl, _ := rotorTestbed(t, kind)
 		if cl.Faults() == nil {
-			t.Fatalf("%v cluster should expose a FaultInjector", kind)
+			t.Fatalf("%v cluster should expose a fault injector", kind)
 		}
 	}
 	// The folded Clos exposes one too, on multi-tier link coordinates.
@@ -36,7 +32,7 @@ func TestRotorNetFaultInjectorExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if clos.Faults() == nil {
-		t.Fatal("folded Clos should expose a FaultInjector")
+		t.Fatal("folded Clos should expose a fault injector")
 	}
 }
 
@@ -60,8 +56,8 @@ func addBulkPairs(cl *opera.Cluster, bytes int64) {
 // no re-offload of stored relay traffic — same model as Opera).
 func TestRotorNetBulkSurvivesLinkFailures(t *testing.T) {
 	cl, rf := rotorTestbed(t, opera.KindRotorNet)
-	rf.FailLink(0, 1, 0)
-	rf.FailLink(5, 2, 0)
+	cut(t, rf, link(0, 1), 0)
+	cut(t, rf, link(5, 2), 0)
 	addBulkPairs(cl, 200_000)
 	if !cl.RunUntilDone(2000 * eventsim.Millisecond) {
 		done, total := cl.Metrics().DoneCount()
@@ -76,8 +72,8 @@ func TestRotorNetBulkSurvivesLinkFailures(t *testing.T) {
 // pair it served reroutes via VLB and traffic still completes.
 func TestRotorNetSwitchFailureAndRecovery(t *testing.T) {
 	cl, rf := rotorTestbed(t, opera.KindRotorNet)
-	rf.FailSwitch(3, 100*eventsim.Microsecond)
-	rf.RecoverSwitch(3, 5*eventsim.Millisecond)
+	cut(t, rf, sim.SwitchTarget(3), 100*eventsim.Microsecond)
+	heal(t, rf, sim.SwitchTarget(3), 5*eventsim.Millisecond)
 	addBulkPairs(cl, 200_000)
 	if !cl.RunUntilDone(2000 * eventsim.Millisecond) {
 		done, total := cl.Metrics().DoneCount()
@@ -91,8 +87,8 @@ func TestRotorNetSwitchFailureAndRecovery(t *testing.T) {
 func TestRotorNetToRFailureStrandsUntilRecovery(t *testing.T) {
 	cl, rf := rotorTestbed(t, opera.KindRotorNet)
 	rn := cl.Network().(*sim.RotorNetSim)
-	rf.FailToR(3, 50*eventsim.Microsecond)
-	rf.RecoverToR(3, 20*eventsim.Millisecond)
+	cut(t, rf, sim.ToRTarget(3), 50*eventsim.Microsecond)
+	heal(t, rf, sim.ToRTarget(3), 20*eventsim.Millisecond)
 
 	// One bulk flow into the doomed rack, one between healthy racks.
 	cl.AddBulkFlow(workload.FlowSpec{Src: 0, Dst: 6, Bytes: 200_000, Arrival: eventsim.Millisecond})
@@ -122,10 +118,7 @@ func TestRotorNetToRFailureStrandsUntilRecovery(t *testing.T) {
 // positive during the outage, and zero again once the backlog drains.
 func TestRotorNetStrandedBytesFaultCounter(t *testing.T) {
 	cl, rf := rotorTestbed(t, opera.KindRotorNet)
-	sb, ok := cl.Faults().(interface{ StrandedBytes() int64 })
-	if !ok {
-		t.Fatal("rotor injector should expose StrandedBytes")
-	}
+	sb := cl.Faults()
 	mustOK(t, rf.Inject(sim.ToRTarget(3), sim.DownFault(), 2*eventsim.Millisecond))
 	mustOK(t, rf.Recover(sim.ToRTarget(3), 30*eventsim.Millisecond))
 	cl.AddBulkFlow(workload.FlowSpec{Src: 0, Dst: 6, Bytes: 5_000_000})
@@ -151,8 +144,8 @@ func TestRotorNetStrandedBytesFaultCounter(t *testing.T) {
 // dark.
 func TestRotorNetHybridPacketPathSurvivesRotorFaults(t *testing.T) {
 	cl, rf := rotorTestbed(t, opera.KindRotorNetHybrid)
-	for sw := 0; sw < cl.Network().(*sim.RotorNetSim).Uplinks(); sw++ {
-		rf.FailLink(3, sw, 0)
+	for sw := 0; sw < cl.Network().(*sim.RotorNetSim).Topology().NumSwitches; sw++ {
+		cut(t, rf, link(3, sw), 0)
 	}
 	cl.AddFlow(workload.FlowSpec{Src: 0, Dst: 6, Bytes: 50_000, Arrival: 10 * eventsim.Microsecond})
 	if !cl.RunUntilDone(500 * eventsim.Millisecond) {
@@ -168,9 +161,9 @@ func TestRotorNetDeadCircuitTakesNACKPath(t *testing.T) {
 	// already pumping into the now-dead circuits have their packets NACKed
 	// at the ToR. Recover shortly after so the run completes.
 	rn := cl.Network().(*sim.RotorNetSim)
-	for sw := 0; sw < rn.Uplinks(); sw++ {
-		rf.FailLink(0, sw, 1050*eventsim.Microsecond)
-		rf.RecoverLink(0, sw, 10*eventsim.Millisecond)
+	for sw := 0; sw < rn.Topology().NumSwitches; sw++ {
+		cut(t, rf, link(0, sw), 1050*eventsim.Microsecond)
+		heal(t, rf, link(0, sw), 10*eventsim.Millisecond)
 	}
 	cl.AddBulkFlow(workload.FlowSpec{Src: 0, Dst: 9, Bytes: 2_000_000})
 	if !cl.RunUntilDone(2000 * eventsim.Millisecond) {

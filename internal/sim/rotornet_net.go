@@ -29,7 +29,7 @@ type RotorNetSim struct {
 
 	// faults tracks runtime failures; see rotornet_faults.go for the
 	// instant-global-knowledge model (OOB management channel).
-	faults *RotorFaults
+	faults *Faults
 	// faultSeed seeds deterministic gray-failure (lossy-link) draws.
 	faultSeed int64
 
@@ -280,7 +280,7 @@ func (t *RotorToR) wire() {
 				return nil
 			}
 			if fs := n.faults; fs != nil && (!fs.LinkUp(int(t.rack), sw) || !fs.LinkUp(peer, sw)) {
-				fs.LostToDeadCircuits++
+				fs.Lost++
 				return nil // failed cable, switch, or ToR: the photons are lost
 			}
 			return n.tors[peer]

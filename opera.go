@@ -143,9 +143,9 @@ func ParseKind(name string) (Kind, error) {
 // circuits).
 const DefaultBulkThreshold = 15_000_000
 
-// ClusterConfig assembles a simulated datacenter. New code should prefer
-// New with functional options; NewCluster remains as a thin shim over the
-// same builder.
+// ClusterConfig is the fully resolved description of a simulated
+// datacenter: New starts from the defaults and each Option edits one of
+// these fields.
 type ClusterConfig struct {
 	Kind Kind
 
@@ -226,11 +226,6 @@ func New(kind Kind, opts ...Option) (*Cluster, error) {
 	}
 	return build(cfg)
 }
-
-// NewCluster builds and starts a cluster from a fully specified config —
-// the legacy construction path, kept as a shim over the same builder New
-// uses.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) { return build(cfg) }
 
 // build assembles the cluster: the architecture comes out of the builder
 // registry, and transports attach by capability rather than by Kind.
@@ -363,12 +358,12 @@ func (c *Cluster) OperaNet() *sim.OperaNet {
 	return n
 }
 
-// Faults returns the fabric's runtime failure-injection surface, or nil
-// when the architecture does not model runtime faults. All four
-// registered architectures do: Opera implements the §3.6.2
+// Faults returns the fabric's runtime fault injector, or nil when the
+// architecture does not model runtime faults. All four registered
+// architectures do, through the one *sim.Faults type; what differs is how
+// each fabric reacts to a state change: Opera runs the §3.6.2
 // detection-and-epidemic recovery of its rotor fabric, the static
-// expander and the folded Clos model instant link-state reconvergence
-// (see sim.ExpanderFaults and sim.ClosFaults), and RotorNet routes
+// expander and the folded Clos reconverge instantly, and RotorNet routes
 // around dead circuits over its out-of-band management channel. Faults
 // are structured: a sim.Target (link, ToR, or switch coordinate) plus a
 // sim.Fault (hard down, lossy, degraded, or flapping), scheduled at a
@@ -379,18 +374,17 @@ func (c *Cluster) OperaNet() *sim.OperaNet {
 //	inj.Inject(sim.LinkTarget(sim.FlatLink(4, 0)), sim.LossyFault(0.01), eventsim.Millisecond)
 //	inj.Recover(sim.LinkTarget(sim.FlatLink(3, 2)), 2*eventsim.Millisecond)
 //
-// On circuit fabrics the injector's StrandedBytes counter is wired to
-// RotorLB's stranded-VLB accounting.
-func (c *Cluster) Faults() sim.FaultInjector {
+// Links, ActiveFaults, StrandedBytes and the Lost counter are plain
+// methods and fields of the same value. On circuit fabrics StrandedBytes
+// is wired to RotorLB's stranded-VLB accounting.
+func (c *Cluster) Faults() *sim.Faults {
 	fn, ok := c.net.(sim.FaultNetwork)
 	if !ok {
 		return nil
 	}
-	inj := fn.FaultInjector()
+	inj := fn.Faults()
 	if c.lb != nil {
-		if sp, ok := inj.(interface{ SetStrandedProbe(func() int64) }); ok {
-			sp.SetStrandedProbe(c.lb.StrandedBytes)
-		}
+		inj.SetStrandedProbe(c.lb.StrandedBytes)
 	}
 	return inj
 }

@@ -15,15 +15,7 @@ func TestClusterKinds(t *testing.T) {
 		opera.KindRotorNet, opera.KindRotorNetHybrid,
 	}
 	for _, k := range kinds {
-		cl, err := opera.NewCluster(opera.ClusterConfig{
-			Kind:         k,
-			Racks:        16,
-			HostsPerRack: 4,
-			Uplinks:      4,
-			ClosK:        8,
-			ClosF:        3,
-			Seed:         1,
-		})
+		cl, err := opera.New(k) // defaults: 16 racks × 4 hosts, 4 uplinks, Clos k=8 F=3, seed 1
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
@@ -42,9 +34,7 @@ func TestClusterKinds(t *testing.T) {
 }
 
 func TestClusterClassification(t *testing.T) {
-	cl, err := opera.NewCluster(opera.ClusterConfig{
-		Kind: opera.KindOpera, Racks: 16, HostsPerRack: 4, Uplinks: 4, Seed: 1,
-	})
+	cl, err := opera.New(opera.KindOpera)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +53,7 @@ func TestClusterClassification(t *testing.T) {
 }
 
 func TestClusterCustomThreshold(t *testing.T) {
-	cl, err := opera.NewCluster(opera.ClusterConfig{
-		Kind: opera.KindOpera, Racks: 16, HostsPerRack: 4, Uplinks: 4,
-		BulkThreshold: 1000, Seed: 1,
-	})
+	cl, err := opera.New(opera.KindOpera, opera.WithBulkThreshold(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,25 +64,19 @@ func TestClusterCustomThreshold(t *testing.T) {
 }
 
 func TestClusterRejectsBadConfig(t *testing.T) {
-	if _, err := opera.NewCluster(opera.ClusterConfig{
-		Kind: opera.KindOpera, Racks: 15, HostsPerRack: 4, Uplinks: 4,
-	}); err == nil {
+	if _, err := opera.New(opera.KindOpera, opera.WithRacks(15)); err == nil {
 		t.Fatal("odd rack count accepted")
 	}
-	if _, err := opera.NewCluster(opera.ClusterConfig{
-		Kind: opera.KindFoldedClos, ClosK: 7, ClosF: 3,
-	}); err == nil {
+	if _, err := opera.New(opera.KindFoldedClos, opera.WithClos(7, 3)); err == nil {
 		t.Fatal("odd Clos radix accepted")
 	}
-	if _, err := opera.NewCluster(opera.ClusterConfig{Kind: opera.Kind(99)}); err == nil {
+	if _, err := opera.New(opera.Kind(99)); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 }
 
 func TestClusterDelayedArrival(t *testing.T) {
-	cl, err := opera.NewCluster(opera.ClusterConfig{
-		Kind: opera.KindOpera, Racks: 16, HostsPerRack: 4, Uplinks: 4, Seed: 1,
-	})
+	cl, err := opera.New(opera.KindOpera)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,9 +51,17 @@ func WithUplinks(n int) Option {
 	return func(cfg *ClusterConfig) { cfg.Uplinks = n }
 }
 
-// WithClos sizes the folded Clos: radix k and oversubscription F.
+// WithClos sizes the folded Clos: radix k and oversubscription F. A zero
+// argument keeps the current value, so either can be set alone.
 func WithClos(k, f int) Option {
-	return func(cfg *ClusterConfig) { cfg.ClosK, cfg.ClosF = k, f }
+	return func(cfg *ClusterConfig) {
+		if k != 0 {
+			cfg.ClosK = k
+		}
+		if f != 0 {
+			cfg.ClosF = f
+		}
+	}
 }
 
 // WithBulkThreshold sets the flow-size boundary between latency-sensitive

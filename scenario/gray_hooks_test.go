@@ -132,8 +132,8 @@ func TestClosFailureFigureScenario(t *testing.T) {
 			Seed: 3,
 			Events: []scenario.Event{
 				scenario.At(200*eventsim.Microsecond, scenario.FailRandomLinks(0.04)),
-				scenario.At(400*eventsim.Microsecond, scenario.FailTierSwitch(sim.ClosTierAgg, 1)),
-				scenario.At(8*eventsim.Millisecond, scenario.RecoverTierSwitch(sim.ClosTierAgg, 1)),
+				scenario.At(400*eventsim.Microsecond, scenario.Inject(sim.TierSwitchTarget(sim.ClosTierAgg, 1), sim.DownFault())),
+				scenario.At(8*eventsim.Millisecond, scenario.Recover(sim.TierSwitchTarget(sim.ClosTierAgg, 1))),
 			},
 			Workload: scenario.ShuffleN(16, 25_000, eventsim.Millisecond),
 			Duration: 4000 * eventsim.Millisecond,

@@ -74,141 +74,87 @@ func (a Action) String() string { return a.name }
 // that does not implement sim.FaultNetwork reports it here. Target errors
 // (a switch target on the expander, a tier the fabric lacks) surface from
 // the injector itself, wrapped with the action name.
-func faultAction(name string, f func(inj sim.FaultInjector, cl *opera.Cluster, rng *rand.Rand, at eventsim.Time) error) Action {
+func faultAction(name string, f func(inj *sim.Faults, rng *rand.Rand, at eventsim.Time) error) Action {
 	return Action{name: name, apply: func(cl *opera.Cluster, rng *rand.Rand, at eventsim.Time) error {
 		inj := cl.Faults()
 		if inj == nil {
 			return fmt.Errorf("scenario: %s: architecture %v does not support runtime fault injection", name, cl.Kind())
 		}
-		return f(inj, cl, rng, at)
-	}}
-}
-
-// injectAction builds an Action that injects one structured fault.
-func injectAction(name string, target sim.Target, fault sim.Fault) Action {
-	return faultAction(name, func(inj sim.FaultInjector, _ *opera.Cluster, _ *rand.Rand, at eventsim.Time) error {
-		if err := inj.Inject(target, fault, at); err != nil {
+		if err := f(inj, rng, at); err != nil {
 			return fmt.Errorf("scenario: %s: %w", name, err)
 		}
 		return nil
-	})
+	}}
 }
 
-// Inject schedules an arbitrary structured fault — the fully general form
-// of the convenience constructors below:
+// Inject schedules an arbitrary structured fault — the mechanism behind
+// the convenience constructors below:
 //
 //	scenario.At(t, scenario.Inject(
-//		sim.SwitchTarget(sim.ClosTierCore, 3), sim.DownFault()))
+//		sim.TierSwitchTarget(sim.ClosTierCore, 3), sim.DownFault()))
 func Inject(target sim.Target, fault sim.Fault) Action {
-	return injectAction(fmt.Sprintf("inject(%v,%v)", target, fault), target, fault)
+	return faultAction(fmt.Sprintf("inject(%v,%v)", target, fault),
+		func(inj *sim.Faults, _ *rand.Rand, at eventsim.Time) error { return inj.Inject(target, fault, at) })
 }
 
 // Recover schedules the recovery of any previously injected fault on the
 // target (down, gray, or flapping).
 func Recover(target sim.Target) Action {
-	name := fmt.Sprintf("recover(%v)", target)
-	return faultAction(name, func(inj sim.FaultInjector, _ *opera.Cluster, _ *rand.Rand, at eventsim.Time) error {
-		if err := inj.Recover(target, at); err != nil {
-			return fmt.Errorf("scenario: %s: %w", name, err)
-		}
-		return nil
-	})
+	return faultAction(fmt.Sprintf("recover(%v)", target),
+		func(inj *sim.Faults, _ *rand.Rand, at eventsim.Time) error { return inj.Recover(target, at) })
 }
 
-// FailLink fails the rack↔switch cable (a flat tier-0 link coordinate,
-// which every fabric interprets — on the folded Clos it names a ToR
-// uplink).
-func FailLink(rack, sw int) Action {
-	return injectAction(fmt.Sprintf("fail-link(%d,%d)", rack, sw),
-		sim.LinkTarget(sim.FlatLink(rack, sw)), sim.DownFault())
-}
+// flat names the rack↔switch cable: a flat tier-0 link coordinate, which
+// every fabric interprets — on the folded Clos it names a ToR uplink.
+func flat(rack, sw int) sim.Target { return sim.LinkTarget(sim.FlatLink(rack, sw)) }
+
+// FailLink fails the rack↔switch cable.
+func FailLink(rack, sw int) Action { return Inject(flat(rack, sw), sim.DownFault()) }
 
 // FailToR fails a whole ToR: its hosts drop off and its circuits go dark.
-func FailToR(rack int) Action {
-	return injectAction(fmt.Sprintf("fail-tor(%d)", rack),
-		sim.ToRTarget(rack), sim.DownFault())
-}
+func FailToR(rack int) Action { return Inject(sim.ToRTarget(rack), sim.DownFault()) }
 
 // FailSwitch fails a tier-0 fabric switch entirely (Opera/RotorNet: a
 // rotor switch). Fabrics without tier-0 switches report
-// sim.ErrUnsupportedTarget; multi-tier fabrics take FailTierSwitch.
-func FailSwitch(sw int) Action {
-	return injectAction(fmt.Sprintf("fail-switch(%d)", sw),
-		sim.SwitchTarget(sw), sim.DownFault())
-}
-
-// FailTierSwitch fails a switch addressed by tier — the folded Clos's
-// aggregation (sim.ClosTierAgg) and core (sim.ClosTierCore) layers.
-func FailTierSwitch(tier, id int) Action {
-	return injectAction(fmt.Sprintf("fail-switch(t%d,%d)", tier, id),
-		sim.TierSwitchTarget(tier, id), sim.DownFault())
-}
+// sim.ErrUnsupportedTarget; multi-tier fabrics take
+// Inject(sim.TierSwitchTarget(tier, id), sim.DownFault()).
+func FailSwitch(sw int) Action { return Inject(sim.SwitchTarget(sw), sim.DownFault()) }
 
 // LossyLink makes the rack↔switch cable drop the given fraction of
 // packets that complete serialization (a gray failure: the link stays
 // up and keeps attracting traffic).
 func LossyLink(rack, sw int, rate float64) Action {
-	return injectAction(fmt.Sprintf("lossy-link(%d,%d,%g)", rack, sw, rate),
-		sim.LinkTarget(sim.FlatLink(rack, sw)), sim.LossyFault(rate))
+	return Inject(flat(rack, sw), sim.LossyFault(rate))
 }
 
 // DegradedLink derates the rack↔switch cable to the given fraction of
 // line rate (a gray failure: serialization slows, nothing is dropped).
 func DegradedLink(rack, sw int, fraction float64) Action {
-	return injectAction(fmt.Sprintf("degraded-link(%d,%d,%g)", rack, sw, fraction),
-		sim.LinkTarget(sim.FlatLink(rack, sw)), sim.DegradedFault(fraction))
+	return Inject(flat(rack, sw), sim.DegradedFault(fraction))
 }
 
-// FlappingLink cycles the rack↔switch cable: up for the given duration,
-// then down, repeating until recovered.
+// FlappingLink cycles the rack↔switch cable: down for down, then up for
+// up, repeating until recovered.
 func FlappingLink(rack, sw int, up, down eventsim.Time) Action {
-	return injectAction(fmt.Sprintf("flapping-link(%d,%d,%v,%v)", rack, sw, up, down),
-		sim.LinkTarget(sim.FlatLink(rack, sw)), sim.FlappingFault(up, down))
+	return Inject(flat(rack, sw), sim.FlappingFault(up, down))
 }
 
 // RecoverLink brings a failed rack↔switch cable back up (and clears any
 // gray impairment or flap cycle on it).
-func RecoverLink(rack, sw int) Action {
-	name := fmt.Sprintf("recover-link(%d,%d)", rack, sw)
-	return faultAction(name, func(inj sim.FaultInjector, _ *opera.Cluster, _ *rand.Rand, at eventsim.Time) error {
-		if err := inj.Recover(sim.LinkTarget(sim.FlatLink(rack, sw)), at); err != nil {
-			return fmt.Errorf("scenario: %s: %w", name, err)
-		}
-		return nil
-	})
-}
+func RecoverLink(rack, sw int) Action { return Recover(flat(rack, sw)) }
 
 // RecoverToR brings a failed ToR back online.
-func RecoverToR(rack int) Action {
-	name := fmt.Sprintf("recover-tor(%d)", rack)
-	return faultAction(name, func(inj sim.FaultInjector, _ *opera.Cluster, _ *rand.Rand, at eventsim.Time) error {
-		if err := inj.Recover(sim.ToRTarget(rack), at); err != nil {
-			return fmt.Errorf("scenario: %s: %w", name, err)
-		}
-		return nil
-	})
-}
+func RecoverToR(rack int) Action { return Recover(sim.ToRTarget(rack)) }
 
 // RecoverSwitch brings a failed tier-0 fabric switch back.
-func RecoverSwitch(sw int) Action {
-	name := fmt.Sprintf("recover-switch(%d)", sw)
-	return faultAction(name, func(inj sim.FaultInjector, _ *opera.Cluster, _ *rand.Rand, at eventsim.Time) error {
-		if err := inj.Recover(sim.SwitchTarget(sw), at); err != nil {
-			return fmt.Errorf("scenario: %s: %w", name, err)
-		}
-		return nil
-	})
-}
+func RecoverSwitch(sw int) Action { return Recover(sim.SwitchTarget(sw)) }
 
-// RecoverTierSwitch brings a tier-addressed switch back.
-func RecoverTierSwitch(tier, id int) Action {
-	name := fmt.Sprintf("recover-switch(t%d,%d)", tier, id)
-	return faultAction(name, func(inj sim.FaultInjector, _ *opera.Cluster, _ *rand.Rand, at eventsim.Time) error {
-		if err := inj.Recover(sim.TierSwitchTarget(tier, id), at); err != nil {
-			return fmt.Errorf("scenario: %s: %w", name, err)
-		}
-		return nil
-	})
+// checkFraction validates a FailRandomLinks cable fraction.
+func checkFraction(fraction float64) error {
+	if !(fraction >= 0 && fraction <= 1) { // also rejects NaN
+		return fmt.Errorf("scenario: fraction %g must be in [0,1]", fraction)
+	}
+	return nil
 }
 
 // FailRandomLinks fails the given fraction of physical cables, chosen
@@ -219,23 +165,23 @@ func RecoverTierSwitch(tier, id int) Action {
 // two-ended naming; the Clos spans both cable tiers), so the fraction
 // counts cables, not endpoints.
 func FailRandomLinks(fraction float64) Action {
-	name := fmt.Sprintf("fail-random-links(%g)", fraction)
-	return faultAction(name, func(inj sim.FaultInjector, _ *opera.Cluster, rng *rand.Rand, at eventsim.Time) error {
-		if !(fraction >= 0 && fraction <= 1) { // also rejects NaN
-			return fmt.Errorf("scenario: %s: fraction must be in [0,1]", name)
-		}
-		links := inj.Links()
-		k := int(fraction*float64(len(links)) + 0.5)
-		if k > len(links) {
-			k = len(links)
-		}
-		for _, idx := range rng.Perm(len(links))[:k] {
-			if err := inj.Inject(sim.LinkTarget(links[idx]), sim.DownFault(), at); err != nil {
-				return fmt.Errorf("scenario: %s: %w", name, err)
+	return faultAction(fmt.Sprintf("fail-random-links(%g)", fraction),
+		func(inj *sim.Faults, rng *rand.Rand, at eventsim.Time) error {
+			if err := checkFraction(fraction); err != nil {
+				return err
 			}
-		}
-		return nil
-	})
+			links := inj.Links()
+			k := int(fraction*float64(len(links)) + 0.5)
+			if k > len(links) {
+				k = len(links)
+			}
+			for _, idx := range rng.Perm(len(links))[:k] {
+				if err := inj.Inject(sim.LinkTarget(links[idx]), sim.DownFault(), at); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 }
 
 // Probe periodically samples a running cluster into a named time-series

@@ -277,12 +277,12 @@ func TestFailRandomLinksExpanderCountsCables(t *testing.T) {
 	if res.Err != "" {
 		t.Fatal(res.Err)
 	}
-	ef := cl.Network().(*sim.ExpanderNet).Faults()
-	links := ef.DistinctLinks()
+	ef := cl.Faults()
+	links := ef.Links()
 	want := int(fraction*float64(len(links)) + 0.5)
 	var down int
 	for _, l := range links {
-		if !ef.LinkUp(l[0], l[1]) {
+		if !ef.LinkUp(l.Switch, l.Port) {
 			down++
 		}
 	}

@@ -132,10 +132,10 @@ func (fs FaultSpec) fault() (sim.Fault, error) {
 	}
 }
 
-// event resolves the spec into a scheduled Event. Coordinate validation
+// Event resolves the spec into a scheduled Event. Coordinate validation
 // is deferred to the injector at run time (it is fabric-interpreted);
 // kind strings and fault parameters are checked here.
-func (es EventSpec) event() (Event, error) {
+func (es EventSpec) Event() (Event, error) {
 	switch es.Op {
 	case "", "inject":
 		t, err := es.Target.target()
@@ -157,6 +157,9 @@ func (es EventSpec) event() (Event, error) {
 		}
 		return At(es.At, Recover(t)), nil
 	case "fail-random-links":
+		if err := checkFraction(es.Fraction); err != nil {
+			return Event{}, err
+		}
 		return At(es.At, FailRandomLinks(es.Fraction)), nil
 	default:
 		return Event{}, fmt.Errorf("scenario: unknown event op %q (want inject, recover or fail-random-links)", es.Op)
@@ -312,7 +315,7 @@ func (sp Spec) Scenario() (Scenario, error) {
 	if len(sp.Events) > 0 {
 		events = make([]Event, len(sp.Events))
 		for i, es := range sp.Events {
-			ev, err := es.event()
+			ev, err := es.Event()
 			if err != nil {
 				return Scenario{}, fmt.Errorf("scenario: spec %q event %d: %w", sp.Name, i, err)
 			}

@@ -9,6 +9,7 @@ import (
 
 	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/sim"
 	"github.com/opera-net/opera/internal/workload"
 )
 
@@ -110,6 +111,34 @@ func TestSpecErrors(t *testing.T) {
 	}
 }
 
+// The zero value of every sizing field keeps opera.New's default, one
+// field at a time: a Spec naming only the Clos radix (or only its
+// oversubscription) builds, with the other at its default.
+func TestSpecClosSizingFieldsDefaultIndependently(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		k, f         int
+		wantK, wantF int
+	}{
+		{"radix-only", 12, 0, 12, 3},
+		{"oversubscription-only", 0, 1, 8, 1},
+		{"neither", 0, 0, 8, 3},
+	} {
+		sc, err := Spec{Name: tc.name, Network: "foldedclos", ClosK: tc.k, ClosF: tc.f, Duration: eventsim.Millisecond,
+			Sources: []SourceSpec{{Type: "shuffle", FlowBytes: 1000}}}.Scenario()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		cl, err := opera.New(sc.Kind, sc.Options...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if topo := cl.Network().(*sim.ClosNet).Topology(); topo.K != tc.wantK || topo.F != tc.wantF {
+			t.Errorf("%s: built k=%d F=%d, want k=%d F=%d", tc.name, topo.K, topo.F, tc.wantK, tc.wantF)
+		}
+	}
+}
+
 // TestSpecEventsGobRoundTrip: a fault schedule rides the same wire as
 // the rest of the Spec — every event op and fault kind survives gob and
 // resolves back into scheduled Events.
@@ -176,6 +205,7 @@ func TestSpecEventErrors(t *testing.T) {
 		"bad-degraded":    {Target: TargetSpec{Kind: "link"}, Fault: FaultSpec{Kind: "degraded", RateFraction: 1}},
 		"bad-flap":        {Target: TargetSpec{Kind: "link"}, Fault: FaultSpec{Kind: "flapping", Up: -1}},
 		"recover-no-kind": {Op: "recover", Target: TargetSpec{Kind: "socket"}},
+		"bad-fraction":    {Op: "fail-random-links", Fraction: 1.5},
 	} {
 		sp := base
 		sp.Events = []EventSpec{ev}

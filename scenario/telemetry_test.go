@@ -185,8 +185,7 @@ func TestRetainAllHasNoTelemetry(t *testing.T) {
 	}
 }
 
-// Fault events now apply to RotorNet — the third fabric with a
-// FaultInjector — and compose with sketch retention.
+// Fault events apply to RotorNet and compose with sketch retention.
 func TestFaultEventsOnRotorNet(t *testing.T) {
 	res := scenario.Run(scenario.Scenario{
 		Name: "rotor-faulted", Kind: opera.KindRotorNet, Seed: 5,
