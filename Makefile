@@ -2,7 +2,7 @@
 # so a clean `make lint` locally means the static-analysis gate passes.
 GO ?= go
 
-.PHONY: lint test short race fmt check bench-module
+.PHONY: lint test short race fmt check bench-module fuzz figdiff
 
 ## lint: go vet + the opera-lint determinism/hot-path analyzers over ./...
 lint:
@@ -29,6 +29,31 @@ race:
 bench-module:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
+
+## fuzz: 10 s of each fuzz target (CI's slow lane runs exactly this) —
+## resolution only, no simulation; corpus under scenario/testdata/fuzz/
+fuzz:
+	$(GO) test ./scenario/ -run '^$$' -fuzz '^FuzzParseEvents$$' -fuzztime 10s
+	$(GO) test ./scenario/ -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime 10s
+
+## figdiff: the figure byte-identity harness every refactor runs —
+## `make figdiff BASE=<rev>` unpacks BASE into a throwaway directory
+## (git archive: no worktree or branch is left behind), builds
+## cmd/opera-experiments there and in this tree, regenerates fig07–fig10 on
+## both sides (~2 min each) and fails on any CSV difference
+FIGDIFF := $(or $(TMPDIR),/tmp)/opera-figdiff
+figdiff:
+	@test -n "$(BASE)" || { echo "usage: make figdiff BASE=<rev>"; exit 2; }
+	@rm -rf $(FIGDIFF) && mkdir -p $(FIGDIFF)/base
+	@status=0; \
+	{ git archive $(BASE) | tar -x -C $(FIGDIFF)/base && \
+	  $(GO) build -C $(FIGDIFF)/base -o $(FIGDIFF)/exp-base ./cmd/opera-experiments && \
+	  $(GO) build -o $(FIGDIFF)/exp-head ./cmd/opera-experiments && \
+	  $(FIGDIFF)/exp-base -out $(FIGDIFF)/csv-base -only fig07,fig08,fig09,fig10 >/dev/null && \
+	  $(FIGDIFF)/exp-head -out $(FIGDIFF)/csv-head -only fig07,fig08,fig09,fig10 >/dev/null && \
+	  diff -r $(FIGDIFF)/csv-base $(FIGDIFF)/csv-head && \
+	  echo "figdiff: fig07-fig10 CSVs byte-identical to $(BASE)"; } || status=1; \
+	rm -rf $(FIGDIFF); exit $$status
 
 ## fmt: list files needing gofmt (exits nonzero if any)
 fmt:

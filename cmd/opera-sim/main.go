@@ -32,187 +32,131 @@ import (
 	"syscall"
 	"time"
 
-	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/obs"
-	"github.com/opera-net/opera/internal/workload"
 	"github.com/opera-net/opera/scenario"
 )
 
-// parseFaultSchedule turns "-fail-at 500us:link:3:2,2ms:switch:1" into
-// scenario Events; the grammar is scenario.ParseEvents'.
-func parseFaultSchedule(s string) ([]scenario.Event, error) {
-	specs, err := scenario.ParseEvents(s)
-	if err != nil {
-		return nil, err
-	}
-	var out []scenario.Event
-	for _, es := range specs {
-		ev, err := es.Event()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ev)
-	}
-	return out, nil
+// run is what the command line asks for: one run description, the
+// Scenario it resolves to, and the process-local settings that are not
+// part of the description.
+type run struct {
+	spec     scenario.Spec
+	scenario scenario.Scenario
+	// workload is the label printed with the results.
+	workload string
+
+	statusAddr                string
+	statusEvery, statusLinger time.Duration
 }
 
-func main() {
-	network := flag.String("network", "opera", "opera | expander | foldedclos | rotornet | rotornet-hybrid")
-	wl := flag.String("workload", "datamining", "datamining | websearch | hadoop | mix | incast | shuffle | permutation | hotrack")
-	load := flag.Float64("load", 0.10, "offered load fraction (Poisson workloads)")
-	arrivals := flag.Int("arrivals", 0, "cap on open-loop flow arrivals (0 = window-bound only)")
-	tracePath := flag.String("trace", "", "replay a flow trace file (arrival_ns src dst bytes [tag] [bulk] per line); overrides -workload")
-	duration := flag.Duration("duration", 20*time.Millisecond, "arrival window (virtual time)")
-	racks := flag.Int("racks", 16, "racks (Opera/RotorNet/expander)")
-	hostsPerRack := flag.Int("hosts-per-rack", 4, "hosts per rack")
-	uplinks := flag.Int("uplinks", 4, "uplinks per ToR")
-	closK := flag.Int("clos-k", 8, "folded-Clos radix")
-	closF := flag.Int("clos-f", 3, "folded-Clos oversubscription")
-	flowBytes := flag.Int64("flowbytes", 100_000, "flow size for shuffle/permutation/hotrack")
-	maxFlow := flag.Int64("maxflow", 50_000_000, "cap on sampled flow sizes (0 = none)")
-	seed := flag.Int64("seed", 1, "random seed")
-	drain := flag.Int("drain", 50, "drain deadline as a multiple of -duration")
-	failAt := flag.String("fail-at", "", "comma-separated fault schedule, each TIME:ACTION "+
+// parseArgs turns the command line into a run. Every flag that describes
+// the simulation lands in one scenario.Spec field, and the Spec is
+// resolved here, so any error means nothing has run yet.
+func parseArgs(fs *flag.FlagSet, args []string) (run, error) {
+	network := fs.String("network", "opera", "opera | expander | foldedclos | rotornet | rotornet-hybrid")
+	wl := fs.String("workload", "datamining", "datamining | websearch | hadoop | mix | incast | shuffle | permutation | hotrack")
+	load := fs.Float64("load", 0.10, "offered load fraction (Poisson workloads)")
+	arrivals := fs.Int("arrivals", 0, "cap on open-loop flow arrivals (0 = window-bound only)")
+	tracePath := fs.String("trace", "", "replay a flow trace file (arrival_ns src dst bytes [tag] [bulk] per line); overrides -workload")
+	duration := fs.Duration("duration", 20*time.Millisecond, "arrival window (virtual time)")
+	racks := fs.Int("racks", 16, "racks (Opera/RotorNet/expander)")
+	hostsPerRack := fs.Int("hosts-per-rack", 4, "hosts per rack")
+	uplinks := fs.Int("uplinks", 4, "uplinks per ToR")
+	closK := fs.Int("clos-k", 8, "folded-Clos radix")
+	closF := fs.Int("clos-f", 3, "folded-Clos oversubscription")
+	flowBytes := fs.Int64("flowbytes", 100_000, "flow size for shuffle/permutation/hotrack")
+	maxFlow := fs.Int64("maxflow", 50_000_000, "cap on sampled flow sizes (0 = none)")
+	seed := fs.Int64("seed", 1, "random seed")
+	drain := fs.Int("drain", 50, "drain deadline as a multiple of -duration")
+	failAt := fs.String("fail-at", "", "comma-separated fault schedule, each TIME:ACTION "+
 		"(link:R:S | tor:R | switch:S | recover-link:R:S | recover-tor:R | recover-switch:S | random-links:FRAC | "+
 		"lossy:R:S:RATE | degraded:R:S:FRAC | flap:R:S:UP:DOWN | "+
 		"tier-link:T:S:P | recover-tier-link:T:S:P | tier-switch:T:S | recover-tier-switch:T:S), "+
 		"e.g. \"500us:link:3:2,1ms:lossy:4:0:0.01,2ms:recover-link:3:2\"")
-	tagName := flag.String("tag", "", "tag generated flows; per-tag stats are reported")
-	retention := flag.String("retention", "all",
+	tagName := fs.String("tag", "", "tag generated flows; per-tag stats are reported")
+	retention := fs.String("retention", "all",
 		"metrics retention: all (exact, retains every flow) | sketch (streaming quantile sketches, flat memory for unbounded runs)")
-	sketchAlpha := flag.Float64("sketch-alpha", 0.01, "relative-error bound for -retention sketch")
-	statusAddr := flag.String("status", "", "serve live status on this address (e.g. :8080; empty = off): "+
+	sketchAlpha := fs.Float64("sketch-alpha", 0.01, "relative-error bound for -retention sketch")
+	statusAddr := fs.String("status", "", "serve live status on this address (e.g. :8080; empty = off): "+
 		"/status JSON, /status/stream SSE, /debug/vars, /debug/pprof")
-	statusEvery := flag.Duration("status-every", time.Millisecond, "snapshot sampling period in virtual time (with -status)")
-	statusLinger := flag.Duration("status-linger", 0, "keep serving -status this long (wall time) after the run finishes; SIGINT/SIGTERM ends the linger early")
-	flag.Parse()
-
-	events, err := parseFaultSchedule(*failAt)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	statusEvery := fs.Duration("status-every", time.Millisecond, "snapshot sampling period in virtual time (with -status)")
+	statusLinger := fs.Duration("status-linger", 0, "keep serving -status this long (wall time) after the run finishes; SIGINT/SIGTERM ends the linger early")
+	if err := fs.Parse(args); err != nil {
+		return run{}, err
 	}
 
-	kind, err := opera.ParseKind(*network)
+	events, err := scenario.ParseEvents(*failAt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return run{}, err
 	}
-
 	dur := eventsim.Time(duration.Nanoseconds())
-	var gen scenario.Source
-	var replay *workload.ReplaySource
-	var replayRangeErr error
+	src := scenario.SourceSpec{
+		Type: *wl, Load: *load, Window: dur, MaxFlowBytes: *maxFlow, FlowBytes: *flowBytes,
+		MaxFlows: *arrivals, Tag: *tagName,
+	}
+	r := run{
+		workload:   *wl,
+		statusAddr: *statusAddr, statusEvery: *statusEvery, statusLinger: *statusLinger,
+		spec: scenario.Spec{
+			Name: *network, Network: *network, Seed: *seed,
+			Duration: dur * eventsim.Time(*drain),
+			Racks:    *racks, HostsPerRack: *hostsPerRack, Uplinks: *uplinks,
+			ClosK: *closK, ClosF: *closF,
+			Events: events,
+		},
+	}
 	switch {
 	case *tracePath != "":
-		rs, closer, err := workload.ReplayFile(*tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer closer.Close()
-		replay = rs
-		// The parser can't know the cluster size; bound-check against the
-		// built cluster so a stray host index is a diagnostic, not a panic.
-		gen = func(env scenario.Env) workload.Source {
-			return workload.SourceFunc(func() (workload.FlowSpec, bool) {
-				spec, ok := rs.Next()
-				if ok && (spec.Src >= env.NumHosts || spec.Dst >= env.NumHosts) {
-					replayRangeErr = fmt.Errorf("trace flow %d->%d outside cluster with %d hosts", spec.Src, spec.Dst, env.NumHosts)
-					return workload.FlowSpec{}, false
-				}
-				return spec, ok
-			})
-		}
-		*wl = "trace:" + *tracePath
-	case *wl == "datamining":
-		gen = scenario.Poisson(workload.Datamining(), *load, dur, *maxFlow)
-	case *wl == "websearch":
-		gen = scenario.Poisson(workload.Websearch(), *load, dur, *maxFlow)
-	case *wl == "hadoop":
-		gen = scenario.Poisson(workload.Hadoop(), *load, dur, *maxFlow)
-	case *wl == "mix":
-		// The §5.2 blend: latency-sensitive websearch over a bulk-tagged
-		// datamining component, one open-loop arrival process.
-		gen = func(env scenario.Env) workload.Source {
-			return workload.Mix(workload.PoissonConfig{
-				NumHosts:     env.NumHosts,
-				HostsPerRack: env.HostsPerRack,
-				Load:         *load,
-				LinkRateGbps: env.LinkRateGbps,
-				Duration:     dur,
-				Seed:         env.Seed,
-			},
-				workload.MixComponent{Dist: workload.Websearch(), Weight: 0.5, Tag: "websearch", MaxFlowBytes: *maxFlow},
-				workload.MixComponent{Dist: workload.Datamining(), Weight: 0.5, Tag: "datamining", Bulk: true, MaxFlowBytes: *maxFlow},
-			)
-		}
+		src.Type, src.Path = "replay", *tracePath
+		r.workload = "trace:" + *tracePath
+	case *wl == "datamining" || *wl == "websearch" || *wl == "hadoop":
+		src.Type, src.Dist = "poisson", *wl
 	case *wl == "incast":
-		gen = scenario.Incast(8, *flowBytes, dur/10, 10)
-	case *wl == "shuffle":
-		gen = scenario.Adapt(scenario.Shuffle(*flowBytes, 0))
-	case *wl == "permutation":
-		gen = scenario.Adapt(func(numHosts, hostsPerRack int, seed int64) []workload.FlowSpec {
-			return workload.Permutation(numHosts, hostsPerRack, *flowBytes, seed)
-		})
-	case *wl == "hotrack":
-		gen = scenario.Adapt(func(numHosts, hostsPerRack int, seed int64) []workload.FlowSpec {
-			return workload.HotRack(hostsPerRack, *flowBytes)
-		})
-	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wl)
-		os.Exit(2)
-	}
-	if *arrivals > 0 {
-		gen = scenario.Take(gen, *arrivals)
-	}
-	if *tagName != "" {
-		gen = scenario.TagSource(*tagName, gen)
-	}
-
-	opts := []opera.Option{
-		opera.WithRacks(*racks),
-		opera.WithHostsPerRack(*hostsPerRack),
-		opera.WithUplinks(*uplinks),
-		opera.WithClos(*closK, *closF),
+		src.Fanin, src.Period, src.Bursts = 8, dur/10, 10
+	case *wl == "shuffle" || *wl == "permutation" || *wl == "hotrack":
 		// §5.6's throughput patterns are bulk workloads: application-tag
 		// them so Opera serves them on direct circuits regardless of size.
-		opera.WithAppTaggedBulk(*wl == "shuffle" || *wl == "hotrack" || *wl == "permutation"),
+		r.spec.AppTaggedBulk = true
+	case *wl != "mix":
+		return run{}, fmt.Errorf("unknown workload %q", *wl)
 	}
-	switch *retention {
-	case "all":
-	case "sketch":
-		opts = append(opts,
-			opera.WithRetention(opera.RetainSketch(opera.SketchOptions{Alpha: *sketchAlpha})))
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -retention %q (want all or sketch)\n", *retention)
+	r.spec.Sources = []scenario.SourceSpec{src}
+	if *retention == "sketch" {
+		r.spec.Retention = scenario.RetentionSpec{Sketch: true, Alpha: *sketchAlpha}
+	} else if *retention != "all" {
+		return run{}, fmt.Errorf("unknown -retention %q (want all or sketch)", *retention)
+	}
+	r.scenario, err = r.spec.Scenario()
+	return r, err
+}
+
+func main() {
+	r, err := parseArgs(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	os.Exit(simulate(r))
+}
 
-	sc := scenario.Scenario{
-		Name:     *network,
-		Kind:     kind,
-		Seed:     *seed,
-		Options:  opts,
-		Sources:  []scenario.Source{gen},
-		Events:   events,
-		Duration: dur * eventsim.Time(*drain),
-	}
-
+// simulate runs the resolved scenario and prints its results; it returns
+// the process exit code.
+func simulate(r run) int {
+	sc := r.scenario
 	// Live observability: a Publisher samples the run into a lock-free
 	// mailbox on the engine's meta-event surface (results stay
 	// byte-identical), and an HTTP server exposes the mailbox.
 	var pub *obs.Publisher
 	var statusSrv *http.Server
-	if *statusAddr != "" {
+	if r.statusAddr != "" {
 		box := &obs.Mailbox{}
-		pub = obs.NewPublisher(box, eventsim.Time(statusEvery.Nanoseconds()))
+		pub = obs.NewPublisher(box, eventsim.Time(r.statusEvery.Nanoseconds()))
 		sc.Observer = pub
-		srv, bound, err := obs.Serve(*statusAddr, box)
+		srv, bound, err := obs.Serve(r.statusAddr, box)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return 2
 		}
 		statusSrv = srv
 		fmt.Fprintf(os.Stderr, "status: serving http://%s/status\n", bound)
@@ -223,19 +167,11 @@ func main() {
 	wall := time.Since(start)
 	if res.Err != "" {
 		fmt.Fprintln(os.Stderr, res.Err)
-		os.Exit(1)
-	}
-	if replay != nil && replay.Err() != nil {
-		fmt.Fprintln(os.Stderr, replay.Err())
-		os.Exit(1)
-	}
-	if replayRangeErr != nil {
-		fmt.Fprintln(os.Stderr, replayRangeErr)
-		os.Exit(1)
+		return 1
 	}
 
 	fmt.Printf("network=%s workload=%s flows=%d completed=%d (%.1f%%) wall=%v\n",
-		kind, *wl, res.FlowsTotal, res.FlowsDone,
+		sc.Kind, r.workload, res.FlowsTotal, res.FlowsDone,
 		100*float64(res.FlowsDone)/float64(max(res.FlowsTotal, 1)), wall.Round(time.Millisecond))
 	if !res.Completed {
 		fmt.Printf("  (did not finish before drain deadline)\n")
@@ -278,12 +214,12 @@ func main() {
 		// then keep the endpoint up through the linger so dashboards and
 		// smoke tests can read the completed run. A signal ends it early.
 		pub.Finalize()
-		if *statusLinger > 0 {
-			fmt.Fprintf(os.Stderr, "status: lingering %v (SIGINT/SIGTERM to stop)\n", *statusLinger)
+		if r.statusLinger > 0 {
+			fmt.Fprintf(os.Stderr, "status: lingering %v (SIGINT/SIGTERM to stop)\n", r.statusLinger)
 			sig := make(chan os.Signal, 1)
 			signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 			select {
-			case <-time.After(*statusLinger):
+			case <-time.After(r.statusLinger):
 			case <-sig:
 			}
 		}
@@ -291,11 +227,5 @@ func main() {
 		defer cancel()
 		statusSrv.Shutdown(ctx)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return 0
 }

@@ -55,12 +55,12 @@ func ExampleRunScenarios() {
 	scs := []scenario.Scenario{
 		{
 			Name: "opera", Kind: opera.KindOpera, Seed: 1,
-			Workload: scenario.ShuffleN(8, 40_000, 0),
+			Sources:  []scenario.Source{scenario.Shuffle(8, 40_000, 0)},
 			Duration: 2000 * eventsim.Millisecond,
 		},
 		{
 			Name: "expander", Kind: opera.KindExpander, Seed: 1,
-			Workload: scenario.ShuffleN(8, 40_000, eventsim.Millisecond),
+			Sources:  []scenario.Source{scenario.Shuffle(8, 40_000, eventsim.Millisecond)},
 			Duration: 2000 * eventsim.Millisecond,
 		},
 	}

@@ -66,7 +66,7 @@ func main() {
 			opera.WithHostsPerRack(4),
 			opera.WithUplinks(4),
 		},
-		Workload: scenario.ShuffleN(16, 30_000, eventsim.Millisecond),
+		Sources: []scenario.Source{scenario.Shuffle(16, 30_000, eventsim.Millisecond)},
 		Events: []scenario.Event{
 			scenario.At(500*eventsim.Microsecond, scenario.FailLink(3, 2)),
 		},

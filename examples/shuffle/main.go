@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"log"
 
-	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/scenario"
 )
@@ -37,36 +36,29 @@ func main() {
 	fmt.Printf("all-to-all shuffle among %d hosts, %d B per flow (Figure 8 scenario)\n\n",
 		participants, flowBytes)
 
-	base := []opera.Option{
-		opera.WithRacks(16),
-		opera.WithHostsPerRack(4),
-		opera.WithUplinks(4),
-		opera.WithClos(8, 3),
-	}
-	scs := []scenario.Scenario{
-		// Opera: flows application-tagged as bulk, all started simultaneously
-		// (RotorLB handles simultaneous starts gracefully, §5.2).
-		{
-			Name: "opera", Kind: opera.KindOpera, Seed: 1,
-			Options:  append(append([]opera.Option{}, base...), opera.WithAppTaggedBulk(true)),
-			Workload: scenario.ShuffleN(participants, flowBytes, 0),
+	// One run description per network. Opera: flows application-tagged as
+	// bulk, all started simultaneously (RotorLB handles simultaneous starts
+	// gracefully, §5.2). The static networks get staggered arrivals to avoid
+	// startup effects, and every shuffle is capped at the same participants
+	// so the workload matches despite the Clos's larger quantized host count.
+	var scs []scenario.Scenario
+	for _, network := range []string{"opera", "expander", "foldedclos"} {
+		sp := scenario.Spec{
+			Name: network, Network: network, Seed: 1,
+			Racks: 16, HostsPerRack: 4, Uplinks: 4, ClosK: 8, ClosF: 3,
 			Duration: 5000 * eventsim.Millisecond,
-		},
-		// Static networks get staggered arrivals to avoid startup effects,
-		// and a capped participant count so the workload matches despite
-		// the Clos's larger quantized host count.
-		{
-			Name: "expander", Kind: opera.KindExpander, Seed: 1,
-			Options:  base,
-			Workload: scenario.ShuffleN(participants, flowBytes, eventsim.Millisecond),
-			Duration: 5000 * eventsim.Millisecond,
-		},
-		{
-			Name: "foldedclos", Kind: opera.KindFoldedClos, Seed: 1,
-			Options:  base,
-			Workload: scenario.ShuffleN(participants, flowBytes, eventsim.Millisecond),
-			Duration: 5000 * eventsim.Millisecond,
-		},
+			Sources: []scenario.SourceSpec{{
+				Type: "shuffle", Participants: participants, FlowBytes: flowBytes, Stagger: eventsim.Millisecond,
+			}},
+		}
+		if network == "opera" {
+			sp.AppTaggedBulk, sp.Sources[0].Stagger = true, 0
+		}
+		sc, err := sp.Scenario()
+		if err != nil {
+			log.Fatal(err)
+		}
+		scs = append(scs, sc)
 	}
 
 	results, err := scenario.RunScenarios(context.Background(), scs, scenario.Parallelism(3))

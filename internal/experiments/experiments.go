@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"github.com/opera-net/opera/scenario"
 )
 
 // Table is a generic result table: one per plotted series or report.
@@ -80,7 +82,23 @@ type Scale struct {
 	// Folded Clos sizing.
 	ClosK, ClosF int
 
+	// Seed seeds topology, workload and fault randomness of every run.
 	Seed int64
+}
+
+// Spec starts a run description on the named network at this scale: Name,
+// Network, Seed and the sizing fields are set (the expander takes its
+// cost-equivalent sizing), traffic and deadline are the caller's to fill.
+func (s Scale) Spec(network string) scenario.Spec {
+	sp := scenario.Spec{
+		Name: network, Network: network, Seed: s.Seed,
+		Racks: s.Racks, HostsPerRack: s.HostsPerRack, Uplinks: s.Uplinks,
+		ClosK: s.ClosK, ClosF: s.ClosF,
+	}
+	if network == "expander" {
+		sp.Racks, sp.HostsPerRack, sp.Uplinks = s.ExpRacks, s.ExpHosts, s.ExpDegree
+	}
+	return sp
 }
 
 // PaperScale is the 648-host family of §5: 108-rack Opera (k=12, u=6),

@@ -8,7 +8,6 @@ import (
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/prototype"
 	"github.com/opera-net/opera/internal/stats"
-	"github.com/opera-net/opera/internal/workload"
 	"github.com/opera-net/opera/scenario"
 )
 
@@ -24,7 +23,6 @@ type SimOptions struct {
 	// MaxFlowBytes caps sampled flow sizes (0 = unlimited); small-scale
 	// runs cap the heavy tail so runtimes stay test-friendly.
 	MaxFlowBytes int64
-	Seed         int64
 }
 
 // DefaultSimOptions returns small-scale settings (seconds per run).
@@ -35,7 +33,6 @@ func DefaultSimOptions() SimOptions {
 		Duration:     20 * eventsim.Millisecond,
 		DrainFactor:  15,
 		MaxFlowBytes: 20_000_000,
-		Seed:         1,
 	}
 }
 
@@ -46,30 +43,20 @@ func PaperSimOptions() SimOptions {
 		Loads:       []float64{0.01, 0.10, 0.25, 0.30, 0.40},
 		Duration:    100 * eventsim.Millisecond,
 		DrainFactor: 20,
-		Seed:        1,
 	}
 }
 
-// scaleOptions sizes a cluster of the given kind at scale s. Options apply
-// in order, so the expander's cost-equivalent sizing overrides the rotor
-// sizing for KindExpander.
-func scaleOptions(kind operapkg.Kind, s Scale, appTagged bool) []operapkg.Option {
-	opts := []operapkg.Option{
-		operapkg.WithRacks(s.Racks),
-		operapkg.WithHostsPerRack(s.HostsPerRack),
-		operapkg.WithUplinks(s.Uplinks),
-		operapkg.WithClos(s.ClosK, s.ClosF),
-		operapkg.WithAppTaggedBulk(appTagged),
-		operapkg.WithSeed(s.Seed),
+// resolve turns run descriptions into the Scenarios the runner executes.
+func resolve(specs []scenario.Spec) ([]scenario.Scenario, error) {
+	scs := make([]scenario.Scenario, len(specs))
+	for i, sp := range specs {
+		sc, err := sp.Scenario()
+		if err != nil {
+			return nil, err
+		}
+		scs[i] = sc
 	}
-	if kind == operapkg.KindExpander {
-		opts = append(opts,
-			operapkg.WithRacks(s.ExpRacks),
-			operapkg.WithHostsPerRack(s.ExpHosts),
-			operapkg.WithUplinks(s.ExpDegree),
-		)
-	}
-	return opts
+	return scs, nil
 }
 
 // fctBuckets are the flow-size decade boundaries used to report FCT vs
@@ -90,31 +77,28 @@ func bucketLabel(i int) string {
 	return names[i]
 }
 
-// poissonCell describes one (network, load) point of a Poisson FCT sweep.
-type poissonCell struct {
-	name string
-	kind operapkg.Kind
-	load float64
-}
-
 // runPoissonFCT fans every (network, load) cell out through the scenario
 // runner — independent clusters across all cores — then appends per-bucket
 // FCT rows in cell order: 99th percentile (and mean at 1% load, following
 // the paper's reporting) plus the completed fraction, which exposes
 // saturation.
-func runPoissonFCT(t *Table, cells []poissonCell, opt SimOptions, dist *workload.FlowSizeDist) error {
-	scs := make([]scenario.Scenario, len(cells))
-	for i, c := range cells {
-		scs[i] = scenario.Scenario{
-			Name:    c.name,
-			Kind:    c.kind,
-			Seed:    opt.Seed, // seeds the workload; cluster seed below
-			Options: scaleOptions(c.kind, opt.Scale, false),
+func runPoissonFCT(t *Table, networks []string, opt SimOptions, dist string) error {
+	var specs []scenario.Spec
+	for _, net := range networks {
+		for _, load := range opt.Loads {
+			sp := opt.Scale.Spec(net)
+			sp.Duration = opt.Duration * eventsim.Time(opt.DrainFactor)
 			// Streamed open-loop arrivals: the sweep never materializes a
 			// flow list, so paper-scale load points stay O(active flows).
-			Sources:  []scenario.Source{scenario.Poisson(dist, c.load, opt.Duration, opt.MaxFlowBytes)},
-			Duration: opt.Duration * eventsim.Time(opt.DrainFactor),
+			sp.Sources = []scenario.SourceSpec{{
+				Type: "poisson", Dist: dist, Load: load, Window: opt.Duration, MaxFlowBytes: opt.MaxFlowBytes,
+			}}
+			specs = append(specs, sp)
 		}
+	}
+	scs, err := resolve(specs)
+	if err != nil {
+		return err
 	}
 	// Buckets are tabulated inside the per-cluster callback (distinct
 	// per-index slots, so no locking) and each cluster is released as soon
@@ -124,9 +108,12 @@ func runPoissonFCT(t *Table, cells []poissonCell, opt SimOptions, dist *workload
 		buckets     []stats.Sample
 		done, total int
 	}
-	tallies := make([]cellStats, len(cells))
+	tallies := make([]cellStats, len(specs))
 	results, err := scenario.ForEachCluster(context.Background(), scs,
 		func(i int, cl *operapkg.Cluster, _ scenario.Result) {
+			if cl == nil {
+				return
+			}
 			cs := cellStats{buckets: make([]stats.Sample, len(fctBuckets))}
 			for _, f := range cl.Metrics().Flows() {
 				cs.total++
@@ -142,14 +129,15 @@ func runPoissonFCT(t *Table, cells []poissonCell, opt SimOptions, dist *workload
 		return err
 	}
 	for i, cs := range tallies {
+		name, load := specs[i].Name, specs[i].Sources[0].Load
 		if results[i].Err != "" {
-			return fmt.Errorf("%s (load %.2f): %s", cells[i].name, cells[i].load, results[i].Err)
+			return fmt.Errorf("%s (load %.2f): %s", name, load, results[i].Err)
 		}
 		for b := range cs.buckets {
 			if cs.buckets[b].N() == 0 {
 				continue
 			}
-			t.Add(cells[i].name, cells[i].load, bucketLabel(b), cs.buckets[b].Mean(), cs.buckets[b].P99(),
+			t.Add(name, load, bucketLabel(b), cs.buckets[b].Mean(), cs.buckets[b].P99(),
 				cs.buckets[b].N(), float64(cs.done)/float64(cs.total))
 		}
 	}
@@ -162,23 +150,8 @@ var fctHeader = []string{"network", "load", "flow_size", "mean_fct_us", "p99_fct
 // the four architectures (plus hybrid RotorNet at +33% cost).
 func Fig07Datamining(opt SimOptions) ([]Table, error) {
 	t := Table{Name: fmt.Sprintf("fig07_datamining_fct_%s", opt.Scale.Name), Header: fctHeader}
-	dist := workload.Datamining()
-	var cells []poissonCell
-	for _, n := range []struct {
-		name string
-		kind operapkg.Kind
-	}{
-		{"opera", operapkg.KindOpera},
-		{"expander", operapkg.KindExpander},
-		{"foldedclos", operapkg.KindFoldedClos},
-		{"rotornet-hybrid", operapkg.KindRotorNetHybrid},
-		{"rotornet", operapkg.KindRotorNet},
-	} {
-		for _, load := range opt.Loads {
-			cells = append(cells, poissonCell{n.name, n.kind, load})
-		}
-	}
-	if err := runPoissonFCT(&t, cells, opt, dist); err != nil {
+	networks := []string{"opera", "expander", "foldedclos", "rotornet-hybrid", "rotornet"}
+	if err := runPoissonFCT(&t, networks, opt, "datamining"); err != nil {
 		return nil, err
 	}
 	return []Table{t}, nil
@@ -187,21 +160,7 @@ func Fig07Datamining(opt SimOptions) ([]Table, error) {
 // Fig09Websearch regenerates Figure 9: the all-indirect worst case.
 func Fig09Websearch(opt SimOptions) ([]Table, error) {
 	t := Table{Name: fmt.Sprintf("fig09_websearch_fct_%s", opt.Scale.Name), Header: fctHeader}
-	dist := workload.Websearch()
-	var cells []poissonCell
-	for _, n := range []struct {
-		name string
-		kind operapkg.Kind
-	}{
-		{"opera", operapkg.KindOpera},
-		{"expander", operapkg.KindExpander},
-		{"foldedclos", operapkg.KindFoldedClos},
-	} {
-		for _, load := range opt.Loads {
-			cells = append(cells, poissonCell{n.name, n.kind, load})
-		}
-	}
-	if err := runPoissonFCT(&t, cells, opt, dist); err != nil {
+	if err := runPoissonFCT(&t, []string{"opera", "expander", "foldedclos"}, opt, "websearch"); err != nil {
 		return nil, err
 	}
 	return []Table{t}, nil
@@ -219,7 +178,6 @@ type ShuffleOptions struct {
 	// scale vs 64 for the others); capping keeps the workload identical
 	// across networks.
 	Participants int
-	Seed         int64
 }
 
 // DefaultShuffleOptions returns small-scale settings.
@@ -230,7 +188,6 @@ func DefaultShuffleOptions() ShuffleOptions {
 		Stagger:      1 * eventsim.Millisecond,
 		Deadline:     2000 * eventsim.Millisecond,
 		Participants: 64,
-		Seed:         1,
 	}
 }
 
@@ -243,35 +200,32 @@ func Fig08Shuffle(opt ShuffleOptions) ([]Table, error) {
 	summary := Table{Name: fmt.Sprintf("fig08_shuffle_fct_%s", opt.Scale.Name),
 		Header: []string{"network", "p99_fct_ms", "completed_frac", "bandwidth_tax"}}
 
-	nets := []struct {
-		name      string
-		kind      operapkg.Kind
-		appTagged bool
-		stagger   eventsim.Time
-	}{
-		{"opera", operapkg.KindOpera, true, 0},
-		{"expander", operapkg.KindExpander, false, opt.Stagger},
-		{"foldedclos", operapkg.KindFoldedClos, false, opt.Stagger},
-	}
-	scs := make([]scenario.Scenario, len(nets))
-	for i, n := range nets {
-		scs[i] = scenario.Scenario{
-			Name:     n.name,
-			Kind:     n.kind,
-			Seed:     opt.Seed,
-			Options:  scaleOptions(n.kind, opt.Scale, n.appTagged),
-			Sources:  []scenario.Source{scenario.Adapt(scenario.ShuffleN(opt.Participants, opt.FlowBytes, n.stagger))},
-			Duration: opt.Deadline,
+	// Opera: application-tagged bulk, simultaneous start (RotorLB handles it
+	// gracefully, §5.2); the static networks get staggered arrivals.
+	var specs []scenario.Spec
+	for _, net := range []string{"opera", "expander", "foldedclos"} {
+		sp := opt.Scale.Spec(net)
+		sp.Duration = opt.Deadline
+		sp.Sources = []scenario.SourceSpec{{
+			Type: "shuffle", Participants: opt.Participants, FlowBytes: opt.FlowBytes, Stagger: opt.Stagger,
+		}}
+		if net == "opera" {
+			sp.AppTaggedBulk, sp.Sources[0].Stagger = true, 0
 		}
+		specs = append(specs, sp)
+	}
+	scs, err := resolve(specs)
+	if err != nil {
+		return nil, err
 	}
 	clusters, results, err := scenario.CollectScenarios(context.Background(), scs)
 	if err != nil {
 		return nil, err
 	}
 	for i, cl := range clusters {
-		n := nets[i]
+		name := specs[i].Name
 		if cl == nil {
-			return nil, fmt.Errorf("%s: %s", n.name, results[i].Err)
+			return nil, fmt.Errorf("%s: %s", name, results[i].Err)
 		}
 		participants := cl.NumHosts()
 		if opt.Participants > 0 && opt.Participants < participants {
@@ -280,7 +234,7 @@ func Fig08Shuffle(opt ShuffleOptions) ([]Table, error) {
 		capacity := float64(participants) * 10e9 / 8 // bytes/s aggregate
 		rates := cl.Metrics().DeliveredBytes.Rates()
 		for j, r := range rates {
-			series.Add(n.name, float64(j)*1000*cl.Metrics().DeliveredBytes.BinWidth(), r/capacity)
+			series.Add(name, float64(j)*1000*cl.Metrics().DeliveredBytes.BinWidth(), r/capacity)
 		}
 		var fct stats.Sample
 		var done, total int
@@ -291,7 +245,7 @@ func Fig08Shuffle(opt ShuffleOptions) ([]Table, error) {
 				fct.Add(f.FCT().Seconds() * 1000)
 			}
 		}
-		summary.Add(n.name, fct.P99(), float64(done)/float64(total), cl.Metrics().AggregateTax())
+		summary.Add(name, fct.P99(), float64(done)/float64(total), cl.Metrics().AggregateTax())
 	}
 	return []Table{series, summary}, nil
 }
@@ -302,7 +256,6 @@ type MixedOptions struct {
 	// WebsearchLoads are the low-latency load points.
 	WebsearchLoads []float64
 	Duration       eventsim.Time
-	Seed           int64
 }
 
 // DefaultMixedOptions returns small-scale settings.
@@ -311,81 +264,45 @@ func DefaultMixedOptions() MixedOptions {
 		Scale:          SmallScale(),
 		WebsearchLoads: []float64{0.01, 0.05, 0.10},
 		Duration:       30 * eventsim.Millisecond,
-		Seed:           1,
-	}
-}
-
-// rackSaturate is the Figure 10 underlay: every host keeps one large
-// application-tagged bulk flow to its counterpart in every other rack,
-// sized to fill the host link for the whole window.
-func rackSaturate(window eventsim.Time) scenario.Workload {
-	return func(numHosts, hostsPerRack int, _ int64) []workload.FlowSpec {
-		perRack := numHosts / hostsPerRack
-		bulkBytes := int64(float64(window.Seconds()) * 10e9 / 8 / float64(perRack-1))
-		var bulk []workload.FlowSpec
-		for h := 0; h < numHosts; h++ {
-			for r := 0; r < perRack; r++ {
-				if r == h/hostsPerRack {
-					continue
-				}
-				bulk = append(bulk, workload.FlowSpec{
-					Src: h, Dst: r*hostsPerRack + h%hostsPerRack, Bytes: bulkBytes,
-				})
-			}
-		}
-		return bulk
 	}
 }
 
 // Fig10Mixed regenerates Figure 10: aggregate delivered throughput vs
-// Websearch (low-latency) load with a saturating bulk shuffle underneath.
-// The mixed workload rides the scenario tagging hooks — the bulk underlay
-// is per-flow application-tagged (§3.4), websearch is classified by size —
-// so every (network, load) cell fans out through the scenario runner, and
-// a by-tag table breaks the aggregate down into its two components.
+// Websearch (low-latency) load with a saturating bulk underlay: every host
+// keeps one large flow to its counterpart in every other rack, sized to
+// fill the host link for the whole window. The underlay is per-flow
+// application-tagged (§3.4), websearch is classified by size; every
+// (network, load) cell fans out through the scenario runner, and a by-tag
+// table breaks the aggregate down into its two components.
 func Fig10Mixed(opt MixedOptions) ([]Table, error) {
 	t := Table{Name: fmt.Sprintf("fig10_mixed_throughput_%s", opt.Scale.Name),
 		Header: []string{"network", "websearch_load", "normalized_throughput"}}
 	byTag := Table{Name: fmt.Sprintf("fig10_mixed_by_tag_%s", opt.Scale.Name),
 		Header: []string{"network", "websearch_load", "tag", "throughput_gbps", "p99_fct_us", "flows_done", "flows_total"}}
-	nets := []struct {
-		name string
-		kind operapkg.Kind
-	}{
-		{"opera", operapkg.KindOpera},
-		{"expander", operapkg.KindExpander},
-		{"foldedclos", operapkg.KindFoldedClos},
-	}
-	type cell struct {
-		name   string
-		kind   operapkg.Kind
-		wsLoad float64
-	}
-	var cells []cell
-	for _, n := range nets {
+	var specs []scenario.Spec
+	for _, net := range []string{"opera", "expander", "foldedclos"} {
 		for _, wsLoad := range opt.WebsearchLoads {
-			cells = append(cells, cell{n.name, n.kind, wsLoad})
+			sp := opt.Scale.Spec(net)
+			sp.Duration = opt.Duration
+			sp.Sources = []scenario.SourceSpec{
+				{Type: "saturate", Window: opt.Duration, Bulk: true, Tag: "shuffle"},
+				{Type: "poisson", Dist: "websearch", Load: wsLoad, Window: opt.Duration, Tag: "websearch"},
+			}
+			specs = append(specs, sp)
 		}
 	}
-	scs := make([]scenario.Scenario, len(cells))
-	for i, c := range cells {
-		scs[i] = scenario.Scenario{
-			Name:    c.name,
-			Kind:    c.kind,
-			Seed:    opt.Seed,
-			Options: scaleOptions(c.kind, opt.Scale, false),
-			Sources: []scenario.Source{
-				scenario.TagSource("shuffle", scenario.BulkSource(scenario.Adapt(rackSaturate(opt.Duration)))),
-				scenario.TagSource("websearch", scenario.Poisson(workload.Websearch(), c.wsLoad, opt.Duration, 0)),
-			},
-			Duration: opt.Duration,
-		}
+	scs, err := resolve(specs)
+	if err != nil {
+		return nil, err
 	}
 	// Normalized throughput needs the delivery time series, so tabulate in
 	// the per-cluster callback (distinct per-index slots, no locking).
-	delivered := make([]float64, len(cells))
+	delivered := make([]float64, len(specs))
 	results, err := scenario.ForEachCluster(context.Background(), scs,
 		func(i int, cl *operapkg.Cluster, _ scenario.Result) {
+			if cl == nil {
+				return
+			}
 			// Bytes delivered within the run window over the aggregate
 			// host-link capacity of the same window.
 			ts := cl.Metrics().DeliveredBytes
@@ -400,14 +317,15 @@ func Fig10Mixed(opt MixedOptions) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, c := range cells {
+	for i, sp := range specs {
+		wsLoad := sp.Sources[1].Load
 		if results[i].Err != "" {
-			return nil, fmt.Errorf("%s (load %.2f): %s", c.name, c.wsLoad, results[i].Err)
+			return nil, fmt.Errorf("%s (load %.2f): %s", sp.Name, wsLoad, results[i].Err)
 		}
-		t.Add(c.name, c.wsLoad, delivered[i])
+		t.Add(sp.Name, wsLoad, delivered[i])
 		for _, tag := range []string{"shuffle", "websearch"} {
 			s := results[i].ByTag[tag]
-			byTag.Add(c.name, c.wsLoad, tag, s.ThroughputGbps, s.FCT.P99Us, s.FlowsDone, s.FlowsTotal)
+			byTag.Add(sp.Name, wsLoad, tag, s.ThroughputGbps, s.FCT.P99Us, s.FlowsDone, s.FlowsTotal)
 		}
 	}
 	return []Table{t, byTag}, nil

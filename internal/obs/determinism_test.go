@@ -21,10 +21,10 @@ func observedScenario(observer scenario.Observer) scenario.Scenario {
 		Options: []opera.Option{
 			opera.WithRetention(opera.RetainSketch(opera.SketchOptions{})),
 		},
-		Workload: scenario.Merge(
-			scenario.Tag("shuffle", scenario.Bulk(scenario.ShuffleN(12, 60_000, 0))),
-			scenario.Tag("mice", scenario.ShuffleN(12, 2_000, 100*eventsim.Microsecond)),
-		),
+		Sources: []scenario.Source{
+			scenario.TagSource("shuffle", scenario.BulkSource(scenario.Shuffle(12, 60_000, 0))),
+			scenario.TagSource("mice", scenario.Shuffle(12, 2_000, 100*eventsim.Microsecond)),
+		},
 		Events: []scenario.Event{
 			scenario.At(200*eventsim.Microsecond, scenario.LossyLink(3, 1, 0.3)),
 			scenario.At(400*eventsim.Microsecond, scenario.FailLink(5, 2)),

@@ -291,7 +291,9 @@ func RunLocal(ctx context.Context, specs []scenario.Spec, parallelism int) (Repo
 
 // RunLocalProgress is RunLocal with a progress sink. There are no worker
 // processes, so no shard events fire — only SweepStarted, per-scenario
-// ResultDelivered, and SweepDone (shards reported as 0).
+// ResultDelivered, and SweepDone (shards reported as 0). The specs that
+// resolve run through scenario.ForEachCluster; cells skipped on
+// cancellation are listed in Report.Failed.
 func RunLocalProgress(ctx context.Context, specs []scenario.Spec, parallelism int, prog ProgressSink) (Report, error) {
 	if prog == nil {
 		prog = nopProgress{}
@@ -308,44 +310,30 @@ func RunLocalProgress(ctx context.Context, specs []scenario.Spec, parallelism in
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 	prog.SweepStarted(len(specs), parallelism, 0)
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism && w < len(specs); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range indices {
-				rep.Results[i], rep.Collectors[i] = runSpec(specs[i])
-				prog.ResultDelivered(i, rep.Results[i], rep.Collectors[i])
-			}
-		}()
-	}
-	var err error
-feed:
-	for i := range specs {
-		if ctx.Err() != nil {
-			err = ctx.Err()
-			markSkipped(&rep, specs, i, err)
-			break
+	var scs []scenario.Scenario
+	var index []int // index[k] is the spec index of scs[k]
+	for i, sp := range specs {
+		sc, err := sp.Scenario()
+		if err != nil {
+			rep.Results[i] = scenario.Result{Name: sp.Name, Seed: sp.Seed, Err: err.Error()}
+			prog.ResultDelivered(i, rep.Results[i], nil)
+			continue
 		}
-		select {
-		case <-ctx.Done():
-			err = ctx.Err()
-			markSkipped(&rep, specs, i, err)
-			break feed
-		case indices <- i:
+		scs, index = append(scs, sc), append(index, i)
+	}
+	ran := make([]bool, len(scs))
+	results, err := scenario.ForEachCluster(ctx, scs, func(k int, cl *opera.Cluster, res scenario.Result) {
+		i := index[k]
+		ran[k] = true
+		rep.Results[i], rep.Collectors[i] = withCollector(cl, res)
+		prog.ResultDelivered(i, rep.Results[i], rep.Collectors[i])
+	}, scenario.Parallelism(parallelism))
+	for k, i := range index {
+		if !ran[k] {
+			rep.Failed = append(rep.Failed, i)
+			rep.Results[i] = results[k]
 		}
 	}
-	close(indices)
-	wg.Wait()
 	prog.SweepDone(rep.Rounds, rep.Failed)
 	return rep, err
-}
-
-// markSkipped records cancellation for specs from index from on.
-func markSkipped(rep *Report, specs []scenario.Spec, from int, err error) {
-	for j := from; j < len(specs); j++ {
-		rep.Failed = append(rep.Failed, j)
-		rep.Results[j] = scenario.Result{Name: specs[j].Name, Seed: specs[j].Seed, Err: err.Error()}
-	}
 }

@@ -17,8 +17,8 @@ type Grid struct {
 	// Networks are architecture names ("opera", "expander", …); empty
 	// defaults to the three-way paper comparison set.
 	Networks []string `json:"networks"`
-	// Workload picks the flow-size distribution: "datamining" (default)
-	// or "websearch".
+	// Workload picks the flow-size distribution (scenario.SourceSpec.Dist):
+	// "datamining" (default), "websearch" or "hadoop".
 	Workload string `json:"workload"`
 	// Loads are offered-load fractions of aggregate host bandwidth.
 	Loads []float64 `json:"loads"`
@@ -91,7 +91,8 @@ func (g Grid) withDefaults() Grid {
 // Expand resolves the grid into the flat spec list a sweep runs plus the
 // cell structure the report aggregates over. Expansion order — networks
 // outer, loads inner, replicas innermost — is fixed, so equal Grids
-// expand to equal spec lists in every process.
+// expand to equal spec lists in every process. Every cell is validated the
+// one way a run description is: by resolving it (Spec.Scenario).
 func (g Grid) Expand() ([]scenario.Spec, []Cell, error) {
 	g = g.withDefaults()
 	var scale experiments.Scale
@@ -103,46 +104,23 @@ func (g Grid) Expand() ([]scenario.Spec, []Cell, error) {
 	default:
 		return nil, nil, fmt.Errorf("sweep: unknown scale %q (want small or paper)", g.Scale)
 	}
-	switch g.Workload {
-	case "datamining", "websearch":
-	default:
-		return nil, nil, fmt.Errorf("sweep: unknown workload %q (want datamining or websearch)", g.Workload)
-	}
 	window := eventsim.Time(g.DurationMs * float64(eventsim.Millisecond))
-	if window <= 0 {
-		return nil, nil, fmt.Errorf("sweep: duration %v ms must be positive", g.DurationMs)
-	}
-	if g.DrainFactor < 1 {
-		return nil, nil, fmt.Errorf("sweep: drain factor %d must be at least 1", g.DrainFactor)
-	}
 
 	var specs []scenario.Spec
 	var cells []Cell
 	for _, net := range g.Networks {
 		for _, load := range g.Loads {
-			if !(load > 0) {
-				return nil, nil, fmt.Errorf("sweep: load %v must be positive", load)
-			}
 			cell := Cell{Network: net, Load: load}
 			for r := 0; r < g.Replicas; r++ {
 				seed := g.Seed + int64(r)
-				sp := scenario.Spec{
-					Name:     fmt.Sprintf("%s-load%g-seed%d", net, load, seed),
-					Network:  net,
-					Seed:     seed,
-					Duration: window * eventsim.Time(g.DrainFactor),
-					Racks:    scale.Racks, HostsPerRack: scale.HostsPerRack, Uplinks: scale.Uplinks,
-					ClosK: scale.ClosK, ClosF: scale.ClosF,
-					Sources: []scenario.SourceSpec{{
-						Type: "poisson", Dist: g.Workload, Load: load,
-						Window: window, MaxFlowBytes: g.MaxFlowBytes,
-					}},
-				}
-				if net == "expander" {
-					// Cost-equivalent expander sizing, mirroring the
-					// experiments package's scaleOptions override.
-					sp.Racks, sp.HostsPerRack, sp.Uplinks = scale.ExpRacks, scale.ExpHosts, scale.ExpDegree
-				}
+				sp := scale.Spec(net)
+				sp.Name = fmt.Sprintf("%s-load%g-seed%d", net, load, seed)
+				sp.Seed = seed
+				sp.Duration = window * eventsim.Time(g.DrainFactor)
+				sp.Sources = []scenario.SourceSpec{{
+					Type: "poisson", Dist: g.Workload, Load: load,
+					Window: window, MaxFlowBytes: g.MaxFlowBytes,
+				}}
 				if g.Sketch {
 					sp.Retention = scenario.RetentionSpec{Sketch: true, Alpha: g.Alpha}
 				}

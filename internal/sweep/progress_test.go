@@ -3,7 +3,9 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -154,5 +156,35 @@ func TestRunLocalProgress(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("event[%d] = %q, want %q", i, got[i], want[i])
 		}
+	}
+}
+
+// A cancelled in-process sweep lists the cells it never ran in
+// Report.Failed, delivers nothing for them, and still delivers a cell
+// that does not resolve.
+func TestRunLocalCancelled(t *testing.T) {
+	specs, _, err := testGrid().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs[1].Network = "torus"
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := &recordSink{}
+	rep, err := RunLocalProgress(ctx, specs, 1, rec)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if want := []int{0, 2, 3}; !reflect.DeepEqual(rep.Failed, want) {
+		t.Fatalf("failed = %v, want %v", rep.Failed, want)
+	}
+	for i, r := range rep.Results {
+		if r.Err == "" || r.Name != specs[i].Name {
+			t.Errorf("result %d = %+v, want the spec's name and an error", i, r)
+		}
+	}
+	want := []string{"started specs=4 workers=1 shards=0", "result index=1", "finished rounds=1 failed=3"}
+	if got := rec.snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("events = %q, want %q", got, want)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"os"
 	"strconv"
 
+	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/scenario"
 )
 
@@ -92,7 +93,12 @@ func runSpec(sp scenario.Spec) (scenario.Result, []byte) {
 	if err != nil {
 		return scenario.Result{Name: sp.Name, Seed: sp.Seed, Err: err.Error()}, nil
 	}
-	cl, res := scenario.Collect(sc)
+	return withCollector(scenario.Collect(sc))
+}
+
+// withCollector pairs a finished run's Result with its telemetry
+// collector's wire encoding (nil without sketch retention or a cluster).
+func withCollector(cl *opera.Cluster, res scenario.Result) (scenario.Result, []byte) {
 	if cl == nil {
 		return res, nil
 	}

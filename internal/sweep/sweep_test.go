@@ -330,6 +330,60 @@ func TestWorkerTimeout(t *testing.T) {
 	}
 }
 
+// TestSourceErrorReachesTheReport: a cell whose trace is malformed — a bad
+// line, a host outside the cluster — or does not resolve at all is
+// delivered with a named Result.Err, in-process and through a worker
+// shard alike, beside a healthy cell that completes. Failed runs are
+// delivered results, not undelivered cells, so Report.Failed stays empty.
+func TestSourceErrorReachesTheReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	dir := t.TempDir()
+	replay := func(name, trace string) scenario.Spec {
+		path := dir + "/" + name + ".txt"
+		if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return scenario.Spec{Name: name, Network: "opera", Duration: eventsim.Millisecond,
+			Sources: []scenario.SourceSpec{{Type: "replay", Path: path}}}
+	}
+	specs := []scenario.Spec{
+		replay("good", "0 0 5 1000\n"),
+		replay("bad-line", "0 0 5 1000\nbogus line\n"),
+		replay("bad-host", "0 0 5 1000\n10 1 9999 500\n"),
+		{Name: "hostile-load", Network: "opera", Duration: eventsim.Millisecond,
+			Sources: []scenario.SourceSpec{{Type: "poisson", Dist: "websearch", Load: 1e300, Window: eventsim.Millisecond}}},
+	}
+	want := []string{"", "trace line 2", "outside cluster with 64 hosts", "exceeds MaxLoad"}
+
+	local, err := RunLocal(context.Background(), specs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := Run(context.Background(), specs, Options{Workers: 2, Command: testWorker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rep := range map[string]Report{"local": local, "sharded": sharded} {
+		if len(rep.Failed) != 0 {
+			t.Errorf("%s: failed = %v, want every cell delivered", name, rep.Failed)
+		}
+		for i, r := range rep.Results {
+			if want[i] == "" {
+				if r.Err != "" || !r.Completed || r.FlowsDone != 1 {
+					t.Errorf("%s: healthy cell: %+v", name, r)
+				}
+			} else if !strings.Contains(r.Err, want[i]) || r.Completed {
+				t.Errorf("%s: %s: Err = %q (completed=%v), want it to contain %q", name, specs[i].Name, r.Err, r.Completed, want[i])
+			}
+			if !r.Equal(local.Results[i]) {
+				t.Errorf("%s: %s differs from the in-process result:\ngot  %+v\nwant %+v", name, specs[i].Name, r, local.Results[i])
+			}
+		}
+	}
+}
+
 func TestPartition(t *testing.T) {
 	idx := func(n int) []int {
 		out := make([]int, n)

@@ -206,6 +206,12 @@ func Incast(cfg IncastConfig) Source {
 // ReplaySource streams flows from a trace. Like bufio.Scanner, it ends the
 // stream on malformed input and reports the cause through Err.
 type ReplaySource struct {
+	// NumHosts, when positive, is the size of the cluster the trace feeds: a
+	// host index at or beyond it ends the stream in error instead of
+	// reaching the cluster.
+	NumHosts int
+
+	file *os.File // owned by ReplayFile sources; nil otherwise
 	sc   *bufio.Scanner
 	line int
 	err  error
@@ -227,14 +233,25 @@ func Replay(r io.Reader) *ReplaySource {
 	return &ReplaySource{sc: sc}
 }
 
-// ReplayFile is Replay over a file; Close the returned closer when done
-// (typically after the simulation drains the source).
-func ReplayFile(path string) (*ReplaySource, io.Closer, error) {
+// ReplayFile is Replay over a file feeding a cluster of numHosts hosts.
+// A file that cannot be opened yields an empty stream whose Err says why;
+// Close the source once the simulation has drained it.
+func ReplayFile(path string, numHosts int) *ReplaySource {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return &ReplaySource{done: true, err: err}
 	}
-	return Replay(f), f, nil
+	rs := Replay(f)
+	rs.NumHosts, rs.file = numHosts, f
+	return rs
+}
+
+// Close releases the file a ReplayFile source holds.
+func (rs *ReplaySource) Close() error {
+	if rs.file == nil {
+		return nil
+	}
+	return rs.file.Close()
 }
 
 // Next implements Source.
@@ -264,6 +281,9 @@ func (rs *ReplaySource) Next() (FlowSpec, bool) {
 		bytes, err3 := strconv.ParseInt(fields[3], 10, 64)
 		if err1 != nil || err2 != nil || err3 != nil || src < 0 || dst < 0 || src == dst || bytes <= 0 {
 			return rs.fail(fmt.Errorf("workload: trace line %d: bad src/dst/bytes in %q", rs.line, text))
+		}
+		if rs.NumHosts > 0 && (src >= rs.NumHosts || dst >= rs.NumHosts) {
+			return rs.fail(fmt.Errorf("workload: trace line %d: flow %d->%d outside cluster with %d hosts", rs.line, src, dst, rs.NumHosts))
 		}
 		spec := FlowSpec{Src: src, Dst: dst, Bytes: bytes, Arrival: eventsim.Time(at)}
 		if len(fields) > 4 {

@@ -22,27 +22,6 @@ type FlowSpec struct {
 	Bulk bool
 }
 
-// Tagged returns a copy of the specs with every Tag set to tag. The
-// input is left untouched — generators like scenario.Fixed hand out a
-// shared slice, which concurrent scenarios may be reading.
-func Tagged(tag string, specs []FlowSpec) []FlowSpec {
-	out := append([]FlowSpec(nil), specs...)
-	for i := range out {
-		out[i].Tag = tag
-	}
-	return out
-}
-
-// Bulked returns a copy of the specs with every flow application-tagged
-// as bulk; like Tagged, it never mutates its input.
-func Bulked(specs []FlowSpec) []FlowSpec {
-	out := append([]FlowSpec(nil), specs...)
-	for i := range out {
-		out[i].Bulk = true
-	}
-	return out
-}
-
 // PoissonConfig parameterizes an open-loop Poisson flow arrival process
 // (§5.1): load is expressed relative to the aggregate bandwidth of all
 // host links.
@@ -172,6 +151,26 @@ func HotRack(hostsPerRack int, flowBytes int64) []FlowSpec {
 	out := make([]FlowSpec, 0, hostsPerRack)
 	for i := 0; i < hostsPerRack; i++ {
 		out = append(out, FlowSpec{Src: i, Dst: hostsPerRack + i, Bytes: flowBytes})
+	}
+	return out
+}
+
+// Saturate generates the Figure 10 underlay: every host keeps one flow to
+// its counterpart in every other rack, each sized so the host's flows
+// together fill its link for the whole window.
+func Saturate(numHosts, hostsPerRack int, window eventsim.Time, linkRateGbps float64) []FlowSpec {
+	racks := numHosts / hostsPerRack
+	if racks < 2 {
+		return nil
+	}
+	bytes := int64(window.Seconds() * linkRateGbps * 1e9 / 8 / float64(racks-1))
+	out := make([]FlowSpec, 0, numHosts*(racks-1))
+	for h := 0; h < numHosts; h++ {
+		for r := 0; r < racks; r++ {
+			if r != h/hostsPerRack {
+				out = append(out, FlowSpec{Src: h, Dst: r*hostsPerRack + h%hostsPerRack, Bytes: bytes})
+			}
+		}
 	}
 	return out
 }

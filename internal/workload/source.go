@@ -133,8 +133,7 @@ func CapBytes(s Source, maxBytes int64) Source {
 	})
 }
 
-// TagSource labels every flow of a source with tag — the streaming form of
-// Tagged.
+// TagSource labels every flow of a source with tag.
 func TagSource(tag string, s Source) Source {
 	return SourceFunc(func() (FlowSpec, bool) {
 		spec, ok := s.Next()
@@ -146,7 +145,7 @@ func TagSource(tag string, s Source) Source {
 }
 
 // BulkSource application-tags every flow of a source for bulk service
-// regardless of size (§3.4) — the streaming form of Bulked.
+// regardless of size (§3.4).
 func BulkSource(s Source) Source {
 	return SourceFunc(func() (FlowSpec, bool) {
 		spec, ok := s.Next()

@@ -165,26 +165,6 @@ func TestPoissonAvoidRackLocal(t *testing.T) {
 	}
 }
 
-func TestTaggedAndBulked(t *testing.T) {
-	orig := Shuffle(4, 10_000, 0, 1)
-	flows := Tagged("shuffle", Bulked(orig))
-	if len(flows) != 4*3 {
-		t.Fatalf("%d flows", len(flows))
-	}
-	for _, f := range flows {
-		if f.Tag != "shuffle" || !f.Bulk {
-			t.Fatalf("bad flow metadata %+v", f)
-		}
-	}
-	// The input must be untouched: generators like scenario.Fixed hand the
-	// same slice to concurrently running scenarios.
-	for _, f := range orig {
-		if f.Tag != "" || f.Bulk {
-			t.Fatalf("input spec mutated: %+v", f)
-		}
-	}
-}
-
 func TestShuffle(t *testing.T) {
 	flows := Shuffle(8, 100_000, 0, 1)
 	if len(flows) != 8*7 {

@@ -30,7 +30,7 @@ func graySweep() []scenario.Scenario {
 				scenario.At(5*eventsim.Millisecond, scenario.RecoverLink(2, 1)),
 				scenario.At(5*eventsim.Millisecond, scenario.RecoverLink(9, 3)),
 			},
-			Workload: scenario.ShuffleN(12, 25_000, eventsim.Millisecond),
+			Sources:  []scenario.Source{scenario.Shuffle(12, 25_000, eventsim.Millisecond)},
 			Duration: 4000 * eventsim.Millisecond,
 		},
 		{
@@ -42,7 +42,7 @@ func graySweep() []scenario.Scenario {
 				scenario.At(200*eventsim.Microsecond, scenario.FlappingLink(3, 0, 500*eventsim.Microsecond, 500*eventsim.Microsecond)),
 				scenario.At(6*eventsim.Millisecond, scenario.RecoverLink(3, 0)),
 			},
-			Workload: scenario.ShuffleN(12, 25_000, eventsim.Millisecond),
+			Sources:  []scenario.Source{scenario.Shuffle(12, 25_000, eventsim.Millisecond)},
 			Duration: 4000 * eventsim.Millisecond,
 		},
 	}
@@ -91,7 +91,7 @@ func TestFlapRecoveryRestoresBaselineFaultFree(t *testing.T) {
 	mk := func(events []scenario.Event) scenario.Scenario {
 		return scenario.Scenario{
 			Name: "flap-baseline", Kind: opera.KindOpera, Seed: 1,
-			Workload: scenario.Fixed(late),
+			Sources:  []scenario.Source{scenario.Fixed(late)},
 			Events:   events,
 			Duration: 4000 * eventsim.Millisecond,
 		}
@@ -135,7 +135,7 @@ func TestClosFailureFigureScenario(t *testing.T) {
 				scenario.At(400*eventsim.Microsecond, scenario.Inject(sim.TierSwitchTarget(sim.ClosTierAgg, 1), sim.DownFault())),
 				scenario.At(8*eventsim.Millisecond, scenario.Recover(sim.TierSwitchTarget(sim.ClosTierAgg, 1))),
 			},
-			Workload: scenario.ShuffleN(16, 25_000, eventsim.Millisecond),
+			Sources:  []scenario.Source{scenario.Shuffle(16, 25_000, eventsim.Millisecond)},
 			Duration: 4000 * eventsim.Millisecond,
 		}}
 	}

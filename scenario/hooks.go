@@ -7,43 +7,13 @@ import (
 	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/sim"
-	"github.com/opera-net/opera/internal/workload"
 )
 
-// This file is the Scenario hooks layer: workload tagging, a timed fault
-// schedule, and pluggable probes. Together they let the paper's
+// This file is the Scenario hooks layer: a timed fault schedule and
+// pluggable probes. Together with tagged sources they let the paper's
 // beyond-FCT experiments — §5.2's app-tagged mixed workloads and §5.5's
 // fault sweeps — be written as plain Scenario values and fanned out
 // through RunScenarios like any other sweep.
-
-// Tag wraps a Workload so every generated flow carries the given tag.
-// Tagged flows appear as a per-tag breakdown in Result.ByTag.
-func Tag(tag string, w Workload) Workload {
-	return func(numHosts, hostsPerRack int, seed int64) []workload.FlowSpec {
-		return workload.Tagged(tag, w(numHosts, hostsPerRack, seed))
-	}
-}
-
-// Bulk wraps a Workload so every generated flow is application-tagged for
-// bulk service regardless of its size (§3.4) — the per-flow form of
-// opera.WithAppTaggedBulk, for mixed workloads where only one component
-// is tagged.
-func Bulk(w Workload) Workload {
-	return func(numHosts, hostsPerRack int, seed int64) []workload.FlowSpec {
-		return workload.Bulked(w(numHosts, hostsPerRack, seed))
-	}
-}
-
-// Merge concatenates workloads into one flow list, in argument order.
-func Merge(ws ...Workload) Workload {
-	return func(numHosts, hostsPerRack int, seed int64) []workload.FlowSpec {
-		var out []workload.FlowSpec
-		for _, w := range ws {
-			out = append(out, w(numHosts, hostsPerRack, seed)...)
-		}
-		return out
-	}
-}
 
 // Event is one scheduled action on a running cluster: At names the virtual
 // time, Action what happens. Build Events with the At constructor:

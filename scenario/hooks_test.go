@@ -25,10 +25,10 @@ func hookSweep() []scenario.Scenario {
 			Options: []opera.Option{
 				opera.WithBulkThreshold(20_000),
 			},
-			Workload: scenario.Merge(
-				scenario.Tag("east", scenario.ShuffleN(10, 25_000, eventsim.Millisecond)),
-				scenario.Tag("west", scenario.Bulk(scenario.ShuffleN(4, 10_000, eventsim.Millisecond))),
-			),
+			Sources: []scenario.Source{
+				scenario.TagSource("east", scenario.Shuffle(10, 25_000, eventsim.Millisecond)),
+				scenario.TagSource("west", scenario.BulkSource(scenario.Shuffle(4, 10_000, eventsim.Millisecond))),
+			},
 			Events: []scenario.Event{
 				scenario.At(200*eventsim.Microsecond, scenario.FailLink(3, 2)),
 				scenario.At(500*eventsim.Microsecond, scenario.FailRandomLinks(0.05)),
@@ -55,7 +55,7 @@ func hookSweep() []scenario.Scenario {
 		Name:     "expander-plain",
 		Kind:     opera.KindExpander,
 		Seed:     1,
-		Workload: scenario.ShuffleN(8, 25_000, eventsim.Millisecond),
+		Sources:  []scenario.Source{scenario.Shuffle(8, 25_000, eventsim.Millisecond)},
 		Duration: 4000 * eventsim.Millisecond,
 	})
 	return scs
@@ -157,15 +157,15 @@ func TestProbes(t *testing.T) {
 }
 
 // Two scenarios tagging the same shared Fixed workload must not bleed
-// tags into each other (Tag copies; the shared slice is read-only even
-// under parallel execution).
+// tags into each other (Fixed copies per run; the shared slice is
+// read-only even under parallel execution).
 func TestTagOverSharedFixedWorkload(t *testing.T) {
 	specs := workload.Shuffle(8, 25_000, eventsim.Millisecond, 1)
 	shared := scenario.Fixed(specs)
 	mk := func(tag string) scenario.Scenario {
 		return scenario.Scenario{
 			Name: tag, Kind: opera.KindOpera, Seed: 1,
-			Workload: scenario.Tag(tag, shared),
+			Sources:  []scenario.Source{scenario.TagSource(tag, shared)},
 			Duration: 4000 * eventsim.Millisecond,
 		}
 	}
@@ -239,7 +239,7 @@ func TestFaultScheduleOnExpander(t *testing.T) {
 				scenario.At(500*eventsim.Microsecond, scenario.FailRandomLinks(0.05)),
 				scenario.At(3*eventsim.Millisecond, scenario.RecoverLink(2, 1)),
 			},
-			Workload: scenario.ShuffleN(12, 25_000, eventsim.Millisecond),
+			Sources:  []scenario.Source{scenario.Shuffle(12, 25_000, eventsim.Millisecond)},
 			Duration: 4000 * eventsim.Millisecond,
 		}}
 	}

@@ -7,16 +7,19 @@ import (
 	"github.com/opera-net/opera/internal/eventsim"
 )
 
-// One row per form of the -fail-at grammar, each asserting the exact
-// EventSpec it compiles to, then the malformed inputs, which must return
-// an error (never panic, never a partial schedule).
-func TestParseEvents(t *testing.T) {
+// eventFormRows is one row per form of the -fail-at grammar with the exact
+// EventSpec it compiles to; malformedSchedules must each return an error.
+// FuzzParseEvents seeds from both.
+var eventFormRows = func() []struct {
+	in   string
+	want EventSpec
+} {
 	const us, ms = eventsim.Microsecond, eventsim.Millisecond
 	link := func(tier, sw, port int) TargetSpec {
 		return TargetSpec{Kind: "link", Tier: tier, Switch: sw, Port: port}
 	}
 	down := FaultSpec{Kind: "down"}
-	forms := []struct {
+	return []struct {
 		in   string
 		want EventSpec
 	}{
@@ -36,6 +39,37 @@ func TestParseEvents(t *testing.T) {
 		{"1ms:tier-switch:3:5", EventSpec{At: ms, Op: "inject", Target: TargetSpec{Kind: "switch", Tier: 3, ID: 5}, Fault: down}},
 		{"3ms:recover-tier-switch:3:5", EventSpec{At: 3 * ms, Op: "recover", Target: TargetSpec{Kind: "switch", Tier: 3, ID: 5}}},
 	}
+}()
+
+var malformedSchedules = []string{
+	"500us",                   // no action
+	"500us:link:3",            // missing argument
+	"500us:link",              // missing arguments
+	"500us:link:3:2:1",        // surplus argument
+	"1ms:flap:5:1:200us",      // missing duration
+	"soon:link:3:2",           // bad time
+	"1ms:flap:5:1:200:100us",  // bad duration (no unit)
+	"-1ms:link:3:2",           // negative time
+	"1ms:flap:5:1:-1ms:1ms",   // negative phase
+	"1ms:melt:3:2",            // unknown action
+	"1ms:link:three:2",        // non-numeric coordinate
+	"1ms:lossy:4:0:NaN",       // NaN rate
+	"1ms:lossy:4:0:1.5",       // rate out of range
+	"1ms:lossy:4:0:0",         // rate out of range
+	"1ms:degraded:4:0:1",      // fraction out of range
+	"1ms:random-links:-0.1",   // fraction out of range
+	"1ms:random-links:NaN",    // NaN fraction
+	"1ms:flap:5:1:0s:1ms",     // zero phase
+	"500us:link:3:2,",         // empty entry
+	"500us:link:3:2,1ms:melt", // good entry then a bad one
+	":",                       // nothing at all
+}
+
+// One row per form of the -fail-at grammar, each asserting the exact
+// EventSpec it compiles to, then the malformed inputs, which must return
+// an error (never panic, never a partial schedule).
+func TestParseEvents(t *testing.T) {
+	forms := eventFormRows
 	if len(forms) != len(eventForms) {
 		t.Fatalf("%d rows for %d grammar forms", len(forms), len(eventForms))
 	}
@@ -60,29 +94,7 @@ func TestParseEvents(t *testing.T) {
 		t.Errorf("empty schedule = %v, %v; want nil, nil", got, err)
 	}
 
-	for _, in := range []string{
-		"500us",                   // no action
-		"500us:link:3",            // missing argument
-		"500us:link",              // missing arguments
-		"500us:link:3:2:1",        // surplus argument
-		"1ms:flap:5:1:200us",      // missing duration
-		"soon:link:3:2",           // bad time
-		"1ms:flap:5:1:200:100us",  // bad duration (no unit)
-		"-1ms:link:3:2",           // negative time
-		"1ms:flap:5:1:-1ms:1ms",   // negative phase
-		"1ms:melt:3:2",            // unknown action
-		"1ms:link:three:2",        // non-numeric coordinate
-		"1ms:lossy:4:0:NaN",       // NaN rate
-		"1ms:lossy:4:0:1.5",       // rate out of range
-		"1ms:lossy:4:0:0",         // rate out of range
-		"1ms:degraded:4:0:1",      // fraction out of range
-		"1ms:random-links:-0.1",   // fraction out of range
-		"1ms:random-links:NaN",    // NaN fraction
-		"1ms:flap:5:1:0s:1ms",     // zero phase
-		"500us:link:3:2,",         // empty entry
-		"500us:link:3:2,1ms:melt", // good entry then a bad one
-		":",                       // nothing at all
-	} {
+	for _, in := range malformedSchedules {
 		if got, err := ParseEvents(in); err == nil {
 			t.Errorf("%q parsed to %+v, want an error", in, got)
 		} else if got != nil {

@@ -57,9 +57,10 @@ func CollectScenarios(ctx context.Context, scs []Scenario, opts ...RunOption) ([
 // it can be garbage-collected while the rest of the sweep runs. fn is
 // called from worker goroutines — concurrently up to the configured
 // Parallelism — so it must synchronize any shared state it touches
-// (writing to distinct per-index slots is safe). fn is not called for
-// scenarios that failed to build or were skipped on cancellation; their
-// Results carry Err. Results are returned in Scenario order.
+// (writing to distinct per-index slots is safe). A scenario whose run
+// failed reaches fn with a nil cluster and its Err in the Result; fn is
+// not called for scenarios skipped on cancellation. Results are returned
+// in Scenario order.
 func ForEachCluster(ctx context.Context, scs []Scenario, fn func(i int, cl *opera.Cluster, res Result), opts ...RunOption) ([]Result, error) {
 	return runAll(ctx, scs, fn, opts)
 }
@@ -80,7 +81,7 @@ func runAll(ctx context.Context, scs []Scenario, fn func(int, *opera.Cluster, Re
 			for i := range indices {
 				cl, res := Collect(scs[i])
 				results[i] = res
-				if fn != nil && cl != nil {
+				if fn != nil {
 					fn(i, cl, res)
 				}
 			}

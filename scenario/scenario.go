@@ -1,8 +1,8 @@
 // Package scenario turns single-cluster simulations into declarative,
-// parallel parameter sweeps. A Scenario names an architecture, its
-// traffic (streaming Sources, or a legacy materialized Workload), a run
-// deadline and a seed; RunScenarios fans independent clusters out across
-// goroutines and returns one Result per Scenario.
+// parallel parameter sweeps. A Spec describes one run as plain data — an
+// architecture, its sizing, its traffic, a fault schedule, a deadline and
+// a seed — and resolves into a Scenario; RunScenarios fans independent
+// clusters out across goroutines and returns one Result per Scenario.
 //
 // Every cluster owns its event engine and randomness, so a Scenario's
 // Result is a pure function of the Scenario value: RunScenarios produces
@@ -11,10 +11,10 @@
 //
 //	results, err := scenario.RunScenarios(ctx, []scenario.Scenario{
 //		{Name: "opera", Kind: opera.KindOpera, Seed: 1,
-//			Workload: scenario.Shuffle(100_000, 0),
+//			Sources:  []scenario.Source{scenario.Shuffle(0, 100_000, 0)},
 //			Duration: 2000 * eventsim.Millisecond},
 //		{Name: "expander", Kind: opera.KindExpander, Seed: 1,
-//			Workload: scenario.Shuffle(100_000, eventsim.Millisecond),
+//			Sources:  []scenario.Source{scenario.Shuffle(0, 100_000, eventsim.Millisecond)},
 //			Duration: 2000 * eventsim.Millisecond},
 //	}, scenario.Parallelism(4))
 package scenario
@@ -30,17 +30,6 @@ import (
 	"github.com/opera-net/opera/internal/workload"
 )
 
-// Workload generates the flow list for a cluster of the given shape. The
-// seed is the Scenario's; generators that want their own stream may ignore
-// it.
-//
-// Workload is the legacy materialized contract: the whole flow list exists
-// in memory before the first packet moves. New code should prefer Sources
-// — the streaming contract the cluster drives lazily — and can bridge an
-// existing Workload with Adapt. Internally every Workload already runs
-// through the same Source machinery.
-type Workload func(numHosts, hostsPerRack int, seed int64) []workload.FlowSpec
-
 // Env describes the concrete cluster a Source will feed — the information
 // a generator needs to calibrate itself, resolved after the cluster is
 // built so generators adapt to the architecture's actual sizing.
@@ -54,37 +43,50 @@ type Env struct {
 	Seed int64
 }
 
-// Source constructs a streaming flow source for a concrete cluster. The
-// cluster pulls it lazily — one arrival event at a time — so sources with
-// millions of flows, or no end at all, run in O(active-flows) memory.
-// Populate Scenario.Sources with these.
+// Source constructs a flow source for a concrete cluster. The cluster
+// pulls it lazily — one arrival event at a time — so sources with millions
+// of flows, or no end at all, run in O(active-flows) memory; a source that
+// already holds its whole list (workload.FromSpecs) is scheduled in one
+// shot. SourceSpec names the sources the repo's runs use; anything else is
+// a func(Env) workload.Source written directly. A returned source that
+// also has Err() error and Close() error methods (a trace replay) is
+// closed by Collect after the run, and a non-nil Err fails the Result.
 type Source func(env Env) workload.Source
 
-// Adapt bridges a legacy Workload into a Source: the flow list is
-// materialized once per run and replayed in arrival order. Memory stays
-// O(flow list), so prefer native streaming constructors for large runs.
-func Adapt(w Workload) Source {
+// ending is the optional capability of a workload.Source that holds a
+// resource and can end in error.
+type ending interface {
+	Err() error
+	Close() error
+}
+
+// wrap applies f to the stream s builds while keeping an ending source's
+// error and resource visible to Collect.
+func wrap(s Source, f func(workload.Source) workload.Source) Source {
 	return func(env Env) workload.Source {
-		return workload.FromSpecs(w(env.NumHosts, env.HostsPerRack, env.Seed))
+		inner := s(env)
+		if e, ok := inner.(ending); ok {
+			return struct {
+				workload.Source
+				ending
+			}{f(inner), e}
+		}
+		return f(inner)
 	}
 }
 
-// Shuffle is an all-to-all shuffle of fixed-size flows (§5.2) across every
-// host, with arrivals spread over stagger.
-func Shuffle(flowBytes int64, stagger eventsim.Time) Workload {
-	return ShuffleN(0, flowBytes, stagger)
-}
-
-// ShuffleN is Shuffle among only the first participants hosts (0 = all) —
-// architectures quantize host counts differently (a k=8 folded Clos has
-// 192 hosts vs the small testbed's 64), and capping keeps one workload
+// Shuffle is an all-to-all shuffle of fixed-size flows (§5.2) among the
+// first participants hosts (0 = all), with arrivals spread over stagger.
+// Architectures quantize host counts differently (a k=8 folded Clos has
+// 192 hosts vs the small testbed's 64); capping keeps one workload
 // identical across them.
-func ShuffleN(participants int, flowBytes int64, stagger eventsim.Time) Workload {
-	return func(numHosts, hostsPerRack int, seed int64) []workload.FlowSpec {
-		if participants > 0 && participants < numHosts {
-			numHosts = participants
+func Shuffle(participants int, flowBytes int64, stagger eventsim.Time) Source {
+	return func(env Env) workload.Source {
+		n := env.NumHosts
+		if participants > 0 && participants < n {
+			n = participants
 		}
-		return workload.Shuffle(numHosts, flowBytes, stagger, seed)
+		return workload.FromSpecs(workload.Shuffle(n, flowBytes, stagger, env.Seed))
 	}
 }
 
@@ -94,31 +96,20 @@ func ShuffleN(participants int, flowBytes int64, stagger eventsim.Time) Workload
 // sizes (0 = unlimited).
 func Poisson(dist *workload.FlowSizeDist, load float64, window eventsim.Time, maxFlowBytes int64) Source {
 	return func(env Env) workload.Source {
-		return workload.CapBytes(workload.PoissonSource(workload.PoissonConfig{
-			NumHosts:     env.NumHosts,
-			HostsPerRack: env.HostsPerRack,
-			Load:         load,
-			LinkRateGbps: env.LinkRateGbps,
-			Duration:     window,
-			Dist:         dist,
-			Seed:         env.Seed,
-		}), maxFlowBytes)
+		return workload.CapBytes(workload.PoissonSource(env.poisson(dist, load, window)), maxFlowBytes)
 	}
 }
 
-// Ramp is Poisson with a time-varying load: loadAt gives the offered load
-// at each virtual time and peakLoad is its ceiling (see workload.Ramp).
-func Ramp(dist *workload.FlowSizeDist, peakLoad float64, loadAt func(t eventsim.Time) float64, window eventsim.Time, maxFlowBytes int64) Source {
-	return func(env Env) workload.Source {
-		return workload.CapBytes(workload.Ramp(workload.PoissonConfig{
-			NumHosts:     env.NumHosts,
-			HostsPerRack: env.HostsPerRack,
-			Load:         peakLoad,
-			LinkRateGbps: env.LinkRateGbps,
-			Duration:     window,
-			Dist:         dist,
-			Seed:         env.Seed,
-		}, loadAt), maxFlowBytes)
+// poisson is the open-loop arrival process calibrated to the cluster.
+func (env Env) poisson(dist *workload.FlowSizeDist, load float64, window eventsim.Time) workload.PoissonConfig {
+	return workload.PoissonConfig{
+		NumHosts:     env.NumHosts,
+		HostsPerRack: env.HostsPerRack,
+		Load:         load,
+		LinkRateGbps: env.LinkRateGbps,
+		Duration:     window,
+		Dist:         dist,
+		Seed:         env.Seed,
 	}
 }
 
@@ -138,43 +129,30 @@ func Incast(fanin int, bytes int64, period eventsim.Time, bursts int) Source {
 	}
 }
 
-// Fixed replays a precomputed flow list.
-func Fixed(flows []workload.FlowSpec) Workload {
-	return func(int, int, int64) []workload.FlowSpec { return flows }
+// Fixed replays a precomputed flow list (copied per run, so scenarios may
+// share one slice).
+func Fixed(flows []workload.FlowSpec) Source {
+	return func(Env) workload.Source { return workload.FromSpecs(flows) }
 }
 
-// TagSource labels every flow of a source — the streaming form of Tag.
+// TagSource labels every flow of a source; tagged flows produce per-tag
+// breakdowns in Result.ByTag.
 func TagSource(tag string, s Source) Source {
-	return func(env Env) workload.Source { return workload.TagSource(tag, s(env)) }
+	return wrap(s, func(w workload.Source) workload.Source { return workload.TagSource(tag, w) })
 }
 
-// BulkSource application-tags every flow of a source for bulk service —
-// the streaming form of Bulk (§3.4).
+// BulkSource application-tags every flow of a source for bulk service
+// regardless of its size (§3.4) — the per-source form of
+// opera.WithAppTaggedBulk, for mixed workloads where only one component is
+// tagged.
 func BulkSource(s Source) Source {
-	return func(env Env) workload.Source { return workload.BulkSource(s(env)) }
+	return wrap(s, workload.BulkSource)
 }
 
-// Take caps a source at its first n flows.
-func Take(s Source, n int) Source {
-	return func(env Env) workload.Source { return workload.Take(s(env), n) }
-}
-
-// MergeSources interleaves sources into one arrival-ordered stream.
-// Listing several entries in Scenario.Sources is equivalent; MergeSources
-// exists for composing before further wrapping.
-func MergeSources(ss ...Source) Source {
-	return func(env Env) workload.Source {
-		inner := make([]workload.Source, len(ss))
-		for i, s := range ss {
-			inner[i] = s(env)
-		}
-		return workload.Merge(inner...)
-	}
-}
-
-// Scenario is one self-contained simulation: an architecture, its sizing
-// options, a workload and a deadline — plus optional hooks: a timed fault
-// schedule (Events) and sampling probes (Probes).
+// Scenario is the resolved form of a Spec — an architecture, its sizing
+// options, its sources, a fault schedule (Events) and a deadline — plus
+// the process-local hooks that cannot be data: sampling Probes and a live
+// Observer.
 type Scenario struct {
 	// Name labels the scenario in its Result.
 	Name string
@@ -182,16 +160,10 @@ type Scenario struct {
 	// WithSeed(Seed), so an explicit WithSeed among Options wins).
 	Kind    opera.Kind
 	Options []opera.Option
-	// Workload generates a materialized flow list; nil means none. Tagged
-	// flows (see Tag) produce per-tag breakdowns in Result.ByTag.
-	// Deprecated-leaning: the list is adapted into a lazily driven Source
-	// internally; prefer Sources for anything large or unbounded.
-	Workload Workload
-	// Sources stream flows lazily into the cluster: each entry is built
-	// against the concrete cluster (Env) and pulled one arrival at a time,
-	// so memory stays O(active flows) regardless of total flow count.
-	// Workload and Sources compose; all entries run concurrently in
-	// virtual time.
+	// Sources feed flows into the cluster: each entry is built against the
+	// concrete cluster (Env) and all entries run concurrently in virtual
+	// time. Tagged flows (see TagSource) produce per-tag breakdowns in
+	// Result.ByTag.
 	Sources []Source
 	// Events schedules mid-run actions — fault injection and recovery —
 	// at fixed virtual times (see At, FailLink, FailSwitch, RecoverLink).
@@ -282,7 +254,7 @@ type Result struct {
 	// overall and per service class.
 	All, LowLat, Bulk FCTStats
 
-	// ByTag breaks flows down by workload tag (see Tag); nil when the
+	// ByTag breaks flows down by workload tag (see TagSource); nil when the
 	// workload is untagged.
 	ByTag map[string]TagStats
 
@@ -309,8 +281,8 @@ type Result struct {
 	SimEvents uint64
 
 	// Err is non-empty when the cluster could not be built, a hook could
-	// not be scheduled, or the run was cancelled; all measurement fields
-	// are then zero.
+	// not be scheduled, a source ended in error (a malformed trace), or the
+	// run was cancelled; all measurement fields are then zero.
 	Err string
 }
 
@@ -369,7 +341,7 @@ func (r Result) Equal(o Result) bool { return reflect.DeepEqual(r, o) }
 
 // Collect runs one Scenario and returns the finished cluster alongside its
 // Result, for callers that need raw flows or time series beyond the
-// Result summary. The cluster is nil when construction failed.
+// Result summary. The cluster is nil when the run failed (Result.Err).
 func Collect(sc Scenario) (*opera.Cluster, Result) {
 	res := Result{Name: sc.Name, Kind: sc.Kind, Seed: sc.Seed}
 	opts := make([]opera.Option, 0, len(sc.Options)+1)
@@ -380,19 +352,27 @@ func Collect(sc Scenario) (*opera.Cluster, Result) {
 		res.Err = err.Error()
 		return nil, res
 	}
-	if sc.Workload != nil {
-		cl.AddSource(workload.FromSpecs(sc.Workload(cl.NumHosts(), cl.HostsPerRack(), sc.Seed)))
-	}
 	env := Env{
 		NumHosts:     cl.NumHosts(),
 		HostsPerRack: cl.HostsPerRack(),
 		LinkRateGbps: cl.Network().Config().LinkRateGbps,
 		Seed:         sc.Seed,
 	}
-	for _, s := range sc.Sources {
-		if s != nil {
-			cl.AddSource(s(env))
+	var open []ending
+	defer func() {
+		for _, e := range open {
+			e.Close()
 		}
+	}()
+	for _, s := range sc.Sources {
+		if s == nil {
+			continue
+		}
+		src := s(env)
+		if e, ok := src.(ending); ok {
+			open = append(open, e)
+		}
+		cl.AddSource(src)
 	}
 	probes, err := applyHooks(cl, sc)
 	if err != nil {
@@ -402,8 +382,15 @@ func Collect(sc Scenario) (*opera.Cluster, Result) {
 	if sc.Observer != nil {
 		sc.Observer.Attach(cl, sc.Duration)
 	}
-	res.Completed = cl.RunUntilDone(sc.Duration)
+	completed := cl.RunUntilDone(sc.Duration)
 	cl.Stop()
+	for _, e := range open {
+		if err := e.Err(); err != nil {
+			res.Err = err.Error()
+			return nil, res
+		}
+	}
+	res.Completed = completed
 
 	m := cl.Metrics()
 	elapsed := cl.Engine().Now().Seconds()

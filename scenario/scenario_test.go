@@ -23,7 +23,7 @@ func sweep() []scenario.Scenario {
 				Kind:     kind,
 				Seed:     seed,
 				Options:  []opera.Option{opera.WithBulkThreshold(20_000)},
-				Workload: scenario.ShuffleN(12, 25_000, eventsim.Millisecond),
+				Sources:  []scenario.Source{scenario.Shuffle(12, 25_000, eventsim.Millisecond)},
 				Duration: 4000 * eventsim.Millisecond,
 			})
 		}
@@ -69,7 +69,7 @@ func TestRunIsDeterministicPerSeed(t *testing.T) {
 		Name:     "opera",
 		Kind:     opera.KindOpera,
 		Seed:     3,
-		Workload: scenario.ShuffleN(12, 25_000, 0),
+		Sources:  []scenario.Source{scenario.Shuffle(12, 25_000, 0)},
 		Duration: 4000 * eventsim.Millisecond,
 	}
 	a := scenario.Run(sc)
@@ -122,8 +122,8 @@ func TestRunScenariosCancelled(t *testing.T) {
 	}
 }
 
-// ForEachCluster hands every successfully built cluster to the callback
-// (concurrently, per-index) and skips failed builds.
+// ForEachCluster hands every finished cluster to the callback
+// (concurrently, per-index); a failed build reaches it with a nil cluster.
 func TestForEachCluster(t *testing.T) {
 	scs := sweep()[:4]
 	scs = append(scs, scenario.Scenario{
@@ -133,9 +133,10 @@ func TestForEachCluster(t *testing.T) {
 		Options: []opera.Option{opera.WithRacks(15)},
 	})
 	seen := make([]bool, len(scs))
+	called := make([]bool, len(scs))
 	results, err := scenario.ForEachCluster(context.Background(), scs,
 		func(i int, cl *opera.Cluster, res scenario.Result) {
-			seen[i] = cl != nil
+			called[i], seen[i] = true, cl != nil
 		}, scenario.Parallelism(2))
 	if err != nil {
 		t.Fatal(err)
@@ -148,8 +149,8 @@ func TestForEachCluster(t *testing.T) {
 			t.Errorf("scenario %d: %s", i, results[i].Err)
 		}
 	}
-	if seen[4] {
-		t.Error("callback invoked for failed build")
+	if !called[4] || seen[4] {
+		t.Errorf("failed build: callback called=%v with a cluster=%v, want called without one", called[4], seen[4])
 	}
 	if results[4].Err == "" {
 		t.Error("failed build missing Err")

@@ -13,8 +13,8 @@ import (
 
 // sourceSweep exercises the streaming workload surface across
 // architectures: lazy Poisson, a tagged two-source mix, incast bursts,
-// and an adapted legacy shuffle, each at two seeds. (The folded Clos is
-// left to the legacy sweep — its 192 hosts dominate race-detector time.)
+// and a tagged bulk shuffle, each at two seeds. (The folded Clos is left
+// to the shuffle sweep — its 192 hosts dominate race-detector time.)
 func sourceSweep() []scenario.Scenario {
 	var scs []scenario.Scenario
 	for _, kind := range []opera.Kind{opera.KindOpera, opera.KindExpander} {
@@ -34,7 +34,7 @@ func sourceSweep() []scenario.Scenario {
 					Kind: kind,
 					Seed: seed,
 					Sources: []scenario.Source{
-						scenario.TagSource("bulk", scenario.BulkSource(scenario.Adapt(scenario.ShuffleN(8, 20_000, eventsim.Millisecond)))),
+						scenario.TagSource("bulk", scenario.BulkSource(scenario.Shuffle(8, 20_000, eventsim.Millisecond))),
 						scenario.TagSource("web", scenario.Poisson(workload.Websearch(), 0.01, 4*eventsim.Millisecond, 200_000)),
 					},
 					Duration: 2000 * eventsim.Millisecond,
@@ -126,14 +126,17 @@ func TestPoissonDerivesClusterLinkRate(t *testing.T) {
 	}
 }
 
-// Workload and Sources compose on one Scenario.
+// Two Sources — a materialized pattern and a lazy stream — compose on one
+// Scenario.
 func TestWorkloadAndSourcesCompose(t *testing.T) {
 	res := scenario.Run(scenario.Scenario{
-		Name:     "both",
-		Kind:     opera.KindOpera,
-		Seed:     1,
-		Workload: scenario.Tag("legacy", scenario.ShuffleN(4, 10_000, 0)),
-		Sources:  []scenario.Source{scenario.TagSource("stream", scenario.Poisson(workload.Fixed(50_000), 0.02, 2*eventsim.Millisecond, 0))},
+		Name: "both",
+		Kind: opera.KindOpera,
+		Seed: 1,
+		Sources: []scenario.Source{
+			scenario.TagSource("legacy", scenario.Shuffle(4, 10_000, 0)),
+			scenario.TagSource("stream", scenario.Poisson(workload.Fixed(50_000), 0.02, 2*eventsim.Millisecond, 0)),
+		},
 		Duration: 2000 * eventsim.Millisecond,
 	})
 	if res.Err != "" {
@@ -144,36 +147,5 @@ func TestWorkloadAndSourcesCompose(t *testing.T) {
 	}
 	if !res.Completed {
 		t.Fatalf("incomplete: %d/%d", res.FlowsDone, res.FlowsTotal)
-	}
-}
-
-// A Ramp source admits fewer flows than its ceiling Poisson but remains
-// deterministic and completes.
-func TestRampSourceScenario(t *testing.T) {
-	window := 4 * eventsim.Millisecond
-	ramp := scenario.Ramp(workload.Fixed(100_000), 0.04,
-		func(t eventsim.Time) float64 { return 0.04 * float64(t) / float64(window) },
-		window, 0)
-	mk := func() scenario.Scenario {
-		return scenario.Scenario{
-			Name: "ramp", Kind: opera.KindOpera, Seed: 5,
-			Sources:  []scenario.Source{ramp},
-			Duration: 2000 * eventsim.Millisecond,
-		}
-	}
-	a, b := scenario.Run(mk()), scenario.Run(mk())
-	if a.Err != "" {
-		t.Fatal(a.Err)
-	}
-	if !a.Equal(b) {
-		t.Fatal("ramp scenario not deterministic")
-	}
-	ceiling := scenario.Run(scenario.Scenario{
-		Name: "ceiling", Kind: opera.KindOpera, Seed: 5,
-		Sources:  []scenario.Source{scenario.Poisson(workload.Fixed(100_000), 0.04, window, 0)},
-		Duration: 2000 * eventsim.Millisecond,
-	})
-	if a.FlowsTotal == 0 || a.FlowsTotal >= ceiling.FlowsTotal {
-		t.Fatalf("ramp flows = %d, ceiling = %d; want 0 < ramp < ceiling", a.FlowsTotal, ceiling.FlowsTotal)
 	}
 }

@@ -1,15 +1,20 @@
-// Spec is the declarative, serializable face of a Scenario: where a
-// Scenario carries live function values (Sources, Events, Probes) that
-// cannot cross a process boundary, a Spec is plain data — strings,
-// numbers, nested structs — that gob/JSON round-trips exactly. The sweep
-// coordinator partitions grids of Specs into shards, ships them to worker
-// processes, and every worker reconstructs the identical Scenario value
-// with Spec.Scenario(), so a sharded run is a pure reordering of the same
-// deterministic per-scenario computations a local RunScenarios performs.
+// Spec is the one description of a run: opera-sim's flags, the figure
+// runners and sweep grids all build Specs, and Spec.Scenario() is the one
+// place a description is validated and resolved into the Sources, Events
+// and Options a cluster runs. A Spec is plain data — strings, numbers,
+// nested structs — that gob/JSON round-trips exactly, so the sweep
+// coordinator can partition grids of Specs into shards and ship them to
+// worker processes; every worker resolves the identical Scenario value,
+// which makes a sharded run a pure reordering of the same deterministic
+// per-scenario computations a local RunScenarios performs.
 package scenario
 
 import (
 	"fmt"
+	"maps"
+	"os"
+	"slices"
+	"strings"
 
 	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
@@ -166,24 +171,31 @@ func (es EventSpec) Event() (Event, error) {
 	}
 }
 
-// SourceSpec describes one streaming workload source. Type selects the
-// generator; the other fields parameterize it (unused ones are ignored).
+// SourceSpec describes one workload source. Type selects the generator;
+// the other fields parameterize it. Fields a type does not read are
+// ignored, but no numeric field may be negative.
 type SourceSpec struct {
-	// Type is "poisson", "shuffle" or "incast".
+	// Type is one of the sourceForms names: "poisson", "mix" (the fixed
+	// §5.2 blend: websearch and bulk-tagged datamining, equal weights, one
+	// arrival process, flows tagged by component), "shuffle",
+	// "permutation", "hotrack" (§5.6), "saturate" (Figure 10's underlay:
+	// every host to its counterpart in every other rack, sized to fill
+	// Window), "incast" or "replay".
 	Type string
 
 	// Dist names the flow-size distribution for poisson sources:
-	// "datamining" (Fig. 1's heavy-tailed trace) or "websearch".
+	// "datamining" (Fig. 1's heavy-tailed trace), "websearch" or "hadoop".
 	Dist string
-	// Load is the poisson source's offered fraction of aggregate host
-	// bandwidth.
+	// Load is the poisson or mix source's offered fraction of aggregate
+	// host bandwidth, in (0, MaxLoad].
 	Load float64
-	// Window is the poisson arrival window (arrivals stop after it).
+	// Window is the poisson, mix or saturate arrival window (arrivals stop
+	// after it).
 	Window eventsim.Time
-	// MaxFlowBytes caps sampled poisson flow sizes (0 = unlimited).
+	// MaxFlowBytes caps sampled poisson and mix flow sizes (0 = unlimited).
 	MaxFlowBytes int64
 
-	// FlowBytes sizes each shuffle or incast flow.
+	// FlowBytes sizes each shuffle, permutation, hotrack or incast flow.
 	FlowBytes int64
 	// Stagger spreads shuffle arrivals.
 	Stagger eventsim.Time
@@ -195,6 +207,13 @@ type SourceSpec struct {
 	Period eventsim.Time
 	Bursts int
 
+	// Path is the replay source's trace file, one flow per line (see
+	// workload.Replay). It is opened when a run starts; a malformed line or
+	// a host outside the cluster fails that run's Result.
+	Path string
+
+	// MaxFlows caps how many flows the source yields (0 = no cap).
+	MaxFlows int
 	// Tag labels every flow of this source (Result.ByTag); empty = none.
 	Tag string
 	// Bulk application-tags every flow for bulk service (§3.4).
@@ -214,40 +233,108 @@ type RetentionSpec struct {
 	WindowBins int
 }
 
+// MaxLoad is the ceiling on SourceSpec.Load. A load of 1 already drives
+// every host link at line rate; far above it the mean inter-arrival gap
+// falls below the 1 ns clock resolution and arrivals stop advancing
+// virtual time, so a run would never reach its deadline.
+const MaxLoad = 10
+
+// dists names the flow-size distributions a SourceSpec can draw from.
+var dists = map[string]func() *workload.FlowSizeDist{
+	"datamining": workload.Datamining,
+	"websearch":  workload.Websearch,
+	"hadoop":     workload.Hadoop,
+}
+
+// sourceForms is the traffic vocabulary as a table: each SourceSpec.Type
+// maps to the fields that must be set for it — one letter each, d: Dist,
+// P: Path, the rest as listed in SourceSpec.check — and the builder, which
+// runs once per run against the built cluster. The patterns resolve to
+// materialized lists (workload.FromSpecs), which the cluster schedules in
+// one shot.
+var sourceForms = map[string]struct {
+	needs string
+	build func(ss SourceSpec, env Env) workload.Source
+}{
+	"poisson": {"dlw", func(ss SourceSpec, env Env) workload.Source {
+		return Poisson(dists[ss.Dist](), ss.Load, ss.Window, ss.MaxFlowBytes)(env)
+	}},
+	"mix": {"lw", func(ss SourceSpec, env Env) workload.Source {
+		return workload.Mix(env.poisson(nil, ss.Load, ss.Window),
+			workload.MixComponent{Dist: workload.Websearch(), Weight: 0.5, Tag: "websearch", MaxFlowBytes: ss.MaxFlowBytes},
+			workload.MixComponent{Dist: workload.Datamining(), Weight: 0.5, Tag: "datamining", Bulk: true, MaxFlowBytes: ss.MaxFlowBytes})
+	}},
+	"shuffle": {"b", func(ss SourceSpec, env Env) workload.Source {
+		return Shuffle(ss.Participants, ss.FlowBytes, ss.Stagger)(env)
+	}},
+	"permutation": {"b", func(ss SourceSpec, env Env) workload.Source {
+		return workload.FromSpecs(workload.Permutation(env.NumHosts, env.HostsPerRack, ss.FlowBytes, env.Seed))
+	}},
+	"hotrack": {"b", func(ss SourceSpec, env Env) workload.Source {
+		return workload.FromSpecs(workload.HotRack(env.HostsPerRack, ss.FlowBytes))
+	}},
+	"saturate": {"w", func(ss SourceSpec, env Env) workload.Source {
+		return workload.FromSpecs(workload.Saturate(env.NumHosts, env.HostsPerRack, ss.Window, env.LinkRateGbps))
+	}},
+	"incast": {"fbpu", func(ss SourceSpec, env Env) workload.Source {
+		return Incast(ss.Fanin, ss.FlowBytes, ss.Period, ss.Bursts)(env)
+	}},
+	// The file is opened per run, not per resolution, so one resolved
+	// Scenario can run twice.
+	"replay": {"P", func(ss SourceSpec, env Env) workload.Source { return workload.ReplayFile(ss.Path, env.NumHosts) }},
+}
+
+// names lists a table's keys for an unknown-name error.
+func names[V any](table map[string]V) string {
+	return strings.Join(slices.Sorted(maps.Keys(table)), ", ")
+}
+
+// check range-checks the spec's fields: none may be negative or NaN, Load
+// is bounded by MaxLoad, and every field the type needs must be set.
+func (ss SourceSpec) check(needs string) error {
+	for _, f := range []struct {
+		letter byte
+		name   string
+		v      float64
+	}{
+		{'l', "Load", ss.Load}, {'w', "Window", float64(ss.Window)}, {'m', "MaxFlowBytes", float64(ss.MaxFlowBytes)},
+		{'b', "FlowBytes", float64(ss.FlowBytes)}, {'s', "Stagger", float64(ss.Stagger)}, {'n', "Participants", float64(ss.Participants)},
+		{'f', "Fanin", float64(ss.Fanin)}, {'p', "Period", float64(ss.Period)}, {'u', "Bursts", float64(ss.Bursts)},
+		{'x', "MaxFlows", float64(ss.MaxFlows)},
+	} {
+		switch {
+		case !(f.v >= 0): // negative or NaN
+			return fmt.Errorf("%s %v must not be negative", f.name, f.v)
+		case f.v == 0 && strings.IndexByte(needs, f.letter) >= 0:
+			return fmt.Errorf("a %s source needs a positive %s", ss.Type, f.name)
+		}
+	}
+	if ss.Load > MaxLoad { // also +Inf
+		return fmt.Errorf("Load %v exceeds MaxLoad (%d)", ss.Load, MaxLoad)
+	}
+	if strings.Contains(needs, "d") && dists[ss.Dist] == nil {
+		return fmt.Errorf("unknown flow-size distribution %q (want %s)", ss.Dist, names(dists))
+	}
+	if strings.Contains(needs, "P") {
+		if _, err := os.Stat(ss.Path); err != nil {
+			return fmt.Errorf("replay Path: %w", err)
+		}
+	}
+	return nil
+}
+
 // source resolves the spec into a scenario Source.
 func (ss SourceSpec) source() (Source, error) {
-	var src Source
-	switch ss.Type {
-	case "poisson":
-		var dist *workload.FlowSizeDist
-		switch ss.Dist {
-		case "datamining":
-			dist = workload.Datamining()
-		case "websearch":
-			dist = workload.Websearch()
-		default:
-			return nil, fmt.Errorf("scenario: unknown flow-size distribution %q (want datamining or websearch)", ss.Dist)
-		}
-		if !(ss.Load > 0) {
-			return nil, fmt.Errorf("scenario: poisson source load %v must be positive", ss.Load)
-		}
-		if ss.Window <= 0 {
-			return nil, fmt.Errorf("scenario: poisson source window %v must be positive", ss.Window)
-		}
-		src = Poisson(dist, ss.Load, ss.Window, ss.MaxFlowBytes)
-	case "shuffle":
-		if ss.FlowBytes <= 0 {
-			return nil, fmt.Errorf("scenario: shuffle flow size %d must be positive", ss.FlowBytes)
-		}
-		src = Adapt(ShuffleN(ss.Participants, ss.FlowBytes, ss.Stagger))
-	case "incast":
-		if ss.Fanin <= 0 || ss.FlowBytes <= 0 || ss.Bursts <= 0 {
-			return nil, fmt.Errorf("scenario: incast wants positive fanin, flow size and bursts (got %d, %d, %d)",
-				ss.Fanin, ss.FlowBytes, ss.Bursts)
-		}
-		src = Incast(ss.Fanin, ss.FlowBytes, ss.Period, ss.Bursts)
-	default:
-		return nil, fmt.Errorf("scenario: unknown source type %q (want poisson, shuffle or incast)", ss.Type)
+	form, ok := sourceForms[ss.Type]
+	if !ok {
+		return nil, fmt.Errorf("unknown source type %q (want %s)", ss.Type, names(sourceForms))
+	}
+	if err := ss.check(form.needs); err != nil {
+		return nil, err
+	}
+	src := Source(func(env Env) workload.Source { return form.build(ss, env) })
+	if ss.MaxFlows > 0 {
+		src = wrap(src, func(w workload.Source) workload.Source { return workload.Take(w, ss.MaxFlows) })
 	}
 	if ss.Bulk {
 		src = BulkSource(src)
@@ -269,6 +356,9 @@ func (sp Spec) Scenario() (Scenario, error) {
 	}
 	if sp.Duration <= 0 {
 		return Scenario{}, fmt.Errorf("scenario: spec %q: duration %v must be positive", sp.Name, sp.Duration)
+	}
+	if sp.MaxSliceDiameter < 0 {
+		return Scenario{}, fmt.Errorf("scenario: spec %q: MaxSliceDiameter %d must not be negative", sp.Name, sp.MaxSliceDiameter)
 	}
 	var opts []opera.Option
 	if sp.Racks != 0 {

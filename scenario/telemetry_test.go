@@ -174,7 +174,7 @@ func TestRetainSketchParallelDeterminism(t *testing.T) {
 func TestRetainAllHasNoTelemetry(t *testing.T) {
 	res := scenario.Run(scenario.Scenario{
 		Name: "plain", Kind: opera.KindOpera, Seed: 3,
-		Workload: scenario.ShuffleN(8, 50_000, eventsim.Millisecond),
+		Sources:  []scenario.Source{scenario.Shuffle(8, 50_000, eventsim.Millisecond)},
 		Duration: 500 * eventsim.Millisecond,
 	})
 	if res.Err != "" {
@@ -193,7 +193,7 @@ func TestFaultEventsOnRotorNet(t *testing.T) {
 			opera.WithRacks(8), opera.WithHostsPerRack(2), opera.WithUplinks(4),
 			opera.WithRetention(opera.RetainSketch(opera.SketchOptions{})),
 		},
-		Workload: scenario.Bulk(scenario.ShuffleN(8, 100_000, 100*eventsim.Microsecond)),
+		Sources: []scenario.Source{scenario.BulkSource(scenario.Shuffle(8, 100_000, 100*eventsim.Microsecond))},
 		Events: []scenario.Event{
 			scenario.At(0, scenario.FailLink(2, 1)),
 			scenario.At(5*eventsim.Millisecond, scenario.RecoverLink(2, 1)),
