@@ -18,15 +18,24 @@ type rackAgent struct {
 
 	relayTotal int64
 
+	// vlbHeld is the bytes admitted into this rack's open sessions' VLB
+	// queues and not yet sent or returned: they have left voq but not the
+	// rack, so they still count as backlog.
+	vlbHeld int64
+
+	// firstHost is the ID of the rack's first host; nicFree and vlbBudget
+	// are indexed by host ID minus firstHost.
+	firstHost int32
+
 	// nicFree models when each local host's NIC drains its granted bulk,
 	// so concurrent circuit sessions do not over-commit one host's uplink
 	// (the ToR "polls" only hosts that can actually transmit, §3.5).
-	nicFree map[int32]eventsim.Time
+	nicFree []eventsim.Time
 
 	// vlbBudget caps, per slice, how many VLB bytes may be carved from
 	// each host — a host can physically transmit only one window's worth,
 	// so offering more would strand carved bytes until the window closes.
-	vlbBudget map[int32]int64
+	vlbBudget []int64
 
 	// SentDirect/SentRelay/SentVLB count bytes launched per path type.
 	SentDirect, SentRelay, SentVLB uint64
@@ -34,28 +43,31 @@ type rackAgent struct {
 
 func newRackAgent(lb *LB, rack int) *rackAgent {
 	n := lb.net.NumRacks()
+	hosts := lb.net.HostsPerRack()
 	return &rackAgent{
-		lb:      lb,
-		rack:    rack,
-		voq:     make([]segQueue, n),
-		relay:   make([]segQueue, n),
-		nicFree: make(map[int32]eventsim.Time),
+		lb:        lb,
+		rack:      rack,
+		voq:       make([]segQueue, n),
+		relay:     make([]segQueue, n),
+		firstHost: int32(rack * hosts),
+		nicFree:   make([]eventsim.Time, hosts),
+		vlbBudget: make([]int64, hosts),
 	}
 }
 
 // hostReady reports whether host h's NIC backlog is shallow enough to grant
 // another packet without risking queue overflow.
 func (a *rackAgent) hostReady(h int32, now, txTime eventsim.Time) bool {
-	return a.nicFree[h] <= now+4*txTime
+	return a.nicFree[h-a.firstHost] <= now+4*txTime
 }
 
 // grantTo accounts one packet of granted NIC time at host h.
 func (a *rackAgent) grantTo(h int32, now, txTime eventsim.Time) {
-	t := a.nicFree[h]
+	t := a.nicFree[h-a.firstHost]
 	if t < now {
 		t = now
 	}
-	a.nicFree[h] = t + txTime
+	a.nicFree[h-a.firstHost] = t + txTime
 }
 
 // QueuedFor returns (own, relayed) bytes queued toward dst.
@@ -66,36 +78,32 @@ func (a *rackAgent) QueuedFor(dst int) (own, relayed int64) {
 // openSessions starts one paced transmission session per active circuit at
 // a slice boundary, after the offer/accept exchange for VLB admission.
 func (a *rackAgent) openSessions(abs int64) {
-	net := a.lb.net
-	circuits := net.ActiveCircuits(abs, a.rack)
+	lb := a.lb
+	net := lb.net
+	lb.circuits = net.ActiveCircuits(abs, a.rack, lb.circuits[:0])
 	now := net.Engine().Now()
 	sliceBytes := int64(net.Config().BytesIn(net.SliceDuration()))
-	a.vlbBudget = make(map[int32]int64, net.HostsPerRack())
-	lo := a.rack * net.HostsPerRack()
-	for i := 0; i < net.HostsPerRack(); i++ {
-		a.vlbBudget[int32(lo+i)] = sliceBytes
+	for i := range a.vlbBudget {
+		a.vlbBudget[i] = sliceBytes
 	}
-	for _, c := range circuits {
-		c := c
+	for _, c := range lb.circuits {
+		sess := lb.sessions.Get()
+		if sess == nil {
+			sess = new(session)
+		}
+		sess.agent, sess.circuit, sess.deadline = a, c, now+c.WindowEnd
 		windowBytes := int64(net.Config().BytesIn(c.WindowEnd - c.WindowStart))
 		// VLB offer/accept (§3.4, RotorLB phase 3): if this circuit's
 		// direct demand leaves spare capacity and other queues are skewed,
 		// ask the peer to relay. The exchange is modelled as in-band
 		// control at slice start with negligible size.
-		var vlbQ segQueue
-		if !a.lb.params.DisableVLB {
+		if !lb.params.DisableVLB {
 			spare := windowBytes - a.relay[c.Peer].bytes - a.voq[c.Peer].bytes
 			if spare > int64(net.Config().MTU) {
-				a.negotiateVLB(c.Peer, spare, &vlbQ)
+				a.negotiateVLB(c.Peer, spare, &sess.vlbQ)
 			}
 		}
-		sess := &session{
-			agent:    a,
-			circuit:  c,
-			deadline: now + c.WindowEnd,
-			vlbQ:     vlbQ,
-		}
-		startAt := c.WindowStart + a.lb.params.StartMargin
+		startAt := c.WindowStart + lb.params.StartMargin
 		net.Engine().AfterCall(startAt, sess, nil)
 	}
 }
@@ -137,7 +145,7 @@ func (a *rackAgent) negotiateVLB(peer int, spare int64, vlbQ *segQueue) {
 			if !nonEmpty {
 				break
 			}
-			budget := a.vlbBudget[h]
+			budget := a.vlbBudget[h-a.firstHost]
 			if budget <= 0 {
 				break // this host cannot physically send more this slice
 			}
@@ -150,7 +158,8 @@ func (a *rackAgent) negotiateVLB(peer int, spare int64, vlbQ *segQueue) {
 				break
 			}
 			vlbQ.push(seg)
-			a.vlbBudget[h] -= seg.bytes
+			a.vlbHeld += seg.bytes
+			a.vlbBudget[h-a.firstHost] -= seg.bytes
 			granted -= seg.bytes
 			spare -= seg.bytes
 		}
@@ -204,7 +213,8 @@ func (s *localSender) OnEvent(any) {
 
 // session paces one circuit's transmissions across its window. It is its
 // own eventsim.Handler, so the one-event-per-packet pump loop schedules
-// without closures.
+// without closures. Sessions are recycled through LB.sessions: close()
+// releases one, and its emptied vlbQ keeps its ring for the next window.
 type session struct {
 	agent    *rackAgent
 	circuit  sim.Circuit
@@ -255,6 +265,7 @@ func (s *session) pump() {
 	if !ok {
 		if seg, ok = s.vlbQ.carveReady(mtu, ready); ok {
 			vlb = true
+			a.vlbHeld -= seg.bytes
 		} else if !s.vlbQ.empty() {
 			blocked = true
 		}
@@ -294,16 +305,20 @@ func (s *session) pump() {
 
 // close returns any admitted-but-unsent VLB bytes to their origin queues;
 // they never left their hosts, so they simply wait for a later circuit.
+// The session's chain of events ends here — nothing scheduled refers to it
+// any more — so this is also where it goes back to the pool.
 func (s *session) close() {
 	a := s.agent
 	for {
 		seg, ok := s.vlbQ.carve(1 << 62)
 		if !ok {
-			return
+			break
 		}
+		a.vlbHeld -= seg.bytes
 		seg.hops = 0
 		a.voq[seg.f.DstRack].pushFront(seg)
 	}
+	a.lb.sessions.Put(s)
 }
 
 // newBulkPacket materializes a segment chunk as a wire packet.

@@ -16,6 +16,7 @@ package rotorlb
 
 import (
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/freelist"
 	"github.com/opera-net/opera/internal/sim"
 )
 
@@ -53,31 +54,63 @@ type segment struct {
 	hops  int8 // ToR-to-ToR hops already incurred (VLB first leg)
 }
 
-// segQueue is a FIFO of segments with byte accounting.
+// segQueue is a double-ended queue of segments with byte accounting, kept
+// in a power-of-two ring so that the tail push of a new flow, the head push
+// of a NACK requeue and the pop of a drained head are all O(1) and reuse
+// one buffer.
 type segQueue struct {
-	segs  []segment
+	buf   []segment // ring; len is zero or a power of two
+	head  int       // buf index of logical segment 0
+	n     int       // segments held
 	bytes int64
 }
 
+// at returns logical segment i (0 = head).
+func (q *segQueue) at(i int) *segment { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+// grow doubles the ring, unwrapping it so the head lands at index 0.
+func (q *segQueue) grow() {
+	buf := make([]segment, max(8, 2*len(q.buf)))
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
+}
+
 func (q *segQueue) push(s segment) {
-	q.segs = append(q.segs, s)
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.n++
+	*q.at(q.n - 1) = s
 	q.bytes += s.bytes
 }
 
 func (q *segQueue) pushFront(s segment) {
-	q.segs = append([]segment{s}, q.segs...)
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.head = (q.head - 1) & (len(q.buf) - 1)
+	q.n++
+	q.buf[q.head] = s
 	q.bytes += s.bytes
+}
+
+// popFront drops the head segment; its bytes must already be accounted.
+func (q *segQueue) popFront() {
+	q.buf[q.head] = segment{} // do not pin the flow
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
 }
 
 // peekHost returns the host holding the queue's head bytes.
 func (q *segQueue) peekHost() (int32, bool) {
-	for len(q.segs) > 0 && q.segs[0].bytes == 0 {
-		q.segs = q.segs[1:]
+	for q.n > 0 && q.at(0).bytes == 0 {
+		q.popFront()
 	}
-	if len(q.segs) == 0 {
+	if q.n == 0 {
 		return -1, false
 	}
-	return q.segs[0].host, true
+	return q.at(0).host, true
 }
 
 // carve removes up to maxBytes from the queue head, returning the chunk.
@@ -93,8 +126,8 @@ func (q *segQueue) carve(maxBytes int64) (segment, bool) {
 func (q *segQueue) carveReady(maxBytes int64, ready func(host int32) bool) (segment, bool) {
 	const scanLimit = 16
 	scanned := 0
-	for i := 0; i < len(q.segs); i++ {
-		seg := &q.segs[i]
+	for i := 0; i < q.n; i++ {
+		seg := q.at(i)
 		if seg.bytes == 0 {
 			continue
 		}
@@ -112,7 +145,12 @@ func (q *segQueue) carveReady(maxBytes int64, ready func(host int32) bool) (segm
 		seg.bytes -= n
 		q.bytes -= n
 		if seg.bytes == 0 {
-			q.segs = append(q.segs[:i], q.segs[i+1:]...)
+			// Close the gap from the front: the segments skipped on the way
+			// here (the short side, bounded by scanLimit) move back one.
+			for ; i > 0; i-- {
+				*q.at(i) = *q.at(i - 1)
+			}
+			q.popFront()
 		}
 		return out, true
 	}
@@ -128,6 +166,11 @@ type LB struct {
 	params   Params
 	registry map[int64]*sim.Flow
 	agents   []*rackAgent
+
+	// Per-slice state recycled across slice boundaries: closed sessions
+	// (each keeping its vlbQ ring) and the ActiveCircuits scratch buffer.
+	sessions freelist.Pool[session]
+	circuits []sim.Circuit
 
 	// NACKs counts requeue events observed by senders.
 	NACKs uint64
@@ -217,10 +260,12 @@ func (lb *LB) StartFlow(f *sim.Flow) {
 	a.voq[f.DstRack].push(segment{f: f, host: f.SrcHost, bytes: f.Size})
 }
 
-// QueuedBytes returns the bulk backlog (own + relayed) across all racks.
+// QueuedBytes returns the bulk backlog across all racks: own and relayed
+// queues plus the bytes open sessions hold admitted for VLB.
 func (lb *LB) QueuedBytes() int64 {
 	var total int64
 	for _, a := range lb.agents {
+		total += a.vlbHeld
 		for r := range a.voq {
 			total += a.voq[r].bytes + a.relay[r].bytes
 		}

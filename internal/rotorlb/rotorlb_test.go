@@ -1,9 +1,12 @@
 package rotorlb
 
 import (
+	"math/rand"
 	"testing"
 
+	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/sim"
+	"github.com/opera-net/opera/internal/topology"
 )
 
 func seg(host int32, bytes int64) segment {
@@ -64,5 +67,345 @@ func TestDefaultParams(t *testing.T) {
 	p := DefaultParams()
 	if p.RelayBufferBytes <= 0 || p.StartMargin <= 0 {
 		t.Fatalf("params = %+v", p)
+	}
+}
+
+// sliceQueue is segQueue's oracle: the same operations on a plain slice,
+// O(n) per pushFront and per drained segment but obviously right. Its
+// order of service is the contract (every figure's digest depends on it),
+// so it changes only when that contract is meant to.
+type sliceQueue struct {
+	segs  []segment
+	bytes int64
+}
+
+func (q *sliceQueue) push(s segment) {
+	q.segs = append(q.segs, s)
+	q.bytes += s.bytes
+}
+
+func (q *sliceQueue) pushFront(s segment) {
+	q.segs = append([]segment{s}, q.segs...)
+	q.bytes += s.bytes
+}
+
+func (q *sliceQueue) peekHost() (int32, bool) {
+	for len(q.segs) > 0 && q.segs[0].bytes == 0 {
+		q.segs = q.segs[1:]
+	}
+	if len(q.segs) == 0 {
+		return -1, false
+	}
+	return q.segs[0].host, true
+}
+
+func (q *sliceQueue) carve(maxBytes int64) (segment, bool) {
+	return q.carveReady(maxBytes, nil)
+}
+
+func (q *sliceQueue) carveReady(maxBytes int64, ready func(host int32) bool) (segment, bool) {
+	const scanLimit = 16
+	scanned := 0
+	for i := 0; i < len(q.segs); i++ {
+		seg := &q.segs[i]
+		if seg.bytes == 0 {
+			continue
+		}
+		if ready != nil && !ready(seg.host) {
+			if scanned++; scanned >= scanLimit {
+				return segment{}, false
+			}
+			continue
+		}
+		n := seg.bytes
+		if n > maxBytes {
+			n = maxBytes
+		}
+		out := segment{f: seg.f, host: seg.host, bytes: n, hops: seg.hops}
+		seg.bytes -= n
+		q.bytes -= n
+		if seg.bytes == 0 {
+			q.segs = append(q.segs[:i], q.segs[i+1:]...)
+		}
+		return out, true
+	}
+	return segment{}, false
+}
+
+func (q *sliceQueue) empty() bool { return q.bytes == 0 }
+
+// genSegQueueOps returns a seeded op stream for runSegQueueOps: three
+// bytes an op, alternating fill-heavy and drain-heavy phases so the ring
+// grows several times, wraps, and is drained from a moved head.
+func genSegQueueOps(seed int64, ops int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]byte, 0, 3*ops)
+	for i := 0; i < ops; i++ {
+		pushy := (i/400)%2 == 0
+		var op byte
+		switch r := rng.Intn(8); {
+		case r == 0:
+			op = opPeekHost
+		case (r <= 5) == pushy:
+			op = opPush + byte(rng.Intn(2)) // push or pushFront
+		default:
+			op = opCarve + byte(rng.Intn(2)) // carve or carveReady
+		}
+		mask := byte(rng.Intn(256))
+		if rng.Intn(2) == 0 {
+			mask &= byte(rng.Intn(256)) & byte(rng.Intn(256)) // few hosts ready
+		}
+		out = append(out, op, byte(rng.Intn(256)), mask)
+	}
+	return out
+}
+
+const (
+	opPush = iota
+	opPushFront
+	opCarve
+	opCarveReady
+	opPeekHost
+	numOps
+)
+
+// segQueueCoverage counts the deque's awkward cases as a stream hits them.
+type segQueueCoverage struct {
+	growsMoved int // ring grown while head != 0
+	wrapped    int // steps ending with the ring wrapped around its end
+	midRemoved int // drained segment removed at logical index > 0
+	bailed     int // carveReady gave up at scanLimit with a ready segment behind
+}
+
+// runSegQueueOps drives the ring deque and the slice oracle with one op
+// stream and fails on the first step where any observable differs: the
+// returned segment, ok, bytes, empty(), or the queued segments in order.
+func runSegQueueOps(t testing.TB, ops []byte) segQueueCoverage {
+	var (
+		q     segQueue
+		o     sliceQueue
+		cov   segQueueCoverage
+		flows = [4]*sim.Flow{{ID: 0}, {ID: 1}, {ID: 2}, {ID: 3}}
+	)
+	for step := 0; step+3 <= len(ops); step += 3 {
+		op, a, b := ops[step]%numOps, ops[step+1], ops[step+2]
+		var got, want segment
+		var gotOK, wantOK bool
+		switch op {
+		case opPush, opPushFront:
+			s := segment{f: flows[a>>3&3], host: int32(a & 7), hops: int8(a >> 5 & 1), bytes: int64(b) * 97}
+			if b%11 == 0 {
+				s.bytes = 0
+			}
+			if q.n == len(q.buf) && q.head != 0 {
+				cov.growsMoved++
+			}
+			if op == opPush {
+				q.push(s)
+				o.push(s)
+			} else {
+				q.pushFront(s)
+				o.pushFront(s)
+			}
+		case opCarve:
+			max := int64(a)*200 + 1
+			got, gotOK = q.carve(max)
+			want, wantOK = o.carve(max)
+		case opCarveReady:
+			max := int64(a)*200 + 1
+			ready := func(h int32) bool { return b>>uint(h)&1 == 1 }
+			first := -1 // oracle index of the first ready non-empty segment
+			for i, s := range o.segs {
+				if s.bytes > 0 && ready(s.host) {
+					first = i
+					break
+				}
+			}
+			before := len(o.segs)
+			got, gotOK = q.carveReady(max, ready)
+			want, wantOK = o.carveReady(max, ready)
+			switch {
+			case !wantOK && first >= 0:
+				cov.bailed++
+			case wantOK && first > 0 && len(o.segs) < before:
+				cov.midRemoved++
+			}
+		case opPeekHost:
+			got.host, gotOK = q.peekHost()
+			want.host, wantOK = o.peekHost()
+		}
+		if got != want || gotOK != wantOK {
+			t.Fatalf("step %d op %d: got %+v ok=%v, oracle %+v ok=%v", step/3, op, got, gotOK, want, wantOK)
+		}
+		if q.bytes != o.bytes || q.empty() != o.empty() || q.n != len(o.segs) {
+			t.Fatalf("step %d op %d: bytes %d empty %v n %d, oracle %d %v %d",
+				step/3, op, q.bytes, q.empty(), q.n, o.bytes, o.empty(), len(o.segs))
+		}
+		for i, s := range o.segs {
+			if *q.at(i) != s {
+				t.Fatalf("step %d op %d: segment %d = %+v, oracle %+v", step/3, op, i, *q.at(i), s)
+			}
+		}
+		if q.head+q.n > len(q.buf) {
+			cov.wrapped++
+		}
+	}
+	return cov
+}
+
+// TestSegQueueMatchesSliceOracle is the differential test for the ring
+// deque, and checks that the generated streams reach the cases that make a
+// ring harder than a slice.
+func TestSegQueueMatchesSliceOracle(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		c := runSegQueueOps(t, genSegQueueOps(seed, 4000))
+		if c.growsMoved < 3 || c.wrapped == 0 || c.midRemoved == 0 || c.bailed == 0 {
+			t.Fatalf("seed %d: the op stream misses a case: %+v", seed, c)
+		}
+	}
+}
+
+// FuzzSegQueue runs the same differential check over mutated op streams.
+func FuzzSegQueue(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(genSegQueueOps(seed, 1000))
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) { runSegQueueOps(t, ops) })
+}
+
+// lbBed is an Opera fabric with RotorLB attached and its slice clock
+// running, for tests that drive the agents directly.
+type lbBed struct {
+	eng *eventsim.Engine
+	net *sim.OperaNet
+	lb  *LB
+}
+
+func newLBBed(tb testing.TB, eng *eventsim.Engine, racks, hostsPer, switches int) *lbBed {
+	tb.Helper()
+	topo, err := topology.NewOpera(topology.Config{
+		NumRacks: racks, HostsPerRack: hostsPer, NumSwitches: switches, Seed: 1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	net := sim.NewOperaNet(eng, sim.DefaultConfig(), topo, 7)
+	return &lbBed{eng: eng, net: net, lb: Attach(net, DefaultParams(), make(map[int64]*sim.Flow))}
+}
+
+// bulkFlow registers a bulk flow between two hosts without starting it.
+func (b *lbBed) bulkFlow(id int64, src, dst int, size int64) *sim.Flow {
+	hp := b.net.HostsPerRack()
+	f := &sim.Flow{
+		ID: id, SrcHost: int32(src), DstHost: int32(dst),
+		SrcRack: int32(src / hp), DstRack: int32(dst / hp),
+		Size: size, Class: sim.ClassBulk,
+	}
+	b.lb.registry[id] = f
+	b.net.Metrics().AddFlow(f)
+	return f
+}
+
+// TestQueuedBytesCountsHeldVLB pins the backlog identity across a slice
+// boundary that admits VLB: bytes moved from a voq into an open session's
+// vlbQ are still queued, so QueuedBytes must not dip — and once every
+// flow is delivered nothing is left held.
+func TestQueuedBytesCountsHeldVLB(t *testing.T) {
+	b := newLBBed(t, eventsim.New(), 16, 4, 4)
+	// One rack pair far above the skew threshold: most of it is offered
+	// to relays at the first boundary.
+	size := 4 * b.lb.params.VLBThresholdBytes
+	f := b.bulkFlow(1, 0, 63, size)
+	b.lb.StartFlow(f)
+	if got := b.lb.QueuedBytes(); got != size {
+		t.Fatalf("queued before the boundary = %d, want %d", got, size)
+	}
+	b.lb.onSlice(0) // admits VLB; no packet is sent until the engine runs
+	held := b.lb.Agent(0).vlbHeld
+	if held == 0 {
+		t.Fatal("boundary admitted no VLB: the test exercises nothing")
+	}
+	if own, _ := b.lb.Agent(0).QueuedFor(15); own != size-held {
+		t.Fatalf("voq holds %d, want %d - %d held", own, size, held)
+	}
+	if got := b.lb.QueuedBytes(); got != size {
+		t.Fatalf("queued across the boundary = %d, want %d (held %d)", got, size, held)
+	}
+	b.net.Start()
+	for b.eng.Now() < 200*eventsim.Millisecond && f.BytesRcvd < size {
+		b.eng.RunUntil(b.eng.Now() + eventsim.Millisecond)
+	}
+	// Let the last window's sessions close.
+	b.eng.RunUntil(b.eng.Now() + b.net.SliceDuration())
+	if f.BytesRcvd != size {
+		t.Fatalf("delivered %d of %d", f.BytesRcvd, size)
+	}
+	if got := b.lb.QueuedBytes(); got != 0 {
+		t.Fatalf("queued after delivery = %d, want 0", got)
+	}
+	for r := 0; r < 16; r++ {
+		if h := b.lb.Agent(r).vlbHeld; h != 0 {
+			t.Fatalf("rack %d still holds %d VLB bytes", r, h)
+		}
+	}
+}
+
+// TestAllocsNackRequeue gates the NACK path: with 4 k segments queued,
+// requeueing a NACKed packet at the head and carving it out again must not
+// allocate. CI runs it via `-run 'TestAllocs'`.
+func TestAllocsNackRequeue(t *testing.T) {
+	b := newLBBed(t, eventsim.New(), 16, 4, 4)
+	f := b.bulkFlow(1, 0, 63, 1<<40)
+	a := b.lb.Agent(0)
+	q := &a.voq[15]
+	for i := 0; i < 4096; i++ {
+		q.push(segment{f: f, host: 0, bytes: 1500})
+	}
+	h := b.net.Hosts()[0]
+	any := func(int32) bool { return true }
+	round := func() {
+		p := sim.NewPacket()
+		p.Kind = sim.KindBulkNack
+		p.FlowID = f.ID
+		p.PayloadSize = 1500
+		p.PullNo = 15 // final destination rack
+		p.RelayRack = -1
+		p.OrigHops = 1
+		b.lb.onNack(h, p)
+		if seg, ok := q.carveReady(1500, any); !ok || seg.bytes != 1500 {
+			t.Fatalf("carve after requeue = %+v ok=%v", seg, ok)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		round() // settle the ring's capacity and the packet pool
+	}
+	if avg := testing.AllocsPerRun(1000, round); avg != 0 {
+		t.Fatalf("NACK requeue + carve allocates %.2f/op, want 0", avg)
+	}
+	if q.n != 4096 || b.lb.NACKs != 64+1000+1 {
+		t.Fatalf("queue holds %d segments after %d NACKs", q.n, b.lb.NACKs)
+	}
+}
+
+// TestAllocsOpenSessionsIdle gates the per-slice side at paper scale: with
+// no bulk traffic at all, a slice — openSessions on all 108 racks, every
+// session polling through its window, and every close — must run on
+// recycled state alone once one cycle has warmed the pools. The engine
+// runs on the heap scheduler so that the gate reads RotorLB and the slice
+// clock only: the heap's one array reaches its high-water mark within a
+// slice, while each of the wheel's 1024 buckets grows to its own, which
+// takes thousands of slices to settle and is the engine's business.
+func TestAllocsOpenSessionsIdle(t *testing.T) {
+	b := newLBBed(t, eventsim.NewWith(eventsim.NewHeapScheduler()), 108, 6, 6)
+	b.net.Start()
+	slice := b.net.SliceDuration()
+	cycle := eventsim.Time(b.net.Topology().SlicesPerCycle()) * slice
+	b.eng.RunUntil(cycle)
+	oneSlice := func() { b.eng.RunUntil(b.eng.Now() + slice) }
+	if avg := testing.AllocsPerRun(20, oneSlice); avg != 0 {
+		t.Fatalf("an idle slice allocates %.1f/slice, want 0", avg)
+	}
+	if b.lb.sessions.Len() == 0 {
+		t.Fatal("no session was ever released to the pool")
 	}
 }

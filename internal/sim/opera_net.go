@@ -168,7 +168,10 @@ func (n *OperaNet) sliceBoundary(S int64) {
 	// new matchings.
 	if S > 0 {
 		prev := (sc - 1 + slices) % slices
-		for _, sw := range n.topo.Transitioning(prev) {
+		for sw := 0; sw < n.topo.Uplinks(); sw++ {
+			if !n.topo.IsTransitioning(sw, prev) {
+				continue
+			}
 			for _, tor := range n.tors {
 				// Bulk that straggled in during the blackout was admitted
 				// against the old circuit: NACK it rather than deliver it
@@ -181,8 +184,10 @@ func (n *OperaNet) sliceBoundary(S int64) {
 	// Switches transitioning during this slice go dark for its final r.
 	dur := n.topo.SliceDuration()
 	r := n.topo.Config().ReconfDelay
-	for _, sw := range n.topo.Transitioning(sc) {
-		n.eng.AfterCall(dur-r, &n.blackouts[sw], nil)
+	for sw := 0; sw < n.topo.Uplinks(); sw++ {
+		if n.topo.IsTransitioning(sw, sc) {
+			n.eng.AfterCall(dur-r, &n.blackouts[sw], nil)
+		}
 	}
 	// Hello exchange on every fresh circuit spreads failure news (§3.6.2).
 	if n.epidemic != nil {

@@ -203,10 +203,9 @@ func (n *RotorNetSim) OnSlice(fn func(absSlot int64)) {
 
 // ActiveCircuits implements CircuitNetwork: every switch's current peer
 // with the common unison window.
-func (n *RotorNetSim) ActiveCircuits(absSlot int64, rack int) []Circuit {
+func (n *RotorNetSim) ActiveCircuits(absSlot int64, rack int, buf []Circuit) []Circuit {
 	slot := int(absSlot % int64(n.topo.SlotsPerCycle()))
 	start, end := n.topo.BulkWindow()
-	out := make([]Circuit, 0, n.topo.NumSwitches)
 	for sw := 0; sw < n.topo.NumSwitches; sw++ {
 		peer := n.topo.SwitchMatching(sw, slot).Peer(rack)
 		if peer == rack || end <= start {
@@ -217,9 +216,9 @@ func (n *RotorNetSim) ActiveCircuits(absSlot int64, rack int) []Circuit {
 		if n.faults != nil && (!n.faults.LinkUp(rack, sw) || !n.faults.LinkUp(peer, sw)) {
 			continue
 		}
-		out = append(out, Circuit{Switch: sw, Peer: peer, WindowStart: start, WindowEnd: end})
+		buf = append(buf, Circuit{Switch: sw, Peer: peer, WindowStart: start, WindowEnd: end})
 	}
-	return out
+	return buf
 }
 
 func (n *RotorNetSim) slotBoundary(s int64) {
