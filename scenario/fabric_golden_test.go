@@ -1,0 +1,109 @@
+package scenario_test
+
+import (
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/scenario"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata golden files from this tree's results")
+
+// TestFabricGolden pins every fabric's whole Result, under traffic that
+// exercises both transports and a fault schedule covering every fault
+// kind, against scenario/testdata/fabric_golden.txt. It is the fast
+// byte-identity wall for fabric refactors: RotorNet is in no bench
+// workload, and the only other check on it is the minutes-long figdiff.
+// A line that moves means forwarding, the slice clock or the fault
+// mechanism changed behaviour; regenerate (go test ./scenario -run
+// TestFabricGolden -update) only when that is the point of the change.
+func TestFabricGolden(t *testing.T) {
+	// hi is the highest uplink coordinate the fabric's fault map accepts
+	// at the default 16×4 (Clos k=8) sizing; rotor marks the fabrics that
+	// run RotorLB, where an app-tagged shuffle is cheap.
+	fabrics := []struct {
+		network string
+		hi      int
+		rotor   bool
+	}{
+		{"opera", 3, true},
+		{"rotornet", 3, true},
+		{"rotornet-hybrid", 2, true},
+		{"expander", 3, false},
+		{"foldedclos", 1, false},
+	}
+	var got strings.Builder
+	for _, fab := range fabrics {
+		for _, seed := range []int64{1, 2} {
+			if fab.rotor {
+				line(t, &got, scenario.Spec{
+					Name: fab.network + "/shuffle", Network: fab.network, Seed: seed,
+					AppTaggedBulk: true,
+					Sources:       []scenario.SourceSpec{{Type: "shuffle", FlowBytes: 30_000, Participants: 32}},
+					Duration:      20 * eventsim.Millisecond,
+				})
+			}
+			events, err := scenario.ParseEvents(fmt.Sprintf(
+				"250us:link:3:%[1]d,300us:lossy:4:0:0.05,450us:tor:5,500us:flap:9:1:300us:200us,"+
+					"1500us:recover-link:3:%[1]d,2ms:recover-tor:5,3ms:recover-link:9:1", fab.hi))
+			if err != nil {
+				t.Fatal(err)
+			}
+			line(t, &got, scenario.Spec{
+				Name: fab.network + "/mixed", Network: fab.network, Seed: seed,
+				Sources: []scenario.SourceSpec{
+					{Type: "poisson", Dist: "websearch", Load: 0.25, Window: 3 * eventsim.Millisecond, MaxFlowBytes: 400_000},
+					{Type: "shuffle", FlowBytes: 80_000, Participants: 24, Bulk: true, Tag: "bulk"},
+				},
+				Events:   events,
+				Duration: 10 * eventsim.Millisecond,
+			})
+		}
+	}
+
+	golden := filepath.Join("testdata", "fabric_golden.txt")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with -update): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("fabric results drifted from %s\n--- got ---\n%s--- want ---\n%s", golden, &got, want)
+	}
+}
+
+// line runs one spec and appends its golden line: a few readable fields
+// to say what moved, then the hash of the whole Result.
+func line(t *testing.T, out *strings.Builder, sp scenario.Spec) {
+	t.Helper()
+	sc, err := sp.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, res := scenario.Collect(sc)
+	if res.Err != "" {
+		t.Fatalf("%s seed %d: %s", sp.Name, sp.Seed, res.Err)
+	}
+	blob, err := json.Marshal(res)
+	if err != nil {
+		t.Fatalf("%s seed %d: %v", sp.Name, sp.Seed, err)
+	}
+	var lost uint64
+	if len(sp.Events) > 0 {
+		lost = cl.Faults().Lost
+	}
+	fmt.Fprintf(out, "%s seed=%d done=%d/%d events=%d nacks=%d lost=%d sha256=%x\n",
+		sp.Name, sp.Seed, res.FlowsDone, res.FlowsTotal, res.SimEvents, res.BulkNACKs, lost, sha256.Sum256(blob))
+}
