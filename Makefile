@@ -2,7 +2,7 @@
 # so a clean `make lint` locally means the static-analysis gate passes.
 GO ?= go
 
-.PHONY: lint test short race fmt check bench-module fuzz figdiff
+.PHONY: lint test short race fmt check bench-module fuzz figdiff loc
 
 ## lint: go vet + the opera-lint determinism/hot-path analyzers over ./...
 lint:
@@ -57,6 +57,14 @@ figdiff:
 	  diff -r $(FIGDIFF)/csv-base $(FIGDIFF)/csv-head && \
 	  echo "figdiff: fig07-fig10 CSVs byte-identical to $(BASE)"; } || status=1; \
 	rm -rf $(FIGDIFF); exit $$status
+
+## loc: non-test, non-testdata Go lines per package outside bench/ and in
+## total — the number a deletion PR quotes in CHANGES.md (CI's fast lane
+## prints it, so the previous PR's figure is in the log)
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' \
+	  | xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+	    END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
 ## fmt: list files needing gofmt (exits nonzero if any)
 fmt:

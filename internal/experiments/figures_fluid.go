@@ -120,7 +120,7 @@ func operaFluid(eq cost.Equivalent, wl CostSweepWorkload) (float64, error) {
 		return 0, err
 	}
 	demand := demandFor(wl, eq.OperaRacks, float64(eq.OperaHostsPerRack), 11)
-	return fluid.OperaBulkThroughput(o, demand, fluid.DefaultRotorParams()), nil
+	return fluid.RotorBulkThroughput(o, demand, fluid.DefaultRotorParams()), nil
 }
 
 func expanderFluid(eq cost.Equivalent, wl CostSweepWorkload) (float64, error) {
@@ -163,10 +163,10 @@ func AblationVLB() ([]Table, error) {
 	}
 	for _, wl := range []CostSweepWorkload{WorkloadHotRack, WorkloadSkew, WorkloadPermutation, WorkloadAllToAll} {
 		demand := demandFor(wl, eq.OperaRacks, float64(eq.OperaHostsPerRack), 11)
-		with := fluid.OperaBulkThroughput(o, demand, fluid.DefaultRotorParams())
+		with := fluid.RotorBulkThroughput(o, demand, fluid.DefaultRotorParams())
 		params := fluid.DefaultRotorParams()
 		params.DisableVLB = true
-		without := fluid.OperaBulkThroughput(o, demand, params)
+		without := fluid.RotorBulkThroughput(o, demand, params)
 		t.Add(string(wl), with, without)
 	}
 	return []Table{t}, nil

@@ -49,29 +49,29 @@ func ExpanderThroughput(e *topology.Expander, demand [][]float64) float64 {
 
 	var total float64
 	frac := make([]float64, n)
-	// route propagates amt units from src toward dst (spray across src's
-	// uplinks, then shortest-path DAG). transpose flips each link's load
-	// accounting, which routes the geometrically identical reverse
-	// direction: splitting each demand half forward, half reversed models
-	// balanced first- AND last-hop diversity, as K-shortest-path multipath
-	// achieves in practice [29].
-	route := func(src, dst int, amt float64, transpose bool) {
+	// walk propagates a unit of flow from src toward dst — sprayed across
+	// src's uplinks, then down the shortest-path DAG with equal splitting —
+	// and reports the share of first each directed link (key x*n+y)
+	// carries. transpose flips each link, which routes the geometrically
+	// identical reverse direction: splitting each demand half forward,
+	// half reversed models balanced first- AND last-hop diversity, as
+	// K-shortest-path multipath achieves in practice [29].
+	walk := func(src, dst int, first float64, transpose bool, emit func(link int, share float64)) {
 		dt := dist[dst]
 		for i := range frac {
 			frac[i] = 0
 		}
-		add := func(x, y int, l float64) {
+		add := func(x, y int, share float64) {
 			if transpose {
-				load[y*n+x] += l
-			} else {
-				load[x*n+y] += l
+				x, y = y, x
 			}
+			emit(x*n+y, share)
 		}
 		ns := e.G.Neighbors(src)
-		share := 1.0 / float64(len(ns))
+		share := first / float64(len(ns))
 		maxLevel := 0
 		for _, y := range ns {
-			add(src, int(y), amt*share)
+			add(src, int(y), share)
 			frac[y] += share
 			if dt[y] > maxLevel {
 				maxLevel = dt[y]
@@ -95,7 +95,7 @@ func ExpanderThroughput(e *topology.Expander, demand [][]float64) float64 {
 				}
 				hshare := fx / float64(len(hops))
 				for _, y := range hops {
-					add(x, int(y), amt*hshare)
+					add(x, int(y), hshare)
 					frac[y] += hshare
 				}
 			}
@@ -106,6 +106,8 @@ func ExpanderThroughput(e *topology.Expander, demand [][]float64) float64 {
 		d    float64
 	}
 	var pairs []pairFlow
+	var half float64 // of the demand being routed
+	addLoad := func(link int, share float64) { load[link] += half * share }
 	for s := 0; s < n; s++ {
 		for t := 0; t < n; t++ {
 			d := demand[s][t]
@@ -114,8 +116,9 @@ func ExpanderThroughput(e *topology.Expander, demand [][]float64) float64 {
 			}
 			total += d
 			pairs = append(pairs, pairFlow{s, t, d})
-			route(s, t, d/2, false)
-			route(t, s, d/2, true)
+			half = d / 2
+			walk(s, t, 1, false, addLoad)
+			walk(t, s, 1, true, addLoad)
 		}
 	}
 	if total == 0 {
@@ -128,54 +131,9 @@ func ExpanderThroughput(e *topology.Expander, demand [][]float64) float64 {
 	var delivered float64
 	for _, pf := range pairs {
 		marks := make(map[int]float64)
-		collect := func(src, dst int, transpose bool) {
-			dt := dist[dst]
-			for i := range frac {
-				frac[i] = 0
-			}
-			mark := func(x, y int, share float64) {
-				if transpose {
-					marks[y*n+x] += share
-				} else {
-					marks[x*n+y] += share
-				}
-			}
-			ns := e.G.Neighbors(src)
-			share := 0.5 / float64(len(ns))
-			maxLevel := 0
-			for _, y := range ns {
-				mark(src, int(y), share)
-				frac[y] += share
-				if dt[y] > maxLevel {
-					maxLevel = dt[y]
-				}
-			}
-			for lvl := maxLevel; lvl >= 1; lvl-- {
-				for x := 0; x < n; x++ {
-					fx := frac[x]
-					if fx == 0 || dt[x] != lvl || x == dst {
-						continue
-					}
-					frac[x] = 0
-					var hops []int32
-					for _, y := range e.G.Neighbors(x) {
-						if dt[y] == lvl-1 {
-							hops = append(hops, y)
-						}
-					}
-					if len(hops) == 0 {
-						continue
-					}
-					hshare := fx / float64(len(hops))
-					for _, y := range hops {
-						mark(x, int(y), hshare)
-						frac[y] += hshare
-					}
-				}
-			}
-		}
-		collect(pf.s, pf.t, false)
-		collect(pf.t, pf.s, true)
+		mark := func(link int, share float64) { marks[link] += share }
+		walk(pf.s, pf.t, 0.5, false, mark)
+		walk(pf.t, pf.s, 0.5, true, mark)
 		var bottleneck float64
 		for link, share := range marks {
 			if share < 0.05 {
@@ -202,69 +160,33 @@ type RotorParams struct {
 	DisableVLB bool
 }
 
-// DefaultRotorParams returns sensible measurement windows.
-func DefaultRotorParams() RotorParams {
-	return RotorParams{WarmupCycles: 4, MeasureCycles: 8}
-}
-
-// OperaBulkThroughput simulates RotorLB at slice granularity on an Opera
-// topology under the given rack-level demand rates (units of host line
-// rate; an entry of 1.0 means one host's full rate from rack a to rack b)
-// and returns delivered ÷ offered at steady state.
-//
-// Capacity units: one "unit" is one host-link-slice of bytes. A circuit
-// carries its window fraction (≈ duty cycle) per slice; each rack can
-// inject at most d units per slice (its hosts' NICs) and absorb at most d.
-func OperaBulkThroughput(o *topology.Opera, demand [][]float64, p RotorParams) float64 {
-	n := o.NumRacks()
-	d := float64(o.HostsPerRack())
-	slice := o.SliceDuration()
-	windows := func(s int) []windowed {
-		out := make([]windowed, 0, o.Uplinks())
-		for sw := 0; sw < o.Uplinks(); sw++ {
-			start, end := o.BulkWindow(sw, s)
-			cap := float64(end-start) / float64(slice)
-			if cap <= 0 {
-				continue
-			}
-			out = append(out, windowed{sw: sw, cap: cap})
-		}
-		return out
-	}
-	peerOf := func(s, rack, sw int) int { return o.SwitchMatching(sw, s).Peer(rack) }
-	threshold := float64(o.Config().GroupSize) // one cycle's direct drainage in units
-	return rotorFluid(n, d, o.SlicesPerCycle(), windows, peerOf, demand, threshold, p)
-}
-
-// RotorNetBulkThroughput is the RotorNet counterpart: synchronized slots,
-// single window per pair per cycle.
-func RotorNetBulkThroughput(r *topology.RotorNet, demand [][]float64, p RotorParams) float64 {
-	n := r.NumRacks
-	d := float64(r.HostsPerRack)
-	start, end := r.BulkWindow()
-	cap := float64(end-start) / float64(r.SlotDuration)
-	windows := func(s int) []windowed {
-		out := make([]windowed, 0, r.NumSwitches)
-		for sw := 0; sw < r.NumSwitches; sw++ {
-			out = append(out, windowed{sw: sw, cap: cap})
-		}
-		return out
-	}
-	peerOf := func(s, rack, sw int) int { return r.SwitchMatching(sw, s).Peer(rack) }
-	return rotorFluid(n, d, r.SlotsPerCycle(), windows, peerOf, demand, 1, p)
-}
-
 type windowed struct {
 	sw  int
 	cap float64 // units per slice
 }
 
-// rotorFluid is the shared slice-level RotorLB engine.
-func rotorFluid(n int, hostsPerRack float64, slicesPerCycle int,
-	windows func(slice int) []windowed,
-	peerOf func(slice, rack, sw int) int,
-	demand [][]float64, vlbThreshold float64, p RotorParams) float64 {
+// DefaultRotorParams returns sensible measurement windows.
+func DefaultRotorParams() RotorParams {
+	return RotorParams{WarmupCycles: 4, MeasureCycles: 8}
+}
 
+// RotorBulkThroughput simulates RotorLB at slice granularity on a rotor
+// fabric's schedule — Opera's or RotorNet's — under the given rack-level
+// demand rates (units of host line rate; an entry of 1.0 means one host's
+// full rate from rack a to rack b) and returns delivered ÷ offered at
+// steady state.
+//
+// Capacity units: one "unit" is one host-link-slice of bytes. A circuit
+// carries its window fraction (≈ duty cycle) per slice; each rack can
+// inject at most d units per slice (its hosts' NICs) and absorb at most d.
+// A queue holding more than one cycle's direct drainage —
+// PairWindowsPerCycle units — is skewed, and its excess is offloaded over
+// two hops.
+func RotorBulkThroughput(sched topology.Schedule, demand [][]float64, p RotorParams) float64 {
+	n := sched.NumRacks()
+	hostsPerRack := float64(sched.HostsPerRack())
+	slicesPerCycle := sched.SlicesPerCycle()
+	vlbThreshold := float64(sched.PairWindowsPerCycle())
 	if p.WarmupCycles == 0 && p.MeasureCycles == 0 {
 		p = DefaultRotorParams()
 	}
@@ -299,7 +221,15 @@ func rotorFluid(n int, hostsPerRack float64, slicesPerCycle int,
 			egress[i] = hostsPerRack // per-slice NIC budget
 			ingress[i] = hostsPerRack
 		}
-		ws := windows(s)
+		// ws lists the switches admitting bulk this slice, with the
+		// fraction of the slice each is open.
+		ws := make([]windowed, 0, sched.Uplinks())
+		for sw := 0; sw < sched.Uplinks(); sw++ {
+			start, end := sched.BulkWindow(sw, s)
+			if cap := float64(end-start) / float64(sched.SliceDuration()); cap > 0 {
+				ws = append(ws, windowed{sw: sw, cap: cap})
+			}
+		}
 		// used[a][i] tracks capacity consumed on rack a's i-th window, so
 		// the VLB pass sees true spare capacity.
 		used := make([][]float64, n)
@@ -309,7 +239,7 @@ func rotorFluid(n int, hostsPerRack float64, slicesPerCycle int,
 		// Pass 1: relayed then direct traffic on every circuit.
 		for a := 0; a < n; a++ {
 			for i, w := range ws {
-				b := peerOf(s, a, w.sw)
+				b := sched.SwitchMatching(w.sw, s).Peer(a)
 				if b == a {
 					continue
 				}
@@ -341,7 +271,7 @@ func rotorFluid(n int, hostsPerRack float64, slicesPerCycle int,
 			// circuit's spare window and both racks' host budgets.
 			for a := 0; a < n; a++ {
 				for i, w := range ws {
-					b := peerOf(s, a, w.sw)
+					b := sched.SwitchMatching(w.sw, s).Peer(a)
 					if b == a {
 						continue
 					}

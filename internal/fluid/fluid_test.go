@@ -89,7 +89,7 @@ func TestOperaAllToAllNearDuty(t *testing.T) {
 			}
 		}
 	})
-	theta := OperaBulkThroughput(o, dm, DefaultRotorParams())
+	theta := RotorBulkThroughput(o, dm, DefaultRotorParams())
 	if theta < 0.85 {
 		t.Fatalf("all-to-all θ = %v, want ≈ duty cycle", theta)
 	}
@@ -99,8 +99,8 @@ func TestOperaHotRackUsesVLB(t *testing.T) {
 	o := paperOpera(t)
 	n := o.NumRacks()
 	dm := demandMatrix(n, func(m [][]float64) { m[0][1] = float64(o.HostsPerRack()) })
-	with := OperaBulkThroughput(o, dm, DefaultRotorParams())
-	without := OperaBulkThroughput(o, dm, RotorParams{WarmupCycles: 4, MeasureCycles: 8, DisableVLB: true})
+	with := RotorBulkThroughput(o, dm, DefaultRotorParams())
+	without := RotorBulkThroughput(o, dm, RotorParams{WarmupCycles: 4, MeasureCycles: 8, DisableVLB: true})
 	// Direct-only: the pair's circuit exists for G slices per cycle out of
 	// G·N/u ⇒ u/N of the time ⇒ θ ≈ (u/N)·(T_window/T) / d... tiny.
 	if without > 0.2 {
@@ -121,7 +121,7 @@ func TestOperaPermutation(t *testing.T) {
 			m[a][(a+n/2)%n] = float64(o.HostsPerRack())
 		}
 	})
-	theta := OperaBulkThroughput(o, dm, DefaultRotorParams())
+	theta := RotorBulkThroughput(o, dm, DefaultRotorParams())
 	if theta < 0.3 || theta > 0.75 {
 		t.Fatalf("permutation θ = %v, want ≈0.5", theta)
 	}
@@ -142,7 +142,7 @@ func TestRotorNetThroughput(t *testing.T) {
 			}
 		}
 	})
-	theta := RotorNetBulkThroughput(r, dm, DefaultRotorParams())
+	theta := RotorBulkThroughput(r, dm, DefaultRotorParams())
 	if theta < 0.8 {
 		t.Fatalf("RotorNet all-to-all θ = %v", theta)
 	}
@@ -161,7 +161,7 @@ func TestOperaOverloadCapped(t *testing.T) {
 			}
 		}
 	})
-	theta := OperaBulkThroughput(o, dm, DefaultRotorParams())
+	theta := RotorBulkThroughput(o, dm, DefaultRotorParams())
 	if theta >= 0.5 || theta <= 0 {
 		t.Fatalf("overload θ = %v", theta)
 	}

@@ -119,3 +119,42 @@ func (f *faultProbe) OnEvent(any) {
 	f.cl.Engine().MetaStep()
 	f.at1ms = obs.Capture(f.cl)
 }
+
+// TestObservingDoesNotAttachFaultInjector pins the read side of the
+// invisibility contract: a snapshot reports faults only when the run has
+// an injector, and never creates one — an observed fault-free run keeps
+// the fabric on its no-fault forwarding paths. With one event scheduled,
+// the snapshot still lists it.
+func TestObservingDoesNotAttachFaultInjector(t *testing.T) {
+	run := func(events []scenario.Event) (*opera.Cluster, *obs.Snapshot) {
+		t.Helper()
+		box := &obs.Mailbox{}
+		sc := observedScenario(obs.NewPublisher(box, 100*eventsim.Microsecond))
+		sc.Events = events
+		cl, res := scenario.Collect(sc)
+		if res.Err != "" {
+			t.Fatalf("run error: %s", res.Err)
+		}
+		s := box.Snapshot()
+		if s == nil {
+			t.Fatal("no snapshot published")
+		}
+		return cl, s
+	}
+
+	cl, s := run(nil)
+	if cl.AttachedFaults() != nil {
+		t.Fatal("observing a fault-free run attached the fault injector")
+	}
+	if s.Faults != nil {
+		t.Fatalf("fault-free snapshot reports faults: %+v", s.Faults)
+	}
+
+	cl, s = run([]scenario.Event{scenario.At(400*eventsim.Microsecond, scenario.FailLink(5, 2))})
+	if cl.AttachedFaults() == nil {
+		t.Fatal("scheduled event left no injector")
+	}
+	if s.Faults == nil || len(s.Faults.Active) != 1 {
+		t.Fatalf("want the one scheduled fault listed, got %+v", s.Faults)
+	}
+}

@@ -153,7 +153,7 @@ func Capture(cl *opera.Cluster) *Snapshot {
 	if tel := m.Telemetry(); tel != nil {
 		fillTelemetry(s, tel)
 	}
-	if inj := cl.Faults(); inj != nil {
+	if inj := cl.AttachedFaults(); inj != nil {
 		s.Faults = faultState(inj)
 	}
 	return s

@@ -13,17 +13,11 @@ import (
 // host → ToR → (random pod agg) → (random core) → agg → ToR → host, with
 // the downward path determined by the destination.
 type ClosNet struct {
-	eng     *eventsim.Engine
-	cfg     *Config
-	topo    *topology.FoldedClos
-	hosts   []*Host
-	tors    []*ClosToR
-	aggs    []*ClosAgg
-	cores   []*ClosCore
-	metrics *Metrics
-	faults  *Faults // lazily created; see clos_faults.go
-	// faultSeed seeds deterministic gray-failure (lossy-link) draws.
-	faultSeed int64
+	edge
+	topo  *topology.FoldedClos
+	tors  []*ClosToR
+	aggs  []*ClosAgg
+	cores []*ClosCore
 }
 
 func init() {
@@ -38,8 +32,7 @@ func init() {
 
 // NewClosNet wires the folded-Clos fabric.
 func NewClosNet(eng *eventsim.Engine, cfg Config, topo *topology.FoldedClos, seed int64) *ClosNet {
-	n := &ClosNet{eng: eng, cfg: &cfg, topo: topo, metrics: NewMetrics(), faultSeed: seed}
-	n.hosts = make([]*Host, topo.NumHosts())
+	n := &ClosNet{edge: newEdge(eng, cfg, "foldedclos", topo.NumToRs, topo.HostsPerToR, seed), topo: topo}
 	n.tors = make([]*ClosToR, topo.NumToRs)
 	n.aggs = make([]*ClosAgg, topo.NumAgg)
 	n.cores = make([]*ClosCore, topo.NumCore)
@@ -53,19 +46,10 @@ func NewClosNet(eng *eventsim.Engine, cfg Config, topo *topology.FoldedClos, see
 	for i := range n.cores {
 		n.cores[i] = &ClosCore{net: n, id: int32(i)}
 	}
-	d := topo.HostsPerToR
-	for h := range n.hosts {
-		host := NewHost(eng, n.cfg, int32(h), int32(h/d))
-		n.hosts[h] = host
-		host.SetNIC(NewPort(eng, n.cfg, fmt.Sprintf("host%d->tor%d", h, host.Rack), n.tors[host.Rack]))
-	}
+	n.wireHosts(func(rack int) Node { return n.tors[rack] })
 	// ToR ports: d down to hosts, u up — one to each agg in its pod.
 	for t, tor := range n.tors {
-		tor.down = make([]*Port, d)
-		for i := 0; i < d; i++ {
-			host := n.hosts[t*d+i]
-			tor.down[i] = NewPort(eng, n.cfg, fmt.Sprintf("tor%d->host%d", t, host.ID), host)
-		}
+		tor.down = n.downlinks(t)
 		pod := topo.ToRPod(t)
 		tor.up = make([]*Port, topo.UplinksPerToR)
 		for i := 0; i < topo.UplinksPerToR; i++ {
@@ -102,35 +86,14 @@ func NewClosNet(eng *eventsim.Engine, cfg Config, topo *topology.FoldedClos, see
 	return n
 }
 
-// Engine returns the simulation engine.
-func (n *ClosNet) Engine() *eventsim.Engine { return n.eng }
-
-// Kind implements Network.
-func (n *ClosNet) Kind() string { return "foldedclos" }
-
 // PacketCapable implements Network: the Clos is all packet switching.
 func (n *ClosNet) PacketCapable() bool { return true }
-
-// NumRacks implements Network.
-func (n *ClosNet) NumRacks() int { return n.topo.NumToRs }
-
-// HostsPerRack implements Network.
-func (n *ClosNet) HostsPerRack() int { return n.topo.HostsPerToR }
 
 // Start implements Network; a static fabric has no circuit clock.
 func (n *ClosNet) Start() {}
 
 // Stop implements Network.
 func (n *ClosNet) Stop() {}
-
-// Config returns the physical constants.
-func (n *ClosNet) Config() *Config { return n.cfg }
-
-// Metrics returns the metrics collector.
-func (n *ClosNet) Metrics() *Metrics { return n.metrics }
-
-// Hosts returns all hosts.
-func (n *ClosNet) Hosts() []*Host { return n.hosts }
 
 // Topology returns the Clos dimensions.
 func (n *ClosNet) Topology() *topology.FoldedClos { return n.topo }
@@ -156,13 +119,7 @@ func (t *ClosToR) Receive(p *Packet, _ *Port) {
 		return
 	}
 	if p.DstRack == t.id {
-		d := len(t.down)
-		idx := int(p.DstHost) - int(t.id)*d
-		if idx < 0 || idx >= d {
-			p.Release()
-			return
-		}
-		t.down[idx].Enqueue(p)
+		deliverLocal(t.down, t.id, p)
 		return
 	}
 	if cf == nil {

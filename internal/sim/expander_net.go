@@ -13,16 +13,10 @@ import (
 // directly to u peer ToRs over a random regular graph, NDP for all traffic,
 // per-packet spraying across equal-cost shortest paths.
 type ExpanderNet struct {
-	eng     *eventsim.Engine
-	cfg     *Config
-	topo    *topology.Expander
-	tables  *routing.Tables
-	hosts   []*Host
-	tors    []*ExpanderToR
-	metrics *Metrics
-	faults  *Faults // lazily created; see expander_faults.go
-	// faultSeed seeds deterministic gray-failure (lossy-link) draws.
-	faultSeed int64
+	edge
+	topo   *topology.Expander
+	tables *routing.Tables
+	tors   []*ExpanderToR
 }
 
 func init() {
@@ -38,35 +32,21 @@ func init() {
 // NewExpanderNet wires the expander fabric.
 func NewExpanderNet(eng *eventsim.Engine, cfg Config, topo *topology.Expander, seed int64) *ExpanderNet {
 	n := &ExpanderNet{
-		eng:       eng,
-		cfg:       &cfg,
-		topo:      topo,
-		tables:    routing.MustBuild(routing.ExpanderPortMap(topo)),
-		metrics:   NewMetrics(),
-		faultSeed: seed,
+		edge:   newEdge(eng, cfg, "expander", topo.NumRacks, topo.HostsPerRack, seed),
+		topo:   topo,
+		tables: routing.MustBuild(routing.ExpanderPortMap(topo)),
 	}
-	n.hosts = make([]*Host, topo.NumHosts())
 	n.tors = make([]*ExpanderToR, topo.NumRacks)
-	for r := 0; r < topo.NumRacks; r++ {
+	for r := range n.tors {
 		n.tors[r] = &ExpanderToR{
 			net:  n,
 			rack: int32(r),
 			rng:  rand.New(rand.NewSource(seed + int64(r) + 1)),
 		}
 	}
-	d := topo.HostsPerRack
-	for h := range n.hosts {
-		host := NewHost(eng, n.cfg, int32(h), int32(h/d))
-		n.hosts[h] = host
-		host.SetNIC(NewPort(eng, n.cfg, fmt.Sprintf("host%d->tor%d", h, host.Rack), n.tors[host.Rack]))
-	}
-	for r := 0; r < topo.NumRacks; r++ {
-		tor := n.tors[r]
-		tor.down = make([]*Port, d)
-		for i := 0; i < d; i++ {
-			host := n.hosts[r*d+i]
-			tor.down[i] = NewPort(eng, n.cfg, fmt.Sprintf("tor%d->host%d", r, host.ID), host)
-		}
+	n.wireHosts(func(rack int) Node { return n.tors[rack] })
+	for r, tor := range n.tors {
+		tor.down = n.downlinks(r)
 		neighbors := topo.G.Neighbors(r)
 		tor.up = make([]*Port, len(neighbors))
 		for i, nb := range neighbors {
@@ -76,35 +56,14 @@ func NewExpanderNet(eng *eventsim.Engine, cfg Config, topo *topology.Expander, s
 	return n
 }
 
-// Engine returns the simulation engine.
-func (n *ExpanderNet) Engine() *eventsim.Engine { return n.eng }
-
-// Kind implements Network.
-func (n *ExpanderNet) Kind() string { return "expander" }
-
 // PacketCapable implements Network: the expander is all packet switching.
 func (n *ExpanderNet) PacketCapable() bool { return true }
-
-// NumRacks implements Network.
-func (n *ExpanderNet) NumRacks() int { return n.topo.NumRacks }
-
-// HostsPerRack implements Network.
-func (n *ExpanderNet) HostsPerRack() int { return n.topo.HostsPerRack }
 
 // Start implements Network; a static fabric has no circuit clock.
 func (n *ExpanderNet) Start() {}
 
 // Stop implements Network.
 func (n *ExpanderNet) Stop() {}
-
-// Config returns the physical constants.
-func (n *ExpanderNet) Config() *Config { return n.cfg }
-
-// Metrics returns the metrics collector.
-func (n *ExpanderNet) Metrics() *Metrics { return n.metrics }
-
-// Hosts returns all hosts.
-func (n *ExpanderNet) Hosts() []*Host { return n.hosts }
 
 // Topology returns the expander topology.
 func (n *ExpanderNet) Topology() *topology.Expander { return n.topo }
@@ -123,13 +82,7 @@ type ExpanderToR struct {
 func (t *ExpanderToR) Receive(p *Packet, _ *Port) {
 	n := t.net
 	if p.DstRack == t.rack {
-		d := len(t.down)
-		idx := int(p.DstHost) - int(t.rack)*d
-		if idx < 0 || idx >= d {
-			p.Release()
-			return
-		}
-		t.down[idx].Enqueue(p)
+		deliverLocal(t.down, t.rack, p)
 		return
 	}
 	uplink := n.tables.PickUplink(0, int(t.rack), int(p.DstRack), t.rng.Uint32())

@@ -4,8 +4,9 @@ import (
 	"github.com/opera-net/opera/internal/routing"
 )
 
-// This file is Opera's share of the fault mechanism (faultapi.go): its
-// coordinate map and §3.6.2's failure handling as the reaction rule.
+// This file is Opera's share of the fault mechanism (faultapi.go):
+// §3.6.2's failure handling as the reaction rule (the coordinate map is
+// the rotor fabric's).
 //
 //   - Links, ToRs and circuit switches can fail at any simulated time.
 //   - The ToRs adjacent to a failure detect it through the hello exchange
@@ -38,44 +39,6 @@ type helloEpidemic struct {
 	epoch int
 
 	recovery *routing.Tables
-}
-
-// Faults returns the network's fault injector, creating it lazily. The
-// coordinate map is flat {rack, rotor switch}: tier-0 links name rack
-// uplinks, tier-0 switch targets name rotor switches, and gray
-// impairments apply to the named rack's uplink port — the rack side of
-// the circuit.
-func (n *OperaNet) Faults() *Faults {
-	if n.faults == nil {
-		racks, sws := n.topo.NumRacks(), n.topo.Uplinks()
-		n.epidemic = &helloEpidemic{net: n, informed: make([]bool, racks)}
-		n.faults = newFaults(n.eng, n.faultSeed, faultMap{
-			fabric:   n.Kind(),
-			tors:     racks,
-			links:    []linkPlane{{n: racks, ports: sws, swName: "rack", portName: "rotor switch"}},
-			switches: []switchPlane{{n: sws, name: "rotor switch"}},
-			cables: rotorCables(racks, sws, func(rack, sw int) *Port {
-				return n.tors[rack].up[sw]
-			}),
-			react: n.epidemic.react,
-		})
-	}
-	return n.faults
-}
-
-// rotorCables lists a rotor fabric's rack↔rotor-switch cables, rack-major.
-// Each carries only its rack-side port: the far end is an optical switch.
-func rotorCables(racks, sws int, uplink func(rack, sw int) *Port) []cable {
-	out := make([]cable, 0, racks*sws)
-	for rack := 0; rack < racks; rack++ {
-		for sw := 0; sw < sws; sw++ {
-			id := FlatLink(rack, sw)
-			out = append(out, cable{id: id, alias: id,
-				ends:  [2]int32{int32(rack), int32(racks + sw)},
-				ports: [2]*Port{uplink(rack, sw)}})
-		}
-	}
-	return out
 }
 
 // react is Opera's reaction rule: who detects the change first, carrying

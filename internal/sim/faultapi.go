@@ -16,8 +16,8 @@ import (
 // nodes (a ToR or a tier-qualified switch), and a cable is usable iff the
 // cable and both its end nodes are up. A fabric contributes only its
 // coordinate map and its reaction to a state change (faultMap, built in
-// failures.go, expander_faults.go, rotornet_faults.go and clos_faults.go);
-// everything else is written once, here.
+// rotor_fabric.go, expander_faults.go and clos_faults.go; Opera's reaction
+// is failures.go); everything else is written once, here.
 //
 // Coordinates are fabric-interpreted. Flat fabrics (Opera, RotorNet, the
 // expander) name links as {Tier: 0, Switch: rack, Port: uplink}; the

@@ -128,17 +128,13 @@ func RegisteredKinds() []string {
 	return kinds
 }
 
-// The built-in fabrics satisfy Network (and, for the rotor fabrics,
-// CircuitNetwork).
+// The built-in fabrics all take faults (FaultNetwork includes Network), and
+// the rotor fabrics have circuits.
 var (
-	_ Network        = (*OperaNet)(nil)
-	_ Network        = (*ExpanderNet)(nil)
-	_ Network        = (*ClosNet)(nil)
-	_ Network        = (*RotorNetSim)(nil)
-	_ CircuitNetwork = (*OperaNet)(nil)
-	_ CircuitNetwork = (*RotorNetSim)(nil)
 	_ FaultNetwork   = (*OperaNet)(nil)
 	_ FaultNetwork   = (*ExpanderNet)(nil)
 	_ FaultNetwork   = (*RotorNetSim)(nil)
 	_ FaultNetwork   = (*ClosNet)(nil)
+	_ CircuitNetwork = (*OperaNet)(nil)
+	_ CircuitNetwork = (*RotorNetSim)(nil)
 )

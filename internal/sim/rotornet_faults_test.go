@@ -144,7 +144,7 @@ func TestRotorNetStrandedBytesFaultCounter(t *testing.T) {
 // dark.
 func TestRotorNetHybridPacketPathSurvivesRotorFaults(t *testing.T) {
 	cl, rf := rotorTestbed(t, opera.KindRotorNetHybrid)
-	for sw := 0; sw < cl.Network().(*sim.RotorNetSim).Topology().NumSwitches; sw++ {
+	for sw := 0; sw < cl.Network().(*sim.RotorNetSim).Topology().Uplinks(); sw++ {
 		cut(t, rf, link(3, sw), 0)
 	}
 	cl.AddFlow(workload.FlowSpec{Src: 0, Dst: 6, Bytes: 50_000, Arrival: 10 * eventsim.Microsecond})
@@ -161,7 +161,7 @@ func TestRotorNetDeadCircuitTakesNACKPath(t *testing.T) {
 	// already pumping into the now-dead circuits have their packets NACKed
 	// at the ToR. Recover shortly after so the run completes.
 	rn := cl.Network().(*sim.RotorNetSim)
-	for sw := 0; sw < rn.Topology().NumSwitches; sw++ {
+	for sw := 0; sw < rn.Topology().Uplinks(); sw++ {
 		cut(t, rf, link(0, sw), 1050*eventsim.Microsecond)
 		heal(t, rf, link(0, sw), 10*eventsim.Millisecond)
 	}

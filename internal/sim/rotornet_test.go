@@ -19,7 +19,7 @@ func rotorSim(t *testing.T, hybrid bool) *sim.RotorNetSim {
 
 func TestRotorNetActiveCircuits(t *testing.T) {
 	n := rotorSim(t, false)
-	for slot := int64(0); slot < int64(n.Topology().SlotsPerCycle()); slot++ {
+	for slot := int64(0); slot < int64(n.Topology().SlicesPerCycle()); slot++ {
 		for rack := 0; rack < 16; rack++ {
 			cs := n.ActiveCircuits(slot, rack, nil)
 			// Up to 4 circuits (self-loops excluded), all sharing the
@@ -31,7 +31,7 @@ func TestRotorNetActiveCircuits(t *testing.T) {
 				if c.Peer == rack {
 					t.Fatal("self circuit listed")
 				}
-				ws, we := n.Topology().BulkWindow()
+				ws, we := n.Topology().BulkWindow(0, 0)
 				if c.WindowStart != ws || c.WindowEnd != we {
 					t.Fatalf("window mismatch: [%v,%v] vs [%v,%v]", c.WindowStart, c.WindowEnd, ws, we)
 				}
@@ -56,7 +56,7 @@ func TestRotorNetSlotClockUnison(t *testing.T) {
 	eng := n.Engine()
 	topo := n.Topology()
 	// Mid-slot: every rotor uplink of every ToR enabled.
-	eng.RunUntil(topo.SlotDuration / 2)
+	eng.RunUntil(topo.SliceDuration() / 2)
 	for r := 0; r < 16; r++ {
 		tor := torOf(n, r)
 		for sw := 0; sw < 4; sw++ {
@@ -66,7 +66,7 @@ func TestRotorNetSlotClockUnison(t *testing.T) {
 		}
 	}
 	// During the unison blackout (final r of the slot): all disabled.
-	eng.RunUntil(topo.SlotDuration - topo.ReconfDelay/2)
+	eng.RunUntil(topo.SliceDuration() - topo.ReconfDelay()/2)
 	for r := 0; r < 16; r++ {
 		tor := torOf(n, r)
 		for sw := 0; sw < 4; sw++ {
@@ -76,7 +76,7 @@ func TestRotorNetSlotClockUnison(t *testing.T) {
 		}
 	}
 	// Next slot: re-enabled.
-	eng.RunUntil(topo.SlotDuration + topo.SlotDuration/4)
+	eng.RunUntil(topo.SliceDuration() + topo.SliceDuration()/4)
 	for sw := 0; sw < 4; sw++ {
 		if !torOf(n, 0).Uplink(sw).Enabled() {
 			t.Fatalf("uplink %d not re-enabled after boundary", sw)
@@ -89,7 +89,7 @@ func TestRotorNetSliceListener(t *testing.T) {
 	var slots []int64
 	n.OnSlice(func(s int64) { slots = append(slots, s) })
 	n.Start()
-	n.Engine().RunUntil(5 * n.Topology().SlotDuration)
+	n.Engine().RunUntil(5 * n.Topology().SliceDuration())
 	if len(slots) < 5 {
 		t.Fatalf("listener saw %d slots", len(slots))
 	}
@@ -103,8 +103,8 @@ func TestRotorNetSliceListener(t *testing.T) {
 
 func TestRotorNetHybridFabricPorts(t *testing.T) {
 	n := rotorSim(t, true)
-	if n.Topology().NumSwitches != 3 {
-		t.Fatalf("hybrid should run 3 rotor switches, got %d", n.Topology().NumSwitches)
+	if n.Topology().Uplinks() != 3 {
+		t.Fatalf("hybrid should run 3 rotor switches, got %d", n.Topology().Uplinks())
 	}
 }
 

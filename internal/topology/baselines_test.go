@@ -153,43 +153,43 @@ func TestFoldedClosToRPathStats(t *testing.T) {
 func TestRotorNetPaperBaseline(t *testing.T) {
 	// Non-hybrid: 6 rotor switches, 108 racks → 18 slots, 1.8 ms cycle.
 	r := MustNewRotorNet(RotorConfig{NumRacks: 108, HostsPerRack: 6, Uplinks: 6, Seed: 1})
-	if r.SlotsPerCycle() != 18 {
-		t.Fatalf("slots = %d, want 18", r.SlotsPerCycle())
+	if r.SlicesPerCycle() != 18 {
+		t.Fatalf("slots = %d, want 18", r.SlicesPerCycle())
 	}
 	if r.CycleTime() != 1800*eventsim.Microsecond {
 		t.Fatalf("cycle = %v, want 1.8ms", r.CycleTime())
 	}
-	if r.NumSwitches != 6 || r.Hybrid {
-		t.Fatalf("switches = %d hybrid=%v", r.NumSwitches, r.Hybrid)
+	if r.Uplinks() != 6 || r.Hybrid() {
+		t.Fatalf("switches = %d hybrid=%v", r.Uplinks(), r.Hybrid())
 	}
 }
 
 func TestRotorNetHybrid(t *testing.T) {
 	r := MustNewRotorNet(RotorConfig{NumRacks: 108, HostsPerRack: 6, Uplinks: 6, Hybrid: true, Seed: 1})
-	if r.NumSwitches != 5 {
-		t.Fatalf("hybrid switches = %d, want 5", r.NumSwitches)
+	if r.Uplinks() != 5 {
+		t.Fatalf("hybrid switches = %d, want 5", r.Uplinks())
 	}
 	// 108/5 → 22 slots with padding.
-	if r.SlotsPerCycle() != 22 {
-		t.Fatalf("slots = %d, want 22", r.SlotsPerCycle())
+	if r.SlicesPerCycle() != 22 {
+		t.Fatalf("slots = %d, want 22", r.SlicesPerCycle())
 	}
 }
 
 func TestRotorNetFullConnectivityPerCycle(t *testing.T) {
 	r := MustNewRotorNet(RotorConfig{NumRacks: 32, HostsPerRack: 4, Uplinks: 4, Seed: 2})
-	n := r.NumRacks
+	n := r.NumRacks()
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
 			found := false
-			for s := 0; s < r.SlotsPerCycle() && !found; s++ {
-				found = r.DirectSwitch(s, a, b) >= 0
+			for s := 0; s < r.SlicesPerCycle() && !found; s++ {
+				found = r.DirectSwitchInstalled(s, a, b) >= 0
 			}
 			if !found {
 				t.Fatalf("pair (%d,%d) never connected in a RotorNet cycle", a, b)
 			}
 		}
 	}
-	if r.DirectSwitch(0, 3, 3) != -1 {
+	if r.DirectSwitchInstalled(0, 3, 3) != -1 {
 		t.Fatal("self-pair connected")
 	}
 }
@@ -202,7 +202,7 @@ func TestRotorNetBulkWindowAndDuty(t *testing.T) {
 		GuardBand:    1 * eventsim.Microsecond,
 		Seed:         1,
 	})
-	s, e := r.BulkWindow()
+	s, e := r.BulkWindow(0, 0)
 	if s != 1*eventsim.Microsecond || e != 89*eventsim.Microsecond {
 		t.Fatalf("window = [%v, %v]", s, e)
 	}
@@ -225,9 +225,9 @@ func TestRotorNetErrors(t *testing.T) {
 
 func TestRotorNetSlotAt(t *testing.T) {
 	r := MustNewRotorNet(RotorConfig{NumRacks: 16, HostsPerRack: 2, Uplinks: 4, Seed: 1})
-	d := r.SlotDuration
-	slot, abs, off := r.SlotAt(d*5 + 7)
+	d := r.SliceDuration()
+	slot, abs, off := r.SliceAt(d*5 + 7)
 	if slot != 1 || abs != 5 || off != 7 {
-		t.Fatalf("SlotAt = %d,%d,%v (slots=%d)", slot, abs, off, r.SlotsPerCycle())
+		t.Fatalf("SliceAt = %d,%d,%v (slots=%d)", slot, abs, off, r.SlicesPerCycle())
 	}
 }

@@ -182,6 +182,13 @@ func (o *Opera) SlicesPerCycle() int { return o.slices }
 // SliceDuration returns ε + r, the length of one topology slice (§4.1).
 func (o *Opera) SliceDuration() eventsim.Time { return o.cfg.Epsilon + o.cfg.ReconfDelay }
 
+// ReconfDelay returns r, the circuit-switch reconfiguration delay.
+func (o *Opera) ReconfDelay() eventsim.Time { return o.cfg.ReconfDelay }
+
+// PairWindowsPerCycle returns GroupSize: a pair's one matching is held for
+// that many consecutive slices.
+func (o *Opera) PairWindowsPerCycle() int { return o.cfg.GroupSize }
+
 // CycleTime returns the time for every rack pair to have been directly
 // connected: SlicesPerCycle × SliceDuration. For the paper's 108-rack
 // network this is 10.8 ms (the paper reports 10.7 ms).
@@ -319,12 +326,6 @@ func (o *Opera) DirectSwitchInstalled(slice, a, b int) int {
 		}
 	}
 	return -1
-}
-
-// DirectPeer returns the rack at the far end of rack a's uplink to switch
-// sw during slice s (possibly a itself for a self-loop).
-func (o *Opera) DirectPeer(slice, a, sw int) int {
-	return o.SwitchMatching(sw, slice).Peer(a)
 }
 
 // PairSwitch returns the rotor switch whose matching set contains the pair

@@ -16,18 +16,10 @@ import (
 // low-latency traffic in-fabric and, in its hybrid form, dedicates one ToR
 // uplink to a separate packet-switched network (+33% cost, §5.1).
 type RotorNet struct {
-	NumRacks     int
-	HostsPerRack int
-	NumSwitches  int // rotor switches (u for non-hybrid, u-1 for hybrid)
-	Hybrid       bool
-	// SlotDuration is the time a set of matchings is held (dark for
-	// ReconfDelay at the end of each slot).
-	SlotDuration eventsim.Time
-	ReconfDelay  eventsim.Time
-	GuardBand    eventsim.Time
-
-	matchings []Matching // per switch: slotsPerCycle each, concatenated
-	slots     int        // slots per cycle
+	cfg       RotorConfig // defaulted
+	switches  int         // rotor switches (u for non-hybrid, u-1 for hybrid)
+	matchings []Matching  // per switch: slots each, concatenated
+	slots     int         // slots per cycle
 }
 
 // RotorConfig parameterizes NewRotorNet.
@@ -77,16 +69,7 @@ func NewRotorNet(cfg RotorConfig) (*RotorNet, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	fact := FactorizeComplete(cfg.NumRacks, rng)
 	slots := (cfg.NumRacks + numSwitches - 1) / numSwitches
-	r := &RotorNet{
-		NumRacks:     cfg.NumRacks,
-		HostsPerRack: cfg.HostsPerRack,
-		NumSwitches:  numSwitches,
-		Hybrid:       cfg.Hybrid,
-		SlotDuration: cfg.SlotDuration,
-		ReconfDelay:  cfg.ReconfDelay,
-		GuardBand:    cfg.GuardBand,
-		slots:        slots,
-	}
+	r := &RotorNet{cfg: cfg, switches: numSwitches, slots: slots}
 	r.matchings = make([]Matching, numSwitches*slots)
 	for sw := 0; sw < numSwitches; sw++ {
 		for slot := 0; slot < slots; slot++ {
@@ -110,21 +93,52 @@ func MustNewRotorNet(cfg RotorConfig) *RotorNet {
 	return r
 }
 
-// SlotsPerCycle returns the number of slots after which the schedule
-// repeats (every rack pair has been directly connected at least once).
-func (r *RotorNet) SlotsPerCycle() int { return r.slots }
+// NumRacks returns N.
+func (r *RotorNet) NumRacks() int { return r.cfg.NumRacks }
 
-// CycleTime returns SlotsPerCycle × SlotDuration. For the paper's 108-rack
-// non-hybrid network: 18 slots × 100 µs = 1.8 ms.
+// HostsPerRack returns d.
+func (r *RotorNet) HostsPerRack() int { return r.cfg.HostsPerRack }
+
+// NumHosts returns the total host count.
+func (r *RotorNet) NumHosts() int { return r.cfg.NumRacks * r.cfg.HostsPerRack }
+
+// Uplinks returns the rotor switch count: every ToR uplink, bar the one the
+// hybrid variant gives to the packet network.
+func (r *RotorNet) Uplinks() int { return r.switches }
+
+// Hybrid reports whether one ToR uplink is diverted to a packet network.
+func (r *RotorNet) Hybrid() bool { return r.cfg.Hybrid }
+
+// SlicesPerCycle returns the number of slots after which the schedule
+// repeats (every rack pair has been directly connected at least once):
+// ⌈N / switches⌉.
+func (r *RotorNet) SlicesPerCycle() int { return r.slots }
+
+// SliceDuration returns the time a set of matchings is held (RotorNet
+// calls it a slot), dark for ReconfDelay at its end.
+func (r *RotorNet) SliceDuration() eventsim.Time { return r.cfg.SlotDuration }
+
+// ReconfDelay returns r.
+func (r *RotorNet) ReconfDelay() eventsim.Time { return r.cfg.ReconfDelay }
+
+// PairWindowsPerCycle returns 1: a pair's matching is held for one slot.
+func (r *RotorNet) PairWindowsPerCycle() int { return 1 }
+
+// CycleTime returns SlicesPerCycle × SliceDuration. For the paper's
+// 108-rack non-hybrid network: 18 slots × 100 µs = 1.8 ms.
 func (r *RotorNet) CycleTime() eventsim.Time {
-	return eventsim.Time(r.slots) * r.SlotDuration
+	return eventsim.Time(r.slots) * r.cfg.SlotDuration
 }
 
-// SlotAt maps a time to (slot in cycle, absolute slot, offset).
-func (r *RotorNet) SlotAt(t eventsim.Time) (slotInCycle int, absSlot int64, offset eventsim.Time) {
-	abs := int64(t / r.SlotDuration)
-	return int(abs % int64(r.slots)), abs, t % r.SlotDuration
+// SliceAt maps a time to (slot in cycle, absolute slot, offset).
+func (r *RotorNet) SliceAt(t eventsim.Time) (sliceInCycle int, absSlice int64, offset eventsim.Time) {
+	abs := int64(t / r.cfg.SlotDuration)
+	return int(abs % int64(r.slots)), abs, t % r.cfg.SlotDuration
 }
+
+// IsTransitioning reports true: every switch reconfigures at the end of
+// every slot.
+func (r *RotorNet) IsTransitioning(sw, slot int) bool { return true }
 
 // SwitchMatching returns the matching installed on switch sw during slot s.
 func (r *RotorNet) SwitchMatching(sw, slot int) Matching {
@@ -135,13 +149,13 @@ func (r *RotorNet) SwitchMatching(sw, slot int) Matching {
 	return r.matchings[sw*r.slots+s]
 }
 
-// DirectSwitch returns a switch directly connecting racks a and b during
-// slot s, or -1.
-func (r *RotorNet) DirectSwitch(slot, a, b int) int {
+// DirectSwitchInstalled returns the switch directly connecting racks a and
+// b during slot s, or -1.
+func (r *RotorNet) DirectSwitchInstalled(slot, a, b int) int {
 	if a == b {
 		return -1
 	}
-	for sw := 0; sw < r.NumSwitches; sw++ {
+	for sw := 0; sw < r.switches; sw++ {
 		if r.SwitchMatching(sw, slot).Peer(a) == b {
 			return sw
 		}
@@ -149,12 +163,12 @@ func (r *RotorNet) DirectSwitch(slot, a, b int) int {
 	return -1
 }
 
-// BulkWindow returns the usable transmission window within a slot: all
-// switches are dark for the final ReconfDelay of every slot (unison
-// reconfiguration), plus guard bands.
-func (r *RotorNet) BulkWindow() (start, end eventsim.Time) {
-	start = r.GuardBand
-	end = r.SlotDuration - r.ReconfDelay - r.GuardBand
+// BulkWindow returns the usable transmission window within a slot, the
+// same for every switch and slot: all are dark for the final ReconfDelay
+// (unison reconfiguration), plus guard bands at both ends.
+func (r *RotorNet) BulkWindow(sw, slot int) (start, end eventsim.Time) {
+	start = r.cfg.GuardBand
+	end = r.cfg.SlotDuration - r.cfg.ReconfDelay - r.cfg.GuardBand
 	if end < start {
 		end = start
 	}
@@ -163,12 +177,6 @@ func (r *RotorNet) BulkWindow() (start, end eventsim.Time) {
 
 // DutyCycle returns the fraction of time circuits carry traffic.
 func (r *RotorNet) DutyCycle() float64 {
-	s, e := r.BulkWindow()
-	return float64(e-s) / float64(r.SlotDuration)
+	s, e := r.BulkWindow(0, 0)
+	return float64(e-s) / float64(r.cfg.SlotDuration)
 }
-
-// NumHosts returns the total host count.
-func (r *RotorNet) NumHosts() int { return r.NumRacks * r.HostsPerRack }
-
-// HostRack returns the rack of host h.
-func (r *RotorNet) HostRack(h int) int { return h / r.HostsPerRack }

@@ -201,6 +201,10 @@ type Cluster struct {
 	transports map[sim.Class]sim.Transport
 	lb         *rotorlb.LB // nil unless the fabric has circuits
 
+	// faults is the injector Faults has handed out, nil until it is first
+	// asked for.
+	faults *sim.Faults
+
 	// pumps counts sources added with AddSource that are not yet
 	// exhausted; RunUntilDone keeps running while any remain.
 	pumps int
@@ -377,17 +381,27 @@ func (c *Cluster) OperaNet() *sim.OperaNet {
 // Links, ActiveFaults, StrandedBytes and the Lost counter are plain
 // methods and fields of the same value. On circuit fabrics StrandedBytes
 // is wired to RotorLB's stranded-VLB accounting.
+//
+// The fabric creates its injector on the first call, and from then on
+// forwards through its fault-aware branches; a caller that only wants to
+// look uses AttachedFaults.
 func (c *Cluster) Faults() *sim.Faults {
-	fn, ok := c.net.(sim.FaultNetwork)
-	if !ok {
-		return nil
+	if c.faults == nil {
+		fn, ok := c.net.(sim.FaultNetwork)
+		if !ok {
+			return nil
+		}
+		c.faults = fn.Faults()
+		if c.lb != nil {
+			c.faults.SetStrandedProbe(c.lb.StrandedBytes)
+		}
 	}
-	inj := fn.Faults()
-	if c.lb != nil {
-		inj.SetStrandedProbe(c.lb.StrandedBytes)
-	}
-	return inj
+	return c.faults
 }
+
+// AttachedFaults returns the injector if Faults has handed one out, nil
+// otherwise — the read for observers, which must not change the run.
+func (c *Cluster) AttachedFaults() *sim.Faults { return c.faults }
 
 // NDPFabric exposes the NDP transport's endpoint fabric, or nil when the
 // architecture has no always-on packet path (non-hybrid RotorNet). The
@@ -448,14 +462,19 @@ func (c *Cluster) addFlow(spec workload.FlowSpec, class sim.Class) *sim.Flow {
 	}
 	c.registry[f.ID] = f
 	c.metrics.AddFlow(f)
-	start := func() { c.startFlow(f) }
 	if spec.Arrival <= c.eng.Now() {
-		start()
+		c.startFlow(f)
 	} else {
-		c.eng.At(spec.Arrival, start)
+		c.eng.AtCall(spec.Arrival, flowStart{c}, f)
 	}
 	return f
 }
+
+// flowStart is the pre-bound handler (eventsim.Handler) starting a flow at
+// its arrival time; the flow rides the event's argument.
+type flowStart struct{ c *Cluster }
+
+func (h flowStart) OnEvent(arg any) { h.c.startFlow(arg.(*sim.Flow)) }
 
 // AddFlow registers and schedules a single flow; it starts at spec.Arrival
 // (virtual time, which must not be in the past).
@@ -505,27 +524,37 @@ func (c *Cluster) AddSource(src workload.Source) {
 		return
 	}
 	c.pumps++
-	var pump func()
-	pump = func() {
-		now := c.eng.Now()
-		for {
-			c.AddFlow(spec)
-			spec, ok = src.Next()
-			if !ok {
-				c.pumps--
-				return
-			}
-			if spec.Arrival > now {
-				break
-			}
-		}
-		c.eng.At(spec.Arrival, pump)
-	}
 	at := spec.Arrival
 	if at < c.eng.Now() {
 		at = c.eng.Now()
 	}
-	c.eng.At(at, pump)
+	c.eng.AtCall(at, &sourcePump{c: c, src: src, next: spec}, nil)
+}
+
+// sourcePump is one AddSource source's arrival handler: it holds the one
+// spec of lookahead and reschedules itself for it.
+type sourcePump struct {
+	c    *Cluster
+	src  workload.Source
+	next workload.FlowSpec
+}
+
+func (p *sourcePump) OnEvent(any) {
+	c := p.c
+	now := c.eng.Now()
+	for {
+		c.AddFlow(p.next)
+		var ok bool
+		p.next, ok = p.src.Next()
+		if !ok {
+			c.pumps--
+			return
+		}
+		if p.next.Arrival > now {
+			break
+		}
+	}
+	c.eng.AtCall(p.next.Arrival, p, nil)
 }
 
 // PendingSources reports how many sources added with AddSource still have

@@ -226,17 +226,26 @@ func applyHooks(cl *opera.Cluster, sc Scenario) ([]ProbeSeries, error) {
 		if p.Every < 0 {
 			return nil, fmt.Errorf("scenario: probe %q has negative period %v", p.Name, p.Every)
 		}
-		i, p := i, p
-		var tick func()
-		tick = func() {
-			series[i].Values = append(series[i].Values, p.Fn(cl, cl.Engine().Now()))
-			if next := cl.Engine().Now() + p.Every; next <= sc.Duration {
-				cl.Engine().At(next, tick)
-			}
-		}
 		if p.Every <= sc.Duration {
-			cl.Engine().At(p.Every, tick)
+			cl.Engine().AtCall(p.Every, &probeTick{cl: cl, probe: p, until: sc.Duration, series: &series[i]}, nil)
 		}
 	}
 	return series, nil
+}
+
+// probeTick is one periodic probe's sampling handler: it records a sample
+// and reschedules itself while the next one falls within the run.
+type probeTick struct {
+	cl     *opera.Cluster
+	probe  Probe
+	until  eventsim.Time
+	series *ProbeSeries
+}
+
+func (t *probeTick) OnEvent(any) {
+	eng := t.cl.Engine()
+	t.series.Values = append(t.series.Values, t.probe.Fn(t.cl, eng.Now()))
+	if next := eng.Now() + t.probe.Every; next <= t.until {
+		eng.AtCall(next, t, nil)
+	}
 }
