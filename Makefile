@@ -33,11 +33,13 @@ bench-module:
 ## fuzz: 10 s of each fuzz target (CI's slow lane runs exactly this) —
 ## the scenario targets resolve only, no simulation (corpus under
 ## scenario/testdata/fuzz/); FuzzSegQueue is RotorLB's ring deque against
-## its slice oracle
+## its slice oracle; FuzzSchedulerDifferential is the timing wheel against
+## the heap on raw push/pop/peek/cancel op streams
 fuzz:
 	$(GO) test ./scenario/ -run '^$$' -fuzz '^FuzzParseEvents$$' -fuzztime 10s
 	$(GO) test ./scenario/ -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime 10s
 	$(GO) test ./internal/rotorlb/ -run '^$$' -fuzz '^FuzzSegQueue$$' -fuzztime 10s
+	$(GO) test ./internal/eventsim/ -run '^$$' -fuzz '^FuzzSchedulerDifferential$$' -fuzztime 10s
 
 ## figdiff: the figure byte-identity harness every refactor runs —
 ## `make figdiff BASE=<rev>` unpacks BASE into a throwaway directory

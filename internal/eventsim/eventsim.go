@@ -82,12 +82,18 @@ type Handler interface {
 type Event struct {
 	at        Time
 	seq       uint64 // scheduling order; breaks ties at equal time
-	fn        func()
-	h         Handler // pre-bound form; takes precedence over fn
+	h         Handler
 	arg       any
-	pending   bool // in a scheduler and not yet popped
+	next      *Event // intrusive link, owned by the scheduler holding the event
+	pending   bool   // in a scheduler and not yet popped
 	cancelled bool
 }
+
+// funcHandler is the Handler behind At/After. A func value is
+// pointer-shaped, so converting one to Handler does not allocate.
+type funcHandler func()
+
+func (f funcHandler) OnEvent(any) { f() }
 
 // At reports the virtual time at which the event is (or was) scheduled.
 func (e *Event) At() Time { return e.at }
@@ -123,9 +129,10 @@ func (e *Event) before(o *Event) bool {
 //
 // The ordering contract is exact, not approximate: two schedulers fed the
 // same Push sequence must Pop the identical event sequence, including FIFO
-// order among events at the same instant (the intra-bucket seq-FIFO
-// invariant). The wheel implementation (NewWheelScheduler, the default) is
-// O(1) for the dense near-monotonic common case; the heap implementation
+// order among events at the same instant. Callers push in ascending seq
+// (Engine.push stamps it), and an implementation may rely on that: the
+// wheel (NewWheelScheduler, the default) is O(1) per operation because
+// push order within one nanosecond is already (time, seq) order; the heap
 // (NewHeapScheduler) is the simple O(log n) oracle the differential tests
 // compare against. Implementations are not safe for concurrent use.
 type Scheduler interface {
@@ -226,13 +233,7 @@ func (e *Engine) push(ev *Event) {
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: such bugs silently corrupt causality and must not be masked.
 func (e *Engine) At(t Time, fn func()) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("eventsim: scheduling at %v before now %v", t, e.now))
-	}
-	ev := e.alloc()
-	ev.at, ev.fn = t, fn
-	e.push(ev)
-	return ev
+	return e.AtCall(t, funcHandler(fn), nil)
 }
 
 // After schedules fn to run d nanoseconds after the current time.
@@ -289,7 +290,6 @@ func (e *Engine) ContinueCall(d Time, h Handler, arg any) *Event {
 	}
 	e.firing = nil
 	ev.at, ev.h, ev.arg = e.now+d, h, arg
-	ev.fn = nil
 	e.push(ev)
 	return ev
 }
@@ -313,13 +313,9 @@ func (e *Engine) Step() bool {
 		// Hold the event as the firing slot while the callback runs: a
 		// ContinueCall inside the callback re-arms it for the chain's next
 		// hop; otherwise it is recycled afterwards.
-		h, arg, fn := ev.h, ev.arg, ev.fn
+		h, arg := ev.h, ev.arg
 		e.firing = ev
-		if h != nil {
-			h.OnEvent(arg)
-		} else {
-			fn()
-		}
+		h.OnEvent(arg)
 		if e.firing != nil {
 			e.recycle(e.firing)
 			e.firing = nil

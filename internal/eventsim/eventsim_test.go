@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -412,5 +413,50 @@ func TestAllocsPooledScheduling(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("Timer.Arm allocates %.1f/op, want 0", avg)
+	}
+}
+
+// TestAllocsWheelColdWindows gates the scheduler itself: with only the
+// event pool warmed, pushes into 1024 windows the wheel has never touched
+// and a 1000-event burst into one window must not allocate — buckets are
+// intrusive lists, so there is no per-bucket storage to grow.
+func TestAllocsWheelColdWindows(t *testing.T) {
+	h := &nopHandler{}
+	// AllocsPerRun calls its function runs+1 times; each call gets an
+	// engine whose wheel has seen nothing but leaf bucket 0.
+	var engines [2]*Engine
+	for i := range engines {
+		e := New()
+		for j := 0; j < wheelSlots+1000; j++ {
+			e.AtCall(0, h, nil)
+		}
+		e.Run()
+		engines[i] = e
+	}
+	next := 0
+	avg := testing.AllocsPerRun(len(engines)-1, func() {
+		e := engines[next]
+		next++
+		for win := 0; win < wheelSlots; win++ {
+			e.AtCall(Time(win<<wheelShift+(win*37)&wheelMask), h, nil)
+		}
+		for j := 0; j < 1000; j++ {
+			e.AtCall(Time(500<<wheelShift+j%3), h, nil)
+		}
+		e.Run()
+	})
+	if avg != 0 {
+		t.Fatalf("cold windows + same-window burst allocate %.0f, want 0", avg)
+	}
+	if got := engines[1].Steps(); got != 2*(wheelSlots+1000) {
+		t.Fatalf("measured run fired %d events, want %d", got-wheelSlots-1000, wheelSlots+1000)
+	}
+}
+
+// TestEventSize pins Event to one 64-byte size class: a ninth word puts it
+// in the 80-byte class and costs every pooled event 25% more memory.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got > 64 {
+		t.Fatalf("unsafe.Sizeof(Event{}) = %d, want <= 64", got)
 	}
 }

@@ -1,0 +1,149 @@
+package eventsim
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// fuzzDeltas is what a push op may add to the harness clock: the wheel's
+// structural edges, far-future times, and negative delays — a push earlier
+// than the last pop, which the raw Scheduler interface allows.
+var fuzzDeltas = append([]Time{
+	-1, -700, -1025, -70 * Microsecond, -1200 * Microsecond,
+	50 * Millisecond, MaxTime, // MaxTime: park at MaxTime itself
+}, edgeDeltas...)
+
+// schedPair drives a wheel and a heap with the same operations. Each side
+// owns its Event objects (the wheel links through them); seq, stamped in
+// push order as Engine.push does, identifies an event across the two.
+type schedPair struct {
+	t           *testing.T
+	wheel, heap Scheduler
+	pushed      [][2]*Event
+	now         Time
+}
+
+func (p *schedPair) same(op string, w, h *Event) *Event {
+	p.t.Helper()
+	switch {
+	case w == nil && h == nil:
+	case w == nil || h == nil:
+		p.t.Fatalf("%s: wheel %v, heap %v", op, w, h)
+	case w.at != h.at || w.seq != h.seq:
+		p.t.Fatalf("%s: wheel {at %d seq %d}, heap {at %d seq %d}", op, w.at, w.seq, h.at, h.seq)
+	}
+	if wl, hl := p.wheel.Len(), p.heap.Len(); wl != hl {
+		p.t.Fatalf("%s: wheel Len %d, heap Len %d", op, wl, hl)
+	}
+	return w
+}
+
+func (p *schedPair) push(d Time) {
+	at := p.now + d
+	if d == MaxTime {
+		at = MaxTime
+	} else if at < 0 {
+		at = 0
+	}
+	seq := uint64(len(p.pushed))
+	w, h := &Event{at: at, seq: seq}, &Event{at: at, seq: seq}
+	p.pushed = append(p.pushed, [2]*Event{w, h})
+	p.wheel.Push(w)
+	p.heap.Push(h)
+}
+
+func (p *schedPair) pop() *Event {
+	ev := p.same("pop", p.wheel.Pop(), p.heap.Pop())
+	if ev != nil && ev.at > p.now {
+		p.now = ev.at
+	}
+	return ev
+}
+
+// drainCancelled is Engine.peek: it pops cancelled events off the front
+// without advancing the clock, which can carry the wheel's cursor past it.
+func (p *schedPair) drainCancelled() {
+	for {
+		ev := p.same("peek", p.wheel.Peek(), p.heap.Peek())
+		if ev == nil || !ev.cancelled {
+			return
+		}
+		p.same("drain", p.wheel.Pop(), p.heap.Pop())
+	}
+}
+
+// run decodes data two bytes at a time — an op and its parameter — and
+// finishes by draining both schedulers.
+func (p *schedPair) run(data []byte) {
+	for i := 0; i+1 < len(data); i += 2 {
+		arg := int(data[i+1])
+		switch data[i] % 8 {
+		case 0, 1, 2: // push dominates, so a backlog builds
+			p.push(fuzzDeltas[arg%len(fuzzDeltas)])
+		case 3:
+			p.pop()
+		case 4:
+			p.same("peek", p.wheel.Peek(), p.heap.Peek())
+		case 5:
+			if len(p.pushed) > 0 {
+				pair := p.pushed[arg%len(p.pushed)]
+				pair[0].cancelled, pair[1].cancelled = true, true
+			}
+		case 6:
+			p.drainCancelled()
+		case 7: // the clock runs ahead of the queue, as RunUntil leaves it
+			if d := fuzzDeltas[arg%len(fuzzDeltas)]; d > 0 && d != MaxTime {
+				p.now += d
+			}
+		}
+	}
+	for p.pop() != nil {
+	}
+}
+
+// FuzzSchedulerDifferential feeds a byte stream decoded into push-δ / pop /
+// peek / cancel / cancelled-drain / clock-jump operations to the wheel and
+// the heap through the raw Scheduler interface, including pushes earlier
+// than the last pop, and requires identical results from every Pop, Peek
+// and Len. `make fuzz` runs it for 10 s; the seeds below run in every
+// `go test`.
+func FuzzSchedulerDifferential(f *testing.F) {
+	edge := func(d Time) byte {
+		for i, v := range fuzzDeltas {
+			if v == d {
+				return byte(i)
+			}
+		}
+		panic("not a fuzz delta")
+	}
+	// far push, peek, near push, pops: a cascading Peek would strand the near one.
+	f.Add([]byte{0, edge(70 * Microsecond), 4, 0, 0, edge(500), 3, 0, 3, 0})
+	// ties across a window edge, then pushes behind the cursor after popping ahead.
+	f.Add([]byte{0, edge(1023), 0, edge(1024), 0, edge(1024), 0, edge(1025), 3, 0, 3, 0, 0, edge(-1025), 0, edge(-1), 0, edge(0), 3, 0, 4, 0})
+	// horizon edge and a MaxTime park sharing the heap with a behind-cursor push.
+	f.Add([]byte{0, edge(1_048_575), 0, edge(1_048_576), 0, edge(MaxTime), 3, 0, 0, edge(-1200 * Microsecond), 0, edge(1_048_576), 3, 0, 3, 0})
+	// cancelled events drained ahead of the clock, then near pushes behind the cursor.
+	f.Add([]byte{0, edge(51), 0, edge(70 * Microsecond), 0, edge(1100 * Microsecond), 5, 1, 3, 0, 6, 0, 0, edge(3), 0, edge(1200), 7, edge(50 * Millisecond), 0, edge(0), 4, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := &schedPair{t: t, wheel: NewWheelScheduler(), heap: NewHeapScheduler()}
+		p.run(data)
+	})
+}
+
+// TestSchedulerDifferentialRawOps runs the fuzz harness over seeded random
+// op streams, so every `go test` covers the raw-interface cases (pushes
+// behind the cursor, cancelled drains ahead of the clock) at some depth
+// without a fuzzing session.
+func TestSchedulerDifferentialRawOps(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	streams := 3000
+	if testing.Short() {
+		streams = 300
+	}
+	for i := 0; i < streams; i++ {
+		data := make([]byte, 2*(1+rng.Intn(400)))
+		rng.Read(data)
+		p := &schedPair{t: t, wheel: NewWheelScheduler(), heap: NewHeapScheduler()}
+		p.run(data)
+	}
+}

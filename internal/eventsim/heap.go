@@ -1,11 +1,10 @@
 package eventsim
 
 // heapSched is the binary-heap Scheduler: the straightforward O(log n)
-// implementation that served as the engine's only queue before the timing
-// wheel landed. It is retained as the differential-testing oracle — its
-// ordering is a direct transcription of Event.before, so the property tests
-// compare the wheel's fire sequences against it — and as the fallback for
-// workloads whose timestamps are too sparse for the wheel to pay off.
+// store. It has no production caller of its own. It is the wheel's tier
+// for events outside its horizon, and the differential-testing oracle: its
+// ordering is a direct transcription of Event.before, so the property and
+// fuzz tests compare the wheel's fire sequences against it.
 type heapSched struct {
 	evs []*Event
 }

@@ -119,6 +119,110 @@ func TestSchedulerDifferentialProperty(t *testing.T) {
 	}
 }
 
+// edgeDeltas are the delays that sit on the wheel's structural edges:
+// same-ns ties, both sides of a window boundary (1024 ns) and of the
+// horizon (1,048,576 ns), and a slice-tick-sized hop in between.
+var edgeDeltas = []Time{
+	0, 3, 51, 500, 1023, 1024, 1025, 1200, 70 * Microsecond,
+	1_048_575, 1_048_576, 1100 * Microsecond,
+}
+
+// denseBed is the shared state of one runDenseWorkload run.
+type denseBed struct {
+	fireRecorder
+	rng *rand.Rand
+}
+
+// denseChain is one self-rescheduling chain: each hop draws an edge delay
+// and re-arms through ContinueCall or AfterCall. Every fourth chain also
+// bumps a 1 ms timer per hop, the NDP RTO's cancel churn; the timer fires
+// (and is recorded) only once its chain has ended.
+type denseChain struct {
+	bed  *denseBed
+	id   int
+	hops int
+	rto  *Timer
+}
+
+func (c *denseChain) OnEvent(any) {
+	b := c.bed
+	b.OnEvent(c.id)
+	if c.rto != nil {
+		c.rto.Arm(Millisecond)
+	}
+	if c.hops == 0 {
+		return
+	}
+	c.hops--
+	d := edgeDeltas[b.rng.Intn(len(edgeDeltas))]
+	if b.rng.Intn(2) == 0 {
+		b.e.ContinueCall(d, c, nil)
+	} else {
+		b.e.AfterCall(d, c, nil)
+	}
+}
+
+// runDenseWorkload is runSchedWorkload at the occupancy a fabric run has:
+// 320 concurrent chains, so a window holds hundreds of events and most
+// pushes tie with or interleave among residents. Between RunUntil calls it
+// schedules from outside — as a source pump or AddFlow does — before, at
+// and after the event RunUntil's trailing peek saw.
+func runDenseWorkload(mk func() Scheduler, seed int64) ([]fireRec, EngineStats) {
+	e := NewWith(mk())
+	bed := &denseBed{fireRecorder: fireRecorder{e: e}, rng: rand.New(rand.NewSource(seed))}
+	const chains, hops = 320, 40
+	for id := 0; id < chains; id++ {
+		c := &denseChain{bed: bed, id: id, hops: hops}
+		if id%4 == 0 {
+			c.rto = new(Timer)
+			c.rto.BindCall(e, bed, chains+id)
+		}
+		e.AfterCall(Time(bed.rng.Intn(2048)), c, nil)
+	}
+	outside := 2 * chains
+	for round := 0; round < 200 && e.Len() > 0; round++ {
+		e.RunUntil(e.Now() + Time(bed.rng.Intn(300_000)))
+		next := e.peek()
+		if next == nil {
+			break
+		}
+		now, seen := e.Now(), next.at
+		for _, at := range []Time{now, now + (seen-now)/2, seen, seen + 1, seen + 1024} {
+			e.AtCall(at, bed, outside)
+			outside++
+		}
+	}
+	e.Run()
+	return bed.recs, e.Stats()
+}
+
+// The dense differential: heap and wheel fire identically and agree on the
+// engine's counters.
+func TestSchedulerDifferentialDense(t *testing.T) {
+	seeds := []int64{1, 2, 3, 5, 8, 13}
+	if testing.Short() {
+		seeds = seeds[:2]
+	}
+	for _, seed := range seeds {
+		h, hs := runDenseWorkload(NewHeapScheduler, seed)
+		w, ws := runDenseWorkload(NewWheelScheduler, seed)
+		if len(h) != len(w) {
+			t.Fatalf("seed %d: heap fired %d, wheel fired %d", seed, len(h), len(w))
+		}
+		for i := range h {
+			if h[i] != w[i] {
+				t.Fatalf("seed %d: diverge at %d: heap %+v, wheel %+v", seed, i, h[i], w[i])
+			}
+		}
+		if hs.Scheduled != ws.Scheduled || hs.Fired != ws.Fired || hs.Cancelled != ws.Cancelled {
+			t.Fatalf("seed %d: counters diverge: heap %+v, wheel %+v", seed, hs, ws)
+		}
+		if ws.Cancelled == 0 || ws.Fired < 320*40 {
+			t.Fatalf("seed %d: workload too thin: %+v", seed, ws)
+		}
+	}
+}
+
 // Far-future events (MaxTime parks, blackout recoveries) must take the
 // overflow tier, not force the wheel cursor to crawl empty revolutions —
 // and must still fire in exact order relative to wheel residents.
@@ -149,17 +253,16 @@ func TestWheelOverflowTier(t *testing.T) {
 	}
 }
 
-// Scheduling behind an advanced cursor must rewind it: peeking at a distant
-// next event moves the cursor forward, and a subsequent near-future schedule
-// must still fire first.
+// RunUntil's trailing peek sees a distant next event; a near-future schedule
+// made from outside afterwards must still fire first.
 func TestWheelRewindAfterPeek(t *testing.T) {
 	e := New()
 	var got []Time
 	rec := func() { got = append(got, e.Now()) }
 	e.At(10_000, rec)
 	e.At(500_000, rec)
-	e.RunUntil(10_000) // fires the first; the trailing peek advances the cursor
-	e.At(20_000, rec)  // behind the cursor now: forces a rewind
+	e.RunUntil(10_000) // fires the first; the trailing peek sees the second
+	e.At(20_000, rec)  // earlier than what the peek saw
 	e.Run()
 	want := []Time{10_000, 20_000, 500_000}
 	if len(got) != len(want) {
@@ -172,33 +275,137 @@ func TestWheelRewindAfterPeek(t *testing.T) {
 	}
 }
 
-// A bucket holding residents from different wheel revolutions (reachable
-// through the raw Scheduler interface after deep cursor rewinds) must serve
-// only the revolution that is due: the head-bucket-number check skips the
-// bucket, and the slowMin fallback still finds the true minimum.
+// wantPopOrder drains a raw scheduler and requires exactly these events,
+// in this order.
+func wantPopOrder(t *testing.T, s Scheduler, want ...*Event) {
+	t.Helper()
+	var got []*Event
+	for ev := s.Pop(); ev != nil; ev = s.Pop() {
+		got = append(got, ev)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("popped %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pop %d = {at %d seq %d}, want {at %d seq %d}", i, got[i].at, got[i].seq, want[i].at, want[i].seq)
+		}
+	}
+}
+
+// Windows w and w+1024 share a slot index, but a slot never holds two
+// revolutions: whichever of the two is not within (cur, cur+1024) waits in
+// the heap. Both ways to get there must pop in exact order.
 func TestWheelMultiRevolutionBucket(t *testing.T) {
+	// A raw push behind the cursor (the engine forbids it; the Scheduler
+	// interface does not): its slot now means a window a revolution later.
+	t.Run("behind-cursor", func(t *testing.T) {
+		w := NewWheelScheduler().(*wheelSched)
+		lead := &Event{at: 1800 << wheelShift, seq: 0}
+		w.Push(lead)
+		if w.Pop() != lead || w.cur != 1800 {
+			t.Fatalf("cursor at window %d after popping window 1800", w.cur)
+		}
+		ahead := &Event{at: 2000<<wheelShift + 7, seq: 1}  // window slot 976
+		behind := &Event{at: 976<<wheelShift + 7, seq: 2}  // same slot index, 1024 windows earlier
+		leaf := &Event{at: 1800<<wheelShift + 300, seq: 3} // the cursor's own window
+		justBehind := &Event{at: 1800<<wheelShift - 1, seq: 4}
+		for _, ev := range []*Event{ahead, behind, leaf, justBehind} {
+			w.Push(ev)
+		}
+		if w.count != 2 || w.overflow.Len() != 2 {
+			t.Fatalf("wheel holds %d, heap %d; want 2 and 2 (both behind-cursor pushes in the heap)", w.count, w.overflow.Len())
+		}
+		if got := w.Peek(); got != behind {
+			t.Fatalf("Peek = {at %d}, want the behind-cursor event", got.at)
+		}
+		wantPopOrder(t, w, behind, justBehind, leaf, ahead)
+	})
+	// An event exactly one horizon ahead of a near one must not join its
+	// FIFO: it pops after everything the wheel holds below it, including
+	// residents of the last in-horizon window, and before a tie pushed into
+	// the wheel once its window is in reach.
+	t.Run("one-horizon-ahead", func(t *testing.T) {
+		w := NewWheelScheduler().(*wheelSched)
+		near := &Event{at: 5<<wheelShift + 100, seq: 0}
+		far := &Event{at: (5+wheelSlots)<<wheelShift + 100, seq: 1} // slot 5 again, one revolution on
+		edge := &Event{at: wheelSlots << wheelShift, seq: 2}        // first window past the horizon
+		last := &Event{at: wheelSlots<<wheelShift - 1, seq: 3}      // last ns inside it
+		for _, ev := range []*Event{near, far, edge, last} {
+			w.Push(ev)
+		}
+		if w.count != 2 || w.overflow.Len() != 2 {
+			t.Fatalf("wheel holds %d, heap %d; want 2 and 2", w.count, w.overflow.Len())
+		}
+		for _, want := range []*Event{near, last} {
+			if got := w.Pop(); got != want {
+				t.Fatalf("Pop = {at %d seq %d}, want {at %d seq %d}", got.at, got.seq, want.at, want.seq)
+			}
+		}
+		// The cursor is at window 1023 now, so far's window is in reach.
+		tie := &Event{at: far.at, seq: 4}
+		w.Push(tie)
+		if w.overflow.Len() != 2 || w.slots[5].head != tie {
+			t.Fatalf("tie did not land in slot 5 of the wheel (heap %d)", w.overflow.Len())
+		}
+		wantPopOrder(t, w, edge, far, tie)
+	})
+}
+
+// Peek must not move anything. If peeking at a distant window cascaded it
+// (or advanced the cursor), the near-future push that follows a RunUntil's
+// trailing peek — a source pump, AddFlow + RunFor — would land behind the
+// cursor. It must land in the wheel and pop first.
+func TestWheelPeekMovesNothing(t *testing.T) {
 	w := NewWheelScheduler().(*wheelSched)
-	w.cur = 1800                           // as if the cursor had advanced to bucket number 1800
-	far := &Event{at: 2000 * 1024, seq: 1} // bucket number 2000 → slot 976
+	far := &Event{at: 400<<wheelShift + 9, seq: 0}
 	w.Push(far)
-	near := &Event{at: 976 * 1024, seq: 2} // bucket number 976 → same slot, rewinds cur
+	if w.Peek() != far || w.Peek() != far {
+		t.Fatal("Peek did not return the sole resident")
+	}
+	if w.cur != 0 || w.leafOcc.sum != 0 || w.slots[400].min != far {
+		t.Fatalf("Peek moved the wheel: cur %d, leaf summary %#x", w.cur, w.leafOcc.sum)
+	}
+	near := &Event{at: 20<<wheelShift + 1, seq: 1}
+	sameWindow := &Event{at: 400<<wheelShift + 3, seq: 2} // earlier than far: replaces the slot's min
 	w.Push(near)
-	if w.count != 2 {
-		t.Fatalf("wheel count = %d, want 2 (same slot, two revolutions)", w.count)
+	w.Push(sameWindow)
+	if w.overflow.Len() != 0 {
+		t.Fatalf("%d pushes after a Peek fell to the heap", w.overflow.Len())
 	}
-	if got := w.Pop(); got != near {
-		t.Fatalf("first Pop = %+v, want the near-revolution event", got)
+	if w.Peek() != near {
+		t.Fatal("Peek after the near push is not the near event")
 	}
-	// Only `far` remains, a full revolution ahead of cur: the bitmap walk
-	// must not serve it early, and slowMin must locate it.
-	if got := w.Peek(); got != far {
-		t.Fatalf("Peek = %+v, want the far-revolution event", got)
+	wantPopOrder(t, w, near, sameWindow, far)
+}
+
+// Push must never carry the cursor forward: a slice-clock tick 100 µs out
+// pushed into an idle wheel would otherwise put the cursor past now and
+// send the next burst of near-future events to the heap until time caught
+// up.
+func TestWheelPushNeverMovesCursor(t *testing.T) {
+	e := New()
+	w := e.sched.(*wheelSched)
+	var got []int
+	oh := &orderHandler{got: &got}
+	e.AtCall(100*Microsecond, oh, 99)
+	if w.cur != 0 {
+		t.Fatalf("a push moved the cursor to window %d", w.cur)
 	}
-	if got := w.Pop(); got != far {
-		t.Fatalf("second Pop = %+v, want the far-revolution event", got)
+	for i := 0; i < 50; i++ {
+		e.AtCall(Time(i*120), oh, i)
 	}
-	if w.Len() != 0 {
-		t.Fatalf("Len = %d after draining, want 0", w.Len())
+	if w.overflow.Len() != 0 || w.count != 51 {
+		t.Fatalf("burst after a far push: wheel %d, heap %d; want 51 and 0", w.count, w.overflow.Len())
+	}
+	e.Run()
+	if len(got) != 51 || got[50] != 99 {
+		t.Fatalf("fired %v", got)
+	}
+	for i := 0; i < 50; i++ {
+		if got[i] != i {
+			t.Fatalf("burst order %v", got)
+		}
 	}
 }
 
@@ -271,6 +478,40 @@ func TestContinueCallTieOrderMatchesAfterCall(t *testing.T) {
 	}
 }
 
+// rearmOnce re-arms itself through ContinueCall the first time it fires.
+type rearmOnce struct {
+	e     *Engine
+	d     Time
+	fired []Time
+}
+
+func (r *rearmOnce) OnEvent(any) {
+	r.fired = append(r.fired, r.e.Now())
+	if len(r.fired) == 1 {
+		r.e.ContinueCall(r.d, r, nil)
+	}
+}
+
+// ContinueCall re-arms the popped object without zeroing it, so Pop must
+// have cleared its bucket link: a stale one would drag the old bucket's
+// next event (by then fired and recycled) into the new bucket.
+func TestContinueCallDropsBucketLink(t *testing.T) {
+	for _, d := range []Time{40, 5 * Microsecond} { // re-arm into a leaf bucket, into a window slot
+		e := New()
+		r := &rearmOnce{e: e, d: d}
+		h := &countHandler{}
+		e.AtCall(100, r, nil)
+		e.AtCall(100, h, nil) // queued behind r in the same bucket
+		e.Run()
+		if len(r.fired) != 2 || r.fired[1] != 100+d || h.n != 1 {
+			t.Fatalf("d=%v: chain fired at %v, neighbour fired %d times; want [100 %v] and 1", d, r.fired, h.n, 100+d)
+		}
+		if st := e.Stats(); st.Fired != 3 || st.Pending != 0 {
+			t.Fatalf("d=%v: fired %d, pending %d; want 3 and 0", d, st.Fired, st.Pending)
+		}
+	}
+}
+
 // Outside any callback there is no firing event; ContinueCall must degrade
 // to a plain scheduled call.
 func TestContinueCallOutsideCallback(t *testing.T) {
@@ -310,10 +551,11 @@ type nopHandler struct{}
 
 func (*nopHandler) OnEvent(any) {}
 
-// denseDeltas replays the hot path's near-monotonic pattern: every schedule
-// is now+d for a d from the handful of scales the simulator actually emits —
-// serialization times, propagation delays, pacing gaps, slice ticks —
-// spanning from sub-µs to just under the wheel horizon.
+// denseDeltas draws every schedule as now+d for a d from the scales the
+// simulator emits — serialization times, propagation delays, pacing gaps,
+// slice ticks. Because they reach to just under the wheel horizon, a
+// 4096-event backlog spreads over ~950 µs: about four events per 1 µs
+// window. It measures the wheel's constant factor, not a crowded window.
 var denseDeltas = []Time{
 	720, 500, 1500, 5 * Microsecond, 720, 40 * Microsecond, 1200,
 	180 * Microsecond, 500, 950 * Microsecond, 9 * Microsecond, 720,
@@ -335,11 +577,48 @@ func benchSchedule(b *testing.B, mk func() Scheduler, next func(i int) Time, bac
 	}
 }
 
-// BenchmarkEngineSchedule is the scheduler acceptance benchmark: on the
-// dense workload the wheel must beat the heap by ≥25% ns/op (bench/'s
-// eventsim.schedule_fire_ns cell tracks the wheel). Sparse scatters events uniformly
-// across 50 ms — mostly beyond the horizon, exercising the overflow tier,
-// where the wheel is expected to roughly match the heap, not beat it.
+// fabricChain is one port-like chain: every firing re-arms it through
+// ContinueCall a serialization-or-propagation-sized step ahead.
+type fabricChain struct {
+	e *Engine
+	i int
+}
+
+var fabricDeltas = [4]Time{51, 51, 500, 1200}
+
+func (c *fabricChain) OnEvent(any) {
+	c.e.ContinueCall(fabricDeltas[c.i&3], c, nil)
+	c.i++
+}
+
+// benchFabric times Step with 512 such chains live, which puts on the
+// order of a thousand events in each 1 µs window — the regime a fabric run
+// is in (shuffle_clos averages 465 per window at push time).
+func benchFabric(b *testing.B, mk func() Scheduler) {
+	e := NewWith(mk())
+	for i := 0; i < 512; i++ {
+		e.AfterCall(Time(2*i), &fabricChain{e: e, i: i}, nil)
+	}
+	for i := 0; i < 8192; i++ {
+		e.Step() // let the chains' phases spread
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// BenchmarkEngineSchedule is the scheduler acceptance benchmark, three
+// regimes. dense: a few events per window; the wheel must beat the heap by
+// ≥25% ns/op (bench/'s eventsim.schedule_fire_ns cell tracks the wheel).
+// fabric: hundreds of events per window — the case dense cannot see, and
+// the one that decides a fabric run's wall time. A wheel that orders
+// events inside a bucket loses to the heap at this occupancy (sorted 1 µs
+// buckets read 109 ns/op against the heap's 93), so the wheel must cost at
+// most half the heap's ns/op here. sparse: events scattered uniformly over
+// 50 ms, mostly beyond the horizon, exercising the overflow tier, where
+// the wheel is expected to roughly match the heap, not beat it.
 func BenchmarkEngineSchedule(b *testing.B) {
 	dense := func(i int) Time { return denseDeltas[i%len(denseDeltas)] }
 	sparseRng := rand.New(rand.NewSource(1))
@@ -358,4 +637,6 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) { benchSchedule(b, c.mk, c.next, c.backlog) })
 	}
+	b.Run("fabric/wheel", func(b *testing.B) { benchFabric(b, NewWheelScheduler) })
+	b.Run("fabric/heap", func(b *testing.B) { benchFabric(b, NewHeapScheduler) })
 }

@@ -38,8 +38,9 @@ type EngineStats struct {
 
 // SchedStats describes pending-event-store occupancy. For the default
 // timing wheel, Resident counts wheel-held events, Buckets the occupied
-// wheel buckets, and Overflow the far-future events parked in the heap
-// tier. The plain heap scheduler reports everything under Overflow.
+// leaf buckets plus occupied window slots, and Overflow the events parked
+// in the heap tier. The plain heap scheduler reports everything under
+// Overflow.
 type SchedStats struct {
 	Resident int
 	Buckets  int

@@ -2,295 +2,240 @@ package eventsim
 
 import "math/bits"
 
-// wheelSched is the default Scheduler: a single-level timing wheel (a
-// calendar queue with power-of-two bucket width) backed by a binary-heap
-// overflow tier for events beyond the wheel's horizon.
+// wheelSched is the default Scheduler: a two-level hierarchical timing
+// wheel that never compares two events to order them, backed by a
+// binary-heap tier for events outside its horizon.
 //
-// The simulator's event streams — slot/slice clock ticks, per-packet
-// serialize→propagate→deliver chains, NDP pacing — are dense and
-// near-monotonic: almost every event is scheduled within a few microseconds
-// of the current time and pops in nearly the order it was pushed. The wheel
-// exploits that: an event lands in bucket (at >> wheelShift) mod
-// wheelBuckets with an O(1) append in the common case (sorted insert with a
-// tail fast path), and Pop walks an occupancy bitmap with
-// bits.TrailingZeros64, so both operations are constant-time for the dense
-// workload where a binary heap pays O(log n) per op.
+// Level 0 (leaf) is wheelSlots buckets of 1 ns — Time's resolution —
+// covering the current window, the 1.024 µs span numbered cur. Level 1 is
+// wheelSlots windows: slot w&wheelMask holds the events of window w for
+// cur < w < cur+wheelSlots, a ≈1.05 ms horizon that keeps slice ticks and
+// the 1 ms NDP RTO wheel-resident. Every bucket and slot is an intrusive
+// FIFO (Event.next), so neither Push nor Pop allocates, sorts or moves
+// memory; an occupancy bitmap per level finds the next non-empty one in
+// O(1). The (time, seq) order falls out of two invariants:
 //
-// Far-future events — timers parked at MaxTime, blackout recoveries —
-// would force the cursor to crawl across empty revolutions, so anything
-// scheduled at or beyond a full horizon from the cursor goes to the
-// overflow heap instead. Overflow events are never migrated into the
-// wheel: Pop and Peek simply compare the wheel's minimum candidate against
-// the overflow top with Event.before and serve the smaller, which keeps
-// the (time, seq) order exact without any rebucketing pass.
+//   - Leaf width = clock resolution. Every event in a leaf bucket has the
+//     same timestamp, and seq is stamped in push order, so a bucket's FIFO
+//     order is its (at, seq) order.
+//   - Windows cascade in push order. When Pop enters a window it moves the
+//     slot's FIFO into the leaf front to back, so within each leaf bucket
+//     older seq still precedes newer — and anything pushed into the window
+//     afterwards has a newer seq than all of it.
 //
-// Invariants:
-//   - cur never exceeds the bucket number of any wheel-resident event
-//     (Push rewinds it), so the bitmap walk cannot pass an unfired event.
-//   - an overflow event was at least a full horizon ahead of cur when
-//     pushed; the cursor advancing later is harmless because overflow is
-//     served by direct comparison, not by horizon membership.
-//   - within a bucket events are kept sorted by (at, seq), so the bucket
-//     head is the bucket's minimum and FIFO order among equal-time events
-//     is preserved exactly (the intra-bucket seq-FIFO invariant).
+// And one rule: cur advances only in Pop — to the window of the event it
+// serves; on a heap pop only when the wheel is empty, so the cursor tracks
+// time through a heap-only phase. Peek moves nothing and Push never moves
+// the cursor, so every engine push (at ≥ now, and now's window ≥ cur)
+// lands at or ahead of the cursor: there is no rewind case.
 //
-// A bucket can hold events from different wheel revolutions after the
-// cursor rewinds; the bitmap walk detects this by checking whether the
-// bucket head's bucket number matches the position being scanned, and
-// falls back to an exact scan of all occupied buckets (slowMin) in the
-// rare case that every resident is more than a full revolution ahead.
+// Events a full horizon ahead of the cursor (timers parked at MaxTime,
+// blackout recoveries) or behind it (reachable only by pushing earlier
+// than the last pop, which the engine forbids, or after a Peek-side drain
+// of cancelled events ran ahead of the clock) go to the overflow heap.
+// They are never migrated: Pop and Peek compare the wheel's minimum with
+// the heap's top by Event.before and serve the smaller, which keeps the
+// order exact with no rebucketing pass.
 type wheelSched struct {
-	buckets [wheelBuckets]wbucket
-	occ     [wheelWords]uint64 // occupancy bitmap, one bit per bucket
-	occSum  uint16             // summary: bit i set iff occ[i] != 0
-	cur     int64              // absolute bucket number the walk resumes from
-	count   int                // events resident in the wheel (not overflow)
+	leaf    [wheelSlots]fifo
+	slots   [wheelSlots]window
+	leafOcc occupancy
+	slotOcc occupancy
+	cur     int64 // absolute number of the window held in leaf
+	count   int   // events resident in the wheel (not overflow)
 
-	// minEv caches the last findWheelMin result (with cur at its bucket).
-	// A Peek immediately followed by a Pop — the engine's stepping
-	// pattern — then costs one bitmap walk, not two. Invalidated when the
-	// min is popped; a Push can only keep it or replace it with the pushed
-	// event (anything landing in an earlier bucket necessarily sorts
-	// before the cached min, and the rewind leaves cur at its bucket).
-	minEv *Event
-
-	// overflow holds events ≥ one horizon ahead of cur at push time. A
-	// concrete heapSched (not Scheduler) so its ops stay devirtualized.
+	// overflow is a concrete heapSched (not Scheduler) so its ops stay
+	// devirtualized.
 	overflow heapSched
 }
 
 const (
-	// wheelShift gives 1.024 µs buckets: wide enough that a port's
-	// serialize+propagate chain usually stays within a few buckets,
-	// narrow enough that a bucket rarely holds more than a handful of
-	// events at datacenter link rates.
+	// wheelShift makes a window 1.024 µs: 1024 leaf buckets of 1 ns.
 	wheelShift = 10
-	// wheelBuckets × bucket width ≈ 1.05 ms of horizon — comfortably
-	// beyond slice periods and NDP RTOs, so only genuinely far-future
-	// events (MaxTime parks, blackout recoveries) hit the overflow heap.
-	wheelBuckets = 1024
-	wheelMask    = wheelBuckets - 1
-	wheelWords   = wheelBuckets / 64
+	wheelSlots = 1 << wheelShift
+	wheelMask  = wheelSlots - 1
+	wheelWords = wheelSlots / 64
 )
 
-// wbucket is one wheel slot: events sorted ascending by (at, seq), consumed
-// from the front via head so a pop is O(1).
-type wbucket struct {
-	evs  []*Event
-	head int
+// fifo is an intrusive singly linked queue of events in push order.
+type fifo struct{ head, tail *Event }
+
+func (q *fifo) push(ev *Event) {
+	if q.tail == nil {
+		q.head = ev
+	} else {
+		q.tail.next = ev
+	}
+	q.tail = ev
 }
 
-// compact shifts the live region to the front of the slice, reclaiming the
-// popped prefix so the backing array's capacity is bounded by the bucket's
-// live high-water mark.
-func (b *wbucket) compact() {
-	if b.head == 0 {
-		return
+// window is one level-1 slot: a window's events in push order, plus the
+// earliest of them so Peek into a window not yet cascaded is O(1). min is
+// replaced only by a strictly earlier event, so among equal times the
+// first pushed — the lowest seq — keeps it.
+type window struct {
+	fifo
+	min *Event
+}
+
+// occupancy is a wheelSlots-bit set with a one-bit-per-word summary, so
+// the nearest set bit is two TrailingZeros away however sparse the set.
+type occupancy struct {
+	words [wheelWords]uint64
+	sum   uint16 // bit i set iff words[i] != 0
+}
+
+func (o *occupancy) set(i int) {
+	o.words[i>>6] |= 1 << (uint(i) & 63)
+	o.sum |= 1 << uint(i>>6)
+}
+
+func (o *occupancy) clear(i int) {
+	o.words[i>>6] &^= 1 << (uint(i) & 63)
+	if o.words[i>>6] == 0 {
+		o.sum &^= 1 << uint(i>>6)
 	}
-	n := copy(b.evs, b.evs[b.head:])
-	clear(b.evs[n:])
-	b.evs = b.evs[:n]
-	b.head = 0
+}
+
+// first returns the lowest set bit; the set must not be empty.
+func (o *occupancy) first() int {
+	wi := bits.TrailingZeros16(o.sum)
+	return wi<<6 + bits.TrailingZeros64(o.words[wi])
+}
+
+// after returns the nearest set bit cyclically after position p (p itself
+// is the farthest candidate); the set must not be empty. Rotating the
+// summary so the words after p's come first turns "nearest non-empty
+// word" into a single TrailingZeros16.
+func (o *occupancy) after(p int) int {
+	p = (p + 1) & wheelMask
+	wi := p >> 6
+	if word := o.words[wi] >> (uint(p) & 63); word != 0 {
+		return p + bits.TrailingZeros64(word)
+	}
+	// All of p's word at or above p is clear; if the rotation wraps back to
+	// that word, its remaining bits are the ones below p.
+	wj := (wi + 1 + bits.TrailingZeros16(bits.RotateLeft16(o.sum, -(wi+1)))) & (wheelWords - 1)
+	return wj<<6 + bits.TrailingZeros64(o.words[wj])
+}
+
+func (o *occupancy) len() int {
+	n := 0
+	for _, word := range o.words {
+		n += bits.OnesCount64(word)
+	}
+	return n
 }
 
 // NewWheelScheduler returns the timing-wheel pending-event store, the
-// engine default.
+// engine default. It relies on seq ascending in push order, which
+// Engine.push guarantees.
 func NewWheelScheduler() Scheduler { return &wheelSched{} }
 
 func (w *wheelSched) Len() int { return w.count + w.overflow.Len() }
 
-// SchedStats implements SchedulerStats: wheel residents, occupied buckets
-// (the occupancy bitmap's popcount), and the overflow heap's length.
+// SchedStats implements SchedulerStats: wheel residents, occupied leaf
+// buckets plus occupied window slots, and the overflow heap's length.
 func (w *wheelSched) SchedStats() SchedStats {
-	buckets := 0
-	for _, word := range w.occ {
-		buckets += bits.OnesCount64(word)
-	}
-	return SchedStats{Resident: w.count, Buckets: buckets, Overflow: w.overflow.Len()}
+	return SchedStats{Resident: w.count, Buckets: w.leafOcc.len() + w.slotOcc.len(), Overflow: w.overflow.Len()}
 }
 
 func (w *wheelSched) Push(ev *Event) {
-	abs := int64(ev.at) >> wheelShift
-	if abs < w.cur {
-		// Rewind: the walk must never resume past a resident event.
-		w.cur = abs
-	}
-	if abs >= w.cur+wheelBuckets {
+	win := int64(ev.at) >> wheelShift
+	// One unsigned compare rejects both sides: behind the cursor wraps to
+	// a huge distance.
+	d := uint64(win - w.cur)
+	if d >= wheelSlots {
 		w.overflow.Push(ev)
 		return
 	}
-	if w.minEv != nil && ev.before(w.minEv) {
-		// cur is already at ev's bucket: abs < cur would contradict the
-		// rewind above, abs > cur would contradict ev preceding the min.
-		w.minEv = ev
-	}
-	b := &w.buckets[abs&wheelMask]
-	if n := len(b.evs); n == b.head {
-		// Bucket empty (fresh or fully consumed): restart it.
-		b.evs = append(b.evs[:0], ev)
-		b.head = 0
-		wi := (abs & wheelMask) >> 6
-		w.occ[wi] |= 1 << (uint(abs) & 63)
-		w.occSum |= 1 << uint(wi)
-		w.count++
-		if w.count == 1 {
-			// Sole resident: trivially the wheel minimum. Park the
-			// cursor on it so the next Peek/Pop skips the bitmap walk —
-			// the common shape for a lightly loaded engine alternating
-			// one push with one pop.
-			w.cur = abs
-			w.minEv = ev
-		}
-		return
-	}
-	if len(b.evs) == cap(b.evs) && b.head > 0 {
-		// About to grow while a dead prefix of popped slots exists — a
-		// bucket that interleaves pops and pushes (sub-µs event chains
-		// landing in the current bucket) would otherwise grow without
-		// bound. Compact the live region to the front instead.
-		b.compact()
-	}
-	if !ev.before(b.evs[len(b.evs)-1]) {
-		// Near-monotonic fast path: new event sorts last.
-		b.evs = append(b.evs, ev)
-		w.count++
-		return
-	}
-	lo, hi := b.head, len(b.evs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if b.evs[mid].before(ev) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	b.evs = append(b.evs, nil)
-	copy(b.evs[lo+1:], b.evs[lo:])
-	b.evs[lo] = ev
 	w.count++
+	if d == 0 {
+		w.toLeaf(ev)
+		return
+	}
+	i := int(win) & wheelMask
+	s := &w.slots[i]
+	if s.head == nil {
+		w.slotOcc.set(i)
+		s.min = ev
+	} else if ev.at < s.min.at {
+		s.min = ev
+	}
+	s.push(ev)
 }
 
-func (w *wheelSched) Pop() *Event {
-	wm := w.findWheelMin()
-	if om := w.overflow.Peek(); om != nil && (wm == nil || om.before(wm)) {
-		ev := w.overflow.Pop()
-		if w.count == 0 {
-			// Empty wheel: let the cursor track time through an
-			// overflow-only phase so the next near-future Push lands in
-			// the wheel instead of chasing a stale horizon.
-			if abs := int64(ev.at) >> wheelShift; abs > w.cur {
-				w.cur = abs
-			}
-		}
-		return ev
+// toLeaf appends an event of the cursor's window to its 1 ns bucket.
+func (w *wheelSched) toLeaf(ev *Event) {
+	i := int(ev.at) & wheelMask
+	if w.leaf[i].head == nil {
+		w.leafOcc.set(i)
 	}
-	if wm == nil {
-		return nil
+	w.leaf[i].push(ev)
+}
+
+// wheelMin returns the minimum wheel-resident event without moving
+// anything, or nil if the wheel is empty.
+func (w *wheelSched) wheelMin() *Event {
+	if w.leafOcc.sum != 0 {
+		return w.leaf[w.leafOcc.first()].head
 	}
-	// findWheelMin left cur at wm's bucket.
-	w.minEv = nil
-	b := &w.buckets[w.cur&wheelMask]
-	b.evs[b.head] = nil
-	b.head++
-	if b.head == len(b.evs) {
-		b.evs = b.evs[:0]
-		b.head = 0
-		wi := (w.cur & wheelMask) >> 6
-		w.occ[wi] &^= 1 << (uint(w.cur) & 63)
-		if w.occ[wi] == 0 {
-			w.occSum &^= 1 << uint(wi)
-		}
+	if w.slotOcc.sum != 0 {
+		return w.slots[w.slotOcc.after(int(w.cur)&wheelMask)].min
 	}
-	w.count--
-	return wm
+	return nil
 }
 
 func (w *wheelSched) Peek() *Event {
-	wm := w.findWheelMin()
+	wm := w.wheelMin()
 	if om := w.overflow.Peek(); om != nil && (wm == nil || om.before(wm)) {
 		return om
 	}
 	return wm
 }
 
-// findWheelMin returns the minimum wheel-resident event and advances cur to
-// its bucket number, or nil if the wheel is empty. The walk scans at most
-// one full revolution of the bitmap; if every occupied bucket it passes
-// holds only later-revolution residents (possible after deep cursor
-// rewinds), it falls back to the exact slowMin scan.
-func (w *wheelSched) findWheelMin() *Event {
-	if w.count == 0 {
+func (w *wheelSched) Pop() *Event {
+	wm := w.wheelMin()
+	if om := w.overflow.Peek(); om != nil && (wm == nil || om.before(wm)) {
+		ev := w.overflow.Pop()
+		if win := int64(ev.at) >> wheelShift; w.count == 0 && win > w.cur {
+			w.cur = win
+		}
+		return ev
+	}
+	if wm == nil {
 		return nil
 	}
-	if w.minEv != nil {
-		return w.minEv
+	if w.leafOcc.sum == 0 {
+		w.cascade(int64(wm.at) >> wheelShift)
 	}
-	abs := w.cur
-	limit := abs + wheelBuckets
-	for abs < limit {
-		d := w.nextOccupied(int(abs & wheelMask))
-		if d < 0 {
-			break
-		}
-		abs += int64(d)
-		if abs >= limit {
-			break
-		}
-		b := &w.buckets[abs&wheelMask]
-		head := b.evs[b.head]
-		if int64(head.at)>>wheelShift == abs {
-			w.cur = abs
-			w.minEv = head
-			return head
-		}
-		// Head belongs to a later revolution; nothing in this bucket is
-		// due at this position. Keep walking.
-		abs++
+	i := int(wm.at) & wheelMask
+	b := &w.leaf[i]
+	b.head = wm.next
+	if b.head == nil {
+		b.tail = nil
+		w.leafOcc.clear(i)
 	}
-	return w.slowMin()
+	// ContinueCall re-arms the popped object as is: it must not carry a
+	// stale link into its next bucket.
+	wm.next = nil
+	w.count--
+	return wm
 }
 
-// nextOccupied returns the cyclic distance from bucket position p to the
-// nearest occupied bucket at or after it, or -1 if the bitmap is empty. The
-// occSum summary makes this O(1) even on a nearly empty wheel: rotating it
-// so the words after p's come first turns "nearest non-empty word" into a
-// single TrailingZeros16.
-func (w *wheelSched) nextOccupied(p int) int {
-	wi := p >> 6
-	if word := w.occ[wi] >> (uint(p) & 63); word != 0 {
-		return bits.TrailingZeros64(word)
+// cascade enters window win: the cursor moves to it and its slot's events
+// are dealt into the leaf buckets in push order.
+func (w *wheelSched) cascade(win int64) {
+	w.cur = win
+	i := int(win) & wheelMask
+	s := &w.slots[i]
+	ev := s.head
+	*s = window{}
+	w.slotOcc.clear(i)
+	for ev != nil {
+		next := ev.next
+		ev.next = nil
+		w.toLeaf(ev)
+		ev = next
 	}
-	rot := bits.RotateLeft16(w.occSum, -(wi + 1))
-	if rot == 0 {
-		return -1
-	}
-	tz := bits.TrailingZeros16(rot)
-	// tz == wheelWords-1 wraps back to p's own word: its remaining bits
-	// are all below p, i.e. a full revolution ahead, which the unmasked
-	// TrailingZeros64 handles.
-	wj := (wi + 1 + tz) & (wheelWords - 1)
-	return 64 - int(uint(p)&63) + tz<<6 + bits.TrailingZeros64(w.occ[wj])
-}
-
-// slowMin scans every occupied bucket, returns the overall minimum head by
-// (at, seq), and jumps cur to its bucket. O(occupied buckets), reached only
-// when rewind churn has pushed every resident beyond a revolution from cur.
-func (w *wheelSched) slowMin() *Event {
-	var best *Event
-	for wi, word := range w.occ {
-		for word != 0 {
-			b := wi<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			bk := &w.buckets[b]
-			if head := bk.evs[bk.head]; best == nil || head.before(best) {
-				best = head
-			}
-		}
-	}
-	if best != nil {
-		w.cur = int64(best.at) >> wheelShift
-		w.minEv = best
-	}
-	return best
 }

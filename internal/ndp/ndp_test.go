@@ -195,14 +195,6 @@ func streamingRig(t *testing.T, n int, cfg sim.Config) *rig {
 func TestAllocsFlowChurn(t *testing.T) {
 	r := streamingRig(t, 2, sim.DefaultConfig())
 	id := int64(0)
-	// One full revolution of the engine's timing wheel (1024 buckets of
-	// 1024 ns). Rounds are aligned to it so each round maps onto the same
-	// wheel buckets at the same phase; otherwise phase drift between
-	// rounds keeps discovering new per-bucket high-water marks and the
-	// wheel's (amortized, bounded) capacity warmup never settles within
-	// the measurement window. The gate targets flow-state pooling, not
-	// bucket warmup.
-	const wheelPeriod = eventsim.Time(1) << 20
 	round := func() {
 		id++
 		f := r.flow(id, 0, 1, 6000) // 4 packets: inside the initial window
@@ -211,9 +203,8 @@ func TestAllocsFlowChurn(t *testing.T) {
 		if !f.Done {
 			t.Fatalf("flow %d incomplete", id)
 		}
-		r.eng.RunUntil((r.eng.Now()/wheelPeriod + 1) * wheelPeriod)
 	}
-	// Warm the pools, map buckets, telemetry bins and wheel buckets.
+	// Warm the pools, map buckets and telemetry bins.
 	for i := 0; i < 64; i++ {
 		round()
 	}

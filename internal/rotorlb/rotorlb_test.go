@@ -390,13 +390,9 @@ func TestAllocsNackRequeue(t *testing.T) {
 // TestAllocsOpenSessionsIdle gates the per-slice side at paper scale: with
 // no bulk traffic at all, a slice — openSessions on all 108 racks, every
 // session polling through its window, and every close — must run on
-// recycled state alone once one cycle has warmed the pools. The engine
-// runs on the heap scheduler so that the gate reads RotorLB and the slice
-// clock only: the heap's one array reaches its high-water mark within a
-// slice, while each of the wheel's 1024 buckets grows to its own, which
-// takes thousands of slices to settle and is the engine's business.
+// recycled state alone once one cycle has warmed the pools.
 func TestAllocsOpenSessionsIdle(t *testing.T) {
-	b := newLBBed(t, eventsim.NewWith(eventsim.NewHeapScheduler()), 108, 6, 6)
+	b := newLBBed(t, eventsim.New(), 108, 6, 6)
 	b.net.Start()
 	slice := b.net.SliceDuration()
 	cycle := eventsim.Time(b.net.Topology().SlicesPerCycle()) * slice

@@ -1,7 +1,8 @@
 package workload
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/opera-net/opera/internal/eventsim"
 )
@@ -68,8 +69,24 @@ func (ss *specSource) Specs() []FlowSpec { return ss.ordered }
 // HotRack, Skew — and from legacy []FlowSpec workloads. The result
 // implements Materialized.
 func FromSpecs(specs []FlowSpec) Source {
-	ordered := append([]FlowSpec(nil), specs...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Arrival < ordered[j].Arrival })
+	// Sort a permutation and gather through it. FlowSpec holds a string, so
+	// sorting the specs themselves makes every swap a 56-byte move behind a
+	// write barrier; with the input index as tie-break an unstable sort of
+	// indices yields the stable order.
+	order := make([]int, len(specs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(specs[a].Arrival, specs[b].Arrival); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	ordered := make([]FlowSpec, len(specs))
+	for i, j := range order {
+		ordered[i] = specs[j]
+	}
 	return &specSource{ordered: ordered}
 }
 

@@ -57,6 +57,29 @@ func TestFromSpecsOrdersByArrival(t *testing.T) {
 	if specs[0].Arrival != 300 || specs[3].Arrival != 0 {
 		t.Fatal("FromSpecs mutated its input")
 	}
+
+	// Four specs never leave the library sort's insertion-sort block; a
+	// few hundred drawn from a handful of arrival times put long runs of
+	// ties through its partitioning, where only FromSpecs' index tie-break
+	// keeps input order. Bytes carries the input index.
+	arrivals := []eventsim.Time{700, 0, 300, 300, 1200, 0, 50}
+	many := make([]FlowSpec, 500)
+	for i := range many {
+		many[i] = FlowSpec{Src: i % 7, Dst: i % 5, Bytes: int64(i), Arrival: arrivals[(i*i+i/3)%len(arrivals)]}
+	}
+	got = Drain(FromSpecs(many))
+	if len(got) != len(many) {
+		t.Fatalf("FromSpecs yielded %d of %d specs", len(got), len(many))
+	}
+	for i := 1; i < len(got); i++ {
+		a, b := got[i-1], got[i]
+		if a.Arrival > b.Arrival || (a.Arrival == b.Arrival && a.Bytes >= b.Bytes) {
+			t.Fatalf("position %d: %+v before %+v — not a stable sort by arrival", i, a, b)
+		}
+		if b != many[b.Bytes] {
+			t.Fatalf("position %d: %+v is not input spec %d", i, b, b.Bytes)
+		}
+	}
 }
 
 func TestTakeUntilCapBytes(t *testing.T) {
