@@ -42,22 +42,24 @@ fuzz:
 	$(GO) test ./internal/eventsim/ -run '^$$' -fuzz '^FuzzSchedulerDifferential$$' -fuzztime 10s
 
 ## figdiff: the figure byte-identity harness every refactor runs —
-## `make figdiff BASE=<rev>` unpacks BASE into a throwaway directory
-## (git archive: no worktree or branch is left behind), builds
-## cmd/opera-experiments there and in this tree, regenerates fig07–fig10 on
-## both sides (~2 min each) and fails on any CSV difference
+## `make figdiff BASE=<rev> [FIGS=fig11,fig19,fig20]` unpacks BASE into a
+## throwaway directory (git archive: no worktree or branch is left behind),
+## builds cmd/opera-experiments there and in this tree, regenerates FIGS
+## (default fig07–fig10, ~2 min a side) on both sides and fails on any CSV
+## difference
 FIGDIFF := $(or $(TMPDIR),/tmp)/opera-figdiff
+FIGS ?= fig07,fig08,fig09,fig10
 figdiff:
-	@test -n "$(BASE)" || { echo "usage: make figdiff BASE=<rev>"; exit 2; }
+	@test -n "$(BASE)" || { echo "usage: make figdiff BASE=<rev> [FIGS=$(FIGS)]"; exit 2; }
 	@rm -rf $(FIGDIFF) && mkdir -p $(FIGDIFF)/base
 	@status=0; \
 	{ git archive $(BASE) | tar -x -C $(FIGDIFF)/base && \
 	  $(GO) build -C $(FIGDIFF)/base -o $(FIGDIFF)/exp-base ./cmd/opera-experiments && \
 	  $(GO) build -o $(FIGDIFF)/exp-head ./cmd/opera-experiments && \
-	  $(FIGDIFF)/exp-base -out $(FIGDIFF)/csv-base -only fig07,fig08,fig09,fig10 >/dev/null && \
-	  $(FIGDIFF)/exp-head -out $(FIGDIFF)/csv-head -only fig07,fig08,fig09,fig10 >/dev/null && \
+	  $(FIGDIFF)/exp-base -out $(FIGDIFF)/csv-base -only $(FIGS) >/dev/null && \
+	  $(FIGDIFF)/exp-head -out $(FIGDIFF)/csv-head -only $(FIGS) >/dev/null && \
 	  diff -r $(FIGDIFF)/csv-base $(FIGDIFF)/csv-head && \
-	  echo "figdiff: fig07-fig10 CSVs byte-identical to $(BASE)"; } || status=1; \
+	  echo "figdiff: $(FIGS) CSVs byte-identical to $(BASE)"; } || status=1; \
 	rm -rf $(FIGDIFF); exit $$status
 
 ## loc: non-test, non-testdata Go lines per package outside bench/ and in

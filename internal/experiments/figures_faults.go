@@ -1,23 +1,16 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
-	operapkg "github.com/opera-net/opera"
-	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/faults"
-	"github.com/opera-net/opera/internal/sim"
-	"github.com/opera-net/opera/scenario"
+	"github.com/opera-net/opera/internal/topology"
 )
 
-// The fault-tolerance figures (11, 18–20) are declared as Scenarios: each
-// (failure type, fraction) cell is one Scenario whose probes run the
-// §5.5/Appendix E analysis against the built cluster's topology, and the
-// scenario runner fans the cells out across cores. Probe values land in
-// Result.Probes, from which the drivers assemble the same CSV rows the
-// bespoke loops produced.
+// The fault-tolerance figures (11, 18–20) are pure functions of (topology,
+// seed): each builds its topology once, with the arguments the simulator's
+// builders pass, and runs the §5.5/Appendix E analysis for every (failure
+// type, fraction) cell.
 
 // FailureFractions are the x-axis points of Figures 11 and 18–20.
 var FailureFractions = []float64{0.01, 0.025, 0.05, 0.10, 0.20, 0.40}
@@ -25,68 +18,6 @@ var FailureFractions = []float64{0.01, 0.025, 0.05, 0.10, 0.20, 0.40}
 // SwitchFailureFractions are the circuit-switch points (the paper sweeps
 // to 50%).
 var SwitchFailureFractions = []float64{0.01, 0.025, 0.05, 0.10, 0.20, 0.50}
-
-// analysisProbes builds one probe column per named value, all sharing a
-// single cached run of an expensive whole-topology analysis: the first
-// probe to fire computes every column, the rest just read their slot.
-func analysisProbes(names []string, compute func(cl *operapkg.Cluster, out []float64)) []scenario.Probe {
-	var once sync.Once
-	vals := make([]float64, len(names))
-	probes := make([]scenario.Probe, len(names))
-	for i, name := range names {
-		i := i
-		probes[i] = scenario.Sample(name, 0, func(cl *operapkg.Cluster, _ eventsim.Time) float64 {
-			once.Do(func() { compute(cl, vals) })
-			return vals[i]
-		})
-	}
-	return probes
-}
-
-// probeRow extracts the one-shot probe values of a Result in order.
-func probeRow(res scenario.Result) ([]float64, error) {
-	if res.Err != "" {
-		return nil, fmt.Errorf("%s: %s", res.Name, res.Err)
-	}
-	out := make([]float64, len(res.Probes))
-	for i, p := range res.Probes {
-		if len(p.Values) == 0 {
-			return nil, fmt.Errorf("%s: probe %s recorded nothing", res.Name, p.Name)
-		}
-		out[i] = p.Values[0]
-	}
-	return out, nil
-}
-
-// faultCell names one (failure type, fraction) point of a sweep.
-type faultCell struct {
-	kind string
-	frac float64
-}
-
-// runFaultCells executes one Scenario per cell — topology-only, no
-// workload — with the probes the builder supplies, returning the probe
-// values per cell.
-func runFaultCells(cells []faultCell, base scenario.Scenario, probes func(c faultCell) []scenario.Probe) ([][]float64, error) {
-	scs := make([]scenario.Scenario, len(cells))
-	for i, c := range cells {
-		sc := base
-		sc.Name = fmt.Sprintf("%s_%s_%g", base.Name, c.kind, c.frac)
-		sc.Probes = probes(c)
-		scs[i] = sc
-	}
-	results, err := scenario.RunScenarios(context.Background(), scs)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([][]float64, len(cells))
-	for i, res := range results {
-		if rows[i], err = probeRow(res); err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
-}
 
 // Fig11FaultTolerance regenerates Figure 11 (connectivity loss) and
 // Figure 18 (path stretch) for Opera under link, ToR and circuit-switch
@@ -100,44 +31,25 @@ func Fig11FaultTolerance(s Scale, trials int) ([]Table, error) {
 	paths := Table{Name: fmt.Sprintf("fig18_path_stretch_%s", s.Name),
 		Header: []string{"failure_type", "fraction", "avg_path", "worst_path"}}
 
-	var cells []faultCell
-	for _, frac := range FailureFractions {
-		cells = append(cells, faultCell{"links", frac})
+	o, err := topology.NewOpera(topology.Config{
+		NumRacks: s.Racks, HostsPerRack: s.HostsPerRack, NumSwitches: s.Uplinks, Seed: s.Seed,
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, frac := range FailureFractions {
-		cells = append(cells, faultCell{"tors", frac})
-	}
-	for _, frac := range SwitchFailureFractions {
-		cells = append(cells, faultCell{"switches", frac})
-	}
-
-	base := scenario.Scenario{
-		Name: "fig11",
-		Kind: operapkg.KindOpera,
-		Seed: s.Seed,
-		Options: []operapkg.Option{
-			operapkg.WithRacks(s.Racks),
-			operapkg.WithHostsPerRack(s.HostsPerRack),
-			operapkg.WithUplinks(s.Uplinks),
-		},
-	}
-	cols := []string{"worst_slice_loss", "across_all_slices_loss", "avg_path", "worst_path"}
-	rows, err := runFaultCells(cells, base, func(c faultCell) []scenario.Probe {
-		fLinks, fToRs, fSwitches := 0.0, 0.0, 0.0
-		switch c.kind {
-		case "links":
-			fLinks = c.frac
-		case "tors":
-			fToRs = c.frac
-		case "switches":
-			fSwitches = c.frac
-		}
-		return analysisProbes(cols, func(cl *operapkg.Cluster, out []float64) {
-			o := cl.OperaNet().Topology()
+	// Each sweep fails one element kind: its fraction goes in that slot
+	// of OperaFailures' (links, ToRs, switches) arguments.
+	for slot, sweep := range []struct {
+		kind  string
+		fracs []float64
+	}{{"links", FailureFractions}, {"tors", FailureFractions}, {"switches", SwitchFailureFractions}} {
+		for _, frac := range sweep.fracs {
+			var f [3]float64
+			f[slot] = frac
 			var worst, union, avg float64
 			maxPath := 0
 			for tr := 0; tr < trials; tr++ {
-				r := faults.OperaFailures(o, fLinks, fToRs, fSwitches, int64(tr)*31+7)
+				r := faults.OperaFailures(o, f[0], f[1], f[2], int64(tr)*31+7)
 				worst += r.WorstSliceLoss
 				union += r.UnionLoss
 				avg += r.AvgPath
@@ -146,37 +58,23 @@ func Fig11FaultTolerance(s Scale, trials int) ([]Table, error) {
 				}
 			}
 			n := float64(trials)
-			out[0], out[1], out[2], out[3] = worst/n, union/n, avg/n, float64(maxPath)
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, c := range cells {
-		conn.Add(c.kind, c.frac, rows[i][0], rows[i][1])
-		paths.Add(c.kind, c.frac, rows[i][2], int(rows[i][3]))
+			conn.Add(sweep.kind, frac, worst/n, union/n)
+			paths.Add(sweep.kind, frac, avg/n, maxPath)
+		}
 	}
 	return []Table{conn, paths}, nil
 }
 
-// staticFaultFigure runs a Fig19/Fig20-style sweep: one Scenario per
-// fraction and failure type on a static topology, probing loss and path
-// stretch.
-func staticFaultFigure(t *Table, base scenario.Scenario, kinds []string,
-	analyze func(cl *operapkg.Cluster, kind string, frac float64, trial int) faults.StaticResult, trials int) error {
-	var cells []faultCell
+// staticFaultFigure fills a Fig19/Fig20-style table: for every fraction
+// and failure type on a static topology, loss and path stretch over trials.
+func staticFaultFigure(t *Table, kinds []string, trials int,
+	analyze func(kind string, frac float64, trial int) faults.StaticResult) {
 	for _, frac := range FailureFractions {
 		for _, kind := range kinds {
-			cells = append(cells, faultCell{kind, frac})
-		}
-	}
-	cols := []string{"loss", "avg_path", "worst_path"}
-	rows, err := runFaultCells(cells, base, func(c faultCell) []scenario.Probe {
-		return analysisProbes(cols, func(cl *operapkg.Cluster, out []float64) {
 			var loss, avg float64
 			maxPath := 0
 			for tr := 0; tr < trials; tr++ {
-				r := analyze(cl, c.kind, c.frac, tr)
+				r := analyze(kind, frac, tr)
 				loss += r.Loss
 				avg += r.AvgPath
 				if r.MaxPath > maxPath {
@@ -184,16 +82,9 @@ func staticFaultFigure(t *Table, base scenario.Scenario, kinds []string,
 				}
 			}
 			n := float64(trials)
-			out[0], out[1], out[2] = loss/n, avg/n, float64(maxPath)
-		})
-	})
-	if err != nil {
-		return err
+			t.Add(kind, frac, loss/n, avg/n, maxPath)
+		}
 	}
-	for i, c := range cells {
-		t.Add(c.kind, c.frac, rows[i][0], rows[i][1], int(rows[i][2]))
-	}
-	return nil
 }
 
 // Fig19ClosFailures regenerates Figure 19: the 3:1 folded Clos under link
@@ -204,24 +95,18 @@ func Fig19ClosFailures(s Scale, trials int) ([]Table, error) {
 	}
 	t := Table{Name: fmt.Sprintf("fig19_clos_failures_%s", s.Name),
 		Header: []string{"failure_type", "fraction", "loss", "avg_path", "worst_path"}}
-	base := scenario.Scenario{
-		Name:    "fig19",
-		Kind:    operapkg.KindFoldedClos,
-		Seed:    s.Seed,
-		Options: []operapkg.Option{operapkg.WithClos(s.ClosK, s.ClosF)},
+	c, err := topology.NewFoldedClos(s.ClosK, s.ClosF)
+	if err != nil {
+		return nil, err
 	}
-	err := staticFaultFigure(&t, base, []string{"links", "switches"},
-		func(cl *operapkg.Cluster, kind string, frac float64, tr int) faults.StaticResult {
-			c := cl.Network().(*sim.ClosNet).Topology()
+	staticFaultFigure(&t, []string{"links", "switches"}, trials,
+		func(kind string, frac float64, tr int) faults.StaticResult {
 			seed := int64(tr)*17 + 3
 			if kind == "links" {
 				return faults.ClosFailures(c, frac, 0, seed)
 			}
 			return faults.ClosFailures(c, 0, frac, seed)
-		}, trials)
-	if err != nil {
-		return nil, err
-	}
+		})
 	return []Table{t}, nil
 }
 
@@ -233,27 +118,17 @@ func Fig20ExpanderFailures(s Scale, trials int) ([]Table, error) {
 	}
 	t := Table{Name: fmt.Sprintf("fig20_expander_failures_%s", s.Name),
 		Header: []string{"failure_type", "fraction", "loss", "avg_path", "worst_path"}}
-	base := scenario.Scenario{
-		Name: "fig20",
-		Kind: operapkg.KindExpander,
-		Seed: s.Seed,
-		Options: []operapkg.Option{
-			operapkg.WithRacks(s.ExpRacks),
-			operapkg.WithHostsPerRack(s.ExpHosts),
-			operapkg.WithUplinks(s.ExpDegree),
-		},
+	e, err := topology.NewExpander(s.ExpRacks, s.ExpHosts, s.ExpDegree, s.Seed)
+	if err != nil {
+		return nil, err
 	}
-	err := staticFaultFigure(&t, base, []string{"links", "tors"},
-		func(cl *operapkg.Cluster, kind string, frac float64, tr int) faults.StaticResult {
-			e := cl.Network().(*sim.ExpanderNet).Topology()
+	staticFaultFigure(&t, []string{"links", "tors"}, trials,
+		func(kind string, frac float64, tr int) faults.StaticResult {
 			seed := int64(tr)*13 + 5
 			if kind == "links" {
 				return faults.ExpanderFailures(e, frac, 0, seed)
 			}
 			return faults.ExpanderFailures(e, 0, frac, seed)
-		}, trials)
-	if err != nil {
-		return nil, err
-	}
+		})
 	return []Table{t}, nil
 }

@@ -120,41 +120,32 @@ func (f *faultProbe) OnEvent(any) {
 	f.at1ms = obs.Capture(f.cl)
 }
 
-// TestObservingDoesNotAttachFaultInjector pins the read side of the
-// invisibility contract: a snapshot reports faults only when the run has
-// an injector, and never creates one — an observed fault-free run keeps
-// the fabric on its no-fault forwarding paths. With one event scheduled,
-// the snapshot still lists it.
+// TestObservingDoesNotAttachFaultInjector pins what a snapshot says about
+// faults: every fabric carries its fault table, but a snapshot lists a
+// faults block only while something is applied — none for an observed
+// fault-free run, exactly the one fault once a FailLink has fired.
 func TestObservingDoesNotAttachFaultInjector(t *testing.T) {
-	run := func(events []scenario.Event) (*opera.Cluster, *obs.Snapshot) {
+	run := func(events []scenario.Event) *obs.Snapshot {
 		t.Helper()
 		box := &obs.Mailbox{}
 		sc := observedScenario(obs.NewPublisher(box, 100*eventsim.Microsecond))
 		sc.Events = events
-		cl, res := scenario.Collect(sc)
-		if res.Err != "" {
+		if res := scenario.Run(sc); res.Err != "" {
 			t.Fatalf("run error: %s", res.Err)
 		}
 		s := box.Snapshot()
 		if s == nil {
 			t.Fatal("no snapshot published")
 		}
-		return cl, s
+		return s
 	}
 
-	cl, s := run(nil)
-	if cl.AttachedFaults() != nil {
-		t.Fatal("observing a fault-free run attached the fault injector")
-	}
-	if s.Faults != nil {
+	if s := run(nil); s.Faults != nil {
 		t.Fatalf("fault-free snapshot reports faults: %+v", s.Faults)
 	}
 
-	cl, s = run([]scenario.Event{scenario.At(400*eventsim.Microsecond, scenario.FailLink(5, 2))})
-	if cl.AttachedFaults() == nil {
-		t.Fatal("scheduled event left no injector")
-	}
-	if s.Faults == nil || len(s.Faults.Active) != 1 {
-		t.Fatalf("want the one scheduled fault listed, got %+v", s.Faults)
+	s := run([]scenario.Event{scenario.At(400*eventsim.Microsecond, scenario.FailLink(5, 2))})
+	if s.Faults == nil || len(s.Faults.Active) != 1 || s.Faults.Active[0].Target != "link(rack=5,up=2)" {
+		t.Fatalf("want exactly the one fired fault listed, got %+v", s.Faults)
 	}
 }

@@ -46,7 +46,8 @@ type Snapshot struct {
 
 	Engine EngineCounters `json:"engine"`
 	Pools  PoolGauges     `json:"pools"`
-	Faults *FaultState    `json:"faults,omitempty"`
+	// Faults is nil while no fault is applied.
+	Faults *FaultState `json:"faults,omitempty"`
 }
 
 // WindowRates summarizes the trailing telemetry windows as rates.
@@ -153,9 +154,7 @@ func Capture(cl *opera.Cluster) *Snapshot {
 	if tel := m.Telemetry(); tel != nil {
 		fillTelemetry(s, tel)
 	}
-	if inj := cl.AttachedFaults(); inj != nil {
-		s.Faults = faultState(inj)
-	}
+	s.Faults = faultState(cl.Faults())
 	return s
 }
 
@@ -232,10 +231,15 @@ func classQuantiles(name string, sk *telemetry.Sketch) ClassQuantiles {
 	return cq
 }
 
-// faultState reads the injector's live view.
+// faultState reads the injector's live view, nil while no fault is applied
+// (a fault-free fabric strands nothing).
 func faultState(inj *sim.Faults) *FaultState {
+	active := inj.ActiveFaults()
+	if len(active) == 0 {
+		return nil
+	}
 	fs := &FaultState{StrandedBytes: inj.StrandedBytes()}
-	for _, a := range inj.ActiveFaults() {
+	for _, a := range active {
 		fs.Active = append(fs.Active, ActiveFault{Target: a.Target.String(), Fault: a.Fault.String()})
 	}
 	return fs

@@ -121,6 +121,9 @@ func (a *rackAgent) negotiateVLB(peer int, spare int64, vlbQ *segQueue) {
 			continue
 		}
 		q := &a.voq[dst]
+		if q.bytes == 0 {
+			continue // nothing to offload; most VOQs, so skip the reachability walk
+		}
 		threshold := a.lb.params.VLBThresholdBytes
 		if !net.DirectReachable(a.rack, dst) {
 			// Failures severed this pair's direct matching: no direct

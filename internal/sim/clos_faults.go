@@ -19,84 +19,82 @@ package sim
 // drains both ports of every cable touching it. Recoveries are pure
 // state flips.
 
-// Faults returns the network's fault injector, creating it lazily. A nil
-// (never-created) injector keeps the no-fault forwarding paths untouched.
-//
-// The wiring arithmetic below relies on NewFoldedClos guaranteeing
-// AggPerPod == UplinksPerToR (each ToR has exactly one cable to each agg
-// of its pod) and NumCore == AggPerPod·(K/2) (each agg position's uplinks
-// land on a disjoint group of K/2 cores), so every reverse port is unique.
-func (n *ClosNet) Faults() *Faults {
-	if n.faults == nil {
-		topo := n.topo
-		half := topo.K / 2
-		aggNode, coreNode := topo.NumToRs, topo.NumToRs+topo.NumAgg
-		cables := make([]cable, 0, topo.NumToRs*topo.UplinksPerToR+topo.NumAgg*half)
-		for t := 0; t < topo.NumToRs; t++ {
-			for i := 0; i < topo.UplinksPerToR; i++ {
-				a := topo.ToRPod(t)*topo.AggPerPod + i // the agg terminating ToR t's uplink i
-				id := LinkID{Tier: ClosTierToR, Switch: t, Port: i}
-				cables = append(cables, cable{id: id, alias: id,
-					ends:  [2]int32{int32(t), int32(aggNode + a)},
-					ports: [2]*Port{n.tors[t].up[i], n.aggs[a].down[t%topo.ToRsPerPod]}})
-			}
+// faultMap is the Clos's coordinate map. The wiring arithmetic below
+// relies on NewFoldedClos guaranteeing AggPerPod == UplinksPerToR (each ToR
+// has exactly one cable to each agg of its pod) and NumCore ==
+// AggPerPod·(K/2) (each agg position's uplinks land on a disjoint group of
+// K/2 cores), so every reverse port is unique.
+func (n *ClosNet) faultMap() faultMap {
+	topo := n.topo
+	half := topo.K / 2
+	aggNode, coreNode := topo.NumToRs, topo.NumToRs+topo.NumAgg
+	cables := make([]cable, 0, topo.NumToRs*topo.UplinksPerToR+topo.NumAgg*half)
+	for t := 0; t < topo.NumToRs; t++ {
+		for i := 0; i < topo.UplinksPerToR; i++ {
+			a := topo.ToRPod(t)*topo.AggPerPod + i // the agg terminating ToR t's uplink i
+			id := LinkID{Tier: ClosTierToR, Switch: t, Port: i}
+			cables = append(cables, cable{id: id, alias: id,
+				ends:  [2]int32{int32(t), int32(aggNode + a)},
+				ports: [2]*Port{n.tors[t].up[i], n.aggs[a].down[t%topo.ToRsPerPod]}})
 		}
-		for a := 0; a < topo.NumAgg; a++ {
-			for j := 0; j < half; j++ {
-				c := (a%topo.AggPerPod)*half + j // the core terminating agg a's uplink j
-				id := LinkID{Tier: ClosTierAgg, Switch: a, Port: j}
-				cables = append(cables, cable{id: id, alias: id,
-					ends:  [2]int32{int32(aggNode + a), int32(coreNode + c)},
-					ports: [2]*Port{n.aggs[a].up[j], n.cores[c].down[a/topo.AggPerPod]}})
-			}
-		}
-		n.faults = newFaults(n.eng, n.faultSeed, faultMap{
-			fabric: n.Kind(),
-			tors:   topo.NumToRs,
-			links: []linkPlane{
-				{tier: ClosTierToR, flat: true, n: topo.NumToRs, ports: topo.UplinksPerToR, swName: "ToR", portName: "ToR uplink"},
-				{tier: ClosTierAgg, n: topo.NumAgg, ports: half, swName: "agg", portName: "agg uplink"},
-			},
-			switches: []switchPlane{
-				{tier: ClosTierAgg, n: topo.NumAgg, name: "agg"},
-				{tier: ClosTierCore, n: topo.NumCore, name: "core"},
-			},
-			cables: cables,
-			react: func(_ Target, cables []int32, down bool) {
-				if down {
-					n.faults.dropQueued(cables)
-				}
-			},
-		})
 	}
-	return n.faults
+	for a := 0; a < topo.NumAgg; a++ {
+		for j := 0; j < half; j++ {
+			c := (a%topo.AggPerPod)*half + j // the core terminating agg a's uplink j
+			id := LinkID{Tier: ClosTierAgg, Switch: a, Port: j}
+			cables = append(cables, cable{id: id, alias: id,
+				ends:  [2]int32{int32(aggNode + a), int32(coreNode + c)},
+				ports: [2]*Port{n.aggs[a].up[j], n.cores[c].down[a/topo.AggPerPod]}})
+		}
+	}
+	return faultMap{
+		fabric: n.kind,
+		tors:   topo.NumToRs,
+		links: []linkPlane{
+			{tier: ClosTierToR, flat: true, n: topo.NumToRs, ports: topo.UplinksPerToR, swName: "ToR", portName: "ToR uplink"},
+			{tier: ClosTierAgg, n: topo.NumAgg, ports: half, swName: "agg", portName: "agg uplink"},
+		},
+		switches: []switchPlane{
+			{tier: ClosTierAgg, n: topo.NumAgg, name: "agg"},
+			{tier: ClosTierCore, n: topo.NumCore, name: "core"},
+		},
+		cables: cables,
+		react: func(_ Target, cables []int32, down bool) {
+			if down {
+				n.faults.dropQueued(cables)
+			}
+		},
+	}
 }
 
-// The four liveness reads of the forwarding path are the one predicate —
-// cable and both end nodes up — on one cable each, indexed arithmetically
-// into the usable table: ToR t's uplink i sits in slot t·UplinksPerToR+i,
-// and agg a's uplink j after all of those, at a·(K/2)+j.
+// The liveness reads of the forwarding path are the one predicate — cable
+// and both end nodes up — indexed arithmetically into the usable table: ToR
+// t's uplinks are the run of UplinksPerToR slots at t·UplinksPerToR, and agg
+// a's the run of K/2 slots after all of those, at a·(K/2).
 
-// torUplinkUp reports whether ToR t can launch up its uplink i.
-func (n *ClosNet) torUplinkUp(t, i int) bool {
-	return n.faults.usable[t*n.topo.UplinksPerToR+i]
+// torUplinks is ToR t's run of the usable table, one entry per uplink.
+func (n *ClosNet) torUplinks(t int) []bool {
+	u := n.topo.UplinksPerToR
+	return n.faults.usable[t*u : (t+1)*u]
+}
+
+// aggUplinks is agg a's run of the usable table, one entry per core uplink.
+func (n *ClosNet) aggUplinks(a int) []bool {
+	topo := n.topo
+	base, half := topo.NumToRs*topo.UplinksPerToR, topo.K/2
+	return n.faults.usable[base+a*half : base+(a+1)*half]
 }
 
 // aggDownToTor reports whether agg a can deliver down to ToR t of its pod
 // (the reverse direction of t's tier-1 cable to a).
 func (n *ClosNet) aggDownToTor(a, t int) bool {
-	return n.torUplinkUp(t, a%n.topo.AggPerPod)
-}
-
-// aggUplinkUp reports whether agg a can launch up its core uplink j.
-func (n *ClosNet) aggUplinkUp(a, j int) bool {
-	topo := n.topo
-	return n.faults.usable[topo.NumToRs*topo.UplinksPerToR+a*(topo.K/2)+j]
+	return n.torUplinks(t)[a%n.topo.AggPerPod]
 }
 
 // coreDownToAgg reports whether core c can deliver down to the agg of
 // the given pod (the reverse direction of that agg's tier-2 cable to c).
 func (n *ClosNet) coreDownToAgg(c, pod int) bool {
 	topo := n.topo
-	return n.aggUplinkUp(pod*topo.AggPerPod+(c/(topo.K/2))%topo.AggPerPod, c%(topo.K/2))
+	half := topo.K / 2
+	return n.aggUplinks(pod*topo.AggPerPod + (c/half)%topo.AggPerPod)[c%half]
 }

@@ -20,19 +20,18 @@ type ClosNet struct {
 	cores []*ClosCore
 }
 
-func init() {
-	Register("foldedclos", func(p BuildParams) (Network, error) {
-		topo, err := topology.NewFoldedClos(p.ClosK, p.ClosF)
-		if err != nil {
-			return nil, err
-		}
-		return NewClosNet(p.Engine, p.Sim, topo, p.Seed+1), nil
-	})
+func buildClos(p BuildParams) (Network, error) {
+	topo, err := topology.NewFoldedClos(p.ClosK, p.ClosF)
+	if err != nil {
+		return nil, err
+	}
+	return NewClosNet(p.Engine, p.Sim, topo, p.Seed+1), nil
 }
 
-// NewClosNet wires the folded-Clos fabric.
+// NewClosNet wires the folded-Clos fabric. seed drives per-switch packet
+// spraying and gray-failure draws.
 func NewClosNet(eng *eventsim.Engine, cfg Config, topo *topology.FoldedClos, seed int64) *ClosNet {
-	n := &ClosNet{edge: newEdge(eng, cfg, "foldedclos", topo.NumToRs, topo.HostsPerToR, seed), topo: topo}
+	n := &ClosNet{edge: newEdge(eng, cfg, "foldedclos", topo.NumToRs, topo.HostsPerToR), topo: topo}
 	n.tors = make([]*ClosToR, topo.NumToRs)
 	n.aggs = make([]*ClosAgg, topo.NumAgg)
 	n.cores = make([]*ClosCore, topo.NumCore)
@@ -83,6 +82,7 @@ func NewClosNet(eng *eventsim.Engine, cfg Config, topo *topology.FoldedClos, see
 			core.down[pod] = NewPort(eng, n.cfg, fmt.Sprintf("core%d->agg%d", c, agg.id), agg)
 		}
 	}
+	n.faults = newFaults(eng, seed, n.faultMap())
 	return n
 }
 
@@ -107,47 +107,55 @@ type ClosToR struct {
 	rng  *rand.Rand
 }
 
-// Receive implements Node. With no injector attached the no-fault path
-// is taken verbatim (same RNG draws); with one attached, spraying is
-// restricted to live uplinks — the draw count stays identical while
-// nothing is down, so attaching an idle injector preserves byte-identity.
+// Receive implements Node: down for local, else sprayed over the live
+// uplinks.
 func (t *ClosToR) Receive(p *Packet, _ *Port) {
 	n := t.net
-	cf := n.faults
-	if cf != nil && cf.nodeDown[t.id] { // a dead ToR forwards nothing, rack-local included
-		cf.lose(p)
+	if n.faults.nodeDown[t.id] { // a dead ToR forwards nothing, rack-local included
+		n.faults.lose(p)
 		return
 	}
 	if p.DstRack == t.id {
 		deliverLocal(t.down, t.id, p)
 		return
 	}
-	if cf == nil {
-		p.Hops++
-		t.up[t.rng.Intn(len(t.up))].Enqueue(p)
+	i := sprayLive(n.torUplinks(int(t.id)), t.rng)
+	if i < 0 {
+		n.faults.lose(p)
 		return
 	}
+	p.Hops++
+	t.up[i].Enqueue(p)
+}
+
+// sprayLive picks one live uplink uniformly: usable is a switch's run of
+// the usable table, one entry per uplink, and the result indexes it, -1
+// when nothing is live. It draws once, Intn(live) — while every cable is
+// up, the Intn(len(usable)) of a fault-unaware spray, so an idle fault
+// table changes no packet's path.
+func sprayLive(usable []bool, rng *rand.Rand) int {
 	live := 0
-	for i := range t.up {
-		if n.torUplinkUp(int(t.id), i) {
+	for _, up := range usable {
+		if up {
 			live++
 		}
 	}
 	if live == 0 {
-		cf.lose(p)
-		return
+		return -1
 	}
-	k := t.rng.Intn(live)
-	for i := range t.up {
-		if n.torUplinkUp(int(t.id), i) {
+	k := rng.Intn(live)
+	if live == len(usable) {
+		return k // nothing down, the usual case: the k-th live entry is entry k
+	}
+	for i, up := range usable {
+		if up {
 			if k == 0 {
-				p.Hops++
-				t.up[i].Enqueue(p)
-				return
+				return i
 			}
 			k--
 		}
 	}
+	panic("sim: sprayLive walked past its live count")
 }
 
 // ClosAgg is a pod aggregation switch.
@@ -160,46 +168,27 @@ type ClosAgg struct {
 	rng  *rand.Rand
 }
 
-// Receive implements Node; see ClosToR.Receive on fault gating. A dead agg
-// needs no check of its own: every cable touching it is unusable, so both
-// branches below lose the packet before any RNG draw.
+// Receive implements Node: down the destination's cable inside the pod,
+// else sprayed over the live core uplinks. A dead agg needs no check of its
+// own: every cable touching it is unusable, so both branches below lose the
+// packet before any RNG draw.
 func (a *ClosAgg) Receive(p *Packet, _ *Port) {
 	n := a.net
 	topo := n.topo
-	cf := n.faults
-	dstPod := topo.ToRPod(int(p.DstRack))
-	if int32(dstPod) == a.pod {
-		if cf != nil && !n.aggDownToTor(int(a.id), int(p.DstRack)) {
-			cf.lose(p)
+	if int32(topo.ToRPod(int(p.DstRack))) == a.pod {
+		if !n.aggDownToTor(int(a.id), int(p.DstRack)) {
+			n.faults.lose(p)
 			return
 		}
 		a.down[int(p.DstRack)%topo.ToRsPerPod].Enqueue(p)
 		return
 	}
-	if cf == nil {
-		a.up[a.rng.Intn(len(a.up))].Enqueue(p)
+	j := sprayLive(n.aggUplinks(int(a.id)), a.rng)
+	if j < 0 {
+		n.faults.lose(p)
 		return
 	}
-	live := 0
-	for j := range a.up {
-		if n.aggUplinkUp(int(a.id), j) {
-			live++
-		}
-	}
-	if live == 0 {
-		cf.lose(p)
-		return
-	}
-	k := a.rng.Intn(live)
-	for j := range a.up {
-		if n.aggUplinkUp(int(a.id), j) {
-			if k == 0 {
-				a.up[j].Enqueue(p)
-				return
-			}
-			k--
-		}
-	}
+	a.up[j].Enqueue(p)
 }
 
 // ClosCore is a core switch; the downward pod is determined by the
@@ -214,8 +203,8 @@ type ClosCore struct {
 // core or dead tier-2 reverse cable drops the packet (NDP retransmits).
 func (c *ClosCore) Receive(p *Packet, _ *Port) {
 	pod := c.net.topo.ToRPod(int(p.DstRack))
-	if cf := c.net.faults; cf != nil && !c.net.coreDownToAgg(int(c.id), pod) {
-		cf.lose(p)
+	if !c.net.coreDownToAgg(int(c.id), pod) {
+		c.net.faults.lose(p)
 		return
 	}
 	c.down[pod].Enqueue(p)

@@ -8,27 +8,24 @@ import (
 
 // edge is the host side every fabric shares: the engine and physical
 // constants, the hosts with their NICs, the metrics collector and the
-// slot for the lazily created fault injector. Each fabric embeds one and
-// adds its switches.
+// fault table. Each fabric embeds one and adds its switches.
 type edge struct {
 	eng     *eventsim.Engine
 	cfg     *Config
-	kind    string // registered architecture name
+	kind    string // architecture name
 	hosts   []*Host
 	metrics *Metrics
 
 	racks, hostsPerRack int
 
-	// faults is nil until Faults() is first used, which keeps the
-	// no-fault forwarding paths untouched; faultSeed seeds its
-	// deterministic gray-failure (lossy-link) draws.
-	faults    *Faults
-	faultSeed int64
+	// faults is the fabric's link-state table and injector; each fabric
+	// builds it over its own coordinate map once its ports are wired.
+	faults *Faults
 }
 
-func newEdge(eng *eventsim.Engine, cfg Config, kind string, racks, hostsPerRack int, faultSeed int64) edge {
+func newEdge(eng *eventsim.Engine, cfg Config, kind string, racks, hostsPerRack int) edge {
 	return edge{eng: eng, cfg: &cfg, kind: kind, metrics: NewMetrics(),
-		racks: racks, hostsPerRack: hostsPerRack, faultSeed: faultSeed}
+		racks: racks, hostsPerRack: hostsPerRack}
 }
 
 // wireHosts creates the hosts, rack-major, each with a NIC to its ToR.
@@ -63,8 +60,11 @@ func deliverLocal(down []*Port, rack int32, p *Packet) {
 	down[idx].Enqueue(p)
 }
 
-// Kind returns the architecture's registered name.
+// Kind returns the architecture's name.
 func (e *edge) Kind() string { return e.kind }
+
+// Faults returns the fabric's fault injector.
+func (e *edge) Faults() *Faults { return e.faults }
 
 // Engine returns the simulation engine.
 func (e *edge) Engine() *eventsim.Engine { return e.eng }

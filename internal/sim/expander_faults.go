@@ -25,38 +25,34 @@ import (
 // still flows. Switch targets have no referent here — the expander has no
 // fabric switches — so they return ErrUnsupportedTarget.
 
-// Faults returns the network's fault injector, creating it lazily. Tier-0
-// link coordinates name a ToR's neighbor slot: FlatLink(r, i) is the
-// cable between rack r and its i-th expander neighbor. That names every
-// cable twice, once from each end; the canonical name is the
-// lower-numbered rack's, and it is one physical cable whichever name is
-// used — a cut takes both directions, gray impairments apply to both end
-// ports.
-func (n *ExpanderNet) Faults() *Faults {
-	if n.faults == nil {
-		topo := n.topo
-		var cables []cable
-		for r := 0; r < topo.NumRacks; r++ {
-			for slot, nb := range topo.G.Neighbors(r) {
-				if peer := int(nb); peer > r {
-					rev := n.peerSlot(r, slot)
-					cables = append(cables, cable{
-						id: FlatLink(r, slot), alias: FlatLink(peer, rev),
-						ends:  [2]int32{int32(r), int32(peer)},
-						ports: [2]*Port{n.tors[r].up[slot], n.tors[peer].up[rev]},
-					})
-				}
+// faultMap is the expander's coordinate map. Tier-0 link coordinates name
+// a ToR's neighbor slot: FlatLink(r, i) is the cable between rack r and
+// its i-th expander neighbor. That names every cable twice, once from each
+// end; the canonical name is the lower-numbered rack's, and it is one
+// physical cable whichever name is used — a cut takes both directions,
+// gray impairments apply to both end ports.
+func (n *ExpanderNet) faultMap() faultMap {
+	topo := n.topo
+	var cables []cable
+	for r := 0; r < topo.NumRacks; r++ {
+		for slot, nb := range topo.G.Neighbors(r) {
+			if peer := int(nb); peer > r {
+				rev := n.peerSlot(r, slot)
+				cables = append(cables, cable{
+					id: FlatLink(r, slot), alias: FlatLink(peer, rev),
+					ends:  [2]int32{int32(r), int32(peer)},
+					ports: [2]*Port{n.tors[r].up[slot], n.tors[peer].up[rev]},
+				})
 			}
 		}
-		n.faults = newFaults(n.eng, n.faultSeed, faultMap{
-			fabric: n.Kind(),
-			tors:   topo.NumRacks,
-			links:  []linkPlane{{n: topo.NumRacks, ports: topo.Degree, swName: "rack", portName: "neighbor slot"}},
-			cables: cables,
-			react:  n.reconverge,
-		})
 	}
-	return n.faults
+	return faultMap{
+		fabric: n.kind,
+		tors:   topo.NumRacks,
+		links:  []linkPlane{{n: topo.NumRacks, ports: topo.Degree, swName: "rack", portName: "neighbor slot"}},
+		cables: cables,
+		react:  n.reconverge,
+	}
 }
 
 // peerSlot finds the reverse slot: the index of rack in its slot-th

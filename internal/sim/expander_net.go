@@ -19,20 +19,19 @@ type ExpanderNet struct {
 	tors   []*ExpanderToR
 }
 
-func init() {
-	Register("expander", func(p BuildParams) (Network, error) {
-		topo, err := topology.NewExpander(p.Racks, p.HostsPerRack, p.Uplinks, p.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return NewExpanderNet(p.Engine, p.Sim, topo, p.Seed+1), nil
-	})
+func buildExpander(p BuildParams) (Network, error) {
+	topo, err := topology.NewExpander(p.Racks, p.HostsPerRack, p.Uplinks, p.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return NewExpanderNet(p.Engine, p.Sim, topo, p.Seed+1), nil
 }
 
-// NewExpanderNet wires the expander fabric.
+// NewExpanderNet wires the expander fabric. seed drives per-ToR packet
+// spraying and gray-failure draws.
 func NewExpanderNet(eng *eventsim.Engine, cfg Config, topo *topology.Expander, seed int64) *ExpanderNet {
 	n := &ExpanderNet{
-		edge:   newEdge(eng, cfg, "expander", topo.NumRacks, topo.HostsPerRack, seed),
+		edge:   newEdge(eng, cfg, "expander", topo.NumRacks, topo.HostsPerRack),
 		topo:   topo,
 		tables: routing.MustBuild(routing.ExpanderPortMap(topo)),
 	}
@@ -53,6 +52,7 @@ func NewExpanderNet(eng *eventsim.Engine, cfg Config, topo *topology.Expander, s
 			tor.up[i] = NewPort(eng, n.cfg, fmt.Sprintf("tor%d->tor%d", r, nb), n.tors[nb])
 		}
 	}
+	n.faults = newFaults(eng, seed, n.faultMap())
 	return n
 }
 

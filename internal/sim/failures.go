@@ -140,9 +140,6 @@ func (ep *helloEpidemic) spread(sliceInCycle int) {
 // failure set; with no fault ever injected every ToR survives and there is
 // nothing to learn.
 func (n *OperaNet) InformedCount() (informed, survivors int) {
-	if n.faults == nil {
-		return 0, n.topo.NumRacks()
-	}
 	for r, knows := range n.epidemic.informed {
 		if n.faults.nodeDown[r] {
 			continue

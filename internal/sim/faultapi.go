@@ -246,7 +246,7 @@ var ErrUnsupportedTarget = errors.New("fault target unsupported on this fabric")
 // Nodes are numbered ToRs first (ToR r is node r), then each switch plane
 // in order.
 type faultMap struct {
-	fabric string // registered architecture name, for error text
+	fabric string // architecture name, for error text
 	tors   int
 	// links are the cable coordinate planes; links[0] is the flat
 	// {rack, uplink} plane that FlatLink and LinkUp address.
@@ -292,9 +292,10 @@ type cable struct {
 }
 
 // Faults schedules runtime failures and recoveries into a live fabric and
-// owns its only link-state table. Every built-in fabric hands one out
-// through FaultNetwork.Faults; what differs per fabric is the coordinate
-// map and the reaction rule documented next to each fabric's faultMap.
+// owns its only link-state table. Every fabric builds one where it wires
+// its ports and hands it out through Network.Faults; what differs per
+// fabric is the coordinate map and the reaction rule documented next to
+// each fabric's faultMap.
 //
 // Inject validates the target and descriptor synchronously — bad
 // coordinates or an unsupported target kind return an error before
@@ -660,8 +661,8 @@ func (f *Faults) Recover(t Target, at eventsim.Time) error {
 }
 
 // SetStrandedProbe wires StrandedBytes to a live transport-layer probe.
-// Cluster.Faults installs RotorLB's stranded-VLB accounting on circuit
-// fabrics; fabrics without RotorLB leave it unset.
+// The cluster installs RotorLB's stranded-VLB accounting on circuit
+// fabrics when it is built; fabrics without RotorLB leave it unset.
 func (f *Faults) SetStrandedProbe(fn func() int64) { f.strandedProbe = fn }
 
 // StrandedBytes reports VLB bytes currently parked at relay racks that

@@ -184,6 +184,52 @@ func TestLinksUniverses(t *testing.T) {
 	}
 }
 
+// Every fabric carries its fault table from construction: a freshly built
+// cluster hands out the injector over the documented Links() universe, and
+// a fault-free run leaves it idle — nothing active, lost or stranded.
+func TestFaultTableAlwaysPresent(t *testing.T) {
+	// Default sizing: 16 racks × 4 uplinks (hybrid RotorNet diverts one);
+	// the degree-4 expander has half as many cables as cable ends; k=8,
+	// F=3 Clos as in TestLinksUniverses.
+	for _, tc := range []struct {
+		kind   opera.Kind
+		cables int
+	}{
+		{opera.KindOpera, 16 * 4},
+		{opera.KindExpander, 16 * 4 / 2},
+		{opera.KindRotorNet, 16 * 4},
+		{opera.KindRotorNetHybrid, 16 * 3},
+		{opera.KindFoldedClos, 32*2 + 16*4},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			cl := newCluster(t, tc.kind)
+			inj := cl.Network().Faults()
+			if inj == nil || inj != cl.Faults() {
+				t.Fatalf("Network.Faults() = %p, Cluster.Faults() = %p: want the one table", inj, cl.Faults())
+			}
+			if got := len(inj.Links()); got != tc.cables {
+				t.Fatalf("universe = %d links, want %d cables", got, tc.cables)
+			}
+			n := cl.NumHosts()
+			for i := 0; i < 8; i++ {
+				spec := workload.FlowSpec{Src: i, Dst: (i + n/2) % n, Bytes: 30_000}
+				cl.AddFlow(spec)
+				cl.AddBulkFlow(spec)
+			}
+			if !cl.RunUntilDone(200 * eventsim.Millisecond) {
+				done, total := cl.Metrics().DoneCount()
+				t.Fatalf("only %d/%d flows finished", done, total)
+			}
+			if got := inj.ActiveFaults(); len(got) != 0 {
+				t.Errorf("fault-free run lists active faults: %v", got)
+			}
+			if inj.Lost != 0 || inj.StrandedBytes() != 0 {
+				t.Errorf("fault-free run: Lost = %d, StrandedBytes = %d, want 0, 0", inj.Lost, inj.StrandedBytes())
+			}
+		})
+	}
+}
+
 // Inject validates synchronously: bad descriptors, negative times and gray
 // faults on non-link targets are errors before anything schedules (bad
 // coordinates are TestLinksUniverses').

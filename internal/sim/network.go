@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/opera-net/opera/internal/eventsim"
 )
@@ -27,8 +26,16 @@ type Network interface {
 	NumRacks() int
 	// HostsPerRack returns hosts per rack.
 	HostsPerRack() int
-	// Kind returns the architecture's registered name (e.g. "opera").
+	// Kind returns the architecture's name (e.g. "opera").
 	Kind() string
+	// Faults returns the fabric's fault injector (see faultapi.go), which
+	// owns its link-state table from construction. What differs per
+	// fabric is the coordinate map and the reaction to a state change:
+	// OperaNet (§3.6.2's detection-and-epidemic model), ExpanderNet
+	// (instant link-state reconvergence), RotorNetSim (instant global
+	// knowledge over the OOB management channel) and ClosNet (instant
+	// local link-state with tier-addressed coordinates).
+	Faults() *Faults
 	// PacketCapable reports whether the fabric has an always-on
 	// packet-switched path, i.e. whether NDP low-latency traffic can be
 	// carried. Circuit-only fabrics (non-hybrid RotorNet) return false.
@@ -46,23 +53,9 @@ type Transport interface {
 	StartFlow(f *Flow)
 }
 
-// FaultNetwork is the capability interface for runtime failure injection:
-// a Network that hands out the Faults injector (see faultapi.go) over its
-// live state. All four built-in fabrics implement it, each contributing
-// its coordinate map and its reaction to a state change: OperaNet
-// (§3.6.2's detection-and-epidemic model), ExpanderNet (instant
-// link-state reconvergence), RotorNetSim (instant global knowledge over
-// the OOB management channel) and ClosNet (instant local link-state with
-// tier-addressed coordinates).
-type FaultNetwork interface {
-	Network
-	// Faults returns the fabric's fault injector, creating it on first use.
-	Faults() *Faults
-}
-
-// BuildParams carries everything a registered architecture needs to
-// assemble itself: the shared event engine, physical constants, and the
-// sizing knobs of the root package's ClusterConfig.
+// BuildParams carries everything an architecture needs to assemble
+// itself: the shared event engine, physical constants, and the sizing
+// knobs of the root package's ClusterConfig.
 type BuildParams struct {
 	Engine *eventsim.Engine
 	Sim    Config
@@ -83,58 +76,31 @@ type BuildParams struct {
 // Builder constructs a wired (but not yet started) Network.
 type Builder func(p BuildParams) (Network, error)
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Builder{}
-)
-
-// Register installs a Network constructor under an architecture name.
-// The four built-in fabrics register themselves from their init functions;
-// additional fabrics register the same way and become buildable through
-// the root package without modifying it. Register panics on a duplicate
-// name — architecture names are a flat global namespace.
-func Register(kind string, b Builder) {
-	if b == nil {
-		panic("sim: Register with nil builder")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[kind]; dup {
-		panic(fmt.Sprintf("sim: duplicate network registration %q", kind))
-	}
-	registry[kind] = b
+// builders is the closed set of architectures, by name.
+var builders = map[string]Builder{
+	"opera":           buildOpera,
+	"expander":        buildExpander,
+	"foldedclos":      buildClos,
+	"rotornet":        func(p BuildParams) (Network, error) { return buildRotorNet(p, false) },
+	"rotornet-hybrid": func(p BuildParams) (Network, error) { return buildRotorNet(p, true) },
 }
 
 // Build constructs the named architecture.
 func Build(kind string, p BuildParams) (Network, error) {
-	registryMu.RLock()
-	b := registry[kind]
-	registryMu.RUnlock()
+	b := builders[kind]
 	if b == nil {
-		return nil, fmt.Errorf("sim: no network architecture registered as %q (have %v)", kind, RegisteredKinds())
+		kinds := make([]string, 0, len(builders))
+		for k := range builders {
+			kinds = append(kinds, k)
+		}
+		sort.Strings(kinds)
+		return nil, fmt.Errorf("sim: no network architecture registered as %q (have %v)", kind, kinds)
 	}
 	return b(p)
 }
 
-// RegisteredKinds lists all registered architecture names, sorted.
-func RegisteredKinds() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	kinds := make([]string, 0, len(registry))
-	for k := range registry {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	return kinds
-}
-
-// The built-in fabrics all take faults (FaultNetwork includes Network), and
-// the rotor fabrics have circuits.
+// The rotor fabrics have circuits.
 var (
-	_ FaultNetwork   = (*OperaNet)(nil)
-	_ FaultNetwork   = (*ExpanderNet)(nil)
-	_ FaultNetwork   = (*RotorNetSim)(nil)
-	_ FaultNetwork   = (*ClosNet)(nil)
 	_ CircuitNetwork = (*OperaNet)(nil)
 	_ CircuitNetwork = (*RotorNetSim)(nil)
 )

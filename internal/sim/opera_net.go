@@ -23,20 +23,18 @@ type OperaNet struct {
 	epidemic *helloEpidemic
 }
 
-func init() {
-	Register("opera", func(p BuildParams) (Network, error) {
-		topo, err := topology.NewOpera(topology.Config{
-			NumRacks:     p.Racks,
-			HostsPerRack: p.HostsPerRack,
-			NumSwitches:  p.Uplinks,
-			Seed:         p.Seed,
-			MaxDiameter:  p.MaxSliceDiameter,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return NewOperaNet(p.Engine, p.Sim, topo, p.Seed+1), nil
+func buildOpera(p BuildParams) (Network, error) {
+	topo, err := topology.NewOpera(topology.Config{
+		NumRacks:     p.Racks,
+		HostsPerRack: p.HostsPerRack,
+		NumSwitches:  p.Uplinks,
+		Seed:         p.Seed,
+		MaxDiameter:  p.MaxSliceDiameter,
 	})
+	if err != nil {
+		return nil, err
+	}
+	return NewOperaNet(p.Engine, p.Sim, topo, p.Seed+1), nil
 }
 
 // NewOperaNet wires an Opera network over the given topology. seed drives
@@ -66,13 +64,7 @@ func (n *OperaNet) Topology() *topology.Opera { return n.topo }
 // DirectReachable implements CircuitNetwork: each pair appears in exactly
 // one switch's matchings, so the pair is severed iff that circuit is.
 func (n *OperaNet) DirectReachable(rack, dst int) bool {
-	if rack == dst {
-		return false
-	}
-	if n.faults == nil {
-		return true
-	}
-	sw := n.topo.PairSwitch(rack, dst)
+	sw := n.topo.PairSwitch(rack, dst) // -1 for rack == dst
 	return sw >= 0 && n.circuitUp(rack, dst, sw)
 }
 

@@ -70,9 +70,10 @@ func (h *sliceBlackout) OnEvent(any) {
 	}
 }
 
-// assemble wires hosts, ToRs and their ports over the schedule.
+// assemble wires hosts, ToRs and their ports over the schedule, and the
+// fault table over the ports.
 func (f *rotorFabric) assemble(eng *eventsim.Engine, cfg Config, kind string, sched topology.Schedule, faultSeed int64) {
-	f.edge = newEdge(eng, cfg, kind, sched.NumRacks(), sched.HostsPerRack(), faultSeed)
+	f.edge = newEdge(eng, cfg, kind, sched.NumRacks(), sched.HostsPerRack())
 	f.sched = sched
 	f.tick.f, f.blackout.f = f, f
 	f.tors = make([]*RotorToR, f.racks)
@@ -83,6 +84,7 @@ func (f *rotorFabric) assemble(eng *eventsim.Engine, cfg Config, kind string, sc
 	for _, t := range f.tors {
 		t.wire()
 	}
+	f.faults = newFaults(eng, faultSeed, f.faultMap())
 }
 
 // Start begins the slice clock; call once before running the engine.
@@ -114,7 +116,7 @@ func (f *rotorFabric) PairWindowsPerCycle() int { return f.sched.PairWindowsPerC
 // works end to end: either end's cable, the switch, or the peer ToR may
 // have failed.
 func (f *rotorFabric) circuitUp(rack, peer, sw int) bool {
-	return f.faults == nil || f.faults.LinkUp(rack, sw) && f.faults.LinkUp(peer, sw)
+	return f.faults.LinkUp(rack, sw) && f.faults.LinkUp(peer, sw)
 }
 
 // ActiveCircuits implements CircuitNetwork: every installed matching's peer
@@ -183,34 +185,30 @@ func (f *rotorFabric) sliceBoundary(S int64) {
 	}
 }
 
-// Faults returns the network's fault injector, creating it lazily. The
-// coordinate map is flat {rack, rotor switch}: tier-0 links name rack
-// uplinks, tier-0 switch targets name rotor switches (hybrid RotorNet's
-// packet uplink is not a fault coordinate), and gray impairments apply to
-// the named rack's uplink port. Each cable carries only that rack-side
-// port: the far end is an optical switch.
-func (f *rotorFabric) Faults() *Faults {
-	if f.faults == nil {
-		racks, sws := f.racks, f.sched.Uplinks()
-		cables := make([]cable, 0, racks*sws)
-		for rack := 0; rack < racks; rack++ {
-			for sw := 0; sw < sws; sw++ {
-				id := FlatLink(rack, sw)
-				cables = append(cables, cable{id: id, alias: id,
-					ends:  [2]int32{int32(rack), int32(racks + sw)},
-					ports: [2]*Port{f.tors[rack].up[sw]}})
-			}
+// faultMap is the rotor fabrics' coordinate map, flat {rack, rotor switch}:
+// tier-0 links name rack uplinks, tier-0 switch targets name rotor switches
+// (hybrid RotorNet's packet uplink is not a fault coordinate), and gray
+// impairments apply to the named rack's uplink port. Each cable carries
+// only that rack-side port: the far end is an optical switch.
+func (f *rotorFabric) faultMap() faultMap {
+	racks, sws := f.racks, f.sched.Uplinks()
+	cables := make([]cable, 0, racks*sws)
+	for rack := 0; rack < racks; rack++ {
+		for sw := 0; sw < sws; sw++ {
+			id := FlatLink(rack, sw)
+			cables = append(cables, cable{id: id, alias: id,
+				ends:  [2]int32{int32(rack), int32(racks + sw)},
+				ports: [2]*Port{f.tors[rack].up[sw]}})
 		}
-		f.faults = newFaults(f.eng, f.faultSeed, faultMap{
-			fabric:   f.kind,
-			tors:     racks,
-			links:    []linkPlane{{n: racks, ports: sws, swName: "rack", portName: "rotor switch"}},
-			switches: []switchPlane{{n: sws, name: "rotor switch"}},
-			cables:   cables,
-			react:    f.react,
-		})
 	}
-	return f.faults
+	return faultMap{
+		fabric:   f.kind,
+		tors:     racks,
+		links:    []linkPlane{{n: racks, ports: sws, swName: "rack", portName: "rotor switch"}},
+		switches: []switchPlane{{n: sws, name: "rotor switch"}},
+		cables:   cables,
+		react:    f.react,
+	}
 }
 
 // RotorToR is a top-of-rack switch on a rotor fabric. Bulk packets leave by
@@ -301,7 +299,7 @@ func (t *RotorToR) receiveBulk(p *Packet) {
 	}
 	// A ToR knows its own links' state immediately (signal loss, §3.5);
 	// the far end's only under farEndKnown.
-	if fs := f.faults; fs != nil && (!fs.LinkUp(int(t.rack), sw) || f.farEndKnown && !fs.LinkUp(target, sw)) {
+	if fs := f.faults; !fs.LinkUp(int(t.rack), sw) || f.farEndKnown && !fs.LinkUp(target, sw) {
 		t.bulkNACK(p)
 		return
 	}

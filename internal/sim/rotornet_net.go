@@ -44,8 +44,8 @@ import (
 // One RotorLB model gap is surfaced rather than fixed: VLB bytes parked
 // at a relay whose second leg then dies are not re-offloaded to a third
 // rack — they wait at the relay until the destination becomes directly
-// reachable again. Faults.StrandedBytes (wired by Cluster.Faults) reports
-// them.
+// reachable again. Faults.StrandedBytes (wired when the cluster is built)
+// reports them.
 type RotorNetSim struct {
 	rotorFabric
 	topo *topology.RotorNet
@@ -69,24 +69,18 @@ func (rotorOOBDeliver) OnEvent(arg any) {
 	dst.Receive(p, nil)
 }
 
-func init() {
-	builder := func(hybrid bool) Builder {
-		return func(p BuildParams) (Network, error) {
-			topo, err := topology.NewRotorNet(topology.RotorConfig{
-				NumRacks:     p.Racks,
-				HostsPerRack: p.HostsPerRack,
-				Uplinks:      p.Uplinks,
-				Hybrid:       hybrid,
-				Seed:         p.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return NewRotorNetSim(p.Engine, p.Sim, topo, p.Seed+1), nil
-		}
+func buildRotorNet(p BuildParams, hybrid bool) (Network, error) {
+	topo, err := topology.NewRotorNet(topology.RotorConfig{
+		NumRacks:     p.Racks,
+		HostsPerRack: p.HostsPerRack,
+		Uplinks:      p.Uplinks,
+		Hybrid:       hybrid,
+		Seed:         p.Seed,
+	})
+	if err != nil {
+		return nil, err
 	}
-	Register("rotornet", builder(false))
-	Register("rotornet-hybrid", builder(true))
+	return NewRotorNetSim(p.Engine, p.Sim, topo, p.Seed+1), nil
 }
 
 // NewRotorNetSim wires a RotorNet fabric. seed drives deterministic
@@ -121,16 +115,13 @@ func (n *RotorNetSim) Topology() *topology.RotorNet { return n.topo }
 
 // DirectReachable implements CircuitNetwork: whether some slot of the
 // cycle still installs a working direct circuit between the racks. With
-// no failures every distinct pair connects; under faults the pair's
-// matching slots are checked against live links, which is what makes
-// RotorLB fully offload stranded queues via VLB and decline relaying
-// toward unreachable destinations.
+// no failures every distinct pair connects; the pair's matching slots are
+// checked against live links, which is what makes RotorLB fully offload
+// stranded queues via VLB and decline relaying toward unreachable
+// destinations.
 func (n *RotorNetSim) DirectReachable(rack, dst int) bool {
 	if rack == dst {
 		return false
-	}
-	if n.faults == nil {
-		return true
 	}
 	for slot := 0; slot < n.topo.SlicesPerCycle(); slot++ {
 		// The 1-factorization installs at most one switch connecting a

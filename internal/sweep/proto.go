@@ -18,8 +18,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
-	"strconv"
 
 	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/scenario"
@@ -43,12 +41,6 @@ type Frame struct {
 	Collector []byte
 }
 
-// crashAfterEnv is test-only fault injection: when set to n, a worker
-// exits hard (simulating a crash) after emitting n frames. The retry
-// tests use it to kill a shard mid-sweep and prove the merged output
-// still matches a local run.
-const crashAfterEnv = "OPERA_SWEEP_TEST_CRASH_AFTER"
-
 // ServeShard is the worker side of the protocol: decode one ShardSpec
 // from r, run each spec, and stream a Frame per result to w. It returns
 // only on a malformed shard or a broken pipe; a healthy worker processes
@@ -62,19 +54,8 @@ func ServeShard(r io.Reader, w io.Writer) error {
 		return fmt.Errorf("sweep: worker: shard pairs %d indices with %d specs",
 			len(shard.Indices), len(shard.Specs))
 	}
-	crashAfter := -1
-	if s := os.Getenv(crashAfterEnv); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			return fmt.Errorf("sweep: worker: bad %s: %w", crashAfterEnv, err)
-		}
-		crashAfter = n
-	}
 	enc := gob.NewEncoder(w)
 	for k, sp := range shard.Specs {
-		if crashAfter >= 0 && k >= crashAfter {
-			os.Exit(3)
-		}
 		res, blob := runSpec(sp)
 		if err := enc.Encode(Frame{Index: shard.Indices[k], Result: res, Collector: blob}); err != nil {
 			return fmt.Errorf("sweep: worker: send frame: %w", err)

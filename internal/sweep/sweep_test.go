@@ -3,7 +3,9 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"reflect"
@@ -23,15 +25,56 @@ import (
 // binary as the shard subprocess (the standard helper-process pattern).
 const workerEnv = "OPERA_SWEEP_WORKER"
 
+// crashEnv makes a test worker die mid-shard: set to n, the worker exits
+// hard (simulating a crash) once it has emitted n frames. The retry tests
+// use it to kill a shard mid-sweep and prove the merged output still
+// matches a local run.
+const crashEnv = "OPERA_SWEEP_TEST_CRASH_AFTER"
+
 func TestMain(m *testing.M) {
 	if os.Getenv(workerEnv) == "1" {
-		if err := ServeShard(os.Stdin, os.Stdout); err != nil {
+		var in io.Reader = os.Stdin
+		crash := false
+		if s := os.Getenv(crashEnv); s != "" {
+			in, crash = truncateShard(os.Stdin, s)
+		}
+		if err := ServeShard(in, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
+		}
+		if crash {
+			os.Exit(3)
 		}
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// truncateShard is the crashing worker's input: the shard read from r cut
+// to its first n specs, re-encoded for ServeShard — so the frames a dying
+// worker does emit come off the production path — and whether anything
+// was cut, i.e. whether the worker dies before finishing.
+func truncateShard(r io.Reader, n string) (io.Reader, bool) {
+	after, err := strconv.Atoi(n)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bad %s: %v\n", crashEnv, err)
+		os.Exit(1)
+	}
+	var shard ShardSpec
+	if err := gob.NewDecoder(r).Decode(&shard); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	crash := after < len(shard.Specs)
+	if crash {
+		shard.Indices, shard.Specs = shard.Indices[:after], shard.Specs[:after]
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(shard); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	return &buf, crash
 }
 
 // testWorker launches this test binary in worker mode.
@@ -48,7 +91,7 @@ func crashOnce(after int) (CommandFunc, *atomic.Bool) {
 	return func(ctx context.Context) *exec.Cmd {
 		cmd := testWorker(ctx)
 		if fired.CompareAndSwap(false, true) {
-			cmd.Env = append(cmd.Env, crashAfterEnv+"="+strconv.Itoa(after))
+			cmd.Env = append(cmd.Env, crashEnv+"="+strconv.Itoa(after))
 		}
 		return cmd
 	}, &fired
@@ -57,7 +100,7 @@ func crashOnce(after int) (CommandFunc, *atomic.Bool) {
 // crashAlways makes every worker exit before its first frame.
 func crashAlways(ctx context.Context) *exec.Cmd {
 	cmd := testWorker(ctx)
-	cmd.Env = append(cmd.Env, crashAfterEnv+"=0")
+	cmd.Env = append(cmd.Env, crashEnv+"=0")
 	return cmd
 }
 

@@ -21,10 +21,10 @@
 //	cl.RunUntilDone(eventsim.Time(5 * eventsim.Millisecond))
 //	fct := cl.Metrics().FCTSample(nil)
 //
-// Architectures are pluggable: each fabric registers a constructor in the
-// internal/sim builder registry under its Kind's name, and the Cluster
-// attaches transports by capability — NDP wherever the fabric has an
-// always-on packet path, RotorLB wherever it exposes slice-driven circuits
+// The architecture set is closed: internal/sim builds each fabric by its
+// Kind's name, and the Cluster attaches transports by capability — NDP
+// wherever the fabric has an always-on packet path, RotorLB wherever it
+// exposes slice-driven circuits
 // (sim.CircuitNetwork). Flows smaller than BulkThreshold (default 15 MB,
 // §4.1) are latency-sensitive and ride NDP over the current expander
 // slice; larger flows wait at hosts and ride RotorLB over direct circuits.
@@ -40,7 +40,6 @@ package opera
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/ndp"
@@ -69,49 +68,22 @@ const (
 	KindRotorNetHybrid
 )
 
-// kindNames maps Kinds to their registered architecture names. Built-in
-// fabrics are listed here; additional ones join through RegisterKind.
-// kindMu guards it: clusters may be built from many goroutines (the
-// scenario runner) while a fabric registers.
-var (
-	kindMu    sync.RWMutex
-	kindNames = map[Kind]string{
-		KindOpera:          "opera",
-		KindExpander:       "expander",
-		KindFoldedClos:     "foldedclos",
-		KindRotorNet:       "rotornet",
-		KindRotorNetHybrid: "rotornet-hybrid",
-	}
-)
-
-// RegisterKind binds a Kind value to an architecture name previously
-// registered with the internal/sim builder registry, making it buildable
-// through New and NewCluster. Because that registry (and the sim.Network
-// contract a fabric implements) lives under internal/, new fabrics are
-// added from within this module — a fork or an in-tree package — rather
-// than from external modules. Pick Kind values well above the built-ins
-// (e.g. iota from 100) to stay clear of future additions. RegisterKind
-// panics if either the Kind or the name is already bound.
-func RegisterKind(k Kind, name string) {
-	kindMu.Lock()
-	defer kindMu.Unlock()
-	if existing, ok := kindNames[k]; ok {
-		panic(fmt.Sprintf("opera: Kind %d already registered as %q", int(k), existing))
-	}
-	for kk, n := range kindNames {
-		if n == name {
-			panic(fmt.Sprintf("opera: name %q already registered as Kind %d", name, int(kk)))
-		}
-	}
-	kindNames[k] = name
+// kindNames is each Kind's architecture name in internal/sim, indexed by
+// Kind.
+var kindNames = [...]string{
+	KindOpera:          "opera",
+	KindExpander:       "expander",
+	KindFoldedClos:     "foldedclos",
+	KindRotorNet:       "rotornet",
+	KindRotorNetHybrid: "rotornet-hybrid",
 }
 
 // kindName resolves a Kind to its architecture name.
 func kindName(k Kind) (string, bool) {
-	kindMu.RLock()
-	defer kindMu.RUnlock()
-	name, ok := kindNames[k]
-	return name, ok
+	if k < 0 || int(k) >= len(kindNames) {
+		return "", false
+	}
+	return kindNames[k], true
 }
 
 func (k Kind) String() string {
@@ -122,18 +94,14 @@ func (k Kind) String() string {
 }
 
 // ParseKind resolves an architecture name ("opera", "expander",
-// "foldedclos", "rotornet", "rotornet-hybrid", or any name added through
-// RegisterKind) to its Kind.
+// "foldedclos", "rotornet" or "rotornet-hybrid") to its Kind.
 func ParseKind(name string) (Kind, error) {
-	kindMu.RLock()
-	defer kindMu.RUnlock()
-	known := make([]string, 0, len(kindNames))
 	for k, n := range kindNames {
 		if n == name {
-			return k, nil
+			return Kind(k), nil
 		}
-		known = append(known, n)
 	}
+	known := append([]string(nil), kindNames[:]...)
 	sort.Strings(known)
 	return 0, fmt.Errorf("opera: unknown network %q (have %v)", name, known)
 }
@@ -201,10 +169,6 @@ type Cluster struct {
 	transports map[sim.Class]sim.Transport
 	lb         *rotorlb.LB // nil unless the fabric has circuits
 
-	// faults is the injector Faults has handed out, nil until it is first
-	// asked for.
-	faults *sim.Faults
-
 	// pumps counts sources added with AddSource that are not yet
 	// exhausted; RunUntilDone keeps running while any remain.
 	pumps int
@@ -231,8 +195,8 @@ func New(kind Kind, opts ...Option) (*Cluster, error) {
 	return build(cfg)
 }
 
-// build assembles the cluster: the architecture comes out of the builder
-// registry, and transports attach by capability rather than by Kind.
+// build assembles the cluster: internal/sim builds the architecture by
+// name, and transports attach by capability rather than by Kind.
 func build(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.BulkThreshold == 0 {
 		cfg.BulkThreshold = DefaultBulkThreshold
@@ -299,6 +263,7 @@ func build(cfg ClusterConfig) (*Cluster, error) {
 	if cn, ok := net.(sim.CircuitNetwork); ok {
 		c.lb = rotorlb.Attach(cn, lbParams, c.registry)
 		c.transports[sim.ClassBulk] = c.lb
+		net.Faults().SetStrandedProbe(c.lb.StrandedBytes)
 	}
 	// Low-latency traffic rides NDP wherever an always-on packet path
 	// exists; on the static fabrics NDP carries bulk too (Class then only
@@ -362,10 +327,9 @@ func (c *Cluster) OperaNet() *sim.OperaNet {
 	return n
 }
 
-// Faults returns the fabric's runtime fault injector, or nil when the
-// architecture does not model runtime faults. All four registered
-// architectures do, through the one *sim.Faults type; what differs is how
-// each fabric reacts to a state change: Opera runs the §3.6.2
+// Faults returns the fabric's runtime fault injector. Every architecture
+// carries one from construction, the one *sim.Faults type; what differs is
+// how each fabric reacts to a state change: Opera runs the §3.6.2
 // detection-and-epidemic recovery of its rotor fabric, the static
 // expander and the folded Clos reconverge instantly, and RotorNet routes
 // around dead circuits over its out-of-band management channel. Faults
@@ -381,27 +345,7 @@ func (c *Cluster) OperaNet() *sim.OperaNet {
 // Links, ActiveFaults, StrandedBytes and the Lost counter are plain
 // methods and fields of the same value. On circuit fabrics StrandedBytes
 // is wired to RotorLB's stranded-VLB accounting.
-//
-// The fabric creates its injector on the first call, and from then on
-// forwards through its fault-aware branches; a caller that only wants to
-// look uses AttachedFaults.
-func (c *Cluster) Faults() *sim.Faults {
-	if c.faults == nil {
-		fn, ok := c.net.(sim.FaultNetwork)
-		if !ok {
-			return nil
-		}
-		c.faults = fn.Faults()
-		if c.lb != nil {
-			c.faults.SetStrandedProbe(c.lb.StrandedBytes)
-		}
-	}
-	return c.faults
-}
-
-// AttachedFaults returns the injector if Faults has handed one out, nil
-// otherwise — the read for observers, which must not change the run.
-func (c *Cluster) AttachedFaults() *sim.Faults { return c.faults }
+func (c *Cluster) Faults() *sim.Faults { return c.net.Faults() }
 
 // NDPFabric exposes the NDP transport's endpoint fabric, or nil when the
 // architecture has no always-on packet path (non-hybrid RotorNet). The

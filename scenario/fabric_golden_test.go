@@ -100,10 +100,6 @@ func line(t *testing.T, out *strings.Builder, sp scenario.Spec) {
 	if err != nil {
 		t.Fatalf("%s seed %d: %v", sp.Name, sp.Seed, err)
 	}
-	var lost uint64
-	if len(sp.Events) > 0 {
-		lost = cl.Faults().Lost
-	}
 	fmt.Fprintf(out, "%s seed=%d done=%d/%d events=%d nacks=%d lost=%d sha256=%x\n",
-		sp.Name, sp.Seed, res.FlowsDone, res.FlowsTotal, res.SimEvents, res.BulkNACKs, lost, sha256.Sum256(blob))
+		sp.Name, sp.Seed, res.FlowsDone, res.FlowsTotal, res.SimEvents, res.BulkNACKs, cl.Faults().Lost, sha256.Sum256(blob))
 }

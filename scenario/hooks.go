@@ -38,19 +38,12 @@ type Action struct {
 
 func (a Action) String() string { return a.name }
 
-// faultAction wraps an injector operation with the capability check: the
-// fabric must model runtime faults. All four architectures do (Opera, the
-// expander, the folded Clos and RotorNet); a fabric outside the registry
-// that does not implement sim.FaultNetwork reports it here. Target errors
-// (a switch target on the expander, a tier the fabric lacks) surface from
-// the injector itself, wrapped with the action name.
+// faultAction wraps an injector operation as an Action. Target errors (a
+// switch target on the expander, a tier the fabric lacks) surface from the
+// injector itself, wrapped with the action name.
 func faultAction(name string, f func(inj *sim.Faults, rng *rand.Rand, at eventsim.Time) error) Action {
 	return Action{name: name, apply: func(cl *opera.Cluster, rng *rand.Rand, at eventsim.Time) error {
-		inj := cl.Faults()
-		if inj == nil {
-			return fmt.Errorf("scenario: %s: architecture %v does not support runtime fault injection", name, cl.Kind())
-		}
-		if err := f(inj, rng, at); err != nil {
+		if err := f(cl.Faults(), rng, at); err != nil {
 			return fmt.Errorf("scenario: %s: %w", name, err)
 		}
 		return nil

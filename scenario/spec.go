@@ -28,9 +28,8 @@ import (
 type Spec struct {
 	// Name labels the scenario in its Result.
 	Name string
-	// Network is the architecture name ("opera", "expander", "foldedclos",
-	// "rotornet", "rotornet-hybrid", or anything registered through
-	// opera.RegisterKind).
+	// Network is the architecture name: "opera", "expander", "foldedclos",
+	// "rotornet" or "rotornet-hybrid" (opera.ParseKind).
 	Network string
 	// Seed seeds topology, workload and fault randomness (Scenario.Seed).
 	Seed int64
