@@ -2,7 +2,7 @@
 # so a clean `make lint` locally means the static-analysis gate passes.
 GO ?= go
 
-.PHONY: lint test short race fmt check bench-module fuzz figdiff loc
+.PHONY: lint test short race fmt check bench-module fuzz figdiff digests loc
 
 ## lint: go vet + the opera-lint determinism/hot-path analyzers over ./...
 lint:
@@ -62,6 +62,33 @@ figdiff:
 	  echo "figdiff: $(FIGS) CSVs byte-identical to $(BASE)"; } || status=1; \
 	rm -rf $(FIGDIFF); exit $$status
 
+## digests: the ledger byte-identity check every refactor runs —
+## `make digests BASE=<rev> [SEED=1]` unpacks BASE into a throwaway
+## directory (as figdiff does), builds bench/ there and in this tree, runs
+## every BENCHMARK.json workload once a side (`-run-one`, GOMAXPROCS=1,
+## ~15 s in all), prints P99Us/GoodputGbps/SimEvents/Digest side by side
+## and fails on any difference
+DIGESTS := $(or $(TMPDIR),/tmp)/opera-digests
+SEED ?= 1
+digests:
+	@test -n "$(BASE)" || { echo "usage: make digests BASE=<rev> [SEED=$(SEED)]"; exit 2; }
+	@rm -rf $(DIGESTS) && mkdir -p $(DIGESTS)/base
+	@status=0; \
+	{ git archive $(BASE) | tar -x -C $(DIGESTS)/base && \
+	  $(GO) build -C $(DIGESTS)/base/bench -o $(DIGESTS)/bench-base . && \
+	  $(GO) build -C bench -o $(DIGESTS)/bench-head . && \
+	  for w in $$(sed -n '/"workloads"/,/^  \]/s/.*"name": "\([^"]*\)".*/\1/p' BENCHMARK.json); do \
+	    for side in base head; do \
+	      GOMAXPROCS=1 $(DIGESTS)/bench-$$side -run-one $$w -seed $(SEED) >$(DIGESTS)/$$side.json || status=1; \
+	      awk -F'[,{}]' '{ for (i = 1; i <= NF; i++) if ($$i ~ /^"(P99Us|GoodputGbps|SimEvents|Digest)":/) printf "%s ", $$i; print "" }' \
+	        $(DIGESTS)/$$side.json >$(DIGESTS)/$$side.txt; \
+	      printf '%-16s %s  %s\n' $$w $$side "$$(cat $(DIGESTS)/$$side.txt)"; \
+	    done; \
+	    cmp -s $(DIGESTS)/base.txt $(DIGESTS)/head.txt || { echo "digests: $$w differs from $(BASE)"; status=1; }; \
+	  done; } || status=1; \
+	test $$status = 0 && echo "digests: all workloads identical to $(BASE) at seed $(SEED)"; \
+	rm -rf $(DIGESTS); exit $$status
+
 ## loc: non-test, non-testdata Go lines per package outside bench/ and in
 ## total — the number a deletion PR quotes in CHANGES.md (CI's fast lane
 ## prints it, so the previous PR's figure is in the log)
@@ -74,5 +101,7 @@ loc:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-## check: everything a PR should pass locally before push
+## check: everything a PR should pass locally before push (a refactor also
+## runs `make digests BASE=<rev>` and `make figdiff BASE=<rev>`, which need
+## the parent commit and minutes, not seconds)
 check: fmt lint short bench-module

@@ -235,7 +235,6 @@ func BenchmarkSourceSteadyState(b *testing.B) {
 		}
 		cl.AddSource(workload.PoissonSource(workload.PoissonConfig{
 			NumHosts:     cl.NumHosts(),
-			HostsPerRack: cl.HostsPerRack(),
 			Load:         0.02,
 			LinkRateGbps: 10,
 			Duration:     10 * eventsim.Millisecond,

@@ -11,20 +11,8 @@ type Fabric struct {
 
 var _ sim.Transport = (*Fabric)(nil)
 
-// AttachFabric installs NDP on every host (see Attach) and returns the
-// endpoints wrapped as a Transport.
-func AttachFabric(hosts []*sim.Host, metrics *sim.Metrics, params Params, registry map[int64]*sim.Flow) *Fabric {
-	return &Fabric{eps: Attach(hosts, metrics, params, registry)}
-}
-
 // StartFlow implements sim.Transport.
 func (fb *Fabric) StartFlow(f *sim.Flow) { fb.eps[f.SrcHost].StartFlow(f) }
-
-// Endpoint returns the per-host engine of the given host.
-func (fb *Fabric) Endpoint(host int) *Endpoint { return fb.eps[host] }
-
-// Endpoints returns all endpoints, indexed by host ID.
-func (fb *Fabric) Endpoints() []*Endpoint { return fb.eps }
 
 // PoolGauges reports the fabric-wide flow-state free lists: sendFlow and
 // recvFlow objects parked between flows. Under streaming retention these

@@ -17,26 +17,19 @@ import (
 	"github.com/opera-net/opera/internal/sim"
 )
 
-// Params tunes the protocol.
-type Params struct {
-	// InitialWindow is the number of packets sent unsolicited at flow
+const (
+	// initialWindow is the number of packets sent unsolicited at flow
 	// start (≈ one bandwidth-delay product; 8 × 1500 B at 10 Gb/s covers
 	// ~9.6 µs of RTT).
-	InitialWindow int
-	// RTO is the safety retransmission timeout.
-	RTO eventsim.Time
-}
-
-// DefaultParams returns the evaluation defaults.
-func DefaultParams() Params {
-	return Params{InitialWindow: 8, RTO: 1 * eventsim.Millisecond}
-}
+	initialWindow = 8
+	// rto is the safety retransmission timeout.
+	rto = 1 * eventsim.Millisecond
+)
 
 // Endpoint is the per-host NDP engine: sender state for outgoing flows,
 // receiver state and the PULL pacer for incoming flows.
 type Endpoint struct {
 	host    *sim.Host
-	params  Params
 	metrics *sim.Metrics
 
 	sendFlows map[int64]*sendFlow
@@ -52,14 +45,6 @@ type Endpoint struct {
 	pullHead    int
 	pacing      bool
 	paceH       pacerTick
-
-	// registry maps flow IDs to flows so receivers can size their state on
-	// first contact (shared across the cluster's endpoints).
-	registry map[int64]*sim.Flow
-
-	// Fallback handler for packets that are not NDP's (e.g. RotorLB bulk
-	// sharing the host).
-	next func(*sim.Packet)
 
 	// pools is the fabric-wide flow-state free list, shared by every
 	// endpoint of one Attach call (they all run on the cluster's single
@@ -92,33 +77,28 @@ func resetBits(b []uint64, words int32) []uint64 {
 	return b
 }
 
-// Attach installs NDP endpoints on every host, chaining to any existing
-// handler for non-NDP packets. registry is the cluster's flow table, which
-// receivers consult to size their state on first contact. It returns one
-// endpoint per host, indexed by host ID.
-func Attach(hosts []*sim.Host, metrics *sim.Metrics, params Params, registry map[int64]*sim.Flow) []*Endpoint {
+// Attach installs an NDP endpoint on every host, claiming NDP's four packet
+// kinds there, and returns the endpoints as the cluster's Transport.
+func Attach(hosts []*sim.Host, metrics *sim.Metrics) *Fabric {
 	eps := make([]*Endpoint, len(hosts))
 	pools := &flowPools{}
 	for i, h := range hosts {
 		ep := &Endpoint{
 			host:      h,
-			params:    params,
 			metrics:   metrics,
 			sendFlows: make(map[int64]*sendFlow),
 			recvFlows: make(map[int64]*recvFlow),
-			registry:  registry,
-			next:      h.Handler,
 			pools:     pools,
 		}
 		ep.paceH.ep = ep
-		h.Handler = ep.handle
+		h.Handle(sim.KindData, ep.onData)
+		h.Handle(sim.KindAck, ep.onAck)
+		h.Handle(sim.KindNack, ep.onNack)
+		h.Handle(sim.KindPull, ep.onPull)
 		eps[i] = ep
 	}
-	return eps
+	return &Fabric{eps: eps}
 }
-
-// Host returns the endpoint's host.
-func (ep *Endpoint) Host() *sim.Host { return ep.host }
 
 // sendFlow is pooled sender state: flows draw it from the fabric's free
 // list and, under streaming retention, return it on completion. ep is
@@ -130,7 +110,11 @@ type sendFlow struct {
 	f       *sim.Flow
 	total   int32 // packets
 	nextNew int32
-	rtx     []int32 // NACKed sequence numbers awaiting retransmission
+	// rtx queues NACKed sequence numbers awaiting retransmission. Like
+	// pullCredits it is consumed via rtxHead, not by re-slicing, so the
+	// backing array keeps its capacity across retransmissions and flows.
+	rtx     []int32
+	rtxHead int
 	acked   []uint64
 	nAcked  int32
 	rto     eventsim.Timer
@@ -173,15 +157,12 @@ func (ep *Endpoint) StartFlow(f *sim.Flow) {
 	ep.sendFlows[f.ID] = sf
 	f.Start = ep.host.Engine().Now()
 
-	iw := int32(ep.params.InitialWindow)
-	if iw > total {
-		iw = total
-	}
+	iw := min(initialWindow, total)
 	for i := int32(0); i < iw; i++ {
 		ep.sendData(sf, sf.nextNew)
 		sf.nextNew++
 	}
-	sf.rto.Arm(ep.params.RTO)
+	sf.rto.Arm(rto)
 }
 
 // sendData emits one data packet of the flow.
@@ -203,38 +184,19 @@ func (ep *Endpoint) sendData(sf *sendFlow, seq int32) {
 	p.SrcRack, p.DstRack = f.SrcRack, f.DstRack
 	p.Size = int32(size)
 	p.PayloadSize = int32(size)
-	p.FlowID = f.ID
+	p.Flow = f
 	p.Seq = seq
 	ep.host.Send(p)
 }
 
-// handle demultiplexes a delivered packet.
-func (ep *Endpoint) handle(p *sim.Packet) {
-	switch p.Kind {
-	case sim.KindData:
-		ep.onData(p)
-	case sim.KindAck:
-		ep.onAck(p)
-	case sim.KindNack:
-		ep.onNack(p)
-	case sim.KindPull:
-		ep.onPull(p)
-	default:
-		if ep.next != nil {
-			ep.next(p)
-			return
-		}
-		p.Release()
-	}
-}
-
-// recvState finds or creates receiver state, consulting the cluster flow
-// registry on first contact.
+// recvState finds receiver state, or creates it on first contact. It
+// returns nil for a flow that completed and had its state released
+// (streaming retention): such a flow must not be re-created.
 func (ep *Endpoint) recvState(p *sim.Packet) *recvFlow {
-	rf := ep.recvFlows[p.FlowID]
+	f := p.Flow
+	rf := ep.recvFlows[f.ID]
 	if rf == nil {
-		f := ep.registry[p.FlowID]
-		if f == nil {
+		if f.Done {
 			return nil
 		}
 		mtu := int64(ep.host.Config().MTU)
@@ -247,7 +209,7 @@ func (ep *Endpoint) recvState(p *sim.Packet) *recvFlow {
 			rf = &recvFlow{}
 		}
 		*rf = recvFlow{f: f, total: total, got: resetBits(rf.got, (total+63)/64)}
-		ep.recvFlows[p.FlowID] = rf
+		ep.recvFlows[f.ID] = rf
 	}
 	return rf
 }
@@ -271,14 +233,11 @@ func (ep *Endpoint) releaseRecv(rf *recvFlow) {
 func (ep *Endpoint) onData(p *sim.Packet) {
 	rf := ep.recvState(p)
 	if rf == nil {
-		// Under streaming retention a completed flow's state (registry
-		// entry, receiver bitmap) has been released; a straggler
-		// retransmission of an already-delivered packet still needs its
-		// ACK — addressed from the packet's own header — or the sender's
-		// RTO would retransmit forever. Under RetainAll the registry is
-		// never pruned, so unknown flows are genuinely bogus and dropped.
-		if ep.metrics.Streaming() && !p.Trimmed {
-			ep.sendCtrlTo(sim.KindAck, p.FlowID, p.DstHost, p.DstRack, p.SrcHost, p.SrcRack, p.Seq, 0)
+		// Streaming retention released the completed flow's receiver
+		// bitmap; a straggler retransmission of an already-delivered packet
+		// still needs its ACK, or the sender's RTO would retransmit forever.
+		if !p.Trimmed {
+			ep.sendCtrl(sim.KindAck, p.Flow, p.Seq, 0)
 		}
 		p.Release()
 		return
@@ -308,14 +267,14 @@ func (ep *Endpoint) onData(p *sim.Packet) {
 		// FlowDone above, so drop the receiver state (bitmap, flow ref) —
 		// the per-flow memory that would otherwise accumulate forever —
 		// and recycle it through the fabric pool.
-		delete(ep.recvFlows, p.FlowID)
+		delete(ep.recvFlows, p.Flow.ID)
 		ep.releaseRecv(rf)
 	}
 	p.Release()
 }
 
 func (ep *Endpoint) onAck(p *sim.Packet) {
-	sf := ep.sendFlows[p.FlowID]
+	sf := ep.sendFlows[p.Flow.ID]
 	if sf != nil && !sf.done {
 		idx, bit := p.Seq/64, uint(p.Seq%64)
 		if sf.acked[idx]&(1<<bit) == 0 {
@@ -330,33 +289,37 @@ func (ep *Endpoint) onAck(p *sim.Packet) {
 				// this sender state again, so release it (streaming
 				// retention keeps per-flow memory O(active flows)) and
 				// recycle it through the fabric pool.
-				delete(ep.sendFlows, p.FlowID)
+				delete(ep.sendFlows, p.Flow.ID)
 				ep.releaseSend(sf)
 			}
 		} else {
-			sf.rto.Arm(ep.params.RTO)
+			sf.rto.Arm(rto)
 		}
 	}
 	p.Release()
 }
 
 func (ep *Endpoint) onNack(p *sim.Packet) {
-	sf := ep.sendFlows[p.FlowID]
+	sf := ep.sendFlows[p.Flow.ID]
 	if sf != nil && !sf.done {
 		sf.rtx = append(sf.rtx, p.Seq)
 		sf.f.Retransmits++
-		sf.rto.Arm(ep.params.RTO)
+		sf.rto.Arm(rto)
 	}
 	p.Release()
 }
 
 func (ep *Endpoint) onPull(p *sim.Packet) {
-	sf := ep.sendFlows[p.FlowID]
+	sf := ep.sendFlows[p.Flow.ID]
 	if sf != nil && !sf.done {
 		switch {
-		case len(sf.rtx) > 0:
-			seq := sf.rtx[0]
-			sf.rtx = sf.rtx[1:]
+		case sf.rtxHead < len(sf.rtx):
+			seq := sf.rtx[sf.rtxHead]
+			sf.rtxHead++
+			if sf.rtxHead == len(sf.rtx) {
+				sf.rtx = sf.rtx[:0]
+				sf.rtxHead = 0
+			}
 			ep.sendData(sf, seq)
 		case sf.nextNew < sf.total:
 			ep.sendData(sf, sf.nextNew)
@@ -379,25 +342,19 @@ func (ep *Endpoint) onRTO(sf *sendFlow) {
 			break
 		}
 	}
-	sf.rto.Arm(ep.params.RTO)
+	sf.rto.Arm(rto)
 }
 
 // sendCtrl emits a control packet (ACK/NACK/PULL) back to the flow's
 // sender.
 func (ep *Endpoint) sendCtrl(kind sim.Kind, f *sim.Flow, seq int32, pullNo int32) {
-	ep.sendCtrlTo(kind, f.ID, f.DstHost, f.DstRack, f.SrcHost, f.SrcRack, seq, pullNo)
-}
-
-// sendCtrlTo is sendCtrl with explicit addressing — the form the
-// streaming-retention straggler ACK uses once the flow record is gone.
-func (ep *Endpoint) sendCtrlTo(kind sim.Kind, flowID int64, srcHost, srcRack, dstHost, dstRack, seq, pullNo int32) {
 	p := sim.NewPacket()
 	p.Kind = kind
 	p.Class = sim.ClassControl
-	p.SrcHost, p.DstHost = srcHost, dstHost
-	p.SrcRack, p.DstRack = srcRack, dstRack
+	p.SrcHost, p.DstHost = f.DstHost, f.SrcHost
+	p.SrcRack, p.DstRack = f.DstRack, f.SrcRack
 	p.Size = int32(ep.host.Config().HeaderBytes)
-	p.FlowID = flowID
+	p.Flow = f
 	p.Seq = seq
 	p.PullNo = pullNo
 	ep.host.Send(p)

@@ -1,6 +1,7 @@
 package ndp
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/opera-net/opera/internal/eventsim"
@@ -27,22 +28,20 @@ func (s *miniSwitch) Receive(p *sim.Packet, _ *sim.Port) {
 // rig builds n hosts all attached to one switch with per-host output
 // ports, NDP everywhere.
 type rig struct {
-	eng      *eventsim.Engine
-	cfg      sim.Config
-	hosts    []*sim.Host
-	sw       *miniSwitch
-	metrics  *sim.Metrics
-	eps      []*Endpoint
-	registry map[int64]*sim.Flow
+	eng     *eventsim.Engine
+	cfg     sim.Config
+	hosts   []*sim.Host
+	sw      *miniSwitch
+	metrics *sim.Metrics
+	eps     []*Endpoint
 }
 
 func newRig(t *testing.T, n int, cfg sim.Config) *rig {
 	t.Helper()
 	r := &rig{
-		eng:      eventsim.New(),
-		cfg:      cfg,
-		metrics:  sim.NewMetrics(),
-		registry: make(map[int64]*sim.Flow),
+		eng:     eventsim.New(),
+		cfg:     cfg,
+		metrics: sim.NewMetrics(),
 	}
 	r.sw = &miniSwitch{ports: make(map[int32]*sim.Port)}
 	for i := 0; i < n; i++ {
@@ -51,14 +50,13 @@ func newRig(t *testing.T, n int, cfg sim.Config) *rig {
 		r.sw.ports[int32(i)] = sim.NewPort(r.eng, &r.cfg, "down", h)
 		r.hosts = append(r.hosts, h)
 	}
-	r.eps = Attach(r.hosts, r.metrics, DefaultParams(), r.registry)
+	r.eps = Attach(r.hosts, r.metrics).eps
 	return r
 }
 
 func (r *rig) flow(id int64, src, dst int, size int64) *sim.Flow {
 	f := &sim.Flow{ID: id, SrcHost: int32(src), DstHost: int32(dst), Size: size,
 		Class: sim.ClassLowLatency}
-	r.registry[id] = f
 	r.metrics.AddFlow(f)
 	return f
 }
@@ -176,14 +174,13 @@ func TestBulkClassFlowOverNDP(t *testing.T) {
 	}
 }
 
-// streamingRig is newRig under RetainSketch with the registry release hook
-// the cluster installs: completed flows drop their registry entry, so
-// NDP's straggler re-ACK path (recvState == nil) becomes reachable.
+// streamingRig is newRig under RetainSketch: completed flows release their
+// endpoint state, so NDP's straggler re-ACK path (recvState == nil) becomes
+// reachable.
 func streamingRig(t *testing.T, n int, cfg sim.Config) *rig {
 	t.Helper()
 	r := newRig(t, n, cfg)
 	r.metrics.SetRetention(sim.RetainSketch(telemetry.Opts{}))
-	r.metrics.ReleaseHook(func(f *sim.Flow) { delete(r.registry, f.ID) })
 	return r
 }
 
@@ -214,10 +211,80 @@ func TestAllocsFlowChurn(t *testing.T) {
 	}
 }
 
+// TestAllocsRetransmitChurn gates the sender's NACKed-sequence queue (CI
+// fast lane, -run 'TestAllocs'): a flow whose every window is trimmed,
+// NACKed and pulled again must not allocate per retransmission once warm —
+// the queue is consumed through a head index, so its backing array keeps
+// its capacity (re-slicing from the front leaked one slot per pull and
+// made append regrow it forever).
+func TestAllocsRetransmitChurn(t *testing.T) {
+	r := newRig(t, 2, sim.DefaultConfig())
+	delete(r.sw.ports, 1) // the receiver never answers: this test plays it
+	f := r.flow(1, 0, 1, 1_500_000)
+	r.eps[0].StartFlow(f)
+	ctrl := func(kind sim.Kind, seq int32) {
+		p := sim.NewPacket()
+		p.Kind, p.Class = kind, sim.ClassControl
+		p.Flow, p.Seq = f, seq
+		r.hosts[0].Receive(p, nil)
+	}
+	round := func() {
+		for seq := int32(0); seq < initialWindow; seq++ {
+			ctrl(sim.KindNack, seq)
+		}
+		for seq := int32(0); seq < initialWindow; seq++ {
+			ctrl(sim.KindPull, 0)
+		}
+		// Let the NIC drain the retransmissions; well inside the RTO.
+		r.eng.RunUntil(r.eng.Now() + 20*eventsim.Microsecond)
+	}
+	for i := 0; i < 16; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Fatalf("retransmit churn allocates %.1f per %d retransmissions, want 0", avg, initialWindow)
+	}
+	if want := (16 + 101) * initialWindow; f.Retransmits != want {
+		t.Fatalf("Retransmits = %d, want %d: the rig did not exercise the queue", f.Retransmits, want)
+	}
+}
+
+// answers injects a duplicate data packet of flow f at its receiver and
+// returns the kinds of f's control packets that come back to the sender.
+func (r *rig) answers(f *sim.Flow, seq int32, trimmed bool) []sim.Kind {
+	var got []sim.Kind
+	src, ep := r.hosts[f.SrcHost], r.eps[f.SrcHost]
+	tap := func(next func(*sim.Packet)) func(*sim.Packet) {
+		return func(p *sim.Packet) {
+			if p.Flow == f {
+				got = append(got, p.Kind)
+			}
+			next(p)
+		}
+	}
+	src.Handle(sim.KindAck, tap(ep.onAck))
+	src.Handle(sim.KindNack, tap(ep.onNack))
+	defer src.Handle(sim.KindAck, ep.onAck)
+	defer src.Handle(sim.KindNack, ep.onNack)
+
+	p := sim.NewPacket()
+	p.Kind = sim.KindData
+	p.Class = sim.ClassLowLatency
+	p.SrcHost, p.DstHost = f.SrcHost, f.DstHost
+	p.Size, p.PayloadSize = 1500, 1500
+	if trimmed {
+		p.Size, p.Trimmed = int32(r.cfg.HeaderBytes), true
+	}
+	p.Flow = f
+	p.Seq = seq
+	r.hosts[f.DstHost].Receive(p, nil)
+	r.eng.RunUntil(r.eng.Now() + 5*eventsim.Microsecond)
+	return got
+}
+
 // A released recvFlow recycled into a different flow must serve that flow
 // correctly, and a straggler data packet of the released flow must still
-// get its re-ACK (from the packet's own header) without touching the
-// recycled state.
+// get its re-ACK without touching the recycled state.
 func TestStragglerReACKWithPooledRecvFlow(t *testing.T) {
 	r := streamingRig(t, 2, sim.DefaultConfig())
 	fA := r.flow(1, 0, 1, 6000)
@@ -227,7 +294,7 @@ func TestStragglerReACKWithPooledRecvFlow(t *testing.T) {
 		t.Fatal("flow A incomplete")
 	}
 	ep1 := r.eps[1]
-	if len(ep1.recvFlows) != 0 || r.registry[1] != nil {
+	if len(ep1.recvFlows) != 0 {
 		t.Fatal("streaming retention did not release flow A's receiver state")
 	}
 	// The released recvFlow is in the pool; flow B must draw it back out.
@@ -244,16 +311,18 @@ func TestStragglerReACKWithPooledRecvFlow(t *testing.T) {
 		t.Fatalf("flow B's recvFlow = %p, want the pooled object %p", got, pooled)
 	}
 
-	// Straggler: a duplicate data packet of released flow A arrives while B
-	// is in flight. The receiver must re-ACK it from header state alone.
-	p := sim.NewPacket()
-	p.Kind = sim.KindData
-	p.Class = sim.ClassLowLatency
-	p.SrcHost, p.DstHost = 0, 1
-	p.Size, p.PayloadSize = 1500, 1500
-	p.FlowID = 1
-	p.Seq = 2
-	ep1.handle(p)
+	// Stragglers: duplicates of released flow A arrive while B is in flight.
+	// A whole one is re-ACKed; a trimmed one carries nothing to acknowledge
+	// and is dropped. Neither may re-create A's state or touch B's.
+	if got := r.answers(fA, 2, false); !slices.Equal(got, []sim.Kind{sim.KindAck}) {
+		t.Fatalf("whole straggler of a released flow answered with %v, want one ack", got)
+	}
+	if got := r.answers(fA, 2, true); len(got) != 0 {
+		t.Fatalf("trimmed straggler of a released flow answered with %v, want silence", got)
+	}
+	if len(ep1.recvFlows) != 1 {
+		t.Fatal("a straggler re-created the released flow's receiver state")
+	}
 	r.eng.Run()
 	if !fB.Done || fB.BytesRcvd != fB.Size {
 		t.Fatalf("flow B corrupted by straggler: done=%v rcvd=%d/%d", fB.Done, fB.BytesRcvd, fB.Size)
@@ -265,8 +334,8 @@ func TestStragglerReACKWithPooledRecvFlow(t *testing.T) {
 
 // A sender that lost every ACK of an already-delivered flow (receiver state
 // released and possibly recycled) must converge through the streaming
-// re-ACK path: each retransmitted packet is ACKed from its header, and the
-// sender's state reaches done and returns to the pool.
+// re-ACK path: each retransmitted packet is ACKed, and the sender's state
+// reaches done and returns to the pool.
 func TestStragglerRetransmitConvergesAfterRelease(t *testing.T) {
 	r := streamingRig(t, 2, sim.DefaultConfig())
 	fA := r.flow(1, 0, 1, 6000)
@@ -280,8 +349,8 @@ func TestStragglerRetransmitConvergesAfterRelease(t *testing.T) {
 		t.Fatal("sender state not released after full ACK")
 	}
 	// The sender restarts the whole flow, as if no ACK had ever arrived.
-	// The receiver no longer knows the flow (registry pruned) and must
-	// re-ACK every packet from headers; the sender must converge to done.
+	// The receiver released the flow's state and must re-ACK every packet
+	// without it; the sender must converge to done.
 	r.eps[0].StartFlow(fA)
 	if len(ep0.sendFlows) != 1 {
 		t.Fatal("restart did not create sender state")
@@ -292,5 +361,27 @@ func TestStragglerRetransmitConvergesAfterRelease(t *testing.T) {
 	}
 	if ep0.pools.send.Len() == 0 {
 		t.Fatal("converged sender state did not return to the pool")
+	}
+}
+
+// The RetainAll half of the same contract: nothing is released, so the
+// receiver of a finished flow still holds its bitmap and answers a duplicate
+// like any other arrival — ACK when whole, NACK when trimmed.
+func TestStragglerOfFinishedFlowUnderRetainAll(t *testing.T) {
+	r := newRig(t, 2, sim.DefaultConfig())
+	f := r.flow(1, 0, 1, 6000)
+	r.eps[0].StartFlow(f)
+	r.eng.Run()
+	if !f.Done || len(r.eps[1].recvFlows) != 1 {
+		t.Fatalf("done=%v, %d receiver records: RetainAll must finish the flow and keep its state", f.Done, len(r.eps[1].recvFlows))
+	}
+	if got := r.answers(f, 2, false); !slices.Equal(got, []sim.Kind{sim.KindAck}) {
+		t.Fatalf("whole duplicate answered with %v, want one ack", got)
+	}
+	if got := r.answers(f, 2, true); !slices.Equal(got, []sim.Kind{sim.KindNack}) {
+		t.Fatalf("trimmed duplicate answered with %v, want one nack", got)
+	}
+	if f.BytesRcvd != f.Size {
+		t.Fatalf("duplicates were delivered again: %d/%d bytes", f.BytesRcvd, f.Size)
 	}
 }

@@ -97,14 +97,11 @@ func (a *rackAgent) openSessions(abs int64) {
 		// direct demand leaves spare capacity and other queues are skewed,
 		// ask the peer to relay. The exchange is modelled as in-band
 		// control at slice start with negligible size.
-		if !lb.params.DisableVLB {
-			spare := windowBytes - a.relay[c.Peer].bytes - a.voq[c.Peer].bytes
-			if spare > int64(net.Config().MTU) {
-				a.negotiateVLB(c.Peer, spare, &sess.vlbQ)
-			}
+		spare := windowBytes - a.relay[c.Peer].bytes - a.voq[c.Peer].bytes
+		if spare > int64(net.Config().MTU) {
+			a.negotiateVLB(c.Peer, spare, &sess.vlbQ)
 		}
-		startAt := c.WindowStart + lb.params.StartMargin
-		net.Engine().AfterCall(startAt, sess, nil)
+		net.Engine().AfterCall(c.WindowStart+startMargin, sess, nil)
 	}
 }
 
@@ -124,7 +121,7 @@ func (a *rackAgent) negotiateVLB(peer int, spare int64, vlbQ *segQueue) {
 		if q.bytes == 0 {
 			continue // nothing to offload; most VOQs, so skip the reachability walk
 		}
-		threshold := a.lb.params.VLBThresholdBytes
+		threshold := a.lb.vlbThreshold
 		if !net.DirectReachable(a.rack, dst) {
 			// Failures severed this pair's direct matching: no direct
 			// window will ever drain the queue, so offload all of it
@@ -171,7 +168,7 @@ func (a *rackAgent) negotiateVLB(peer int, spare int64, vlbQ *segQueue) {
 
 // acceptVLB grants relay admission bounded by this rack's relay buffer.
 func (a *rackAgent) acceptVLB(offer int64) int64 {
-	space := a.lb.params.RelayBufferBytes - a.relayTotal
+	space := relayBufferBytes - a.relayTotal
 	if space <= 0 {
 		return 0
 	}
@@ -335,7 +332,7 @@ func (a *rackAgent) newBulkPacket(seg segment, relayRack int32) *sim.Packet {
 	p.DstRack = seg.f.DstRack
 	p.Size = int32(seg.bytes)
 	p.PayloadSize = int32(seg.bytes)
-	p.FlowID = seg.f.ID
+	p.Flow = seg.f
 	p.RelayRack = relayRack
 	p.Hops = seg.hops
 	return p

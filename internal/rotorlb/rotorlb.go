@@ -20,29 +20,13 @@ import (
 	"github.com/opera-net/opera/internal/sim"
 )
 
-// Params tunes RotorLB.
-type Params struct {
-	// RelayBufferBytes caps the relayed (VLB) bytes a rack will store.
-	RelayBufferBytes int64
-	// VLBThresholdBytes: a destination queue longer than this is eligible
-	// for two-hop offloading (it exceeds what one direct window carries,
-	// i.e. the traffic is skewed relative to the direct-circuit capacity).
-	// Zero derives one slice window's worth.
-	VLBThresholdBytes int64
-	// DisableVLB turns two-hop offloading off (for ablations).
-	DisableVLB bool
-	// StartMargin delays the first transmission after a slice boundary to
+const (
+	// relayBufferBytes caps the relayed (VLB) bytes a rack will store.
+	relayBufferBytes = 8 << 20
+	// startMargin delays the first transmission after a slice boundary to
 	// cover host-to-ToR latency (grant propagation).
-	StartMargin eventsim.Time
-}
-
-// DefaultParams returns evaluation defaults.
-func DefaultParams() Params {
-	return Params{
-		RelayBufferBytes: 8 << 20,
-		StartMargin:      2 * eventsim.Microsecond,
-	}
-}
+	startMargin = 2 * eventsim.Microsecond
+)
 
 // segment is a run of contiguous flow bytes awaiting transmission, resident
 // at a specific host (the flow's origin, or the storage host for relayed
@@ -159,13 +143,16 @@ func (q *segQueue) carveReady(maxBytes int64, ready func(host int32) bool) (segm
 
 func (q *segQueue) empty() bool { return q.bytes == 0 }
 
-// LB is the cluster-wide RotorLB instance: one rack agent per ToR plus the
-// shared flow registry.
+// LB is the cluster-wide RotorLB instance: one rack agent per ToR.
 type LB struct {
-	net      sim.CircuitNetwork
-	params   Params
-	registry map[int64]*sim.Flow
-	agents   []*rackAgent
+	net    sim.CircuitNetwork
+	agents []*rackAgent
+
+	// vlbThreshold: a destination queue longer than this is eligible for
+	// two-hop offloading. It is one cycle's worth of direct drainage for a
+	// rack pair: a shorter queue will clear on its own circuits, so
+	// indirecting it would pay a 100% tax for nothing.
+	vlbThreshold int64
 
 	// Per-slice state recycled across slice boundaries: closed sessions
 	// (each keeping its vlbQ ring) and the ActiveCircuits scratch buffer.
@@ -180,40 +167,21 @@ type LB struct {
 // bulk service class on circuit fabrics.
 var _ sim.Transport = (*LB)(nil)
 
-// Attach installs RotorLB on the network: host handlers for bulk delivery
-// and NACKs, and a slice listener that opens transmission sessions. Call
-// before installing NDP (NDP chains unknown packets back here).
-func Attach(net sim.CircuitNetwork, params Params, registry map[int64]*sim.Flow) *LB {
-	lb := &LB{net: net, params: params, registry: registry}
-	if lb.params.VLBThresholdBytes == 0 {
-		// One cycle's worth of direct drainage for a rack pair: a shorter
-		// queue will clear on its own circuits, so indirecting it would
-		// pay a 100% tax for nothing.
-		w := net.Config().BytesIn(net.SliceDuration())
-		lb.params.VLBThresholdBytes = int64(w) * int64(net.PairWindowsPerCycle())
-	}
+// Attach installs RotorLB on the network: it claims bulk deliveries and
+// bulk NACKs on every host, and a slice listener opens the transmission
+// sessions.
+func Attach(net sim.CircuitNetwork) *LB {
+	lb := &LB{net: net}
+	w := net.Config().BytesIn(net.SliceDuration())
+	lb.vlbThreshold = int64(w) * int64(net.PairWindowsPerCycle())
 	n := net.NumRacks()
 	lb.agents = make([]*rackAgent, n)
 	for r := 0; r < n; r++ {
 		lb.agents[r] = newRackAgent(lb, r)
 	}
 	for _, h := range net.Hosts() {
-		h := h
-		prev := h.Handler
-		h.Handler = func(p *sim.Packet) {
-			switch p.Kind {
-			case sim.KindBulk:
-				lb.onBulk(h, p)
-			case sim.KindBulkNack:
-				lb.onNack(h, p)
-			default:
-				if prev != nil {
-					prev(p)
-					return
-				}
-				p.Release()
-			}
-		}
+		h.Handle(sim.KindBulk, func(p *sim.Packet) { lb.onBulk(h, p) })
+		h.Handle(sim.KindBulkNack, func(p *sim.Packet) { lb.onNack(h, p) })
 		// A bulk packet squeezed out of the host's own NIC (low-latency
 		// traffic monopolized the link) never left the host: requeue the
 		// bytes locally instead of losing them.
@@ -226,11 +194,7 @@ func Attach(net sim.CircuitNetwork, params Params, registry map[int64]*sim.Flow)
 // requeueLocal returns a bulk packet that never left its host to the
 // appropriate queue.
 func (lb *LB) requeueLocal(h *sim.Host, p *sim.Packet) {
-	f := lb.registry[p.FlowID]
-	if f == nil {
-		p.Release()
-		return
-	}
+	f := p.Flow
 	a := lb.agents[h.Rack]
 	seg := segment{f: f, host: h.ID, bytes: int64(p.PayloadSize), hops: p.Hops}
 	switch {
@@ -302,11 +266,7 @@ func (lb *LB) onSlice(abs int64) {
 // onBulk handles a bulk packet delivered to a host: final delivery or VLB
 // storage.
 func (lb *LB) onBulk(h *sim.Host, p *sim.Packet) {
-	f := lb.registry[p.FlowID]
-	if f == nil {
-		p.Release()
-		return
-	}
+	f := p.Flow
 	if p.DstRack == h.Rack && p.DstHost == h.ID {
 		m := lb.net.Metrics()
 		m.RecordDelivery(f, int(p.PayloadSize), int(p.Hops), lb.net.Engine().Now())
@@ -326,11 +286,7 @@ func (lb *LB) onBulk(h *sim.Host, p *sim.Packet) {
 // onNack requeues bytes reported lost by a ToR (§4.2.2). The NACK arrives
 // at the host that transmitted the failed packet.
 func (lb *LB) onNack(h *sim.Host, p *sim.Packet) {
-	f := lb.registry[p.FlowID]
-	if f == nil {
-		p.Release()
-		return
-	}
+	f := p.Flow
 	lb.NACKs++
 	f.Retransmits++
 	a := lb.agents[h.Rack]

@@ -63,13 +63,6 @@ func TestSegQueuePeekHost(t *testing.T) {
 	}
 }
 
-func TestDefaultParams(t *testing.T) {
-	p := DefaultParams()
-	if p.RelayBufferBytes <= 0 || p.StartMargin <= 0 {
-		t.Fatalf("params = %+v", p)
-	}
-}
-
 // sliceQueue is segQueue's oracle: the same operations on a plain slice,
 // O(n) per pushFront and per drained segment but obviously right. Its
 // order of service is the contract (every figure's digest depends on it),
@@ -290,7 +283,7 @@ func newLBBed(tb testing.TB, eng *eventsim.Engine, racks, hostsPer, switches int
 		tb.Fatal(err)
 	}
 	net := sim.NewOperaNet(eng, sim.DefaultConfig(), topo, 7)
-	return &lbBed{eng: eng, net: net, lb: Attach(net, DefaultParams(), make(map[int64]*sim.Flow))}
+	return &lbBed{eng: eng, net: net, lb: Attach(net)}
 }
 
 // bulkFlow registers a bulk flow between two hosts without starting it.
@@ -301,7 +294,6 @@ func (b *lbBed) bulkFlow(id int64, src, dst int, size int64) *sim.Flow {
 		SrcRack: int32(src / hp), DstRack: int32(dst / hp),
 		Size: size, Class: sim.ClassBulk,
 	}
-	b.lb.registry[id] = f
 	b.net.Metrics().AddFlow(f)
 	return f
 }
@@ -314,7 +306,7 @@ func TestQueuedBytesCountsHeldVLB(t *testing.T) {
 	b := newLBBed(t, eventsim.New(), 16, 4, 4)
 	// One rack pair far above the skew threshold: most of it is offered
 	// to relays at the first boundary.
-	size := 4 * b.lb.params.VLBThresholdBytes
+	size := 4 * b.lb.vlbThreshold
 	f := b.bulkFlow(1, 0, 63, size)
 	b.lb.StartFlow(f)
 	if got := b.lb.QueuedBytes(); got != size {
@@ -366,7 +358,7 @@ func TestAllocsNackRequeue(t *testing.T) {
 	round := func() {
 		p := sim.NewPacket()
 		p.Kind = sim.KindBulkNack
-		p.FlowID = f.ID
+		p.Flow = f
 		p.PayloadSize = 1500
 		p.PullNo = 15 // final destination rack
 		p.RelayRack = -1

@@ -27,8 +27,7 @@ func TestExpanderNetDelivery(t *testing.T) {
 	topo := topology.MustNewExpander(32, 4, 5, 1)
 	eng := eventsim.New()
 	net := sim.NewExpanderNet(eng, sim.DefaultConfig(), topo, 7)
-	registry := make(map[int64]*sim.Flow)
-	eps := ndp.Attach(net.Hosts(), net.Metrics(), ndp.DefaultParams(), registry)
+	fab := ndp.Attach(net.Hosts(), net.Metrics())
 
 	n := topo.NumHosts()
 	var flows []*sim.Flow
@@ -38,12 +37,11 @@ func TestExpanderNetDelivery(t *testing.T) {
 			SrcRack: int32(topo.HostRack(i)), DstRack: int32(topo.HostRack((i + 37) % n)),
 			Size: 50000, Class: sim.ClassLowLatency,
 		}
-		registry[f.ID] = f
 		net.Metrics().AddFlow(f)
 		flows = append(flows, f)
 	}
 	for _, f := range flows {
-		eps[f.SrcHost].StartFlow(f)
+		fab.StartFlow(f)
 	}
 	if !runFlows(t, eng, net.Metrics(), 500*eventsim.Millisecond) {
 		done, total := net.Metrics().DoneCount()
@@ -59,8 +57,7 @@ func TestClosNetDelivery(t *testing.T) {
 	topo := topology.MustNewFoldedClos(8, 3) // 192 hosts: 24 ToRs × 8... (k=8,F=3: d=6,u=2)
 	eng := eventsim.New()
 	net := sim.NewClosNet(eng, sim.DefaultConfig(), topo, 7)
-	registry := make(map[int64]*sim.Flow)
-	eps := ndp.Attach(net.Hosts(), net.Metrics(), ndp.DefaultParams(), registry)
+	fab := ndp.Attach(net.Hosts(), net.Metrics())
 
 	n := topo.NumHosts()
 	for i := 0; i < n; i += 3 {
@@ -70,9 +67,8 @@ func TestClosNetDelivery(t *testing.T) {
 			SrcRack: int32(topo.HostToR(i)), DstRack: int32(topo.HostToR(dst)),
 			Size: 30000, Class: sim.ClassLowLatency,
 		}
-		registry[f.ID] = f
 		net.Metrics().AddFlow(f)
-		eps[i].StartFlow(f)
+		fab.StartFlow(f)
 	}
 	if !runFlows(t, eng, net.Metrics(), 500*eventsim.Millisecond) {
 		done, total := net.Metrics().DoneCount()
@@ -88,12 +84,10 @@ func TestClosNetRackLocal(t *testing.T) {
 	topo := topology.MustNewFoldedClos(8, 3)
 	eng := eventsim.New()
 	net := sim.NewClosNet(eng, sim.DefaultConfig(), topo, 7)
-	registry := make(map[int64]*sim.Flow)
-	eps := ndp.Attach(net.Hosts(), net.Metrics(), ndp.DefaultParams(), registry)
+	fab := ndp.Attach(net.Hosts(), net.Metrics())
 	f := &sim.Flow{ID: 1, SrcHost: 0, DstHost: 1, SrcRack: 0, DstRack: 0, Size: 1500, Class: sim.ClassLowLatency}
-	registry[1] = f
 	net.Metrics().AddFlow(f)
-	eps[0].StartFlow(f)
+	fab.StartFlow(f)
 	if !runFlows(t, eng, net.Metrics(), 10*eventsim.Millisecond) {
 		t.Fatal("local flow incomplete")
 	}
@@ -102,22 +96,21 @@ func TestClosNetRackLocal(t *testing.T) {
 	}
 }
 
-func newRotorTestbed(t *testing.T, hybrid bool) (*eventsim.Engine, *sim.RotorNetSim, *rotorlb.LB, []*ndp.Endpoint, map[int64]*sim.Flow) {
+func newRotorTestbed(t *testing.T, hybrid bool) (*eventsim.Engine, *sim.RotorNetSim, *rotorlb.LB, *ndp.Fabric) {
 	t.Helper()
 	topo := topology.MustNewRotorNet(topology.RotorConfig{
 		NumRacks: 16, HostsPerRack: 4, Uplinks: 4, Hybrid: hybrid, Seed: 1,
 	})
 	eng := eventsim.New()
 	net := sim.NewRotorNetSim(eng, sim.DefaultConfig(), topo, 1)
-	registry := make(map[int64]*sim.Flow)
-	lb := rotorlb.Attach(net, rotorlb.DefaultParams(), registry)
-	eps := ndp.Attach(net.Hosts(), net.Metrics(), ndp.DefaultParams(), registry)
+	lb := rotorlb.Attach(net)
+	fab := ndp.Attach(net.Hosts(), net.Metrics())
 	net.Start()
-	return eng, net, lb, eps, registry
+	return eng, net, lb, fab
 }
 
 func TestRotorNetBulkDelivery(t *testing.T) {
-	eng, net, lb, _, registry := newRotorTestbed(t, false)
+	eng, net, lb, _ := newRotorTestbed(t, false)
 	n := 64
 	for i := 0; i < n; i++ {
 		dst := (i + 20) % n
@@ -129,7 +122,6 @@ func TestRotorNetBulkDelivery(t *testing.T) {
 			SrcRack: int32(i / 4), DstRack: int32(dst / 4),
 			Size: 300_000, Class: sim.ClassBulk,
 		}
-		registry[f.ID] = f
 		net.Metrics().AddFlow(f)
 		lb.StartFlow(f)
 	}
@@ -140,14 +132,13 @@ func TestRotorNetBulkDelivery(t *testing.T) {
 }
 
 func TestRotorNetHybridLowLatency(t *testing.T) {
-	eng, net, _, eps, registry := newRotorTestbed(t, true)
+	eng, net, _, fab := newRotorTestbed(t, true)
 	f := &sim.Flow{
 		ID: 1, SrcHost: 0, DstHost: 60, SrcRack: 0, DstRack: 15,
 		Size: 6000, Class: sim.ClassLowLatency,
 	}
-	registry[1] = f
 	net.Metrics().AddFlow(f)
-	eps[0].StartFlow(f)
+	fab.StartFlow(f)
 	if !runFlows(t, eng, net.Metrics(), 50*eventsim.Millisecond) {
 		t.Fatal("hybrid LL flow incomplete")
 	}
@@ -160,12 +151,11 @@ func TestRotorNetHybridLowLatency(t *testing.T) {
 func TestRotorNetNonHybridShortFlowLatency(t *testing.T) {
 	// Without a packet fabric, even a tiny flow waits for a direct
 	// circuit: FCT is circuit-scale (~ms), the paper's three-orders gap.
-	eng, net, lb, _, registry := newRotorTestbed(t, false)
+	eng, net, lb, _ := newRotorTestbed(t, false)
 	f := &sim.Flow{
 		ID: 1, SrcHost: 0, DstHost: 60, SrcRack: 0, DstRack: 15,
 		Size: 6000, Class: sim.ClassBulk,
 	}
-	registry[1] = f
 	net.Metrics().AddFlow(f)
 	lb.StartFlow(f)
 	if !runFlows(t, eng, net.Metrics(), 100*eventsim.Millisecond) {

@@ -63,10 +63,8 @@ type Metrics struct {
 	// OnFlowDone, when set, is invoked as flows complete.
 	OnFlowDone func(*Flow)
 
-	// tel absorbs completions under RetainSketch; release runs afterwards
-	// so per-flow state owners can drop their references.
-	tel     *telemetry.Collector
-	release []func(*Flow)
+	// tel absorbs completions under RetainSketch.
+	tel *telemetry.Collector
 }
 
 // NewMetrics returns an empty metrics collector.
@@ -90,8 +88,8 @@ func (m *Metrics) AddFlow(f *Flow) {
 func (m *Metrics) Flows() []*Flow { return m.flows }
 
 // FlowDone marks f complete at time now. Under RetainSketch the flow's
-// statistics are absorbed into the collector and the release hooks fire —
-// after this call no Metrics state references f.
+// statistics are absorbed into the collector; Metrics never held f, so
+// the flow is garbage once its transport lets go of it.
 func (m *Metrics) FlowDone(f *Flow, now eventsim.Time) {
 	if f.Done {
 		return
@@ -104,9 +102,6 @@ func (m *Metrics) FlowDone(f *Flow, now eventsim.Time) {
 	}
 	if m.tel != nil {
 		m.tel.FlowDone(int(f.Class), f.Tag, f.FCT().Micros(), f.BytesRcvd)
-		for _, fn := range m.release {
-			fn(f)
-		}
 	}
 }
 

@@ -16,9 +16,9 @@ type Host struct {
 	cfg *Config
 	nic *Port
 
-	// Handler demultiplexes delivered packets to the transports (set by
-	// ndp/rotorlb attachment). Unclaimed packets are released.
-	Handler func(*Packet)
+	// handlers demultiplexes delivered packets to the transports by kind
+	// (see Handle).
+	handlers [numKinds]func(*Packet)
 }
 
 // NewHost builds a host; the NIC is wired by the network assembly.
@@ -41,10 +41,16 @@ func (h *Host) NIC() *Port { return h.nic }
 // Send enqueues a packet on the NIC.
 func (h *Host) Send(p *Packet) { h.nic.Enqueue(p) }
 
+// Handle claims packets of the given kind delivered to this host for fn,
+// replacing any earlier claim. Each transport claims its own kinds when it
+// attaches, so the order transports attach in is immaterial; packets of an
+// unclaimed kind are released.
+func (h *Host) Handle(kind Kind, fn func(*Packet)) { h.handlers[kind] = fn }
+
 // Receive implements Node.
 func (h *Host) Receive(p *Packet, _ *Port) {
-	if h.Handler != nil {
-		h.Handler(p)
+	if fn := h.handlers[p.Kind]; fn != nil {
+		fn(p)
 		return
 	}
 	p.Release()

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/opera-net/opera/internal/eventsim"
@@ -12,15 +13,20 @@ import (
 
 // testbed bundles a small Opera network with both transports attached.
 type testbed struct {
-	eng      *eventsim.Engine
-	net      *sim.OperaNet
-	lb       *rotorlb.LB
-	eps      []*ndp.Endpoint
-	registry map[int64]*sim.Flow
-	nextID   int64
+	eng    *eventsim.Engine
+	net    *sim.OperaNet
+	lb     *rotorlb.LB
+	ndp    *ndp.Fabric
+	nextID int64
 }
 
 func newTestbed(t *testing.T, racks, hostsPer, switches int) *testbed {
+	t.Helper()
+	return newTestbedOrder(t, racks, hostsPer, switches, false)
+}
+
+// newTestbedOrder is newTestbed with the transports' attach order chosen.
+func newTestbedOrder(t *testing.T, racks, hostsPer, switches int, ndpFirst bool) *testbed {
 	t.Helper()
 	topo, err := topology.NewOpera(topology.Config{
 		NumRacks:     racks,
@@ -33,11 +39,16 @@ func newTestbed(t *testing.T, racks, hostsPer, switches int) *testbed {
 	}
 	eng := eventsim.New()
 	net := sim.NewOperaNet(eng, sim.DefaultConfig(), topo, 7)
-	registry := make(map[int64]*sim.Flow)
-	lb := rotorlb.Attach(net, rotorlb.DefaultParams(), registry)
-	eps := ndp.Attach(net.Hosts(), net.Metrics(), ndp.DefaultParams(), registry)
+	tb := &testbed{eng: eng, net: net}
+	if ndpFirst {
+		tb.ndp = ndp.Attach(net.Hosts(), net.Metrics())
+	}
+	tb.lb = rotorlb.Attach(net)
+	if !ndpFirst {
+		tb.ndp = ndp.Attach(net.Hosts(), net.Metrics())
+	}
 	net.Start()
-	return &testbed{eng: eng, net: net, lb: lb, eps: eps, registry: registry}
+	return tb
 }
 
 func (tb *testbed) flow(src, dst int, size int64, class sim.Class) *sim.Flow {
@@ -51,12 +62,11 @@ func (tb *testbed) flow(src, dst int, size int64, class sim.Class) *sim.Flow {
 		Size:    size,
 		Class:   class,
 	}
-	tb.registry[f.ID] = f
 	tb.net.Metrics().AddFlow(f)
 	return f
 }
 
-func (tb *testbed) startLL(f *sim.Flow)   { tb.eps[f.SrcHost].StartFlow(f) }
+func (tb *testbed) startLL(f *sim.Flow)   { tb.ndp.StartFlow(f) }
 func (tb *testbed) startBulk(f *sim.Flow) { tb.lb.StartFlow(f) }
 
 // runUntilDone drives the simulation until all flows complete or the
@@ -223,6 +233,40 @@ func TestMixedLLAndBulk(t *testing.T) {
 		if fct := f.FCT(); fct > 1*eventsim.Millisecond {
 			t.Fatalf("LL flow FCT = %v under bulk load, want << 1ms", fct)
 		}
+	}
+}
+
+// Each transport claims its own packet kinds on a host, so the order they
+// attach in cannot matter: the same mixed run is event-for-event identical
+// either way.
+func TestAttachOrderIsImmaterial(t *testing.T) {
+	run := func(ndpFirst bool) (ends []eventsim.Time, steps uint64) {
+		tb := newTestbedOrder(t, 16, 4, 4, ndpFirst)
+		n := tb.net.Topology().NumHosts()
+		var flows []*sim.Flow
+		for i := 0; i < n; i++ {
+			bulk := tb.flow(i, (i+29)%n, 200_000, sim.ClassBulk)
+			tb.startBulk(bulk)
+			ll := tb.flow(i, (i+n/2)%n, 6000, sim.ClassLowLatency)
+			tb.startLL(ll)
+			flows = append(flows, bulk, ll)
+		}
+		if !tb.runUntilDone(t, 2000*eventsim.Millisecond) {
+			done, total := tb.net.Metrics().DoneCount()
+			t.Fatalf("ndpFirst=%v: only %d/%d flows completed", ndpFirst, done, total)
+		}
+		for _, f := range flows {
+			ends = append(ends, f.End)
+		}
+		return ends, tb.eng.Steps()
+	}
+	lbEnds, lbSteps := run(false)
+	ndpEnds, ndpSteps := run(true)
+	if lbSteps != ndpSteps {
+		t.Fatalf("RotorLB-then-NDP ran %d events, NDP-then-RotorLB %d", lbSteps, ndpSteps)
+	}
+	if !slices.Equal(lbEnds, ndpEnds) {
+		t.Fatal("per-flow completion times differ with attach order")
 	}
 }
 

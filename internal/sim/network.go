@@ -48,7 +48,9 @@ type Network interface {
 
 // Transport admits flows into a Network. Both transports implement it:
 // NDP through the per-host endpoint fan-out (ndp.Fabric) and RotorLB
-// directly (rotorlb.LB).
+// directly (rotorlb.LB). A transport attaches by claiming the packet kinds
+// it owns on every host (Host.Handle) and stamps each packet it sends with
+// its flow (Packet.Flow), so delivery needs no flow table.
 type Transport interface {
 	StartFlow(f *Flow)
 }

@@ -6,9 +6,9 @@
 //
 // The simulator is deliberately protocol-agnostic: transport logic (NDP for
 // low-latency traffic, RotorLB for bulk) lives in the ndp and rotorlb
-// packages and attaches to hosts through callbacks. Network assemblies
-// (Opera, static expander, folded Clos, RotorNet) are built from the same
-// parts in this package's network files.
+// packages and attaches by claiming packet kinds on hosts. Network
+// assemblies (Opera, static expander, folded Clos, RotorNet) are built from
+// the same parts in this package's network files.
 package sim
 
 import (
@@ -53,6 +53,7 @@ const (
 	KindPull                 // NDP pull (receiver-paced credit)
 	KindBulk                 // RotorLB bulk data
 	KindBulkNack             // RotorLB ToR-drop NACK (§4.2.2)
+	numKinds
 )
 
 func (k Kind) String() string {
@@ -90,10 +91,10 @@ type Packet struct {
 	PayloadSize int32
 	Trimmed     bool
 
-	// FlowID identifies the transport flow; Seq is the packet index within
-	// it (NDP) or a monotonically increasing bulk chunk counter (RotorLB).
-	FlowID int64
-	Seq    int32
+	// Flow is the transport flow the packet belongs to; Seq is the packet
+	// index within it (NDP).
+	Flow *Flow
+	Seq  int32
 
 	// PullNo is the pull counter for KindPull; for KindBulk it carries the
 	// final destination rack while the packet rides a two-hop VLB detour.

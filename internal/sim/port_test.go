@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/opera-net/opera/internal/eventsim"
 )
@@ -268,15 +270,50 @@ func TestMetricsTax(t *testing.T) {
 
 func TestPacketPool(t *testing.T) {
 	p := NewPacket()
-	p.FlowID = 42
+	p.Flow = &Flow{ID: 42}
 	p.Hops = 3
 	p.Release()
 	q := NewPacket()
 	// Pool may or may not reuse; fields must be zeroed either way.
-	if q.FlowID != 0 || q.Hops != 0 || q.SliceTag != -1 || q.RelayRack != -1 {
+	if q.Flow != nil || q.Hops != 0 || q.SliceTag != -1 || q.RelayRack != -1 {
 		t.Fatalf("pool packet not reset: %+v", q)
 	}
 	q.Release()
+}
+
+// TestPacketAndFlowSize pins both per-packet and per-flow records to the
+// 96-byte size class: one more word moves either to 112 bytes, paid by
+// every pooled packet and every flow of a soak.
+func TestPacketAndFlowSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got > 96 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want <= 96", got)
+	}
+	if got := unsafe.Sizeof(Flow{}); got > 96 {
+		t.Fatalf("unsafe.Sizeof(Flow{}) = %d, want <= 96", got)
+	}
+}
+
+// TestHostHandle pins host demultiplexing: a claimed kind reaches its
+// handler, claiming again replaces it, and an unclaimed kind is released
+// without reaching anyone.
+func TestHostHandle(t *testing.T) {
+	cfg := testConfig()
+	h := NewHost(eventsim.New(), &cfg, 0, 0)
+	var got []string
+	claim := func(name string) func(*Packet) {
+		return func(p *Packet) { got = append(got, name+":"+p.Kind.String()); p.Release() }
+	}
+	h.Handle(KindData, claim("first"))
+	h.Handle(KindData, claim("ndp"))
+	h.Handle(KindBulk, claim("lb"))
+	for _, k := range []Kind{KindData, KindBulk, KindAck, KindBulkNack, KindData} {
+		p := NewPacket()
+		p.Kind = k
+		h.Receive(p, nil)
+	}
+	if want := []string{"ndp:data", "lb:bulk", "ndp:data"}; !slices.Equal(got, want) {
+		t.Fatalf("handled %v, want %v", got, want)
+	}
 }
 
 // A drop/NACK handler may legally route a packet straight back into the

@@ -12,13 +12,12 @@ import "github.com/opera-net/opera/internal/telemetry"
 // RetainSketch streams instead of retaining: each completed flow's
 // statistics are absorbed into mergeable quantile sketches (per service
 // class and per workload tag) and trailing-window counters, and the flow
-// is then released — Metrics drops it, and registered release hooks let
-// other owners (the cluster's flow registry, NDP endpoint state) drop
-// theirs. Steady-state memory becomes O(active flows + sketch) no matter
-// how long the run, which is what makes month-long soaks flat-memory.
-// Quantiles carry the sketch's pinned relative-error bound (Opts.Alpha,
-// default 1%); counts, means, min/max, throughput and bandwidth tax stay
-// exact.
+// is then released — Metrics never holds it, and NDP's endpoints drop
+// their per-flow state at completion (they ask Metrics.Streaming).
+// Steady-state memory becomes O(active flows + sketch) no matter how long
+// the run, which is what makes month-long soaks flat-memory. Quantiles
+// carry the sketch's pinned relative-error bound (Opts.Alpha, default 1%);
+// counts, means, min/max, throughput and bandwidth tax stay exact.
 type RetentionPolicy struct {
 	streaming bool
 	opts      telemetry.Opts
@@ -77,12 +76,3 @@ func (m *Metrics) Streaming() bool { return m.tel != nil }
 // Consumers (the scenario runner's Result assembly) read quantile
 // summaries and trailing windows from it when no raw flows are retained.
 func (m *Metrics) Telemetry() *telemetry.Collector { return m.tel }
-
-// ReleaseHook registers fn to run each time streaming retention releases a
-// completed flow — immediately after its statistics are absorbed into the
-// sketches, still inside FlowDone. Owners of per-flow state keyed by flow
-// ID (the cluster registry) use it to drop their references so long soaks
-// stay flat-memory. Hooks never fire under RetainAll.
-func (m *Metrics) ReleaseHook(fn func(*Flow)) {
-	m.release = append(m.release, fn)
-}

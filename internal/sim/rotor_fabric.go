@@ -319,7 +319,7 @@ func (t *RotorToR) bulkNACK(p *Packet) {
 	nack.SrcRack = p.DstRack
 	nack.DstHost = p.SrcHost
 	nack.DstRack = p.SrcRack
-	nack.FlowID = p.FlowID
+	nack.Flow = p.Flow
 	nack.Seq = p.Seq
 	nack.PayloadSize = p.PayloadSize
 	nack.PullNo = p.DstRack      // final destination rack, for requeueing

@@ -13,10 +13,9 @@ import (
 )
 
 // This file holds the composable open-loop generators the streaming
-// Source API enables: weighted traffic blends (Mix), time-varying load
-// (Ramp), synchronized fan-in (Incast), and trace replay (Replay). All of
-// them yield flows lazily from seeded randomness, so arbitrarily long
-// windows cost O(1) memory.
+// Source API enables: weighted traffic blends (Mix), synchronized fan-in
+// (Incast), and trace replay (Replay). All of them yield flows lazily from
+// seeded randomness, so arbitrarily long windows cost O(1) memory.
 
 // MixComponent is one ingredient of a Mix blend: a flow-size distribution
 // plus the metadata its flows carry.
@@ -83,7 +82,7 @@ func Mix(cfg PoissonConfig, comps ...MixComponent) Source {
 		}
 		src := rng.Intn(cfg.NumHosts)
 		dst := rng.Intn(cfg.NumHosts)
-		for dst == src || (cfg.AvoidRackLocal && sameRack(src, dst, cfg.HostsPerRack)) {
+		for dst == src {
 			dst = rng.Intn(cfg.NumHosts)
 		}
 		bytes := comp.Dist.Sample(rng)
@@ -91,47 +90,6 @@ func Mix(cfg PoissonConfig, comps ...MixComponent) Source {
 			bytes = comp.MaxFlowBytes
 		}
 		return FlowSpec{Src: src, Dst: dst, Bytes: bytes, Arrival: t, Tag: comp.Tag, Bulk: comp.Bulk}, true
-	})
-}
-
-// Ramp modulates a Poisson process with a time-varying load: loadAt
-// returns the offered load at virtual time t, and cfg.Load is its ceiling.
-// Implemented by Lewis–Shedler thinning — candidate arrivals are drawn at
-// the ceiling rate and kept with probability loadAt(t)/cfg.Load — so the
-// process is exact for any loadAt bounded by the ceiling, and a constant
-// loadAt(t) = cfg.Load reduces to PoissonSource's arrival rate. Ramps,
-// bursts, and diurnal patterns are all just choices of loadAt.
-func Ramp(cfg PoissonConfig, loadAt func(t eventsim.Time) float64) Source {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	mean := cfg.Dist.Mean()
-	bitsPerSec := cfg.Load * float64(cfg.NumHosts) * cfg.LinkRateGbps * 1e9
-	flowsPerSec := bitsPerSec / (mean * 8)
-	if flowsPerSec <= 0 {
-		return SourceFunc(func() (FlowSpec, bool) { return FlowSpec{}, false })
-	}
-	meanGapNs := 1e9 / flowsPerSec
-
-	t := eventsim.Time(0)
-	done := false
-	return SourceFunc(func() (FlowSpec, bool) {
-		for !done {
-			t += eventsim.Time(rng.ExpFloat64() * meanGapNs)
-			if t >= cfg.Duration {
-				done = true
-				break
-			}
-			keep := loadAt(t) / cfg.Load
-			if keep < 1 && rng.Float64() >= keep {
-				continue // thinned away
-			}
-			src := rng.Intn(cfg.NumHosts)
-			dst := rng.Intn(cfg.NumHosts)
-			for dst == src || (cfg.AvoidRackLocal && sameRack(src, dst, cfg.HostsPerRack)) {
-				dst = rng.Intn(cfg.NumHosts)
-			}
-			return FlowSpec{Src: src, Dst: dst, Bytes: cfg.Dist.Sample(rng), Arrival: t}, true
-		}
-		return FlowSpec{}, false
 	})
 }
 
@@ -145,7 +103,7 @@ type IncastConfig struct {
 	Bytes int64
 	// Period spaces bursts; the first fires at Period.
 	Period eventsim.Time
-	// Bursts bounds the run (0 = unbounded; bound with Until or the
+	// Bursts bounds the run (0 = unbounded; bound with Take or the
 	// scenario deadline).
 	Bursts int
 	// Dst fixes the receiver (-1 = a fresh random receiver per burst).

@@ -26,8 +26,7 @@ type FlowSpec struct {
 // (§5.1): load is expressed relative to the aggregate bandwidth of all
 // host links.
 type PoissonConfig struct {
-	NumHosts     int
-	HostsPerRack int
+	NumHosts int
 	// Load is the offered load as a fraction of aggregate host bandwidth
 	// (1.0 = every host driving its link at line rate).
 	Load float64
@@ -39,24 +38,12 @@ type PoissonConfig struct {
 	Dist *FlowSizeDist
 	// Seed drives arrivals, sizes and endpoint selection.
 	Seed int64
-	// AvoidRackLocal redraws destinations that land in the source's rack
-	// (used when measuring inter-rack fabric behaviour).
-	AvoidRackLocal bool
 }
 
-// Poisson generates flows with exponential inter-arrivals at the rate
+// PoissonSource generates flows with exponential inter-arrivals at the rate
 // implied by the offered load and mean flow size, with uniform random
-// source and destination hosts. It materializes the whole arrival window;
-// long or high-load runs should use PoissonSource, which yields the same
-// flows lazily.
-func Poisson(cfg PoissonConfig) []FlowSpec {
-	return Drain(PoissonSource(cfg))
-}
-
-// PoissonSource is the streaming form of Poisson: the same seeded arrival
-// process, yielded one flow at a time so memory stays constant no matter
-// how long the window is. At equal seeds it produces exactly the flow
-// sequence Poisson materializes.
+// source and destination hosts, yielded one flow at a time so memory stays
+// constant no matter how long the window is.
 func PoissonSource(cfg PoissonConfig) Source {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	mean := cfg.Dist.Mean()
@@ -82,7 +69,7 @@ func PoissonSource(cfg PoissonConfig) Source {
 		}
 		src := rng.Intn(cfg.NumHosts)
 		dst := rng.Intn(cfg.NumHosts)
-		for dst == src || (cfg.AvoidRackLocal && sameRack(src, dst, cfg.HostsPerRack)) {
+		for dst == src {
 			dst = rng.Intn(cfg.NumHosts)
 		}
 		return FlowSpec{
@@ -201,21 +188,4 @@ func Skew(numRacks, hostsPerRack int, activeFraction float64, flowBytes int64, s
 		}
 	}
 	return out
-}
-
-// RackDemand aggregates a flow list into a rack-level demand matrix in
-// bytes (row = source rack, column = destination rack), the input to the
-// fluid throughput models.
-func RackDemand(flows []FlowSpec, numRacks, hostsPerRack int) [][]float64 {
-	m := make([][]float64, numRacks)
-	for i := range m {
-		m[i] = make([]float64, numRacks)
-	}
-	for _, f := range flows {
-		a, b := f.Src/hostsPerRack, f.Dst/hostsPerRack
-		if a != b {
-			m[a][b] += float64(f.Bytes)
-		}
-	}
-	return m
 }

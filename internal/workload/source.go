@@ -3,8 +3,6 @@ package workload
 import (
 	"cmp"
 	"slices"
-
-	"github.com/opera-net/opera/internal/eventsim"
 )
 
 // Source is a lazy, possibly unbounded stream of flows. Next returns the
@@ -92,8 +90,7 @@ func FromSpecs(specs []FlowSpec) Source {
 
 // Drain materializes a source into a flow list. It is the inverse of
 // FromSpecs, used by legacy []FlowSpec call sites and tests; draining an
-// unbounded source does not terminate, so bound it with Take or Until
-// first.
+// unbounded source does not terminate, so bound it with Take first.
 func Drain(s Source) []FlowSpec {
 	var out []FlowSpec
 	for {
@@ -113,24 +110,6 @@ func Take(s Source, n int) Source {
 		}
 		n--
 		return s.Next()
-	})
-}
-
-// Until cuts a source off at the given virtual time: flows arriving at or
-// after cutoff are discarded and the source ends. It bounds unbounded
-// generators (a Ramp with no window, a Replay of a long trace).
-func Until(s Source, cutoff eventsim.Time) Source {
-	done := false
-	return SourceFunc(func() (FlowSpec, bool) {
-		if done {
-			return FlowSpec{}, false
-		}
-		spec, ok := s.Next()
-		if !ok || spec.Arrival >= cutoff {
-			done = true
-			return FlowSpec{}, false
-		}
-		return spec, true
 	})
 }
 
@@ -170,40 +149,5 @@ func BulkSource(s Source) Source {
 			spec.Bulk = true
 		}
 		return spec, ok
-	})
-}
-
-// Merge interleaves sources into one stream ordered by arrival time. Ties
-// go to the earliest-listed source, so merging deterministic sources is
-// deterministic. Each input is consumed lazily with one spec of
-// lookahead.
-func Merge(sources ...Source) Source {
-	type head struct {
-		spec FlowSpec
-		src  Source
-	}
-	heads := make([]head, 0, len(sources))
-	for _, s := range sources {
-		if spec, ok := s.Next(); ok {
-			heads = append(heads, head{spec, s})
-		}
-	}
-	return SourceFunc(func() (FlowSpec, bool) {
-		if len(heads) == 0 {
-			return FlowSpec{}, false
-		}
-		best := 0
-		for i := 1; i < len(heads); i++ {
-			if heads[i].spec.Arrival < heads[best].spec.Arrival {
-				best = i
-			}
-		}
-		out := heads[best].spec
-		if next, ok := heads[best].src.Next(); ok {
-			heads[best].spec = next
-		} else {
-			heads = append(heads[:best], heads[best+1:]...)
-		}
-		return out, true
 	})
 }

@@ -123,14 +123,13 @@ func TestSampleMatchesCDF(t *testing.T) {
 func TestPoissonLoad(t *testing.T) {
 	cfg := PoissonConfig{
 		NumHosts:     64,
-		HostsPerRack: 4,
 		Load:         0.10,
 		LinkRateGbps: 10,
 		Duration:     50 * eventsim.Millisecond,
 		Dist:         Websearch(),
 		Seed:         1,
 	}
-	flows := Poisson(cfg)
+	flows := Drain(PoissonSource(cfg))
 	if len(flows) == 0 {
 		t.Fatal("no flows generated")
 	}
@@ -149,19 +148,6 @@ func TestPoissonLoad(t *testing.T) {
 	got := bytes * 8
 	if got < 0.7*want || got > 1.3*want {
 		t.Fatalf("offered bits = %.3g, want ≈ %.3g", got, want)
-	}
-}
-
-func TestPoissonAvoidRackLocal(t *testing.T) {
-	cfg := PoissonConfig{
-		NumHosts: 32, HostsPerRack: 4, Load: 0.2, LinkRateGbps: 10,
-		Duration: 10 * eventsim.Millisecond, Dist: Hadoop(), Seed: 2,
-		AvoidRackLocal: true,
-	}
-	for _, f := range Poisson(cfg) {
-		if f.Src/4 == f.Dst/4 {
-			t.Fatal("rack-local flow generated with AvoidRackLocal")
-		}
 	}
 }
 
@@ -231,17 +217,5 @@ func TestSkew(t *testing.T) {
 	}
 	if len(racks) != 4 {
 		t.Fatalf("%d active racks, want 4", len(racks))
-	}
-}
-
-func TestRackDemand(t *testing.T) {
-	flows := []FlowSpec{
-		{Src: 0, Dst: 5, Bytes: 100}, // rack 0 → 1
-		{Src: 1, Dst: 6, Bytes: 200}, // rack 0 → 1
-		{Src: 2, Dst: 3, Bytes: 999}, // rack-local, excluded
-	}
-	m := RackDemand(flows, 2, 4)
-	if m[0][1] != 300 || m[1][0] != 0 || m[0][0] != 0 {
-		t.Fatalf("demand = %v", m)
 	}
 }

@@ -24,10 +24,11 @@
 // The architecture set is closed: internal/sim builds each fabric by its
 // Kind's name, and the Cluster attaches transports by capability — NDP
 // wherever the fabric has an always-on packet path, RotorLB wherever it
-// exposes slice-driven circuits
-// (sim.CircuitNetwork). Flows smaller than BulkThreshold (default 15 MB,
-// §4.1) are latency-sensitive and ride NDP over the current expander
-// slice; larger flows wait at hosts and ride RotorLB over direct circuits.
+// exposes slice-driven circuits (sim.CircuitNetwork). Each transport
+// claims its own packet kinds on every host, and every packet points at
+// its flow. Flows smaller than BulkThreshold (default 15 MB, §4.1) are
+// latency-sensitive and ride NDP over the current expander slice; larger
+// flows wait at hosts and ride RotorLB over direct circuits.
 // Baselines use the transports the paper gives them: NDP everywhere for
 // the static networks, RotorLB (plus NDP over the hybrid packet fabric)
 // for RotorNet.
@@ -142,10 +143,8 @@ type ClusterConfig struct {
 	// state, keeping unbounded soaks flat-memory. See WithRetention.
 	Retention RetentionPolicy
 
-	// Sim, NDP and RotorLB override protocol parameters when non-nil.
-	Sim     *sim.Config
-	NDP     *ndp.Params
-	RotorLB *rotorlb.Params
+	// Sim overrides the simulator's physical constants when non-nil.
+	Sim *sim.Config
 
 	// MaxSliceDiameter bounds Opera slice diameters at build time (0 = no
 	// bound; 5 reproduces the paper's ε sizing).
@@ -157,17 +156,17 @@ type ClusterConfig struct {
 // Cluster is a simulated datacenter network plus attached transports: one
 // sim.Network and a service-class → Transport dispatch table.
 type Cluster struct {
-	cfg      ClusterConfig
-	eng      *eventsim.Engine
-	net      sim.Network
-	metrics  *sim.Metrics
-	hosts    []*sim.Host
-	registry map[int64]*sim.Flow
-	nextID   int64
+	cfg     ClusterConfig
+	eng     *eventsim.Engine
+	net     sim.Network
+	metrics *sim.Metrics
+	hosts   []*sim.Host
+	nextID  int64
 
 	// transports dispatches flow admission by service class.
 	transports map[sim.Class]sim.Transport
 	lb         *rotorlb.LB // nil unless the fabric has circuits
+	ndp        *ndp.Fabric // nil unless the fabric has a packet path
 
 	// pumps counts sources added with AddSource that are not yet
 	// exhausted; RunUntilDone keeps running while any remain.
@@ -205,14 +204,6 @@ func build(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Sim != nil {
 		simCfg = *cfg.Sim
 	}
-	ndpParams := ndp.DefaultParams()
-	if cfg.NDP != nil {
-		ndpParams = *cfg.NDP
-	}
-	lbParams := rotorlb.DefaultParams()
-	if cfg.RotorLB != nil {
-		lbParams = *cfg.RotorLB
-	}
 
 	name, ok := kindName(cfg.Kind)
 	if !ok {
@@ -225,7 +216,6 @@ func build(cfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{
 		cfg:        cfg,
 		eng:        eventsim.New(),
-		registry:   make(map[int64]*sim.Flow),
 		transports: make(map[sim.Class]sim.Transport),
 	}
 	net, err := sim.Build(name, sim.BuildParams{
@@ -247,21 +237,14 @@ func build(cfg ClusterConfig) (*Cluster, error) {
 	c.hosts = net.Hosts()
 	c.hostsPerRack = net.HostsPerRack()
 
-	// Retention is installed before any transport attaches or flow
-	// registers. Under streaming retention the cluster also stops holding
-	// completed flows: the registry entry is dropped the moment Metrics
-	// absorbs the completion, so a million-flow soak holds only its active
-	// flows (the transports release their own per-flow state the same way).
+	// The cluster never holds a flow — a packet points at its flow — so
+	// under streaming retention a million-flow soak holds only its active
+	// flows.
 	c.metrics.SetRetention(cfg.Retention)
-	if cfg.Retention.Streaming() {
-		c.metrics.ReleaseHook(func(f *sim.Flow) { delete(c.registry, f.ID) })
-	}
 
-	// Bulk rides RotorLB wherever the fabric exposes circuits. RotorLB must
-	// attach before NDP: NDP chains packets it does not own back to the
-	// handler installed before it.
+	// Bulk rides RotorLB wherever the fabric exposes circuits.
 	if cn, ok := net.(sim.CircuitNetwork); ok {
-		c.lb = rotorlb.Attach(cn, lbParams, c.registry)
+		c.lb = rotorlb.Attach(cn)
 		c.transports[sim.ClassBulk] = c.lb
 		net.Faults().SetStrandedProbe(c.lb.StrandedBytes)
 	}
@@ -269,10 +252,10 @@ func build(cfg ClusterConfig) (*Cluster, error) {
 	// exists; on the static fabrics NDP carries bulk too (Class then only
 	// drives priority queueing, §5's "ideal priority queuing").
 	if net.PacketCapable() {
-		fab := ndp.AttachFabric(c.hosts, c.metrics, ndpParams, c.registry)
-		c.transports[sim.ClassLowLatency] = fab
+		c.ndp = ndp.Attach(c.hosts, c.metrics)
+		c.transports[sim.ClassLowLatency] = c.ndp
 		if c.transports[sim.ClassBulk] == nil {
-			c.transports[sim.ClassBulk] = fab
+			c.transports[sim.ClassBulk] = c.ndp
 		}
 	}
 	// Circuit-only fabrics (non-hybrid RotorNet) have no packet path:
@@ -350,14 +333,7 @@ func (c *Cluster) Faults() *sim.Faults { return c.net.Faults() }
 // NDPFabric exposes the NDP transport's endpoint fabric, or nil when the
 // architecture has no always-on packet path (non-hybrid RotorNet). The
 // observability plane reads its flow-state pool gauges from here.
-func (c *Cluster) NDPFabric() *ndp.Fabric {
-	for _, tr := range []sim.Class{sim.ClassLowLatency, sim.ClassBulk} {
-		if fab, ok := c.transports[tr].(*ndp.Fabric); ok {
-			return fab
-		}
-	}
-	return nil
-}
+func (c *Cluster) NDPFabric() *ndp.Fabric { return c.ndp }
 
 // RotorLB exposes the bulk circuit transport, or nil when the fabric has
 // no circuits (static expander, folded Clos).
@@ -404,7 +380,6 @@ func (c *Cluster) addFlow(spec workload.FlowSpec, class sim.Class) *sim.Flow {
 		Tag:     spec.Tag,
 		Start:   spec.Arrival,
 	}
-	c.registry[f.ID] = f
 	c.metrics.AddFlow(f)
 	if spec.Arrival <= c.eng.Now() {
 		c.startFlow(f)

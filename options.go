@@ -1,8 +1,6 @@
 package opera
 
 import (
-	"github.com/opera-net/opera/internal/ndp"
-	"github.com/opera-net/opera/internal/rotorlb"
 	"github.com/opera-net/opera/internal/sim"
 	"github.com/opera-net/opera/internal/telemetry"
 )
@@ -24,7 +22,7 @@ func RetainAll() RetentionPolicy { return sim.RetainAll() }
 // RetainSketch is the streaming retention policy: completed flows feed
 // per-class and per-tag quantile sketches (pinned relative error
 // SketchOptions.Alpha) plus trailing windowed counters, and every per-flow
-// record — metrics, cluster registry, transport state — is released.
+// record — metrics and transport state — is released.
 // Steady-state memory becomes O(active flows + sketch), which is what
 // lets month-long soaks run flat; counts, means, min/max, throughput and
 // bandwidth tax remain exact, and the sketches merge across process
@@ -84,16 +82,6 @@ func WithSeed(seed int64) Option {
 // WithSimConfig overrides the simulator's physical constants.
 func WithSimConfig(sc sim.Config) Option {
 	return func(cfg *ClusterConfig) { cfg.Sim = &sc }
-}
-
-// WithNDPParams overrides NDP protocol parameters.
-func WithNDPParams(p ndp.Params) Option {
-	return func(cfg *ClusterConfig) { cfg.NDP = &p }
-}
-
-// WithRotorLBParams overrides RotorLB protocol parameters.
-func WithRotorLBParams(p rotorlb.Params) Option {
-	return func(cfg *ClusterConfig) { cfg.RotorLB = &p }
 }
 
 // WithMaxSliceDiameter bounds Opera slice diameters at build time (5

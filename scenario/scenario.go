@@ -104,7 +104,6 @@ func Poisson(dist *workload.FlowSizeDist, load float64, window eventsim.Time, ma
 func (env Env) poisson(dist *workload.FlowSizeDist, load float64, window eventsim.Time) workload.PoissonConfig {
 	return workload.PoissonConfig{
 		NumHosts:     env.NumHosts,
-		HostsPerRack: env.HostsPerRack,
 		Load:         load,
 		LinkRateGbps: env.LinkRateGbps,
 		Duration:     window,

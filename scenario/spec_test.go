@@ -68,7 +68,7 @@ func TestSpecMatchesHandBuiltScenario(t *testing.T) {
 	}
 	const window = 2 * eventsim.Millisecond
 	poisson := func(env Env, dist *workload.FlowSizeDist, load float64) workload.PoissonConfig {
-		return workload.PoissonConfig{NumHosts: env.NumHosts, HostsPerRack: env.HostsPerRack, Load: load,
+		return workload.PoissonConfig{NumHosts: env.NumHosts, Load: load,
 			LinkRateGbps: env.LinkRateGbps, Duration: window, Dist: dist, Seed: env.Seed}
 	}
 	pattern := func(gen func(env Env) []workload.FlowSpec) Source {

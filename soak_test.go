@@ -12,7 +12,7 @@ import (
 )
 
 // soakFlows is the flow count of the flat-memory gate — large enough that
-// retained per-flow state (flows, registry entries, NDP bitmaps) would
+// retained per-flow state (flows, NDP table entries and bitmaps) would
 // show up as tens of megabytes of heap growth.
 const soakFlows = 120_000
 

@@ -38,7 +38,6 @@ func (lp *lazyProbe) Next() (workload.FlowSpec, bool) {
 func steadySource(numHosts int, load float64, window eventsim.Time, seed int64) workload.Source {
 	return workload.PoissonSource(workload.PoissonConfig{
 		NumHosts:     numHosts,
-		HostsPerRack: 4,
 		Load:         load,
 		LinkRateGbps: 10,
 		Duration:     window,
