@@ -101,7 +101,7 @@ func (a *rackAgent) openSessions(abs int64) {
 		if spare > int64(net.Config().MTU) {
 			a.negotiateVLB(c.Peer, spare, &sess.vlbQ)
 		}
-		net.Engine().AfterCall(c.WindowStart+startMargin, sess, nil)
+		lb.park(sess, now+c.WindowStart+startMargin)
 	}
 }
 
@@ -211,8 +211,10 @@ func (s *localSender) OnEvent(any) {
 	net.Engine().ContinueCall(cfg.SerializationDelay(int(n)), s, nil)
 }
 
-// session paces one circuit's transmissions across its window. It is its
-// own eventsim.Handler, so the one-event-per-packet pump loop schedules
+// session paces one circuit's transmissions across its window. With
+// nothing to send it waits parked on a poll batch shared with every other
+// idle session (LB.park); while it has bytes it is its own
+// eventsim.Handler, so the one-event-per-packet pump loop schedules
 // without closures. Sessions are recycled through LB.sessions: close()
 // releases one, and its emptied vlbQ keeps its ring for the next window.
 type session struct {
@@ -226,58 +228,49 @@ type session struct {
 func (s *session) OnEvent(any) { s.pump() }
 
 // pump emits one MTU-sized bulk packet per MTU serialization time until
-// the window closes or all eligible queues drain. Service order follows
-// RotorLB: stored relay traffic, then own direct, then admitted VLB.
+// the window closes, polling every 10 of them while all eligible queues
+// are empty. Service order follows RotorLB: stored relay traffic, then own
+// direct, then admitted VLB.
 func (s *session) pump() {
 	a := s.agent
-	net := a.lb.net
-	cfg := net.Config()
+	lb := a.lb
+	net := lb.net
 	now := net.Engine().Now()
-	txTime := cfg.SerializationDelay(cfg.MTU)
-	// Stop early enough for the packet to clear the host NIC (which
-	// hostReady lets run up to ~4 packets deep), serialize at the ToR and
-	// propagate before the blackout.
-	if now+7*txTime+2*cfg.PropDelay > s.deadline {
+	txTime := lb.txTime
+	if now+lb.closeMargin > s.deadline {
 		s.close()
 		return
 	}
-	mtu := int64(cfg.MTU)
-	var seg segment
-	var ok bool
+	relay, voq := &a.relay[s.circuit.Peer], &a.voq[s.circuit.Peer]
+	if relay.bytes == 0 && voq.bytes == 0 && s.vlbQ.bytes == 0 {
+		// Nothing to send: poll for new arrivals.
+		lb.park(s, now+10*txTime)
+		return
+	}
+	mtu := int64(net.Config().MTU)
 	relayLeg := false
 	vlb := false
-	blocked := false
 	ready := func(h int32) bool { return a.hostReady(h, now, txTime) }
 	// Service order: stored relay, own direct, admitted VLB — carving from
 	// the first segment whose host can transmit (the ToR polls whichever
 	// host has data for this circuit, §3.5).
-	if seg, ok = a.relay[s.circuit.Peer].carveReady(mtu, ready); ok {
+	seg, ok := relay.carveReady(mtu, ready)
+	if ok {
 		relayLeg = true
 		a.relayTotal -= seg.bytes
-	} else if !a.relay[s.circuit.Peer].empty() {
-		blocked = true
 	}
 	if !ok {
-		if seg, ok = a.voq[s.circuit.Peer].carveReady(mtu, ready); !ok && !a.voq[s.circuit.Peer].empty() {
-			blocked = true
-		}
+		seg, ok = voq.carveReady(mtu, ready)
 	}
 	if !ok {
 		if seg, ok = s.vlbQ.carveReady(mtu, ready); ok {
 			vlb = true
 			a.vlbHeld -= seg.bytes
-		} else if !s.vlbQ.empty() {
-			blocked = true
 		}
 	}
 	if !ok {
-		// Nothing grantable right now. If a queue was merely blocked on
-		// busy NICs, retry soon; otherwise poll for new arrivals.
-		wait := 10 * txTime
-		if blocked {
-			wait = txTime
-		}
-		net.Engine().ContinueCall(wait, s, nil)
+		// Every byte queued sits behind a busy NIC: retry soon.
+		net.Engine().ContinueCall(txTime, s, nil)
 		return
 	}
 	a.grantTo(seg.host, now, txTime)

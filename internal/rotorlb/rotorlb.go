@@ -154,10 +154,23 @@ type LB struct {
 	// indirecting it would pay a 100% tax for nothing.
 	vlbThreshold int64
 
+	// txTime is one MTU's serialization time: the cadence of a sending
+	// session, and a tenth of an idle one's polling period. closeMargin is
+	// how long before its deadline a session stops: enough for a packet to
+	// clear the host NIC (which hostReady lets run up to ~4 packets deep),
+	// serialize at the ToR and propagate before the blackout.
+	txTime, closeMargin eventsim.Time
+
 	// Per-slice state recycled across slice boundaries: closed sessions
 	// (each keeping its vlbQ ring) and the ActiveCircuits scratch buffer.
 	sessions freelist.Pool[session]
 	circuits []sim.Circuit
+
+	// polls holds the live poll batches, one per instant some idle session
+	// waits for — a handful, so park finds one by scanning. Fired batches
+	// are recycled through pollPool with their member slices.
+	polls    []*pollBatch
+	pollPool freelist.Pool[pollBatch]
 
 	// NACKs counts requeue events observed by senders.
 	NACKs uint64
@@ -172,7 +185,10 @@ var _ sim.Transport = (*LB)(nil)
 // sessions.
 func Attach(net sim.CircuitNetwork) *LB {
 	lb := &LB{net: net}
-	w := net.Config().BytesIn(net.SliceDuration())
+	cfg := net.Config()
+	lb.txTime = cfg.SerializationDelay(cfg.MTU)
+	lb.closeMargin = 7*lb.txTime + 2*cfg.PropDelay
+	w := cfg.BytesIn(net.SliceDuration())
 	lb.vlbThreshold = int64(w) * int64(net.PairWindowsPerCycle())
 	n := net.NumRacks()
 	lb.agents = make([]*rackAgent, n)
@@ -261,6 +277,58 @@ func (lb *LB) onSlice(abs int64) {
 	for _, a := range lb.agents {
 		a.openSessions(abs)
 	}
+}
+
+// pollBatch is the one engine event behind every session waiting for data
+// at the same instant. Idle sessions poll on a common grid — the window
+// start, then every 10 txTime — so the polls due at one instant were
+// scheduled back to back, by handlers that schedule nothing else for that
+// instant: a contiguous run in the engine's (time, seq) order. One event
+// standing where the run starts, pumping the members in the order they
+// parked, executes every handler at the point of the total order its own
+// event held.
+type pollBatch struct {
+	lb      *LB
+	at      eventsim.Time
+	members []*session
+}
+
+// park makes s wait for data until at: it joins the batch due then, or
+// starts one — whose event is scheduled here, where the session's own used
+// to be.
+func (lb *LB) park(s *session, at eventsim.Time) {
+	for _, b := range lb.polls {
+		if b.at == at {
+			b.members = append(b.members, s)
+			return
+		}
+	}
+	b := lb.pollPool.Get()
+	if b == nil {
+		b = &pollBatch{lb: lb}
+	}
+	b.at = at
+	b.members = append(b.members, s)
+	lb.polls = append(lb.polls, b)
+	lb.net.Engine().AtCall(at, b, nil)
+}
+
+// OnEvent implements eventsim.Handler: the batch is due. Each member
+// pumps as it would have from its own event — it sends and goes back to
+// its own txTime chain, closes, or parks again for the next grid point.
+func (b *pollBatch) OnEvent(any) {
+	lb := b.lb
+	for i, live := range lb.polls {
+		if live == b {
+			lb.polls = append(lb.polls[:i], lb.polls[i+1:]...)
+			break
+		}
+	}
+	for _, s := range b.members {
+		s.pump()
+	}
+	b.members = b.members[:0]
+	lb.pollPool.Put(b)
 }
 
 // onBulk handles a bulk packet delivered to a host: final delivery or VLB
