@@ -63,30 +63,43 @@ figdiff:
 	rm -rf $(FIGDIFF); exit $$status
 
 ## digests: the ledger byte-identity check every refactor runs —
-## `make digests BASE=<rev> [SEED=1]` unpacks BASE into a throwaway
-## directory (as figdiff does), builds bench/ there and in this tree, runs
-## every BENCHMARK.json workload once a side (`-run-one`, GOMAXPROCS=1,
-## ~15 s in all), prints P99Us/GoodputGbps/SimEvents/Digest side by side
-## and fails on any difference
+## `make digests BASE=<rev> [SEED=1] [WORKLOADS="shuffle_clos ..."]`
+## unpacks BASE into a throwaway directory (as figdiff does), builds bench/
+## there and in this tree, runs every BENCHMARK.json workload once a side
+## (`-run-one`, GOMAXPROCS=1, ~15 s in all), prints
+## P99Us/GoodputGbps/SimEvents/Digest side by side and fails on any
+## difference. A change that fires fewer events for the same simulation
+## adds EVENTS=moved: P99Us/GoodputGbps/Tax/Flows/Failed are compared;
+## SimEvents and Digest (which hashes SimEvents) are printed beside them
+## and may differ
 DIGESTS := $(or $(TMPDIR),/tmp)/opera-digests
 SEED ?= 1
+WORKLOADS ?= $(shell sed -n '/"workloads"/,/^  \]/s/.*"name": "\([^"]*\)".*/\1/p' BENCHMARK.json)
+ifeq ($(EVENTS),moved)
+DIGESTS_CMP := P99Us|GoodputGbps|Tax|Flows|Failed
+DIGESTS_SHOW := SimEvents|Digest
+else
+DIGESTS_CMP := P99Us|GoodputGbps|SimEvents|Digest
+DIGESTS_SHOW :=
+endif
 digests:
-	@test -n "$(BASE)" || { echo "usage: make digests BASE=<rev> [SEED=$(SEED)]"; exit 2; }
+	@test -n "$(BASE)" || { echo "usage: make digests BASE=<rev> [SEED=$(SEED)] [EVENTS=moved] [WORKLOADS=...]"; exit 2; }
+	@test -z "$(EVENTS)" -o "$(EVENTS)" = moved || { echo "digests: EVENTS=$(EVENTS): the only mode is EVENTS=moved"; exit 2; }
 	@rm -rf $(DIGESTS) && mkdir -p $(DIGESTS)/base
 	@status=0; \
+	pick() { awk -F'[,{}]' -v f="^\"($$1)\":" '{ for (i = 1; i <= NF; i++) if ($$i ~ f) printf "%s ", $$i }' $$2; }; \
 	{ git archive $(BASE) | tar -x -C $(DIGESTS)/base && \
 	  $(GO) build -C $(DIGESTS)/base/bench -o $(DIGESTS)/bench-base . && \
 	  $(GO) build -C bench -o $(DIGESTS)/bench-head . && \
-	  for w in $$(sed -n '/"workloads"/,/^  \]/s/.*"name": "\([^"]*\)".*/\1/p' BENCHMARK.json); do \
+	  for w in $(WORKLOADS); do \
 	    for side in base head; do \
 	      GOMAXPROCS=1 $(DIGESTS)/bench-$$side -run-one $$w -seed $(SEED) >$(DIGESTS)/$$side.json || status=1; \
-	      awk -F'[,{}]' '{ for (i = 1; i <= NF; i++) if ($$i ~ /^"(P99Us|GoodputGbps|SimEvents|Digest)":/) printf "%s ", $$i; print "" }' \
-	        $(DIGESTS)/$$side.json >$(DIGESTS)/$$side.txt; \
-	      printf '%-16s %s  %s\n' $$w $$side "$$(cat $(DIGESTS)/$$side.txt)"; \
+	      pick '$(DIGESTS_CMP)' $(DIGESTS)/$$side.json >$(DIGESTS)/$$side.txt; \
+	      printf '%-16s %s  %s%s\n' $$w $$side "$$(cat $(DIGESTS)/$$side.txt)" "$$(pick '$(DIGESTS_SHOW)' $(DIGESTS)/$$side.json)"; \
 	    done; \
 	    cmp -s $(DIGESTS)/base.txt $(DIGESTS)/head.txt || { echo "digests: $$w differs from $(BASE)"; status=1; }; \
 	  done; } || status=1; \
-	test $$status = 0 && echo "digests: all workloads identical to $(BASE) at seed $(SEED)"; \
+	test $$status = 0 && echo "digests: $(WORKLOADS) identical to $(BASE) at seed $(SEED) in $(DIGESTS_CMP)"; \
 	rm -rf $(DIGESTS); exit $$status
 
 ## loc: non-test, non-testdata Go lines per package outside bench/ and in

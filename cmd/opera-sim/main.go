@@ -15,6 +15,7 @@
 //	    -fail-at 500us:link:3:2,2ms:recover-link:3:2
 //	opera-sim -network opera -workload datamining -duration 10s \
 //	    -retention sketch
+//	opera-sim -network opera -workload websearch -event-kinds
 //
 // The last form runs flat-memory: completed flows feed streaming
 // quantile sketches (±1% pinned error, see -sketch-alpha) instead of
@@ -32,6 +33,7 @@ import (
 	"syscall"
 	"time"
 
+	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/obs"
 	"github.com/opera-net/opera/scenario"
@@ -48,6 +50,7 @@ type run struct {
 
 	statusAddr                string
 	statusEvery, statusLinger time.Duration
+	eventKinds                bool
 }
 
 // parseArgs turns the command line into a run. Every flag that describes
@@ -82,6 +85,7 @@ func parseArgs(fs *flag.FlagSet, args []string) (run, error) {
 		"/status JSON, /status/stream SSE, /debug/vars, /debug/pprof")
 	statusEvery := fs.Duration("status-every", time.Millisecond, "snapshot sampling period in virtual time (with -status)")
 	statusLinger := fs.Duration("status-linger", 0, "keep serving -status this long (wall time) after the run finishes; SIGINT/SIGTERM ends the linger early")
+	eventKinds := fs.Bool("event-kinds", false, "after the run, print how many engine events each handler type fired, most first")
 	if err := fs.Parse(args); err != nil {
 		return run{}, err
 	}
@@ -98,6 +102,7 @@ func parseArgs(fs *flag.FlagSet, args []string) (run, error) {
 	r := run{
 		workload:   *wl,
 		statusAddr: *statusAddr, statusEvery: *statusEvery, statusLinger: *statusLinger,
+		eventKinds: *eventKinds,
 		spec: scenario.Spec{
 			Name: *network, Network: *network, Seed: *seed,
 			Duration: dur * eventsim.Time(*drain),
@@ -162,6 +167,12 @@ func simulate(r run) int {
 		fmt.Fprintf(os.Stderr, "status: serving http://%s/status\n", bound)
 	}
 
+	var kinds *eventsim.KindCounts
+	if r.eventKinds {
+		kinds = eventsim.CountKinds(eventsim.NewWheelScheduler())
+		sc.Options = append(sc.Options[:len(sc.Options):len(sc.Options)], opera.WithScheduler(kinds))
+	}
+
 	start := time.Now()
 	_, res := scenario.Collect(sc)
 	wall := time.Since(start)
@@ -207,6 +218,17 @@ func simulate(r run) int {
 			fmt.Printf("  tag %-8s n=%d/%d p50=%.1fµs p99=%.1fµs throughput=%.2f Gb/s\n",
 				t, ts.FlowsDone, ts.FlowsTotal, ts.FCT.P50Us, ts.FCT.P99Us, ts.ThroughputGbps)
 		}
+	}
+
+	if kinds != nil {
+		// The total is the table's own: with -status it includes the
+		// publisher's meta events, which sim-events leaves out.
+		var total uint64
+		kinds.Each(func(_ string, events uint64) { total += events })
+		fmt.Printf("  events by handler type:\n")
+		kinds.Each(func(kind string, events uint64) {
+			fmt.Printf("    %12d %5.1f%%  %s\n", events, 100*float64(events)/float64(total), kind)
+		})
 	}
 
 	if statusSrv != nil {

@@ -138,18 +138,19 @@ func TestMalformedArgs(t *testing.T) {
 	}
 }
 
-// The status flags are process-local: they ride beside the Spec.
+// The status and -event-kinds flags are process-local: they ride beside the
+// Spec.
 func TestStatusFlagsStayOutOfTheSpec(t *testing.T) {
 	plain, err := parse()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := parse("-status", ":0", "-status-every", "2ms", "-status-linger", "1s")
+	r, err := parse("-status", ":0", "-status-every", "2ms", "-status-linger", "1s", "-event-kinds")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.statusAddr != ":0" || r.statusEvery.Milliseconds() != 2 || r.statusLinger.Seconds() != 1 {
-		t.Errorf("status settings = %q %v %v", r.statusAddr, r.statusEvery, r.statusLinger)
+	if r.statusAddr != ":0" || r.statusEvery.Milliseconds() != 2 || r.statusLinger.Seconds() != 1 || !r.eventKinds {
+		t.Errorf("status settings = %q %v %v, event kinds %v", r.statusAddr, r.statusEvery, r.statusLinger, r.eventKinds)
 	}
 	if !reflect.DeepEqual(r.spec, plain.spec) {
 		t.Errorf("-status changed the run description:\ngot  %+v\nwant %+v", r.spec, plain.spec)

@@ -124,8 +124,11 @@ func (e *Event) before(o *Event) bool {
 
 // Scheduler is the engine's pending-event store. Push inserts an event;
 // Pop removes and returns the minimum event in (time, seq) order, nil when
-// empty; Peek returns that minimum without removing it; Len reports how
-// many events are stored (including cancelled ones, which drain lazily).
+// empty; PopDue does the same only if that minimum is scheduled at or
+// before the deadline, and otherwise returns nil having changed nothing —
+// RunUntil's one question per event; Peek returns the minimum without
+// removing it; Len reports how many events are stored (including cancelled
+// ones, which drain lazily).
 //
 // The ordering contract is exact, not approximate: two schedulers fed the
 // same Push sequence must Pop the identical event sequence, including FIFO
@@ -138,6 +141,7 @@ func (e *Event) before(o *Event) bool {
 type Scheduler interface {
 	Push(*Event)
 	Pop() *Event
+	PopDue(deadline Time) *Event
 	Peek() *Event
 	Len() int
 }
@@ -159,7 +163,7 @@ type Engine struct {
 	metaPending int
 
 	// nCancelled counts cancelled events drained from the scheduler
-	// (in Step and peek, where the cancellation branch already exists).
+	// (in fire and peek, where the cancellation branch already exists).
 	nCancelled uint64
 
 	// firing is the event whose callback is currently executing. Holding
@@ -302,26 +306,35 @@ func (e *Engine) Step() bool {
 		if ev == nil {
 			return false
 		}
-		ev.pending = false
-		if ev.cancelled {
-			e.nCancelled++
-			e.recycle(ev)
-			continue
+		if e.fire(ev) {
+			return true
 		}
-		e.now = ev.at
-		e.nSteps++
-		// Hold the event as the firing slot while the callback runs: a
-		// ContinueCall inside the callback re-arms it for the chain's next
-		// hop; otherwise it is recycled afterwards.
-		h, arg := ev.h, ev.arg
-		e.firing = ev
-		h.OnEvent(arg)
-		if e.firing != nil {
-			e.recycle(e.firing)
-			e.firing = nil
-		}
-		return true
 	}
+}
+
+// fire runs a popped event's callback, advancing the clock to its
+// timestamp, and reports whether there was one to run: a cancelled event
+// is only recycled.
+func (e *Engine) fire(ev *Event) bool {
+	ev.pending = false
+	if ev.cancelled {
+		e.nCancelled++
+		e.recycle(ev)
+		return false
+	}
+	e.now = ev.at
+	e.nSteps++
+	// Hold the event as the firing slot while the callback runs: a
+	// ContinueCall inside the callback re-arms it for the chain's next
+	// hop; otherwise it is recycled afterwards.
+	h, arg := ev.h, ev.arg
+	e.firing = ev
+	h.OnEvent(arg)
+	if e.firing != nil {
+		e.recycle(e.firing)
+		e.firing = nil
+	}
+	return true
 }
 
 // Run executes events until the queue is empty.
@@ -333,13 +346,13 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= deadline, then sets the clock
 // to exactly deadline. Events scheduled after deadline remain pending.
 func (e *Engine) RunUntil(deadline Time) {
-	for {
-		ev := e.peek()
-		if ev == nil || ev.at > deadline {
-			break
-		}
-		e.Step()
+	for ev := e.sched.PopDue(deadline); ev != nil; ev = e.sched.PopDue(deadline) {
+		e.fire(ev)
 	}
+	// Drain cancelled events off the front, past the deadline too: Len
+	// counts them until they drain, and Cluster.RunUntilDone ends a run on
+	// Len() == 0.
+	e.peek()
 	if e.now < deadline {
 		e.now = deadline
 	}

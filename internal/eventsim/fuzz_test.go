@@ -53,11 +53,26 @@ func (p *schedPair) push(d Time) {
 }
 
 func (p *schedPair) pop() *Event {
-	ev := p.same("pop", p.wheel.Pop(), p.heap.Pop())
+	return p.served(p.same("pop", p.wheel.Pop(), p.heap.Pop()))
+}
+
+// served advances the harness clock to a popped event, as firing it would.
+func (p *schedPair) served(ev *Event) *Event {
 	if ev != nil && ev.at > p.now {
 		p.now = ev.at
 	}
 	return ev
+}
+
+// popDue is RunUntil's question, asked with a deadline just before, at and
+// well after the minimum: too early a deadline must return nil and move
+// nothing, which the ops that follow then check.
+func (p *schedPair) popDue(arg int) *Event {
+	deadline := MaxTime
+	if min := p.heap.Peek(); min != nil {
+		deadline = min.at + [...]Time{-1, 0, 1024}[arg%3]
+	}
+	return p.served(p.same("popDue", p.wheel.PopDue(deadline), p.heap.PopDue(deadline)))
 }
 
 // drainCancelled is Engine.peek: it pops cancelled events off the front
@@ -81,7 +96,11 @@ func (p *schedPair) run(data []byte) {
 		case 0, 1, 2: // push dominates, so a backlog builds
 			p.push(fuzzDeltas[arg%len(fuzzDeltas)])
 		case 3:
-			p.pop()
+			if arg%4 == 0 {
+				p.pop()
+			} else {
+				p.popDue(arg / 4)
+			}
 		case 4:
 			p.same("peek", p.wheel.Peek(), p.heap.Peek())
 		case 5:
@@ -102,11 +121,11 @@ func (p *schedPair) run(data []byte) {
 }
 
 // FuzzSchedulerDifferential feeds a byte stream decoded into push-δ / pop /
-// peek / cancel / cancelled-drain / clock-jump operations to the wheel and
-// the heap through the raw Scheduler interface, including pushes earlier
-// than the last pop, and requires identical results from every Pop, Peek
-// and Len. `make fuzz` runs it for 10 s; the seeds below run in every
-// `go test`.
+// pop-due / peek / cancel / cancelled-drain / clock-jump operations to the
+// wheel and the heap through the raw Scheduler interface, including pushes
+// earlier than the last pop, and requires identical results from every
+// Pop, PopDue, Peek and Len. `make fuzz` runs it for 10 s; the seeds below
+// run in every `go test`.
 func FuzzSchedulerDifferential(f *testing.F) {
 	edge := func(d Time) byte {
 		for i, v := range fuzzDeltas {
@@ -124,6 +143,9 @@ func FuzzSchedulerDifferential(f *testing.F) {
 	f.Add([]byte{0, edge(1_048_575), 0, edge(1_048_576), 0, edge(MaxTime), 3, 0, 0, edge(-1200 * Microsecond), 0, edge(1_048_576), 3, 0, 3, 0})
 	// cancelled events drained ahead of the clock, then near pushes behind the cursor.
 	f.Add([]byte{0, edge(51), 0, edge(70 * Microsecond), 0, edge(1100 * Microsecond), 5, 1, 3, 0, 6, 0, 0, edge(3), 0, edge(1200), 7, edge(50 * Millisecond), 0, edge(0), 4, 0})
+	// deadlines before, at and after the minimum, in the wheel and in the
+	// overflow heap: the early ones must leave the later pops what they were.
+	f.Add([]byte{0, edge(1025), 0, edge(50 * Millisecond), 3, 1, 4, 0, 3, 5, 3, 1, 3, 9, 0, edge(0), 3, 5, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := &schedPair{t: t, wheel: NewWheelScheduler(), heap: NewHeapScheduler()}
 		p.run(data)

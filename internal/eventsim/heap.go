@@ -46,6 +46,13 @@ func (h *heapSched) Pop() *Event {
 	return ev
 }
 
+func (h *heapSched) PopDue(deadline Time) *Event {
+	if len(h.evs) == 0 || h.evs[0].at > deadline {
+		return nil
+	}
+	return h.Pop()
+}
+
 // up and down are the classic sift operations, specialized to []*Event to
 // avoid container/heap's interface dispatch on every comparison.
 func (h *heapSched) up(i int) {

@@ -125,3 +125,48 @@ func TestMetaEventsInvisible(t *testing.T) {
 		t.Fatalf("Fired diverged under observation: %d vs %d", st.Fired, plain.Stats().Fired)
 	}
 }
+
+// TestCountKinds pins the per-kind tally: every fired event is counted
+// once under its handler's type whether Step or RunUntil popped it, a
+// cancelled one is not, the rows come most-events-first, and the wrapped
+// scheduler's occupancy still shows through Stats.
+func TestCountKinds(t *testing.T) {
+	for name, mk := range schedulers {
+		kinds := CountKinds(mk())
+		eng := NewWith(kinds)
+		nop, rec := &nopHandler{}, &fireRecorder{e: eng}
+		for i := 0; i < 5; i++ {
+			eng.AtCall(Time(i)*Microsecond, rec, i)
+		}
+		eng.AtCall(1*Microsecond, nop, nil)
+		eng.AtCall(7*Microsecond, nop, nil)
+		eng.AtCall(2*Microsecond, nop, nil).Cancel()
+		eng.At(9*Microsecond, func() {})
+		if got, want := eng.Stats().Sched, kinds.Scheduler.(SchedulerStats).SchedStats(); got != want || got == (SchedStats{}) {
+			t.Fatalf("%s: occupancy through the wrapper = %+v, wrapped scheduler says %+v", name, got, want)
+		}
+
+		eng.Step()
+		eng.RunUntil(3 * Microsecond)
+		eng.Run()
+
+		type row struct {
+			kind   string
+			events uint64
+		}
+		var got []row
+		kinds.Each(func(kind string, events uint64) { got = append(got, row{kind, events}) })
+		want := []row{{"*eventsim.fireRecorder", 5}, {"*eventsim.nopHandler", 2}, {"eventsim.funcHandler", 1}}
+		if len(got) != len(want) {
+			t.Fatalf("%s: kinds = %v, want %v", name, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: kinds = %v, want %v", name, got, want)
+			}
+		}
+		if st := eng.Stats(); st.Fired != 8 || st.Cancelled != 1 || len(rec.recs) != 5 {
+			t.Fatalf("%s: engine fired %+v", name, st)
+		}
+	}
+}

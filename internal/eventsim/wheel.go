@@ -23,19 +23,19 @@ import "math/bits"
 //     older seq still precedes newer — and anything pushed into the window
 //     afterwards has a newer seq than all of it.
 //
-// And one rule: cur advances only in Pop — to the window of the event it
-// serves; on a heap pop only when the wheel is empty, so the cursor tracks
-// time through a heap-only phase. Peek moves nothing and Push never moves
-// the cursor, so every engine push (at ≥ now, and now's window ≥ cur)
+// And one rule: cur advances only in Pop and PopDue — to the window of the
+// event served; on a heap pop only when the wheel is empty, so the cursor
+// tracks time through a heap-only phase. Peek moves nothing and Push never
+// moves the cursor, so every engine push (at ≥ now, and now's window ≥ cur)
 // lands at or ahead of the cursor: there is no rewind case.
 //
 // Events a full horizon ahead of the cursor (timers parked at MaxTime,
 // blackout recoveries) or behind it (reachable only by pushing earlier
 // than the last pop, which the engine forbids, or after a Peek-side drain
 // of cancelled events ran ahead of the clock) go to the overflow heap.
-// They are never migrated: Pop and Peek compare the wheel's minimum with
-// the heap's top by Event.before and serve the smaller, which keeps the
-// order exact with no rebucketing pass.
+// They are never migrated: Pop, PopDue and Peek compare the wheel's minimum
+// with the heap's top by Event.before and serve the smaller, which keeps
+// the order exact with no rebucketing pass.
 type wheelSched struct {
 	leaf    [wheelSlots]fifo
 	slots   [wheelSlots]window
@@ -194,16 +194,24 @@ func (w *wheelSched) Peek() *Event {
 	return wm
 }
 
-func (w *wheelSched) Pop() *Event {
+func (w *wheelSched) Pop() *Event { return w.PopDue(MaxTime) }
+
+// PopDue tests the minimum against the deadline before anything is
+// unlinked or the cursor moves: a nil return leaves the wheel as Peek
+// would.
+func (w *wheelSched) PopDue(deadline Time) *Event {
 	wm := w.wheelMin()
 	if om := w.overflow.Peek(); om != nil && (wm == nil || om.before(wm)) {
+		if om.at > deadline {
+			return nil
+		}
 		ev := w.overflow.Pop()
 		if win := int64(ev.at) >> wheelShift; w.count == 0 && win > w.cur {
 			w.cur = win
 		}
 		return ev
 	}
-	if wm == nil {
+	if wm == nil || wm.at > deadline {
 		return nil
 	}
 	if w.leafOcc.sum == 0 {

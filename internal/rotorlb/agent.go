@@ -269,7 +269,8 @@ func (s *session) pump() {
 		}
 	}
 	if !ok {
-		// Every byte queued sits behind a busy NIC: retry soon.
+		// Nothing grantable: the queued bytes sit behind busy NICs. Retry
+		// soon.
 		net.Engine().ContinueCall(txTime, s, nil)
 		return
 	}

@@ -141,8 +141,6 @@ func (q *segQueue) carveReady(maxBytes int64, ready func(host int32) bool) (segm
 	return segment{}, false
 }
 
-func (q *segQueue) empty() bool { return q.bytes == 0 }
-
 // LB is the cluster-wide RotorLB instance: one rack agent per ToR.
 type LB struct {
 	net    sim.CircuitNetwork
@@ -286,7 +284,9 @@ func (lb *LB) onSlice(abs int64) {
 // instant: a contiguous run in the engine's (time, seq) order. One event
 // standing where the run starts, pumping the members in the order they
 // parked, executes every handler at the point of the total order its own
-// event held.
+// event held. (What would sit inside a run is an unrelated event scheduled
+// from a poll instant exactly 10 txTime ahead; nothing in the simulator
+// schedules that far onto the grid. CONTRIBUTING, tie order.)
 type pollBatch struct {
 	lb      *LB
 	at      eventsim.Time

@@ -125,8 +125,6 @@ func (q *sliceQueue) carveReady(maxBytes int64, ready func(host int32) bool) (se
 	return segment{}, false
 }
 
-func (q *sliceQueue) empty() bool { return q.bytes == 0 }
-
 // genSegQueueOps returns a seeded op stream for runSegQueueOps: three
 // bytes an op, alternating fill-heavy and drain-heavy phases so the ring
 // grows several times, wraps, and is drained from a moved head.
@@ -230,9 +228,8 @@ func runSegQueueOps(t testing.TB, ops []byte) segQueueCoverage {
 		if got != want || gotOK != wantOK {
 			t.Fatalf("step %d op %d: got %+v ok=%v, oracle %+v ok=%v", step/3, op, got, gotOK, want, wantOK)
 		}
-		if q.bytes != o.bytes || q.empty() != o.empty() || q.n != len(o.segs) {
-			t.Fatalf("step %d op %d: bytes %d empty %v n %d, oracle %d %v %d",
-				step/3, op, q.bytes, q.empty(), q.n, o.bytes, o.empty(), len(o.segs))
+		if q.bytes != o.bytes || q.n != len(o.segs) {
+			t.Fatalf("step %d op %d: bytes %d n %d, oracle %d %d", step/3, op, q.bytes, q.n, o.bytes, len(o.segs))
 		}
 		for i, s := range o.segs {
 			if *q.at(i) != s {
@@ -395,5 +392,136 @@ func TestAllocsOpenSessionsIdle(t *testing.T) {
 	}
 	if b.lb.sessions.Len() == 0 {
 		t.Fatal("no session was ever released to the pool")
+	}
+}
+
+// TestIdleSliceEventBudget pins what an idle fabric costs the engine at
+// paper scale: the ~570 sessions of a slice wait on a handful of shared
+// poll events, so a slice is a few dozen events however many racks there
+// are (5,673 when every session polled on its own event).
+func TestIdleSliceEventBudget(t *testing.T) {
+	b := newLBBed(t, eventsim.New(), 108, 6, 6)
+	b.net.Start()
+	slice := b.net.SliceDuration()
+	b.eng.RunUntil(eventsim.Time(b.net.Topology().SlicesPerCycle()) * slice)
+	const slices = 10
+	fired := b.eng.Stats().Fired
+	b.eng.RunUntil(b.eng.Now() + slices*slice)
+	if perSlice := float64(b.eng.Stats().Fired-fired) / slices; perSlice > 32 {
+		t.Fatalf("an idle slice fires %.1f engine events, want at most 32", perSlice)
+	}
+}
+
+// TestMidSliceFlowStartsOnPollGrid writes the model's polling grid down: a
+// session with nothing to send looks again at windowStart + startMargin +
+// k·10·txTime, so bulk admitted mid-slice while its circuit is up first
+// reaches the source NIC at the next such instant — not when it is
+// admitted.
+func TestMidSliceFlowStartsOnPollGrid(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		start func(first, grid eventsim.Time) eventsim.Time // offset of the flow's start into the slice
+		k     eventsim.Time
+	}{
+		{"before the first poll", func(first, grid eventsim.Time) eventsim.Time { return first / 2 }, 0},
+		{"just after a poll", func(first, grid eventsim.Time) eventsim.Time { return first + 2*grid + 1 }, 3},
+		{"between polls", func(first, grid eventsim.Time) eventsim.Time { return first + 4*grid + 4321 }, 5},
+		{"just before a poll", func(first, grid eventsim.Time) eventsim.Time { return first + 6*grid - 1 }, 6},
+	} {
+		b := newLBBed(t, eventsim.New(), 16, 4, 4)
+		b.net.Start()
+		abs := int64(b.net.Topology().SlicesPerCycle()) + 3
+		sliceStart := eventsim.Time(abs) * b.net.SliceDuration()
+		c := b.net.ActiveCircuits(abs, 0, nil)[0]
+		first, grid := c.WindowStart+startMargin, 10*b.lb.txTime
+		start := sliceStart + tc.start(first, grid)
+		want := sliceStart + first + tc.k*grid
+		if want < start || want-start >= grid || want+b.lb.closeMargin > sliceStart+c.WindowEnd {
+			t.Fatalf("%s: start %v, grid point %v, window end %v: the case is not what its name says", tc.name, start, want, c.WindowEnd)
+		}
+
+		b.eng.RunUntil(start)
+		b.lb.StartFlow(b.bulkFlow(1, 0, c.Peer*b.net.HostsPerRack(), 1500))
+		a := b.lb.Agent(0)
+		for a.SentDirect == 0 && b.eng.Now() < sliceStart+c.WindowEnd && b.eng.Step() {
+		}
+		if a.SentDirect == 0 || b.eng.Now() != want {
+			t.Errorf("%s: flow started at %v, first packet (sent %d B) at %v, want grid point %v",
+				tc.name, start, a.SentDirect, b.eng.Now(), want)
+		}
+		// The idle NIC began serializing it that instant.
+		b.eng.RunUntil(want + b.lb.txTime - 1)
+		tx := &b.net.Hosts()[0].NIC().Stats.Tx[sim.ClassBulk]
+		early := tx.Packets
+		b.eng.RunUntil(want + b.lb.txTime)
+		if early != 0 || tx.Packets != 1 {
+			t.Errorf("%s: source NIC had sent %d bulk packets just before %v and %d at it, want 0 and 1",
+				tc.name, early, want+b.lb.txTime, tx.Packets)
+		}
+	}
+}
+
+// TestPollBatchRunsInParkingOrder pins the batch's two promises. Sessions
+// due at one instant share one engine event: when a batch fires on an idle
+// fabric and every member parks again, one event is scheduled, not one per
+// member. And members pump in the order they parked: two sessions of one
+// rack, given data between polls in the opposite order and from the same
+// host, reach that host's NIC first-parked first.
+func TestPollBatchRunsInParkingOrder(t *testing.T) {
+	b := newLBBed(t, eventsim.New(), 16, 4, 4)
+	b.net.Start()
+	abs := int64(b.net.Topology().SlicesPerCycle())
+	sliceStart := eventsim.Time(abs) * b.net.SliceDuration()
+	b.eng.RunUntil(sliceStart)
+
+	// Two of rack 0's circuits with one window start: their sessions parked
+	// for the same instants, the lower switch first.
+	circuits := b.net.ActiveCircuits(abs, 0, nil)
+	var ci, cj sim.Circuit
+	for i, c := range circuits[1:] {
+		if c.WindowStart == circuits[i].WindowStart {
+			ci, cj = circuits[i], c
+		}
+	}
+	if ci.Peer == cj.Peer {
+		t.Fatalf("no two circuits of rack 0 share a window start: %+v", circuits)
+	}
+	batchAt := func(at eventsim.Time) *pollBatch {
+		for _, p := range b.lb.polls {
+			if p.at == at {
+				return p
+			}
+		}
+		t.Fatalf("no poll batch due at %v", at)
+		return nil
+	}
+
+	g0 := sliceStart + ci.WindowStart + startMargin
+	g1 := g0 + 10*b.lb.txTime
+	b.eng.RunUntil(g0 - 1)
+	members := len(batchAt(g0).members)
+	scheduled := b.eng.Stats().Scheduled
+	b.eng.Step()
+	if b.eng.Now() != g0 {
+		t.Fatalf("stepped to %v, want the batch at %v", b.eng.Now(), g0)
+	}
+	if got := b.eng.Stats().Scheduled - scheduled; got != 1 || members < 2 || len(batchAt(g1).members) != members {
+		t.Fatalf("%d sessions polled at %v and parked again: %d events scheduled (want 1), %d parked for %v",
+			members, g0, got, len(batchAt(g1).members), g1)
+	}
+
+	b.eng.RunUntil(g0 + 5*b.lb.txTime)
+	hp := b.net.HostsPerRack()
+	fj := b.bulkFlow(1, 0, cj.Peer*hp, 1500)
+	fi := b.bulkFlow(2, 0, ci.Peer*hp, 1500)
+	b.lb.StartFlow(fj)
+	b.lb.StartFlow(fi)
+	b.eng.RunUntil(sliceStart + b.net.SliceDuration())
+	if !fi.Done || !fj.Done {
+		t.Fatalf("flows not delivered within the slice: %+v %+v", fi, fj)
+	}
+	// Equal paths, so the order of arrival is the order on the shared NIC.
+	if fj.End-fi.End != b.lb.txTime {
+		t.Fatalf("first-parked session's flow ended at %v, second's at %v: want one serialization time apart, in parking order", fi.End, fj.End)
 	}
 }

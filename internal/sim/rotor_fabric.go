@@ -238,9 +238,18 @@ func (t *RotorToR) wire() {
 	t.up = make([]*Port, f.sched.Uplinks())
 	for sw := range t.up {
 		sw := sw
+		// The far end is a function of (sw, slice, rack): it is looked up
+		// once per slice, for [from, until), not once per packet. Faults
+		// move mid-slice, so circuitUp stays per packet.
+		peer := rack
+		var from, until eventsim.Time
 		resolve := func(at eventsim.Time) Node {
-			sc, _, _ := f.sched.SliceAt(at)
-			peer := f.sched.SwitchMatching(sw, sc).Peer(rack)
+			if at < from || at >= until {
+				sc, _, offset := f.sched.SliceAt(at)
+				peer = f.sched.SwitchMatching(sw, sc).Peer(rack)
+				from = at - offset
+				until = from + f.sched.SliceDuration()
+			}
 			if peer == rack {
 				return nil // self-loop: dark port this configuration
 			}

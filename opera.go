@@ -151,6 +151,10 @@ type ClusterConfig struct {
 	MaxSliceDiameter int
 
 	Seed int64
+
+	// sched is the engine's pending-event store; nil means the default
+	// timing wheel. See WithScheduler.
+	sched eventsim.Scheduler
 }
 
 // Cluster is a simulated datacenter network plus attached transports: one
@@ -213,9 +217,12 @@ func build(cfg ClusterConfig) (*Cluster, error) {
 		return nil, fmt.Errorf("opera: retention: %w", err)
 	}
 
+	if cfg.sched == nil {
+		cfg.sched = eventsim.NewWheelScheduler()
+	}
 	c := &Cluster{
 		cfg:        cfg,
-		eng:        eventsim.New(),
+		eng:        eventsim.NewWith(cfg.sched),
 		transports: make(map[sim.Class]sim.Transport),
 	}
 	net, err := sim.Build(name, sim.BuildParams{

@@ -1,6 +1,7 @@
 package opera
 
 import (
+	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/sim"
 	"github.com/opera-net/opera/internal/telemetry"
 )
@@ -97,4 +98,16 @@ func WithMaxSliceDiameter(d int) Option {
 // Result.Telemetry.
 func WithRetention(r RetentionPolicy) Option {
 	return func(cfg *ClusterConfig) { cfg.Retention = r }
+}
+
+// WithScheduler runs the cluster's engine on the given pending-event store
+// instead of the default timing wheel. Results are scheduler-independent
+// by contract, so this selects nothing about the simulation: it is how the
+// heap oracle (eventsim.NewHeapScheduler) runs a whole cluster as a
+// differential, and how a counting wrapper (eventsim.CountKinds) sees a
+// run's events. A Scheduler holds one run's events: the option is
+// process-local, not part of the scenario.Spec wire form, and a Scenario
+// carrying it can be run once.
+func WithScheduler(s eventsim.Scheduler) Option {
+	return func(cfg *ClusterConfig) { cfg.sched = s }
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/scenario"
 )
@@ -21,9 +22,11 @@ var update = flag.Bool("update", false, "rewrite testdata golden files from this
 // kind, against scenario/testdata/fabric_golden.txt. It is the fast
 // byte-identity wall for fabric refactors: RotorNet is in no bench
 // workload, and the only other check on it is the minutes-long figdiff.
-// A line that moves means forwarding, the slice clock or the fault
-// mechanism changed behaviour; regenerate (go test ./scenario -run
-// TestFabricGolden -update) only when that is the point of the change.
+// A sha256= that moves means forwarding, the slice clock or the fault
+// mechanism changed behaviour; an events= that moves alone means the same
+// simulation took a different number of events. Regenerate (go test
+// ./scenario -run TestFabricGolden -update) only when that is the point of
+// the change.
 func TestFabricGolden(t *testing.T) {
 	// hi is the highest uplink coordinate the fabric's fault map accepts
 	// at the default 16×4 (Clos k=8) sizing; rotor marks the fabrics that
@@ -85,16 +88,28 @@ func TestFabricGolden(t *testing.T) {
 }
 
 // line runs one spec and appends its golden line: a few readable fields
-// to say what moved, then the hash of the whole Result.
+// to say what moved, then the hash of the whole Result. It runs the spec
+// again on the heap scheduler, the wheel's oracle, and requires the same
+// line: the system-level scheduler differential.
 func line(t *testing.T, out *strings.Builder, sp scenario.Spec) {
 	t.Helper()
 	sc, err := sp.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
+	wheel := resultLine(t, sc)
+	sc.Options = append(sc.Options, opera.WithScheduler(eventsim.NewHeapScheduler()))
+	if heap := resultLine(t, sc); heap != wheel {
+		t.Fatalf("the heap scheduler runs a different simulation:\nwheel %sheap  %s", wheel, heap)
+	}
+	out.WriteString(wheel)
+}
+
+func resultLine(t *testing.T, sc scenario.Scenario) string {
+	t.Helper()
 	cl, res := scenario.Collect(sc)
 	if res.Err != "" {
-		t.Fatalf("%s seed %d: %s", sp.Name, sp.Seed, res.Err)
+		t.Fatalf("%s seed %d: %s", sc.Name, sc.Seed, res.Err)
 	}
 	// The hash covers behaviour only: SimEvents is effort, printed beside
 	// it, so an exact event cut moves events= and nothing else.
@@ -102,8 +117,8 @@ func line(t *testing.T, out *strings.Builder, sp scenario.Spec) {
 	res.SimEvents = 0
 	blob, err := json.Marshal(res)
 	if err != nil {
-		t.Fatalf("%s seed %d: %v", sp.Name, sp.Seed, err)
+		t.Fatalf("%s seed %d: %v", sc.Name, sc.Seed, err)
 	}
-	fmt.Fprintf(out, "%s seed=%d done=%d/%d events=%d nacks=%d lost=%d sha256=%x\n",
-		sp.Name, sp.Seed, res.FlowsDone, res.FlowsTotal, events, res.BulkNACKs, cl.Faults().Lost, sha256.Sum256(blob))
+	return fmt.Sprintf("%s seed=%d done=%d/%d events=%d nacks=%d lost=%d sha256=%x\n",
+		sc.Name, sc.Seed, res.FlowsDone, res.FlowsTotal, events, res.BulkNACKs, cl.Faults().Lost, sha256.Sum256(blob))
 }
