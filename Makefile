@@ -34,12 +34,15 @@ bench-module:
 ## the scenario targets resolve only, no simulation (corpus under
 ## scenario/testdata/fuzz/); FuzzSegQueue is RotorLB's ring deque against
 ## its slice oracle; FuzzSchedulerDifferential is the timing wheel against
-## the heap on raw push/pop/peek/cancel op streams
+## the heap on raw push/pop/peek/cancel op streams; FuzzBuildDifferential is
+## the bit-parallel routing build against the per-source BFS it replaced,
+## on raw directed port maps
 fuzz:
 	$(GO) test ./scenario/ -run '^$$' -fuzz '^FuzzParseEvents$$' -fuzztime 10s
 	$(GO) test ./scenario/ -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime 10s
 	$(GO) test ./internal/rotorlb/ -run '^$$' -fuzz '^FuzzSegQueue$$' -fuzztime 10s
 	$(GO) test ./internal/eventsim/ -run '^$$' -fuzz '^FuzzSchedulerDifferential$$' -fuzztime 10s
+	$(GO) test ./internal/routing/ -run '^$$' -fuzz '^FuzzBuildDifferential$$' -fuzztime 10s
 
 ## figdiff: the figure byte-identity harness every refactor runs —
 ## `make figdiff BASE=<rev> [FIGS=fig11,fig19,fig20]` unpacks BASE into a

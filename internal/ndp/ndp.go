@@ -32,36 +32,40 @@ type Endpoint struct {
 	host    *sim.Host
 	metrics *sim.Metrics
 
-	sendFlows map[int64]*sendFlow
-	recvFlows map[int64]*recvFlow
-
 	// PULL pacing: one pull per MTU serialization time, round-robin across
 	// flows with credits. paceH is the pre-bound pacer tick
 	// (eventsim.Handler), so per-pull scheduling allocates nothing. The
 	// credit queue is consumed via pullHead (not by re-slicing) so its
 	// backing array's capacity is reused instead of leaking one slot per
 	// pull.
-	pullCredits []int64 // flow IDs, one entry per credit
+	pullCredits []*sim.Flow // one entry per credit
 	pullHead    int
 	pacing      bool
 	paceH       pacerTick
 
-	// pools is the fabric-wide flow-state free list, shared by every
-	// endpoint of one Attach call (they all run on the cluster's single
-	// engine goroutine).
+	// pools is the fabric-wide flow state — tables and free lists — shared
+	// by every endpoint of one Attach call (they all run on the cluster's
+	// single engine goroutine).
 	pools *flowPools
 }
 
-// flowPools recycles sendFlow/recvFlow structs — and, through them, their
-// ACK/got bitmaps and rtx slices — across flows. Under streaming retention
+// flowPools holds every sendFlow and recvFlow of the fabric and recycles
+// them — and, through them, their ACK/got bitmaps and rtx slices — across
+// flows. A struct is entered in its table once, when first allocated, and
+// keeps that slot for life; the flow it currently serves carries the slot
+// (sim.Flow.SendSlot/RecvSlot, 0 = none), so every ACK, NACK, PULL and
+// data arrival finds its state by index. Under streaming retention
 // (RetainSketch) completed flows release their state immediately, so
 // without pooling a flow-churn-heavy soak allocates and frees one of each
 // per flow forever; with pooling the steady state is allocation-free.
 // Under RetainAll nothing is ever released, so the pools stay empty and
-// behavior is unchanged.
+// the tables grow by a pointer per flow.
 type flowPools struct {
 	send freelist.Pool[sendFlow]
 	recv freelist.Pool[recvFlow]
+
+	sendTab []*sendFlow // [0] is nil: slot 0 means no state
+	recvTab []*recvFlow
 }
 
 // resetBits returns a zeroed bitmap of the given word count, reusing b's
@@ -81,15 +85,9 @@ func resetBits(b []uint64, words int32) []uint64 {
 // kinds there, and returns the endpoints as the cluster's Transport.
 func Attach(hosts []*sim.Host, metrics *sim.Metrics) *Fabric {
 	eps := make([]*Endpoint, len(hosts))
-	pools := &flowPools{}
+	pools := &flowPools{sendTab: make([]*sendFlow, 1), recvTab: make([]*recvFlow, 1)}
 	for i, h := range hosts {
-		ep := &Endpoint{
-			host:      h,
-			metrics:   metrics,
-			sendFlows: make(map[int64]*sendFlow),
-			recvFlows: make(map[int64]*recvFlow),
-			pools:     pools,
-		}
+		ep := &Endpoint{host: h, metrics: metrics, pools: pools}
 		ep.paceH.ep = ep
 		h.Handle(sim.KindData, ep.onData)
 		h.Handle(sim.KindAck, ep.onAck)
@@ -108,6 +106,7 @@ func Attach(hosts []*sim.Host, metrics *sim.Metrics) *Fabric {
 type sendFlow struct {
 	ep      *Endpoint
 	f       *sim.Flow
+	slot    int32 // its place in flowPools.sendTab
 	total   int32 // packets
 	nextNew int32
 	// rtx queues NACKed sequence numbers awaiting retransmission. Like
@@ -126,6 +125,7 @@ func (sf *sendFlow) OnEvent(any) { sf.ep.onRTO(sf) }
 
 type recvFlow struct {
 	f     *sim.Flow
+	slot  int32 // its place in flowPools.recvTab
 	total int32
 	got   []uint64
 	nGot  int32
@@ -144,17 +144,19 @@ func (ep *Endpoint) StartFlow(f *sim.Flow) {
 	}
 	sf := ep.pools.send.Get()
 	if sf == nil {
-		sf = &sendFlow{}
+		sf = &sendFlow{slot: int32(len(ep.pools.sendTab))}
+		ep.pools.sendTab = append(ep.pools.sendTab, sf)
 	}
 	*sf = sendFlow{
 		ep:    ep,
 		f:     f,
+		slot:  sf.slot,
 		total: total,
 		rtx:   sf.rtx[:0],
 		acked: resetBits(sf.acked, (total+63)/64),
 	}
 	sf.rto.BindCall(ep.host.Engine(), sf, nil)
-	ep.sendFlows[f.ID] = sf
+	f.SendSlot = sf.slot
 	f.Start = ep.host.Engine().Now()
 
 	iw := min(initialWindow, total)
@@ -194,7 +196,7 @@ func (ep *Endpoint) sendData(sf *sendFlow, seq int32) {
 // (streaming retention): such a flow must not be re-created.
 func (ep *Endpoint) recvState(p *sim.Packet) *recvFlow {
 	f := p.Flow
-	rf := ep.recvFlows[f.ID]
+	rf := ep.pools.recvTab[f.RecvSlot]
 	if rf == nil {
 		if f.Done {
 			return nil
@@ -206,10 +208,11 @@ func (ep *Endpoint) recvState(p *sim.Packet) *recvFlow {
 		}
 		rf = ep.pools.recv.Get()
 		if rf == nil {
-			rf = &recvFlow{}
+			rf = &recvFlow{slot: int32(len(ep.pools.recvTab))}
+			ep.pools.recvTab = append(ep.pools.recvTab, rf)
 		}
-		*rf = recvFlow{f: f, total: total, got: resetBits(rf.got, (total+63)/64)}
-		ep.recvFlows[f.ID] = rf
+		*rf = recvFlow{f: f, slot: rf.slot, total: total, got: resetBits(rf.got, (total+63)/64)}
+		f.RecvSlot = rf.slot
 	}
 	return rf
 }
@@ -219,11 +222,13 @@ func (ep *Endpoint) recvState(p *sim.Packet) *recvFlow {
 // timer would otherwise fire into the wrong flow's state.
 func (ep *Endpoint) releaseSend(sf *sendFlow) {
 	sf.rto.Stop()
+	sf.f.SendSlot = 0
 	sf.f = nil
 	ep.pools.send.Put(sf)
 }
 
 func (ep *Endpoint) releaseRecv(rf *recvFlow) {
+	rf.f.RecvSlot = 0
 	rf.f = nil
 	ep.pools.recv.Put(rf)
 }
@@ -246,7 +251,7 @@ func (ep *Endpoint) onData(p *sim.Packet) {
 		// Header survived; payload was cut: NACK for retransmission.
 		ep.sendCtrl(sim.KindNack, rf.f, p.Seq, 0)
 		if !rf.complete() {
-			ep.addPullCredit(rf.f.ID)
+			ep.addPullCredit(rf.f)
 		}
 		p.Release()
 		return
@@ -261,20 +266,19 @@ func (ep *Endpoint) onData(p *sim.Packet) {
 	}
 	ep.sendCtrl(sim.KindAck, rf.f, p.Seq, 0)
 	if !rf.complete() {
-		ep.addPullCredit(rf.f.ID)
+		ep.addPullCredit(rf.f)
 	} else if ep.metrics.Streaming() {
 		// Streaming retention: the flow's statistics were absorbed at
 		// FlowDone above, so drop the receiver state (bitmap, flow ref) —
 		// the per-flow memory that would otherwise accumulate forever —
 		// and recycle it through the fabric pool.
-		delete(ep.recvFlows, p.Flow.ID)
 		ep.releaseRecv(rf)
 	}
 	p.Release()
 }
 
 func (ep *Endpoint) onAck(p *sim.Packet) {
-	sf := ep.sendFlows[p.Flow.ID]
+	sf := ep.pools.sendTab[p.Flow.SendSlot]
 	if sf != nil && !sf.done {
 		idx, bit := p.Seq/64, uint(p.Seq%64)
 		if sf.acked[idx]&(1<<bit) == 0 {
@@ -289,7 +293,6 @@ func (ep *Endpoint) onAck(p *sim.Packet) {
 				// this sender state again, so release it (streaming
 				// retention keeps per-flow memory O(active flows)) and
 				// recycle it through the fabric pool.
-				delete(ep.sendFlows, p.Flow.ID)
 				ep.releaseSend(sf)
 			}
 		} else {
@@ -300,7 +303,7 @@ func (ep *Endpoint) onAck(p *sim.Packet) {
 }
 
 func (ep *Endpoint) onNack(p *sim.Packet) {
-	sf := ep.sendFlows[p.Flow.ID]
+	sf := ep.pools.sendTab[p.Flow.SendSlot]
 	if sf != nil && !sf.done {
 		sf.rtx = append(sf.rtx, p.Seq)
 		sf.f.Retransmits++
@@ -310,7 +313,7 @@ func (ep *Endpoint) onNack(p *sim.Packet) {
 }
 
 func (ep *Endpoint) onPull(p *sim.Packet) {
-	sf := ep.sendFlows[p.Flow.ID]
+	sf := ep.pools.sendTab[p.Flow.SendSlot]
 	if sf != nil && !sf.done {
 		switch {
 		case sf.rtxHead < len(sf.rtx):
@@ -361,14 +364,14 @@ func (ep *Endpoint) sendCtrl(kind sim.Kind, f *sim.Flow, seq int32, pullNo int32
 }
 
 // addPullCredit enqueues one pull credit for the flow and kicks the pacer.
-func (ep *Endpoint) addPullCredit(flowID int64) {
+func (ep *Endpoint) addPullCredit(f *sim.Flow) {
 	if len(ep.pullCredits) == cap(ep.pullCredits) && ep.pullHead > 0 {
 		// Reclaim the consumed prefix instead of growing.
 		n := copy(ep.pullCredits, ep.pullCredits[ep.pullHead:])
 		ep.pullCredits = ep.pullCredits[:n]
 		ep.pullHead = 0
 	}
-	ep.pullCredits = append(ep.pullCredits, flowID)
+	ep.pullCredits = append(ep.pullCredits, f)
 	ep.pace()
 }
 
@@ -396,13 +399,13 @@ func (h *pacerTick) OnEvent(any) {
 	if ep.pullHead == len(ep.pullCredits) {
 		return
 	}
-	id := ep.pullCredits[ep.pullHead]
+	f := ep.pullCredits[ep.pullHead]
 	ep.pullHead++
 	if ep.pullHead == len(ep.pullCredits) {
 		ep.pullCredits = ep.pullCredits[:0]
 		ep.pullHead = 0
 	}
-	if rf := ep.recvFlows[id]; rf != nil && !rf.complete() {
+	if rf := ep.pools.recvTab[f.RecvSlot]; rf != nil && !rf.complete() {
 		ep.sendCtrl(sim.KindPull, rf.f, 0, 0)
 	}
 	ep.pace()

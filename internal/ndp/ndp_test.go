@@ -294,7 +294,7 @@ func TestStragglerReACKWithPooledRecvFlow(t *testing.T) {
 		t.Fatal("flow A incomplete")
 	}
 	ep1 := r.eps[1]
-	if len(ep1.recvFlows) != 0 {
+	if fA.RecvSlot != 0 {
 		t.Fatal("streaming retention did not release flow A's receiver state")
 	}
 	// The released recvFlow is in the pool; flow B must draw it back out.
@@ -307,7 +307,7 @@ func TestStragglerReACKWithPooledRecvFlow(t *testing.T) {
 	fB := r.flow(2, 0, 1, 30000) // 20 packets: still in flight below
 	r.eps[0].StartFlow(fB)
 	r.eng.RunUntil(r.eng.Now() + 5*eventsim.Microsecond)
-	if got := ep1.recvFlows[2]; got != pooled {
+	if got := ep1.pools.recvTab[fB.RecvSlot]; got != pooled {
 		t.Fatalf("flow B's recvFlow = %p, want the pooled object %p", got, pooled)
 	}
 
@@ -320,14 +320,14 @@ func TestStragglerReACKWithPooledRecvFlow(t *testing.T) {
 	if got := r.answers(fA, 2, true); len(got) != 0 {
 		t.Fatalf("trimmed straggler of a released flow answered with %v, want silence", got)
 	}
-	if len(ep1.recvFlows) != 1 {
+	if fA.RecvSlot != 0 || ep1.pools.recvTab[fB.RecvSlot] != pooled {
 		t.Fatal("a straggler re-created the released flow's receiver state")
 	}
 	r.eng.Run()
 	if !fB.Done || fB.BytesRcvd != fB.Size {
 		t.Fatalf("flow B corrupted by straggler: done=%v rcvd=%d/%d", fB.Done, fB.BytesRcvd, fB.Size)
 	}
-	if len(ep1.recvFlows) != 0 {
+	if fB.RecvSlot != 0 {
 		t.Fatal("flow B's state not released after completion")
 	}
 }
@@ -345,18 +345,18 @@ func TestStragglerRetransmitConvergesAfterRelease(t *testing.T) {
 		t.Fatal("flow A incomplete")
 	}
 	ep0 := r.eps[0]
-	if len(ep0.sendFlows) != 0 {
+	if fA.SendSlot != 0 {
 		t.Fatal("sender state not released after full ACK")
 	}
 	// The sender restarts the whole flow, as if no ACK had ever arrived.
 	// The receiver released the flow's state and must re-ACK every packet
 	// without it; the sender must converge to done.
 	r.eps[0].StartFlow(fA)
-	if len(ep0.sendFlows) != 1 {
+	if fA.SendSlot == 0 {
 		t.Fatal("restart did not create sender state")
 	}
 	r.eng.RunUntil(r.eng.Now() + 50*eventsim.Millisecond)
-	if len(ep0.sendFlows) != 0 {
+	if fA.SendSlot != 0 {
 		t.Fatal("sender did not converge via straggler re-ACKs")
 	}
 	if ep0.pools.send.Len() == 0 {
@@ -372,8 +372,8 @@ func TestStragglerOfFinishedFlowUnderRetainAll(t *testing.T) {
 	f := r.flow(1, 0, 1, 6000)
 	r.eps[0].StartFlow(f)
 	r.eng.Run()
-	if !f.Done || len(r.eps[1].recvFlows) != 1 {
-		t.Fatalf("done=%v, %d receiver records: RetainAll must finish the flow and keep its state", f.Done, len(r.eps[1].recvFlows))
+	if !f.Done || f.RecvSlot == 0 {
+		t.Fatalf("done=%v, receiver slot %d: RetainAll must finish the flow and keep its state", f.Done, f.RecvSlot)
 	}
 	if got := r.answers(f, 2, false); !slices.Equal(got, []sim.Kind{sim.KindAck}) {
 		t.Fatalf("whole duplicate answered with %v, want one ack", got)

@@ -8,20 +8,35 @@
 // path diversity of each slice, and validates the loop-freedom invariant
 // that makes ε a sound drain bound.
 //
+// A slice is built by one bit-parallel search from every rack at once
+// (graph.BitBFS): the racks within L hops of a rack are the OR of its
+// peers' sets at L−1, the bits new at L are its distance-L ring, and
+// uplink k of src lies on a shortest path to exactly the racks in
+// ring[L][src] & ring[L−1][peer k]. Port maps are read as directed: a
+// link knocked out in one direction only is routed around in that
+// direction only.
+//
 // The same builder serves the static expander baseline (a single eternal
 // "slice") and the failure analysis (port maps with failed links masked
-// out). It also implements the P4 rule-count model behind Table 1.
+// out; Lazy tables build only the slices a fault epoch looks up). It also
+// implements the P4 rule-count model behind Table 1.
 package routing
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
+	"github.com/opera-net/opera/internal/graph"
 	"github.com/opera-net/opera/internal/topology"
 )
 
 // Unreachable is the distance stored for unreachable rack pairs.
 const Unreachable = 0xFF
+
+// ErrPathTooLong is returned when a shortest path has Unreachable or more
+// hops, which a table cell cannot hold.
+var ErrPathTooLong = errors.New("routing: shortest path of 255 or more hops")
 
 // PortMap describes connectivity during one topology slice:
 // PortMap[rack][uplink] is the peer rack reached through that uplink, or -1
@@ -37,6 +52,21 @@ func (pm PortMap) NumUplinks() int {
 	return len(pm[0])
 }
 
+// newPortMaps allocates count port maps of n racks × u uplinks over one
+// backing array.
+func newPortMaps(count, n, u int) []PortMap {
+	maps := make([]PortMap, count)
+	rows := make([][]int32, count*n)
+	cells := make([]int32, count*n*u)
+	for i := range rows {
+		rows[i] = cells[i*u : (i+1)*u : (i+1)*u]
+	}
+	for s := range maps {
+		maps[s] = rows[s*n : (s+1)*n : (s+1)*n]
+	}
+	return maps
+}
+
 // Tables holds per-slice next-hop state for every (source, destination)
 // rack pair. Uplink sets are bitmasks (bit i = uplink i usable on a
 // shortest path), so a table cell is five bytes; the paper-scale 108-rack
@@ -48,90 +78,142 @@ type Tables struct {
 
 	dist []uint8  // [slice*N*N + src*N + dst]
 	mask []uint32 // same indexing; bit u set ⇒ uplink u lies on a shortest path
+
+	// built[s] says slice s's cells hold its tables. Build sets every
+	// entry; on Lazy tables a lookup builds the slice it finds unset, so
+	// every reader goes through idx.
+	built []bool
+	lazy  *lazyBuild // nil on tables from Build
+}
+
+// lazyBuild is what Lazy tables build a slice from on its first lookup.
+type lazyBuild struct {
+	source func(slice int, pm PortMap)
+	pm     PortMap // the one port map every slice is derived into
+	bfs    graph.BitBFS
+}
+
+func newTables(n, u, slices int) *Tables {
+	return &Tables{
+		N: n, U: u, Slices: slices,
+		dist:  make([]uint8, slices*n*n),
+		mask:  make([]uint32, slices*n*n),
+		built: make([]bool, slices),
+	}
 }
 
 // Build constructs tables from one PortMap per slice. All maps must agree
-// on rack and uplink counts, and uplinks must be at most 32.
+// on rack and uplink counts, uplinks must be at most 32, peers must be
+// below the rack count, and no shortest path may reach Unreachable hops
+// (ErrPathTooLong).
 func Build(maps []PortMap) (*Tables, error) {
 	if len(maps) == 0 {
-		return nil, fmt.Errorf("routing: no port maps")
+		return nil, errors.New("routing: no port maps")
 	}
-	n := len(maps[0])
 	u := maps[0].NumUplinks()
 	if u > 32 {
 		return nil, fmt.Errorf("routing: %d uplinks exceed 32-bit mask", u)
 	}
-	t := &Tables{
-		N:      n,
-		U:      u,
-		Slices: len(maps),
-		dist:   make([]uint8, len(maps)*n*n),
-		mask:   make([]uint32, len(maps)*n*n),
-	}
-	// Scratch BFS state reused across slices.
-	distFrom := make([][]int32, n) // distFrom[v] filled per slice
-	for i := range distFrom {
-		distFrom[i] = make([]int32, n)
-	}
-	queue := make([]int32, 0, n)
-
+	t := newTables(len(maps[0]), u, len(maps))
+	var bfs graph.BitBFS
 	for s, pm := range maps {
-		if len(pm) != n || pm.NumUplinks() != u {
-			return nil, fmt.Errorf("routing: slice %d port map has inconsistent shape", s)
-		}
-		// BFS from every rack over this slice's connectivity.
-		for src := 0; src < n; src++ {
-			d := distFrom[src]
-			for i := range d {
-				d[i] = -1
-			}
-			d[src] = 0
-			queue = queue[:0]
-			queue = append(queue, int32(src))
-			for len(queue) > 0 {
-				v := queue[0]
-				queue = queue[1:]
-				for _, peer := range pm[v] {
-					if peer < 0 || peer == v {
-						continue
-					}
-					if d[peer] == -1 {
-						d[peer] = d[v] + 1
-						queue = append(queue, peer)
-					}
-				}
-			}
-		}
-		// Fill next-hop masks: uplink k of src helps toward dst iff its
-		// peer is one hop closer.
-		base := s * n * n
-		for src := 0; src < n; src++ {
-			dSrc := distFrom[src]
-			for dst := 0; dst < n; dst++ {
-				idx := base + src*n + dst
-				if dst == src {
-					t.dist[idx] = 0
-					continue
-				}
-				if dSrc[dst] < 0 {
-					t.dist[idx] = Unreachable
-					continue
-				}
-				t.dist[idx] = uint8(dSrc[dst])
-				var m uint32
-				for k, peer := range pm[src] {
-					if peer < 0 || int(peer) == src {
-						continue
-					}
-					if distFrom[peer][dst] == dSrc[dst]-1 {
-						m |= 1 << uint(k)
-					}
-				}
-				t.mask[idx] = m
-			}
+		if err := t.buildSlice(&bfs, s, pm); err != nil {
+			return nil, err
 		}
 	}
 	return t, nil
+}
+
+// Lazy returns tables of t's shape with no slice built: the first lookup
+// into a slice has source fill in that slice's port map and builds its
+// cells from it, and Invalidate forgets every built slice. source must
+// derive the same map for a slice until the next Invalidate. A slice that
+// cannot be built (ErrPathTooLong, a peer out of range) panics at its
+// first lookup, as MustBuild would have.
+func (t *Tables) Lazy(source func(slice int, pm PortMap)) *Tables {
+	lt := newTables(t.N, t.U, t.Slices)
+	lt.lazy = &lazyBuild{source: source, pm: newPortMaps(1, t.N, t.U)[0]}
+	return lt
+}
+
+// Invalidate marks every slice of Lazy tables unbuilt, keeping the buffers.
+func (t *Tables) Invalidate() { clear(t.built) }
+
+// Built returns how many slices hold built cells.
+func (t *Tables) Built() int {
+	count := 0
+	for _, built := range t.built {
+		if built {
+			count++
+		}
+	}
+	return count
+}
+
+func (t *Tables) buildLazy(slice int) {
+	l := t.lazy
+	l.source(slice, l.pm)
+	if err := t.buildSlice(&l.bfs, slice, l.pm); err != nil {
+		panic(err)
+	}
+}
+
+// buildSlice fills slice s's cells from its port map, searching in bfs's
+// buffers.
+func (t *Tables) buildSlice(bfs *graph.BitBFS, s int, pm PortMap) error {
+	n := t.N
+	if len(pm) != n {
+		return fmt.Errorf("routing: slice %d port map has inconsistent shape", s)
+	}
+	for rack, row := range pm {
+		if len(row) != t.U {
+			return fmt.Errorf("routing: slice %d port map has inconsistent shape", s)
+		}
+		for k, peer := range row {
+			if int(peer) >= n {
+				return fmt.Errorf("routing: slice %d rack %d uplink %d: peer %d of %d racks", s, rack, k, peer, n)
+			}
+		}
+	}
+	dist, mask := t.dist[s*n*n:(s+1)*n*n], t.mask[s*n*n:(s+1)*n*n]
+	for i := range dist {
+		dist[i] = Unreachable
+	}
+	clear(mask)
+	for v := 0; v < n; v++ {
+		dist[v*n+v] = 0
+	}
+	bfs.Reset(n)
+	for bfs.Step(pm) {
+		level := bfs.Level()
+		if level >= Unreachable {
+			return fmt.Errorf("%w (slice %d)", ErrPathTooLong, s)
+		}
+		for src, row := range pm {
+			ring := bfs.Ring(src)
+			d, m := dist[src*n:(src+1)*n], mask[src*n:(src+1)*n]
+			for i, word := range ring {
+				for ; word != 0; word &= word - 1 {
+					d[i*64+bits.TrailingZeros64(word)] = uint8(level)
+				}
+			}
+			// Uplink k helps toward the racks of this ring that its peer
+			// had one ring earlier.
+			for k, peer := range row {
+				if peer < 0 {
+					continue
+				}
+				via := bfs.PrevRing(int(peer))
+				for i, word := range ring {
+					for word &= via[i]; word != 0; word &= word - 1 {
+						m[i*64+bits.TrailingZeros64(word)] |= 1 << uint(k)
+					}
+				}
+			}
+		}
+	}
+	t.built[s] = true
+	return nil
 }
 
 // MustBuild is Build but panics on error.
@@ -178,19 +260,23 @@ func (t *Tables) PickUplink(slice, src, dst int, rnd uint32) int {
 // the worst-case path length that sizes ε (§4.1).
 func (t *Tables) MaxDist() int {
 	max := 0
-	for _, d := range t.dist {
-		if d != Unreachable && int(d) > max {
-			max = int(d)
+	for s := 0; s < t.Slices; s++ {
+		first := t.idx(s, 0, 0)
+		for _, d := range t.dist[first : first+t.N*t.N] {
+			if d != Unreachable && int(d) > max {
+				max = int(d)
+			}
 		}
 	}
 	return max
 }
 
+// idx is the one way to a cell: it builds a Lazy slice on its first use.
 func (t *Tables) idx(slice, src, dst int) int {
-	if slice < 0 || slice >= t.Slices {
-		panic(fmt.Sprintf("routing: slice %d out of range [0,%d)", slice, t.Slices))
+	if !t.built[slice] {
+		t.buildLazy(slice)
 	}
-	return slice*t.N*t.N + src*t.N + dst
+	return (slice*t.N+src)*t.N + dst
 }
 
 // Validate checks loop freedom: for every (slice, src, dst) and every
@@ -243,30 +329,9 @@ func (t *Tables) Validate(maps []PortMap) error {
 // switch k is transitioning (drain rule, §3.1.1) or the matching entry is a
 // self-loop.
 func OperaPortMaps(o *topology.Opera) []PortMap {
-	maps := make([]PortMap, o.SlicesPerCycle())
-	for s := range maps {
-		pm := make(PortMap, o.NumRacks())
-		for r := range pm {
-			pm[r] = make([]int32, o.Uplinks())
-		}
-		for sw := 0; sw < o.Uplinks(); sw++ {
-			if o.IsTransitioning(sw, s) {
-				for r := range pm {
-					pm[r][sw] = -1
-				}
-				continue
-			}
-			m := o.SwitchMatching(sw, s)
-			for r := range pm {
-				peer := m.Peer(r)
-				if peer == r {
-					pm[r][sw] = -1
-				} else {
-					pm[r][sw] = int32(peer)
-				}
-			}
-		}
-		maps[s] = pm
+	maps := newPortMaps(o.SlicesPerCycle(), o.NumRacks(), o.Uplinks())
+	for s, pm := range maps {
+		o.SlicePeers(s, pm)
 	}
 	return maps
 }
@@ -274,18 +339,7 @@ func OperaPortMaps(o *topology.Opera) []PortMap {
 // ExpanderPortMap derives the single static PortMap of an expander network:
 // uplink k of each rack is its k-th neighbor.
 func ExpanderPortMap(e *topology.Expander) []PortMap {
-	pm := make(PortMap, e.NumRacks)
-	for r := 0; r < e.NumRacks; r++ {
-		ns := e.G.Neighbors(r)
-		row := make([]int32, e.Degree)
-		for i := range row {
-			if i < len(ns) {
-				row[i] = ns[i]
-			} else {
-				row[i] = -1
-			}
-		}
-		pm[r] = row
-	}
-	return []PortMap{pm}
+	maps := newPortMaps(1, e.NumRacks, e.Degree)
+	e.Peers(maps[0])
+	return maps
 }

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +10,262 @@ import (
 
 	"github.com/opera-net/opera/internal/topology"
 )
+
+// buildReference is the builder this package shipped until the
+// bit-parallel one replaced it — a BFS from every rack, then a mask fill
+// asking of every (src, dst, uplink) whether the peer is one hop closer —
+// kept as the oracle Build is compared against. It assumes what Build
+// checks: rectangular maps, peers below the rack count, paths under
+// Unreachable hops.
+func buildReference(maps []PortMap) *Tables {
+	n := len(maps[0])
+	t := newTables(n, maps[0].NumUplinks(), len(maps))
+	distFrom := make([][]int32, n)
+	for i := range distFrom {
+		distFrom[i] = make([]int32, n)
+	}
+	queue := make([]int32, 0, n)
+	for s, pm := range maps {
+		for src := 0; src < n; src++ {
+			d := distFrom[src]
+			for i := range d {
+				d[i] = -1
+			}
+			d[src] = 0
+			queue = append(queue[:0], int32(src))
+			for head := 0; head < len(queue); head++ {
+				v := queue[head]
+				for _, peer := range pm[v] {
+					if peer < 0 || peer == v {
+						continue
+					}
+					if d[peer] == -1 {
+						d[peer] = d[v] + 1
+						queue = append(queue, peer)
+					}
+				}
+			}
+		}
+		base := s * n * n
+		for src := 0; src < n; src++ {
+			dSrc := distFrom[src]
+			for dst := 0; dst < n; dst++ {
+				idx := base + src*n + dst
+				if dst == src {
+					t.dist[idx] = 0
+					continue
+				}
+				if dSrc[dst] < 0 {
+					t.dist[idx] = Unreachable
+					continue
+				}
+				t.dist[idx] = uint8(dSrc[dst])
+				var m uint32
+				for k, peer := range pm[src] {
+					if peer < 0 || int(peer) == src {
+						continue
+					}
+					if distFrom[peer][dst] == dSrc[dst]-1 {
+						m |= 1 << uint(k)
+					}
+				}
+				t.mask[idx] = m
+			}
+		}
+		t.built[s] = true
+	}
+	return t
+}
+
+// diffTables names the first cell in which two tables differ.
+func diffTables(got, want *Tables) error {
+	if got.N != want.N || got.U != want.U || got.Slices != want.Slices {
+		return fmt.Errorf("shape %d×%d×%d, want %d×%d×%d", got.Slices, got.N, got.U, want.Slices, want.N, want.U)
+	}
+	for s := 0; s < want.Slices; s++ {
+		for src := 0; src < want.N; src++ {
+			for dst := 0; dst < want.N; dst++ {
+				if g, w := got.Dist(s, src, dst), want.Dist(s, src, dst); g != w {
+					return fmt.Errorf("slice %d dist %d→%d = %d, want %d", s, src, dst, g, w)
+				}
+				if g, w := got.Mask(s, src, dst), want.Mask(s, src, dst); g != w {
+					return fmt.Errorf("slice %d mask %d→%d = %b, want %b", s, src, dst, g, w)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// knockOut returns a copy of maps with about one port in every over
+// disabled: both directions of the circuit when symmetric, else only the
+// direction drawn.
+func knockOut(maps []PortMap, rng *rand.Rand, every int, symmetric bool) []PortMap {
+	n, u := len(maps[0]), maps[0].NumUplinks()
+	out := newPortMaps(len(maps), n, u)
+	for s, pm := range maps {
+		for r, row := range pm {
+			copy(out[s][r], row)
+		}
+		for r, row := range pm {
+			for k, peer := range row {
+				if peer < 0 || rng.Intn(every) != 0 {
+					continue
+				}
+				out[s][r][k] = -1
+				if symmetric && pm[peer][k] == int32(r) {
+					out[s][peer][k] = -1
+				}
+			}
+		}
+	}
+	return out
+}
+
+// randomPortMap draws n×u raw ports, each -1, a self-loop or any rack,
+// with no symmetry at all.
+func randomPortMap(rng *rand.Rand, n, u int) PortMap {
+	pm := newPortMaps(1, n, u)[0]
+	for r, row := range pm {
+		for k := range row {
+			switch rng.Intn(6) {
+			case 0:
+				row[k] = -1
+			case 1:
+				row[k] = int32(r)
+			default:
+				row[k] = int32(rng.Intn(n))
+			}
+		}
+	}
+	return pm
+}
+
+func TestBuildMatchesReference(t *testing.T) {
+	check := func(t *testing.T, maps []PortMap) {
+		t.Helper()
+		tb, err := Build(maps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := diffTables(tb, buildReference(maps)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	operaMaps := func(racks, uplinks int) []PortMap {
+		return OperaPortMaps(topology.MustNewOpera(topology.Config{
+			NumRacks: racks, HostsPerRack: uplinks, NumSwitches: uplinks, Seed: 1,
+		}))
+	}
+	for _, tc := range []struct {
+		name string
+		maps []PortMap
+	}{
+		{"opera16x4", operaMaps(16, 4)},
+		{"opera108x6", operaMaps(108, 6)},
+		{"expander", ExpanderPortMap(topology.MustNewExpander(130, 4, 7, 1))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			check(t, tc.maps)
+			check(t, knockOut(tc.maps, rng, 10, true))
+			check(t, knockOut(tc.maps, rng, 10, false))
+			// Sparse enough to fall apart into components.
+			check(t, knockOut(tc.maps, rng, 2, true))
+		})
+	}
+	t.Run("raw", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		for _, n := range []int{1, 2, 63, 64, 65, 130} {
+			for _, u := range []int{1, 3, 32} {
+				check(t, []PortMap{randomPortMap(rng, n, u), randomPortMap(rng, n, u)})
+			}
+		}
+		check(t, []PortMap{lineMap(Unreachable)}) // the longest path a cell holds: 254 hops
+	})
+}
+
+// FuzzBuildDifferential feeds Build raw port maps — directed, ragged in
+// connectivity, self-loops and dead ports wherever the bytes put them —
+// and requires the reference's tables.
+func FuzzBuildDifferential(f *testing.F) {
+	f.Add(uint8(4), uint8(2), []byte{1, 3, 2, 0, 3, 1, 0, 2})
+	f.Add(uint8(65), uint8(3), []byte{0xff, 7, 7, 200, 64, 65})
+	f.Add(uint8(1), uint8(1), []byte{})
+	f.Fuzz(func(t *testing.T, racks, uplinks uint8, ports []byte) {
+		n, u := 1+int(racks)%130, 1+int(uplinks)%32
+		pm := newPortMaps(1, n, u)[0]
+		for r, row := range pm {
+			for k := range row {
+				row[k] = -1
+				if i := r*u + k; i < len(ports) {
+					row[k] = int32(ports[i])%int32(n+1) - 1
+				}
+			}
+		}
+		tb, err := Build([]PortMap{pm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := diffTables(tb, buildReference([]PortMap{pm})); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+func TestBuildPathTooLong(t *testing.T) {
+	// The distance cell is a byte and Unreachable is its top value: the
+	// builder used to store 255 hops as Unreachable and 256 as 0.
+	if _, err := Build([]PortMap{lineMap(300)}); !errors.Is(err, ErrPathTooLong) {
+		t.Fatalf("300-rack line: err = %v, want ErrPathTooLong", err)
+	}
+	if _, err := Build([]PortMap{lineMap(Unreachable + 1)}); !errors.Is(err, ErrPathTooLong) {
+		t.Fatalf("255-hop line: err = %v, want ErrPathTooLong", err)
+	}
+}
+
+func TestLazyBuildsOnLookup(t *testing.T) {
+	maps := OperaPortMaps(topology.MustNewOpera(topology.Config{
+		NumRacks: 16, HostsPerRack: 4, NumSwitches: 4, Seed: 1,
+	}))
+	eager := MustBuild(maps)
+	sourced := 0
+	lazy := eager.Lazy(func(s int, pm PortMap) {
+		sourced++
+		for r, row := range maps[s] {
+			copy(pm[r], row)
+		}
+	})
+	if lazy.Built() != 0 || sourced != 0 {
+		t.Fatalf("fresh lazy tables: %d slices built, %d sourced", lazy.Built(), sourced)
+	}
+	for i := 0; i < 3; i++ {
+		if got, want := lazy.PickUplink(5, 1, 9, uint32(i)), eager.PickUplink(5, 1, 9, uint32(i)); got != want {
+			t.Fatalf("PickUplink = %d, want %d", got, want)
+		}
+	}
+	if lazy.Built() != 1 || sourced != 1 {
+		t.Fatalf("after lookups into one slice: %d built, %d sourced", lazy.Built(), sourced)
+	}
+	if err := diffTables(lazy, eager); err != nil {
+		t.Fatal(err)
+	}
+	if lazy.MaxDist() != eager.MaxDist() {
+		t.Fatal("MaxDist differs")
+	}
+	// A new round rebuilds from whatever the source now says, in place.
+	maps = knockOut(maps, rand.New(rand.NewSource(3)), 4, true)
+	lazy.Invalidate()
+	if lazy.Built() != 0 {
+		t.Fatalf("%d slices built after Invalidate", lazy.Built())
+	}
+	if err := diffTables(lazy, buildReference(maps)); err != nil {
+		t.Fatal(err)
+	}
+	if lazy.Built() != lazy.Slices {
+		t.Fatalf("%d of %d slices built after a full read", lazy.Built(), lazy.Slices)
+	}
+}
 
 func lineMap(n int) PortMap {
 	// racks in a line: 0-1-2-...-n-1, two uplinks each (left, right).
@@ -80,6 +338,12 @@ func TestBuildErrors(t *testing.T) {
 	// inconsistent shapes
 	if _, err := Build([]PortMap{lineMap(4), lineMap(5)}); err == nil {
 		t.Fatal("inconsistent slice shapes accepted")
+	}
+	if _, err := Build([]PortMap{{{1, -1}, {0}}}); err == nil {
+		t.Fatal("ragged port map accepted")
+	}
+	if _, err := Build([]PortMap{{{1}, {2}}}); err == nil {
+		t.Fatal("peer beyond the rack count accepted")
 	}
 }
 

@@ -67,22 +67,30 @@ func (n *ExpanderNet) peerSlot(rack, slot int) int {
 	panic("sim: expander neighbor lists asymmetric")
 }
 
-// reconverge is the expander's reaction rule: recompute the shared
-// shortest-path tables against the surviving topology — instant
-// convergence, per the model above — and lose what was queued on cables
-// that just died.
+// reconverge is the expander's reaction rule: route by the surviving
+// topology from now on — instant convergence, per the model above; the one
+// slice is rebuilt in place at the next lookup — and lose what was queued
+// on cables that just died.
 func (n *ExpanderNet) reconverge(_ Target, cables []int32, down bool) {
-	maps := routing.ExpanderPortMap(n.topo)
-	pm := maps[0]
-	for r := range pm {
-		for slot, peer := range pm[r] {
-			if peer >= 0 && !n.faults.LinkUp(r, slot) {
-				pm[r][slot] = -1
-			}
-		}
+	if n.recovery == nil {
+		n.recovery = n.tables.Lazy(n.survivingPortMap)
+		n.tables = n.recovery
 	}
-	n.tables = routing.MustBuild(maps)
+	n.recovery.Invalidate()
 	if down {
 		n.faults.dropQueued(cables)
+	}
+}
+
+// survivingPortMap derives the port map of the surviving topology: uplink
+// k of each rack is its k-th neighbor while the cable between them is up.
+func (n *ExpanderNet) survivingPortMap(_ int, pm routing.PortMap) {
+	n.topo.Peers(pm)
+	for r, row := range pm {
+		for slot := range row {
+			if !n.faults.LinkUp(r, slot) {
+				row[slot] = -1
+			}
+		}
 	}
 }

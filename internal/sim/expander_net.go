@@ -16,7 +16,10 @@ type ExpanderNet struct {
 	edge
 	topo   *topology.Expander
 	tables *routing.Tables
-	tors   []*ExpanderToR
+	// recovery is tables once a fault has fired: the surviving topology's
+	// routes, rebuilt in place after every state change (expander_faults.go).
+	recovery *routing.Tables
+	tors     []*ExpanderToR
 }
 
 func buildExpander(p BuildParams) (Network, error) {

@@ -22,11 +22,14 @@ import (
 //     circuits, where packets are lost (bulk takes the NACK path, NDP
 //     recovers low-latency traffic via retransmission timeouts).
 //
-// The post-failure tables are computed once per failure event (they are
-// what distributed recomputation converges to); each ToR simply switches
-// to them when the epidemic reaches it. Recoveries spread the same way:
-// distant ToRs keep routing around a restored link until the good news
-// reaches them.
+// The post-failure tables are what distributed recomputation converges
+// to; each ToR simply switches to them when the epidemic reaches it. They
+// are one routing.Tables built a slice at a time, on the first lookup an
+// informed ToR makes into that slice: a failure event starts a new epoch
+// by forgetting the built slices, and a short epoch (one flap transition)
+// pays for the two or three slices it lives through instead of a whole
+// cycle's. Recoveries spread the same way: distant ToRs keep routing
+// around a restored link until the good news reaches them.
 
 // helloEpidemic tracks what each ToR knows about the current failure set.
 type helloEpidemic struct {
@@ -35,9 +38,13 @@ type helloEpidemic struct {
 	// informed marks ToRs that have learned of the latest failure set and
 	// therefore use the recovery tables.
 	informed []bool
-	// epoch counts failure events; Tables are rebuilt per epoch.
+	// epoch counts failure events.
 	epoch int
 
+	// recovery routes the surviving topology of the current epoch, nil
+	// until the first failure event. Its slices are derived from the live
+	// fault table when first looked up — sound because the table cannot
+	// change inside an epoch: every change starts a new one.
 	recovery *routing.Tables
 }
 
@@ -72,8 +79,8 @@ func (ep *helloEpidemic) react(t Target, _ []int32, down bool) {
 	ep.onFailure(detectors)
 }
 
-// onFailure starts a new epoch: rebuild recovery tables against the
-// surviving topology and seed the epidemic with the detecting ToRs.
+// onFailure starts a new epoch: forget the recovery tables built against
+// the previous failure set and seed the epidemic with the detecting ToRs.
 func (ep *helloEpidemic) onFailure(detectors []int) {
 	ep.epoch++
 	for i := range ep.informed {
@@ -84,27 +91,24 @@ func (ep *helloEpidemic) onFailure(detectors []int) {
 			ep.informed[d] = true
 		}
 	}
-	ep.recovery = routing.MustBuild(ep.portMaps())
+	if ep.recovery == nil {
+		ep.recovery = ep.net.tables.Lazy(ep.survivingPortMap)
+	}
+	ep.recovery.Invalidate()
 }
 
-// portMaps derives per-slice port maps of the surviving topology.
-func (ep *helloEpidemic) portMaps() []routing.PortMap {
+// survivingPortMap derives one slice's port map of the surviving
+// topology: a circuit is usable when the cables at both its ends are.
+func (ep *helloEpidemic) survivingPortMap(slice int, pm routing.PortMap) {
 	fs := ep.net.faults
-	maps := routing.OperaPortMaps(ep.net.topo)
-	for s := range maps {
-		for rack := range maps[s] {
-			for sw := range maps[s][rack] {
-				peer := maps[s][rack][sw]
-				if peer < 0 {
-					continue
-				}
-				if !fs.LinkUp(rack, sw) || !fs.LinkUp(int(peer), sw) {
-					maps[s][rack][sw] = -1
-				}
+	ep.net.topo.SlicePeers(slice, pm)
+	for rack, row := range pm {
+		for sw, peer := range row {
+			if peer >= 0 && !(fs.LinkUp(rack, sw) && fs.LinkUp(int(peer), sw)) {
+				row[sw] = -1
 			}
 		}
 	}
-	return maps
 }
 
 // spread runs the hello-protocol epidemic for one slice boundary: the two
@@ -155,7 +159,7 @@ func (n *OperaNet) InformedCount() (informed, survivors int) {
 // tablesFor returns the routing tables ToR rack should use: the recovery
 // tables once informed, the original ones otherwise.
 func (ep *helloEpidemic) tablesFor(rack int) *routing.Tables {
-	if ep.epoch > 0 && ep.informed[rack] && ep.recovery != nil {
+	if ep.recovery != nil && ep.informed[rack] {
 		return ep.recovery
 	}
 	return ep.net.tables

@@ -16,6 +16,7 @@ type Flow struct {
 	DstRack int32
 	Size    int64 // application bytes
 	Class   Class // LowLatency (NDP) or Bulk (RotorLB / bulk-class NDP)
+	Done    bool
 
 	// Tag is an application-assigned label ("" = untagged) carried
 	// end-to-end so results can be broken down per workload component
@@ -25,7 +26,12 @@ type Flow struct {
 	Start     eventsim.Time
 	End       eventsim.Time
 	BytesRcvd int64
-	Done      bool
+
+	// SendSlot and RecvSlot belong to the flow's transport: where it keeps
+	// the flow's sender and receiver state while it holds any, 0 otherwise
+	// (NDP indexes its fabric-wide state tables with them, so a packet —
+	// which points at its flow — reaches that state without a lookup).
+	SendSlot, RecvSlot int32
 
 	// Retransmits counts NDP NACK-triggered resends and RotorLB NACK
 	// requeues.

@@ -131,6 +131,17 @@ func randomRegular(n, d int, rng *rand.Rand) (*graph.Graph, bool) {
 	return nil, false
 }
 
+// Peers fills peers[rack][k] with rack's k-th neighbor, -1 past its last:
+// the static fabric's one port map, as Opera.SlicePeers is a slice's.
+func (e *Expander) Peers(peers [][]int32) {
+	for r, row := range peers {
+		n := copy(row, e.G.Neighbors(r))
+		for k := n; k < len(row); k++ {
+			row[k] = -1
+		}
+	}
+}
+
 // NumHosts returns the total host count.
 func (e *Expander) NumHosts() int { return e.NumRacks * e.HostsPerRack }
 

@@ -141,19 +141,47 @@ func MustNewOpera(cfg Config) *Opera {
 	return o
 }
 
+// allSlicesConnected tests the realization at design time (§3.3): every
+// slice's expander connected and, when asked, within MaxDiameter hops.
 func (o *Opera) allSlicesConnected() bool {
+	n, u := o.cfg.NumRacks, o.cfg.NumSwitches
+	cells := make([]int32, n*u)
+	peers := make([][]int32, n)
+	for r := range peers {
+		peers[r] = cells[r*u : (r+1)*u]
+	}
+	var bfs graph.BitBFS
 	for s := 0; s < o.slices; s++ {
-		g := o.SliceGraph(s)
-		if o.cfg.MaxDiameter > 0 {
-			ps := g.AllPairs()
-			if ps.Disconnected > 0 || ps.Max() > o.cfg.MaxDiameter {
-				return false
-			}
-		} else if !g.Connected() {
+		o.SlicePeers(s, peers)
+		diameter, connected := bfs.Diameter(peers)
+		if !connected || (o.cfg.MaxDiameter > 0 && diameter > o.cfg.MaxDiameter) {
 			return false
 		}
 	}
 	return true
+}
+
+// SlicePeers fills peers[rack][sw] with the rack that uplink sw of rack
+// reaches during slice s, or -1 when switch sw is transitioning (the drain
+// rule, §3.1.1) or the matching entry is a self-loop: SliceGraph's edges,
+// by port.
+func (o *Opera) SlicePeers(slice int, peers [][]int32) {
+	for sw := 0; sw < o.cfg.NumSwitches; sw++ {
+		if o.IsTransitioning(sw, slice) {
+			for _, row := range peers {
+				row[sw] = -1
+			}
+			continue
+		}
+		m := o.SwitchMatching(sw, slice)
+		for r, row := range peers {
+			if peer := m.Peer(r); peer != r {
+				row[sw] = int32(peer)
+			} else {
+				row[sw] = -1
+			}
+		}
+	}
 }
 
 // Config returns the (defaulted) configuration the topology was built with.

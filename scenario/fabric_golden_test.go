@@ -122,3 +122,50 @@ func resultLine(t *testing.T, sc scenario.Scenario) string {
 	return fmt.Sprintf("%s seed=%d done=%d/%d events=%d nacks=%d lost=%d sha256=%x\n",
 		sc.Name, sc.Seed, res.FlowsDone, res.FlowsTotal, events, res.BulkNACKs, cl.Faults().Lost, sha256.Sum256(blob))
 }
+
+// TestFaultBeforeTrafficLeavesNoTrace is a fidelity-wall relation that
+// holds to the last digit: a link that fails and recovers before the first
+// flow starts (incast's first burst is one Period in) leaves the Result of
+// the fault-free run, SimEvents aside. On Opera that pins the recovery
+// path end to end — the epidemic spreads, informed ToRs route by recovery
+// tables built slice by slice from a fault table that is whole again,
+// uninformed ones by the originals, and no packet can tell; on the
+// expander, that tables rebuilt in place equal the ones they replaced.
+func TestFaultBeforeTrafficLeavesNoTrace(t *testing.T) {
+	events, err := scenario.ParseEvents("120us:link:3:2,310us:recover-link:3:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, network := range []string{"opera", "expander"} {
+		sp := scenario.Spec{
+			Name: network + "/incast", Network: network, Seed: 1,
+			Sources: []scenario.SourceSpec{
+				{Type: "incast", FlowBytes: 60_000, Fanin: 12, Period: 500 * eventsim.Microsecond, Bursts: 6},
+				{Type: "incast", FlowBytes: 200_000, Fanin: 6, Period: 700 * eventsim.Microsecond, Bursts: 4, Bulk: true, Tag: "bulk"},
+			},
+			Duration: 20 * eventsim.Millisecond,
+		}
+		run := func(sp scenario.Spec) scenario.Result {
+			t.Helper()
+			sc, err := sp.Scenario()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl, res := scenario.Collect(sc)
+			if res.Err != "" {
+				t.Fatalf("%s: %s", sp.Name, res.Err)
+			}
+			if !res.Completed || cl.Faults().Lost != 0 {
+				t.Fatalf("%s: completed=%v lost=%d: the relation needs every flow done and no packet near the fault",
+					sp.Name, res.Completed, cl.Faults().Lost)
+			}
+			res.SimEvents = 0
+			return res
+		}
+		clean := run(sp)
+		sp.Events = events
+		if faulted := run(sp); !faulted.Equal(clean) {
+			t.Errorf("%s: a fault recovered before the first flow changed the result:\nfault-free %+v\nfaulted    %+v", network, clean, faulted)
+		}
+	}
+}
