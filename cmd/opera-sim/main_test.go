@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/sim"
 	"github.com/opera-net/opera/scenario"
 )
 
@@ -82,8 +83,8 @@ func TestArgsToSpec(t *testing.T) {
 		{"-sketch-alpha 0.02", "datamining", func(*scenario.Spec) {}}, // no effect without -retention sketch
 		{"-fail-at 500us:link:3:2,2ms:recover-link:3:2", "datamining", func(sp *scenario.Spec) {
 			sp.Events = []scenario.EventSpec{
-				{At: 500 * eventsim.Microsecond, Op: "inject", Target: scenario.TargetSpec{Kind: "link", Switch: 3, Port: 2}, Fault: scenario.FaultSpec{Kind: "down"}},
-				{At: 2 * ms, Op: "recover", Target: scenario.TargetSpec{Kind: "link", Switch: 3, Port: 2}},
+				{At: 500 * eventsim.Microsecond, Op: "inject", Target: sim.Target{Kind: "link", Switch: 3, Port: 2}, Fault: sim.Fault{Kind: "down"}},
+				{At: 2 * ms, Op: "recover", Target: sim.Target{Kind: "link", Switch: 3, Port: 2}},
 			}
 		}},
 		{"-duration 4ms -drain 400", "datamining", func(sp *scenario.Spec) {

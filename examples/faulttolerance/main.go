@@ -15,6 +15,7 @@ import (
 	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/faults"
+	"github.com/opera-net/opera/internal/sim"
 	"github.com/opera-net/opera/internal/topology"
 	"github.com/opera-net/opera/scenario"
 )
@@ -67,9 +68,7 @@ func main() {
 			opera.WithUplinks(4),
 		},
 		Sources: []scenario.Source{scenario.Shuffle(16, 30_000, eventsim.Millisecond)},
-		Events: []scenario.Event{
-			scenario.At(500*eventsim.Microsecond, scenario.FailLink(3, 2)),
-		},
+		Events:  []scenario.EventSpec{{At: 500 * eventsim.Microsecond, Target: sim.FlatLink(3, 2)}},
 		Probes: []scenario.Probe{
 			scenario.Sample("done_flows", eventsim.Millisecond,
 				func(cl *opera.Cluster, _ eventsim.Time) float64 {

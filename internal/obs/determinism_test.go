@@ -7,6 +7,7 @@ import (
 	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/obs"
+	"github.com/opera-net/opera/internal/sim"
 	"github.com/opera-net/opera/scenario"
 )
 
@@ -25,10 +26,10 @@ func observedScenario(observer scenario.Observer) scenario.Scenario {
 			scenario.TagSource("shuffle", scenario.BulkSource(scenario.Shuffle(12, 60_000, 0))),
 			scenario.TagSource("mice", scenario.Shuffle(12, 2_000, 100*eventsim.Microsecond)),
 		},
-		Events: []scenario.Event{
-			scenario.At(200*eventsim.Microsecond, scenario.LossyLink(3, 1, 0.3)),
-			scenario.At(400*eventsim.Microsecond, scenario.FailLink(5, 2)),
-			scenario.At(2*eventsim.Millisecond, scenario.RecoverLink(3, 1)),
+		Events: []scenario.EventSpec{
+			{At: 200 * eventsim.Microsecond, Target: sim.FlatLink(3, 1), Fault: sim.LossyFault(0.3)},
+			{At: 400 * eventsim.Microsecond, Target: sim.FlatLink(5, 2)},
+			{At: 2 * eventsim.Millisecond, Op: "recover", Target: sim.FlatLink(3, 1)},
 		},
 		Probes: []scenario.Probe{
 			scenario.Sample("done", eventsim.Millisecond,
@@ -123,9 +124,9 @@ func (f *faultProbe) OnEvent(any) {
 // TestObservingDoesNotAttachFaultInjector pins what a snapshot says about
 // faults: every fabric carries its fault table, but a snapshot lists a
 // faults block only while something is applied — none for an observed
-// fault-free run, exactly the one fault once a FailLink has fired.
+// fault-free run, exactly the one fault once a link cut has fired.
 func TestObservingDoesNotAttachFaultInjector(t *testing.T) {
-	run := func(events []scenario.Event) *obs.Snapshot {
+	run := func(events []scenario.EventSpec) *obs.Snapshot {
 		t.Helper()
 		box := &obs.Mailbox{}
 		sc := observedScenario(obs.NewPublisher(box, 100*eventsim.Microsecond))
@@ -144,7 +145,7 @@ func TestObservingDoesNotAttachFaultInjector(t *testing.T) {
 		t.Fatalf("fault-free snapshot reports faults: %+v", s.Faults)
 	}
 
-	s := run([]scenario.Event{scenario.At(400*eventsim.Microsecond, scenario.FailLink(5, 2))})
+	s := run([]scenario.EventSpec{{At: 400 * eventsim.Microsecond, Target: sim.FlatLink(5, 2)}})
 	if s.Faults == nil || len(s.Faults.Active) != 1 || s.Faults.Active[0].Target != "link(rack=5,up=2)" {
 		t.Fatalf("want exactly the one fired fault listed, got %+v", s.Faults)
 	}

@@ -32,8 +32,7 @@ func (n *ClosNet) faultMap() faultMap {
 	for t := 0; t < topo.NumToRs; t++ {
 		for i := 0; i < topo.UplinksPerToR; i++ {
 			a := topo.ToRPod(t)*topo.AggPerPod + i // the agg terminating ToR t's uplink i
-			id := LinkID{Tier: ClosTierToR, Switch: t, Port: i}
-			cables = append(cables, cable{id: id, alias: id,
+			cables = append(cables, cable{id: Target{Kind: TargetLink, Tier: ClosTierToR, Switch: t, Port: i},
 				ends:  [2]int32{int32(t), int32(aggNode + a)},
 				ports: [2]*Port{n.tors[t].up[i], n.aggs[a].down[t%topo.ToRsPerPod]}})
 		}
@@ -41,8 +40,7 @@ func (n *ClosNet) faultMap() faultMap {
 	for a := 0; a < topo.NumAgg; a++ {
 		for j := 0; j < half; j++ {
 			c := (a%topo.AggPerPod)*half + j // the core terminating agg a's uplink j
-			id := LinkID{Tier: ClosTierAgg, Switch: a, Port: j}
-			cables = append(cables, cable{id: id, alias: id,
+			cables = append(cables, cable{id: Target{Kind: TargetLink, Tier: ClosTierAgg, Switch: a, Port: j},
 				ends:  [2]int32{int32(aggNode + a), int32(coreNode + c)},
 				ports: [2]*Port{n.aggs[a].up[j], n.cores[c].down[a/topo.AggPerPod]}})
 		}

@@ -34,8 +34,8 @@ func crossPodFlows(cl *opera.Cluster, bytes int64, stride int) {
 // surviving uplinks and NDP retransmits what was queued on dead cables.
 func TestClosFlowsSurviveLinkFailure(t *testing.T) {
 	cl, cf := closTestbed(t)
-	cut(t, cf, link(0, 1), 500*eventsim.Microsecond)
-	cut(t, cf, sim.LinkTarget(sim.LinkID{Tier: sim.ClosTierAgg, Switch: 2, Port: 3}), 500*eventsim.Microsecond)
+	cut(t, cf, sim.FlatLink(0, 1), 500*eventsim.Microsecond)
+	cut(t, cf, sim.Target{Kind: sim.TargetLink, Tier: sim.ClosTierAgg, Switch: 2, Port: 3}, 500*eventsim.Microsecond)
 	crossPodFlows(cl, 30_000, 13)
 	if !cl.RunUntilDone(3000 * eventsim.Millisecond) {
 		done, total := cl.Metrics().DoneCount()
@@ -100,7 +100,7 @@ func TestClosFaultDeterminism(t *testing.T) {
 	run := func() (int, uint64) {
 		cl, cf := closTestbed(t)
 		mustOK(t, cf.Inject(sim.TierSwitchTarget(sim.ClosTierAgg, 1), sim.DownFault(), 700*eventsim.Microsecond))
-		mustOK(t, cf.Inject(sim.LinkTarget(sim.FlatLink(5, 0)), sim.DownFault(), 900*eventsim.Microsecond))
+		mustOK(t, cf.Inject(sim.FlatLink(5, 0), sim.DownFault(), 900*eventsim.Microsecond))
 		cl.AddSource(workload.FromSpecs(workload.Shuffle(12, 25_000, eventsim.Millisecond, 1)))
 		cl.RunUntilDone(3000 * eventsim.Millisecond)
 		done, _ := cl.Metrics().DoneCount()

@@ -30,8 +30,8 @@ func TestExpanderFaultInjectorExposed(t *testing.T) {
 // the dead cables and NDP retransmits whatever was queued on them.
 func TestExpanderFlowsSurviveLinkFailure(t *testing.T) {
 	cl, ef := expanderTestbed(t)
-	cut(t, ef, link(0, 1), 1*eventsim.Millisecond)
-	cut(t, ef, link(7, 3), 1*eventsim.Millisecond)
+	cut(t, ef, sim.FlatLink(0, 1), 1*eventsim.Millisecond)
+	cut(t, ef, sim.FlatLink(7, 3), 1*eventsim.Millisecond)
 	n := cl.NumHosts()
 	for i := 0; i < n; i++ {
 		cl.AddFlow(workload.FlowSpec{
@@ -52,8 +52,8 @@ func TestExpanderFlowsSurviveLinkFailure(t *testing.T) {
 // outage (around it) and after recovery (over it again).
 func TestExpanderLinkRecovery(t *testing.T) {
 	cl, ef := expanderTestbed(t)
-	cut(t, ef, link(2, 0), 500*eventsim.Microsecond)
-	heal(t, ef, link(2, 0), 5*eventsim.Millisecond)
+	cut(t, ef, sim.FlatLink(2, 0), 500*eventsim.Microsecond)
+	heal(t, ef, sim.FlatLink(2, 0), 5*eventsim.Millisecond)
 	n := cl.NumHosts()
 	for i := 0; i < n; i += 2 {
 		cl.AddFlow(workload.FlowSpec{
@@ -98,7 +98,7 @@ func TestExpanderToRFailureIsolatesRack(t *testing.T) {
 func TestExpanderFaultDeterminism(t *testing.T) {
 	run := func() (int, uint64) {
 		cl, ef := expanderTestbed(t)
-		cut(t, ef, link(1, 2), 700*eventsim.Microsecond)
+		cut(t, ef, sim.FlatLink(1, 2), 700*eventsim.Microsecond)
 		cl.AddSource(workload.FromSpecs(workload.Shuffle(12, 25_000, eventsim.Millisecond, 1)))
 		cl.RunUntilDone(500 * eventsim.Millisecond)
 		done, _ := cl.Metrics().DoneCount()

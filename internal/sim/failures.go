@@ -55,7 +55,7 @@ func (ep *helloEpidemic) react(t Target, _ []int32, down bool) {
 	var detectors []int
 	switch t.Kind {
 	case TargetLink:
-		detectors = []int{t.Link.Switch}
+		detectors = []int{t.Switch}
 	case TargetToR:
 		// The racks currently circuit-connected to it notice at their next
 		// hello; on recovery the rack itself also knows.

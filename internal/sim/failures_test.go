@@ -19,10 +19,8 @@ func failureTestbed(t *testing.T) (*opera.Cluster, *sim.Faults) {
 	return cl, cl.OperaNet().Faults()
 }
 
-// link names the flat {rack, uplink} cable; cut and heal schedule a clean
-// down fault and its recovery, failing the test on a rejected target.
-func link(rack, uplink int) sim.Target { return sim.LinkTarget(sim.FlatLink(rack, uplink)) }
-
+// cut and heal schedule a clean down fault and its recovery, failing the
+// test on a rejected target.
 func cut(t *testing.T, fs *sim.Faults, target sim.Target, at eventsim.Time) {
 	t.Helper()
 	mustOK(t, fs.Inject(target, sim.DownFault(), at))
@@ -36,7 +34,7 @@ func heal(t *testing.T, fs *sim.Faults, target sim.Target, at eventsim.Time) {
 func TestHelloEpidemicConvergesWithinTwoCycles(t *testing.T) {
 	cl, fs := failureTestbed(t)
 	// Fail one link early on.
-	cut(t, fs, link(3, 2), 500*eventsim.Microsecond)
+	cut(t, fs, sim.FlatLink(3, 2), 500*eventsim.Microsecond)
 	// Cycle time: 16 slices × 100 µs = 1.6 ms. §3.6.2: any connected ToR
 	// learns within at most two cycles.
 	cl.Run(500*eventsim.Microsecond + 2*1600*eventsim.Microsecond)
@@ -48,8 +46,8 @@ func TestHelloEpidemicConvergesWithinTwoCycles(t *testing.T) {
 
 func TestFlowsSurviveLinkFailure(t *testing.T) {
 	cl, fs := failureTestbed(t)
-	cut(t, fs, link(0, 1), 1*eventsim.Millisecond)
-	cut(t, fs, link(7, 3), 1*eventsim.Millisecond)
+	cut(t, fs, sim.FlatLink(0, 1), 1*eventsim.Millisecond)
+	cut(t, fs, sim.FlatLink(7, 3), 1*eventsim.Millisecond)
 	n := cl.NumHosts()
 	for i := 0; i < n; i++ {
 		cl.AddFlow(workload.FlowSpec{
@@ -81,8 +79,8 @@ func TestFlowsSurviveSwitchFailure(t *testing.T) {
 
 func TestBulkSurvivesLinkFailure(t *testing.T) {
 	cl, fs := failureTestbed(t)
-	cut(t, fs, link(0, 0), 500*eventsim.Microsecond)
-	cut(t, fs, link(0, 1), 500*eventsim.Microsecond)
+	cut(t, fs, sim.FlatLink(0, 0), 500*eventsim.Microsecond)
+	cut(t, fs, sim.FlatLink(0, 1), 500*eventsim.Microsecond)
 	f := cl.AddBulkFlow(workload.FlowSpec{Src: 0, Dst: 60, Bytes: 1 << 20})
 	if !cl.RunUntilDone(3000 * eventsim.Millisecond) {
 		t.Fatalf("bulk flow incomplete after failures: %d/%d (NACKs %d)",
@@ -98,8 +96,8 @@ func TestLostToDeadLinksCounted(t *testing.T) {
 	for i := 0; i < n; i++ {
 		cl.AddFlow(workload.FlowSpec{Src: i, Dst: (i + 31) % n, Bytes: 100_000})
 	}
-	cut(t, fs, link(5, 2), 300*eventsim.Microsecond)
-	cut(t, fs, link(9, 0), 400*eventsim.Microsecond)
+	cut(t, fs, sim.FlatLink(5, 2), 300*eventsim.Microsecond)
+	cut(t, fs, sim.FlatLink(9, 0), 400*eventsim.Microsecond)
 	cl.RunUntilDone(1000 * eventsim.Millisecond)
 	// The counter is advisory; it must not panic and is usually nonzero
 	// under load. Completion is the hard requirement.
@@ -112,10 +110,10 @@ func TestLostToDeadLinksCounted(t *testing.T) {
 
 func TestRecoveryRestoresLinks(t *testing.T) {
 	cl, fs := failureTestbed(t)
-	cut(t, fs, link(3, 2), 500*eventsim.Microsecond)
+	cut(t, fs, sim.FlatLink(3, 2), 500*eventsim.Microsecond)
 	cut(t, fs, sim.SwitchTarget(1), 500*eventsim.Microsecond)
 	cut(t, fs, sim.ToRTarget(7), 500*eventsim.Microsecond)
-	heal(t, fs, link(3, 2), 2*eventsim.Millisecond)
+	heal(t, fs, sim.FlatLink(3, 2), 2*eventsim.Millisecond)
 	heal(t, fs, sim.SwitchTarget(1), 2*eventsim.Millisecond)
 	heal(t, fs, sim.ToRTarget(7), 2*eventsim.Millisecond)
 	cl.Run(1 * eventsim.Millisecond)

@@ -4,14 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"github.com/opera-net/opera/internal/eventsim"
 )
 
-// This file is the whole runtime fault mechanism: coordinates (LinkID,
-// Target), fault descriptors (Fault), and Faults — the one injector every
+// This file is the whole runtime fault mechanism: coordinates (Target),
+// fault descriptors (Fault), and Faults — the one injector every
 // fabric shares. The model: a fabric is a set of cables, each joining two
 // nodes (a ToR or a tier-qualified switch), and a cable is usable iff the
 // cable and both its end nodes are up. A fabric contributes only its
@@ -28,21 +27,46 @@ import (
 // (ClosTierAgg or ClosTierCore), and the expander — which has no fabric
 // switches at all — rejects switch targets with ErrUnsupportedTarget.
 
-// LinkID names one physical cable in a fabric-interpreted coordinate
-// space. Flat fabrics use {Tier: 0, Switch: rack, Port: uplink} (see
-// FlatLink); the folded Clos uses ClosTierToR/ClosTierAgg tiers where
-// Switch indexes the switch whose uplink the cable is.
-type LinkID struct {
-	Tier   int
+// Target is the injection coordinate — one link, one ToR or one fabric
+// switch — and, as plain data, the fault schedule's wire form: scenario
+// specs carry it through gob and JSON field for field. Build one with
+// FlatLink, ToRTarget, SwitchTarget or TierSwitchTarget, or as a literal.
+type Target struct {
+	// Kind is "link", "tor" or "switch".
+	Kind TargetKind
+	// Tier qualifies the coordinate on multi-tier fabrics. For a link it is
+	// the cable tier: 0 is the flat {rack, uplink} plane every fabric
+	// interprets, and the folded Clos adds ClosTierToR and ClosTierAgg. For
+	// a switch it is the switch plane: 0 is the fabric's default, and the
+	// Clos requires ClosTierAgg or ClosTierCore.
+	Tier int
+	// Switch and Port name a link: the rack or switch whose uplink the
+	// cable is, and the uplink.
 	Switch int
 	Port   int
+	// ID is the rack (Kind "tor") or switch (Kind "switch") index.
+	ID int
 }
+
+// TargetKind discriminates what a Target names.
+type TargetKind string
+
+const (
+	// TargetLink names one physical cable.
+	TargetLink TargetKind = "link"
+	// TargetToR names a whole top-of-rack switch (all its fabric cables).
+	TargetToR TargetKind = "tor"
+	// TargetSwitch names a fabric switch: a rotor switch on Opera and
+	// RotorNet (Tier 0), an aggregation or core switch on the Clos
+	// (ClosTierAgg / ClosTierCore).
+	TargetSwitch TargetKind = "switch"
+)
 
 // FlatLink names a link in the flat fabrics' {rack, uplink} coordinate
 // space: Opera and RotorNet's rack↔rotor-switch cables, the expander's
 // rack↔neighbor-slot cables, and (normalized to ClosTierToR) a Clos ToR's
 // uplink.
-func FlatLink(rack, uplink int) LinkID { return LinkID{Tier: 0, Switch: rack, Port: uplink} }
+func FlatLink(rack, uplink int) Target { return Target{Kind: TargetLink, Switch: rack, Port: uplink} }
 
 // Clos link and switch tiers. Tier 1 cables are ToR uplinks (Switch is
 // the ToR index), tier 2 cables are aggregation-switch uplinks (Switch is
@@ -53,57 +77,6 @@ const (
 	ClosTierAgg  = 2
 	ClosTierCore = 3
 )
-
-// String renders the coordinate; tier 0 prints in the flat form.
-func (l LinkID) String() string {
-	if l.Tier == 0 {
-		return fmt.Sprintf("link(rack=%d,up=%d)", l.Switch, l.Port)
-	}
-	return fmt.Sprintf("link(tier=%d,sw=%d,port=%d)", l.Tier, l.Switch, l.Port)
-}
-
-// TargetKind discriminates what a Target names.
-type TargetKind uint8
-
-const (
-	// TargetLink names one physical cable.
-	TargetLink TargetKind = iota
-	// TargetToR names a whole top-of-rack switch (all its fabric cables).
-	TargetToR
-	// TargetSwitch names a fabric switch: a rotor switch on Opera and
-	// RotorNet (Tier 0), an aggregation or core switch on the Clos
-	// (ClosTierAgg / ClosTierCore).
-	TargetSwitch
-)
-
-func (k TargetKind) String() string {
-	switch k {
-	case TargetLink:
-		return "link"
-	case TargetToR:
-		return "tor"
-	case TargetSwitch:
-		return "switch"
-	}
-	return fmt.Sprintf("TargetKind(%d)", uint8(k))
-}
-
-// Target is the injection coordinate: one link, one ToR, or one fabric
-// switch. Build with LinkTarget, ToRTarget, SwitchTarget or
-// TierSwitchTarget.
-type Target struct {
-	Kind TargetKind
-	// Link is the cable coordinate when Kind == TargetLink.
-	Link LinkID
-	// Tier qualifies switch targets on multi-tier fabrics (0 = the
-	// fabric's default switch plane).
-	Tier int
-	// ID is the rack (TargetToR) or switch (TargetSwitch) index.
-	ID int
-}
-
-// LinkTarget targets one physical cable.
-func LinkTarget(l LinkID) Target { return Target{Kind: TargetLink, Link: l} }
 
 // ToRTarget targets a whole top-of-rack switch.
 func ToRTarget(rack int) Target { return Target{Kind: TargetToR, ID: rack} }
@@ -119,11 +92,14 @@ func TierSwitchTarget(tier, sw int) Target {
 	return Target{Kind: TargetSwitch, Tier: tier, ID: sw}
 }
 
-// String renders the target.
+// String renders the target; a tier-0 link prints in the flat form.
 func (t Target) String() string {
 	switch t.Kind {
 	case TargetLink:
-		return t.Link.String()
+		if t.Tier == 0 {
+			return fmt.Sprintf("link(rack=%d,up=%d)", t.Switch, t.Port)
+		}
+		return fmt.Sprintf("link(tier=%d,sw=%d,port=%d)", t.Tier, t.Switch, t.Port)
 	case TargetToR:
 		return fmt.Sprintf("tor(%d)", t.ID)
 	case TargetSwitch:
@@ -132,42 +108,30 @@ func (t Target) String() string {
 		}
 		return fmt.Sprintf("switch(tier=%d,%d)", t.Tier, t.ID)
 	}
-	return fmt.Sprintf("target(kind=%d)", t.Kind)
+	return fmt.Sprintf("target(kind=%q)", t.Kind)
 }
 
-// FaultKind discriminates fault descriptors.
-type FaultKind uint8
+// FaultKind discriminates fault descriptors. The empty kind is a clean
+// cut, stored as FaultDown once injected.
+type FaultKind string
 
 const (
 	// FaultDown is a clean cut: the target goes dark until recovered.
-	FaultDown FaultKind = iota
+	FaultDown FaultKind = "down"
 	// FaultLossy is a gray failure: the link stays up but drops each
 	// transmitted packet independently with probability Rate.
-	FaultLossy
+	FaultLossy FaultKind = "lossy"
 	// FaultDegraded is a gray failure: the link stays up but serializes
 	// at RateFraction of its nominal rate.
-	FaultDegraded
+	FaultDegraded FaultKind = "degraded"
 	// FaultFlapping cycles the target down for Down, up for Up,
 	// repeating until recovered.
-	FaultFlapping
+	FaultFlapping FaultKind = "flapping"
 )
 
-func (k FaultKind) String() string {
-	switch k {
-	case FaultDown:
-		return "down"
-	case FaultLossy:
-		return "lossy"
-	case FaultDegraded:
-		return "degraded"
-	case FaultFlapping:
-		return "flapping"
-	}
-	return fmt.Sprintf("FaultKind(%d)", uint8(k))
-}
-
-// Fault describes what goes wrong at a target. Build with DownFault,
-// LossyFault, DegradedFault or FlappingFault.
+// Fault describes what goes wrong at a target, as plain data like Target.
+// Build with DownFault, LossyFault, DegradedFault or FlappingFault, or as
+// a literal (the zero value is a clean cut).
 type Fault struct {
 	Kind FaultKind
 	// Rate is the per-packet drop probability of a lossy link, in (0,1].
@@ -202,6 +166,8 @@ func FlappingFault(up, down eventsim.Time) Fault {
 // String renders the descriptor.
 func (f Fault) String() string {
 	switch f.Kind {
+	case "":
+		return string(FaultDown)
 	case FaultLossy:
 		return fmt.Sprintf("lossy(%g)", f.Rate)
 	case FaultDegraded:
@@ -209,13 +175,13 @@ func (f Fault) String() string {
 	case FaultFlapping:
 		return fmt.Sprintf("flapping(up=%v,down=%v)", f.Up, f.Down)
 	}
-	return f.Kind.String()
+	return string(f.Kind)
 }
 
-// Validate checks the descriptor's parameters.
+// Validate checks the descriptor's kind and parameters.
 func (f Fault) Validate() error {
 	switch f.Kind {
-	case FaultDown:
+	case "", FaultDown:
 		return nil
 	case FaultLossy:
 		if !(f.Rate > 0 && f.Rate <= 1) { // also rejects NaN
@@ -233,7 +199,7 @@ func (f Fault) Validate() error {
 		}
 		return nil
 	}
-	return fmt.Errorf("sim: unknown fault kind %d", f.Kind)
+	return fmt.Errorf("sim: unknown fault kind %q (want down, lossy, degraded or flapping)", f.Kind)
 }
 
 // ErrUnsupportedTarget marks a target kind a fabric cannot express (the
@@ -264,7 +230,7 @@ type faultMap struct {
 // linkPlane is one tier of cable coordinates: Switch ∈ [0,n) is the rack
 // or switch whose uplink the cable is, Port ∈ [0,ports) the uplink.
 type linkPlane struct {
-	tier     int  // the LinkID.Tier naming the plane
+	tier     int  // the Target.Tier naming the plane
 	flat     bool // Tier 0 names it too (the Clos's ToR-uplink tier)
 	n, ports int
 	swName   string // "rack", "agg", … for error text
@@ -282,8 +248,8 @@ type switchPlane struct {
 
 // cable is one physical cable.
 type cable struct {
-	id    LinkID   // canonical name
-	alias LinkID   // its name from the other end (expander); equal to id when it has one name
+	id    Target   // canonical name
+	alias Target   // its name from the other end (expander); zero when it has one name
 	ends  [2]int32 // end nodes
 	// ports transmit onto the cable: ports[0] from the id end, ports[1]
 	// back (nil on rotor fabrics, whose far end is an optical switch).
@@ -319,14 +285,19 @@ type Faults struct {
 	// whether the cable there and both its end nodes are up.
 	usable []bool
 
-	// flapGen cancels flap cycles: each new down, flap or recovery on a
-	// target bumps its generation at its scheduled time, and a flap
+	// Per element: every cable in cable order, then every node (ToRs, then
+	// each switch plane in tier order) — the canonical coordinate order.
+	// Both are allocated when the first fault is scheduled.
+	//
+	// flapGen cancels flap cycles: each new down, flap or recovery on an
+	// element bumps its generation at its scheduled time, and a flap
 	// transition whose generation is stale stops rescheduling.
-	flapGen map[Target]uint64
-	// active is the fault currently applied to each (canonical) target,
-	// maintained at fire time — latest fault wins, Recover deletes — so it
-	// reflects what the fabric sees, not what has merely been scheduled.
-	active map[Target]Fault
+	flapGen []uint64
+	// active is the fault currently applied to each element, under its
+	// canonical target, maintained at fire time — latest fault wins,
+	// Recover zeroes it — so it reflects what the fabric sees, not what has
+	// merely been scheduled.
+	active []ActiveFault
 
 	strandedProbe func() int64
 
@@ -338,8 +309,7 @@ type Faults struct {
 }
 
 func newFaults(eng *eventsim.Engine, seed int64, m faultMap) *Faults {
-	f := &Faults{eng: eng, seed: seed, m: m, ports: m.links[0].ports,
-		flapGen: make(map[Target]uint64), active: make(map[Target]Fault)}
+	f := &Faults{eng: eng, seed: seed, m: m, ports: m.links[0].ports}
 	slots := 0
 	for i := range m.links {
 		m.links[i].base = slots
@@ -362,7 +332,7 @@ func newFaults(eng *eventsim.Engine, seed int64, m faultMap) *Faults {
 		c := &m.cables[ci]
 		c.slots = [2]int32{f.linkPlane(c.id.Tier).slot(c.id), -1}
 		f.slotCable[c.slots[0]] = int32(ci)
-		if c.alias != c.id {
+		if c.alias.Kind != "" {
 			c.slots[1] = f.linkPlane(c.alias.Tier).slot(c.alias)
 			f.slotCable[c.slots[1]] = int32(ci)
 		}
@@ -384,18 +354,18 @@ func (f *Faults) linkPlane(tier int) *linkPlane {
 }
 
 // slot maps an in-range coordinate on the plane to its usable-table slot.
-func (p *linkPlane) slot(l LinkID) int32 { return int32(p.base + l.Switch*p.ports + l.Port) }
+func (p *linkPlane) slot(l Target) int32 { return int32(p.base + l.Switch*p.ports + l.Port) }
 
 // LinkUp reports whether the flat-plane cable at {rack, uplink} is usable:
 // the cable intact and both its end nodes up.
 func (f *Faults) LinkUp(rack, uplink int) bool { return f.usable[rack*f.ports+uplink] }
 
-// Links enumerates the fabric's physical cables, one canonical LinkID
+// Links enumerates the fabric's physical cables, one canonical link Target
 // each, in deterministic order — the sampling space for random-failure
 // sweeps. (The expander's {rack, slot} space names every cable from both
 // ends; sampling it raw would fail twice the requested fraction.)
-func (f *Faults) Links() []LinkID {
-	out := make([]LinkID, len(f.m.cables))
+func (f *Faults) Links() []Target {
+	out := make([]Target, len(f.m.cables))
 	for i := range f.m.cables {
 		out[i] = f.m.cables[i].id
 	}
@@ -406,16 +376,15 @@ func (f *Faults) Links() []LinkID {
 // touches.
 type resolved struct {
 	t     Target   // canonical form; a link target names its cable by cable.id
-	cable int32    // link targets: the cable, else -1
-	node  int32    // ToR and switch targets: the node, else -1
-	link  LinkID   // link targets: the coordinate as written, on its plane's own tier
+	elem  int32    // the cable, or len(cables) + the node
+	link  Target   // link targets: the coordinate as written, on its plane's own tier
 	ports [2]*Port // link targets: the cable's ports, the written end's first
 }
 
 // resolve validates a target against the coordinate map without mutating
 // anything.
 func (f *Faults) resolve(t Target) (resolved, error) {
-	r := resolved{cable: -1, node: -1}
+	var r resolved
 	inRange := func(what string, v, n int) error {
 		if v < 0 || v >= n {
 			return fmt.Errorf("sim: %v: %s %d out of range [0,%d)", t, what, v, n)
@@ -424,30 +393,29 @@ func (f *Faults) resolve(t Target) (resolved, error) {
 	}
 	switch t.Kind {
 	case TargetLink:
-		l := t.Link
-		p := f.linkPlane(l.Tier)
+		p := f.linkPlane(t.Tier)
 		if p == nil {
-			return r, fmt.Errorf("sim: %v: %s has no cable tier %d", t, f.m.fabric, l.Tier)
+			return r, fmt.Errorf("sim: %v: %s has no cable tier %d", t, f.m.fabric, t.Tier)
 		}
-		if err := inRange(p.swName, l.Switch, p.n); err != nil {
+		if err := inRange(p.swName, t.Switch, p.n); err != nil {
 			return r, err
 		}
-		if err := inRange(p.portName, l.Port, p.ports); err != nil {
+		if err := inRange(p.portName, t.Port, p.ports); err != nil {
 			return r, err
 		}
-		l.Tier = p.tier
-		s := p.slot(l)
-		c := &f.m.cables[f.slotCable[s]]
-		r.cable, r.link, r.ports = f.slotCable[s], l, c.ports
+		r.link = Target{Kind: TargetLink, Tier: p.tier, Switch: t.Switch, Port: t.Port}
+		s := p.slot(r.link)
+		r.elem = f.slotCable[s]
+		c := &f.m.cables[r.elem]
+		r.t, r.ports = c.id, c.ports
 		if s == c.slots[1] {
 			r.ports[0], r.ports[1] = c.ports[1], c.ports[0]
 		}
-		r.t = LinkTarget(c.id)
 	case TargetToR:
 		if err := inRange("rack", t.ID, f.m.tors); err != nil {
 			return r, err
 		}
-		r.node, r.t = int32(t.ID), ToRTarget(t.ID)
+		r.elem, r.t = int32(len(f.cut)+t.ID), ToRTarget(t.ID)
 	case TargetSwitch:
 		var p *switchPlane
 		var have []string
@@ -468,7 +436,7 @@ func (f *Faults) resolve(t Target) (resolved, error) {
 		if err := inRange(p.name, t.ID, p.n); err != nil {
 			return r, err
 		}
-		r.node, r.t = int32(p.base+t.ID), TierSwitchTarget(t.Tier, t.ID)
+		r.elem, r.t = int32(len(f.cut)+p.base+t.ID), TierSwitchTarget(t.Tier, t.ID)
 	default:
 		return r, fmt.Errorf("sim: %v: unknown target kind", t)
 	}
@@ -479,12 +447,12 @@ func (f *Faults) resolve(t Target) (resolved, error) {
 // cables it governs, and hands the change to the fabric's reaction rule.
 func (f *Faults) setDown(r *resolved, down bool) {
 	var touched []int32
-	if r.cable >= 0 {
-		f.cut[r.cable] = down
-		touched = []int32{r.cable}
+	if node := int(r.elem) - len(f.cut); node < 0 {
+		f.cut[r.elem] = down
+		touched = []int32{r.elem}
 	} else {
-		f.nodeDown[r.node] = down
-		touched = f.incident[r.node]
+		f.nodeDown[node] = down
+		touched = f.incident[node]
 	}
 	for _, ci := range touched {
 		c := &f.m.cables[ci]
@@ -525,7 +493,7 @@ func (f *Faults) lose(p *Packet) {
 // written, with end 0 the written end, so a two-named cable draws a
 // different loss stream under each name — by design: renaming the key
 // would silently change every recorded lossy run.
-func (f *Faults) linkSeed(l LinkID, end int) int64 {
+func (f *Faults) linkSeed(l Target, end int) int64 {
 	const grayFaultSalt = int64(-0x61c8864680b583eb) // 0x9e3779b97f4a7c15
 	z := f.seed ^ grayFaultSalt
 	z ^= int64(l.Tier)<<48 ^ int64(l.Switch)<<24 ^ int64(l.Port)<<8 ^ int64(end)
@@ -577,29 +545,29 @@ func (op *faultOp) OnEvent(any) {
 				pt.SetRateDerating(op.fault.RateFraction)
 			}
 		}
-		f.active[op.t] = op.fault
+		f.active[op.elem] = ActiveFault{op.t, op.fault}
 	case opDown:
-		f.flapGen[op.t]++ // an explicit cut overrides an active flap
+		f.flapGen[op.elem]++ // an explicit cut overrides an active flap
 		f.setDown(&op.resolved, true)
-		f.active[op.t] = op.fault
+		f.active[op.elem] = ActiveFault{op.t, op.fault}
 	case opFlapStart:
 		// The generation is claimed at fire time, not at Inject time, so
 		// an earlier-scheduled fault on the same target stays overridden.
-		f.flapGen[op.t]++
-		op.kind, op.gen, op.down = opFlapStep, f.flapGen[op.t], true
-		f.active[op.t] = op.fault
+		f.flapGen[op.elem]++
+		op.kind, op.gen, op.down = opFlapStep, f.flapGen[op.elem], true
+		f.active[op.elem] = ActiveFault{op.t, op.fault}
 		op.flapStep()
 	case opFlapStep:
 		op.flapStep()
 	case opRecover:
-		f.flapGen[op.t]++
+		f.flapGen[op.elem]++
 		for _, pt := range op.ports {
 			if pt != nil {
 				pt.ClearImpairments()
 			}
 		}
 		f.setDown(&op.resolved, false)
-		delete(f.active, op.t)
+		f.active[op.elem] = ActiveFault{}
 	}
 }
 
@@ -608,7 +576,7 @@ func (op *faultOp) OnEvent(any) {
 // cycle without touching the fabric.
 func (op *faultOp) flapStep() {
 	f := op.f
-	if f.flapGen[op.t] != op.gen {
+	if f.flapGen[op.elem] != op.gen {
 		return
 	}
 	f.setDown(&op.resolved, op.down)
@@ -634,6 +602,8 @@ func (f *Faults) Inject(t Target, fault Fault, at eventsim.Time) error {
 	}
 	kind := opDown
 	switch fault.Kind {
+	case "":
+		fault.Kind = FaultDown
 	case FaultLossy, FaultDegraded:
 		kind = opGray
 	case FaultFlapping:
@@ -642,7 +612,7 @@ func (f *Faults) Inject(t Target, fault Fault, at eventsim.Time) error {
 	if kind != opDown && t.Kind != TargetLink {
 		return fmt.Errorf("sim: %v fault applies to links, not %v targets", fault.Kind, t.Kind)
 	}
-	f.eng.AtCall(at, &faultOp{resolved: r, f: f, kind: kind, fault: fault}, nil)
+	f.schedule(at, &faultOp{resolved: r, f: f, kind: kind, fault: fault})
 	return nil
 }
 
@@ -656,8 +626,18 @@ func (f *Faults) Recover(t Target, at eventsim.Time) error {
 	if err != nil {
 		return err
 	}
-	f.eng.AtCall(at, &faultOp{resolved: r, f: f, kind: opRecover}, nil)
+	f.schedule(at, &faultOp{resolved: r, f: f, kind: opRecover})
 	return nil
+}
+
+// schedule queues a validated transition, sizing the per-element state
+// the first time: a fault-free fabric never allocates it.
+func (f *Faults) schedule(at eventsim.Time, op *faultOp) {
+	if f.active == nil {
+		n := len(f.cut) + len(f.nodeDown)
+		f.flapGen, f.active = make([]uint64, n), make([]ActiveFault, n)
+	}
+	f.eng.AtCall(at, op, nil)
 }
 
 // SetStrandedProbe wires StrandedBytes to a live transport-layer probe.
@@ -684,44 +664,21 @@ type ActiveFault struct {
 	Fault  Fault
 }
 
-// ActiveFaults returns the faults currently applied to the fabric, in a
-// deterministic coordinate order (kind, tier, ID, link coordinates), each
-// under its target's canonical name. A fault is listed from the virtual
-// time its injection fires until its recovery fires; per target the
-// latest-applied fault wins, exactly mirroring the fabric's state. A
-// flapping target is listed for the whole cycle, through both phases.
+// ActiveFaults returns the faults currently applied to the fabric, in the
+// canonical coordinate order — links, then ToRs, then switches; within a
+// kind by (tier, ID, switch, port) — each under its target's canonical
+// name. A fault is listed from the virtual time its injection fires until
+// its recovery fires; per target the latest-applied fault wins, exactly
+// mirroring the fabric's state. A flapping target is listed for the whole
+// cycle, through both phases.
 func (f *Faults) ActiveFaults() []ActiveFault {
-	if len(f.active) == 0 {
-		return nil
+	var out []ActiveFault
+	for _, a := range f.active {
+		if a.Fault.Kind != "" {
+			out = append(out, a)
+		}
 	}
-	out := make([]ActiveFault, 0, len(f.active))
-	//operalint:allow maporder -- sorted into canonical coordinate order below
-	for t, fault := range f.active {
-		out = append(out, ActiveFault{Target: t, Fault: fault})
-	}
-	sort.Slice(out, func(i, j int) bool { return targetLess(out[i].Target, out[j].Target) })
 	return out
-}
-
-// targetLess orders targets by (kind, tier, ID, link tier, link switch,
-// link port) — the canonical coordinate order of fault-state listings.
-func targetLess(a, b Target) bool {
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	if a.Tier != b.Tier {
-		return a.Tier < b.Tier
-	}
-	if a.ID != b.ID {
-		return a.ID < b.ID
-	}
-	if a.Link.Tier != b.Link.Tier {
-		return a.Link.Tier < b.Link.Tier
-	}
-	if a.Link.Switch != b.Link.Switch {
-		return a.Link.Switch < b.Link.Switch
-	}
-	return a.Link.Port < b.Link.Port
 }
 
 // grayRand builds the deterministic generator behind a lossy port. Kept

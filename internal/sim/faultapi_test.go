@@ -69,7 +69,9 @@ func TestClosDefaultSwitchPlaneUnsupported(t *testing.T) {
 // wrong-tier coordinates and an absent switch plane are synchronous errors
 // that schedule nothing.
 func TestLinksUniverses(t *testing.T) {
-	tier := func(tier, sw, port int) sim.LinkID { return sim.LinkID{Tier: tier, Switch: sw, Port: port} }
+	tier := func(tier, sw, port int) sim.Target {
+		return sim.Target{Kind: sim.TargetLink, Tier: tier, Switch: sw, Port: port}
+	}
 	small := []opera.Option{opera.WithRacks(8), opera.WithHostsPerRack(2), opera.WithUplinks(4), opera.WithSeed(1)}
 	cases := []struct {
 		kind   opera.Kind
@@ -77,34 +79,34 @@ func TestLinksUniverses(t *testing.T) {
 		cables int
 		// Links()[orderAt] == orderID pins the enumeration order (0 = unchecked).
 		orderAt int
-		orderID sim.LinkID
+		orderID sim.Target
 		// alias → canonical name of one two-named cable (zero = none).
-		alias, canonical sim.LinkID
+		alias, canonical sim.Target
 		bad              []sim.Target // plain errors
 		unsupported      []sim.Target // errors.Is ErrUnsupportedTarget
 	}{
 		{kind: opera.KindOpera, cables: 16 * 4,
 			orderAt: 5, orderID: sim.FlatLink(1, 1), // rack-major
-			bad: []sim.Target{link(16, 0), link(-1, 0), link(0, 4), sim.LinkTarget(tier(1, 0, 0)),
+			bad: []sim.Target{sim.FlatLink(16, 0), sim.FlatLink(-1, 0), sim.FlatLink(0, 4), tier(1, 0, 0),
 				sim.ToRTarget(16), sim.SwitchTarget(4)},
 			unsupported: []sim.Target{sim.TierSwitchTarget(sim.ClosTierAgg, 0)}},
 		{kind: opera.KindExpander, opts: []opera.Option{opera.WithUplinks(5)}, cables: 16 * 5 / 2,
-			bad:         []sim.Target{link(16, 0), link(0, 5), link(0, -1), sim.LinkTarget(tier(1, 0, 0)), sim.ToRTarget(-1)},
+			bad:         []sim.Target{sim.FlatLink(16, 0), sim.FlatLink(0, 5), sim.FlatLink(0, -1), tier(1, 0, 0), sim.ToRTarget(-1)},
 			unsupported: []sim.Target{sim.SwitchTarget(0), sim.TierSwitchTarget(sim.ClosTierAgg, 0)}},
 		{kind: opera.KindRotorNet, opts: small, cables: 8 * 4,
-			bad:         []sim.Target{link(8, 0), link(0, 4), sim.LinkTarget(tier(2, 0, 0)), sim.ToRTarget(8), sim.SwitchTarget(-1)},
+			bad:         []sim.Target{sim.FlatLink(8, 0), sim.FlatLink(0, 4), tier(2, 0, 0), sim.ToRTarget(8), sim.SwitchTarget(-1)},
 			unsupported: []sim.Target{sim.TierSwitchTarget(sim.ClosTierCore, 0)}},
 		// The hybrid's packet uplink is not a fault coordinate: 3 rotor
 		// switches per rack remain.
 		{kind: opera.KindRotorNetHybrid, opts: small, cables: 8 * 3,
-			bad:         []sim.Target{link(0, 3), sim.SwitchTarget(3)},
+			bad:         []sim.Target{sim.FlatLink(0, 3), sim.SwitchTarget(3)},
 			unsupported: []sim.Target{sim.TierSwitchTarget(1, 0)}},
 		// k=8, F=3: 32 ToRs × 2 uplinks on tier 1, 16 aggs × 4 on tier 2, 8 cores.
 		{kind: opera.KindFoldedClos, cables: 32*2 + 16*4,
 			orderAt: 32 * 2, orderID: tier(sim.ClosTierAgg, 0, 0), // tier 1 first, then tier 2
 			alias: sim.FlatLink(2, 1), canonical: tier(sim.ClosTierToR, 2, 1),
-			bad: []sim.Target{link(32, 0), link(0, 2), sim.LinkTarget(tier(sim.ClosTierAgg, 16, 0)),
-				sim.LinkTarget(tier(sim.ClosTierAgg, 0, 4)), sim.LinkTarget(tier(sim.ClosTierCore, 0, 0)),
+			bad: []sim.Target{sim.FlatLink(32, 0), sim.FlatLink(0, 2), tier(sim.ClosTierAgg, 16, 0),
+				tier(sim.ClosTierAgg, 0, 4), tier(sim.ClosTierCore, 0, 0),
 				sim.ToRTarget(32), sim.TierSwitchTarget(sim.ClosTierAgg, 16), sim.TierSwitchTarget(sim.ClosTierCore, 8)},
 			unsupported: []sim.Target{sim.SwitchTarget(0), sim.TierSwitchTarget(sim.ClosTierToR, 0)}},
 	}
@@ -148,13 +150,13 @@ func TestLinksUniverses(t *testing.T) {
 			}
 
 			if tc.alias != tc.canonical {
-				mustOK(t, inj.Inject(sim.LinkTarget(tc.alias), sim.DownFault(), eng.Now()+eventsim.Microsecond))
+				mustOK(t, inj.Inject(tc.alias, sim.DownFault(), eng.Now()+eventsim.Microsecond))
 				cl.Run(eng.Now() + 2*eventsim.Microsecond)
-				want := []sim.ActiveFault{{Target: sim.LinkTarget(tc.canonical), Fault: sim.DownFault()}}
+				want := []sim.ActiveFault{{Target: tc.canonical, Fault: sim.DownFault()}}
 				if got := inj.ActiveFaults(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("fault on alias %v listed as %v, want %v", tc.alias, got, want)
 				}
-				mustOK(t, inj.Recover(sim.LinkTarget(tc.canonical), eng.Now()+eventsim.Microsecond))
+				mustOK(t, inj.Recover(tc.canonical, eng.Now()+eventsim.Microsecond))
 				cl.Run(eng.Now() + 2*eventsim.Microsecond)
 				if got := inj.ActiveFaults(); got != nil {
 					t.Fatalf("recovery under the canonical name left %v", got)
@@ -168,14 +170,14 @@ func TestLinksUniverses(t *testing.T) {
 			if tc.orderAt > 0 && links[tc.orderAt] != tc.orderID {
 				t.Fatalf("links[%d] = %v, want %v", tc.orderAt, links[tc.orderAt], tc.orderID)
 			}
-			seen := map[sim.LinkID]bool{}
+			seen := map[sim.Target]bool{}
 			for _, l := range links {
 				if seen[l] {
 					t.Fatalf("duplicate canonical link %v", l)
 				}
 				seen[l] = true
-				mustOK(t, inj.Inject(sim.LinkTarget(l), sim.DownFault(), eventsim.Millisecond))
-				mustOK(t, inj.Recover(sim.LinkTarget(l), 2*eventsim.Millisecond))
+				mustOK(t, inj.Inject(l, sim.DownFault(), eventsim.Millisecond))
+				mustOK(t, inj.Recover(l, 2*eventsim.Millisecond))
 			}
 			if seen[tc.alias] && tc.alias != tc.canonical {
 				t.Fatalf("alias %v enumerated beside its canonical name", tc.alias)
@@ -239,10 +241,10 @@ func TestInjectValidation(t *testing.T) {
 		name string
 		err  error
 	}{
-		{"bad-lossy-rate", fs.Inject(sim.LinkTarget(sim.FlatLink(0, 0)), sim.LossyFault(1.5), 0)},
-		{"bad-degraded-frac", fs.Inject(sim.LinkTarget(sim.FlatLink(0, 0)), sim.DegradedFault(1.0), 0)},
-		{"bad-flap-phase", fs.Inject(sim.LinkTarget(sim.FlatLink(0, 0)), sim.FlappingFault(0, eventsim.Millisecond), 0)},
-		{"negative-time", fs.Inject(sim.LinkTarget(sim.FlatLink(0, 0)), sim.DownFault(), -1)},
+		{"bad-lossy-rate", fs.Inject(sim.FlatLink(0, 0), sim.LossyFault(1.5), 0)},
+		{"bad-degraded-frac", fs.Inject(sim.FlatLink(0, 0), sim.DegradedFault(1.0), 0)},
+		{"bad-flap-phase", fs.Inject(sim.FlatLink(0, 0), sim.FlappingFault(0, eventsim.Millisecond), 0)},
+		{"negative-time", fs.Inject(sim.FlatLink(0, 0), sim.DownFault(), -1)},
 		{"gray-on-tor", fs.Inject(sim.ToRTarget(0), sim.LossyFault(0.1), 0)},
 		{"gray-on-switch", fs.Inject(sim.SwitchTarget(0), sim.DegradedFault(0.5), 0)},
 	}
@@ -259,10 +261,10 @@ func TestInjectValidation(t *testing.T) {
 func TestClosFlatCoordinateNormalization(t *testing.T) {
 	cl := newCluster(t, opera.KindFoldedClos)
 	inj := cl.Faults()
-	if err := inj.Inject(sim.LinkTarget(sim.FlatLink(2, 1)), sim.DownFault(), eventsim.Microsecond); err != nil {
+	if err := inj.Inject(sim.FlatLink(2, 1), sim.DownFault(), eventsim.Microsecond); err != nil {
 		t.Fatal(err)
 	}
-	explicit := sim.LinkTarget(sim.LinkID{Tier: sim.ClosTierToR, Switch: 2, Port: 1})
+	explicit := sim.Target{Kind: sim.TargetLink, Tier: sim.ClosTierToR, Switch: 2, Port: 1}
 	if err := inj.Recover(explicit, 2*eventsim.Microsecond); err != nil {
 		t.Fatal(err)
 	}

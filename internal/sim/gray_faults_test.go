@@ -28,7 +28,7 @@ func txPackets(pt *sim.Port) uint64 {
 // impaired port is counted lost — LinkLoss == Tx, no slack.
 func TestLossyLinkExactLossAccounting(t *testing.T) {
 	cl, fs := failureTestbed(t)
-	mustOK(t, fs.Inject(sim.LinkTarget(sim.FlatLink(2, 1)), sim.LossyFault(1.0), 0))
+	mustOK(t, fs.Inject(sim.FlatLink(2, 1), sim.LossyFault(1.0), 0))
 	cl.AddSource(workload.FromSpecs(workload.Shuffle(16, 25_000, eventsim.Millisecond, 1)))
 	cl.Run(5 * eventsim.Millisecond)
 	pt := cl.OperaNet().ToR(2).Uplink(1)
@@ -47,7 +47,7 @@ func TestLossyLinkExactLossAccounting(t *testing.T) {
 func TestLossyLinkStatisticalBoundAndDeterminism(t *testing.T) {
 	run := func() (tx, lost uint64) {
 		cl, fs := failureTestbed(t)
-		mustOK(t, fs.Inject(sim.LinkTarget(sim.FlatLink(2, 1)), sim.LossyFault(0.5), 0))
+		mustOK(t, fs.Inject(sim.FlatLink(2, 1), sim.LossyFault(0.5), 0))
 		cl.AddSource(workload.FromSpecs(workload.Shuffle(16, 25_000, eventsim.Millisecond, 1)))
 		cl.Run(5 * eventsim.Millisecond)
 		pt := cl.OperaNet().ToR(2).Uplink(1)
@@ -76,7 +76,7 @@ func TestDegradedLinkFaultSlowsButDelivers(t *testing.T) {
 		cl, fs := failureTestbed(t)
 		if derate {
 			for sw := 0; sw < 4; sw++ {
-				mustOK(t, fs.Inject(sim.LinkTarget(sim.FlatLink(0, sw)), sim.DegradedFault(0.25), 0))
+				mustOK(t, fs.Inject(sim.FlatLink(0, sw), sim.DegradedFault(0.25), 0))
 			}
 		}
 		d := cl.HostsPerRack()
@@ -113,7 +113,7 @@ func TestFlappingLinkCycleAndRecovery(t *testing.T) {
 	cases := []struct {
 		name             string
 		testbed          func(*testing.T) (*opera.Cluster, *sim.Faults)
-		inject, recovery sim.LinkID
+		inject, recovery sim.Target
 	}{
 		{"opera", failureTestbed, sim.FlatLink(4, 2), sim.FlatLink(4, 2)},
 		{"expander-other-end", expanderTestbed, sim.FlatLink(2, 0), sim.FlatLink(1, 3)},
@@ -128,7 +128,7 @@ func TestFlappingLinkCycleAndRecovery(t *testing.T) {
 				}
 			}
 			rack, up := tc.inject.Switch, tc.inject.Port
-			mustOK(t, fs.Inject(sim.LinkTarget(tc.inject), sim.FlappingFault(eventsim.Millisecond, eventsim.Millisecond), 0))
+			mustOK(t, fs.Inject(tc.inject, sim.FlappingFault(eventsim.Millisecond, eventsim.Millisecond), 0))
 			// Cycle: down at 0, up at 1 ms, down at 2 ms, …
 			steps := []struct {
 				at eventsim.Time
@@ -144,7 +144,7 @@ func TestFlappingLinkCycleAndRecovery(t *testing.T) {
 					t.Fatalf("at %v: LinkUp = %v, want %v", s.at, got, s.up)
 				}
 			}
-			mustOK(t, fs.Recover(sim.LinkTarget(tc.recovery), 3200*eventsim.Microsecond))
+			mustOK(t, fs.Recover(tc.recovery, 3200*eventsim.Microsecond))
 			// Both instants fall in down phases of the uncancelled cycle.
 			for _, at := range []eventsim.Time{4500 * eventsim.Microsecond, 6500 * eventsim.Microsecond} {
 				cl.Run(at)
@@ -163,9 +163,9 @@ func TestFlappingLinkCycleAndRecovery(t *testing.T) {
 // folded Clos takes a lossy tier-2 cable and a flapping tier-1 cable.
 func TestClosGrayFaultsApply(t *testing.T) {
 	cl, cf := closTestbed(t)
-	mustOK(t, cf.Inject(sim.LinkTarget(sim.LinkID{Tier: sim.ClosTierAgg, Switch: 0, Port: 0}),
+	mustOK(t, cf.Inject(sim.Target{Kind: sim.TargetLink, Tier: sim.ClosTierAgg, Switch: 0, Port: 0},
 		sim.LossyFault(1.0), 0))
-	mustOK(t, cf.Inject(sim.LinkTarget(sim.FlatLink(0, 1)),
+	mustOK(t, cf.Inject(sim.FlatLink(0, 1),
 		sim.FlappingFault(500*eventsim.Microsecond, 500*eventsim.Microsecond), 0))
 	crossPodFlows(cl, 30_000, 13)
 	if !cl.RunUntilDone(3000 * eventsim.Millisecond) {

@@ -63,7 +63,7 @@ func TestRecoverySlicesBuiltOnDemand(t *testing.T) {
 	const k = 3
 	d := n.SliceDuration()
 	failAt := 2*d + d/2
-	target := LinkTarget(FlatLink(5, 1))
+	target := FlatLink(5, 1)
 	if err := n.faults.Inject(target, DownFault(), failAt); err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +97,14 @@ func TestRecoveryMatchesEagerBuild(t *testing.T) {
 		target Target
 		down   bool
 	}{
-		{LinkTarget(FlatLink(3, 2)), true},
-		{LinkTarget(FlatLink(9, 0)), true},
+		{FlatLink(3, 2), true},
+		{FlatLink(9, 0), true},
 		{ToRTarget(6), true},
-		{LinkTarget(FlatLink(3, 2)), false},
+		{FlatLink(3, 2), false},
 		{SwitchTarget(1), true},
 		{ToRTarget(6), false},
 		{SwitchTarget(1), false},
-		{LinkTarget(FlatLink(9, 0)), false},
+		{FlatLink(9, 0), false},
 	}
 	for i, ev := range events {
 		at := eventsim.Time(i+1) * (2*d + d/3)
@@ -154,7 +154,7 @@ func TestAllocsFaultEpoch(t *testing.T) {
 	eng, n := recoveryTestbed(t, 108, 6, false)
 	const rack = 5
 	d := n.SliceDuration()
-	if err := n.faults.Inject(LinkTarget(FlatLink(rack, 1)), FlappingFault(2*d, d), d/2); err != nil {
+	if err := n.faults.Inject(FlatLink(rack, 1), FlappingFault(2*d, d), d/2); err != nil {
 		t.Fatal(err)
 	}
 	now := d

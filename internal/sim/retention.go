@@ -47,9 +47,6 @@ func (r RetentionPolicy) Validate() error {
 	return r.opts.Validate()
 }
 
-// SketchOpts returns the sketch configuration (meaningful when Streaming).
-func (r RetentionPolicy) SketchOpts() telemetry.Opts { return r.opts }
-
 // SetRetention installs the retention policy. It must be called before the
 // first flow is registered — switching policies mid-run would split the
 // statistics — and panics otherwise. Under RetainSketch the exact

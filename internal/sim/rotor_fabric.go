@@ -195,8 +195,7 @@ func (f *rotorFabric) faultMap() faultMap {
 	cables := make([]cable, 0, racks*sws)
 	for rack := 0; rack < racks; rack++ {
 		for sw := 0; sw < sws; sw++ {
-			id := FlatLink(rack, sw)
-			cables = append(cables, cable{id: id, alias: id,
+			cables = append(cables, cable{id: FlatLink(rack, sw),
 				ends:  [2]int32{int32(rack), int32(racks + sw)},
 				ports: [2]*Port{f.tors[rack].up[sw]}})
 		}

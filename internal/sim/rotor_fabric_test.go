@@ -70,7 +70,7 @@ func TestUplinkResolveSeesFaultsMidSlice(t *testing.T) {
 	if pt.resolve(d/4) == nil {
 		t.Fatal("healthy circuit resolves to no peer")
 	}
-	if err := f.faults.Inject(LinkTarget(FlatLink(rack, sw)), DownFault(), d/2); err != nil {
+	if err := f.faults.Inject(FlatLink(rack, sw), DownFault(), d/2); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(d / 2)

@@ -56,8 +56,8 @@ func addBulkPairs(cl *opera.Cluster, bytes int64) {
 // no re-offload of stored relay traffic — same model as Opera).
 func TestRotorNetBulkSurvivesLinkFailures(t *testing.T) {
 	cl, rf := rotorTestbed(t, opera.KindRotorNet)
-	cut(t, rf, link(0, 1), 0)
-	cut(t, rf, link(5, 2), 0)
+	cut(t, rf, sim.FlatLink(0, 1), 0)
+	cut(t, rf, sim.FlatLink(5, 2), 0)
 	addBulkPairs(cl, 200_000)
 	if !cl.RunUntilDone(2000 * eventsim.Millisecond) {
 		done, total := cl.Metrics().DoneCount()
@@ -145,7 +145,7 @@ func TestRotorNetStrandedBytesFaultCounter(t *testing.T) {
 func TestRotorNetHybridPacketPathSurvivesRotorFaults(t *testing.T) {
 	cl, rf := rotorTestbed(t, opera.KindRotorNetHybrid)
 	for sw := 0; sw < cl.Network().(*sim.RotorNetSim).Topology().Uplinks(); sw++ {
-		cut(t, rf, link(3, sw), 0)
+		cut(t, rf, sim.FlatLink(3, sw), 0)
 	}
 	cl.AddFlow(workload.FlowSpec{Src: 0, Dst: 6, Bytes: 50_000, Arrival: 10 * eventsim.Microsecond})
 	if !cl.RunUntilDone(500 * eventsim.Millisecond) {
@@ -162,8 +162,8 @@ func TestRotorNetDeadCircuitTakesNACKPath(t *testing.T) {
 	// at the ToR. Recover shortly after so the run completes.
 	rn := cl.Network().(*sim.RotorNetSim)
 	for sw := 0; sw < rn.Topology().Uplinks(); sw++ {
-		cut(t, rf, link(0, sw), 1050*eventsim.Microsecond)
-		heal(t, rf, link(0, sw), 10*eventsim.Millisecond)
+		cut(t, rf, sim.FlatLink(0, sw), 1050*eventsim.Microsecond)
+		heal(t, rf, sim.FlatLink(0, sw), 10*eventsim.Millisecond)
 	}
 	cl.AddBulkFlow(workload.FlowSpec{Src: 0, Dst: 9, Bytes: 2_000_000})
 	if !cl.RunUntilDone(2000 * eventsim.Millisecond) {

@@ -17,6 +17,7 @@ import (
 
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/experiments"
+	"github.com/opera-net/opera/internal/sim"
 	"github.com/opera-net/opera/scenario"
 )
 
@@ -206,8 +207,8 @@ func TestFaultedSweepShardedMatchesLocal(t *testing.T) {
 	g.Events = []scenario.EventSpec{
 		{At: 500 * eventsim.Microsecond, Op: "fail-random-links", Fraction: 0.05},
 		{At: 700 * eventsim.Microsecond,
-			Target: scenario.TargetSpec{Kind: "link", Switch: 2, Port: 1},
-			Fault:  scenario.FaultSpec{Kind: "lossy", Rate: 0.3}},
+			Target: sim.Target{Kind: "link", Switch: 2, Port: 1},
+			Fault:  sim.Fault{Kind: "lossy", Rate: 0.3}},
 	}
 	specs, _, err := g.Expand()
 	if err != nil {

@@ -328,9 +328,9 @@ func (c *Cluster) OperaNet() *sim.OperaNet {
 // virtual time:
 //
 //	inj := cl.Faults()
-//	inj.Inject(sim.LinkTarget(sim.FlatLink(3, 2)), sim.DownFault(), 500*eventsim.Microsecond)
-//	inj.Inject(sim.LinkTarget(sim.FlatLink(4, 0)), sim.LossyFault(0.01), eventsim.Millisecond)
-//	inj.Recover(sim.LinkTarget(sim.FlatLink(3, 2)), 2*eventsim.Millisecond)
+//	inj.Inject(sim.FlatLink(3, 2), sim.DownFault(), 500*eventsim.Microsecond)
+//	inj.Inject(sim.FlatLink(4, 0), sim.LossyFault(0.01), eventsim.Millisecond)
+//	inj.Recover(sim.FlatLink(3, 2), 2*eventsim.Millisecond)
 //
 // Links, ActiveFaults, StrandedBytes and the Lost counter are plain
 // methods and fields of the same value. On circuit fabrics StrandedBytes

@@ -8,7 +8,9 @@ import (
 )
 
 // FuzzParseEvents: the -fail-at grammar never panics, an error never comes
-// with a partial schedule, and every spec of an accepted schedule resolves.
+// with a partial schedule, every spec of an accepted schedule passes the
+// event check, and an accepted schedule survives a JSON round trip
+// unchanged (the sweep's grid files carry it).
 func FuzzParseEvents(f *testing.F) {
 	var all []string
 	for _, row := range eventFormRows {
@@ -28,9 +30,17 @@ func FuzzParseEvents(f *testing.F) {
 			return
 		}
 		for _, es := range specs {
-			if _, err := es.Event(); err != nil {
-				t.Fatalf("%q: accepted, but %+v does not resolve: %v", in, es, err)
+			if err := es.check(); err != nil {
+				t.Fatalf("%q: accepted, but %+v fails the event check: %v", in, es, err)
 			}
+		}
+		data, err := json.Marshal(specs)
+		if err != nil {
+			t.Fatalf("%q: accepted schedule does not marshal: %v", in, err)
+		}
+		var back []EventSpec
+		if err := json.Unmarshal(data, &back); err != nil || !reflect.DeepEqual(back, specs) {
+			t.Fatalf("%q: JSON round trip changed the schedule (%v):\ngot  %+v\nwant %+v", in, err, back, specs)
 		}
 	})
 }

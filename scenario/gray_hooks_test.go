@@ -22,13 +22,13 @@ func graySweep() []scenario.Scenario {
 			Name: "opera-gray",
 			Kind: opera.KindOpera,
 			Seed: 7,
-			Events: []scenario.Event{
-				scenario.At(100*eventsim.Microsecond, scenario.LossyLink(2, 1, 0.3)),
-				scenario.At(200*eventsim.Microsecond, scenario.DegradedLink(5, 0, 0.5)),
-				scenario.At(300*eventsim.Microsecond, scenario.FlappingLink(9, 3, eventsim.Millisecond, eventsim.Millisecond)),
-				scenario.At(400*eventsim.Microsecond, scenario.FailLink(1, 1)),
-				scenario.At(5*eventsim.Millisecond, scenario.RecoverLink(2, 1)),
-				scenario.At(5*eventsim.Millisecond, scenario.RecoverLink(9, 3)),
+			Events: []scenario.EventSpec{
+				{At: 100 * eventsim.Microsecond, Target: sim.FlatLink(2, 1), Fault: sim.LossyFault(0.3)},
+				{At: 200 * eventsim.Microsecond, Target: sim.FlatLink(5, 0), Fault: sim.DegradedFault(0.5)},
+				{At: 300 * eventsim.Microsecond, Target: sim.FlatLink(9, 3), Fault: sim.FlappingFault(eventsim.Millisecond, eventsim.Millisecond)},
+				{At: 400 * eventsim.Microsecond, Target: sim.FlatLink(1, 1)},
+				{At: 5 * eventsim.Millisecond, Op: "recover", Target: sim.FlatLink(2, 1)},
+				{At: 5 * eventsim.Millisecond, Op: "recover", Target: sim.FlatLink(9, 3)},
 			},
 			Sources:  []scenario.Source{scenario.Shuffle(12, 25_000, eventsim.Millisecond)},
 			Duration: 4000 * eventsim.Millisecond,
@@ -37,10 +37,10 @@ func graySweep() []scenario.Scenario {
 			Name: "clos-gray",
 			Kind: opera.KindFoldedClos,
 			Seed: 7,
-			Events: []scenario.Event{
-				scenario.At(100*eventsim.Microsecond, scenario.LossyLink(0, 1, 0.5)),
-				scenario.At(200*eventsim.Microsecond, scenario.FlappingLink(3, 0, 500*eventsim.Microsecond, 500*eventsim.Microsecond)),
-				scenario.At(6*eventsim.Millisecond, scenario.RecoverLink(3, 0)),
+			Events: []scenario.EventSpec{
+				{At: 100 * eventsim.Microsecond, Target: sim.FlatLink(0, 1), Fault: sim.LossyFault(0.5)},
+				{At: 200 * eventsim.Microsecond, Target: sim.FlatLink(3, 0), Fault: sim.FlappingFault(500*eventsim.Microsecond, 500*eventsim.Microsecond)},
+				{At: 6 * eventsim.Millisecond, Op: "recover", Target: sim.FlatLink(3, 0)},
 			},
 			Sources:  []scenario.Source{scenario.Shuffle(12, 25_000, eventsim.Millisecond)},
 			Duration: 4000 * eventsim.Millisecond,
@@ -88,7 +88,7 @@ func TestFlapRecoveryRestoresBaselineFaultFree(t *testing.T) {
 		f.Arrival += 6 * eventsim.Millisecond
 		late = append(late, f)
 	}
-	mk := func(events []scenario.Event) scenario.Scenario {
+	mk := func(events []scenario.EventSpec) scenario.Scenario {
 		return scenario.Scenario{
 			Name: "flap-baseline", Kind: opera.KindOpera, Seed: 1,
 			Sources:  []scenario.Source{scenario.Fixed(late)},
@@ -97,9 +97,9 @@ func TestFlapRecoveryRestoresBaselineFaultFree(t *testing.T) {
 		}
 	}
 	base := scenario.Run(mk(nil))
-	flapped := scenario.Run(mk([]scenario.Event{
-		scenario.At(200*eventsim.Microsecond, scenario.FlappingLink(4, 2, 700*eventsim.Microsecond, 900*eventsim.Microsecond)),
-		scenario.At(5*eventsim.Millisecond, scenario.RecoverLink(4, 2)),
+	flapped := scenario.Run(mk([]scenario.EventSpec{
+		{At: 200 * eventsim.Microsecond, Target: sim.FlatLink(4, 2), Fault: sim.FlappingFault(700*eventsim.Microsecond, 900*eventsim.Microsecond)},
+		{At: 5 * eventsim.Millisecond, Op: "recover", Target: sim.FlatLink(4, 2)},
 	}))
 	if base.Err != "" || flapped.Err != "" {
 		t.Fatalf("errs: base=%q flapped=%q", base.Err, flapped.Err)
@@ -130,10 +130,10 @@ func TestClosFailureFigureScenario(t *testing.T) {
 			Name: "clos-failure-figure",
 			Kind: opera.KindFoldedClos,
 			Seed: 3,
-			Events: []scenario.Event{
-				scenario.At(200*eventsim.Microsecond, scenario.FailRandomLinks(0.04)),
-				scenario.At(400*eventsim.Microsecond, scenario.Inject(sim.TierSwitchTarget(sim.ClosTierAgg, 1), sim.DownFault())),
-				scenario.At(8*eventsim.Millisecond, scenario.Recover(sim.TierSwitchTarget(sim.ClosTierAgg, 1))),
+			Events: []scenario.EventSpec{
+				{At: 200 * eventsim.Microsecond, Op: "fail-random-links", Fraction: 0.04},
+				{At: 400 * eventsim.Microsecond, Target: sim.TierSwitchTarget(sim.ClosTierAgg, 1)},
+				{At: 8 * eventsim.Millisecond, Op: "recover", Target: sim.TierSwitchTarget(sim.ClosTierAgg, 1)},
 			},
 			Sources:  []scenario.Source{scenario.Shuffle(16, 25_000, eventsim.Millisecond)},
 			Duration: 4000 * eventsim.Millisecond,

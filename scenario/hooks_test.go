@@ -29,12 +29,12 @@ func hookSweep() []scenario.Scenario {
 				scenario.TagSource("east", scenario.Shuffle(10, 25_000, eventsim.Millisecond)),
 				scenario.TagSource("west", scenario.BulkSource(scenario.Shuffle(4, 10_000, eventsim.Millisecond))),
 			},
-			Events: []scenario.Event{
-				scenario.At(200*eventsim.Microsecond, scenario.FailLink(3, 2)),
-				scenario.At(500*eventsim.Microsecond, scenario.FailRandomLinks(0.05)),
-				scenario.At(2*eventsim.Millisecond, scenario.RecoverLink(3, 2)),
-				scenario.At(3*eventsim.Millisecond, scenario.FailSwitch(1)),
-				scenario.At(6*eventsim.Millisecond, scenario.RecoverSwitch(1)),
+			Events: []scenario.EventSpec{
+				{At: 200 * eventsim.Microsecond, Target: sim.FlatLink(3, 2)},
+				{At: 500 * eventsim.Microsecond, Op: "fail-random-links", Fraction: 0.05},
+				{At: 2 * eventsim.Millisecond, Op: "recover", Target: sim.FlatLink(3, 2)},
+				{At: 3 * eventsim.Millisecond, Target: sim.SwitchTarget(1)},
+				{At: 6 * eventsim.Millisecond, Op: "recover", Target: sim.SwitchTarget(1)},
 			},
 			Probes: []scenario.Probe{
 				scenario.Sample("done_flows", eventsim.Millisecond,
@@ -202,7 +202,7 @@ func TestFaultScheduleUnsupportedKind(t *testing.T) {
 		Name:     "expander-switch-fault",
 		Kind:     opera.KindExpander,
 		Seed:     1,
-		Events:   []scenario.Event{scenario.At(0, scenario.FailSwitch(0))},
+		Events:   []scenario.EventSpec{{Target: sim.SwitchTarget(0)}},
 		Duration: eventsim.Millisecond,
 	})
 	if res.Err == "" {
@@ -217,7 +217,7 @@ func TestFaultScheduleUnsupportedKind(t *testing.T) {
 		Name:     "clos-faults",
 		Kind:     opera.KindFoldedClos,
 		Seed:     1,
-		Events:   []scenario.Event{scenario.At(0, scenario.FailLink(0, 0))},
+		Events:   []scenario.EventSpec{{Target: sim.FlatLink(0, 0)}},
 		Duration: eventsim.Millisecond,
 	})
 	if res.Err != "" {
@@ -234,10 +234,10 @@ func TestFaultScheduleOnExpander(t *testing.T) {
 			Name: "expander-faults",
 			Kind: opera.KindExpander,
 			Seed: 1,
-			Events: []scenario.Event{
-				scenario.At(300*eventsim.Microsecond, scenario.FailLink(2, 1)),
-				scenario.At(500*eventsim.Microsecond, scenario.FailRandomLinks(0.05)),
-				scenario.At(3*eventsim.Millisecond, scenario.RecoverLink(2, 1)),
+			Events: []scenario.EventSpec{
+				{At: 300 * eventsim.Microsecond, Target: sim.FlatLink(2, 1)},
+				{At: 500 * eventsim.Microsecond, Op: "fail-random-links", Fraction: 0.05},
+				{At: 3 * eventsim.Millisecond, Op: "recover", Target: sim.FlatLink(2, 1)},
 			},
 			Sources:  []scenario.Source{scenario.Shuffle(12, 25_000, eventsim.Millisecond)},
 			Duration: 4000 * eventsim.Millisecond,
@@ -262,7 +262,7 @@ func TestFaultScheduleOnExpander(t *testing.T) {
 	}
 }
 
-// FailRandomLinks on the expander counts physical cables, not endpoint
+// fail-random-links on the expander counts physical cables, not endpoint
 // coordinates: each cable appears twice in (rack, slot) space, so naive
 // endpoint sampling would fail roughly twice the requested fraction.
 func TestFailRandomLinksExpanderCountsCables(t *testing.T) {
@@ -271,7 +271,7 @@ func TestFailRandomLinksExpanderCountsCables(t *testing.T) {
 		Name:     "expander-random",
 		Kind:     opera.KindExpander,
 		Seed:     1,
-		Events:   []scenario.Event{scenario.At(0, scenario.FailRandomLinks(fraction))},
+		Events:   []scenario.EventSpec{{Op: "fail-random-links", Fraction: fraction}},
 		Duration: eventsim.Millisecond,
 	})
 	if res.Err != "" {
@@ -294,17 +294,17 @@ func TestFailRandomLinksExpanderCountsCables(t *testing.T) {
 
 // Out-of-range fault targets are rejected at scheduling time.
 func TestFaultScheduleValidation(t *testing.T) {
-	for _, ev := range []scenario.Event{
-		scenario.At(0, scenario.FailLink(99, 0)),
-		scenario.At(0, scenario.FailLink(0, 99)),
-		scenario.At(0, scenario.FailToR(-1)),
-		scenario.At(-eventsim.Millisecond, scenario.FailSwitch(0)),
-		scenario.At(0, scenario.FailRandomLinks(-0.1)),
-		scenario.At(0, scenario.FailRandomLinks(1.5)),
+	for _, ev := range []scenario.EventSpec{
+		{Target: sim.FlatLink(99, 0)},
+		{Target: sim.FlatLink(0, 99)},
+		{Target: sim.ToRTarget(-1)},
+		{At: -eventsim.Millisecond, Target: sim.SwitchTarget(0)},
+		{Op: "fail-random-links", Fraction: -0.1},
+		{Op: "fail-random-links", Fraction: 1.5},
 	} {
 		res := scenario.Run(scenario.Scenario{
 			Name: "bad", Kind: opera.KindOpera, Seed: 1,
-			Events: []scenario.Event{ev}, Duration: eventsim.Millisecond,
+			Events: []scenario.EventSpec{ev}, Duration: eventsim.Millisecond,
 		})
 		if res.Err == "" {
 			t.Errorf("event %+v: expected validation error", ev)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/sim"
 )
 
 // eventForms is the fault-schedule grammar as a table: each action name
@@ -15,7 +16,10 @@ import (
 // .Port (ints); i: Target.ID (int); f: Fraction; r: Fault.Rate;
 // d: Fault.RateFraction (floats); U, D: Fault.Up, .Down (durations).
 var eventForms = map[string]struct {
-	op, target, fault, args string
+	op     string
+	target sim.TargetKind
+	fault  sim.FaultKind
+	args   string
 }{
 	"link":                {"inject", "link", "down", "sp"},
 	"tor":                 {"inject", "tor", "down", "i"},
@@ -42,7 +46,7 @@ var eventForms = map[string]struct {
 // tier-link:T:S:P, recover-tier-link:T:S:P, tier-switch:T:S and
 // recover-tier-switch:T:S for multi-tier fabrics (folded Clos: tier 1 =
 // ToR uplinks, 2 = agg uplinks/switches, 3 = core switches). Every
-// returned spec resolves (EventSpec.Event succeeds): fault parameters are
+// returned spec passes Spec.Scenario's event check: fault parameters are
 // range-checked here, coordinates by the fabric at run time.
 func ParseEvents(s string) ([]EventSpec, error) {
 	if s == "" {
@@ -66,7 +70,7 @@ func ParseEvents(s string) ([]EventSpec, error) {
 		if len(args) != len(form.args) {
 			return nil, fmt.Errorf("fault %q: action %s wants %d arguments, got %d", item, parts[1], len(form.args), len(args))
 		}
-		es := EventSpec{At: at, Op: form.op, Target: TargetSpec{Kind: form.target}, Fault: FaultSpec{Kind: form.fault}}
+		es := EventSpec{At: at, Op: form.op, Target: sim.Target{Kind: form.target}, Fault: sim.Fault{Kind: form.fault}}
 		for i, field := range form.args {
 			switch a := args[i]; field {
 			case 't':
@@ -92,7 +96,7 @@ func ParseEvents(s string) ([]EventSpec, error) {
 				return nil, fmt.Errorf("fault %q: %v", item, err)
 			}
 		}
-		if _, err := es.Event(); err != nil {
+		if err := es.check(); err != nil {
 			return nil, fmt.Errorf("fault %q: %v", item, err)
 		}
 		out = append(out, es)

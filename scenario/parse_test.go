@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/sim"
 )
 
 // eventFormRows is one row per form of the -fail-at grammar with the exact
@@ -15,29 +16,29 @@ var eventFormRows = func() []struct {
 	want EventSpec
 } {
 	const us, ms = eventsim.Microsecond, eventsim.Millisecond
-	link := func(tier, sw, port int) TargetSpec {
-		return TargetSpec{Kind: "link", Tier: tier, Switch: sw, Port: port}
+	link := func(tier, sw, port int) sim.Target {
+		return sim.Target{Kind: "link", Tier: tier, Switch: sw, Port: port}
 	}
-	down := FaultSpec{Kind: "down"}
+	down := sim.Fault{Kind: "down"}
 	return []struct {
 		in   string
 		want EventSpec
 	}{
 		{"500us:link:3:2", EventSpec{At: 500 * us, Op: "inject", Target: link(0, 3, 2), Fault: down}},
-		{"1ms:tor:7", EventSpec{At: ms, Op: "inject", Target: TargetSpec{Kind: "tor", ID: 7}, Fault: down}},
-		{"0s:switch:1", EventSpec{Op: "inject", Target: TargetSpec{Kind: "switch", ID: 1}, Fault: down}},
+		{"1ms:tor:7", EventSpec{At: ms, Op: "inject", Target: sim.Target{Kind: "tor", ID: 7}, Fault: down}},
+		{"0s:switch:1", EventSpec{Op: "inject", Target: sim.Target{Kind: "switch", ID: 1}, Fault: down}},
 		{"2ms:recover-link:3:2", EventSpec{At: 2 * ms, Op: "recover", Target: link(0, 3, 2)}},
-		{"2ms:recover-tor:7", EventSpec{At: 2 * ms, Op: "recover", Target: TargetSpec{Kind: "tor", ID: 7}}},
-		{"2ms:recover-switch:1", EventSpec{At: 2 * ms, Op: "recover", Target: TargetSpec{Kind: "switch", ID: 1}}},
+		{"2ms:recover-tor:7", EventSpec{At: 2 * ms, Op: "recover", Target: sim.Target{Kind: "tor", ID: 7}}},
+		{"2ms:recover-switch:1", EventSpec{At: 2 * ms, Op: "recover", Target: sim.Target{Kind: "switch", ID: 1}}},
 		{"1us:random-links:0.05", EventSpec{At: us, Op: "fail-random-links", Fraction: 0.05}},
-		{"1ms:lossy:4:0:0.01", EventSpec{At: ms, Op: "inject", Target: link(0, 4, 0), Fault: FaultSpec{Kind: "lossy", Rate: 0.01}}},
-		{"1ms:degraded:4:0:0.5", EventSpec{At: ms, Op: "inject", Target: link(0, 4, 0), Fault: FaultSpec{Kind: "degraded", RateFraction: 0.5}}},
+		{"1ms:lossy:4:0:0.01", EventSpec{At: ms, Op: "inject", Target: link(0, 4, 0), Fault: sim.Fault{Kind: "lossy", Rate: 0.01}}},
+		{"1ms:degraded:4:0:0.5", EventSpec{At: ms, Op: "inject", Target: link(0, 4, 0), Fault: sim.Fault{Kind: "degraded", RateFraction: 0.5}}},
 		{"1ms:flap:5:1:200us:100us", EventSpec{At: ms, Op: "inject", Target: link(0, 5, 1),
-			Fault: FaultSpec{Kind: "flapping", Up: 200 * us, Down: 100 * us}}},
+			Fault: sim.Fault{Kind: "flapping", Up: 200 * us, Down: 100 * us}}},
 		{"1ms:tier-link:2:0:3", EventSpec{At: ms, Op: "inject", Target: link(2, 0, 3), Fault: down}},
 		{"3ms:recover-tier-link:2:0:3", EventSpec{At: 3 * ms, Op: "recover", Target: link(2, 0, 3)}},
-		{"1ms:tier-switch:3:5", EventSpec{At: ms, Op: "inject", Target: TargetSpec{Kind: "switch", Tier: 3, ID: 5}, Fault: down}},
-		{"3ms:recover-tier-switch:3:5", EventSpec{At: 3 * ms, Op: "recover", Target: TargetSpec{Kind: "switch", Tier: 3, ID: 5}}},
+		{"1ms:tier-switch:3:5", EventSpec{At: ms, Op: "inject", Target: sim.Target{Kind: "switch", Tier: 3, ID: 5}, Fault: down}},
+		{"3ms:recover-tier-switch:3:5", EventSpec{At: 3 * ms, Op: "recover", Target: sim.Target{Kind: "switch", Tier: 3, ID: 5}}},
 	}
 }()
 

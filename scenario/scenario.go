@@ -20,6 +20,7 @@
 package scenario
 
 import (
+	"math/rand"
 	"reflect"
 
 	opera "github.com/opera-net/opera"
@@ -149,9 +150,9 @@ func BulkSource(s Source) Source {
 }
 
 // Scenario is the resolved form of a Spec — an architecture, its sizing
-// options, its sources, a fault schedule (Events) and a deadline — plus
-// the process-local hooks that cannot be data: sampling Probes and a live
-// Observer.
+// options, its sources, a fault schedule (Events, the Spec's own data) and
+// a deadline — plus the process-local hooks that cannot be data: sampling
+// Probes and a live Observer.
 type Scenario struct {
 	// Name labels the scenario in its Result.
 	Name string
@@ -164,11 +165,11 @@ type Scenario struct {
 	// time. Tagged flows (see TagSource) produce per-tag breakdowns in
 	// Result.ByTag.
 	Sources []Source
-	// Events schedules mid-run actions — fault injection and recovery —
-	// at fixed virtual times (see At, FailLink, FailSwitch, RecoverLink).
-	// Random actions draw from a generator derived from Seed, so the
+	// Events schedules fault injection and recovery at fixed virtual
+	// times, e.g. {At: t, Target: sim.FlatLink(3, 2)} cuts a link.
+	// fail-random-links draws from a generator derived from Seed, so the
 	// schedule is as deterministic as the workload.
-	Events []Event
+	Events []EventSpec
 	// Probes sample the running cluster into Result.Probes time series
 	// (see Sample).
 	Probes []Probe
@@ -373,7 +374,16 @@ func Collect(sc Scenario) (*opera.Cluster, Result) {
 		}
 		cl.AddSource(src)
 	}
-	probes, err := applyHooks(cl, sc)
+	if len(sc.Events) > 0 {
+		rng := rand.New(rand.NewSource(sc.Seed ^ eventSeedSalt))
+		for _, es := range sc.Events {
+			if err := schedule(cl.Faults(), rng, es); err != nil {
+				res.Err = err.Error()
+				return nil, res
+			}
+		}
+	}
+	probes, err := startProbes(cl, sc)
 	if err != nil {
 		res.Err = err.Error()
 		return nil, res

@@ -60,114 +60,51 @@ type Spec struct {
 }
 
 // EventSpec describes one scheduled fault event as plain serializable
-// data — the declarative face of a scenario.Event. Op selects the
-// operation; unused fields are ignored.
+// data. Op selects the operation; unused fields are ignored.
 type EventSpec struct {
 	// At is the virtual time the event fires.
 	At eventsim.Time
 	// Op is "inject" (the default when empty), "recover", or
 	// "fail-random-links".
 	Op string
-	// Target locates the fault for inject and recover.
-	Target TargetSpec
+	// Target locates the fault for inject and recover. Coordinates are
+	// fabric-interpreted, so the injector checks them when the run starts.
+	Target sim.Target
 	// Fault describes what goes wrong for inject ops (zero value = a
 	// clean down).
-	Fault FaultSpec
+	Fault sim.Fault
 	// Fraction is the cable fraction for fail-random-links.
 	Fraction float64
 }
 
-// TargetSpec is the serializable form of a sim.Target.
-type TargetSpec struct {
-	// Kind is "link", "tor" or "switch".
-	Kind string
-	// Tier, Switch and Port form the link coordinate (Kind "link"):
-	// tier 0 is the flat {rack, uplink} space every fabric interprets;
-	// the folded Clos additionally takes its explicit cable tiers.
-	Tier   int
-	Switch int
-	Port   int
-	// ID is the rack (Kind "tor") or switch (Kind "switch") index; for
-	// switches Tier qualifies the plane (0 = the fabric's default; the
-	// Clos requires sim.ClosTierAgg or sim.ClosTierCore).
-	ID int
-}
+// TargetSpec and FaultSpec alias sim.Target and sim.Fault, which are
+// themselves the wire form; they remain only because bench/ names them.
+type (
+	TargetSpec = sim.Target
+	FaultSpec  = sim.Fault
+)
 
-// FaultSpec is the serializable form of a sim.Fault.
-type FaultSpec struct {
-	// Kind is "down" (the default when empty), "lossy", "degraded" or
-	// "flapping".
-	Kind string
-	// Rate is the lossy per-packet drop probability, in (0,1].
-	Rate float64
-	// RateFraction is the degraded fraction of nominal rate, in (0,1).
-	RateFraction float64
-	// Up and Down are the flapping phase lengths.
-	Up, Down eventsim.Time
-}
-
-// target resolves the spec into a sim.Target.
-func (ts TargetSpec) target() (sim.Target, error) {
-	switch ts.Kind {
-	case "link":
-		return sim.LinkTarget(sim.LinkID{Tier: ts.Tier, Switch: ts.Switch, Port: ts.Port}), nil
-	case "tor":
-		return sim.ToRTarget(ts.ID), nil
-	case "switch":
-		return sim.TierSwitchTarget(ts.Tier, ts.ID), nil
-	default:
-		return sim.Target{}, fmt.Errorf("scenario: unknown target kind %q (want link, tor or switch)", ts.Kind)
-	}
-}
-
-// fault resolves the spec into a sim.Fault.
-func (fs FaultSpec) fault() (sim.Fault, error) {
-	switch fs.Kind {
-	case "", "down":
-		return sim.DownFault(), nil
-	case "lossy":
-		return sim.LossyFault(fs.Rate), nil
-	case "degraded":
-		return sim.DegradedFault(fs.RateFraction), nil
-	case "flapping":
-		return sim.FlappingFault(fs.Up, fs.Down), nil
-	default:
-		return sim.Fault{}, fmt.Errorf("scenario: unknown fault kind %q (want down, lossy, degraded or flapping)", fs.Kind)
-	}
-}
-
-// Event resolves the spec into a scheduled Event. Coordinate validation
-// is deferred to the injector at run time (it is fabric-interpreted);
-// kind strings and fault parameters are checked here.
-func (es EventSpec) Event() (Event, error) {
+// check validates the event's op, kind strings and fault parameters; the
+// fabric checks coordinates when the run schedules it.
+func (es EventSpec) check() error {
 	switch es.Op {
-	case "", "inject":
-		t, err := es.Target.target()
-		if err != nil {
-			return Event{}, err
+	case "", "inject", "recover":
+		switch es.Target.Kind {
+		case sim.TargetLink, sim.TargetToR, sim.TargetSwitch:
+		default:
+			return fmt.Errorf("scenario: unknown target kind %q (want link, tor or switch)", es.Target.Kind)
 		}
-		f, err := es.Fault.fault()
-		if err != nil {
-			return Event{}, err
+		if es.Op == "recover" {
+			return nil
 		}
-		if err := f.Validate(); err != nil {
-			return Event{}, err
-		}
-		return At(es.At, Inject(t, f)), nil
-	case "recover":
-		t, err := es.Target.target()
-		if err != nil {
-			return Event{}, err
-		}
-		return At(es.At, Recover(t)), nil
+		return es.Fault.Validate()
 	case "fail-random-links":
-		if err := checkFraction(es.Fraction); err != nil {
-			return Event{}, err
+		if !(es.Fraction >= 0 && es.Fraction <= 1) { // also rejects NaN
+			return fmt.Errorf("scenario: fraction %g must be in [0,1]", es.Fraction)
 		}
-		return At(es.At, FailRandomLinks(es.Fraction)), nil
-	default:
-		return Event{}, fmt.Errorf("scenario: unknown event op %q (want inject, recover or fail-random-links)", es.Op)
+		return nil
 	}
+	return fmt.Errorf("scenario: unknown event op %q (want inject, recover or fail-random-links)", es.Op)
 }
 
 // SourceSpec describes one workload source. Type selects the generator;
@@ -400,15 +337,9 @@ func (sp Spec) Scenario() (Scenario, error) {
 		}
 		sources[i] = src
 	}
-	var events []Event
-	if len(sp.Events) > 0 {
-		events = make([]Event, len(sp.Events))
-		for i, es := range sp.Events {
-			ev, err := es.Event()
-			if err != nil {
-				return Scenario{}, fmt.Errorf("scenario: spec %q event %d: %w", sp.Name, i, err)
-			}
-			events[i] = ev
+	for i, es := range sp.Events {
+		if err := es.check(); err != nil {
+			return Scenario{}, fmt.Errorf("scenario: spec %q event %d: %w", sp.Name, i, err)
 		}
 	}
 	return Scenario{
@@ -416,7 +347,7 @@ func (sp Spec) Scenario() (Scenario, error) {
 		Kind:     kind,
 		Options:  opts,
 		Sources:  sources,
-		Events:   events,
+		Events:   slices.Clone(sp.Events),
 		Duration: sp.Duration,
 		Seed:     sp.Seed,
 	}, nil

@@ -228,7 +228,7 @@ func TestSpecGobRoundTrip(t *testing.T) {
 			{Type: "saturate", Window: eventsim.Millisecond, Bulk: true, Tag: "under"},
 			{Type: "replay", Path: writeTrace(t, testTrace), MaxFlows: 3},
 		},
-		Events:    []EventSpec{{At: eventsim.Microsecond, Target: TargetSpec{Kind: "link", Switch: 2, Port: 1}}},
+		Events:    []EventSpec{{At: eventsim.Microsecond, Target: sim.Target{Kind: "link", Switch: 2, Port: 1}}},
 		Retention: RetentionSpec{Sketch: true, Alpha: 0.02},
 	}
 	var buf bytes.Buffer
@@ -355,21 +355,21 @@ func TestSpecEventsGobRoundTrip(t *testing.T) {
 		ClosK: 8, ClosF: 3,
 		Sources: []SourceSpec{{Type: "shuffle", FlowBytes: 25_000, Stagger: 10 * eventsim.Microsecond}},
 		Events: []EventSpec{
-			{At: 100 * eventsim.Microsecond, Target: TargetSpec{Kind: "link", Switch: 2, Port: 1}},
+			{At: 100 * eventsim.Microsecond, Target: sim.Target{Kind: "link", Switch: 2, Port: 1}},
 			{At: 200 * eventsim.Microsecond, Op: "inject",
-				Target: TargetSpec{Kind: "link", Tier: 2, Switch: 0, Port: 3},
-				Fault:  FaultSpec{Kind: "lossy", Rate: 0.25}},
+				Target: sim.Target{Kind: "link", Tier: 2, Switch: 0, Port: 3},
+				Fault:  sim.Fault{Kind: "lossy", Rate: 0.25}},
 			{At: 300 * eventsim.Microsecond, Op: "inject",
-				Target: TargetSpec{Kind: "link", Switch: 5, Port: 0},
-				Fault:  FaultSpec{Kind: "degraded", RateFraction: 0.5}},
+				Target: sim.Target{Kind: "link", Switch: 5, Port: 0},
+				Fault:  sim.Fault{Kind: "degraded", RateFraction: 0.5}},
 			{At: 400 * eventsim.Microsecond, Op: "inject",
-				Target: TargetSpec{Kind: "link", Switch: 7, Port: 2},
-				Fault:  FaultSpec{Kind: "flapping", Up: eventsim.Millisecond, Down: eventsim.Millisecond}},
+				Target: sim.Target{Kind: "link", Switch: 7, Port: 2},
+				Fault:  sim.Fault{Kind: "flapping", Up: eventsim.Millisecond, Down: eventsim.Millisecond}},
 			{At: 500 * eventsim.Microsecond, Op: "inject",
-				Target: TargetSpec{Kind: "switch", Tier: 2, ID: 1}},
-			{At: 600 * eventsim.Microsecond, Op: "inject", Target: TargetSpec{Kind: "tor", ID: 9}},
+				Target: sim.Target{Kind: "switch", Tier: 2, ID: 1}},
+			{At: 600 * eventsim.Microsecond, Op: "inject", Target: sim.Target{Kind: "tor", ID: 9}},
 			{At: 700 * eventsim.Microsecond, Op: "fail-random-links", Fraction: 0.05},
-			{At: 2 * eventsim.Millisecond, Op: "recover", Target: TargetSpec{Kind: "link", Switch: 2, Port: 1}},
+			{At: 2 * eventsim.Millisecond, Op: "recover", Target: sim.Target{Kind: "link", Switch: 2, Port: 1}},
 		},
 	}
 	var buf bytes.Buffer
@@ -406,12 +406,12 @@ func TestSpecEventErrors(t *testing.T) {
 	}
 	for name, ev := range map[string]EventSpec{
 		"unknown-op":      {Op: "melt"},
-		"unknown-target":  {Target: TargetSpec{Kind: "cable"}},
-		"unknown-fault":   {Target: TargetSpec{Kind: "link"}, Fault: FaultSpec{Kind: "cosmic"}},
-		"bad-lossy-rate":  {Target: TargetSpec{Kind: "link"}, Fault: FaultSpec{Kind: "lossy", Rate: 2}},
-		"bad-degraded":    {Target: TargetSpec{Kind: "link"}, Fault: FaultSpec{Kind: "degraded", RateFraction: 1}},
-		"bad-flap":        {Target: TargetSpec{Kind: "link"}, Fault: FaultSpec{Kind: "flapping", Up: -1}},
-		"recover-no-kind": {Op: "recover", Target: TargetSpec{Kind: "socket"}},
+		"unknown-target":  {Target: sim.Target{Kind: "cable"}},
+		"unknown-fault":   {Target: sim.Target{Kind: "link"}, Fault: sim.Fault{Kind: "cosmic"}},
+		"bad-lossy-rate":  {Target: sim.Target{Kind: "link"}, Fault: sim.Fault{Kind: "lossy", Rate: 2}},
+		"bad-degraded":    {Target: sim.Target{Kind: "link"}, Fault: sim.Fault{Kind: "degraded", RateFraction: 1}},
+		"bad-flap":        {Target: sim.Target{Kind: "link"}, Fault: sim.Fault{Kind: "flapping", Up: -1}},
+		"recover-no-kind": {Op: "recover", Target: sim.Target{Kind: "socket"}},
 		"bad-fraction":    {Op: "fail-random-links", Fraction: 1.5},
 	} {
 		sp := base

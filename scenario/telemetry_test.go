@@ -7,6 +7,7 @@ import (
 
 	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/sim"
 	"github.com/opera-net/opera/internal/stats"
 	"github.com/opera-net/opera/internal/workload"
 	"github.com/opera-net/opera/scenario"
@@ -194,9 +195,9 @@ func TestFaultEventsOnRotorNet(t *testing.T) {
 			opera.WithRetention(opera.RetainSketch(opera.SketchOptions{})),
 		},
 		Sources: []scenario.Source{scenario.BulkSource(scenario.Shuffle(8, 100_000, 100*eventsim.Microsecond))},
-		Events: []scenario.Event{
-			scenario.At(0, scenario.FailLink(2, 1)),
-			scenario.At(5*eventsim.Millisecond, scenario.RecoverLink(2, 1)),
+		Events: []scenario.EventSpec{
+			{Target: sim.FlatLink(2, 1)},
+			{At: 5 * eventsim.Millisecond, Op: "recover", Target: sim.FlatLink(2, 1)},
 		},
 		Duration: 2000 * eventsim.Millisecond,
 	})
