@@ -39,7 +39,6 @@ func TestOptionsMatchLegacyConfig(t *testing.T) {
 		t.Run(k.String(), func(t *testing.T) {
 			legacy, err := opera.New(k,
 				opera.WithClos(0, 3), opera.WithClos(8, 0),
-				opera.WithBulkThreshold(200_000),
 				opera.WithSeed(3),
 			)
 			if err != nil {
@@ -50,7 +49,6 @@ func TestOptionsMatchLegacyConfig(t *testing.T) {
 				opera.WithHostsPerRack(4),
 				opera.WithUplinks(4),
 				opera.WithClos(8, 3),
-				opera.WithBulkThreshold(200_000),
 				opera.WithSeed(3),
 			)
 			if err != nil {

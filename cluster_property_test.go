@@ -23,8 +23,7 @@ func TestClusterConservationProperty(t *testing.T) {
 		seed := int64(trial*7 + 1)
 		rng := rand.New(rand.NewSource(seed))
 		kind := kinds[trial%len(kinds)]
-		// A low threshold exercises the bulk path with modest flows.
-		cl, err := opera.New(kind, opera.WithBulkThreshold(200_000), opera.WithSeed(seed))
+		cl, err := opera.New(kind, opera.WithSeed(seed))
 		if err != nil {
 			t.Fatalf("trial %d (%v): %v", trial, kind, err)
 		}
@@ -39,11 +38,13 @@ func TestClusterConservationProperty(t *testing.T) {
 			}
 			size := int64(64 + rng.Intn(500_000))
 			if rng.Intn(4) == 0 {
-				size += 300_000 // push some over the bulk threshold
+				size += 300_000 // push some into the bulk class
 			}
 			f := cl.AddFlow(workload.FlowSpec{
 				Src: src, Dst: dst, Bytes: size,
 				Arrival: eventsim.Time(rng.Intn(2_000_000)), // within 2 ms
+				// Tagging exercises the bulk path with modest flows.
+				Bulk: size >= 200_000,
 			})
 			flows = append(flows, &simFlowRef{size: size, done: &f.Done, rcvd: &f.BytesRcvd})
 		}

@@ -43,7 +43,7 @@ func main() {
 		o.NumRacks(), o.HostsPerRack(), o.NumHosts(), o.Uplinks())
 	fmt.Printf("  matchings per switch: %d (rotor port maps, not O(N!) crossbars)\n", o.MatchingsPerSwitch())
 	fmt.Printf("  slice duration: %v (ε=%v + r=%v)\n",
-		o.SliceDuration(), o.Config().Epsilon, o.Config().ReconfDelay)
+		o.SliceDuration(), topology.DefaultEpsilon, topology.DefaultReconfDelay)
 	fmt.Printf("  slices per cycle: %d   cycle time: %v   duty cycle: %.1f%%\n",
 		o.SlicesPerCycle(), o.CycleTime(), 100*o.DutyCycle())
 

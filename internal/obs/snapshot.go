@@ -186,9 +186,7 @@ func fillTelemetry(s *Snapshot, tel *telemetry.Collector) {
 		wr.GoodputGbps = tel.Goodput().WindowTotal() * 8 / span / 1e9
 		wr.UplinkGbps = tel.Uplink().WindowTotal() * 8 / span / 1e9
 	}
-	if good := tel.Goodput().WindowTotal(); good > 0 {
-		wr.WindowTax = tel.Uplink().WindowTotal()/good - 1
-	}
+	wr.WindowTax = tel.WindowTax()
 	s.Window = wr
 
 	s.Classes = []ClassQuantiles{
@@ -209,26 +207,17 @@ func fillTelemetry(s *Snapshot, tel *telemetry.Collector) {
 	s.Tags = make([]TagCounts, 0, len(names))
 	for _, name := range names {
 		t := tags[name]
-		tc := TagCounts{Tag: name, Done: t.Done, Total: t.Total, Bytes: t.Bytes}
-		if t.Sketch.Count() > 0 {
-			tc.P99Us = t.Sketch.Quantile(0.99)
-		}
-		s.Tags = append(s.Tags, tc)
+		s.Tags = append(s.Tags, TagCounts{Tag: name, Done: t.Done, Total: t.Total, Bytes: t.Bytes,
+			P99Us: t.Sketch.Summary().P99})
 	}
 }
 
+// classQuantiles reads one sketch (telemetry.Sketch.Summary) into the
+// /status form.
 func classQuantiles(name string, sk *telemetry.Sketch) ClassQuantiles {
-	cq := ClassQuantiles{Class: name, N: sk.Count()}
-	if cq.N == 0 {
-		return cq
-	}
-	cq.MeanUs = sk.Mean()
-	cq.P50Us = sk.Quantile(0.50)
-	cq.P90Us = sk.Quantile(0.90)
-	cq.P99Us = sk.Quantile(0.99)
-	cq.P999Us = sk.Quantile(0.999)
-	cq.MaxUs = sk.Max()
-	return cq
+	q := sk.Summary()
+	return ClassQuantiles{Class: name, N: q.N, MeanUs: q.Mean,
+		P50Us: q.P50, P90Us: q.P90, P99Us: q.P99, P999Us: q.P999, MaxUs: q.Max}
 }
 
 // faultState reads the injector's live view, nil while no fault is applied

@@ -174,14 +174,14 @@ func TestRetainSketchReleasesFlows(t *testing.T) {
 // exact counters when everything fits the window.
 func TestRetainSketchDeliveredAndTax(t *testing.T) {
 	m := NewMetrics()
-	m.SetRetention(RetainSketch(telemetry.Opts{WindowBin: 0.001, WindowBins: 4}))
+	m.SetRetention(RetainSketch(telemetry.Opts{}))
 	f := &Flow{ID: 1, Size: 1 << 30, Class: ClassBulk}
 	m.AddFlow(f)
-	for i := 0; i < 20; i++ { // 20 ms ≫ the 4 ms window
+	for i := 0; i < 200; i++ { // 200 ms ≫ the 128 ms window
 		m.RecordDelivery(f, 1000, 2, eventsim.Time(i)*eventsim.Millisecond)
 	}
-	if got := m.DeliveredTotal(); got != 20_000 {
-		t.Fatalf("DeliveredTotal = %v, want 20000", got)
+	if got := m.DeliveredTotal(); got != 200_000 {
+		t.Fatalf("DeliveredTotal = %v, want 200000", got)
 	}
 	if m.DeliveredBytes != nil {
 		t.Fatal("exact DeliveredBytes series should be nil under RetainSketch")
@@ -190,11 +190,14 @@ func TestRetainSketchDeliveredAndTax(t *testing.T) {
 		t.Fatalf("exact tax = %v, want 1 (2 hops per byte)", tax)
 	}
 	tel := m.Telemetry()
-	if good := tel.Goodput().WindowTotal(); good != 4_000 {
-		t.Fatalf("windowed goodput = %v, want 4000 (4 retained bins)", good)
+	if good := tel.Goodput().WindowTotal(); good != 128_000 {
+		t.Fatalf("windowed goodput = %v, want 128000 (128 retained bins)", good)
 	}
-	if up := tel.Uplink().WindowTotal(); up != 8_000 {
-		t.Fatalf("windowed uplink bytes = %v, want 8000", up)
+	if up := tel.Uplink().WindowTotal(); up != 256_000 {
+		t.Fatalf("windowed uplink bytes = %v, want 256000", up)
+	}
+	if tax := tel.WindowTax(); tax != 1 {
+		t.Fatalf("windowed tax = %v, want the exact 1", tax)
 	}
 }
 

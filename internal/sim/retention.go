@@ -37,9 +37,8 @@ func (r RetentionPolicy) Streaming() bool { return r.streaming }
 
 // Validate reports whether the policy is usable: RetainAll always is;
 // RetainSketch requires sketch options that pass telemetry validation
-// (alpha bounds, positive window geometry). Cluster construction calls
-// this so a bad bound is a clear error at opera.New rather than NaN
-// quantiles downstream.
+// (alpha bounds). Cluster construction calls this so a bad bound is a
+// clear error at opera.New rather than NaN quantiles downstream.
 func (r RetentionPolicy) Validate() error {
 	if !r.streaming {
 		return nil

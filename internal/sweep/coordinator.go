@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"os/exec"
 	"runtime"
@@ -50,11 +49,6 @@ type Options struct {
 	Timeout time.Duration
 	// Command launches a worker (nil: SelfWorker).
 	Command CommandFunc
-	// ShuffleDispatch scrambles shard dispatch order with ShuffleSeed —
-	// used by the determinism tests to prove result placement does not
-	// depend on scheduling.
-	ShuffleDispatch bool
-	ShuffleSeed     int64
 	// Progress observes dispatch/completion/delivery (nil: no reporting).
 	// It must be safe for concurrent use; see ProgressSink.
 	Progress ProgressSink
@@ -84,7 +78,7 @@ type Report struct {
 // Report.Failed rather than as an error: the error return is reserved
 // for the coordinator itself (context cancellation). Results are
 // identical to RunLocal for the scenarios that completed, at any
-// Workers/Shards/shuffle setting.
+// Workers/Shards setting and in any shard completion order.
 func Run(ctx context.Context, specs []scenario.Spec, opt Options) (Report, error) {
 	rep := Report{
 		Results:    make([]scenario.Result, len(specs)),
@@ -124,19 +118,10 @@ func Run(ctx context.Context, specs []scenario.Spec, opt Options) (Report, error
 
 	for round := 0; round <= retries && len(missing) > 0 && ctx.Err() == nil; round++ {
 		rep.Rounds++
-		batch := partition(missing, shardCount)
-		order := make([]int, len(batch))
-		for i := range order {
-			order[i] = i
-		}
-		if opt.ShuffleDispatch {
-			rng := rand.New(rand.NewSource(opt.ShuffleSeed + int64(round)))
-			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		}
 		sem := make(chan struct{}, workers)
 		var wg sync.WaitGroup
-		for _, bi := range order {
-			shard := ShardSpec{Indices: batch[bi], Specs: make([]scenario.Spec, len(batch[bi]))}
+		for bi, indices := range partition(missing, shardCount) {
+			shard := ShardSpec{Indices: indices, Specs: make([]scenario.Spec, len(indices))}
 			for k, gi := range shard.Indices {
 				shard.Specs[k] = specs[gi]
 			}

@@ -92,13 +92,8 @@ func Tables(g Grid, specs []scenario.Spec, cells []Cell, rep Report) ([]experime
 			if pooled == nil {
 				continue
 			}
-			s := pooled.Merged()
-			tax := 0.0
-			if good := pooled.Goodput().WindowTotal(); good > 0 {
-				tax = pooled.Uplink().WindowTotal()/good - 1
-			}
-			telT.Add(c.Network, c.Load, s.Count(), s.Mean(),
-				s.Quantile(0.50), s.Quantile(0.90), s.Quantile(0.99), s.Quantile(0.999), s.Max(), tax)
+			s := pooled.Merged().Summary()
+			telT.Add(c.Network, c.Load, s.N, s.Mean, s.P50, s.P90, s.P99, s.P999, s.Max, pooled.WindowTax())
 		}
 		tables = append(tables, telT)
 	}

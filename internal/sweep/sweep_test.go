@@ -32,8 +32,16 @@ const workerEnv = "OPERA_SWEEP_WORKER"
 // matches a local run.
 const crashEnv = "OPERA_SWEEP_TEST_CRASH_AFTER"
 
+// delayEnv makes a test worker sleep for the given duration before it
+// serves its shard. The determinism tests delay the first-launched worker
+// so the shards complete out of dispatch order.
+const delayEnv = "OPERA_SWEEP_TEST_DELAY"
+
 func TestMain(m *testing.M) {
 	if os.Getenv(workerEnv) == "1" {
+		if d, err := time.ParseDuration(os.Getenv(delayEnv)); err == nil {
+			time.Sleep(d)
+		}
 		var in io.Reader = os.Stdin
 		crash := false
 		if s := os.Getenv(crashEnv); s != "" {
@@ -85,17 +93,30 @@ func testWorker(ctx context.Context) *exec.Cmd {
 	return cmd
 }
 
-// crashOnce wraps testWorker so exactly one launched process crashes
-// after emitting `after` frames — a shard dying mid-sweep.
-func crashOnce(after int) (CommandFunc, *atomic.Bool) {
+// firstWorkerWith wraps testWorker so exactly one launched process, the
+// first, runs with the extra environment entry env.
+func firstWorkerWith(env string) (CommandFunc, *atomic.Bool) {
 	var fired atomic.Bool
 	return func(ctx context.Context) *exec.Cmd {
 		cmd := testWorker(ctx)
 		if fired.CompareAndSwap(false, true) {
-			cmd.Env = append(cmd.Env, crashEnv+"="+strconv.Itoa(after))
+			cmd.Env = append(cmd.Env, env)
 		}
 		return cmd
 	}, &fired
+}
+
+// crashOnce makes exactly one launched process crash after emitting
+// `after` frames — a shard dying mid-sweep.
+func crashOnce(after int) (CommandFunc, *atomic.Bool) {
+	return firstWorkerWith(crashEnv + "=" + strconv.Itoa(after))
+}
+
+// slowFirst delays the first launched worker, so the shard dispatched
+// first completes last.
+func slowFirst() CommandFunc {
+	cmd, _ := firstWorkerWith(delayEnv + "=500ms")
+	return cmd
 }
 
 // crashAlways makes every worker exit before its first frame.
@@ -142,8 +163,8 @@ func mustCSV(t *testing.T, g Grid, rep Report) string {
 
 // TestShardedMatchesLocal is the subsystem's core determinism claim:
 // the same grid run in-process, sharded across one worker, and sharded
-// across four shuffled workers yields per-index equal Results, equal
-// collector blobs, and byte-identical CSV tables.
+// across four workers whose first shard completes last yields per-index
+// equal Results, equal collector blobs, and byte-identical CSV tables.
 func TestShardedMatchesLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns packet-level worker processes")
@@ -166,10 +187,7 @@ func TestShardedMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := Run(context.Background(), specs, Options{
-		Workers: 4, Shards: 4, Command: testWorker,
-		ShuffleDispatch: true, ShuffleSeed: 42,
-	})
+	four, err := Run(context.Background(), specs, Options{Workers: 4, Shards: 4, Command: slowFirst()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,10 +245,7 @@ func TestFaultedSweepShardedMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := Run(context.Background(), specs, Options{
-		Workers: 4, Shards: 4, Command: testWorker,
-		ShuffleDispatch: true, ShuffleSeed: 7,
-	})
+	four, err := Run(context.Background(), specs, Options{Workers: 4, Shards: 4, Command: slowFirst()})
 	if err != nil {
 		t.Fatal(err)
 	}

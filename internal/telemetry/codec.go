@@ -171,6 +171,15 @@ func (r *rbuf) str() string {
 	return s
 }
 
+// windowGeometry fails unless a decoded window geometry is the collector's
+// constant one: a blob with any other geometry could not merge with the
+// collectors this package builds.
+func (r *rbuf) windowGeometry(bin float64, bins int64) {
+	if r.err == nil && (bin != windowBin || bins != windowBins) {
+		r.fail("window geometry %v s × %d bins (want %v s × %d)", bin, bins, windowBin, windowBins)
+	}
+}
+
 // done errors unless the buffer was consumed exactly.
 func (r *rbuf) done() error {
 	if r.err != nil {
@@ -362,8 +371,8 @@ func (c *Collector) MarshalBinary() ([]byte, error) {
 	var w wbuf
 	w.header(kindCollector)
 	w.f64(c.opts.Alpha)
-	w.f64(c.opts.WindowBin)
-	w.varint(int64(c.opts.WindowBins))
+	w.f64(windowBin)
+	w.varint(windowBins)
 	w.uvarint(uint64(len(c.classes)))
 	for _, s := range c.classes {
 		s.marshalTo(&w)
@@ -391,10 +400,9 @@ func (c *Collector) MarshalBinary() ([]byte, error) {
 func (c *Collector) UnmarshalBinary(data []byte) error {
 	r := rbuf{b: data}
 	r.header(kindCollector)
-	var opts Opts
-	opts.Alpha = r.f64()
-	opts.WindowBin = r.f64()
-	opts.WindowBins = int(r.varint())
+	opts := Opts{Alpha: r.f64()}
+	bin := r.f64()
+	r.windowGeometry(bin, r.varint())
 	if r.err == nil {
 		if err := opts.Validate(); err != nil {
 			r.fail("collector options: %v", err)
@@ -438,6 +446,9 @@ func (c *Collector) UnmarshalBinary(data []byte) error {
 	delivered.unmarshalFrom(&r)
 	goodput.unmarshalFrom(&r)
 	uplink.unmarshalFrom(&r)
+	for _, w := range []*Window{&delivered, &goodput, &uplink} {
+		r.windowGeometry(w.binWidth, int64(len(w.ring)))
+	}
 	if err := r.done(); err != nil {
 		return err
 	}

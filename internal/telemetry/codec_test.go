@@ -2,10 +2,12 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -165,7 +167,7 @@ func TestCollectorCodecRoundTrip(t *testing.T) {
 	for name, c := range map[string]*Collector{
 		"empty":     NewCollector(Opts{}, 2),
 		"populated": populatedCollector(5, 3_000),
-		"custom":    NewCollector(Opts{Alpha: 0.05, WindowBin: 0.002, WindowBins: 32}, 3),
+		"custom":    NewCollector(Opts{Alpha: 0.05}, 3),
 	} {
 		data, err := c.MarshalBinary()
 		if err != nil {
@@ -284,6 +286,81 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 			t.Errorf("huge bucket count: got %v, want ErrCorrupt", err)
 		}
 	})
+}
+
+// TestCollectorWireBytes pins the collector encoding — two classes, one
+// tag, live window bins — to the bytes it had when the window geometry was
+// still an option: the geometry slots carry 0.001 s and 128, so sweep
+// worker frames written then and now are interchangeable.
+func TestCollectorWireBytes(t *testing.T) {
+	c := NewCollector(Opts{}, 2)
+	c.FlowAdded("rpc")
+	c.FlowAdded("rpc")
+	c.FlowDone(0, "rpc", 120, 1500)
+	c.FlowDone(1, "", 4000, 3_000_000)
+	c.RecordDelivered(0.0005, 1500)
+	c.RecordDelivered(0.0021, 3_000_000)
+	c.RecordTax(0.0005, 1500, 3000)
+	c.RecordTax(0.0021, 3_000_000, 6_000_000)
+	const want = "43017b14ae47e17a843ffca9f1d24d62503f80020253017b14ae47e17a843f010000000000005e40" +
+		"0000000000005e400000000000005e4000e003010153017b14ae47e17a843f01000000000040af40" +
+		"000000000040af40000000000040af4000be0601010103727063540153017b14ae47e17a843f0100" +
+		"00000000005e400000000000005e400000000000005e4000e00301010204b8175701fca9f1d24d62" +
+		"503f800104000000004ee64641000000000070974000000000000000000000000060e346415701fc" +
+		"a9f1d24d62503f800104000000004ee64641000000000070974000000000000000000000000060e3" +
+		"46415701fca9f1d24d62503f800104000000004ee65641000000000070a740000000000000000000" +
+		"00000060e35641"
+	got, err := c.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("collector encodes to\n%x\nwant\n%s", got, want)
+	}
+}
+
+// TestCollectorRejectsOtherWindowGeometry: an empty two-class collector
+// encoded with 2 ms × 32 windows, as the window options could once produce,
+// fails to decode with a named ErrCorrupt rather than merging wrongly.
+func TestCollectorRejectsOtherWindowGeometry(t *testing.T) {
+	blob, err := hex.DecodeString("43017b14ae47e17a843ffca9f1d24d62603f400253017b14ae47e17a843f00" +
+		"0000000000000000000000000000f07f000000000000f0ff00000053017b14ae47e17a843f0000" +
+		"00000000000000000000000000f07f000000000000f0ff000000005701fca9f1d24d62603f2001" +
+		"00000000000000005701fca9f1d24d62603f200100000000000000005701fca9f1d24d62603f20" +
+		"010000000000000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c Collector
+	err = c.UnmarshalBinary(blob)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "0.002 s × 32 bins") {
+		t.Fatalf("2 ms × 32 collector: got %v, want ErrCorrupt naming the geometry", err)
+	}
+}
+
+// TestSummaryAndWindowTax: the one readout agrees with the sketch's own
+// accessors, is all zero when empty, and the window tax is uplink ÷ goodput
+// − 1 over the trailing window.
+func TestSummaryAndWindowTax(t *testing.T) {
+	if got := NewSketch(0.01).Summary(); got != (Summary{}) {
+		t.Fatalf("empty sketch summary = %+v, want zero", got)
+	}
+	s := populatedSketch(t, 0.01, 3, 2_000)
+	want := Summary{N: s.Count(), Mean: s.Mean(), Max: s.Max(),
+		P50: s.Quantile(0.5), P90: s.Quantile(0.9), P99: s.Quantile(0.99), P999: s.Quantile(0.999)}
+	if got := s.Summary(); got != want {
+		t.Fatalf("Summary = %+v, want %+v", got, want)
+	}
+
+	c := NewCollector(Opts{}, 2)
+	if tax := c.WindowTax(); tax != 0 {
+		t.Fatalf("empty window tax = %v, want 0", tax)
+	}
+	c.RecordTax(0.001, 1000, 1500)
+	c.RecordTax(0.002, 3000, 4500)
+	if tax := c.WindowTax(); tax != 0.5 {
+		t.Fatalf("window tax = %v, want 0.5", tax)
+	}
 }
 
 // TestCodecErrorLeavesReceiverUntouched: a failed UnmarshalBinary must not

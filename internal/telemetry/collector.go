@@ -1,38 +1,29 @@
 package telemetry
 
-import (
-	"fmt"
-	"math"
+import "fmt"
+
+// The collector's trailing windows hold windowBins bins of windowBin
+// seconds: 1 ms is the bin width of the exact DeliveredBytes series.
+const (
+	windowBin  = 0.001
+	windowBins = 128
 )
 
-// Opts configures a Collector — the knobs sim.RetainSketch exposes.
+// Opts configures a Collector — the knob sim.RetainSketch exposes.
 type Opts struct {
 	// Alpha is the quantile sketches' relative-error bound; 0 means
 	// DefaultAlpha (1%).
 	Alpha float64
-	// WindowBin is the trailing-window bin width in seconds; 0 means 1 ms
-	// (the bin width of the exact DeliveredBytes series).
-	WindowBin float64
-	// WindowBins is how many trailing bins the throughput and tax windows
-	// retain; 0 means 128.
-	WindowBins int
 }
 
 // Validate reports whether the options are usable: Alpha in (0,1) or the
-// 0 default, WindowBin a positive finite bin width or the 0 default, and
-// WindowBins a positive bin count or the 0 default. Constructors apply it
-// so a bad bound fails loudly at construction with a clear message rather
-// than as NaN quantiles downstream (NaN in particular slips past naive
-// range checks: it compares false against every bound).
+// 0 default. Constructors apply it so a bad bound fails loudly at
+// construction with a clear message rather than as NaN quantiles
+// downstream (NaN in particular slips past naive range checks: it compares
+// false against every bound).
 func (o Opts) Validate() error {
 	if o.Alpha != 0 && !(o.Alpha > 0 && o.Alpha < 1) { // also rejects NaN
 		return fmt.Errorf("telemetry: sketch alpha %v outside (0,1)", o.Alpha)
-	}
-	if o.WindowBin != 0 && (!(o.WindowBin > 0) || math.IsInf(o.WindowBin, 0)) {
-		return fmt.Errorf("telemetry: window bin width %v s must be positive and finite", o.WindowBin)
-	}
-	if o.WindowBins < 0 {
-		return fmt.Errorf("telemetry: window bin count %d must be positive", o.WindowBins)
 	}
 	return nil
 }
@@ -40,12 +31,6 @@ func (o Opts) Validate() error {
 func (o Opts) withDefaults() Opts {
 	if o.Alpha == 0 {
 		o.Alpha = DefaultAlpha
-	}
-	if o.WindowBin == 0 {
-		o.WindowBin = 0.001
-	}
-	if o.WindowBins == 0 {
-		o.WindowBins = 128
 	}
 	return o
 }
@@ -88,9 +73,9 @@ func NewCollector(opts Opts, numClasses int) *Collector {
 	c := &Collector{
 		opts:      opts,
 		classes:   make([]*Sketch, numClasses),
-		delivered: NewWindow(opts.WindowBin, opts.WindowBins),
-		goodput:   NewWindow(opts.WindowBin, opts.WindowBins),
-		uplink:    NewWindow(opts.WindowBin, opts.WindowBins),
+		delivered: NewWindow(windowBin, windowBins),
+		goodput:   NewWindow(windowBin, windowBins),
+		uplink:    NewWindow(windowBin, windowBins),
 	}
 	for i := range c.classes {
 		c.classes[i] = NewSketch(opts.Alpha)
@@ -187,8 +172,9 @@ func (t *TagTally) Merge(other *TagTally) error {
 // built with identical options and class counts — the coordinator-side
 // invariant for shards of one sweep cell — and an error is returned
 // otherwise, before anything merges (matching options make every inner
-// merge infallible, since all sketches and windows inherit their geometry
-// from the options). other is left unchanged.
+// merge infallible, since all sketches inherit their alpha from the
+// options and every window has the one constant geometry). other is left
+// unchanged.
 func (c *Collector) Merge(other *Collector) error {
 	if other == nil {
 		return nil
@@ -226,3 +212,12 @@ func (c *Collector) Goodput() *Window { return c.goodput }
 
 // Uplink returns the trailing ToR-to-ToR traversal-bytes window.
 func (c *Collector) Uplink() *Window { return c.uplink }
+
+// WindowTax is the bandwidth tax over the trailing window only (uplink
+// bytes ÷ goodput bytes − 1), or 0 while the window holds no goodput.
+func (c *Collector) WindowTax() float64 {
+	if good := c.goodput.WindowTotal(); good > 0 {
+		return c.uplink.WindowTotal()/good - 1
+	}
+	return 0
+}

@@ -143,14 +143,10 @@ func TestOptsValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero-defaults", Opts{}, true},
-		{"typical", Opts{Alpha: 0.05, WindowBin: 0.002, WindowBins: 64}, true},
+		{"typical", Opts{Alpha: 0.05}, true},
 		{"alpha-negative", Opts{Alpha: -0.01}, false},
 		{"alpha-one", Opts{Alpha: 1}, false},
 		{"alpha-nan", Opts{Alpha: math.NaN()}, false},
-		{"bin-negative", Opts{WindowBin: -1}, false},
-		{"bin-nan", Opts{WindowBin: math.NaN()}, false},
-		{"bin-inf", Opts{WindowBin: math.Inf(1)}, false},
-		{"bins-negative", Opts{WindowBins: -5}, false},
 	} {
 		err := tc.opts.Validate()
 		if (err == nil) != tc.ok {

@@ -208,6 +208,27 @@ func (s *Sketch) Quantile(q float64) float64 {
 	return s.max
 }
 
+// Summary is a sketch's one readout: the observation count, the exact
+// mean and max, and the quantiles reported everywhere a sketch surfaces —
+// the paper's p50 and p99 plus p90 and the deeper p99.9 a soak exists to
+// observe. Every field is zero for an empty sketch.
+type Summary struct {
+	N                              uint64
+	Mean, P50, P90, P99, P999, Max float64
+}
+
+// Summary reads the sketch out; see the Summary type.
+func (s *Sketch) Summary() Summary {
+	if s.count == 0 {
+		return Summary{}
+	}
+	return Summary{
+		N: s.count, Mean: s.Mean(), Max: s.max,
+		P50: s.Quantile(0.50), P90: s.Quantile(0.90),
+		P99: s.Quantile(0.99), P999: s.Quantile(0.999),
+	}
+}
+
 // Merge folds other into s. Both sketches must share the same Alpha (they
 // would otherwise disagree on bucket boundaries); Merge panics with an
 // error matching ErrAlphaMismatch otherwise — use TryMerge where a

@@ -197,10 +197,8 @@ func TestRotorNetFullConnectivityPerCycle(t *testing.T) {
 func TestRotorNetBulkWindowAndDuty(t *testing.T) {
 	r := MustNewRotorNet(RotorConfig{
 		NumRacks: 16, HostsPerRack: 2, Uplinks: 4,
-		SlotDuration: 100 * eventsim.Microsecond,
-		ReconfDelay:  10 * eventsim.Microsecond,
-		GuardBand:    1 * eventsim.Microsecond,
-		Seed:         1,
+		GuardBand: 1 * eventsim.Microsecond,
+		Seed:      1,
 	})
 	s, e := r.BulkWindow(0, 0)
 	if s != 1*eventsim.Microsecond || e != 89*eventsim.Microsecond {

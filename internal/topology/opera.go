@@ -8,8 +8,10 @@ import (
 	"github.com/opera-net/opera/internal/graph"
 )
 
-// Default physical constants used throughout the paper's evaluation (§4.1,
-// §5). All are overridable via Config.
+// Physical constants used throughout the paper's evaluation (§4.1, §5).
+// The link, packet and queue values are sim.DefaultConfig's; the group
+// size is Config.GroupSize's default. ε and r are fixed: every Opera and
+// RotorNet slice lasts ε + r and is dark for the final r.
 const (
 	DefaultLinkRateGbps   = 10.0
 	DefaultMTU            = 1500
@@ -17,12 +19,18 @@ const (
 	DefaultPropDelay      = 500 * eventsim.Nanosecond // 100 m of fiber
 	DefaultEpsilon        = 90 * eventsim.Microsecond // worst-case end-to-end delay ε
 	DefaultReconfDelay    = 10 * eventsim.Microsecond // rotor switch reconfiguration r
-	DefaultGuardBand      = 1 * eventsim.Microsecond  // synchronization guard (§3.5)
 	DefaultGroupSize      = 6                         // circuit switches per stagger group (App. B)
 	DefaultDataQueueBytes = 12 * 1024                 // 8 full packets (§4.2.1)
 	DefaultHeaderQueue    = 12 * 1024                 // equal-sized header queue (§4.2.1)
-	DefaultBulkQueuePkts  = 256                       // deep per-uplink bulk staging at ToR
 )
+
+// sliceDuration is ε + r: one Opera slice, and one RotorNet slot.
+const sliceDuration = DefaultEpsilon + DefaultReconfDelay
+
+// realizationAttempts bounds how many topology realizations NewOpera tries
+// before giving up on one whose every slice is connected (§3.3 notes the
+// first realization virtually always works).
+const realizationAttempts = 16
 
 // Config parameterizes an Opera network build.
 type Config struct {
@@ -39,20 +47,11 @@ type Config struct {
 	// simultaneous, cutting cycle time by the number of groups. It must
 	// divide NumSwitches. Zero selects min(NumSwitches, DefaultGroupSize).
 	GroupSize int
-	// Epsilon is the worst-case end-to-end delay budget ε; a circuit about
-	// to reconfigure stops accepting traffic ε in advance (§4.1).
-	Epsilon eventsim.Time
-	// ReconfDelay is the circuit-switch reconfiguration delay r.
-	ReconfDelay eventsim.Time
 	// GuardBand is the de-synchronization guard band around each
 	// configuration (§3.5).
 	GuardBand eventsim.Time
 	// Seed drives topology randomization. Builds are deterministic per seed.
 	Seed int64
-	// MaxAttempts bounds how many topology realizations are tried before
-	// giving up on finding one whose every slice is connected (§3.3 notes
-	// the first realization virtually always works). Zero means 16.
-	MaxAttempts int
 	// MaxDiameter, when positive, additionally requires every topology
 	// slice's expander (u−1 active matchings) to have diameter at most this
 	// many ToR-to-ToR hops. §3.3: realizations are tested at design time
@@ -99,17 +98,8 @@ func NewOpera(cfg Config) (*Opera, error) {
 	if cfg.NumSwitches%cfg.GroupSize != 0 {
 		return nil, fmt.Errorf("topology: GroupSize %d must divide NumSwitches %d", cfg.GroupSize, cfg.NumSwitches)
 	}
-	if cfg.Epsilon == 0 {
-		cfg.Epsilon = DefaultEpsilon
-	}
-	if cfg.ReconfDelay == 0 {
-		cfg.ReconfDelay = DefaultReconfDelay
-	}
-	if cfg.MaxAttempts == 0 {
-		cfg.MaxAttempts = 16
-	}
 
-	for attempt := 0; attempt < cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < realizationAttempts; attempt++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(attempt)))
 		var ms []Matching
 		if cfg.UseLifting {
@@ -129,7 +119,7 @@ func NewOpera(cfg Config) (*Opera, error) {
 		}
 	}
 	return nil, fmt.Errorf("topology: no connected Opera realization found in %d attempts (N=%d, u=%d)",
-		cfg.MaxAttempts, cfg.NumRacks, cfg.NumSwitches)
+		realizationAttempts, cfg.NumRacks, cfg.NumSwitches)
 }
 
 // MustNewOpera is NewOpera but panics on error, for tests and examples.
@@ -208,10 +198,10 @@ func (o *Opera) MatchingsPerSwitch() int { return o.perSwitch }
 func (o *Opera) SlicesPerCycle() int { return o.slices }
 
 // SliceDuration returns ε + r, the length of one topology slice (§4.1).
-func (o *Opera) SliceDuration() eventsim.Time { return o.cfg.Epsilon + o.cfg.ReconfDelay }
+func (o *Opera) SliceDuration() eventsim.Time { return sliceDuration }
 
 // ReconfDelay returns r, the circuit-switch reconfiguration delay.
-func (o *Opera) ReconfDelay() eventsim.Time { return o.cfg.ReconfDelay }
+func (o *Opera) ReconfDelay() eventsim.Time { return DefaultReconfDelay }
 
 // PairWindowsPerCycle returns GroupSize: a pair's one matching is held for
 // that many consecutive slices.
@@ -228,7 +218,7 @@ func (o *Opera) CycleTime() eventsim.Time {
 // each switch loses r once per GroupSize slices.
 func (o *Opera) DutyCycle() float64 {
 	hold := eventsim.Time(o.cfg.GroupSize) * o.SliceDuration()
-	return 1 - float64(o.cfg.ReconfDelay)/float64(hold)
+	return 1 - float64(DefaultReconfDelay)/float64(hold)
 }
 
 // SliceAt maps a simulation time to (slice index within cycle, absolute
@@ -407,7 +397,7 @@ func (o *Opera) BulkWindow(sw, slice int) (start, end eventsim.Time) {
 		start = g
 	}
 	if o.IsTransitioning(sw, slice) {
-		end = o.SliceDuration() - o.cfg.ReconfDelay - g
+		end = o.SliceDuration() - DefaultReconfDelay - g
 	}
 	if end < start {
 		end = start
@@ -429,7 +419,7 @@ func (o *Opera) LowLatencyCapacityFactor() float64 {
 // paper's constants (§3.5).
 func (o *Opera) BulkCapacityFactor() float64 {
 	hold := eventsim.Time(o.cfg.GroupSize) * o.SliceDuration()
-	usable := hold - o.cfg.ReconfDelay - 2*o.cfg.GuardBand
+	usable := hold - DefaultReconfDelay - 2*o.cfg.GuardBand
 	if usable < 0 {
 		usable = 0
 	}

@@ -16,10 +16,10 @@ import (
 // low-latency traffic in-fabric and, in its hybrid form, dedicates one ToR
 // uplink to a separate packet-switched network (+33% cost, §5.1).
 type RotorNet struct {
-	cfg       RotorConfig // defaulted
-	switches  int         // rotor switches (u for non-hybrid, u-1 for hybrid)
-	matchings []Matching  // per switch: slots each, concatenated
-	slots     int         // slots per cycle
+	cfg       RotorConfig
+	switches  int        // rotor switches (u for non-hybrid, u-1 for hybrid)
+	matchings []Matching // per switch: slots each, concatenated
+	slots     int        // slots per cycle
 }
 
 // RotorConfig parameterizes NewRotorNet.
@@ -29,12 +29,10 @@ type RotorConfig struct {
 	// Uplinks is the total ToR uplink count u (= k/2). Non-hybrid RotorNet
 	// attaches all u to rotor switches; hybrid attaches u-1 and reserves
 	// one for the packet-switched network.
-	Uplinks      int
-	Hybrid       bool
-	SlotDuration eventsim.Time // zero = DefaultEpsilon + DefaultReconfDelay
-	ReconfDelay  eventsim.Time // zero = DefaultReconfDelay
-	GuardBand    eventsim.Time
-	Seed         int64
+	Uplinks   int
+	Hybrid    bool
+	GuardBand eventsim.Time
+	Seed      int64
 }
 
 // NewRotorNet builds a RotorNet schedule: a complete-graph factorization
@@ -59,12 +57,6 @@ func NewRotorNet(cfg RotorConfig) (*RotorNet, error) {
 		if numSwitches < 1 {
 			return nil, fmt.Errorf("topology: hybrid RotorNet needs >= 2 uplinks")
 		}
-	}
-	if cfg.SlotDuration == 0 {
-		cfg.SlotDuration = DefaultEpsilon + DefaultReconfDelay
-	}
-	if cfg.ReconfDelay == 0 {
-		cfg.ReconfDelay = DefaultReconfDelay
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	fact := FactorizeComplete(cfg.NumRacks, rng)
@@ -116,10 +108,10 @@ func (r *RotorNet) SlicesPerCycle() int { return r.slots }
 
 // SliceDuration returns the time a set of matchings is held (RotorNet
 // calls it a slot), dark for ReconfDelay at its end.
-func (r *RotorNet) SliceDuration() eventsim.Time { return r.cfg.SlotDuration }
+func (r *RotorNet) SliceDuration() eventsim.Time { return sliceDuration }
 
 // ReconfDelay returns r.
-func (r *RotorNet) ReconfDelay() eventsim.Time { return r.cfg.ReconfDelay }
+func (r *RotorNet) ReconfDelay() eventsim.Time { return DefaultReconfDelay }
 
 // PairWindowsPerCycle returns 1: a pair's matching is held for one slot.
 func (r *RotorNet) PairWindowsPerCycle() int { return 1 }
@@ -127,13 +119,13 @@ func (r *RotorNet) PairWindowsPerCycle() int { return 1 }
 // CycleTime returns SlicesPerCycle × SliceDuration. For the paper's
 // 108-rack non-hybrid network: 18 slots × 100 µs = 1.8 ms.
 func (r *RotorNet) CycleTime() eventsim.Time {
-	return eventsim.Time(r.slots) * r.cfg.SlotDuration
+	return eventsim.Time(r.slots) * sliceDuration
 }
 
 // SliceAt maps a time to (slot in cycle, absolute slot, offset).
 func (r *RotorNet) SliceAt(t eventsim.Time) (sliceInCycle int, absSlice int64, offset eventsim.Time) {
-	abs := int64(t / r.cfg.SlotDuration)
-	return int(abs % int64(r.slots)), abs, t % r.cfg.SlotDuration
+	abs := int64(t / sliceDuration)
+	return int(abs % int64(r.slots)), abs, t % sliceDuration
 }
 
 // IsTransitioning reports true: every switch reconfigures at the end of
@@ -168,7 +160,7 @@ func (r *RotorNet) DirectSwitchInstalled(slot, a, b int) int {
 // (unison reconfiguration), plus guard bands at both ends.
 func (r *RotorNet) BulkWindow(sw, slot int) (start, end eventsim.Time) {
 	start = r.cfg.GuardBand
-	end = r.cfg.SlotDuration - r.cfg.ReconfDelay - r.cfg.GuardBand
+	end = sliceDuration - DefaultReconfDelay - r.cfg.GuardBand
 	if end < start {
 		end = start
 	}
@@ -178,5 +170,5 @@ func (r *RotorNet) BulkWindow(sw, slot int) (start, end eventsim.Time) {
 // DutyCycle returns the fraction of time circuits carry traffic.
 func (r *RotorNet) DutyCycle() float64 {
 	s, e := r.BulkWindow(0, 0)
-	return float64(e-s) / float64(r.cfg.SlotDuration)
+	return float64(e-s) / float64(sliceDuration)
 }

@@ -106,15 +106,14 @@ type IncastConfig struct {
 	// Bursts bounds the run (0 = unbounded; bound with Take or the
 	// scenario deadline).
 	Bursts int
-	// Dst fixes the receiver (-1 = a fresh random receiver per burst).
-	Dst  int
-	Seed int64
+	Seed   int64
 }
 
 // Incast generates the classic partition–aggregate pattern: every Period,
-// Fanin random senders simultaneously send Bytes to one receiver. Each
-// burst's flows share one arrival instant, which is what stresses the
-// receiver's downlink and the fabric's buffering.
+// Fanin random senders simultaneously send Bytes to one receiver, drawn
+// afresh for each burst. Each burst's flows share one arrival instant,
+// which is what stresses the receiver's downlink and the fabric's
+// buffering.
 func Incast(cfg IncastConfig) Source {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	burst := 0
@@ -131,10 +130,7 @@ func Incast(cfg IncastConfig) Source {
 			}
 			burst++
 			idx = 0
-			dst = cfg.Dst
-			if dst < 0 {
-				dst = rng.Intn(cfg.NumHosts)
-			}
+			dst = rng.Intn(cfg.NumHosts)
 			fanin := cfg.Fanin
 			if fanin > cfg.NumHosts-1 {
 				fanin = cfg.NumHosts - 1

@@ -151,7 +151,7 @@ func TestMixWeightsAndDeterminism(t *testing.T) {
 func TestIncast(t *testing.T) {
 	flows := Drain(Incast(IncastConfig{
 		NumHosts: 64, Fanin: 8, Bytes: 10_000,
-		Period: eventsim.Millisecond, Bursts: 3, Dst: -1, Seed: 1,
+		Period: eventsim.Millisecond, Bursts: 3, Seed: 1,
 	}))
 	if len(flows) != 24 {
 		t.Fatalf("%d flows, want 3 bursts × 8", len(flows))

@@ -26,7 +26,7 @@
 // wherever the fabric has an always-on packet path, RotorLB wherever it
 // exposes slice-driven circuits (sim.CircuitNetwork). Each transport
 // claims its own packet kinds on every host, and every packet points at
-// its flow. Flows smaller than BulkThreshold (default 15 MB, §4.1) are
+// its flow. Flows smaller than DefaultBulkThreshold (15 MB, §4.1) are
 // latency-sensitive and ride NDP over the current expander slice; larger
 // flows wait at hosts and ride RotorLB over direct circuits.
 // Baselines use the transports the paper gives them: NDP everywhere for
@@ -129,10 +129,6 @@ type ClusterConfig struct {
 	// ClosK and ClosF size the folded Clos (radix, oversubscription).
 	ClosK, ClosF int
 
-	// BulkThreshold classifies flows; zero means DefaultBulkThreshold.
-	// Flows at or above it are bulk (§4.1).
-	BulkThreshold int64
-
 	// AppTaggedBulk forces every flow to bulk service regardless of size
 	// (§5.2's application-tagged shuffle).
 	AppTaggedBulk bool
@@ -142,9 +138,6 @@ type ClusterConfig struct {
 	// streams completions into quantile sketches and releases all per-flow
 	// state, keeping unbounded soaks flat-memory. See WithRetention.
 	Retention RetentionPolicy
-
-	// Sim overrides the simulator's physical constants when non-nil.
-	Sim *sim.Config
 
 	// MaxSliceDiameter bounds Opera slice diameters at build time (0 = no
 	// bound; 5 reproduces the paper's ε sizing).
@@ -201,14 +194,6 @@ func New(kind Kind, opts ...Option) (*Cluster, error) {
 // build assembles the cluster: internal/sim builds the architecture by
 // name, and transports attach by capability rather than by Kind.
 func build(cfg ClusterConfig) (*Cluster, error) {
-	if cfg.BulkThreshold == 0 {
-		cfg.BulkThreshold = DefaultBulkThreshold
-	}
-	simCfg := sim.DefaultConfig()
-	if cfg.Sim != nil {
-		simCfg = *cfg.Sim
-	}
-
 	name, ok := kindName(cfg.Kind)
 	if !ok {
 		return nil, fmt.Errorf("opera: unknown network kind %v", cfg.Kind)
@@ -227,7 +212,7 @@ func build(cfg ClusterConfig) (*Cluster, error) {
 	}
 	net, err := sim.Build(name, sim.BuildParams{
 		Engine:           c.eng,
-		Sim:              simCfg,
+		Sim:              sim.DefaultConfig(),
 		Racks:            cfg.Racks,
 		HostsPerRack:     cfg.HostsPerRack,
 		Uplinks:          cfg.Uplinks,
@@ -362,7 +347,7 @@ func (c *Cluster) classify(spec workload.FlowSpec) sim.Class {
 	if c.cfg.AppTaggedBulk || spec.Bulk {
 		return sim.ClassBulk
 	}
-	if spec.Bytes >= c.cfg.BulkThreshold {
+	if spec.Bytes >= DefaultBulkThreshold {
 		return sim.ClassBulk
 	}
 	return sim.ClassLowLatency

@@ -52,14 +52,25 @@ func TestClusterClassification(t *testing.T) {
 	}
 }
 
-func TestClusterCustomThreshold(t *testing.T) {
-	cl, err := opera.New(opera.KindOpera, opera.WithBulkThreshold(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := cl.AddFlow(workload.FlowSpec{Src: 0, Dst: 30, Bytes: 2000})
-	if f.Class != sim.ClassBulk {
-		t.Fatal("custom threshold ignored")
+// A flow of exactly DefaultBulkThreshold bytes is bulk and one byte less is
+// latency-sensitive, on every architecture. The flows arrive later than
+// now, so nothing starts and Class is classify's verdict alone (non-hybrid
+// RotorNet reclassifies everything bulk when a flow starts).
+func TestClusterBulkThresholdBoundary(t *testing.T) {
+	for _, k := range []opera.Kind{
+		opera.KindOpera, opera.KindExpander, opera.KindFoldedClos,
+		opera.KindRotorNet, opera.KindRotorNetHybrid,
+	} {
+		cl, err := opera.New(k)
+		if err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		at := eventsim.Millisecond
+		big := cl.AddFlow(workload.FlowSpec{Src: 0, Dst: 20, Bytes: 15_000_000, Arrival: at})
+		small := cl.AddFlow(workload.FlowSpec{Src: 1, Dst: 21, Bytes: 14_999_999, Arrival: at})
+		if big.Class != sim.ClassBulk || small.Class != sim.ClassLowLatency {
+			t.Errorf("%v: 15,000,000 B → %v, 14,999,999 B → %v; want bulk, low-latency", k, big.Class, small.Class)
+		}
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 type RetentionPolicy = sim.RetentionPolicy
 
 // SketchOptions tunes RetainSketch: the quantile sketches' relative-error
-// bound (Alpha, default 1%) and the trailing throughput/tax window
-// (WindowBin seconds × WindowBins bins, default 1 ms × 128).
+// bound (Alpha, default 1%). The trailing throughput/tax window is fixed at
+// 128 bins of 1 ms.
 type SketchOptions = telemetry.Opts
 
 // RetainAll is the default retention policy: every completed flow is kept,
@@ -63,12 +63,6 @@ func WithClos(k, f int) Option {
 	}
 }
 
-// WithBulkThreshold sets the flow-size boundary between latency-sensitive
-// and bulk service (§4.1).
-func WithBulkThreshold(bytes int64) Option {
-	return func(cfg *ClusterConfig) { cfg.BulkThreshold = bytes }
-}
-
 // WithAppTaggedBulk forces every flow to bulk service regardless of size
 // (§5.2's application-tagged shuffle).
 func WithAppTaggedBulk(tagged bool) Option {
@@ -78,11 +72,6 @@ func WithAppTaggedBulk(tagged bool) Option {
 // WithSeed seeds topology generation and per-ToR packet spraying.
 func WithSeed(seed int64) Option {
 	return func(cfg *ClusterConfig) { cfg.Seed = seed }
-}
-
-// WithSimConfig overrides the simulator's physical constants.
-func WithSimConfig(sc sim.Config) Option {
-	return func(cfg *ClusterConfig) { cfg.Sim = &sc }
 }
 
 // WithMaxSliceDiameter bounds Opera slice diameters at build time (5

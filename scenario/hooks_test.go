@@ -22,9 +22,8 @@ func hookSweep() []scenario.Scenario {
 			Name: "opera-hooks",
 			Kind: opera.KindOpera,
 			Seed: seed,
-			Options: []opera.Option{
-				opera.WithBulkThreshold(20_000),
-			},
+			// Every flow of both shuffles rides the bulk class.
+			Options: []opera.Option{opera.WithAppTaggedBulk(true)},
 			Sources: []scenario.Source{
 				scenario.TagSource("east", scenario.Shuffle(10, 25_000, eventsim.Millisecond)),
 				scenario.TagSource("west", scenario.BulkSource(scenario.Shuffle(4, 10_000, eventsim.Millisecond))),

@@ -123,7 +123,6 @@ func Incast(fanin int, bytes int64, period eventsim.Time, bursts int) Source {
 			Bytes:    bytes,
 			Period:   period,
 			Bursts:   bursts,
-			Dst:      -1,
 			Seed:     env.Seed,
 		})
 	}
@@ -214,14 +213,6 @@ func fctStats(s *stats.Sample) FCTStats {
 		return FCTStats{}
 	}
 	return FCTStats{N: s.N(), MeanUs: s.Mean(), P50Us: s.Median(), P99Us: s.P99(), MaxUs: s.Max()}
-}
-
-func sketchFCT(s *telemetry.Sketch) FCTStats {
-	if s.Count() == 0 {
-		return FCTStats{}
-	}
-	return FCTStats{N: int(s.Count()), MeanUs: s.Mean(),
-		P50Us: s.Quantile(0.50), P99Us: s.Quantile(0.99), MaxUs: s.Max()}
 }
 
 // TagStats summarizes one workload tag's flows: completion counts, FCTs
@@ -323,15 +314,17 @@ type TelemetrySummary struct {
 	WindowTax float64
 }
 
-func quantileSummary(s *telemetry.Sketch) QuantileSummary {
-	if s.Count() == 0 {
-		return QuantileSummary{}
-	}
-	return QuantileSummary{
-		N: int(s.Count()), MeanUs: s.Mean(), MaxUs: s.Max(),
-		P50Us: s.Quantile(0.50), P90Us: s.Quantile(0.90),
-		P99Us: s.Quantile(0.99), P999Us: s.Quantile(0.999),
-	}
+// quantiles reads one sketch (telemetry.Sketch.Summary) into the Result's
+// form.
+func quantiles(s *telemetry.Sketch) QuantileSummary {
+	q := s.Summary()
+	return QuantileSummary{N: int(q.N), MeanUs: q.Mean,
+		P50Us: q.P50, P90Us: q.P90, P99Us: q.P99, P999Us: q.P999, MaxUs: q.Max}
+}
+
+// fct is the FCTStats subset of q.
+func (q QuantileSummary) fct() FCTStats {
+	return FCTStats{N: q.N, MeanUs: q.MeanUs, P50Us: q.P50Us, P99Us: q.P99Us, MaxUs: q.MaxUs}
 }
 
 // Equal reports whether two Results are identical, including per-tag
@@ -480,17 +473,15 @@ func summarize(res *Result, m *sim.Metrics, elapsedSeconds float64) {
 // were retained, so the FCT summaries, per-tag breakdown and the
 // TelemetrySummary all come from the streaming collector.
 func fillFromTelemetry(res *Result, tel *telemetry.Collector, elapsedSeconds float64) {
-	allSketch := tel.Merged()
-	lowLat := tel.ClassSketch(int(sim.ClassLowLatency))
-	bulk := tel.ClassSketch(int(sim.ClassBulk))
-	res.All = sketchFCT(allSketch)
-	res.LowLat = sketchFCT(lowLat)
-	res.Bulk = sketchFCT(bulk)
+	all := quantiles(tel.Merged())
+	lowLat := quantiles(tel.ClassSketch(int(sim.ClassLowLatency)))
+	bulk := quantiles(tel.ClassSketch(int(sim.ClassBulk)))
+	res.All, res.LowLat, res.Bulk = all.fct(), lowLat.fct(), bulk.fct()
 
 	if tags := tel.Tags(); len(tags) > 0 {
 		res.ByTag = make(map[string]TagStats, len(tags))
 		for tag, t := range tags {
-			ts := TagStats{FlowsDone: t.Done, FlowsTotal: t.Total, FCT: sketchFCT(t.Sketch)}
+			ts := TagStats{FlowsDone: t.Done, FlowsTotal: t.Total, FCT: quantiles(t.Sketch).fct()}
 			if elapsedSeconds > 0 {
 				ts.ThroughputGbps = float64(t.Bytes) * 8 / elapsedSeconds / 1e9
 			}
@@ -500,9 +491,10 @@ func fillFromTelemetry(res *Result, tel *telemetry.Collector, elapsedSeconds flo
 
 	sum := &TelemetrySummary{
 		ErrorBound: tel.Alpha(),
-		All:        quantileSummary(allSketch),
-		LowLat:     quantileSummary(lowLat),
-		Bulk:       quantileSummary(bulk),
+		All:        all,
+		LowLat:     lowLat,
+		Bulk:       bulk,
+		WindowTax:  tel.WindowTax(),
 	}
 	w := tel.Delivered()
 	sum.WindowBinMs = w.BinWidth() * 1000
@@ -512,9 +504,6 @@ func fillFromTelemetry(res *Result, tel *telemetry.Collector, elapsedSeconds flo
 		for i, r := range rates {
 			sum.WindowGbps[i] = r * 8 / 1e9
 		}
-	}
-	if good := tel.Goodput().WindowTotal(); good > 0 {
-		sum.WindowTax = tel.Uplink().WindowTotal()/good - 1
 	}
 	res.Telemetry = sum
 }

@@ -22,7 +22,7 @@ func sweep() []scenario.Scenario {
 				Name:     kind.String(),
 				Kind:     kind,
 				Seed:     seed,
-				Options:  []opera.Option{opera.WithBulkThreshold(20_000)},
+				Options:  []opera.Option{opera.WithAppTaggedBulk(true)},
 				Sources:  []scenario.Source{scenario.Shuffle(12, 25_000, eventsim.Millisecond)},
 				Duration: 4000 * eventsim.Millisecond,
 			})

@@ -6,7 +6,6 @@ import (
 
 	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
-	"github.com/opera-net/opera/internal/sim"
 	"github.com/opera-net/opera/internal/workload"
 	"github.com/opera-net/opera/scenario"
 )
@@ -96,33 +95,6 @@ func TestSourceScenarioDeterministicPerSeed(t *testing.T) {
 	}
 	if len(a.ByTag) != 2 {
 		t.Fatalf("ByTag = %v, want bulk+web", a.ByTag)
-	}
-}
-
-// scenario.Poisson calibrates against the cluster's configured link rate:
-// the same load fraction on a faster link must offer proportionally more
-// flows (regression for the hardcoded-10G bug).
-func TestPoissonDerivesClusterLinkRate(t *testing.T) {
-	run := func(rate float64) int {
-		cfg := sim.DefaultConfig()
-		cfg.LinkRateGbps = rate
-		res := scenario.Run(scenario.Scenario{
-			Name:     "rate",
-			Kind:     opera.KindOpera,
-			Seed:     1,
-			Options:  []opera.Option{opera.WithSimConfig(cfg)},
-			Sources:  []scenario.Source{scenario.Poisson(workload.Fixed(1500), 0.01, 4*eventsim.Millisecond, 0)},
-			Duration: 5 * eventsim.Millisecond,
-		})
-		if res.Err != "" {
-			t.Fatal(res.Err)
-		}
-		return res.FlowsTotal
-	}
-	at10, at40 := run(10), run(40)
-	ratio := float64(at40) / float64(at10)
-	if ratio < 3.5 || ratio > 4.5 {
-		t.Fatalf("flow count ratio 40G/10G = %.2f (%d vs %d), want ≈4", ratio, at40, at10)
 	}
 }
 

@@ -158,15 +158,11 @@ type SourceSpec struct {
 
 // RetentionSpec selects the metrics retention policy: the zero value is
 // RetainAll (exact, unbounded memory); Sketch true is RetainSketch with
-// the given options (zero fields take telemetry defaults).
+// the given sketch bound.
 type RetentionSpec struct {
 	Sketch bool
 	// Alpha is the quantile sketches' relative-error bound (0 = 1%).
 	Alpha float64
-	// WindowBin / WindowBins shape the trailing throughput window
-	// (0 = 1 ms × 128 bins).
-	WindowBin  float64
-	WindowBins int
 }
 
 // MaxLoad is the ceiling on SourceSpec.Load. A load of 1 already drives
@@ -316,11 +312,7 @@ func (sp Spec) Scenario() (Scenario, error) {
 		opts = append(opts, opera.WithMaxSliceDiameter(sp.MaxSliceDiameter))
 	}
 	if sp.Retention.Sketch {
-		sketchOpts := opera.SketchOptions{
-			Alpha:      sp.Retention.Alpha,
-			WindowBin:  sp.Retention.WindowBin,
-			WindowBins: sp.Retention.WindowBins,
-		}
+		sketchOpts := opera.SketchOptions{Alpha: sp.Retention.Alpha}
 		if err := sketchOpts.Validate(); err != nil {
 			return Scenario{}, fmt.Errorf("scenario: spec %q: %w", sp.Name, err)
 		}

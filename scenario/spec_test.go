@@ -260,6 +260,43 @@ func TestSpecGobRoundTrip(t *testing.T) {
 	}
 }
 
+// retiredKeysSpec is a spec file as JSON-encoded Specs were written while
+// the sketch window geometry was a RetentionSpec field; FuzzSpecJSON's
+// corpus carries it too.
+const retiredKeysSpec = `{"Name":"retired","Network":"opera","Seed":1,"Duration":5000000,` +
+	`"Sources":[{"Type":"shuffle","FlowBytes":20000,"Participants":8}],` +
+	`"Retention":{"Sketch":true,"Alpha":0,"WindowBin":0.001,"WindowBins":128}}`
+
+// Old grid and spec files keep working: the retired "WindowBin" and
+// "WindowBins" keys decode to nothing, and the spec runs to the Result of
+// the same spec without them.
+func TestRetiredWindowKeysDecode(t *testing.T) {
+	var old Spec
+	if err := json.Unmarshal([]byte(retiredKeysSpec), &old); err != nil {
+		t.Fatal(err)
+	}
+	want := Spec{Name: "retired", Network: "opera", Seed: 1, Duration: 5 * eventsim.Millisecond,
+		Sources:   []SourceSpec{{Type: "shuffle", FlowBytes: 20_000, Participants: 8}},
+		Retention: RetentionSpec{Sketch: true}}
+	if !reflect.DeepEqual(old, want) {
+		t.Fatalf("decoded %+v, want %+v", old, want)
+	}
+	run := func(sp Spec) Result {
+		sc, err := sp.Scenario()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Run(sc)
+	}
+	got, direct := run(old), run(want)
+	if got.Err != "" || got.Telemetry == nil || got.FlowsDone == 0 {
+		t.Fatalf("retired-keys spec ran to %+v", got)
+	}
+	if !got.Equal(direct) {
+		t.Fatalf("retired-keys spec ran differently:\ngot  %+v\nwant %+v", got, direct)
+	}
+}
+
 // specErrorBase resolves; every specErrorRows mutation of it must not.
 // FuzzSpecJSON seeds from both.
 func specErrorBase() Spec {
