@@ -34,7 +34,8 @@ bench-module:
 ## the scenario targets resolve only, no simulation (corpus under
 ## scenario/testdata/fuzz/); FuzzSegQueue is RotorLB's ring deque against
 ## its slice oracle; FuzzSchedulerDifferential is the timing wheel against
-## the heap on raw push/pop/peek/cancel op streams; FuzzBuildDifferential is
+## the heap on raw push/pop/peek op streams with keys reserved now and
+## pushed later (a re-armed timer's re-key); FuzzBuildDifferential is
 ## the bit-parallel routing build against the per-source BFS it replaced,
 ## on raw directed port maps
 fuzz:

@@ -72,21 +72,17 @@ type Handler interface {
 }
 
 // Event is a scheduled callback. Events are returned by the scheduling
-// methods of Engine and may be cancelled until they fire. Event objects are
-// pooled: once an event has fired (or its cancelled slot has drained from
-// the queue) the engine recycles the object for a future schedule, so
-// callers must not retain or use an Event past its scheduled time — which
-// was already the contract. The fields an implementation of Scheduler
-// orders by are at and seq; nothing in the Event records which scheduler
-// holds it.
+// methods of Engine. Event objects are pooled: once an event has fired (or
+// a dead timer event has drained from the queue) the engine recycles the
+// object for a future schedule, so callers must not retain or use an Event
+// past its scheduled time. The fields an implementation of Scheduler orders
+// by are at and seq; nothing in the Event records which scheduler holds it.
 type Event struct {
-	at        Time
-	seq       uint64 // scheduling order; breaks ties at equal time
-	h         Handler
-	arg       any
-	next      *Event // intrusive link, owned by the scheduler holding the event
-	pending   bool   // in a scheduler and not yet popped
-	cancelled bool
+	at   Time
+	seq  uint64 // scheduling order; breaks ties at equal time
+	h    Handler
+	arg  any
+	next *Event // intrusive link, owned by the scheduler holding the event
 }
 
 // funcHandler is the Handler behind At/After. A func value is
@@ -94,23 +90,6 @@ type Event struct {
 type funcHandler func()
 
 func (f funcHandler) OnEvent(any) { f() }
-
-// At reports the virtual time at which the event is (or was) scheduled.
-func (e *Event) At() Time { return e.at }
-
-// Cancel prevents a pending event from firing, reporting whether it was
-// still pending. Cancelling twice is a no-op. Cancel must not be called on
-// an event that has already fired: events are pooled, so the object may by
-// then back a different, unrelated schedule, and a stale Cancel would
-// silently cancel that one instead. Holders that may outlive their event
-// must drop the reference when it fires (as Timer does).
-func (e *Event) Cancel() bool {
-	if e.cancelled || !e.pending {
-		return false
-	}
-	e.cancelled = true
-	return true
-}
 
 // before reports whether e is ordered before o in the engine's total event
 // order: ascending time, ties broken by ascending seq (scheduling order).
@@ -127,15 +106,17 @@ func (e *Event) before(o *Event) bool {
 // empty; PopDue does the same only if that minimum is scheduled at or
 // before the deadline, and otherwise returns nil having changed nothing —
 // RunUntil's one question per event; Peek returns the minimum without
-// removing it; Len reports how many events are stored (including cancelled
-// ones, which drain lazily).
+// removing it; Len reports how many events are stored (including dead
+// timer events, which drain lazily).
 //
 // The ordering contract is exact, not approximate: two schedulers fed the
 // same Push sequence must Pop the identical event sequence, including FIFO
-// order among events at the same instant. Callers push in ascending seq
-// (Engine.push stamps it), and an implementation may rely on that: the
-// wheel (NewWheelScheduler, the default) is O(1) per operation because
-// push order within one nanosecond is already (time, seq) order; the heap
+// order among events at the same instant. Pushes arrive in ascending seq
+// (Engine.push stamps it) except a timer's re-keyed event, which comes back
+// under the seq its Timer.Arm reserved and may be older than events pushed
+// since. The wheel (NewWheelScheduler, the default) is O(1) per in-order
+// push because push order within one nanosecond is already (time, seq)
+// order, and walks one bucket to place a re-keyed one; the heap
 // (NewHeapScheduler) is the simple O(log n) oracle the differential tests
 // compare against. Implementations are not safe for concurrent use.
 type Scheduler interface {
@@ -162,8 +143,9 @@ type Engine struct {
 	nMetaSteps  uint64
 	metaPending int
 
-	// nCancelled counts cancelled events drained from the scheduler
-	// (in fire and peek, where the cancellation branch already exists).
+	// nCancelled counts dead timer events dropped from the scheduler (in
+	// fire and peek): events whose timer was stopped, rebound or re-armed
+	// to an earlier time after they were pushed.
 	nCancelled uint64
 
 	// firing is the event whose callback is currently executing. Holding
@@ -196,12 +178,12 @@ func NewWith(s Scheduler) *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Len returns the number of pending (non-cancelled) simulation events.
-// Cancelled events still occupy scheduler slots until their scheduled time,
-// so Len is an upper bound on the number of callbacks that will actually
-// run. Meta events (AtMetaCall) are excluded: an attached observer must not
-// keep "the queue is non-empty" true on its own, or done-detection loops
-// like Cluster.RunUntilDone would behave differently under observation.
+// Len returns the number of simulation events in the scheduler. A dead
+// timer event occupies its slot until its scheduled time, so Len is an
+// upper bound on the number of callbacks that will actually run. Meta
+// events (AtMetaCall) are excluded: an attached observer must not keep
+// "the queue is non-empty" true on its own, or done-detection loops like
+// Cluster.RunUntilDone would behave differently under observation.
 func (e *Engine) Len() int { return e.sched.Len() - e.metaPending }
 
 // Steps returns the total number of simulation events executed so far. It
@@ -230,7 +212,6 @@ func (e *Engine) recycle(ev *Event) {
 func (e *Engine) push(ev *Event) {
 	ev.seq = e.seq
 	e.seq++
-	ev.pending = true
 	e.sched.Push(ev)
 }
 
@@ -313,13 +294,11 @@ func (e *Engine) Step() bool {
 }
 
 // fire runs a popped event's callback, advancing the clock to its
-// timestamp, and reports whether there was one to run: a cancelled event
-// is only recycled.
+// timestamp, and reports whether there was one to run: a timer event that
+// is not to fire as it stands (see stale) is re-keyed or dropped instead.
 func (e *Engine) fire(ev *Event) bool {
-	ev.pending = false
-	if ev.cancelled {
-		e.nCancelled++
-		e.recycle(ev)
+	if t := stale(ev); t != nil {
+		e.requeue(t, ev)
 		return false
 	}
 	e.now = ev.at
@@ -337,6 +316,20 @@ func (e *Engine) fire(ev *Event) bool {
 	return true
 }
 
+// requeue disposes of a popped stale timer event: while it is still its
+// timer's event it goes back into the scheduler under the key the timer
+// was last armed with — which is not a step — and otherwise it is dead and
+// recycled.
+func (e *Engine) requeue(t *Timer, ev *Event) {
+	if t.ev == ev {
+		ev.at, ev.seq = t.at, t.seq
+		e.sched.Push(ev)
+		return
+	}
+	e.nCancelled++
+	e.recycle(ev)
+}
+
 // Run executes events until the queue is empty.
 func (e *Engine) Run() {
 	for e.Step() {
@@ -349,9 +342,9 @@ func (e *Engine) RunUntil(deadline Time) {
 	for ev := e.sched.PopDue(deadline); ev != nil; ev = e.sched.PopDue(deadline) {
 		e.fire(ev)
 	}
-	// Drain cancelled events off the front, past the deadline too: Len
-	// counts them until they drain, and Cluster.RunUntilDone ends a run on
-	// Len() == 0.
+	// Settle stale timer events off the front, past the deadline too: Len
+	// counts a dead one until it drains, and Cluster.RunUntilDone ends a
+	// run on Len() == 0.
 	e.peek()
 	if e.now < deadline {
 		e.now = deadline
@@ -361,20 +354,19 @@ func (e *Engine) RunUntil(deadline Time) {
 // RunFor advances the simulation by d nanoseconds of virtual time.
 func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 
-// peek returns the next non-cancelled event without executing it, discarding
-// any cancelled events encountered on the way.
+// peek returns the next event that will fire without executing it,
+// re-keying or dropping any stale timer events it meets on the way.
 func (e *Engine) peek() *Event {
 	for {
 		ev := e.sched.Peek()
 		if ev == nil {
 			return nil
 		}
-		if !ev.cancelled {
+		t := stale(ev)
+		if t == nil {
 			return ev
 		}
 		e.sched.Pop()
-		ev.pending = false
-		e.nCancelled++
-		e.recycle(ev)
+		e.requeue(t, ev)
 	}
 }

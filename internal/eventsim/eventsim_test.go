@@ -44,22 +44,6 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := New()
-	ran := false
-	ev := e.At(5, func() { ran = true })
-	if !ev.Cancel() {
-		t.Fatal("Cancel returned false for pending event")
-	}
-	if ev.Cancel() {
-		t.Fatal("second Cancel returned true")
-	}
-	e.Run()
-	if ran {
-		t.Fatal("cancelled event ran")
-	}
-}
-
 func TestEngineRunUntil(t *testing.T) {
 	e := New()
 	var fired []Time
@@ -180,42 +164,34 @@ func TestEventOrderProperty(t *testing.T) {
 
 func TestTimerRearm(t *testing.T) {
 	e := New()
-	fired := 0
-	tm := NewTimer(e, func() { fired++ })
+	rec := &fireRecorder{e: e}
+	var tm Timer
+	tm.BindCall(e, rec, 1)
 	tm.Arm(10)
 	tm.Arm(20) // replaces the first schedule
-	if !tm.Pending() {
-		t.Fatal("timer should be pending")
-	}
-	if tm.Deadline() != 20 {
-		t.Fatalf("Deadline = %v, want 20", tm.Deadline())
-	}
 	e.Run()
-	if fired != 1 {
-		t.Fatalf("fired %d times, want 1", fired)
+	if len(rec.recs) != 1 || rec.recs[0] != (fireRec{1, 20}) {
+		t.Fatalf("fired %v, want once at 20", rec.recs)
 	}
-	if tm.Pending() {
-		t.Fatal("timer still pending after firing")
-	}
-	if tm.Deadline() != MaxTime {
-		t.Fatalf("idle Deadline = %v, want MaxTime", tm.Deadline())
+	if tm.ev != nil {
+		t.Fatal("timer still armed after firing")
 	}
 }
 
 func TestTimerStop(t *testing.T) {
 	e := New()
-	fired := 0
-	tm := NewTimer(e, func() { fired++ })
+	h := &countHandler{}
+	var tm Timer
+	tm.BindCall(e, h, nil)
 	tm.Arm(10)
-	if !tm.Stop() {
-		t.Fatal("Stop returned false for armed timer")
-	}
-	if tm.Stop() {
-		t.Fatal("Stop returned true for stopped timer")
-	}
+	tm.Stop()
+	tm.Stop() // stopping a stopped timer is a no-op
 	e.Run()
-	if fired != 0 {
+	if h.n != 0 {
 		t.Fatal("stopped timer fired")
+	}
+	if st := e.Stats(); st.Cancelled != 1 || st.Pending != 0 {
+		t.Fatalf("stopped timer's event: %+v, want one dead event drained", st)
 	}
 }
 
@@ -315,12 +291,14 @@ func TestTieOrderStableAcrossFormsAndChurn(t *testing.T) {
 	for name, mk := range schedulers {
 		t.Run(name, func(t *testing.T) {
 			e := NewWith(mk())
-			// Churn the pool: schedule, cancel half, run everything.
-			for i := 0; i < 500; i++ {
-				ev := e.After(Time(i%7), func() {})
-				if i%2 == 0 {
-					ev.Cancel()
-				}
+			// Churn the pool: schedule, stop half as timers, run everything.
+			timers := make([]Timer, 250)
+			for i := range timers {
+				e.After(Time(i%7), func() {})
+				tm := &timers[i]
+				tm.BindCall(e, &nopHandler{}, nil)
+				tm.Arm(Time(i % 5))
+				tm.Stop()
 			}
 			e.Run()
 			base := e.Now()
@@ -347,37 +325,34 @@ func TestTieOrderStableAcrossFormsAndChurn(t *testing.T) {
 	}
 }
 
-// A cancelled event's object must drain back to the free list once its
-// scheduled time passes, and reuse must not resurrect the cancelled
-// callback.
+// A stopped timer's dead event must drain back to the free list once its
+// scheduled time passes, and reuse must not resurrect the timer's callback.
 func TestPoolRecycleAfterCancel(t *testing.T) {
 	e := New()
-	cancelledRan := false
-	ev := e.At(10, func() { cancelledRan = true })
-	if !ev.Cancel() {
-		t.Fatal("Cancel failed")
-	}
+	stopped := &countHandler{}
+	var tm Timer
+	tm.BindCall(e, stopped, nil)
+	tm.Arm(10)
+	dead := tm.ev
+	tm.Stop()
 	ran := 0
 	e.At(20, func() { ran++ })
 	e.Run()
-	if cancelledRan {
-		t.Fatal("cancelled event ran")
+	if stopped.n != 0 {
+		t.Fatal("stopped timer fired")
 	}
 	if ran != 1 {
 		t.Fatalf("live event ran %d times, want 1", ran)
 	}
-	// The cancelled slot has drained: a new schedule must reuse a pooled
-	// object (white-box: the free list is non-empty) and fire normally.
-	if e.free.Len() == 0 {
-		t.Fatal("free list empty after cancelled event drained")
+	// The dead slot has drained, zeroed, into the free list (white-box): a
+	// new schedule reuses a pooled object and fires normally.
+	if e.free.Len() == 0 || dead.h != nil {
+		t.Fatal("the dead event was not recycled")
 	}
-	ev2 := e.At(30, func() { ran++ })
-	if ev2.cancelled {
-		t.Fatal("recycled event carried stale cancelled flag")
-	}
+	e.At(30, func() { ran++ })
 	e.Run()
-	if ran != 2 {
-		t.Fatalf("recycled event did not fire: ran = %d", ran)
+	if ran != 2 || stopped.n != 0 {
+		t.Fatalf("recycled event: ran = %d, stopped timer fired %d", ran, stopped.n)
 	}
 }
 
@@ -402,17 +377,49 @@ func TestAllocsPooledScheduling(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("pooled scheduling allocates %.1f/op, want 0", avg)
 	}
-	// Timer re-arming rides the same pooled path.
-	tm := NewTimer(e, func() {})
+	// Timer arming rides the same pooled path.
+	var tm Timer
+	tm.BindCall(e, h, arg)
 	tm.Arm(1)
 	e.Run()
 	avg = testing.AllocsPerRun(200, func() {
 		tm.Arm(1)
-		tm.Arm(2) // replaces: exercises cancel + recycle
+		tm.Arm(2) // re-keys: the event is pushed back under (2, seq) at 1
 		e.Run()
+		h.args = h.args[:0]
 	})
 	if avg != 0 {
 		t.Fatalf("Timer.Arm allocates %.1f/op, want 0", avg)
+	}
+}
+
+// TestAllocsTimerRearm gates the RTO pattern itself: re-arming a pending
+// timer to a later time pushes nothing — no allocation, no new scheduler
+// entry — and the timer still fires once, at the last key.
+func TestAllocsTimerRearm(t *testing.T) {
+	e := New()
+	rec := &fireRecorder{e: e, recs: make([]fireRec, 0, 1)}
+	var tm Timer
+	tm.BindCall(e, rec, 7)
+	tm.Arm(Millisecond)
+	n := e.Len()
+	d := Millisecond
+	avg := testing.AllocsPerRun(1000, func() {
+		d++
+		tm.Arm(d)
+	})
+	if avg != 0 {
+		t.Fatalf("re-arming a pending timer allocates %.1f/op, want 0", avg)
+	}
+	if e.Len() != n {
+		t.Fatalf("Len = %d after re-arms, want %d: a re-arm pushed", e.Len(), n)
+	}
+	e.Run()
+	if len(rec.recs) != 1 || rec.recs[0] != (fireRec{7, d}) {
+		t.Fatalf("fired %v, want once at %v", rec.recs, d)
+	}
+	if st := e.Stats(); st.Fired != 1 || st.Cancelled != 0 || st.Scheduled != 1002 {
+		t.Fatalf("%+v: want 1 fired, 0 dead and 1002 keys (1 push, 1001 re-arms)", st)
 	}
 }
 

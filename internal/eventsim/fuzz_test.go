@@ -14,12 +14,14 @@ var fuzzDeltas = append([]Time{
 }, edgeDeltas...)
 
 // schedPair drives a wheel and a heap with the same operations. Each side
-// owns its Event objects (the wheel links through them); seq, stamped in
-// push order as Engine.push does, identifies an event across the two.
+// owns its Event objects (the wheel links through them); seq, taken in
+// operation order as Engine.push and Timer.Arm take it, identifies an
+// event across the two.
 type schedPair struct {
 	t           *testing.T
 	wheel, heap Scheduler
-	pushed      [][2]*Event
+	seq         uint64
+	reserved    []Event // keys taken but not yet pushed, as Timer.Arm takes them
 	now         Time
 }
 
@@ -38,18 +40,38 @@ func (p *schedPair) same(op string, w, h *Event) *Event {
 	return w
 }
 
-func (p *schedPair) push(d Time) {
+// key returns the next (time, seq) key d after the harness clock.
+func (p *schedPair) key(d Time) Event {
 	at := p.now + d
 	if d == MaxTime {
 		at = MaxTime
 	} else if at < 0 {
 		at = 0
 	}
-	seq := uint64(len(p.pushed))
-	w, h := &Event{at: at, seq: seq}, &Event{at: at, seq: seq}
-	p.pushed = append(p.pushed, [2]*Event{w, h})
-	p.wheel.Push(w)
-	p.heap.Push(h)
+	p.seq++
+	return Event{at: at, seq: p.seq}
+}
+
+func (p *schedPair) push(k Event) {
+	w, h := k, k
+	p.wheel.Push(&w)
+	p.heap.Push(&h)
+}
+
+// reserve takes a key now and pushes nothing: a timer re-armed while its
+// event waits at an earlier key.
+func (p *schedPair) reserve(d Time) { p.reserved = append(p.reserved, p.key(d)) }
+
+// pushReserved pushes a reserved key, older than every push since it was
+// taken: the re-keyed event reaching the scheduler when its old key pops.
+func (p *schedPair) pushReserved(arg int) {
+	if len(p.reserved) == 0 {
+		return
+	}
+	i := arg % len(p.reserved)
+	k := p.reserved[i]
+	p.reserved = append(p.reserved[:i], p.reserved[i+1:]...)
+	p.push(k)
 }
 
 func (p *schedPair) pop() *Event {
@@ -75,18 +97,6 @@ func (p *schedPair) popDue(arg int) *Event {
 	return p.served(p.same("popDue", p.wheel.PopDue(deadline), p.heap.PopDue(deadline)))
 }
 
-// drainCancelled is Engine.peek: it pops cancelled events off the front
-// without advancing the clock, which can carry the wheel's cursor past it.
-func (p *schedPair) drainCancelled() {
-	for {
-		ev := p.same("peek", p.wheel.Peek(), p.heap.Peek())
-		if ev == nil || !ev.cancelled {
-			return
-		}
-		p.same("drain", p.wheel.Pop(), p.heap.Pop())
-	}
-}
-
 // run decodes data two bytes at a time — an op and its parameter — and
 // finishes by draining both schedulers.
 func (p *schedPair) run(data []byte) {
@@ -94,7 +104,7 @@ func (p *schedPair) run(data []byte) {
 		arg := int(data[i+1])
 		switch data[i] % 8 {
 		case 0, 1, 2: // push dominates, so a backlog builds
-			p.push(fuzzDeltas[arg%len(fuzzDeltas)])
+			p.push(p.key(fuzzDeltas[arg%len(fuzzDeltas)]))
 		case 3:
 			if arg%4 == 0 {
 				p.pop()
@@ -104,12 +114,9 @@ func (p *schedPair) run(data []byte) {
 		case 4:
 			p.same("peek", p.wheel.Peek(), p.heap.Peek())
 		case 5:
-			if len(p.pushed) > 0 {
-				pair := p.pushed[arg%len(p.pushed)]
-				pair[0].cancelled, pair[1].cancelled = true, true
-			}
+			p.reserve(fuzzDeltas[arg%len(fuzzDeltas)])
 		case 6:
-			p.drainCancelled()
+			p.pushReserved(arg)
 		case 7: // the clock runs ahead of the queue, as RunUntil leaves it
 			if d := fuzzDeltas[arg%len(fuzzDeltas)]; d > 0 && d != MaxTime {
 				p.now += d
@@ -121,11 +128,13 @@ func (p *schedPair) run(data []byte) {
 }
 
 // FuzzSchedulerDifferential feeds a byte stream decoded into push-δ / pop /
-// pop-due / peek / cancel / cancelled-drain / clock-jump operations to the
+// pop-due / peek / reserve-δ / push-reserved / clock-jump operations to the
 // wheel and the heap through the raw Scheduler interface, including pushes
-// earlier than the last pop, and requires identical results from every
-// Pop, PopDue, Peek and Len. `make fuzz` runs it for 10 s; the seeds below
-// run in every `go test`.
+// earlier than the last pop and reserved keys pushed after newer ones —
+// older-seq pushes into a leaf bucket, a window slot and the overflow
+// tier — and requires identical results from every Pop, PopDue, Peek and
+// Len. `make fuzz` runs it for 10 s; the seeds below run in every
+// `go test`.
 func FuzzSchedulerDifferential(f *testing.F) {
 	edge := func(d Time) byte {
 		for i, v := range fuzzDeltas {
@@ -141,11 +150,16 @@ func FuzzSchedulerDifferential(f *testing.F) {
 	f.Add([]byte{0, edge(1023), 0, edge(1024), 0, edge(1024), 0, edge(1025), 3, 0, 3, 0, 0, edge(-1025), 0, edge(-1), 0, edge(0), 3, 0, 4, 0})
 	// horizon edge and a MaxTime park sharing the heap with a behind-cursor push.
 	f.Add([]byte{0, edge(1_048_575), 0, edge(1_048_576), 0, edge(MaxTime), 3, 0, 0, edge(-1200 * Microsecond), 0, edge(1_048_576), 3, 0, 3, 0})
-	// cancelled events drained ahead of the clock, then near pushes behind the cursor.
-	f.Add([]byte{0, edge(51), 0, edge(70 * Microsecond), 0, edge(1100 * Microsecond), 5, 1, 3, 0, 6, 0, 0, edge(3), 0, edge(1200), 7, edge(50 * Millisecond), 0, edge(0), 4, 0})
+	// keys reserved into the leaf, a window and the overflow tier, pushed
+	// after newer ties and after a pop, then near pushes behind the cursor.
+	f.Add([]byte{5, edge(51), 5, edge(1200), 5, edge(1100 * Microsecond), 0, edge(51), 0, edge(1200), 0, edge(1100 * Microsecond), 6, 0, 6, 0, 4, 0, 3, 0, 6, 0, 0, edge(3), 7, edge(50 * Millisecond), 0, edge(0), 4, 0})
 	// deadlines before, at and after the minimum, in the wheel and in the
 	// overflow heap: the early ones must leave the later pops what they were.
 	f.Add([]byte{0, edge(1025), 0, edge(50 * Millisecond), 3, 1, 4, 0, 3, 5, 3, 1, 3, 9, 0, edge(0), 3, 5, 3, 0})
+	// two timers re-keyed to the same nanosecond, pushed in reverse
+	// reservation order among pushes made in between, in the leaf and in a
+	// window.
+	f.Add([]byte{5, edge(500), 5, edge(500), 0, edge(500), 6, 1, 6, 0, 0, edge(500), 5, edge(1200), 5, edge(1200), 0, edge(1200), 6, 1, 6, 0, 3, 0, 3, 0, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := &schedPair{t: t, wheel: NewWheelScheduler(), heap: NewHeapScheduler()}
 		p.run(data)
@@ -154,7 +168,7 @@ func FuzzSchedulerDifferential(f *testing.F) {
 
 // TestSchedulerDifferentialRawOps runs the fuzz harness over seeded random
 // op streams, so every `go test` covers the raw-interface cases (pushes
-// behind the cursor, cancelled drains ahead of the clock) at some depth
+// behind the cursor, reserved keys pushed out of seq order) at some depth
 // without a fuzzing session.
 func TestSchedulerDifferentialRawOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))

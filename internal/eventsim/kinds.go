@@ -17,8 +17,9 @@ type KindCounts struct {
 // CountKinds wraps s so that every event popped to fire is counted under
 // its handler's type. The counting lives in the wrapper's Pop and PopDue:
 // an engine built without one pays nothing, and Step has no branch for it.
-// Cancelled events are not counted (they never fire); meta events are,
-// under their observer's handler type.
+// A stale timer event is not counted (it is re-keyed or dropped, not
+// fired), so a timer re-armed any number of times counts once per firing;
+// meta events are counted, under their observer's handler type.
 func CountKinds(s Scheduler) *KindCounts {
 	return &KindCounts{Scheduler: s, n: make(map[reflect.Type]uint64)}
 }
@@ -28,7 +29,7 @@ func (k *KindCounts) Pop() *Event { return k.count(k.Scheduler.Pop()) }
 func (k *KindCounts) PopDue(deadline Time) *Event { return k.count(k.Scheduler.PopDue(deadline)) }
 
 func (k *KindCounts) count(ev *Event) *Event {
-	if ev != nil && !ev.cancelled {
+	if ev != nil && stale(ev) == nil {
 		k.n[reflect.TypeOf(ev.h)]++
 	}
 	return ev

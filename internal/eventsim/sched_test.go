@@ -1,6 +1,7 @@
 package eventsim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -28,60 +29,59 @@ func (r *fireRecorder) OnEvent(arg any) {
 	r.recs = append(r.recs, fireRec{arg.(int), r.e.Now()})
 }
 
-// runSchedWorkload drives one seeded schedule/cancel/reschedule workload —
-// equal-time ties, dense bursts, horizon-crossing and MaxTime-parked events,
-// cancel churn — and returns the exact fire sequence.
+// runSchedWorkload drives one seeded schedule/stop/re-arm workload —
+// equal-time ties, dense bursts, horizon-crossing and MaxTime-parked
+// events, timers stopped and re-armed later or earlier — and returns the
+// exact fire sequence.
 func runSchedWorkload(mk func() Scheduler, seed int64) []fireRec {
 	e := NewWith(mk())
 	rng := rand.New(rand.NewSource(seed))
 	rec := &fireRecorder{e: e}
-	type schedRec struct {
-		ev *Event
-		at Time
-	}
-	var pending []schedRec
+	var pending []*Timer
 	id := 0
-	sched := func() {
-		var d Time
+	delay := func() Time {
 		switch rng.Intn(8) {
 		case 0:
-			d = 0 // tie with anything else scheduled this instant
+			return 0 // tie with anything else scheduled this instant
 		case 1, 2:
-			d = Time(rng.Intn(64)) // intra-bucket dense
+			return Time(rng.Intn(64)) // intra-bucket dense
 		case 3, 4:
-			d = Time(rng.Intn(4096)) // a few buckets out
+			return Time(rng.Intn(4096)) // a few buckets out
 		case 5:
-			d = Time(rng.Intn(2_000_000)) // straddles the wheel horizon
+			return Time(rng.Intn(2_000_000)) // straddles the wheel horizon
 		case 6:
-			d = Time(rng.Intn(80_000_000)) // far future: overflow tier
-		case 7:
-			d = MaxTime - e.Now() // parked timer
+			return Time(rng.Intn(80_000_000)) // far future: overflow tier
+		default:
+			return MaxTime - e.Now() // parked timer
 		}
-		pending = append(pending, schedRec{e.AfterCall(d, rec, id), e.Now() + d})
-		id++
 	}
 	for round := 0; round < 30; round++ {
 		for i, n := 0, rng.Intn(24); i < n; i++ {
-			sched()
+			tm := new(Timer)
+			tm.BindCall(e, rec, id)
+			tm.Arm(delay())
+			pending = append(pending, tm)
+			id++
 		}
-		// Cancel some pending events; reschedule half of those (the
-		// cancel+schedule pattern Timer.Arm produces).
+		// Stop some armed timers and re-arm as many, to a fresh delay that
+		// may be later (a re-key) or earlier (a push) than their queued
+		// event — the RTO's churn.
 		for i := 0; i < len(pending)/5; i++ {
 			j := rng.Intn(len(pending))
-			pending[j].ev.Cancel()
+			if rng.Intn(2) == 0 {
+				pending[j].Arm(delay())
+				continue
+			}
+			pending[j].Stop()
 			pending[j] = pending[len(pending)-1]
 			pending = pending[:len(pending)-1]
-			if rng.Intn(2) == 0 {
-				sched()
-			}
 		}
 		e.RunUntil(e.Now() + Time(rng.Intn(3_000_000)))
-		// Drop fired entries: everything at or before now has popped, and
-		// its Event object may already back an unrelated schedule.
+		// Drop the timers that fired.
 		live := pending[:0]
-		for _, p := range pending {
-			if p.at > e.Now() {
-				live = append(live, p)
+		for _, tm := range pending {
+			if tm.ev != nil {
+				live = append(live, tm)
 			}
 		}
 		pending = live
@@ -131,11 +131,13 @@ var edgeDeltas = []Time{
 type denseBed struct {
 	fireRecorder
 	rng *rand.Rand
+	// rearm bumps a chain's timer: Timer.Arm, or eagerArm for the oracle.
+	rearm func(*Timer, Time)
 }
 
 // denseChain is one self-rescheduling chain: each hop draws an edge delay
-// and re-arms through ContinueCall or AfterCall. Every fourth chain also
-// bumps a 1 ms timer per hop, the NDP RTO's cancel churn; the timer fires
+// and re-arms through ContinueCall or AfterCall. A chain with a timer also
+// bumps it to 1 ms per hop, the NDP RTO's re-arm churn; the timer fires
 // (and is recorded) only once its chain has ended.
 type denseChain struct {
 	bed  *denseBed
@@ -148,7 +150,7 @@ func (c *denseChain) OnEvent(any) {
 	b := c.bed
 	b.OnEvent(c.id)
 	if c.rto != nil {
-		c.rto.Arm(Millisecond)
+		b.rearm(c.rto, Millisecond)
 	}
 	if c.hops == 0 {
 		return
@@ -164,16 +166,17 @@ func (c *denseChain) OnEvent(any) {
 
 // runDenseWorkload is runSchedWorkload at the occupancy a fabric run has:
 // 320 concurrent chains, so a window holds hundreds of events and most
-// pushes tie with or interleave among residents. Between RunUntil calls it
-// schedules from outside — as a source pump or AddFlow does — before, at
-// and after the event RunUntil's trailing peek saw.
-func runDenseWorkload(mk func() Scheduler, seed int64) ([]fireRec, EngineStats) {
+// pushes tie with or interleave among residents. Every timerEvery-th chain
+// carries a timer that rearm bumps. Between RunUntil calls it schedules
+// from outside — as a source pump or AddFlow does — before, at and after
+// the event RunUntil's trailing peek saw.
+func runDenseWorkload(mk func() Scheduler, seed int64, timerEvery int, rearm func(*Timer, Time)) ([]fireRec, EngineStats) {
 	e := NewWith(mk())
-	bed := &denseBed{fireRecorder: fireRecorder{e: e}, rng: rand.New(rand.NewSource(seed))}
+	bed := &denseBed{fireRecorder: fireRecorder{e: e}, rng: rand.New(rand.NewSource(seed)), rearm: rearm}
 	const chains, hops = 320, 40
 	for id := 0; id < chains; id++ {
 		c := &denseChain{bed: bed, id: id, hops: hops}
-		if id%4 == 0 {
+		if id%timerEvery == 0 {
 			c.rto = new(Timer)
 			c.rto.BindCall(e, bed, chains+id)
 		}
@@ -196,6 +199,35 @@ func runDenseWorkload(mk func() Scheduler, seed int64) ([]fireRec, EngineStats) 
 	return bed.recs, e.Stats()
 }
 
+// rekeyCounter counts the pushes that arrive older than the newest seq
+// pushed before them: the re-keyed timer events the wheel must link into a
+// bucket rather than append.
+type rekeyCounter struct {
+	Scheduler
+	newest uint64
+	rekeys int
+}
+
+func (r *rekeyCounter) Push(ev *Event) {
+	if ev.seq < r.newest {
+		r.rekeys++
+	} else {
+		r.newest = ev.seq
+	}
+	r.Scheduler.Push(ev)
+}
+
+// armTimer is the production re-arm, as a rearm func.
+func armTimer(t *Timer, d Time) { t.Arm(d) }
+
+// eagerArm is the cancel-and-push re-arm the one-event Timer replaced:
+// the queued event is left dead and a fresh one is pushed every time. It
+// is the oracle TestTimerRekeyMatchesEagerRearm holds Arm to.
+func eagerArm(t *Timer, d Time) {
+	t.Stop()
+	t.Arm(d)
+}
+
 // The dense differential: heap and wheel fire identically and agree on the
 // engine's counters.
 func TestSchedulerDifferentialDense(t *testing.T) {
@@ -204,8 +236,9 @@ func TestSchedulerDifferentialDense(t *testing.T) {
 		seeds = seeds[:2]
 	}
 	for _, seed := range seeds {
-		h, hs := runDenseWorkload(NewHeapScheduler, seed)
-		w, ws := runDenseWorkload(NewWheelScheduler, seed)
+		h, hs := runDenseWorkload(NewHeapScheduler, seed, 4, armTimer)
+		wheel := &rekeyCounter{Scheduler: NewWheelScheduler()}
+		w, ws := runDenseWorkload(func() Scheduler { return wheel }, seed, 4, armTimer)
 		if len(h) != len(w) {
 			t.Fatalf("seed %d: heap fired %d, wheel fired %d", seed, len(h), len(w))
 		}
@@ -217,8 +250,118 @@ func TestSchedulerDifferentialDense(t *testing.T) {
 		if hs.Scheduled != ws.Scheduled || hs.Fired != ws.Fired || hs.Cancelled != ws.Cancelled {
 			t.Fatalf("seed %d: counters diverge: heap %+v, wheel %+v", seed, hs, ws)
 		}
-		if ws.Cancelled == 0 || ws.Fired < 320*40 {
-			t.Fatalf("seed %d: workload too thin: %+v", seed, ws)
+		if wheel.rekeys == 0 || ws.Fired < 320*40 {
+			t.Fatalf("seed %d: workload too thin: %d re-keys, %+v", seed, wheel.rekeys, ws)
+		}
+	}
+}
+
+// TestTimerRekeyMatchesEagerRearm holds the one-event Timer to the
+// cancel-and-push timer it replaced (eagerArm): on the dense workload with
+// a timer on every chain, and on each scripted corner, the fire records,
+// Steps and Scheduled must be identical — a re-key fires at exactly the
+// (time, seq) the fresh push would have had.
+func TestTimerRekeyMatchesEagerRearm(t *testing.T) {
+	type outcome struct {
+		recs        []fireRec
+		steps, keys uint64
+	}
+	// same requires got to match want: the one-event timer against the
+	// eager one, and the eager one against a script's expected fires.
+	same := func(t *testing.T, name string, want, got outcome) {
+		t.Helper()
+		if len(want.recs) == 0 {
+			t.Fatalf("%s: nothing fired", name)
+		}
+		if len(want.recs) != len(got.recs) {
+			t.Fatalf("%s: want %d fired, got %d", name, len(want.recs), len(got.recs))
+		}
+		for i := range want.recs {
+			if want.recs[i] != got.recs[i] {
+				t.Fatalf("%s: diverge at %d: want %+v, got %+v", name, i, want.recs[i], got.recs[i])
+			}
+		}
+		if want.steps != got.steps || want.keys != got.keys {
+			t.Fatalf("%s: want %d steps / %d keys, got %d / %d", name, want.steps, want.keys, got.steps, got.keys)
+		}
+	}
+	for name, mk := range schedulers {
+		for _, seed := range []int64{1, 2, 3} {
+			run := func(arm func(*Timer, Time)) outcome {
+				recs, st := runDenseWorkload(mk, seed, 1, arm)
+				return outcome{recs, st.Fired, st.Scheduled}
+			}
+			same(t, fmt.Sprintf("%s dense seed %d", name, seed), run(eagerArm), run(armTimer))
+		}
+	}
+
+	// Each script drives one engine through a corner with the re-arm under
+	// test; rec records the timer's firings (arg 1 or 5) among plain events,
+	// and both re-arms must fire want.
+	scripts := []struct {
+		name string
+		want []fireRec
+		run  func(e *Engine, rec *fireRecorder, arm func(*Timer, Time))
+	}{
+		{"stop-then-arm", []fireRec{{2, 100}, {1, 100}}, func(e *Engine, rec *fireRecorder, arm func(*Timer, Time)) {
+			var tm Timer
+			tm.BindCall(e, rec, 1)
+			arm(&tm, 100)
+			e.AtCall(100, rec, 2)
+			e.RunFor(10)
+			tm.Stop()
+			arm(&tm, 90) // the same instant as the dead event, a newer seq
+			e.Run()
+		}},
+		{"earlier", []fireRec{{2, 40}, {1, 40}, {3, Millisecond}}, func(e *Engine, rec *fireRecorder, arm func(*Timer, Time)) {
+			var tm Timer
+			tm.BindCall(e, rec, 1)
+			arm(&tm, 3*Millisecond) // overflow tier
+			arm(&tm, 5*Millisecond) // later: re-keyed
+			e.AtCall(40, rec, 2)
+			e.AtCall(Millisecond, rec, 3)
+			e.RunFor(10)
+			arm(&tm, 30) // earlier than the queued event: a fresh push
+			e.Run()
+		}},
+		{"at-now", []fireRec{{2, 10}, {3, 10}, {1, 10}, {4, 10}}, func(e *Engine, rec *fireRecorder, arm func(*Timer, Time)) {
+			var tm Timer
+			tm.BindCall(e, rec, 1)
+			e.AtCall(10, rec, 2)
+			e.At(10, func() {
+				arm(&tm, 0) // the queued event is due now: re-keyed behind rec 3
+				e.AtCall(10, rec, 4)
+			})
+			arm(&tm, 10)
+			e.AtCall(10, rec, 3)
+			e.Run()
+		}},
+		{"rebound-while-dead", []fireRec{{2, 200}, {5, 310}}, func(e *Engine, rec *fireRecorder, arm func(*Timer, Time)) {
+			type pooled struct{ rto Timer }
+			p := new(pooled)
+			p.rto.BindCall(e, rec, 1)
+			arm(&p.rto, 200)
+			e.RunFor(10)
+			p.rto.Stop()
+			*p = pooled{} // recycled, as ndp.StartFlow resets a sendFlow
+			p.rto.BindCall(e, rec, 5)
+			arm(&p.rto, 250) // later than the dead event: must not re-key it
+			arm(&p.rto, 300)
+			e.AtCall(200, rec, 2)
+			e.Run()
+		}},
+	}
+	for name, mk := range schedulers {
+		for _, sc := range scripts {
+			run := func(arm func(*Timer, Time)) outcome {
+				e := NewWith(mk())
+				rec := &fireRecorder{e: e}
+				sc.run(e, rec, arm)
+				return outcome{rec.recs, e.Steps(), e.Stats().Scheduled}
+			}
+			eager := run(eagerArm)
+			same(t, name+" "+sc.name, outcome{sc.want, eager.steps, eager.keys}, eager)
+			same(t, name+" "+sc.name, eager, run(armTimer))
 		}
 	}
 }
@@ -542,8 +685,8 @@ func TestTimerBindCall(t *testing.T) {
 	if h.args[0] != any(arg) {
 		t.Fatalf("bound timer arg = %v, want %p", h.args[0], arg)
 	}
-	if tm.Pending() {
-		t.Fatal("timer still pending after firing")
+	if tm.ev != nil {
+		t.Fatal("timer still armed after firing")
 	}
 }
 

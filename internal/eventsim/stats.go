@@ -16,15 +16,19 @@ package eventsim
 // All fields are plain reads — capturing one is allocation-free and O(wheel
 // words), safe to do from inside an engine callback.
 type EngineStats struct {
-	// Scheduled counts events ever pushed (the seq high-water mark),
-	// including cancelled events, meta events and ContinueCall re-arms.
+	// Scheduled counts keys ever taken (the seq high-water mark): every
+	// push, including meta events and ContinueCall re-arms, plus every key
+	// a Timer.Arm reserved without pushing. A re-keyed timer event goes
+	// back in under its reserved key and is not counted again.
 	Scheduled uint64
 	// Fired counts simulation (non-meta) events executed — Engine.Steps.
 	Fired uint64
 	// MetaFired counts meta (observer) events executed.
 	MetaFired uint64
-	// Cancelled counts cancelled events drained from the scheduler. Events
-	// cancelled but not yet due are still Pending.
+	// Cancelled counts dead timer events dropped from the scheduler: an
+	// event whose timer was stopped, rebound or re-armed to an earlier
+	// time after it was pushed. One not yet due is still Pending. Re-keys
+	// are not counted.
 	Cancelled uint64
 	// Pending counts simulation events currently scheduled — Engine.Len.
 	Pending int
@@ -77,11 +81,10 @@ func (e *Engine) Stats() EngineStats {
 // invariant behind byte-identical results with and without an observer.
 //
 // The contract: the handler MUST call MetaStep before anything else in
-// OnEvent, must reschedule itself only via AtMetaCall/ContinueMetaCall,
-// and the returned event must never be cancelled (a cancelled meta event
-// would drain without MetaStep and skew Len). Meta handlers must be
-// read-only with respect to simulation state; they consume seq numbers,
-// which preserves the relative order of all simulation events.
+// OnEvent and must reschedule itself only via AtMetaCall/ContinueMetaCall.
+// Meta handlers must be read-only with respect to simulation state; they
+// consume seq numbers, which preserves the relative order of all
+// simulation events.
 func (e *Engine) AtMetaCall(t Time, h Handler, arg any) *Event {
 	e.metaPending++
 	return e.AtCall(t, h, arg)

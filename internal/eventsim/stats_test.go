@@ -3,7 +3,8 @@ package eventsim
 import "testing"
 
 // TestStatsPinnedSchedule pins every EngineStats counter across a known
-// schedule: pushes, a cancellation, partial execution, and drain. The
+// schedule: pushes, a stopped timer, partial execution, drain, and timer
+// re-arms. The
 // exact values are part of the observability contract — a refactor that
 // changes them silently changes what /status reports.
 func TestStatsPinnedSchedule(t *testing.T) {
@@ -14,9 +15,12 @@ func TestStatsPinnedSchedule(t *testing.T) {
 	}
 
 	noop := func() {}
+	nop := &nopHandler{}
+	var tm Timer
+	tm.BindCall(eng, nop, nil)
 	eng.At(1*Microsecond, noop)
 	eng.At(2*Microsecond, noop)
-	ev := eng.At(3*Microsecond, noop)
+	tm.Arm(3 * Microsecond)
 	eng.At(2*Millisecond, noop) // beyond the wheel horizon: overflow tier
 
 	st := eng.Stats()
@@ -27,17 +31,15 @@ func TestStatsPinnedSchedule(t *testing.T) {
 		t.Fatalf("wheel occupancy after 4 pushes: %+v", st.Sched)
 	}
 
-	if !ev.Cancel() {
-		t.Fatal("Cancel returned false on a pending event")
-	}
-	// Cancelled events drain lazily: still Pending until their time comes.
+	tm.Stop()
+	// A stopped timer's event drains lazily: still Pending until its time.
 	if st = eng.Stats(); st.Pending != 4 || st.Cancelled != 0 {
-		t.Fatalf("after cancel, before drain: %+v", st)
+		t.Fatalf("after stop, before drain: %+v", st)
 	}
 
 	eng.Step() // fires t=1µs
 	eng.Step() // fires t=2µs
-	eng.Step() // drains the cancelled t=3µs slot, fires t=2ms
+	eng.Step() // drains the dead t=3µs event, fires t=2ms
 	st = eng.Stats()
 	if st.Fired != 3 || st.Cancelled != 1 || st.Pending != 0 {
 		t.Fatalf("after drain: %+v", st)
@@ -51,6 +53,23 @@ func TestStatsPinnedSchedule(t *testing.T) {
 	}
 	if eng.Step() {
 		t.Fatal("Step on empty queue returned true")
+	}
+
+	// Re-arming a pending timer later reserves a key (Scheduled) without a
+	// push (Pending); the re-keyed event is neither Fired nor Cancelled
+	// until it fires at the last key.
+	tm.Arm(10 * Microsecond)
+	tm.Arm(20 * Microsecond)
+	tm.Arm(30 * Microsecond)
+	if st = eng.Stats(); st.Scheduled != 7 || st.Pending != 1 || st.FreePool != 3 {
+		t.Fatalf("after three arms: %+v", st)
+	}
+	eng.Run()
+	if st = eng.Stats(); st.Fired != 4 || st.Cancelled != 1 || st.Pending != 0 || st.FreePool != 4 {
+		t.Fatalf("after the re-armed timer fired: %+v", st)
+	}
+	if eng.Now() != 2*Millisecond+30*Microsecond {
+		t.Fatalf("timer fired at %v, want 2.03ms", eng.Now())
 	}
 }
 
@@ -128,8 +147,9 @@ func TestMetaEventsInvisible(t *testing.T) {
 
 // TestCountKinds pins the per-kind tally: every fired event is counted
 // once under its handler's type whether Step or RunUntil popped it, a
-// cancelled one is not, the rows come most-events-first, and the wrapped
-// scheduler's occupancy still shows through Stats.
+// stopped timer's dead event is not, a timer re-armed five times counts
+// once (its re-keys are not firings), the rows come most-events-first, and
+// the wrapped scheduler's occupancy still shows through Stats.
 func TestCountKinds(t *testing.T) {
 	for name, mk := range schedulers {
 		kinds := CountKinds(mk())
@@ -140,7 +160,14 @@ func TestCountKinds(t *testing.T) {
 		}
 		eng.AtCall(1*Microsecond, nop, nil)
 		eng.AtCall(7*Microsecond, nop, nil)
-		eng.AtCall(2*Microsecond, nop, nil).Cancel()
+		var stopped, rearmed Timer
+		stopped.BindCall(eng, nop, nil)
+		stopped.Arm(2 * Microsecond)
+		stopped.Stop()
+		rearmed.BindCall(eng, nop, nil)
+		for i := Time(1); i <= 6; i++ {
+			rearmed.Arm(i * 1500 * Nanosecond) // the first arm plus five re-arms
+		}
 		eng.At(9*Microsecond, func() {})
 		if got, want := eng.Stats().Sched, kinds.Scheduler.(SchedulerStats).SchedStats(); got != want || got == (SchedStats{}) {
 			t.Fatalf("%s: occupancy through the wrapper = %+v, wrapped scheduler says %+v", name, got, want)
@@ -156,7 +183,7 @@ func TestCountKinds(t *testing.T) {
 		}
 		var got []row
 		kinds.Each(func(kind string, events uint64) { got = append(got, row{kind, events}) })
-		want := []row{{"*eventsim.fireRecorder", 5}, {"*eventsim.nopHandler", 2}, {"eventsim.funcHandler", 1}}
+		want := []row{{"*eventsim.fireRecorder", 5}, {"*eventsim.nopHandler", 2}, {"*eventsim.Timer", 1}, {"eventsim.funcHandler", 1}}
 		if len(got) != len(want) {
 			t.Fatalf("%s: kinds = %v, want %v", name, got, want)
 		}
@@ -165,7 +192,7 @@ func TestCountKinds(t *testing.T) {
 				t.Fatalf("%s: kinds = %v, want %v", name, got, want)
 			}
 		}
-		if st := eng.Stats(); st.Fired != 8 || st.Cancelled != 1 || len(rec.recs) != 5 {
+		if st := eng.Stats(); st.Fired != 9 || st.Cancelled != 1 || len(rec.recs) != 5 {
 			t.Fatalf("%s: engine fired %+v", name, st)
 		}
 	}

@@ -1,81 +1,67 @@
 package eventsim
 
-// Timer is a restartable one-shot timer bound to an engine. Unlike raw
-// events, a Timer can be re-armed repeatedly without allocating, which suits
-// per-flow retransmission timeouts that are usually cancelled before firing.
+// Timer is a restartable one-shot timer bound to an engine, for
+// retransmission timeouts that are re-armed on every acknowledgement and
+// usually stopped before they fire. It is embedded by value in pooled
+// structs — an NDP flow's RTO, for example — and dispatches to a pre-bound
+// Handler + arg (BindCall), so a recycled owner needs no per-flow closure
+// or Timer allocation.
 //
-// A Timer carries either a closure (NewTimer) or a pre-bound Handler + arg
-// (BindCall). The latter exists for timers embedded by value in pooled
-// structs — an NDP flow's RTO, for example — where a closure would allocate
-// once per pool miss and capture state that outlives the flow; binding the
-// owning struct as the handler keeps the whole flow object reusable.
+// A timer keeps at most one event in the scheduler. Arm takes the next seq
+// exactly as a fresh schedule would and records the resulting (time, seq)
+// key on the timer; when the queued event is due no later than that key,
+// nothing is pushed, and the event is moved to the key once it reaches the
+// front (Engine.requeue). A re-arm therefore costs no scheduler work until
+// the old deadline passes, and the timer fires at exactly the (time, seq)
+// a cancel-and-reschedule would have given it.
 type Timer struct {
-	eng     *Engine
-	fn      func()
-	h       Handler // pre-bound form; takes precedence over fn
-	arg     any
-	pending *Event
+	eng *Engine
+	h   Handler
+	arg any
+
+	// ev is the timer's live event, nil while the timer is stopped. at and
+	// seq are the key it fires at; ev may still sit at an earlier one.
+	ev  *Event
+	at  Time
+	seq uint64
 }
 
-// NewTimer returns a stopped timer that will invoke fn when it fires.
-func NewTimer(eng *Engine, fn func()) *Timer {
-	return &Timer{eng: eng, fn: fn}
-}
-
-// BindCall initializes (or rebinds) the timer in place to invoke
-// h.OnEvent(arg) when it fires — the closure-free counterpart of NewTimer,
-// for timers embedded by value in pooled structs. The timer must not be
-// armed when rebound.
+// BindCall initializes (or rebinds) the timer in place, stopped, to invoke
+// h.OnEvent(arg) when it fires.
 func (t *Timer) BindCall(eng *Engine, h Handler, arg any) {
-	t.eng = eng
-	t.fn = nil
-	t.h, t.arg = h, arg
-	t.pending = nil
+	*t = Timer{eng: eng, h: h, arg: arg}
 }
 
 // Arm (re)schedules the timer to fire d after now, replacing any pending
-// schedule. Arming uses the engine's pooled closure-free path, so re-arming
-// a hot timer (e.g. an RTO bumped on every ACK) does not allocate.
+// schedule. Re-arming to a time no earlier than the queued event's pushes
+// nothing and does not allocate.
 func (t *Timer) Arm(d Time) {
-	t.Stop()
-	t.pending = t.eng.AfterCall(d, t, nil)
-}
-
-// ArmAt (re)schedules the timer to fire at absolute time at.
-func (t *Timer) ArmAt(at Time) {
-	t.Stop()
-	t.pending = t.eng.AtCall(at, t, nil)
-}
-
-// Stop cancels any pending schedule. It reports whether a pending schedule
-// was cancelled.
-func (t *Timer) Stop() bool {
-	if t.pending != nil {
-		ok := t.pending.Cancel()
-		t.pending = nil
-		return ok
+	e := t.eng
+	if ev := t.ev; ev != nil && ev.at <= e.now+d {
+		t.at, t.seq = e.now+d, e.seq
+		e.seq++
+		return
 	}
-	return false
+	t.ev = e.AfterCall(d, t, nil)
+	t.at, t.seq = t.ev.at, t.ev.seq
 }
 
-// Pending reports whether the timer is armed.
-func (t *Timer) Pending() bool { return t.pending != nil }
-
-// Deadline returns the time at which the timer will fire, or MaxTime if it
-// is not armed.
-func (t *Timer) Deadline() Time {
-	if t.pending == nil {
-		return MaxTime
-	}
-	return t.pending.At()
-}
+// Stop disarms the timer. Its queued event, if any, is dead: it stays in
+// the scheduler until its time and is then dropped without firing.
+func (t *Timer) Stop() { t.ev = nil }
 
 // OnEvent implements Handler; the timer is its own pre-bound callback.
 func (t *Timer) OnEvent(any) {
-	t.pending = nil
-	if t.h != nil {
-		t.h.OnEvent(t.arg)
-		return
+	t.ev = nil
+	t.h.OnEvent(t.arg)
+}
+
+// stale returns the timer of a popped event that is not to fire as it
+// stands — its timer has since been stopped, rebound or re-armed to a new
+// key — and nil for every other event.
+func stale(ev *Event) *Timer {
+	if t, ok := ev.h.(*Timer); ok && (t.ev != ev || t.seq != ev.seq) {
+		return t
 	}
-	t.fn()
+	return nil
 }

@@ -11,17 +11,19 @@ import "math/bits"
 // wheelSlots windows: slot w&wheelMask holds the events of window w for
 // cur < w < cur+wheelSlots, a ≈1.05 ms horizon that keeps slice ticks and
 // the 1 ms NDP RTO wheel-resident. Every bucket and slot is an intrusive
-// FIFO (Event.next), so neither Push nor Pop allocates, sorts or moves
-// memory; an occupancy bitmap per level finds the next non-empty one in
-// O(1). The (time, seq) order falls out of two invariants:
+// list (Event.next), so neither Push nor Pop allocates or moves memory;
+// an occupancy bitmap per level finds the next non-empty one in O(1). The
+// (time, seq) order falls out of two invariants:
 //
 //   - Leaf width = clock resolution. Every event in a leaf bucket has the
-//     same timestamp, and seq is stamped in push order, so a bucket's FIFO
-//     order is its (at, seq) order.
-//   - Windows cascade in push order. When Pop enters a window it moves the
-//     slot's FIFO into the leaf front to back, so within each leaf bucket
-//     older seq still precedes newer — and anything pushed into the window
-//     afterwards has a newer seq than all of it.
+//     same timestamp, so a bucket kept in seq order is in (at, seq) order.
+//     Pushes arrive in ascending seq, so keeping it is an append — except
+//     for a timer's re-keyed event (see Scheduler), which carries an older
+//     seq and is linked in by a walk from the bucket's head.
+//   - Windows cascade in push order. When Pop enters a window it deals the
+//     slot's list into the leaf front to back, each event into its bucket
+//     as a push would, and the slot's min is kept by (at, seq), so a
+//     re-keyed event is its window's minimum whenever it should be.
 //
 // And one rule: cur advances only in Pop and PopDue — to the window of the
 // event served; on a heap pop only when the wheel is empty, so the cursor
@@ -31,8 +33,8 @@ import "math/bits"
 //
 // Events a full horizon ahead of the cursor (timers parked at MaxTime,
 // blackout recoveries) or behind it (reachable only by pushing earlier
-// than the last pop, which the engine forbids, or after a Peek-side drain
-// of cancelled events ran ahead of the clock) go to the overflow heap.
+// than the last pop, which the engine forbids, or after a Peek-side settle
+// of stale timer events ran ahead of the clock) go to the overflow heap.
 // They are never migrated: Pop, PopDue and Peek compare the wheel's minimum
 // with the heap's top by Event.before and serve the smaller, which keeps
 // the order exact with no rebucketing pass.
@@ -57,7 +59,8 @@ const (
 	wheelWords = wheelSlots / 64
 )
 
-// fifo is an intrusive singly linked queue of events in push order.
+// fifo is an intrusive singly linked queue of events: a window slot's in
+// push order (push), a leaf bucket's in seq order (insert).
 type fifo struct{ head, tail *Event }
 
 func (q *fifo) push(ev *Event) {
@@ -69,10 +72,29 @@ func (q *fifo) push(ev *Event) {
 	q.tail = ev
 }
 
+// insert links ev into a queue kept in ascending seq: an append unless ev
+// is older than the tail, which only a re-keyed timer event is.
+func (q *fifo) insert(ev *Event) {
+	if q.tail == nil || q.tail.seq < ev.seq {
+		q.push(ev)
+		return
+	}
+	if ev.seq < q.head.seq {
+		ev.next = q.head
+		q.head = ev
+		return
+	}
+	p := q.head
+	for p.next.seq < ev.seq {
+		p = p.next
+	}
+	ev.next = p.next
+	p.next = ev
+}
+
 // window is one level-1 slot: a window's events in push order, plus the
-// earliest of them so Peek into a window not yet cascaded is O(1). min is
-// replaced only by a strictly earlier event, so among equal times the
-// first pushed — the lowest seq — keeps it.
+// minimum of them by (at, seq) so Peek into a window not yet cascaded is
+// O(1).
 type window struct {
 	fifo
 	min *Event
@@ -128,8 +150,7 @@ func (o *occupancy) len() int {
 }
 
 // NewWheelScheduler returns the timing-wheel pending-event store, the
-// engine default. It relies on seq ascending in push order, which
-// Engine.push guarantees.
+// engine default.
 func NewWheelScheduler() Scheduler { return &wheelSched{} }
 
 func (w *wheelSched) Len() int { return w.count + w.overflow.Len() }
@@ -159,19 +180,20 @@ func (w *wheelSched) Push(ev *Event) {
 	if s.head == nil {
 		w.slotOcc.set(i)
 		s.min = ev
-	} else if ev.at < s.min.at {
+	} else if ev.before(s.min) {
 		s.min = ev
 	}
 	s.push(ev)
 }
 
-// toLeaf appends an event of the cursor's window to its 1 ns bucket.
+// toLeaf links an event of the cursor's window into its 1 ns bucket in
+// seq order.
 func (w *wheelSched) toLeaf(ev *Event) {
 	i := int(ev.at) & wheelMask
 	if w.leaf[i].head == nil {
 		w.leafOcc.set(i)
 	}
-	w.leaf[i].push(ev)
+	w.leaf[i].insert(ev)
 }
 
 // wheelMin returns the minimum wheel-resident event without moving

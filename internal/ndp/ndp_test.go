@@ -249,6 +249,58 @@ func TestAllocsRetransmitChurn(t *testing.T) {
 	}
 }
 
+// ticker re-arms itself every 10 µs: the traffic a fabric always has
+// queued ahead of its RTOs, which stops RunUntil's trailing peek from
+// draining dead RTO events early.
+type ticker struct{ eng *eventsim.Engine }
+
+func (k *ticker) OnEvent(any) { k.eng.ContinueCall(10*eventsim.Microsecond, k, nil) }
+
+// TestAllocsRTOChurn gates the RTO's memory (CI fast lane, -run
+// 'TestAllocs'): every ACK re-arms the flow's 1 ms RTO, and a re-arm must
+// move the timer's one queued event, not leave a dead one behind for up to
+// 1 ms. With M flows ACKed every 20 µs for 2 ms, the engine's Event objects
+// — queued plus pooled — stay at M plus a few for the ports and the ticker;
+// a timer that cancelled and pushed would hold about 50 per flow.
+func TestAllocsRTOChurn(t *testing.T) {
+	const flows = 16
+	r := newRig(t, 2, sim.DefaultConfig())
+	delete(r.sw.ports, 1) // the receiver never answers: this test plays it
+	r.eng.AfterCall(0, &ticker{r.eng}, nil)
+	var fs []*sim.Flow
+	for i := 0; i < flows; i++ {
+		f := r.flow(int64(i+1), 0, 1, 1_500_000)
+		r.eps[0].StartFlow(f)
+		fs = append(fs, f)
+	}
+	seq := int32(0)
+	round := func() {
+		for _, f := range fs {
+			p := sim.NewPacket()
+			p.Kind, p.Class = sim.KindAck, sim.ClassControl
+			p.Flow, p.Seq = f, seq
+			r.hosts[0].Receive(p, nil)
+		}
+		seq++
+		r.eng.RunUntil(r.eng.Now() + 20*eventsim.Microsecond)
+	}
+	for i := 0; i < 16; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Fatalf("ACK-driven RTO re-arms allocate %.1f per %d ACKs, want 0", avg, flows)
+	}
+	st := r.eng.Stats()
+	if events := st.Pending + st.FreePool; events > flows+16 {
+		t.Fatalf("after %d ACKs the engine holds %d events (%d queued, %d pooled), want <= %d", flows*int(seq), events, st.Pending, st.FreePool, flows+16)
+	}
+	for _, f := range fs {
+		if f.Retransmits != 0 || f.Done {
+			t.Fatalf("flow %d: %d retransmits, done %v: an RTO fired or the rig finished it", f.ID, f.Retransmits, f.Done)
+		}
+	}
+}
+
 // answers injects a duplicate data packet of flow f at its receiver and
 // returns the kinds of f's control packets that come back to the sender.
 func (r *rig) answers(f *sim.Flow, seq int32, trimmed bool) []sim.Kind {

@@ -437,10 +437,3 @@ func (pt *Port) deliver(p *Packet) {
 	p.dst = nil
 	dst.Receive(p, pt)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
