@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -24,37 +25,37 @@ import (
 	"github.com/opera-net/opera/internal/prototype"
 )
 
-func main() {
-	out := flag.String("out", "results", "output directory for CSVs")
-	only := flag.String("only", "", "comma-separated subset (fig01,fig04,fig07,fig08,fig09,fig10,fig11,fig12,fig13,fig14,fig15,fig16,fig17,fig19,fig20,table1,table2,ablation)")
-	full := flag.Bool("full", false, "run packet-level experiments at the paper's 648-host scale")
-	small := flag.Bool("small", false, "run analysis experiments at reduced scale too")
-	trials := flag.Int("trials", 3, "failure-analysis trials per point")
-	doPlot := flag.Bool("plot", false, "render ASCII charts of CDF-style figures to stdout")
-	flag.Parse()
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, s := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(s)] = true
+// selectJobs reports which of the jobs named in names -only asks for (all
+// of them when it is empty). A name that is no job is an error, so a typo
+// cannot silently skip a figure.
+func selectJobs(names []string, only string) ([]bool, error) {
+	picked := make([]bool, len(names))
+	if only == "" {
+		for i := range picked {
+			picked[i] = true
 		}
+		return picked, nil
 	}
-	sel := func(name string) bool { return len(want) == 0 || want[name] }
+	for _, name := range strings.Split(only, ",") {
+		name = strings.TrimSpace(name)
+		i := slices.Index(names, name)
+		if i < 0 {
+			return nil, fmt.Errorf("-only: unknown job %q (have %s)", name, strings.Join(names, ","))
+		}
+		picked[i] = true
+	}
+	return picked, nil
+}
 
-	analysisScale := experiments.PaperScale()
-	if *small {
-		analysisScale = experiments.SmallScale()
-	}
-	simOpt := experiments.DefaultSimOptions()
-	shufOpt := experiments.DefaultShuffleOptions()
-	mixOpt := experiments.DefaultMixedOptions()
-	if *full {
-		simOpt = experiments.PaperSimOptions()
-		shufOpt.Scale = experiments.PaperScale()
-		shufOpt.Stagger = 10_000_000 // 10 ms, as §5.2
-		mixOpt.Scale = experiments.PaperScale()
-	}
-
+func main() {
+	// Set from the flags below; the jobs read them when they run.
+	var (
+		analysisScale experiments.Scale
+		simOpt        experiments.SimOptions
+		shufOpt       experiments.ShuffleOptions
+		mixOpt        experiments.MixedOptions
+		trials        int
+	)
 	type job struct {
 		name string
 		run  func() ([]experiments.Table, error)
@@ -66,24 +67,56 @@ func main() {
 		{"fig08", func() ([]experiments.Table, error) { return experiments.Fig08Shuffle(shufOpt) }},
 		{"fig09", func() ([]experiments.Table, error) { return experiments.Fig09Websearch(simOpt) }},
 		{"fig10", func() ([]experiments.Table, error) { return experiments.Fig10Mixed(mixOpt) }},
-		{"fig11", func() ([]experiments.Table, error) { return experiments.Fig11FaultTolerance(analysisScale, *trials) }},
+		{"fig11", func() ([]experiments.Table, error) { return experiments.Fig11FaultTolerance(analysisScale, trials) }},
 		{"fig12", experiments.Fig12CostSweepK24},
 		{"fig13", func() ([]experiments.Table, error) { return experiments.Fig13Prototype(prototype.DefaultParams()) }},
 		{"fig14", func() ([]experiments.Table, error) { return experiments.Fig14CycleTime(), nil }},
 		{"fig15", experiments.Fig15CostSweepK12},
 		{"fig16", func() ([]experiments.Table, error) { return experiments.Fig16PathVsScale(nil) }},
 		{"fig17", func() ([]experiments.Table, error) { return experiments.Fig17SpectralGap(analysisScale) }},
-		{"fig19", func() ([]experiments.Table, error) { return experiments.Fig19ClosFailures(analysisScale, *trials) }},
-		{"fig20", func() ([]experiments.Table, error) { return experiments.Fig20ExpanderFailures(analysisScale, *trials) }},
+		{"fig19", func() ([]experiments.Table, error) { return experiments.Fig19ClosFailures(analysisScale, trials) }},
+		{"fig20", func() ([]experiments.Table, error) { return experiments.Fig20ExpanderFailures(analysisScale, trials) }},
 		{"table1", func() ([]experiments.Table, error) { return experiments.Table1RuleCounts(), nil }},
 		{"table2", func() ([]experiments.Table, error) { return experiments.Table2Cost(), nil }},
 		{"ablation", experiments.AblationVLB},
 		{"guardband", func() ([]experiments.Table, error) { return experiments.GuardBandSweep(analysisScale) }},
 	}
+	names := make([]string, len(jobs))
+	for i, j := range jobs {
+		names[i] = j.name
+	}
+
+	out := flag.String("out", "results", "output directory for CSVs")
+	only := flag.String("only", "", "comma-separated subset ("+strings.Join(names, ",")+")")
+	full := flag.Bool("full", false, "run packet-level experiments at the paper's 648-host scale")
+	small := flag.Bool("small", false, "run analysis experiments at reduced scale too")
+	flag.IntVar(&trials, "trials", 3, "failure-analysis trials per point")
+	doPlot := flag.Bool("plot", false, "render ASCII charts of CDF-style figures to stdout")
+	flag.Parse()
+
+	picked, err := selectJobs(names, *only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+
+	analysisScale = experiments.PaperScale()
+	if *small {
+		analysisScale = experiments.SmallScale()
+	}
+	simOpt = experiments.DefaultSimOptions()
+	shufOpt = experiments.DefaultShuffleOptions()
+	mixOpt = experiments.DefaultMixedOptions()
+	if *full {
+		simOpt = experiments.PaperSimOptions()
+		shufOpt.Scale = experiments.PaperScale()
+		shufOpt.Stagger = 10_000_000 // 10 ms, as §5.2
+		mixOpt.Scale = experiments.PaperScale()
+	}
 
 	failed := 0
-	for _, j := range jobs {
-		if !sel(j.name) {
+	for i, j := range jobs {
+		if !picked[i] {
 			continue
 		}
 		fmt.Printf("=== %s\n", j.name)

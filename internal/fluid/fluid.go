@@ -171,7 +171,8 @@ func DefaultRotorParams() RotorParams {
 }
 
 // RotorBulkThroughput simulates RotorLB at slice granularity on a rotor
-// fabric's schedule — Opera's or RotorNet's — under the given rack-level
+// fabric's schedule — Opera's staggered one, or RotorNet's unison one
+// (topology.NewRotorNet) — under the given rack-level
 // demand rates (units of host line rate; an entry of 1.0 means one host's
 // full rate from rack a to rack b) and returns delivered ÷ offered at
 // steady state.
@@ -182,7 +183,7 @@ func DefaultRotorParams() RotorParams {
 // A queue holding more than one cycle's direct drainage —
 // PairWindowsPerCycle units — is skewed, and its excess is offloaded over
 // two hops.
-func RotorBulkThroughput(sched topology.Schedule, demand [][]float64, p RotorParams) float64 {
+func RotorBulkThroughput(sched *topology.Opera, demand [][]float64, p RotorParams) float64 {
 	n := sched.NumRacks()
 	hostsPerRack := float64(sched.HostsPerRack())
 	slicesPerCycle := sched.SlicesPerCycle()

@@ -128,9 +128,12 @@ func TestOperaPermutation(t *testing.T) {
 }
 
 func TestRotorNetThroughput(t *testing.T) {
-	r := topology.MustNewRotorNet(topology.RotorConfig{
-		NumRacks: 36, HostsPerRack: 6, Uplinks: 6, Seed: 1,
+	r, err := topology.NewRotorNet(topology.Config{
+		NumRacks: 36, HostsPerRack: 6, NumSwitches: 6, Seed: 1,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := 36
 	perPair := 6.0 / float64(n-1)
 	dm := demandMatrix(n, func(m [][]float64) {

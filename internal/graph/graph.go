@@ -1,8 +1,7 @@
 // Package graph implements the graph algorithms behind Opera's analysis:
 // breadth-first shortest paths, all-pairs path-length distributions,
-// connectivity accounting under failures, equal-cost next-hop enumeration,
-// and spectral-gap estimation for expander quality (Appendix D of the
-// paper).
+// connectivity accounting under failures, and spectral-gap estimation for
+// expander quality (Appendix D of the paper).
 //
 // Graphs are simple undirected adjacency structures over integer node IDs
 // (racks, in Opera's case). They are deliberately small and dense in use —
@@ -10,10 +9,7 @@
 // sweeps are exact and fast; no approximation is needed anywhere.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Unreachable is the distance reported for disconnected node pairs.
 const Unreachable = -1
@@ -289,38 +285,4 @@ func (g *Graph) Connected() bool {
 		}
 	}
 	return true
-}
-
-// NextHops returns, for a BFS from src, the set of equal-cost first-hop
-// neighbors toward every destination: result[dst] lists every neighbor nb of
-// src with dist(nb, dst) == dist(src, dst) - 1. result[src] is nil.
-// Destinations that are unreachable get nil.
-//
-// This is the routing-table construction for Opera's low-latency expander
-// paths: retaining all equal-cost next hops lets the simulator spray packets
-// NDP-style across the path diversity of each topology slice.
-func (g *Graph) NextHops(src int) [][]int32 {
-	distFromSrc := g.BFS(src)
-	result := make([][]int32, g.n)
-	// dist(nb, dst) for each neighbor nb is needed; run BFS per neighbor.
-	nbDist := make(map[int32][]int, len(g.adj[src]))
-	for _, nb := range g.adj[src] {
-		nbDist[nb] = g.BFS(int(nb))
-	}
-	for dst := 0; dst < g.n; dst++ {
-		if dst == src || distFromSrc[dst] == Unreachable {
-			continue
-		}
-		for _, nb := range g.adj[src] {
-			if int(nb) == dst {
-				result[dst] = append(result[dst], nb)
-				continue
-			}
-			if d := nbDist[nb][dst]; d != Unreachable && d == distFromSrc[dst]-1 {
-				result[dst] = append(result[dst], nb)
-			}
-		}
-		sort.Slice(result[dst], func(i, j int) bool { return result[dst][i] < result[dst][j] })
-	}
-	return result
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // ring returns an n-cycle.
@@ -164,69 +163,6 @@ func TestClone(t *testing.T) {
 	}
 	if c.HasEdge(0, 1) {
 		t.Fatal("clone edge not removed")
-	}
-}
-
-func TestNextHopsRing(t *testing.T) {
-	g := ring(6)
-	nh := g.NextHops(0)
-	// dst 1: only neighbor 1. dst 3 (antipode): both 1 and 5 tie.
-	if len(nh[1]) != 1 || nh[1][0] != 1 {
-		t.Fatalf("nh[1] = %v", nh[1])
-	}
-	if len(nh[3]) != 2 || nh[3][0] != 1 || nh[3][1] != 5 {
-		t.Fatalf("nh[3] = %v, want [1 5]", nh[3])
-	}
-	if nh[0] != nil {
-		t.Fatal("nh[src] should be nil")
-	}
-}
-
-func TestNextHopsUnreachable(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	nh := g.NextHops(0)
-	if nh[2] != nil {
-		t.Fatalf("nh to unreachable node = %v, want nil", nh[2])
-	}
-}
-
-// Property: next hops always make strict progress — following any listed
-// next hop decreases BFS distance by exactly 1. This is the loop-freedom
-// invariant the per-slice routing tables rely on.
-func TestNextHopsProgressProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 8 + rng.Intn(24)
-		g := New(n)
-		// random connected-ish graph: ring + random chords
-		for i := 0; i < n; i++ {
-			g.AddEdge(i, (i+1)%n)
-		}
-		for i := 0; i < n; i++ {
-			g.AddEdge(rng.Intn(n), rng.Intn(n))
-		}
-		src := rng.Intn(n)
-		dist := g.BFS(src)
-		nh := g.NextHops(src)
-		for dst := 0; dst < n; dst++ {
-			if dst == src {
-				continue
-			}
-			if len(nh[dst]) == 0 {
-				return dist[dst] == Unreachable
-			}
-			for _, hop := range nh[dst] {
-				hd := g.BFS(int(hop))[dst]
-				if hd != dist[dst]-1 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -309,10 +309,27 @@ func (s *session) close() {
 			break
 		}
 		a.vlbHeld -= seg.bytes
-		seg.hops = 0
-		a.voq[seg.f.DstRack].pushFront(seg)
+		a.requeue(seg, seg.f.DstRack, true)
 	}
 	a.lb.sessions.Put(s)
+}
+
+// requeue puts bytes that did not get out, bound for rack dst, back at the
+// head of a queue. A failed VLB first leg (vlbLeg) reverts to the origin
+// queue with its hops reset: the direct path or a later offer will carry
+// it. The source host's own bytes go back to their VOQ, and a failed
+// second leg from a storage host back to the relay queue.
+func (a *rackAgent) requeue(seg segment, dst int32, vlbLeg bool) {
+	switch {
+	case vlbLeg:
+		seg.hops = 0
+		a.voq[dst].pushFront(seg)
+	case seg.f.SrcHost == seg.host:
+		a.voq[dst].pushFront(seg)
+	default:
+		a.relay[dst].pushFront(seg)
+		a.relayTotal += seg.bytes
+	}
 }
 
 // newBulkPacket materializes a segment chunk as a wire packet.

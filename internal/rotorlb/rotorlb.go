@@ -208,19 +208,8 @@ func Attach(net sim.CircuitNetwork) *LB {
 // requeueLocal returns a bulk packet that never left its host to the
 // appropriate queue.
 func (lb *LB) requeueLocal(h *sim.Host, p *sim.Packet) {
-	f := p.Flow
-	a := lb.agents[h.Rack]
-	seg := segment{f: f, host: h.ID, bytes: int64(p.PayloadSize), hops: p.Hops}
-	switch {
-	case p.RelayRack >= 0:
-		seg.hops = 0
-		a.voq[p.DstRack].pushFront(seg)
-	case f.SrcHost == h.ID:
-		a.voq[p.DstRack].pushFront(seg)
-	default:
-		a.relay[p.DstRack].pushFront(seg)
-		a.relayTotal += seg.bytes
-	}
+	seg := segment{f: p.Flow, host: h.ID, bytes: int64(p.PayloadSize), hops: p.Hops}
+	lb.agents[h.Rack].requeue(seg, p.DstRack, p.RelayRack >= 0)
 	p.Release()
 }
 
@@ -354,30 +343,15 @@ func (lb *LB) onBulk(h *sim.Host, p *sim.Packet) {
 // onNack requeues bytes reported lost by a ToR (§4.2.2). The NACK arrives
 // at the host that transmitted the failed packet.
 func (lb *LB) onNack(h *sim.Host, p *sim.Packet) {
-	f := p.Flow
 	lb.NACKs++
-	f.Retransmits++
-	a := lb.agents[h.Rack]
-	finalDst := p.PullNo
+	p.Flow.Retransmits++
 	// OrigHops includes the uplink the packet was enqueued on but never
 	// crossed; requeue with one hop less.
 	hops := p.OrigHops - 1
 	if hops < 0 {
 		hops = 0
 	}
-	seg := segment{f: f, host: h.ID, bytes: int64(p.PayloadSize), hops: hops}
-	switch {
-	case p.RelayRack >= 0:
-		// Failed VLB first leg: revert to the origin queue; the direct path
-		// or a later offer will carry it.
-		seg.hops = 0
-		a.voq[finalDst].pushFront(seg)
-	case f.SrcHost == h.ID:
-		a.voq[finalDst].pushFront(seg)
-	default:
-		// Failed second leg from a storage host.
-		a.relay[finalDst].pushFront(seg)
-		a.relayTotal += seg.bytes
-	}
+	seg := segment{f: p.Flow, host: h.ID, bytes: int64(p.PayloadSize), hops: hops}
+	lb.agents[h.Rack].requeue(seg, p.PullNo, p.RelayRack >= 0) // PullNo: the final destination rack
 	p.Release()
 }

@@ -395,7 +395,10 @@ func TestOperaTables(t *testing.T) {
 	}
 	// Transitioning switches must never appear in masks.
 	for s := 0; s < tb.Slices; s++ {
-		for _, sw := range o.Transitioning(s) {
+		for sw := 0; sw < o.Uplinks(); sw++ {
+			if !o.IsTransitioning(sw, s) {
+				continue
+			}
 			for a := 0; a < tb.N; a++ {
 				for b := 0; b < tb.N; b++ {
 					if tb.Mask(s, a, b)&(1<<uint(sw)) != 0 {

@@ -98,11 +98,8 @@ func TestClosNetRackLocal(t *testing.T) {
 
 func newRotorTestbed(t *testing.T, hybrid bool) (*eventsim.Engine, *sim.RotorNetSim, *rotorlb.LB, *ndp.Fabric) {
 	t.Helper()
-	topo := topology.MustNewRotorNet(topology.RotorConfig{
-		NumRacks: 16, HostsPerRack: 4, Uplinks: 4, Hybrid: hybrid, Seed: 1,
-	})
-	eng := eventsim.New()
-	net := sim.NewRotorNetSim(eng, sim.DefaultConfig(), topo, 1)
+	net := rotorSim(t, hybrid)
+	eng := net.Engine()
 	lb := rotorlb.Attach(net)
 	fab := ndp.Attach(net.Hosts(), net.Metrics())
 	net.Start()

@@ -22,14 +22,16 @@ type CircuitNetwork interface {
 	// SliceDuration returns the slice/slot length.
 	SliceDuration() eventsim.Time
 	// PairWindowsPerCycle returns how many slices per cycle a given rack
-	// pair is directly connected (Opera: the schedule's GroupSize; RotorNet:
-	// one slot). It sizes RotorLB's skew threshold: a queue exceeding one
-	// cycle's direct drainage is a candidate for two-hop offloading.
+	// pair is directly connected: the schedule's GroupSize (Opera's stagger
+	// group; RotorNet's one slot, every switch being its own group). It
+	// sizes RotorLB's skew threshold: a queue exceeding one cycle's direct
+	// drainage is a candidate for two-hop offloading.
 	PairWindowsPerCycle() int
 	// DirectReachable reports whether rack will (ever) get a working
 	// direct circuit to dst — false when failures have severed the pair's
-	// matching. RotorLB uses it to fully offload stranded queues via VLB
-	// and to decline relaying toward unreachable destinations.
+	// matching, which one rotor switch holds on either schedule. RotorLB
+	// uses it to fully offload stranded queues via VLB and to decline
+	// relaying toward unreachable destinations.
 	DirectReachable(rack, dst int) bool
 	// ActiveCircuits appends the circuits rack may use during absSlice to
 	// buf and returns the extended slice; RotorLB calls it for every rack

@@ -51,7 +51,7 @@ type helloEpidemic struct {
 // react is Opera's reaction rule: who detects the change first, carrying
 // §3.6.2's detection semantics for each coordinate kind.
 func (ep *helloEpidemic) react(t Target, _ []int32, down bool) {
-	topo := ep.net.topo
+	topo := ep.net.sched
 	var detectors []int
 	switch t.Kind {
 	case TargetLink:
@@ -101,7 +101,7 @@ func (ep *helloEpidemic) onFailure(detectors []int) {
 // topology: a circuit is usable when the cables at both its ends are.
 func (ep *helloEpidemic) survivingPortMap(slice int, pm routing.PortMap) {
 	fs := ep.net.faults
-	ep.net.topo.SlicePeers(slice, pm)
+	ep.net.sched.SlicePeers(slice, pm)
 	for rack, row := range pm {
 		for sw, peer := range row {
 			if peer >= 0 && !(fs.LinkUp(rack, sw) && fs.LinkUp(int(peer), sw)) {
@@ -118,7 +118,7 @@ func (ep *helloEpidemic) spread(sliceInCycle int) {
 		return
 	}
 	fs := ep.net.faults
-	topo := ep.net.topo
+	topo := ep.net.sched
 	for sw := 0; sw < topo.Uplinks(); sw++ {
 		if fs.nodeDown[topo.NumRacks()+sw] {
 			continue

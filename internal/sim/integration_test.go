@@ -57,8 +57,8 @@ func (tb *testbed) flow(src, dst int, size int64, class sim.Class) *sim.Flow {
 		ID:      tb.nextID,
 		SrcHost: int32(src),
 		DstHost: int32(dst),
-		SrcRack: int32(tb.net.Topology().HostRack(src)),
-		DstRack: int32(tb.net.Topology().HostRack(dst)),
+		SrcRack: int32(src / tb.net.HostsPerRack()),
+		DstRack: int32(dst / tb.net.HostsPerRack()),
 		Size:    size,
 		Class:   class,
 	}
@@ -159,7 +159,7 @@ func TestBulkTaxIsLowAllToAll(t *testing.T) {
 	n := topo.NumHosts()
 	for i := 0; i < n; i++ {
 		for r := 0; r < topo.NumRacks(); r++ {
-			if r == topo.HostRack(i) {
+			if r == i/topo.HostsPerRack() {
 				continue
 			}
 			dst := r*topo.HostsPerRack() + i%topo.HostsPerRack()
@@ -207,7 +207,7 @@ func TestMixedLLAndBulk(t *testing.T) {
 	n := tb.net.Topology().NumHosts()
 	for i := 0; i < n; i++ {
 		dst := (i + 29) % n
-		if tb.net.Topology().HostRack(dst) == tb.net.Topology().HostRack(i) {
+		if dst/tb.net.HostsPerRack() == i/tb.net.HostsPerRack() {
 			dst = (dst + 5) % n
 		}
 		tb.startBulk(tb.flow(i, dst, 1<<20, sim.ClassBulk))

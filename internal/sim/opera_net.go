@@ -14,7 +14,6 @@ import (
 // low-latency packets are sprayed along its per-slice routing tables.
 type OperaNet struct {
 	rotorFabric
-	topo   *topology.Opera
 	tables *routing.Tables
 	rngs   []*rand.Rand // per-ToR packet spraying
 
@@ -41,7 +40,6 @@ func buildOpera(p BuildParams) (Network, error) {
 // per-ToR packet spraying and gray-failure draws.
 func NewOperaNet(eng *eventsim.Engine, cfg Config, topo *topology.Opera, seed int64) *OperaNet {
 	n := &OperaNet{
-		topo:   topo,
 		tables: routing.MustBuild(routing.OperaPortMaps(topo)),
 		rngs:   make([]*rand.Rand, topo.NumRacks()),
 	}
@@ -58,16 +56,6 @@ func NewOperaNet(eng *eventsim.Engine, cfg Config, topo *topology.Opera, seed in
 // form an expander carrying packet-switched low-latency traffic (§3.2).
 func (n *OperaNet) PacketCapable() bool { return true }
 
-// Topology returns the underlying Opera topology.
-func (n *OperaNet) Topology() *topology.Opera { return n.topo }
-
-// DirectReachable implements CircuitNetwork: each pair appears in exactly
-// one switch's matchings, so the pair is severed iff that circuit is.
-func (n *OperaNet) DirectReachable(rack, dst int) bool {
-	sw := n.topo.PairSwitch(rack, dst) // -1 for rack == dst
-	return sw >= 0 && n.circuitUp(rack, dst, sw)
-}
-
 // sprayPacket is Opera's packet path: control and low-latency packets
 // follow the tagged slice's expander paths, sprayed per packet (§4.3).
 func (n *OperaNet) sprayPacket(t *RotorToR, p *Packet) {
@@ -77,7 +65,7 @@ func (n *OperaNet) sprayPacket(t *RotorToR, p *Packet) {
 	if p.SliceTag < 0 || cur-p.SliceTag > 1 {
 		p.SliceTag = cur
 	}
-	slices := int64(n.topo.SlicesPerCycle())
+	slices := int64(n.sched.SlicesPerCycle())
 	sc := int(p.SliceTag % slices)
 	tables := n.epidemic.tablesFor(int(t.rack))
 	rng := n.rngs[t.rack]

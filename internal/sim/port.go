@@ -292,14 +292,36 @@ func (pt *Port) SetEnabled(on bool) {
 // the drop/NACK path (they were admitted against a circuit that no longer
 // exists, §4.2.2); control and low-latency packets are handed to requeue
 // for re-routing under the new configuration (stale-packet recovery).
+func (pt *Port) FlushForReconfig(requeue func(*Packet)) {
+	pt.drain(func(p *Packet) {
+		pt.Stats.Stale++
+		requeue(p)
+	})
+}
+
+// DropAll empties the port with failed-cable semantics: queued bulk
+// packets take the drop/NACK path, control and low-latency packets are
+// simply lost (their transports recover through retransmission). It
+// returns how many control/low-latency packets were lost. A transmission
+// already in progress still delivers — the cable fails behind it.
+func (pt *Port) DropAll() (lost uint64) {
+	pt.drain(func(p *Packet) {
+		lost++
+		p.Release()
+	})
+	return lost
+}
+
+// drain empties the port: bulk packets take the drop/NACK path, control
+// and low-latency packets go to other.
 //
-// Each queue is drained from a snapshot: the drop/NACK and requeue handlers
+// Each queue is drained from a snapshot: the drop/NACK and other handlers
 // can legally route a packet straight back into this port (the NACK's
 // expander path or the new tables may pick the same uplink), and a live
 // drain would re-drop such freshly admitted packets — or chase its own tail
-// indefinitely. Packets enqueued during the flush were routed with current
+// indefinitely. Packets enqueued during the drain were routed with current
 // knowledge and stay queued.
-func (pt *Port) FlushForReconfig(requeue func(*Packet)) {
+func (pt *Port) drain(other func(*Packet)) {
 	// All three snapshots are taken before any handler runs: a NACK minted
 	// while draining bulk is a freshly routed packet, not a stale one, and
 	// must not be re-flushed by the control drain that follows.
@@ -310,46 +332,15 @@ func (pt *Port) FlushForReconfig(requeue func(*Packet)) {
 	}
 	for p := ctrl.pop(); p != nil; p = ctrl.pop() {
 		pt.ctrlBytes -= int(p.Size)
-		pt.Stats.Stale++
-		requeue(p)
+		other(p)
 	}
 	for p := ll.pop(); p != nil; p = ll.pop() {
 		pt.llBytes -= int(p.Size)
-		pt.Stats.Stale++
-		requeue(p)
+		other(p)
 	}
 	pt.bulk.giveBack(bulk)
 	pt.ctrl.giveBack(ctrl)
 	pt.ll.giveBack(ll)
-}
-
-// DropAll empties the port with failed-cable semantics: queued bulk
-// packets take the drop/NACK path, control and low-latency packets are
-// simply lost (their transports recover through retransmission). It
-// returns how many control/low-latency packets were lost. A transmission
-// already in progress still delivers — the cable fails behind it. Like
-// FlushForReconfig, each queue drains from a snapshot so a NACK handler
-// re-enqueueing into this port cannot get its fresh packets re-dropped.
-func (pt *Port) DropAll() (lost uint64) {
-	bulk, ctrl, ll := pt.bulk.take(), pt.ctrl.take(), pt.ll.take()
-	for p := bulk.pop(); p != nil; p = bulk.pop() {
-		pt.bulkBytes -= int(p.Size)
-		pt.dropBulk(p)
-	}
-	for p := ctrl.pop(); p != nil; p = ctrl.pop() {
-		pt.ctrlBytes -= int(p.Size)
-		lost++
-		p.Release()
-	}
-	for p := ll.pop(); p != nil; p = ll.pop() {
-		pt.llBytes -= int(p.Size)
-		lost++
-		p.Release()
-	}
-	pt.bulk.giveBack(bulk)
-	pt.ctrl.giveBack(ctrl)
-	pt.ll.giveBack(ll)
-	return lost
 }
 
 // pick dequeues the next packet by strict priority.
@@ -403,11 +394,7 @@ func (pt *Port) txComplete() {
 		// Same disposition as a dark link below — bulk takes the drop/NACK
 		// path, everything else relies on transport retransmission.
 		pt.Stats.LinkLoss++
-		if p.Kind == KindBulk {
-			pt.dropBulk(p)
-		} else {
-			p.Release()
-		}
+		pt.lose(p)
 		pt.busy = false
 		pt.maybeTransmit()
 		return
@@ -420,14 +407,20 @@ func (pt *Port) txComplete() {
 		pt.eng.ContinueCall(pt.prop, &pt.dvH, p)
 	} else {
 		// Link dark (no peer): the photons are lost.
-		if p.Kind == KindBulk {
-			pt.dropBulk(p)
-		} else {
-			p.Release()
-		}
+		pt.lose(p)
 	}
 	pt.busy = false
 	pt.maybeTransmit()
+}
+
+// lose disposes of a transmitted packet that will never arrive: bulk takes
+// the drop/NACK path, everything else relies on transport retransmission.
+func (pt *Port) lose(p *Packet) {
+	if p.Kind == KindBulk {
+		pt.dropBulk(p)
+	} else {
+		p.Release()
+	}
 }
 
 // deliver fires when a packet's propagation delay elapses: hand it to the

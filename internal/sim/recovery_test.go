@@ -41,7 +41,7 @@ func recoveryTestbed(t testing.TB, racks, uplinks int, traffic bool) (*eventsim.
 // them: every slice's port map minus the circuits either of whose cables
 // the fault table has down.
 func survivingMaps(n *OperaNet) []routing.PortMap {
-	maps := routing.OperaPortMaps(n.topo)
+	maps := routing.OperaPortMaps(n.sched)
 	for _, pm := range maps {
 		for rack, row := range pm {
 			for sw, peer := range row {
@@ -162,7 +162,7 @@ func TestAllocsFaultEpoch(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			now += d
 			eng.RunUntil(now)
-			sc, _, _ := n.topo.SliceAt(now)
+			sc, _, _ := n.sched.SliceAt(now)
 			if n.epidemic.tablesFor(rack).PickUplink(sc, rack, 60, 0) < 0 {
 				t.Fatalf("slice %d: rack %d cannot reach rack 60", sc, rack)
 			}

@@ -9,15 +9,16 @@ import (
 
 // rotorFabric is the circuit plane Opera and RotorNet share — the paper
 // defines the one relative to the other (§3.1, Appendix B): ToRs whose
-// uplinks reach rotor switches cycling through matchings on a
-// topology.Schedule (staggered or in unison is the Schedule's business),
-// the slice clock that darkens each switch for its reconfiguration,
-// RotorLB's bulk forwarding with its §4.2.2 NACKs, and the {rack, rotor
-// switch} fault coordinate map. A fabric embeds it and sets what differs:
-// a packet path and a failure-knowledge rule.
+// uplinks reach rotor switches cycling through matchings on one rotor
+// schedule (Opera's stagger groups, or RotorNet's unison, which is the
+// schedule with every switch in its own group), the slice clock that
+// darkens each switch for its reconfiguration, RotorLB's bulk forwarding
+// with its §4.2.2 NACKs, and the {rack, rotor switch} fault coordinate
+// map. A fabric embeds it and sets what differs: a packet path and a
+// failure-knowledge rule.
 type rotorFabric struct {
 	edge
-	sched topology.Schedule
+	sched *topology.Opera
 	tors  []*RotorToR
 
 	// forward is the packet path: how a non-bulk packet bound for another
@@ -72,7 +73,7 @@ func (h *sliceBlackout) OnEvent(any) {
 
 // assemble wires hosts, ToRs and their ports over the schedule, and the
 // fault table over the ports.
-func (f *rotorFabric) assemble(eng *eventsim.Engine, cfg Config, kind string, sched topology.Schedule, faultSeed int64) {
+func (f *rotorFabric) assemble(eng *eventsim.Engine, cfg Config, kind string, sched *topology.Opera, faultSeed int64) {
 	f.edge = newEdge(eng, cfg, kind, sched.NumRacks(), sched.HostsPerRack())
 	f.sched = sched
 	f.tick.f, f.blackout.f = f, f
@@ -93,6 +94,9 @@ func (f *rotorFabric) Start() { f.sliceBoundary(0) }
 // Stop halts the slice clock after the current slice, so a finished
 // simulation can drain.
 func (f *rotorFabric) Stop() { f.stopped = true }
+
+// Topology returns the rotor schedule the fabric runs on.
+func (f *rotorFabric) Topology() *topology.Opera { return f.sched }
 
 // ToR returns the ToR switch of the given rack.
 func (f *rotorFabric) ToR(rack int) *RotorToR { return f.tors[rack] }
@@ -117,6 +121,13 @@ func (f *rotorFabric) PairWindowsPerCycle() int { return f.sched.PairWindowsPerC
 // have failed.
 func (f *rotorFabric) circuitUp(rack, peer, sw int) bool {
 	return f.faults.LinkUp(rack, sw) && f.faults.LinkUp(peer, sw)
+}
+
+// DirectReachable implements CircuitNetwork: each pair appears in exactly
+// one switch's matchings, so the pair is severed iff that circuit is.
+func (f *rotorFabric) DirectReachable(rack, dst int) bool {
+	sw := f.sched.PairSwitch(rack, dst) // -1 for rack == dst
+	return sw >= 0 && f.circuitUp(rack, dst, sw)
 }
 
 // ActiveCircuits implements CircuitNetwork: every installed matching's peer

@@ -17,10 +17,13 @@ func TestUplinkResolveMatchesSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rotor := topology.MustNewRotorNet(topology.RotorConfig{NumRacks: 16, HostsPerRack: 4, Uplinks: 4, Seed: 1})
+	rotor, err := topology.NewRotorNet(topology.Config{NumRacks: 16, HostsPerRack: 4, NumSwitches: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, f := range map[string]*rotorFabric{
 		"opera":    &NewOperaNet(eventsim.New(), DefaultConfig(), opera, 1).rotorFabric,
-		"rotornet": &NewRotorNetSim(eventsim.New(), DefaultConfig(), rotor, 1).rotorFabric,
+		"rotornet": &NewRotorNetSim(eventsim.New(), DefaultConfig(), rotor, false, 1).rotorFabric,
 	} {
 		d := f.sched.SliceDuration()
 		var times []eventsim.Time
@@ -80,6 +83,62 @@ func TestUplinkResolveSeesFaultsMidSlice(t *testing.T) {
 		}
 		if f.faults.Lost != i {
 			t.Fatalf("Lost = %d after %d transmissions into the cut cable", f.faults.Lost, i)
+		}
+	}
+}
+
+// TestDirectReachableMatchesSlotScan checks the one DirectReachable — the
+// pair's switch, then whether that circuit is up — against asking every
+// slot of the cycle for an installed circuit between the racks, the scan
+// RotorNet ran on its own schedule type. It covers both RotorNet variants
+// (the hybrid's three switches pad 16 racks), fault-free and with a cut
+// cable, a dead ToR and a dead rotor switch.
+func TestDirectReachableMatchesSlotScan(t *testing.T) {
+	scan := func(f *rotorFabric, a, b int) bool {
+		for slot := 0; slot < f.sched.SlicesPerCycle(); slot++ {
+			if sw := f.sched.DirectSwitchInstalled(slot, a, b); sw >= 0 && f.circuitUp(a, b, sw) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, kind := range []string{"rotornet", "rotornet-hybrid"} {
+		for _, tc := range []struct {
+			name   string
+			faults []Target
+		}{
+			{"fault-free", nil},
+			{"cut cable", []Target{FlatLink(3, 1)}},
+			{"dead ToR", []Target{ToRTarget(5)}},
+			{"dead rotor switch", []Target{SwitchTarget(2)}},
+		} {
+			net, err := Build(kind, BuildParams{Engine: eventsim.New(), Sim: DefaultConfig(),
+				Racks: 16, HostsPerRack: 4, Uplinks: 4, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := &net.(*RotorNetSim).rotorFabric
+			for _, target := range tc.faults {
+				if err := f.faults.Inject(target, DownFault(), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f.eng.RunUntil(1)
+			severed := 0
+			for a := 0; a < f.racks; a++ {
+				for b := 0; b < f.racks; b++ {
+					got := f.DirectReachable(a, b)
+					if want := scan(f, a, b); got != want {
+						t.Fatalf("%s, %s: DirectReachable(%d, %d) = %v, slot scan says %v", kind, tc.name, a, b, got, want)
+					}
+					if a != b && !got {
+						severed++
+					}
+				}
+			}
+			if (severed > 0) != (tc.faults != nil) {
+				t.Fatalf("%s, %s: %d pairs severed", kind, tc.name, severed)
+			}
 		}
 	}
 }

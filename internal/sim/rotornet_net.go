@@ -8,8 +8,9 @@ import (
 )
 
 // RotorNetSim assembles the RotorNet [34] baseline: the rotor circuit
-// plane run on a unison schedule — every switch reconfigures at every slot
-// boundary — RotorLB for bulk, and, in the hybrid variant, one ToR uplink
+// plane run on the unison schedule (topology.NewRotorNet: every switch in
+// its own stagger group, so every switch reconfigures at every slot
+// boundary), RotorLB for bulk, and, in the hybrid variant, one ToR uplink
 // diverted to an always-on packet-switched fabric for low-latency traffic
 // (+33% cost, §5.1). The non-hybrid variant has no packet fabric: all
 // traffic must ride circuits, which is what produces its
@@ -48,7 +49,6 @@ import (
 // reports them.
 type RotorNetSim struct {
 	rotorFabric
-	topo *topology.RotorNet
 
 	// The hybrid packet fabric: one uplink per ToR into a non-blocking
 	// switch with a 10 Gb/s port back to each — an optimistic stand-in for
@@ -69,32 +69,44 @@ func (rotorOOBDeliver) OnEvent(arg any) {
 	dst.Receive(p, nil)
 }
 
+// buildRotorNet puts every ToR uplink on a rotor switch, bar the one the
+// hybrid variant gives to its packet fabric.
 func buildRotorNet(p BuildParams, hybrid bool) (Network, error) {
-	topo, err := topology.NewRotorNet(topology.RotorConfig{
+	if p.Uplinks < 1 {
+		return nil, fmt.Errorf("topology: Uplinks must be >= 1, got %d", p.Uplinks)
+	}
+	switches := p.Uplinks
+	if hybrid {
+		if switches < 2 {
+			return nil, fmt.Errorf("topology: hybrid RotorNet needs >= 2 uplinks")
+		}
+		switches--
+	}
+	topo, err := topology.NewRotorNet(topology.Config{
 		NumRacks:     p.Racks,
 		HostsPerRack: p.HostsPerRack,
-		Uplinks:      p.Uplinks,
-		Hybrid:       hybrid,
+		NumSwitches:  switches,
 		Seed:         p.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return NewRotorNetSim(p.Engine, p.Sim, topo, p.Seed+1), nil
+	return NewRotorNetSim(p.Engine, p.Sim, topo, hybrid, p.Seed+1), nil
 }
 
-// NewRotorNetSim wires a RotorNet fabric. seed drives deterministic
-// gray-failure draws (lossy links); topology and scheduling are
-// seed-independent.
-func NewRotorNetSim(eng *eventsim.Engine, cfg Config, topo *topology.RotorNet, seed int64) *RotorNetSim {
-	n := &RotorNetSim{topo: topo}
+// NewRotorNetSim wires a RotorNet fabric on a unison schedule whose
+// switches are the rotor uplinks; hybrid adds the packet fabric on one
+// more uplink per ToR. seed drives deterministic gray-failure draws (lossy
+// links); topology and scheduling are seed-independent.
+func NewRotorNetSim(eng *eventsim.Engine, cfg Config, topo *topology.Opera, hybrid bool, seed int64) *RotorNetSim {
+	n := &RotorNetSim{}
 	n.farEndKnown, n.forward = true, n.sendOOB
 	kind := "rotornet"
-	if topo.Hybrid() {
+	if hybrid {
 		kind, n.forward = "rotornet-hybrid", n.sendHybrid
 	}
 	n.assemble(eng, cfg, kind, topo, seed)
-	if topo.Hybrid() {
+	if hybrid {
 		core := hybridCore{n}
 		n.fabricUp = make([]*Port, n.racks)
 		n.fabricDown = make([]*Port, n.racks)
@@ -109,29 +121,6 @@ func NewRotorNetSim(eng *eventsim.Engine, cfg Config, topo *topology.RotorNet, s
 // PacketCapable implements Network: only the hybrid variant diverts an
 // uplink to an always-on packet fabric for low-latency traffic (§5.1).
 func (n *RotorNetSim) PacketCapable() bool { return n.fabricUp != nil }
-
-// Topology returns the RotorNet schedule.
-func (n *RotorNetSim) Topology() *topology.RotorNet { return n.topo }
-
-// DirectReachable implements CircuitNetwork: whether some slot of the
-// cycle still installs a working direct circuit between the racks. With
-// no failures every distinct pair connects; the pair's matching slots are
-// checked against live links, which is what makes RotorLB fully offload
-// stranded queues via VLB and decline relaying toward unreachable
-// destinations.
-func (n *RotorNetSim) DirectReachable(rack, dst int) bool {
-	if rack == dst {
-		return false
-	}
-	for slot := 0; slot < n.topo.SlicesPerCycle(); slot++ {
-		// The 1-factorization installs at most one switch connecting a
-		// pair per slot, so the first hit is the only one.
-		if sw := n.topo.DirectSwitchInstalled(slot, rack, dst); sw >= 0 && n.circuitUp(rack, dst, sw) {
-			return true
-		}
-	}
-	return false
-}
 
 // sendHybrid is the hybrid variant's packet path: the ToR's diverted uplink.
 func (n *RotorNetSim) sendHybrid(t *RotorToR, p *Packet) {

@@ -5,16 +5,20 @@ import (
 
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/sim"
-	"github.com/opera-net/opera/internal/topology"
 )
 
 func rotorSim(t *testing.T, hybrid bool) *sim.RotorNetSim {
 	t.Helper()
-	topo := topology.MustNewRotorNet(topology.RotorConfig{
-		NumRacks: 16, HostsPerRack: 4, Uplinks: 4, Hybrid: hybrid, Seed: 1,
-	})
-	eng := eventsim.New()
-	return sim.NewRotorNetSim(eng, sim.DefaultConfig(), topo, 1)
+	kind := "rotornet"
+	if hybrid {
+		kind = "rotornet-hybrid"
+	}
+	n, err := sim.Build(kind, sim.BuildParams{Engine: eventsim.New(), Sim: sim.DefaultConfig(),
+		Racks: 16, HostsPerRack: 4, Uplinks: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n.(*sim.RotorNetSim)
 }
 
 func TestRotorNetActiveCircuits(t *testing.T) {
@@ -103,8 +107,37 @@ func TestRotorNetSliceListener(t *testing.T) {
 
 func TestRotorNetHybridFabricPorts(t *testing.T) {
 	n := rotorSim(t, true)
-	if n.Topology().Uplinks() != 3 {
-		t.Fatalf("hybrid should run 3 rotor switches, got %d", n.Topology().Uplinks())
+	if n.Topology().Uplinks() != 3 || !n.PacketCapable() {
+		t.Fatalf("hybrid on 4 uplinks: %d rotor switches, packet fabric %v; want 3 and one",
+			n.Topology().Uplinks(), n.PacketCapable())
+	}
+	if n := rotorSim(t, false); n.Topology().Uplinks() != 4 || n.PacketCapable() {
+		t.Fatalf("rotornet on 4 uplinks: %d rotor switches, packet fabric %v; want 4 and none",
+			n.Topology().Uplinks(), n.PacketCapable())
+	}
+}
+
+// The hybrid variant needs an uplink for its packet fabric and one for a
+// rotor switch.
+func TestRotorNetBuildErrors(t *testing.T) {
+	for _, tc := range []struct {
+		kind    string
+		uplinks int
+		want    string
+	}{
+		{"rotornet", 0, "topology: Uplinks must be >= 1, got 0"},
+		{"rotornet-hybrid", 0, "topology: Uplinks must be >= 1, got 0"},
+		{"rotornet-hybrid", 1, "topology: hybrid RotorNet needs >= 2 uplinks"},
+	} {
+		_, err := sim.Build(tc.kind, sim.BuildParams{Engine: eventsim.New(), Sim: sim.DefaultConfig(),
+			Racks: 8, HostsPerRack: 1, Uplinks: tc.uplinks, Seed: 1})
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s on %d uplinks: error %v, want %q", tc.kind, tc.uplinks, err, tc.want)
+		}
+	}
+	if _, err := sim.Build("rotornet-hybrid", sim.BuildParams{Engine: eventsim.New(), Sim: sim.DefaultConfig(),
+		Racks: 8, HostsPerRack: 1, Uplinks: 2, Seed: 1}); err != nil {
+		t.Fatalf("hybrid on 2 uplinks: %v", err)
 	}
 }
 

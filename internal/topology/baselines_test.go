@@ -152,20 +152,21 @@ func TestFoldedClosToRPathStats(t *testing.T) {
 
 func TestRotorNetPaperBaseline(t *testing.T) {
 	// Non-hybrid: 6 rotor switches, 108 racks → 18 slots, 1.8 ms cycle.
-	r := MustNewRotorNet(RotorConfig{NumRacks: 108, HostsPerRack: 6, Uplinks: 6, Seed: 1})
+	r := mustRotorNet(t, Config{NumRacks: 108, HostsPerRack: 6, NumSwitches: 6, Seed: 1})
 	if r.SlicesPerCycle() != 18 {
 		t.Fatalf("slots = %d, want 18", r.SlicesPerCycle())
 	}
 	if r.CycleTime() != 1800*eventsim.Microsecond {
 		t.Fatalf("cycle = %v, want 1.8ms", r.CycleTime())
 	}
-	if r.Uplinks() != 6 || r.Hybrid() {
-		t.Fatalf("switches = %d hybrid=%v", r.Uplinks(), r.Hybrid())
+	if r.Uplinks() != 6 || r.Config().GroupSize != 1 {
+		t.Fatalf("switches = %d group size = %d", r.Uplinks(), r.Config().GroupSize)
 	}
 }
 
 func TestRotorNetHybrid(t *testing.T) {
-	r := MustNewRotorNet(RotorConfig{NumRacks: 108, HostsPerRack: 6, Uplinks: 6, Hybrid: true, Seed: 1})
+	// The hybrid variant gives one of 6 uplinks to its packet network.
+	r := mustRotorNet(t, Config{NumRacks: 108, HostsPerRack: 6, NumSwitches: 5, Seed: 1})
 	if r.Uplinks() != 5 {
 		t.Fatalf("hybrid switches = %d, want 5", r.Uplinks())
 	}
@@ -176,7 +177,7 @@ func TestRotorNetHybrid(t *testing.T) {
 }
 
 func TestRotorNetFullConnectivityPerCycle(t *testing.T) {
-	r := MustNewRotorNet(RotorConfig{NumRacks: 32, HostsPerRack: 4, Uplinks: 4, Seed: 2})
+	r := mustRotorNet(t, Config{NumRacks: 32, HostsPerRack: 4, NumSwitches: 4, Seed: 2})
 	n := r.NumRacks()
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
@@ -195,8 +196,8 @@ func TestRotorNetFullConnectivityPerCycle(t *testing.T) {
 }
 
 func TestRotorNetBulkWindowAndDuty(t *testing.T) {
-	r := MustNewRotorNet(RotorConfig{
-		NumRacks: 16, HostsPerRack: 2, Uplinks: 4,
+	r := mustRotorNet(t, Config{
+		NumRacks: 16, HostsPerRack: 2, NumSwitches: 4,
 		GuardBand: 1 * eventsim.Microsecond,
 		Seed:      1,
 	})
@@ -204,25 +205,33 @@ func TestRotorNetBulkWindowAndDuty(t *testing.T) {
 	if s != 1*eventsim.Microsecond || e != 89*eventsim.Microsecond {
 		t.Fatalf("window = [%v, %v]", s, e)
 	}
-	if d := r.DutyCycle(); d < 0.87 || d > 0.89 {
-		t.Fatalf("duty = %v, want 0.88", d)
-	}
 }
 
+// NewRotorNet rejects what Opera's build would too, and every setting that
+// shapes only a staggered schedule rather than ignoring it.
 func TestRotorNetErrors(t *testing.T) {
-	if _, err := NewRotorNet(RotorConfig{NumRacks: 7, HostsPerRack: 1, Uplinks: 2}); err == nil {
-		t.Fatal("odd racks accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"odd racks", Config{NumRacks: 7, HostsPerRack: 1, NumSwitches: 2}},
+		{"no switches", Config{NumRacks: 8, HostsPerRack: 1}},
+		{"zero hosts", Config{NumRacks: 8, HostsPerRack: 0, NumSwitches: 2}},
+		{"stagger groups", Config{NumRacks: 8, HostsPerRack: 1, NumSwitches: 2, GroupSize: 2}},
+		{"diameter bound", Config{NumRacks: 8, HostsPerRack: 1, NumSwitches: 2, MaxDiameter: 3}},
+		{"lifting", Config{NumRacks: 8, HostsPerRack: 1, NumSwitches: 2, UseLifting: true}},
+	} {
+		if _, err := NewRotorNet(tc.cfg); err == nil {
+			t.Errorf("%s accepted: %+v", tc.name, tc.cfg)
+		}
 	}
-	if _, err := NewRotorNet(RotorConfig{NumRacks: 8, HostsPerRack: 1, Uplinks: 1, Hybrid: true}); err == nil {
-		t.Fatal("hybrid with one uplink accepted")
-	}
-	if _, err := NewRotorNet(RotorConfig{NumRacks: 8, HostsPerRack: 0, Uplinks: 2}); err == nil {
-		t.Fatal("zero hosts accepted")
+	if _, err := NewRotorNet(Config{NumRacks: 8, HostsPerRack: 1, NumSwitches: 2, GroupSize: 1}); err != nil {
+		t.Fatalf("GroupSize 1 is the unison schedule itself: %v", err)
 	}
 }
 
 func TestRotorNetSlotAt(t *testing.T) {
-	r := MustNewRotorNet(RotorConfig{NumRacks: 16, HostsPerRack: 2, Uplinks: 4, Seed: 1})
+	r := mustRotorNet(t, Config{NumRacks: 16, HostsPerRack: 2, NumSwitches: 4, Seed: 1})
 	d := r.SliceDuration()
 	slot, abs, off := r.SliceAt(d*5 + 7)
 	if slot != 1 || abs != 5 || off != 7 {

@@ -32,10 +32,11 @@ const sliceDuration = DefaultEpsilon + DefaultReconfDelay
 // first realization virtually always works).
 const realizationAttempts = 16
 
-// Config parameterizes an Opera network build.
+// Config parameterizes an Opera network build, and a RotorNet one
+// (NewRotorNet reads only the sizes, GuardBand and Seed).
 type Config struct {
-	// NumRacks is N, the number of ToRs. Must be even and divisible by
-	// NumSwitches.
+	// NumRacks is N, the number of ToRs. Must be even and, for Opera,
+	// divisible by NumSwitches.
 	NumRacks int
 	// HostsPerRack is d. Opera provisions ToRs 1:1, so d = u = k/2.
 	HostsPerRack int
@@ -63,16 +64,17 @@ type Config struct {
 	UseLifting bool
 }
 
-// Opera is an immutable Opera topology realization plus its reconfiguration
-// schedule. It answers structural queries (current matchings, per-slice
-// expander graphs, direct circuits) for any slice index; packet simulation
-// and routing live in other packages.
+// Opera is an immutable rotor topology realization plus its
+// reconfiguration schedule: Opera's staggered one (NewOpera), or RotorNet's
+// unison one, the case with every switch in its own stagger group
+// (NewRotorNet; §3.1, Appendix B). It answers structural queries (current
+// matchings, per-slice expander graphs, direct circuits) for any slice
+// index; packet simulation and routing live in other packages.
 type Opera struct {
 	cfg       Config
-	matchings []Matching // N total; switch j owns [j*m, (j+1)*m)
-	perSwitch int        // m = N / NumSwitches
+	matchings []Matching // NumSwitches × m; switch j owns [j*m, (j+1)*m)
+	perSwitch int        // m = N / NumSwitches (rounded up for RotorNet)
 	slices    int        // slices per cycle = GroupSize * m
-	groups    int        // NumSwitches / GroupSize
 
 	pairSwitch []int8 // lazily built: which switch's matching holds (a,b)
 }
@@ -80,14 +82,11 @@ type Opera struct {
 // NewOpera builds an Opera topology from cfg, retrying realizations until
 // every topology slice is connected.
 func NewOpera(cfg Config) (*Opera, error) {
-	if cfg.NumRacks <= 0 || cfg.NumRacks%2 != 0 {
-		return nil, fmt.Errorf("topology: NumRacks must be positive even, got %d", cfg.NumRacks)
+	if err := checkSizes(cfg); err != nil {
+		return nil, err
 	}
 	if cfg.NumSwitches <= 0 || cfg.NumRacks%cfg.NumSwitches != 0 {
 		return nil, fmt.Errorf("topology: NumSwitches %d must divide NumRacks %d", cfg.NumSwitches, cfg.NumRacks)
-	}
-	if cfg.HostsPerRack <= 0 {
-		return nil, fmt.Errorf("topology: HostsPerRack must be positive, got %d", cfg.HostsPerRack)
 	}
 	if cfg.GroupSize == 0 {
 		cfg.GroupSize = DefaultGroupSize
@@ -111,7 +110,6 @@ func NewOpera(cfg Config) (*Opera, error) {
 			cfg:       cfg,
 			matchings: ms,
 			perSwitch: cfg.NumRacks / cfg.NumSwitches,
-			groups:    cfg.NumSwitches / cfg.GroupSize,
 		}
 		o.slices = cfg.GroupSize * o.perSwitch
 		if o.allSlicesConnected() {
@@ -120,6 +118,60 @@ func NewOpera(cfg Config) (*Opera, error) {
 	}
 	return nil, fmt.Errorf("topology: no connected Opera realization found in %d attempts (N=%d, u=%d)",
 		realizationAttempts, cfg.NumRacks, cfg.NumSwitches)
+}
+
+// NewRotorNet builds the RotorNet [34] baseline's schedule: the same rotor
+// switches reconfiguring in unison. Every switch is its own stagger group
+// (GroupSize 1), so all of them swap matchings at every slice boundary
+// (RotorNet calls a slice a slot) and a cycle is ⌈N/NumSwitches⌉ slices —
+// 18 slots, 1.8 ms, for 108 racks on 6 switches (§5.1). One complete-graph
+// factorization is dealt round-robin over the switches; when the switch
+// count does not divide N, a switch short of matchings repeats its first
+// (a slight duty-cycle loss of the hybrid variant, which gives one uplink
+// to its packet network). A unison slice is no expander — during the
+// blackout no circuit exists at all — so no slice-connectivity test runs,
+// and the settings that only shape one (a GroupSize above 1, MaxDiameter,
+// UseLifting) are rejected rather than ignored.
+func NewRotorNet(cfg Config) (*Opera, error) {
+	if err := checkSizes(cfg); err != nil {
+		return nil, err
+	}
+	switch {
+	case cfg.NumSwitches < 1:
+		return nil, fmt.Errorf("topology: NumSwitches must be >= 1, got %d", cfg.NumSwitches)
+	case cfg.GroupSize != 0 && cfg.GroupSize != 1:
+		return nil, fmt.Errorf("topology: RotorNet reconfigures in unison: GroupSize must be 0 or 1, got %d", cfg.GroupSize)
+	case cfg.MaxDiameter != 0:
+		return nil, fmt.Errorf("topology: RotorNet slices are not expanders: MaxDiameter %d has no meaning", cfg.MaxDiameter)
+	case cfg.UseLifting:
+		return nil, fmt.Errorf("topology: RotorNet factorizes directly: UseLifting has no meaning")
+	}
+	cfg.GroupSize = 1
+	switches := cfg.NumSwitches
+	fact := FactorizeComplete(cfg.NumRacks, rand.New(rand.NewSource(cfg.Seed)))
+	m := (cfg.NumRacks + switches - 1) / switches
+	ms := make([]Matching, switches*m)
+	for sw := 0; sw < switches; sw++ {
+		for s := 0; s < m; s++ {
+			idx := s*switches + sw // round-robin distribution
+			if idx >= len(fact) {
+				idx = sw // pad
+			}
+			ms[sw*m+s] = fact[idx]
+		}
+	}
+	return &Opera{cfg: cfg, matchings: ms, perSwitch: m, slices: m}, nil
+}
+
+// checkSizes validates the rack and host counts both schedules need.
+func checkSizes(cfg Config) error {
+	if cfg.NumRacks <= 0 || cfg.NumRacks%2 != 0 {
+		return fmt.Errorf("topology: NumRacks must be positive even, got %d", cfg.NumRacks)
+	}
+	if cfg.HostsPerRack <= 0 {
+		return fmt.Errorf("topology: HostsPerRack must be positive, got %d", cfg.HostsPerRack)
+	}
+	return nil
 }
 
 // MustNewOpera is NewOpera but panics on error, for tests and examples.
@@ -229,34 +281,16 @@ func (o *Opera) SliceAt(t eventsim.Time) (sliceInCycle int, absSlice int64, offs
 	return int(abs % int64(o.slices)), abs, t % d
 }
 
-// SliceStart returns the start time of absolute slice s.
-func (o *Opera) SliceStart(absSlice int64) eventsim.Time {
-	return eventsim.Time(absSlice) * o.SliceDuration()
-}
-
-// Transitioning returns the switches that reconfigure during slice s: one
-// per stagger group. Their circuits must not accept new traffic during s
-// (the drain window) and go dark for the final r of the slice.
-func (o *Opera) Transitioning(slice int) []int {
-	slice = o.norm(slice)
-	phase := slice % o.cfg.GroupSize
-	out := make([]int, o.groups)
-	for h := 0; h < o.groups; h++ {
-		out[h] = h*o.cfg.GroupSize + phase
-	}
-	return out
-}
-
 // IsTransitioning reports whether switch sw reconfigures during slice s.
 func (o *Opera) IsTransitioning(sw, slice int) bool {
 	slice = o.norm(slice)
 	return sw%o.cfg.GroupSize == slice%o.cfg.GroupSize
 }
 
-// MatchingOrdinal returns which of switch sw's matchings (0..m-1) is
+// matchingOrdinal returns which of switch sw's matchings (0..m-1) is
 // physically installed during slice s. During a transition slice the old
 // matching is reported: the switch reconfigures at the end of the slice.
-func (o *Opera) MatchingOrdinal(sw, slice int) int {
+func (o *Opera) matchingOrdinal(sw, slice int) int {
 	slice = o.norm(slice)
 	phase := sw % o.cfg.GroupSize
 	completed := 0
@@ -268,12 +302,8 @@ func (o *Opera) MatchingOrdinal(sw, slice int) int {
 
 // SwitchMatching returns the matching installed on switch sw during slice s.
 func (o *Opera) SwitchMatching(sw, slice int) Matching {
-	return o.matchings[sw*o.perSwitch+o.MatchingOrdinal(sw, slice)]
+	return o.matchings[sw*o.perSwitch+o.matchingOrdinal(sw, slice)]
 }
-
-// Matchings returns all N matchings; switch j owns the contiguous block
-// [j*m, (j+1)*m). The caller must not modify them.
-func (o *Opera) Matchings() []Matching { return o.matchings }
 
 // SliceGraph returns the expander implemented during slice s for
 // low-latency traffic: the union of the matchings of all switches that are
@@ -284,23 +314,6 @@ func (o *Opera) SliceGraph(slice int) *graph.Graph {
 		if o.IsTransitioning(sw, slice) {
 			continue
 		}
-		m := o.SwitchMatching(sw, slice)
-		for i := 0; i < m.N(); i++ {
-			if j := m.Peer(i); j > i {
-				g.AddEdge(i, j)
-			}
-		}
-	}
-	return g
-}
-
-// FullSliceGraph returns the union of all u installed matchings during
-// slice s, including the transitioning switch's (usable by traffic that
-// completes before the reconfiguration; used for path-length analysis with
-// the paper's "one potentially down" caveat handled by SliceGraph).
-func (o *Opera) FullSliceGraph(slice int) *graph.Graph {
-	g := graph.New(o.cfg.NumRacks)
-	for sw := 0; sw < o.cfg.NumSwitches; sw++ {
 		m := o.SwitchMatching(sw, slice)
 		for i := 0; i < m.N(); i++ {
 			if j := m.Peer(i); j > i {
@@ -424,14 +437,6 @@ func (o *Opera) BulkCapacityFactor() float64 {
 		usable = 0
 	}
 	return float64(usable) / float64(hold)
-}
-
-// HostRack returns the rack of host h (hosts are numbered rack-major).
-func (o *Opera) HostRack(h int) int { return h / o.cfg.HostsPerRack }
-
-// RackHosts returns the host ID range [lo, hi) of rack r.
-func (o *Opera) RackHosts(r int) (lo, hi int) {
-	return r * o.cfg.HostsPerRack, (r + 1) * o.cfg.HostsPerRack
 }
 
 func (o *Opera) norm(slice int) int {

@@ -1,26 +1,38 @@
 package topology
 
 import (
+	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/opera-net/opera/internal/eventsim"
 )
 
-// The properties the shared rotor fabric stands on, checked through the
-// Schedule interface against both implementations: staggered Opera with
-// one stagger group and with two, and unison RotorNet with and without
-// the padding a switch count that does not divide N brings.
+// mustRotorNet is NewRotorNet, failing the test on error.
+func mustRotorNet(t *testing.T, cfg Config) *Opera {
+	t.Helper()
+	r, err := NewRotorNet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// The properties the shared rotor fabric stands on, checked on both
+// schedules: staggered Opera with one stagger group and with two, and
+// unison RotorNet with and without the padding a switch count that does
+// not divide N brings (the hybrid variant's three switches on 16 racks).
 func TestScheduleProperties(t *testing.T) {
 	const g = eventsim.Microsecond
 	for _, tc := range []struct {
 		name  string
-		sched Schedule
+		sched *Opera
 	}{
 		{"opera-16x4", MustNewOpera(Config{NumRacks: 16, HostsPerRack: 4, NumSwitches: 4, GuardBand: g, Seed: 1})},
 		{"opera-24x12-two-groups", MustNewOpera(Config{NumRacks: 24, HostsPerRack: 2, NumSwitches: 12, GuardBand: g, Seed: 1})},
-		{"rotornet-16x4", MustNewRotorNet(RotorConfig{NumRacks: 16, HostsPerRack: 4, Uplinks: 4, GuardBand: g, Seed: 1})},
-		{"rotornet-hybrid-16x4-padded", MustNewRotorNet(RotorConfig{NumRacks: 16, HostsPerRack: 4, Uplinks: 4, Hybrid: true, GuardBand: g, Seed: 1})},
+		{"rotornet-16x4", mustRotorNet(t, Config{NumRacks: 16, HostsPerRack: 4, NumSwitches: 4, GuardBand: g, Seed: 1})},
+		{"rotornet-hybrid-16x4-padded", mustRotorNet(t, Config{NumRacks: 16, HostsPerRack: 4, NumSwitches: 3, GuardBand: g, Seed: 1})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.sched
@@ -88,16 +100,16 @@ func TestScheduleProperties(t *testing.T) {
 			}
 
 			// RotorNet is the schedule with every switch in its own group.
-			if rn, ok := s.(*RotorNet); ok {
+			if strings.HasPrefix(tc.name, "rotornet") {
 				if want := (n + u - 1) / u; perCycle != want {
 					t.Fatalf("SlicesPerCycle = %d, want ⌈%d/%d⌉ = %d", perCycle, n, u, want)
 				}
-				if rn.PairWindowsPerCycle() != 1 {
-					t.Fatalf("PairWindowsPerCycle = %d, want 1", rn.PairWindowsPerCycle())
+				if s.Config().GroupSize != 1 || s.PairWindowsPerCycle() != 1 {
+					t.Fatalf("GroupSize = %d, PairWindowsPerCycle = %d, want 1, 1", s.Config().GroupSize, s.PairWindowsPerCycle())
 				}
 				for sw := 0; sw < u; sw++ {
 					for sl := 0; sl < perCycle; sl++ {
-						if !rn.IsTransitioning(sw, sl) {
+						if !s.IsTransitioning(sw, sl) {
 							t.Fatalf("sw %d not transitioning in slot %d", sw, sl)
 						}
 					}
@@ -107,8 +119,40 @@ func TestScheduleProperties(t *testing.T) {
 	}
 
 	// §5.1: 108 racks on 6 rotor switches cycle in 18 slots, 1.8 ms.
-	paper := Schedule(MustNewRotorNet(RotorConfig{NumRacks: 108, HostsPerRack: 6, Uplinks: 6, Seed: 1}))
+	paper := mustRotorNet(t, Config{NumRacks: 108, HostsPerRack: 6, NumSwitches: 6, Seed: 1})
 	if paper.SlicesPerCycle() != 18 || eventsim.Time(paper.SlicesPerCycle())*paper.SliceDuration() != 1800*eventsim.Microsecond {
 		t.Fatalf("paper RotorNet: %d slots of %v, want 18 × 100µs", paper.SlicesPerCycle(), paper.SliceDuration())
+	}
+}
+
+// TestRotorNetMatchesUnisonLayout pins NewRotorNet to the layout the
+// standalone RotorNet type it replaced dealt out: one factorization drawn
+// from the seed, slot s of switch sw taking round-robin entry s·c+sw,
+// padded with entry sw past the end. Every simulated RotorNet byte rests
+// on this schedule being the same.
+func TestRotorNetMatchesUnisonLayout(t *testing.T) {
+	for _, tc := range []struct{ racks, switches int }{
+		{16, 4}, {16, 3}, {108, 6}, {108, 5},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			r := mustRotorNet(t, Config{NumRacks: tc.racks, HostsPerRack: 2, NumSwitches: tc.switches, Seed: seed})
+			fact := FactorizeComplete(tc.racks, rand.New(rand.NewSource(seed)))
+			slots := (tc.racks + tc.switches - 1) / tc.switches
+			if r.SlicesPerCycle() != slots {
+				t.Fatalf("%d racks on %d switches: %d slots per cycle, want %d", tc.racks, tc.switches, r.SlicesPerCycle(), slots)
+			}
+			for sw := 0; sw < tc.switches; sw++ {
+				for slot := 0; slot < 2*slots; slot++ {
+					idx := slot%slots*tc.switches + sw
+					if idx >= len(fact) {
+						idx = sw
+					}
+					if got := r.SwitchMatching(sw, slot); !slices.Equal(got, fact[idx]) {
+						t.Fatalf("%d racks on %d switches, seed %d: switch %d slot %d holds %v, want %v",
+							tc.racks, tc.switches, seed, sw, slot, got, fact[idx])
+					}
+				}
+			}
+		}
 	}
 }
