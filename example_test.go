@@ -36,7 +36,7 @@ func ExampleCluster_AddFlow() {
 	}
 	rpc := cl.AddFlow(workload.FlowSpec{Src: 0, Dst: 42, Bytes: 6_000})
 	big := cl.AddFlow(workload.FlowSpec{Src: 1, Dst: 43, Bytes: 30_000_000})
-	tagged := cl.AddBulkFlow(workload.FlowSpec{Src: 2, Dst: 44, Bytes: 6_000})
+	tagged := cl.AddFlow(workload.FlowSpec{Src: 2, Dst: 44, Bytes: 6_000, Bulk: true})
 	fmt.Println(rpc.Class, big.Class, tagged.Class)
 
 	if !cl.RunUntilDone(2000 * eventsim.Millisecond) {
@@ -52,19 +52,26 @@ func ExampleCluster_AddFlow() {
 // Whole parameter sweeps fan out across goroutines through the scenario
 // runner; results are deterministic at any parallelism.
 func ExampleRunScenarios() {
-	scs := []scenario.Scenario{
+	var scs []scenario.Scenario
+	for _, sp := range []scenario.Spec{
 		{
-			Name: "opera", Kind: opera.KindOpera, Seed: 1,
-			Sources:  []scenario.Source{scenario.Shuffle(8, 40_000, 0)},
+			Name: "opera", Network: "opera", Seed: 1,
+			Sources:  []scenario.SourceSpec{{Type: "shuffle", Participants: 8, FlowBytes: 40_000}},
 			Duration: 2000 * eventsim.Millisecond,
 		},
 		{
-			Name: "expander", Kind: opera.KindExpander, Seed: 1,
-			Sources:  []scenario.Source{scenario.Shuffle(8, 40_000, eventsim.Millisecond)},
+			Name: "expander", Network: "expander", Seed: 1,
+			Sources:  []scenario.SourceSpec{{Type: "shuffle", Participants: 8, FlowBytes: 40_000, Stagger: eventsim.Millisecond}},
 			Duration: 2000 * eventsim.Millisecond,
 		},
+	} {
+		sc, err := sp.Scenario()
+		if err != nil {
+			log.Fatal(err)
+		}
+		scs = append(scs, sc)
 	}
-	results, err := scenario.RunScenarios(context.Background(), scs, scenario.Parallelism(2))
+	results, err := scenario.RunScenarios(context.Background(), scs, 2)
 	if err != nil {
 		log.Fatal(err)
 	}

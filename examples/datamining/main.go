@@ -29,26 +29,25 @@ func main() {
 	duration := 50 * eventsim.Millisecond
 	var scs []scenario.Scenario
 	for _, load := range loads {
-		scs = append(scs, scenario.Scenario{
-			Name: fmt.Sprintf("load %.2f", load),
-			Kind: opera.KindOpera,
-			// Workload arrivals use seed 7; the topology seed comes from
-			// WithSeed, applied after the runner's default.
-			Seed: 7,
-			Options: []opera.Option{
-				opera.WithRacks(16),
-				opera.WithHostsPerRack(4),
-				opera.WithUplinks(4),
-				opera.WithSeed(1),
-			},
+		sc, err := scenario.Spec{
+			Name: fmt.Sprintf("load %.2f", load), Network: "opera", Seed: 7,
+			Racks: 16, HostsPerRack: 4, Uplinks: 4,
 			// Cap the extreme tail (up to 1 GB) so the example runs in
 			// seconds; the shape of the comparison is unchanged. The source
 			// streams arrivals lazily — nothing is materialized up front.
-			Sources:  []scenario.Source{scenario.Poisson(dist, load, duration, 30_000_000)},
+			Sources: []scenario.SourceSpec{{Type: "poisson", Dist: "datamining", Load: load, Window: duration,
+				MaxFlowBytes: 30_000_000}},
 			Duration: duration * 100,
-		})
+		}.Scenario()
+		if err != nil {
+			log.Fatal(err)
+		}
+		// Workload arrivals use seed 7; the topology seed comes from
+		// WithSeed, applied after the runner's default.
+		sc.Options = append(sc.Options, opera.WithSeed(1))
+		scs = append(scs, sc)
 	}
-	results, err := scenario.RunScenarios(context.Background(), scs)
+	results, err := scenario.RunScenarios(context.Background(), scs, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

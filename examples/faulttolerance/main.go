@@ -58,26 +58,22 @@ func main() {
 	// Packet level: fail a live link mid-run — declared as a Scenario
 	// fault schedule — and watch traffic route around it via the
 	// hello-protocol epidemic (§3.6.2), with a probe tracking completion.
-	res := scenario.Run(scenario.Scenario{
-		Name: "opera-link-failure",
-		Kind: opera.KindOpera,
-		Seed: 1,
-		Options: []opera.Option{
-			opera.WithRacks(16),
-			opera.WithHostsPerRack(4),
-			opera.WithUplinks(4),
-		},
-		Sources: []scenario.Source{scenario.Shuffle(16, 30_000, eventsim.Millisecond)},
-		Events:  []scenario.EventSpec{{At: 500 * eventsim.Microsecond, Target: sim.FlatLink(3, 2)}},
-		Probes: []scenario.Probe{
-			scenario.Sample("done_flows", eventsim.Millisecond,
-				func(cl *opera.Cluster, _ eventsim.Time) float64 {
-					done, _ := cl.Metrics().DoneCount()
-					return float64(done)
-				}),
-		},
+	sc, err := scenario.Spec{
+		Name: "opera-link-failure", Network: "opera", Seed: 1,
+		Racks: 16, HostsPerRack: 4, Uplinks: 4,
+		Sources:  []scenario.SourceSpec{{Type: "shuffle", Participants: 16, FlowBytes: 30_000, Stagger: eventsim.Millisecond}},
+		Events:   []scenario.EventSpec{{At: 500 * eventsim.Microsecond, Target: sim.FlatLink(3, 2)}},
 		Duration: 4000 * eventsim.Millisecond,
-	})
+	}.Scenario()
+	if err != nil {
+		log.Fatal(err)
+	}
+	sc.Probes = []scenario.Probe{{Name: "done_flows", Every: eventsim.Millisecond,
+		Fn: func(cl *opera.Cluster, _ eventsim.Time) float64 {
+			done, _ := cl.Metrics().DoneCount()
+			return float64(done)
+		}}}
+	res := scenario.Run(sc)
 	if res.Err != "" {
 		log.Fatal(res.Err)
 	}

@@ -61,7 +61,7 @@ func main() {
 		scs = append(scs, sc)
 	}
 
-	results, err := scenario.RunScenarios(context.Background(), scs, scenario.Parallelism(3))
+	results, err := scenario.RunScenarios(context.Background(), scs, 3)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,37 +17,35 @@ import (
 
 	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
-	"github.com/opera-net/opera/internal/workload"
 	"github.com/opera-net/opera/scenario"
 )
 
 func main() {
 	fmt.Println("Websearch workload (all-indirect worst case, Figure 9)")
 
-	kinds := []opera.Kind{opera.KindOpera, opera.KindExpander, opera.KindFoldedClos}
+	networks := []string{"opera", "expander", "foldedclos"}
 	loads := []float64{0.01, 0.05, 0.10}
 	duration := 20 * eventsim.Millisecond
 
 	var scs []scenario.Scenario
-	for _, kind := range kinds {
+	for _, network := range networks {
 		for _, load := range loads {
-			scs = append(scs, scenario.Scenario{
-				Name: fmt.Sprintf("%s load %.2f", kind, load),
-				Kind: kind,
-				Seed: 3,
-				Options: []opera.Option{
-					opera.WithRacks(16),
-					opera.WithHostsPerRack(4),
-					opera.WithUplinks(4),
-					opera.WithClos(8, 3),
-					opera.WithSeed(1),
-				},
-				Sources:  []scenario.Source{scenario.Poisson(workload.Websearch(), load, duration, 0)},
+			sc, err := scenario.Spec{
+				Name: fmt.Sprintf("%s load %.2f", network, load), Network: network, Seed: 3,
+				Racks: 16, HostsPerRack: 4, Uplinks: 4, ClosK: 8, ClosF: 3,
+				Sources:  []scenario.SourceSpec{{Type: "poisson", Dist: "websearch", Load: load, Window: duration}},
 				Duration: duration * 20,
-			})
+			}.Scenario()
+			if err != nil {
+				log.Fatal(err)
+			}
+			// Workload arrivals use seed 3; the topology seed comes from
+			// WithSeed, applied after the runner's default.
+			sc.Options = append(sc.Options, opera.WithSeed(1))
+			scs = append(scs, sc)
 		}
 	}
-	results, err := scenario.RunScenarios(context.Background(), scs)
+	results, err := scenario.RunScenarios(context.Background(), scs, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -114,7 +114,6 @@ func operaFluid(eq cost.Equivalent, wl CostSweepWorkload) (float64, error) {
 		HostsPerRack: eq.OperaHostsPerRack,
 		NumSwitches:  eq.K / 2,
 		Seed:         1,
-		UseLifting:   eq.OperaRacks > 512,
 	})
 	if err != nil {
 		return 0, err

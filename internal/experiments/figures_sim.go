@@ -109,7 +109,7 @@ func runPoissonFCT(t *Table, networks []string, opt SimOptions, dist string) err
 		done, total int
 	}
 	tallies := make([]cellStats, len(specs))
-	results, err := scenario.ForEachCluster(context.Background(), scs,
+	results, err := scenario.ForEachCluster(context.Background(), scs, 0,
 		func(i int, cl *operapkg.Cluster, _ scenario.Result) {
 			if cl == nil {
 				return
@@ -218,7 +218,9 @@ func Fig08Shuffle(opt ShuffleOptions) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	clusters, results, err := scenario.CollectScenarios(context.Background(), scs)
+	clusters := make([]*operapkg.Cluster, len(scs))
+	results, err := scenario.ForEachCluster(context.Background(), scs, 0,
+		func(i int, cl *operapkg.Cluster, _ scenario.Result) { clusters[i] = cl })
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +300,7 @@ func Fig10Mixed(opt MixedOptions) ([]Table, error) {
 	// Normalized throughput needs the delivery time series, so tabulate in
 	// the per-cluster callback (distinct per-index slots, no locking).
 	delivered := make([]float64, len(specs))
-	results, err := scenario.ForEachCluster(context.Background(), scs,
+	results, err := scenario.ForEachCluster(context.Background(), scs, 0,
 		func(i int, cl *operapkg.Cluster, _ scenario.Result) {
 			if cl == nil {
 				return

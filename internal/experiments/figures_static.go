@@ -111,7 +111,7 @@ func Fig16PathVsScale(radices []int) ([]Table, error) {
 		n := 3 * k * k / 4
 		o, err := topology.NewOpera(topology.Config{
 			NumRacks: n, HostsPerRack: k / 2, NumSwitches: k / 2, GroupSize: k / 2,
-			Seed: 1, UseLifting: n > 512,
+			Seed: 1,
 		})
 		if err != nil {
 			return nil, err

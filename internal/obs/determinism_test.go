@@ -15,32 +15,32 @@ import (
 // (tagged low-latency + bulk), a mid-run fault schedule, sampling probes,
 // and sketch retention — every subsystem an observer reads from.
 func observedScenario(observer scenario.Observer) scenario.Scenario {
-	return scenario.Scenario{
-		Name: "obs-determinism",
-		Kind: opera.KindOpera,
-		Seed: 11,
-		Options: []opera.Option{
-			opera.WithRetention(opera.RetainSketch(opera.SketchOptions{})),
-		},
-		Sources: []scenario.Source{
-			scenario.TagSource("shuffle", scenario.BulkSource(scenario.Shuffle(12, 60_000, 0))),
-			scenario.TagSource("mice", scenario.Shuffle(12, 2_000, 100*eventsim.Microsecond)),
+	sc, err := scenario.Spec{
+		Name:      "obs-determinism",
+		Network:   "opera",
+		Seed:      11,
+		Retention: scenario.RetentionSpec{Sketch: true},
+		Sources: []scenario.SourceSpec{
+			{Type: "shuffle", Participants: 12, FlowBytes: 60_000, Bulk: true, Tag: "shuffle"},
+			{Type: "shuffle", Participants: 12, FlowBytes: 2_000, Stagger: 100 * eventsim.Microsecond, Tag: "mice"},
 		},
 		Events: []scenario.EventSpec{
 			{At: 200 * eventsim.Microsecond, Target: sim.FlatLink(3, 1), Fault: sim.LossyFault(0.3)},
 			{At: 400 * eventsim.Microsecond, Target: sim.FlatLink(5, 2)},
 			{At: 2 * eventsim.Millisecond, Op: "recover", Target: sim.FlatLink(3, 1)},
 		},
-		Probes: []scenario.Probe{
-			scenario.Sample("done", eventsim.Millisecond,
-				func(cl *opera.Cluster, _ eventsim.Time) float64 {
-					done, _ := cl.Metrics().DoneCount()
-					return float64(done)
-				}),
-		},
 		Duration: 4000 * eventsim.Millisecond,
-		Observer: observer,
+	}.Scenario()
+	if err != nil {
+		panic(err)
 	}
+	sc.Probes = []scenario.Probe{{Name: "done", Every: eventsim.Millisecond,
+		Fn: func(cl *opera.Cluster, _ eventsim.Time) float64 {
+			done, _ := cl.Metrics().DoneCount()
+			return float64(done)
+		}}}
+	sc.Observer = observer
+	return sc
 }
 
 // TestObserverDeterminism is the package's contract: attaching a

@@ -81,7 +81,7 @@ func TestBulkSurvivesLinkFailure(t *testing.T) {
 	cl, fs := failureTestbed(t)
 	cut(t, fs, sim.FlatLink(0, 0), 500*eventsim.Microsecond)
 	cut(t, fs, sim.FlatLink(0, 1), 500*eventsim.Microsecond)
-	f := cl.AddBulkFlow(workload.FlowSpec{Src: 0, Dst: 60, Bytes: 1 << 20})
+	f := cl.AddFlow(workload.FlowSpec{Src: 0, Dst: 60, Bytes: 1 << 20, Bulk: true})
 	if !cl.RunUntilDone(3000 * eventsim.Millisecond) {
 		t.Fatalf("bulk flow incomplete after failures: %d/%d (NACKs %d)",
 			f.BytesRcvd, f.Size, cl.BulkNACKCount())

@@ -216,7 +216,8 @@ func TestFaultTableAlwaysPresent(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				spec := workload.FlowSpec{Src: i, Dst: (i + n/2) % n, Bytes: 30_000}
 				cl.AddFlow(spec)
-				cl.AddBulkFlow(spec)
+				spec.Bulk = true
+				cl.AddFlow(spec)
 			}
 			if !cl.RunUntilDone(200 * eventsim.Millisecond) {
 				done, total := cl.Metrics().DoneCount()

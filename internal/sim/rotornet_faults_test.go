@@ -41,9 +41,9 @@ func TestRotorNetFaultInjectorExposed(t *testing.T) {
 func addBulkPairs(cl *opera.Cluster, bytes int64) {
 	n := cl.NumHosts()
 	for i := 0; i < n; i++ {
-		cl.AddBulkFlow(workload.FlowSpec{
+		cl.AddFlow(workload.FlowSpec{
 			Src: i, Dst: (i + 5*cl.HostsPerRack()) % n, Bytes: bytes,
-			Arrival: eventsim.Time(i+1) * 50 * eventsim.Microsecond,
+			Arrival: eventsim.Time(i+1) * 50 * eventsim.Microsecond, Bulk: true,
 		})
 	}
 }
@@ -91,8 +91,8 @@ func TestRotorNetToRFailureStrandsUntilRecovery(t *testing.T) {
 	heal(t, rf, sim.ToRTarget(3), 20*eventsim.Millisecond)
 
 	// One bulk flow into the doomed rack, one between healthy racks.
-	cl.AddBulkFlow(workload.FlowSpec{Src: 0, Dst: 6, Bytes: 200_000, Arrival: eventsim.Millisecond})
-	cl.AddBulkFlow(workload.FlowSpec{Src: 2, Dst: 10, Bytes: 200_000, Arrival: eventsim.Millisecond})
+	cl.AddFlow(workload.FlowSpec{Src: 0, Dst: 6, Bytes: 200_000, Arrival: eventsim.Millisecond, Bulk: true})
+	cl.AddFlow(workload.FlowSpec{Src: 2, Dst: 10, Bytes: 200_000, Arrival: eventsim.Millisecond, Bulk: true})
 
 	cl.Run(10 * eventsim.Millisecond)
 	if rn.DirectReachable(0, 3) {
@@ -121,7 +121,7 @@ func TestRotorNetStrandedBytesFaultCounter(t *testing.T) {
 	sb := cl.Faults()
 	mustOK(t, rf.Inject(sim.ToRTarget(3), sim.DownFault(), 2*eventsim.Millisecond))
 	mustOK(t, rf.Recover(sim.ToRTarget(3), 30*eventsim.Millisecond))
-	cl.AddBulkFlow(workload.FlowSpec{Src: 0, Dst: 6, Bytes: 5_000_000})
+	cl.AddFlow(workload.FlowSpec{Src: 0, Dst: 6, Bytes: 5_000_000, Bulk: true})
 
 	cl.Run(eventsim.Millisecond) // ToR still up: everything is reachable
 	if got := sb.StrandedBytes(); got != 0 {
@@ -165,7 +165,7 @@ func TestRotorNetDeadCircuitTakesNACKPath(t *testing.T) {
 		cut(t, rf, sim.FlatLink(0, sw), 1050*eventsim.Microsecond)
 		heal(t, rf, sim.FlatLink(0, sw), 10*eventsim.Millisecond)
 	}
-	cl.AddBulkFlow(workload.FlowSpec{Src: 0, Dst: 9, Bytes: 2_000_000})
+	cl.AddFlow(workload.FlowSpec{Src: 0, Dst: 9, Bytes: 2_000_000, Bulk: true})
 	if !cl.RunUntilDone(2000 * eventsim.Millisecond) {
 		t.Fatal("flow should complete after link recovery")
 	}

@@ -131,17 +131,13 @@ func Run(ctx context.Context, specs []scenario.Spec, opt Options) (Report, error
 			go func(round, bi int, shard ShardSpec) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				err := runShard(ctx, opt.Timeout, command, shard, func(f Frame) error {
+				err := runShard(ctx, opt.Timeout, command, shard, func(f Frame) {
 					mu.Lock()
 					defer mu.Unlock()
-					if f.Index < 0 || f.Index >= len(specs) {
-						return fmt.Errorf("sweep: worker returned out-of-range index %d", f.Index)
-					}
 					rep.Results[f.Index] = f.Result
 					rep.Collectors[f.Index] = f.Collector
 					done[f.Index] = true
 					prog.ResultDelivered(f.Index, f.Result, f.Collector)
-					return nil
 				})
 				prog.ShardDone(round, bi, shard.Indices, err)
 				if err != nil {
@@ -175,10 +171,15 @@ func Run(ctx context.Context, specs []scenario.Spec, opt Options) (Report, error
 	return rep, ctx.Err()
 }
 
+// ErrUnexpectedIndex is a worker's frame for an index its shard does not
+// hold, or for one it already delivered: the worker is killed and its
+// missing indices are retried, as for a crash.
+var ErrUnexpectedIndex = errors.New("sweep: worker returned an index its shard does not expect")
+
 // runShard runs one shard attempt in a subprocess, delivering each
-// decoded Frame as it arrives so a crash mid-shard still banks the
-// results streamed before it.
-func runShard(ctx context.Context, timeout time.Duration, command CommandFunc, shard ShardSpec, deliver func(Frame) error) error {
+// decoded Frame for an index of the shard as it arrives so a crash
+// mid-shard still banks the results streamed before it.
+func runShard(ctx context.Context, timeout time.Duration, command CommandFunc, shard ShardSpec, deliver func(Frame)) error {
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -210,8 +211,11 @@ func runShard(ctx context.Context, timeout time.Duration, command CommandFunc, s
 		encErr <- err
 	}()
 
+	pending := make(map[int]bool, len(shard.Indices))
+	for _, gi := range shard.Indices {
+		pending[gi] = true
+	}
 	dec := gob.NewDecoder(stdout)
-	got := 0
 	var failure error
 	for {
 		var f Frame
@@ -221,12 +225,14 @@ func runShard(ctx context.Context, timeout time.Duration, command CommandFunc, s
 			}
 			break
 		}
-		if err := deliver(f); err != nil {
-			failure = err
+		if !pending[f.Index] {
+			failure = fmt.Errorf("%w: %d", ErrUnexpectedIndex, f.Index)
 			break
 		}
-		got++
+		delete(pending, f.Index)
+		deliver(f)
 	}
+	got := len(shard.Indices) - len(pending)
 	if failure != nil {
 		// Stop reading before the worker finishes writing: kill it so Wait
 		// cannot deadlock on a full pipe.
@@ -307,12 +313,12 @@ func RunLocalProgress(ctx context.Context, specs []scenario.Spec, parallelism in
 		scs, index = append(scs, sc), append(index, i)
 	}
 	ran := make([]bool, len(scs))
-	results, err := scenario.ForEachCluster(ctx, scs, func(k int, cl *opera.Cluster, res scenario.Result) {
+	results, err := scenario.ForEachCluster(ctx, scs, parallelism, func(k int, cl *opera.Cluster, res scenario.Result) {
 		i := index[k]
 		ran[k] = true
 		rep.Results[i], rep.Collectors[i] = withCollector(cl, res)
 		prog.ResultDelivered(i, rep.Results[i], rep.Collectors[i])
-	}, scenario.Parallelism(parallelism))
+	})
 	for k, i := range index {
 		if !ran[k] {
 			rep.Failed = append(rep.Failed, i)

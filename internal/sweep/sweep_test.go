@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -37,6 +38,12 @@ const crashEnv = "OPERA_SWEEP_TEST_CRASH_AFTER"
 // so the shards complete out of dispatch order.
 const delayEnv = "OPERA_SWEEP_TEST_DELAY"
 
+// wrongShardEnv makes a test worker answer for another shard: set to the
+// sweep's spec count n, it reports the result of index i under index
+// (i + len(shard)) mod n, the same position in the next shard of an even
+// split.
+const wrongShardEnv = "OPERA_SWEEP_TEST_WRONG_SHARD"
+
 func TestMain(m *testing.M) {
 	if os.Getenv(workerEnv) == "1" {
 		if d, err := time.ParseDuration(os.Getenv(delayEnv)); err == nil {
@@ -45,7 +52,20 @@ func TestMain(m *testing.M) {
 		var in io.Reader = os.Stdin
 		crash := false
 		if s := os.Getenv(crashEnv); s != "" {
-			in, crash = truncateShard(os.Stdin, s)
+			after := envInt(crashEnv, s)
+			in = editShard(in, func(shard *ShardSpec) {
+				if crash = after < len(shard.Specs); crash {
+					shard.Indices, shard.Specs = shard.Indices[:after], shard.Specs[:after]
+				}
+			})
+		}
+		if s := os.Getenv(wrongShardEnv); s != "" {
+			n := envInt(wrongShardEnv, s)
+			in = editShard(in, func(shard *ShardSpec) {
+				for k, i := range shard.Indices {
+					shard.Indices[k] = (i + len(shard.Indices)) % n
+				}
+			})
 		}
 		if err := ServeShard(in, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -59,31 +79,32 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// truncateShard is the crashing worker's input: the shard read from r cut
-// to its first n specs, re-encoded for ServeShard — so the frames a dying
-// worker does emit come off the production path — and whether anything
-// was cut, i.e. whether the worker dies before finishing.
-func truncateShard(r io.Reader, n string) (io.Reader, bool) {
-	after, err := strconv.Atoi(n)
+// envInt parses a test worker's integer setting, exiting on a bad one.
+func envInt(name, s string) int {
+	n, err := strconv.Atoi(s)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "bad %s: %v\n", crashEnv, err)
+		fmt.Fprintf(os.Stderr, "bad %s: %v\n", name, err)
 		os.Exit(1)
 	}
+	return n
+}
+
+// editShard is a misbehaving worker's input: the shard read from r,
+// changed by edit and re-encoded for ServeShard, so the frames such a
+// worker emits come off the production path.
+func editShard(r io.Reader, edit func(*ShardSpec)) io.Reader {
 	var shard ShardSpec
 	if err := gob.NewDecoder(r).Decode(&shard); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	crash := after < len(shard.Specs)
-	if crash {
-		shard.Indices, shard.Specs = shard.Indices[:after], shard.Specs[:after]
-	}
+	edit(&shard)
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(shard); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	return &buf, crash
+	return &buf
 }
 
 // testWorker launches this test binary in worker mode.
@@ -93,14 +114,16 @@ func testWorker(ctx context.Context) *exec.Cmd {
 	return cmd
 }
 
-// firstWorkerWith wraps testWorker so exactly one launched process, the
-// first, runs with the extra environment entry env.
-func firstWorkerWith(env string) (CommandFunc, *atomic.Bool) {
+// nthWorkerWith wraps testWorker so exactly one launched process, the
+// nth (counting from 1), runs with the extra environment entry env.
+func nthWorkerWith(n int32, env string) (CommandFunc, *atomic.Bool) {
+	var launched atomic.Int32
 	var fired atomic.Bool
 	return func(ctx context.Context) *exec.Cmd {
 		cmd := testWorker(ctx)
-		if fired.CompareAndSwap(false, true) {
+		if launched.Add(1) == n {
 			cmd.Env = append(cmd.Env, env)
+			fired.Store(true)
 		}
 		return cmd
 	}, &fired
@@ -109,13 +132,13 @@ func firstWorkerWith(env string) (CommandFunc, *atomic.Bool) {
 // crashOnce makes exactly one launched process crash after emitting
 // `after` frames — a shard dying mid-sweep.
 func crashOnce(after int) (CommandFunc, *atomic.Bool) {
-	return firstWorkerWith(crashEnv + "=" + strconv.Itoa(after))
+	return nthWorkerWith(1, crashEnv+"="+strconv.Itoa(after))
 }
 
 // slowFirst delays the first launched worker, so the shard dispatched
 // first completes last.
 func slowFirst() CommandFunc {
-	cmd, _ := firstWorkerWith(delayEnv + "=500ms")
+	cmd, _ := nthWorkerWith(1, delayEnv+"=500ms")
 	return cmd
 }
 
@@ -311,6 +334,55 @@ func TestWorkerCrashRetry(t *testing.T) {
 	}
 	if got, want := mustCSV(t, g, rep), mustCSV(t, g, local); got != want {
 		t.Fatalf("merged CSVs differ from local run after crash+retry")
+	}
+}
+
+// TestWorkerAnsweringForAnotherShard: a worker that reports its results
+// under another shard's indices must not overwrite that shard's Results.
+// Its first foreign frame kills it with ErrUnexpectedIndex and its own
+// indices are retried, as for a crash, so the report still equals a local
+// run.
+func TestWorkerAnsweringForAnotherShard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns packet-level worker processes")
+	}
+	g := testGrid()
+	specs, _, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := RunLocal(context.Background(), specs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// One worker at a time: the first shard lands, then the second answers
+	// under the first shard's indices.
+	cmd, fired := nthWorkerWith(2, wrongShardEnv+"="+strconv.Itoa(len(specs)))
+	rep, err := Run(context.Background(), specs, Options{
+		Workers: 1, Shards: 2, Retries: 1, Command: cmd,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fired.Load() {
+		t.Fatal("the wrong-shard worker was never launched")
+	}
+	if len(rep.Failed) > 0 {
+		t.Fatalf("failed cells after retries: %v (%v)", rep.Failed, rep.WorkerErrs)
+	}
+	for i := range specs {
+		if !rep.Results[i].Equal(local.Results[i]) {
+			t.Errorf("result %d differs from local:\ngot  %+v\nwant %+v", i, rep.Results[i], local.Results[i])
+		}
+		if !bytes.Equal(rep.Collectors[i], local.Collectors[i]) {
+			t.Errorf("collector blob %d differs from local", i)
+		}
+	}
+	if !slices.ContainsFunc(rep.WorkerErrs, func(e string) bool {
+		return strings.Contains(e, ErrUnexpectedIndex.Error())
+	}) {
+		t.Errorf("WorkerErrs = %v, want one naming %q", rep.WorkerErrs, ErrUnexpectedIndex)
 	}
 }
 

@@ -219,7 +219,6 @@ func TestRotorNetErrors(t *testing.T) {
 		{"zero hosts", Config{NumRacks: 8, HostsPerRack: 0, NumSwitches: 2}},
 		{"stagger groups", Config{NumRacks: 8, HostsPerRack: 1, NumSwitches: 2, GroupSize: 2}},
 		{"diameter bound", Config{NumRacks: 8, HostsPerRack: 1, NumSwitches: 2, MaxDiameter: 3}},
-		{"lifting", Config{NumRacks: 8, HostsPerRack: 1, NumSwitches: 2, UseLifting: true}},
 	} {
 		if _, err := NewRotorNet(tc.cfg); err == nil {
 			t.Errorf("%s accepted: %+v", tc.name, tc.cfg)

@@ -59,9 +59,6 @@ type Config struct {
 	// until one with good properties is found; §4.1 sizes ε assuming a
 	// worst-case path length of 5 hops for the 108-rack network.
 	MaxDiameter int
-	// UseLifting selects FactorizeAuto (graph lifting for large N) instead
-	// of direct factorization.
-	UseLifting bool
 }
 
 // Opera is an immutable rotor topology realization plus its
@@ -76,7 +73,7 @@ type Opera struct {
 	perSwitch int        // m = N / NumSwitches (rounded up for RotorNet)
 	slices    int        // slices per cycle = GroupSize * m
 
-	pairSwitch []int8 // lazily built: which switch's matching holds (a,b)
+	pairSwitch []int16 // lazily built: which switch's matching holds (a,b)
 }
 
 // NewOpera builds an Opera topology from cfg, retrying realizations until
@@ -100,15 +97,9 @@ func NewOpera(cfg Config) (*Opera, error) {
 
 	for attempt := 0; attempt < realizationAttempts; attempt++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(attempt)))
-		var ms []Matching
-		if cfg.UseLifting {
-			ms = FactorizeAuto(cfg.NumRacks, rng)
-		} else {
-			ms = FactorizeComplete(cfg.NumRacks, rng)
-		}
 		o := &Opera{
 			cfg:       cfg,
-			matchings: ms,
+			matchings: FactorizeAuto(cfg.NumRacks, rng),
 			perSwitch: cfg.NumRacks / cfg.NumSwitches,
 		}
 		o.slices = cfg.GroupSize * o.perSwitch
@@ -130,8 +121,8 @@ func NewOpera(cfg Config) (*Opera, error) {
 // (a slight duty-cycle loss of the hybrid variant, which gives one uplink
 // to its packet network). A unison slice is no expander — during the
 // blackout no circuit exists at all — so no slice-connectivity test runs,
-// and the settings that only shape one (a GroupSize above 1, MaxDiameter,
-// UseLifting) are rejected rather than ignored.
+// and the settings that only shape one (a GroupSize above 1, MaxDiameter)
+// are rejected rather than ignored.
 func NewRotorNet(cfg Config) (*Opera, error) {
 	if err := checkSizes(cfg); err != nil {
 		return nil, err
@@ -143,8 +134,6 @@ func NewRotorNet(cfg Config) (*Opera, error) {
 		return nil, fmt.Errorf("topology: RotorNet reconfigures in unison: GroupSize must be 0 or 1, got %d", cfg.GroupSize)
 	case cfg.MaxDiameter != 0:
 		return nil, fmt.Errorf("topology: RotorNet slices are not expanders: MaxDiameter %d has no meaning", cfg.MaxDiameter)
-	case cfg.UseLifting:
-		return nil, fmt.Errorf("topology: RotorNet factorizes directly: UseLifting has no meaning")
 	}
 	cfg.GroupSize = 1
 	switches := cfg.NumSwitches
@@ -329,16 +318,8 @@ func (o *Opera) SliceGraph(slice int) *graph.Graph {
 // (i.e. not transitioning), or -1 if none. This is the bulk-traffic routing
 // query: "which uplink gives a one-hop path this slice?"
 func (o *Opera) DirectSwitch(slice, a, b int) int {
-	if a == b {
-		return -1
-	}
-	for sw := 0; sw < o.cfg.NumSwitches; sw++ {
-		if o.IsTransitioning(sw, slice) {
-			continue
-		}
-		if o.SwitchMatching(sw, slice).Peer(a) == b {
-			return sw
-		}
+	if sw := o.DirectSwitchInstalled(slice, a, b); sw >= 0 && !o.IsTransitioning(sw, slice) {
+		return sw
 	}
 	return -1
 }
@@ -347,14 +328,10 @@ func (o *Opera) DirectSwitch(slice, a, b int) int {
 // switches: their old matching remains physically connected until the final
 // r of the slice, so bulk traffic may still use it subject to the truncated
 // BulkWindow (the paper's 98% duty cycle counts only r as lost).
+// A pair sits in one switch's matchings (PairSwitch): the only candidate.
 func (o *Opera) DirectSwitchInstalled(slice, a, b int) int {
-	if a == b {
-		return -1
-	}
-	for sw := 0; sw < o.cfg.NumSwitches; sw++ {
-		if o.SwitchMatching(sw, slice).Peer(a) == b {
-			return sw
-		}
+	if sw := o.PairSwitch(a, b); sw >= 0 && o.SwitchMatching(sw, slice).Peer(a) == b {
+		return sw
 	}
 	return -1
 }
@@ -368,7 +345,7 @@ func (o *Opera) PairSwitch(a, b int) int {
 	}
 	if o.pairSwitch == nil {
 		n := o.cfg.NumRacks
-		ps := make([]int8, n*n)
+		ps := make([]int16, n*n)
 		for i := range ps {
 			ps[i] = -1
 		}
@@ -378,7 +355,7 @@ func (o *Opera) PairSwitch(a, b int) int {
 				for x := 0; x < n; x++ {
 					y := m.Peer(x)
 					if y != x {
-						ps[x*n+y] = int8(sw)
+						ps[x*n+y] = int16(sw)
 					}
 				}
 			}

@@ -53,6 +53,7 @@ func Mix(cfg PoissonConfig, comps ...MixComponent) Source {
 	meanBits /= totalW
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	// Aggregate offered bits/s = load × hosts × rate; flows/s = that / mean flow bits.
 	bitsPerSec := cfg.Load * float64(cfg.NumHosts) * cfg.LinkRateGbps * 1e9
 	flowsPerSec := bitsPerSec / meanBits
 	if flowsPerSec <= 0 {
@@ -71,14 +72,16 @@ func Mix(cfg PoissonConfig, comps ...MixComponent) Source {
 			done = true
 			return FlowSpec{}, false
 		}
-		pick := rng.Float64() * totalW
-		comp := comps[len(comps)-1]
-		for _, c := range comps {
-			if pick < c.Weight {
-				comp = c
-				break
+		comp := &comps[len(comps)-1]
+		if len(comps) > 1 { // one component needs no draw
+			pick := rng.Float64() * totalW
+			for i := range comps {
+				if pick < comps[i].Weight {
+					comp = &comps[i]
+					break
+				}
+				pick -= comps[i].Weight
 			}
-			pick -= c.Weight
 		}
 		src := rng.Intn(cfg.NumHosts)
 		dst := rng.Intn(cfg.NumHosts)

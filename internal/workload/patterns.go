@@ -43,42 +43,9 @@ type PoissonConfig struct {
 // PoissonSource generates flows with exponential inter-arrivals at the rate
 // implied by the offered load and mean flow size, with uniform random
 // source and destination hosts, yielded one flow at a time so memory stays
-// constant no matter how long the window is.
+// constant no matter how long the window is: a Mix of one component.
 func PoissonSource(cfg PoissonConfig) Source {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	mean := cfg.Dist.Mean()
-	// Aggregate offered bits/s = load × hosts × rate; flows/s = that / mean flow bits.
-	bitsPerSec := cfg.Load * float64(cfg.NumHosts) * cfg.LinkRateGbps * 1e9
-	flowsPerSec := bitsPerSec / (mean * 8)
-	if flowsPerSec <= 0 {
-		return SourceFunc(func() (FlowSpec, bool) { return FlowSpec{}, false })
-	}
-	meanGapNs := 1e9 / flowsPerSec
-
-	t := eventsim.Time(0)
-	done := false
-	return SourceFunc(func() (FlowSpec, bool) {
-		if done {
-			return FlowSpec{}, false
-		}
-		gap := eventsim.Time(rng.ExpFloat64() * meanGapNs)
-		t += gap
-		if t >= cfg.Duration {
-			done = true
-			return FlowSpec{}, false
-		}
-		src := rng.Intn(cfg.NumHosts)
-		dst := rng.Intn(cfg.NumHosts)
-		for dst == src {
-			dst = rng.Intn(cfg.NumHosts)
-		}
-		return FlowSpec{
-			Src:     src,
-			Dst:     dst,
-			Bytes:   cfg.Dist.Sample(rng),
-			Arrival: t,
-		}, true
-	})
+	return Mix(cfg, MixComponent{Dist: cfg.Dist, Weight: 1})
 }
 
 func sameRack(a, b, perRack int) bool { return a/perRack == b/perRack }

@@ -353,8 +353,9 @@ func (c *Cluster) classify(spec workload.FlowSpec) sim.Class {
 	return sim.ClassLowLatency
 }
 
-// addFlow registers a flow of the given class and schedules its start.
-func (c *Cluster) addFlow(spec workload.FlowSpec, class sim.Class) *sim.Flow {
+// AddFlow registers and schedules a single flow; it starts at spec.Arrival
+// (virtual time, which must not be in the past).
+func (c *Cluster) AddFlow(spec workload.FlowSpec) *sim.Flow {
 	if spec.Src < 0 || spec.Src >= len(c.hosts) || spec.Dst < 0 || spec.Dst >= len(c.hosts) {
 		// Fail loudly at the boundary: an out-of-range host would otherwise
 		// surface as an opaque index panic deep inside a transport.
@@ -368,7 +369,7 @@ func (c *Cluster) addFlow(spec workload.FlowSpec, class sim.Class) *sim.Flow {
 		SrcRack: int32(c.HostRack(spec.Src)),
 		DstRack: int32(c.HostRack(spec.Dst)),
 		Size:    spec.Bytes,
-		Class:   class,
+		Class:   c.classify(spec),
 		Tag:     spec.Tag,
 		Start:   spec.Arrival,
 	}
@@ -387,23 +388,11 @@ type flowStart struct{ c *Cluster }
 
 func (h flowStart) OnEvent(arg any) { h.c.startFlow(arg.(*sim.Flow)) }
 
-// AddFlow registers and schedules a single flow; it starts at spec.Arrival
-// (virtual time, which must not be in the past).
-func (c *Cluster) AddFlow(spec workload.FlowSpec) *sim.Flow {
-	return c.addFlow(spec, c.classify(spec))
-}
-
 // AddFlows schedules a batch of flows.
 func (c *Cluster) AddFlows(specs []workload.FlowSpec) {
 	for _, s := range specs {
 		c.AddFlow(s)
 	}
-}
-
-// AddBulkFlow schedules a flow that is application-tagged as bulk
-// regardless of its size (§3.4's application-based tagging).
-func (c *Cluster) AddBulkFlow(spec workload.FlowSpec) *sim.Flow {
-	return c.addFlow(spec, sim.ClassBulk)
 }
 
 // AddSource drives a lazy flow source: instead of materializing the flow

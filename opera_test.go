@@ -40,7 +40,7 @@ func TestClusterClassification(t *testing.T) {
 	}
 	small := cl.AddFlow(workload.FlowSpec{Src: 0, Dst: 20, Bytes: 1000})
 	big := cl.AddFlow(workload.FlowSpec{Src: 1, Dst: 21, Bytes: 20_000_000})
-	tagged := cl.AddBulkFlow(workload.FlowSpec{Src: 2, Dst: 22, Bytes: 1000})
+	tagged := cl.AddFlow(workload.FlowSpec{Src: 2, Dst: 22, Bytes: 1000, Bulk: true})
 	if small.Class != sim.ClassLowLatency {
 		t.Fatalf("small flow class = %v", small.Class)
 	}

@@ -18,10 +18,10 @@ import (
 // across two fabrics.
 func graySweep() []scenario.Scenario {
 	return []scenario.Scenario{
-		{
-			Name: "opera-gray",
-			Kind: opera.KindOpera,
-			Seed: 7,
+		mustScenario(scenario.Spec{
+			Name:    "opera-gray",
+			Network: "opera",
+			Seed:    7,
 			Events: []scenario.EventSpec{
 				{At: 100 * eventsim.Microsecond, Target: sim.FlatLink(2, 1), Fault: sim.LossyFault(0.3)},
 				{At: 200 * eventsim.Microsecond, Target: sim.FlatLink(5, 0), Fault: sim.DegradedFault(0.5)},
@@ -30,21 +30,21 @@ func graySweep() []scenario.Scenario {
 				{At: 5 * eventsim.Millisecond, Op: "recover", Target: sim.FlatLink(2, 1)},
 				{At: 5 * eventsim.Millisecond, Op: "recover", Target: sim.FlatLink(9, 3)},
 			},
-			Sources:  []scenario.Source{scenario.Shuffle(12, 25_000, eventsim.Millisecond)},
+			Sources:  []scenario.SourceSpec{{Type: "shuffle", Participants: 12, FlowBytes: 25_000, Stagger: eventsim.Millisecond}},
 			Duration: 4000 * eventsim.Millisecond,
-		},
-		{
-			Name: "clos-gray",
-			Kind: opera.KindFoldedClos,
-			Seed: 7,
+		}),
+		mustScenario(scenario.Spec{
+			Name:    "clos-gray",
+			Network: "foldedclos",
+			Seed:    7,
 			Events: []scenario.EventSpec{
 				{At: 100 * eventsim.Microsecond, Target: sim.FlatLink(0, 1), Fault: sim.LossyFault(0.5)},
 				{At: 200 * eventsim.Microsecond, Target: sim.FlatLink(3, 0), Fault: sim.FlappingFault(500*eventsim.Microsecond, 500*eventsim.Microsecond)},
 				{At: 6 * eventsim.Millisecond, Op: "recover", Target: sim.FlatLink(3, 0)},
 			},
-			Sources:  []scenario.Source{scenario.Shuffle(12, 25_000, eventsim.Millisecond)},
+			Sources:  []scenario.SourceSpec{{Type: "shuffle", Participants: 12, FlowBytes: 25_000, Stagger: eventsim.Millisecond}},
 			Duration: 4000 * eventsim.Millisecond,
-		},
+		}),
 	}
 }
 
@@ -53,11 +53,11 @@ func graySweep() []scenario.Scenario {
 // generators, so scheduling order cannot perturb them.
 func TestGrayFaultDeterminismUnderParallelism(t *testing.T) {
 	scs := graySweep()
-	seq, err := scenario.RunScenarios(context.Background(), scs, scenario.Parallelism(1))
+	seq, err := scenario.RunScenarios(context.Background(), scs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := scenario.RunScenarios(context.Background(), scs, scenario.Parallelism(8))
+	par, err := scenario.RunScenarios(context.Background(), scs, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestFlapRecoveryRestoresBaselineFaultFree(t *testing.T) {
 	mk := func(events []scenario.EventSpec) scenario.Scenario {
 		return scenario.Scenario{
 			Name: "flap-baseline", Kind: opera.KindOpera, Seed: 1,
-			Sources:  []scenario.Source{scenario.Fixed(late)},
+			Sources:  []scenario.Source{func(scenario.Env) workload.Source { return workload.FromSpecs(late) }},
 			Events:   events,
 			Duration: 4000 * eventsim.Millisecond,
 		}
@@ -126,24 +126,24 @@ func TestFlapRecoveryRestoresBaselineFaultFree(t *testing.T) {
 // moves, and the Result is parallelism-independent.
 func TestClosFailureFigureScenario(t *testing.T) {
 	mk := func() []scenario.Scenario {
-		return []scenario.Scenario{{
-			Name: "clos-failure-figure",
-			Kind: opera.KindFoldedClos,
-			Seed: 3,
+		return []scenario.Scenario{mustScenario(scenario.Spec{
+			Name:    "clos-failure-figure",
+			Network: "foldedclos",
+			Seed:    3,
 			Events: []scenario.EventSpec{
 				{At: 200 * eventsim.Microsecond, Op: "fail-random-links", Fraction: 0.04},
 				{At: 400 * eventsim.Microsecond, Target: sim.TierSwitchTarget(sim.ClosTierAgg, 1)},
 				{At: 8 * eventsim.Millisecond, Op: "recover", Target: sim.TierSwitchTarget(sim.ClosTierAgg, 1)},
 			},
-			Sources:  []scenario.Source{scenario.Shuffle(16, 25_000, eventsim.Millisecond)},
+			Sources:  []scenario.SourceSpec{{Type: "shuffle", Participants: 16, FlowBytes: 25_000, Stagger: eventsim.Millisecond}},
 			Duration: 4000 * eventsim.Millisecond,
-		}}
+		})}
 	}
-	seq, err := scenario.RunScenarios(context.Background(), mk(), scenario.Parallelism(1))
+	seq, err := scenario.RunScenarios(context.Background(), mk(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := scenario.RunScenarios(context.Background(), mk(), scenario.Parallelism(4))
+	par, err := scenario.RunScenarios(context.Background(), mk(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

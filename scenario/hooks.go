@@ -68,7 +68,13 @@ func (es EventSpec) name() string {
 }
 
 // Probe periodically samples a running cluster into a named time-series
-// column of the Result. Build Probes with Sample.
+// column of the Result.
+//
+//	scenario.Probe{Name: "done_flows", Every: eventsim.Millisecond,
+//		Fn: func(cl *opera.Cluster, _ eventsim.Time) float64 {
+//			done, _ := cl.Metrics().DoneCount()
+//			return float64(done)
+//		}}
 type Probe struct {
 	// Name labels the series in Result.Probes.
 	Name string
@@ -79,17 +85,6 @@ type Probe struct {
 	// Fn computes the sample. It runs inside the simulation (or, for
 	// one-shot probes, immediately before it) and must only read.
 	Fn func(cl *opera.Cluster, now eventsim.Time) float64
-}
-
-// Sample is a convenience constructor for Probe.
-//
-//	scenario.Sample("done_flows", eventsim.Millisecond,
-//		func(cl *opera.Cluster, _ eventsim.Time) float64 {
-//			done, _ := cl.Metrics().DoneCount()
-//			return float64(done)
-//		})
-func Sample(name string, every eventsim.Time, fn func(cl *opera.Cluster, now eventsim.Time) float64) Probe {
-	return Probe{Name: name, Every: every, Fn: fn}
 }
 
 // ProbeSeries is one probe's recorded samples, in firing order: sample i

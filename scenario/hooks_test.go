@@ -18,15 +18,15 @@ import (
 func hookSweep() []scenario.Scenario {
 	var scs []scenario.Scenario
 	for _, seed := range []int64{1, 2, 3} {
-		scs = append(scs, scenario.Scenario{
-			Name: "opera-hooks",
-			Kind: opera.KindOpera,
-			Seed: seed,
+		sc := mustScenario(scenario.Spec{
+			Name:    "opera-hooks",
+			Network: "opera",
+			Seed:    seed,
 			// Every flow of both shuffles rides the bulk class.
-			Options: []opera.Option{opera.WithAppTaggedBulk(true)},
-			Sources: []scenario.Source{
-				scenario.TagSource("east", scenario.Shuffle(10, 25_000, eventsim.Millisecond)),
-				scenario.TagSource("west", scenario.BulkSource(scenario.Shuffle(4, 10_000, eventsim.Millisecond))),
+			AppTaggedBulk: true,
+			Sources: []scenario.SourceSpec{
+				{Type: "shuffle", Participants: 10, FlowBytes: 25_000, Stagger: eventsim.Millisecond, Tag: "east"},
+				{Type: "shuffle", Participants: 4, FlowBytes: 10_000, Stagger: eventsim.Millisecond, Bulk: true, Tag: "west"},
 			},
 			Events: []scenario.EventSpec{
 				{At: 200 * eventsim.Microsecond, Target: sim.FlatLink(3, 2)},
@@ -35,28 +35,29 @@ func hookSweep() []scenario.Scenario {
 				{At: 3 * eventsim.Millisecond, Target: sim.SwitchTarget(1)},
 				{At: 6 * eventsim.Millisecond, Op: "recover", Target: sim.SwitchTarget(1)},
 			},
-			Probes: []scenario.Probe{
-				scenario.Sample("done_flows", eventsim.Millisecond,
-					func(cl *opera.Cluster, _ eventsim.Time) float64 {
-						done, _ := cl.Metrics().DoneCount()
-						return float64(done)
-					}),
-				scenario.Sample("hosts", 0,
-					func(cl *opera.Cluster, _ eventsim.Time) float64 {
-						return float64(cl.NumHosts())
-					}),
-			},
 			Duration: 4000 * eventsim.Millisecond,
 		})
+		sc.Probes = []scenario.Probe{
+			{Name: "done_flows", Every: eventsim.Millisecond,
+				Fn: func(cl *opera.Cluster, _ eventsim.Time) float64 {
+					done, _ := cl.Metrics().DoneCount()
+					return float64(done)
+				}},
+			{Name: "hosts",
+				Fn: func(cl *opera.Cluster, _ eventsim.Time) float64 {
+					return float64(cl.NumHosts())
+				}},
+		}
+		scs = append(scs, sc)
 	}
 	// An untagged, unhooked scenario rides along to cover the nil cases.
-	scs = append(scs, scenario.Scenario{
+	scs = append(scs, mustScenario(scenario.Spec{
 		Name:     "expander-plain",
-		Kind:     opera.KindExpander,
+		Network:  "expander",
 		Seed:     1,
-		Sources:  []scenario.Source{scenario.Shuffle(8, 25_000, eventsim.Millisecond)},
+		Sources:  []scenario.SourceSpec{{Type: "shuffle", Participants: 8, FlowBytes: 25_000, Stagger: eventsim.Millisecond}},
 		Duration: 4000 * eventsim.Millisecond,
-	})
+	}))
 	return scs
 }
 
@@ -65,11 +66,11 @@ func hookSweep() []scenario.Scenario {
 // Result at any parallelism.
 func TestHookDeterminismUnderParallelism(t *testing.T) {
 	scs := hookSweep()
-	sequential, err := scenario.RunScenarios(context.Background(), scs, scenario.Parallelism(1))
+	sequential, err := scenario.RunScenarios(context.Background(), scs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := scenario.RunScenarios(context.Background(), scs, scenario.Parallelism(8))
+	parallel, err := scenario.RunScenarios(context.Background(), scs, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,21 +156,22 @@ func TestProbes(t *testing.T) {
 	}
 }
 
-// Two scenarios tagging the same shared Fixed workload must not bleed
-// tags into each other (Fixed copies per run; the shared slice is
+// Two scenarios tagging the same shared fixed flow list must not bleed
+// tags into each other (FromSpecs copies per run; the shared slice is
 // read-only even under parallel execution).
 func TestTagOverSharedFixedWorkload(t *testing.T) {
 	specs := workload.Shuffle(8, 25_000, eventsim.Millisecond, 1)
-	shared := scenario.Fixed(specs)
 	mk := func(tag string) scenario.Scenario {
 		return scenario.Scenario{
 			Name: tag, Kind: opera.KindOpera, Seed: 1,
-			Sources:  []scenario.Source{scenario.TagSource(tag, shared)},
+			Sources: []scenario.Source{func(scenario.Env) workload.Source {
+				return workload.TagSource(tag, workload.FromSpecs(specs))
+			}},
 			Duration: 4000 * eventsim.Millisecond,
 		}
 	}
 	results, err := scenario.RunScenarios(context.Background(),
-		[]scenario.Scenario{mk("a"), mk("b")}, scenario.Parallelism(2))
+		[]scenario.Scenario{mk("a"), mk("b")}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,24 +231,24 @@ func TestFaultScheduleUnsupportedKind(t *testing.T) {
 // across parallelism.
 func TestFaultScheduleOnExpander(t *testing.T) {
 	mk := func() []scenario.Scenario {
-		return []scenario.Scenario{{
-			Name: "expander-faults",
-			Kind: opera.KindExpander,
-			Seed: 1,
+		return []scenario.Scenario{mustScenario(scenario.Spec{
+			Name:    "expander-faults",
+			Network: "expander",
+			Seed:    1,
 			Events: []scenario.EventSpec{
 				{At: 300 * eventsim.Microsecond, Target: sim.FlatLink(2, 1)},
 				{At: 500 * eventsim.Microsecond, Op: "fail-random-links", Fraction: 0.05},
 				{At: 3 * eventsim.Millisecond, Op: "recover", Target: sim.FlatLink(2, 1)},
 			},
-			Sources:  []scenario.Source{scenario.Shuffle(12, 25_000, eventsim.Millisecond)},
+			Sources:  []scenario.SourceSpec{{Type: "shuffle", Participants: 12, FlowBytes: 25_000, Stagger: eventsim.Millisecond}},
 			Duration: 4000 * eventsim.Millisecond,
-		}}
+		})}
 	}
-	seq, err := scenario.RunScenarios(context.Background(), mk(), scenario.Parallelism(1))
+	seq, err := scenario.RunScenarios(context.Background(), mk(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := scenario.RunScenarios(context.Background(), mk(), scenario.Parallelism(4))
+	par, err := scenario.RunScenarios(context.Background(), mk(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,14 +9,11 @@
 // identical Results at any parallelism, and sweeps can safely use all
 // cores.
 //
-//	results, err := scenario.RunScenarios(ctx, []scenario.Scenario{
-//		{Name: "opera", Kind: opera.KindOpera, Seed: 1,
-//			Sources:  []scenario.Source{scenario.Shuffle(0, 100_000, 0)},
-//			Duration: 2000 * eventsim.Millisecond},
-//		{Name: "expander", Kind: opera.KindExpander, Seed: 1,
-//			Sources:  []scenario.Source{scenario.Shuffle(0, 100_000, eventsim.Millisecond)},
-//			Duration: 2000 * eventsim.Millisecond},
-//	}, scenario.Parallelism(4))
+//	sc, err := scenario.Spec{Name: "opera", Network: "opera", Seed: 1,
+//		Sources:  []scenario.SourceSpec{{Type: "shuffle", FlowBytes: 100_000}},
+//		Duration: 2000 * eventsim.Millisecond}.Scenario()
+//	…
+//	results, err := scenario.RunScenarios(ctx, []scenario.Scenario{sc}, 4)
 package scenario
 
 import (
@@ -61,46 +58,6 @@ type ending interface {
 	Close() error
 }
 
-// wrap applies f to the stream s builds while keeping an ending source's
-// error and resource visible to Collect.
-func wrap(s Source, f func(workload.Source) workload.Source) Source {
-	return func(env Env) workload.Source {
-		inner := s(env)
-		if e, ok := inner.(ending); ok {
-			return struct {
-				workload.Source
-				ending
-			}{f(inner), e}
-		}
-		return f(inner)
-	}
-}
-
-// Shuffle is an all-to-all shuffle of fixed-size flows (§5.2) among the
-// first participants hosts (0 = all), with arrivals spread over stagger.
-// Architectures quantize host counts differently (a k=8 folded Clos has
-// 192 hosts vs the small testbed's 64); capping keeps one workload
-// identical across them.
-func Shuffle(participants int, flowBytes int64, stagger eventsim.Time) Source {
-	return func(env Env) workload.Source {
-		n := env.NumHosts
-		if participants > 0 && participants < n {
-			n = participants
-		}
-		return workload.FromSpecs(workload.Shuffle(n, flowBytes, stagger, env.Seed))
-	}
-}
-
-// Poisson offers Poisson arrivals drawn from a flow-size distribution at a
-// fraction of aggregate host bandwidth for the given window, streamed
-// lazily at the cluster's configured link rate. maxFlowBytes caps sampled
-// sizes (0 = unlimited).
-func Poisson(dist *workload.FlowSizeDist, load float64, window eventsim.Time, maxFlowBytes int64) Source {
-	return func(env Env) workload.Source {
-		return workload.CapBytes(workload.PoissonSource(env.poisson(dist, load, window)), maxFlowBytes)
-	}
-}
-
 // poisson is the open-loop arrival process calibrated to the cluster.
 func (env Env) poisson(dist *workload.FlowSizeDist, load float64, window eventsim.Time) workload.PoissonConfig {
 	return workload.PoissonConfig{
@@ -111,41 +68,6 @@ func (env Env) poisson(dist *workload.FlowSizeDist, load float64, window eventsi
 		Dist:         dist,
 		Seed:         env.Seed,
 	}
-}
-
-// Incast fires bursts of fanin simultaneous senders into one random
-// receiver every period, bursts times (see workload.Incast).
-func Incast(fanin int, bytes int64, period eventsim.Time, bursts int) Source {
-	return func(env Env) workload.Source {
-		return workload.Incast(workload.IncastConfig{
-			NumHosts: env.NumHosts,
-			Fanin:    fanin,
-			Bytes:    bytes,
-			Period:   period,
-			Bursts:   bursts,
-			Seed:     env.Seed,
-		})
-	}
-}
-
-// Fixed replays a precomputed flow list (copied per run, so scenarios may
-// share one slice).
-func Fixed(flows []workload.FlowSpec) Source {
-	return func(Env) workload.Source { return workload.FromSpecs(flows) }
-}
-
-// TagSource labels every flow of a source; tagged flows produce per-tag
-// breakdowns in Result.ByTag.
-func TagSource(tag string, s Source) Source {
-	return wrap(s, func(w workload.Source) workload.Source { return workload.TagSource(tag, w) })
-}
-
-// BulkSource application-tags every flow of a source for bulk service
-// regardless of its size (§3.4) — the per-source form of
-// opera.WithAppTaggedBulk, for mixed workloads where only one component is
-// tagged.
-func BulkSource(s Source) Source {
-	return wrap(s, workload.BulkSource)
 }
 
 // Scenario is the resolved form of a Spec — an architecture, its sizing
@@ -161,7 +83,7 @@ type Scenario struct {
 	Options []opera.Option
 	// Sources feed flows into the cluster: each entry is built against the
 	// concrete cluster (Env) and all entries run concurrently in virtual
-	// time. Tagged flows (see TagSource) produce per-tag breakdowns in
+	// time. Tagged flows (see SourceSpec.Tag) produce per-tag breakdowns in
 	// Result.ByTag.
 	Sources []Source
 	// Events schedules fault injection and recovery at fixed virtual
@@ -169,8 +91,7 @@ type Scenario struct {
 	// fail-random-links draws from a generator derived from Seed, so the
 	// schedule is as deterministic as the workload.
 	Events []EventSpec
-	// Probes sample the running cluster into Result.Probes time series
-	// (see Sample).
+	// Probes sample the running cluster into Result.Probes time series.
 	Probes []Probe
 	// Duration is the RunUntilDone deadline in virtual time; the run ends
 	// earlier once every flow completes or the event queue drains.
@@ -228,7 +149,7 @@ type TagStats struct {
 }
 
 // Result reports one finished Scenario. It is a pure function of the
-// Scenario value: RunScenarios at any Parallelism yields identical
+// Scenario value: RunScenarios at any parallelism yields identical
 // Results for identical Scenarios, which tests assert with Equal (the
 // ByTag and Probes fields make Result non-comparable with ==).
 type Result struct {
@@ -245,7 +166,7 @@ type Result struct {
 	// overall and per service class.
 	All, LowLat, Bulk FCTStats
 
-	// ByTag breaks flows down by workload tag (see TagSource); nil when the
+	// ByTag breaks flows down by workload tag (see SourceSpec.Tag); nil when the
 	// workload is untagged.
 	ByTag map[string]TagStats
 
@@ -329,7 +250,7 @@ func (q QuantileSummary) fct() FCTStats {
 
 // Equal reports whether two Results are identical, including per-tag
 // breakdowns, probe series and telemetry summaries — the determinism
-// relation RunScenarios guarantees across Parallelism settings.
+// relation RunScenarios guarantees across parallelism settings.
 func (r Result) Equal(o Result) bool { return reflect.DeepEqual(r, o) }
 
 // Collect runs one Scenario and returns the finished cluster alongside its

@@ -9,23 +9,29 @@ import (
 	"github.com/opera-net/opera/scenario"
 )
 
+// mustScenario resolves a Spec written as a test literal.
+func mustScenario(sp scenario.Spec) scenario.Scenario {
+	sc, err := sp.Scenario()
+	if err != nil {
+		panic(err)
+	}
+	return sc
+}
+
 // sweep is a small cross-architecture, cross-seed batch: enough scenarios
 // to keep four workers busy, small enough to finish in seconds.
 func sweep() []scenario.Scenario {
 	var scs []scenario.Scenario
-	for _, kind := range []opera.Kind{
-		opera.KindOpera, opera.KindExpander, opera.KindFoldedClos,
-		opera.KindRotorNet, opera.KindRotorNetHybrid,
-	} {
+	for _, network := range []string{"opera", "expander", "foldedclos", "rotornet", "rotornet-hybrid"} {
 		for _, seed := range []int64{1, 2} {
-			scs = append(scs, scenario.Scenario{
-				Name:     kind.String(),
-				Kind:     kind,
-				Seed:     seed,
-				Options:  []opera.Option{opera.WithAppTaggedBulk(true)},
-				Sources:  []scenario.Source{scenario.Shuffle(12, 25_000, eventsim.Millisecond)},
-				Duration: 4000 * eventsim.Millisecond,
-			})
+			scs = append(scs, mustScenario(scenario.Spec{
+				Name:          network,
+				Network:       network,
+				Seed:          seed,
+				AppTaggedBulk: true,
+				Sources:       []scenario.SourceSpec{{Type: "shuffle", Participants: 12, FlowBytes: 25_000, Stagger: eventsim.Millisecond}},
+				Duration:      4000 * eventsim.Millisecond,
+			}))
 		}
 	}
 	return scs
@@ -36,11 +42,11 @@ func sweep() []scenario.Scenario {
 // a pure function of the Scenario values.
 func TestRunScenariosDeterministicUnderParallelism(t *testing.T) {
 	scs := sweep()
-	sequential, err := scenario.RunScenarios(context.Background(), scs, scenario.Parallelism(1))
+	sequential, err := scenario.RunScenarios(context.Background(), scs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := scenario.RunScenarios(context.Background(), scs, scenario.Parallelism(4))
+	parallel, err := scenario.RunScenarios(context.Background(), scs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,13 +71,13 @@ func TestRunScenariosDeterministicUnderParallelism(t *testing.T) {
 // Re-running the same Scenario must reproduce the same Result exactly —
 // the per-seed determinism RunScenarios' parallel guarantee rests on.
 func TestRunIsDeterministicPerSeed(t *testing.T) {
-	sc := scenario.Scenario{
+	sc := mustScenario(scenario.Spec{
 		Name:     "opera",
-		Kind:     opera.KindOpera,
+		Network:  "opera",
 		Seed:     3,
-		Sources:  []scenario.Source{scenario.Shuffle(12, 25_000, 0)},
+		Sources:  []scenario.SourceSpec{{Type: "shuffle", Participants: 12, FlowBytes: 25_000}},
 		Duration: 4000 * eventsim.Millisecond,
-	}
+	})
 	a := scenario.Run(sc)
 	b := scenario.Run(sc)
 	if !a.Equal(b) {
@@ -93,7 +99,7 @@ func TestRunScenariosBuildError(t *testing.T) {
 		Seed:    1,
 		Options: []opera.Option{opera.WithRacks(15)}, // Opera needs even racks
 	}}
-	results, err := scenario.RunScenarios(context.Background(), scs)
+	results, err := scenario.RunScenarios(context.Background(), scs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +113,7 @@ func TestRunScenariosCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	scs := sweep()
-	results, err := scenario.RunScenarios(ctx, scs, scenario.Parallelism(2))
+	results, err := scenario.RunScenarios(ctx, scs, 2)
 	if err == nil {
 		t.Fatal("expected context error")
 	}
@@ -122,8 +128,9 @@ func TestRunScenariosCancelled(t *testing.T) {
 	}
 }
 
-// ForEachCluster hands every finished cluster to the callback
-// (concurrently, per-index); a failed build reaches it with a nil cluster.
+// ForEachCluster hands every finished cluster, the one its Result
+// describes, to the callback (concurrently, per-index); a failed build
+// reaches it with a nil cluster.
 func TestForEachCluster(t *testing.T) {
 	scs := sweep()[:4]
 	scs = append(scs, scenario.Scenario{
@@ -134,16 +141,23 @@ func TestForEachCluster(t *testing.T) {
 	})
 	seen := make([]bool, len(scs))
 	called := make([]bool, len(scs))
-	results, err := scenario.ForEachCluster(context.Background(), scs,
+	counted := make([][2]int, len(scs))
+	results, err := scenario.ForEachCluster(context.Background(), scs, 2,
 		func(i int, cl *opera.Cluster, res scenario.Result) {
 			called[i], seen[i] = true, cl != nil
-		}, scenario.Parallelism(2))
+			if cl != nil {
+				counted[i][0], counted[i][1] = cl.Metrics().DoneCount()
+			}
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range scs[:4] {
 		if !seen[i] {
 			t.Errorf("callback missed scenario %d", i)
+		}
+		if want := [2]int{results[i].FlowsDone, results[i].FlowsTotal}; counted[i] != want {
+			t.Errorf("cluster %d: metrics %d/%d, result %d/%d", i, counted[i][0], counted[i][1], want[0], want[1])
 		}
 		if results[i].Err != "" {
 			t.Errorf("scenario %d: %s", i, results[i].Err)
@@ -154,24 +168,5 @@ func TestForEachCluster(t *testing.T) {
 	}
 	if results[4].Err == "" {
 		t.Error("failed build missing Err")
-	}
-}
-
-// CollectScenarios returns the finished clusters for inspection.
-func TestCollectScenarios(t *testing.T) {
-	scs := sweep()[:2]
-	clusters, results, err := scenario.CollectScenarios(context.Background(), scs, scenario.Parallelism(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cl := range clusters {
-		if cl == nil {
-			t.Fatalf("cluster %d missing", i)
-		}
-		done, total := cl.Metrics().DoneCount()
-		if done != results[i].FlowsDone || total != results[i].FlowsTotal {
-			t.Fatalf("cluster %d: metrics %d/%d, result %d/%d",
-				i, done, total, results[i].FlowsDone, results[i].FlowsTotal)
-		}
 	}
 }

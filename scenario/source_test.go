@@ -10,6 +10,15 @@ import (
 	"github.com/opera-net/opera/scenario"
 )
 
+// fixedPoisson is Poisson arrivals of fixed-size flows: a Source written
+// directly, since SourceSpec draws sizes only from the paper's traces.
+func fixedPoisson(bytes int64, load float64, window eventsim.Time) scenario.Source {
+	return func(env scenario.Env) workload.Source {
+		return workload.PoissonSource(workload.PoissonConfig{NumHosts: env.NumHosts, Load: load,
+			LinkRateGbps: env.LinkRateGbps, Duration: window, Dist: workload.Fixed(bytes), Seed: env.Seed})
+	}
+}
+
 // sourceSweep exercises the streaming workload surface across
 // architectures: lazy Poisson, a tagged two-source mix, incast bursts,
 // and a tagged bulk shuffle, each at two seeds. (The folded Clos is left
@@ -25,26 +34,26 @@ func sourceSweep() []scenario.Scenario {
 					Seed: seed,
 					// Fixed-size flows keep the arrival rate high enough for a
 					// short window (heavy-tailed means imply few arrivals).
-					Sources:  []scenario.Source{scenario.Poisson(workload.Fixed(100_000), 0.02, 4*eventsim.Millisecond, 0)},
+					Sources:  []scenario.Source{fixedPoisson(100_000, 0.02, 4*eventsim.Millisecond)},
 					Duration: 2000 * eventsim.Millisecond,
 				},
-				scenario.Scenario{
-					Name: "mixed-" + kind.String(),
-					Kind: kind,
-					Seed: seed,
-					Sources: []scenario.Source{
-						scenario.TagSource("bulk", scenario.BulkSource(scenario.Shuffle(8, 20_000, eventsim.Millisecond))),
-						scenario.TagSource("web", scenario.Poisson(workload.Websearch(), 0.01, 4*eventsim.Millisecond, 200_000)),
+				mustScenario(scenario.Spec{
+					Name:    "mixed-" + kind.String(),
+					Network: kind.String(),
+					Seed:    seed,
+					Sources: []scenario.SourceSpec{
+						{Type: "shuffle", Participants: 8, FlowBytes: 20_000, Stagger: eventsim.Millisecond, Bulk: true, Tag: "bulk"},
+						{Type: "poisson", Dist: "websearch", Load: 0.01, Window: 4 * eventsim.Millisecond, MaxFlowBytes: 200_000, Tag: "web"},
 					},
 					Duration: 2000 * eventsim.Millisecond,
-				},
-				scenario.Scenario{
+				}),
+				mustScenario(scenario.Spec{
 					Name:     "incast-" + kind.String(),
-					Kind:     kind,
+					Network:  kind.String(),
 					Seed:     seed,
-					Sources:  []scenario.Source{scenario.Incast(8, 20_000, eventsim.Millisecond, 4)},
+					Sources:  []scenario.SourceSpec{{Type: "incast", Fanin: 8, FlowBytes: 20_000, Period: eventsim.Millisecond, Bursts: 4}},
 					Duration: 2000 * eventsim.Millisecond,
-				})
+				}))
 		}
 	}
 	return scs
@@ -55,11 +64,11 @@ func sourceSweep() []scenario.Scenario {
 // fast lane).
 func TestSourceScenarioDeterminismUnderParallelism(t *testing.T) {
 	scs := sourceSweep()
-	sequential, err := scenario.RunScenarios(context.Background(), scs, scenario.Parallelism(1))
+	sequential, err := scenario.RunScenarios(context.Background(), scs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := scenario.RunScenarios(context.Background(), scs, scenario.Parallelism(8))
+	parallel, err := scenario.RunScenarios(context.Background(), scs, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,16 +110,18 @@ func TestSourceScenarioDeterministicPerSeed(t *testing.T) {
 // Two Sources — a materialized pattern and a lazy stream — compose on one
 // Scenario.
 func TestWorkloadAndSourcesCompose(t *testing.T) {
-	res := scenario.Run(scenario.Scenario{
-		Name: "both",
-		Kind: opera.KindOpera,
-		Seed: 1,
-		Sources: []scenario.Source{
-			scenario.TagSource("legacy", scenario.Shuffle(4, 10_000, 0)),
-			scenario.TagSource("stream", scenario.Poisson(workload.Fixed(50_000), 0.02, 2*eventsim.Millisecond, 0)),
-		},
+	sc := mustScenario(scenario.Spec{
+		Name:     "both",
+		Network:  "opera",
+		Seed:     1,
+		Sources:  []scenario.SourceSpec{{Type: "shuffle", Participants: 4, FlowBytes: 10_000, Tag: "legacy"}},
 		Duration: 2000 * eventsim.Millisecond,
 	})
+	stream := fixedPoisson(50_000, 0.02, 2*eventsim.Millisecond)
+	sc.Sources = append(sc.Sources, func(env scenario.Env) workload.Source {
+		return workload.TagSource("stream", stream(env))
+	})
+	res := scenario.Run(sc)
 	if res.Err != "" {
 		t.Fatal(res.Err)
 	}

@@ -135,7 +135,8 @@ type SourceSpec struct {
 	FlowBytes int64
 	// Stagger spreads shuffle arrivals.
 	Stagger eventsim.Time
-	// Participants caps how many hosts join the shuffle (0 = all).
+	// Participants caps how many hosts join the shuffle (0 = all), so one
+	// shuffle runs unchanged on fabrics whose host counts differ.
 	Participants int
 
 	// Fanin, Period and Bursts shape the incast source.
@@ -189,7 +190,7 @@ var sourceForms = map[string]struct {
 	build func(ss SourceSpec, env Env) workload.Source
 }{
 	"poisson": {"dlw", func(ss SourceSpec, env Env) workload.Source {
-		return Poisson(dists[ss.Dist](), ss.Load, ss.Window, ss.MaxFlowBytes)(env)
+		return workload.CapBytes(workload.PoissonSource(env.poisson(dists[ss.Dist](), ss.Load, ss.Window)), ss.MaxFlowBytes)
 	}},
 	"mix": {"lw", func(ss SourceSpec, env Env) workload.Source {
 		return workload.Mix(env.poisson(nil, ss.Load, ss.Window),
@@ -197,7 +198,11 @@ var sourceForms = map[string]struct {
 			workload.MixComponent{Dist: workload.Datamining(), Weight: 0.5, Tag: "datamining", Bulk: true, MaxFlowBytes: ss.MaxFlowBytes})
 	}},
 	"shuffle": {"b", func(ss SourceSpec, env Env) workload.Source {
-		return Shuffle(ss.Participants, ss.FlowBytes, ss.Stagger)(env)
+		n := env.NumHosts
+		if ss.Participants > 0 && ss.Participants < n {
+			n = ss.Participants
+		}
+		return workload.FromSpecs(workload.Shuffle(n, ss.FlowBytes, ss.Stagger, env.Seed))
 	}},
 	"permutation": {"b", func(ss SourceSpec, env Env) workload.Source {
 		return workload.FromSpecs(workload.Permutation(env.NumHosts, env.HostsPerRack, ss.FlowBytes, env.Seed))
@@ -209,7 +214,8 @@ var sourceForms = map[string]struct {
 		return workload.FromSpecs(workload.Saturate(env.NumHosts, env.HostsPerRack, ss.Window, env.LinkRateGbps))
 	}},
 	"incast": {"fbpu", func(ss SourceSpec, env Env) workload.Source {
-		return Incast(ss.Fanin, ss.FlowBytes, ss.Period, ss.Bursts)(env)
+		return workload.Incast(workload.IncastConfig{NumHosts: env.NumHosts,
+			Fanin: ss.Fanin, Bytes: ss.FlowBytes, Period: ss.Period, Bursts: ss.Bursts, Seed: env.Seed})
 	}},
 	// The file is opened per run, not per resolution, so one resolved
 	// Scenario can run twice.
@@ -264,17 +270,29 @@ func (ss SourceSpec) source() (Source, error) {
 	if err := ss.check(form.needs); err != nil {
 		return nil, err
 	}
-	src := Source(func(env Env) workload.Source { return form.build(ss, env) })
-	if ss.MaxFlows > 0 {
-		src = wrap(src, func(w workload.Source) workload.Source { return workload.Take(w, ss.MaxFlows) })
-	}
-	if ss.Bulk {
-		src = BulkSource(src)
-	}
-	if ss.Tag != "" {
-		src = TagSource(ss.Tag, src)
-	}
-	return src, nil
+	wrapped := ss.MaxFlows > 0 || ss.Bulk || ss.Tag != ""
+	return func(env Env) workload.Source {
+		inner := form.build(ss, env)
+		src := inner
+		if ss.MaxFlows > 0 {
+			src = workload.Take(src, ss.MaxFlows)
+		}
+		if ss.Bulk {
+			src = workload.BulkSource(src)
+		}
+		if ss.Tag != "" {
+			src = workload.TagSource(ss.Tag, src)
+		}
+		// A wrapper hides a replay's Err and Close; keep them visible to
+		// Collect.
+		if e, ok := inner.(ending); ok && wrapped {
+			return struct {
+				workload.Source
+				ending
+			}{src, e}
+		}
+		return src
+	}, nil
 }
 
 // Scenario resolves the Spec into the Scenario value it describes. The

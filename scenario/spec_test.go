@@ -90,7 +90,9 @@ func TestSpecMatchesHandBuiltScenario(t *testing.T) {
 			},
 			sources: []SourceSpec{{Type: "poisson", Dist: "websearch", Load: 0.05, Window: window, MaxFlowBytes: 1_000_000, Tag: "ws"}},
 			options: sketch,
-			hand:    []Source{TagSource("ws", Poisson(workload.Websearch(), 0.05, window, 1_000_000))},
+			hand: []Source{func(env Env) workload.Source {
+				return workload.TagSource("ws", workload.CapBytes(workload.PoissonSource(poisson(env, workload.Websearch(), 0.05)), 1_000_000))
+			}},
 		},
 		{
 			name:    "poisson-hadoop",
@@ -113,6 +115,32 @@ func TestSpecMatchesHandBuiltScenario(t *testing.T) {
 			sources: []SourceSpec{{Type: "poisson", Dist: "websearch", Load: 0.2, Window: window, MaxFlowBytes: 100_000, MaxFlows: 20}},
 			hand: []Source{func(env Env) workload.Source {
 				return workload.Take(workload.CapBytes(workload.PoissonSource(poisson(env, workload.Websearch(), 0.2)), 100_000), 20)
+			}},
+		},
+		{
+			// Take, then Bulk, then Tag: the order the Spec wraps in.
+			name: "poisson-max-flows-bulk-tag",
+			sources: []SourceSpec{{Type: "poisson", Dist: "websearch", Load: 0.2, Window: window, MaxFlowBytes: 100_000,
+				MaxFlows: 20, Bulk: true, Tag: "ws"}},
+			hand: []Source{func(env Env) workload.Source {
+				capped := workload.CapBytes(workload.PoissonSource(poisson(env, workload.Websearch(), 0.2)), 100_000)
+				return workload.TagSource("ws", workload.BulkSource(workload.Take(capped, 20)))
+			}},
+		},
+		{
+			name:    "shuffle-participants-stagger",
+			sources: []SourceSpec{{Type: "shuffle", FlowBytes: 20_000, Stagger: 500 * eventsim.Microsecond, Participants: 12}},
+			hand: []Source{pattern(func(env Env) []workload.FlowSpec {
+				return workload.Shuffle(12, 20_000, 500*eventsim.Microsecond, env.Seed)
+			})},
+		},
+		{
+			name: "incast-bulk-tag",
+			sources: []SourceSpec{{Type: "incast", Fanin: 8, FlowBytes: 20_000, Period: 500 * eventsim.Microsecond, Bursts: 3,
+				Bulk: true, Tag: "in"}},
+			hand: []Source{func(env Env) workload.Source {
+				return workload.TagSource("in", workload.BulkSource(workload.Incast(workload.IncastConfig{NumHosts: env.NumHosts,
+					Fanin: 8, Bytes: 20_000, Period: 500 * eventsim.Microsecond, Bursts: 3, Seed: env.Seed})))
 			}},
 		},
 		{
@@ -144,8 +172,12 @@ func TestSpecMatchesHandBuiltScenario(t *testing.T) {
 				{Type: "poisson", Dist: "websearch", Load: 0.05, Window: window, Tag: "websearch"},
 			},
 			hand: []Source{
-				TagSource("shuffle", BulkSource(oldRackSaturate(window))),
-				TagSource("websearch", Poisson(workload.Websearch(), 0.05, window, 0)),
+				func(env Env) workload.Source {
+					return workload.TagSource("shuffle", workload.BulkSource(oldRackSaturate(window)(env)))
+				},
+				func(env Env) workload.Source {
+					return workload.TagSource("websearch", workload.PoissonSource(poisson(env, workload.Websearch(), 0.05)))
+				},
 			},
 		},
 	} {

@@ -5,11 +5,9 @@ import (
 	"math"
 	"testing"
 
-	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/sim"
 	"github.com/opera-net/opera/internal/stats"
-	"github.com/opera-net/opera/internal/workload"
 	"github.com/opera-net/opera/scenario"
 )
 
@@ -23,19 +21,17 @@ const sketchAlpha = 0.01
 // figure buckets for the same reason); the bracket assertions below hold
 // at any N, and the statistical weight comes from the 50 000-sample
 // sketch unit tests plus the root package's 100k-flow soak.
-func fig7Cell(retention opera.RetentionPolicy) scenario.Scenario {
-	return scenario.Scenario{
-		Name: "fig7-dm",
-		Kind: opera.KindOpera,
-		Seed: 1, // the figure seed (DefaultSimOptions)
-		Options: []opera.Option{
-			opera.WithRacks(16), opera.WithHostsPerRack(4), opera.WithUplinks(4),
-			opera.WithSeed(1), opera.WithRetention(retention),
-		},
-		Sources: []scenario.Source{scenario.TagSource("dm",
-			scenario.Poisson(workload.Datamining(), 0.25, 20*eventsim.Millisecond, 20_000_000))},
+func fig7Cell(retention scenario.RetentionSpec) scenario.Scenario {
+	return mustScenario(scenario.Spec{
+		Name:    "fig7-dm",
+		Network: "opera",
+		Seed:    1, // the figure seed (DefaultSimOptions)
+		Racks:   16, HostsPerRack: 4, Uplinks: 4,
+		Retention: retention,
+		Sources: []scenario.SourceSpec{{Type: "poisson", Dist: "datamining", Load: 0.25,
+			Window: 20 * eventsim.Millisecond, MaxFlowBytes: 20_000_000, Tag: "dm"}},
 		Duration: 300 * eventsim.Millisecond,
-	}
+	})
 }
 
 // checkWithinBound asserts the sketch guarantee against the exact sample:
@@ -64,7 +60,7 @@ func TestRetainSketchMatchesExactOnFig7Workload(t *testing.T) {
 		t.Skip("numeric accuracy check, nothing concurrent — skipped under -race")
 	}
 	// Exact side: default retention, raw flows from the finished cluster.
-	cl, exactRes := scenario.Collect(fig7Cell(opera.RetainAll()))
+	cl, exactRes := scenario.Collect(fig7Cell(scenario.RetentionSpec{}))
 	if exactRes.Err != "" {
 		t.Fatal(exactRes.Err)
 	}
@@ -73,7 +69,8 @@ func TestRetainSketchMatchesExactOnFig7Workload(t *testing.T) {
 		t.Fatalf("Fig 7 cell produced only %d flows; accuracy check needs a spread of FCTs", exactAll.N())
 	}
 
-	skRes := scenario.Run(fig7Cell(opera.RetainSketch(opera.SketchOptions{Alpha: sketchAlpha})))
+	sketch := scenario.RetentionSpec{Sketch: true, Alpha: sketchAlpha}
+	skRes := scenario.Run(fig7Cell(sketch))
 	if skRes.Err != "" {
 		t.Fatal(skRes.Err)
 	}
@@ -122,7 +119,7 @@ func TestRetainSketchMatchesExactOnFig7Workload(t *testing.T) {
 	checkWithinBound(t, "tag dm", dm.FCT.P99Us, exactAll, 99)
 
 	// And the flows really were released.
-	skCl, _ := scenario.Collect(fig7Cell(opera.RetainSketch(opera.SketchOptions{Alpha: sketchAlpha})))
+	skCl, _ := scenario.Collect(fig7Cell(sketch))
 	if n := len(skCl.Metrics().Flows()); n != 0 {
 		t.Fatalf("RetainSketch retained %d flows", n)
 	}
@@ -134,26 +131,24 @@ func TestRetainSketchMatchesExactOnFig7Workload(t *testing.T) {
 func TestRetainSketchParallelDeterminism(t *testing.T) {
 	mk := func() []scenario.Scenario {
 		var scs []scenario.Scenario
-		for _, kind := range []opera.Kind{opera.KindOpera, opera.KindExpander} {
+		for _, network := range []string{"opera", "expander"} {
 			for _, load := range []float64{0.02, 0.05} {
-				scs = append(scs, scenario.Scenario{
-					Name: "sk", Kind: kind, Seed: 11,
-					Options: []opera.Option{
-						opera.WithRetention(opera.RetainSketch(opera.SketchOptions{})),
-					},
-					Sources: []scenario.Source{scenario.TagSource("ws",
-						scenario.Poisson(workload.Websearch(), load, 4*eventsim.Millisecond, 1_000_000))},
+				scs = append(scs, mustScenario(scenario.Spec{
+					Name: "sk", Network: network, Seed: 11,
+					Retention: scenario.RetentionSpec{Sketch: true},
+					Sources: []scenario.SourceSpec{{Type: "poisson", Dist: "websearch", Load: load,
+						Window: 4 * eventsim.Millisecond, MaxFlowBytes: 1_000_000, Tag: "ws"}},
 					Duration: 60 * eventsim.Millisecond,
-				})
+				}))
 			}
 		}
 		return scs
 	}
-	seq, err := scenario.RunScenarios(context.Background(), mk(), scenario.Parallelism(1))
+	seq, err := scenario.RunScenarios(context.Background(), mk(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := scenario.RunScenarios(context.Background(), mk(), scenario.Parallelism(8))
+	par, err := scenario.RunScenarios(context.Background(), mk(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +168,11 @@ func TestRetainSketchParallelDeterminism(t *testing.T) {
 // Default retention carries no telemetry summary and keeps Result shape
 // unchanged.
 func TestRetainAllHasNoTelemetry(t *testing.T) {
-	res := scenario.Run(scenario.Scenario{
-		Name: "plain", Kind: opera.KindOpera, Seed: 3,
-		Sources:  []scenario.Source{scenario.Shuffle(8, 50_000, eventsim.Millisecond)},
+	res := scenario.Run(mustScenario(scenario.Spec{
+		Name: "plain", Network: "opera", Seed: 3,
+		Sources:  []scenario.SourceSpec{{Type: "shuffle", Participants: 8, FlowBytes: 50_000, Stagger: eventsim.Millisecond}},
 		Duration: 500 * eventsim.Millisecond,
-	})
+	}))
 	if res.Err != "" {
 		t.Fatal(res.Err)
 	}
@@ -188,19 +183,17 @@ func TestRetainAllHasNoTelemetry(t *testing.T) {
 
 // Fault events apply to RotorNet and compose with sketch retention.
 func TestFaultEventsOnRotorNet(t *testing.T) {
-	res := scenario.Run(scenario.Scenario{
-		Name: "rotor-faulted", Kind: opera.KindRotorNet, Seed: 5,
-		Options: []opera.Option{
-			opera.WithRacks(8), opera.WithHostsPerRack(2), opera.WithUplinks(4),
-			opera.WithRetention(opera.RetainSketch(opera.SketchOptions{})),
-		},
-		Sources: []scenario.Source{scenario.BulkSource(scenario.Shuffle(8, 100_000, 100*eventsim.Microsecond))},
+	res := scenario.Run(mustScenario(scenario.Spec{
+		Name: "rotor-faulted", Network: "rotornet", Seed: 5,
+		Racks: 8, HostsPerRack: 2, Uplinks: 4,
+		Retention: scenario.RetentionSpec{Sketch: true},
+		Sources:   []scenario.SourceSpec{{Type: "shuffle", Participants: 8, FlowBytes: 100_000, Stagger: 100 * eventsim.Microsecond, Bulk: true}},
 		Events: []scenario.EventSpec{
 			{Target: sim.FlatLink(2, 1)},
 			{At: 5 * eventsim.Millisecond, Op: "recover", Target: sim.FlatLink(2, 1)},
 		},
 		Duration: 2000 * eventsim.Millisecond,
-	})
+	}))
 	if res.Err != "" {
 		t.Fatalf("fault events on rotornet should be supported: %s", res.Err)
 	}
