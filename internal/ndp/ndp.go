@@ -38,7 +38,7 @@ type Endpoint struct {
 	// credit queue is consumed via pullHead (not by re-slicing) so its
 	// backing array's capacity is reused instead of leaking one slot per
 	// pull.
-	pullCredits []*sim.Flow // one entry per credit
+	pullCredits []*sim.Flow // one entry per credit, each holding a flow reference
 	pullHead    int
 	pacing      bool
 	paceH       pacerTick
@@ -156,6 +156,7 @@ func (ep *Endpoint) StartFlow(f *sim.Flow) {
 		acked: resetBits(sf.acked, (total+63)/64),
 	}
 	sf.rto.BindCall(ep.host.Engine(), sf, nil)
+	f.Ref()
 	f.SendSlot = sf.slot
 	f.Start = ep.host.Engine().Now()
 
@@ -187,6 +188,7 @@ func (ep *Endpoint) sendData(sf *sendFlow, seq int32) {
 	p.Size = int32(size)
 	p.PayloadSize = int32(size)
 	p.Flow = f
+	f.Ref()
 	p.Seq = seq
 	ep.host.Send(p)
 }
@@ -212,6 +214,7 @@ func (ep *Endpoint) recvState(p *sim.Packet) *recvFlow {
 			ep.pools.recvTab = append(ep.pools.recvTab, rf)
 		}
 		*rf = recvFlow{f: f, slot: rf.slot, total: total, got: resetBits(rf.got, (total+63)/64)}
+		f.Ref()
 		f.RecvSlot = rf.slot
 	}
 	return rf
@@ -223,12 +226,14 @@ func (ep *Endpoint) recvState(p *sim.Packet) *recvFlow {
 func (ep *Endpoint) releaseSend(sf *sendFlow) {
 	sf.rto.Stop()
 	sf.f.SendSlot = 0
+	sf.f.Unref()
 	sf.f = nil
 	ep.pools.send.Put(sf)
 }
 
 func (ep *Endpoint) releaseRecv(rf *recvFlow) {
 	rf.f.RecvSlot = 0
+	rf.f.Unref()
 	rf.f = nil
 	ep.pools.recv.Put(rf)
 }
@@ -358,6 +363,7 @@ func (ep *Endpoint) sendCtrl(kind sim.Kind, f *sim.Flow, seq int32, pullNo int32
 	p.SrcRack, p.DstRack = f.DstRack, f.SrcRack
 	p.Size = int32(ep.host.Config().HeaderBytes)
 	p.Flow = f
+	f.Ref()
 	p.Seq = seq
 	p.PullNo = pullNo
 	ep.host.Send(p)
@@ -371,6 +377,7 @@ func (ep *Endpoint) addPullCredit(f *sim.Flow) {
 		ep.pullCredits = ep.pullCredits[:n]
 		ep.pullHead = 0
 	}
+	f.Ref()
 	ep.pullCredits = append(ep.pullCredits, f)
 	ep.pace()
 }
@@ -408,6 +415,7 @@ func (h *pacerTick) OnEvent(any) {
 	if rf := ep.pools.recvTab[f.RecvSlot]; rf != nil && !rf.complete() {
 		ep.sendCtrl(sim.KindPull, rf.f, 0, 0)
 	}
+	f.Unref()
 	ep.pace()
 }
 

@@ -86,6 +86,16 @@ func (a *rackAgent) openSessions(abs int64) {
 	for i := range a.vlbBudget {
 		a.vlbBudget[i] = sliceBytes
 	}
+	// VLB offers only ever come out of the rack's own VOQs: with all of
+	// them empty, negotiating would walk every VOQ per circuit and move
+	// nothing.
+	backlog := false
+	for i := range a.voq {
+		if a.voq[i].bytes != 0 {
+			backlog = true
+			break
+		}
+	}
 	for _, c := range lb.circuits {
 		sess := lb.sessions.Get()
 		if sess == nil {
@@ -98,7 +108,7 @@ func (a *rackAgent) openSessions(abs int64) {
 		// ask the peer to relay. The exchange is modelled as in-band
 		// control at slice start with negligible size.
 		spare := windowBytes - a.relay[c.Peer].bytes - a.voq[c.Peer].bytes
-		if spare > int64(net.Config().MTU) {
+		if backlog && spare > int64(net.Config().MTU) {
 			a.negotiateVLB(c.Peer, spare, &sess.vlbQ)
 		}
 		lb.park(sess, now+c.WindowStart+startMargin)
@@ -344,6 +354,7 @@ func (a *rackAgent) newBulkPacket(seg segment, relayRack int32) *sim.Packet {
 	p.Size = int32(seg.bytes)
 	p.PayloadSize = int32(seg.bytes)
 	p.Flow = seg.f
+	seg.f.Ref()
 	p.RelayRack = relayRack
 	p.Hops = seg.hops
 	return p

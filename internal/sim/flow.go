@@ -2,6 +2,7 @@ package sim
 
 import (
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/freelist"
 	"github.com/opera-net/opera/internal/stats"
 	"github.com/opera-net/opera/internal/telemetry"
 )
@@ -17,6 +18,11 @@ type Flow struct {
 	Size    int64 // application bytes
 	Class   Class // LowLatency (NDP) or Bulk (RotorLB / bulk-class NDP)
 	Done    bool
+
+	// pooled marks a record Metrics recycles (PooledFlow); refs counts its
+	// holders (Ref/Unref). Both sit in the padding after Done.
+	pooled bool
+	refs   int32
 
 	// Tag is an application-assigned label ("" = untagged) carried
 	// end-to-end so results can be broken down per workload component
@@ -40,6 +46,23 @@ type Flow struct {
 
 // FCT returns the flow completion time, valid once Done.
 func (f *Flow) FCT() eventsim.Time { return f.End - f.Start }
+
+// Ref records one more holder of f: anything that stores a *Flow beyond
+// the call that handed it over (a packet, a transport's per-flow state, a
+// queued pull credit) takes a reference and drops it with Unref when it
+// lets go. Packets drop theirs in Release. A record Metrics recycles is
+// reused only once it is done and no reference remains.
+func (f *Flow) Ref() { f.refs++ }
+
+// Unref drops a reference taken with Ref. Dropping more than were taken
+// panics on a recycled record, where it would hand a live flow's record
+// to the next admission.
+func (f *Flow) Unref() {
+	f.refs--
+	if f.refs < 0 && f.pooled {
+		panic("sim: flow record released more often than referenced")
+	}
+}
 
 // Metrics aggregates simulation-wide observations. The simulator is
 // single-threaded, so no locking is needed.
@@ -71,6 +94,13 @@ type Metrics struct {
 
 	// tel absorbs completions under RetainSketch.
 	tel *telemetry.Collector
+
+	// retired holds done PooledFlow records in completion order, from
+	// retiredHead on, until nothing references them; free holds those
+	// ready for reuse.
+	retired     []*Flow
+	retiredHead int
+	free        freelist.Pool[Flow]
 }
 
 // NewMetrics returns an empty metrics collector.
@@ -89,13 +119,41 @@ func (m *Metrics) AddFlow(f *Flow) {
 	m.flows = append(m.flows, f)
 }
 
+// PooledFlow returns a record holding v that Metrics owns and recycles:
+// once the flow is done (FlowDone) and every reference to it is dropped
+// (Unref), a later PooledFlow call reuses it. The caller registers it with
+// AddFlow as usual and must not keep the pointer past completion; every
+// holder takes a reference with Ref. Only RetainSketch recycles — RetainAll
+// keeps every flow — so PooledFlow panics under RetainAll.
+func (m *Metrics) PooledFlow(v Flow) *Flow {
+	if m.tel == nil {
+		panic("sim: PooledFlow under RetainAll")
+	}
+	// A straggler keeps its flow at the head until its last packet or
+	// pull credit is released; the ones behind it wait their turn.
+	for m.retiredHead < len(m.retired) && m.retired[m.retiredHead].refs == 0 {
+		m.free.Put(m.retired[m.retiredHead])
+		m.retired[m.retiredHead] = nil
+		m.retiredHead++
+	}
+	f := m.free.Get()
+	if f == nil {
+		f = new(Flow)
+	}
+	*f = v
+	f.pooled, f.refs = true, 0
+	return f
+}
+
 // Flows returns all retained flows. Under RetainSketch nothing is
 // retained and the slice is empty; consume Telemetry() instead.
 func (m *Metrics) Flows() []*Flow { return m.flows }
 
 // FlowDone marks f complete at time now. Under RetainSketch the flow's
-// statistics are absorbed into the collector; Metrics never held f, so
-// the flow is garbage once its transport lets go of it.
+// statistics are absorbed into the collector and Metrics keeps no record:
+// a PooledFlow record is retired for reuse once its last reference goes,
+// any other flow is garbage once its transport lets go of it. OnFlowDone
+// must therefore not keep the pointer.
 func (m *Metrics) FlowDone(f *Flow, now eventsim.Time) {
 	if f.Done {
 		return
@@ -108,6 +166,16 @@ func (m *Metrics) FlowDone(f *Flow, now eventsim.Time) {
 	}
 	if m.tel != nil {
 		m.tel.FlowDone(int(f.Class), f.Tag, f.FCT().Micros(), f.BytesRcvd)
+	}
+	if f.pooled {
+		if len(m.retired) == cap(m.retired) && m.retiredHead > 0 {
+			// Reclaim the recycled prefix instead of growing.
+			n := copy(m.retired, m.retired[m.retiredHead:])
+			clear(m.retired[n:])
+			m.retired = m.retired[:n]
+			m.retiredHead = 0
+		}
+		m.retired = append(m.retired, f)
 	}
 }
 

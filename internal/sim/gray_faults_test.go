@@ -173,3 +173,47 @@ func TestClosGrayFaultsApply(t *testing.T) {
 		t.Fatalf("only %d/%d flows survived gray faults", done, total)
 	}
 }
+
+// A streaming run through a lossy link and a flapping one — lost data,
+// lost ACKs and pulls, queues dropped at every flap, retransmits and
+// straggler re-ACKs — ends, once drained, with every recycled flow record
+// let go by everything that pointed at it: each retired record's
+// reference count is back at exactly zero.
+func TestLossyFlappingDrainReleasesEveryFlowRef(t *testing.T) {
+	cl := newCluster(t, opera.KindOpera, opera.WithSeed(1),
+		opera.WithRetention(opera.RetainSketch(opera.SketchOptions{})))
+	fs := cl.Faults()
+	mustOK(t, fs.Inject(sim.FlatLink(2, 1), sim.LossyFault(0.2), 0))
+	mustOK(t, fs.Inject(sim.FlatLink(5, 0), sim.LossyFault(0.2), 0))
+	mustOK(t, fs.Inject(sim.FlatLink(3, 2),
+		sim.FlappingFault(300*eventsim.Microsecond, 200*eventsim.Microsecond), 0))
+	mustOK(t, fs.Recover(sim.FlatLink(3, 2), 4*eventsim.Millisecond))
+	cl.AddSource(workload.PoissonSource(workload.PoissonConfig{
+		NumHosts:     cl.NumHosts(),
+		Load:         0.2,
+		LinkRateGbps: 10,
+		Duration:     3 * eventsim.Millisecond,
+		Dist:         workload.Fixed(6000),
+		Seed:         1,
+	}))
+	if !cl.RunUntilDone(200 * eventsim.Millisecond) {
+		done, total := cl.Metrics().DoneCount()
+		t.Fatalf("only %d/%d flows done", done, total)
+	}
+	cl.Stop()
+	cl.Engine().Run()
+
+	lost := cl.OperaNet().ToR(2).Uplink(1).Stats.LinkLoss + cl.OperaNet().ToR(5).Uplink(0).Stats.LinkLoss
+	if lost == 0 || fs.Lost == 0 {
+		t.Fatalf("link loss %d, flap drops %d: the run exercised no loss", lost, fs.Lost)
+	}
+	waiting, free := sim.RetiredFlowRefs(cl.Metrics())
+	if len(waiting)+free == 0 {
+		t.Fatal("no flow record was retired: the source pump drew none from Metrics")
+	}
+	for i, refs := range waiting {
+		if refs != 0 {
+			t.Fatalf("retired record %d of %d still has %d references after the drain", i, len(waiting), refs)
+		}
+	}
+}

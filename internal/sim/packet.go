@@ -92,7 +92,8 @@ type Packet struct {
 	Trimmed     bool
 
 	// Flow is the transport flow the packet belongs to; Seq is the packet
-	// index within it (NDP).
+	// index within it (NDP). Whoever sets Flow takes a reference on it
+	// (Flow.Ref); Release drops it.
 	Flow *Flow
 	Seq  int32
 
@@ -132,8 +133,14 @@ func NewPacket() *Packet {
 	return p
 }
 
-// Release returns the packet to the pool.
-func (p *Packet) Release() { packetPool.Put(p) }
+// Release drops the packet's flow reference and returns it to the pool.
+func (p *Packet) Release() {
+	if p.Flow != nil {
+		p.Flow.Unref()
+		p.Flow = nil
+	}
+	packetPool.Put(p)
+}
 
 // IsControl reports whether the packet is transport signalling (always
 // forwarded at highest priority and never trimmed or dropped by data-queue

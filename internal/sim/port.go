@@ -13,7 +13,8 @@ type Node interface {
 	Receive(p *Packet, from *Port)
 }
 
-// pktFIFO is a simple ring-buffer packet queue.
+// pktFIFO is a simple ring-buffer packet queue. The ring's length is a
+// power of two (it starts at 8 and doubles), so indices wrap with a mask.
 type pktFIFO struct {
 	buf  []*Packet
 	head int
@@ -24,12 +25,12 @@ func (q *pktFIFO) push(p *Packet) {
 	if q.n == len(q.buf) {
 		grow := make([]*Packet, max(8, 2*len(q.buf)))
 		for i := 0; i < q.n; i++ {
-			grow[i] = q.buf[(q.head+i)%len(q.buf)]
+			grow[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 		}
 		q.buf = grow
 		q.head = 0
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = p
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
 	q.n++
 }
 
@@ -39,7 +40,7 @@ func (q *pktFIFO) pop() *Packet {
 	}
 	p := q.buf[q.head]
 	q.buf[q.head] = nil
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	return p
 }

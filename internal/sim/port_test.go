@@ -405,3 +405,87 @@ func TestDropAllReentrancy(t *testing.T) {
 		t.Fatalf("bulk bytes = %d, want re-enqueued 1500", pt.QueuedBytes(ClassBulk))
 	}
 }
+
+// TestPktFIFOMatchesSliceOracle pins the ring's order against a plain
+// slice across wrap-around, growth of a wrapped ring, and a take/giveBack
+// drain (with and without a push landing mid-drain). Each op is a push of
+// n packets (n > 0), a pop of -n (n < 0), or a drain (0).
+func TestPktFIFOMatchesSliceOracle(t *testing.T) {
+	const drain = 0
+	for _, tc := range []struct {
+		name string
+		ops  []int
+	}{
+		{"wrap without growth", []int{6, -5, 6, -7}},
+		{"growth while wrapped", []int{8, -3, 10, -15}},
+		{"repeated growth", []int{3, -2, 40, -20, 100, -121}},
+		{"drain wrapped then reuse", []int{7, -6, 5, drain, 12, -4, drain}},
+		{"pop past empty", []int{2, -5, 1, -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var q pktFIFO
+			var oracle []*Packet
+			pop := func(from *pktFIFO) {
+				got := from.pop()
+				var want *Packet
+				if len(oracle) > 0 {
+					want, oracle = oracle[0], oracle[1:]
+				}
+				if got != want {
+					t.Fatalf("pop = %p, want %p", got, want)
+				}
+			}
+			seq := int32(0)
+			push := func(n int) {
+				for i := 0; i < n; i++ {
+					p := &Packet{Seq: seq}
+					seq++
+					q.push(p)
+					oracle = append(oracle, p)
+				}
+			}
+			for _, op := range tc.ops {
+				switch {
+				case op > 0:
+					push(op)
+				case op < 0:
+					for i := 0; i < -op; i++ {
+						pop(&q)
+					}
+				default:
+					buf := q.buf
+					snap := q.take()
+					if q.len() != 0 || q.buf != nil {
+						t.Fatalf("take left %d packets in the live queue", q.len())
+					}
+					for snap.len() > 0 {
+						pop(&snap)
+					}
+					q.giveBack(snap)
+					if len(q.buf) != len(buf) || len(buf) > 0 && &q.buf[0] != &buf[0] {
+						t.Fatal("giveBack did not return the drained ring")
+					}
+					// A push during a drain gives the live queue its own ring,
+					// which giveBack keeps; the snapshot still pops in order.
+					push(3)
+					snap = q.take()
+					late := &Packet{Seq: -1}
+					q.push(late)
+					for snap.len() > 0 {
+						pop(&snap)
+					}
+					q.giveBack(snap)
+					if len(buf) > 0 && &q.buf[0] == &buf[0] {
+						t.Fatal("giveBack replaced the ring the live queue acquired mid-drain")
+					}
+					if got := q.pop(); got != late {
+						t.Fatalf("packet pushed mid-drain popped as %p, want %p", got, late)
+					}
+				}
+				if q.len() != len(oracle) {
+					t.Fatalf("len = %d, want %d", q.len(), len(oracle))
+				}
+			}
+		})
+	}
+}

@@ -12,8 +12,9 @@ import "github.com/opera-net/opera/internal/telemetry"
 // RetainSketch streams instead of retaining: each completed flow's
 // statistics are absorbed into mergeable quantile sketches (per service
 // class and per workload tag) and trailing-window counters, and the flow
-// is then released — Metrics never holds it, and NDP's endpoints drop
-// their per-flow state at completion (they ask Metrics.Streaming).
+// is then released — Metrics keeps no record of it beyond recycling a
+// PooledFlow record, and NDP's endpoints drop their per-flow state at
+// completion (they ask Metrics.Streaming).
 // Steady-state memory becomes O(active flows + sketch) no matter how long
 // the run, which is what makes month-long soaks flat-memory. Quantiles
 // carry the sketch's pinned relative-error bound (Opts.Alpha, default 1%);

@@ -339,6 +339,7 @@ func (t *RotorToR) bulkNACK(p *Packet) {
 	nack.DstHost = p.SrcHost
 	nack.DstRack = p.SrcRack
 	nack.Flow = p.Flow
+	nack.Flow.Ref()
 	nack.Seq = p.Seq
 	nack.PayloadSize = p.PayloadSize
 	nack.PullNo = p.DstRack      // final destination rack, for requeueing

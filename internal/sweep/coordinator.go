@@ -233,6 +233,11 @@ func runShard(ctx context.Context, timeout time.Duration, command CommandFunc, s
 		deliver(f)
 	}
 	got := len(shard.Indices) - len(pending)
+	if err := ctx.Err(); err != nil && got < len(shard.Specs) {
+		// The attempt's deadline, or the sweep's cancellation, stopped the
+		// worker: name that, not the torn frame or exit it caused.
+		failure = fmt.Errorf("sweep: worker stopped after %d/%d results: %w", got, len(shard.Specs), err)
+	}
 	if failure != nil {
 		// Stop reading before the worker finishes writing: kill it so Wait
 		// cannot deadlock on a full pipe.

@@ -44,6 +44,14 @@ const delayEnv = "OPERA_SWEEP_TEST_DELAY"
 // split.
 const wrongShardEnv = "OPERA_SWEEP_TEST_WRONG_SHARD"
 
+// garbageEnv makes a test worker corrupt its stream: it writes its first
+// frame and then bytes no gob decoder accepts.
+const garbageEnv = "OPERA_SWEEP_TEST_GARBAGE"
+
+// stallEnv makes a test worker hang mid-frame: it writes its first frame
+// and half of its second, then sleeps holding the pipe open.
+const stallEnv = "OPERA_SWEEP_TEST_STALL"
+
 func TestMain(m *testing.M) {
 	if os.Getenv(workerEnv) == "1" {
 		if d, err := time.ParseDuration(os.Getenv(delayEnv)); err == nil {
@@ -67,9 +75,35 @@ func TestMain(m *testing.M) {
 				}
 			})
 		}
-		if err := ServeShard(in, os.Stdout); err != nil {
+		if os.Getenv(garbageEnv) != "" {
+			in = editShard(in, func(shard *ShardSpec) {
+				shard.Indices, shard.Specs = shard.Indices[:1], shard.Specs[:1]
+			})
+		}
+		out := io.Writer(os.Stdout)
+		var frames bytes.Buffer
+		if os.Getenv(stallEnv) != "" {
+			out = &frames
+		}
+		if err := ServeShard(in, out); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
+		}
+		if os.Getenv(garbageEnv) != "" {
+			os.Stdout.Write([]byte("\x07garbage, not a gob frame"))
+		}
+		if os.Getenv(stallEnv) != "" {
+			// A gob decoder reading a bytes.Reader consumes exactly one
+			// message per value, so what is left after one Decode starts
+			// frame 2.
+			r := bytes.NewReader(frames.Bytes())
+			if err := gob.NewDecoder(r).Decode(new(Frame)); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			cut := frames.Len() - r.Len()/2
+			os.Stdout.Write(frames.Bytes()[:cut])
+			time.Sleep(time.Hour)
 		}
 		if crash {
 			os.Exit(3)
@@ -384,6 +418,89 @@ func TestWorkerAnsweringForAnotherShard(t *testing.T) {
 	}) {
 		t.Errorf("WorkerErrs = %v, want one naming %q", rep.WorkerErrs, ErrUnexpectedIndex)
 	}
+}
+
+// faultyWorkerMatchesLocal runs testGrid in two shards, one worker at a
+// time, with the first launched worker misbehaving under env, and checks
+// that the sweep still returns a report equal to RunLocal's — its first
+// frame banked, the rest of its shard retried — with the failure named in
+// WorkerErrs by wantErr. A hung coordinator fails the test instead of
+// stalling the suite.
+func faultyWorkerMatchesLocal(t *testing.T, env string, timeout time.Duration, wantErr string) {
+	t.Helper()
+	g := testGrid()
+	specs, _, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := RunLocal(context.Background(), specs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd, fired := nthWorkerWith(1, env+"=1")
+	type outcome struct {
+		rep Report
+		err error
+	}
+	ran := make(chan outcome, 1)
+	go func() {
+		rep, err := Run(context.Background(), specs, Options{
+			Workers: 1, Shards: 2, Retries: 1, Timeout: timeout, Command: cmd,
+		})
+		ran <- outcome{rep, err}
+	}()
+	var rep Report
+	select {
+	case o := <-ran:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		rep = o.rep
+	case <-time.After(2 * time.Minute):
+		t.Fatal("the coordinator hung on a misbehaving worker")
+	}
+	if !fired.Load() {
+		t.Fatal("the misbehaving worker was never launched")
+	}
+	if len(rep.Failed) > 0 {
+		t.Fatalf("failed cells after retries: %v (%v)", rep.Failed, rep.WorkerErrs)
+	}
+	if rep.Rounds != 2 {
+		t.Errorf("rounds = %d, want 2: the bad shard's tail is retried once", rep.Rounds)
+	}
+	for i := range specs {
+		if !rep.Results[i].Equal(local.Results[i]) {
+			t.Errorf("result %d differs from local:\ngot  %+v\nwant %+v", i, rep.Results[i], local.Results[i])
+		}
+		if !bytes.Equal(rep.Collectors[i], local.Collectors[i]) {
+			t.Errorf("collector blob %d differs from local", i)
+		}
+	}
+	if got, want := mustCSV(t, g, rep), mustCSV(t, g, local); got != want {
+		t.Errorf("merged CSVs differ from local run")
+	}
+	if len(rep.WorkerErrs) != 1 || !strings.Contains(rep.WorkerErrs[0], wantErr) {
+		t.Errorf("WorkerErrs = %v, want one naming %q", rep.WorkerErrs, wantErr)
+	}
+}
+
+// TestWorkerCorruptFrame: a worker whose stream turns to garbage after
+// its first frame is killed at the bad frame, with a decode error.
+func TestWorkerCorruptFrame(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns packet-level worker processes")
+	}
+	faultyWorkerMatchesLocal(t, garbageEnv, 0, "sweep: decode frame")
+}
+
+// TestWorkerStallMidFrame: a worker that stops halfway through its second
+// frame and never exits is killed at Options.Timeout; the error names the
+// deadline, not the torn frame it left behind.
+func TestWorkerStallMidFrame(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns packet-level worker processes")
+	}
+	faultyWorkerMatchesLocal(t, stallEnv, 3*time.Second, context.DeadlineExceeded.Error())
 }
 
 // TestRetriesExhausted: when every attempt crashes, the sweep reports

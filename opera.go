@@ -231,7 +231,7 @@ func build(cfg ClusterConfig) (*Cluster, error) {
 
 	// The cluster never holds a flow — a packet points at its flow — so
 	// under streaming retention a million-flow soak holds only its active
-	// flows.
+	// flows, and the source pump's NDP flows reuse retired records.
 	c.metrics.SetRetention(cfg.Retention)
 
 	// Bulk rides RotorLB wherever the fabric exposes circuits.
@@ -354,15 +354,25 @@ func (c *Cluster) classify(spec workload.FlowSpec) sim.Class {
 }
 
 // AddFlow registers and schedules a single flow; it starts at spec.Arrival
-// (virtual time, which must not be in the past).
+// (virtual time, which must not be in the past). The returned record is
+// the caller's: it is never recycled.
 func (c *Cluster) AddFlow(spec workload.FlowSpec) *sim.Flow {
+	return c.admit(spec, false)
+}
+
+// admit registers and schedules a flow. A pumped flow — one the source
+// pump admits, whose pointer nobody outside the cluster sees — is drawn
+// from Metrics' recycled records when Metrics keeps no flows
+// (RetainSketch) and NDP carries it: NDP references its flows through
+// Flow.Ref, while RotorLB's segments copy flow pointers around unchecked.
+func (c *Cluster) admit(spec workload.FlowSpec, pumped bool) *sim.Flow {
 	if spec.Src < 0 || spec.Src >= len(c.hosts) || spec.Dst < 0 || spec.Dst >= len(c.hosts) {
 		// Fail loudly at the boundary: an out-of-range host would otherwise
 		// surface as an opaque index panic deep inside a transport.
 		panic(fmt.Sprintf("opera: flow %d->%d outside cluster with %d hosts", spec.Src, spec.Dst, len(c.hosts)))
 	}
 	c.nextID++
-	f := &sim.Flow{
+	v := sim.Flow{
 		ID:      c.nextID,
 		SrcHost: int32(spec.Src),
 		DstHost: int32(spec.Dst),
@@ -372,6 +382,13 @@ func (c *Cluster) AddFlow(spec workload.FlowSpec) *sim.Flow {
 		Class:   c.classify(spec),
 		Tag:     spec.Tag,
 		Start:   spec.Arrival,
+	}
+	var f *sim.Flow
+	if pumped && c.metrics.Streaming() && c.transports[v.Class] == c.ndp {
+		f = c.metrics.PooledFlow(v)
+	} else {
+		f = new(sim.Flow)
+		*f = v
 	}
 	c.metrics.AddFlow(f)
 	if spec.Arrival <= c.eng.Now() {
@@ -443,7 +460,7 @@ func (p *sourcePump) OnEvent(any) {
 	c := p.c
 	now := c.eng.Now()
 	for {
-		c.AddFlow(p.next)
+		c.admit(p.next, true)
 		var ok bool
 		p.next, ok = p.src.Next()
 		if !ok {

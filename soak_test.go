@@ -36,17 +36,19 @@ func soakSource(numHosts int) workload.Source {
 	})
 }
 
-func heapAlloc() uint64 {
+// memStats collects garbage and reads the allocator's statistics.
+func memStats() runtime.MemStats {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
+	return ms
 }
 
 // TestRetainSketchFlatMemorySoak is the flat-memory gate CI's fast lane
 // runs: a 120k-flow open-loop soak under RetainSketch must hold
 // steady-state heap flat (every per-flow record is released on
-// completion), and its p99 FCT must sit within the sketch's pinned error
+// completion) and allocate almost nothing per flow (flow records are
+// recycled), and its p99 FCT must sit within the sketch's pinned error
 // bound of the exact value from an identical RetainAll run. Under
 // RetainAll the same soak accrues tens of megabytes — the growth bound
 // fails loudly if any owner of per-flow state stops releasing.
@@ -71,12 +73,14 @@ func TestRetainSketchFlatMemorySoak(t *testing.T) {
 	if doneAtWarmup < soakFlows/4 {
 		t.Fatalf("warmup completed only %d flows; soak is not in steady state", doneAtWarmup)
 	}
-	before := heapAlloc()
+	before := memStats()
 	if !cl.RunUntilDone(2000 * eventsim.Millisecond) {
 		done, total := cl.Metrics().DoneCount()
 		t.Fatalf("soak incomplete: %d/%d", done, total)
 	}
-	growth := int64(heapAlloc()) - int64(before)
+	after := memStats()
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	perFlow := float64(after.TotalAlloc-before.TotalAlloc) / float64(soakFlows-doneAtWarmup)
 	cl.Stop()
 
 	done, total := cl.Metrics().DoneCount()
@@ -91,6 +95,12 @@ func TestRetainSketchFlatMemorySoak(t *testing.T) {
 	if growth > 8<<20 {
 		t.Fatalf("heap grew %d bytes across the soak steady state (bound 8 MiB) — per-flow state is leaking", growth)
 	}
+	// A *sim.Flow alone is 96 B: a steady state that allocates even a
+	// fraction of one per flow has stopped recycling flow records.
+	if perFlow > 16 {
+		t.Fatalf("the soak steady state allocated %.1f B per completed flow (bound 16 B) — flow records are not recycled", perFlow)
+	}
+	t.Logf("steady state: %.2f B allocated per completed flow, heap growth %d B", perFlow, growth)
 
 	tel := cl.Metrics().Telemetry()
 	sk := tel.Merged()

@@ -5,6 +5,7 @@ import (
 
 	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/sim"
 	"github.com/opera-net/opera/internal/workload"
 )
 
@@ -133,5 +134,111 @@ func TestSourceSteadyStateSustains10x(t *testing.T) {
 	}
 	if probe.pulls != total+1 {
 		t.Fatalf("pulls = %d for %d flows: flow list was materialized somewhere", probe.pulls, total)
+	}
+}
+
+// endlessSource streams 2 KB flows round-robin across hosts, one arrival
+// every 800 ns, forever: soakSource without its end.
+func endlessSource(numHosts int) workload.Source {
+	i := 0
+	return workload.SourceFunc(func() (workload.FlowSpec, bool) {
+		src := i % numHosts
+		dst := (src + 1 + (i/numHosts)%(numHosts-1)) % numHosts
+		spec := workload.FlowSpec{
+			Src: src, Dst: dst, Bytes: 2_000,
+			Arrival: eventsim.Time(i) * 800 * eventsim.Nanosecond,
+		}
+		i++
+		return spec, true
+	})
+}
+
+// TestAllocsSourceFlowChurn is the flow-record recycling gate (CI fast
+// lane, -run 'TestAllocs'): under RetainSketch a source-pumped NDP flow
+// reuses a retired *sim.Flow, so once the pools are warm, each further
+// arrival — admission, NDP set-up and tear-down, every packet — costs no
+// allocation at all.
+func TestAllocsSourceFlowChurn(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race allocator counts its own allocations")
+	}
+	cl, err := opera.New(opera.KindOpera,
+		opera.WithRetention(opera.RetainSketch(opera.SketchOptions{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.AddSource(endlessSource(cl.NumHosts()))
+	cl.Run(20 * eventsim.Millisecond) // warm: pools, rings, sketch span
+	doneBefore, _ := cl.Metrics().DoneCount()
+	const runs = 2000
+	avg := testing.AllocsPerRun(runs, func() {
+		cl.Run(cl.Engine().Now() + 800*eventsim.Nanosecond) // one arrival
+	})
+	done, _ := cl.Metrics().DoneCount()
+	if done-doneBefore < runs {
+		t.Fatalf("only %d flows completed over %d arrivals: the gate measured no churn", done-doneBefore, runs+1)
+	}
+	if avg != 0 {
+		t.Fatalf("source flow churn allocates %.0f per flow, want 0", avg)
+	}
+}
+
+// The record AddFlow returns is its caller's: a RetainSketch cluster
+// never hands it to a later admission, while the source pump's NDP flows
+// do reuse each other's records. Bulk flows that RotorLB carries are
+// never recycled either.
+func TestAddFlowRecordIsNeverRecycled(t *testing.T) {
+	cl, err := opera.New(opera.KindOpera,
+		opera.WithRetention(opera.RetainSketch(opera.SketchOptions{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine := cl.AddFlow(workload.FlowSpec{Src: 0, Dst: 9, Bytes: 2_000})
+	if !cl.RunUntilDone(10 * eventsim.Millisecond) {
+		t.Fatal("AddFlow's flow incomplete")
+	}
+	want := *mine
+
+	// Every third pumped flow is bulk-tagged and rides RotorLB.
+	seen := make(map[*sim.Flow]int64) // record → the last flow ID it carried
+	var reused, bulk int
+	cl.Metrics().OnFlowDone = func(f *sim.Flow) {
+		if f == mine {
+			t.Errorf("flow %d completed in the record AddFlow returned", f.ID)
+		}
+		if id, ok := seen[f]; ok && id != f.ID {
+			reused++
+			if f.Class == sim.ClassBulk {
+				t.Errorf("bulk flow %d reuses the record of flow %d", f.ID, id)
+			}
+		}
+		if f.Class == sim.ClassBulk {
+			bulk++
+		}
+		seen[f] = f.ID
+	}
+	i := 0
+	base := cl.Engine().Now()
+	cl.AddSource(workload.SourceFunc(func() (workload.FlowSpec, bool) {
+		if i == 600 {
+			return workload.FlowSpec{}, false
+		}
+		src := i % cl.NumHosts()
+		spec := workload.FlowSpec{
+			Src: src, Dst: (src + 5) % cl.NumHosts(), Bytes: 2_000, Bulk: i%3 == 0,
+			Arrival: base + eventsim.Time(i)*eventsim.Microsecond,
+		}
+		i++
+		return spec, true
+	}))
+	if !cl.RunUntilDone(base + 200*eventsim.Millisecond) {
+		done, total := cl.Metrics().DoneCount()
+		t.Fatalf("pumped flows incomplete: %d/%d", done, total)
+	}
+	if *mine != want {
+		t.Fatalf("AddFlow's record changed after the pump ran:\ngot  %+v\nwant %+v", *mine, want)
+	}
+	if reused == 0 || bulk == 0 {
+		t.Fatalf("%d records reused, %d bulk flows: the test exercised nothing", reused, bulk)
 	}
 }
