@@ -7,6 +7,7 @@ import (
 
 	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/sim"
 	"github.com/opera-net/opera/internal/workload"
 	"github.com/opera-net/opera/scenario"
 )
@@ -27,8 +28,9 @@ func ExampleNew() {
 	// Output: opera 64 hosts, 4 per rack
 }
 
-// Flows below the 15 MB threshold are latency-sensitive; larger ones are
-// bulk; application tagging overrides size.
+// Flows below the 15 MB threshold are latency-sensitive and ride NDP over
+// the current slice's expander at once; larger ones are bulk and wait for
+// RotorLB's circuits; application tagging overrides size.
 func ExampleCluster_AddFlow() {
 	cl, err := opera.New(opera.KindOpera, opera.WithSeed(1))
 	if err != nil {
@@ -42,11 +44,18 @@ func ExampleCluster_AddFlow() {
 	if !cl.RunUntilDone(2000 * eventsim.Millisecond) {
 		log.Fatal("incomplete")
 	}
-	done, total := cl.Metrics().DoneCount()
+	m := cl.Metrics()
+	done, total := m.DoneCount()
 	fmt.Println(done, "of", total, "flows complete")
+	// The bandwidth tax is the extra ToR-to-ToR traversals per delivered
+	// byte: the RPC crossed a three-hop path of the slice's expander.
+	fmt.Printf("low-latency bandwidth tax: %.0f%%\n", 100*m.BandwidthTax(sim.ClassLowLatency))
+	fmt.Printf("bulk bandwidth tax:        %.0f%%\n", 100*m.BandwidthTax(sim.ClassBulk))
 	// Output:
 	// lowlat bulk bulk
 	// 3 of 3 flows complete
+	// low-latency bandwidth tax: 200%
+	// bulk bandwidth tax:        97%
 }
 
 // Whole parameter sweeps fan out across goroutines through the scenario

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"log"
 
-	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/faults"
 	"github.com/opera-net/opera/internal/sim"
@@ -57,7 +56,7 @@ func main() {
 
 	// Packet level: fail a live link mid-run — declared as a Scenario
 	// fault schedule — and watch traffic route around it via the
-	// hello-protocol epidemic (§3.6.2), with a probe tracking completion.
+	// hello-protocol epidemic (§3.6.2).
 	sc, err := scenario.Spec{
 		Name: "opera-link-failure", Network: "opera", Seed: 1,
 		Racks: 16, HostsPerRack: 4, Uplinks: 4,
@@ -68,11 +67,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sc.Probes = []scenario.Probe{{Name: "done_flows", Every: eventsim.Millisecond,
-		Fn: func(cl *opera.Cluster, _ eventsim.Time) float64 {
-			done, _ := cl.Metrics().DoneCount()
-			return float64(done)
-		}}}
 	res := scenario.Run(sc)
 	if res.Err != "" {
 		log.Fatal(res.Err)
@@ -80,5 +74,4 @@ func main() {
 	fmt.Printf("\npacket-level check: link (rack 3, switch 2) failed at 500 µs;")
 	fmt.Printf(" %d/%d flows still completed (complete=%v, bulk NACKs=%d)\n",
 		res.FlowsDone, res.FlowsTotal, res.Completed, res.BulkNACKs)
-	fmt.Printf("done flows per ms: %v\n", res.Probes[0].Values)
 }

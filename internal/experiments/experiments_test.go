@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/gob"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/prototype"
+	"github.com/opera-net/opera/scenario"
 )
 
 func TestTableCSV(t *testing.T) {
@@ -189,6 +193,43 @@ func TestFig10MixedTiny(t *testing.T) {
 		}
 	}
 	pinTinyGolden(t, tables)
+}
+
+// A figure needs nothing that does not cross the process boundary: a tiny
+// fig10's Results, gob-encoded as a sweep worker's frames carry them and
+// decoded again, reduce to the same tables as the Results straight from
+// the runner — whatever gob makes of empty slices and maps.
+func TestFig10ReducesDecodedResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("packet-level experiment")
+	}
+	opt := DefaultMixedOptions()
+	opt.WebsearchLoads = []float64{0.05}
+	opt.Duration = 5 * eventsim.Millisecond
+	specs := mixedSpecs(opt)
+	results, err := run(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := mixedTables(opt.Scale.Name, specs, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire bytes.Buffer
+	if err := gob.NewEncoder(&wire).Encode(results); err != nil {
+		t.Fatal(err)
+	}
+	var decoded []scenario.Result
+	if err := gob.NewDecoder(&wire).Decode(&decoded); err != nil {
+		t.Fatal(err)
+	}
+	got, err := mixedTables(opt.Scale.Name, specs, decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, direct) {
+		t.Fatalf("tables from decoded Results differ:\n%v\nwant\n%v", got, direct)
+	}
 }
 
 func TestFig07TinyRun(t *testing.T) {

@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	operapkg "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/prototype"
-	"github.com/opera-net/opera/internal/stats"
+	"github.com/opera-net/opera/internal/topology"
 	"github.com/opera-net/opera/scenario"
 )
 
@@ -46,8 +45,12 @@ func PaperSimOptions() SimOptions {
 	}
 }
 
-// resolve turns run descriptions into the Scenarios the runner executes.
-func resolve(specs []scenario.Spec) ([]scenario.Scenario, error) {
+// run resolves specs and runs them through the scenario runner —
+// independent clusters across all cores — returning Results in spec order.
+// A figure is then a reduction of (specs, results): nothing it reads lives
+// outside the Result, so the same reducer serves an in-process run and a
+// sharded sweep's decoded frames alike.
+func run(specs []scenario.Spec) ([]scenario.Result, error) {
 	scs := make([]scenario.Scenario, len(specs))
 	for i, sp := range specs {
 		sc, err := sp.Scenario()
@@ -56,33 +59,16 @@ func resolve(specs []scenario.Spec) ([]scenario.Scenario, error) {
 		}
 		scs[i] = sc
 	}
-	return scs, nil
+	return scenario.RunScenarios(context.Background(), scs, 0)
 }
 
-// fctBuckets are the flow-size decade boundaries used to report FCT vs
-// flow size (Figures 7 and 9).
-var fctBuckets = []int64{1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000, 1 << 62}
+// hostLinkBps is a host link's rate in bits/s, the unit the bandwidth
+// figures normalize by.
+const hostLinkBps = topology.DefaultLinkRateGbps * 1e9
 
-func bucketOf(size int64) int {
-	for i, b := range fctBuckets {
-		if size < b {
-			return i
-		}
-	}
-	return len(fctBuckets) - 1
-}
-
-func bucketLabel(i int) string {
-	names := []string{"<1KB", "1-10KB", "10-100KB", "100KB-1MB", "1-10MB", "10-100MB", ">=100MB"}
-	return names[i]
-}
-
-// runPoissonFCT fans every (network, load) cell out through the scenario
-// runner — independent clusters across all cores — then appends per-bucket
-// FCT rows in cell order: 99th percentile (and mean at 1% load, following
-// the paper's reporting) plus the completed fraction, which exposes
-// saturation.
-func runPoissonFCT(t *Table, networks []string, opt SimOptions, dist string) error {
+// poissonSpecs describes every (network, load) cell of an open-loop
+// Poisson FCT sweep.
+func poissonSpecs(networks []string, opt SimOptions, dist string) []scenario.Spec {
 	var specs []scenario.Spec
 	for _, net := range networks {
 		for _, load := range opt.Loads {
@@ -96,52 +82,38 @@ func runPoissonFCT(t *Table, networks []string, opt SimOptions, dist string) err
 			specs = append(specs, sp)
 		}
 	}
-	scs, err := resolve(specs)
-	if err != nil {
-		return err
-	}
-	// Buckets are tabulated inside the per-cluster callback (distinct
-	// per-index slots, so no locking) and each cluster is released as soon
-	// as its cell is done — a paper-scale sweep never holds more clusters
-	// than workers.
-	type cellStats struct {
-		buckets     []stats.Sample
-		done, total int
-	}
-	tallies := make([]cellStats, len(specs))
-	results, err := scenario.ForEachCluster(context.Background(), scs, 0,
-		func(i int, cl *operapkg.Cluster, _ scenario.Result) {
-			if cl == nil {
-				return
-			}
-			cs := cellStats{buckets: make([]stats.Sample, len(fctBuckets))}
-			for _, f := range cl.Metrics().Flows() {
-				cs.total++
-				if !f.Done {
-					continue
-				}
-				cs.done++
-				cs.buckets[bucketOf(f.Size)].Add(f.FCT().Micros())
-			}
-			tallies[i] = cs
-		})
-	if err != nil {
-		return err
-	}
-	for i, cs := range tallies {
+	return specs
+}
+
+// poissonFCT appends per-decade FCT rows in cell order: mean and 99th
+// percentile (the paper reports the mean at 1% load) plus the completed
+// fraction, which exposes saturation.
+func poissonFCT(t *Table, specs []scenario.Spec, results []scenario.Result) error {
+	for i, res := range results {
 		name, load := specs[i].Name, specs[i].Sources[0].Load
-		if results[i].Err != "" {
-			return fmt.Errorf("%s (load %.2f): %s", name, load, results[i].Err)
+		if res.Err != "" {
+			return fmt.Errorf("%s (load %.2f): %s", name, load, res.Err)
 		}
-		for b := range cs.buckets {
-			if cs.buckets[b].N() == 0 {
+		for d, s := range res.BySize {
+			if s.N == 0 {
 				continue
 			}
-			t.Add(name, load, bucketLabel(b), cs.buckets[b].Mean(), cs.buckets[b].P99(),
-				cs.buckets[b].N(), float64(cs.done)/float64(cs.total))
+			t.Add(name, load, scenario.SizeDecade(d), s.MeanUs, s.P99Us, s.N,
+				float64(res.FlowsDone)/float64(res.FlowsTotal))
 		}
 	}
 	return nil
+}
+
+// runPoissonFCT runs the Poisson FCT sweep on networks and reduces it
+// into t.
+func runPoissonFCT(t *Table, networks []string, opt SimOptions, dist string) error {
+	specs := poissonSpecs(networks, opt, dist)
+	results, err := run(specs)
+	if err != nil {
+		return err
+	}
+	return poissonFCT(t, specs, results)
 }
 
 var fctHeader = []string{"network", "load", "flow_size", "mean_fct_us", "p99_fct_us", "flows", "completed_frac"}
@@ -195,13 +167,18 @@ func DefaultShuffleOptions() ShuffleOptions {
 // the 99th-percentile FCT for a 100 KB all-to-all shuffle, application-
 // tagged as bulk on Opera (all-direct paths).
 func Fig08Shuffle(opt ShuffleOptions) ([]Table, error) {
-	series := Table{Name: fmt.Sprintf("fig08_shuffle_throughput_%s", opt.Scale.Name),
-		Header: []string{"network", "time_ms", "normalized_throughput"}}
-	summary := Table{Name: fmt.Sprintf("fig08_shuffle_fct_%s", opt.Scale.Name),
-		Header: []string{"network", "p99_fct_ms", "completed_frac", "bandwidth_tax"}}
+	specs := shuffleSpecs(opt)
+	results, err := run(specs)
+	if err != nil {
+		return nil, err
+	}
+	return shuffleTables(opt.Scale.Name, specs, results)
+}
 
-	// Opera: application-tagged bulk, simultaneous start (RotorLB handles it
-	// gracefully, §5.2); the static networks get staggered arrivals.
+// shuffleSpecs describes Figure 8's cells. Opera: application-tagged bulk,
+// simultaneous start (RotorLB handles it gracefully, §5.2); the static
+// networks get staggered arrivals.
+func shuffleSpecs(opt ShuffleOptions) []scenario.Spec {
 	var specs []scenario.Spec
 	for _, net := range []string{"opera", "expander", "foldedclos"} {
 		sp := opt.Scale.Spec(net)
@@ -214,40 +191,31 @@ func Fig08Shuffle(opt ShuffleOptions) ([]Table, error) {
 		}
 		specs = append(specs, sp)
 	}
-	scs, err := resolve(specs)
-	if err != nil {
-		return nil, err
-	}
-	clusters := make([]*operapkg.Cluster, len(scs))
-	results, err := scenario.ForEachCluster(context.Background(), scs, 0,
-		func(i int, cl *operapkg.Cluster, _ scenario.Result) { clusters[i] = cl })
-	if err != nil {
-		return nil, err
-	}
-	for i, cl := range clusters {
+	return specs
+}
+
+// shuffleTables reduces Figure 8's cells: each network's delivered series
+// over the shuffle participants' aggregate host-link capacity, and its
+// FCT, completion and tax summary.
+func shuffleTables(scale string, specs []scenario.Spec, results []scenario.Result) ([]Table, error) {
+	series := Table{Name: fmt.Sprintf("fig08_shuffle_throughput_%s", scale),
+		Header: []string{"network", "time_ms", "normalized_throughput"}}
+	summary := Table{Name: fmt.Sprintf("fig08_shuffle_fct_%s", scale),
+		Header: []string{"network", "p99_fct_ms", "completed_frac", "bandwidth_tax"}}
+	for i, res := range results {
 		name := specs[i].Name
-		if cl == nil {
-			return nil, fmt.Errorf("%s: %s", name, results[i].Err)
+		if res.Err != "" {
+			return nil, fmt.Errorf("%s: %s", name, res.Err)
 		}
-		participants := cl.NumHosts()
-		if opt.Participants > 0 && opt.Participants < participants {
-			participants = opt.Participants
+		participants := res.Hosts
+		if p := specs[i].Sources[0].Participants; p > 0 && p < participants {
+			participants = p
 		}
-		capacity := float64(participants) * 10e9 / 8 // bytes/s aggregate
-		rates := cl.Metrics().DeliveredBytes.Rates()
-		for j, r := range rates {
-			series.Add(name, float64(j)*1000*cl.Metrics().DeliveredBytes.BinWidth(), r/capacity)
+		capacity := float64(participants) * hostLinkBps / 8 // bytes/s aggregate
+		for j, r := range res.DeliveredRates {
+			series.Add(name, float64(j)*1000*res.DeliveredBinS, r/capacity)
 		}
-		var fct stats.Sample
-		var done, total int
-		for _, f := range cl.Metrics().Flows() {
-			total++
-			if f.Done {
-				done++
-				fct.Add(f.FCT().Seconds() * 1000)
-			}
-		}
-		summary.Add(name, fct.P99(), float64(done)/float64(total), cl.Metrics().AggregateTax())
+		summary.Add(name, res.All.P99Us/1000, float64(res.FlowsDone)/float64(res.FlowsTotal), res.AggregateTax)
 	}
 	return []Table{series, summary}, nil
 }
@@ -277,10 +245,16 @@ func DefaultMixedOptions() MixedOptions {
 // (network, load) cell fans out through the scenario runner, and a by-tag
 // table breaks the aggregate down into its two components.
 func Fig10Mixed(opt MixedOptions) ([]Table, error) {
-	t := Table{Name: fmt.Sprintf("fig10_mixed_throughput_%s", opt.Scale.Name),
-		Header: []string{"network", "websearch_load", "normalized_throughput"}}
-	byTag := Table{Name: fmt.Sprintf("fig10_mixed_by_tag_%s", opt.Scale.Name),
-		Header: []string{"network", "websearch_load", "tag", "throughput_gbps", "p99_fct_us", "flows_done", "flows_total"}}
+	specs := mixedSpecs(opt)
+	results, err := run(specs)
+	if err != nil {
+		return nil, err
+	}
+	return mixedTables(opt.Scale.Name, specs, results)
+}
+
+// mixedSpecs describes Figure 10's (network, websearch load) cells.
+func mixedSpecs(opt MixedOptions) []scenario.Spec {
 	var specs []scenario.Spec
 	for _, net := range []string{"opera", "expander", "foldedclos"} {
 		for _, wsLoad := range opt.WebsearchLoads {
@@ -293,40 +267,32 @@ func Fig10Mixed(opt MixedOptions) ([]Table, error) {
 			specs = append(specs, sp)
 		}
 	}
-	scs, err := resolve(specs)
-	if err != nil {
-		return nil, err
-	}
-	// Normalized throughput needs the delivery time series, so tabulate in
-	// the per-cluster callback (distinct per-index slots, no locking).
-	delivered := make([]float64, len(specs))
-	results, err := scenario.ForEachCluster(context.Background(), scs, 0,
-		func(i int, cl *operapkg.Cluster, _ scenario.Result) {
-			if cl == nil {
-				return
-			}
-			// Bytes delivered within the run window over the aggregate
-			// host-link capacity of the same window.
-			ts := cl.Metrics().DeliveredBytes
-			var sum float64
-			bins := int(opt.Duration.Seconds()/ts.BinWidth() + 0.5)
-			for b := 0; b < bins; b++ {
-				sum += ts.Rate(b) * ts.BinWidth()
-			}
-			capacity := float64(cl.NumHosts()) * 10e9 / 8 * opt.Duration.Seconds()
-			delivered[i] = sum / capacity
-		})
-	if err != nil {
-		return nil, err
-	}
-	for i, sp := range specs {
-		wsLoad := sp.Sources[1].Load
-		if results[i].Err != "" {
-			return nil, fmt.Errorf("%s (load %.2f): %s", sp.Name, wsLoad, results[i].Err)
+	return specs
+}
+
+// mixedTables reduces Figure 10's cells: the bytes delivered within the
+// underlay's window over the aggregate host-link capacity of that window,
+// and the per-tag breakdown.
+func mixedTables(scale string, specs []scenario.Spec, results []scenario.Result) ([]Table, error) {
+	t := Table{Name: fmt.Sprintf("fig10_mixed_throughput_%s", scale),
+		Header: []string{"network", "websearch_load", "normalized_throughput"}}
+	byTag := Table{Name: fmt.Sprintf("fig10_mixed_by_tag_%s", scale),
+		Header: []string{"network", "websearch_load", "tag", "throughput_gbps", "p99_fct_us", "flows_done", "flows_total"}}
+	for i, res := range results {
+		sp := specs[i]
+		window, wsLoad := sp.Sources[0].Window.Seconds(), sp.Sources[1].Load
+		if res.Err != "" {
+			return nil, fmt.Errorf("%s (load %.2f): %s", sp.Name, wsLoad, res.Err)
 		}
-		t.Add(sp.Name, wsLoad, delivered[i])
+		var sum float64
+		bins := int(window/res.DeliveredBinS + 0.5)
+		for b := 0; b < bins && b < len(res.DeliveredRates); b++ {
+			sum += res.DeliveredRates[b] * res.DeliveredBinS
+		}
+		capacity := float64(res.Hosts) * hostLinkBps / 8 * window
+		t.Add(sp.Name, wsLoad, sum/capacity)
 		for _, tag := range []string{"shuffle", "websearch"} {
-			s := results[i].ByTag[tag]
+			s := res.ByTag[tag]
 			byTag.Add(sp.Name, wsLoad, tag, s.ThroughputGbps, s.FCT.P99Us, s.FlowsDone, s.FlowsTotal)
 		}
 	}

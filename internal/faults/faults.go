@@ -216,10 +216,3 @@ func sampleMatrix(n, m int, frac float64, rng *rand.Rand) [][]bool {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

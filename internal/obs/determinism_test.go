@@ -12,8 +12,8 @@ import (
 )
 
 // observedScenario is the PR's hard wall in miniature: a mixed workload
-// (tagged low-latency + bulk), a mid-run fault schedule, sampling probes,
-// and sketch retention — every subsystem an observer reads from.
+// (tagged low-latency + bulk), a mid-run fault schedule and sketch
+// retention — every subsystem an observer reads from.
 func observedScenario(observer scenario.Observer) scenario.Scenario {
 	sc, err := scenario.Spec{
 		Name:      "obs-determinism",
@@ -34,19 +34,14 @@ func observedScenario(observer scenario.Observer) scenario.Scenario {
 	if err != nil {
 		panic(err)
 	}
-	sc.Probes = []scenario.Probe{{Name: "done", Every: eventsim.Millisecond,
-		Fn: func(cl *opera.Cluster, _ eventsim.Time) float64 {
-			done, _ := cl.Metrics().DoneCount()
-			return float64(done)
-		}}}
 	sc.Observer = observer
 	return sc
 }
 
 // TestObserverDeterminism is the package's contract: attaching a
 // Publisher sampling every 100 µs leaves the Result byte-identical to the
-// unobserved run — same flow outcomes, same FCT stats, same probe series,
-// same telemetry summary, same SimEvents count.
+// unobserved run — same flow outcomes, same FCT stats, same telemetry
+// summary, same SimEvents count.
 func TestObserverDeterminism(t *testing.T) {
 	plain := scenario.Run(observedScenario(nil))
 	if plain.Err != "" {

@@ -13,12 +13,12 @@ import (
 )
 
 // hookSweep is a batch exercising every hook at once: tagged mixed
-// workloads, a fault-and-recovery schedule (Opera only — the injector is
-// rotor-specific), and periodic plus one-shot probes.
+// workloads and a fault-and-recovery schedule (Opera only — the injector
+// is rotor-specific).
 func hookSweep() []scenario.Scenario {
 	var scs []scenario.Scenario
 	for _, seed := range []int64{1, 2, 3} {
-		sc := mustScenario(scenario.Spec{
+		scs = append(scs, mustScenario(scenario.Spec{
 			Name:    "opera-hooks",
 			Network: "opera",
 			Seed:    seed,
@@ -36,19 +36,7 @@ func hookSweep() []scenario.Scenario {
 				{At: 6 * eventsim.Millisecond, Op: "recover", Target: sim.SwitchTarget(1)},
 			},
 			Duration: 4000 * eventsim.Millisecond,
-		})
-		sc.Probes = []scenario.Probe{
-			{Name: "done_flows", Every: eventsim.Millisecond,
-				Fn: func(cl *opera.Cluster, _ eventsim.Time) float64 {
-					done, _ := cl.Metrics().DoneCount()
-					return float64(done)
-				}},
-			{Name: "hosts",
-				Fn: func(cl *opera.Cluster, _ eventsim.Time) float64 {
-					return float64(cl.NumHosts())
-				}},
-		}
-		scs = append(scs, sc)
+		}))
 	}
 	// An untagged, unhooked scenario rides along to cover the nil cases.
 	scs = append(scs, mustScenario(scenario.Spec{
@@ -62,7 +50,7 @@ func hookSweep() []scenario.Scenario {
 }
 
 // Hooks must not break the runner's core guarantee: the same Scenario —
-// workload, fault schedule, probes and all — produces a byte-identical
+// workload, fault schedule and all — produces a byte-identical
 // Result at any parallelism.
 func TestHookDeterminismUnderParallelism(t *testing.T) {
 	scs := hookSweep()
@@ -122,37 +110,6 @@ func TestUntaggedWorkloadHasNilByTag(t *testing.T) {
 	}
 	if res.ByTag != nil {
 		t.Fatalf("ByTag = %v, want nil", res.ByTag)
-	}
-	if res.Probes != nil {
-		t.Fatalf("Probes = %v, want nil", res.Probes)
-	}
-}
-
-// Probes record: periodic series grow monotonically with the flow count,
-// one-shot probes sample exactly once at the start.
-func TestProbes(t *testing.T) {
-	res := scenario.Run(hookSweep()[0])
-	if res.Err != "" {
-		t.Fatal(res.Err)
-	}
-	if len(res.Probes) != 2 {
-		t.Fatalf("probes = %d, want 2", len(res.Probes))
-	}
-	done := res.Probes[0]
-	if done.Name != "done_flows" || done.Every != eventsim.Millisecond {
-		t.Fatalf("series 0 = %+v", done)
-	}
-	if len(done.Values) < 2 {
-		t.Fatalf("periodic probe recorded %d samples", len(done.Values))
-	}
-	for i := 1; i < len(done.Values); i++ {
-		if done.Values[i] < done.Values[i-1] {
-			t.Fatalf("done-flow series decreases at %d: %v", i, done.Values)
-		}
-	}
-	hosts := res.Probes[1]
-	if len(hosts.Values) != 1 || hosts.Values[0] != 64 {
-		t.Fatalf("one-shot probe = %+v, want one sample of 64", hosts)
 	}
 }
 

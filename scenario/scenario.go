@@ -7,7 +7,10 @@
 // Every cluster owns its event engine and randomness, so a Scenario's
 // Result is a pure function of the Scenario value: RunScenarios produces
 // identical Results at any parallelism, and sweeps can safely use all
-// cores.
+// cores. The Result is the run's whole readout — the paper's figures are
+// reductions of (Spec, Result) pairs, so a Result decoded from a sweep
+// worker serves them as well as one from an in-process run. The one live
+// hook is a read-only Observer.
 //
 //	sc, err := scenario.Spec{Name: "opera", Network: "opera", Seed: 1,
 //		Sources:  []scenario.SourceSpec{{Type: "shuffle", FlowBytes: 100_000}},
@@ -72,8 +75,8 @@ func (env Env) poisson(dist *workload.FlowSizeDist, load float64, window eventsi
 
 // Scenario is the resolved form of a Spec — an architecture, its sizing
 // options, its sources, a fault schedule (Events, the Spec's own data) and
-// a deadline — plus the process-local hooks that cannot be data: sampling
-// Probes and a live Observer.
+// a deadline — plus the one process-local hook that cannot be data, a
+// live Observer.
 type Scenario struct {
 	// Name labels the scenario in its Result.
 	Name string
@@ -91,8 +94,6 @@ type Scenario struct {
 	// fail-random-links draws from a generator derived from Seed, so the
 	// schedule is as deterministic as the workload.
 	Events []EventSpec
-	// Probes sample the running cluster into Result.Probes time series.
-	Probes []Probe
 	// Duration is the RunUntilDone deadline in virtual time; the run ends
 	// earlier once every flow completes or the event queue drains.
 	Duration eventsim.Time
@@ -110,8 +111,8 @@ type Scenario struct {
 }
 
 // Observer is the live-observation hook of a Scenario: Attach is called
-// with the built cluster and the run's deadline after workloads, fault
-// schedules and probes are installed, immediately before RunUntilDone.
+// with the built cluster and the run's deadline after workloads and fault
+// schedules are installed, immediately before RunUntilDone.
 // Implementations schedule their sampling via the engine's meta-event
 // entry points (eventsim.AtMetaCall) so the run's results, effort counts
 // and early-exit behavior are unchanged by observation.
@@ -136,6 +137,35 @@ func fctStats(s *stats.Sample) FCTStats {
 	return FCTStats{N: s.N(), MeanUs: s.Mean(), P50Us: s.Median(), P99Us: s.P99(), MaxUs: s.Max()}
 }
 
+// sizeDecades is the flow-size decade table behind Result.BySize, the
+// x-axis of the paper's FCT-vs-size figures (7 and 9): decade i holds the
+// flows below bound i that are not below bound i−1.
+var sizeDecades = [...]struct {
+	below int64
+	label string
+}{
+	{1_000, "<1KB"},
+	{10_000, "1-10KB"},
+	{100_000, "10-100KB"},
+	{1_000_000, "100KB-1MB"},
+	{10_000_000, "1-10MB"},
+	{100_000_000, "10-100MB"},
+	{1 << 62, ">=100MB"},
+}
+
+// SizeDecade labels Result.BySize[i]: "<1KB", "1-10KB", …, ">=100MB".
+func SizeDecade(i int) string { return sizeDecades[i].label }
+
+// sizeDecade returns the BySize index of a flow of size bytes.
+func sizeDecade(size int64) int {
+	for i, d := range sizeDecades {
+		if size < d.below {
+			return i
+		}
+	}
+	return len(sizeDecades) - 1
+}
+
 // TagStats summarizes one workload tag's flows: completion counts, FCTs
 // of the finished ones, and delivered application bandwidth over the
 // virtual time simulated.
@@ -151,11 +181,15 @@ type TagStats struct {
 // Result reports one finished Scenario. It is a pure function of the
 // Scenario value: RunScenarios at any parallelism yields identical
 // Results for identical Scenarios, which tests assert with Equal (the
-// ByTag and Probes fields make Result non-comparable with ==).
+// ByTag map and the slices make Result non-comparable with ==).
 type Result struct {
 	Name string
 	Kind opera.Kind
 	Seed int64
+
+	// Hosts is the cluster's host count, the denominator of per-host
+	// normalizations (the small folded Clos has 192 where Opera has 64).
+	Hosts int
 
 	// Completed reports whether every flow finished before Duration.
 	Completed  bool
@@ -166,13 +200,22 @@ type Result struct {
 	// overall and per service class.
 	All, LowLat, Bulk FCTStats
 
+	// BySize summarizes completion times of finished flows per flow-size
+	// decade, labelled by SizeDecade(i); an empty decade is the zero
+	// FCTStats. Filled under the default RetainAll only — nil under
+	// RetainSketch.
+	BySize []FCTStats
+
+	// DeliveredRates is the delivered application bandwidth over the run,
+	// in bytes/s per DeliveredBinS-wide bin of virtual time from t = 0.
+	// Filled under the default RetainAll only — zero and nil under
+	// RetainSketch, whose trailing series is Telemetry.WindowGbps.
+	DeliveredBinS  float64
+	DeliveredRates []float64
+
 	// ByTag breaks flows down by workload tag (see SourceSpec.Tag); nil when the
 	// workload is untagged.
 	ByTag map[string]TagStats
-
-	// Probes holds one recorded series per Scenario probe, in Probes
-	// order; nil when the Scenario has none.
-	Probes []ProbeSeries
 
 	// Telemetry carries the streaming-retention summaries — extended
 	// quantiles at the sketch's pinned error bound and the trailing
@@ -249,13 +292,14 @@ func (q QuantileSummary) fct() FCTStats {
 }
 
 // Equal reports whether two Results are identical, including per-tag
-// breakdowns, probe series and telemetry summaries — the determinism
+// breakdowns, series and telemetry summaries — the determinism
 // relation RunScenarios guarantees across parallelism settings.
 func (r Result) Equal(o Result) bool { return reflect.DeepEqual(r, o) }
 
 // Collect runs one Scenario and returns the finished cluster alongside its
-// Result, for callers that need raw flows or time series beyond the
-// Result summary. The cluster is nil when the run failed (Result.Err).
+// Result, for callers that own state the Result does not carry (a sweep
+// worker's telemetry collector). The cluster is nil when the run failed
+// (Result.Err).
 func Collect(sc Scenario) (*opera.Cluster, Result) {
 	res := Result{Name: sc.Name, Kind: sc.Kind, Seed: sc.Seed}
 	opts := make([]opera.Option, 0, len(sc.Options)+1)
@@ -297,11 +341,6 @@ func Collect(sc Scenario) (*opera.Cluster, Result) {
 			}
 		}
 	}
-	probes, err := startProbes(cl, sc)
-	if err != nil {
-		res.Err = err.Error()
-		return nil, res
-	}
 	if sc.Observer != nil {
 		sc.Observer.Attach(cl, sc.Duration)
 	}
@@ -314,6 +353,7 @@ func Collect(sc Scenario) (*opera.Cluster, Result) {
 		}
 	}
 	res.Completed = completed
+	res.Hosts = cl.NumHosts()
 
 	m := cl.Metrics()
 	elapsed := cl.Engine().Now().Seconds()
@@ -326,17 +366,17 @@ func Collect(sc Scenario) (*opera.Cluster, Result) {
 	if elapsed > 0 {
 		res.ThroughputGbps = m.DeliveredTotal() * 8 / elapsed / 1e9
 	}
-	res.Probes = probes
 	res.AggregateTax = m.AggregateTax()
 	res.BulkNACKs = cl.BulkNACKCount()
 	res.SimEvents = cl.Engine().Steps()
 	return cl, res
 }
 
-// summarize fills the Result's FCT and per-tag fields from retained flows
-// in ONE pass over Metrics.Flows() — the overall and per-class samples and
-// every tag tally accumulate together, where the former shape scanned the
-// full flow list once per summary (4+ scans on a large sweep).
+// summarize fills the Result's FCT, per-size, per-tag and delivered-series
+// fields from retained flows in ONE pass over Metrics.Flows() — the
+// overall, per-class and per-decade samples and every tag tally accumulate
+// together, where the former shape scanned the full flow list once per
+// summary (4+ scans on a large sweep).
 func summarize(res *Result, m *sim.Metrics, elapsedSeconds float64) {
 	type tally struct {
 		fct         stats.Sample
@@ -344,6 +384,7 @@ func summarize(res *Result, m *sim.Metrics, elapsedSeconds float64) {
 		bytesRcvd   int64
 	}
 	var all, lowLat, bulk stats.Sample
+	var bySize [len(sizeDecades)]stats.Sample
 	var tallies map[string]*tally
 	for _, f := range m.Flows() {
 		if f.Tag != "" {
@@ -367,6 +408,7 @@ func summarize(res *Result, m *sim.Metrics, elapsedSeconds float64) {
 		}
 		v := f.FCT().Micros()
 		all.Add(v)
+		bySize[sizeDecade(f.Size)].Add(v)
 		switch f.Class {
 		case sim.ClassLowLatency:
 			lowLat.Add(v)
@@ -377,6 +419,14 @@ func summarize(res *Result, m *sim.Metrics, elapsedSeconds float64) {
 	res.All = fctStats(&all)
 	res.LowLat = fctStats(&lowLat)
 	res.Bulk = fctStats(&bulk)
+	res.BySize = make([]FCTStats, len(bySize))
+	for i := range bySize {
+		res.BySize[i] = fctStats(&bySize[i])
+	}
+	res.DeliveredBinS = m.DeliveredBytes.BinWidth()
+	if m.DeliveredBytes.NumBins() > 0 { // nil, not empty, as gob decodes it
+		res.DeliveredRates = m.DeliveredBytes.Rates()
+	}
 	if len(tallies) == 0 {
 		return
 	}

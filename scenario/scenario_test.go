@@ -2,10 +2,12 @@ package scenario_test
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/workload"
 	"github.com/opera-net/opera/scenario"
 )
 
@@ -88,6 +90,73 @@ func TestRunIsDeterministicPerSeed(t *testing.T) {
 	}
 	if a.FlowsTotal == 0 || a.ThroughputGbps <= 0 {
 		t.Fatalf("implausible result: %+v", a)
+	}
+}
+
+// Result carries what the figures reduce. Under RetainAll, BySize
+// partitions All by flow-size decade and the delivered series adds up to
+// every byte delivered; Hosts is the built cluster's host count. Under
+// RetainSketch the exact per-size and per-bin readouts stay empty.
+func TestFigureReadouts(t *testing.T) {
+	flows := []workload.FlowSpec{
+		{Src: 0, Dst: 42, Bytes: 1_000},
+		{Src: 1, Dst: 43, Bytes: 2_000_000},
+		{Src: 2, Dst: 20, Bytes: 999},
+	}
+	res := scenario.Run(scenario.Scenario{
+		Name: "opera", Kind: opera.KindOpera, Seed: 1,
+		Sources:  []scenario.Source{func(scenario.Env) workload.Source { return workload.FromSpecs(flows) }},
+		Duration: 2000 * eventsim.Millisecond,
+	})
+	if res.Err != "" || !res.Completed {
+		t.Fatalf("run failed: %+v", res)
+	}
+	if res.Hosts != 64 {
+		t.Errorf("Hosts = %d on 16×4 Opera, want 64", res.Hosts)
+	}
+	var n int
+	for _, s := range res.BySize {
+		n += s.N
+	}
+	if n != res.All.N || n != len(flows) {
+		t.Errorf("Σ BySize[i].N = %d, All.N = %d, want both %d", n, res.All.N, len(flows))
+	}
+	for i, label := range map[int]string{0: "<1KB", 1: "1-10KB", 4: "1-10MB"} {
+		if got := scenario.SizeDecade(i); got != label {
+			t.Errorf("SizeDecade(%d) = %q, want %q", i, got, label)
+		}
+		if s := res.BySize[i]; s.N != 1 || s.P99Us <= 0 {
+			t.Errorf("BySize[%d] (%s) = %+v, want its one flow", i, label, s)
+		}
+	}
+	var delivered float64
+	for _, r := range res.DeliveredRates {
+		delivered += r * res.DeliveredBinS
+	}
+	if want := 2_001_999.0; res.DeliveredBinS != 0.001 || math.Abs(delivered-want) > 1e-9*want {
+		t.Errorf("delivered series sums to %v B in %v s bins, want %v B in 1 ms bins", delivered, res.DeliveredBinS, want)
+	}
+
+	clos := scenario.Run(mustScenario(scenario.Spec{
+		Name: "foldedclos", Network: "foldedclos", ClosK: 8, ClosF: 3, Seed: 1,
+		Sources:  []scenario.SourceSpec{{Type: "shuffle", Participants: 4, FlowBytes: 5_000}},
+		Duration: 100 * eventsim.Millisecond,
+	}))
+	if clos.Err != "" || clos.Hosts != 192 {
+		t.Errorf("small Clos: Hosts = %d (err %q), want 192", clos.Hosts, clos.Err)
+	}
+
+	sketch := scenario.Run(mustScenario(scenario.Spec{
+		Name: "opera", Network: "opera", Seed: 1, Retention: scenario.RetentionSpec{Sketch: true},
+		Sources:  []scenario.SourceSpec{{Type: "shuffle", Participants: 4, FlowBytes: 5_000}},
+		Duration: 100 * eventsim.Millisecond,
+	}))
+	if sketch.Err != "" || sketch.All.N == 0 || sketch.Hosts != 64 {
+		t.Fatalf("sketch run: %+v", sketch)
+	}
+	if sketch.BySize != nil || sketch.DeliveredBinS != 0 || sketch.DeliveredRates != nil {
+		t.Errorf("RetainSketch filled exact readouts: BySize=%v DeliveredBinS=%v DeliveredRates=%v",
+			sketch.BySize, sketch.DeliveredBinS, sketch.DeliveredRates)
 	}
 }
 
