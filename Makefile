@@ -37,13 +37,16 @@ bench-module:
 ## the heap on raw push/pop/peek op streams with keys reserved now and
 ## pushed later (a re-armed timer's re-key); FuzzBuildDifferential is
 ## the bit-parallel routing build against the per-source BFS it replaced,
-## on raw directed port maps
+## on raw directed port maps; FuzzCollectorUnmarshal is the telemetry
+## collector decoder, whose output must re-encode stably and read out,
+## and merge, without a panic (corpus under internal/telemetry/testdata/fuzz/)
 fuzz:
 	$(GO) test ./scenario/ -run '^$$' -fuzz '^FuzzParseEvents$$' -fuzztime 10s
 	$(GO) test ./scenario/ -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime 10s
 	$(GO) test ./internal/rotorlb/ -run '^$$' -fuzz '^FuzzSegQueue$$' -fuzztime 10s
 	$(GO) test ./internal/eventsim/ -run '^$$' -fuzz '^FuzzSchedulerDifferential$$' -fuzztime 10s
 	$(GO) test ./internal/routing/ -run '^$$' -fuzz '^FuzzBuildDifferential$$' -fuzztime 10s
+	$(GO) test ./internal/telemetry/ -run '^$$' -fuzz '^FuzzCollectorUnmarshal$$' -fuzztime 10s
 
 ## figdiff: the figure byte-identity harness every refactor runs —
 ## `make figdiff BASE=<rev> [FIGS=fig11,fig19,fig20]` unpacks BASE into a

@@ -199,12 +199,12 @@ func simulate(r run) int {
 	}
 	fmt.Printf("  throughput=%.2f Gb/s aggregate-tax=%.1f%% bulk-NACKs=%d sim-events=%d\n",
 		res.ThroughputGbps, 100*res.AggregateTax, res.BulkNACKs, res.SimEvents)
-	if tel := res.Telemetry; tel != nil {
+	if res.ErrorBound > 0 {
 		fmt.Printf("  telemetry (sketch, ±%.2g%%): p90=%.1fµs p99=%.1fµs p99.9=%.1fµs\n",
-			100*tel.ErrorBound, tel.All.P90Us, tel.All.P99Us, tel.All.P999Us)
-		if n := len(tel.WindowGbps); n > 0 {
+			100*res.ErrorBound, res.All.P90Us, res.All.P99Us, res.All.P999Us)
+		if n := len(res.DeliveredRates); n > 0 {
 			fmt.Printf("  trailing window: %d×%.1fms bins from t=%.1fms, last-bin throughput=%.2f Gb/s window-tax=%.1f%%\n",
-				n, tel.WindowBinMs, tel.WindowStartMs, tel.WindowGbps[n-1], 100*tel.WindowTax)
+				n, res.DeliveredBinS*1000, res.DeliveredStartS*1000, res.DeliveredRates[n-1]*8/1e9, 100*res.WindowTax)
 		}
 	}
 	if len(res.ByTag) > 0 {

@@ -71,8 +71,8 @@ func main() {
 
 	// The same sweep cell under streaming retention: completed flows feed
 	// quantile sketches (±1% pinned error) instead of being retained, so a
-	// soak of any length runs in flat memory — and the Result grows deeper
-	// tail quantiles.
+	// soak of any length runs in flat memory. The Result reads the same;
+	// its ErrorBound says the percentiles are now within ±1%.
 	sk := scs[len(scs)-1]
 	sk.Name = "sketch"
 	sk.Options = append(sk.Options, opera.WithRetention(opera.RetainSketch(opera.SketchOptions{})))
@@ -81,8 +81,7 @@ func main() {
 		log.Fatalf("sketch run: %s", r.Err)
 	}
 	fmt.Printf("\nStreaming retention at load %.2f (flat memory, ±%.0f%% quantiles):\n",
-		loads[len(loads)-1], 100*r.Telemetry.ErrorBound)
+		loads[len(loads)-1], 100*r.ErrorBound)
 	fmt.Printf("  all flows: n=%d p50=%.1fµs p99=%.1fµs p99.9=%.1fµs max=%.1fµs\n",
-		r.Telemetry.All.N, r.Telemetry.All.P50Us, r.Telemetry.All.P99Us,
-		r.Telemetry.All.P999Us, r.Telemetry.All.MaxUs)
+		r.All.N, r.All.P50Us, r.All.P99Us, r.All.P999Us, r.All.MaxUs)
 }

@@ -2,8 +2,11 @@ package obs_test
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +15,8 @@ import (
 	"time"
 
 	"github.com/opera-net/opera/internal/obs"
+	"github.com/opera-net/opera/internal/telemetry"
+	"github.com/opera-net/opera/scenario"
 )
 
 func snap(seq uint64, done int) *obs.Snapshot {
@@ -201,5 +206,44 @@ func TestSweepTracker(t *testing.T) {
 	}
 	if _, ok := fields["shards_dispatched"]; !ok {
 		t.Fatalf("/status missing shards_dispatched: %s", body)
+	}
+}
+
+// TestSweepTrackerSkipsForeignSketchAlpha: a collector blob whose sketches
+// decode cleanly at another alpha than their collector's neither panics
+// the tracker nor disturbs what it has pooled; later good blobs still pool.
+func TestSweepTrackerSkipsForeignSketchAlpha(t *testing.T) {
+	col := telemetry.NewCollector(telemetry.Opts{}, 3)
+	for i, fct := range []float64{12, 40, 95, 300, 2500} {
+		col.FlowDone(1+i%2, "", fct, 1500)
+	}
+	good, err := col.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := func(x float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)) }
+	// Every sketch claims alpha 0.02; the collector's own alpha, the eight
+	// bytes after the two-byte header, stays the default.
+	bad := append(good[:10:10], bytes.ReplaceAll(good[10:], bits(telemetry.DefaultAlpha), bits(0.02))...)
+
+	tr := obs.NewSweepTracker()
+	tr.SweepStarted(4, 1, 0)
+	quantiles := func() []obs.ClassQuantiles {
+		data, _ := tr.StatusSnapshot()
+		return data.(*obs.SweepStatus).Quantiles
+	}
+	tr.ResultDelivered(0, scenario.Result{}, bad)
+	if got := quantiles(); got != nil {
+		t.Fatalf("a foreign-alpha blob alone pooled %+v", got)
+	}
+	tr.ResultDelivered(1, scenario.Result{}, good)
+	want := quantiles()
+	tr.ResultDelivered(2, scenario.Result{}, bad)
+	if got := quantiles(); len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("after a foreign-alpha blob: quantiles %+v, want %+v", got, want)
+	}
+	tr.ResultDelivered(3, scenario.Result{}, good)
+	if got := quantiles(); got[0].N != 2*want[0].N {
+		t.Fatalf("after a second good blob: n = %d, want %d", got[0].N, 2*want[0].N)
 	}
 }

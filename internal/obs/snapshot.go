@@ -65,16 +65,10 @@ type WindowRates struct {
 	WindowTax     float64 `json:"window_tax"`
 }
 
-// ClassQuantiles is one FCT sketch's live quantile readout, microseconds.
+// ClassQuantiles is one FCT sketch's live readout, labelled by class.
 type ClassQuantiles struct {
-	Class  string  `json:"class"`
-	N      uint64  `json:"n"`
-	MeanUs float64 `json:"mean_us"`
-	P50Us  float64 `json:"p50_us"`
-	P90Us  float64 `json:"p90_us"`
-	P99Us  float64 `json:"p99_us"`
-	P999Us float64 `json:"p999_us"`
-	MaxUs  float64 `json:"max_us"`
+	Class string `json:"class"`
+	telemetry.Summary
 }
 
 // TagCounts is one workload tag's live tally.
@@ -190,9 +184,9 @@ func fillTelemetry(s *Snapshot, tel *telemetry.Collector) {
 	s.Window = wr
 
 	s.Classes = []ClassQuantiles{
-		classQuantiles("all", tel.Merged()),
-		classQuantiles("lowlat", tel.ClassSketch(int(sim.ClassLowLatency))),
-		classQuantiles("bulk", tel.ClassSketch(int(sim.ClassBulk))),
+		{"all", tel.Merged().Summary()},
+		{"lowlat", tel.ClassSketch(int(sim.ClassLowLatency)).Summary()},
+		{"bulk", tel.ClassSketch(int(sim.ClassBulk)).Summary()},
 	}
 
 	tags := tel.Tags()
@@ -208,16 +202,8 @@ func fillTelemetry(s *Snapshot, tel *telemetry.Collector) {
 	for _, name := range names {
 		t := tags[name]
 		s.Tags = append(s.Tags, TagCounts{Tag: name, Done: t.Done, Total: t.Total, Bytes: t.Bytes,
-			P99Us: t.Sketch.Summary().P99})
+			P99Us: t.Sketch.Summary().P99Us})
 	}
-}
-
-// classQuantiles reads one sketch (telemetry.Sketch.Summary) into the
-// /status form.
-func classQuantiles(name string, sk *telemetry.Sketch) ClassQuantiles {
-	q := sk.Summary()
-	return ClassQuantiles{Class: name, N: q.N, MeanUs: q.Mean,
-		P50Us: q.P50, P90Us: q.P90, P99Us: q.P99, P999Us: q.P999, MaxUs: q.Max}
 }
 
 // faultState reads the injector's live view, nil while no fault is applied

@@ -136,7 +136,7 @@ func (t *SweepTracker) publishLocked() {
 	cp.WallTime = time.Now()
 	cp.Failed = append([]int(nil), t.st.Failed...)
 	if t.pooled != nil {
-		cp.Quantiles = []ClassQuantiles{classQuantiles("all", t.pooled.Merged())}
+		cp.Quantiles = []ClassQuantiles{{"all", t.pooled.Merged().Summary()}}
 	}
 	t.cur.Store(&cp)
 }

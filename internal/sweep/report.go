@@ -93,7 +93,7 @@ func Tables(g Grid, specs []scenario.Spec, cells []Cell, rep Report) ([]experime
 				continue
 			}
 			s := pooled.Merged().Summary()
-			telT.Add(c.Network, c.Load, s.N, s.Mean, s.P50, s.P90, s.P99, s.P999, s.Max, pooled.WindowTax())
+			telT.Add(c.Network, c.Load, s.N, s.MeanUs, s.P50Us, s.P90Us, s.P99Us, s.P999Us, s.MaxUs, pooled.WindowTax())
 		}
 		tables = append(tables, telT)
 	}

@@ -232,6 +232,13 @@ func (s *Sketch) unmarshalFrom(r *rbuf) {
 		return
 	}
 	fresh := NewSketch(alpha)
+	// Buckets outside the indices a float64 observation maps to would make
+	// a merge allocate the gap between two such sketches.
+	lo, hi := int64(fresh.index(minIndexable)), int64(fresh.index(math.MaxFloat64))
+	if n > 0 && (base < lo || base > hi-int64(n)+1) {
+		r.fail("sketch buckets from %d (%d of them) outside [%d, %d]", base, n, lo, hi)
+		return
+	}
 	fresh.count = count
 	fresh.sum = sum
 	fresh.min = min
@@ -420,6 +427,11 @@ func (c *Collector) UnmarshalBinary(data []byte) error {
 	for i := range fresh.classes {
 		var s Sketch
 		s.unmarshalFrom(&r)
+		// A sketch at another alpha could not merge into Merged or into
+		// another collector's sketches.
+		if r.err == nil && s.alpha != opts.Alpha {
+			r.fail("class %d sketch alpha %v (collector %v)", i, s.alpha, opts.Alpha)
+		}
 		fresh.classes[i] = &s
 	}
 	numTags := r.count("collector tag", 2)
@@ -432,6 +444,9 @@ func (c *Collector) UnmarshalBinary(data []byte) error {
 			name := r.str()
 			var t TagTally
 			t.unmarshalFrom(&r)
+			if r.err == nil && t.Sketch.alpha != opts.Alpha {
+				r.fail("tag %q sketch alpha %v (collector %v)", name, t.Sketch.alpha, opts.Alpha)
+			}
 			if r.err != nil {
 				return r.err
 			}

@@ -338,6 +338,46 @@ func TestCollectorRejectsOtherWindowGeometry(t *testing.T) {
 	}
 }
 
+// TestCollectorRejectsForeignSketchAlpha: a collector blob that decodes
+// cleanly but holds a non-empty class or tag sketch at another alpha is
+// ErrCorrupt, not a collector whose Merged would panic.
+func TestCollectorRejectsForeignSketchAlpha(t *testing.T) {
+	foreign := populatedSketch(t, 0.02, 4, 50)
+	for name, edit := range map[string]func(*Collector){
+		"class 1 sketch alpha 0.02":       func(c *Collector) { c.classes[1] = foreign },
+		`tag "shuffle" sketch alpha 0.02`: func(c *Collector) { c.tags["shuffle"].Sketch = foreign },
+	} {
+		c := populatedCollector(23, 100)
+		edit(c)
+		blob, err := c.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Collector
+		if err := got.UnmarshalBinary(blob); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: got %v, want ErrCorrupt naming it", name, err)
+		}
+	}
+}
+
+// TestSketchRejectsBucketsOutsideIndexRange: a decoded sketch whose buckets
+// lie beyond every index a float64 observation maps to is ErrCorrupt, so
+// merging it cannot allocate the gap to a real sketch's buckets.
+func TestSketchRejectsBucketsOutsideIndexRange(t *testing.T) {
+	for _, shift := range []int{1 << 40, -1 << 40} {
+		s := populatedSketch(t, 0.01, 6, 50)
+		s.base += shift
+		blob, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Sketch
+		if err := got.UnmarshalBinary(blob); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("base shifted by %d: got %v, want ErrCorrupt", shift, err)
+		}
+	}
+}
+
 // TestSummaryAndWindowTax: the one readout agrees with the sketch's own
 // accessors, is all zero when empty, and the window tax is uplink ÷ goodput
 // − 1 over the trailing window.
@@ -346,8 +386,8 @@ func TestSummaryAndWindowTax(t *testing.T) {
 		t.Fatalf("empty sketch summary = %+v, want zero", got)
 	}
 	s := populatedSketch(t, 0.01, 3, 2_000)
-	want := Summary{N: s.Count(), Mean: s.Mean(), Max: s.Max(),
-		P50: s.Quantile(0.5), P90: s.Quantile(0.9), P99: s.Quantile(0.99), P999: s.Quantile(0.999)}
+	want := Summary{N: int(s.Count()), MeanUs: s.Mean(), MaxUs: s.Max(),
+		P50Us: s.Quantile(0.5), P90Us: s.Quantile(0.9), P99Us: s.Quantile(0.99), P999Us: s.Quantile(0.999)}
 	if got := s.Summary(); got != want {
 		t.Fatalf("Summary = %+v, want %+v", got, want)
 	}

@@ -172,9 +172,9 @@ func (t *TagTally) Merge(other *TagTally) error {
 // built with identical options and class counts — the coordinator-side
 // invariant for shards of one sweep cell — and an error is returned
 // otherwise, before anything merges (matching options make every inner
-// merge infallible, since all sketches inherit their alpha from the
-// options and every window has the one constant geometry). other is left
-// unchanged.
+// merge infallible, since every sketch has its collector's alpha — built
+// from the options or checked by UnmarshalBinary — and every window has
+// the one constant geometry). other is left unchanged.
 func (c *Collector) Merge(other *Collector) error {
 	if other == nil {
 		return nil

@@ -208,13 +208,22 @@ func (s *Sketch) Quantile(q float64) float64 {
 	return s.max
 }
 
-// Summary is a sketch's one readout: the observation count, the exact
-// mean and max, and the quantiles reported everywhere a sketch surfaces —
-// the paper's p50 and p99 plus p90 and the deeper p99.9 a soak exists to
-// observe. Every field is zero for an empty sketch.
+// Summary is the module's one flow-completion-time summary, in
+// microseconds: the observation count, the mean and max, and the
+// quantiles reported everywhere an FCT distribution surfaces — the
+// paper's p50 and p99 plus p90 and the deeper p99.9 a soak exists to
+// observe. A Sketch fills it with N, MeanUs and MaxUs exact and the
+// percentiles within the sketch's relative-error bound; scenario fills it
+// exactly from retained flows (scenario.FCTStats). The JSON tags are the
+// /status wire names. Every field is zero for an empty distribution.
 type Summary struct {
-	N                              uint64
-	Mean, P50, P90, P99, P999, Max float64
+	N      int     `json:"n"`
+	MeanUs float64 `json:"mean_us"`
+	P50Us  float64 `json:"p50_us"`
+	P90Us  float64 `json:"p90_us"`
+	P99Us  float64 `json:"p99_us"`
+	P999Us float64 `json:"p999_us"`
+	MaxUs  float64 `json:"max_us"`
 }
 
 // Summary reads the sketch out; see the Summary type.
@@ -223,9 +232,9 @@ func (s *Sketch) Summary() Summary {
 		return Summary{}
 	}
 	return Summary{
-		N: s.count, Mean: s.Mean(), Max: s.max,
-		P50: s.Quantile(0.50), P90: s.Quantile(0.90),
-		P99: s.Quantile(0.99), P999: s.Quantile(0.999),
+		N: int(s.count), MeanUs: s.Mean(), MaxUs: s.max,
+		P50Us: s.Quantile(0.50), P90Us: s.Quantile(0.90),
+		P99Us: s.Quantile(0.99), P999Us: s.Quantile(0.999),
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 var ErrWindowMismatch = errors.New("telemetry: window geometry mismatch")
 
 // Window accumulates amounts into fixed-width time bins like
-// stats.TimeSeries, but retains only the trailing Span bins — a ring — plus
-// an exact running total, so unbounded runs hold O(Span) state instead of
-// one bin per elapsed interval. It backs the throughput and bandwidth-tax
+// stats.TimeSeries, but retains only a fixed number of trailing bins — a
+// ring — plus an exact running total, so unbounded runs hold O(bins) state
+// instead of one bin per elapsed interval. It backs the throughput and bandwidth-tax
 // series of sketch-retention runs: the recent window stays inspectable
 // while month-old bins are forgotten (their contribution survives in
 // Total).
@@ -42,9 +42,6 @@ func NewWindow(binWidthSeconds float64, bins int) *Window {
 
 // BinWidth returns the width of each bin in seconds.
 func (w *Window) BinWidth() float64 { return w.binWidth }
-
-// Span returns how many trailing bins are retained.
-func (w *Window) Span() int { return len(w.ring) }
 
 // Record adds amount at time t seconds.
 func (w *Window) Record(t, amount float64) {

@@ -82,9 +82,9 @@ func WithMaxSliceDiameter(d int) Option {
 
 // WithRetention selects the metrics retention policy: RetainAll (default,
 // exact) or RetainSketch (streaming, flat-memory). Scenario sweeps opt in
-// per Scenario through Options; the scenario Result then carries sketch
-// quantile summaries and the trailing throughput window in
-// Result.Telemetry.
+// per Scenario through Options; the scenario Result keeps its shape, with
+// sketch-fed FCT summaries, ErrorBound set to the sketches' α, and the
+// trailing window as its delivered series.
 func WithRetention(r RetentionPolicy) Option {
 	return func(cfg *ClusterConfig) { cfg.Retention = r }
 }

@@ -120,21 +120,21 @@ type Observer interface {
 	Attach(cl *opera.Cluster, deadline eventsim.Time)
 }
 
-// FCTStats summarizes a flow-completion-time sample in microseconds.
-// Under the default RetainAll retention the values are exact; under
-// RetainSketch the percentiles come from the streaming sketch and carry
-// its pinned relative-error bound (Result.Telemetry.ErrorBound) while N,
+// FCTStats summarizes flow completion times in microseconds: the count,
+// mean, p50, p90, p99, p99.9 and max. It is telemetry.Summary under its
+// public name. Under the default RetainAll retention every value is exact;
+// under RetainSketch the percentiles come from the streaming sketch and
+// are within Result.ErrorBound of the exact order statistic, while N,
 // MeanUs and MaxUs stay exact.
-type FCTStats struct {
-	N                           int
-	MeanUs, P50Us, P99Us, MaxUs float64
-}
+type FCTStats = telemetry.Summary
 
+// fctStats is the exact FCTStats of a retained sample.
 func fctStats(s *stats.Sample) FCTStats {
 	if s.N() == 0 {
 		return FCTStats{}
 	}
-	return FCTStats{N: s.N(), MeanUs: s.Mean(), P50Us: s.Median(), P99Us: s.P99(), MaxUs: s.Max()}
+	return FCTStats{N: s.N(), MeanUs: s.Mean(), P50Us: s.Median(), P90Us: s.Percentile(90),
+		P99Us: s.P99(), P999Us: s.Percentile(99.9), MaxUs: s.Max()}
 }
 
 // sizeDecades is the flow-size decade table behind Result.BySize, the
@@ -181,7 +181,9 @@ type TagStats struct {
 // Result reports one finished Scenario. It is a pure function of the
 // Scenario value: RunScenarios at any parallelism yields identical
 // Results for identical Scenarios, which tests assert with Equal (the
-// ByTag map and the slices make Result non-comparable with ==).
+// ByTag map and the slices make Result non-comparable with ==). It reads
+// the same under both retention policies: ErrorBound tells them apart,
+// and only BySize is left empty under RetainSketch.
 type Result struct {
 	Name string
 	Kind opera.Kind
@@ -200,29 +202,32 @@ type Result struct {
 	// overall and per service class.
 	All, LowLat, Bulk FCTStats
 
+	// ErrorBound is 0 when the FCT percentiles are exact (the default
+	// RetainAll) and the sketches' relative-error bound α under
+	// RetainSketch: every reported percentile is then within ±α of the
+	// exact order statistic.
+	ErrorBound float64
+
 	// BySize summarizes completion times of finished flows per flow-size
 	// decade, labelled by SizeDecade(i); an empty decade is the zero
 	// FCTStats. Filled under the default RetainAll only — nil under
 	// RetainSketch.
 	BySize []FCTStats
 
-	// DeliveredRates is the delivered application bandwidth over the run,
-	// in bytes/s per DeliveredBinS-wide bin of virtual time from t = 0.
-	// Filled under the default RetainAll only — zero and nil under
-	// RetainSketch, whose trailing series is Telemetry.WindowGbps.
-	DeliveredBinS  float64
-	DeliveredRates []float64
+	// DeliveredRates is the delivered application bandwidth in bytes/s per
+	// DeliveredBinS-wide bin of virtual time, oldest first, the first bin
+	// starting at DeliveredStartS seconds. Under RetainAll it covers the
+	// whole run from t = 0; under RetainSketch it is the trailing window,
+	// whose older bins have rotated out (their bytes remain in
+	// ThroughputGbps).
+	DeliveredBinS   float64
+	DeliveredStartS float64
+	DeliveredRates  []float64
 
 	// ByTag breaks flows down by workload tag (see SourceSpec.Tag); nil when the
-	// workload is untagged.
+	// workload is untagged. Under RetainSketch a tag's ThroughputGbps
+	// counts completed flows' bytes only.
 	ByTag map[string]TagStats
-
-	// Telemetry carries the streaming-retention summaries — extended
-	// quantiles at the sketch's pinned error bound and the trailing
-	// throughput/tax window — when the Scenario's Options include
-	// opera.WithRetention(opera.RetainSketch(…)); nil under the default
-	// RetainAll. Result.Equal covers it.
-	Telemetry *TelemetrySummary
 
 	// ThroughputGbps is delivered application bandwidth over the virtual
 	// time actually simulated.
@@ -230,6 +235,9 @@ type Result struct {
 	// AggregateTax is the overall bandwidth tax (extra ToR-to-ToR
 	// traversals per goodput byte).
 	AggregateTax float64
+	// WindowTax is the bandwidth tax over the span DeliveredRates covers:
+	// the whole run, so AggregateTax, under RetainAll.
+	WindowTax float64
 	// BulkNACKs counts §4.2.2 circuit NACKs.
 	BulkNACKs uint64
 	// SimEvents counts discrete events executed.
@@ -241,58 +249,8 @@ type Result struct {
 	Err string
 }
 
-// QuantileSummary is one sketch's quantile readout in microseconds: the
-// paper's tail metrics plus the deeper tail a streaming soak exists to
-// observe. N, MeanUs and MaxUs are exact; the percentiles carry the
-// sketch's relative-error bound.
-type QuantileSummary struct {
-	N                                          int
-	MeanUs, P50Us, P90Us, P99Us, P999Us, MaxUs float64
-}
-
-// TelemetrySummary reports a sketch-retention run: quantile summaries per
-// service class and the trailing windowed series that replace the exact
-// (unbounded) per-flow and per-bin records. Per-tag quantiles surface
-// through Result.ByTag as usual; note that under sketch retention a tag's
-// ThroughputGbps counts completed flows' bytes only (in-flight bytes fold
-// in on completion).
-type TelemetrySummary struct {
-	// ErrorBound is the sketches' pinned relative-error bound α: every
-	// reported percentile is within ±α of the exact order statistic.
-	ErrorBound float64
-
-	// All, LowLat and Bulk summarize completion times overall and per
-	// service class.
-	All, LowLat, Bulk QuantileSummary
-
-	// WindowGbps is the trailing delivered-throughput window, oldest bin
-	// first: WindowBinMs-wide bins starting at WindowStartMs of virtual
-	// time. Older bins have rotated out (their bytes remain in
-	// Result.ThroughputGbps, which is exact over the whole run).
-	WindowBinMs   float64
-	WindowStartMs float64
-	WindowGbps    []float64
-
-	// WindowTax is the bandwidth tax over the trailing window only —
-	// the recent-behavior counterpart of Result.AggregateTax.
-	WindowTax float64
-}
-
-// quantiles reads one sketch (telemetry.Sketch.Summary) into the Result's
-// form.
-func quantiles(s *telemetry.Sketch) QuantileSummary {
-	q := s.Summary()
-	return QuantileSummary{N: int(q.N), MeanUs: q.Mean,
-		P50Us: q.P50, P90Us: q.P90, P99Us: q.P99, P999Us: q.P999, MaxUs: q.Max}
-}
-
-// fct is the FCTStats subset of q.
-func (q QuantileSummary) fct() FCTStats {
-	return FCTStats{N: q.N, MeanUs: q.MeanUs, P50Us: q.P50Us, P99Us: q.P99Us, MaxUs: q.MaxUs}
-}
-
 // Equal reports whether two Results are identical, including per-tag
-// breakdowns, series and telemetry summaries — the determinism
+// breakdowns and series — the determinism
 // relation RunScenarios guarantees across parallelism settings.
 func (r Result) Equal(o Result) bool { return reflect.DeepEqual(r, o) }
 
@@ -358,15 +316,16 @@ func Collect(sc Scenario) (*opera.Cluster, Result) {
 	m := cl.Metrics()
 	elapsed := cl.Engine().Now().Seconds()
 	res.FlowsDone, res.FlowsTotal = m.DoneCount()
+	res.AggregateTax = m.AggregateTax()
 	if tel := m.Telemetry(); tel != nil {
 		fillFromTelemetry(&res, tel, elapsed)
 	} else {
 		summarize(&res, m, elapsed)
+		res.WindowTax = res.AggregateTax
 	}
 	if elapsed > 0 {
 		res.ThroughputGbps = m.DeliveredTotal() * 8 / elapsed / 1e9
 	}
-	res.AggregateTax = m.AggregateTax()
 	res.BulkNACKs = cl.BulkNACKCount()
 	res.SimEvents = cl.Engine().Steps()
 	return cl, res
@@ -441,18 +400,18 @@ func summarize(res *Result, m *sim.Metrics, elapsedSeconds float64) {
 }
 
 // fillFromTelemetry is summarize's sketch-retention counterpart: no flows
-// were retained, so the FCT summaries, per-tag breakdown and the
-// TelemetrySummary all come from the streaming collector.
+// were retained, so the FCT summaries, per-tag breakdown, delivered series
+// and window tax all come from the streaming collector.
 func fillFromTelemetry(res *Result, tel *telemetry.Collector, elapsedSeconds float64) {
-	all := quantiles(tel.Merged())
-	lowLat := quantiles(tel.ClassSketch(int(sim.ClassLowLatency)))
-	bulk := quantiles(tel.ClassSketch(int(sim.ClassBulk)))
-	res.All, res.LowLat, res.Bulk = all.fct(), lowLat.fct(), bulk.fct()
+	res.ErrorBound = tel.Alpha()
+	res.All = tel.Merged().Summary()
+	res.LowLat = tel.ClassSketch(int(sim.ClassLowLatency)).Summary()
+	res.Bulk = tel.ClassSketch(int(sim.ClassBulk)).Summary()
 
 	if tags := tel.Tags(); len(tags) > 0 {
 		res.ByTag = make(map[string]TagStats, len(tags))
 		for tag, t := range tags {
-			ts := TagStats{FlowsDone: t.Done, FlowsTotal: t.Total, FCT: quantiles(t.Sketch).fct()}
+			ts := TagStats{FlowsDone: t.Done, FlowsTotal: t.Total, FCT: t.Sketch.Summary()}
 			if elapsedSeconds > 0 {
 				ts.ThroughputGbps = float64(t.Bytes) * 8 / elapsedSeconds / 1e9
 			}
@@ -460,23 +419,13 @@ func fillFromTelemetry(res *Result, tel *telemetry.Collector, elapsedSeconds flo
 		}
 	}
 
-	sum := &TelemetrySummary{
-		ErrorBound: tel.Alpha(),
-		All:        all,
-		LowLat:     lowLat,
-		Bulk:       bulk,
-		WindowTax:  tel.WindowTax(),
-	}
 	w := tel.Delivered()
-	sum.WindowBinMs = w.BinWidth() * 1000
+	res.DeliveredBinS = w.BinWidth()
 	if first, rates := w.Rates(); len(rates) > 0 {
-		sum.WindowStartMs = float64(first) * w.BinWidth() * 1000
-		sum.WindowGbps = make([]float64, len(rates))
-		for i, r := range rates {
-			sum.WindowGbps[i] = r * 8 / 1e9
-		}
+		res.DeliveredStartS = float64(first) * w.BinWidth()
+		res.DeliveredRates = rates
 	}
-	res.Telemetry = sum
+	res.WindowTax = tel.WindowTax()
 }
 
 // Run executes one Scenario and returns its Result.

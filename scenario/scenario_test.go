@@ -95,8 +95,7 @@ func TestRunIsDeterministicPerSeed(t *testing.T) {
 
 // Result carries what the figures reduce. Under RetainAll, BySize
 // partitions All by flow-size decade and the delivered series adds up to
-// every byte delivered; Hosts is the built cluster's host count. Under
-// RetainSketch the exact per-size and per-bin readouts stay empty.
+// every byte delivered; Hosts is the built cluster's host count.
 func TestFigureReadouts(t *testing.T) {
 	flows := []workload.FlowSpec{
 		{Src: 0, Dst: 42, Bytes: 1_000},
@@ -144,19 +143,6 @@ func TestFigureReadouts(t *testing.T) {
 	}))
 	if clos.Err != "" || clos.Hosts != 192 {
 		t.Errorf("small Clos: Hosts = %d (err %q), want 192", clos.Hosts, clos.Err)
-	}
-
-	sketch := scenario.Run(mustScenario(scenario.Spec{
-		Name: "opera", Network: "opera", Seed: 1, Retention: scenario.RetentionSpec{Sketch: true},
-		Sources:  []scenario.SourceSpec{{Type: "shuffle", Participants: 4, FlowBytes: 5_000}},
-		Duration: 100 * eventsim.Millisecond,
-	}))
-	if sketch.Err != "" || sketch.All.N == 0 || sketch.Hosts != 64 {
-		t.Fatalf("sketch run: %+v", sketch)
-	}
-	if sketch.BySize != nil || sketch.DeliveredBinS != 0 || sketch.DeliveredRates != nil {
-		t.Errorf("RetainSketch filled exact readouts: BySize=%v DeliveredBinS=%v DeliveredRates=%v",
-			sketch.BySize, sketch.DeliveredBinS, sketch.DeliveredRates)
 	}
 }
 

@@ -202,8 +202,8 @@ func TestSpecMatchesHandBuiltScenario(t *testing.T) {
 			if !got.Equal(want) {
 				t.Fatalf("spec-built result differs from hand-built:\ngot  %+v\nwant %+v", got, want)
 			}
-			if sp.Retention.Sketch && got.Telemetry == nil {
-				t.Fatal("sketch retention spec produced no telemetry summary")
+			if sp.Retention.Sketch && got.ErrorBound == 0 {
+				t.Fatal("sketch retention spec produced exact percentiles")
 			}
 			// One resolved Scenario runs twice (a replay source reopens its file).
 			if again := Run(sc); !again.Equal(got) {
@@ -321,7 +321,7 @@ func TestRetiredWindowKeysDecode(t *testing.T) {
 		return Run(sc)
 	}
 	got, direct := run(old), run(want)
-	if got.Err != "" || got.Telemetry == nil || got.FlowsDone == 0 {
+	if got.Err != "" || got.ErrorBound == 0 || got.FlowsDone == 0 {
 		t.Fatalf("retired-keys spec ran to %+v", got)
 	}
 	if !got.Equal(direct) {

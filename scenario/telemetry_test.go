@@ -3,6 +3,7 @@ package scenario_test
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/opera-net/opera/internal/eventsim"
@@ -74,11 +75,8 @@ func TestRetainSketchMatchesExactOnFig7Workload(t *testing.T) {
 	if skRes.Err != "" {
 		t.Fatal(skRes.Err)
 	}
-	if skRes.Telemetry == nil {
-		t.Fatal("RetainSketch Result should carry a TelemetrySummary")
-	}
-	if skRes.Telemetry.ErrorBound != sketchAlpha {
-		t.Fatalf("ErrorBound = %v, want %v", skRes.Telemetry.ErrorBound, sketchAlpha)
+	if skRes.ErrorBound != sketchAlpha {
+		t.Fatalf("ErrorBound = %v, want %v", skRes.ErrorBound, sketchAlpha)
 	}
 
 	// Same workload, same seeds, same arrivals: counts agree exactly.
@@ -103,7 +101,7 @@ func TestRetainSketchMatchesExactOnFig7Workload(t *testing.T) {
 
 	checkWithinBound(t, "all", skRes.All.P50Us, exactAll, 50)
 	checkWithinBound(t, "all", skRes.All.P99Us, exactAll, 99)
-	checkWithinBound(t, "all", skRes.Telemetry.All.P999Us, exactAll, 99.9)
+	checkWithinBound(t, "all", skRes.All.P999Us, exactAll, 99.9)
 	if skRes.All.MaxUs != exactAll.Max() {
 		t.Fatalf("max should be exact: %v vs %v", skRes.All.MaxUs, exactAll.Max())
 	}
@@ -126,8 +124,8 @@ func TestRetainSketchMatchesExactOnFig7Workload(t *testing.T) {
 }
 
 // Sketch-retention sweeps stay deterministic across parallelism — the
-// Result (including the TelemetrySummary and its windowed series) is a
-// pure function of the Scenario value.
+// Result (including its sketch quantiles and trailing delivered series) is
+// a pure function of the Scenario value.
 func TestRetainSketchParallelDeterminism(t *testing.T) {
 	mk := func() []scenario.Scenario {
 		var scs []scenario.Scenario
@@ -159,25 +157,66 @@ func TestRetainSketchParallelDeterminism(t *testing.T) {
 		if !seq[i].Equal(par[i]) {
 			t.Fatalf("scenario %d diverges across parallelism:\nP1: %+v\nP8: %+v", i, seq[i], par[i])
 		}
-		if seq[i].Telemetry == nil || seq[i].Telemetry.All.N == 0 {
-			t.Fatalf("scenario %d: empty telemetry summary", i)
+		if seq[i].ErrorBound == 0 || seq[i].All.N == 0 {
+			t.Fatalf("scenario %d: no sketch summary: %+v", i, seq[i].All)
 		}
 	}
 }
 
-// Default retention carries no telemetry summary and keeps Result shape
-// unchanged.
-func TestRetainAllHasNoTelemetry(t *testing.T) {
-	res := scenario.Run(mustScenario(scenario.Spec{
-		Name: "plain", Network: "opera", Seed: 3,
-		Sources:  []scenario.SourceSpec{{Type: "shuffle", Participants: 8, FlowBytes: 50_000, Stagger: eventsim.Millisecond}},
-		Duration: 500 * eventsim.Millisecond,
-	}))
-	if res.Err != "" {
-		t.Fatal(res.Err)
+// A Result reads the same under both retentions: one small spec run under
+// RetainAll and under RetainSketch fills the same fields, ErrorBound tells
+// the two apart, and the sketch's percentiles are within α of the exact
+// ones.
+func TestResultReadsTheSameUnderBothRetentions(t *testing.T) {
+	spec := func(retention scenario.RetentionSpec) scenario.Scenario {
+		return mustScenario(scenario.Spec{
+			Name: "contract", Network: "opera", Seed: 3, Retention: retention,
+			Sources: []scenario.SourceSpec{{Type: "shuffle", Participants: 8, FlowBytes: 50_000,
+				Stagger: 5 * eventsim.Millisecond}},
+			Duration: 500 * eventsim.Millisecond,
+		})
 	}
-	if res.Telemetry != nil {
-		t.Fatal("RetainAll Result should not carry telemetry")
+	cl, exact := scenario.Collect(spec(scenario.RetentionSpec{}))
+	sketch := scenario.Run(spec(scenario.RetentionSpec{Sketch: true, Alpha: sketchAlpha}))
+	for _, r := range []scenario.Result{exact, sketch} {
+		if r.Err != "" || !r.Completed || r.Hosts != 64 {
+			t.Fatalf("%+v", r)
+		}
+		if r.All.P90Us <= 0 || r.All.P999Us <= 0 || r.DeliveredBinS != 0.001 ||
+			len(r.DeliveredRates) == 0 || r.WindowTax <= 0 {
+			t.Errorf("ErrorBound %v: readouts left empty: All=%+v DeliveredBinS=%v len(DeliveredRates)=%d WindowTax=%v",
+				r.ErrorBound, r.All, r.DeliveredBinS, len(r.DeliveredRates), r.WindowTax)
+		}
+	}
+
+	fcts := cl.Metrics().FCTSample(nil)
+	if exact.ErrorBound != 0 || exact.DeliveredStartS != 0 || exact.WindowTax != exact.AggregateTax {
+		t.Errorf("RetainAll: ErrorBound=%v DeliveredStartS=%v WindowTax=%v AggregateTax=%v",
+			exact.ErrorBound, exact.DeliveredStartS, exact.WindowTax, exact.AggregateTax)
+	}
+	if exact.All.P90Us != fcts.Percentile(90) || exact.All.P999Us != fcts.Percentile(99.9) {
+		t.Errorf("RetainAll p90/p99.9 = %v/%v, want the exact %v/%v",
+			exact.All.P90Us, exact.All.P999Us, fcts.Percentile(90), fcts.Percentile(99.9))
+	}
+
+	if sketch.ErrorBound != sketchAlpha || sketch.BySize != nil {
+		t.Errorf("RetainSketch: ErrorBound=%v BySize=%v", sketch.ErrorBound, sketch.BySize)
+	}
+	// The run is shorter than the sketch's trailing window, so the window
+	// holds the whole delivered series.
+	if !slices.Equal(sketch.DeliveredRates, exact.DeliveredRates) || sketch.DeliveredStartS != 0 ||
+		sketch.WindowTax != exact.WindowTax {
+		t.Errorf("RetainSketch series %v from %v s (tax %v), want RetainAll's %v from 0 (tax %v)",
+			sketch.DeliveredRates, sketch.DeliveredStartS, sketch.WindowTax, exact.DeliveredRates, exact.WindowTax)
+	}
+	if sketch.All.N != fcts.N() {
+		t.Fatalf("RetainSketch All.N = %d, want %d", sketch.All.N, fcts.N())
+	}
+	for _, q := range []struct {
+		got float64
+		p   float64
+	}{{sketch.All.P50Us, 50}, {sketch.All.P90Us, 90}, {sketch.All.P99Us, 99}, {sketch.All.P999Us, 99.9}} {
+		checkWithinBound(t, "all", q.got, fcts, q.p)
 	}
 }
 
@@ -200,7 +239,7 @@ func TestFaultEventsOnRotorNet(t *testing.T) {
 	if !res.Completed {
 		t.Fatalf("faulted rotornet shuffle incomplete: %d/%d", res.FlowsDone, res.FlowsTotal)
 	}
-	if res.Telemetry == nil || res.Bulk.N != res.FlowsDone {
-		t.Fatalf("telemetry summary missing or inconsistent: %+v", res.Telemetry)
+	if res.ErrorBound == 0 || res.Bulk.N != res.FlowsDone {
+		t.Fatalf("sketch summary missing or inconsistent: ErrorBound=%v Bulk=%+v", res.ErrorBound, res.Bulk)
 	}
 }
