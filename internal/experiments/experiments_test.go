@@ -249,3 +249,21 @@ func TestFig07TinyRun(t *testing.T) {
 	}
 	pinTinyGolden(t, tables)
 }
+
+func TestFig09TinyRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("packet-level experiment")
+	}
+	opt := DefaultSimOptions()
+	opt.Loads = []float64{0.05}
+	opt.Duration = 5 * eventsim.Millisecond
+	opt.MaxFlowBytes = 2_000_000
+	tables, err := Fig09Websearch(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tables[0].Rows) == 0 {
+		t.Fatal("no FCT rows")
+	}
+	pinTinyGolden(t, tables)
+}

@@ -10,11 +10,11 @@ import (
 )
 
 // pinTinyGolden pins tables byte-for-byte against their sections of
-// testdata/figs_tiny.golden, one section per table name. The tiny fig07,
-// fig08 and fig10 runs carry the paper's headline claims at test size, so
+// testdata/figs_tiny.golden, one section per table name. The tiny fig07–
+// fig10 runs carry the paper's headline claims at test size, so
 // any CSV drift means a change moved published numbers — which must be
 // deliberate. Regenerate with UPDATE_GOLDEN=1 go test ./internal/experiments/
-// -run 'TestFig07TinyRun|TestFig08SmallShuffle|TestFig10MixedTiny' and review
+// -run 'TestFig0[79]TinyRun|TestFig08SmallShuffle|TestFig10MixedTiny' and review
 // the diff; a test rewrites only its own sections.
 func pinTinyGolden(t *testing.T, tables []Table) {
 	t.Helper()
