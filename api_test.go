@@ -120,6 +120,31 @@ func TestNetworkInterface(t *testing.T) {
 	}
 }
 
+// RunUntilDone never runs past its deadline, also one that is not a
+// multiple of its 100 µs polling step: a 1 ns deadline leaves a 6 KB flow
+// unfinished and the clock at 1 ns, and a later deadline picks up from
+// there.
+func TestRunUntilDoneStopsAtDeadline(t *testing.T) {
+	cl, err := opera.New(opera.KindExpander)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := cl.AddFlow(workload.FlowSpec{Src: 0, Dst: cl.NumHosts() - 1, Bytes: 6_000})
+	if cl.RunUntilDone(1) || f.Done {
+		t.Fatal("6 KB flow reported complete within 1 ns")
+	}
+	if now := cl.Engine().Now(); now != 1 {
+		t.Fatalf("RunUntilDone(1) left the clock at %v", now)
+	}
+	deadline := 150 * eventsim.Microsecond
+	if !cl.RunUntilDone(deadline) {
+		t.Fatal("6 KB flow incomplete after 150 µs")
+	}
+	if now := cl.Engine().Now(); now > deadline {
+		t.Fatalf("RunUntilDone(%v) ran to %v", deadline, now)
+	}
+}
+
 // RunUntilDone must stop polling its 100 µs grid once the event queue
 // drains: with the circuit clock stopped, a stranded bulk flow can never
 // finish, and the call must give up as soon as in-flight events die out

@@ -3,8 +3,8 @@ package opera_test
 // One benchmark per table and figure of the paper's evaluation, each
 // regenerating its artifact at benchmark-friendly scale and reporting the
 // headline domain metrics via b.ReportMetric. The cmd/opera-experiments
-// tool runs the same code at paper scale; EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// tool runs the same code at paper scale. The packet-level figures 7–10
+// are benchmarked in internal/experiments, where their spec builders live.
 
 import (
 	"strconv"
@@ -45,66 +45,6 @@ func BenchmarkFig04PathLengths(b *testing.B) {
 		}
 	}
 	b.ReportMetric(avg, "opera-cdf-final")
-}
-
-func BenchmarkFig07Datamining(b *testing.B) {
-	opt := experiments.DefaultSimOptions()
-	opt.Loads = []float64{0.10}
-	opt.Duration = 5 * eventsim.Millisecond
-	opt.MaxFlowBytes = 5_000_000
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig07Datamining(opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig08Shuffle(b *testing.B) {
-	opt := experiments.DefaultShuffleOptions()
-	opt.FlowBytes = 50_000
-	var operaP99 float64
-	for i := 0; i < b.N; i++ {
-		tables, err := experiments.Fig08Shuffle(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range tables[1].Rows {
-			if r[0] == "opera" {
-				operaP99, _ = strconv.ParseFloat(r[1], 64)
-			}
-		}
-	}
-	b.ReportMetric(operaP99, "opera-p99-fct-ms")
-}
-
-func BenchmarkFig09Websearch(b *testing.B) {
-	opt := experiments.DefaultSimOptions()
-	opt.Loads = []float64{0.05}
-	opt.Duration = 5 * eventsim.Millisecond
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig09Websearch(opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig10Mixed(b *testing.B) {
-	opt := experiments.DefaultMixedOptions()
-	opt.WebsearchLoads = []float64{0.05}
-	opt.Duration = 10 * eventsim.Millisecond
-	var operaTput float64
-	for i := 0; i < b.N; i++ {
-		tables, err := experiments.Fig10Mixed(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range tables[0].Rows {
-			if r[0] == "opera" {
-				operaTput, _ = strconv.ParseFloat(r[2], 64)
-			}
-		}
-	}
-	b.ReportMetric(operaTput, "opera-norm-tput")
 }
 
 func BenchmarkFig11FaultTolerance(b *testing.B) {

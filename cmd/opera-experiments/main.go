@@ -50,11 +50,8 @@ func selectJobs(names []string, only string) ([]bool, error) {
 func main() {
 	// Set from the flags below; the jobs read them when they run.
 	var (
-		analysisScale experiments.Scale
-		simOpt        experiments.SimOptions
-		shufOpt       experiments.ShuffleOptions
-		mixOpt        experiments.MixedOptions
-		trials        int
+		analysisScale, simScale experiments.Scale
+		trials                  int
 	)
 	type job struct {
 		name string
@@ -63,10 +60,10 @@ func main() {
 	jobs := []job{
 		{"fig01", func() ([]experiments.Table, error) { return experiments.Fig01FlowSizeCDFs(), nil }},
 		{"fig04", func() ([]experiments.Table, error) { return experiments.Fig04PathLengths(analysisScale) }},
-		{"fig07", func() ([]experiments.Table, error) { return experiments.Fig07Datamining(simOpt) }},
-		{"fig08", func() ([]experiments.Table, error) { return experiments.Fig08Shuffle(shufOpt) }},
-		{"fig09", func() ([]experiments.Table, error) { return experiments.Fig09Websearch(simOpt) }},
-		{"fig10", func() ([]experiments.Table, error) { return experiments.Fig10Mixed(mixOpt) }},
+		{"fig07", func() ([]experiments.Table, error) { return experiments.Fig07Datamining(simScale) }},
+		{"fig08", func() ([]experiments.Table, error) { return experiments.Fig08Shuffle(simScale) }},
+		{"fig09", func() ([]experiments.Table, error) { return experiments.Fig09Websearch(simScale) }},
+		{"fig10", func() ([]experiments.Table, error) { return experiments.Fig10Mixed(simScale) }},
 		{"fig11", func() ([]experiments.Table, error) { return experiments.Fig11FaultTolerance(analysisScale, trials) }},
 		{"fig12", experiments.Fig12CostSweepK24},
 		{"fig13", func() ([]experiments.Table, error) { return experiments.Fig13Prototype(prototype.DefaultParams()) }},
@@ -104,14 +101,9 @@ func main() {
 	if *small {
 		analysisScale = experiments.SmallScale()
 	}
-	simOpt = experiments.DefaultSimOptions()
-	shufOpt = experiments.DefaultShuffleOptions()
-	mixOpt = experiments.DefaultMixedOptions()
+	simScale = experiments.SmallScale()
 	if *full {
-		simOpt = experiments.PaperSimOptions()
-		shufOpt.Scale = experiments.PaperScale()
-		shufOpt.Stagger = 10_000_000 // 10 ms, as §5.2
-		mixOpt.Scale = experiments.PaperScale()
+		simScale = experiments.PaperScale()
 	}
 
 	failed := 0

@@ -22,10 +22,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -79,7 +82,7 @@ func main() {
 		if err != nil {
 			die(err)
 		}
-		if err := json.Unmarshal(data, &g); err != nil {
+		if g, err = parseGrid(data); err != nil {
 			die(fmt.Errorf("parse %s: %w", *gridFile, err))
 		}
 	} else {
@@ -170,6 +173,22 @@ func main() {
 			len(rep.Failed), len(specs), rep.Rounds)
 		os.Exit(1)
 	}
+}
+
+// parseGrid decodes a -grid file. A key sweep.Grid does not have, or
+// anything after the grid object, is an error: a misspelt "load" must not
+// quietly run the default loads.
+func parseGrid(data []byte) (sweep.Grid, error) {
+	var g sweep.Grid
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&g); err != nil {
+		return sweep.Grid{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return sweep.Grid{}, errors.New("trailing data after the grid object")
+	}
+	return g, nil
 }
 
 func die(err error) {

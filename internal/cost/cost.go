@@ -61,11 +61,6 @@ func Oversubscription(alpha float64) float64 {
 	return 2 * (Tiers - 1) / alpha
 }
 
-// AlphaForOversubscription inverts Oversubscription.
-func AlphaForOversubscription(f float64) float64 {
-	return 2 * (Tiers - 1) / f
-}
-
 // Hosts returns the host count H of the cost-normalizing three-tier folded
 // Clos with switch radix k at premium α: H = (4F/(F+1))·(k/2)³.
 func Hosts(k int, alpha float64) int {

@@ -32,9 +32,6 @@ func TestOversubscription(t *testing.T) {
 	if f := Oversubscription(4.0 / 3.0); math.Abs(f-3) > 1e-12 {
 		t.Fatalf("F(4/3) = %v, want 3", f)
 	}
-	if a := AlphaForOversubscription(3); math.Abs(a-4.0/3.0) > 1e-12 {
-		t.Fatalf("alpha(3) = %v", a)
-	}
 	// α = 1 ⇒ F = 4 (fully "free" core ports buy a 4:1 Clos... i.e. more
 	// oversubscribed at equal cost), α = 4 ⇒ F = 1 (fully provisioned).
 	if f := Oversubscription(4); f != 1 {

@@ -1,8 +1,8 @@
 // Package experiments contains one runner per table and figure of the
 // Opera paper's evaluation (§5, §6 and the appendices). Each runner
 // returns self-describing Tables that cmd/opera-experiments writes as CSV
-// and the repository benchmarks summarize; EXPERIMENTS.md records the
-// paper-vs-measured comparison for every artifact.
+// and the repository benchmarks summarize. A runner is given a Scale, or
+// nothing when its artifact has one fixed size.
 package experiments
 
 import (
@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/scenario"
 )
 
@@ -65,7 +66,9 @@ func WriteAll(dir string, tables []Table) error {
 	return nil
 }
 
-// Scale fixes the network sizes an experiment family runs at.
+// Scale fixes the network sizes an experiment family runs at, and the
+// packet-level figures' traffic settings that differ between the small
+// and the paper-scale runs.
 type Scale struct {
 	Name string
 
@@ -84,6 +87,17 @@ type Scale struct {
 
 	// Seed seeds topology, workload and fault randomness of every run.
 	Seed int64
+
+	// Loads are the Poisson FCT figures' (7, 9) offered-load fractions.
+	Loads []float64
+	// Window is their flow-arrival window; a run drains for up to
+	// DrainFactor× longer.
+	Window      eventsim.Time
+	DrainFactor int
+	// MaxFlowBytes caps their sampled flow sizes (0 = unlimited).
+	MaxFlowBytes int64
+	// Stagger spreads the static networks' shuffle arrivals in Figure 8.
+	Stagger eventsim.Time
 }
 
 // Spec starts a run description on the named network at this scale: Name,
@@ -109,7 +123,10 @@ func PaperScale() Scale {
 		Racks: 108, HostsPerRack: 6, Uplinks: 6,
 		ExpRacks: 130, ExpHosts: 5, ExpDegree: 7,
 		ClosK: 12, ClosF: 3,
-		Seed: 1,
+		Seed:   1,
+		Loads:  []float64{0.01, 0.10, 0.25, 0.30, 0.40},
+		Window: 100 * eventsim.Millisecond, DrainFactor: 20,
+		Stagger: 10 * eventsim.Millisecond, // §5.2
 	}
 }
 
@@ -117,12 +134,17 @@ func PaperScale() Scale {
 // the packet-level experiments run in seconds for tests and benchmarks.
 // (The folded Clos's dimensions are quantized by its radix; k=8, F=3 gives
 // 192 hosts — load is defined per host, so comparisons remain aligned.)
+// Flow sizes are capped at 20 MB so the heavy tail stays test-friendly.
 func SmallScale() Scale {
 	return Scale{
 		Name:  "small",
 		Racks: 16, HostsPerRack: 4, Uplinks: 4,
 		ExpRacks: 16, ExpHosts: 4, ExpDegree: 5,
 		ClosK: 8, ClosF: 3,
-		Seed: 1,
+		Seed:   1,
+		Loads:  []float64{0.01, 0.10, 0.25},
+		Window: 20 * eventsim.Millisecond, DrainFactor: 15,
+		MaxFlowBytes: 20_000_000,
+		Stagger:      1 * eventsim.Millisecond,
 	}
 }

@@ -145,13 +145,65 @@ func TestFig15FluidSweep(t *testing.T) {
 	}
 }
 
+// tinyPoisson shrinks a Poisson FCT figure's specs to one cell per
+// network, at load over window with flows capped at maxFlowBytes; each run
+// drains for the figure's usual multiple of its window.
+func tinyPoisson(specs []scenario.Spec, load float64, window eventsim.Time, maxFlowBytes int64) []scenario.Spec {
+	specs = firstPerNetwork(specs)
+	for i := range specs {
+		src := &specs[i].Sources[0]
+		specs[i].Duration = specs[i].Duration / src.Window * window
+		src.Load, src.Window, src.MaxFlowBytes = load, window, maxFlowBytes
+	}
+	return specs
+}
+
+// tinyMixed shrinks Figure 10's specs to one cell per network: websearch
+// at load, with both sources and the run lasting window.
+func tinyMixed(specs []scenario.Spec, load float64, window eventsim.Time) []scenario.Spec {
+	specs = firstPerNetwork(specs)
+	for i := range specs {
+		sp := &specs[i]
+		sp.Duration, sp.Sources[0].Window, sp.Sources[1].Window, sp.Sources[1].Load = window, window, window, load
+	}
+	return specs
+}
+
+// tinyShuffle shrinks Figure 8's shuffle flows to flowBytes.
+func tinyShuffle(specs []scenario.Spec, flowBytes int64) []scenario.Spec {
+	for i := range specs {
+		specs[i].Sources[0].FlowBytes = flowBytes
+	}
+	return specs
+}
+
+// firstPerNetwork keeps each network's first cell of a figure's specs.
+func firstPerNetwork(specs []scenario.Spec) []scenario.Spec {
+	var out []scenario.Spec
+	for i, sp := range specs {
+		if i == 0 || sp.Network != specs[i-1].Network {
+			out = append(out, sp)
+		}
+	}
+	return out
+}
+
+// mustRun runs specs, as the figure runners do.
+func mustRun(t testing.TB, specs []scenario.Spec) []scenario.Result {
+	t.Helper()
+	results, err := run(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
+
 func TestFig08SmallShuffle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level experiment")
 	}
-	opt := DefaultShuffleOptions()
-	opt.FlowBytes = 50_000
-	tables, err := Fig08Shuffle(opt)
+	specs := tinyShuffle(fig08Specs(SmallScale()), 50_000)
+	tables, err := shuffleTables("small", specs, mustRun(t, specs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,10 +222,8 @@ func TestFig10MixedTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level experiment")
 	}
-	opt := DefaultMixedOptions()
-	opt.WebsearchLoads = []float64{0.05}
-	opt.Duration = 5 * eventsim.Millisecond
-	tables, err := Fig10Mixed(opt)
+	specs := tinyMixed(fig10Specs(SmallScale()), 0.05, 5*eventsim.Millisecond)
+	tables, err := mixedTables("small", specs, mustRun(t, specs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,15 +253,9 @@ func TestFig10ReducesDecodedResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level experiment")
 	}
-	opt := DefaultMixedOptions()
-	opt.WebsearchLoads = []float64{0.05}
-	opt.Duration = 5 * eventsim.Millisecond
-	specs := mixedSpecs(opt)
-	results, err := run(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := mixedTables(opt.Scale.Name, specs, results)
+	specs := tinyMixed(fig10Specs(SmallScale()), 0.05, 5*eventsim.Millisecond)
+	results := mustRun(t, specs)
+	direct, err := mixedTables("small", specs, results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +267,7 @@ func TestFig10ReducesDecodedResults(t *testing.T) {
 	if err := gob.NewDecoder(&wire).Decode(&decoded); err != nil {
 		t.Fatal(err)
 	}
-	got, err := mixedTables(opt.Scale.Name, specs, decoded)
+	got, err := mixedTables("small", specs, decoded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +280,8 @@ func TestFig07TinyRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level experiment")
 	}
-	opt := DefaultSimOptions()
-	opt.Loads = []float64{0.05}
-	opt.Duration = 5 * eventsim.Millisecond
-	opt.MaxFlowBytes = 2_000_000
-	tables, err := Fig07Datamining(opt)
+	tables, err := poissonFigure("fig07_datamining_fct_small",
+		tinyPoisson(fig07Specs(SmallScale()), 0.05, 5*eventsim.Millisecond, 2_000_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +295,8 @@ func TestFig09TinyRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level experiment")
 	}
-	opt := DefaultSimOptions()
-	opt.Loads = []float64{0.05}
-	opt.Duration = 5 * eventsim.Millisecond
-	opt.MaxFlowBytes = 2_000_000
-	tables, err := Fig09Websearch(opt)
+	tables, err := poissonFigure("fig09_websearch_fct_small",
+		tinyPoisson(fig09Specs(SmallScale()), 0.05, 5*eventsim.Millisecond, 2_000_000))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,41 +10,6 @@ import (
 	"github.com/opera-net/opera/scenario"
 )
 
-// SimOptions controls the packet-level experiment family.
-type SimOptions struct {
-	Scale Scale
-	// Loads are offered-load fractions for the Poisson experiments.
-	Loads []float64
-	// Duration is the flow-arrival window; the simulation drains for up to
-	// DrainFactor× longer.
-	Duration    eventsim.Time
-	DrainFactor int
-	// MaxFlowBytes caps sampled flow sizes (0 = unlimited); small-scale
-	// runs cap the heavy tail so runtimes stay test-friendly.
-	MaxFlowBytes int64
-}
-
-// DefaultSimOptions returns small-scale settings (seconds per run).
-func DefaultSimOptions() SimOptions {
-	return SimOptions{
-		Scale:        SmallScale(),
-		Loads:        []float64{0.01, 0.10, 0.25},
-		Duration:     20 * eventsim.Millisecond,
-		DrainFactor:  15,
-		MaxFlowBytes: 20_000_000,
-	}
-}
-
-// PaperSimOptions returns §5.1-scale settings (minutes per network).
-func PaperSimOptions() SimOptions {
-	return SimOptions{
-		Scale:       PaperScale(),
-		Loads:       []float64{0.01, 0.10, 0.25, 0.30, 0.40},
-		Duration:    100 * eventsim.Millisecond,
-		DrainFactor: 20,
-	}
-}
-
 // run resolves specs and runs them through the scenario runner —
 // independent clusters across all cores — returning Results in spec order.
 // A figure is then a reduction of (specs, results): nothing it reads lives
@@ -67,17 +32,17 @@ func run(specs []scenario.Spec) ([]scenario.Result, error) {
 const hostLinkBps = topology.DefaultLinkRateGbps * 1e9
 
 // poissonSpecs describes every (network, load) cell of an open-loop
-// Poisson FCT sweep.
-func poissonSpecs(networks []string, opt SimOptions, dist string) []scenario.Spec {
+// Poisson FCT sweep at scale s.
+func poissonSpecs(s Scale, dist string, networks ...string) []scenario.Spec {
 	var specs []scenario.Spec
 	for _, net := range networks {
-		for _, load := range opt.Loads {
-			sp := opt.Scale.Spec(net)
-			sp.Duration = opt.Duration * eventsim.Time(opt.DrainFactor)
+		for _, load := range s.Loads {
+			sp := s.Spec(net)
+			sp.Duration = s.Window * eventsim.Time(s.DrainFactor)
 			// Streamed open-loop arrivals: the sweep never materializes a
 			// flow list, so paper-scale load points stay O(active flows).
 			sp.Sources = []scenario.SourceSpec{{
-				Type: "poisson", Dist: dist, Load: load, Window: opt.Duration, MaxFlowBytes: opt.MaxFlowBytes,
+				Type: "poisson", Dist: dist, Load: load, Window: s.Window, MaxFlowBytes: s.MaxFlowBytes,
 			}}
 			specs = append(specs, sp)
 		}
@@ -105,86 +70,77 @@ func poissonFCT(t *Table, specs []scenario.Spec, results []scenario.Result) erro
 	return nil
 }
 
-// runPoissonFCT runs the Poisson FCT sweep on networks and reduces it
-// into t.
-func runPoissonFCT(t *Table, networks []string, opt SimOptions, dist string) error {
-	specs := poissonSpecs(networks, opt, dist)
+// poissonFigure runs a Poisson FCT sweep's specs and reduces them into
+// the one table named name.
+func poissonFigure(name string, specs []scenario.Spec) ([]Table, error) {
 	results, err := run(specs)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return poissonFCT(t, specs, results)
+	t := Table{Name: name, Header: fctHeader}
+	if err := poissonFCT(&t, specs, results); err != nil {
+		return nil, err
+	}
+	return []Table{t}, nil
 }
 
 var fctHeader = []string{"network", "load", "flow_size", "mean_fct_us", "p99_fct_us", "flows", "completed_frac"}
 
+// fig07Specs describes Figure 7's cells: Datamining on the four
+// architectures plus hybrid RotorNet at +33% cost.
+func fig07Specs(s Scale) []scenario.Spec {
+	return poissonSpecs(s, "datamining", "opera", "expander", "foldedclos", "rotornet-hybrid", "rotornet")
+}
+
 // Fig07Datamining regenerates Figure 7: Datamining FCTs vs offered load on
 // the four architectures (plus hybrid RotorNet at +33% cost).
-func Fig07Datamining(opt SimOptions) ([]Table, error) {
-	t := Table{Name: fmt.Sprintf("fig07_datamining_fct_%s", opt.Scale.Name), Header: fctHeader}
-	networks := []string{"opera", "expander", "foldedclos", "rotornet-hybrid", "rotornet"}
-	if err := runPoissonFCT(&t, networks, opt, "datamining"); err != nil {
-		return nil, err
-	}
-	return []Table{t}, nil
+func Fig07Datamining(s Scale) ([]Table, error) {
+	return poissonFigure("fig07_datamining_fct_"+s.Name, fig07Specs(s))
+}
+
+// fig09Specs describes Figure 9's cells: Websearch, the all-indirect
+// worst case, on the three cost-equivalent networks.
+func fig09Specs(s Scale) []scenario.Spec {
+	return poissonSpecs(s, "websearch", "opera", "expander", "foldedclos")
 }
 
 // Fig09Websearch regenerates Figure 9: the all-indirect worst case.
-func Fig09Websearch(opt SimOptions) ([]Table, error) {
-	t := Table{Name: fmt.Sprintf("fig09_websearch_fct_%s", opt.Scale.Name), Header: fctHeader}
-	if err := runPoissonFCT(&t, []string{"opera", "expander", "foldedclos"}, opt, "websearch"); err != nil {
-		return nil, err
-	}
-	return []Table{t}, nil
+func Fig09Websearch(s Scale) ([]Table, error) {
+	return poissonFigure("fig09_websearch_fct_"+s.Name, fig09Specs(s))
 }
 
-// ShuffleOptions controls the Figure 8 experiment.
-type ShuffleOptions struct {
-	Scale     Scale
-	FlowBytes int64
-	// Stagger spreads static-network arrivals (the paper uses 10 ms).
-	Stagger  eventsim.Time
-	Deadline eventsim.Time
-	// Participants caps how many hosts join the shuffle (0 = all). The
-	// folded Clos's host count is quantized by its radix (192 at small
-	// scale vs 64 for the others); capping keeps the workload identical
-	// across networks.
-	Participants int
-}
-
-// DefaultShuffleOptions returns small-scale settings.
-func DefaultShuffleOptions() ShuffleOptions {
-	return ShuffleOptions{
-		Scale:        SmallScale(),
-		FlowBytes:    100_000,
-		Stagger:      1 * eventsim.Millisecond,
-		Deadline:     2000 * eventsim.Millisecond,
-		Participants: 64,
-	}
-}
+// Figure 8's shuffle is the same at every scale: 100 KB between every
+// pair of 64 hosts under a 2 s deadline. Capping the participants keeps
+// the workload identical across networks, since the folded Clos's host
+// count is quantized by its radix (192 at small scale).
+const (
+	shuffleFlowBytes    = 100_000
+	shuffleParticipants = 64
+	shuffleDeadline     = 2000 * eventsim.Millisecond
+)
 
 // Fig08Shuffle regenerates Figure 8: delivered throughput over time and
 // the 99th-percentile FCT for a 100 KB all-to-all shuffle, application-
 // tagged as bulk on Opera (all-direct paths).
-func Fig08Shuffle(opt ShuffleOptions) ([]Table, error) {
-	specs := shuffleSpecs(opt)
+func Fig08Shuffle(s Scale) ([]Table, error) {
+	specs := fig08Specs(s)
 	results, err := run(specs)
 	if err != nil {
 		return nil, err
 	}
-	return shuffleTables(opt.Scale.Name, specs, results)
+	return shuffleTables(s.Name, specs, results)
 }
 
-// shuffleSpecs describes Figure 8's cells. Opera: application-tagged bulk,
+// fig08Specs describes Figure 8's cells. Opera: application-tagged bulk,
 // simultaneous start (RotorLB handles it gracefully, §5.2); the static
-// networks get staggered arrivals.
-func shuffleSpecs(opt ShuffleOptions) []scenario.Spec {
+// networks get arrivals staggered by s.Stagger.
+func fig08Specs(s Scale) []scenario.Spec {
 	var specs []scenario.Spec
 	for _, net := range []string{"opera", "expander", "foldedclos"} {
-		sp := opt.Scale.Spec(net)
-		sp.Duration = opt.Deadline
+		sp := s.Spec(net)
+		sp.Duration = shuffleDeadline
 		sp.Sources = []scenario.SourceSpec{{
-			Type: "shuffle", Participants: opt.Participants, FlowBytes: opt.FlowBytes, Stagger: opt.Stagger,
+			Type: "shuffle", Participants: shuffleParticipants, FlowBytes: shuffleFlowBytes, Stagger: s.Stagger,
 		}}
 		if net == "opera" {
 			sp.AppTaggedBulk, sp.Sources[0].Stagger = true, 0
@@ -220,22 +176,11 @@ func shuffleTables(scale string, specs []scenario.Spec, results []scenario.Resul
 	return []Table{series, summary}, nil
 }
 
-// MixedOptions controls the Figure 10 experiment.
-type MixedOptions struct {
-	Scale Scale
-	// WebsearchLoads are the low-latency load points.
-	WebsearchLoads []float64
-	Duration       eventsim.Time
-}
+// Figure 10's websearch load points and underlay window are the same at
+// every scale.
+var mixedLoads = []float64{0.01, 0.05, 0.10}
 
-// DefaultMixedOptions returns small-scale settings.
-func DefaultMixedOptions() MixedOptions {
-	return MixedOptions{
-		Scale:          SmallScale(),
-		WebsearchLoads: []float64{0.01, 0.05, 0.10},
-		Duration:       30 * eventsim.Millisecond,
-	}
-}
+const mixedWindow = 30 * eventsim.Millisecond
 
 // Fig10Mixed regenerates Figure 10: aggregate delivered throughput vs
 // Websearch (low-latency) load with a saturating bulk underlay: every host
@@ -244,25 +189,25 @@ func DefaultMixedOptions() MixedOptions {
 // application-tagged (§3.4), websearch is classified by size; every
 // (network, load) cell fans out through the scenario runner, and a by-tag
 // table breaks the aggregate down into its two components.
-func Fig10Mixed(opt MixedOptions) ([]Table, error) {
-	specs := mixedSpecs(opt)
+func Fig10Mixed(s Scale) ([]Table, error) {
+	specs := fig10Specs(s)
 	results, err := run(specs)
 	if err != nil {
 		return nil, err
 	}
-	return mixedTables(opt.Scale.Name, specs, results)
+	return mixedTables(s.Name, specs, results)
 }
 
-// mixedSpecs describes Figure 10's (network, websearch load) cells.
-func mixedSpecs(opt MixedOptions) []scenario.Spec {
+// fig10Specs describes Figure 10's (network, websearch load) cells.
+func fig10Specs(s Scale) []scenario.Spec {
 	var specs []scenario.Spec
 	for _, net := range []string{"opera", "expander", "foldedclos"} {
-		for _, wsLoad := range opt.WebsearchLoads {
-			sp := opt.Scale.Spec(net)
-			sp.Duration = opt.Duration
+		for _, wsLoad := range mixedLoads {
+			sp := s.Spec(net)
+			sp.Duration = mixedWindow
 			sp.Sources = []scenario.SourceSpec{
-				{Type: "saturate", Window: opt.Duration, Bulk: true, Tag: "shuffle"},
-				{Type: "poisson", Dist: "websearch", Load: wsLoad, Window: opt.Duration, Tag: "websearch"},
+				{Type: "saturate", Window: mixedWindow, Bulk: true, Tag: "shuffle"},
+				{Type: "poisson", Dist: "websearch", Load: wsLoad, Window: mixedWindow, Tag: "websearch"},
 			}
 			specs = append(specs, sp)
 		}

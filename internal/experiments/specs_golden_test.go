@@ -7,56 +7,33 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/scenario"
 )
 
-// figSpecs lists every packet-level figure's run descriptions at small
-// scale and at the paper scale opera-experiments -full selects, in job
-// order.
-func figSpecs() []struct {
-	name  string
-	specs []scenario.Spec
-} {
-	small, paper := DefaultSimOptions(), PaperSimOptions()
-	shufSmall, shufPaper := DefaultShuffleOptions(), DefaultShuffleOptions()
-	shufPaper.Scale, shufPaper.Stagger = PaperScale(), 10*eventsim.Millisecond
-	mixSmall, mixPaper := DefaultMixedOptions(), DefaultMixedOptions()
-	mixPaper.Scale = PaperScale()
-	fig07 := []string{"opera", "expander", "foldedclos", "rotornet-hybrid", "rotornet"}
-	fig09 := []string{"opera", "expander", "foldedclos"}
-	return []struct {
-		name  string
-		specs []scenario.Spec
-	}{
-		{"fig07_small", poissonSpecs(fig07, small, "datamining")},
-		{"fig08_small", shuffleSpecs(shufSmall)},
-		{"fig09_small", poissonSpecs(fig09, small, "websearch")},
-		{"fig10_small", mixedSpecs(mixSmall)},
-		{"fig07_paper", poissonSpecs(fig07, paper, "datamining")},
-		{"fig08_paper", shuffleSpecs(shufPaper)},
-		{"fig09_paper", poissonSpecs(fig09, paper, "websearch")},
-		{"fig10_paper", mixedSpecs(mixPaper)},
-	}
-}
-
-// TestFigSpecsGolden pins the JSON of every spec fig07–fig10 run, at both
-// scales, against testdata/fig_specs.golden: one section per figure and
-// scale, one spec per line. A paper-scale run takes hours, so this is the
-// check that a change to how figures are described leaves what they
-// simulate alone. Regenerate with UPDATE_GOLDEN=1 go test
-// ./internal/experiments/ -run TestFigSpecsGolden and review the diff.
+// TestFigSpecsGolden pins the JSON of every spec fig07–fig10 run, at small
+// scale and at the paper scale opera-experiments -full selects, against
+// testdata/fig_specs.golden: one section per figure and scale, one spec
+// per line. A paper-scale run takes hours, so this is the check that a
+// change to how figures are described leaves what they simulate alone.
+// Regenerate with UPDATE_GOLDEN=1 go test ./internal/experiments/ -run
+// TestFigSpecsGolden and review the diff.
 func TestFigSpecsGolden(t *testing.T) {
+	figs := []struct {
+		name  string
+		specs func(Scale) []scenario.Spec
+	}{{"fig07", fig07Specs}, {"fig08", fig08Specs}, {"fig09", fig09Specs}, {"fig10", fig10Specs}}
 	var b strings.Builder
-	for _, fig := range figSpecs() {
-		b.WriteString("== " + fig.name + " ==\n")
-		for _, sp := range fig.specs {
-			line, err := json.Marshal(sp)
-			if err != nil {
-				t.Fatal(err)
+	for _, s := range []Scale{SmallScale(), PaperScale()} {
+		for _, fig := range figs {
+			b.WriteString("== " + fig.name + "_" + s.Name + " ==\n")
+			for _, sp := range fig.specs(s) {
+				line, err := json.Marshal(sp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.Write(line)
+				b.WriteByte('\n')
 			}
-			b.Write(line)
-			b.WriteByte('\n')
 		}
 	}
 	got := b.String()

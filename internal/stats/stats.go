@@ -166,33 +166,3 @@ func (s *Sample) CDF() []CDFPoint {
 	}
 	return out
 }
-
-// WeightedCDF returns the CDF of values weighted by weights (e.g. the
-// bytes-weighted flow-size CDF in Figure 1 of the paper). Both slices must
-// have equal length.
-func WeightedCDF(values, weights []float64) []CDFPoint {
-	if len(values) != len(weights) {
-		panic("stats: values and weights length mismatch")
-	}
-	if len(values) == 0 {
-		return nil
-	}
-	type pair struct{ v, w float64 }
-	ps := make([]pair, len(values))
-	var total float64
-	for i := range values {
-		ps[i] = pair{values[i], weights[i]}
-		total += weights[i]
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].v < ps[j].v })
-	var out []CDFPoint
-	var cum float64
-	for i, p := range ps {
-		cum += p.w
-		if i+1 < len(ps) && ps[i+1].v == p.v {
-			continue
-		}
-		out = append(out, CDFPoint{X: p.v, F: cum / total})
-	}
-	return out
-}

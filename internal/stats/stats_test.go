@@ -104,30 +104,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestWeightedCDF(t *testing.T) {
-	// One small flow of 1 byte, one big flow of 99 bytes: byte-weighted CDF
-	// should jump to 0.01 at x=1 and 1.0 at x=99.
-	cdf := WeightedCDF([]float64{99, 1}, []float64{99, 1})
-	if len(cdf) != 2 {
-		t.Fatalf("len = %d, want 2", len(cdf))
-	}
-	if cdf[0].X != 1 || math.Abs(cdf[0].F-0.01) > 1e-12 {
-		t.Fatalf("first point = %+v", cdf[0])
-	}
-	if cdf[1].X != 99 || cdf[1].F != 1.0 {
-		t.Fatalf("second point = %+v", cdf[1])
-	}
-}
-
-func TestWeightedCDFMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched lengths did not panic")
-		}
-	}()
-	WeightedCDF([]float64{1}, []float64{1, 2})
-}
-
 // Property: percentiles are monotone in p and bounded by min/max.
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(raw []float64, a, b uint8) bool {

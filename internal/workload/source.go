@@ -88,20 +88,6 @@ func FromSpecs(specs []FlowSpec) Source {
 	return &specSource{ordered: ordered}
 }
 
-// Drain materializes a source into a flow list. It is the inverse of
-// FromSpecs, used by legacy []FlowSpec call sites and tests; draining an
-// unbounded source does not terminate, so bound it with Take first.
-func Drain(s Source) []FlowSpec {
-	var out []FlowSpec
-	for {
-		spec, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, spec)
-	}
-}
-
 // Take caps a source at the first n flows.
 func Take(s Source, n int) Source {
 	return SourceFunc(func() (FlowSpec, bool) {

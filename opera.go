@@ -487,7 +487,8 @@ func (c *Cluster) startFlow(f *sim.Flow) {
 func (c *Cluster) Run(until eventsim.Time) { c.eng.RunUntil(until) }
 
 // RunUntilDone advances until every registered flow completes or the
-// deadline passes, checking at 100 µs granularity; it returns early when
+// deadline passes, checking at 100 µs granularity (the last check falls
+// on the deadline itself, never past it); it returns early when
 // the event queue drains, since no pending event means no flow can make
 // further progress. While a source added with AddSource still has flows to
 // yield, the run continues even if everything admitted so far is done — a
@@ -496,7 +497,7 @@ func (c *Cluster) Run(until eventsim.Time) { c.eng.RunUntil(until) }
 func (c *Cluster) RunUntilDone(deadline eventsim.Time) bool {
 	const step = 100 * eventsim.Microsecond
 	for c.eng.Now() < deadline {
-		c.eng.RunUntil(c.eng.Now() + step)
+		c.eng.RunUntil(min(c.eng.Now()+step, deadline))
 		done, total := c.metrics.DoneCount()
 		if done == total && c.pumps == 0 {
 			return true

@@ -15,7 +15,7 @@ import (
 const sketchAlpha = 0.01
 
 // fig7Cell is the (opera, load 0.25) cell of the Figure 7 sweep — the
-// Datamining Poisson workload at DefaultSimOptions sizing and the figure
+// Datamining Poisson workload at the experiments SmallScale and the figure
 // seed — with the retention policy under test. The workload is tagged so
 // the per-tag sketch path is exercised alongside the per-class one.
 // Datamining's multi-megabyte mean flow keeps arrival counts modest (the
@@ -26,7 +26,7 @@ func fig7Cell(retention scenario.RetentionSpec) scenario.Scenario {
 	return mustScenario(scenario.Spec{
 		Name:    "fig7-dm",
 		Network: "opera",
-		Seed:    1, // the figure seed (DefaultSimOptions)
+		Seed:    1, // the figure seed (SmallScale)
 		Racks:   16, HostsPerRack: 4, Uplinks: 4,
 		Retention: retention,
 		Sources: []scenario.SourceSpec{{Type: "poisson", Dist: "datamining", Load: 0.25,
