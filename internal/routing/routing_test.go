@@ -177,7 +177,8 @@ func TestBuildMatchesReference(t *testing.T) {
 	t.Run("raw", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		for _, n := range []int{1, 2, 63, 64, 65, 130} {
-			for _, u := range []int{1, 3, 32} {
+			// Every width at which a cell's byte count ⌈u/8⌉ steps.
+			for _, u := range []int{1, 3, 7, 8, 9, 15, 16, 17, 24, 25, 31, 32} {
 				check(t, []PortMap{randomPortMap(rng, n, u), randomPortMap(rng, n, u)})
 			}
 		}
