@@ -39,7 +39,9 @@ bench-module:
 ## the bit-parallel routing build against the per-source BFS it replaced,
 ## on raw directed port maps; FuzzCollectorUnmarshal is the telemetry
 ## collector decoder, whose output must re-encode stably and read out,
-## and merge, without a panic (corpus under internal/telemetry/testdata/fuzz/)
+## and merge, without a panic (corpus under internal/telemetry/testdata/fuzz/);
+## FuzzParseGrid is opera-sweep's -grid decoder, whose grids must expand
+## and resolve, or fail with an error, without a panic
 fuzz:
 	$(GO) test ./scenario/ -run '^$$' -fuzz '^FuzzParseEvents$$' -fuzztime 10s
 	$(GO) test ./scenario/ -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime 10s
@@ -47,6 +49,7 @@ fuzz:
 	$(GO) test ./internal/eventsim/ -run '^$$' -fuzz '^FuzzSchedulerDifferential$$' -fuzztime 10s
 	$(GO) test ./internal/routing/ -run '^$$' -fuzz '^FuzzBuildDifferential$$' -fuzztime 10s
 	$(GO) test ./internal/telemetry/ -run '^$$' -fuzz '^FuzzCollectorUnmarshal$$' -fuzztime 10s
+	$(GO) test ./cmd/opera-sweep/ -run '^$$' -fuzz '^FuzzParseGrid$$' -fuzztime 10s
 
 ## figdiff: the figure byte-identity harness every refactor runs —
 ## `make figdiff BASE=<rev> [FIGS=fig11,fig19,fig20]` unpacks BASE into a

@@ -5,8 +5,10 @@
 // for every destination rack. This package precomputes those tables from
 // port maps (which uplink reaches which rack during which slice), retaining
 // every equal-cost uplink so the simulator can spray packets across the
-// path diversity of each slice, and validates the loop-freedom invariant
-// that makes ε a sound drain bound.
+// path diversity of each slice. A cell holds what the ToR's rule holds —
+// the set of shortest-path uplinks, and no distance; the tests check the
+// loop-freedom invariant that makes ε a sound drain bound against a plain
+// per-source BFS.
 //
 // A slice is built by one bit-parallel search from every rack at once
 // (graph.BitBFS): the racks within L hops of a rack are the OR of its
@@ -23,6 +25,7 @@
 package routing
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -31,12 +34,13 @@ import (
 	"github.com/opera-net/opera/internal/topology"
 )
 
-// Unreachable is the distance stored for unreachable rack pairs.
-const Unreachable = 0xFF
+// unreachable is the hop count Build refuses a shortest path to reach,
+// and the distance the tests' BFS gives a pair with no path.
+const unreachable = 0xFF
 
-// ErrPathTooLong is returned when a shortest path has Unreachable or more
-// hops, which a table cell cannot hold.
-var ErrPathTooLong = errors.New("routing: shortest path of 255 or more hops")
+// errPathTooLong is returned when a shortest path has unreachable or more
+// hops.
+var errPathTooLong = errors.New("routing: shortest path of 255 or more hops")
 
 // PortMap describes connectivity during one topology slice:
 // PortMap[rack][uplink] is the peer rack reached through that uplink, or -1
@@ -44,8 +48,8 @@ var ErrPathTooLong = errors.New("routing: shortest path of 255 or more hops")
 // matching entry, or failed link).
 type PortMap [][]int32
 
-// NumUplinks returns the uplink count (ports per rack).
-func (pm PortMap) NumUplinks() int {
+// numUplinks returns the uplink count (ports per rack).
+func (pm PortMap) numUplinks() int {
 	if len(pm) == 0 {
 		return 0
 	}
@@ -68,16 +72,19 @@ func newPortMaps(count, n, u int) []PortMap {
 }
 
 // Tables holds per-slice next-hop state for every (source, destination)
-// rack pair. Uplink sets are bitmasks (bit i = uplink i usable on a
-// shortest path), so a table cell is five bytes; the paper-scale 108-rack
-// network's full cycle fits in ~6 MB.
+// rack pair. A cell is the set of uplinks on a shortest path as a bitmask
+// (bit k = uplink k) of ⌈U/8⌉ bytes, one for U ≤ 8, so the paper-scale
+// 108-rack, 6-uplink network's full cycle fits in ~1.3 MB.
 type Tables struct {
 	N      int // racks
 	U      int // uplinks per rack
 	Slices int
 
-	dist []uint8  // [slice*N*N + src*N + dst]
-	mask []uint32 // same indexing; bit u set ⇒ uplink u lies on a shortest path
+	// mask holds cell (slice, src, dst) little-endian in the w bytes at
+	// w*((slice*N+src)*N+dst), followed by three bytes of padding so that
+	// every cell reads as one 32-bit load.
+	mask []byte
+	w    int
 
 	// built[s] says slice s's cells hold its tables. Build sets every
 	// entry; on Lazy tables a lookup builds the slice it finds unset, so
@@ -94,23 +101,23 @@ type lazyBuild struct {
 }
 
 func newTables(n, u, slices int) *Tables {
+	w := max(1, (u+7)/8)
 	return &Tables{
 		N: n, U: u, Slices: slices,
-		dist:  make([]uint8, slices*n*n),
-		mask:  make([]uint32, slices*n*n),
+		mask:  make([]byte, slices*n*n*w+3),
+		w:     w,
 		built: make([]bool, slices),
 	}
 }
 
 // Build constructs tables from one PortMap per slice. All maps must agree
 // on rack and uplink counts, uplinks must be at most 32, peers must be
-// below the rack count, and no shortest path may reach Unreachable hops
-// (ErrPathTooLong).
+// below the rack count, and no shortest path may reach 255 hops.
 func Build(maps []PortMap) (*Tables, error) {
 	if len(maps) == 0 {
 		return nil, errors.New("routing: no port maps")
 	}
-	u := maps[0].NumUplinks()
+	u := maps[0].numUplinks()
 	if u > 32 {
 		return nil, fmt.Errorf("routing: %d uplinks exceed 32-bit mask", u)
 	}
@@ -128,7 +135,7 @@ func Build(maps []PortMap) (*Tables, error) {
 // into a slice has source fill in that slice's port map and builds its
 // cells from it, and Invalidate forgets every built slice. source must
 // derive the same map for a slice until the next Invalidate. A slice that
-// cannot be built (ErrPathTooLong, a peer out of range) panics at its
+// cannot be built (a 255-hop path, a peer out of range) panics at its
 // first lookup, as MustBuild would have.
 func (t *Tables) Lazy(source func(slice int, pm PortMap)) *Tables {
 	lt := newTables(t.N, t.U, t.Slices)
@@ -175,28 +182,17 @@ func (t *Tables) buildSlice(bfs *graph.BitBFS, s int, pm PortMap) error {
 			}
 		}
 	}
-	dist, mask := t.dist[s*n*n:(s+1)*n*n], t.mask[s*n*n:(s+1)*n*n]
-	for i := range dist {
-		dist[i] = Unreachable
-	}
+	w := t.w
+	mask := t.mask[s*n*n*w : (s+1)*n*n*w]
 	clear(mask)
-	for v := 0; v < n; v++ {
-		dist[v*n+v] = 0
-	}
 	bfs.Reset(n)
 	for bfs.Step(pm) {
-		level := bfs.Level()
-		if level >= Unreachable {
-			return fmt.Errorf("%w (slice %d)", ErrPathTooLong, s)
+		if bfs.Level() >= unreachable {
+			return fmt.Errorf("%w (slice %d)", errPathTooLong, s)
 		}
 		for src, row := range pm {
 			ring := bfs.Ring(src)
-			d, m := dist[src*n:(src+1)*n], mask[src*n:(src+1)*n]
-			for i, word := range ring {
-				for ; word != 0; word &= word - 1 {
-					d[i*64+bits.TrailingZeros64(word)] = uint8(level)
-				}
-			}
+			m := mask[src*n*w : (src+1)*n*w]
 			// Uplink k helps toward the racks of this ring that its peer
 			// had one ring earlier.
 			for k, peer := range row {
@@ -204,9 +200,10 @@ func (t *Tables) buildSlice(bfs *graph.BitBFS, s int, pm PortMap) error {
 					continue
 				}
 				via := bfs.PrevRing(int(peer))
+				mk, bit := m[k/8:], byte(1)<<(k%8)
 				for i, word := range ring {
 					for word &= via[i]; word != 0; word &= word - 1 {
-						m[i*64+bits.TrailingZeros64(word)] |= 1 << uint(k)
+						mk[(i*64+bits.TrailingZeros64(word))*w] |= bit
 					}
 				}
 			}
@@ -225,27 +222,24 @@ func MustBuild(maps []PortMap) *Tables {
 	return t
 }
 
-// Dist returns the hop distance from src to dst during slice s, or
-// Unreachable.
-func (t *Tables) Dist(slice, src, dst int) int {
-	return int(t.dist[t.idx(slice, src, dst)])
-}
-
 // Mask returns the equal-cost uplink bitmask from src toward dst during
 // slice s. A zero mask with src != dst means unreachable.
 func (t *Tables) Mask(slice, src, dst int) uint32 {
-	return t.mask[t.idx(slice, src, dst)]
+	// The load takes the bytes after a narrow cell too; the AND drops
+	// them (at U = 32 the mask wraps to all ones).
+	i := t.idx(slice, src, dst) * t.w
+	return binary.LittleEndian.Uint32(t.mask[i:i+4]) & (1<<uint(t.U) - 1)
 }
 
 // PickUplink selects one uplink from the equal-cost set using the caller's
 // random value (e.g. per-packet), returning -1 if none. Selection is
 // uniform across set bits.
 func (t *Tables) PickUplink(slice, src, dst int, rnd uint32) int {
-	m := t.mask[t.idx(slice, src, dst)]
+	m := t.Mask(slice, src, dst)
 	if m == 0 {
 		return -1
 	}
-	k := int(rnd) % bits.OnesCount32(m)
+	k := int(rnd % uint32(bits.OnesCount32(m)))
 	for {
 		low := bits.TrailingZeros32(m)
 		if k == 0 {
@@ -256,72 +250,12 @@ func (t *Tables) PickUplink(slice, src, dst int, rnd uint32) int {
 	}
 }
 
-// MaxDist returns the largest finite distance across all slices and pairs —
-// the worst-case path length that sizes ε (§4.1).
-func (t *Tables) MaxDist() int {
-	max := 0
-	for s := 0; s < t.Slices; s++ {
-		first := t.idx(s, 0, 0)
-		for _, d := range t.dist[first : first+t.N*t.N] {
-			if d != Unreachable && int(d) > max {
-				max = int(d)
-			}
-		}
-	}
-	return max
-}
-
 // idx is the one way to a cell: it builds a Lazy slice on its first use.
 func (t *Tables) idx(slice, src, dst int) int {
 	if !t.built[slice] {
 		t.buildLazy(slice)
 	}
 	return (slice*t.N+src)*t.N + dst
-}
-
-// Validate checks loop freedom: for every (slice, src, dst) and every
-// uplink in the mask, the peer's distance to dst is exactly dist-1. This is
-// the invariant that guarantees a packet forwarded within a single slice
-// strictly approaches its destination.
-func (t *Tables) Validate(maps []PortMap) error {
-	if len(maps) != t.Slices {
-		return fmt.Errorf("routing: validate: %d maps for %d slices", len(maps), t.Slices)
-	}
-	for s := 0; s < t.Slices; s++ {
-		pm := maps[s]
-		for src := 0; src < t.N; src++ {
-			for dst := 0; dst < t.N; dst++ {
-				if src == dst {
-					continue
-				}
-				d := t.Dist(s, src, dst)
-				m := t.Mask(s, src, dst)
-				if d == Unreachable {
-					if m != 0 {
-						return fmt.Errorf("routing: slice %d (%d→%d): unreachable but mask %b", s, src, dst, m)
-					}
-					continue
-				}
-				if m == 0 {
-					return fmt.Errorf("routing: slice %d (%d→%d): reachable (dist %d) but empty mask", s, src, dst, d)
-				}
-				for k := 0; k < t.U; k++ {
-					if m&(1<<uint(k)) == 0 {
-						continue
-					}
-					peer := pm[src][k]
-					if peer < 0 {
-						return fmt.Errorf("routing: slice %d (%d→%d): masked uplink %d unusable", s, src, dst, k)
-					}
-					if pd := t.Dist(s, int(peer), dst); pd != d-1 {
-						return fmt.Errorf("routing: slice %d (%d→%d): uplink %d peer %d at dist %d, want %d",
-							s, src, dst, k, peer, pd, d-1)
-					}
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // OperaPortMaps derives one PortMap per slice-in-cycle from an Opera

@@ -5,91 +5,153 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"github.com/opera-net/opera/internal/topology"
 )
 
-// buildReference is the builder this package shipped until the
-// bit-parallel one replaced it — a BFS from every rack, then a mask fill
-// asking of every (src, dst, uplink) whether the peer is one hop closer —
-// kept as the oracle Build is compared against. It assumes what Build
-// checks: rectangular maps, peers below the rack count, paths under
-// Unreachable hops.
-func buildReference(maps []PortMap) *Tables {
-	n := len(maps[0])
-	t := newTables(n, maps[0].NumUplinks(), len(maps))
-	distFrom := make([][]int32, n)
-	for i := range distFrom {
-		distFrom[i] = make([]int32, n)
-	}
+// hopDists returns the hop distance between every ordered rack pair of
+// one slice, d[src][dst], or unreachable where no path leads: a plain BFS
+// from each source over the port map, independent of Build. It is the
+// distance oracle the tables are checked against, on maps whose paths are
+// shorter than unreachable hops, as Build requires.
+func hopDists(pm PortMap) [][]int32 {
+	n := len(pm)
+	d := make([][]int32, n)
 	queue := make([]int32, 0, n)
-	for s, pm := range maps {
-		for src := 0; src < n; src++ {
-			d := distFrom[src]
-			for i := range d {
-				d[i] = -1
-			}
-			d[src] = 0
-			queue = append(queue[:0], int32(src))
-			for head := 0; head < len(queue); head++ {
-				v := queue[head]
-				for _, peer := range pm[v] {
-					if peer < 0 || peer == v {
-						continue
-					}
-					if d[peer] == -1 {
-						d[peer] = d[v] + 1
-						queue = append(queue, peer)
-					}
+	for src := range d {
+		ds := make([]int32, n)
+		for i := range ds {
+			ds[i] = unreachable
+		}
+		ds[src] = 0
+		queue = append(queue[:0], int32(src))
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
+			for _, peer := range pm[v] {
+				if peer >= 0 && ds[peer] == unreachable {
+					ds[peer] = ds[v] + 1
+					queue = append(queue, peer)
 				}
 			}
 		}
-		base := s * n * n
+		d[src] = ds
+	}
+	return d
+}
+
+// maxDist returns the largest finite distance across all slices and pairs
+// — the worst-case path length that sizes ε (§4.1).
+func maxDist(maps []PortMap) int32 {
+	var worst int32
+	for _, pm := range maps {
+		for _, ds := range hopDists(pm) {
+			for _, d := range ds {
+				if d != unreachable {
+					worst = max(worst, d)
+				}
+			}
+		}
+	}
+	return worst
+}
+
+// buildReference is the builder this package shipped until the
+// bit-parallel one replaced it — a BFS from every rack, then a mask fill
+// asking of every (src, dst, uplink) whether the peer is one hop closer —
+// kept as the oracle Build is compared against. It returns the mask of
+// cell (s, src, dst) at (s*n+src)*n+dst, in no table layout of its own.
+// It assumes what Build checks: rectangular maps, peers below the rack
+// count, paths under unreachable hops.
+func buildReference(maps []PortMap) []uint32 {
+	n := len(maps[0])
+	masks := make([]uint32, len(maps)*n*n)
+	for s, pm := range maps {
+		d := hopDists(pm)
 		for src := 0; src < n; src++ {
-			dSrc := distFrom[src]
 			for dst := 0; dst < n; dst++ {
-				idx := base + src*n + dst
-				if dst == src {
-					t.dist[idx] = 0
+				if dst == src || d[src][dst] == unreachable {
 					continue
 				}
-				if dSrc[dst] < 0 {
-					t.dist[idx] = Unreachable
-					continue
-				}
-				t.dist[idx] = uint8(dSrc[dst])
 				var m uint32
 				for k, peer := range pm[src] {
 					if peer < 0 || int(peer) == src {
 						continue
 					}
-					if distFrom[peer][dst] == dSrc[dst]-1 {
+					if d[peer][dst] == d[src][dst]-1 {
 						m |= 1 << uint(k)
 					}
 				}
-				t.mask[idx] = m
+				masks[(s*n+src)*n+dst] = m
 			}
 		}
-		t.built[s] = true
 	}
-	return t
+	return masks
 }
 
-// diffTables names the first cell in which two tables differ.
-func diffTables(got, want *Tables) error {
-	if got.N != want.N || got.U != want.U || got.Slices != want.Slices {
-		return fmt.Errorf("shape %d×%d×%d, want %d×%d×%d", got.Slices, got.N, got.U, want.Slices, want.N, want.U)
+// diffTables names the first cell in which got differs from the reference
+// tables of maps.
+func diffTables(got *Tables, maps []PortMap) error {
+	n, u := len(maps[0]), maps[0].numUplinks()
+	if got.N != n || got.U != u || got.Slices != len(maps) {
+		return fmt.Errorf("shape %d×%d×%d, want %d×%d×%d", got.Slices, got.N, got.U, len(maps), n, u)
 	}
-	for s := 0; s < want.Slices; s++ {
-		for src := 0; src < want.N; src++ {
-			for dst := 0; dst < want.N; dst++ {
-				if g, w := got.Dist(s, src, dst), want.Dist(s, src, dst); g != w {
-					return fmt.Errorf("slice %d dist %d→%d = %d, want %d", s, src, dst, g, w)
-				}
-				if g, w := got.Mask(s, src, dst), want.Mask(s, src, dst); g != w {
+	want := buildReference(maps)
+	for s := range maps {
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				if g, w := got.Mask(s, src, dst), want[(s*n+src)*n+dst]; g != w {
 					return fmt.Errorf("slice %d mask %d→%d = %b, want %b", s, src, dst, g, w)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// validate checks loop freedom against the BFS oracle: for every (slice,
+// src, dst) the mask is empty exactly when dst is unreachable, and every
+// uplink in it is usable and leads to a peer exactly one hop closer. This
+// is the invariant that guarantees a packet forwarded within a single
+// slice strictly approaches its destination.
+func validate(t *Tables, maps []PortMap) error {
+	if len(maps) != t.Slices {
+		return fmt.Errorf("validate: %d maps for %d slices", len(maps), t.Slices)
+	}
+	for s, pm := range maps {
+		dist := hopDists(pm)
+		for src := 0; src < t.N; src++ {
+			for dst := 0; dst < t.N; dst++ {
+				if src == dst {
+					continue
+				}
+				d, m := dist[src][dst], t.Mask(s, src, dst)
+				if d == unreachable {
+					if m != 0 {
+						return fmt.Errorf("slice %d (%d→%d): unreachable but mask %b", s, src, dst, m)
+					}
+					continue
+				}
+				if m == 0 {
+					return fmt.Errorf("slice %d (%d→%d): reachable (dist %d) but empty mask", s, src, dst, d)
+				}
+				if m>>uint(t.U) != 0 {
+					return fmt.Errorf("slice %d (%d→%d): mask %b beyond %d uplinks", s, src, dst, m, t.U)
+				}
+				for k := 0; k < t.U; k++ {
+					if m&(1<<uint(k)) == 0 {
+						continue
+					}
+					peer := pm[src][k]
+					if peer < 0 {
+						return fmt.Errorf("slice %d (%d→%d): masked uplink %d unusable", s, src, dst, k)
+					}
+					if pd := dist[peer][dst]; pd != d-1 {
+						return fmt.Errorf("slice %d (%d→%d): uplink %d peer %d at dist %d, want %d",
+							s, src, dst, k, peer, pd, d-1)
+					}
 				}
 			}
 		}
@@ -101,7 +163,7 @@ func diffTables(got, want *Tables) error {
 // disabled: both directions of the circuit when symmetric, else only the
 // direction drawn.
 func knockOut(maps []PortMap, rng *rand.Rand, every int, symmetric bool) []PortMap {
-	n, u := len(maps[0]), maps[0].NumUplinks()
+	n, u := len(maps[0]), maps[0].numUplinks()
 	out := newPortMaps(len(maps), n, u)
 	for s, pm := range maps {
 		for r, row := range pm {
@@ -148,7 +210,7 @@ func TestBuildMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := diffTables(tb, buildReference(maps)); err != nil {
+		if err := diffTables(tb, maps); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,7 +244,7 @@ func TestBuildMatchesReference(t *testing.T) {
 				check(t, []PortMap{randomPortMap(rng, n, u), randomPortMap(rng, n, u)})
 			}
 		}
-		check(t, []PortMap{lineMap(Unreachable)}) // the longest path a cell holds: 254 hops
+		check(t, []PortMap{lineMap(unreachable)}) // the longest path Build accepts: 254 hops
 	})
 }
 
@@ -208,20 +270,19 @@ func FuzzBuildDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := diffTables(tb, buildReference([]PortMap{pm})); err != nil {
+		if err := diffTables(tb, []PortMap{pm}); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
 func TestBuildPathTooLong(t *testing.T) {
-	// The distance cell is a byte and Unreachable is its top value: the
-	// builder used to store 255 hops as Unreachable and 256 as 0.
-	if _, err := Build([]PortMap{lineMap(300)}); !errors.Is(err, ErrPathTooLong) {
-		t.Fatalf("300-rack line: err = %v, want ErrPathTooLong", err)
+	// Build refuses a shortest path of unreachable hops or more.
+	if _, err := Build([]PortMap{lineMap(300)}); !errors.Is(err, errPathTooLong) {
+		t.Fatalf("300-rack line: err = %v, want errPathTooLong", err)
 	}
-	if _, err := Build([]PortMap{lineMap(Unreachable + 1)}); !errors.Is(err, ErrPathTooLong) {
-		t.Fatalf("255-hop line: err = %v, want ErrPathTooLong", err)
+	if _, err := Build([]PortMap{lineMap(unreachable + 1)}); !errors.Is(err, errPathTooLong) {
+		t.Fatalf("255-hop line: err = %v, want errPathTooLong", err)
 	}
 }
 
@@ -248,11 +309,11 @@ func TestLazyBuildsOnLookup(t *testing.T) {
 	if lazy.Built() != 1 || sourced != 1 {
 		t.Fatalf("after lookups into one slice: %d built, %d sourced", lazy.Built(), sourced)
 	}
-	if err := diffTables(lazy, eager); err != nil {
+	if err := diffTables(lazy, maps); err != nil {
 		t.Fatal(err)
 	}
-	if lazy.MaxDist() != eager.MaxDist() {
-		t.Fatal("MaxDist differs")
+	if err := validate(lazy, maps); err != nil {
+		t.Fatal(err)
 	}
 	// A new round rebuilds from whatever the source now says, in place.
 	maps = knockOut(maps, rand.New(rand.NewSource(3)), 4, true)
@@ -260,7 +321,7 @@ func TestLazyBuildsOnLookup(t *testing.T) {
 	if lazy.Built() != 0 {
 		t.Fatalf("%d slices built after Invalidate", lazy.Built())
 	}
-	if err := diffTables(lazy, buildReference(maps)); err != nil {
+	if err := diffTables(lazy, maps); err != nil {
 		t.Fatal(err)
 	}
 	if lazy.Built() != lazy.Slices {
@@ -285,12 +346,18 @@ func lineMap(n int) PortMap {
 }
 
 func TestBuildLine(t *testing.T) {
-	tb := MustBuild([]PortMap{lineMap(5)})
-	if tb.Dist(0, 0, 4) != 4 {
-		t.Fatalf("dist 0→4 = %d, want 4", tb.Dist(0, 0, 4))
+	pm := lineMap(5)
+	tb := MustBuild([]PortMap{pm})
+	// Following the masks from rack 0 reaches rack 4 in 4 hops.
+	hops := 0
+	for r := 0; r != 4; hops++ {
+		if hops == 4 {
+			t.Fatalf("no path 0→4 in 4 hops: at rack %d", r)
+		}
+		r = int(pm[r][tb.PickUplink(0, r, 4, 0)])
 	}
-	if tb.Dist(0, 2, 2) != 0 {
-		t.Fatal("self distance nonzero")
+	if tb.Mask(0, 2, 2) != 0 {
+		t.Fatal("self mask nonempty")
 	}
 	// From rack 2 toward 4, only the "right" uplink (index 1) helps.
 	if m := tb.Mask(0, 2, 4); m != 0b10 {
@@ -299,7 +366,7 @@ func TestBuildLine(t *testing.T) {
 	if m := tb.Mask(0, 2, 0); m != 0b01 {
 		t.Fatalf("mask = %b, want 01", m)
 	}
-	if err := tb.Validate([]PortMap{lineMap(5)}); err != nil {
+	if err := validate(tb, []PortMap{pm}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -312,8 +379,8 @@ func TestBuildUnreachable(t *testing.T) {
 		{2, -1},
 	}
 	tb := MustBuild([]PortMap{pm})
-	if tb.Dist(0, 0, 2) != Unreachable {
-		t.Fatal("disconnected pair not marked unreachable")
+	if hopDists(pm)[0][2] != unreachable {
+		t.Fatal("test map connects rack 0 to rack 2")
 	}
 	if tb.Mask(0, 0, 2) != 0 {
 		t.Fatal("unreachable pair has next hops")
@@ -321,7 +388,7 @@ func TestBuildUnreachable(t *testing.T) {
 	if tb.PickUplink(0, 0, 2, 99) != -1 {
 		t.Fatal("PickUplink for unreachable should be -1")
 	}
-	if err := tb.Validate([]PortMap{pm}); err != nil {
+	if err := validate(tb, []PortMap{pm}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -357,8 +424,8 @@ func TestPickUplinkUniform(t *testing.T) {
 		{0, 2},
 	}
 	tb := MustBuild([]PortMap{pm})
-	if tb.Dist(0, 0, 2) != 2 {
-		t.Fatalf("dist = %d", tb.Dist(0, 0, 2))
+	if m := tb.Mask(0, 0, 2); m != 0b11 {
+		t.Fatalf("mask = %b, want 11", m)
 	}
 	counts := map[int]int{}
 	for i := 0; i < 1000; i++ {
@@ -372,6 +439,68 @@ func TestPickUplinkUniform(t *testing.T) {
 	}
 }
 
+func TestPickUplinkHighDraws(t *testing.T) {
+	// Rack 0 reaches rack 3 through uplinks 1 and 2: mask 0b110. A draw
+	// of 2³¹ or more picks by rnd % 2 like any other, also where int is
+	// 32 bits wide.
+	pm := PortMap{
+		{-1, 1, 2},
+		{0, -1, 3},
+		{0, 3, -1},
+		{-1, 1, 2},
+	}
+	tb := MustBuild([]PortMap{pm})
+	if m := tb.Mask(0, 0, 3); m != 0b110 {
+		t.Fatalf("mask = %b, want 110", m)
+	}
+	for _, tc := range []struct {
+		rnd  uint32
+		want int
+	}{{1 << 31, 1}, {1<<31 + 1, 2}, {math.MaxUint32 - 1, 1}, {math.MaxUint32, 2}} {
+		if got := tb.PickUplink(0, 0, 3, tc.rnd); got != tc.want {
+			t.Errorf("PickUplink(rnd %#x) = %d, want %d", tc.rnd, got, tc.want)
+		}
+	}
+}
+
+// TestAllocsRoutingTables gates the tables' footprint at paper scale
+// (108 racks × 6 uplinks, 108 slices): one byte a cell is 1.26 MB for the
+// cycle, whether built eagerly or lazily by a full read.
+func TestAllocsRoutingTables(t *testing.T) {
+	const limit = 1_300_000
+	maps := OperaPortMaps(topology.MustNewOpera(topology.Config{
+		NumRacks: 108, HostsPerRack: 6, NumSwitches: 6, Seed: 1,
+	}))
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var eager *Tables
+	if got := allocated(func() { eager = MustBuild(maps) }); got > limit {
+		t.Errorf("MustBuild allocated %d B, want <= %d", got, limit)
+	}
+	got := allocated(func() {
+		lazy := eager.Lazy(func(s int, pm PortMap) {
+			for r, row := range maps[s] {
+				copy(pm[r], row)
+			}
+		})
+		for s := 0; s < lazy.Slices; s++ {
+			for src := 0; src < lazy.N; src++ {
+				for dst := 0; dst < lazy.N; dst++ {
+					lazy.Mask(s, src, dst)
+				}
+			}
+		}
+	})
+	if got > limit {
+		t.Errorf("a fully read Lazy table allocated %d B, want <= %d", got, limit)
+	}
+}
+
 func TestOperaTables(t *testing.T) {
 	o := topology.MustNewOpera(topology.Config{
 		NumRacks: 16, HostsPerRack: 4, NumSwitches: 4, Seed: 1,
@@ -381,14 +510,14 @@ func TestOperaTables(t *testing.T) {
 		t.Fatalf("%d maps for %d slices", len(maps), o.SlicesPerCycle())
 	}
 	tb := MustBuild(maps)
-	if err := tb.Validate(maps); err != nil {
+	if err := validate(tb, maps); err != nil {
 		t.Fatal(err)
 	}
 	// Every pair reachable every slice (the always-on guarantee, §3.1.2).
 	for s := 0; s < tb.Slices; s++ {
 		for a := 0; a < tb.N; a++ {
 			for b := 0; b < tb.N; b++ {
-				if a != b && tb.Dist(s, a, b) == Unreachable {
+				if a != b && tb.Mask(s, a, b) == 0 {
 					t.Fatalf("slice %d: pair (%d,%d) unreachable", s, a, b)
 				}
 			}
@@ -418,8 +547,12 @@ func TestOperaPaperWorstCasePathLength(t *testing.T) {
 	o := topology.MustNewOpera(topology.Config{
 		NumRacks: 108, HostsPerRack: 6, NumSwitches: 6, Seed: 1, MaxDiameter: 5,
 	})
-	tb := MustBuild(OperaPortMaps(o))
-	if max := tb.MaxDist(); max > 5 {
+	maps := OperaPortMaps(o)
+	tb := MustBuild(maps)
+	if err := validate(tb, maps); err != nil {
+		t.Fatal(err)
+	}
+	if max := maxDist(maps); max > 5 {
 		t.Fatalf("worst-case path %d hops, paper expects <= 5", max)
 	}
 }
@@ -431,12 +564,12 @@ func TestExpanderPortMap(t *testing.T) {
 		t.Fatalf("expander should have 1 slice, got %d", len(maps))
 	}
 	tb := MustBuild(maps)
-	if err := tb.Validate(maps); err != nil {
+	if err := validate(tb, maps); err != nil {
 		t.Fatal(err)
 	}
 	for a := 0; a < 32; a++ {
 		for b := 0; b < 32; b++ {
-			if a != b && tb.Dist(0, a, b) == Unreachable {
+			if a != b && tb.Mask(0, a, b) == 0 {
 				t.Fatalf("pair (%d,%d) unreachable in expander", a, b)
 			}
 		}
@@ -470,7 +603,7 @@ func TestTablesValidateProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return tb.Validate([]PortMap{pm}) == nil
+		return validate(tb, []PortMap{pm}) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -520,7 +653,7 @@ func TestCountRulesMatchesModel(t *testing.T) {
 	})
 	maps := OperaPortMaps(o)
 	tb := MustBuild(maps)
-	ll, bulk := CountRules(tb, maps)
+	ll, bulk := countRules(tb, maps)
 	n := o.NumRacks()
 	u := o.Uplinks()
 	if ll != n*(n-1) {

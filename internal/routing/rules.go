@@ -11,10 +11,10 @@ package routing
 // Total: N·(N-1) + N·(u-1) = N·(N+u-2) entries, which reproduces Table 1
 // exactly for the paper's datacenter sizes.
 
-// TofinoRuleCapacity is the approximate number of table entries the
+// tofinoRuleCapacity is the approximate number of table entries the
 // Barefoot Tofino 65x100GE switch of §6.2 accommodates, back-derived from
 // the utilization column of Table 1 (1,461,600 entries = 85.9%).
-const TofinoRuleCapacity = 1_700_000
+const tofinoRuleCapacity = 1_700_000
 
 // RuleCount returns the number of forwarding entries an Opera ToR needs for
 // a datacenter with numRacks racks and uplinks rotor uplinks per ToR,
@@ -28,7 +28,7 @@ func RuleCount(numRacks, uplinks int) int {
 
 // RuleUtilization returns RuleCount as a fraction of Tofino capacity.
 func RuleUtilization(numRacks, uplinks int) float64 {
-	return float64(RuleCount(numRacks, uplinks)) / float64(TofinoRuleCapacity)
+	return float64(RuleCount(numRacks, uplinks)) / float64(tofinoRuleCapacity)
 }
 
 // Table1Row is one row of Table 1.
@@ -39,9 +39,9 @@ type Table1Row struct {
 	Utilization float64 // fraction of switch capacity
 }
 
-// Table1Sizes lists the (racks, uplinks) datacenter sizes evaluated in
+// table1Sizes lists the (racks, uplinks) datacenter sizes evaluated in
 // Table 1 of the paper.
-var Table1Sizes = []struct{ Racks, Uplinks int }{
+var table1Sizes = []struct{ Racks, Uplinks int }{
 	{108, 6},
 	{252, 9},
 	{520, 13},
@@ -53,8 +53,8 @@ var Table1Sizes = []struct{ Racks, Uplinks int }{
 // Table1 regenerates Table 1: entry counts and switch-memory utilization
 // for Opera rulesets at increasing datacenter sizes.
 func Table1() []Table1Row {
-	rows := make([]Table1Row, len(Table1Sizes))
-	for i, sz := range Table1Sizes {
+	rows := make([]Table1Row, len(table1Sizes))
+	for i, sz := range table1Sizes {
 		rows[i] = Table1Row{
 			Racks:       sz.Racks,
 			Uplinks:     sz.Uplinks,
@@ -65,7 +65,7 @@ func Table1() []Table1Row {
 	return rows
 }
 
-// CountRules measures the actual forwarding-state footprint of a built
+// countRules measures the actual forwarding-state footprint of a built
 // Opera ruleset, per ToR, the way the paper's P4 program lays it out
 // (§4.3/§6.2):
 //
@@ -76,7 +76,7 @@ func Table1() []Table1Row {
 //
 // It exists to validate the closed-form RuleCount model against the real
 // tables this repository builds.
-func CountRules(t *Tables, maps []PortMap) (lowLatency, bulk int) {
+func countRules(t *Tables, maps []PortMap) (lowLatency, bulk int) {
 	for s := 0; s < t.Slices; s++ {
 		src := 0 // per-ToR footprint: count rack 0's rules
 		for dst := 0; dst < t.N; dst++ {
