@@ -41,7 +41,9 @@ bench-module:
 ## collector decoder, whose output must re-encode stably and read out,
 ## and merge, without a panic (corpus under internal/telemetry/testdata/fuzz/);
 ## FuzzParseGrid is opera-sweep's -grid decoder, whose grids must expand
-## and resolve, or fail with an error, without a panic
+## and resolve, or fail with an error, without a panic; FuzzReplay is the
+## flow-trace reader, whose flows must stay in a 64-host cluster with
+## nondecreasing arrivals
 fuzz:
 	$(GO) test ./scenario/ -run '^$$' -fuzz '^FuzzParseEvents$$' -fuzztime 10s
 	$(GO) test ./scenario/ -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime 10s
@@ -50,6 +52,7 @@ fuzz:
 	$(GO) test ./internal/routing/ -run '^$$' -fuzz '^FuzzBuildDifferential$$' -fuzztime 10s
 	$(GO) test ./internal/telemetry/ -run '^$$' -fuzz '^FuzzCollectorUnmarshal$$' -fuzztime 10s
 	$(GO) test ./cmd/opera-sweep/ -run '^$$' -fuzz '^FuzzParseGrid$$' -fuzztime 10s
+	$(GO) test ./internal/workload/ -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s
 
 ## figdiff: the figure byte-identity harness every refactor runs —
 ## `make figdiff BASE=<rev> [FIGS=fig11,fig19,fig20]` unpacks BASE into a

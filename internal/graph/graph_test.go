@@ -32,8 +32,8 @@ func TestAddEdgeDedup(t *testing.T) {
 	g.AddEdge(1, 0)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 1) // self-loop ignored
-	if g.NumEdges() != 1 {
-		t.Fatalf("NumEdges = %d, want 1", g.NumEdges())
+	if len(g.adj[0]) != 1 || len(g.adj[1]) != 1 {
+		t.Fatalf("adjacency %v, want the one edge (0,1)", g.adj)
 	}
 	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
 		t.Fatal("edge (0,1) missing")
@@ -41,8 +41,8 @@ func TestAddEdgeDedup(t *testing.T) {
 	if g.HasEdge(1, 1) || g.HasEdge(0, 2) {
 		t.Fatal("phantom edge present")
 	}
-	if g.Degree(0) != 1 || g.Degree(2) != 0 {
-		t.Fatalf("degrees wrong: %d, %d", g.Degree(0), g.Degree(2))
+	if len(g.adj[0]) != 1 || len(g.adj[2]) != 0 {
+		t.Fatalf("degrees wrong: %d, %d", len(g.adj[0]), len(g.adj[2]))
 	}
 }
 
@@ -131,7 +131,7 @@ func TestAllPairsAmongSubset(t *testing.T) {
 func TestRemoveNodeAndEdge(t *testing.T) {
 	g := complete(4)
 	g.RemoveNode(0)
-	if g.Degree(0) != 0 {
+	if len(g.adj[0]) != 0 {
 		t.Fatal("removed node still has edges")
 	}
 	for v := 1; v < 4; v++ {

@@ -7,9 +7,9 @@
 // target mean the fault is never scheduled — the scenario then measures a
 // healthy fabric and publishes wrong numbers), telemetry's Sketch.TryMerge
 // (an alpha mismatch leaves the receiver untouched — a shard's samples
-// vanish from the pooled quantiles), and the telemetry codec's
-// UnmarshalBinary methods (a corrupt or version-skewed blob leaves the
-// receiver untouched). A dropped error at any of these call sites is an
+// vanish from the pooled quantiles), and the telemetry Collector's
+// UnmarshalBinary (a corrupt or version-skewed blob leaves the receiver
+// untouched). A dropped error at any of these call sites is an
 // experiment silently computing the wrong thing.
 //
 // The analyzer flags calls whose error result is discarded — expression

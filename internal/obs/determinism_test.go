@@ -25,7 +25,7 @@ func observedScenario(observer scenario.Observer) scenario.Scenario {
 			{Type: "shuffle", Participants: 12, FlowBytes: 2_000, Stagger: 100 * eventsim.Microsecond, Tag: "mice"},
 		},
 		Events: []scenario.EventSpec{
-			{At: 200 * eventsim.Microsecond, Target: sim.FlatLink(3, 1), Fault: sim.LossyFault(0.3)},
+			{At: 200 * eventsim.Microsecond, Target: sim.FlatLink(3, 1), Fault: sim.Fault{Kind: sim.FaultLossy, Rate: 0.3}},
 			{At: 400 * eventsim.Microsecond, Target: sim.FlatLink(5, 2)},
 			{At: 2 * eventsim.Millisecond, Op: "recover", Target: sim.FlatLink(3, 1)},
 		},

@@ -116,11 +116,6 @@ func Render(opt Options, series ...Series) string {
 	return b.String()
 }
 
-// CDF builds a Series from sorted CDF points.
-func CDF(name string, xs, fs []float64) Series {
-	return Series{Name: name, X: xs, Y: fs}
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

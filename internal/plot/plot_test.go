@@ -51,10 +51,3 @@ func TestRenderDegenerate(t *testing.T) {
 		t.Fatalf("render:\n%s", out)
 	}
 }
-
-func TestCDFHelper(t *testing.T) {
-	s := CDF("x", []float64{1, 2}, []float64{0.5, 1})
-	if s.Name != "x" || len(s.X) != 2 {
-		t.Fatal("bad series")
-	}
-}

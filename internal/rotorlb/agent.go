@@ -70,11 +70,6 @@ func (a *rackAgent) grantTo(h int32, now, txTime eventsim.Time) {
 	a.nicFree[h-a.firstHost] = t + txTime
 }
 
-// QueuedFor returns (own, relayed) bytes queued toward dst.
-func (a *rackAgent) QueuedFor(dst int) (own, relayed int64) {
-	return a.voq[dst].bytes, a.relay[dst].bytes
-}
-
 // openSessions starts one paced transmission session per active circuit at
 // a slice boundary, after the offer/accept exchange for VLB admission.
 func (a *rackAgent) openSessions(abs int64) {

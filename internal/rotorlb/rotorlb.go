@@ -213,9 +213,6 @@ func (lb *LB) requeueLocal(h *sim.Host, p *sim.Packet) {
 	p.Release()
 }
 
-// Agent returns the rack agent (exported for tests and metrics).
-func (lb *LB) Agent(rack int) *rackAgent { return lb.agents[rack] }
-
 // StartFlow admits a bulk flow at its source host's rack agent.
 func (lb *LB) StartFlow(f *sim.Flow) {
 	f.Start = lb.net.Engine().Now()

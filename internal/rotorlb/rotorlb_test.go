@@ -310,11 +310,11 @@ func TestQueuedBytesCountsHeldVLB(t *testing.T) {
 		t.Fatalf("queued before the boundary = %d, want %d", got, size)
 	}
 	b.lb.onSlice(0) // admits VLB; no packet is sent until the engine runs
-	held := b.lb.Agent(0).vlbHeld
+	held := b.lb.agents[0].vlbHeld
 	if held == 0 {
 		t.Fatal("boundary admitted no VLB: the test exercises nothing")
 	}
-	if own, _ := b.lb.Agent(0).QueuedFor(15); own != size-held {
+	if own := b.lb.agents[0].voq[15].bytes; own != size-held {
 		t.Fatalf("voq holds %d, want %d - %d held", own, size, held)
 	}
 	if got := b.lb.QueuedBytes(); got != size {
@@ -333,7 +333,7 @@ func TestQueuedBytesCountsHeldVLB(t *testing.T) {
 		t.Fatalf("queued after delivery = %d, want 0", got)
 	}
 	for r := 0; r < 16; r++ {
-		if h := b.lb.Agent(r).vlbHeld; h != 0 {
+		if h := b.lb.agents[r].vlbHeld; h != 0 {
 			t.Fatalf("rack %d still holds %d VLB bytes", r, h)
 		}
 	}
@@ -345,7 +345,7 @@ func TestQueuedBytesCountsHeldVLB(t *testing.T) {
 func TestAllocsNackRequeue(t *testing.T) {
 	b := newLBBed(t, eventsim.New(), 16, 4, 4)
 	f := b.bulkFlow(1, 0, 63, 1<<40)
-	a := b.lb.Agent(0)
+	a := b.lb.agents[0]
 	q := &a.voq[15]
 	for i := 0; i < 4096; i++ {
 		q.push(segment{f: f, host: 0, bytes: 1500})
@@ -442,7 +442,7 @@ func TestMidSliceFlowStartsOnPollGrid(t *testing.T) {
 
 		b.eng.RunUntil(start)
 		b.lb.StartFlow(b.bulkFlow(1, 0, c.Peer*b.net.HostsPerRack(), 1500))
-		a := b.lb.Agent(0)
+		a := b.lb.agents[0]
 		for a.SentDirect == 0 && b.eng.Now() < sliceStart+c.WindowEnd && b.eng.Step() {
 		}
 		if a.SentDirect == 0 || b.eng.Now() != want {

@@ -662,13 +662,13 @@ func TestCountRulesMatchesModel(t *testing.T) {
 	// Rack 0's self-loop is shown for GroupSize slices per cycle; in one
 	// of those its port is also the transitioning one (already excluded),
 	// so G-1 additional slices lose a bulk rule.
-	wantBulk := n*(u-1) - (o.Config().GroupSize - 1)
+	wantBulk := n*(u-1) - (o.PairWindowsPerCycle() - 1)
 	if bulk != wantBulk {
 		t.Fatalf("bulk rules = %d, want %d", bulk, wantBulk)
 	}
 	// The model is within one self-loop hold of the measured count.
 	model := RuleCount(n, u)
-	if diff := model - (ll + bulk); diff < 0 || diff > o.Config().GroupSize {
+	if diff := model - (ll + bulk); diff < 0 || diff > o.PairWindowsPerCycle() {
 		t.Fatalf("model %d vs measured %d", model, ll+bulk)
 	}
 }

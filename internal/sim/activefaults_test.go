@@ -21,7 +21,7 @@ func TestActiveFaultsLifecycle(t *testing.T) {
 	// order, not injection order.
 	linkB := sim.FlatLink(5, 1)
 	linkA := sim.FlatLink(2, 0)
-	if err := inj.Inject(linkB, sim.LossyFault(0.25), 100*eventsim.Microsecond); err != nil {
+	if err := inj.Inject(linkB, sim.Fault{Kind: sim.FaultLossy, Rate: 0.25}, 100*eventsim.Microsecond); err != nil {
 		t.Fatal(err)
 	}
 	if err := inj.Inject(linkA, sim.DownFault(), 200*eventsim.Microsecond); err != nil {
@@ -38,7 +38,7 @@ func TestActiveFaultsLifecycle(t *testing.T) {
 	cl.Run(300 * eventsim.Microsecond)
 	want := []sim.ActiveFault{
 		{Target: linkA, Fault: sim.DownFault()},
-		{Target: linkB, Fault: sim.LossyFault(0.25)},
+		{Target: linkB, Fault: sim.Fault{Kind: sim.FaultLossy, Rate: 0.25}},
 	}
 	if got := inj.ActiveFaults(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("while applied:\n got %v\nwant %v", got, want)
@@ -59,7 +59,7 @@ func TestActiveFaultsLatestWins(t *testing.T) {
 	inj := cl.Faults()
 
 	link := sim.FlatLink(1, 1)
-	flap := sim.FlappingFault(50*eventsim.Microsecond, 50*eventsim.Microsecond)
+	flap := sim.Fault{Kind: sim.FaultFlapping, Up: 50 * eventsim.Microsecond, Down: 50 * eventsim.Microsecond}
 	if err := inj.Inject(link, flap, 100*eventsim.Microsecond); err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +97,8 @@ func TestActiveFaultsCanonicalOrder(t *testing.T) {
 			{Target: sim.TierSwitchTarget(sim.ClosTierCore, 1)},
 			{Target: sim.TierSwitchTarget(sim.ClosTierAgg, 1)},
 			{Target: sim.ToRTarget(5)},
-			{Target: sim.Target{Kind: sim.TargetLink, Tier: sim.ClosTierAgg, Port: 1}, Fault: sim.LossyFault(0.3)},
-			{Target: sim.FlatLink(0, 1), Fault: sim.DegradedFault(0.5)},
+			{Target: sim.Target{Kind: sim.TargetLink, Tier: sim.ClosTierAgg, Port: 1}, Fault: sim.Fault{Kind: sim.FaultLossy, Rate: 0.3}},
+			{Target: sim.FlatLink(0, 1), Fault: sim.Fault{Kind: sim.FaultDegraded, RateFraction: 0.5}},
 		}, []string{
 			"link(tier=1,sw=0,port=1) degraded(0.5)",
 			"link(tier=2,sw=0,port=1) lossy(0.3)",
@@ -110,7 +110,7 @@ func TestActiveFaultsCanonicalOrder(t *testing.T) {
 		// uplink 3, the cable's canonical name.
 		{opera.KindExpander, []sim.ActiveFault{
 			{Target: sim.ToRTarget(0)},
-			{Target: sim.FlatLink(5, 3), Fault: sim.FlappingFault(50*us, 50*us)},
+			{Target: sim.FlatLink(5, 3), Fault: sim.Fault{Kind: sim.FaultFlapping, Up: 50 * us, Down: 50 * us}},
 		}, []string{
 			"link(rack=3,up=3) flapping(up=50.000µs,down=50.000µs)",
 			"tor(0) down",

@@ -29,12 +29,12 @@ func TestExpanderNetDelivery(t *testing.T) {
 	net := sim.NewExpanderNet(eng, sim.DefaultConfig(), topo, 7)
 	fab := ndp.Attach(net.Hosts(), net.Metrics())
 
-	n := topo.NumHosts()
+	n := topo.NumRacks * topo.HostsPerRack
 	var flows []*sim.Flow
 	for i := 0; i < n; i++ {
 		f := &sim.Flow{
 			ID: int64(i + 1), SrcHost: int32(i), DstHost: int32((i + 37) % n),
-			SrcRack: int32(topo.HostRack(i)), DstRack: int32(topo.HostRack((i + 37) % n)),
+			SrcRack: int32(i / topo.HostsPerRack), DstRack: int32((i + 37) % n / topo.HostsPerRack),
 			Size: 50000, Class: sim.ClassLowLatency,
 		}
 		net.Metrics().AddFlow(f)
@@ -59,12 +59,12 @@ func TestClosNetDelivery(t *testing.T) {
 	net := sim.NewClosNet(eng, sim.DefaultConfig(), topo, 7)
 	fab := ndp.Attach(net.Hosts(), net.Metrics())
 
-	n := topo.NumHosts()
+	n := topo.NumToRs * topo.HostsPerToR
 	for i := 0; i < n; i += 3 {
 		dst := (i + n/2) % n
 		f := &sim.Flow{
 			ID: int64(i + 1), SrcHost: int32(i), DstHost: int32(dst),
-			SrcRack: int32(topo.HostToR(i)), DstRack: int32(topo.HostToR(dst)),
+			SrcRack: int32(i / topo.HostsPerToR), DstRack: int32(dst / topo.HostsPerToR),
 			Size: 30000, Class: sim.ClassLowLatency,
 		}
 		net.Metrics().AddFlow(f)

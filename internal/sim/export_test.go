@@ -9,3 +9,6 @@ func RetiredFlowRefs(m *Metrics) (waiting []int32, free int) {
 	}
 	return waiting, m.free.Len()
 }
+
+// PortEnabled reports whether pt's transmitter is running.
+func PortEnabled(pt *Port) bool { return pt.enabled }

@@ -63,7 +63,7 @@ func TestFlowsSurviveLinkFailure(t *testing.T) {
 
 func TestFlowsSurviveSwitchFailure(t *testing.T) {
 	cl, fs := failureTestbed(t)
-	cut(t, fs, sim.SwitchTarget(2), 2*eventsim.Millisecond)
+	cut(t, fs, sim.Target{Kind: sim.TargetSwitch, ID: 2}, 2*eventsim.Millisecond)
 	n := cl.NumHosts()
 	for i := 0; i < n; i += 2 {
 		cl.AddFlow(workload.FlowSpec{Src: i, Dst: (i + 9) % n, Bytes: 15_000})
@@ -111,10 +111,10 @@ func TestLostToDeadLinksCounted(t *testing.T) {
 func TestRecoveryRestoresLinks(t *testing.T) {
 	cl, fs := failureTestbed(t)
 	cut(t, fs, sim.FlatLink(3, 2), 500*eventsim.Microsecond)
-	cut(t, fs, sim.SwitchTarget(1), 500*eventsim.Microsecond)
+	cut(t, fs, sim.Target{Kind: sim.TargetSwitch, ID: 1}, 500*eventsim.Microsecond)
 	cut(t, fs, sim.ToRTarget(7), 500*eventsim.Microsecond)
 	heal(t, fs, sim.FlatLink(3, 2), 2*eventsim.Millisecond)
-	heal(t, fs, sim.SwitchTarget(1), 2*eventsim.Millisecond)
+	heal(t, fs, sim.Target{Kind: sim.TargetSwitch, ID: 1}, 2*eventsim.Millisecond)
 	heal(t, fs, sim.ToRTarget(7), 2*eventsim.Millisecond)
 	cl.Run(1 * eventsim.Millisecond)
 	if fs.LinkUp(3, 2) || fs.LinkUp(0, 1) || fs.LinkUp(7, 0) {
@@ -133,8 +133,8 @@ func TestRecoveryRestoresLinks(t *testing.T) {
 
 func TestFlowsCompleteAcrossFailAndRecover(t *testing.T) {
 	cl, fs := failureTestbed(t)
-	cut(t, fs, sim.SwitchTarget(2), 1*eventsim.Millisecond)
-	heal(t, fs, sim.SwitchTarget(2), 4*eventsim.Millisecond)
+	cut(t, fs, sim.Target{Kind: sim.TargetSwitch, ID: 2}, 1*eventsim.Millisecond)
+	heal(t, fs, sim.Target{Kind: sim.TargetSwitch, ID: 2}, 4*eventsim.Millisecond)
 	n := cl.NumHosts()
 	for i := 0; i < n; i++ {
 		cl.AddFlow(workload.FlowSpec{

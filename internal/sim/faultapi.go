@@ -30,7 +30,8 @@ import (
 // Target is the injection coordinate — one link, one ToR or one fabric
 // switch — and, as plain data, the fault schedule's wire form: scenario
 // specs carry it through gob and JSON field for field. Build one with
-// FlatLink, ToRTarget, SwitchTarget or TierSwitchTarget, or as a literal.
+// FlatLink, ToRTarget or TierSwitchTarget, or as a literal (a switch on
+// the default plane is Target{Kind: TargetSwitch, ID: sw}).
 type Target struct {
 	// Kind is "link", "tor" or "switch".
 	Kind TargetKind
@@ -81,11 +82,6 @@ const (
 // ToRTarget targets a whole top-of-rack switch.
 func ToRTarget(rack int) Target { return Target{Kind: TargetToR, ID: rack} }
 
-// SwitchTarget targets a fabric switch on the default switch plane
-// (Opera/RotorNet rotor switches). Multi-tier fabrics require
-// TierSwitchTarget.
-func SwitchTarget(sw int) Target { return Target{Kind: TargetSwitch, ID: sw} }
-
 // TierSwitchTarget targets a switch on an explicit tier (the folded
 // Clos: ClosTierAgg or ClosTierCore).
 func TierSwitchTarget(tier, sw int) Target {
@@ -119,19 +115,21 @@ const (
 	// FaultDown is a clean cut: the target goes dark until recovered.
 	FaultDown FaultKind = "down"
 	// FaultLossy is a gray failure: the link stays up but drops each
-	// transmitted packet independently with probability Rate.
+	// transmitted packet independently with probability Rate (transports
+	// see unexplained loss, not a dead cable).
 	FaultLossy FaultKind = "lossy"
 	// FaultDegraded is a gray failure: the link stays up but serializes
-	// at RateFraction of its nominal rate.
+	// at RateFraction of its nominal rate (a slow port: dirty optics, a
+	// failing transceiver).
 	FaultDegraded FaultKind = "degraded"
 	// FaultFlapping cycles the target down for Down, up for Up,
-	// repeating until recovered.
+	// repeating from the injection time until Recover cancels the cycle.
 	FaultFlapping FaultKind = "flapping"
 )
 
 // Fault describes what goes wrong at a target, as plain data like Target.
-// Build with DownFault, LossyFault, DegradedFault or FlappingFault, or as
-// a literal (the zero value is a clean cut).
+// Build with DownFault or as a literal, such as
+// Fault{Kind: FaultLossy, Rate: 0.01} (the zero value is a clean cut).
 type Fault struct {
 	Kind FaultKind
 	// Rate is the per-packet drop probability of a lossy link, in (0,1].
@@ -145,23 +143,6 @@ type Fault struct {
 
 // DownFault is a clean cut.
 func DownFault() Fault { return Fault{Kind: FaultDown} }
-
-// LossyFault drops each transmitted packet with probability rate while
-// the link stays nominally up (transports see unexplained loss, not a
-// dead cable).
-func LossyFault(rate float64) Fault { return Fault{Kind: FaultLossy, Rate: rate} }
-
-// DegradedFault derates the link to the given fraction of its nominal
-// serialization rate (a slow port: dirty optics, a failing transceiver).
-func DegradedFault(fraction float64) Fault {
-	return Fault{Kind: FaultDegraded, RateFraction: fraction}
-}
-
-// FlappingFault cycles the target: down for down, up for up, repeating
-// from the injection time until Recover cancels the cycle.
-func FlappingFault(up, down eventsim.Time) Fault {
-	return Fault{Kind: FaultFlapping, Up: up, Down: down}
-}
 
 // String renders the descriptor.
 func (f Fault) String() string {

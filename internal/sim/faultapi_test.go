@@ -29,14 +29,14 @@ func newCluster(t *testing.T, kind opera.Kind, opts ...opera.Option) *opera.Clus
 // "unsupported on this fabric" error, not a silent no-op.
 func TestExpanderSwitchTargetUnsupported(t *testing.T) {
 	_, ef := expanderTestbed(t)
-	err := ef.Inject(sim.SwitchTarget(0), sim.DownFault(), eventsim.Millisecond)
+	err := ef.Inject(sim.Target{Kind: sim.TargetSwitch, ID: 0}, sim.DownFault(), eventsim.Millisecond)
 	if !errors.Is(err, sim.ErrUnsupportedTarget) {
 		t.Fatalf("Inject(switch) err = %v, want ErrUnsupportedTarget", err)
 	}
 	if !strings.Contains(err.Error(), "expander") {
 		t.Fatalf("error should name the fabric: %v", err)
 	}
-	if err := ef.Recover(sim.SwitchTarget(0), eventsim.Millisecond); !errors.Is(err, sim.ErrUnsupportedTarget) {
+	if err := ef.Recover(sim.Target{Kind: sim.TargetSwitch, ID: 0}, eventsim.Millisecond); !errors.Is(err, sim.ErrUnsupportedTarget) {
 		t.Fatalf("Recover(switch) err = %v, want ErrUnsupportedTarget", err)
 	}
 	// The structured error is sync: nothing was scheduled, ToR and link
@@ -51,7 +51,7 @@ func TestExpanderSwitchTargetUnsupported(t *testing.T) {
 func TestClosDefaultSwitchPlaneUnsupported(t *testing.T) {
 	cl := newCluster(t, opera.KindFoldedClos)
 	inj := cl.Faults()
-	err := inj.Inject(sim.SwitchTarget(0), sim.DownFault(), eventsim.Millisecond)
+	err := inj.Inject(sim.Target{Kind: sim.TargetSwitch, ID: 0}, sim.DownFault(), eventsim.Millisecond)
 	if !errors.Is(err, sim.ErrUnsupportedTarget) {
 		t.Fatalf("Inject(tier-0 switch) err = %v, want ErrUnsupportedTarget", err)
 	}
@@ -88,18 +88,18 @@ func TestLinksUniverses(t *testing.T) {
 		{kind: opera.KindOpera, cables: 16 * 4,
 			orderAt: 5, orderID: sim.FlatLink(1, 1), // rack-major
 			bad: []sim.Target{sim.FlatLink(16, 0), sim.FlatLink(-1, 0), sim.FlatLink(0, 4), tier(1, 0, 0),
-				sim.ToRTarget(16), sim.SwitchTarget(4)},
+				sim.ToRTarget(16), {Kind: sim.TargetSwitch, ID: 4}},
 			unsupported: []sim.Target{sim.TierSwitchTarget(sim.ClosTierAgg, 0)}},
 		{kind: opera.KindExpander, opts: []opera.Option{opera.WithUplinks(5)}, cables: 16 * 5 / 2,
 			bad:         []sim.Target{sim.FlatLink(16, 0), sim.FlatLink(0, 5), sim.FlatLink(0, -1), tier(1, 0, 0), sim.ToRTarget(-1)},
-			unsupported: []sim.Target{sim.SwitchTarget(0), sim.TierSwitchTarget(sim.ClosTierAgg, 0)}},
+			unsupported: []sim.Target{{Kind: sim.TargetSwitch, ID: 0}, sim.TierSwitchTarget(sim.ClosTierAgg, 0)}},
 		{kind: opera.KindRotorNet, opts: small, cables: 8 * 4,
-			bad:         []sim.Target{sim.FlatLink(8, 0), sim.FlatLink(0, 4), tier(2, 0, 0), sim.ToRTarget(8), sim.SwitchTarget(-1)},
+			bad:         []sim.Target{sim.FlatLink(8, 0), sim.FlatLink(0, 4), tier(2, 0, 0), sim.ToRTarget(8), {Kind: sim.TargetSwitch, ID: -1}},
 			unsupported: []sim.Target{sim.TierSwitchTarget(sim.ClosTierCore, 0)}},
 		// The hybrid's packet uplink is not a fault coordinate: 3 rotor
 		// switches per rack remain.
 		{kind: opera.KindRotorNetHybrid, opts: small, cables: 8 * 3,
-			bad:         []sim.Target{sim.FlatLink(0, 3), sim.SwitchTarget(3)},
+			bad:         []sim.Target{sim.FlatLink(0, 3), {Kind: sim.TargetSwitch, ID: 3}},
 			unsupported: []sim.Target{sim.TierSwitchTarget(1, 0)}},
 		// k=8, F=3: 32 ToRs × 2 uplinks on tier 1, 16 aggs × 4 on tier 2, 8 cores.
 		{kind: opera.KindFoldedClos, cables: 32*2 + 16*4,
@@ -108,7 +108,7 @@ func TestLinksUniverses(t *testing.T) {
 			bad: []sim.Target{sim.FlatLink(32, 0), sim.FlatLink(0, 2), tier(sim.ClosTierAgg, 16, 0),
 				tier(sim.ClosTierAgg, 0, 4), tier(sim.ClosTierCore, 0, 0),
 				sim.ToRTarget(32), sim.TierSwitchTarget(sim.ClosTierAgg, 16), sim.TierSwitchTarget(sim.ClosTierCore, 8)},
-			unsupported: []sim.Target{sim.SwitchTarget(0), sim.TierSwitchTarget(sim.ClosTierToR, 0)}},
+			unsupported: []sim.Target{{Kind: sim.TargetSwitch, ID: 0}, sim.TierSwitchTarget(sim.ClosTierToR, 0)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.kind.String(), func(t *testing.T) {
@@ -242,12 +242,12 @@ func TestInjectValidation(t *testing.T) {
 		name string
 		err  error
 	}{
-		{"bad-lossy-rate", fs.Inject(sim.FlatLink(0, 0), sim.LossyFault(1.5), 0)},
-		{"bad-degraded-frac", fs.Inject(sim.FlatLink(0, 0), sim.DegradedFault(1.0), 0)},
-		{"bad-flap-phase", fs.Inject(sim.FlatLink(0, 0), sim.FlappingFault(0, eventsim.Millisecond), 0)},
+		{"bad-lossy-rate", fs.Inject(sim.FlatLink(0, 0), sim.Fault{Kind: sim.FaultLossy, Rate: 1.5}, 0)},
+		{"bad-degraded-frac", fs.Inject(sim.FlatLink(0, 0), sim.Fault{Kind: sim.FaultDegraded, RateFraction: 1.0}, 0)},
+		{"bad-flap-phase", fs.Inject(sim.FlatLink(0, 0), sim.Fault{Kind: sim.FaultFlapping, Up: 0, Down: eventsim.Millisecond}, 0)},
 		{"negative-time", fs.Inject(sim.FlatLink(0, 0), sim.DownFault(), -1)},
-		{"gray-on-tor", fs.Inject(sim.ToRTarget(0), sim.LossyFault(0.1), 0)},
-		{"gray-on-switch", fs.Inject(sim.SwitchTarget(0), sim.DegradedFault(0.5), 0)},
+		{"gray-on-tor", fs.Inject(sim.ToRTarget(0), sim.Fault{Kind: sim.FaultLossy, Rate: 0.1}, 0)},
+		{"gray-on-switch", fs.Inject(sim.Target{Kind: sim.TargetSwitch, ID: 0}, sim.Fault{Kind: sim.FaultDegraded, RateFraction: 0.5}, 0)},
 	}
 	for _, tc := range cases {
 		if tc.err == nil {

@@ -28,7 +28,7 @@ func txPackets(pt *sim.Port) uint64 {
 // impaired port is counted lost — LinkLoss == Tx, no slack.
 func TestLossyLinkExactLossAccounting(t *testing.T) {
 	cl, fs := failureTestbed(t)
-	mustOK(t, fs.Inject(sim.FlatLink(2, 1), sim.LossyFault(1.0), 0))
+	mustOK(t, fs.Inject(sim.FlatLink(2, 1), sim.Fault{Kind: sim.FaultLossy, Rate: 1.0}, 0))
 	cl.AddSource(workload.FromSpecs(workload.Shuffle(16, 25_000, eventsim.Millisecond, 1)))
 	cl.Run(5 * eventsim.Millisecond)
 	pt := cl.OperaNet().ToR(2).Uplink(1)
@@ -47,7 +47,7 @@ func TestLossyLinkExactLossAccounting(t *testing.T) {
 func TestLossyLinkStatisticalBoundAndDeterminism(t *testing.T) {
 	run := func() (tx, lost uint64) {
 		cl, fs := failureTestbed(t)
-		mustOK(t, fs.Inject(sim.FlatLink(2, 1), sim.LossyFault(0.5), 0))
+		mustOK(t, fs.Inject(sim.FlatLink(2, 1), sim.Fault{Kind: sim.FaultLossy, Rate: 0.5}, 0))
 		cl.AddSource(workload.FromSpecs(workload.Shuffle(16, 25_000, eventsim.Millisecond, 1)))
 		cl.Run(5 * eventsim.Millisecond)
 		pt := cl.OperaNet().ToR(2).Uplink(1)
@@ -76,7 +76,7 @@ func TestDegradedLinkFaultSlowsButDelivers(t *testing.T) {
 		cl, fs := failureTestbed(t)
 		if derate {
 			for sw := 0; sw < 4; sw++ {
-				mustOK(t, fs.Inject(sim.FlatLink(0, sw), sim.DegradedFault(0.25), 0))
+				mustOK(t, fs.Inject(sim.FlatLink(0, sw), sim.Fault{Kind: sim.FaultDegraded, RateFraction: 0.25}, 0))
 			}
 		}
 		d := cl.HostsPerRack()
@@ -128,7 +128,7 @@ func TestFlappingLinkCycleAndRecovery(t *testing.T) {
 				}
 			}
 			rack, up := tc.inject.Switch, tc.inject.Port
-			mustOK(t, fs.Inject(tc.inject, sim.FlappingFault(eventsim.Millisecond, eventsim.Millisecond), 0))
+			mustOK(t, fs.Inject(tc.inject, sim.Fault{Kind: sim.FaultFlapping, Up: eventsim.Millisecond, Down: eventsim.Millisecond}, 0))
 			// Cycle: down at 0, up at 1 ms, down at 2 ms, …
 			steps := []struct {
 				at eventsim.Time
@@ -164,9 +164,9 @@ func TestFlappingLinkCycleAndRecovery(t *testing.T) {
 func TestClosGrayFaultsApply(t *testing.T) {
 	cl, cf := closTestbed(t)
 	mustOK(t, cf.Inject(sim.Target{Kind: sim.TargetLink, Tier: sim.ClosTierAgg, Switch: 0, Port: 0},
-		sim.LossyFault(1.0), 0))
+		sim.Fault{Kind: sim.FaultLossy, Rate: 1.0}, 0))
 	mustOK(t, cf.Inject(sim.FlatLink(0, 1),
-		sim.FlappingFault(500*eventsim.Microsecond, 500*eventsim.Microsecond), 0))
+		sim.Fault{Kind: sim.FaultFlapping, Up: 500 * eventsim.Microsecond, Down: 500 * eventsim.Microsecond}, 0))
 	crossPodFlows(cl, 30_000, 13)
 	if !cl.RunUntilDone(3000 * eventsim.Millisecond) {
 		done, total := cl.Metrics().DoneCount()
@@ -183,17 +183,19 @@ func TestLossyFlappingDrainReleasesEveryFlowRef(t *testing.T) {
 	cl := newCluster(t, opera.KindOpera, opera.WithSeed(1),
 		opera.WithRetention(opera.RetainSketch(opera.SketchOptions{})))
 	fs := cl.Faults()
-	mustOK(t, fs.Inject(sim.FlatLink(2, 1), sim.LossyFault(0.2), 0))
-	mustOK(t, fs.Inject(sim.FlatLink(5, 0), sim.LossyFault(0.2), 0))
+	mustOK(t, fs.Inject(sim.FlatLink(2, 1), sim.Fault{Kind: sim.FaultLossy, Rate: 0.2}, 0))
+	mustOK(t, fs.Inject(sim.FlatLink(5, 0), sim.Fault{Kind: sim.FaultLossy, Rate: 0.2}, 0))
 	mustOK(t, fs.Inject(sim.FlatLink(3, 2),
-		sim.FlappingFault(300*eventsim.Microsecond, 200*eventsim.Microsecond), 0))
+		sim.Fault{Kind: sim.FaultFlapping, Up: 300 * eventsim.Microsecond, Down: 200 * eventsim.Microsecond}, 0))
 	mustOK(t, fs.Recover(sim.FlatLink(3, 2), 4*eventsim.Millisecond))
+	fixed := workload.MustNewFlowSizeDist("fixed", []workload.CDFAnchor{
+		{Bytes: 6000 * (1 - 1e-9)}, {Bytes: 6000, F: 1}})
 	cl.AddSource(workload.PoissonSource(workload.PoissonConfig{
 		NumHosts:     cl.NumHosts(),
 		Load:         0.2,
 		LinkRateGbps: 10,
 		Duration:     3 * eventsim.Millisecond,
-		Dist:         workload.Fixed(6000),
+		Dist:         fixed,
 		Seed:         1,
 	}))
 	if !cl.RunUntilDone(200 * eventsim.Millisecond) {

@@ -153,10 +153,10 @@ func TestRetainSketchReleasesFlows(t *testing.T) {
 		t.Fatalf("DoneCount = (%d, %d), want (2, 3)", done, total)
 	}
 	tel := m.Telemetry()
-	if got := tel.ClassSketch(int(ClassLowLatency)).Count(); got != 1 {
+	if got := tel.ClassSketch(int(ClassLowLatency)).Summary().N; got != 1 {
 		t.Fatalf("low-latency sketch count = %d", got)
 	}
-	if got := tel.Merged().Count(); got != 2 {
+	if got := tel.Merged().Summary().N; got != 2 {
 		t.Fatalf("merged sketch count = %d", got)
 	}
 	ws := tel.Tags()["ws"]

@@ -45,8 +45,6 @@ func (q *pktFIFO) pop() *Packet {
 	return p
 }
 
-func (q *pktFIFO) len() int { return q.n }
-
 // take removes and returns the queue's current contents as a snapshot,
 // leaving the queue empty. Packets pushed while the snapshot is processed
 // land in the live queue and are NOT part of the snapshot — this is what
@@ -178,9 +176,6 @@ func (pt *Port) QueuedBytes(c Class) int {
 		return pt.bulkBytes
 	}
 }
-
-// Enabled reports whether the transmitter is running.
-func (pt *Port) Enabled() bool { return pt.enabled }
 
 // SetLossRate makes the port a lossy gray link: each packet completing
 // serialization is independently lost with the given probability, drawn

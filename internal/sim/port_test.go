@@ -455,10 +455,10 @@ func TestPktFIFOMatchesSliceOracle(t *testing.T) {
 				default:
 					buf := q.buf
 					snap := q.take()
-					if q.len() != 0 || q.buf != nil {
-						t.Fatalf("take left %d packets in the live queue", q.len())
+					if q.n != 0 || q.buf != nil {
+						t.Fatalf("take left %d packets in the live queue", q.n)
 					}
-					for snap.len() > 0 {
+					for snap.n > 0 {
 						pop(&snap)
 					}
 					q.giveBack(snap)
@@ -471,7 +471,7 @@ func TestPktFIFOMatchesSliceOracle(t *testing.T) {
 					snap = q.take()
 					late := &Packet{Seq: -1}
 					q.push(late)
-					for snap.len() > 0 {
+					for snap.n > 0 {
 						pop(&snap)
 					}
 					q.giveBack(snap)
@@ -482,8 +482,8 @@ func TestPktFIFOMatchesSliceOracle(t *testing.T) {
 						t.Fatalf("packet pushed mid-drain popped as %p, want %p", got, late)
 					}
 				}
-				if q.len() != len(oracle) {
-					t.Fatalf("len = %d, want %d", q.len(), len(oracle))
+				if q.n != len(oracle) {
+					t.Fatalf("len = %d, want %d", q.n, len(oracle))
 				}
 			}
 		})

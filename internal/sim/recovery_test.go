@@ -101,9 +101,9 @@ func TestRecoveryMatchesEagerBuild(t *testing.T) {
 		{FlatLink(9, 0), true},
 		{ToRTarget(6), true},
 		{FlatLink(3, 2), false},
-		{SwitchTarget(1), true},
+		{Target{Kind: TargetSwitch, ID: 1}, true},
 		{ToRTarget(6), false},
-		{SwitchTarget(1), false},
+		{Target{Kind: TargetSwitch, ID: 1}, false},
 		{FlatLink(9, 0), false},
 	}
 	for i, ev := range events {
@@ -151,7 +151,7 @@ func TestAllocsFaultEpoch(t *testing.T) {
 	eng, n := recoveryTestbed(t, 108, 6, false)
 	const rack = 5
 	d := n.SliceDuration()
-	if err := n.faults.Inject(FlatLink(rack, 1), FlappingFault(2*d, d), d/2); err != nil {
+	if err := n.faults.Inject(FlatLink(rack, 1), Fault{Kind: FaultFlapping, Up: 2 * d, Down: d}, d/2); err != nil {
 		t.Fatal(err)
 	}
 	now := d

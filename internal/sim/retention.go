@@ -33,9 +33,6 @@ func RetainSketch(opts telemetry.Opts) RetentionPolicy {
 	return RetentionPolicy{streaming: true, opts: opts}
 }
 
-// Streaming reports whether the policy releases flows into sketches.
-func (r RetentionPolicy) Streaming() bool { return r.streaming }
-
 // Validate reports whether the policy is usable: RetainAll always is;
 // RetainSketch requires sketch options that pass telemetry validation
 // (alpha bounds). Cluster construction calls this so a bad bound is a

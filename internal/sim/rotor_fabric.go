@@ -101,9 +101,6 @@ func (f *rotorFabric) Topology() *topology.Opera { return f.sched }
 // ToR returns the ToR switch of the given rack.
 func (f *rotorFabric) ToR(rack int) *RotorToR { return f.tors[rack] }
 
-// CurrentSlice returns the absolute slice number.
-func (f *rotorFabric) CurrentSlice() int64 { return f.curSlice }
-
 // OnSlice implements CircuitNetwork: fn runs at every slice boundary,
 // after port state has been updated for the new slice.
 func (f *rotorFabric) OnSlice(fn func(absSlice int64)) {

@@ -110,7 +110,7 @@ func TestDirectReachableMatchesSlotScan(t *testing.T) {
 			{"fault-free", nil},
 			{"cut cable", []Target{FlatLink(3, 1)}},
 			{"dead ToR", []Target{ToRTarget(5)}},
-			{"dead rotor switch", []Target{SwitchTarget(2)}},
+			{"dead rotor switch", []Target{{Kind: TargetSwitch, ID: 2}}},
 		} {
 			net, err := Build(kind, BuildParams{Engine: eventsim.New(), Sim: DefaultConfig(),
 				Racks: 16, HostsPerRack: 4, Uplinks: 4, Seed: 1})

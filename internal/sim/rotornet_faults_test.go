@@ -72,8 +72,8 @@ func TestRotorNetBulkSurvivesLinkFailures(t *testing.T) {
 // pair it served reroutes via VLB and traffic still completes.
 func TestRotorNetSwitchFailureAndRecovery(t *testing.T) {
 	cl, rf := rotorTestbed(t, opera.KindRotorNet)
-	cut(t, rf, sim.SwitchTarget(3), 100*eventsim.Microsecond)
-	heal(t, rf, sim.SwitchTarget(3), 5*eventsim.Millisecond)
+	cut(t, rf, sim.Target{Kind: sim.TargetSwitch, ID: 3}, 100*eventsim.Microsecond)
+	heal(t, rf, sim.Target{Kind: sim.TargetSwitch, ID: 3}, 5*eventsim.Millisecond)
 	addBulkPairs(cl, 200_000)
 	if !cl.RunUntilDone(2000 * eventsim.Millisecond) {
 		done, total := cl.Metrics().DoneCount()

@@ -64,7 +64,7 @@ func TestRotorNetSlotClockUnison(t *testing.T) {
 	for r := 0; r < 16; r++ {
 		tor := torOf(n, r)
 		for sw := 0; sw < 4; sw++ {
-			if !tor.Uplink(sw).Enabled() {
+			if !sim.PortEnabled(tor.Uplink(sw)) {
 				t.Fatalf("rack %d uplink %d disabled mid-slot", r, sw)
 			}
 		}
@@ -74,7 +74,7 @@ func TestRotorNetSlotClockUnison(t *testing.T) {
 	for r := 0; r < 16; r++ {
 		tor := torOf(n, r)
 		for sw := 0; sw < 4; sw++ {
-			if tor.Uplink(sw).Enabled() {
+			if sim.PortEnabled(tor.Uplink(sw)) {
 				t.Fatalf("rack %d uplink %d enabled during blackout", r, sw)
 			}
 		}
@@ -82,7 +82,7 @@ func TestRotorNetSlotClockUnison(t *testing.T) {
 	// Next slot: re-enabled.
 	eng.RunUntil(topo.SliceDuration() + topo.SliceDuration()/4)
 	for sw := 0; sw < 4; sw++ {
-		if !torOf(n, 0).Uplink(sw).Enabled() {
+		if !sim.PortEnabled(torOf(n, 0).Uplink(sw)) {
 			t.Fatalf("uplink %d not re-enabled after boundary", sw)
 		}
 	}

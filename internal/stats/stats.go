@@ -29,18 +29,8 @@ func (s *Sample) Add(x float64) {
 	s.sum += x
 }
 
-// AddAll appends many observations.
-func (s *Sample) AddAll(xs ...float64) {
-	for _, x := range xs {
-		s.Add(x)
-	}
-}
-
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
-
-// Sum returns the sum of all observations.
-func (s *Sample) Sum() float64 { return s.sum }
 
 // Mean returns the arithmetic mean, or NaN if empty.
 func (s *Sample) Mean() float64 {
@@ -50,15 +40,6 @@ func (s *Sample) Mean() float64 {
 	return s.sum / float64(len(s.xs))
 }
 
-// Min returns the smallest observation, or NaN if empty.
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	s.sort()
-	return s.xs[0]
-}
-
 // Max returns the largest observation, or NaN if empty.
 func (s *Sample) Max() float64 {
 	if len(s.xs) == 0 {
@@ -66,22 +47,6 @@ func (s *Sample) Max() float64 {
 	}
 	s.sort()
 	return s.xs[len(s.xs)-1]
-}
-
-// Stddev returns the sample standard deviation, or NaN for fewer than two
-// observations.
-func (s *Sample) Stddev() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return math.NaN()
-	}
-	m := s.Mean()
-	var ss float64
-	for _, x := range s.xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
@@ -118,21 +83,6 @@ func (s *Sample) Median() float64 { return s.Percentile(50) }
 
 // P99 returns Percentile(99), the paper's tail flow-completion-time metric.
 func (s *Sample) P99() float64 { return s.Percentile(99) }
-
-// Values returns a copy of the observations in sorted order.
-func (s *Sample) Values() []float64 {
-	s.sort()
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
-}
-
-// Reset discards all observations, retaining capacity.
-func (s *Sample) Reset() {
-	s.xs = s.xs[:0]
-	s.sorted = true
-	s.sum = 0
-}
 
 func (s *Sample) sort() {
 	if !s.sorted {

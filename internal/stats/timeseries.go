@@ -71,9 +71,3 @@ func (c *Counter) Add(bytes int) {
 	c.Packets++
 	c.Bytes += uint64(bytes)
 }
-
-// Merge accumulates other into c.
-func (c *Counter) Merge(other Counter) {
-	c.Packets += other.Packets
-	c.Bytes += other.Bytes
-}

@@ -159,16 +159,17 @@ func Run(ctx context.Context, specs []scenario.Spec, opt Options) (Report, error
 	sort.Strings(rep.WorkerErrs)
 	for _, gi := range missing {
 		rep.Failed = append(rep.Failed, gi)
-		sp := specs[gi]
-		res := scenario.Result{Name: sp.Name, Seed: sp.Seed,
-			Err: fmt.Sprintf("sweep: not delivered after %d dispatch round(s)", rep.Rounds)}
-		if k, err := opera.ParseKind(sp.Network); err == nil {
-			res.Kind = k
-		}
-		rep.Results[gi] = res
+		rep.Results[gi] = failedResult(specs[gi], fmt.Sprintf("sweep: not delivered after %d dispatch round(s)", rep.Rounds))
 	}
 	prog.SweepDone(rep.Rounds, rep.Failed)
 	return rep, ctx.Err()
+}
+
+// failedResult is the Result of a cell that never ran: the spec's name,
+// network and seed, and the error.
+func failedResult(sp scenario.Spec, msg string) scenario.Result {
+	k, _ := opera.ParseKind(sp.Network) // 0, opera, for a name it does not know
+	return scenario.Result{Name: sp.Name, Kind: k, Seed: sp.Seed, Err: msg}
 }
 
 // ErrUnexpectedIndex is a worker's frame for an index its shard does not
@@ -311,7 +312,7 @@ func RunLocalProgress(ctx context.Context, specs []scenario.Spec, parallelism in
 	for i, sp := range specs {
 		sc, err := sp.Scenario()
 		if err != nil {
-			rep.Results[i] = scenario.Result{Name: sp.Name, Seed: sp.Seed, Err: err.Error()}
+			rep.Results[i] = failedResult(sp, err.Error())
 			prog.ResultDelivered(i, rep.Results[i], nil)
 			continue
 		}

@@ -72,7 +72,7 @@ func ServeShard(r io.Reader, w io.Writer) error {
 func runSpec(sp scenario.Spec) (scenario.Result, []byte) {
 	sc, err := sp.Scenario()
 	if err != nil {
-		return scenario.Result{Name: sp.Name, Seed: sp.Seed, Err: err.Error()}, nil
+		return failedResult(sp, err.Error()), nil
 	}
 	return withCollector(scenario.Collect(sc))
 }

@@ -602,8 +602,10 @@ func TestSourceErrorReachesTheReport(t *testing.T) {
 		replay("bad-host", "0 0 5 1000\n10 1 9999 500\n"),
 		{Name: "hostile-load", Network: "opera", Duration: eventsim.Millisecond,
 			Sources: []scenario.SourceSpec{{Type: "poisson", Dist: "websearch", Load: 1e300, Window: eventsim.Millisecond}}},
+		{Name: "hostile-load", Network: "expander", Duration: eventsim.Millisecond,
+			Sources: []scenario.SourceSpec{{Type: "poisson", Dist: "websearch", Load: 1e300, Window: eventsim.Millisecond}}},
 	}
-	want := []string{"", "trace line 2", "outside cluster with 64 hosts", "exceeds MaxLoad"}
+	want := []string{"", "trace line 2", "outside cluster with 64 hosts", "exceeds MaxLoad", "exceeds MaxLoad"}
 
 	local, err := RunLocal(context.Background(), specs, 2)
 	if err != nil {
@@ -624,6 +626,9 @@ func TestSourceErrorReachesTheReport(t *testing.T) {
 				}
 			} else if !strings.Contains(r.Err, want[i]) || r.Completed {
 				t.Errorf("%s: %s: Err = %q (completed=%v), want it to contain %q", name, specs[i].Name, r.Err, r.Completed, want[i])
+			}
+			if r.Kind.String() != specs[i].Network {
+				t.Errorf("%s: %s on %s: Kind = %v", name, specs[i].Name, specs[i].Network, r.Kind)
 			}
 			if !r.Equal(local.Results[i]) {
 				t.Errorf("%s: %s differs from the in-process result:\ngot  %+v\nwant %+v", name, specs[i].Name, r, local.Results[i])

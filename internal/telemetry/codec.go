@@ -1,16 +1,18 @@
 package telemetry
 
-// Wire codec: compact, versioned binary encodings for Sketch, Window,
-// TagTally and Collector, so process-sharded sweeps can stream collector
-// state between workers and a coordinator and merge it losslessly.
+// Wire codec: a compact, versioned binary encoding of a Collector, so
+// process-sharded sweeps can stream collector state between workers and a
+// coordinator and merge it losslessly.
 //
-// Every type implements encoding.BinaryMarshaler / BinaryUnmarshaler.
-// The format is deterministic — encoding a value twice yields identical
-// bytes (map-backed tag tallies are written in sorted name order) — and
-// exact: floats travel as their IEEE-754 bit patterns, so a decoded value
-// is deeply equal to the original and merging decoded shards produces
-// byte-for-byte the same state as merging the originals. Counts use
-// varints, which keeps a six-decade 1%-alpha sketch around 1–2 KiB.
+// Collector implements encoding.BinaryMarshaler / BinaryUnmarshaler; its
+// sketches, tag tallies and windows are encoded nested inside it, each as
+// its own kind-tagged object. The format is deterministic — encoding a
+// value twice yields identical bytes (map-backed tag tallies are written
+// in sorted name order) — and exact: floats travel as their IEEE-754 bit
+// patterns, so a decoded value is deeply equal to the original and
+// merging decoded shards produces byte-for-byte the same state as merging
+// the originals. Counts use varints, which keeps a six-decade 1%-alpha
+// sketch around 1–2 KiB.
 //
 // Layout (all objects): one kind byte, one version byte, then the
 // version's payload. Decoders reject unknown kinds and versions with
@@ -208,13 +210,6 @@ func (s *Sketch) marshalTo(w *wbuf) {
 	}
 }
 
-// MarshalBinary encodes the sketch in the telemetry wire format.
-func (s *Sketch) MarshalBinary() ([]byte, error) {
-	var w wbuf
-	s.marshalTo(&w)
-	return w.b, nil
-}
-
 func (s *Sketch) unmarshalFrom(r *rbuf) {
 	r.header(kindSketch)
 	alpha := r.f64()
@@ -257,14 +252,6 @@ func (s *Sketch) unmarshalFrom(r *rbuf) {
 	*s = *fresh
 }
 
-// UnmarshalBinary decodes an encoding produced by MarshalBinary into s,
-// replacing its state. The receiver may be the zero Sketch.
-func (s *Sketch) UnmarshalBinary(data []byte) error {
-	r := rbuf{b: data}
-	s.unmarshalFrom(&r)
-	return r.done()
-}
-
 // --- Window ---
 
 func (w *Window) marshalTo(b *wbuf) {
@@ -279,13 +266,6 @@ func (w *Window) marshalTo(b *wbuf) {
 	for bin := first; bin < first+n; bin++ {
 		b.f64(w.ring[bin%int64(len(w.ring))])
 	}
-}
-
-// MarshalBinary encodes the window in the telemetry wire format.
-func (w *Window) MarshalBinary() ([]byte, error) {
-	var b wbuf
-	w.marshalTo(&b)
-	return b.b, nil
 }
 
 func (w *Window) unmarshalFrom(r *rbuf) {
@@ -319,14 +299,6 @@ func (w *Window) unmarshalFrom(r *rbuf) {
 	*w = *fresh
 }
 
-// UnmarshalBinary decodes an encoding produced by MarshalBinary into w,
-// replacing its state. The receiver may be the zero Window.
-func (w *Window) UnmarshalBinary(data []byte) error {
-	r := rbuf{b: data}
-	w.unmarshalFrom(&r)
-	return r.done()
-}
-
 // --- TagTally ---
 
 func (t *TagTally) marshalTo(w *wbuf) {
@@ -335,13 +307,6 @@ func (t *TagTally) marshalTo(w *wbuf) {
 	w.varint(int64(t.Done))
 	w.varint(int64(t.Total))
 	w.varint(t.Bytes)
-}
-
-// MarshalBinary encodes the tally in the telemetry wire format.
-func (t *TagTally) MarshalBinary() ([]byte, error) {
-	var w wbuf
-	t.marshalTo(&w)
-	return w.b, nil
 }
 
 func (t *TagTally) unmarshalFrom(r *rbuf) {
@@ -358,14 +323,6 @@ func (t *TagTally) unmarshalFrom(r *rbuf) {
 	t.Done = int(done)
 	t.Total = int(total)
 	t.Bytes = bytes
-}
-
-// UnmarshalBinary decodes an encoding produced by MarshalBinary into t,
-// replacing its state. The receiver may be the zero TagTally.
-func (t *TagTally) UnmarshalBinary(data []byte) error {
-	r := rbuf{b: data}
-	t.unmarshalFrom(&r)
-	return r.done()
 }
 
 // --- Collector ---

@@ -23,17 +23,31 @@ func populatedSketch(t *testing.T, alpha float64, seed int64, n int) *Sketch {
 	return s
 }
 
-func roundTripSketch(t *testing.T, s *Sketch) *Sketch {
+// roundTrip encodes c and decodes the bytes into a fresh Collector.
+func roundTrip(t *testing.T, c *Collector) *Collector {
 	t.Helper()
-	data, err := s.MarshalBinary()
+	data, err := c.MarshalBinary()
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	var got Sketch
+	var got Collector
 	if err := got.UnmarshalBinary(data); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
 	return &got
+}
+
+// holding returns a one-class collector at s's alpha whose class sketch
+// is s: the wire form a sketch travels in.
+func holding(s *Sketch) *Collector {
+	c := NewCollector(Opts{Alpha: s.alpha}, 1)
+	c.classes[0] = s
+	return c
+}
+
+func roundTripSketch(t *testing.T, s *Sketch) *Sketch {
+	t.Helper()
+	return roundTrip(t, holding(s)).classes[0]
 }
 
 func TestSketchCodecRoundTrip(t *testing.T) {
@@ -57,8 +71,8 @@ func TestSketchCodecRoundTrip(t *testing.T) {
 
 func TestSketchCodecReencodeDeterministic(t *testing.T) {
 	s := populatedSketch(t, 0.01, 7, 5_000)
-	a, _ := s.MarshalBinary()
-	b, _ := roundTripSketch(t, s).MarshalBinary()
+	a, _ := holding(s).MarshalBinary()
+	b, _ := holding(roundTripSketch(t, s)).MarshalBinary()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("re-encoding a decoded sketch changed the bytes")
 	}
@@ -89,8 +103,10 @@ func TestSketchMergeAfterDecode(t *testing.T) {
 	}
 }
 
+// populatedWindow returns a window at the collector's geometry fed n
+// records; 1 000 of them wrap its ring.
 func populatedWindow(seed int64, n int) *Window {
-	w := NewWindow(0.001, 64)
+	w := NewWindow(windowBin, windowBins)
 	rng := rand.New(rand.NewSource(seed))
 	t := 0.0
 	for i := 0; i < n; i++ {
@@ -102,40 +118,28 @@ func populatedWindow(seed int64, n int) *Window {
 
 func TestWindowCodecRoundTrip(t *testing.T) {
 	for name, w := range map[string]*Window{
-		"empty":     NewWindow(0.001, 128),
-		"populated": populatedWindow(3, 500),
+		"empty":     NewWindow(windowBin, windowBins),
+		"populated": populatedWindow(3, 1_000),
 		"partial": func() *Window {
-			w := NewWindow(0.01, 16)
-			w.Record(0.015, 10)
+			w := NewWindow(windowBin, windowBins)
+			w.Record(0.0015, 10)
 			return w
 		}(),
 	} {
-		data, err := w.MarshalBinary()
-		if err != nil {
-			t.Fatalf("%s: marshal: %v", name, err)
-		}
-		var got Window
-		if err := got.UnmarshalBinary(data); err != nil {
-			t.Fatalf("%s: unmarshal: %v", name, err)
-		}
-		if !reflect.DeepEqual(&got, w) {
-			t.Errorf("%s: decoded window differs: got %+v want %+v", name, &got, w)
+		c := NewCollector(Opts{}, 1)
+		c.delivered = w
+		if got := roundTrip(t, c).delivered; !reflect.DeepEqual(got, w) {
+			t.Errorf("%s: decoded window differs: got %+v want %+v", name, got, w)
 		}
 	}
 }
 
 func TestTagTallyCodecRoundTrip(t *testing.T) {
 	tt := &TagTally{Sketch: populatedSketch(t, 0.02, 4, 1_000), Done: 900, Total: 1_000, Bytes: 123_456_789}
-	data, err := tt.MarshalBinary()
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var got TagTally
-	if err := got.UnmarshalBinary(data); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if !reflect.DeepEqual(&got, tt) {
-		t.Errorf("decoded tally differs: got %+v want %+v", &got, tt)
+	c := NewCollector(Opts{Alpha: 0.02}, 1)
+	c.tags = map[string]*TagTally{"rpc": tt}
+	if got := roundTrip(t, c).tags["rpc"]; !reflect.DeepEqual(got, tt) {
+		t.Errorf("decoded tally differs: got %+v want %+v", got, tt)
 	}
 }
 
@@ -255,9 +259,11 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 		}
 	})
 	t.Run("wrong-kind", func(t *testing.T) {
-		var s Sketch
-		if err := s.UnmarshalBinary(good); err == nil || !errors.Is(err, ErrCodecVersion) {
-			t.Errorf("collector bytes into sketch: got %v, want ErrCodecVersion", err)
+		var w wbuf
+		populatedSketch(t, 0.01, 1, 10).marshalTo(&w)
+		var c Collector
+		if err := c.UnmarshalBinary(w.b); err == nil || !errors.Is(err, ErrCodecVersion) {
+			t.Errorf("sketch bytes into collector: got %v, want ErrCodecVersion", err)
 		}
 	})
 	t.Run("future-version", func(t *testing.T) {
@@ -269,9 +275,14 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 		}
 	})
 	t.Run("huge-count", func(t *testing.T) {
-		// A sketch claiming 2^40 buckets must fail the bounds check, not
-		// attempt the allocation.
+		// A class sketch claiming 2^40 buckets must fail the bounds check,
+		// not attempt the allocation.
 		var w wbuf
+		w.header(kindCollector)
+		w.f64(DefaultAlpha)
+		w.f64(windowBin)
+		w.varint(windowBins)
+		w.uvarint(1) // one class
 		w.header(kindSketch)
 		w.f64(0.01)
 		w.uvarint(0) // count
@@ -281,8 +292,8 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 		w.uvarint(0)       // zero
 		w.varint(0)        // base
 		w.uvarint(1 << 40) // buckets: absurd
-		var s Sketch
-		if err := s.UnmarshalBinary(w.b); err == nil || !errors.Is(err, ErrCorrupt) {
+		var c Collector
+		if err := c.UnmarshalBinary(w.b); err == nil || !errors.Is(err, ErrCorrupt) {
 			t.Errorf("huge bucket count: got %v, want ErrCorrupt", err)
 		}
 	})
@@ -367,11 +378,11 @@ func TestSketchRejectsBucketsOutsideIndexRange(t *testing.T) {
 	for _, shift := range []int{1 << 40, -1 << 40} {
 		s := populatedSketch(t, 0.01, 6, 50)
 		s.base += shift
-		blob, err := s.MarshalBinary()
+		blob, err := holding(s).MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got Sketch
+		var got Collector
 		if err := got.UnmarshalBinary(blob); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("base shifted by %d: got %v, want ErrCorrupt", shift, err)
 		}
@@ -386,7 +397,7 @@ func TestSummaryAndWindowTax(t *testing.T) {
 		t.Fatalf("empty sketch summary = %+v, want zero", got)
 	}
 	s := populatedSketch(t, 0.01, 3, 2_000)
-	want := Summary{N: int(s.Count()), MeanUs: s.Mean(), MaxUs: s.Max(),
+	want := Summary{N: int(s.count), MeanUs: s.Mean(), MaxUs: s.max,
 		P50Us: s.Quantile(0.5), P90Us: s.Quantile(0.9), P99Us: s.Quantile(0.99), P999Us: s.Quantile(0.999)}
 	if got := s.Summary(); got != want {
 		t.Fatalf("Summary = %+v, want %+v", got, want)

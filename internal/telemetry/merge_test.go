@@ -22,7 +22,7 @@ func TestSketchMergeAlphaMismatchPanics(t *testing.T) {
 	if err := a.TryMerge(b); !errors.Is(err, ErrAlphaMismatch) {
 		t.Fatalf("TryMerge: got %v, want ErrAlphaMismatch", err)
 	}
-	if a.Count() != 0 {
+	if a.count != 0 {
 		t.Fatal("failed TryMerge mutated the receiver")
 	}
 

@@ -48,9 +48,9 @@ const minIndexable = 1e-9
 //     observation multiset (bucket counts commute), so a simulation's
 //     sketch is deterministic under any event interleaving that preserves
 //     the observations — stronger than "deterministic given insertion
-//     order". (Sum alone accumulates in arrival order and can differ in
-//     the last ulp across orders; Count, Min, Max and all quantiles are
-//     exactly order-independent.)
+//     order". (The sum behind Mean alone accumulates in arrival order
+//     and can differ in the last ulp across orders; the count, min, max
+//     and all quantiles are exactly order-independent.)
 //   - Exact merge associativity: Merge adds bucket counts, so any merge
 //     tree over per-shard sketches yields identical quantiles — the
 //     property process-sharded sweeps need.
@@ -91,9 +91,6 @@ func NewSketch(alpha float64) *Sketch {
 		max:     math.Inf(-1),
 	}
 }
-
-// Alpha returns the sketch's relative-error bound.
-func (s *Sketch) Alpha() float64 { return s.alpha }
 
 // Add records one observation. Observations must be non-negative.
 func (s *Sketch) Add(x float64) {
@@ -140,36 +137,12 @@ func (s *Sketch) bump(idx int, n uint64) {
 	s.buckets[idx-s.base] += n
 }
 
-// Count returns the number of observations.
-func (s *Sketch) Count() uint64 { return s.count }
-
-// Sum returns the (exact) sum of observations. Unlike the quantiles it is
-// accumulated in arrival order, so it may differ in the last ulp between
-// reorderings of the same multiset.
-func (s *Sketch) Sum() float64 { return s.sum }
-
 // Mean returns the arithmetic mean, or NaN if empty.
 func (s *Sketch) Mean() float64 {
 	if s.count == 0 {
 		return math.NaN()
 	}
 	return s.sum / float64(s.count)
-}
-
-// Min returns the smallest observation (exact), or NaN if empty.
-func (s *Sketch) Min() float64 {
-	if s.count == 0 {
-		return math.NaN()
-	}
-	return s.min
-}
-
-// Max returns the largest observation (exact), or NaN if empty.
-func (s *Sketch) Max() float64 {
-	if s.count == 0 {
-		return math.NaN()
-	}
-	return s.max
 }
 
 // Quantile returns an estimate of the q-th quantile (q in [0,1]) with

@@ -17,7 +17,7 @@ func checkQuantile(t *testing.T, s *Sketch, sorted []float64, q float64) {
 	h := q * float64(len(sorted)-1)
 	lo := sorted[int(math.Floor(h))]
 	hi := sorted[int(math.Ceil(h))]
-	a := s.Alpha()
+	a := s.alpha
 	const slack = 1e-12
 	if got < lo*(1-a)-slack || got > hi*(1+a)+slack {
 		t.Fatalf("Quantile(%v) = %v outside [%v, %v] (order stats %v..%v, alpha %v)",
@@ -58,8 +58,8 @@ func TestSketchRankGuarantee(t *testing.T) {
 			for _, q := range quantileProbes {
 				checkQuantile(t, s, xs, q)
 			}
-			if s.Min() != xs[0] || s.Max() != xs[len(xs)-1] {
-				t.Fatalf("min/max not exact: %v/%v vs %v/%v", s.Min(), s.Max(), xs[0], xs[len(xs)-1])
+			if s.min != xs[0] || s.max != xs[len(xs)-1] {
+				t.Fatalf("min/max not exact: %v/%v vs %v/%v", s.min, s.max, xs[0], xs[len(xs)-1])
 			}
 		})
 	}
@@ -86,10 +86,10 @@ func TestSketchInsertionOrderIndependence(t *testing.T) {
 			t.Fatalf("Quantile(%v): %v vs %v after shuffle", q, a.Quantile(q), b.Quantile(q))
 		}
 	}
-	if a.Count() != b.Count() || a.Min() != b.Min() || a.Max() != b.Max() {
+	if a.count != b.count || a.min != b.min || a.max != b.max {
 		t.Fatal("count/min/max differ after shuffle")
 	}
-	if rel := math.Abs(a.Sum()-b.Sum()) / a.Sum(); rel > 1e-12 {
+	if rel := math.Abs(a.sum-b.sum) / a.sum; rel > 1e-12 {
 		t.Fatalf("sums differ by %v relative", rel)
 	}
 }
@@ -129,7 +129,7 @@ func TestSketchMergeAssociativity(t *testing.T) {
 	tree.Merge(shards[4])
 
 	for _, o := range []*Sketch{right, tree, whole} {
-		if left.Count() != o.Count() || left.Min() != o.Min() || left.Max() != o.Max() {
+		if left.count != o.count || left.min != o.min || left.max != o.max {
 			t.Fatal("count/min/max differ across merge orders")
 		}
 		for _, q := range quantileProbes {
@@ -137,7 +137,7 @@ func TestSketchMergeAssociativity(t *testing.T) {
 				t.Fatalf("Quantile(%v) differs across merge orders: %v vs %v", q, left.Quantile(q), o.Quantile(q))
 			}
 		}
-		if rel := math.Abs(left.Sum()-o.Sum()) / left.Sum(); rel > 1e-12 {
+		if rel := math.Abs(left.sum-o.sum) / left.sum; rel > 1e-12 {
 			t.Fatalf("sums differ by %v relative", rel)
 		}
 	}
@@ -145,16 +145,16 @@ func TestSketchMergeAssociativity(t *testing.T) {
 
 func TestSketchEmptyAndEdgeValues(t *testing.T) {
 	s := NewSketch(0)
-	if s.Alpha() != DefaultAlpha {
-		t.Fatalf("default alpha = %v", s.Alpha())
+	if s.alpha != DefaultAlpha {
+		t.Fatalf("default alpha = %v", s.alpha)
 	}
-	if !math.IsNaN(s.Quantile(0.5)) || !math.IsNaN(s.Mean()) || !math.IsNaN(s.Min()) {
+	if !math.IsNaN(s.Quantile(0.5)) || !math.IsNaN(s.Mean()) {
 		t.Fatal("empty sketch should answer NaN")
 	}
 	s.Add(0) // underflow bucket
 	s.Add(5)
-	if s.Count() != 2 || s.Min() != 0 || s.Max() != 5 {
-		t.Fatalf("count/min/max: %d %v %v", s.Count(), s.Min(), s.Max())
+	if s.count != 2 || s.min != 0 || s.max != 5 {
+		t.Fatalf("count/min/max: %d %v %v", s.count, s.min, s.max)
 	}
 	if q := s.Quantile(0); q != 0 {
 		t.Fatalf("Quantile(0) = %v", q)

@@ -11,11 +11,11 @@ import (
 func TestExpanderPaperBaseline(t *testing.T) {
 	// §5: 650-host u=7 expander on k=12 ToRs (d=5 hosts each, 130 racks).
 	e := MustNewExpander(130, 5, 7, 1)
-	if e.NumHosts() != 650 {
-		t.Fatalf("hosts = %d, want 650", e.NumHosts())
+	if n := e.NumRacks * e.HostsPerRack; n != 650 {
+		t.Fatalf("hosts = %d, want 650", n)
 	}
 	for v := 0; v < e.NumRacks; v++ {
-		if d := e.G.Degree(v); d != 7 {
+		if d := len(e.G.Neighbors(v)); d != 7 {
 			t.Fatalf("rack %d degree %d, want 7", v, d)
 		}
 	}
@@ -25,9 +25,6 @@ func TestExpanderPaperBaseline(t *testing.T) {
 	ps := e.G.AllPairs()
 	if ps.Avg() < 2 || ps.Avg() > 3.2 {
 		t.Fatalf("avg path = %v, want ~2.5", ps.Avg())
-	}
-	if e.HostRack(12) != 2 {
-		t.Fatalf("HostRack wrong")
 	}
 }
 
@@ -75,8 +72,8 @@ func TestExpanderDeterminism(t *testing.T) {
 func TestFoldedClosPaperBaseline(t *testing.T) {
 	// §5: 648-host 3:1 folded Clos on k=12 switches.
 	c := MustNewFoldedClos(12, 3)
-	if c.NumHosts() != 648 {
-		t.Fatalf("hosts = %d, want 648", c.NumHosts())
+	if n := c.NumToRs * c.HostsPerToR; n != 648 {
+		t.Fatalf("hosts = %d, want 648", n)
 	}
 	if c.HostsPerToR != 9 || c.UplinksPerToR != 3 {
 		t.Fatalf("ToR split %d:%d, want 9:3", c.HostsPerToR, c.UplinksPerToR)
@@ -89,16 +86,16 @@ func TestFoldedClosPaperBaseline(t *testing.T) {
 func TestFoldedClosK24(t *testing.T) {
 	c := MustNewFoldedClos(24, 3)
 	// H = (4·3/4)·12³ = 5184.
-	if c.NumHosts() != 5184 {
-		t.Fatalf("hosts = %d, want 5184", c.NumHosts())
+	if n := c.NumToRs * c.HostsPerToR; n != 5184 {
+		t.Fatalf("hosts = %d, want 5184", n)
 	}
 }
 
 func TestFoldedClosFullyProvisioned(t *testing.T) {
 	c := MustNewFoldedClos(8, 1)
 	// F=1: d=u=4; H = 2·64 = 128.
-	if c.NumHosts() != 128 {
-		t.Fatalf("hosts = %d, want 128", c.NumHosts())
+	if n := c.NumToRs * c.HostsPerToR; n != 128 {
+		t.Fatalf("hosts = %d, want 128", n)
 	}
 }
 
@@ -132,7 +129,7 @@ func TestFoldedClosRackGraph(t *testing.T) {
 	// core connects once per pod.
 	coreBase := c.NumToRs + c.NumAgg
 	for core := coreBase; core < coreBase+c.NumCore; core++ {
-		if d := g.Degree(core); d != c.NumPods {
+		if d := len(g.Neighbors(core)); d != c.NumPods {
 			t.Fatalf("core %d degree %d, want %d", core, d, c.NumPods)
 		}
 	}
@@ -159,8 +156,8 @@ func TestRotorNetPaperBaseline(t *testing.T) {
 	if r.CycleTime() != 1800*eventsim.Microsecond {
 		t.Fatalf("cycle = %v, want 1.8ms", r.CycleTime())
 	}
-	if r.Uplinks() != 6 || r.Config().GroupSize != 1 {
-		t.Fatalf("switches = %d group size = %d", r.Uplinks(), r.Config().GroupSize)
+	if r.Uplinks() != 6 || r.cfg.GroupSize != 1 {
+		t.Fatalf("switches = %d group size = %d", r.Uplinks(), r.cfg.GroupSize)
 	}
 }
 

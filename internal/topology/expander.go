@@ -142,12 +142,6 @@ func (e *Expander) Peers(peers [][]int32) {
 	}
 }
 
-// NumHosts returns the total host count.
-func (e *Expander) NumHosts() int { return e.NumRacks * e.HostsPerRack }
-
-// HostRack returns the rack of host h.
-func (e *Expander) HostRack(h int) int { return h / e.HostsPerRack }
-
 // FoldedClos is an M:1-oversubscribed three-tier folded-Clos network built
 // from uniform radix-k switches (§2.3 and the paper's 3:1 baseline).
 //
@@ -218,12 +212,6 @@ func MustNewFoldedClos(k, f int) *FoldedClos {
 	}
 	return c
 }
-
-// NumHosts returns the total host count.
-func (c *FoldedClos) NumHosts() int { return c.NumToRs * c.HostsPerToR }
-
-// HostToR returns the ToR index of host h.
-func (c *FoldedClos) HostToR(h int) int { return h / c.HostsPerToR }
 
 // ToRPod returns the pod of ToR t.
 func (c *FoldedClos) ToRPod(t int) int { return t / c.ToRsPerPod }

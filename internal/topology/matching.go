@@ -36,24 +36,6 @@ func (m Matching) Validate() error {
 	return nil
 }
 
-// SelfLoops returns the number of racks matched to themselves.
-func (m Matching) SelfLoops() int {
-	n := 0
-	for i, p := range m {
-		if int(p) == i {
-			n++
-		}
-	}
-	return n
-}
-
-// Clone returns a copy of the matching.
-func (m Matching) Clone() Matching {
-	out := make(Matching, len(m))
-	copy(out, m)
-	return out
-}
-
 // FactorizeComplete randomly factors the N×N all-ones matrix into N
 // disjoint symmetric matchings (§3.3): every ordered rack pair (i, j),
 // including i == j, appears in exactly one matching. N must be even and

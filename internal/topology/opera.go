@@ -215,9 +215,6 @@ func (o *Opera) SlicePeers(slice int, peers [][]int32) {
 	}
 }
 
-// Config returns the (defaulted) configuration the topology was built with.
-func (o *Opera) Config() Config { return o.cfg }
-
 // NumRacks returns N.
 func (o *Opera) NumRacks() int { return o.cfg.NumRacks }
 

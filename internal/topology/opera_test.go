@@ -71,7 +71,7 @@ func TestOperaScheduleInvariants(t *testing.T) {
 	o := MustNewOpera(smallConfig())
 	cycle := o.SlicesPerCycle()
 	m := o.MatchingsPerSwitch()
-	g := o.Config().GroupSize
+	g := o.cfg.GroupSize
 
 	for sw := 0; sw < o.Uplinks(); sw++ {
 		// Each switch shows each of its matchings for exactly G slices per
@@ -191,7 +191,7 @@ func TestOperaSliceGraphsConnectedAndExpanding(t *testing.T) {
 		// With u−1 = 5 active matchings, racks have degree ≤ 5 (self-loops
 		// reduce it) and the graph must not be trivially sparse.
 		for v := 0; v < g.N(); v++ {
-			if d := g.Degree(v); d > 5 {
+			if d := len(g.Neighbors(v)); d > 5 {
 				t.Fatalf("slice %d rack %d degree %d > u-1", s, v, d)
 			}
 		}

@@ -104,8 +104,8 @@ func TestScheduleProperties(t *testing.T) {
 				if want := (n + u - 1) / u; perCycle != want {
 					t.Fatalf("SlicesPerCycle = %d, want ⌈%d/%d⌉ = %d", perCycle, n, u, want)
 				}
-				if s.Config().GroupSize != 1 || s.PairWindowsPerCycle() != 1 {
-					t.Fatalf("GroupSize = %d, PairWindowsPerCycle = %d, want 1, 1", s.Config().GroupSize, s.PairWindowsPerCycle())
+				if s.cfg.GroupSize != 1 || s.PairWindowsPerCycle() != 1 {
+					t.Fatalf("GroupSize = %d, PairWindowsPerCycle = %d, want 1, 1", s.cfg.GroupSize, s.PairWindowsPerCycle())
 				}
 				for sw := 0; sw < u; sw++ {
 					for sl := 0; sl < perCycle; sl++ {

@@ -81,24 +81,6 @@ func (d *FlowSizeDist) Quantile(p float64) int64 {
 	return int64(math.Exp(logSize) + 0.5)
 }
 
-// CDF evaluates P(size <= x), interpolating in log-size.
-func (d *FlowSizeDist) CDF(x float64) float64 {
-	a := d.anchors
-	if x <= a[0].Bytes {
-		if x < a[0].Bytes {
-			return 0
-		}
-		return a[0].F
-	}
-	if x >= a[len(a)-1].Bytes {
-		return 1
-	}
-	i := sort.Search(len(a), func(i int) bool { return a[i].Bytes >= x })
-	lo, hi := a[i-1], a[i]
-	t := (math.Log(x) - math.Log(lo.Bytes)) / (math.Log(hi.Bytes) - math.Log(lo.Bytes))
-	return lo.F + t*(hi.F-lo.F)
-}
-
 // Mean returns the expected flow size, integrated numerically over the
 // quantile function (exact up to the 1e-4 quantile grid).
 func (d *FlowSizeDist) Mean() float64 {
@@ -192,14 +174,5 @@ func Hadoop() *FlowSizeDist {
 		{10_000_000, 0.96},
 		{100_000_000, 0.99},
 		{1_000_000_000, 1.0},
-	})
-}
-
-// Fixed returns a degenerate distribution (every flow the same size), used
-// by the shuffle workloads.
-func Fixed(bytes int64) *FlowSizeDist {
-	return MustNewFlowSizeDist("fixed", []CDFAnchor{
-		{float64(bytes) * (1 - 1e-9), 0},
-		{float64(bytes), 1.0},
 	})
 }

@@ -223,7 +223,7 @@ func (rs *ReplaySource) Next() (FlowSpec, bool) {
 			continue
 		}
 		fields := strings.Fields(text)
-		if len(fields) < 4 {
+		if len(fields) < 4 || len(fields) > 6 || len(fields) == 6 && fields[5] != "bulk" {
 			return rs.fail(fmt.Errorf("workload: trace line %d: want 'arrival_ns src dst bytes [tag] [bulk]', got %q", rs.line, text))
 		}
 		at, err := strconv.ParseInt(fields[0], 10, 64)
@@ -246,9 +246,7 @@ func (rs *ReplaySource) Next() (FlowSpec, bool) {
 		if len(fields) > 4 {
 			spec.Tag = fields[4]
 		}
-		if len(fields) > 5 && fields[5] == "bulk" {
-			spec.Bulk = true
-		}
+		spec.Bulk = len(fields) == 6
 		rs.last = spec.Arrival
 		return spec, true
 	}

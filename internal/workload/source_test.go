@@ -335,18 +335,57 @@ func TestReplay(t *testing.T) {
 	}
 }
 
+// malformedTraces each end a replay in error at the line they name.
+var malformedTraces = []string{
+	"0 0 1\n",                    // too few fields
+	"0 0 1 -5\n",                 // bad bytes
+	"x 0 1 100\n",                // bad arrival
+	"0 3 3 100\n",                // self-flow
+	"500 0 1 100\n100 1 2 100\n", // arrivals regress
+	"0 0 1 100 t blk\n",          // sixth field not "bulk"
+	"0 0 1 100 t Bulk\n",         // "bulk" is lower case
+	"0 0 1 100 t bulk extra\n",   // seventh field
+}
+
 func TestReplayRejectsMalformedAndUnordered(t *testing.T) {
-	for _, trace := range []string{
-		"0 0 1\n",                    // too few fields
-		"0 0 1 -5\n",                 // bad bytes
-		"x 0 1 100\n",                // bad arrival
-		"0 3 3 100\n",                // self-flow
-		"500 0 1 100\n100 1 2 100\n", // arrivals regress
-	} {
+	for _, trace := range malformedTraces {
 		rs := Replay(strings.NewReader(trace))
 		Drain(rs)
-		if rs.Err() == nil {
-			t.Fatalf("trace %q: expected error", trace)
+		if rs.Err() == nil || !strings.Contains(rs.Err().Error(), "trace line") {
+			t.Fatalf("trace %q: got error %v, want one naming the line", trace, rs.Err())
 		}
 	}
+}
+
+// FuzzReplay: any trace bytes replay without a panic, and what a replay
+// yields obeys the grammar's contract for a 64-host cluster: hosts in
+// range and distinct, a positive size, nondecreasing arrivals, and once
+// Next returns false it keeps returning false.
+func FuzzReplay(f *testing.F) {
+	f.Add("# comment\n0 0 1 1000 web\n500 1 2 2000\n1500 2 3 3000 shuffle bulk\n")
+	f.Add("0 0 63 1\n0 63 64 1\n")
+	for _, trace := range malformedTraces {
+		f.Add(trace)
+	}
+	f.Fuzz(func(t *testing.T, trace string) {
+		rs := Replay(strings.NewReader(trace))
+		rs.NumHosts = 64
+		var last eventsim.Time
+		for {
+			spec, ok := rs.Next()
+			if !ok {
+				break
+			}
+			if spec.Src < 0 || spec.Src >= 64 || spec.Dst < 0 || spec.Dst >= 64 || spec.Src == spec.Dst || spec.Bytes <= 0 {
+				t.Fatalf("yielded %+v", spec)
+			}
+			if spec.Arrival < last {
+				t.Fatalf("arrival %v after %v", spec.Arrival, last)
+			}
+			last = spec.Arrival
+		}
+		if _, ok := rs.Next(); ok {
+			t.Fatal("Next yielded a flow after returning false")
+		}
+	})
 }

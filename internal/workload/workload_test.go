@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +11,7 @@ import (
 )
 
 func TestDistributionsValid(t *testing.T) {
-	for _, d := range []*FlowSizeDist{Datamining(), Websearch(), Hadoop(), Fixed(100_000)} {
+	for _, d := range []*FlowSizeDist{Datamining(), Websearch(), Hadoop()} {
 		a := d.Anchors()
 		if a[len(a)-1].F != 1 {
 			t.Fatalf("%s: CDF does not reach 1", d.Name)
@@ -34,13 +35,32 @@ func TestNewFlowSizeDistRejects(t *testing.T) {
 	}
 }
 
+// cdf evaluates d's P(size <= x), interpolating in log-size between
+// anchors: the inverse Quantile is checked against.
+func cdf(d *FlowSizeDist, x float64) float64 {
+	a := d.anchors
+	if x < a[0].Bytes {
+		return 0
+	}
+	if x >= a[len(a)-1].Bytes {
+		return 1
+	}
+	i := sort.Search(len(a), func(i int) bool { return a[i].Bytes >= x })
+	if i == 0 {
+		return a[0].F
+	}
+	lo, hi := a[i-1], a[i]
+	t := (math.Log(x) - math.Log(lo.Bytes)) / (math.Log(hi.Bytes) - math.Log(lo.Bytes))
+	return lo.F + t*(hi.F-lo.F)
+}
+
 func TestQuantileCDFRoundTrip(t *testing.T) {
 	for _, d := range []*FlowSizeDist{Datamining(), Websearch(), Hadoop()} {
 		for _, p := range []float64{0.05, 0.25, 0.5, 0.75, 0.9, 0.99} {
 			x := d.Quantile(p)
-			back := d.CDF(float64(x))
+			back := cdf(d, float64(x))
 			if math.Abs(back-p) > 0.02 {
-				t.Errorf("%s: CDF(Quantile(%v)) = %v", d.Name, p, back)
+				t.Errorf("%s: cdf(Quantile(%v)) = %v", d.Name, p, back)
 			}
 		}
 	}
@@ -72,7 +92,8 @@ func TestPaperWorkloadShapes(t *testing.T) {
 }
 
 func TestFixedDist(t *testing.T) {
-	d := Fixed(100_000)
+	// The one-point distribution tests build: every sample is the size.
+	d := MustNewFlowSizeDist("fixed", []CDFAnchor{{100_000 * (1 - 1e-9), 0}, {100_000, 1}})
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 10; i++ {
 		if s := d.Sample(rng); s != 100_000 {

@@ -314,7 +314,7 @@ func (c *Cluster) OperaNet() *sim.OperaNet {
 //
 //	inj := cl.Faults()
 //	inj.Inject(sim.FlatLink(3, 2), sim.DownFault(), 500*eventsim.Microsecond)
-//	inj.Inject(sim.FlatLink(4, 0), sim.LossyFault(0.01), eventsim.Millisecond)
+//	inj.Inject(sim.FlatLink(4, 0), sim.Fault{Kind: sim.FaultLossy, Rate: 0.01}, eventsim.Millisecond)
 //	inj.Recover(sim.FlatLink(3, 2), 2*eventsim.Millisecond)
 //
 // Links, ActiveFaults, StrandedBytes and the Lost counter are plain

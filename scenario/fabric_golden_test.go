@@ -258,13 +258,13 @@ func TestFaultSpecWireBytes(t *testing.T) {
 			`{"At":1000000,"Op":"inject","Target":{"Kind":"tor","Tier":0,"Switch":0,"Port":0,"ID":7},"Fault":{"Kind":"down","Rate":0,"RateFraction":0,"Up":0,"Down":0},"Fraction":0}`},
 		{scenario.EventSpec{At: ms, Op: "inject", Target: sim.TierSwitchTarget(3, 5), Fault: sim.DownFault()},
 			`{"At":1000000,"Op":"inject","Target":{"Kind":"switch","Tier":3,"Switch":0,"Port":0,"ID":5},"Fault":{"Kind":"down","Rate":0,"RateFraction":0,"Up":0,"Down":0},"Fraction":0}`},
-		{scenario.EventSpec{At: ms, Op: "inject", Target: sim.FlatLink(4, 0), Fault: sim.LossyFault(0.01)},
+		{scenario.EventSpec{At: ms, Op: "inject", Target: sim.FlatLink(4, 0), Fault: sim.Fault{Kind: sim.FaultLossy, Rate: 0.01}},
 			`{"At":1000000,"Op":"inject","Target":{"Kind":"link","Tier":0,"Switch":4,"Port":0,"ID":0},"Fault":{"Kind":"lossy","Rate":0.01,"RateFraction":0,"Up":0,"Down":0},"Fraction":0}`},
-		{scenario.EventSpec{At: ms, Op: "inject", Target: sim.FlatLink(4, 0), Fault: sim.DegradedFault(0.5)},
+		{scenario.EventSpec{At: ms, Op: "inject", Target: sim.FlatLink(4, 0), Fault: sim.Fault{Kind: sim.FaultDegraded, RateFraction: 0.5}},
 			`{"At":1000000,"Op":"inject","Target":{"Kind":"link","Tier":0,"Switch":4,"Port":0,"ID":0},"Fault":{"Kind":"degraded","Rate":0,"RateFraction":0.5,"Up":0,"Down":0},"Fraction":0}`},
-		{scenario.EventSpec{At: ms, Op: "inject", Target: sim.FlatLink(5, 1), Fault: sim.FlappingFault(200*us, 100*us)},
+		{scenario.EventSpec{At: ms, Op: "inject", Target: sim.FlatLink(5, 1), Fault: sim.Fault{Kind: sim.FaultFlapping, Up: 200 * us, Down: 100 * us}},
 			`{"At":1000000,"Op":"inject","Target":{"Kind":"link","Tier":0,"Switch":5,"Port":1,"ID":0},"Fault":{"Kind":"flapping","Rate":0,"RateFraction":0,"Up":200000,"Down":100000},"Fraction":0}`},
-		{scenario.EventSpec{At: 2 * ms, Op: "recover", Target: sim.SwitchTarget(1)},
+		{scenario.EventSpec{At: 2 * ms, Op: "recover", Target: sim.Target{Kind: sim.TargetSwitch, ID: 1}},
 			`{"At":2000000,"Op":"recover","Target":{"Kind":"switch","Tier":0,"Switch":0,"Port":0,"ID":1},` + zeroFault + `,"Fraction":0}`},
 		{scenario.EventSpec{At: us, Op: "fail-random-links", Fraction: 0.05},
 			`{"At":1000,"Op":"fail-random-links","Target":{"Kind":"","Tier":0,"Switch":0,"Port":0,"ID":0},` + zeroFault + `,"Fraction":0.05}`},

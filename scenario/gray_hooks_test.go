@@ -23,9 +23,9 @@ func graySweep() []scenario.Scenario {
 			Network: "opera",
 			Seed:    7,
 			Events: []scenario.EventSpec{
-				{At: 100 * eventsim.Microsecond, Target: sim.FlatLink(2, 1), Fault: sim.LossyFault(0.3)},
-				{At: 200 * eventsim.Microsecond, Target: sim.FlatLink(5, 0), Fault: sim.DegradedFault(0.5)},
-				{At: 300 * eventsim.Microsecond, Target: sim.FlatLink(9, 3), Fault: sim.FlappingFault(eventsim.Millisecond, eventsim.Millisecond)},
+				{At: 100 * eventsim.Microsecond, Target: sim.FlatLink(2, 1), Fault: sim.Fault{Kind: sim.FaultLossy, Rate: 0.3}},
+				{At: 200 * eventsim.Microsecond, Target: sim.FlatLink(5, 0), Fault: sim.Fault{Kind: sim.FaultDegraded, RateFraction: 0.5}},
+				{At: 300 * eventsim.Microsecond, Target: sim.FlatLink(9, 3), Fault: sim.Fault{Kind: sim.FaultFlapping, Up: eventsim.Millisecond, Down: eventsim.Millisecond}},
 				{At: 400 * eventsim.Microsecond, Target: sim.FlatLink(1, 1)},
 				{At: 5 * eventsim.Millisecond, Op: "recover", Target: sim.FlatLink(2, 1)},
 				{At: 5 * eventsim.Millisecond, Op: "recover", Target: sim.FlatLink(9, 3)},
@@ -38,8 +38,8 @@ func graySweep() []scenario.Scenario {
 			Network: "foldedclos",
 			Seed:    7,
 			Events: []scenario.EventSpec{
-				{At: 100 * eventsim.Microsecond, Target: sim.FlatLink(0, 1), Fault: sim.LossyFault(0.5)},
-				{At: 200 * eventsim.Microsecond, Target: sim.FlatLink(3, 0), Fault: sim.FlappingFault(500*eventsim.Microsecond, 500*eventsim.Microsecond)},
+				{At: 100 * eventsim.Microsecond, Target: sim.FlatLink(0, 1), Fault: sim.Fault{Kind: sim.FaultLossy, Rate: 0.5}},
+				{At: 200 * eventsim.Microsecond, Target: sim.FlatLink(3, 0), Fault: sim.Fault{Kind: sim.FaultFlapping, Up: 500 * eventsim.Microsecond, Down: 500 * eventsim.Microsecond}},
 				{At: 6 * eventsim.Millisecond, Op: "recover", Target: sim.FlatLink(3, 0)},
 			},
 			Sources:  []scenario.SourceSpec{{Type: "shuffle", Participants: 12, FlowBytes: 25_000, Stagger: eventsim.Millisecond}},
@@ -98,7 +98,7 @@ func TestFlapRecoveryRestoresBaselineFaultFree(t *testing.T) {
 	}
 	base := scenario.Run(mk(nil))
 	flapped := scenario.Run(mk([]scenario.EventSpec{
-		{At: 200 * eventsim.Microsecond, Target: sim.FlatLink(4, 2), Fault: sim.FlappingFault(700*eventsim.Microsecond, 900*eventsim.Microsecond)},
+		{At: 200 * eventsim.Microsecond, Target: sim.FlatLink(4, 2), Fault: sim.Fault{Kind: sim.FaultFlapping, Up: 700 * eventsim.Microsecond, Down: 900 * eventsim.Microsecond}},
 		{At: 5 * eventsim.Millisecond, Op: "recover", Target: sim.FlatLink(4, 2)},
 	}))
 	if base.Err != "" || flapped.Err != "" {

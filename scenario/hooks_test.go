@@ -32,8 +32,8 @@ func hookSweep() []scenario.Scenario {
 				{At: 200 * eventsim.Microsecond, Target: sim.FlatLink(3, 2)},
 				{At: 500 * eventsim.Microsecond, Op: "fail-random-links", Fraction: 0.05},
 				{At: 2 * eventsim.Millisecond, Op: "recover", Target: sim.FlatLink(3, 2)},
-				{At: 3 * eventsim.Millisecond, Target: sim.SwitchTarget(1)},
-				{At: 6 * eventsim.Millisecond, Op: "recover", Target: sim.SwitchTarget(1)},
+				{At: 3 * eventsim.Millisecond, Target: sim.Target{Kind: sim.TargetSwitch, ID: 1}},
+				{At: 6 * eventsim.Millisecond, Op: "recover", Target: sim.Target{Kind: sim.TargetSwitch, ID: 1}},
 			},
 			Duration: 4000 * eventsim.Millisecond,
 		}))
@@ -160,7 +160,7 @@ func TestFaultScheduleUnsupportedKind(t *testing.T) {
 		Name:     "expander-switch-fault",
 		Kind:     opera.KindExpander,
 		Seed:     1,
-		Events:   []scenario.EventSpec{{Target: sim.SwitchTarget(0)}},
+		Events:   []scenario.EventSpec{{Target: sim.Target{Kind: sim.TargetSwitch, ID: 0}}},
 		Duration: eventsim.Millisecond,
 	})
 	if res.Err == "" {
@@ -256,7 +256,7 @@ func TestFaultScheduleValidation(t *testing.T) {
 		{Target: sim.FlatLink(99, 0)},
 		{Target: sim.FlatLink(0, 99)},
 		{Target: sim.ToRTarget(-1)},
-		{At: -eventsim.Millisecond, Target: sim.SwitchTarget(0)},
+		{At: -eventsim.Millisecond, Target: sim.Target{Kind: sim.TargetSwitch, ID: 0}},
 		{Op: "fail-random-links", Fraction: -0.1},
 		{Op: "fail-random-links", Fraction: 1.5},
 	} {

@@ -13,9 +13,11 @@ import (
 // fixedPoisson is Poisson arrivals of fixed-size flows: a Source written
 // directly, since SourceSpec draws sizes only from the paper's traces.
 func fixedPoisson(bytes int64, load float64, window eventsim.Time) scenario.Source {
+	dist := workload.MustNewFlowSizeDist("fixed", []workload.CDFAnchor{
+		{Bytes: float64(bytes) * (1 - 1e-9)}, {Bytes: float64(bytes), F: 1}})
 	return func(env scenario.Env) workload.Source {
 		return workload.PoissonSource(workload.PoissonConfig{NumHosts: env.NumHosts, Load: load,
-			LinkRateGbps: env.LinkRateGbps, Duration: window, Dist: workload.Fixed(bytes), Seed: env.Seed})
+			LinkRateGbps: env.LinkRateGbps, Duration: window, Dist: dist, Seed: env.Seed})
 	}
 }
 

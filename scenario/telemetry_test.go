@@ -8,7 +8,6 @@ import (
 
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/sim"
-	"github.com/opera-net/opera/internal/stats"
 	"github.com/opera-net/opera/scenario"
 )
 
@@ -35,18 +34,24 @@ func fig7Cell(retention scenario.RetentionSpec) scenario.Scenario {
 	})
 }
 
-// checkWithinBound asserts the sketch guarantee against the exact sample:
-// the estimate must lie within ±alpha of the order statistics bracketing
-// the type-7 rank of percentile p.
-func checkWithinBound(t *testing.T, what string, got float64, exact *stats.Sample, p float64) {
+// checkWithinBound asserts the sketch guarantee against the exact flow
+// completion times m retained: the estimate must lie within ±alpha of the
+// order statistics bracketing the type-7 rank of percentile p.
+func checkWithinBound(t *testing.T, what string, got float64, m *sim.Metrics, p float64) {
 	t.Helper()
-	sorted := exact.Values()
+	var sorted []float64
+	for _, f := range m.Flows() {
+		if f.Done {
+			sorted = append(sorted, f.FCT().Micros())
+		}
+	}
+	slices.Sort(sorted)
 	h := p / 100 * float64(len(sorted)-1)
 	lo := sorted[int(math.Floor(h))]
 	hi := sorted[int(math.Ceil(h))]
 	if got < lo*(1-sketchAlpha)-1e-9 || got > hi*(1+sketchAlpha)+1e-9 {
 		t.Errorf("%s p%v = %v outside sketch bound [%v, %v] (exact %v)",
-			what, p, got, lo*(1-sketchAlpha), hi*(1+sketchAlpha), exact.Percentile(p))
+			what, p, got, lo*(1-sketchAlpha), hi*(1+sketchAlpha), m.FCTSample(nil).Percentile(p))
 	}
 }
 
@@ -99,9 +104,9 @@ func TestRetainSketchMatchesExactOnFig7Workload(t *testing.T) {
 		t.Fatalf("tax diverges: %v vs %v", skRes.AggregateTax, exactRes.AggregateTax)
 	}
 
-	checkWithinBound(t, "all", skRes.All.P50Us, exactAll, 50)
-	checkWithinBound(t, "all", skRes.All.P99Us, exactAll, 99)
-	checkWithinBound(t, "all", skRes.All.P999Us, exactAll, 99.9)
+	checkWithinBound(t, "all", skRes.All.P50Us, cl.Metrics(), 50)
+	checkWithinBound(t, "all", skRes.All.P99Us, cl.Metrics(), 99)
+	checkWithinBound(t, "all", skRes.All.P999Us, cl.Metrics(), 99.9)
 	if skRes.All.MaxUs != exactAll.Max() {
 		t.Fatalf("max should be exact: %v vs %v", skRes.All.MaxUs, exactAll.Max())
 	}
@@ -114,7 +119,7 @@ func TestRetainSketchMatchesExactOnFig7Workload(t *testing.T) {
 	if dm.FlowsTotal != exactRes.FlowsTotal || dm.FCT.N != exactAll.N() {
 		t.Fatalf("tag counts diverge: %d/%d vs %d/%d", dm.FCT.N, dm.FlowsTotal, exactAll.N(), exactRes.FlowsTotal)
 	}
-	checkWithinBound(t, "tag dm", dm.FCT.P99Us, exactAll, 99)
+	checkWithinBound(t, "tag dm", dm.FCT.P99Us, cl.Metrics(), 99)
 
 	// And the flows really were released.
 	skCl, _ := scenario.Collect(fig7Cell(sketch))
@@ -216,7 +221,7 @@ func TestResultReadsTheSameUnderBothRetentions(t *testing.T) {
 		got float64
 		p   float64
 	}{{sketch.All.P50Us, 50}, {sketch.All.P90Us, 90}, {sketch.All.P99Us, 99}, {sketch.All.P999Us, 99.9}} {
-		checkWithinBound(t, "all", q.got, fcts, q.p)
+		checkWithinBound(t, "all", q.got, cl.Metrics(), q.p)
 	}
 }
 

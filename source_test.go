@@ -36,13 +36,20 @@ func (lp *lazyProbe) Next() (workload.FlowSpec, bool) {
 	return spec, ok
 }
 
+// fixedSize is the one-point flow-size distribution: every flow is
+// bytes long.
+func fixedSize(bytes int64) *workload.FlowSizeDist {
+	return workload.MustNewFlowSizeDist("fixed", []workload.CDFAnchor{
+		{Bytes: float64(bytes) * (1 - 1e-9)}, {Bytes: float64(bytes), F: 1}})
+}
+
 func steadySource(numHosts int, load float64, window eventsim.Time, seed int64) workload.Source {
 	return workload.PoissonSource(workload.PoissonConfig{
 		NumHosts:     numHosts,
 		Load:         load,
 		LinkRateGbps: 10,
 		Duration:     window,
-		Dist:         workload.Fixed(1500),
+		Dist:         fixedSize(1500),
 		Seed:         seed,
 	})
 }
