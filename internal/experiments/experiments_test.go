@@ -48,6 +48,7 @@ func TestFig04SmallScale(t *testing.T) {
 	if len(nets) != 3 {
 		t.Fatalf("networks = %v", nets)
 	}
+	pinTinyGolden(t, tables)
 }
 
 func TestFig14(t *testing.T) {
@@ -75,6 +76,20 @@ func TestFig17SmallScale(t *testing.T) {
 	if len(tables[0].Rows) < s.Racks {
 		t.Fatalf("rows = %d, want >= one per slice", len(tables[0].Rows))
 	}
+	pinTinyGolden(t, tables)
+}
+
+// TestFig16Small runs Figure 16 at its two smallest radices; the default
+// five take ~16 s.
+func TestFig16Small(t *testing.T) {
+	tables, err := Fig16PathVsScale([]int{12, 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tables[0].Rows) == 0 {
+		t.Fatal("no rows")
+	}
+	pinTinyGolden(t, tables)
 }
 
 func TestTables1And2(t *testing.T) {
@@ -114,12 +129,15 @@ func TestFig11SmallScale(t *testing.T) {
 }
 
 func TestFig19And20SmallScale(t *testing.T) {
-	if _, err := Fig19ClosFailures(SmallScale(), 1); err != nil {
+	clos, err := Fig19ClosFailures(SmallScale(), 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Fig20ExpanderFailures(SmallScale(), 1); err != nil {
+	expander, err := Fig20ExpanderFailures(SmallScale(), 1)
+	if err != nil {
 		t.Fatal(err)
 	}
+	pinTinyGolden(t, append(clos, expander...))
 }
 
 func TestFig13(t *testing.T) {
@@ -132,6 +150,7 @@ func TestFig13(t *testing.T) {
 	if len(tables[0].Rows) < 100 {
 		t.Fatalf("rows = %d", len(tables[0].Rows))
 	}
+	pinTinyGolden(t, tables)
 }
 
 func TestFig15FluidSweep(t *testing.T) {
@@ -143,6 +162,7 @@ func TestFig15FluidSweep(t *testing.T) {
 	if len(rows) != 3*len(AlphaSweep) {
 		t.Fatalf("rows = %d", len(rows))
 	}
+	pinTinyGolden(t, tables)
 }
 
 // tinyPoisson shrinks a Poisson FCT figure's specs to one cell per

@@ -11,11 +11,13 @@ import (
 
 // pinTinyGolden pins tables byte-for-byte against their sections of
 // testdata/figs_tiny.golden, one section per table name. The tiny fig07–
-// fig10 runs carry the paper's headline claims at test size, so
-// any CSV drift means a change moved published numbers — which must be
-// deliberate. Regenerate with UPDATE_GOLDEN=1 go test ./internal/experiments/
-// -run 'TestFig0[79]TinyRun|TestFig08SmallShuffle|TestFig10MixedTiny' and review
-// the diff; a test rewrites only its own sections.
+// fig10 runs carry the paper's headline claims at test size, and the
+// small-scale analysis figures (fig04, fig13, fig15–fig17, fig19, fig20)
+// its structural ones, so any CSV drift means a change moved published
+// numbers — which must be deliberate. Regenerate with UPDATE_GOLDEN=1 go
+// test ./internal/experiments/ -run 'TestFig0[79]TinyRun|TestFig08SmallShuffle|
+// TestFig10MixedTiny' (or the analysis test concerned) and review the diff;
+// a test rewrites only its own sections.
 func pinTinyGolden(t *testing.T, tables []Table) {
 	t.Helper()
 	golden := filepath.Join("testdata", "figs_tiny.golden")
