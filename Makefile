@@ -37,7 +37,9 @@ bench-module:
 ## the heap on raw push/pop/peek op streams with keys reserved now and
 ## pushed later (a re-armed timer's re-key); FuzzBuildDifferential is
 ## the bit-parallel routing build against the per-source BFS it replaced,
-## on raw directed port maps; FuzzCollectorUnmarshal is the telemetry
+## on raw directed port maps; FuzzAllPairsDifferential is BitBFS's path
+## statistics and distance matrix against the same per-source BFS, on raw
+## successor tables and node subsets; FuzzCollectorUnmarshal is the telemetry
 ## collector decoder, whose output must re-encode stably and read out,
 ## and merge, without a panic (corpus under internal/telemetry/testdata/fuzz/);
 ## FuzzParseGrid is opera-sweep's -grid decoder, whose grids must expand
@@ -50,6 +52,7 @@ fuzz:
 	$(GO) test ./internal/rotorlb/ -run '^$$' -fuzz '^FuzzSegQueue$$' -fuzztime 10s
 	$(GO) test ./internal/eventsim/ -run '^$$' -fuzz '^FuzzSchedulerDifferential$$' -fuzztime 10s
 	$(GO) test ./internal/routing/ -run '^$$' -fuzz '^FuzzBuildDifferential$$' -fuzztime 10s
+	$(GO) test ./internal/graph/ -run '^$$' -fuzz '^FuzzAllPairsDifferential$$' -fuzztime 10s
 	$(GO) test ./internal/telemetry/ -run '^$$' -fuzz '^FuzzCollectorUnmarshal$$' -fuzztime 10s
 	$(GO) test ./cmd/opera-sweep/ -run '^$$' -fuzz '^FuzzParseGrid$$' -fuzztime 10s
 	$(GO) test ./internal/workload/ -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s

@@ -48,24 +48,9 @@ func main() {
 		o.SlicesPerCycle(), o.CycleTime(), 100*o.DutyCycle())
 
 	// Path-length distribution across all slices.
-	agg := graph.PathStats{Hist: make([]int, 8)}
-	worstDiameter := 0
-	for s := 0; s < o.SlicesPerCycle(); s++ {
-		ps := o.SliceGraph(s).AllPairs()
-		for h, c := range ps.Hist {
-			for len(agg.Hist) <= h {
-				agg.Hist = append(agg.Hist, 0)
-			}
-			agg.Hist[h] += c
-		}
-		agg.Pairs += ps.Pairs
-		agg.Disconnected += ps.Disconnected
-		if d := ps.Max(); d > worstDiameter {
-			worstDiameter = d
-		}
-	}
+	agg := o.PathStats()
 	fmt.Printf("  path lengths: avg=%.2f worst=%d disconnected=%d\n",
-		agg.Avg(), worstDiameter, agg.Disconnected)
+		agg.Avg(), agg.Max(), agg.Disconnected)
 	fmt.Printf("  path-length CDF:")
 	for h, f := range agg.CDF() {
 		if h == 0 {
@@ -98,10 +83,11 @@ func main() {
 
 	if *spectral {
 		rng := rand.New(rand.NewSource(9))
+		peers := graph.NewTable(n, o.Uplinks())
 		fmt.Printf("  per-slice spectral gaps (d−λ):\n")
 		for s := 0; s < o.SlicesPerCycle(); s++ {
-			g := o.SliceGraph(s)
-			fmt.Printf("    slice %3d: gap=%.3f\n", s, g.SpectralGap(400, rng))
+			o.SlicePeers(s, peers)
+			fmt.Printf("    slice %3d: gap=%.3f\n", s, graph.SpectralGap(peers, 400, rng))
 		}
 	}
 }

@@ -119,7 +119,7 @@ func operaFluid(eq cost.Equivalent, wl CostSweepWorkload) (float64, error) {
 		return 0, err
 	}
 	demand := demandFor(wl, eq.OperaRacks, float64(eq.OperaHostsPerRack), 11)
-	return fluid.RotorBulkThroughput(o, demand, fluid.DefaultRotorParams()), nil
+	return fluid.RotorBulkThroughput(o, demand, true), nil
 }
 
 func expanderFluid(eq cost.Equivalent, wl CostSweepWorkload) (float64, error) {
@@ -162,11 +162,7 @@ func AblationVLB() ([]Table, error) {
 	}
 	for _, wl := range []CostSweepWorkload{WorkloadHotRack, WorkloadSkew, WorkloadPermutation, WorkloadAllToAll} {
 		demand := demandFor(wl, eq.OperaRacks, float64(eq.OperaHostsPerRack), 11)
-		with := fluid.RotorBulkThroughput(o, demand, fluid.DefaultRotorParams())
-		params := fluid.DefaultRotorParams()
-		params.DisableVLB = true
-		without := fluid.RotorBulkThroughput(o, demand, params)
-		t.Add(string(wl), with, without)
+		t.Add(string(wl), fluid.RotorBulkThroughput(o, demand, true), fluid.RotorBulkThroughput(o, demand, false))
 	}
 	return []Table{t}, nil
 }

@@ -47,25 +47,14 @@ func Fig04PathLengths(s Scale) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	agg := graph.PathStats{Hist: make([]int, 8)}
-	for sl := 0; sl < o.SlicesPerCycle(); sl++ {
-		ps := o.SliceGraph(sl).AllPairs()
-		for h, c := range ps.Hist {
-			for len(agg.Hist) <= h {
-				agg.Hist = append(agg.Hist, 0)
-			}
-			agg.Hist[h] += c
-		}
-		agg.Pairs += ps.Pairs
-		agg.Disconnected += ps.Disconnected
-	}
-	emitCDF(&t, "opera", agg)
+	emitCDF(&t, "opera", o.PathStats())
 
 	e, err := topology.NewExpander(s.ExpRacks, s.ExpHosts, s.ExpDegree, s.Seed)
 	if err != nil {
 		return nil, err
 	}
-	emitCDF(&t, fmt.Sprintf("expander-u%d", s.ExpDegree), e.G.AllPairs())
+	var bfs graph.BitBFS
+	emitCDF(&t, fmt.Sprintf("expander-u%d", s.ExpDegree), bfs.PathStats(e.Adj, nil))
 
 	c, err := topology.NewFoldedClos(s.ClosK, s.ClosF)
 	if err != nil {
@@ -104,6 +93,7 @@ func Fig16PathVsScale(radices []int) ([]Table, error) {
 		radices = []int{12, 16, 24, 32, 48}
 	}
 	t := Table{Name: "fig16_path_vs_scale", Header: []string{"network", "tor_radix", "avg_path", "hosts"}}
+	var bfs graph.BitBFS
 	for _, k := range radices {
 		// Opera at its native sizing (N = 3k²/4 racks). GroupSize equals the
 		// switch count (single stagger group): grouping only shortens the
@@ -117,11 +107,12 @@ func Fig16PathVsScale(radices []int) ([]Table, error) {
 			return nil, err
 		}
 		// Average over sampled slices (path statistics concentrate).
+		peers := graph.NewTable(n, o.Uplinks())
 		var sum float64
 		samples := 3
 		for i := 0; i < samples; i++ {
-			sl := i * o.SlicesPerCycle() / samples
-			sum += o.SliceGraph(sl).AllPairs().Avg()
+			o.SlicePeers(i*o.SlicesPerCycle()/samples, peers)
+			sum += bfs.PathStats(peers, nil).Avg()
 		}
 		t.Add("opera", k, sum/float64(samples), o.NumHosts())
 
@@ -134,7 +125,7 @@ func Fig16PathVsScale(radices []int) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.Add(fmt.Sprintf("expander-a%.1f", alpha), k, e.G.AllPairs().Avg(), eq.Hosts)
+			t.Add(fmt.Sprintf("expander-a%.1f", alpha), k, bfs.PathStats(e.Adj, nil).Avg(), eq.Hosts)
 		}
 	}
 	return []Table{t}, nil
@@ -153,10 +144,12 @@ func Fig17SpectralGap(s Scale) ([]Table, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(7))
+	peers := graph.NewTable(o.NumRacks(), o.Uplinks())
+	var bfs graph.BitBFS
 	for sl := 0; sl < o.SlicesPerCycle(); sl++ {
-		g := o.SliceGraph(sl)
-		ps := g.AllPairs()
-		t.Add("opera-slice", g.SpectralGap(400, rng), ps.Avg(), ps.Max())
+		o.SlicePeers(sl, peers)
+		ps := bfs.PathStats(peers, nil)
+		t.Add("opera-slice", graph.SpectralGap(peers, 400, rng), ps.Avg(), ps.Max())
 	}
 	// Static expanders u = 5..8 on k = 12 ToRs with ≈ the same host count
 	// (Appendix D uses 644–650 hosts).
@@ -172,8 +165,8 @@ func Fig17SpectralGap(s Scale) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ps := e.G.AllPairs()
-		t.Add(fmt.Sprintf("static-u%d", u), e.G.SpectralGap(400, rng), ps.Avg(), ps.Max())
+		ps := bfs.PathStats(e.Adj, nil)
+		t.Add(fmt.Sprintf("static-u%d", u), graph.SpectralGap(e.Adj, 400, rng), ps.Avg(), ps.Max())
 	}
 	// Reference: Ramanujan bound at the slice's active degree.
 	t.Add("ramanujan-u5", graph.RamanujanGap(5), 0, 0)

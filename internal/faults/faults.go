@@ -9,7 +9,9 @@
 package faults
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 
 	"github.com/opera-net/opera/internal/graph"
 	"github.com/opera-net/opera/internal/topology"
@@ -52,65 +54,51 @@ func OperaFailures(o *topology.Opera, fLinks, fToRs, fSwitches float64, seed int
 		return OperaResult{}
 	}
 
-	// Pair index helper over all racks (union bookkeeping).
-	disconnectedOnce := make(map[int64]struct{})
+	// cut[i] gathers the survivors that survivor i failed to reach in at
+	// least one slice: the complement of its reach set, OR-ed per slice.
+	w := (n + 63) / 64
+	alive := make([]uint64, w)
+	for _, r := range survivors {
+		alive[r/64] |= 1 << uint(r%64)
+	}
+	cut := make([]uint64, len(survivors)*w)
 	var worst float64
-	var pathSum, pathCnt float64
-	maxPath := 0
+	var agg graph.PathStats
 
+	peers := graph.NewTable(n, u)
+	var bfs graph.BitBFS
 	for s := 0; s < o.SlicesPerCycle(); s++ {
-		g := graph.New(n)
-		for sw := 0; sw < u; sw++ {
-			if swDown[sw] || o.IsTransitioning(sw, s) {
-				continue
-			}
-			m := o.SwitchMatching(sw, s)
-			for a := 0; a < n; a++ {
-				b := m.Peer(a)
-				if b <= a {
-					continue
+		o.SlicePeers(s, peers)
+		for a, row := range peers {
+			for sw, b := range row {
+				if b >= 0 && (swDown[sw] || torDown[a] || torDown[b] || linkDown[a][sw] || linkDown[b][sw]) {
+					row[sw] = -1
 				}
-				if torDown[a] || torDown[b] || linkDown[a][sw] || linkDown[b][sw] {
-					continue
-				}
-				g.AddEdge(a, b)
 			}
 		}
-		ps := g.AllPairsAmong(survivors)
-		loss := ps.ConnectivityLoss()
-		if loss > worst {
+		ps := bfs.PathStats(peers, survivors)
+		if loss := ps.ConnectivityLoss(); loss > worst {
 			worst = loss
 		}
-		if loss > 0 {
-			// Record which pairs were disconnected this slice.
-			for _, a := range survivors {
-				dist := g.BFS(a)
-				for _, b := range survivors {
-					if a != b && dist[b] == graph.Unreachable {
-						disconnectedOnce[int64(a)*int64(n)+int64(b)] = struct{}{}
-					}
-				}
+		for i, a := range survivors {
+			for j, x := range bfs.Reach(a) {
+				cut[i*w+j] |= alive[j] &^ x
 			}
 		}
-		for h, c := range ps.Hist {
-			pathSum += float64(h) * float64(c)
-			pathCnt += float64(c)
-		}
-		if m := ps.Max(); m > maxPath {
-			maxPath = m
-		}
+		agg.Merge(ps)
 	}
 
+	unreached := 0
+	for _, x := range cut {
+		unreached += bits.OnesCount64(x)
+	}
 	pairs := float64(len(survivors)) * float64(len(survivors)-1)
-	res := OperaResult{
+	return OperaResult{
 		WorstSliceLoss: worst,
-		UnionLoss:      float64(len(disconnectedOnce)) / pairs,
-		MaxPath:        maxPath,
+		UnionLoss:      float64(unreached) / pairs,
+		AvgPath:        agg.Avg(),
+		MaxPath:        agg.Max(),
 	}
-	if pathCnt > 0 {
-		res.AvgPath = pathSum / pathCnt
-	}
-	return res
 }
 
 // StaticResult aggregates failure impact on a static topology.
@@ -124,32 +112,17 @@ type StaticResult struct {
 // (Figure 20).
 func ExpanderFailures(e *topology.Expander, fLinks, fToRs float64, seed int64) StaticResult {
 	rng := rand.New(rand.NewSource(seed))
-	g := e.G.Clone()
-	// Sample failed edges.
-	type edge struct{ a, b int }
-	var edges []edge
-	for v := 0; v < g.N(); v++ {
-		for _, nb := range g.Neighbors(v) {
-			if int(nb) > v {
-				edges = append(edges, edge{v, int(nb)})
-			}
-		}
-	}
-	for _, ed := range edges {
-		if rng.Float64() < fLinks {
-			g.RemoveEdge(ed.a, ed.b)
-		}
-	}
-	torDown := sampleSet(g.N(), fToRs, rng)
-	survivors := make([]int, 0, g.N())
-	for v := 0; v < g.N(); v++ {
+	adj := cutLinks(e.Adj, fLinks, rng)
+	torDown := sampleSet(len(adj), fToRs, rng)
+	survivors := make([]int, 0, len(adj))
+	for v := range adj {
 		if torDown[v] {
-			g.RemoveNode(v)
+			adj[v] = nil
 		} else {
 			survivors = append(survivors, v)
 		}
 	}
-	return staticStats(g, survivors)
+	return staticStats(adj, survivors)
 }
 
 // ClosFailures injects link and switch failures into a folded Clos
@@ -158,42 +131,50 @@ func ExpanderFailures(e *topology.Expander, fLinks, fToRs float64, seed int64) S
 // them, which Figure 19 separates out via the link series).
 func ClosFailures(c *topology.FoldedClos, fLinks, fSwitches float64, seed int64) StaticResult {
 	rng := rand.New(rand.NewSource(seed))
-	g := c.RackGraph()
-	type edge struct{ a, b int }
-	var edges []edge
-	for v := 0; v < g.N(); v++ {
-		for _, nb := range g.Neighbors(v) {
-			if int(nb) > v {
-				edges = append(edges, edge{v, int(nb)})
-			}
-		}
-	}
-	for _, ed := range edges {
-		if rng.Float64() < fLinks {
-			g.RemoveEdge(ed.a, ed.b)
-		}
-	}
+	adj := cutLinks(c.RackGraph(), fLinks, rng)
 	// Upper-tier switches: indices >= NumToRs.
-	for v := c.NumToRs; v < g.N(); v++ {
+	for v := c.NumToRs; v < len(adj); v++ {
 		if rng.Float64() < fSwitches {
-			g.RemoveNode(v)
+			adj[v] = nil
 		}
 	}
 	survivors := make([]int, c.NumToRs)
 	for i := range survivors {
 		survivors[i] = i
 	}
-	return staticStats(g, survivors)
+	return staticStats(adj, survivors)
 }
 
-func staticStats(g *graph.Graph, survivors []int) StaticResult {
-	ps := g.AllPairsAmong(survivors)
-	res := StaticResult{
+// cutLinks returns a copy of the undirected table topo with each link cut
+// — absent both ways — with probability frac, drawing once per link in
+// order: v ascending, then v's neighbour order, where the neighbour is
+// above v. A failed node is then removed by dropping its row: it can be
+// reached but not left, so no path among survivors runs through it.
+func cutLinks(topo [][]int32, frac float64, rng *rand.Rand) [][]int32 {
+	adj := make([][]int32, len(topo))
+	for v, row := range topo {
+		adj[v] = slices.Clone(row)
+	}
+	for v, row := range topo {
+		for k, nb := range row {
+			if int(nb) <= v || rng.Float64() >= frac {
+				continue
+			}
+			adj[v][k] = -1
+			adj[nb][slices.Index(topo[nb], int32(v))] = -1
+		}
+	}
+	return adj
+}
+
+func staticStats(adj [][]int32, survivors []int) StaticResult {
+	var bfs graph.BitBFS
+	ps := bfs.PathStats(adj, survivors)
+	return StaticResult{
 		Loss:    ps.ConnectivityLoss(),
+		AvgPath: ps.Avg(),
 		MaxPath: ps.Max(),
 	}
-	res.AvgPath = ps.Avg()
-	return res
 }
 
 func sampleSet(n int, frac float64, rng *rand.Rand) []bool {

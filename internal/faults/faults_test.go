@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/opera-net/opera/internal/topology"
@@ -151,5 +152,22 @@ func TestClosVsExpanderVsOperaRelativeRobustness(t *testing.T) {
 	cLoss := ClosFailures(c, frac, 0, 5).Loss
 	if eLoss > cLoss {
 		t.Fatalf("expander (%v) should beat Clos (%v) at %v link failures", eLoss, cLoss, frac)
+	}
+}
+
+// The static failure analyses mask a copy: the topology they are handed
+// keeps every link, so a second analysis of it starts whole.
+func TestStaticFailuresLeaveTopologyWhole(t *testing.T) {
+	e := topology.MustNewExpander(32, 4, 5, 1)
+	before := make([][]int32, len(e.Adj))
+	for v, row := range e.Adj {
+		before[v] = slices.Clone(row)
+	}
+	first := ExpanderFailures(e, 0.3, 0.2, 7)
+	if !slices.EqualFunc(e.Adj, before, slices.Equal) {
+		t.Fatal("ExpanderFailures changed the topology's table")
+	}
+	if again := ExpanderFailures(e, 0.3, 0.2, 7); again != first {
+		t.Fatalf("second analysis %+v differs from first %+v", again, first)
 	}
 }

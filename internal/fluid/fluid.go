@@ -40,11 +40,8 @@ func ClosThroughput(alpha float64) float64 {
 // having one host-rate of capacity per direction.
 func ExpanderThroughput(e *topology.Expander, demand [][]float64) float64 {
 	n := e.NumRacks
-	// All-pairs distances.
-	dist := make([][]int, n)
-	for v := 0; v < n; v++ {
-		dist[v] = e.G.BFS(v)
-	}
+	var bfs graph.BitBFS
+	dist := bfs.Distances(e.Adj)
 	load := make(map[int]float64, n*e.Degree) // directed link loads, key x*n+y
 
 	var total float64
@@ -67,7 +64,7 @@ func ExpanderThroughput(e *topology.Expander, demand [][]float64) float64 {
 			}
 			emit(x*n+y, share)
 		}
-		ns := e.G.Neighbors(src)
+		ns := e.Adj[src]
 		share := first / float64(len(ns))
 		maxLevel := 0
 		for _, y := range ns {
@@ -85,7 +82,7 @@ func ExpanderThroughput(e *topology.Expander, demand [][]float64) float64 {
 				}
 				frac[x] = 0
 				var hops []int32
-				for _, y := range e.G.Neighbors(x) {
+				for _, y := range e.Adj[x] {
 					if dt[y] == lvl-1 {
 						hops = append(hops, y)
 					}
@@ -152,22 +149,13 @@ func ExpanderThroughput(e *topology.Expander, demand [][]float64) float64 {
 	return math.Min(1, delivered/total)
 }
 
-// RotorParams configures the slice-level RotorLB fluid simulation.
-type RotorParams struct {
-	// WarmupCycles and MeasureCycles control the measurement window.
-	WarmupCycles, MeasureCycles int
-	// DisableVLB turns off two-hop offloading (ablation).
-	DisableVLB bool
-}
+// The RotorLB fluid simulation warms up for warmupCycles cycles, then
+// measures over measureCycles.
+const warmupCycles, measureCycles = 4, 8
 
 type windowed struct {
 	sw  int
 	cap float64 // units per slice
-}
-
-// DefaultRotorParams returns sensible measurement windows.
-func DefaultRotorParams() RotorParams {
-	return RotorParams{WarmupCycles: 4, MeasureCycles: 8}
 }
 
 // RotorBulkThroughput simulates RotorLB at slice granularity on a rotor
@@ -175,7 +163,7 @@ func DefaultRotorParams() RotorParams {
 // (topology.NewRotorNet) — under the given rack-level
 // demand rates (units of host line rate; an entry of 1.0 means one host's
 // full rate from rack a to rack b) and returns delivered ÷ offered at
-// steady state.
+// steady state. vlb false turns off two-hop offloading (the ablation).
 //
 // Capacity units: one "unit" is one host-link-slice of bytes. A circuit
 // carries its window fraction (≈ duty cycle) per slice; each rack can
@@ -183,14 +171,11 @@ func DefaultRotorParams() RotorParams {
 // A queue holding more than one cycle's direct drainage —
 // PairWindowsPerCycle units — is skewed, and its excess is offloaded over
 // two hops.
-func RotorBulkThroughput(sched *topology.Opera, demand [][]float64, p RotorParams) float64 {
+func RotorBulkThroughput(sched *topology.Opera, demand [][]float64, vlb bool) float64 {
 	n := sched.NumRacks()
 	hostsPerRack := float64(sched.HostsPerRack())
 	slicesPerCycle := sched.SlicesPerCycle()
 	vlbThreshold := float64(sched.PairWindowsPerCycle())
-	if p.WarmupCycles == 0 && p.MeasureCycles == 0 {
-		p = DefaultRotorParams()
-	}
 	own := make([][]float64, n)   // own queued units, by (src, dst)
 	relay := make([][]float64, n) // relayed units stored at rack, by final dst
 	for i := range own {
@@ -198,8 +183,8 @@ func RotorBulkThroughput(sched *topology.Opera, demand [][]float64, p RotorParam
 		relay[i] = make([]float64, n)
 	}
 	var delivered, offered float64
-	totalSlices := (p.WarmupCycles + p.MeasureCycles) * slicesPerCycle
-	measureFrom := p.WarmupCycles * slicesPerCycle
+	totalSlices := (warmupCycles + measureCycles) * slicesPerCycle
+	measureFrom := warmupCycles * slicesPerCycle
 
 	egress := make([]float64, n)
 	ingress := make([]float64, n)
@@ -266,7 +251,7 @@ func RotorBulkThroughput(sched *topology.Opera, demand [][]float64, p RotorParam
 				}
 			}
 		}
-		if !p.DisableVLB {
+		if vlb {
 			// Pass 2: two-hop offloading — rack a pushes skewed backlog
 			// own[a][c] through b into b's relay store, bounded by the
 			// circuit's spare window and both racks' host budgets.

@@ -80,15 +80,70 @@ func (b *BitBFS) Ring(v int) []uint64 { return b.ring[v*b.w : (v+1)*b.w] }
 // PrevRing returns the bitset of nodes exactly Level−1 hops from v.
 func (b *BitBFS) PrevRing(v int) []uint64 { return b.prev[v*b.w : (v+1)*b.w] }
 
-// Diameter runs a complete search over adj and returns the largest finite
-// distance, and whether every ordered node pair is connected.
-func (b *BitBFS) Diameter(adj [][]int32) (diameter int, connected bool) {
+// Reach returns the bitset of nodes within Level hops of v — after a
+// complete search, every node v reaches. It is valid until the next Step
+// or Reset.
+func (b *BitBFS) Reach(v int) []uint64 { return b.reach[v*b.w : (v+1)*b.w] }
+
+// PathStats runs a complete search over adj and returns the path-length
+// statistics of the ordered pairs of distinct nodes among the given
+// subset, or among all nodes if the subset is nil — connectivity loss in
+// the paper's failure analysis is measured among non-failed ToRs only.
+// Afterwards Reach holds every node's reach set.
+func (b *BitBFS) PathStats(adj [][]int32, among []int) PathStats {
 	b.Reset(len(adj))
+	in := make([]uint64, b.w)
+	if among == nil {
+		for v := range adj {
+			in[v/64] |= 1 << uint(v%64)
+		}
+	}
+	for _, v := range among {
+		in[v/64] |= 1 << uint(v%64)
+	}
+	k := 0
+	for _, x := range in {
+		k += bits.OnesCount64(x)
+	}
+	ps := PathStats{Hist: []int{0}, Pairs: k * (k - 1), Disconnected: k * (k - 1)}
 	for b.Step(adj) {
+		c := 0
+		for v := 0; v < b.n; v++ {
+			if in[v/64]>>uint(v%64)&1 == 0 {
+				continue
+			}
+			for i, x := range b.Ring(v) {
+				c += bits.OnesCount64(x & in[i])
+			}
+		}
+		ps.Hist = append(ps.Hist, c)
+		ps.Disconnected -= c
 	}
-	reached := 0
-	for _, x := range b.reach {
-		reached += bits.OnesCount64(x)
+	return ps
+}
+
+// Distances runs a complete search over adj and returns dist[src][dst],
+// the hop count of the shortest path, or Unreachable.
+func (b *BitBFS) Distances(adj [][]int32) [][]int {
+	n := len(adj)
+	b.Reset(n)
+	cells := make([]int, n*n)
+	for i := range cells {
+		cells[i] = Unreachable
 	}
-	return b.level - 1, reached == b.n*b.n
+	dist := make([][]int, n)
+	for v := range dist {
+		dist[v] = cells[v*n : (v+1)*n]
+		dist[v][v] = 0
+	}
+	for b.Step(adj) {
+		for v, row := range dist {
+			for i, x := range b.Ring(v) {
+				for ; x != 0; x &= x - 1 {
+					row[i*64+bits.TrailingZeros64(x)] = b.level
+				}
+			}
+		}
+	}
+	return dist
 }

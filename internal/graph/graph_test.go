@@ -3,86 +3,146 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// ring returns an n-cycle.
-func ring(n int) *Graph {
-	g := New(n)
-	for i := 0; i < n; i++ {
-		g.AddEdge(i, (i+1)%n)
+// ring returns an undirected n-cycle.
+func ring(n int) [][]int32 {
+	adj := make([][]int32, n)
+	for i := range adj {
+		adj[i] = []int32{int32((i + n - 1) % n), int32((i + 1) % n)}
 	}
-	return g
+	return adj
 }
 
 // complete returns K_n.
-func complete(n int) *Graph {
-	g := New(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			g.AddEdge(i, j)
+func complete(n int) [][]int32 {
+	adj := make([][]int32, n)
+	for i := range adj {
+		for j := 0; j < n; j++ {
+			if j != i {
+				adj[i] = append(adj[i], int32(j))
+			}
 		}
 	}
-	return g
+	return adj
 }
 
-func TestAddEdgeDedup(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 1) // self-loop ignored
-	if len(g.adj[0]) != 1 || len(g.adj[1]) != 1 {
-		t.Fatalf("adjacency %v, want the one edge (0,1)", g.adj)
+// undirected returns the table of n nodes holding each edge both ways,
+// in edge order.
+func undirected(n int, edges [][2]int) [][]int32 {
+	adj := make([][]int32, n)
+	for _, e := range edges {
+		adj[e[0]] = append(adj[e[0]], int32(e[1]))
+		adj[e[1]] = append(adj[e[1]], int32(e[0]))
 	}
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
-		t.Fatal("edge (0,1) missing")
-	}
-	if g.HasEdge(1, 1) || g.HasEdge(0, 2) {
-		t.Fatal("phantom edge present")
-	}
-	if len(g.adj[0]) != 1 || len(g.adj[2]) != 0 {
-		t.Fatalf("degrees wrong: %d, %d", len(g.adj[0]), len(g.adj[2]))
-	}
+	return adj
 }
 
-func TestAddEdgeOutOfRangePanics(t *testing.T) {
-	g := New(2)
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range edge did not panic")
-		}
-	}()
-	g.AddEdge(0, 5)
-}
-
-func TestBFSRing(t *testing.T) {
-	g := ring(8)
-	dist := g.BFS(0)
-	want := []int{0, 1, 2, 3, 4, 3, 2, 1}
-	for i := range want {
-		if dist[i] != want[i] {
-			t.Fatalf("dist = %v, want %v", dist, want)
+// bfs is the per-source oracle: hop distances from src along adj's
+// present entries, Unreachable where there is no path.
+func bfs(adj [][]int32, src int) []int {
+	dist := make([]int, len(adj))
+	for i := range dist {
+		dist[i] = Unreachable
+	}
+	dist[src] = 0
+	queue := []int{src}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		for _, nb := range adj[v] {
+			if nb >= 0 && dist[nb] == Unreachable {
+				dist[nb] = dist[v] + 1
+				queue = append(queue, int(nb))
+			}
 		}
 	}
+	return dist
 }
 
-func TestBFSDisconnected(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
-	dist := g.BFS(0)
-	if dist[2] != Unreachable || dist[3] != Unreachable {
-		t.Fatalf("dist = %v, want unreachable for 2,3", dist)
+// allPairsAmong is the oracle of BitBFS.PathStats: one bfs per source in
+// the subset (all nodes if nil), its histogram trimmed to the largest
+// finite distance.
+func allPairsAmong(adj [][]int32, among []int) PathStats {
+	if among == nil {
+		for v := range adj {
+			among = append(among, v)
+		}
 	}
-	if g.Connected() {
-		t.Fatal("disconnected graph reported connected")
+	ps := PathStats{Hist: []int{0}}
+	for _, src := range among {
+		dist := bfs(adj, src)
+		for _, dst := range among {
+			if dst == src {
+				continue
+			}
+			ps.Pairs++
+			d := dist[dst]
+			if d == Unreachable {
+				ps.Disconnected++
+				continue
+			}
+			for len(ps.Hist) <= d {
+				ps.Hist = append(ps.Hist, 0)
+			}
+			ps.Hist[d]++
+		}
+	}
+	return ps
+}
+
+// sameStats compares path statistics up to trailing empty hop counts.
+func sameStats(a, b PathStats) bool {
+	trim := func(h []int) []int {
+		for len(h) > 1 && h[len(h)-1] == 0 {
+			h = h[:len(h)-1]
+		}
+		return h
+	}
+	return slices.Equal(trim(a.Hist), trim(b.Hist)) && a.Pairs == b.Pairs && a.Disconnected == b.Disconnected
+}
+
+func TestNewTable(t *testing.T) {
+	adj := NewTable(3, 2)
+	if len(adj) != 3 {
+		t.Fatalf("%d rows, want 3", len(adj))
+	}
+	for v, row := range adj {
+		if !slices.Equal(row, []int32{-1, -1}) {
+			t.Fatalf("row %d = %v, want two absent entries", v, row)
+		}
+	}
+	adj[0][1] = 2
+	if adj[1][0] != -1 {
+		t.Fatal("rows overlap")
 	}
 }
 
-func TestAllPairsComplete(t *testing.T) {
-	g := complete(6)
-	ps := g.AllPairs()
+func TestDistancesRing(t *testing.T) {
+	var b BitBFS
+	dist := b.Distances(ring(8))
+	if want := []int{0, 1, 2, 3, 4, 3, 2, 1}; !slices.Equal(dist[0], want) {
+		t.Fatalf("dist = %v, want %v", dist[0], want)
+	}
+}
+
+func TestDisconnected(t *testing.T) {
+	adj := undirected(4, [][2]int{{0, 1}, {2, 3}})
+	var b BitBFS
+	dist := b.Distances(adj)
+	if dist[0][2] != Unreachable || dist[0][3] != Unreachable {
+		t.Fatalf("dist = %v, want unreachable for 2,3", dist[0])
+	}
+	if ps := b.PathStats(adj, nil); ps.Disconnected != 8 || ps.Pairs != 12 {
+		t.Fatalf("stats = %+v, want 8 of 12 pairs disconnected", ps)
+	}
+}
+
+func TestPathStatsComplete(t *testing.T) {
+	var b BitBFS
+	ps := b.PathStats(complete(6), nil)
 	if ps.Pairs != 30 {
 		t.Fatalf("Pairs = %d, want 30", ps.Pairs)
 	}
@@ -100,9 +160,9 @@ func TestAllPairsComplete(t *testing.T) {
 	}
 }
 
-func TestAllPairsRingCDF(t *testing.T) {
-	g := ring(6)
-	ps := g.AllPairs()
+func TestPathStatsRingCDF(t *testing.T) {
+	var b BitBFS
+	ps := b.PathStats(ring(6), nil)
 	// In a 6-cycle: each node has 2 at dist 1, 2 at dist 2, 1 at dist 3.
 	if ps.Hist[1] != 12 || ps.Hist[2] != 12 || ps.Hist[3] != 6 {
 		t.Fatalf("Hist = %v", ps.Hist)
@@ -117,64 +177,75 @@ func TestAllPairsRingCDF(t *testing.T) {
 	}
 }
 
-func TestAllPairsAmongSubset(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
+func TestPathStatsAmongSubset(t *testing.T) {
+	adj := undirected(5, [][2]int{{0, 1}, {1, 2}})
 	// nodes 3,4 isolated ("failed"); restrict to surviving 0,1,2
-	ps := g.AllPairsAmong([]int{0, 1, 2})
+	var b BitBFS
+	ps := b.PathStats(adj, []int{0, 1, 2})
 	if ps.Pairs != 6 || ps.Disconnected != 0 {
 		t.Fatalf("stats = %+v", ps)
 	}
 }
 
-func TestRemoveNodeAndEdge(t *testing.T) {
-	g := complete(4)
-	g.RemoveNode(0)
-	if len(g.adj[0]) != 0 {
-		t.Fatal("removed node still has edges")
+// TestAbsentEntriesAndRows masks a table as the failure analysis does: a
+// −1 entry drops one direction of a link, and a failed node loses its own
+// row — it can still be reached but not left, so no path runs through it
+// and the pairs among survivors see it gone.
+func TestAbsentEntriesAndRows(t *testing.T) {
+	adj := complete(4)
+	adj[0] = nil
+	var b BitBFS
+	if ps := b.PathStats(adj, []int{1, 2, 3}); ps.Disconnected != 0 || ps.Max() != 1 {
+		t.Fatalf("survivors of node 0: %+v, want all 6 pairs at 1 hop", ps)
 	}
-	for v := 1; v < 4; v++ {
-		if g.HasEdge(v, 0) {
-			t.Fatal("neighbor still links to removed node")
+	if ps := b.PathStats(adj, nil); ps.Disconnected != 3 {
+		t.Fatalf("all nodes: %d pairs disconnected, want the 3 out of node 0", ps.Disconnected)
+	}
+	// Cut 1–2 both ways: 1 and 2 now meet only through 3.
+	adj[1][1], adj[2][1] = -1, -1
+	dist := b.Distances(adj)
+	if dist[1][2] != 2 || dist[2][1] != 2 {
+		t.Fatalf("1↔2 = %d, %d hops, want 2 via 3", dist[1][2], dist[2][1])
+	}
+	// Cut 3→2 as well: 1 reaches 2 no more, while 2 still reaches 1.
+	adj[3][2] = -1
+	dist = b.Distances(adj)
+	if dist[1][2] != Unreachable || dist[2][1] != 2 {
+		t.Fatalf("1→2 = %d, 2→1 = %d; want unreachable and 2", dist[1][2], dist[2][1])
+	}
+}
+
+func TestMerge(t *testing.T) {
+	var b BitBFS
+	var agg PathStats
+	agg.Merge(b.PathStats(ring(6), nil))
+	agg.Merge(b.PathStats(undirected(4, [][2]int{{0, 1}, {2, 3}}), nil))
+	want := PathStats{Hist: []int{0, 16, 12, 6}, Pairs: 42, Disconnected: 8}
+	if !sameStats(agg, want) {
+		t.Fatalf("merged = %+v, want %+v", agg, want)
+	}
+}
+
+// randomTable returns an n-node table of the given width whose entries
+// are random nodes or absent: self-loops, one-way edges and disconnected
+// parts all occur.
+func randomTable(rng *rand.Rand, n, width int) [][]int32 {
+	adj := NewTable(n, width)
+	for _, row := range adj {
+		for k := range row {
+			row[k] = int32(rng.Intn(n+1)) - 1
 		}
 	}
-	if !g.Connected() == false {
-		// 0 is isolated: graph is disconnected overall
-		t.Log("graph disconnected as expected")
-	}
-	ps := g.AllPairsAmong([]int{1, 2, 3})
-	if ps.Disconnected != 0 {
-		t.Fatal("survivors should remain connected")
-	}
-	g.RemoveEdge(1, 2)
-	if g.HasEdge(1, 2) {
-		t.Fatal("edge still present after removal")
-	}
-	g.RemoveEdge(1, 2) // idempotent
+	return adj
 }
 
-func TestClone(t *testing.T) {
-	g := ring(5)
-	c := g.Clone()
-	c.RemoveEdge(0, 1)
-	if !g.HasEdge(0, 1) {
-		t.Fatal("mutation of clone affected original")
-	}
-	if c.HasEdge(0, 1) {
-		t.Fatal("clone edge not removed")
-	}
-}
-
-// Reference check: BFS distances match Floyd–Warshall on random graphs.
+// Reference check: the bfs oracle matches Floyd–Warshall on random
+// directed tables.
 func TestBFSAgainstFloydWarshall(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
 		n := 5 + rng.Intn(15)
-		g := New(n)
-		for i := 0; i < 2*n; i++ {
-			g.AddEdge(rng.Intn(n), rng.Intn(n))
-		}
+		adj := randomTable(rng, n, 3)
 		const inf = 1 << 29
 		fw := make([][]int, n)
 		for i := range fw {
@@ -185,9 +256,11 @@ func TestBFSAgainstFloydWarshall(t *testing.T) {
 				}
 			}
 		}
-		for v := 0; v < n; v++ {
-			for _, nb := range g.Neighbors(v) {
-				fw[v][nb] = 1
+		for v, row := range adj {
+			for _, nb := range row {
+				if nb >= 0 && int(nb) != v {
+					fw[v][nb] = 1
+				}
 			}
 		}
 		for k := 0; k < n; k++ {
@@ -200,7 +273,7 @@ func TestBFSAgainstFloydWarshall(t *testing.T) {
 			}
 		}
 		for src := 0; src < n; src++ {
-			dist := g.BFS(src)
+			dist := bfs(adj, src)
 			for dst := 0; dst < n; dst++ {
 				want := fw[src][dst]
 				if want == inf {
@@ -214,12 +287,51 @@ func TestBFSAgainstFloydWarshall(t *testing.T) {
 	}
 }
 
+// FuzzAllPairsDifferential checks BitBFS's path statistics and distance
+// matrix against the per-source bfs oracle on raw successor tables: every
+// byte of table is an entry (a node, or −1 for 0), so absent entries,
+// self-loops, one-way edges and disconnected parts all occur; subset is a
+// node bitmask (all ones: every node), padded with ones.
+func FuzzAllPairsDifferential(f *testing.F) {
+	f.Add(uint8(4), uint8(2), []byte{2, 4, 1, 3, 2, 4, 1, 3}, []byte{0xff})
+	f.Add(uint8(65), uint8(3), []byte{0, 7, 7, 200, 64, 65, 1}, []byte{0x5a, 0, 0x81})
+	f.Add(uint8(1), uint8(1), []byte{}, []byte{})
+	f.Add(uint8(130), uint8(2), []byte{2, 1, 3}, []byte{0x03})
+	f.Fuzz(func(t *testing.T, nodes, width uint8, table, subset []byte) {
+		n, w := 1+int(nodes)%130, 1+int(width)%8
+		adj := NewTable(n, w)
+		for v, row := range adj {
+			for k := range row {
+				if i := v*w + k; i < len(table) {
+					row[k] = int32(table[i])%int32(n+1) - 1
+				}
+			}
+		}
+		var among []int
+		for v := 0; v < n; v++ {
+			if v/8 >= len(subset) || subset[v/8]>>uint(v%8)&1 == 1 {
+				among = append(among, v)
+			}
+		}
+		var b BitBFS
+		for _, sub := range [][]int{nil, among} {
+			if got, want := b.PathStats(adj, sub), allPairsAmong(adj, sub); !sameStats(got, want) {
+				t.Fatalf("n=%d among %v: PathStats = %+v, oracle %+v", n, sub, got, want)
+			}
+		}
+		for src, row := range b.Distances(adj) {
+			if want := bfs(adj, src); !slices.Equal(row, want) {
+				t.Fatalf("n=%d: Distances[%d] = %v, oracle %v", n, src, row, want)
+			}
+		}
+	})
+}
+
 func TestSpectralGapCompleteGraph(t *testing.T) {
 	// K_n: adjacency eigenvalues are n-1 (once) and -1 (n-1 times).
 	// Gap = (n-1) - 1 = n-2.
 	rng := rand.New(rand.NewSource(1))
-	g := complete(10)
-	gap := g.SpectralGap(400, rng)
+	gap := SpectralGap(complete(10), 400, rng)
 	if math.Abs(gap-8) > 0.05 {
 		t.Fatalf("K10 spectral gap = %v, want 8", gap)
 	}
@@ -229,8 +341,7 @@ func TestSpectralGapRing(t *testing.T) {
 	// Odd cycle C_21 (non-bipartite): eigenvalues 2cos(2πk/21); the largest
 	// nontrivial magnitude is |2cos(20π/21)| = 2cos(π/21).
 	rng := rand.New(rand.NewSource(2))
-	g := ring(21)
-	gap := g.SpectralGap(2000, rng)
+	gap := SpectralGap(ring(21), 2000, rng)
 	want := 2 - 2*math.Cos(math.Pi/21)
 	if math.Abs(gap-want) > 0.02 {
 		t.Fatalf("C21 gap = %v, want %v", gap, want)
@@ -241,8 +352,7 @@ func TestSpectralGapEvenRingBipartite(t *testing.T) {
 	// Even cycles are bipartite: λn = -2 ties with λ1 = 2 in magnitude, so
 	// the gap is ~0 regardless of the second signed eigenvalue.
 	rng := rand.New(rand.NewSource(5))
-	g := ring(20)
-	gap := g.SpectralGap(1500, rng)
+	gap := SpectralGap(ring(20), 1500, rng)
 	if math.Abs(gap) > 0.02 {
 		t.Fatalf("C20 gap = %v, want ~0", gap)
 	}
@@ -253,25 +363,39 @@ func TestSpectralGapBipartite(t *testing.T) {
 	// magnitude-based gap must be ~0 (bipartite graphs are poor expanders
 	// in this metric).
 	rng := rand.New(rand.NewSource(3))
-	g := New(10)
+	var edges [][2]int
 	for i := 0; i < 5; i++ {
 		for j := 5; j < 10; j++ {
-			g.AddEdge(i, j)
+			edges = append(edges, [2]int{i, j})
 		}
 	}
-	gap := g.SpectralGap(600, rng)
+	gap := SpectralGap(undirected(10, edges), 600, rng)
 	if gap > 0.1 {
 		t.Fatalf("K5,5 gap = %v, want ~0", gap)
 	}
 }
 
+// TestSpectralGapSkipsAbsentEntries: −1 entries are no edges, so a ring
+// padded with absent ports has the ring's gap, draw for draw.
+func TestSpectralGapSkipsAbsentEntries(t *testing.T) {
+	padded := ring(21)
+	for v, row := range padded {
+		padded[v] = []int32{-1, row[0], -1, row[1]}
+	}
+	a := SpectralGap(ring(21), 300, rand.New(rand.NewSource(2)))
+	b := SpectralGap(padded, 300, rand.New(rand.NewSource(2)))
+	if a != b {
+		t.Fatalf("padded ring gap = %v, ring %v", b, a)
+	}
+}
+
 func TestSpectralGapTinyAndEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	if g := New(1); g.SpectralGap(10, rng) != 0 {
+	if SpectralGap(NewTable(1, 0), 10, rng) != 0 {
 		t.Fatal("single node gap should be 0")
 	}
-	g := New(4) // no edges
-	if gap := g.SpectralGap(50, rng); math.Abs(gap) > 1e-9 {
+	// no edges
+	if gap := SpectralGap(NewTable(4, 2), 50, rng); math.Abs(gap) > 1e-9 {
 		t.Fatalf("edgeless gap = %v, want 0", gap)
 	}
 }
@@ -285,17 +409,15 @@ func TestRamanujanGap(t *testing.T) {
 	}
 }
 
-func BenchmarkAllPairs108(b *testing.B) {
+func BenchmarkPathStats108(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	g := New(108)
-	for i := 0; i < 108; i++ {
-		g.AddEdge(i, (i+1)%108)
+	adj := randomTable(rng, 108, 6)
+	for i, row := range adj {
+		row[0] = int32((i + 1) % 108)
 	}
-	for i := 0; i < 5*108; i++ {
-		g.AddEdge(rng.Intn(108), rng.Intn(108))
-	}
+	var bb BitBFS
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.AllPairs()
+		_ = bb.PathStats(adj, nil)
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"math/rand"
 )
 
-// SpectralGap estimates the spectral gap d - λ of the graph, where d is the
-// (average) degree and λ = max(|λ₂|, |λₙ|) is the largest nontrivial
+// SpectralGap estimates the spectral gap d - λ of the undirected graph adj,
+// where d is the (average) degree and λ = max(|λ₂|, |λₙ|) is the largest nontrivial
 // adjacency eigenvalue magnitude. For a d-regular graph this is the standard
 // expander metric from Alon [6]: a Ramanujan-quality expander achieves
 // d - 2·sqrt(d-1). Appendix D of the paper plots exactly this quantity for
@@ -16,22 +16,28 @@ import (
 // eigenvector, which is exact in the limit and converges geometrically; iters
 // controls the iteration count (a few hundred suffices for the graph sizes
 // in this repository). rng seeds the start vectors so results are
-// deterministic per seed.
-func (g *Graph) SpectralGap(iters int, rng *rand.Rand) float64 {
-	if g.n < 2 {
+// deterministic per seed. Absent (negative) entries are skipped.
+func SpectralGap(adj [][]int32, iters int, rng *rand.Rand) float64 {
+	if len(adj) < 2 {
 		return 0
 	}
-	d := g.avgDegree()
-	lambda2 := g.secondEigenvalue(iters, rng)
-	return d - lambda2
+	var sum float64
+	for _, row := range adj {
+		sum += float64(degree(row))
+	}
+	d := sum / float64(len(adj))
+	return d - secondEigenvalue(adj, iters, rng)
 }
 
-func (g *Graph) avgDegree() float64 {
-	var sum float64
-	for v := 0; v < g.n; v++ {
-		sum += float64(len(g.adj[v]))
+// degree counts row's present entries.
+func degree(row []int32) int {
+	d := 0
+	for _, nb := range row {
+		if nb >= 0 {
+			d++
+		}
 	}
-	return sum / float64(g.n)
+	return d
 }
 
 // secondEigenvalue returns max(|λ₂|, |λₙ|): the magnitude of the largest
@@ -43,32 +49,32 @@ func (g *Graph) avgDegree() float64 {
 // with shifted iterations that make the target eigenvalue strictly dominant:
 // B = A + s·I isolates the largest signed eigenvalue, C = s·I - A the
 // smallest, with s chosen above the spectral radius.
-func (g *Graph) secondEigenvalue(iters int, rng *rand.Rand) float64 {
+func secondEigenvalue(adj [][]int32, iters int, rng *rand.Rand) float64 {
 	if iters <= 0 {
 		iters = 300
 	}
-	s := g.maxDegree() + 1 // spectral radius ≤ max degree < s
+	s := maxDegree(adj) + 1 // spectral radius ≤ max degree < s
 	// Dominant (Perron) eigenvector v1 of A, via B = A + s·I (all
 	// eigenvalues of B are positive, so iteration converges even on
 	// bipartite graphs). v1 ≈ uniform for regular graphs; it is computed
 	// explicitly to tolerate the slight irregularity of Opera slices, where
 	// matchings may contain self-loops.
-	v1 := g.powerIterate(1, s, nil, iters, rng)
+	v1 := powerIterate(adj, 1, s, nil, iters, rng)
 	// λ₂ (largest signed, excluding Perron): iterate B deflating v1.
-	x2 := g.powerIterate(1, s, v1, iters, rng)
-	lam2 := g.rayleigh(x2)
+	x2 := powerIterate(adj, 1, s, v1, iters, rng)
+	lam2 := rayleigh(adj, x2)
 	// λₙ (most negative): iterate C = s·I - A; its dominant eigenvector is
 	// λₙ's. Deflating v1 is harmless and guards near-regular graphs.
-	xn := g.powerIterate(-1, s, v1, iters, rng)
-	lamN := g.rayleigh(xn)
+	xn := powerIterate(adj, -1, s, v1, iters, rng)
+	lamN := rayleigh(adj, xn)
 	return math.Max(math.Abs(lam2), math.Abs(lamN))
 }
 
-func (g *Graph) maxDegree() float64 {
+func maxDegree(adj [][]int32) float64 {
 	max := 0
-	for v := 0; v < g.n; v++ {
-		if len(g.adj[v]) > max {
-			max = len(g.adj[v])
+	for _, row := range adj {
+		if d := degree(row); d > max {
+			max = d
 		}
 	}
 	return float64(max)
@@ -77,8 +83,8 @@ func (g *Graph) maxDegree() float64 {
 // powerIterate runs power iteration on the matrix scale·A + shift·I. If
 // deflate is non-nil, every iterate is projected orthogonal to it. Returns
 // the final unit vector.
-func (g *Graph) powerIterate(scale, shift float64, deflate []float64, iters int, rng *rand.Rand) []float64 {
-	n := g.n
+func powerIterate(adj [][]int32, scale, shift float64, deflate []float64, iters int, rng *rand.Rand) []float64 {
+	n := len(adj)
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = rng.Float64()*2 - 1
@@ -89,7 +95,7 @@ func (g *Graph) powerIterate(scale, shift float64, deflate []float64, iters int,
 	normalize(x)
 	y := make([]float64, n)
 	for it := 0; it < iters; it++ {
-		g.matVecShifted(x, y, scale, shift)
+		matVecShifted(adj, x, y, scale, shift)
 		if deflate != nil {
 			projectOut(y, deflate)
 		}
@@ -108,24 +114,24 @@ func (g *Graph) powerIterate(scale, shift float64, deflate []float64, iters int,
 	return x
 }
 
-// matVec computes y = A·x using adjacency lists.
-func (g *Graph) matVec(x, y []float64) { g.matVecShifted(x, y, 1, 0) }
-
-// matVecShifted computes y = scale·(A·x) + shift·x.
-func (g *Graph) matVecShifted(x, y []float64, scale, shift float64) {
-	for v := 0; v < g.n; v++ {
+// matVecShifted computes y = scale·(A·x) + shift·x, visiting each row's
+// neighbours in table order.
+func matVecShifted(adj [][]int32, x, y []float64, scale, shift float64) {
+	for v, row := range adj {
 		var sum float64
-		for _, nb := range g.adj[v] {
-			sum += x[nb]
+		for _, nb := range row {
+			if nb >= 0 {
+				sum += x[nb]
+			}
 		}
 		y[v] = scale*sum + shift*x[v]
 	}
 }
 
 // rayleigh returns xᵀAx / xᵀx.
-func (g *Graph) rayleigh(x []float64) float64 {
-	y := make([]float64, g.n)
-	g.matVec(x, y)
+func rayleigh(adj [][]int32, x []float64) float64 {
+	y := make([]float64, len(adj))
+	matVecShifted(adj, x, y, 1, 0)
 	var num, den float64
 	for i := range x {
 		num += x[i] * y[i]

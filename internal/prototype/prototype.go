@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"github.com/opera-net/opera/internal/graph"
 	"github.com/opera-net/opera/internal/stats"
 	"github.com/opera-net/opera/internal/topology"
 )
@@ -78,6 +79,14 @@ func (tb *Testbed) RTTs(withBulk bool) *stats.Sample {
 	var out stats.Sample
 	n := tb.topo.NumRacks()
 	slices := tb.topo.SlicesPerCycle()
+	// dist[s] holds slice s's expander distances.
+	dist := make([][][]int, slices)
+	peers := graph.NewTable(n, tb.topo.Uplinks())
+	var bfs graph.BitBFS
+	for s := range dist {
+		tb.topo.SlicePeers(s, peers)
+		dist[s] = bfs.Distances(peers)
+	}
 	for i := 0; i < p.Samples; i++ {
 		src := rng.Intn(n)
 		dst := rng.Intn(n - 1)
@@ -86,10 +95,8 @@ func (tb *Testbed) RTTs(withBulk bool) *stats.Sample {
 		}
 		// The ping lands in a random topology slice; use its expander
 		// distance.
-		slice := rng.Intn(slices)
-		g := tb.topo.SliceGraph(slice)
-		h := g.BFS(src)[dst]
-		if h < 0 {
+		h := dist[rng.Intn(slices)][src][dst]
+		if h == graph.Unreachable {
 			continue // disconnected slice cannot occur post-validation
 		}
 		rtt := tb.oneWay(h, withBulk, rng) + tb.oneWay(h, withBulk, rng) +

@@ -19,9 +19,9 @@
 // direction only.
 //
 // The same builder serves the static expander baseline (a single eternal
-// "slice") and the failure analysis (port maps with failed links masked
-// out; Lazy tables build only the slices a fault epoch looks up). It also
-// implements the P4 rule-count model behind Table 1.
+// "slice") and the simulator's fault recovery (port maps with failed
+// links masked out; Lazy tables build only the slices a fault epoch looks
+// up). It also implements the P4 rule-count model behind Table 1.
 package routing
 
 import (
@@ -45,7 +45,9 @@ var errPathTooLong = errors.New("routing: shortest path of 255 or more hops")
 // PortMap describes connectivity during one topology slice:
 // PortMap[rack][uplink] is the peer rack reached through that uplink, or -1
 // if the uplink is unusable this slice (transitioning switch, self-loop
-// matching entry, or failed link).
+// matching entry, or failed link). It is graph's successor table, the one
+// graph form: the path, failure and spectral analyses read the same
+// tables the routes are built from.
 type PortMap [][]int32
 
 // numUplinks returns the uplink count (ports per rack).

@@ -35,7 +35,7 @@ func (n *ExpanderNet) faultMap() faultMap {
 	topo := n.topo
 	var cables []cable
 	for r := 0; r < topo.NumRacks; r++ {
-		for slot, nb := range topo.G.Neighbors(r) {
+		for slot, nb := range topo.Adj[r] {
 			if peer := int(nb); peer > r {
 				rev := n.peerSlot(r, slot)
 				cables = append(cables, cable{
@@ -58,8 +58,8 @@ func (n *ExpanderNet) faultMap() faultMap {
 // peerSlot finds the reverse slot: the index of rack in its slot-th
 // neighbor's own neighbor list (the graph is simple, so it is unique).
 func (n *ExpanderNet) peerSlot(rack, slot int) int {
-	peer := int(n.topo.G.Neighbors(rack)[slot])
-	for j, nb := range n.topo.G.Neighbors(peer) {
+	peer := int(n.topo.Adj[rack][slot])
+	for j, nb := range n.topo.Adj[peer] {
 		if int(nb) == rack {
 			return j
 		}

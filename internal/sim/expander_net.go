@@ -49,7 +49,7 @@ func NewExpanderNet(eng *eventsim.Engine, cfg Config, topo *topology.Expander, s
 	n.wireHosts(func(rack int) Node { return n.tors[rack] })
 	for r, tor := range n.tors {
 		tor.down = n.downlinks(r)
-		neighbors := topo.G.Neighbors(r)
+		neighbors := topo.Adj[r]
 		tor.up = make([]*Port, len(neighbors))
 		for i, nb := range neighbors {
 			tor.up[i] = NewPort(eng, n.cfg, fmt.Sprintf("tor%d->tor%d", r, nb), n.tors[nb])

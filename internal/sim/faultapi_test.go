@@ -116,9 +116,9 @@ func TestLinksUniverses(t *testing.T) {
 			inj, eng := cl.Faults(), cl.Engine()
 			if en, ok := cl.Network().(*sim.ExpanderNet); ok {
 				// Every expander cable has two names; take rack 2's first.
-				g := en.Topology().G
-				peer := int(g.Neighbors(2)[0])
-				for rev, nb := range g.Neighbors(peer) {
+				adj := en.Topology().Adj
+				peer := int(adj[2][0])
+				for rev, nb := range adj[peer] {
 					if int(nb) == 2 {
 						tc.alias, tc.canonical = sim.FlatLink(2, 0), sim.FlatLink(peer, rev)
 					}

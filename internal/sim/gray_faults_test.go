@@ -122,8 +122,8 @@ func TestFlappingLinkCycleAndRecovery(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cl, fs := tc.testbed(t)
 			if en, ok := cl.Network().(*sim.ExpanderNet); ok {
-				g := en.Topology().G
-				if g.Neighbors(2)[0] != 1 || g.Neighbors(1)[3] != 2 {
+				adj := en.Topology().Adj
+				if adj[2][0] != 1 || adj[1][3] != 2 {
 					t.Fatal("testbed changed: (2,0) and (1,3) no longer name one cable")
 				}
 			}

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/opera-net/opera/internal/eventsim"
@@ -15,14 +16,18 @@ func TestExpanderPaperBaseline(t *testing.T) {
 		t.Fatalf("hosts = %d, want 650", n)
 	}
 	for v := 0; v < e.NumRacks; v++ {
-		if d := len(e.G.Neighbors(v)); d != 7 {
+		if d := len(e.Adj[v]); d != 7 {
 			t.Fatalf("rack %d degree %d, want 7", v, d)
 		}
 	}
-	if !e.G.Connected() {
+	if !connected(e.Adj) {
 		t.Fatal("expander disconnected")
 	}
-	ps := e.G.AllPairs()
+	if !simple(e.Adj) {
+		t.Fatal("expander has a self-loop, duplicate or one-way edge")
+	}
+	var bfs graph.BitBFS
+	ps := bfs.PathStats(e.Adj, nil)
 	if ps.Avg() < 2 || ps.Avg() > 3.2 {
 		t.Fatalf("avg path = %v, want ~2.5", ps.Avg())
 	}
@@ -33,7 +38,7 @@ func TestExpanderSpectralQuality(t *testing.T) {
 	// of 7 - 2*sqrt(6) ≈ 2.1 (random regular graphs are almost Ramanujan).
 	e := MustNewExpander(130, 5, 7, 2)
 	rng := rand.New(rand.NewSource(1))
-	gap := e.G.SpectralGap(600, rng)
+	gap := graph.SpectralGap(e.Adj, 600, rng)
 	ideal := graph.RamanujanGap(7)
 	if gap < 0.5*ideal {
 		t.Fatalf("spectral gap %.3f too small vs Ramanujan %.3f", gap, ideal)
@@ -62,8 +67,7 @@ func TestExpanderDeterminism(t *testing.T) {
 	a := MustNewExpander(64, 4, 5, 42)
 	b := MustNewExpander(64, 4, 5, 42)
 	for v := 0; v < 64; v++ {
-		na, nb := a.G.Neighbors(v), b.G.Neighbors(v)
-		if len(na) != len(nb) {
+		if !slices.Equal(a.Adj[v], b.Adj[v]) {
 			t.Fatal("same seed, different graphs")
 		}
 	}
@@ -113,23 +117,31 @@ func TestFoldedClosErrors(t *testing.T) {
 
 func TestFoldedClosRackGraph(t *testing.T) {
 	c := MustNewFoldedClos(12, 3)
-	g := c.RackGraph()
-	if !g.Connected() {
+	adj := c.RackGraph()
+	if !connected(adj) {
 		t.Fatal("Clos rack graph disconnected")
 	}
 	// Every ToR reaches every other ToR in ≤ 4 switch-graph hops
 	// (ToR-agg-core-agg-ToR).
-	dist := g.BFS(0)
+	var bfs graph.BitBFS
+	dist := bfs.Distances(adj)[0]
 	for v := 1; v < c.NumToRs; v++ {
 		if dist[v] > 4 {
 			t.Fatalf("ToR 0 to ToR %d distance %d > 4", v, dist[v])
+		}
+	}
+	// The failure analysis draws each link once: the wiring has no
+	// duplicate link at any radix the figures use.
+	for _, kf := range [][2]int{{8, 3}, {12, 3}, {24, 3}, {8, 1}} {
+		if !simple(MustNewFoldedClos(kf[0], kf[1]).RackGraph()) {
+			t.Fatalf("k=%d F=%d: a self-loop, duplicate or one-way link", kf[0], kf[1])
 		}
 	}
 	// Core switch radix check: each core has exactly NumPods edges... each
 	// core connects once per pod.
 	coreBase := c.NumToRs + c.NumAgg
 	for core := coreBase; core < coreBase+c.NumCore; core++ {
-		if d := len(g.Neighbors(core)); d != c.NumPods {
+		if d := len(adj[core]); d != c.NumPods {
 			t.Fatalf("core %d degree %d, want %d", core, d, c.NumPods)
 		}
 	}

@@ -15,7 +15,9 @@ type Expander struct {
 	NumRacks     int
 	HostsPerRack int // d
 	Degree       int // u, ToR-to-ToR links per ToR
-	G            *graph.Graph
+	// Adj[r][k] is rack r's k-th neighbour, Degree entries a rack: the
+	// successor table, in the order its edges were drawn.
+	Adj [][]int32
 }
 
 // NewExpander builds a random u-regular graph over n racks, retrying
@@ -31,11 +33,12 @@ func NewExpander(n, hostsPerRack, degree int, seed int64) (*Expander, error) {
 	if hostsPerRack <= 0 {
 		return nil, fmt.Errorf("topology: HostsPerRack must be positive, got %d", hostsPerRack)
 	}
+	var bfs graph.BitBFS
 	for attempt := 0; attempt < 50; attempt++ {
 		rng := rand.New(rand.NewSource(seed + int64(attempt)*7919))
-		g, ok := randomRegular(n, degree, rng)
-		if ok && g.Connected() {
-			return &Expander{NumRacks: n, HostsPerRack: hostsPerRack, Degree: degree, G: g}, nil
+		adj, ok := randomRegular(n, degree, rng)
+		if ok && bfs.PathStats(adj, nil).Disconnected == 0 {
+			return &Expander{NumRacks: n, HostsPerRack: hostsPerRack, Degree: degree, Adj: adj}, nil
 		}
 	}
 	return nil, fmt.Errorf("topology: no simple connected %d-regular graph found on %d nodes", degree, n)
@@ -55,7 +58,7 @@ func MustNewExpander(n, hostsPerRack, degree int, seed int64) *Expander {
 // uniformly, then self-loops and parallel edges are eliminated by swapping
 // endpoints with randomly chosen good edges (a standard MCMC repair that
 // preserves the degree sequence and near-uniformity).
-func randomRegular(n, d int, rng *rand.Rand) (*graph.Graph, bool) {
+func randomRegular(n, d int, rng *rand.Rand) ([][]int32, bool) {
 	stubs := make([]int32, 0, n*d)
 	for v := 0; v < n; v++ {
 		for i := 0; i < d; i++ {
@@ -96,12 +99,17 @@ func randomRegular(n, d int, rng *rand.Rand) (*graph.Graph, bool) {
 			}
 		}
 		if badIdx == -1 {
-			// Simple graph achieved.
-			g := graph.New(n)
-			for _, e := range edges {
-				g.AddEdge(int(e.a), int(e.b))
+			// Simple graph achieved: each rack's row fills in edge order.
+			cells := make([]int32, n*d)
+			adj := make([][]int32, n)
+			for v := range adj {
+				adj[v] = cells[v*d : v*d : (v+1)*d]
 			}
-			return g, true
+			for _, e := range edges {
+				adj[e.a] = append(adj[e.a], e.b)
+				adj[e.b] = append(adj[e.b], e.a)
+			}
+			return adj, true
 		}
 		e1 := edges[badIdx]
 		otherIdx := rng.Intn(len(edges))
@@ -131,14 +139,11 @@ func randomRegular(n, d int, rng *rand.Rand) (*graph.Graph, bool) {
 	return nil, false
 }
 
-// Peers fills peers[rack][k] with rack's k-th neighbor, -1 past its last:
-// the static fabric's one port map, as Opera.SlicePeers is a slice's.
+// Peers fills peers[rack][k] with rack's k-th neighbor: the static
+// fabric's one port map, as Opera.SlicePeers is a slice's.
 func (e *Expander) Peers(peers [][]int32) {
 	for r, row := range peers {
-		n := copy(row, e.G.Neighbors(r))
-		for k := n; k < len(row); k++ {
-			row[k] = -1
-		}
+		copy(row, e.Adj[r])
 	}
 }
 
@@ -216,19 +221,23 @@ func MustNewFoldedClos(k, f int) *FoldedClos {
 // ToRPod returns the pod of ToR t.
 func (c *FoldedClos) ToRPod(t int) int { return t / c.ToRsPerPod }
 
-// RackGraph returns the rack-level hop graph used for path-length CDFs
-// (Figure 4): ToR–agg–core connectivity expanded into a node per switch.
-// Node numbering: [0,NumToRs) ToRs, then agg, then core.
-func (c *FoldedClos) RackGraph() *graph.Graph {
-	nAgg := c.NumAgg
-	g := graph.New(c.NumToRs + nAgg + c.NumCore)
+// RackGraph returns the switch-level successor table the failure
+// analysis (Figure 19) masks: ToR–agg–core connectivity expanded into a
+// node per switch, each link in both rows in wiring order. Node
+// numbering: [0,NumToRs) ToRs, then agg, then core.
+func (c *FoldedClos) RackGraph() [][]int32 {
+	adj := make([][]int32, c.NumToRs+c.NumAgg+c.NumCore)
+	link := func(a, b int) {
+		adj[a] = append(adj[a], int32(b))
+		adj[b] = append(adj[b], int32(a))
+	}
 	aggBase := c.NumToRs
-	coreBase := c.NumToRs + nAgg
+	coreBase := c.NumToRs + c.NumAgg
 	// ToR ↔ every agg in its pod (uplinks spread across pod aggs).
 	for t := 0; t < c.NumToRs; t++ {
 		pod := c.ToRPod(t)
 		for a := 0; a < c.AggPerPod; a++ {
-			g.AddEdge(t, aggBase+pod*c.AggPerPod+a)
+			link(t, aggBase+pod*c.AggPerPod+a)
 		}
 	}
 	// Agg ↔ core: agg a (global index) has k/2 uplinks striped across core
@@ -239,17 +248,16 @@ func (c *FoldedClos) RackGraph() *graph.Graph {
 		for p := 0; p < c.AggPerPod; p++ {
 			agg := aggBase + pod*c.AggPerPod + p
 			for i := 0; i < corePerAgg; i++ {
-				core := coreBase + (p*corePerAgg+i)%c.NumCore
-				g.AddEdge(agg, core)
+				link(agg, coreBase+(p*corePerAgg+i)%c.NumCore)
 			}
 		}
 	}
-	return g
+	return adj
 }
 
 // ToRPathStats computes hop-count statistics between ToR pairs over the
 // folded-Clos: 2 hops within a pod (ToR-agg-ToR) and 4 hops across pods
-// (ToR-agg-core-agg-ToR), per the standard up/down routing. (BFS over
+// (ToR-agg-core-agg-ToR), per the standard up/down routing. (A search over
 // RackGraph counts switch-to-switch hops including the intermediate
 // switches; this helper reports ToR-to-ToR hop counts as the paper does.)
 func (c *FoldedClos) ToRPathStats() graph.PathStats {

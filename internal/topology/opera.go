@@ -175,27 +175,38 @@ func MustNewOpera(cfg Config) *Opera {
 // allSlicesConnected tests the realization at design time (§3.3): every
 // slice's expander connected and, when asked, within MaxDiameter hops.
 func (o *Opera) allSlicesConnected() bool {
-	n, u := o.cfg.NumRacks, o.cfg.NumSwitches
-	cells := make([]int32, n*u)
-	peers := make([][]int32, n)
-	for r := range peers {
-		peers[r] = cells[r*u : (r+1)*u]
-	}
+	peers := graph.NewTable(o.cfg.NumRacks, o.cfg.NumSwitches)
 	var bfs graph.BitBFS
 	for s := 0; s < o.slices; s++ {
 		o.SlicePeers(s, peers)
-		diameter, connected := bfs.Diameter(peers)
-		if !connected || (o.cfg.MaxDiameter > 0 && diameter > o.cfg.MaxDiameter) {
+		ps := bfs.PathStats(peers, nil)
+		if ps.Disconnected > 0 || (o.cfg.MaxDiameter > 0 && ps.Max() > o.cfg.MaxDiameter) {
 			return false
 		}
 	}
 	return true
 }
 
+// PathStats returns the ToR-to-ToR path-length statistics of every slice
+// of the cycle merged: the pairs Figure 4's Opera CDF counts.
+func (o *Opera) PathStats() graph.PathStats {
+	peers := graph.NewTable(o.cfg.NumRacks, o.cfg.NumSwitches)
+	var bfs graph.BitBFS
+	var agg graph.PathStats
+	for s := 0; s < o.slices; s++ {
+		o.SlicePeers(s, peers)
+		agg.Merge(bfs.PathStats(peers, nil))
+	}
+	return agg
+}
+
 // SlicePeers fills peers[rack][sw] with the rack that uplink sw of rack
 // reaches during slice s, or -1 when switch sw is transitioning (the drain
-// rule, §3.1.1) or the matching entry is a self-loop: SliceGraph's edges,
-// by port.
+// rule, §3.1.1) or the matching entry is a self-loop. The filled table is
+// the expander implemented during slice s for low-latency traffic — the
+// union of the matchings of the u−1 switches not transitioning (the
+// paper's "u−1 active matchings" guarantee) — and the form every path,
+// failure and spectral analysis of a slice reads.
 func (o *Opera) SlicePeers(slice int, peers [][]int32) {
 	for sw := 0; sw < o.cfg.NumSwitches; sw++ {
 		if o.IsTransitioning(sw, slice) {
@@ -289,25 +300,6 @@ func (o *Opera) matchingOrdinal(sw, slice int) int {
 // SwitchMatching returns the matching installed on switch sw during slice s.
 func (o *Opera) SwitchMatching(sw, slice int) Matching {
 	return o.matchings[sw*o.perSwitch+o.matchingOrdinal(sw, slice)]
-}
-
-// SliceGraph returns the expander implemented during slice s for
-// low-latency traffic: the union of the matchings of all switches that are
-// not transitioning in s (the paper's "u−1 active matchings" guarantee).
-func (o *Opera) SliceGraph(slice int) *graph.Graph {
-	g := graph.New(o.cfg.NumRacks)
-	for sw := 0; sw < o.cfg.NumSwitches; sw++ {
-		if o.IsTransitioning(sw, slice) {
-			continue
-		}
-		m := o.SwitchMatching(sw, slice)
-		for i := 0; i < m.N(); i++ {
-			if j := m.Peer(i); j > i {
-				g.AddEdge(i, j)
-			}
-		}
-	}
-	return g
 }
 
 // DirectSwitch returns the switch whose installed matching directly

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/graph"
 )
 
 // paperConfig is the 108-rack, 648-host, k=12 network of §4.
@@ -181,18 +182,66 @@ func TestOperaDirectSwitchSymmetry(t *testing.T) {
 	}
 }
 
+// sliceTable returns slice s's successor table.
+func sliceTable(o *Opera, s int) [][]int32 {
+	peers := graph.NewTable(o.NumRacks(), o.Uplinks())
+	o.SlicePeers(s, peers)
+	return peers
+}
+
+// connected is an oracle independent of graph.BitBFS: one plain BFS from
+// node 0 along adj's present entries, which must reach every node.
+func connected(adj [][]int32) bool {
+	seen := make([]bool, len(adj))
+	seen[0] = true
+	for queue := []int32{0}; len(queue) > 0; queue = queue[1:] {
+		for _, nb := range adj[queue[0]] {
+			if nb >= 0 && !seen[nb] {
+				seen[nb] = true
+				queue = append(queue, nb)
+			}
+		}
+	}
+	return !slices.Contains(seen, false)
+}
+
+// simple reports whether adj is an undirected simple graph: no
+// self-loop, no duplicate neighbour, every edge present both ways.
+func simple(adj [][]int32) bool {
+	for v, row := range adj {
+		for k, nb := range row {
+			if nb < 0 {
+				continue
+			}
+			if int(nb) == v || slices.Contains(row[:k], nb) || !slices.Contains(adj[nb], int32(v)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestOperaSliceGraphsConnectedAndExpanding(t *testing.T) {
 	o := MustNewOpera(paperConfig())
 	for s := 0; s < o.SlicesPerCycle(); s++ {
-		g := o.SliceGraph(s)
-		if !g.Connected() {
+		adj := sliceTable(o, s)
+		if !connected(adj) {
 			t.Fatalf("slice %d graph disconnected", s)
+		}
+		if !simple(adj) {
+			t.Fatalf("slice %d: a self-loop, duplicate or one-way edge", s)
 		}
 		// With u−1 = 5 active matchings, racks have degree ≤ 5 (self-loops
 		// reduce it) and the graph must not be trivially sparse.
-		for v := 0; v < g.N(); v++ {
-			if d := len(g.Neighbors(v)); d > 5 {
-				t.Fatalf("slice %d rack %d degree %d > u-1", s, v, d)
+		for v, row := range adj {
+			deg := 0
+			for _, nb := range row {
+				if nb >= 0 {
+					deg++
+				}
+			}
+			if deg > 5 {
+				t.Fatalf("slice %d rack %d degree %d > u-1", s, v, deg)
 			}
 		}
 	}
@@ -202,8 +251,9 @@ func TestOperaPaperPathLengths(t *testing.T) {
 	// Figure 4: for the 648-host Opera network, virtually all rack pairs
 	// are within 5 hops in every topology slice.
 	o := MustNewOpera(paperConfig())
+	var bfs graph.BitBFS
 	for _, s := range []int{0, 17, 53, 107} {
-		ps := o.SliceGraph(s).AllPairs()
+		ps := bfs.PathStats(sliceTable(o, s), nil)
 		if ps.Disconnected > 0 {
 			t.Fatalf("slice %d: %d disconnected pairs", s, ps.Disconnected)
 		}
@@ -352,7 +402,7 @@ func TestOperaInvariantsProperty(t *testing.T) {
 			return true
 		}
 		for s := 0; s < o.SlicesPerCycle(); s++ {
-			if !o.SliceGraph(s).Connected() {
+			if !connected(sliceTable(o, s)) {
 				return false
 			}
 		}
