@@ -120,7 +120,7 @@ func TestNewTable(t *testing.T) {
 	}
 }
 
-func TestDistancesRing(t *testing.T) {
+func TestBFSRing(t *testing.T) {
 	var b BitBFS
 	dist := b.Distances(ring(8))
 	if want := []int{0, 1, 2, 3, 4, 3, 2, 1}; !slices.Equal(dist[0], want) {
@@ -128,7 +128,7 @@ func TestDistancesRing(t *testing.T) {
 	}
 }
 
-func TestDisconnected(t *testing.T) {
+func TestBFSDisconnected(t *testing.T) {
 	adj := undirected(4, [][2]int{{0, 1}, {2, 3}})
 	var b BitBFS
 	dist := b.Distances(adj)
@@ -140,7 +140,7 @@ func TestDisconnected(t *testing.T) {
 	}
 }
 
-func TestPathStatsComplete(t *testing.T) {
+func TestAllPairsComplete(t *testing.T) {
 	var b BitBFS
 	ps := b.PathStats(complete(6), nil)
 	if ps.Pairs != 30 {
@@ -160,7 +160,7 @@ func TestPathStatsComplete(t *testing.T) {
 	}
 }
 
-func TestPathStatsRingCDF(t *testing.T) {
+func TestAllPairsRingCDF(t *testing.T) {
 	var b BitBFS
 	ps := b.PathStats(ring(6), nil)
 	// In a 6-cycle: each node has 2 at dist 1, 2 at dist 2, 1 at dist 3.
@@ -177,7 +177,7 @@ func TestPathStatsRingCDF(t *testing.T) {
 	}
 }
 
-func TestPathStatsAmongSubset(t *testing.T) {
+func TestAllPairsAmongSubset(t *testing.T) {
 	adj := undirected(5, [][2]int{{0, 1}, {1, 2}})
 	// nodes 3,4 isolated ("failed"); restrict to surviving 0,1,2
 	var b BitBFS
@@ -187,11 +187,11 @@ func TestPathStatsAmongSubset(t *testing.T) {
 	}
 }
 
-// TestAbsentEntriesAndRows masks a table as the failure analysis does: a
+// TestRemoveNodeAndEdge masks a table as the failure analysis does: a
 // −1 entry drops one direction of a link, and a failed node loses its own
 // row — it can still be reached but not left, so no path runs through it
 // and the pairs among survivors see it gone.
-func TestAbsentEntriesAndRows(t *testing.T) {
+func TestRemoveNodeAndEdge(t *testing.T) {
 	adj := complete(4)
 	adj[0] = nil
 	var b BitBFS
