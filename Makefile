@@ -32,7 +32,7 @@ bench-module:
 
 ## fuzz: 10 s of each fuzz target (CI's slow lane runs exactly this) —
 ## the scenario targets resolve only, no simulation (corpus under
-## scenario/testdata/fuzz/); FuzzSegQueue is RotorLB's ring deque against
+## scenario/testdata/fuzz/); FuzzSegQueue is RotorLB's run-length deque against
 ## its slice oracle; FuzzSchedulerDifferential is the timing wheel against
 ## the heap on raw push/pop/peek op streams with keys reserved now and
 ## pushed later (a re-armed timer's re-key); FuzzBuildDifferential is

@@ -28,60 +28,105 @@ const (
 	startMargin = 2 * eventsim.Microsecond
 )
 
-// segment is a run of contiguous flow bytes awaiting transmission, resident
-// at a specific host (the flow's origin, or the storage host for relayed
-// bytes).
+// segment is a chunk of contiguous flow bytes awaiting transmission,
+// resident at a specific host (the flow's origin, or the storage host for
+// relayed bytes).
 type segment struct {
 	f     *sim.Flow
-	host  int32 // host holding the bytes
 	bytes int64
-	hops  int8 // ToR-to-ToR hops already incurred (VLB first leg)
+	host  int32 // host holding the bytes
+	hops  int8  // ToR-to-ToR hops already incurred (VLB first leg)
 }
+
+// run is one queue entry: a segment followed by more segments with the
+// same flow, host and hops, each holding unit bytes. A burst of NACKs
+// requeues one packet's worth at a time at the head, and a relay stores
+// one packet's worth at a time at the tail, so either is one entry. Only
+// the first segment is ever partly carved. An empty segment is never
+// merged, so a run with more > 0 has first and unit bytes both nonzero.
+type run struct {
+	segment       // the first segment: the one carve acts on
+	unit    int64 // bytes of each segment behind the first
+	// more is bounded by a queue's segments: one per flow, plus its packets
+	// stored at a relay (8 MB at most) or NACKed while in flight.
+	more int32
+}
+
+// joins reports whether s may extend the run: both hold bytes and s has
+// its flow, host and hops.
+func (r *run) joins(s segment) bool {
+	return s.bytes > 0 && r.bytes > 0 && r.f == s.f && r.host == s.host && r.hops == s.hops
+}
+
+// scanLimit bounds how many segments on hosts that are not ready
+// carveReady passes over before it gives up.
+const scanLimit = 16
 
 // segQueue is a double-ended queue of segments with byte accounting, kept
-// in a power-of-two ring so that the tail push of a new flow, the head push
-// of a NACK requeue and the pop of a drained head are all O(1) and reuse
-// one buffer.
+// as a power-of-two ring of runs so that the tail push of a new flow or a
+// relayed packet, the head push of a NACK requeue and the pop of a drained
+// head are all O(1), reuse one buffer, and take no new entry when the
+// segment repeats its neighbour. Every operation returns what it would on
+// the expanded one-entry-per-segment queue.
 type segQueue struct {
-	buf   []segment // ring; len is zero or a power of two
-	head  int       // buf index of logical segment 0
-	n     int       // segments held
+	buf   []run // ring; len is zero or a power of two
+	head  int   // buf index of logical run 0
+	n     int   // runs held
 	bytes int64
 }
 
-// at returns logical segment i (0 = head).
-func (q *segQueue) at(i int) *segment { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
+// at returns logical run i (0 = head).
+func (q *segQueue) at(i int) *run { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
 
 // grow doubles the ring, unwrapping it so the head lands at index 0.
 func (q *segQueue) grow() {
-	buf := make([]segment, max(8, 2*len(q.buf)))
+	buf := make([]run, max(8, 2*len(q.buf)))
 	k := copy(buf, q.buf[q.head:])
 	copy(buf[k:], q.buf[:q.head])
 	q.buf, q.head = buf, 0
 }
 
+// push appends s, extending the tail run when s repeats its last segment's
+// flow, host, hops and bytes (or the run is a single segment).
 func (q *segQueue) push(s segment) {
+	q.bytes += s.bytes
+	if q.n > 0 {
+		if r := q.at(q.n - 1); r.joins(s) && (r.more == 0 || r.unit == s.bytes) {
+			r.unit = s.bytes
+			r.more++
+			return
+		}
+	}
 	if q.n == len(q.buf) {
 		q.grow()
 	}
 	q.n++
-	*q.at(q.n - 1) = s
-	q.bytes += s.bytes
+	*q.at(q.n - 1) = run{segment: s}
 }
 
+// pushFront prepends s, extending the head run when s has its flow, host
+// and hops and the run is uniform: s becomes the first segment and the old
+// first one the run's unit.
 func (q *segQueue) pushFront(s segment) {
+	q.bytes += s.bytes
+	if q.n > 0 {
+		if r := q.at(0); r.joins(s) && (r.more == 0 || r.unit == r.bytes) {
+			r.unit, r.bytes = r.bytes, s.bytes
+			r.more++
+			return
+		}
+	}
 	if q.n == len(q.buf) {
 		q.grow()
 	}
 	q.head = (q.head - 1) & (len(q.buf) - 1)
 	q.n++
-	q.buf[q.head] = s
-	q.bytes += s.bytes
+	q.buf[q.head] = run{segment: s}
 }
 
-// popFront drops the head segment; its bytes must already be accounted.
+// popFront drops the head run; its bytes must already be accounted.
 func (q *segQueue) popFront() {
-	q.buf[q.head] = segment{} // do not pin the flow
+	q.buf[q.head] = run{} // do not pin the flow
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 }
@@ -89,7 +134,7 @@ func (q *segQueue) popFront() {
 // peekHost returns the host holding the queue's head bytes.
 func (q *segQueue) peekHost() (int32, bool) {
 	for q.n > 0 && q.at(0).bytes == 0 {
-		q.popFront()
+		q.popFront() // an empty segment is a run of its own
 	}
 	if q.n == 0 {
 		return -1, false
@@ -106,30 +151,33 @@ func (q *segQueue) carve(maxBytes int64) (segment, bool) {
 // satisfies ready (nil = any). Skipping busy hosts models the ToR polling
 // whichever host has transmittable data for this circuit (§3.5) — without
 // it, concurrent sessions head-of-line block on each other's hosts while
-// other NICs idle. The scan is bounded to keep service near-FIFO.
+// other NICs idle. The scan is bounded to keep service near-FIFO: a run on
+// a host that is not ready counts each of its segments.
 func (q *segQueue) carveReady(maxBytes int64, ready func(host int32) bool) (segment, bool) {
-	const scanLimit = 16
 	scanned := 0
 	for i := 0; i < q.n; i++ {
-		seg := q.at(i)
-		if seg.bytes == 0 {
+		r := q.at(i)
+		if r.bytes == 0 {
 			continue
 		}
-		if ready != nil && !ready(seg.host) {
-			if scanned++; scanned >= scanLimit {
+		if ready != nil && !ready(r.host) {
+			if scanned += 1 + int(r.more); scanned >= scanLimit {
 				return segment{}, false
 			}
 			continue
 		}
-		n := seg.bytes
-		if n > maxBytes {
-			n = maxBytes
-		}
-		out := segment{f: seg.f, host: seg.host, bytes: n, hops: seg.hops}
-		seg.bytes -= n
-		q.bytes -= n
-		if seg.bytes == 0 {
-			// Close the gap from the front: the segments skipped on the way
+		out := r.segment
+		out.bytes = min(r.bytes, maxBytes)
+		r.bytes -= out.bytes
+		q.bytes -= out.bytes
+		switch {
+		case r.bytes > 0:
+		case r.more > 0:
+			// The first segment is drained: the next one takes its place.
+			r.bytes = r.unit
+			r.more--
+		default:
+			// Close the gap from the front: the runs skipped on the way
 			// here (the short side, bounded by scanLimit) move back one.
 			for ; i > 0; i-- {
 				*q.at(i) = *q.at(i - 1)

@@ -3,6 +3,7 @@ package rotorlb
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/sim"
@@ -60,6 +61,14 @@ func TestSegQueuePeekHost(t *testing.T) {
 	h, ok := q.peekHost()
 	if !ok || h != 7 {
 		t.Fatalf("peekHost = %d ok=%v, want 7 (skipping empty head)", h, ok)
+	}
+}
+
+// A ring entry is what a queued segment costs: 24 B for the segment and
+// at most 40 B for a run of them (less on 32-bit targets).
+func TestSegQueueEntrySizes(t *testing.T) {
+	if s, r := unsafe.Sizeof(segment{}), unsafe.Sizeof(run{}); s > 24 || r > 40 {
+		t.Fatalf("segment is %d B and run %d B, want at most 24 and 40", s, r)
 	}
 }
 
@@ -125,10 +134,28 @@ func (q *sliceQueue) carveReady(maxBytes int64, ready func(host int32) bool) (se
 	return segment{}, false
 }
 
+// segments expands q's runs into the one-entry-per-segment queue they
+// stand for, appending to out.
+func segments(out []segment, q *segQueue) []segment {
+	for i := 0; i < q.n; i++ {
+		r := q.at(i)
+		out = append(out, r.segment)
+		next := r.segment
+		next.bytes = r.unit
+		for k := int32(0); k < r.more; k++ {
+			out = append(out, next)
+		}
+	}
+	return out
+}
+
 // genSegQueueOps returns a seeded op stream for runSegQueueOps: three
 // bytes an op, alternating fill-heavy and drain-heavy phases so the ring
-// grows several times, wraps, and is drained from a moved head.
-func genSegQueueOps(seed int64, ops int) []byte {
+// grows several times, wraps, and is drained from a moved head. With
+// copies, a third of the pushes instead push a copy of the head segment at
+// the head or of the tail segment at the tail, so that runs merge; without,
+// the stream is the one the fuzz seeds were first written with.
+func genSegQueueOps(seed int64, ops int, copies bool) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]byte, 0, 3*ops)
 	for i := 0; i < ops; i++ {
@@ -139,6 +166,9 @@ func genSegQueueOps(seed int64, ops int) []byte {
 			op = opPeekHost
 		case (r <= 5) == pushy:
 			op = opPush + byte(rng.Intn(2)) // push or pushFront
+			if copies && rng.Intn(3) == 0 {
+				op = opPushCopy
+			}
 		default:
 			op = opCarve + byte(rng.Intn(2)) // carve or carveReady
 		}
@@ -157,6 +187,7 @@ const (
 	opCarve
 	opCarveReady
 	opPeekHost
+	opPushCopy // a copy of the head segment at the head, or of the tail at the tail
 	numOps
 )
 
@@ -166,30 +197,34 @@ type segQueueCoverage struct {
 	wrapped    int // steps ending with the ring wrapped around its end
 	midRemoved int // drained segment removed at logical index > 0
 	bailed     int // carveReady gave up at scanLimit with a ready segment behind
+	frontMerge int // pushFront extended the head run
+	tailMerge  int // push extended the tail run
+	crossed    int // scanLimit reached inside a run on a host that is not ready
+	promoted   int // a drained first segment gave way to the next of its run
 }
 
-// runSegQueueOps drives the ring deque and the slice oracle with one op
+// runSegQueueOps drives the run deque and the slice oracle with one op
 // stream and fails on the first step where any observable differs: the
-// returned segment, ok, bytes, empty(), or the queued segments in order.
+// returned segment, ok, bytes, empty(), or the queued segments in order,
+// the runs expanded.
 func runSegQueueOps(t testing.TB, ops []byte) segQueueCoverage {
 	var (
 		q     segQueue
 		o     sliceQueue
 		cov   segQueueCoverage
+		segs  []segment
 		flows = [4]*sim.Flow{{ID: 0}, {ID: 1}, {ID: 2}, {ID: 3}}
 	)
 	for step := 0; step+3 <= len(ops); step += 3 {
 		op, a, b := ops[step]%numOps, ops[step+1], ops[step+2]
 		var got, want segment
 		var gotOK, wantOK bool
+		runs, before, size, moved := q.n, len(o.segs), len(q.buf), q.head != 0
 		switch op {
 		case opPush, opPushFront:
 			s := segment{f: flows[a>>3&3], host: int32(a & 7), hops: int8(a >> 5 & 1), bytes: int64(b) * 97}
 			if b%11 == 0 {
 				s.bytes = 0
-			}
-			if q.n == len(q.buf) && q.head != 0 {
-				cov.growsMoved++
 			}
 			if op == opPush {
 				q.push(s)
@@ -197,6 +232,19 @@ func runSegQueueOps(t testing.TB, ops []byte) segQueueCoverage {
 			} else {
 				q.pushFront(s)
 				o.pushFront(s)
+			}
+		case opPushCopy:
+			if len(o.segs) == 0 {
+				break
+			}
+			if a&1 == 0 {
+				op = opPushFront
+				q.pushFront(o.segs[0])
+				o.pushFront(o.segs[0])
+			} else {
+				op = opPush
+				q.push(o.segs[len(o.segs)-1])
+				o.push(o.segs[len(o.segs)-1])
 			}
 		case opCarve:
 			max := int64(a)*200 + 1
@@ -212,7 +260,20 @@ func runSegQueueOps(t testing.TB, ops []byte) segQueueCoverage {
 					break
 				}
 			}
-			before := len(o.segs)
+			scanned := 0
+			for i := 0; i < q.n; i++ {
+				if r := q.at(i); r.bytes > 0 {
+					if ready(r.host) {
+						break
+					}
+					if scanned += 1 + int(r.more); scanned >= scanLimit {
+						if scanned > scanLimit {
+							cov.crossed++
+						}
+						break
+					}
+				}
+			}
 			got, gotOK = q.carveReady(max, ready)
 			want, wantOK = o.carveReady(max, ready)
 			switch {
@@ -228,13 +289,31 @@ func runSegQueueOps(t testing.TB, ops []byte) segQueueCoverage {
 		if got != want || gotOK != wantOK {
 			t.Fatalf("step %d op %d: got %+v ok=%v, oracle %+v ok=%v", step/3, op, got, gotOK, want, wantOK)
 		}
-		if q.bytes != o.bytes || q.n != len(o.segs) {
-			t.Fatalf("step %d op %d: bytes %d n %d, oracle %d %d", step/3, op, q.bytes, q.n, o.bytes, len(o.segs))
+		segs = segments(segs[:0], &q)
+		if q.bytes != o.bytes || len(segs) != len(o.segs) {
+			t.Fatalf("step %d op %d: bytes %d segments %d, oracle %d %d", step/3, op, q.bytes, len(segs), o.bytes, len(o.segs))
 		}
 		for i, s := range o.segs {
-			if *q.at(i) != s {
-				t.Fatalf("step %d op %d: segment %d = %+v, oracle %+v", step/3, op, i, *q.at(i), s)
+			if segs[i] != s {
+				t.Fatalf("step %d op %d: segment %d = %+v, oracle %+v", step/3, op, i, segs[i], s)
 			}
+		}
+		for i := 0; i < q.n; i++ {
+			if r := q.at(i); r.more > 0 && (r.bytes == 0 || r.unit == 0) {
+				t.Fatalf("step %d op %d: run %d = %+v holds an empty segment", step/3, op, i, *r)
+			}
+		}
+		switch {
+		case q.n != runs || len(o.segs) == before:
+		case op == opPushFront:
+			cov.frontMerge++
+		case op == opPush:
+			cov.tailMerge++
+		case op == opCarve || op == opCarveReady:
+			cov.promoted++
+		}
+		if len(q.buf) > size && moved {
+			cov.growsMoved++
 		}
 		if q.head+q.n > len(q.buf) {
 			cov.wrapped++
@@ -243,13 +322,14 @@ func runSegQueueOps(t testing.TB, ops []byte) segQueueCoverage {
 	return cov
 }
 
-// TestSegQueueMatchesSliceOracle is the differential test for the ring
+// TestSegQueueMatchesSliceOracle is the differential test for the run
 // deque, and checks that the generated streams reach the cases that make a
-// ring harder than a slice.
+// ring of runs harder than a slice.
 func TestSegQueueMatchesSliceOracle(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		c := runSegQueueOps(t, genSegQueueOps(seed, 4000))
-		if c.growsMoved < 3 || c.wrapped == 0 || c.midRemoved == 0 || c.bailed == 0 {
+		c := runSegQueueOps(t, genSegQueueOps(seed, 4000, true))
+		if c.growsMoved < 3 || c.wrapped == 0 || c.midRemoved == 0 || c.bailed == 0 ||
+			c.frontMerge == 0 || c.tailMerge == 0 || c.crossed == 0 || c.promoted == 0 {
 			t.Fatalf("seed %d: the op stream misses a case: %+v", seed, c)
 		}
 	}
@@ -258,7 +338,7 @@ func TestSegQueueMatchesSliceOracle(t *testing.T) {
 // FuzzSegQueue runs the same differential check over mutated op streams.
 func FuzzSegQueue(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
-		f.Add(genSegQueueOps(seed, 1000))
+		f.Add(genSegQueueOps(seed, 1000, false))
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) { runSegQueueOps(t, ops) })
 }
@@ -339,17 +419,20 @@ func TestQueuedBytesCountsHeldVLB(t *testing.T) {
 	}
 }
 
-// TestAllocsNackRequeue gates the NACK path: with 4 k segments queued,
-// requeueing a NACKed packet at the head and carving it out again must not
-// allocate. CI runs it via `-run 'TestAllocs'`.
+// TestAllocsNackRequeue gates the NACK path: with 4 k distinct segments
+// queued, requeueing a NACKed packet at the head and carving it out again
+// must not allocate. The requeue repeats the head segment, so it joins the
+// head run rather than taking a ring entry. CI runs it via
+// `-run 'TestAllocs'`.
 func TestAllocsNackRequeue(t *testing.T) {
 	b := newLBBed(t, eventsim.New(), 16, 4, 4)
 	f := b.bulkFlow(1, 0, 63, 1<<40)
 	a := b.lb.agents[0]
 	q := &a.voq[15]
 	for i := 0; i < 4096; i++ {
-		q.push(segment{f: f, host: 0, bytes: 1500})
+		q.push(segment{f: f, host: int32(i & 1), bytes: 1500}) // alternate hosts: no two merge
 	}
+	runs := q.n
 	h := b.net.Hosts()[0]
 	any := func(int32) bool { return true }
 	round := func() {
@@ -366,13 +449,68 @@ func TestAllocsNackRequeue(t *testing.T) {
 		}
 	}
 	for i := 0; i < 64; i++ {
-		round() // settle the ring's capacity and the packet pool
+		round() // settle the packet pool
 	}
 	if avg := testing.AllocsPerRun(1000, round); avg != 0 {
 		t.Fatalf("NACK requeue + carve allocates %.2f/op, want 0", avg)
 	}
-	if q.n != 4096 || b.lb.NACKs != 64+1000+1 {
-		t.Fatalf("queue holds %d segments after %d NACKs", q.n, b.lb.NACKs)
+	if n := len(segments(nil, q)); n != 4096 || b.lb.NACKs != 64+1000+1 {
+		t.Fatalf("queue holds %d segments after %d NACKs", n, b.lb.NACKs)
+	}
+	if runs != 4096 || q.n != runs {
+		t.Fatalf("ring held %d runs before the NACKs and %d after, want 4096 both times", runs, q.n)
+	}
+}
+
+// TestAllocsShuffleNackRings gates what a NACK storm costs the queues: an
+// all-to-all bulk shuffle of 300 KB flows on a 16 × 4 Opera, run to
+// completion, requeues over 200 k NACKed packets at queue heads and stores
+// a relayed packet at a time. Rings never shrink, so their final size is
+// their peak: 120,232 VOQ and relay slots with one ring entry per segment,
+// 25,744 with runs. CI runs it via `-run 'TestAllocs'`.
+func TestAllocsShuffleNackRings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a whole 4032-flow shuffle")
+	}
+	const (
+		flowBytes = 300_000
+		maxSlots  = 32 << 10
+	)
+	b := newLBBed(t, eventsim.New(), 16, 4, 4)
+	hosts := len(b.net.Hosts())
+	var flows []*sim.Flow
+	for src := 0; src < hosts; src++ {
+		for dst := 0; dst < hosts; dst++ {
+			if dst != src {
+				flows = append(flows, b.bulkFlow(int64(len(flows)+1), src, dst, flowBytes))
+			}
+		}
+	}
+	for _, f := range flows {
+		b.lb.StartFlow(f)
+	}
+	b.net.Start()
+	for b.eng.Now() < 5*eventsim.Second {
+		if done, _ := b.net.Metrics().DoneCount(); done == len(flows) {
+			break
+		}
+		b.eng.RunUntil(b.eng.Now() + 10*eventsim.Millisecond)
+	}
+	if done, total := b.net.Metrics().DoneCount(); done != total || total != len(flows) {
+		t.Fatalf("%d of %d flows done after %v", done, total, b.eng.Now())
+	}
+	if b.lb.NACKs < 200_000 {
+		t.Fatalf("%d NACKs, want at least 200 k: the storm this gate is about did not happen", b.lb.NACKs)
+	}
+	slots := 0
+	for _, a := range b.lb.agents {
+		for r := range a.voq {
+			slots += len(a.voq[r].buf) + len(a.relay[r].buf)
+		}
+	}
+	t.Logf("%d NACKs, %d VOQ and relay ring slots", b.lb.NACKs, slots)
+	if slots > maxSlots {
+		t.Fatalf("VOQ and relay rings hold %d slots, want at most %d", slots, maxSlots)
 	}
 }
 

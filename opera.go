@@ -371,6 +371,11 @@ func (c *Cluster) admit(spec workload.FlowSpec, pumped bool) *sim.Flow {
 		// surface as an opaque index panic deep inside a transport.
 		panic(fmt.Sprintf("opera: flow %d->%d outside cluster with %d hosts", spec.Src, spec.Dst, len(c.hosts)))
 	}
+	if spec.Bytes <= 0 {
+		// Likewise a flow with no bytes: RotorLB would never report it
+		// done, and NDP would count a byte it does not have.
+		panic(fmt.Sprintf("opera: flow %d->%d of %d bytes, want at least 1", spec.Src, spec.Dst, spec.Bytes))
+	}
 	c.nextID++
 	v := sim.Flow{
 		ID:      c.nextID,

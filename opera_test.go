@@ -74,6 +74,38 @@ func TestClusterBulkThresholdBoundary(t *testing.T) {
 	}
 }
 
+// AddFlow refuses a flow of no bytes on every architecture and service
+// class, as it refuses an out-of-range host, and one byte is enough for a
+// flow to run to completion.
+func TestClusterRejectsEmptyFlow(t *testing.T) {
+	for _, k := range []opera.Kind{
+		opera.KindOpera, opera.KindExpander, opera.KindFoldedClos,
+		opera.KindRotorNet, opera.KindRotorNetHybrid,
+	} {
+		for _, bulk := range []bool{false, true} {
+			cl, err := opera.New(k)
+			if err != nil {
+				t.Fatalf("%v: %v", k, err)
+			}
+			dst := cl.NumHosts() - 1
+			for _, bytes := range []int64{0, -1} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%v bulk=%v: a %d-byte flow was admitted", k, bulk, bytes)
+						}
+					}()
+					cl.AddFlow(workload.FlowSpec{Src: 0, Dst: dst, Bytes: bytes, Bulk: bulk})
+				}()
+			}
+			f := cl.AddFlow(workload.FlowSpec{Src: 0, Dst: dst, Bytes: 1, Bulk: bulk})
+			if !cl.RunUntilDone(500*eventsim.Millisecond) || f.BytesRcvd != 1 {
+				t.Errorf("%v bulk=%v: a 1-byte flow received %d bytes, done=%v", k, bulk, f.BytesRcvd, f.Done)
+			}
+		}
+	}
+}
+
 func TestClusterRejectsBadConfig(t *testing.T) {
 	if _, err := opera.New(opera.KindOpera, opera.WithRacks(15)); err == nil {
 		t.Fatal("odd rack count accepted")
