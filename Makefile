@@ -18,7 +18,21 @@ test:
 short:
 	$(GO) test -short ./...
 
-## race: the race-detector passes CI runs
+## race: the race-detector passes; CI's fast lane runs exactly this, as
+## one step. The first line covers the scenario runner with its hooks and
+## Sources, the workload generators, the sweep coordinator's multi-process
+## shard protocol (re-execed worker subprocesses, crash+retry re-dispatch,
+## workers=1 vs workers=4 shuffled dispatch), the telemetry
+## Sketch/Window/Collector merges and wire codec that sharded sweep workers
+## exercise concurrently (the flat-memory soak twin is build-tag-skipped
+## under -race: allocator skew) and the observability plane (the snapshot
+## mailbox against HTTP readers, every /status endpoint kind, the sweep
+## progress tracker, the observer-attached-vs-detached determinism check).
+## The second is the cluster source pump (-short skips the 45k-flow Source
+## soak; the lazy-pump and lull-handling tests still run); the third the
+## structured fault injector on every fabric: coordinate validation, Clos
+## multi-tier faults, lossy/degraded/flapping gray links and the
+## scenario-layer determinism checks
 race:
 	$(GO) test -race ./scenario/ ./internal/workload/ ./internal/sweep/ ./internal/telemetry/ ./internal/obs/
 	$(GO) test -race -short -run 'Source' .
@@ -32,8 +46,9 @@ bench-module:
 
 ## fuzz: 10 s of each fuzz target (CI's slow lane runs exactly this) —
 ## the scenario targets resolve only, no simulation (corpus under
-## scenario/testdata/fuzz/); FuzzSegQueue is RotorLB's run-length deque against
-## its slice oracle; FuzzSchedulerDifferential is the timing wheel against
+## scenario/testdata/fuzz/); FuzzQueue is freelist's ring deque, and
+## FuzzSegQueue RotorLB's run-length deque on it, each against its slice
+## oracle; FuzzSchedulerDifferential is the timing wheel against
 ## the heap on raw push/pop/peek op streams with keys reserved now and
 ## pushed later (a re-armed timer's re-key); FuzzBuildDifferential is
 ## the bit-parallel routing build against the per-source BFS it replaced,
@@ -49,6 +64,7 @@ bench-module:
 fuzz:
 	$(GO) test ./scenario/ -run '^$$' -fuzz '^FuzzParseEvents$$' -fuzztime 10s
 	$(GO) test ./scenario/ -run '^$$' -fuzz '^FuzzSpecJSON$$' -fuzztime 10s
+	$(GO) test ./internal/freelist/ -run '^$$' -fuzz '^FuzzQueue$$' -fuzztime 10s
 	$(GO) test ./internal/rotorlb/ -run '^$$' -fuzz '^FuzzSegQueue$$' -fuzztime 10s
 	$(GO) test ./internal/eventsim/ -run '^$$' -fuzz '^FuzzSchedulerDifferential$$' -fuzztime 10s
 	$(GO) test ./internal/routing/ -run '^$$' -fuzz '^FuzzBuildDifferential$$' -fuzztime 10s

@@ -1,6 +1,9 @@
-// Package freelist provides the typed object free list backing the
-// simulator's hot-path pools: the event engine's Event pool and NDP's
-// sendFlow/recvFlow pools.
+// Package freelist provides the two reusable containers behind the
+// simulator's hot paths: Pool, a LIFO free list of *T (the event engine's
+// Event pool, NDP's sendFlow/recvFlow pools, RotorLB's sessions), and
+// Queue, a FIFO ring that reuses its buffer (the port class queues,
+// RotorLB's segment queues, NDP's pull credits and retransmit queues, the
+// retired flow records).
 //
 // The simulator's engines are single-goroutine by design, so Pool is a
 // plain LIFO slice rather than a sync.Pool: no locking, and — unlike
@@ -11,7 +14,7 @@
 // cost differs (the event engine zeroes whole structs, the NDP flow pools
 // keep bitmap capacity and clear only the words in use).
 //
-// Pool is NOT safe for concurrent use. Each pool must stay confined to
+// Neither type is safe for concurrent use. Each must stay confined to
 // the goroutine of the engine it serves, exactly like the engine itself.
 package freelist
 

@@ -34,12 +34,8 @@ type Endpoint struct {
 
 	// PULL pacing: one pull per MTU serialization time, round-robin across
 	// flows with credits. paceH is the pre-bound pacer tick
-	// (eventsim.Handler), so per-pull scheduling allocates nothing. The
-	// credit queue is consumed via pullHead (not by re-slicing) so its
-	// backing array's capacity is reused instead of leaking one slot per
-	// pull.
-	pullCredits []*sim.Flow // one entry per credit, each holding a flow reference
-	pullHead    int
+	// (eventsim.Handler), so per-pull scheduling allocates nothing.
+	pullCredits freelist.Queue[*sim.Flow] // one entry per credit, each holding a flow reference
 	pacing      bool
 	paceH       pacerTick
 
@@ -50,7 +46,7 @@ type Endpoint struct {
 }
 
 // flowPools holds every sendFlow and recvFlow of the fabric and recycles
-// them — and, through them, their ACK/got bitmaps and rtx slices — across
+// them — and, through them, their ACK/got bitmaps and rtx rings — across
 // flows. A struct is entered in its table once, when first allocated, and
 // keeps that slot for life; the flow it currently serves carries the slot
 // (sim.Flow.SendSlot/RecvSlot, 0 = none), so every ACK, NACK, PULL and
@@ -109,15 +105,13 @@ type sendFlow struct {
 	slot    int32 // its place in flowPools.sendTab
 	total   int32 // packets
 	nextNew int32
-	// rtx queues NACKed sequence numbers awaiting retransmission. Like
-	// pullCredits it is consumed via rtxHead, not by re-slicing, so the
-	// backing array keeps its capacity across retransmissions and flows.
-	rtx     []int32
-	rtxHead int
-	acked   []uint64
-	nAcked  int32
-	rto     eventsim.Timer
-	done    bool
+	// rtx queues NACKed sequence numbers awaiting retransmission; its
+	// ring is kept across flows.
+	rtx    freelist.Queue[int32]
+	acked  []uint64
+	nAcked int32
+	rto    eventsim.Timer
+	done   bool
 }
 
 // OnEvent implements eventsim.Handler: the flow's RTO fired.
@@ -147,12 +141,15 @@ func (ep *Endpoint) StartFlow(f *sim.Flow) {
 		sf = &sendFlow{slot: int32(len(ep.pools.sendTab))}
 		ep.pools.sendTab = append(ep.pools.sendTab, sf)
 	}
+	for sf.rtx.Len() > 0 {
+		sf.rtx.PopFront() // NACKed seqs a finished flow never resent
+	}
 	*sf = sendFlow{
 		ep:    ep,
 		f:     f,
 		slot:  sf.slot,
 		total: total,
-		rtx:   sf.rtx[:0],
+		rtx:   sf.rtx,
 		acked: resetBits(sf.acked, (total+63)/64),
 	}
 	sf.rto.BindCall(ep.host.Engine(), sf, nil)
@@ -247,14 +244,14 @@ func (ep *Endpoint) onData(p *sim.Packet) {
 		// bitmap; a straggler retransmission of an already-delivered packet
 		// still needs its ACK, or the sender's RTO would retransmit forever.
 		if !p.Trimmed {
-			ep.sendCtrl(sim.KindAck, p.Flow, p.Seq, 0)
+			ep.sendCtrl(sim.KindAck, p.Flow, p.Seq)
 		}
 		p.Release()
 		return
 	}
 	if p.Trimmed {
 		// Header survived; payload was cut: NACK for retransmission.
-		ep.sendCtrl(sim.KindNack, rf.f, p.Seq, 0)
+		ep.sendCtrl(sim.KindNack, rf.f, p.Seq)
 		if !rf.complete() {
 			ep.addPullCredit(rf.f)
 		}
@@ -269,7 +266,7 @@ func (ep *Endpoint) onData(p *sim.Packet) {
 			ep.metrics.FlowDone(rf.f, ep.host.Engine().Now())
 		}
 	}
-	ep.sendCtrl(sim.KindAck, rf.f, p.Seq, 0)
+	ep.sendCtrl(sim.KindAck, rf.f, p.Seq)
 	if !rf.complete() {
 		ep.addPullCredit(rf.f)
 	} else if ep.metrics.Streaming() {
@@ -310,7 +307,7 @@ func (ep *Endpoint) onAck(p *sim.Packet) {
 func (ep *Endpoint) onNack(p *sim.Packet) {
 	sf := ep.pools.sendTab[p.Flow.SendSlot]
 	if sf != nil && !sf.done {
-		sf.rtx = append(sf.rtx, p.Seq)
+		sf.rtx.PushBack(p.Seq)
 		sf.f.Retransmits++
 		sf.rto.Arm(rto)
 	}
@@ -320,16 +317,9 @@ func (ep *Endpoint) onNack(p *sim.Packet) {
 func (ep *Endpoint) onPull(p *sim.Packet) {
 	sf := ep.pools.sendTab[p.Flow.SendSlot]
 	if sf != nil && !sf.done {
-		switch {
-		case sf.rtxHead < len(sf.rtx):
-			seq := sf.rtx[sf.rtxHead]
-			sf.rtxHead++
-			if sf.rtxHead == len(sf.rtx) {
-				sf.rtx = sf.rtx[:0]
-				sf.rtxHead = 0
-			}
+		if seq, ok := sf.rtx.PopFront(); ok {
 			ep.sendData(sf, seq)
-		case sf.nextNew < sf.total:
+		} else if sf.nextNew < sf.total {
 			ep.sendData(sf, sf.nextNew)
 			sf.nextNew++
 		}
@@ -355,7 +345,7 @@ func (ep *Endpoint) onRTO(sf *sendFlow) {
 
 // sendCtrl emits a control packet (ACK/NACK/PULL) back to the flow's
 // sender.
-func (ep *Endpoint) sendCtrl(kind sim.Kind, f *sim.Flow, seq int32, pullNo int32) {
+func (ep *Endpoint) sendCtrl(kind sim.Kind, f *sim.Flow, seq int32) {
 	p := sim.NewPacket()
 	p.Kind = kind
 	p.Class = sim.ClassControl
@@ -365,26 +355,19 @@ func (ep *Endpoint) sendCtrl(kind sim.Kind, f *sim.Flow, seq int32, pullNo int32
 	p.Flow = f
 	f.Ref()
 	p.Seq = seq
-	p.PullNo = pullNo
 	ep.host.Send(p)
 }
 
 // addPullCredit enqueues one pull credit for the flow and kicks the pacer.
 func (ep *Endpoint) addPullCredit(f *sim.Flow) {
-	if len(ep.pullCredits) == cap(ep.pullCredits) && ep.pullHead > 0 {
-		// Reclaim the consumed prefix instead of growing.
-		n := copy(ep.pullCredits, ep.pullCredits[ep.pullHead:])
-		ep.pullCredits = ep.pullCredits[:n]
-		ep.pullHead = 0
-	}
 	f.Ref()
-	ep.pullCredits = append(ep.pullCredits, f)
+	ep.pullCredits.PushBack(f)
 	ep.pace()
 }
 
 // pace emits pulls one MTU-time apart while credits remain.
 func (ep *Endpoint) pace() {
-	if ep.pacing || ep.pullHead == len(ep.pullCredits) {
+	if ep.pacing || ep.pullCredits.Len() == 0 {
 		return
 	}
 	ep.pacing = true
@@ -403,17 +386,12 @@ type pacerTick struct{ ep *Endpoint }
 func (h *pacerTick) OnEvent(any) {
 	ep := h.ep
 	ep.pacing = false
-	if ep.pullHead == len(ep.pullCredits) {
+	f, ok := ep.pullCredits.PopFront()
+	if !ok {
 		return
 	}
-	f := ep.pullCredits[ep.pullHead]
-	ep.pullHead++
-	if ep.pullHead == len(ep.pullCredits) {
-		ep.pullCredits = ep.pullCredits[:0]
-		ep.pullHead = 0
-	}
 	if rf := ep.pools.recvTab[f.RecvSlot]; rf != nil && !rf.complete() {
-		ep.sendCtrl(sim.KindPull, rf.f, 0, 0)
+		ep.sendCtrl(sim.KindPull, rf.f, 0)
 	}
 	f.Unref()
 	ep.pace()

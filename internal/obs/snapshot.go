@@ -148,7 +148,7 @@ func Capture(cl *opera.Cluster) *Snapshot {
 	if tel := m.Telemetry(); tel != nil {
 		fillTelemetry(s, tel)
 	}
-	s.Faults = faultState(cl.Faults())
+	s.Faults = faultState(cl)
 	return s
 }
 
@@ -206,14 +206,18 @@ func fillTelemetry(s *Snapshot, tel *telemetry.Collector) {
 	}
 }
 
-// faultState reads the injector's live view, nil while no fault is applied
-// (a fault-free fabric strands nothing).
-func faultState(inj *sim.Faults) *FaultState {
-	active := inj.ActiveFaults()
+// faultState reads the injector's live view and RotorLB's stranded-VLB
+// gauge, nil while no fault is applied (a fault-free fabric strands
+// nothing).
+func faultState(cl *opera.Cluster) *FaultState {
+	active := cl.Faults().ActiveFaults()
 	if len(active) == 0 {
 		return nil
 	}
-	fs := &FaultState{StrandedBytes: inj.StrandedBytes()}
+	fs := &FaultState{}
+	if lb := cl.RotorLB(); lb != nil {
+		fs.StrandedBytes = lb.StrandedBytes()
+	}
 	for _, a := range active {
 		fs.Active = append(fs.Active, ActiveFault{Target: a.Target.String(), Fault: a.Fault.String()})
 	}

@@ -63,45 +63,31 @@ func (r *run) joins(s segment) bool {
 const scanLimit = 16
 
 // segQueue is a double-ended queue of segments with byte accounting, kept
-// as a power-of-two ring of runs so that the tail push of a new flow or a
-// relayed packet, the head push of a NACK requeue and the pop of a drained
-// head are all O(1), reuse one buffer, and take no new entry when the
-// segment repeats its neighbour. Every operation returns what it would on
-// the expanded one-entry-per-segment queue.
+// as a ring of runs so that the tail push of a new flow or a relayed
+// packet, the head push of a NACK requeue and the pop of a drained head
+// are all O(1), reuse one buffer, and take no new entry when the segment
+// repeats its neighbour. Every operation returns what it would on the
+// expanded one-entry-per-segment queue. A new run is pushed zeroed and its
+// segment written in place: pushing a run literal by value builds it on
+// the stack and copies it out, a stall BenchmarkSegQueueRequeue shows.
 type segQueue struct {
-	buf   []run // ring; len is zero or a power of two
-	head  int   // buf index of logical run 0
-	n     int   // runs held
+	runs  freelist.Queue[run]
 	bytes int64
-}
-
-// at returns logical run i (0 = head).
-func (q *segQueue) at(i int) *run { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
-
-// grow doubles the ring, unwrapping it so the head lands at index 0.
-func (q *segQueue) grow() {
-	buf := make([]run, max(8, 2*len(q.buf)))
-	k := copy(buf, q.buf[q.head:])
-	copy(buf[k:], q.buf[:q.head])
-	q.buf, q.head = buf, 0
 }
 
 // push appends s, extending the tail run when s repeats its last segment's
 // flow, host, hops and bytes (or the run is a single segment).
 func (q *segQueue) push(s segment) {
 	q.bytes += s.bytes
-	if q.n > 0 {
-		if r := q.at(q.n - 1); r.joins(s) && (r.more == 0 || r.unit == s.bytes) {
+	if n := q.runs.Len(); n > 0 {
+		if r := q.runs.At(n - 1); r.joins(s) && (r.more == 0 || r.unit == s.bytes) {
 			r.unit = s.bytes
 			r.more++
 			return
 		}
 	}
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.n++
-	*q.at(q.n - 1) = run{segment: s}
+	q.runs.PushBack(run{})
+	q.runs.At(q.runs.Len() - 1).segment = s
 }
 
 // pushFront prepends s, extending the head run when s has its flow, host
@@ -109,37 +95,26 @@ func (q *segQueue) push(s segment) {
 // first one the run's unit.
 func (q *segQueue) pushFront(s segment) {
 	q.bytes += s.bytes
-	if q.n > 0 {
-		if r := q.at(0); r.joins(s) && (r.more == 0 || r.unit == r.bytes) {
+	if q.runs.Len() > 0 {
+		if r := q.runs.At(0); r.joins(s) && (r.more == 0 || r.unit == r.bytes) {
 			r.unit, r.bytes = r.bytes, s.bytes
 			r.more++
 			return
 		}
 	}
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.head = (q.head - 1) & (len(q.buf) - 1)
-	q.n++
-	q.buf[q.head] = run{segment: s}
-}
-
-// popFront drops the head run; its bytes must already be accounted.
-func (q *segQueue) popFront() {
-	q.buf[q.head] = run{} // do not pin the flow
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
+	q.runs.PushFront(run{})
+	q.runs.At(0).segment = s
 }
 
 // peekHost returns the host holding the queue's head bytes.
 func (q *segQueue) peekHost() (int32, bool) {
-	for q.n > 0 && q.at(0).bytes == 0 {
-		q.popFront() // an empty segment is a run of its own
+	for q.runs.Len() > 0 && q.runs.At(0).bytes == 0 {
+		q.runs.PopFront() // an empty segment is a run of its own
 	}
-	if q.n == 0 {
+	if q.runs.Len() == 0 {
 		return -1, false
 	}
-	return q.at(0).host, true
+	return q.runs.At(0).host, true
 }
 
 // carve removes up to maxBytes from the queue head, returning the chunk.
@@ -155,8 +130,8 @@ func (q *segQueue) carve(maxBytes int64) (segment, bool) {
 // a host that is not ready counts each of its segments.
 func (q *segQueue) carveReady(maxBytes int64, ready func(host int32) bool) (segment, bool) {
 	scanned := 0
-	for i := 0; i < q.n; i++ {
-		r := q.at(i)
+	for i := 0; i < q.runs.Len(); i++ {
+		r := q.runs.At(i)
 		if r.bytes == 0 {
 			continue
 		}
@@ -180,9 +155,9 @@ func (q *segQueue) carveReady(maxBytes int64, ready func(host int32) bool) (segm
 			// Close the gap from the front: the runs skipped on the way
 			// here (the short side, bounded by scanLimit) move back one.
 			for ; i > 0; i-- {
-				*q.at(i) = *q.at(i - 1)
+				*q.runs.At(i) = *q.runs.At(i - 1)
 			}
-			q.popFront()
+			q.runs.PopFront()
 		}
 		return out, true
 	}
@@ -397,6 +372,6 @@ func (lb *LB) onNack(h *sim.Host, p *sim.Packet) {
 		hops = 0
 	}
 	seg := segment{f: p.Flow, host: h.ID, bytes: int64(p.PayloadSize), hops: hops}
-	lb.agents[h.Rack].requeue(seg, p.PullNo, p.RelayRack >= 0) // PullNo: the final destination rack
+	lb.agents[h.Rack].requeue(seg, p.FailedDstRack, p.RelayRack >= 0)
 	p.Release()
 }

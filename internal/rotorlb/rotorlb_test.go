@@ -137,8 +137,8 @@ func (q *sliceQueue) carveReady(maxBytes int64, ready func(host int32) bool) (se
 // segments expands q's runs into the one-entry-per-segment queue they
 // stand for, appending to out.
 func segments(out []segment, q *segQueue) []segment {
-	for i := 0; i < q.n; i++ {
-		r := q.at(i)
+	for i := 0; i < q.runs.Len(); i++ {
+		r := q.runs.At(i)
 		out = append(out, r.segment)
 		next := r.segment
 		next.bytes = r.unit
@@ -193,8 +193,6 @@ const (
 
 // segQueueCoverage counts the deque's awkward cases as a stream hits them.
 type segQueueCoverage struct {
-	growsMoved int // ring grown while head != 0
-	wrapped    int // steps ending with the ring wrapped around its end
 	midRemoved int // drained segment removed at logical index > 0
 	bailed     int // carveReady gave up at scanLimit with a ready segment behind
 	frontMerge int // pushFront extended the head run
@@ -219,7 +217,7 @@ func runSegQueueOps(t testing.TB, ops []byte) segQueueCoverage {
 		op, a, b := ops[step]%numOps, ops[step+1], ops[step+2]
 		var got, want segment
 		var gotOK, wantOK bool
-		runs, before, size, moved := q.n, len(o.segs), len(q.buf), q.head != 0
+		runs, before := q.runs.Len(), len(o.segs)
 		switch op {
 		case opPush, opPushFront:
 			s := segment{f: flows[a>>3&3], host: int32(a & 7), hops: int8(a >> 5 & 1), bytes: int64(b) * 97}
@@ -261,8 +259,8 @@ func runSegQueueOps(t testing.TB, ops []byte) segQueueCoverage {
 				}
 			}
 			scanned := 0
-			for i := 0; i < q.n; i++ {
-				if r := q.at(i); r.bytes > 0 {
+			for i := 0; i < q.runs.Len(); i++ {
+				if r := q.runs.At(i); r.bytes > 0 {
 					if ready(r.host) {
 						break
 					}
@@ -298,13 +296,13 @@ func runSegQueueOps(t testing.TB, ops []byte) segQueueCoverage {
 				t.Fatalf("step %d op %d: segment %d = %+v, oracle %+v", step/3, op, i, segs[i], s)
 			}
 		}
-		for i := 0; i < q.n; i++ {
-			if r := q.at(i); r.more > 0 && (r.bytes == 0 || r.unit == 0) {
+		for i := 0; i < q.runs.Len(); i++ {
+			if r := q.runs.At(i); r.more > 0 && (r.bytes == 0 || r.unit == 0) {
 				t.Fatalf("step %d op %d: run %d = %+v holds an empty segment", step/3, op, i, *r)
 			}
 		}
 		switch {
-		case q.n != runs || len(o.segs) == before:
+		case q.runs.Len() != runs || len(o.segs) == before:
 		case op == opPushFront:
 			cov.frontMerge++
 		case op == opPush:
@@ -312,24 +310,19 @@ func runSegQueueOps(t testing.TB, ops []byte) segQueueCoverage {
 		case op == opCarve || op == opCarveReady:
 			cov.promoted++
 		}
-		if len(q.buf) > size && moved {
-			cov.growsMoved++
-		}
-		if q.head+q.n > len(q.buf) {
-			cov.wrapped++
-		}
 	}
 	return cov
 }
 
 // TestSegQueueMatchesSliceOracle is the differential test for the run
 // deque, and checks that the generated streams reach the cases that make a
-// ring of runs harder than a slice.
+// queue of runs harder than a slice. The ring's own cases (growth of a
+// moved head, wrap-around) are freelist's TestQueueMatchesSliceOracle.
 func TestSegQueueMatchesSliceOracle(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		c := runSegQueueOps(t, genSegQueueOps(seed, 4000, true))
-		if c.growsMoved < 3 || c.wrapped == 0 || c.midRemoved == 0 || c.bailed == 0 ||
-			c.frontMerge == 0 || c.tailMerge == 0 || c.crossed == 0 || c.promoted == 0 {
+		if c.midRemoved == 0 || c.bailed == 0 || c.frontMerge == 0 ||
+			c.tailMerge == 0 || c.crossed == 0 || c.promoted == 0 {
 			t.Fatalf("seed %d: the op stream misses a case: %+v", seed, c)
 		}
 	}
@@ -432,7 +425,7 @@ func TestAllocsNackRequeue(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		q.push(segment{f: f, host: int32(i & 1), bytes: 1500}) // alternate hosts: no two merge
 	}
-	runs := q.n
+	runs := q.runs.Len()
 	h := b.net.Hosts()[0]
 	any := func(int32) bool { return true }
 	round := func() {
@@ -440,7 +433,7 @@ func TestAllocsNackRequeue(t *testing.T) {
 		p.Kind = sim.KindBulkNack
 		p.Flow = f
 		p.PayloadSize = 1500
-		p.PullNo = 15 // final destination rack
+		p.FailedDstRack = 15
 		p.RelayRack = -1
 		p.OrigHops = 1
 		b.lb.onNack(h, p)
@@ -457,8 +450,8 @@ func TestAllocsNackRequeue(t *testing.T) {
 	if n := len(segments(nil, q)); n != 4096 || b.lb.NACKs != 64+1000+1 {
 		t.Fatalf("queue holds %d segments after %d NACKs", n, b.lb.NACKs)
 	}
-	if runs != 4096 || q.n != runs {
-		t.Fatalf("ring held %d runs before the NACKs and %d after, want 4096 both times", runs, q.n)
+	if runs != 4096 || q.runs.Len() != runs {
+		t.Fatalf("ring held %d runs before the NACKs and %d after, want 4096 both times", runs, q.runs.Len())
 	}
 }
 
@@ -505,7 +498,7 @@ func TestAllocsShuffleNackRings(t *testing.T) {
 	slots := 0
 	for _, a := range b.lb.agents {
 		for r := range a.voq {
-			slots += len(a.voq[r].buf) + len(a.relay[r].buf)
+			slots += a.voq[r].runs.Cap() + a.relay[r].runs.Cap()
 		}
 	}
 	t.Logf("%d NACKs, %d VOQ and relay ring slots", b.lb.NACKs, slots)

@@ -4,8 +4,8 @@ package sim
 // reference count of each done record still waiting for its holders, in
 // completion order, and how many records sit free for reuse.
 func RetiredFlowRefs(m *Metrics) (waiting []int32, free int) {
-	for _, f := range m.retired[m.retiredHead:] {
-		waiting = append(waiting, f.refs)
+	for i := range m.retired.Len() {
+		waiting = append(waiting, (*m.retired.At(i)).refs)
 	}
 	return waiting, m.free.Len()
 }

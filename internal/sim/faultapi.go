@@ -280,8 +280,6 @@ type Faults struct {
 	// merely been scheduled.
 	active []ActiveFault
 
-	strandedProbe func() int64
-
 	// Lost counts packets that reached a dead hop — sailed into a failed
 	// circuit, or found no live next hop — plus control and low-latency
 	// packets drained from failed cables' queues (bulk-class drains land
@@ -619,23 +617,6 @@ func (f *Faults) schedule(at eventsim.Time, op *faultOp) {
 		f.flapGen, f.active = make([]uint64, n), make([]ActiveFault, n)
 	}
 	f.eng.AtCall(at, op, nil)
-}
-
-// SetStrandedProbe wires StrandedBytes to a live transport-layer probe.
-// The cluster installs RotorLB's stranded-VLB accounting on circuit
-// fabrics when it is built; fabrics without RotorLB leave it unset.
-func (f *Faults) SetStrandedProbe(fn func() int64) { f.strandedProbe = fn }
-
-// StrandedBytes reports VLB bytes currently parked at relay racks that
-// cannot reach the bytes' final destination over any direct circuit —
-// the known RotorLB model gap: such bytes are not re-offloaded to a
-// third rack, they wait for recovery (see rotorlb.LB.StrandedBytes).
-// Zero when no probe is wired or nothing is stranded.
-func (f *Faults) StrandedBytes() int64 {
-	if f.strandedProbe == nil {
-		return 0
-	}
-	return f.strandedProbe()
 }
 
 // ActiveFault pairs a target with the fault currently applied to it — one

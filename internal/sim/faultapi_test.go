@@ -226,8 +226,12 @@ func TestFaultTableAlwaysPresent(t *testing.T) {
 			if got := inj.ActiveFaults(); len(got) != 0 {
 				t.Errorf("fault-free run lists active faults: %v", got)
 			}
-			if inj.Lost != 0 || inj.StrandedBytes() != 0 {
-				t.Errorf("fault-free run: Lost = %d, StrandedBytes = %d, want 0, 0", inj.Lost, inj.StrandedBytes())
+			var stranded int64
+			if lb := cl.RotorLB(); lb != nil {
+				stranded = lb.StrandedBytes()
+			}
+			if inj.Lost != 0 || stranded != 0 {
+				t.Errorf("fault-free run: Lost = %d, StrandedBytes = %d, want 0, 0", inj.Lost, stranded)
 			}
 		})
 	}

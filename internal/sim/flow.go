@@ -95,12 +95,10 @@ type Metrics struct {
 	// tel absorbs completions under RetainSketch.
 	tel *telemetry.Collector
 
-	// retired holds done PooledFlow records in completion order, from
-	// retiredHead on, until nothing references them; free holds those
-	// ready for reuse.
-	retired     []*Flow
-	retiredHead int
-	free        freelist.Pool[Flow]
+	// retired holds done PooledFlow records in completion order until
+	// nothing references them; free holds those ready for reuse.
+	retired freelist.Queue[*Flow]
+	free    freelist.Pool[Flow]
 }
 
 // NewMetrics returns an empty metrics collector.
@@ -131,10 +129,9 @@ func (m *Metrics) PooledFlow(v Flow) *Flow {
 	}
 	// A straggler keeps its flow at the head until its last packet or
 	// pull credit is released; the ones behind it wait their turn.
-	for m.retiredHead < len(m.retired) && m.retired[m.retiredHead].refs == 0 {
-		m.free.Put(m.retired[m.retiredHead])
-		m.retired[m.retiredHead] = nil
-		m.retiredHead++
+	for m.retired.Len() > 0 && (*m.retired.At(0)).refs == 0 {
+		f, _ := m.retired.PopFront()
+		m.free.Put(f)
 	}
 	f := m.free.Get()
 	if f == nil {
@@ -168,14 +165,7 @@ func (m *Metrics) FlowDone(f *Flow, now eventsim.Time) {
 		m.tel.FlowDone(int(f.Class), f.Tag, f.FCT().Micros(), f.BytesRcvd)
 	}
 	if f.pooled {
-		if len(m.retired) == cap(m.retired) && m.retiredHead > 0 {
-			// Reclaim the recycled prefix instead of growing.
-			n := copy(m.retired, m.retired[m.retiredHead:])
-			clear(m.retired[n:])
-			m.retired = m.retired[:n]
-			m.retiredHead = 0
-		}
-		m.retired = append(m.retired, f)
+		m.retired.PushBack(f)
 	}
 }
 

@@ -97,9 +97,10 @@ type Packet struct {
 	Flow *Flow
 	Seq  int32
 
-	// PullNo is the pull counter for KindPull; for KindBulk it carries the
-	// final destination rack while the packet rides a two-hop VLB detour.
-	PullNo int32
+	// FailedDstRack is set on KindBulkNack only: the failed bulk packet's
+	// final destination rack, whose queue at the sender takes the bytes
+	// back.
+	FailedDstRack int32
 
 	// RelayRack is the intermediate rack for VLB bulk (-1 when direct).
 	RelayRack int32

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/freelist"
 	"github.com/opera-net/opera/internal/stats"
 )
 
@@ -11,63 +12,6 @@ import (
 type Node interface {
 	// Receive handles a packet arriving from the given port's link.
 	Receive(p *Packet, from *Port)
-}
-
-// pktFIFO is a simple ring-buffer packet queue. The ring's length is a
-// power of two (it starts at 8 and doubles), so indices wrap with a mask.
-type pktFIFO struct {
-	buf  []*Packet
-	head int
-	n    int
-}
-
-func (q *pktFIFO) push(p *Packet) {
-	if q.n == len(q.buf) {
-		grow := make([]*Packet, max(8, 2*len(q.buf)))
-		for i := 0; i < q.n; i++ {
-			grow[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-		}
-		q.buf = grow
-		q.head = 0
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
-	q.n++
-}
-
-func (q *pktFIFO) pop() *Packet {
-	if q.n == 0 {
-		return nil
-	}
-	p := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return p
-}
-
-// take removes and returns the queue's current contents as a snapshot,
-// leaving the queue empty. Packets pushed while the snapshot is processed
-// land in the live queue and are NOT part of the snapshot — this is what
-// makes the reconfiguration drains safe against handlers (NACK paths) that
-// re-enqueue into the very queue being drained.
-func (q *pktFIFO) take() pktFIFO {
-	if q.n == 0 {
-		return pktFIFO{}
-	}
-	snap := *q
-	*q = pktFIFO{}
-	return snap
-}
-
-// giveBack returns a fully drained snapshot's backing array to the queue,
-// so per-slice reconfiguration flushes don't shed and regrow ring buffers.
-// It is a no-op if the queue acquired a new buffer in the meantime (packets
-// re-enqueued during the drain) or the snapshot still holds packets.
-func (q *pktFIFO) giveBack(snap pktFIFO) {
-	if q.buf == nil && snap.n == 0 && snap.buf != nil {
-		q.buf = snap.buf
-		q.head = 0
-	}
 }
 
 // PortStats aggregates a port's counters.
@@ -95,11 +39,11 @@ type Port struct {
 	resolve func(eventsim.Time) Node
 	prop    eventsim.Time
 
-	ctrl pktFIFO // control + trimmed headers (highest priority)
-	ll   pktFIFO // low-latency data
-	bulk pktFIFO // bulk data (lowest priority)
-
-	ctrlBytes, llBytes, bulkBytes int
+	// q and qBytes are the class queues and their queued bytes, indexed
+	// by Class, which is also their priority order: control and trimmed
+	// headers, low-latency data, bulk data.
+	q      [numClasses]freelist.Queue[*Packet]
+	qBytes [numClasses]int
 
 	busy    bool
 	enabled bool
@@ -166,16 +110,7 @@ func (pt *Port) Name() string { return pt.name }
 func (pt *Port) SetBulkDropHandler(fn func(*Packet)) { pt.onBulkDrop = fn }
 
 // QueuedBytes returns the bytes currently queued in the given class queue.
-func (pt *Port) QueuedBytes(c Class) int {
-	switch c {
-	case ClassControl:
-		return pt.ctrlBytes
-	case ClassLowLatency:
-		return pt.llBytes
-	default:
-		return pt.bulkBytes
-	}
-}
+func (pt *Port) QueuedBytes(c Class) int { return pt.qBytes[c] }
 
 // SetLossRate makes the port a lossy gray link: each packet completing
 // serialization is independently lost with the given probability, drawn
@@ -209,46 +144,47 @@ func (pt *Port) ClearImpairments() {
 	pt.lossRate, pt.lossRng, pt.derate = 0, nil, 0
 }
 
-// Enqueue admits a packet to the appropriate queue, applying NDP trimming
-// and bulk drop policy, and kicks the transmitter.
+// Enqueue admits a packet to its class queue, applying NDP trimming and
+// bulk drop policy, and kicks the transmitter.
 func (pt *Port) Enqueue(p *Packet) {
 	p.EnqueuedAt = pt.eng.Now()
+	c := ClassLowLatency
 	switch {
 	case p.IsControl():
-		if pt.ctrlBytes+int(p.Size) > pt.cfg.HeaderQueueBytes {
-			pt.Stats.HdrDrops++
-			p.Release()
-			return
-		}
-		pt.ctrl.push(p)
-		pt.ctrlBytes += int(p.Size)
-	case p.Kind == KindBulk:
-		if pt.bulkBytes+int(p.Size) > pt.cfg.BulkQueueBytes {
-			pt.dropBulk(p)
-			return
-		}
-		pt.bulk.push(p)
-		pt.bulkBytes += int(p.Size)
-	default: // NDP data
-		if p.Class == ClassBulk {
-			// Bulk-class NDP data (static networks' large flows): rides the
-			// bulk queue but is trimmed, not dropped, on overflow.
-			if pt.bulkBytes+int(p.Size) > pt.cfg.BulkQueueBytes {
-				pt.trim(p)
-				return
-			}
-			pt.bulk.push(p)
-			pt.bulkBytes += int(p.Size)
-		} else {
-			if pt.llBytes+int(p.Size) > pt.cfg.DataQueueBytes {
-				pt.trim(p)
-				return
-			}
-			pt.ll.push(p)
-			pt.llBytes += int(p.Size)
-		}
+		c = ClassControl
+	case p.Kind == KindBulk || p.Class == ClassBulk:
+		// Bulk-class NDP data (static networks' large flows) rides the
+		// bulk queue too, but is trimmed, not dropped, on overflow.
+		c = ClassBulk
 	}
-	pt.maybeTransmit()
+	switch {
+	case pt.admit(p, c):
+		pt.maybeTransmit()
+	case c == ClassControl:
+		pt.Stats.HdrDrops++
+		p.Release()
+	case p.Kind == KindBulk:
+		pt.dropBulk(p)
+	default: // NDP data
+		pt.trim(p)
+	}
+}
+
+// admit queues p in class c if the queue's byte bound leaves room.
+func (pt *Port) admit(p *Packet, c Class) bool {
+	limit := pt.cfg.BulkQueueBytes
+	switch c {
+	case ClassControl:
+		limit = pt.cfg.HeaderQueueBytes
+	case ClassLowLatency:
+		limit = pt.cfg.DataQueueBytes
+	}
+	if pt.qBytes[c]+int(p.Size) > limit {
+		return false
+	}
+	pt.q[c].PushBack(p)
+	pt.qBytes[c] += int(p.Size)
+	return true
 }
 
 // trim converts a data packet to a header and re-admits it at control
@@ -257,13 +193,10 @@ func (pt *Port) trim(p *Packet) {
 	pt.Stats.Trims++
 	p.Trimmed = true
 	p.Size = int32(pt.cfg.HeaderBytes)
-	if pt.ctrlBytes+int(p.Size) > pt.cfg.HeaderQueueBytes {
+	if !pt.admit(p, ClassControl) {
 		pt.Stats.HdrDrops++
 		p.Release()
-		return
 	}
-	pt.ctrl.push(p)
-	pt.ctrlBytes += int(p.Size)
 }
 
 func (pt *Port) dropBulk(p *Packet) {
@@ -320,38 +253,41 @@ func (pt *Port) DropAll() (lost uint64) {
 func (pt *Port) drain(other func(*Packet)) {
 	// All three snapshots are taken before any handler runs: a NACK minted
 	// while draining bulk is a freshly routed packet, not a stale one, and
-	// must not be re-flushed by the control drain that follows.
-	bulk, ctrl, ll := pt.bulk.take(), pt.ctrl.take(), pt.ll.take()
-	for p := bulk.pop(); p != nil; p = bulk.pop() {
-		pt.bulkBytes -= int(p.Size)
-		pt.dropBulk(p)
+	// must not be re-flushed by the control drain that follows. An empty
+	// queue stays in place, its ring ready for what the handlers enqueue.
+	var snap [numClasses]freelist.Queue[*Packet]
+	for c := range pt.q {
+		if pt.q[c].Len() > 0 {
+			snap[c], pt.q[c] = pt.q[c], freelist.Queue[*Packet]{}
+		}
 	}
-	for p := ctrl.pop(); p != nil; p = ctrl.pop() {
-		pt.ctrlBytes -= int(p.Size)
-		other(p)
+	for _, c := range [...]Class{ClassBulk, ClassControl, ClassLowLatency} {
+		for p, ok := snap[c].PopFront(); ok; p, ok = snap[c].PopFront() {
+			pt.qBytes[c] -= int(p.Size)
+			if c == ClassBulk {
+				pt.dropBulk(p)
+			} else {
+				other(p)
+			}
+		}
 	}
-	for p := ll.pop(); p != nil; p = ll.pop() {
-		pt.llBytes -= int(p.Size)
-		other(p)
+	// Hand the drained rings back, so per-slice reconfiguration flushes
+	// don't shed and regrow them — unless a queue took a new ring for
+	// packets enqueued during the drain.
+	for c := range pt.q {
+		if pt.q[c].Cap() == 0 {
+			pt.q[c] = snap[c]
+		}
 	}
-	pt.bulk.giveBack(bulk)
-	pt.ctrl.giveBack(ctrl)
-	pt.ll.giveBack(ll)
 }
 
 // pick dequeues the next packet by strict priority.
 func (pt *Port) pick() *Packet {
-	if p := pt.ctrl.pop(); p != nil {
-		pt.ctrlBytes -= int(p.Size)
-		return p
-	}
-	if p := pt.ll.pop(); p != nil {
-		pt.llBytes -= int(p.Size)
-		return p
-	}
-	if p := pt.bulk.pop(); p != nil {
-		pt.bulkBytes -= int(p.Size)
-		return p
+	for c := range pt.q {
+		if p, ok := pt.q[c].PopFront(); ok {
+			pt.qBytes[c] -= int(p.Size)
+			return p
+		}
 	}
 	return nil
 }

@@ -406,10 +406,12 @@ func TestDropAllReentrancy(t *testing.T) {
 	}
 }
 
-// TestPktFIFOMatchesSliceOracle pins the ring's order against a plain
-// slice across wrap-around, growth of a wrapped ring, and a take/giveBack
-// drain (with and without a push landing mid-drain). Each op is a push of
-// n packets (n > 0), a pop of -n (n < 0), or a drain (0).
+// TestPktFIFOMatchesSliceOracle pins a port's packet FIFO — a class
+// queue — against a plain slice across wrap-around, growth of a wrapped
+// ring, picks past empty, and flushes of a wrapped ring and its reuse
+// after them, with and without a packet enqueued mid-flush. Each op
+// enqueues n low-latency packets (n > 0), picks -n (n < 0), or flushes
+// the port (0).
 func TestPktFIFOMatchesSliceOracle(t *testing.T) {
 	const drain = 0
 	for _, tc := range []struct {
@@ -420,28 +422,35 @@ func TestPktFIFOMatchesSliceOracle(t *testing.T) {
 		{"growth while wrapped", []int{8, -3, 10, -15}},
 		{"repeated growth", []int{3, -2, 40, -20, 100, -121}},
 		{"drain wrapped then reuse", []int{7, -6, 5, drain, 12, -4, drain}},
+		{"drain empty", []int{drain, 2, -2, drain, 1, -1}},
 		{"pop past empty", []int{2, -5, 1, -1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var q pktFIFO
+			eng := eventsim.New()
+			cfg := testConfig()
+			cfg.DataQueueBytes = 1 << 20
+			pt := NewPort(eng, &cfg, "t", &sinkNode{eng: eng})
+			pt.SetEnabled(false)
+			q := &pt.q[ClassLowLatency]
 			var oracle []*Packet
-			pop := func(from *pktFIFO) {
-				got := from.pop()
+			seq := int32(0)
+			push := func(n int) {
+				for range n {
+					p := mkData(100, ClassLowLatency)
+					p.Seq = seq
+					seq++
+					pt.Enqueue(p)
+					oracle = append(oracle, p)
+				}
+			}
+			check := func(got *Packet) {
+				t.Helper()
 				var want *Packet
 				if len(oracle) > 0 {
 					want, oracle = oracle[0], oracle[1:]
 				}
 				if got != want {
-					t.Fatalf("pop = %p, want %p", got, want)
-				}
-			}
-			seq := int32(0)
-			push := func(n int) {
-				for i := 0; i < n; i++ {
-					p := &Packet{Seq: seq}
-					seq++
-					q.push(p)
-					oracle = append(oracle, p)
+					t.Fatalf("got %p, want %p", got, want)
 				}
 			}
 			for _, op := range tc.ops {
@@ -449,41 +458,32 @@ func TestPktFIFOMatchesSliceOracle(t *testing.T) {
 				case op > 0:
 					push(op)
 				case op < 0:
-					for i := 0; i < -op; i++ {
-						pop(&q)
+					for range -op {
+						check(pt.pick())
 					}
 				default:
-					buf := q.buf
-					snap := q.take()
-					if q.n != 0 || q.buf != nil {
-						t.Fatalf("take left %d packets in the live queue", q.n)
+					ring := q.Cap()
+					pt.FlushForReconfig(check)
+					if q.Len() != 0 || q.Cap() != ring {
+						t.Fatalf("flush left %d packets in a %d-slot ring, want none in the drained %d-slot ring", q.Len(), q.Cap(), ring)
 					}
-					for snap.n > 0 {
-						pop(&snap)
-					}
-					q.giveBack(snap)
-					if len(q.buf) != len(buf) || len(buf) > 0 && &q.buf[0] != &buf[0] {
-						t.Fatal("giveBack did not return the drained ring")
-					}
-					// A push during a drain gives the live queue its own ring,
-					// which giveBack keeps; the snapshot still pops in order.
+					// A packet enqueued during a flush lands in the live
+					// queue, which keeps it; the snapshot still drains in
+					// order.
 					push(3)
-					snap = q.take()
-					late := &Packet{Seq: -1}
-					q.push(late)
-					for snap.n > 0 {
-						pop(&snap)
-					}
-					q.giveBack(snap)
-					if len(buf) > 0 && &q.buf[0] == &buf[0] {
-						t.Fatal("giveBack replaced the ring the live queue acquired mid-drain")
-					}
-					if got := q.pop(); got != late {
-						t.Fatalf("packet pushed mid-drain popped as %p, want %p", got, late)
-					}
+					late := mkData(100, ClassLowLatency)
+					pt.FlushForReconfig(func(p *Packet) {
+						check(p)
+						if late != nil {
+							pt.Enqueue(late)
+							oracle = append(oracle, late)
+							late = nil
+						}
+					})
+					check(pt.pick())
 				}
-				if q.n != len(oracle) {
-					t.Fatalf("len = %d, want %d", q.n, len(oracle))
+				if q.Len() != len(oracle) || pt.QueuedBytes(ClassLowLatency) != 100*len(oracle) {
+					t.Fatalf("queue holds %d packets and %d B, want %d", q.Len(), pt.QueuedBytes(ClassLowLatency), len(oracle))
 				}
 			}
 		})

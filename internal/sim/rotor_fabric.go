@@ -227,9 +227,6 @@ type RotorToR struct {
 	up      []*Port // one per rotor switch
 	down    []*Port // one per local host
 	relayRR int     // round-robin selector for VLB storage hosts
-
-	// BulkNACKs counts §4.2.2 NACKs issued by this ToR.
-	BulkNACKs uint64
 }
 
 // wire builds the ToR's ports (hosts must exist already).
@@ -326,7 +323,6 @@ func (t *RotorToR) receiveBulk(p *Packet) {
 // bulkNACK converts a failed bulk packet into a §4.2.2 NACK routed back to
 // the sending host so it can requeue the bytes.
 func (t *RotorToR) bulkNACK(p *Packet) {
-	t.BulkNACKs++
 	nack := NewPacket()
 	nack.Kind = KindBulkNack
 	nack.Class = ClassControl
@@ -339,7 +335,7 @@ func (t *RotorToR) bulkNACK(p *Packet) {
 	nack.Flow.Ref()
 	nack.Seq = p.Seq
 	nack.PayloadSize = p.PayloadSize
-	nack.PullNo = p.DstRack      // final destination rack, for requeueing
+	nack.FailedDstRack = p.DstRack
 	nack.RelayRack = p.RelayRack // ≥0 ⇒ the failed send was a VLB first leg
 	nack.OrigHops = p.Hops
 	p.Release()

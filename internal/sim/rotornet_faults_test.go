@@ -111,14 +111,14 @@ func TestRotorNetToRFailureStrandsUntilRecovery(t *testing.T) {
 	}
 }
 
-// The injector's StrandedBytes counter surfaces the known RotorLB model
-// gap: VLB bytes stored at a relay are never re-offloaded to a third
+// RotorLB's StrandedBytes counter surfaces its known model gap under
+// faults: VLB bytes stored at a relay are never re-offloaded to a third
 // rack, so when the destination becomes unreachable they sit at the
 // relay until recovery. The counter reads zero on a healthy fabric,
 // positive during the outage, and zero again once the backlog drains.
 func TestRotorNetStrandedBytesFaultCounter(t *testing.T) {
 	cl, rf := rotorTestbed(t, opera.KindRotorNet)
-	sb := cl.Faults()
+	sb := cl.RotorLB()
 	mustOK(t, rf.Inject(sim.ToRTarget(3), sim.DownFault(), 2*eventsim.Millisecond))
 	mustOK(t, rf.Recover(sim.ToRTarget(3), 30*eventsim.Millisecond))
 	cl.AddFlow(workload.FlowSpec{Src: 0, Dst: 6, Bytes: 5_000_000, Bulk: true})

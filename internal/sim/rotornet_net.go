@@ -45,8 +45,7 @@ import (
 // One RotorLB model gap is surfaced rather than fixed: VLB bytes parked
 // at a relay whose second leg then dies are not re-offloaded to a third
 // rack — they wait at the relay until the destination becomes directly
-// reachable again. Faults.StrandedBytes (wired when the cluster is built)
-// reports them.
+// reachable again. rotorlb.LB.StrandedBytes reports them.
 type RotorNetSim struct {
 	rotorFabric
 

@@ -238,7 +238,6 @@ func build(cfg ClusterConfig) (*Cluster, error) {
 	if cn, ok := net.(sim.CircuitNetwork); ok {
 		c.lb = rotorlb.Attach(cn)
 		c.transports[sim.ClassBulk] = c.lb
-		net.Faults().SetStrandedProbe(c.lb.StrandedBytes)
 	}
 	// Low-latency traffic rides NDP wherever an always-on packet path
 	// exists; on the static fabrics NDP carries bulk too (Class then only
@@ -317,9 +316,9 @@ func (c *Cluster) OperaNet() *sim.OperaNet {
 //	inj.Inject(sim.FlatLink(4, 0), sim.Fault{Kind: sim.FaultLossy, Rate: 0.01}, eventsim.Millisecond)
 //	inj.Recover(sim.FlatLink(3, 2), 2*eventsim.Millisecond)
 //
-// Links, ActiveFaults, StrandedBytes and the Lost counter are plain
-// methods and fields of the same value. On circuit fabrics StrandedBytes
-// is wired to RotorLB's stranded-VLB accounting.
+// Links, ActiveFaults and the Lost counter are plain methods and fields of
+// the same value. VLB bytes that faults strand at relays are RotorLB's
+// to report: RotorLB().StrandedBytes().
 func (c *Cluster) Faults() *sim.Faults { return c.net.Faults() }
 
 // NDPFabric exposes the NDP transport's endpoint fabric, or nil when the
