@@ -13,8 +13,12 @@ type rackAgent struct {
 	lb   *LB
 	rack int
 
-	voq   []segQueue // own traffic, by final destination rack
-	relay []segQueue // stored VLB traffic, by final destination rack
+	// voq holds own traffic and relay stored VLB traffic, by final
+	// destination rack. Both stay nil, read as all empty, until the
+	// rack's first bulk byte (queues): a rack that never sources, relays
+	// or requeues a bulk byte, as in a latency-only run, holds no queue.
+	voq   []segQueue
+	relay []segQueue
 
 	relayTotal int64
 
@@ -37,22 +41,39 @@ type rackAgent struct {
 	// so offering more would strand carved bytes until the window closes.
 	vlbBudget []int64
 
-	// SentDirect/SentRelay/SentVLB count bytes launched per path type.
-	SentDirect, SentRelay, SentVLB uint64
+	// SentDirect counts own bytes launched over direct circuits.
+	SentDirect uint64
 }
 
 func newRackAgent(lb *LB, rack int) *rackAgent {
-	n := lb.net.NumRacks()
 	hosts := lb.net.HostsPerRack()
 	return &rackAgent{
 		lb:        lb,
 		rack:      rack,
-		voq:       make([]segQueue, n),
-		relay:     make([]segQueue, n),
 		firstHost: int32(rack * hosts),
 		nicFree:   make([]eventsim.Time, hosts),
 		vlbBudget: make([]int64, hosts),
 	}
+}
+
+// queues allocates the rack's VOQs and relay queues, one backing array for
+// both, the first time it is called; every path that puts bytes in them
+// calls it first.
+func (a *rackAgent) queues() {
+	if a.voq == nil {
+		n := a.lb.net.NumRacks()
+		qs := make([]segQueue, 2*n)
+		a.voq, a.relay = qs[:n:n], qs[n:]
+	}
+}
+
+// queuedFor returns the bytes the rack holds for peer in its relay queue
+// and VOQ.
+func (a *rackAgent) queuedFor(peer int) int64 {
+	if a.voq == nil {
+		return 0
+	}
+	return a.relay[peer].bytes + a.voq[peer].bytes
 }
 
 // hostReady reports whether host h's NIC backlog is shallow enough to grant
@@ -102,7 +123,7 @@ func (a *rackAgent) openSessions(abs int64) {
 		// direct demand leaves spare capacity and other queues are skewed,
 		// ask the peer to relay. The exchange is modelled as in-band
 		// control at slice start with negligible size.
-		spare := windowBytes - a.relay[c.Peer].bytes - a.voq[c.Peer].bytes
+		spare := windowBytes - a.queuedFor(c.Peer)
 		if backlog && spare > int64(net.Config().MTU) {
 			a.negotiateVLB(c.Peer, spare, &sess.vlbQ)
 		}
@@ -246,14 +267,15 @@ func (s *session) pump() {
 		s.close()
 		return
 	}
-	relay, voq := &a.relay[s.circuit.Peer], &a.voq[s.circuit.Peer]
-	if relay.bytes == 0 && voq.bytes == 0 && s.vlbQ.bytes == 0 {
+	if a.queuedFor(s.circuit.Peer) == 0 && s.vlbQ.bytes == 0 {
 		// Nothing to send: poll for new arrivals.
 		lb.park(s, now+10*txTime)
 		return
 	}
+	// The rack has queues: its own bytes are queued, or vlbQ holds bytes
+	// carved from its VOQs.
+	relay, voq := &a.relay[s.circuit.Peer], &a.voq[s.circuit.Peer]
 	mtu := int64(net.Config().MTU)
-	relayLeg := false
 	vlb := false
 	ready := func(h int32) bool { return a.hostReady(h, now, txTime) }
 	// Service order: stored relay, own direct, admitted VLB — carving from
@@ -261,17 +283,12 @@ func (s *session) pump() {
 	// host has data for this circuit, §3.5).
 	seg, ok := relay.carveReady(mtu, ready)
 	if ok {
-		relayLeg = true
 		a.relayTotal -= seg.bytes
-	}
-	if !ok {
-		seg, ok = voq.carveReady(mtu, ready)
-	}
-	if !ok {
-		if seg, ok = s.vlbQ.carveReady(mtu, ready); ok {
-			vlb = true
-			a.vlbHeld -= seg.bytes
-		}
+	} else if seg, ok = voq.carveReady(mtu, ready); ok {
+		a.SentDirect += uint64(seg.bytes)
+	} else if seg, ok = s.vlbQ.carveReady(mtu, ready); ok {
+		vlb = true
+		a.vlbHeld -= seg.bytes
 	}
 	if !ok {
 		// Nothing grantable: the queued bytes sit behind busy NICs. Retry
@@ -286,14 +303,6 @@ func (s *session) pump() {
 		relayRack = int32(s.circuit.Peer)
 	}
 	p := a.newBulkPacket(seg, relayRack)
-	switch {
-	case relayLeg:
-		a.SentRelay += uint64(seg.bytes)
-	case vlb:
-		a.SentVLB += uint64(seg.bytes)
-	default:
-		a.SentDirect += uint64(seg.bytes)
-	}
 	// Poll the owning host: it enqueues on its NIC now; priority queueing
 	// there lets low-latency traffic jump ahead (§4.2).
 	net.Hosts()[seg.host].Send(p)
@@ -325,6 +334,7 @@ func (s *session) close() {
 // it. The source host's own bytes go back to their VOQ, and a failed
 // second leg from a storage host back to the relay queue.
 func (a *rackAgent) requeue(seg segment, dst int32, vlbLeg bool) {
+	a.queues()
 	switch {
 	case vlbLeg:
 		seg.hops = 0

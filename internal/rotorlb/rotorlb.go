@@ -244,6 +244,7 @@ func (lb *LB) StartFlow(f *sim.Flow) {
 		a.sendLocal(f)
 		return
 	}
+	a.queues()
 	a.voq[f.DstRack].push(segment{f: f, host: f.SrcHost, bytes: f.Size})
 }
 
@@ -355,6 +356,7 @@ func (lb *LB) onBulk(h *sim.Host, p *sim.Packet) {
 	}
 	// VLB storage at the relay rack.
 	a := lb.agents[h.Rack]
+	a.queues()
 	a.relay[p.DstRack].push(segment{f: f, host: h.ID, bytes: int64(p.PayloadSize), hops: p.Hops})
 	a.relayTotal += int64(p.PayloadSize)
 	p.Release()

@@ -378,6 +378,9 @@ func TestQueuedBytesCountsHeldVLB(t *testing.T) {
 	// to relays at the first boundary.
 	size := 4 * b.lb.vlbThreshold
 	f := b.bulkFlow(1, 0, 63, size)
+	if b.lb.agents[0].voq != nil {
+		t.Fatal("rack 0 holds queues before its first bulk byte")
+	}
 	b.lb.StartFlow(f)
 	if got := b.lb.QueuedBytes(); got != size {
 		t.Fatalf("queued before the boundary = %d, want %d", got, size)
@@ -393,6 +396,11 @@ func TestQueuedBytesCountsHeldVLB(t *testing.T) {
 	if got := b.lb.QueuedBytes(); got != size {
 		t.Fatalf("queued across the boundary = %d, want %d (held %d)", got, size, held)
 	}
+	for r := 1; r < 16; r++ {
+		if b.lb.agents[r].relay != nil {
+			t.Fatalf("rack %d holds queues before any VLB byte reached it", r)
+		}
+	}
 	b.net.Start()
 	for b.eng.Now() < 200*eventsim.Millisecond && f.BytesRcvd < size {
 		b.eng.RunUntil(b.eng.Now() + eventsim.Millisecond)
@@ -405,10 +413,152 @@ func TestQueuedBytesCountsHeldVLB(t *testing.T) {
 	if got := b.lb.QueuedBytes(); got != 0 {
 		t.Fatalf("queued after delivery = %d, want 0", got)
 	}
+	relays := 0
 	for r := 0; r < 16; r++ {
 		if h := b.lb.agents[r].vlbHeld; h != 0 {
 			t.Fatalf("rack %d still holds %d VLB bytes", r, h)
 		}
+		if r != 0 && b.lb.agents[r].relay != nil {
+			relays++
+		}
+	}
+	if relays == 0 {
+		t.Fatal("no relay rack allocated queues: the VLB bytes were stored nowhere")
+	}
+}
+
+// TestQueuesAllocateOnFirstByte walks every path that puts bytes into a
+// rack's queues, each on a fabric where no rack has any yet: the path
+// allocates that rack's queues (and no other rack's), and its bytes land in
+// the queue the one-queue-per-rack-pair layout puts them in, as
+// QueuedBytes and StrandedBytes count them.
+func TestQueuesAllocateOnFirstByte(t *testing.T) {
+	const (
+		src, dst     = 0, 63 // hosts: rack 0 to rack 15
+		dstRack      = 15
+		relayHost    = 20 // rack 5
+		relayRack    = 5
+		payload      = 1500
+		localDstHost = 1 // rack 0
+	)
+	// packet is a bulk packet of f that has crossed hops ToR-to-ToR hops
+	// (and, as a NACK, was enqueued on one more).
+	packet := func(f *sim.Flow, relay int32, hops int8) *sim.Packet {
+		p := sim.NewPacket()
+		p.Flow, p.PayloadSize, p.DstHost, p.DstRack = f, payload, f.DstHost, f.DstRack
+		p.RelayRack, p.Hops, p.OrigHops = relay, hops, hops+1
+		p.FailedDstRack = f.DstRack
+		return p
+	}
+	for _, tc := range []struct {
+		name  string
+		down  int // a rack whose ToR fails first, or -1
+		enter func(b *lbBed, f *sim.Flow)
+		// Where the bytes must land, and in what form.
+		rack, queue int
+		relay       bool
+		host        int32
+		bytes       int64
+		hops        int8
+	}{
+		{"StartFlow", -1, func(b *lbBed, f *sim.Flow) { b.lb.StartFlow(f) },
+			0, dstRack, false, src, 10_000, 0},
+		{"onBulk stores a relayed packet", -1, func(b *lbBed, f *sim.Flow) {
+			b.lb.onBulk(b.net.Hosts()[relayHost], packet(f, relayRack, 1))
+		}, relayRack, dstRack, true, relayHost, payload, 1},
+		{"onBulk stores toward a dead rack", dstRack, func(b *lbBed, f *sim.Flow) {
+			b.lb.onBulk(b.net.Hosts()[relayHost], packet(f, relayRack, 1))
+		}, relayRack, dstRack, true, relayHost, payload, 1},
+		{"onNack, direct packet", -1, func(b *lbBed, f *sim.Flow) {
+			p := packet(f, -1, 0)
+			p.Kind = sim.KindBulkNack
+			b.lb.onNack(b.net.Hosts()[src], p)
+		}, 0, dstRack, false, src, payload, 0},
+		{"onNack, VLB first leg", -1, func(b *lbBed, f *sim.Flow) {
+			p := packet(f, relayRack, 0)
+			p.Kind = sim.KindBulkNack
+			b.lb.onNack(b.net.Hosts()[src], p)
+		}, 0, dstRack, false, src, payload, 0},
+		{"onNack, relay's second leg", -1, func(b *lbBed, f *sim.Flow) {
+			p := packet(f, -1, 1)
+			p.Kind = sim.KindBulkNack
+			b.lb.onNack(b.net.Hosts()[relayHost], p)
+		}, relayRack, dstRack, true, relayHost, payload, 1},
+		{"session.close returns VLB bytes", -1, func(b *lbBed, f *sim.Flow) {
+			a := b.lb.agents[0]
+			s := &session{agent: a}
+			s.vlbQ.push(segment{f: f, host: src, bytes: 3000, hops: 1})
+			a.vlbHeld = 3000
+			s.close()
+		}, 0, dstRack, false, src, 3000, 0},
+		{"requeueLocal, rack-local flow", -1, func(b *lbBed, f *sim.Flow) {
+			local := b.bulkFlow(2, src, localDstHost, 10_000)
+			b.lb.requeueLocal(b.net.Hosts()[src], packet(local, -1, 0))
+		}, 0, 0, false, src, payload, 0},
+		{"requeueLocal, VLB first leg", -1, func(b *lbBed, f *sim.Flow) {
+			b.lb.requeueLocal(b.net.Hosts()[src], packet(f, relayRack, 0))
+		}, 0, dstRack, false, src, payload, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := newLBBed(t, eventsim.New(), 16, 4, 4)
+			if tc.down >= 0 {
+				if err := b.net.Faults().Inject(sim.ToRTarget(tc.down), sim.DownFault(), 0); err != nil {
+					t.Fatal(err)
+				}
+				b.eng.RunUntil(0)
+			}
+			for r, a := range b.lb.agents {
+				if a.voq != nil || a.relay != nil {
+					t.Fatalf("rack %d holds queues before any bulk byte", r)
+				}
+			}
+			tc.enter(b, b.bulkFlow(1, src, dst, 10_000))
+			for r, a := range b.lb.agents {
+				if got, want := a.voq != nil && a.relay != nil, r == tc.rack; got != want || (a.voq == nil) != (a.relay == nil) {
+					t.Fatalf("rack %d: voq allocated %v, relay %v; want both %v", r, a.voq != nil, a.relay != nil, want)
+				}
+			}
+			a := b.lb.agents[tc.rack]
+			if len(a.voq) != 16 || len(a.relay) != 16 {
+				t.Fatalf("rack %d: %d VOQs and %d relay queues, want 16 each", tc.rack, len(a.voq), len(a.relay))
+			}
+			for q := range a.voq {
+				for _, relay := range []bool{false, true} {
+					qs := a.voq
+					if relay {
+						qs = a.relay
+					}
+					segs := segments(nil, &qs[q])
+					if q != tc.queue || relay != tc.relay {
+						if len(segs) != 0 || qs[q].bytes != 0 {
+							t.Fatalf("rack %d queue %d (relay %v) holds %d B: %+v", tc.rack, q, relay, qs[q].bytes, segs)
+						}
+						continue
+					}
+					if len(segs) != 1 || qs[q].bytes != tc.bytes || segs[0].bytes != tc.bytes ||
+						segs[0].host != tc.host || segs[0].hops != tc.hops {
+						t.Fatalf("rack %d queue %d (relay %v) holds %+v (%d B), want one segment of %d B on host %d at %d hops",
+							tc.rack, q, relay, segs, qs[q].bytes, tc.bytes, tc.host, tc.hops)
+					}
+				}
+			}
+			if want := map[bool]int64{true: tc.bytes}[tc.relay]; a.relayTotal != want {
+				t.Fatalf("relayTotal = %d, want %d", a.relayTotal, want)
+			}
+			if a.vlbHeld != 0 {
+				t.Fatalf("vlbHeld = %d after the bytes were queued", a.vlbHeld)
+			}
+			if got := b.lb.QueuedBytes(); got != tc.bytes {
+				t.Fatalf("QueuedBytes = %d, want %d", got, tc.bytes)
+			}
+			var stranded int64
+			if tc.relay && tc.down == tc.queue {
+				stranded = tc.bytes
+			}
+			if got := b.lb.StrandedBytes(); got != stranded {
+				t.Fatalf("StrandedBytes = %d, want %d", got, stranded)
+			}
+		})
 	}
 }
 
@@ -421,6 +571,7 @@ func TestAllocsNackRequeue(t *testing.T) {
 	b := newLBBed(t, eventsim.New(), 16, 4, 4)
 	f := b.bulkFlow(1, 0, 63, 1<<40)
 	a := b.lb.agents[0]
+	a.queues()
 	q := &a.voq[15]
 	for i := 0; i < 4096; i++ {
 		q.push(segment{f: f, host: int32(i & 1), bytes: 1500}) // alternate hosts: no two merge
@@ -496,7 +647,10 @@ func TestAllocsShuffleNackRings(t *testing.T) {
 		t.Fatalf("%d NACKs, want at least 200 k: the storm this gate is about did not happen", b.lb.NACKs)
 	}
 	slots := 0
-	for _, a := range b.lb.agents {
+	for rack, a := range b.lb.agents {
+		if a.voq == nil || a.relay == nil {
+			t.Fatalf("rack %d sourced bulk bytes and holds no queues", rack)
+		}
 		for r := range a.voq {
 			slots += a.voq[r].runs.Cap() + a.relay[r].runs.Cap()
 		}
@@ -510,7 +664,8 @@ func TestAllocsShuffleNackRings(t *testing.T) {
 // TestAllocsOpenSessionsIdle gates the per-slice side at paper scale: with
 // no bulk traffic at all, a slice — openSessions on all 108 racks, every
 // session polling through its window, and every close — must run on
-// recycled state alone once one cycle has warmed the pools.
+// recycled state alone once one cycle has warmed the pools, and no rack
+// ever allocates its VOQs or relay queues.
 func TestAllocsOpenSessionsIdle(t *testing.T) {
 	b := newLBBed(t, eventsim.New(), 108, 6, 6)
 	b.net.Start()
@@ -523,6 +678,11 @@ func TestAllocsOpenSessionsIdle(t *testing.T) {
 	}
 	if b.lb.sessions.Len() == 0 {
 		t.Fatal("no session was ever released to the pool")
+	}
+	for r, a := range b.lb.agents {
+		if a.voq != nil || a.relay != nil {
+			t.Fatalf("idle rack %d allocated its queues", r)
+		}
 	}
 }
 

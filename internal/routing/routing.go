@@ -73,6 +73,38 @@ func newPortMaps(count, n, u int) []PortMap {
 	return maps
 }
 
+// Source derives a fabric's port maps one slice at a time: Fill writes
+// every cell of slice s's Racks × Uplinks map into pm, a table the caller
+// owns and reuses from slice to slice. A fabric's tables are built from
+// its source without ever holding more than one slice's map.
+type Source struct {
+	Racks, Uplinks, Slices int
+	Fill                   func(slice int, pm PortMap)
+}
+
+// OperaSource is an Opera topology's source, one map per slice-in-cycle:
+// uplink k of each rack reaches its matching peer, except when switch k is
+// transitioning (drain rule, §3.1.1) or the matching entry is a self-loop.
+func OperaSource(o *topology.Opera) Source {
+	return Source{o.NumRacks(), o.Uplinks(), o.SlicesPerCycle(),
+		func(s int, pm PortMap) { o.SlicePeers(s, pm) }}
+}
+
+// ExpanderSource is the static expander's source, its one eternal slice:
+// uplink k of each rack is its k-th neighbor.
+func ExpanderSource(e *topology.Expander) Source {
+	return Source{e.NumRacks, e.Degree, 1, func(_ int, pm PortMap) { e.Peers(pm) }}
+}
+
+// Maps returns every slice's map at once, over one backing array.
+func (src Source) Maps() []PortMap {
+	maps := newPortMaps(src.Slices, src.Racks, src.Uplinks)
+	for s, pm := range maps {
+		src.Fill(s, pm)
+	}
+	return maps
+}
+
 // Tables holds per-slice next-hop state for every (source, destination)
 // rack pair. A cell is the set of uplinks on a shortest path as a bitmask
 // (bit k = uplink k) of ⌈U/8⌉ bytes, one for U ≤ 8, so the paper-scale
@@ -88,18 +120,29 @@ type Tables struct {
 	mask []byte
 	w    int
 
-	// built[s] says slice s's cells hold its tables. Build sets every
+	// built[s] says slice s's cells hold its tables. BuildFrom sets every
 	// entry; on Lazy tables a lookup builds the slice it finds unset, so
 	// every reader goes through idx.
 	built []bool
-	lazy  *lazyBuild // nil on tables from Build
+	lazy  *sliceBuilder // nil on tables from BuildFrom
 }
 
-// lazyBuild is what Lazy tables build a slice from on its first lookup.
-type lazyBuild struct {
-	source func(slice int, pm PortMap)
-	pm     PortMap // the one port map every slice is derived into
-	bfs    graph.BitBFS
+// sliceBuilder builds a slice's cells from a source: the one per-slice
+// step of BuildFrom's loop and of a Lazy lookup.
+type sliceBuilder struct {
+	fill func(slice int, pm PortMap)
+	pm   PortMap // the one port map every slice is derived into
+	bfs  graph.BitBFS
+}
+
+func newSliceBuilder(n, u int, fill func(slice int, pm PortMap)) *sliceBuilder {
+	return &sliceBuilder{fill: fill, pm: newPortMaps(1, n, u)[0]}
+}
+
+// build derives slice's port map and fills the slice's cells of t from it.
+func (b *sliceBuilder) build(t *Tables, slice int) error {
+	b.fill(slice, b.pm)
+	return t.buildSlice(&b.bfs, slice, b.pm)
 }
 
 func newTables(n, u, slices int) *Tables {
@@ -112,36 +155,56 @@ func newTables(n, u, slices int) *Tables {
 	}
 }
 
-// Build constructs tables from one PortMap per slice. All maps must agree
-// on rack and uplink counts, uplinks must be at most 32, peers must be
-// below the rack count, and no shortest path may reach 255 hops.
-func Build(maps []PortMap) (*Tables, error) {
-	if len(maps) == 0 {
-		return nil, errors.New("routing: no port maps")
+// BuildFrom constructs every slice's tables from src, deriving the slices
+// one at a time into one reused port map. Uplinks must be at most 32,
+// peers must be below the rack count, and no shortest path may reach 255
+// hops.
+func BuildFrom(src Source) (*Tables, error) {
+	if src.Uplinks > 32 {
+		return nil, fmt.Errorf("routing: %d uplinks exceed 32-bit mask", src.Uplinks)
 	}
-	u := maps[0].numUplinks()
-	if u > 32 {
-		return nil, fmt.Errorf("routing: %d uplinks exceed 32-bit mask", u)
-	}
-	t := newTables(len(maps[0]), u, len(maps))
-	var bfs graph.BitBFS
-	for s, pm := range maps {
-		if err := t.buildSlice(&bfs, s, pm); err != nil {
+	t := newTables(src.Racks, src.Uplinks, src.Slices)
+	b := newSliceBuilder(t.N, t.U, src.Fill)
+	for s := range t.Slices {
+		if err := b.build(t, s); err != nil {
 			return nil, err
 		}
 	}
 	return t, nil
 }
 
+// Build constructs tables from one PortMap per slice, through BuildFrom.
+// All maps must agree on rack and uplink counts.
+func Build(maps []PortMap) (*Tables, error) {
+	if len(maps) == 0 {
+		return nil, errors.New("routing: no port maps")
+	}
+	n, u := len(maps[0]), maps[0].numUplinks()
+	for s, pm := range maps {
+		if len(pm) != n {
+			return nil, fmt.Errorf("routing: slice %d port map has inconsistent shape", s)
+		}
+		for _, row := range pm {
+			if len(row) != u {
+				return nil, fmt.Errorf("routing: slice %d port map has inconsistent shape", s)
+			}
+		}
+	}
+	return BuildFrom(Source{n, u, len(maps), func(s int, pm PortMap) {
+		for r, row := range maps[s] {
+			copy(pm[r], row)
+		}
+	}})
+}
+
 // Lazy returns tables of t's shape with no slice built: the first lookup
-// into a slice has source fill in that slice's port map and builds its
-// cells from it, and Invalidate forgets every built slice. source must
-// derive the same map for a slice until the next Invalidate. A slice that
-// cannot be built (a 255-hop path, a peer out of range) panics at its
-// first lookup, as MustBuild would have.
-func (t *Tables) Lazy(source func(slice int, pm PortMap)) *Tables {
+// into a slice has fill derive that slice's port map and builds its cells
+// from it, and Invalidate forgets every built slice. fill must derive the
+// same map for a slice until the next Invalidate. A slice that cannot be
+// built (a 255-hop path, a peer out of range) panics at its first lookup.
+func (t *Tables) Lazy(fill func(slice int, pm PortMap)) *Tables {
 	lt := newTables(t.N, t.U, t.Slices)
-	lt.lazy = &lazyBuild{source: source, pm: newPortMaps(1, t.N, t.U)[0]}
+	lt.lazy = newSliceBuilder(t.N, t.U, fill)
 	return lt
 }
 
@@ -159,25 +222,11 @@ func (t *Tables) Built() int {
 	return count
 }
 
-func (t *Tables) buildLazy(slice int) {
-	l := t.lazy
-	l.source(slice, l.pm)
-	if err := t.buildSlice(&l.bfs, slice, l.pm); err != nil {
-		panic(err)
-	}
-}
-
 // buildSlice fills slice s's cells from its port map, searching in bfs's
 // buffers.
 func (t *Tables) buildSlice(bfs *graph.BitBFS, s int, pm PortMap) error {
 	n := t.N
-	if len(pm) != n {
-		return fmt.Errorf("routing: slice %d port map has inconsistent shape", s)
-	}
 	for rack, row := range pm {
-		if len(row) != t.U {
-			return fmt.Errorf("routing: slice %d port map has inconsistent shape", s)
-		}
 		for k, peer := range row {
 			if int(peer) >= n {
 				return fmt.Errorf("routing: slice %d rack %d uplink %d: peer %d of %d racks", s, rack, k, peer, n)
@@ -213,15 +262,6 @@ func (t *Tables) buildSlice(bfs *graph.BitBFS, s int, pm PortMap) error {
 	}
 	t.built[s] = true
 	return nil
-}
-
-// MustBuild is Build but panics on error.
-func MustBuild(maps []PortMap) *Tables {
-	t, err := Build(maps)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }
 
 // Mask returns the equal-cost uplink bitmask from src toward dst during
@@ -260,22 +300,18 @@ func (t *Tables) idx(slice, src, dst int) int {
 	return (slice*t.N+src)*t.N + dst
 }
 
-// OperaPortMaps derives one PortMap per slice-in-cycle from an Opera
-// topology: uplink k of each rack reaches its matching peer, except when
-// switch k is transitioning (drain rule, §3.1.1) or the matching entry is a
-// self-loop.
-func OperaPortMaps(o *topology.Opera) []PortMap {
-	maps := newPortMaps(o.SlicesPerCycle(), o.NumRacks(), o.Uplinks())
-	for s, pm := range maps {
-		o.SlicePeers(s, pm)
+// buildLazy builds a slice of Lazy tables. It is kept out of idx so that
+// idx stays small enough to inline into every lookup.
+//
+//go:noinline
+func (t *Tables) buildLazy(slice int) {
+	if err := t.lazy.build(t, slice); err != nil {
+		panic(err)
 	}
-	return maps
 }
 
-// ExpanderPortMap derives the single static PortMap of an expander network:
-// uplink k of each rack is its k-th neighbor.
-func ExpanderPortMap(e *topology.Expander) []PortMap {
-	maps := newPortMaps(1, e.NumRacks, e.Degree)
-	e.Peers(maps[0])
-	return maps
-}
+// OperaPortMaps returns every slice-in-cycle's map of OperaSource(o).
+func OperaPortMaps(o *topology.Opera) []PortMap { return OperaSource(o).Maps() }
+
+// ExpanderPortMap returns the one map of ExpanderSource(e).
+func ExpanderPortMap(e *topology.Expander) []PortMap { return ExpanderSource(e).Maps() }

@@ -203,6 +203,41 @@ func randomPortMap(rng *rand.Rand, n, u int) PortMap {
 	return pm
 }
 
+// mustBuild is Build for maps the test knows are valid.
+func mustBuild(t testing.TB, maps []PortMap) *Tables {
+	t.Helper()
+	tb, err := Build(maps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
+// TestBuildFromMatchesReference checks the form the simulator builds its
+// tables in: one port map, refilled slice by slice from the topology.
+func TestBuildFromMatchesReference(t *testing.T) {
+	for _, src := range []Source{
+		OperaSource(topology.MustNewOpera(topology.Config{NumRacks: 16, HostsPerRack: 4, NumSwitches: 4, Seed: 1})),
+		ExpanderSource(topology.MustNewExpander(130, 4, 7, 1)),
+	} {
+		tb, err := BuildFrom(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tb.N != src.Racks || tb.U != src.Uplinks || tb.Slices != src.Slices || tb.Built() != src.Slices {
+			t.Fatalf("BuildFrom: %d racks × %d uplinks, %d of %d slices built, want %d × %d, %d",
+				tb.N, tb.U, tb.Built(), tb.Slices, src.Racks, src.Uplinks, src.Slices)
+		}
+		if err := diffTables(tb, src.Maps()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wide := Source{Racks: 2, Uplinks: 33, Slices: 1, Fill: func(int, PortMap) {}}
+	if _, err := BuildFrom(wide); err == nil {
+		t.Fatal("BuildFrom accepted 33 uplinks")
+	}
+}
+
 func TestBuildMatchesReference(t *testing.T) {
 	check := func(t *testing.T, maps []PortMap) {
 		t.Helper()
@@ -290,7 +325,7 @@ func TestLazyBuildsOnLookup(t *testing.T) {
 	maps := OperaPortMaps(topology.MustNewOpera(topology.Config{
 		NumRacks: 16, HostsPerRack: 4, NumSwitches: 4, Seed: 1,
 	}))
-	eager := MustBuild(maps)
+	eager := mustBuild(t, maps)
 	sourced := 0
 	lazy := eager.Lazy(func(s int, pm PortMap) {
 		sourced++
@@ -347,7 +382,7 @@ func lineMap(n int) PortMap {
 
 func TestBuildLine(t *testing.T) {
 	pm := lineMap(5)
-	tb := MustBuild([]PortMap{pm})
+	tb := mustBuild(t, []PortMap{pm})
 	// Following the masks from rack 0 reaches rack 4 in 4 hops.
 	hops := 0
 	for r := 0; r != 4; hops++ {
@@ -378,7 +413,7 @@ func TestBuildUnreachable(t *testing.T) {
 		{3, -1},
 		{2, -1},
 	}
-	tb := MustBuild([]PortMap{pm})
+	tb := mustBuild(t, []PortMap{pm})
 	if hopDists(pm)[0][2] != unreachable {
 		t.Fatal("test map connects rack 0 to rack 2")
 	}
@@ -423,7 +458,7 @@ func TestPickUplinkUniform(t *testing.T) {
 		{3, 1},
 		{0, 2},
 	}
-	tb := MustBuild([]PortMap{pm})
+	tb := mustBuild(t, []PortMap{pm})
 	if m := tb.Mask(0, 0, 2); m != 0b11 {
 		t.Fatalf("mask = %b, want 11", m)
 	}
@@ -449,7 +484,7 @@ func TestPickUplinkHighDraws(t *testing.T) {
 		{0, 3, -1},
 		{-1, 1, 2},
 	}
-	tb := MustBuild([]PortMap{pm})
+	tb := mustBuild(t, []PortMap{pm})
 	if m := tb.Mask(0, 0, 3); m != 0b110 {
 		t.Fatalf("mask = %b, want 110", m)
 	}
@@ -464,11 +499,13 @@ func TestPickUplinkHighDraws(t *testing.T) {
 }
 
 // TestAllocsRoutingTables gates the tables' footprint at paper scale
-// (108 racks × 6 uplinks, 108 slices): one byte a cell is 1.26 MB for the
-// cycle, whether built eagerly or lazily by a full read.
+// (108 racks × 6 uplinks, 108 slices), built from the topology's source as
+// the simulator builds them: one byte a cell is 1.26 MB for the cycle,
+// whether built eagerly or lazily by a full read, and no slice's port map
+// outlives its build.
 func TestAllocsRoutingTables(t *testing.T) {
 	const limit = 1_300_000
-	maps := OperaPortMaps(topology.MustNewOpera(topology.Config{
+	src := OperaSource(topology.MustNewOpera(topology.Config{
 		NumRacks: 108, HostsPerRack: 6, NumSwitches: 6, Seed: 1,
 	}))
 	allocated := func(f func()) uint64 {
@@ -479,15 +516,12 @@ func TestAllocsRoutingTables(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	var eager *Tables
-	if got := allocated(func() { eager = MustBuild(maps) }); got > limit {
-		t.Errorf("MustBuild allocated %d B, want <= %d", got, limit)
+	var err error
+	if got := allocated(func() { eager, err = BuildFrom(src) }); err != nil || got > limit {
+		t.Errorf("BuildFrom allocated %d B (err %v), want <= %d", got, err, limit)
 	}
 	got := allocated(func() {
-		lazy := eager.Lazy(func(s int, pm PortMap) {
-			for r, row := range maps[s] {
-				copy(pm[r], row)
-			}
-		})
+		lazy := eager.Lazy(src.Fill)
 		for s := 0; s < lazy.Slices; s++ {
 			for src := 0; src < lazy.N; src++ {
 				for dst := 0; dst < lazy.N; dst++ {
@@ -509,7 +543,7 @@ func TestOperaTables(t *testing.T) {
 	if len(maps) != o.SlicesPerCycle() {
 		t.Fatalf("%d maps for %d slices", len(maps), o.SlicesPerCycle())
 	}
-	tb := MustBuild(maps)
+	tb := mustBuild(t, maps)
 	if err := validate(tb, maps); err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +582,7 @@ func TestOperaPaperWorstCasePathLength(t *testing.T) {
 		NumRacks: 108, HostsPerRack: 6, NumSwitches: 6, Seed: 1, MaxDiameter: 5,
 	})
 	maps := OperaPortMaps(o)
-	tb := MustBuild(maps)
+	tb := mustBuild(t, maps)
 	if err := validate(tb, maps); err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +597,7 @@ func TestExpanderPortMap(t *testing.T) {
 	if len(maps) != 1 {
 		t.Fatalf("expander should have 1 slice, got %d", len(maps))
 	}
-	tb := MustBuild(maps)
+	tb := mustBuild(t, maps)
 	if err := validate(tb, maps); err != nil {
 		t.Fatal(err)
 	}
@@ -652,7 +686,7 @@ func TestCountRulesMatchesModel(t *testing.T) {
 		NumRacks: 24, HostsPerRack: 4, NumSwitches: 4, Seed: 1,
 	})
 	maps := OperaPortMaps(o)
-	tb := MustBuild(maps)
+	tb := mustBuild(t, maps)
 	ll, bulk := countRules(tb, maps)
 	n := o.NumRacks()
 	u := o.Uplinks()
@@ -674,12 +708,14 @@ func TestCountRulesMatchesModel(t *testing.T) {
 }
 
 func BenchmarkBuildOperaTables108(b *testing.B) {
-	o := topology.MustNewOpera(topology.Config{
+	src := OperaSource(topology.MustNewOpera(topology.Config{
 		NumRacks: 108, HostsPerRack: 6, NumSwitches: 6, Seed: 1,
-	})
-	maps := OperaPortMaps(o)
+	}))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = MustBuild(maps)
+		if _, err := BuildFrom(src); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -33,10 +33,14 @@ func buildExpander(p BuildParams) (Network, error) {
 // NewExpanderNet wires the expander fabric. seed drives per-ToR packet
 // spraying and gray-failure draws.
 func NewExpanderNet(eng *eventsim.Engine, cfg Config, topo *topology.Expander, seed int64) *ExpanderNet {
+	tables, err := routing.BuildFrom(routing.ExpanderSource(topo))
+	if err != nil {
+		panic(err)
+	}
 	n := &ExpanderNet{
 		edge:   newEdge(eng, cfg, "expander", topo.NumRacks, topo.HostsPerRack),
 		topo:   topo,
-		tables: routing.MustBuild(routing.ExpanderPortMap(topo)),
+		tables: tables,
 	}
 	n.tors = make([]*ExpanderToR, topo.NumRacks)
 	for r := range n.tors {

@@ -39,10 +39,11 @@ func buildOpera(p BuildParams) (Network, error) {
 // NewOperaNet wires an Opera network over the given topology. seed drives
 // per-ToR packet spraying and gray-failure draws.
 func NewOperaNet(eng *eventsim.Engine, cfg Config, topo *topology.Opera, seed int64) *OperaNet {
-	n := &OperaNet{
-		tables: routing.MustBuild(routing.OperaPortMaps(topo)),
-		rngs:   make([]*rand.Rand, topo.NumRacks()),
+	tables, err := routing.BuildFrom(routing.OperaSource(topo))
+	if err != nil {
+		panic(err)
 	}
+	n := &OperaNet{tables: tables, rngs: make([]*rand.Rand, topo.NumRacks())}
 	for r := range n.rngs {
 		n.rngs[r] = rand.New(rand.NewSource(seed + int64(r) + 1))
 	}

@@ -125,7 +125,11 @@ func TestRecoveryMatchesEagerBuild(t *testing.T) {
 		if n.epidemic.epoch != i+1 {
 			t.Fatalf("after event %d: epoch %d", i, n.epidemic.epoch)
 		}
-		rec, want := n.epidemic.recovery, routing.MustBuild(survivingMaps(n))
+		rec := n.epidemic.recovery
+		want, err := routing.Build(survivingMaps(n))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if built := rec.Built(); built == 0 || built == rec.Slices {
 			t.Fatalf("after %v: forwarding built %d of %d slices, want some and not all", ev.target, built, rec.Slices)
 		}

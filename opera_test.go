@@ -1,6 +1,7 @@
 package opera_test
 
 import (
+	"runtime"
 	"testing"
 
 	opera "github.com/opera-net/opera"
@@ -135,6 +136,30 @@ func TestClusterDelayedArrival(t *testing.T) {
 	}
 	if f.Start < 5*eventsim.Millisecond {
 		t.Fatalf("start = %v, want >= arrival", f.Start)
+	}
+}
+
+// TestAllocsOperaBuild108 gates what building the paper-scale Opera
+// fabric (108 racks × 6 hosts, 6 uplinks) allocates (CI fast lane, -run
+// 'TestAllocs'): the routing tables derived slice by slice through one
+// port map, and RotorLB with no rack's queues allocated until its first
+// bulk byte. 5.13 MB when every slice's port map was built at once and
+// every rack held a queue for every other.
+func TestAllocsOperaBuild108(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race allocator counts its own allocations")
+	}
+	const limit = 3_600_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := opera.New(opera.KindOpera, opera.WithRacks(108), opera.WithHostsPerRack(6),
+		opera.WithUplinks(6), opera.WithSeed(1))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("opera.New at 108 × 6 × 6 allocated %d B, want <= %d", got, limit)
 	}
 }
 
