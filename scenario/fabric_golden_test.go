@@ -68,7 +68,9 @@ var goldenFabrics = []struct {
 	{"foldedclos", 1, false},
 }
 
-// goldenSpecs is TestFabricGolden's 16 specs, in golden-file order.
+// goldenSpecs is TestFabricGolden's 18 specs, in golden-file order: per
+// fabric and seed the shuffle (rotor fabrics) and the mixed run, then the
+// Clos's tier faults.
 func goldenSpecs(t *testing.T) []scenario.Spec {
 	var specs []scenario.Spec
 	for _, fab := range goldenFabrics {
@@ -97,6 +99,21 @@ func goldenSpecs(t *testing.T) []scenario.Spec {
 				Duration: 10 * eventsim.Millisecond,
 			})
 		}
+	}
+	// The Clos's tiered coordinates, under the mixed traffic: an agg→core
+	// cable, an agg and a core switch, and a ToR uplink by its tier-1 name,
+	// each cut and recovered while flows cross it.
+	tiers, err := scenario.ParseEvents("250us:tier-link:2:3:1,400us:tier-switch:2:4,600us:tier-switch:3:2," +
+		"800us:tier-link:1:6:0,1500us:recover-tier-link:2:3:1,2ms:recover-tier-switch:2:4," +
+		"2500us:recover-tier-switch:3:2,3ms:recover-tier-link:1:6:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := specs[len(specs)-1] // the Clos is goldenFabrics' last entry
+	for _, seed := range []int64{1, 2} {
+		sp := mixed
+		sp.Name, sp.Seed, sp.Events = "foldedclos/tiers", seed, tiers
+		specs = append(specs, sp)
 	}
 	return specs
 }
