@@ -12,32 +12,33 @@ package eventsim
 // zero and every method below degenerates to the pre-observability
 // counters.
 
-// EngineStats is a point-in-time view of the engine's internal counters.
-// All fields are plain reads — capturing one is allocation-free and O(wheel
-// words), safe to do from inside an engine callback.
+// EngineStats is a point-in-time view of the engine's internal counters,
+// tagged with the names /status reports them under. All fields are plain
+// reads — capturing one is allocation-free and O(wheel words), safe to do
+// from inside an engine callback.
 type EngineStats struct {
 	// Scheduled counts keys ever taken (the seq high-water mark): every
 	// push, including meta events and ContinueCall re-arms, plus every key
 	// a Timer.Arm reserved without pushing. A re-keyed timer event goes
 	// back in under its reserved key and is not counted again.
-	Scheduled uint64
+	Scheduled uint64 `json:"scheduled"`
 	// Fired counts simulation (non-meta) events executed — Engine.Steps.
-	Fired uint64
+	Fired uint64 `json:"fired"`
 	// MetaFired counts meta (observer) events executed.
-	MetaFired uint64
+	MetaFired uint64 `json:"meta_fired"`
 	// Cancelled counts dead timer events dropped from the scheduler: an
 	// event whose timer was stopped, rebound or re-armed to an earlier
 	// time after it was pushed. One not yet due is still Pending. Re-keys
 	// are not counted.
-	Cancelled uint64
+	Cancelled uint64 `json:"cancelled"`
 	// Pending counts simulation events currently scheduled — Engine.Len.
-	Pending int
+	Pending int `json:"pending"`
 	// FreePool is the engine's event free-list size: pooled Event objects
 	// parked between firings.
-	FreePool int
-	// Sched reports pending-event-store occupancy when the scheduler
+	FreePool int `json:"free_pool"`
+	// SchedStats reports pending-event-store occupancy when the scheduler
 	// implements SchedulerStats (both built-ins do); zero otherwise.
-	Sched SchedStats
+	SchedStats
 }
 
 // SchedStats describes pending-event-store occupancy. For the default
@@ -46,9 +47,9 @@ type EngineStats struct {
 // in the heap tier. The plain heap scheduler reports everything under
 // Overflow.
 type SchedStats struct {
-	Resident int
-	Buckets  int
-	Overflow int
+	Resident int `json:"wheel_resident"`
+	Buckets  int `json:"wheel_buckets"`
+	Overflow int `json:"overflow_heap"`
 }
 
 // SchedulerStats is the optional occupancy-reporting extension of
@@ -69,7 +70,7 @@ func (e *Engine) Stats() EngineStats {
 		FreePool:  e.free.Len(),
 	}
 	if ss, ok := e.sched.(SchedulerStats); ok {
-		st.Sched = ss.SchedStats()
+		st.SchedStats = ss.SchedStats()
 	}
 	return st
 }

@@ -27,8 +27,8 @@ func TestStatsPinnedSchedule(t *testing.T) {
 	if st.Scheduled != 4 || st.Fired != 0 || st.Cancelled != 0 || st.Pending != 4 {
 		t.Fatalf("after 4 pushes: %+v", st)
 	}
-	if st.Sched.Resident != 3 || st.Sched.Buckets != 3 || st.Sched.Overflow != 1 {
-		t.Fatalf("wheel occupancy after 4 pushes: %+v", st.Sched)
+	if st.Resident != 3 || st.Buckets != 3 || st.Overflow != 1 {
+		t.Fatalf("wheel occupancy after 4 pushes: %+v", st.SchedStats)
 	}
 
 	tm.Stop()
@@ -44,8 +44,8 @@ func TestStatsPinnedSchedule(t *testing.T) {
 	if st.Fired != 3 || st.Cancelled != 1 || st.Pending != 0 {
 		t.Fatalf("after drain: %+v", st)
 	}
-	if st.Sched != (SchedStats{}) {
-		t.Fatalf("occupancy after drain: %+v", st.Sched)
+	if st.SchedStats != (SchedStats{}) {
+		t.Fatalf("occupancy after drain: %+v", st.SchedStats)
 	}
 	// All four Event objects are back in the free pool.
 	if st.FreePool != 4 {
@@ -79,8 +79,8 @@ func TestStatsHeapScheduler(t *testing.T) {
 	eng := NewWith(NewHeapScheduler())
 	eng.At(5*Microsecond, func() {})
 	eng.At(7*Microsecond, func() {})
-	if st := eng.Stats(); st.Sched != (SchedStats{Overflow: 2}) {
-		t.Fatalf("heap occupancy = %+v, want Overflow: 2", st.Sched)
+	if st := eng.Stats(); st.SchedStats != (SchedStats{Overflow: 2}) {
+		t.Fatalf("heap occupancy = %+v, want Overflow: 2", st.SchedStats)
 	}
 }
 
@@ -169,7 +169,7 @@ func TestCountKinds(t *testing.T) {
 			rearmed.Arm(i * 1500 * Nanosecond) // the first arm plus five re-arms
 		}
 		eng.At(9*Microsecond, func() {})
-		if got, want := eng.Stats().Sched, kinds.Scheduler.(SchedulerStats).SchedStats(); got != want || got == (SchedStats{}) {
+		if got, want := eng.Stats().SchedStats, kinds.Scheduler.(SchedulerStats).SchedStats(); got != want || got == (SchedStats{}) {
 			t.Fatalf("%s: occupancy through the wrapper = %+v, wrapped scheduler says %+v", name, got, want)
 		}
 

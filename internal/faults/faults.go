@@ -147,23 +147,18 @@ func ClosFailures(c *topology.FoldedClos, fLinks, fSwitches float64, seed int64)
 
 // cutLinks returns a copy of the undirected table topo with each link cut
 // — absent both ways — with probability frac, drawing once per link in
-// order: v ascending, then v's neighbour order, where the neighbour is
-// above v. A failed node is then removed by dropping its row: it can be
-// reached but not left, so no path among survivors runs through it.
+// graph.Edges order. A failed node is then removed by dropping its row: it
+// can be reached but not left, so no path among survivors runs through it.
 func cutLinks(topo [][]int32, frac float64, rng *rand.Rand) [][]int32 {
 	adj := make([][]int32, len(topo))
 	for v, row := range topo {
 		adj[v] = slices.Clone(row)
 	}
-	for v, row := range topo {
-		for k, nb := range row {
-			if int(nb) <= v || rng.Float64() >= frac {
-				continue
-			}
-			adj[v][k] = -1
-			adj[nb][slices.Index(topo[nb], int32(v))] = -1
+	graph.Edges(topo, func(v, k, w, rev int) {
+		if rng.Float64() < frac {
+			adj[v][k], adj[w][rev] = -1, -1
 		}
-	}
+	})
 	return adj
 }
 

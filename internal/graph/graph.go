@@ -13,6 +13,11 @@
 // (BitBFS): exact integer distances, no per-source walk.
 package graph
 
+import (
+	"fmt"
+	"slices"
+)
+
 // Unreachable is the distance reported for disconnected node pairs.
 const Unreachable = -1
 
@@ -28,6 +33,27 @@ func NewTable(n, width int) [][]int32 {
 		adj[v] = cells[v*width : (v+1)*width]
 	}
 	return adj
+}
+
+// Edges visits each undirected edge of the symmetric table adj once, from
+// its lower-numbered end: fn(v, k, w, rev) for every adj[v][k] = w > v,
+// where rev is the back port, adj[w][rev] = v. Visits run in order of v,
+// then of v's row — a fabric's cable order. Absent entries and self-loops
+// are skipped; the table must be simple, and an edge its upper end does
+// not list back panics.
+func Edges(adj [][]int32, fn func(v, k, w, rev int)) {
+	for v, row := range adj {
+		for k, w := range row {
+			if int(w) <= v {
+				continue
+			}
+			rev := slices.Index(adj[w], int32(v))
+			if rev < 0 {
+				panic(fmt.Sprintf("graph: asymmetric table: node %d lists %d, which does not list it back", v, w))
+			}
+			fn(v, k, int(w), rev)
+		}
+	}
 }
 
 // PathStats summarizes an all-pairs path-length computation.

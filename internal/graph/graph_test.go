@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -420,4 +421,44 @@ func BenchmarkPathStats108(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = bb.PathStats(adj, nil)
 	}
+}
+
+// TestEdges pins the cable walk every fabric's fault map and the failure
+// analysis share: each undirected edge once, from its lower end, in order
+// of v and then of v's row, with rev the back port; absent entries and
+// self-loops are no edges, and a one-way entry panics with a named
+// message.
+func TestEdges(t *testing.T) {
+	adj := [][]int32{
+		{2, 1, -1},
+		{0, 1, 3},
+		{3, 0},
+		{1, 2},
+	}
+	var got [][4]int
+	Edges(adj, func(v, k, w, rev int) { got = append(got, [4]int{v, k, w, rev}) })
+	want := [][4]int{{0, 0, 2, 1}, {0, 1, 1, 0}, {1, 2, 3, 0}, {2, 0, 3, 1}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("edges %v, want %v", got, want)
+	}
+	for _, e := range got {
+		if adj[e[2]][e[3]] != int32(e[0]) {
+			t.Fatalf("edge %v: back port %d of node %d is %d", e, e[3], e[2], adj[e[2]][e[3]])
+		}
+	}
+
+	// Every edge of a ring comes once: n edges, n·2 entries.
+	n := 0
+	Edges(ring(9), func(int, int, int, int) { n++ })
+	if n != 9 {
+		t.Fatalf("ring(9) has %d edges, want 9", n)
+	}
+
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "asymmetric") || !strings.Contains(msg, "node 0 lists 2") {
+			t.Fatalf("one-way entry: panic %q, want a named asymmetric-table panic", msg)
+		}
+	}()
+	Edges([][]int32{{1, 2}, {0}, {1}}, func(int, int, int, int) {})
 }

@@ -19,9 +19,10 @@ func (fb *Fabric) StartFlow(f *sim.Flow) { fb.eps[f.SrcHost].StartFlow(f) }
 // grow to the active-flow high-water mark and then hold steady — the
 // observability plane charts them to confirm a soak really is
 // allocation-flat. Both are zero under RetainAll (nothing is released).
+// The tags are the /status names.
 type PoolGauges struct {
-	SendFree int
-	RecvFree int
+	SendFree int `json:"ndp_send_free"`
+	RecvFree int `json:"ndp_recv_free"`
 }
 
 // PoolStats reads the shared free-list sizes. Like every fabric method it

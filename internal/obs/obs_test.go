@@ -42,6 +42,22 @@ func TestMailboxLatestWins(t *testing.T) {
 // TestStatusEndpoints exercises every endpoint kind the mux serves, with
 // concurrent publishes racing the readers (the race lane makes this a
 // mailbox safety proof).
+// TestSnapshotEngineAndPoolNames pins the /status names of the engine
+// counters and the NDP pool gauges, in order. Snapshot carries
+// eventsim.EngineStats and ndp.PoolGauges as they are, so these names are
+// those types' JSON tags.
+func TestSnapshotEngineAndPoolNames(t *testing.T) {
+	blob, err := json.Marshal(obs.Snapshot{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `"engine":{"scheduled":0,"fired":0,"meta_fired":0,"cancelled":0,"pending":0,"free_pool":0,` +
+		`"wheel_resident":0,"wheel_buckets":0,"overflow_heap":0},"pools":{"ndp_send_free":0,"ndp_recv_free":0}`
+	if !strings.Contains(string(blob), want) {
+		t.Fatalf("snapshot JSON\n%s\nlacks\n%s", blob, want)
+	}
+}
+
 func TestStatusEndpoints(t *testing.T) {
 	var box obs.Mailbox
 	srv := httptest.NewServer(obs.NewMux(&box))

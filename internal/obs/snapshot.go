@@ -6,6 +6,7 @@ import (
 
 	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/ndp"
 	"github.com/opera-net/opera/internal/sim"
 	"github.com/opera-net/opera/internal/telemetry"
 )
@@ -44,8 +45,10 @@ type Snapshot struct {
 	Classes []ClassQuantiles `json:"classes,omitempty"`
 	Tags    []TagCounts      `json:"tags,omitempty"`
 
-	Engine EngineCounters `json:"engine"`
-	Pools  PoolGauges     `json:"pools"`
+	Engine eventsim.EngineStats `json:"engine"`
+	// Pools are the NDP fabric's flow-state free lists; the engine's own
+	// event pool is Engine.FreePool.
+	Pools ndp.PoolGauges `json:"pools"`
 	// Faults is nil while no fault is applied.
 	Faults *FaultState `json:"faults,omitempty"`
 }
@@ -78,27 +81,6 @@ type TagCounts struct {
 	Total int     `json:"total"`
 	Bytes int64   `json:"bytes"`
 	P99Us float64 `json:"p99_us"`
-}
-
-// EngineCounters mirrors eventsim.EngineStats with JSON tags.
-type EngineCounters struct {
-	Scheduled     uint64 `json:"scheduled"`
-	Fired         uint64 `json:"fired"`
-	MetaFired     uint64 `json:"meta_fired"`
-	Cancelled     uint64 `json:"cancelled"`
-	Pending       int    `json:"pending"`
-	FreePool      int    `json:"free_pool"`
-	WheelResident int    `json:"wheel_resident"`
-	WheelBuckets  int    `json:"wheel_buckets"`
-	OverflowHeap  int    `json:"overflow_heap"`
-}
-
-// PoolGauges reports the flow-state free lists outside the engine — the
-// NDP fabric's pooled sendFlow/recvFlow objects (internal/freelist). The
-// engine's own event pool is Engine.FreePool.
-type PoolGauges struct {
-	NDPSendFree int `json:"ndp_send_free"`
-	NDPRecvFree int `json:"ndp_recv_free"`
 }
 
 // FaultState is the live fault view: what is applied right now, plus the
@@ -136,10 +118,9 @@ func Capture(cl *opera.Cluster) *Snapshot {
 	if elapsed := eng.Now().Seconds(); elapsed > 0 {
 		s.ThroughputGbps = m.DeliveredTotal() * 8 / elapsed / 1e9
 	}
-	s.Engine = engineCounters(eng.Stats())
+	s.Engine = eng.Stats()
 	if fab := cl.NDPFabric(); fab != nil {
-		pg := fab.PoolStats()
-		s.Pools = PoolGauges{NDPSendFree: pg.SendFree, NDPRecvFree: pg.RecvFree}
+		s.Pools = fab.PoolStats()
 	}
 	if lb := cl.RotorLB(); lb != nil {
 		s.BulkQueuedBytes = lb.QueuedBytes()
@@ -150,20 +131,6 @@ func Capture(cl *opera.Cluster) *Snapshot {
 	}
 	s.Faults = faultState(cl)
 	return s
-}
-
-func engineCounters(st eventsim.EngineStats) EngineCounters {
-	return EngineCounters{
-		Scheduled:     st.Scheduled,
-		Fired:         st.Fired,
-		MetaFired:     st.MetaFired,
-		Cancelled:     st.Cancelled,
-		Pending:       st.Pending,
-		FreePool:      st.FreePool,
-		WheelResident: st.Sched.Resident,
-		WheelBuckets:  st.Sched.Buckets,
-		OverflowHeap:  st.Sched.Overflow,
-	}
 }
 
 // fillTelemetry reads the streaming collector: window rates, per-class

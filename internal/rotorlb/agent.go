@@ -40,9 +40,6 @@ type rackAgent struct {
 	// each host — a host can physically transmit only one window's worth,
 	// so offering more would strand carved bytes until the window closes.
 	vlbBudget []int64
-
-	// SentDirect counts own bytes launched over direct circuits.
-	SentDirect uint64
 }
 
 func newRackAgent(lb *LB, rack int) *rackAgent {
@@ -284,11 +281,11 @@ func (s *session) pump() {
 	seg, ok := relay.carveReady(mtu, ready)
 	if ok {
 		a.relayTotal -= seg.bytes
-	} else if seg, ok = voq.carveReady(mtu, ready); ok {
-		a.SentDirect += uint64(seg.bytes)
-	} else if seg, ok = s.vlbQ.carveReady(mtu, ready); ok {
-		vlb = true
-		a.vlbHeld -= seg.bytes
+	} else if seg, ok = voq.carveReady(mtu, ready); !ok {
+		if seg, ok = s.vlbQ.carveReady(mtu, ready); ok {
+			vlb = true
+			a.vlbHeld -= seg.bytes
+		}
 	}
 	if !ok {
 		// Nothing grantable: the queued bytes sit behind busy NICs. Retry

@@ -734,11 +734,14 @@ func TestMidSliceFlowStartsOnPollGrid(t *testing.T) {
 		b.eng.RunUntil(start)
 		b.lb.StartFlow(b.bulkFlow(1, 0, c.Peer*b.net.HostsPerRack(), 1500))
 		a := b.lb.agents[0]
-		for a.SentDirect == 0 && b.eng.Now() < sliceStart+c.WindowEnd && b.eng.Step() {
+		if a.queuedFor(c.Peer) != 1500 {
+			t.Fatalf("%s: the rack holds %d B for rack %d once the flow starts, want its 1500", tc.name, a.queuedFor(c.Peer), c.Peer)
 		}
-		if a.SentDirect == 0 || b.eng.Now() != want {
-			t.Errorf("%s: flow started at %v, first packet (sent %d B) at %v, want grid point %v",
-				tc.name, start, a.SentDirect, b.eng.Now(), want)
+		for a.queuedFor(c.Peer) > 0 && b.eng.Now() < sliceStart+c.WindowEnd && b.eng.Step() {
+		}
+		if a.queuedFor(c.Peer) > 0 || b.eng.Now() != want {
+			t.Errorf("%s: flow started at %v, VOQ held %d B at %v, want it empty at grid point %v",
+				tc.name, start, a.queuedFor(c.Peer), b.eng.Now(), want)
 		}
 		// The idle NIC began serializing it that instant.
 		b.eng.RunUntil(want + b.lb.txTime - 1)

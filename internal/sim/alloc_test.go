@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/topology"
 )
 
 // TestAllocsPortEnqueueRoundTrip enforces the zero-alloc packet hot path:
@@ -92,5 +93,42 @@ func TestAllocsFlushCycle(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, cycle); avg > 1 {
 		t.Fatalf("flush cycle allocates %.1f/op, want <= 1", avg)
+	}
+}
+
+// TestAllocsClosCrossPod holds the Clos's forwarding to the Port
+// round-trip budget: a packet from a ToR to a host in another pod — ToR →
+// agg → core → agg → ToR → host, five port round trips and five switch
+// decisions, two of them ECMP draws — averages ≤ 2 allocations (steady
+// state 0), so switching adds none of its own.
+func TestAllocsClosCrossPod(t *testing.T) {
+	eng := eventsim.New()
+	topo := topology.MustNewFoldedClos(8, 3)
+	n := NewClosNet(eng, DefaultConfig(), topo, 1)
+	src, dst := 0, topo.NumToRs-1 // pods 0 and 7
+	delivered := 0
+	n.Hosts()[dst*topo.HostsPerToR].Handle(KindData, func(p *Packet) {
+		delivered++
+		p.Release()
+	})
+	send := func() {
+		p := NewPacket()
+		p.Kind = KindData
+		p.Class = ClassLowLatency
+		p.Size = int32(n.cfg.MTU)
+		p.PayloadSize = int32(n.cfg.MTU)
+		p.SrcRack, p.DstRack = int32(src), int32(dst)
+		p.DstHost = int32(dst * topo.HostsPerToR)
+		n.sw[src].Receive(p, nil)
+		eng.Run()
+	}
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	if delivered != 64 {
+		t.Fatalf("%d of 64 packets delivered", delivered)
+	}
+	if avg := testing.AllocsPerRun(200, send); avg > 2 {
+		t.Fatalf("cross-pod packet allocates %.1f/op, want <= 2", avg)
 	}
 }

@@ -1,5 +1,7 @@
 package sim
 
+import "github.com/opera-net/opera/internal/graph"
+
 // This file is the folded Clos's share of the fault mechanism
 // (faultapi.go). Cables live on two tiers — ClosTierToR (ToR→agg uplinks,
 // Switch = ToR index) and ClosTierAgg (agg→core uplinks, Switch = agg
@@ -19,32 +21,21 @@ package sim
 // drains both ports of every cable touching it. Recoveries are pure
 // state flips.
 
-// faultMap is the Clos's coordinate map. The wiring arithmetic below
-// relies on NewFoldedClos guaranteeing AggPerPod == UplinksPerToR (each ToR
-// has exactly one cable to each agg of its pod) and NumCore ==
-// AggPerPod·(K/2) (each agg position's uplinks land on a disjoint group of
-// K/2 cores), so every reverse port is unique.
-func (n *ClosNet) faultMap() faultMap {
+// faultMap is the Clos's coordinate map over the wiring g
+// (topology.FoldedClos.RackGraph), whose node numbering is the fault
+// table's. Each cable is named from its lower end, by that switch's tier
+// and its uplink index.
+func (n *ClosNet) faultMap(g [][]int32) faultMap {
 	topo := n.topo
 	half := topo.K / 2
-	aggNode, coreNode := topo.NumToRs, topo.NumToRs+topo.NumAgg
 	cables := make([]cable, 0, topo.NumToRs*topo.UplinksPerToR+topo.NumAgg*half)
-	for t := 0; t < topo.NumToRs; t++ {
-		for i := 0; i < topo.UplinksPerToR; i++ {
-			a := topo.ToRPod(t)*topo.AggPerPod + i // the agg terminating ToR t's uplink i
-			cables = append(cables, cable{id: Target{Kind: TargetLink, Tier: ClosTierToR, Switch: t, Port: i},
-				ends:  [2]int32{int32(t), int32(aggNode + a)},
-				ports: [2]*Port{n.tors[t].up[i], n.aggs[a].down[t%topo.ToRsPerPod]}})
-		}
-	}
-	for a := 0; a < topo.NumAgg; a++ {
-		for j := 0; j < half; j++ {
-			c := (a%topo.AggPerPod)*half + j // the core terminating agg a's uplink j
-			cables = append(cables, cable{id: Target{Kind: TargetLink, Tier: ClosTierAgg, Switch: a, Port: j},
-				ends:  [2]int32{int32(aggNode + a), int32(coreNode + c)},
-				ports: [2]*Port{n.aggs[a].up[j], n.cores[c].down[a/topo.AggPerPod]}})
-		}
-	}
+	graph.Edges(g, func(v, k, w, rev int) {
+		tier, i := n.tier(v)
+		lo, hi := n.sw[v], n.sw[w]
+		cables = append(cables, cable{id: Target{Kind: TargetLink, Tier: tier, Switch: i, Port: k - lo.down},
+			ends:  [2]int32{int32(v), int32(w)},
+			ports: [2]*Port{lo.ports[k], hi.ports[rev]}})
+	})
 	return faultMap{
 		fabric: n.kind,
 		tors:   topo.NumToRs,
@@ -63,36 +54,4 @@ func (n *ClosNet) faultMap() faultMap {
 			}
 		},
 	}
-}
-
-// The liveness reads of the forwarding path are the one predicate — cable
-// and both end nodes up — indexed arithmetically into the usable table: ToR
-// t's uplinks are the run of UplinksPerToR slots at t·UplinksPerToR, and agg
-// a's the run of K/2 slots after all of those, at a·(K/2).
-
-// torUplinks is ToR t's run of the usable table, one entry per uplink.
-func (n *ClosNet) torUplinks(t int) []bool {
-	u := n.topo.UplinksPerToR
-	return n.faults.usable[t*u : (t+1)*u]
-}
-
-// aggUplinks is agg a's run of the usable table, one entry per core uplink.
-func (n *ClosNet) aggUplinks(a int) []bool {
-	topo := n.topo
-	base, half := topo.NumToRs*topo.UplinksPerToR, topo.K/2
-	return n.faults.usable[base+a*half : base+(a+1)*half]
-}
-
-// aggDownToTor reports whether agg a can deliver down to ToR t of its pod
-// (the reverse direction of t's tier-1 cable to a).
-func (n *ClosNet) aggDownToTor(a, t int) bool {
-	return n.torUplinks(t)[a%n.topo.AggPerPod]
-}
-
-// coreDownToAgg reports whether core c can deliver down to the agg of
-// the given pod (the reverse direction of that agg's tier-2 cable to c).
-func (n *ClosNet) coreDownToAgg(c, pod int) bool {
-	topo := n.topo
-	half := topo.K / 2
-	return n.aggUplinks(pod*topo.AggPerPod + (c/half)%topo.AggPerPod)[c%half]
 }

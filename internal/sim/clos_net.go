@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/graph"
 	"github.com/opera-net/opera/internal/topology"
 )
 
@@ -14,10 +15,8 @@ import (
 // the downward path determined by the destination.
 type ClosNet struct {
 	edge
-	topo  *topology.FoldedClos
-	tors  []*ClosToR
-	aggs  []*ClosAgg
-	cores []*ClosCore
+	topo *topology.FoldedClos
+	sw   []*closSwitch // one per node of topo.RackGraph(): ToRs, then aggs, then cores
 }
 
 func buildClos(p BuildParams) (Network, error) {
@@ -28,62 +27,73 @@ func buildClos(p BuildParams) (Network, error) {
 	return NewClosNet(p.Engine, p.Sim, topo, p.Seed+1), nil
 }
 
-// NewClosNet wires the folded-Clos fabric. seed drives per-switch packet
-// spraying and gray-failure draws.
+// NewClosNet wires the folded-Clos fabric: one switch per node of
+// topo.RackGraph(), port k of switch v to the row's k-th neighbour. seed
+// drives per-switch packet spraying and gray-failure draws.
 func NewClosNet(eng *eventsim.Engine, cfg Config, topo *topology.FoldedClos, seed int64) *ClosNet {
 	n := &ClosNet{edge: newEdge(eng, cfg, "foldedclos", topo.NumToRs, topo.HostsPerToR), topo: topo}
-	n.tors = make([]*ClosToR, topo.NumToRs)
-	n.aggs = make([]*ClosAgg, topo.NumAgg)
-	n.cores = make([]*ClosCore, topo.NumCore)
-
-	for i := range n.tors {
-		n.tors[i] = &ClosToR{net: n, id: int32(i), rng: rand.New(rand.NewSource(seed + int64(i) + 1))}
+	g := topo.RackGraph()
+	n.sw = make([]*closSwitch, len(g))
+	for v := range n.sw {
+		n.sw[v] = &closSwitch{net: n, id: int32(v)}
 	}
-	for i := range n.aggs {
-		n.aggs[i] = &ClosAgg{net: n, id: int32(i), rng: rand.New(rand.NewSource(seed + 10_000 + int64(i)))}
-	}
-	for i := range n.cores {
-		n.cores[i] = &ClosCore{net: n, id: int32(i)}
-	}
-	n.wireHosts(func(rack int) Node { return n.tors[rack] })
-	// ToR ports: d down to hosts, u up — one to each agg in its pod.
-	for t, tor := range n.tors {
-		tor.down = n.downlinks(t)
-		pod := topo.ToRPod(t)
-		tor.up = make([]*Port, topo.UplinksPerToR)
-		for i := 0; i < topo.UplinksPerToR; i++ {
-			agg := n.aggs[pod*topo.AggPerPod+i%topo.AggPerPod]
-			tor.up[i] = NewPort(eng, n.cfg, fmt.Sprintf("tor%d->agg%d", t, agg.id), agg)
+	n.wireHosts(func(rack int) Node { return n.sw[rack] })
+	for v, row := range g {
+		s := n.sw[v]
+		s.ports = make([]*Port, len(row))
+		for k, w := range row {
+			if int(w) < v {
+				s.down++
+			}
+			s.ports[k] = NewPort(eng, n.cfg, n.name(v)+"->"+n.name(int(w)), n.sw[w])
+		}
+		s.downSlot = make([]int32, s.down)
+		if v < n.racks {
+			s.hosts = n.downlinks(v)
+			s.lo, s.racks = int32(v), 1
+			s.rng = rand.New(rand.NewSource(seed + int64(v) + 1))
+			continue
+		}
+		// Lower nodes are wired first, and a row's down neighbours sit side
+		// by side over the racks.
+		first := n.sw[row[0]]
+		s.lo, s.sub = first.lo, first.racks
+		s.racks = s.sub * int32(s.down)
+		if s.down < len(row) {
+			s.rng = rand.New(rand.NewSource(seed + 10_000 + int64(v-n.racks)))
 		}
 	}
-	// Agg ports: k/2 down to pod ToRs, k/2 up to its core group.
-	corePerAgg := topo.K / 2
-	for a, agg := range n.aggs {
-		pod := a / topo.AggPerPod
-		inPod := a % topo.AggPerPod
-		agg.pod = int32(pod)
-		agg.down = make([]*Port, topo.ToRsPerPod)
-		for i := 0; i < topo.ToRsPerPod; i++ {
-			tor := n.tors[pod*topo.ToRsPerPod+i]
-			agg.down[i] = NewPort(eng, n.cfg, fmt.Sprintf("agg%d->tor%d", a, tor.id), tor)
+	n.faults = newFaults(eng, seed, n.faultMap(g))
+	// Cable ci is the ci-th edge graph.Edges visits, and a switch's uplink
+	// cables take consecutive usable-table slots.
+	ci := 0
+	graph.Edges(g, func(v, k, w, rev int) {
+		slot := n.faults.m.cables[ci].slots[0]
+		ci++
+		if s := n.sw[v]; k == s.down {
+			s.up = n.faults.usable[slot : int(slot)+len(s.ports)-s.down]
 		}
-		agg.up = make([]*Port, corePerAgg)
-		for i := 0; i < corePerAgg; i++ {
-			core := n.cores[(inPod*corePerAgg+i)%topo.NumCore]
-			agg.up[i] = NewPort(eng, n.cfg, fmt.Sprintf("agg%d->core%d", a, core.id), core)
-		}
-	}
-	// Core ports: one down to the corresponding agg of every pod.
-	for c, core := range n.cores {
-		inPodPos := c / corePerAgg // which in-pod agg position this core serves
-		core.down = make([]*Port, topo.NumPods)
-		for pod := 0; pod < topo.NumPods; pod++ {
-			agg := n.aggs[pod*topo.AggPerPod+inPodPos%topo.AggPerPod]
-			core.down[pod] = NewPort(eng, n.cfg, fmt.Sprintf("core%d->agg%d", c, agg.id), agg)
-		}
-	}
-	n.faults = newFaults(eng, seed, n.faultMap())
+		n.sw[w].downSlot[rev] = slot
+	})
 	return n
+}
+
+// tier places node v of the rack graph: its Clos tier (ClosTierToR,
+// ClosTierAgg or ClosTierCore) and its index on that tier.
+func (n *ClosNet) tier(v int) (tier, i int) {
+	if v < n.topo.NumToRs {
+		return ClosTierToR, v
+	}
+	if v -= n.topo.NumToRs; v < n.topo.NumAgg {
+		return ClosTierAgg, v
+	}
+	return ClosTierCore, v - n.topo.NumAgg
+}
+
+// name is node v's port-name stem: tor3, agg5, core2.
+func (n *ClosNet) name(v int) string {
+	tier, i := n.tier(v)
+	return fmt.Sprintf("%s%d", [...]string{ClosTierToR: "tor", ClosTierAgg: "agg", ClosTierCore: "core"}[tier], i)
 }
 
 // PacketCapable implements Network: the Clos is all packet switching.
@@ -98,34 +108,57 @@ func (n *ClosNet) Stop() {}
 // Topology returns the Clos dimensions.
 func (n *ClosNet) Topology() *topology.FoldedClos { return n.topo }
 
-// ClosToR is a ToR switch: up for non-local, down for local.
-type ClosToR struct {
-	net  *ClosNet
-	id   int32
-	up   []*Port
-	down []*Port
-	rng  *rand.Rand
+// closSwitch is one switch of the folded Clos — a ToR, an agg or a core,
+// node id of topology.FoldedClos.RackGraph. Port k reaches the row's k-th
+// neighbour: the first down ports lead to lower-numbered nodes, below the
+// switch, and the rest are uplinks.
+type closSwitch struct {
+	net   *ClosNet
+	id    int32
+	ports []*Port
+	down  int
+	hosts []*Port // a ToR's ports to its rack's hosts; nil above the ToRs
+	// The racks below the switch are [lo, lo+racks), sub of them under
+	// each down port.
+	lo, racks, sub int32
+	up             []bool  // the uplinks' run of the usable table
+	downSlot       []int32 // each down cable's usable-table slot
+	rng            *rand.Rand
 }
 
-// Receive implements Node: down for local, else sprayed over the live
-// uplinks.
-func (t *ClosToR) Receive(p *Packet, _ *Port) {
-	n := t.net
-	if n.faults.nodeDown[t.id] { // a dead ToR forwards nothing, rack-local included
-		n.faults.lose(p)
+// Receive implements Node: down the one port toward a destination below
+// the switch — its own rack, its own pod, or the destination's pod — else
+// sprayed over the live uplinks. A dead switch forwards nothing, rack-local
+// traffic included; the deterministic downward hop drops the packet at a
+// dead cable (NDP retransmits).
+func (s *closSwitch) Receive(p *Packet, _ *Port) {
+	f := s.net.faults
+	if f.nodeDown[s.id] {
+		f.lose(p)
 		return
 	}
-	if p.DstRack == t.id {
-		deliverLocal(t.down, t.id, p)
+	if d := p.DstRack - s.lo; d >= 0 && d < s.racks {
+		if s.hosts != nil {
+			deliverLocal(s.hosts, s.id, p)
+			return
+		}
+		k := d / s.sub
+		if !f.usable[s.downSlot[k]] {
+			f.lose(p)
+			return
+		}
+		s.ports[k].Enqueue(p)
 		return
 	}
-	i := sprayLive(n.torUplinks(int(t.id)), t.rng)
+	i := sprayLive(s.up, s.rng)
 	if i < 0 {
-		n.faults.lose(p)
+		f.lose(p)
 		return
 	}
-	p.Hops++
-	t.up[i].Enqueue(p)
+	if s.hosts != nil {
+		p.Hops++ // one per ToR-to-ToR traversal: counted leaving the source ToR
+	}
+	s.ports[s.down+i].Enqueue(p)
 }
 
 // sprayLive picks one live uplink uniformly: usable is a switch's run of
@@ -156,56 +189,4 @@ func sprayLive(usable []bool, rng *rand.Rand) int {
 		}
 	}
 	panic("sim: sprayLive walked past its live count")
-}
-
-// ClosAgg is a pod aggregation switch.
-type ClosAgg struct {
-	net  *ClosNet
-	id   int32
-	pod  int32
-	up   []*Port
-	down []*Port
-	rng  *rand.Rand
-}
-
-// Receive implements Node: down the destination's cable inside the pod,
-// else sprayed over the live core uplinks. A dead agg needs no check of its
-// own: every cable touching it is unusable, so both branches below lose the
-// packet before any RNG draw.
-func (a *ClosAgg) Receive(p *Packet, _ *Port) {
-	n := a.net
-	topo := n.topo
-	if int32(topo.ToRPod(int(p.DstRack))) == a.pod {
-		if !n.aggDownToTor(int(a.id), int(p.DstRack)) {
-			n.faults.lose(p)
-			return
-		}
-		a.down[int(p.DstRack)%topo.ToRsPerPod].Enqueue(p)
-		return
-	}
-	j := sprayLive(n.aggUplinks(int(a.id)), a.rng)
-	if j < 0 {
-		n.faults.lose(p)
-		return
-	}
-	a.up[j].Enqueue(p)
-}
-
-// ClosCore is a core switch; the downward pod is determined by the
-// destination.
-type ClosCore struct {
-	net  *ClosNet
-	id   int32
-	down []*Port // indexed by pod
-}
-
-// Receive implements Node; the downward hop is deterministic, so a dead
-// core or dead tier-2 reverse cable drops the packet (NDP retransmits).
-func (c *ClosCore) Receive(p *Packet, _ *Port) {
-	pod := c.net.topo.ToRPod(int(p.DstRack))
-	if !c.net.coreDownToAgg(int(c.id), pod) {
-		c.net.faults.lose(p)
-		return
-	}
-	c.down[pod].Enqueue(p)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"github.com/opera-net/opera/internal/graph"
 	"github.com/opera-net/opera/internal/routing"
 )
 
@@ -34,18 +35,13 @@ import (
 func (n *ExpanderNet) faultMap() faultMap {
 	topo := n.topo
 	var cables []cable
-	for r := 0; r < topo.NumRacks; r++ {
-		for slot, nb := range topo.Adj[r] {
-			if peer := int(nb); peer > r {
-				rev := n.peerSlot(r, slot)
-				cables = append(cables, cable{
-					id: FlatLink(r, slot), alias: FlatLink(peer, rev),
-					ends:  [2]int32{int32(r), int32(peer)},
-					ports: [2]*Port{n.tors[r].up[slot], n.tors[peer].up[rev]},
-				})
-			}
-		}
-	}
+	graph.Edges(topo.Adj, func(r, slot, peer, rev int) {
+		cables = append(cables, cable{
+			id: FlatLink(r, slot), alias: FlatLink(peer, rev),
+			ends:  [2]int32{int32(r), int32(peer)},
+			ports: [2]*Port{n.tors[r].up[slot], n.tors[peer].up[rev]},
+		})
+	})
 	return faultMap{
 		fabric: n.kind,
 		tors:   topo.NumRacks,
@@ -53,18 +49,6 @@ func (n *ExpanderNet) faultMap() faultMap {
 		cables: cables,
 		react:  n.reconverge,
 	}
-}
-
-// peerSlot finds the reverse slot: the index of rack in its slot-th
-// neighbor's own neighbor list (the graph is simple, so it is unique).
-func (n *ExpanderNet) peerSlot(rack, slot int) int {
-	peer := int(n.topo.Adj[rack][slot])
-	for j, nb := range n.topo.Adj[peer] {
-		if int(nb) == rack {
-			return j
-		}
-	}
-	panic("sim: expander neighbor lists asymmetric")
 }
 
 // reconverge is the expander's reaction rule: route by the surviving

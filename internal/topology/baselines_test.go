@@ -147,6 +147,41 @@ func TestFoldedClosRackGraph(t *testing.T) {
 	}
 }
 
+// TestFoldedClosRackGraphRowOrder pins the row order the simulator wires
+// its switches by: a row lists its lower-numbered neighbours — the switch's
+// down ports — first and ascending, then its uplinks. A ToR's row is all
+// uplinks (its aggs), a core's all down ports (one agg per pod), and an
+// agg's is its pod's ToRs, then its cores.
+func TestFoldedClosRackGraphRowOrder(t *testing.T) {
+	for _, kf := range [][2]int{{8, 3}, {12, 3}, {8, 1}} {
+		c := MustNewFoldedClos(kf[0], kf[1])
+		for v, row := range c.RackGraph() {
+			down := 0
+			for down < len(row) && int(row[down]) < v {
+				if down > 0 && row[down] <= row[down-1] {
+					t.Fatalf("k=%d F=%d node %d: down neighbours %v not ascending", kf[0], kf[1], v, row)
+				}
+				down++
+			}
+			for _, w := range row[down:] {
+				if int(w) < v {
+					t.Fatalf("k=%d F=%d node %d: lower neighbour %d after an uplink in %v", kf[0], kf[1], v, w, row)
+				}
+			}
+			want := [3]int{0, c.ToRsPerPod, c.NumPods} // ToR, agg, core
+			tier := 0
+			if v >= c.NumToRs+c.NumAgg {
+				tier = 2
+			} else if v >= c.NumToRs {
+				tier = 1
+			}
+			if down != want[tier] {
+				t.Fatalf("k=%d F=%d node %d: %d down ports, want %d", kf[0], kf[1], v, down, want[tier])
+			}
+		}
+	}
+}
+
 func TestFoldedClosToRPathStats(t *testing.T) {
 	c := MustNewFoldedClos(12, 3)
 	ps := c.ToRPathStats()

@@ -221,10 +221,14 @@ func MustNewFoldedClos(k, f int) *FoldedClos {
 // ToRPod returns the pod of ToR t.
 func (c *FoldedClos) ToRPod(t int) int { return t / c.ToRsPerPod }
 
-// RackGraph returns the switch-level successor table the failure
-// analysis (Figure 19) masks: ToR–agg–core connectivity expanded into a
-// node per switch, each link in both rows in wiring order. Node
-// numbering: [0,NumToRs) ToRs, then agg, then core.
+// RackGraph returns the folded Clos's wiring as a switch-level successor
+// table: a node per switch, each link in both rows. Node numbering is
+// [0,NumToRs) ToRs, then agg, then core. It is the one statement of the
+// wiring: the simulator wires switch v's port k to node adj[v][k] and
+// names its cables and fault coordinates from it, and the failure analysis
+// (Figure 19) masks it. Each row lists its lower-numbered neighbours first
+// and ascending — a switch's down ports, over the racks below it in order
+// — then its uplinks.
 func (c *FoldedClos) RackGraph() [][]int32 {
 	adj := make([][]int32, c.NumToRs+c.NumAgg+c.NumCore)
 	link := func(a, b int) {
