@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: lint test short race fmt check bench-module fuzz figdiff digests loc
 
-## lint: go vet + the opera-lint determinism/hot-path analyzers over ./...
+## lint: go vet + the opera-lint determinism and error-handling analyzers over ./...
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/opera-lint ./...

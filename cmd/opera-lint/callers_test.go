@@ -19,7 +19,6 @@ const internalPrefix = "github.com/opera-net/opera/internal/"
 // package-level name ("topology.MustNewOpera") or a method
 // ("(*eventsim.Engine).Run").
 var testOnlyKeep = map[string]string{
-	"trace":             "no importer yet; its deletion must edit bench/layers.go with it",
 	"lint/analysistest": "the analyzers' fixture harness, test-only by design",
 
 	"eventsim.NewHeapScheduler":    "the oracle the timing wheel is checked against",

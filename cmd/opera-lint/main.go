@@ -1,4 +1,4 @@
-// Command opera-lint runs the repository's determinism and hot-path
+// Command opera-lint runs the repository's determinism and error-handling
 // analyzers over Go packages — the mechanical form of the invariants the
 // simulator's results stand on.
 //
@@ -11,9 +11,8 @@
 // analyzed; the exit status is 0 when clean, 1 when diagnostics were
 // reported, 2 when loading or type-checking failed.
 //
-// The four analyzers (see each package's doc for the full rationale):
+// The three analyzers (see each package's doc for the full rationale):
 //
-//	noclosuresched  closure-literal eventsim scheduling on the packet hot path
 //	determrand      wall-clock reads and global-RNG draws in simulation code
 //	maporder        order-sensitive range-over-map loops
 //	injecterr       discarded errors that are silent no-ops (Inject/Recover,
@@ -34,11 +33,9 @@ import (
 	"github.com/opera-net/opera/internal/lint/injecterr"
 	"github.com/opera-net/opera/internal/lint/loadpkg"
 	"github.com/opera-net/opera/internal/lint/maporder"
-	"github.com/opera-net/opera/internal/lint/noclosuresched"
 )
 
 var analyzers = []*analysis.Analyzer{
-	noclosuresched.Analyzer,
 	determrand.Analyzer,
 	maporder.Analyzer,
 	injecterr.Analyzer,
@@ -48,7 +45,7 @@ func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: opera-lint [-list] [packages...]\n\n")
-		fmt.Fprintf(flag.CommandLine.Output(), "Runs the opera determinism/hot-path analyzers (default pattern ./...).\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "Runs the opera determinism and error-handling analyzers (default pattern ./...).\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

@@ -168,9 +168,20 @@ func main() {
 	for _, t := range tables {
 		fmt.Printf("  wrote %s/%s.csv (%d rows)\n", *out, t.Name, len(t.Rows))
 	}
+	// A cell that ran and failed (a fault target its fabric lacks, say)
+	// fails the sweep as an undelivered one does; both carry an Err.
+	errored := 0
+	for _, r := range rep.Results {
+		if r.Err != "" {
+			fmt.Fprintf(os.Stderr, "opera-sweep: %s: %s\n", r.Name, r.Err)
+			errored++
+		}
+	}
 	if len(rep.Failed) > 0 {
 		fmt.Fprintf(os.Stderr, "opera-sweep: %d/%d scenarios failed after %d dispatch round(s)\n",
 			len(rep.Failed), len(specs), rep.Rounds)
+	}
+	if errored > 0 {
 		os.Exit(1)
 	}
 }

@@ -61,12 +61,13 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Micros returns the time as a floating-point number of microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// Handler is a pre-bound event callback. Scheduling a Handler with AtCall
-// or AfterCall avoids the per-event closure allocation of At/After: the
-// handler is a long-lived object (a port, a pacer, a transmission session)
-// and arg carries the per-event state — typically a pointer, which converts
-// to the any interface without allocating. Together with the engine's event
-// free list this makes steady-state scheduling allocation-free.
+// Handler is a pre-bound event callback, and the only thing the engine
+// schedules: no Engine method takes a func, so no event carries a
+// per-event closure. The handler is a long-lived object (a port, a pacer,
+// a transmission session) and arg carries the per-event state — typically
+// a pointer, which converts to the any interface without allocating.
+// Together with the engine's event free list this makes steady-state
+// scheduling allocation-free.
 type Handler interface {
 	OnEvent(arg any)
 }
@@ -84,12 +85,6 @@ type Event struct {
 	arg  any
 	next *Event // intrusive link, owned by the scheduler holding the event
 }
-
-// funcHandler is the Handler behind At/After. A func value is
-// pointer-shaped, so converting one to Handler does not allocate.
-type funcHandler func()
-
-func (f funcHandler) OnEvent(any) { f() }
 
 // before reports whether e is ordered before o in the engine's total event
 // order: ascending time, ties broken by ascending seq (scheduling order).
@@ -215,24 +210,9 @@ func (e *Engine) push(ev *Event) {
 	e.sched.Push(ev)
 }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: such bugs silently corrupt causality and must not be masked.
-func (e *Engine) At(t Time, fn func()) *Event {
-	return e.AtCall(t, funcHandler(fn), nil)
-}
-
-// After schedules fn to run d nanoseconds after the current time.
-func (e *Engine) After(d Time, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("eventsim: negative delay %v", d))
-	}
-	return e.At(e.now+d, fn)
-}
-
-// AtCall schedules h.OnEvent(arg) at absolute virtual time t — the
-// closure-free counterpart of At. Tie-order semantics are identical: events
-// at equal times fire in scheduling order regardless of which form
-// scheduled them.
+// AtCall schedules h.OnEvent(arg) at absolute virtual time t. Events at
+// equal times fire in scheduling order. Scheduling in the past panics:
+// such bugs silently corrupt causality and must not be masked.
 func (e *Engine) AtCall(t Time, h Handler, arg any) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("eventsim: scheduling at %v before now %v", t, e.now))
@@ -243,8 +223,7 @@ func (e *Engine) AtCall(t Time, h Handler, arg any) *Event {
 	return ev
 }
 
-// AfterCall schedules h.OnEvent(arg) d nanoseconds after the current time —
-// the closure-free counterpart of After.
+// AfterCall schedules h.OnEvent(arg) d nanoseconds after the current time.
 func (e *Engine) AfterCall(d Time, h Handler, arg any) *Event {
 	if d < 0 {
 		panic(fmt.Sprintf("eventsim: negative delay %v", d))

@@ -2,6 +2,7 @@ package eventsim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -11,9 +12,9 @@ import (
 func TestEngineOrdering(t *testing.T) {
 	e := New()
 	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
+	e.AtCall(30, funcHandler(func() { got = append(got, 3) }), nil)
+	e.AtCall(10, funcHandler(func() { got = append(got, 1) }), nil)
+	e.AtCall(20, funcHandler(func() { got = append(got, 2) }), nil)
 	e.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -31,7 +32,7 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.At(42, func() { got = append(got, i) })
+		e.AtCall(42, funcHandler(func() { got = append(got, i) }), nil)
 	}
 	e.Run()
 	if len(got) != 100 {
@@ -49,7 +50,7 @@ func TestEngineRunUntil(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{10, 20, 30, 40} {
 		at := at
-		e.At(at, func() { fired = append(fired, at) })
+		e.AtCall(at, funcHandler(func() { fired = append(fired, at) }), nil)
 	}
 	e.RunUntil(25)
 	if len(fired) != 2 {
@@ -74,7 +75,7 @@ func TestEngineRunFor(t *testing.T) {
 		t.Fatalf("Now = %v, want 100", e.Now())
 	}
 	n := 0
-	e.After(50, func() { n++ })
+	e.AfterCall(50, funcHandler(func() { n++ }), nil)
 	runFor(49)
 	if n != 0 || e.Now() != 149 {
 		t.Fatalf("n=%d now=%v, want 0/149", n, e.Now())
@@ -92,10 +93,10 @@ func TestSchedulingInsideEvents(t *testing.T) {
 	recurse = func() {
 		depth++
 		if depth < 10 {
-			e.After(1, recurse)
+			e.AfterCall(1, funcHandler(recurse), nil)
 		}
 	}
-	e.At(0, recurse)
+	e.AtCall(0, funcHandler(recurse), nil)
 	e.Run()
 	if depth != 10 {
 		t.Fatalf("depth = %d, want 10", depth)
@@ -107,14 +108,14 @@ func TestSchedulingInsideEvents(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := New()
-	e.At(10, func() {
+	e.AtCall(10, funcHandler(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
-	})
+		e.AtCall(5, funcHandler(func() {}), nil)
+	}), nil)
 	e.Run()
 }
 
@@ -125,7 +126,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Error("negative delay did not panic")
 		}
 	}()
-	e.After(-1, func() {})
+	e.AfterCall(-1, funcHandler(func() {}), nil)
 }
 
 // Property: for any batch of events with random times, execution order is a
@@ -144,7 +145,7 @@ func TestEventOrderProperty(t *testing.T) {
 		for i, ti := range times {
 			at := Time(ti)
 			i := i
-			e.At(at, func() { got = append(got, rec{at, i}) })
+			e.AtCall(at, funcHandler(func() { got = append(got, rec{at, i}) }), nil)
 		}
 		e.Run()
 		if len(got) != len(times) {
@@ -225,10 +226,10 @@ func TestDeterminism(t *testing.T) {
 		step = func() {
 			trace = append(trace, e.Now())
 			if len(trace) < 1000 {
-				e.After(Time(rng.Intn(100)), step)
+				e.AfterCall(Time(rng.Intn(100)), funcHandler(step), nil)
 			}
 		}
-		e.At(0, step)
+		e.AtCall(0, funcHandler(step), nil)
 		e.Run()
 		return trace
 	}
@@ -247,13 +248,19 @@ func BenchmarkEngineScheduleAndRun(b *testing.B) {
 	e := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.After(Time(i%64), func() {})
+		e.AfterCall(Time(i%64), funcHandler(func() {}), nil)
 		if e.Len() > 4096 {
 			e.RunUntil(e.Now() + 64)
 		}
 	}
 	e.Run()
 }
+
+// funcHandler adapts a closure to Handler, so a test can schedule one
+// through AtCall/AfterCall. The engine itself takes no func.
+type funcHandler func()
+
+func (f funcHandler) OnEvent(any) { f() }
 
 // countHandler is a pre-bound Handler recording how it was invoked.
 type countHandler struct {
@@ -262,6 +269,21 @@ type countHandler struct {
 }
 
 func (h *countHandler) OnEvent(arg any) { h.n++; h.args = append(h.args, arg) }
+
+// TestEngineSchedulesNoClosure holds the engine to Handler-only
+// scheduling: no method of *Engine takes a func-typed parameter, so no
+// caller can hand it a per-event closure to allocate.
+func TestEngineSchedulesNoClosure(t *testing.T) {
+	typ := reflect.TypeOf(&Engine{})
+	for i := 0; i < typ.NumMethod(); i++ {
+		m := typ.Method(i)
+		for j := 1; j < m.Type.NumIn(); j++ { // In(0) is the receiver
+			if in := m.Type.In(j); in.Kind() == reflect.Func {
+				t.Errorf("(*Engine).%s takes a %s: schedule a Handler instead", m.Name, in)
+			}
+		}
+	}
+}
 
 func TestAtCallDeliversArg(t *testing.T) {
 	e := New()
@@ -287,8 +309,8 @@ type orderHandler struct{ got *[]int }
 func (h *orderHandler) OnEvent(arg any) { *h.got = append(*h.got, arg.(int)) }
 
 // Ties at equal times must fire in scheduling order regardless of which
-// form — closure or pre-bound — scheduled them, and regardless of how much
-// the event pool has churned beforehand. This is the fig08 determinism
+// handler each was scheduled with, and regardless of how much the event
+// pool has churned beforehand. This is the fig08 determinism
 // canary at engine level, run against every Scheduler implementation.
 func TestTieOrderStableAcrossFormsAndChurn(t *testing.T) {
 	for name, mk := range schedulers {
@@ -297,7 +319,7 @@ func TestTieOrderStableAcrossFormsAndChurn(t *testing.T) {
 			// Churn the pool: schedule, stop half as timers, run everything.
 			timers := make([]Timer, 250)
 			for i := range timers {
-				e.After(Time(i%7), func() {})
+				e.AfterCall(Time(i%7), funcHandler(func() {}), nil)
 				tm := &timers[i]
 				tm.BindCall(e, &nopHandler{}, nil)
 				tm.Arm(Time(i % 5))
@@ -312,7 +334,7 @@ func TestTieOrderStableAcrossFormsAndChurn(t *testing.T) {
 				if i%3 == 0 {
 					e.AtCall(base+42, oh, i)
 				} else {
-					e.At(base+42, func() { got = append(got, i) })
+					e.AtCall(base+42, funcHandler(func() { got = append(got, i) }), nil)
 				}
 			}
 			e.Run()
@@ -339,7 +361,7 @@ func TestPoolRecycleAfterCancel(t *testing.T) {
 	dead := tm.ev
 	tm.Stop()
 	ran := 0
-	e.At(20, func() { ran++ })
+	e.AtCall(20, funcHandler(func() { ran++ }), nil)
 	e.Run()
 	if stopped.n != 0 {
 		t.Fatal("stopped timer fired")
@@ -352,7 +374,7 @@ func TestPoolRecycleAfterCancel(t *testing.T) {
 	if e.free.Len() == 0 || dead.h != nil {
 		t.Fatal("the dead event was not recycled")
 	}
-	e.At(30, func() { ran++ })
+	e.AtCall(30, funcHandler(func() { ran++ }), nil)
 	e.Run()
 	if ran != 2 || stopped.n != 0 {
 		t.Fatalf("recycled event: ran = %d, stopped timer fired %d", ran, stopped.n)

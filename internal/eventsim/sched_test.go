@@ -328,10 +328,10 @@ func TestTimerRekeyMatchesEagerRearm(t *testing.T) {
 			var tm Timer
 			tm.BindCall(e, rec, 1)
 			e.AtCall(10, rec, 2)
-			e.At(10, func() {
+			e.AtCall(10, funcHandler(func() {
 				arm(&tm, 0) // the queued event is due now: re-keyed behind rec 3
 				e.AtCall(10, rec, 4)
-			})
+			}), nil)
 			arm(&tm, 10)
 			e.AtCall(10, rec, 3)
 			e.Run()
@@ -402,10 +402,12 @@ func TestWheelRewindAfterPeek(t *testing.T) {
 	e := New()
 	var got []Time
 	rec := func() { got = append(got, e.Now()) }
-	e.At(10_000, rec)
-	e.At(500_000, rec)
-	e.RunUntil(10_000) // fires the first; the trailing peek sees the second
-	e.At(20_000, rec)  // earlier than what the peek saw
+	e.AtCall(10_000, funcHandler(rec), nil)
+	e.AtCall(500_000, funcHandler(rec), nil)
+	// RunUntil fires the first; its trailing peek sees the second. The
+	// third is earlier than what the peek saw.
+	e.RunUntil(10_000)
+	e.AtCall(20_000, funcHandler(rec), nil)
 	e.Run()
 	want := []Time{10_000, 20_000, 500_000}
 	if len(got) != len(want) {
@@ -603,12 +605,12 @@ func TestContinueCallTieOrderMatchesAfterCall(t *testing.T) {
 	e := New()
 	var got []int
 	oh := &orderHandler{got: &got}
-	e.At(0, func() {
+	e.AtCall(0, funcHandler(func() {
 		e.AfterCall(10, oh, 0)
 		e.ContinueCall(10, oh, 1) // claims the firing event; seq follows the AfterCall
 		e.AfterCall(10, oh, 2)
 		e.ContinueCall(10, oh, 3) // firing already claimed: falls back to pooled path
-	})
+	}), nil)
 	e.Run()
 	want := []int{0, 1, 2, 3}
 	if len(got) != len(want) {

@@ -18,10 +18,10 @@ func TestStatsPinnedSchedule(t *testing.T) {
 	nop := &nopHandler{}
 	var tm Timer
 	tm.BindCall(eng, nop, nil)
-	eng.At(1*Microsecond, noop)
-	eng.At(2*Microsecond, noop)
+	eng.AtCall(1*Microsecond, funcHandler(noop), nil)
+	eng.AtCall(2*Microsecond, funcHandler(noop), nil)
 	tm.Arm(3 * Microsecond)
-	eng.At(2*Millisecond, noop) // beyond the wheel horizon: overflow tier
+	eng.AtCall(2*Millisecond, funcHandler(noop), nil) // beyond the wheel horizon: overflow tier
 
 	st := eng.Stats()
 	if st.Scheduled != 4 || st.Fired != 0 || st.Cancelled != 0 || st.Pending != 4 {
@@ -77,8 +77,8 @@ func TestStatsPinnedSchedule(t *testing.T) {
 // everything is overflow.
 func TestStatsHeapScheduler(t *testing.T) {
 	eng := NewWith(NewHeapScheduler())
-	eng.At(5*Microsecond, func() {})
-	eng.At(7*Microsecond, func() {})
+	eng.AtCall(5*Microsecond, funcHandler(func() {}), nil)
+	eng.AtCall(7*Microsecond, funcHandler(func() {}), nil)
 	if st := eng.Stats(); st.SchedStats != (SchedStats{Overflow: 2}) {
 		t.Fatalf("heap occupancy = %+v, want Overflow: 2", st.SchedStats)
 	}
@@ -110,7 +110,7 @@ func TestMetaEventsInvisible(t *testing.T) {
 		eng := New()
 		fired := 0
 		for i := Time(1); i <= 10; i++ {
-			eng.At(i*100*Microsecond, func() { fired++ })
+			eng.AtCall(i*100*Microsecond, funcHandler(func() { fired++ }), nil)
 		}
 		var ms *metaSampler
 		if observe {
@@ -168,7 +168,7 @@ func TestCountKinds(t *testing.T) {
 		for i := Time(1); i <= 6; i++ {
 			rearmed.Arm(i * 1500 * Nanosecond) // the first arm plus five re-arms
 		}
-		eng.At(9*Microsecond, func() {})
+		eng.AtCall(9*Microsecond, funcHandler(func() {}), nil)
 		if got, want := eng.Stats().SchedStats, kinds.Scheduler.(SchedulerStats).SchedStats(); got != want || got == (SchedStats{}) {
 			t.Fatalf("%s: occupancy through the wrapper = %+v, wrapped scheduler says %+v", name, got, want)
 		}

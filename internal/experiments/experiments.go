@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -36,15 +37,13 @@ func (t *Table) Add(cells ...any) {
 	t.Rows = append(t.Rows, row)
 }
 
-// CSV renders the table as CSV text.
+// CSV renders the table as CSV text. A cell holding a comma, a quote, a
+// newline or a leading space is quoted, so every row keeps its width.
 func (t *Table) CSV() string {
 	var b strings.Builder
-	b.WriteString(strings.Join(t.Header, ","))
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		b.WriteString(strings.Join(r, ","))
-		b.WriteByte('\n')
-	}
+	w := csv.NewWriter(&b)
+	w.Write(t.Header) // a strings.Builder never fails a write
+	w.WriteAll(t.Rows)
 	return b.String()
 }
 

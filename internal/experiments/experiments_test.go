@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/gob"
 	"reflect"
 	"strings"
@@ -16,12 +17,27 @@ func TestTableCSV(t *testing.T) {
 	tb := Table{Name: "x", Header: []string{"a", "b"}}
 	tb.Add(1, 2.5)
 	tb.Add("s", 0.0000012)
-	csv := tb.CSV()
-	if !strings.HasPrefix(csv, "a,b\n1,2.5\n") {
-		t.Fatalf("csv = %q", csv)
+	out := tb.CSV()
+	if !strings.HasPrefix(out, "a,b\n1,2.5\n") {
+		t.Fatalf("csv = %q", out)
 	}
 	if err := tb.WriteCSV(t.TempDir()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A cell with a comma in it (a sweep cell's err, say) is quoted: the row
+// reads back at the header's width with the cell intact.
+func TestTableCSVQuotesCommaCell(t *testing.T) {
+	tb := Table{Name: "x", Header: []string{"name", "err"}}
+	cell := `inject(link(rack=99,up=2),down): rack 99 out of range [0,16) "q"`
+	tb.Add("a", cell)
+	recs, err := csv.NewReader(strings.NewReader(tb.CSV())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || len(recs[1]) != len(tb.Header) || recs[1][1] != cell {
+		t.Fatalf("read back %q, want the header then [a %q]", recs, cell)
 	}
 }
 

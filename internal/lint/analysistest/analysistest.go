@@ -12,7 +12,7 @@
 //
 // Expectation syntax, per line:
 //
-//	eng.At(t, func() {}) // want `closure literal`
+//	for _, v := range m { out = append(out, v) } // want `appends to a slice`
 //
 // Each backquoted or double-quoted string after "want" is a regular
 // expression that must match exactly one diagnostic reported on that

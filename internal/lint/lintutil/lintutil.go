@@ -9,7 +9,7 @@
 // suppresses the named checks on the directive's own line and on the line
 // immediately below it, so both trailing and preceding placements work:
 //
-//	fc.eng.At(at, fn) //operalint:allow closuresched -- cold path
+//	start := time.Now() //operalint:allow determrand -- display-only metadata
 //
 //	//operalint:allow maporder -- merged into per-key slots, order-free
 //	for k, v := range m { ... }
@@ -85,15 +85,15 @@ func CalleeMethod(info *types.Info, call *ast.CallExpr) (fn *types.Func, pkgBase
 }
 
 // IsEngineSchedule reports whether call invokes one of the eventsim
-// engine's scheduling methods (At, After, AtCall, AfterCall,
-// ContinueCall), returning the method name.
+// engine's scheduling methods (AtCall, AfterCall, ContinueCall),
+// returning the method name.
 func IsEngineSchedule(info *types.Info, call *ast.CallExpr) (name string, ok bool) {
 	fn, base, ok := CalleeMethod(info, call)
 	if !ok || base != "eventsim" {
 		return "", false
 	}
 	switch fn.Name() {
-	case "At", "After", "AtCall", "AfterCall", "ContinueCall":
+	case "AtCall", "AfterCall", "ContinueCall":
 		return fn.Name(), true
 	}
 	return "", false

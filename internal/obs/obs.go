@@ -21,10 +21,9 @@
 //
 // Lint note (the PR 8 landmine): opera-lint analyzers match packages by
 // import-path BASE, not full path. This package registers the base "obs"
-// in the noclosuresched and maporder scopes, so any other package whose
-// import path ends in /obs inherits those checks too — snapshot code must
-// sort map iterations (tags) and must never schedule closures on the
-// engine.
+// in the maporder scope, so any other package whose import path ends in
+// /obs inherits that check too — snapshot code must sort map iterations
+// (tags).
 package obs
 
 import "sync/atomic"

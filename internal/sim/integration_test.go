@@ -11,6 +11,12 @@ import (
 	"github.com/opera-net/opera/internal/topology"
 )
 
+// funcHandler adapts a closure to eventsim.Handler, so a test can
+// schedule one through AtCall/AfterCall.
+type funcHandler func()
+
+func (f funcHandler) OnEvent(any) { f() }
+
 // testbed bundles a small Opera network with both transports attached.
 type testbed struct {
 	eng    *eventsim.Engine
@@ -217,11 +223,11 @@ func TestMixedLLAndBulk(t *testing.T) {
 		llFlows = append(llFlows, f)
 	}
 	// Start LL mid-way so they contend with bulk in flight.
-	tb.eng.After(500*eventsim.Microsecond, func() {
+	tb.eng.AfterCall(500*eventsim.Microsecond, funcHandler(func() {
 		for _, f := range llFlows {
 			tb.startLL(f)
 		}
-	})
+	}), nil)
 	if !tb.runUntilDone(t, 5000*eventsim.Millisecond) {
 		done, total := tb.net.Metrics().DoneCount()
 		t.Fatalf("only %d/%d flows completed", done, total)

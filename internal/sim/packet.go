@@ -14,8 +14,6 @@ package sim
 import (
 	"fmt"
 	"sync"
-
-	"github.com/opera-net/opera/internal/eventsim"
 )
 
 // Class is a packet's scheduling class; smaller is served first.
@@ -115,9 +113,6 @@ type Packet struct {
 	// OrigHops preserves, on a KindBulkNack, the hop count of the failed
 	// packet (the NACK's own Hops field mutates as it is routed back).
 	OrigHops int8
-
-	// EnqueuedAt supports queue-latency metrics.
-	EnqueuedAt eventsim.Time
 
 	// dst is the resolved far-end node while the packet is in flight on a
 	// link (set at transmit-completion, cleared on delivery). Carrying it

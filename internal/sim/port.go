@@ -109,9 +109,6 @@ func (pt *Port) Name() string { return pt.name }
 // SetBulkDropHandler wires the bulk-drop NACK path.
 func (pt *Port) SetBulkDropHandler(fn func(*Packet)) { pt.onBulkDrop = fn }
 
-// QueuedBytes returns the bytes currently queued in the given class queue.
-func (pt *Port) QueuedBytes(c Class) int { return pt.qBytes[c] }
-
 // SetLossRate makes the port a lossy gray link: each packet completing
 // serialization is independently lost with the given probability, drawn
 // from a generator seeded here — so loss patterns are deterministic under
@@ -147,7 +144,6 @@ func (pt *Port) ClearImpairments() {
 // Enqueue admits a packet to its class queue, applying NDP trimming and
 // bulk drop policy, and kicks the transmitter.
 func (pt *Port) Enqueue(p *Packet) {
-	p.EnqueuedAt = pt.eng.Now()
 	c := ClassLowLatency
 	switch {
 	case p.IsControl():

@@ -183,7 +183,7 @@ func TestPortFlushForReconfig(t *testing.T) {
 	if len(nacked) != 1 || len(requeued) != 1 {
 		t.Fatalf("nacked=%d requeued=%d, want 1/1", len(nacked), len(requeued))
 	}
-	if pt.QueuedBytes(ClassBulk) != 0 || pt.QueuedBytes(ClassLowLatency) != 0 {
+	if pt.qBytes[ClassBulk] != 0 || pt.qBytes[ClassLowLatency] != 0 {
 		t.Fatal("queues not empty after flush")
 	}
 	if pt.Stats.Stale != 1 {
@@ -282,8 +282,9 @@ func TestPacketPool(t *testing.T) {
 }
 
 // TestPacketAndFlowSize pins both per-packet and per-flow records to the
-// 96-byte size class: one more word moves either to 112 bytes, paid by
-// every pooled packet and every flow of a soak.
+// 96-byte size class: growing past it moves either to 112 bytes, paid by
+// every pooled packet and every flow of a soak. Packet is 88 bytes, so it
+// has one word to spare; Flow has none.
 func TestPacketAndFlowSize(t *testing.T) {
 	if got := unsafe.Sizeof(Packet{}); got > 96 {
 		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want <= 96", got)
@@ -360,11 +361,11 @@ func TestFlushForReconfigReentrancy(t *testing.T) {
 	}
 	// Both re-enqueued packets survived the flush, queued for the new
 	// configuration.
-	if pt.QueuedBytes(ClassControl) != 64 {
-		t.Fatalf("ctrl bytes = %d, want the re-enqueued NACK (64)", pt.QueuedBytes(ClassControl))
+	if pt.qBytes[ClassControl] != 64 {
+		t.Fatalf("ctrl bytes = %d, want the re-enqueued NACK (64)", pt.qBytes[ClassControl])
 	}
-	if pt.QueuedBytes(ClassLowLatency) != 1500 {
-		t.Fatalf("ll bytes = %d, want the requeued packet (1500)", pt.QueuedBytes(ClassLowLatency))
+	if pt.qBytes[ClassLowLatency] != 1500 {
+		t.Fatalf("ll bytes = %d, want the requeued packet (1500)", pt.qBytes[ClassLowLatency])
 	}
 	if pt.Stats.Stale != 1 {
 		t.Fatalf("stale = %d, want 1", pt.Stats.Stale)
@@ -401,8 +402,8 @@ func TestDropAllReentrancy(t *testing.T) {
 	if drops != 1 {
 		t.Fatalf("bulk dropped %d times, want exactly 1", drops)
 	}
-	if pt.QueuedBytes(ClassBulk) != 1500 {
-		t.Fatalf("bulk bytes = %d, want re-enqueued 1500", pt.QueuedBytes(ClassBulk))
+	if pt.qBytes[ClassBulk] != 1500 {
+		t.Fatalf("bulk bytes = %d, want re-enqueued 1500", pt.qBytes[ClassBulk])
 	}
 }
 
@@ -482,8 +483,8 @@ func TestPktFIFOMatchesSliceOracle(t *testing.T) {
 					})
 					check(pt.pick())
 				}
-				if q.Len() != len(oracle) || pt.QueuedBytes(ClassLowLatency) != 100*len(oracle) {
-					t.Fatalf("queue holds %d packets and %d B, want %d", q.Len(), pt.QueuedBytes(ClassLowLatency), len(oracle))
+				if q.Len() != len(oracle) || pt.qBytes[ClassLowLatency] != 100*len(oracle) {
+					t.Fatalf("queue holds %d packets and %d B, want %d", q.Len(), pt.qBytes[ClassLowLatency], len(oracle))
 				}
 			}
 		})
