@@ -9,7 +9,7 @@
 // With no arguments it analyzes ./... . Patterns are resolved by the go
 // command, so anything `go list` accepts works. Non-test Go files are
 // analyzed; the exit status is 0 when clean, 1 when diagnostics were
-// reported, 2 when loading or type-checking failed.
+// reported, 2 when loading or type-checking failed or no package matched.
 //
 // The three analyzers (see each package's doc for the full rationale):
 //

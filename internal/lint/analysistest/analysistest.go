@@ -6,9 +6,12 @@
 //
 // A fixture package lives at testdata/src/<name>; its import path is just
 // <name>, which is why the analyzers classify packages by import-path
-// base. Fixture packages may import each other by those short paths (a
-// fixture "sim" package stands in for internal/sim) and may import the
-// standard library, which is resolved through `go list -export`.
+// base. Run loads fixtures as upstream does, in GOPATH mode with testdata
+// as the GOPATH, and through loadpkg.Load, the opera-lint driver's own
+// loader: fixtures may import each other by their short paths (a fixture
+// "sim" package stands in for internal/sim) and the standard library.
+// Run sets that environment with t.Setenv, which rules out t.Parallel in
+// its callers.
 //
 // Expectation syntax, per line:
 //
@@ -22,14 +25,10 @@ package analysistest
 
 import (
 	"fmt"
-	"go/ast"
-	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -52,102 +51,20 @@ func TestData() string {
 // reports any mismatch between diagnostics and want annotations.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
-	ld := &loader{
-		root: filepath.Join(dir, "src"),
-		fset: token.NewFileSet(),
-		pkgs: make(map[string]*fixturePkg),
-		std:  make(map[string]string),
+	t.Setenv("GO111MODULE", "off")
+	t.Setenv("GOPATH", dir)
+	t.Setenv("GOFLAGS", "")
+	loaded, err := loadpkg.Load(dir, pkgs...)
+	if err != nil {
+		t.Fatalf("%s: loading fixtures: %v", a.Name, err)
 	}
-	ld.stdImp = loadpkg.ExportImporter(ld.fset, ld.std)
-	for _, name := range pkgs {
-		fp, err := ld.load(name)
-		if err != nil {
-			t.Errorf("%s: loading fixture %q: %v", a.Name, name, err)
+	for _, pkg := range loaded {
+		if pkg.Err != nil {
+			t.Errorf("%s: loading fixture %q: %v", a.Name, pkg.ImportPath, pkg.Err)
 			continue
 		}
-		check(t, ld.fset, a, fp)
+		check(t, a, pkg)
 	}
-}
-
-// fixturePkg is one loaded fixture package.
-type fixturePkg struct {
-	path  string
-	files []*ast.File
-	types *types.Package
-	info  *types.Info
-}
-
-type loader struct {
-	root    string
-	fset    *token.FileSet
-	pkgs    map[string]*fixturePkg
-	std     map[string]string // import path → export-data file
-	stdImp  types.Importer
-	loading []string // active load stack, for cycle reporting
-}
-
-// Import implements types.Importer over fixture-relative paths first,
-// falling back to standard-library export data.
-func (ld *loader) Import(path string) (*types.Package, error) {
-	if info, err := os.Stat(filepath.Join(ld.root, path)); err == nil && info.IsDir() {
-		fp, err := ld.load(path)
-		if err != nil {
-			return nil, err
-		}
-		return fp.types, nil
-	}
-	exports, err := loadpkg.StdExports(path)
-	if err != nil {
-		return nil, err
-	}
-	for k, v := range exports {
-		ld.std[k] = v
-	}
-	return ld.stdImp.Import(path)
-}
-
-func (ld *loader) load(path string) (*fixturePkg, error) {
-	if fp, ok := ld.pkgs[path]; ok {
-		return fp, nil
-	}
-	for _, active := range ld.loading {
-		if active == path {
-			return nil, fmt.Errorf("fixture import cycle through %q", path)
-		}
-	}
-	ld.loading = append(ld.loading, path)
-	defer func() { ld.loading = ld.loading[:len(ld.loading)-1] }()
-
-	dir := filepath.Join(ld.root, path)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	fp := &fixturePkg{path: path, info: loadpkg.NewInfo()}
-	for _, name := range names {
-		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		fp.files = append(fp.files, f)
-	}
-	conf := types.Config{Importer: ld}
-	fp.types, err = conf.Check(path, ld.fset, fp.files, fp.info)
-	if err != nil {
-		return nil, err
-	}
-	ld.pkgs[path] = fp
-	return fp, nil
 }
 
 // want is one expected diagnostic.
@@ -158,13 +75,13 @@ type want struct {
 	matched bool
 }
 
-func check(t *testing.T, fset *token.FileSet, a *analysis.Analyzer, fp *fixturePkg) {
+func check(t *testing.T, a *analysis.Analyzer, pkg *loadpkg.Package) {
 	t.Helper()
 	var wants []*want
-	for _, f := range fp.files {
+	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				pos := fset.Position(c.Pos())
+				pos := pkg.Fset.Position(c.Pos())
 				ws, err := parseWants(c.Text, pos)
 				if err != nil {
 					t.Errorf("%s: %v", pos, err)
@@ -177,19 +94,19 @@ func check(t *testing.T, fset *token.FileSet, a *analysis.Analyzer, fp *fixtureP
 	var diags []analysis.Diagnostic
 	pass := &analysis.Pass{
 		Analyzer:  a,
-		Fset:      fset,
-		Files:     fp.files,
-		Pkg:       fp.types,
-		TypesInfo: fp.info,
+		Fset:      pkg.Fset,
+		Files:     pkg.Files,
+		Pkg:       pkg.Types,
+		TypesInfo: pkg.Info,
 		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 	}
 	if _, err := a.Run(pass); err != nil {
-		t.Errorf("%s: running on %q: %v", a.Name, fp.path, err)
+		t.Errorf("%s: running on %q: %v", a.Name, pkg.ImportPath, err)
 		return
 	}
 
 	for _, d := range diags {
-		pos := fset.Position(d.Pos)
+		pos := pkg.Fset.Position(d.Pos)
 		found := false
 		for _, w := range wants {
 			if !w.matched && w.file == pos.Filename && w.line == pos.Line && w.rx.MatchString(d.Message) {

@@ -23,3 +23,10 @@ func good(seed int64, start time.Time) time.Duration {
 func allowed() time.Time {
 	return time.Now() //operalint:allow determrand -- wall-clock progress logging
 }
+
+// A trailing directive covers its own line only, not the one below it.
+func trailingLeaks() (time.Time, time.Time) {
+	a := time.Now() //operalint:allow determrand -- this line only
+	b := time.Now() // want `time\.Now reads the wall clock`
+	return a, b
+}

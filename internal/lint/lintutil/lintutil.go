@@ -6,8 +6,9 @@
 //
 //	//operalint:allow <check> [<check>...] [-- reason]
 //
-// suppresses the named checks on the directive's own line and on the line
-// immediately below it, so both trailing and preceding placements work:
+// suppresses the named checks on exactly one line. A directive after code
+// covers that line only; a directive alone on its line covers only the
+// line below it:
 //
 //	start := time.Now() //operalint:allow determrand -- display-only metadata
 //
@@ -129,14 +130,30 @@ func NewAllowlist(fset *token.FileSet, files []*ast.File) *Allowlist {
 					m = make(map[int]string)
 					al.lines[pos.Filename] = m
 				}
-				// The directive covers its own line (trailing form) and
-				// the next line (preceding form).
-				m[pos.Line] += " " + rest
-				m[pos.Line+1] += " " + rest
+				line := pos.Line
+				if !followsCode(fset, f, c) {
+					line++
+				}
+				m[line] += " " + rest
 			}
 		}
 	}
 	return al
+}
+
+// followsCode reports whether any syntax of f precedes comment c on c's
+// line: some node starts or ends between the line's start and c.
+func followsCode(fset *token.FileSet, f *ast.File, c *ast.Comment) bool {
+	start := fset.File(c.Pos()).LineStart(fset.Position(c.Pos()).Line)
+	found := false
+	ast.Inspect(f, func(n ast.Node) bool {
+		if _, ok := n.(*ast.CommentGroup); found || ok || n == nil || n.End() <= start || n.Pos() >= c.Pos() {
+			return false
+		}
+		found = n.Pos() >= start || n.End() <= c.Pos()
+		return !found
+	})
+	return found
 }
 
 // Allows reports whether a directive suppresses check at pos.

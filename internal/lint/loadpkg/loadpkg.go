@@ -24,13 +24,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sync"
 )
 
 // A Package is one parsed and type-checked target package.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File // non-test Go files, parsed with comments
 	Types      *types.Package
@@ -52,6 +50,8 @@ type listedPackage struct {
 // Package per matched (non-dependency-only) package. Packages that fail
 // to list, parse, or type-check are returned with Err set rather than
 // aborting the whole load, so a driver can report every problem at once.
+// A load that matches no package at all is an error carrying the go
+// command's warnings, so a mistyped pattern cannot pass as clean.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{
 		"list", "-e", "-export", "-deps",
@@ -84,11 +84,21 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 	}
 
+	if len(targets) == 0 {
+		return nil, fmt.Errorf("go list %v: no package matched\n%s", patterns, bytes.TrimSpace(stderr.Bytes()))
+	}
+
 	fset := token.NewFileSet()
-	imp := ExportImporter(fset, exports)
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("loadpkg: no export data for %q", path)
+		}
+		return os.Open(f)
+	})
 	pkgs := make([]*Package, 0, len(targets))
 	for _, t := range targets {
-		pkg := &Package{ImportPath: t.ImportPath, Dir: t.Dir, Fset: fset}
+		pkg := &Package{ImportPath: t.ImportPath, Fset: fset}
 		pkgs = append(pkgs, pkg)
 		if t.Error != nil {
 			pkg.Err = errors.New(t.Error.Err)
@@ -108,85 +118,15 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if pkg.Err != nil {
 			continue
 		}
-		pkg.Info = NewInfo()
+		// The maps the analyzers and the callers test consult.
+		pkg.Info = &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		}
 		conf := types.Config{Importer: imp}
 		pkg.Types, pkg.Err = conf.Check(t.ImportPath, fset, pkg.Files, pkg.Info)
 	}
 	return pkgs, nil
-}
-
-// NewInfo returns a types.Info with every map the analyzers consult
-// allocated.
-func NewInfo() *types.Info {
-	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-}
-
-// ExportImporter returns a types.Importer that resolves import paths via
-// gc export-data files, as produced by `go list -export` (exports maps
-// import path → export file path).
-func ExportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
-	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("loadpkg: no export data for %q", path)
-		}
-		return os.Open(f)
-	})
-}
-
-var (
-	stdExportMu    sync.Mutex
-	stdExportCache = make(map[string]string)
-)
-
-// StdExports resolves export-data files for the given (typically standard
-// library) import paths and their dependencies, caching results across
-// calls. The analysistest harness uses it to type-check fixture packages
-// that import packages like "time" or "math/rand".
-func StdExports(paths ...string) (map[string]string, error) {
-	stdExportMu.Lock()
-	defer stdExportMu.Unlock()
-
-	var missing []string
-	for _, p := range paths {
-		if _, ok := stdExportCache[p]; !ok {
-			missing = append(missing, p)
-		}
-	}
-	if len(missing) > 0 {
-		args := append([]string{
-			"list", "-e", "-export", "-deps", "-json=ImportPath,Export",
-		}, missing...)
-		cmd := exec.Command("go", args...)
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
-		if err != nil {
-			return nil, fmt.Errorf("go list %v: %v\n%s", missing, err, stderr.Bytes())
-		}
-		dec := json.NewDecoder(bytes.NewReader(out))
-		for {
-			var p struct{ ImportPath, Export string }
-			if err := dec.Decode(&p); errors.Is(err, io.EOF) {
-				break
-			} else if err != nil {
-				return nil, fmt.Errorf("go list %v: decoding output: %v", missing, err)
-			}
-			if p.Export != "" {
-				stdExportCache[p.ImportPath] = p.Export
-			}
-		}
-	}
-	res := make(map[string]string, len(stdExportCache))
-	for k, v := range stdExportCache {
-		res[k] = v
-	}
-	return res, nil
 }
