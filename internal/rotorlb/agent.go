@@ -14,9 +14,10 @@ type rackAgent struct {
 	rack int
 
 	// voq holds own traffic and relay stored VLB traffic, by final
-	// destination rack. Both stay nil, read as all empty, until the
-	// rack's first bulk byte (queues): a rack that never sources, relays
-	// or requeues a bulk byte, as in a latency-only run, holds no queue.
+	// destination rack. Both stay nil, read as all empty, until hold
+	// first puts bytes in them: a rack that never sources, relays or gets
+	// back a bulk byte for another rack, as in a latency-only run, holds
+	// no queue.
 	voq   []segQueue
 	relay []segQueue
 
@@ -54,8 +55,7 @@ func newRackAgent(lb *LB, rack int) *rackAgent {
 }
 
 // queues allocates the rack's VOQs and relay queues, one backing array for
-// both, the first time it is called; every path that puts bytes in them
-// calls it first.
+// both, the first time it is called. Only hold calls it.
 func (a *rackAgent) queues() {
 	if a.voq == nil {
 		n := a.lb.net.NumRacks()
@@ -137,7 +137,7 @@ func (a *rackAgent) negotiateVLB(peer int, spare int64, vlbQ *segQueue) {
 		if spare <= 0 {
 			return
 		}
-		if dst == peer || dst == a.rack {
+		if dst == peer {
 			continue
 		}
 		q := &a.voq[dst]
@@ -201,35 +201,24 @@ func (a *rackAgent) acceptVLB(offer int64) int64 {
 	return offer
 }
 
-// sendLocal transmits a rack-local bulk flow straight through the ToR,
-// self-paced at the NIC rate. The pacer is one localSender allocated per
-// local flow; its per-packet rescheduling uses the pooled closure-free
-// engine path.
-func (a *rackAgent) sendLocal(f *sim.Flow) {
-	(&localSender{a: a, f: f}).OnEvent(nil)
-}
-
-// localSender paces one rack-local flow, one MTU per serialization time.
+// localSender paces rack-local bytes straight through the ToR, self-paced
+// at the NIC rate: one MTU per serialization time until none are left.
 type localSender struct {
 	a    *rackAgent
 	f    *sim.Flow
-	sent int64
+	left int64
 }
 
 // OnEvent implements eventsim.Handler: emit the next chunk and reschedule.
 func (s *localSender) OnEvent(any) {
-	if s.sent >= s.f.Size {
+	if s.left <= 0 {
 		return
 	}
 	net := s.a.lb.net
 	cfg := net.Config()
-	n := int64(cfg.MTU)
-	if s.f.Size-s.sent < n {
-		n = s.f.Size - s.sent
-	}
-	p := s.a.newBulkPacket(segment{f: s.f, host: s.f.SrcHost, bytes: n}, -1)
-	net.Hosts()[s.f.SrcHost].Send(p)
-	s.sent += n
+	n := min(int64(cfg.MTU), s.left)
+	s.left -= n
+	net.Hosts()[s.f.SrcHost].Send(s.a.newBulkPacket(segment{f: s.f, host: s.f.SrcHost, bytes: n}, -1))
 	// ContinueCall: the pump rides its own just-fired event to the next chunk.
 	net.Engine().ContinueCall(cfg.SerializationDelay(int(n)), s, nil)
 }
@@ -308,10 +297,11 @@ func (s *session) pump() {
 	net.Engine().ContinueCall(txTime, s, nil)
 }
 
-// close returns any admitted-but-unsent VLB bytes to their origin queues;
-// they never left their hosts, so they simply wait for a later circuit.
-// The session's chain of events ends here — nothing scheduled refers to it
-// any more — so this is also where it goes back to the pool.
+// close returns any admitted-but-unsent VLB bytes to the head of their
+// VOQs with their hops reset: they never left their hosts, so they simply
+// wait for a later circuit. The session's chain of events ends here —
+// nothing scheduled refers to it any more — so this is also where it goes
+// back to the pool.
 func (s *session) close() {
 	a := s.agent
 	for {
@@ -320,27 +310,40 @@ func (s *session) close() {
 			break
 		}
 		a.vlbHeld -= seg.bytes
-		a.requeue(seg, seg.f.DstRack, true)
+		seg.hops = 0
+		a.hold(seg, seg.f.DstRack, true)
 	}
 	a.lb.sessions.Put(s)
 }
 
-// requeue puts bytes that did not get out, bound for rack dst, back at the
-// head of a queue. A failed VLB first leg (vlbLeg) reverts to the origin
-// queue with its hops reset: the direct path or a later offer will carry
-// it. The source host's own bytes go back to their VOQ, and a failed
-// second leg from a storage host back to the relay queue.
-func (a *rackAgent) requeue(seg segment, dst int32, vlbLeg bool) {
+// hold is the one place bytes of the rack come to rest, bound for rack
+// dst: at the head of their queue when front is set (they did not get
+// out), else at its tail. Bytes at their flow's source host go to the VOQ;
+// bytes a storage host keeps for another rack go to the relay queue. No
+// circuit joins a rack to itself, so a rack's own bytes are sent through
+// the ToR by a localSender instead: at once for a new flow, one txTime
+// later for bytes given back, since the NIC drops a packet inside Send and
+// an immediate restart would recurse.
+func (a *rackAgent) hold(seg segment, dst int32, front bool) {
+	if int(dst) == a.rack {
+		s := &localSender{a: a, f: seg.f, left: seg.bytes}
+		if front {
+			a.lb.net.Engine().AfterCall(a.lb.txTime, s, nil)
+		} else {
+			s.OnEvent(nil)
+		}
+		return
+	}
 	a.queues()
-	switch {
-	case vlbLeg:
-		seg.hops = 0
-		a.voq[dst].pushFront(seg)
-	case seg.f.SrcHost == seg.host:
-		a.voq[dst].pushFront(seg)
-	default:
-		a.relay[dst].pushFront(seg)
+	q := &a.voq[dst]
+	if seg.host != seg.f.SrcHost {
+		q = &a.relay[dst]
 		a.relayTotal += seg.bytes
+	}
+	if front {
+		q.pushFront(seg)
+	} else {
+		q.push(seg)
 	}
 }
 

@@ -6,7 +6,9 @@
 // circuit capacity exists elsewhere. Opera's contribution, the NACK
 // mechanism for bulk packets stranded at a ToR when its circuit
 // reconfigures, is implemented via the simulator's port-flush path feeding
-// KindBulkNack packets back to senders, which requeue the bytes.
+// KindBulkNack packets back to senders, which give the bytes back to
+// their queues (rackAgent.hold, the one place a rack's bytes come to
+// rest).
 //
 // Service order within a circuit's transmission window follows RotorNet's
 // RotorLB: (1) stored non-local (relayed) traffic, (2) local direct
@@ -201,9 +203,9 @@ type LB struct {
 // bulk service class on circuit fabrics.
 var _ sim.Transport = (*LB)(nil)
 
-// Attach installs RotorLB on the network: it claims bulk deliveries and
-// bulk NACKs on every host, and a slice listener opens the transmission
-// sessions.
+// Attach installs RotorLB on the network: it claims bulk deliveries, bulk
+// NACKs and bulk NIC drops on every host, and a slice listener opens the
+// transmission sessions.
 func Attach(net sim.CircuitNetwork) *LB {
 	lb := &LB{net: net}
 	cfg := net.Config()
@@ -220,32 +222,18 @@ func Attach(net sim.CircuitNetwork) *LB {
 		h.Handle(sim.KindBulk, func(p *sim.Packet) { lb.onBulk(h, p) })
 		h.Handle(sim.KindBulkNack, func(p *sim.Packet) { lb.onNack(h, p) })
 		// A bulk packet squeezed out of the host's own NIC (low-latency
-		// traffic monopolized the link) never left the host: requeue the
-		// bytes locally instead of losing them.
-		h.NIC().SetBulkDropHandler(func(p *sim.Packet) { lb.requeueLocal(h, p) })
+		// traffic monopolized the link) never left the host: give the
+		// bytes back instead of losing them.
+		h.NIC().SetBulkDropHandler(func(p *sim.Packet) { lb.giveBack(h, p, p.DstRack, p.Hops) })
 	}
 	net.OnSlice(lb.onSlice)
 	return lb
 }
 
-// requeueLocal returns a bulk packet that never left its host to the
-// appropriate queue.
-func (lb *LB) requeueLocal(h *sim.Host, p *sim.Packet) {
-	seg := segment{f: p.Flow, host: h.ID, bytes: int64(p.PayloadSize), hops: p.Hops}
-	lb.agents[h.Rack].requeue(seg, p.DstRack, p.RelayRack >= 0)
-	p.Release()
-}
-
 // StartFlow admits a bulk flow at its source host's rack agent.
 func (lb *LB) StartFlow(f *sim.Flow) {
 	f.Start = lb.net.Engine().Now()
-	a := lb.agents[f.SrcRack]
-	if f.DstRack == f.SrcRack {
-		a.sendLocal(f)
-		return
-	}
-	a.queues()
-	a.voq[f.DstRack].push(segment{f: f, host: f.SrcHost, bytes: f.Size})
+	lb.agents[f.SrcRack].hold(segment{f: f, host: f.SrcHost, bytes: f.Size}, f.DstRack, false)
 }
 
 // QueuedBytes returns the bulk backlog across all racks: own and relayed
@@ -355,25 +343,28 @@ func (lb *LB) onBulk(h *sim.Host, p *sim.Packet) {
 		return
 	}
 	// VLB storage at the relay rack.
-	a := lb.agents[h.Rack]
-	a.queues()
-	a.relay[p.DstRack].push(segment{f: f, host: h.ID, bytes: int64(p.PayloadSize), hops: p.Hops})
-	a.relayTotal += int64(p.PayloadSize)
+	lb.agents[h.Rack].hold(segment{f: f, host: h.ID, bytes: int64(p.PayloadSize), hops: p.Hops}, p.DstRack, false)
 	p.Release()
 }
 
-// onNack requeues bytes reported lost by a ToR (§4.2.2). The NACK arrives
-// at the host that transmitted the failed packet.
+// onNack gives back bytes reported lost by a ToR (§4.2.2). The NACK
+// arrives at the host that transmitted the failed packet.
 func (lb *LB) onNack(h *sim.Host, p *sim.Packet) {
 	lb.NACKs++
 	p.Flow.Retransmits++
 	// OrigHops includes the uplink the packet was enqueued on but never
-	// crossed; requeue with one hop less.
-	hops := p.OrigHops - 1
-	if hops < 0 {
+	// crossed; give back with one hop less.
+	lb.giveBack(h, p, p.FailedDstRack, max(p.OrigHops-1, 0))
+}
+
+// giveBack puts the bytes of bulk packet p, which host h sent and which did
+// not get out, back at the head of their queue, bound for rack dst at hops
+// ToR-to-ToR hops. A failed VLB first leg reverts to the origin queue with
+// its hops reset: the direct path or a later offer will carry it.
+func (lb *LB) giveBack(h *sim.Host, p *sim.Packet, dst int32, hops int8) {
+	if p.RelayRack >= 0 {
 		hops = 0
 	}
-	seg := segment{f: p.Flow, host: h.ID, bytes: int64(p.PayloadSize), hops: hops}
-	lb.agents[h.Rack].requeue(seg, p.FailedDstRack, p.RelayRack >= 0)
+	lb.agents[h.Rack].hold(segment{f: p.Flow, host: h.ID, bytes: int64(p.PayloadSize), hops: hops}, dst, true)
 	p.Release()
 }

@@ -431,7 +431,10 @@ func TestQueuedBytesCountsHeldVLB(t *testing.T) {
 // rack's queues, each on a fabric where no rack has any yet: the path
 // allocates that rack's queues (and no other rack's), and its bytes land in
 // the queue the one-queue-per-rack-pair layout puts them in, as
-// QueuedBytes and StrandedBytes count them.
+// QueuedBytes and StrandedBytes count them. A rack's own bytes given back
+// (rack -1) allocate no queue: no circuit serves one toward the rack
+// itself, so they leave the host again, through its ToR, within two
+// txTime.
 func TestQueuesAllocateOnFirstByte(t *testing.T) {
 	const (
 		src, dst     = 0, 63 // hosts: rack 0 to rack 15
@@ -491,12 +494,13 @@ func TestQueuesAllocateOnFirstByte(t *testing.T) {
 			a.vlbHeld = 3000
 			s.close()
 		}, 0, dstRack, false, src, 3000, 0},
-		{"requeueLocal, rack-local flow", -1, func(b *lbBed, f *sim.Flow) {
-			local := b.bulkFlow(2, src, localDstHost, 10_000)
-			b.lb.requeueLocal(b.net.Hosts()[src], packet(local, -1, 0))
-		}, 0, 0, false, src, payload, 0},
-		{"requeueLocal, VLB first leg", -1, func(b *lbBed, f *sim.Flow) {
-			b.lb.requeueLocal(b.net.Hosts()[src], packet(f, relayRack, 0))
+		{"NIC drop, rack-local flow", -1, func(b *lbBed, f *sim.Flow) {
+			p := packet(b.bulkFlow(2, src, localDstHost, 10_000), -1, 0)
+			b.lb.giveBack(b.net.Hosts()[src], p, p.DstRack, p.Hops)
+		}, -1, -1, false, src, payload, 0},
+		{"NIC drop, VLB first leg", -1, func(b *lbBed, f *sim.Flow) {
+			p := packet(f, relayRack, 1) // giveBack resets a first leg's hops
+			b.lb.giveBack(b.net.Hosts()[src], p, p.DstRack, p.Hops)
 		}, 0, dstRack, false, src, payload, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -513,10 +517,26 @@ func TestQueuesAllocateOnFirstByte(t *testing.T) {
 				}
 			}
 			tc.enter(b, b.bulkFlow(1, src, dst, 10_000))
-			for r, a := range b.lb.agents {
-				if got, want := a.voq != nil && a.relay != nil, r == tc.rack; got != want || (a.voq == nil) != (a.relay == nil) {
-					t.Fatalf("rack %d: voq allocated %v, relay %v; want both %v", r, a.voq != nil, a.relay != nil, want)
+			allocated := func() {
+				t.Helper()
+				for r, a := range b.lb.agents {
+					if got, want := a.voq != nil && a.relay != nil, r == tc.rack; got != want || (a.voq == nil) != (a.relay == nil) {
+						t.Fatalf("rack %d: voq allocated %v, relay %v; want both %v", r, a.voq != nil, a.relay != nil, want)
+					}
 				}
+			}
+			allocated()
+			if tc.rack < 0 {
+				if got := b.lb.QueuedBytes(); got != 0 {
+					t.Fatalf("QueuedBytes = %d, want 0", got)
+				}
+				nic := b.net.Hosts()[tc.host].NIC()
+				b.eng.RunUntil(2 * b.lb.txTime)
+				if got := nic.Stats.Tx[sim.ClassBulk].Bytes; got != uint64(tc.bytes) {
+					t.Fatalf("host %d sent %d bulk B within two txTime, want %d", tc.host, got, tc.bytes)
+				}
+				allocated()
+				return
 			}
 			a := b.lb.agents[tc.rack]
 			if len(a.voq) != 16 || len(a.relay) != 16 {

@@ -163,45 +163,84 @@ func resultLine(t *testing.T, sc scenario.Scenario) string {
 // uninformed ones by the originals, and no packet can tell; on the
 // expander, that tables rebuilt in place equal the ones they replaced; on
 // RotorNet, that circuits come back; on the Clos, that ECMP sprays over
-// every uplink again. Seed 2: at seed 1 a bulk incast sender shares its
-// receiver's rack, a flow RotorNet never finishes even fault-free.
+// every uplink again. At seed 1 a bulk incast sender shares its receiver's
+// rack: its bytes the NIC drops must leave the host again, not wait in a
+// queue no circuit serves.
 func TestFaultBeforeTrafficLeavesNoTrace(t *testing.T) {
 	for _, fab := range goldenFabrics {
-		network := fab.network
-		events, err := scenario.ParseEvents(fmt.Sprintf("120us:link:3:%[1]d,310us:recover-link:3:%[1]d", fab.hi))
-		if err != nil {
-			t.Fatal(err)
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", fab.network, seed), func(t *testing.T) {
+				events, err := scenario.ParseEvents(fmt.Sprintf("120us:link:3:%[1]d,310us:recover-link:3:%[1]d", fab.hi))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sp := scenario.Spec{
+					Name: fab.network + "/incast", Network: fab.network, Seed: seed,
+					Sources: []scenario.SourceSpec{
+						{Type: "incast", FlowBytes: 60_000, Fanin: 12, Period: 500 * eventsim.Microsecond, Bursts: 6},
+						{Type: "incast", FlowBytes: 200_000, Fanin: 6, Period: 700 * eventsim.Microsecond, Bursts: 4, Bulk: true, Tag: "bulk"},
+					},
+					Duration: 20 * eventsim.Millisecond,
+				}
+				run := func(sp scenario.Spec) scenario.Result {
+					t.Helper()
+					sc, err := sp.Scenario()
+					if err != nil {
+						t.Fatal(err)
+					}
+					cl, res := scenario.Collect(sc)
+					if res.Err != "" {
+						t.Fatalf("%s: %s", sp.Name, res.Err)
+					}
+					if !res.Completed || cl.Faults().Lost != 0 {
+						t.Fatalf("%s: completed=%v lost=%d: the relation needs every flow done and no packet near the fault",
+							sp.Name, res.Completed, cl.Faults().Lost)
+					}
+					res.SimEvents = 0
+					return res
+				}
+				clean := run(sp)
+				sp.Events = events
+				if faulted := run(sp); !faulted.Equal(clean) {
+					t.Errorf("%s: a fault recovered before the first flow changed the result:\nfault-free %+v\nfaulted    %+v", fab.network, clean, faulted)
+				}
+			})
 		}
-		sp := scenario.Spec{
-			Name: network + "/incast", Network: network, Seed: 2,
-			Sources: []scenario.SourceSpec{
-				{Type: "incast", FlowBytes: 60_000, Fanin: 12, Period: 500 * eventsim.Microsecond, Bursts: 6},
-				{Type: "incast", FlowBytes: 200_000, Fanin: 6, Period: 700 * eventsim.Microsecond, Bursts: 4, Bulk: true, Tag: "bulk"},
-			},
-			Duration: 20 * eventsim.Millisecond,
-		}
-		run := func(sp scenario.Spec) scenario.Result {
-			t.Helper()
-			sc, err := sp.Scenario()
-			if err != nil {
-				t.Fatal(err)
-			}
-			cl, res := scenario.Collect(sc)
-			if res.Err != "" {
-				t.Fatalf("%s: %s", sp.Name, res.Err)
-			}
-			if !res.Completed || cl.Faults().Lost != 0 {
-				t.Fatalf("%s: completed=%v lost=%d: the relation needs every flow done and no packet near the fault",
-					sp.Name, res.Completed, cl.Faults().Lost)
-			}
-			res.SimEvents = 0
-			return res
-		}
-		clean := run(sp)
-		sp.Events = events
-		if faulted := run(sp); !faulted.Equal(clean) {
-			t.Errorf("%s: a fault recovered before the first flow changed the result:\nfault-free %+v\nfaulted    %+v", network, clean, faulted)
-		}
+	}
+}
+
+// TestRotorLBLocalBulkFinishes is the liveness check for a rack's own
+// bulk: the 16 × 4 Opera app-tagged shuffle of 500 KB flows, run for 5 s
+// (opera-sim -network opera -workload shuffle -flowbytes 500000 -duration
+// 100ms -drain 50), finishes every flow and leaves no byte queued in
+// RotorLB. Under this load the NIC drops rack-local chunks; given back,
+// they must leave the host again, since no circuit serves a queue toward
+// the rack itself.
+func TestRotorLBLocalBulkFinishes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 5 s simulated shuffle, ~3 s of wall time")
+	}
+	if raceEnabled {
+		t.Skip("one single-threaded run, nothing concurrent — skipped under -race")
+	}
+	sp := scenario.Spec{
+		Name: "opera/shuffle", Network: "opera", Seed: 1, AppTaggedBulk: true,
+		Sources:  []scenario.SourceSpec{{Type: "shuffle", FlowBytes: 500_000}},
+		Duration: 5 * eventsim.Second,
+	}
+	sc, err := sp.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, res := scenario.Collect(sc)
+	if res.Err != "" {
+		t.Fatal(res.Err)
+	}
+	if res.FlowsDone != 4032 || res.FlowsTotal != 4032 {
+		t.Errorf("%d of %d flows done, want 4032 of 4032", res.FlowsDone, res.FlowsTotal)
+	}
+	if q := cl.RotorLB().QueuedBytes(); q != 0 {
+		t.Errorf("RotorLB holds %d B queued at the end, want 0", q)
 	}
 }
 
