@@ -15,11 +15,12 @@ var _ sim.Transport = (*Fabric)(nil)
 func (fb *Fabric) StartFlow(f *sim.Flow) { fb.eps[f.SrcHost].StartFlow(f) }
 
 // PoolGauges reports the fabric-wide flow-state free lists: sendFlow and
-// recvFlow objects parked between flows. Under streaming retention these
-// grow to the active-flow high-water mark and then hold steady — the
-// observability plane charts them to confirm a soak really is
-// allocation-flat. Both are zero under RetainAll (nothing is released).
-// The tags are the /status names.
+// recvFlow objects parked between flows. They grow to the active-flow
+// high-water mark and then hold steady — the observability plane charts
+// them to confirm a soak really is allocation-flat. A sender is released
+// once fully ACKed under either retention policy; a receiver only under
+// streaming retention, so RecvFree is zero under RetainAll. The tags are
+// the /status names.
 type PoolGauges struct {
 	SendFree int `json:"ndp_send_free"`
 	RecvFree int `json:"ndp_recv_free"`

@@ -50,12 +50,12 @@ type Endpoint struct {
 // flows. A struct is entered in its table once, when first allocated, and
 // keeps that slot for life; the flow it currently serves carries the slot
 // (sim.Flow.SendSlot/RecvSlot, 0 = none), so every ACK, NACK, PULL and
-// data arrival finds its state by index. Under streaming retention
-// (RetainSketch) completed flows release their state immediately, so
-// without pooling a flow-churn-heavy soak allocates and frees one of each
-// per flow forever; with pooling the steady state is allocation-free.
-// Under RetainAll nothing is ever released, so the pools stay empty and
-// the tables grow by a pointer per flow.
+// data arrival finds its state by index. A sender is released once fully
+// ACKed, under either retention policy; a receiver is released at
+// completion under streaming retention (RetainSketch) and kept under
+// RetainAll, which answers a duplicate from its bitmap. Without pooling a
+// flow-churn-heavy soak would allocate and free one of each per flow
+// forever; with pooling the steady state is allocation-free.
 type flowPools struct {
 	send freelist.Pool[sendFlow]
 	recv freelist.Pool[recvFlow]
@@ -95,10 +95,10 @@ func Attach(hosts []*sim.Host, metrics *sim.Metrics) *Fabric {
 }
 
 // sendFlow is pooled sender state: flows draw it from the fabric's free
-// list and, under streaming retention, return it on completion. ep is
-// rebound at acquisition; the embedded rto Timer dispatches to the
-// sendFlow itself (it implements eventsim.Handler), so a recycled flow
-// needs no per-flow closure or Timer allocation.
+// list and return it once fully ACKed. ep is rebound at acquisition; the
+// embedded rto Timer dispatches to the sendFlow itself (it implements
+// eventsim.Handler), so a recycled flow needs no per-flow closure or Timer
+// allocation.
 type sendFlow struct {
 	ep      *Endpoint
 	f       *sim.Flow
@@ -111,18 +111,15 @@ type sendFlow struct {
 	acked  []uint64
 	nAcked int32
 	rto    eventsim.Timer
-	done   bool
 }
 
 // OnEvent implements eventsim.Handler: the flow's RTO fired.
 func (sf *sendFlow) OnEvent(any) { sf.ep.onRTO(sf) }
 
 type recvFlow struct {
-	f     *sim.Flow
-	slot  int32 // its place in flowPools.recvTab
-	total int32
-	got   []uint64
-	nGot  int32
+	f    *sim.Flow
+	slot int32 // its place in flowPools.recvTab
+	got  []uint64
 }
 
 // StartFlow begins sending flow f from this endpoint's host. The flow must
@@ -131,11 +128,7 @@ func (ep *Endpoint) StartFlow(f *sim.Flow) {
 	if f.SrcHost != ep.host.ID {
 		panic(fmt.Sprintf("ndp: flow %d starts at host %d, not %d", f.ID, f.SrcHost, ep.host.ID))
 	}
-	mtu := int64(ep.host.Config().MTU)
-	total := int32((f.Size + mtu - 1) / mtu)
-	if total == 0 {
-		total = 1
-	}
+	total := packets(f, ep.host.Config())
 	sf := ep.pools.send.Get()
 	if sf == nil {
 		sf = &sendFlow{slot: int32(len(ep.pools.sendTab))}
@@ -163,6 +156,12 @@ func (ep *Endpoint) StartFlow(f *sim.Flow) {
 		sf.nextNew++
 	}
 	sf.rto.Arm(rto)
+}
+
+// packets returns how many MTU-sized data packets carry f: at least one.
+func packets(f *sim.Flow, cfg *sim.Config) int32 {
+	mtu := int64(cfg.MTU)
+	return max(int32((f.Size+mtu-1)/mtu), 1)
 }
 
 // sendData emits one data packet of the flow.
@@ -200,17 +199,12 @@ func (ep *Endpoint) recvState(p *sim.Packet) *recvFlow {
 		if f.Done {
 			return nil
 		}
-		mtu := int64(ep.host.Config().MTU)
-		total := int32((f.Size + mtu - 1) / mtu)
-		if total == 0 {
-			total = 1
-		}
 		rf = ep.pools.recv.Get()
 		if rf == nil {
 			rf = &recvFlow{slot: int32(len(ep.pools.recvTab))}
 			ep.pools.recvTab = append(ep.pools.recvTab, rf)
 		}
-		*rf = recvFlow{f: f, slot: rf.slot, total: total, got: resetBits(rf.got, (total+63)/64)}
+		*rf = recvFlow{f: f, slot: rf.slot, got: resetBits(rf.got, (packets(f, ep.host.Config())+63)/64)}
 		f.Ref()
 		f.RecvSlot = rf.slot
 	}
@@ -252,26 +246,23 @@ func (ep *Endpoint) onData(p *sim.Packet) {
 	if p.Trimmed {
 		// Header survived; payload was cut: NACK for retransmission.
 		ep.sendCtrl(sim.KindNack, rf.f, p.Seq)
-		if !rf.complete() {
+		if !rf.f.Done {
 			ep.addPullCredit(rf.f)
 		}
 		p.Release()
 		return
 	}
-	first := !rf.has(p.Seq)
-	if first {
-		rf.mark(p.Seq)
+	if idx, bit := p.Seq/64, uint64(1)<<uint(p.Seq%64); rf.got[idx]&bit == 0 {
+		rf.got[idx] |= bit
+		// The flow's last byte finishes it (Metrics.FlowDone).
 		ep.metrics.RecordDelivery(rf.f, int(p.PayloadSize), int(p.Hops), ep.host.Engine().Now())
-		if rf.complete() {
-			ep.metrics.FlowDone(rf.f, ep.host.Engine().Now())
-		}
 	}
 	ep.sendCtrl(sim.KindAck, rf.f, p.Seq)
-	if !rf.complete() {
+	if !rf.f.Done {
 		ep.addPullCredit(rf.f)
 	} else if ep.metrics.Streaming() {
-		// Streaming retention: the flow's statistics were absorbed at
-		// FlowDone above, so drop the receiver state (bitmap, flow ref) —
+		// Streaming retention: the flow's statistics were absorbed when
+		// it finished, so drop the receiver state (bitmap, flow ref) —
 		// the per-flow memory that would otherwise accumulate forever —
 		// and recycle it through the fabric pool.
 		ep.releaseRecv(rf)
@@ -281,22 +272,17 @@ func (ep *Endpoint) onData(p *sim.Packet) {
 
 func (ep *Endpoint) onAck(p *sim.Packet) {
 	sf := ep.pools.sendTab[p.Flow.SendSlot]
-	if sf != nil && !sf.done {
+	if sf != nil {
 		idx, bit := p.Seq/64, uint(p.Seq%64)
 		if sf.acked[idx]&(1<<bit) == 0 {
 			sf.acked[idx] |= 1 << bit
 			sf.nAcked++
 		}
 		if sf.nAcked == sf.total {
-			sf.done = true
-			sf.rto.Stop()
-			if ep.metrics.Streaming() {
-				// Fully acknowledged and timer stopped: nothing can need
-				// this sender state again, so release it (streaming
-				// retention keeps per-flow memory O(active flows)) and
-				// recycle it through the fabric pool.
-				ep.releaseSend(sf)
-			}
+			// Fully acknowledged: nothing can need this sender state
+			// again, so stop its timer and recycle it through the fabric
+			// pool.
+			ep.releaseSend(sf)
 		} else {
 			sf.rto.Arm(rto)
 		}
@@ -306,7 +292,7 @@ func (ep *Endpoint) onAck(p *sim.Packet) {
 
 func (ep *Endpoint) onNack(p *sim.Packet) {
 	sf := ep.pools.sendTab[p.Flow.SendSlot]
-	if sf != nil && !sf.done {
+	if sf != nil {
 		sf.rtx.PushBack(p.Seq)
 		sf.f.Retransmits++
 		sf.rto.Arm(rto)
@@ -316,7 +302,7 @@ func (ep *Endpoint) onNack(p *sim.Packet) {
 
 func (ep *Endpoint) onPull(p *sim.Packet) {
 	sf := ep.pools.sendTab[p.Flow.SendSlot]
-	if sf != nil && !sf.done {
+	if sf != nil {
 		if seq, ok := sf.rtx.PopFront(); ok {
 			ep.sendData(sf, seq)
 		} else if sf.nextNew < sf.total {
@@ -330,9 +316,6 @@ func (ep *Endpoint) onPull(p *sim.Packet) {
 // onRTO resends the lowest unacked packet — the safety net for lost
 // control packets (header-queue overflow).
 func (ep *Endpoint) onRTO(sf *sendFlow) {
-	if sf.done {
-		return
-	}
 	for seq := int32(0); seq < sf.total; seq++ {
 		if sf.acked[seq/64]&(1<<uint(seq%64)) == 0 {
 			ep.sendData(sf, seq)
@@ -390,20 +373,9 @@ func (h *pacerTick) OnEvent(any) {
 	if !ok {
 		return
 	}
-	if rf := ep.pools.recvTab[f.RecvSlot]; rf != nil && !rf.complete() {
-		ep.sendCtrl(sim.KindPull, rf.f, 0)
+	if f.RecvSlot != 0 && !f.Done {
+		ep.sendCtrl(sim.KindPull, f, 0)
 	}
 	f.Unref()
 	ep.pace()
 }
-
-func (rf *recvFlow) has(seq int32) bool {
-	return rf.got[seq/64]&(1<<uint(seq%64)) != 0
-}
-
-func (rf *recvFlow) mark(seq int32) {
-	rf.got[seq/64] |= 1 << uint(seq%64)
-	rf.nGot++
-}
-
-func (rf *recvFlow) complete() bool { return rf.nGot == rf.total }

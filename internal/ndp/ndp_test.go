@@ -424,7 +424,7 @@ func TestStragglerRetransmitConvergesAfterRelease(t *testing.T) {
 	}
 }
 
-// The RetainAll half of the same contract: nothing is released, so the
+// The RetainAll half of the same contract: no receiver is released, so the
 // receiver of a finished flow still holds its bitmap and answers a duplicate
 // like any other arrival — ACK when whole, NACK when trimmed.
 func TestStragglerOfFinishedFlowUnderRetainAll(t *testing.T) {
@@ -443,6 +443,29 @@ func TestStragglerOfFinishedFlowUnderRetainAll(t *testing.T) {
 	}
 	if f.BytesRcvd != f.Size {
 		t.Fatalf("duplicates were delivered again: %d/%d bytes", f.BytesRcvd, f.Size)
+	}
+}
+
+// A fully ACKed sender goes back to the pool under RetainAll too: each of a
+// run of sequential flows draws the one sender its predecessor freed,
+// while every receiver keeps its state.
+func TestSenderReleasedUnderRetainAll(t *testing.T) {
+	r := newRig(t, 2, sim.DefaultConfig())
+	fb := &Fabric{eps: r.eps}
+	for id := int64(1); id <= 4; id++ {
+		f := r.flow(id, 0, 1, 6000)
+		r.eps[0].StartFlow(f)
+		r.eng.Run()
+		if !f.Done || f.SendSlot != 0 || f.RecvSlot == 0 {
+			t.Fatalf("flow %d: done=%v, sender slot %d, receiver slot %d; want done, sender freed, receiver kept",
+				id, f.Done, f.SendSlot, f.RecvSlot)
+		}
+		if got := fb.PoolStats(); got != (PoolGauges{SendFree: 1}) {
+			t.Fatalf("after flow %d: pools hold %+v, want one free sender", id, got)
+		}
+	}
+	if n := len(r.eps[0].pools.sendTab) - 1; n != 1 {
+		t.Fatalf("%d senders allocated for sequential flows, want 1", n)
 	}
 }
 

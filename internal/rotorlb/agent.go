@@ -28,6 +28,10 @@ type rackAgent struct {
 	// rack, so they still count as backlog.
 	vlbHeld int64
 
+	// localHeld is the rack's own bytes that localSenders have yet to
+	// hand to a NIC.
+	localHeld int64
+
 	// firstHost is the ID of the rack's first host; nicFree and vlbBudget
 	// are indexed by host ID minus firstHost.
 	firstHost int32
@@ -218,6 +222,7 @@ func (s *localSender) OnEvent(any) {
 	cfg := net.Config()
 	n := min(int64(cfg.MTU), s.left)
 	s.left -= n
+	s.a.localHeld -= n
 	net.Hosts()[s.f.SrcHost].Send(s.a.newBulkPacket(segment{f: s.f, host: s.f.SrcHost, bytes: n}, -1))
 	// ContinueCall: the pump rides its own just-fired event to the next chunk.
 	net.Engine().ContinueCall(cfg.SerializationDelay(int(n)), s, nil)
@@ -326,6 +331,7 @@ func (s *session) close() {
 // an immediate restart would recurse.
 func (a *rackAgent) hold(seg segment, dst int32, front bool) {
 	if int(dst) == a.rack {
+		a.localHeld += seg.bytes
 		s := &localSender{a: a, f: seg.f, left: seg.bytes}
 		if front {
 			a.lb.net.Engine().AfterCall(a.lb.txTime, s, nil)

@@ -230,18 +230,22 @@ func Attach(net sim.CircuitNetwork) *LB {
 	return lb
 }
 
-// StartFlow admits a bulk flow at its source host's rack agent.
+// StartFlow admits a bulk flow at its source host's rack agent. RotorLB
+// holds one reference to f from here until its last byte arrives (onBulk):
+// every segment and localSender that points at f lives within that span.
 func (lb *LB) StartFlow(f *sim.Flow) {
 	f.Start = lb.net.Engine().Now()
+	f.Ref()
 	lb.agents[f.SrcRack].hold(segment{f: f, host: f.SrcHost, bytes: f.Size}, f.DstRack, false)
 }
 
 // QueuedBytes returns the bulk backlog across all racks: own and relayed
-// queues plus the bytes open sessions hold admitted for VLB.
+// queues, the bytes open sessions hold admitted for VLB and the rack-local
+// bytes localSenders have yet to send.
 func (lb *LB) QueuedBytes() int64 {
 	var total int64
 	for _, a := range lb.agents {
-		total += a.vlbHeld
+		total += a.vlbHeld + a.localHeld
 		for r := range a.voq {
 			total += a.voq[r].bytes + a.relay[r].bytes
 		}
@@ -334,10 +338,11 @@ func (b *pollBatch) OnEvent(any) {
 func (lb *LB) onBulk(h *sim.Host, p *sim.Packet) {
 	f := p.Flow
 	if p.DstRack == h.Rack && p.DstHost == h.ID {
-		m := lb.net.Metrics()
-		m.RecordDelivery(f, int(p.PayloadSize), int(p.Hops), lb.net.Engine().Now())
-		if f.BytesRcvd >= f.Size {
-			m.FlowDone(f, lb.net.Engine().Now())
+		lb.net.Metrics().RecordDelivery(f, int(p.PayloadSize), int(p.Hops), lb.net.Engine().Now())
+		if f.Done {
+			// The last byte: a bulk packet is delivered or NACKed, never
+			// both, so no byte of f is left anywhere in RotorLB.
+			f.Unref()
 		}
 		p.Release()
 		return

@@ -368,62 +368,89 @@ func (b *lbBed) bulkFlow(id int64, src, dst int, size int64) *sim.Flow {
 	return f
 }
 
-// TestQueuedBytesCountsHeldVLB pins the backlog identity across a slice
-// boundary that admits VLB: bytes moved from a voq into an open session's
-// vlbQ are still queued, so QueuedBytes must not dip — and once every
-// flow is delivered nothing is left held.
+// TestQueuedBytesCountsHeldVLB pins the backlog identity: a byte the rack
+// holds is queued until a host's NIC takes it. Across a slice boundary
+// that admits VLB, bytes moved from a voq into an open session's vlbQ are
+// still queued, so QueuedBytes must not dip. A rack-local flow's bytes
+// wait in a localSender, which hands its first chunk to the NIC inside
+// StartFlow and one more every txTime. Once every flow is delivered
+// nothing is left held.
 func TestQueuedBytesCountsHeldVLB(t *testing.T) {
-	b := newLBBed(t, eventsim.New(), 16, 4, 4)
-	// One rack pair far above the skew threshold: most of it is offered
-	// to relays at the first boundary.
-	size := 4 * b.lb.vlbThreshold
-	f := b.bulkFlow(1, 0, 63, size)
-	if b.lb.agents[0].voq != nil {
-		t.Fatal("rack 0 holds queues before its first bulk byte")
-	}
-	b.lb.StartFlow(f)
-	if got := b.lb.QueuedBytes(); got != size {
-		t.Fatalf("queued before the boundary = %d, want %d", got, size)
-	}
-	b.lb.onSlice(0) // admits VLB; no packet is sent until the engine runs
-	held := b.lb.agents[0].vlbHeld
-	if held == 0 {
-		t.Fatal("boundary admitted no VLB: the test exercises nothing")
-	}
-	if own := b.lb.agents[0].voq[15].bytes; own != size-held {
-		t.Fatalf("voq holds %d, want %d - %d held", own, size, held)
-	}
-	if got := b.lb.QueuedBytes(); got != size {
-		t.Fatalf("queued across the boundary = %d, want %d (held %d)", got, size, held)
-	}
-	for r := 1; r < 16; r++ {
-		if b.lb.agents[r].relay != nil {
-			t.Fatalf("rack %d holds queues before any VLB byte reached it", r)
-		}
-	}
-	b.net.Start()
-	for b.eng.Now() < 200*eventsim.Millisecond && f.BytesRcvd < size {
-		b.eng.RunUntil(b.eng.Now() + eventsim.Millisecond)
-	}
-	// Let the last window's sessions close.
-	b.eng.RunUntil(b.eng.Now() + b.net.SliceDuration())
-	if f.BytesRcvd != size {
-		t.Fatalf("delivered %d of %d", f.BytesRcvd, size)
-	}
-	if got := b.lb.QueuedBytes(); got != 0 {
-		t.Fatalf("queued after delivery = %d, want 0", got)
-	}
-	relays := 0
-	for r := 0; r < 16; r++ {
-		if h := b.lb.agents[r].vlbHeld; h != 0 {
-			t.Fatalf("rack %d still holds %d VLB bytes", r, h)
-		}
-		if r != 0 && b.lb.agents[r].relay != nil {
-			relays++
-		}
-	}
-	if relays == 0 {
-		t.Fatal("no relay rack allocated queues: the VLB bytes were stored nowhere")
+	for _, tc := range []struct {
+		name string
+		dst  int
+		size func(b *lbBed) int64
+		sent int64 // bytes handed to the NIC inside StartFlow
+	}{
+		// One rack pair far above the skew threshold: most of it is
+		// offered to relays at the first boundary.
+		{"VLB", 63, func(b *lbBed) int64 { return 4 * b.lb.vlbThreshold }, 0},
+		{"rack-local", 1, func(*lbBed) int64 { return 1 << 20 }, 1500},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := newLBBed(t, eventsim.New(), 16, 4, 4)
+			vlb := tc.dst/4 != 0
+			size := tc.size(b)
+			f := b.bulkFlow(1, 0, tc.dst, size)
+			if b.lb.agents[0].voq != nil {
+				t.Fatal("rack 0 holds queues before its first bulk byte")
+			}
+			b.lb.StartFlow(f)
+			if got := b.lb.QueuedBytes(); got != size-tc.sent {
+				t.Fatalf("queued before the boundary = %d, want %d", got, size-tc.sent)
+			}
+			b.lb.onSlice(0) // admits VLB; no packet is sent until the engine runs
+			held := b.lb.agents[0].vlbHeld
+			if (held != 0) != vlb {
+				t.Fatalf("boundary admitted %d B of VLB, want some: %v", held, vlb)
+			}
+			if vlb {
+				if own := b.lb.agents[0].voq[15].bytes; own != size-held {
+					t.Fatalf("voq holds %d, want %d - %d held", own, size, held)
+				}
+			}
+			if got := b.lb.QueuedBytes(); got != size-tc.sent {
+				t.Fatalf("queued across the boundary = %d, want %d (held %d)", got, size-tc.sent, held)
+			}
+			for r := 1; r < 16; r++ {
+				if b.lb.agents[r].relay != nil {
+					t.Fatalf("rack %d holds queues before any VLB byte reached it", r)
+				}
+			}
+			b.net.Start()
+			if !vlb {
+				// Mid-flow: what is neither delivered nor queued is the
+				// few packets between the NIC and the receiver.
+				b.eng.RunUntil(100 * eventsim.Microsecond)
+				queued := b.lb.QueuedBytes()
+				if out := size - f.BytesRcvd - queued; f.BytesRcvd == 0 || out < 0 || out > 4*1500 {
+					t.Fatalf("after 100us: %d B delivered, %d queued, %d in between", f.BytesRcvd, queued, out)
+				}
+			}
+			for b.eng.Now() < 200*eventsim.Millisecond && f.BytesRcvd < size {
+				b.eng.RunUntil(b.eng.Now() + eventsim.Millisecond)
+			}
+			// Let the last window's sessions close.
+			b.eng.RunUntil(b.eng.Now() + b.net.SliceDuration())
+			if f.BytesRcvd != size {
+				t.Fatalf("delivered %d of %d", f.BytesRcvd, size)
+			}
+			if got := b.lb.QueuedBytes(); got != 0 {
+				t.Fatalf("queued after delivery = %d, want 0", got)
+			}
+			relays := 0
+			for r := 0; r < 16; r++ {
+				if h := b.lb.agents[r].vlbHeld; h != 0 {
+					t.Fatalf("rack %d still holds %d VLB bytes", r, h)
+				}
+				if r != 0 && b.lb.agents[r].relay != nil {
+					relays++
+				}
+			}
+			if (relays != 0) != vlb {
+				t.Fatalf("%d relay racks allocated queues, want some: %v", relays, vlb)
+			}
+		})
 	}
 }
 
@@ -434,7 +461,7 @@ func TestQueuedBytesCountsHeldVLB(t *testing.T) {
 // QueuedBytes and StrandedBytes count them. A rack's own bytes given back
 // (rack -1) allocate no queue: no circuit serves one toward the rack
 // itself, so they leave the host again, through its ToR, within two
-// txTime.
+// txTime, and QueuedBytes counts them until then.
 func TestQueuesAllocateOnFirstByte(t *testing.T) {
 	const (
 		src, dst     = 0, 63 // hosts: rack 0 to rack 15
@@ -526,14 +553,17 @@ func TestQueuesAllocateOnFirstByte(t *testing.T) {
 				}
 			}
 			allocated()
+			if got := b.lb.QueuedBytes(); got != tc.bytes {
+				t.Fatalf("QueuedBytes = %d, want %d", got, tc.bytes)
+			}
 			if tc.rack < 0 {
-				if got := b.lb.QueuedBytes(); got != 0 {
-					t.Fatalf("QueuedBytes = %d, want 0", got)
-				}
 				nic := b.net.Hosts()[tc.host].NIC()
 				b.eng.RunUntil(2 * b.lb.txTime)
 				if got := nic.Stats.Tx[sim.ClassBulk].Bytes; got != uint64(tc.bytes) {
 					t.Fatalf("host %d sent %d bulk B within two txTime, want %d", tc.host, got, tc.bytes)
+				}
+				if got := b.lb.QueuedBytes(); got != 0 {
+					t.Fatalf("QueuedBytes = %d once sent, want 0", got)
 				}
 				allocated()
 				return
@@ -567,9 +597,6 @@ func TestQueuesAllocateOnFirstByte(t *testing.T) {
 			}
 			if a.vlbHeld != 0 {
 				t.Fatalf("vlbHeld = %d after the bytes were queued", a.vlbHeld)
-			}
-			if got := b.lb.QueuedBytes(); got != tc.bytes {
-				t.Fatalf("QueuedBytes = %d, want %d", got, tc.bytes)
 			}
 			var stranded int64
 			if tc.relay && tc.down == tc.queue {

@@ -146,7 +146,8 @@ func (m *Metrics) PooledFlow(v Flow) *Flow {
 // retained and the slice is empty; consume Telemetry() instead.
 func (m *Metrics) Flows() []*Flow { return m.flows }
 
-// FlowDone marks f complete at time now. Under RetainSketch the flow's
+// FlowDone marks f complete at time now; RecordDelivery calls it when the
+// flow's last byte arrives. Under RetainSketch the flow's
 // statistics are absorbed into the collector and Metrics keeps no record:
 // a PooledFlow record is retired for reuse once its last reference goes,
 // any other flow is garbage once its transport lets go of it. OnFlowDone
@@ -170,7 +171,9 @@ func (m *Metrics) FlowDone(f *Flow, now eventsim.Time) {
 }
 
 // RecordDelivery accounts app bytes arriving at a receiver: hops is the
-// number of ToR-to-ToR traversals the bytes took (0 for rack-local).
+// number of ToR-to-ToR traversals the bytes took (0 for rack-local). The
+// delivery that brings the flow's received bytes to its size finishes it
+// (FlowDone): transports report bytes and never decide completion.
 func (m *Metrics) RecordDelivery(f *Flow, bytes int, hops int, now eventsim.Time) {
 	f.BytesRcvd += int64(bytes)
 	if m.tel != nil {
@@ -184,6 +187,9 @@ func (m *Metrics) RecordDelivery(f *Flow, bytes int, hops int, now eventsim.Time
 		if m.tel != nil {
 			m.tel.RecordTax(now.Seconds(), float64(bytes), float64(bytes*hops))
 		}
+	}
+	if f.BytesRcvd >= f.Size {
+		m.FlowDone(f, now)
 	}
 }
 

@@ -140,9 +140,8 @@ func TestRetainSketchReleasesFlows(t *testing.T) {
 	for _, f := range []*Flow{a, b, c} {
 		m.AddFlow(f)
 	}
-	m.RecordDelivery(a, 100, 2, 500)
-	m.FlowDone(a, 1000)
-	m.FlowDone(a, 2000) // idempotent: no double absorb
+	m.RecordDelivery(a, 100, 2, 1000) // all of a: it finishes
+	m.FlowDone(a, 2000)               // idempotent: no double absorb
 	m.FlowDone(b, 3000)
 
 	if n := len(m.Flows()); n != 0 {

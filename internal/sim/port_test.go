@@ -249,7 +249,10 @@ func TestMetricsTax(t *testing.T) {
 	f := &Flow{ID: 1, Size: 3000, Class: ClassLowLatency}
 	m.AddFlow(f)
 	m.RecordDelivery(f, 1500, 2, 0) // 2 hops: 100% tax on these bytes
-	m.RecordDelivery(f, 1500, 1, 0) // direct
+	if f.Done {
+		t.Fatal("half the bytes finished the flow")
+	}
+	m.RecordDelivery(f, 1500, 1, 100) // direct; the last byte finishes it
 	tax := m.BandwidthTax(ClassLowLatency)
 	if tax < 0.49 || tax > 0.51 {
 		t.Fatalf("tax = %v, want 0.5", tax)
@@ -257,9 +260,8 @@ func TestMetricsTax(t *testing.T) {
 	if m.AggregateTax() != tax {
 		t.Fatalf("aggregate tax mismatch")
 	}
-	m.FlowDone(f, 100)
 	m.FlowDone(f, 200) // idempotent
-	if f.End != 100 {
+	if !f.Done || f.End != 100 {
 		t.Fatalf("End = %v", f.End)
 	}
 	done, total := m.DoneCount()

@@ -13,7 +13,7 @@ import "github.com/opera-net/opera/internal/telemetry"
 // statistics are absorbed into mergeable quantile sketches (per service
 // class and per workload tag) and trailing-window counters, and the flow
 // is then released — Metrics keeps no record of it beyond recycling a
-// PooledFlow record, and NDP's endpoints drop their per-flow state at
+// PooledFlow record, and NDP's endpoints drop their receiver state at
 // completion (they ask Metrics.Streaming).
 // Steady-state memory becomes O(active flows + sketch) no matter how long
 // the run, which is what makes month-long soaks flat-memory. Quantiles

@@ -362,8 +362,7 @@ func (c *Cluster) AddFlow(spec workload.FlowSpec) *sim.Flow {
 // admit registers and schedules a flow. A pumped flow — one the source
 // pump admits, whose pointer nobody outside the cluster sees — is drawn
 // from Metrics' recycled records when Metrics keeps no flows
-// (RetainSketch) and NDP carries it: NDP references its flows through
-// Flow.Ref, while RotorLB's segments copy flow pointers around unchecked.
+// (RetainSketch): every transport references its flows through Flow.Ref.
 func (c *Cluster) admit(spec workload.FlowSpec, pumped bool) *sim.Flow {
 	if spec.Src < 0 || spec.Src >= len(c.hosts) || spec.Dst < 0 || spec.Dst >= len(c.hosts) {
 		// Fail loudly at the boundary: an out-of-range host would otherwise
@@ -388,7 +387,7 @@ func (c *Cluster) admit(spec workload.FlowSpec, pumped bool) *sim.Flow {
 		Start:   spec.Arrival,
 	}
 	var f *sim.Flow
-	if pumped && c.metrics.Streaming() && c.transports[v.Class] == c.ndp {
+	if pumped && c.metrics.Streaming() {
 		f = c.metrics.PooledFlow(v)
 	} else {
 		f = new(sim.Flow)

@@ -248,3 +248,43 @@ func TestFaultEventsOnRotorNet(t *testing.T) {
 		t.Fatalf("sketch summary missing or inconsistent: ErrorBound=%v Bulk=%+v", res.ErrorBound, res.Bulk)
 	}
 }
+
+// Retention is observation, not behaviour: a run under RetainSketch does
+// what the same run under RetainAll does, and reads the same within the
+// sketch's bound. The specs carry bulk flows only, so RotorLB alone
+// decides their fate; the source is tagged, so the cluster pumps it lazily
+// and RetainSketch recycles the flows' records as they finish.
+func TestRetentionIsInvisible(t *testing.T) {
+	if raceEnabled {
+		t.Skip("numeric relation, nothing concurrent — skipped under -race")
+	}
+	for _, network := range []string{"opera", "rotornet", "rotornet-hybrid"} {
+		for seed := int64(1); seed <= 2; seed++ {
+			spec := func(retention scenario.RetentionSpec) scenario.Scenario {
+				return mustScenario(scenario.Spec{
+					Name: "invisible", Network: network, Seed: seed, Retention: retention,
+					Sources: []scenario.SourceSpec{{Type: "shuffle", Participants: 24, FlowBytes: 200_000,
+						Stagger: eventsim.Millisecond, Tag: "bulk", Bulk: true}},
+					Duration: 200 * eventsim.Millisecond,
+				})
+			}
+			cl, exact := scenario.Collect(spec(scenario.RetentionSpec{}))
+			sketch := scenario.Run(spec(scenario.RetentionSpec{Sketch: true, Alpha: sketchAlpha}))
+			if exact.Err != "" || sketch.Err != "" {
+				t.Fatalf("%s seed %d: %q / %q", network, seed, exact.Err, sketch.Err)
+			}
+			if exact.FlowsTotal != 24*23 || exact.LowLat.N != 0 {
+				t.Fatalf("%s seed %d: %d flows, %d over NDP; want %d bulk flows",
+					network, seed, exact.FlowsTotal, exact.LowLat.N, 24*23)
+			}
+			if sketch.FlowsDone != exact.FlowsDone || sketch.FlowsTotal != exact.FlowsTotal ||
+				sketch.BulkNACKs != exact.BulkNACKs || sketch.SimEvents != exact.SimEvents ||
+				sketch.ThroughputGbps != exact.ThroughputGbps {
+				t.Errorf("%s seed %d: sketch run done %d/%d, %d NACKs, %d events, %v Gb/s; exact run %d/%d, %d, %d, %v",
+					network, seed, sketch.FlowsDone, sketch.FlowsTotal, sketch.BulkNACKs, sketch.SimEvents, sketch.ThroughputGbps,
+					exact.FlowsDone, exact.FlowsTotal, exact.BulkNACKs, exact.SimEvents, exact.ThroughputGbps)
+			}
+			checkWithinBound(t, network+" bulk", sketch.Bulk.P99Us, cl.Metrics(), 99)
+		}
+	}
+}

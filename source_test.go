@@ -191,9 +191,9 @@ func TestAllocsSourceFlowChurn(t *testing.T) {
 }
 
 // The record AddFlow returns is its caller's: a RetainSketch cluster
-// never hands it to a later admission, while the source pump's NDP flows
-// do reuse each other's records. Bulk flows that RotorLB carries are
-// never recycled either.
+// never hands it to a later admission, while the source pump's flows do
+// reuse each other's records — NDP's and RotorLB's alike, since both
+// transports reference their flows through Flow.Ref.
 func TestAddFlowRecordIsNeverRecycled(t *testing.T) {
 	cl, err := opera.New(opera.KindOpera,
 		opera.WithRetention(opera.RetainSketch(opera.SketchOptions{})))
@@ -208,19 +208,13 @@ func TestAddFlowRecordIsNeverRecycled(t *testing.T) {
 
 	// Every third pumped flow is bulk-tagged and rides RotorLB.
 	seen := make(map[*sim.Flow]int64) // record → the last flow ID it carried
-	var reused, bulk int
+	reused := make(map[sim.Class]int)
 	cl.Metrics().OnFlowDone = func(f *sim.Flow) {
 		if f == mine {
 			t.Errorf("flow %d completed in the record AddFlow returned", f.ID)
 		}
 		if id, ok := seen[f]; ok && id != f.ID {
-			reused++
-			if f.Class == sim.ClassBulk {
-				t.Errorf("bulk flow %d reuses the record of flow %d", f.ID, id)
-			}
-		}
-		if f.Class == sim.ClassBulk {
-			bulk++
+			reused[f.Class]++
 		}
 		seen[f] = f.ID
 	}
@@ -245,7 +239,7 @@ func TestAddFlowRecordIsNeverRecycled(t *testing.T) {
 	if *mine != want {
 		t.Fatalf("AddFlow's record changed after the pump ran:\ngot  %+v\nwant %+v", *mine, want)
 	}
-	if reused == 0 || bulk == 0 {
-		t.Fatalf("%d records reused, %d bulk flows: the test exercised nothing", reused, bulk)
+	if reused[sim.ClassLowLatency] == 0 || reused[sim.ClassBulk] == 0 {
+		t.Fatalf("records reused: %d by NDP flows, %d by bulk flows; want both", reused[sim.ClassLowLatency], reused[sim.ClassBulk])
 	}
 }
