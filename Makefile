@@ -27,14 +27,15 @@ short:
 ## exercise concurrently (the flat-memory soak twin is build-tag-skipped
 ## under -race: allocator skew) and the observability plane (the snapshot
 ## mailbox against HTTP readers, every /status endpoint kind, the sweep
-## progress tracker, the observer-attached-vs-detached determinism check).
+## progress tracker, the observer-attached-vs-detached determinism check)
+## and NDP (its allocation gates skip themselves under -race).
 ## The second is the cluster source pump (-short skips the 45k-flow Source
 ## soak; the lazy-pump and lull-handling tests still run); the third the
 ## structured fault injector on every fabric: coordinate validation, Clos
 ## multi-tier faults, lossy/degraded/flapping gray links and the
 ## scenario-layer determinism checks
 race:
-	$(GO) test -race ./scenario/ ./internal/workload/ ./internal/sweep/ ./internal/telemetry/ ./internal/obs/
+	$(GO) test -race ./scenario/ ./internal/workload/ ./internal/sweep/ ./internal/telemetry/ ./internal/obs/ ./internal/ndp/
 	$(GO) test -race -short -run 'Source' .
 	$(GO) test -race -run 'Fault|Flap|Lossy' ./internal/sim/ ./scenario/
 

@@ -51,9 +51,8 @@ type Endpoint struct {
 // keeps that slot for life; the flow it currently serves carries the slot
 // (sim.Flow.SendSlot/RecvSlot, 0 = none), so every ACK, NACK, PULL and
 // data arrival finds its state by index. A sender is released once fully
-// ACKed, under either retention policy; a receiver is released at
-// completion under streaming retention (RetainSketch) and kept under
-// RetainAll, which answers a duplicate from its bitmap. Without pooling a
+// ACKed and a receiver at completion, under either retention policy: a
+// straggler of a finished flow is answered without state. Without pooling a
 // flow-churn-heavy soak would allocate and free one of each per flow
 // forever; with pooling the steady state is allocation-free.
 type flowPools struct {
@@ -189,25 +188,20 @@ func (ep *Endpoint) sendData(sf *sendFlow, seq int32) {
 	ep.host.Send(p)
 }
 
-// recvState finds receiver state, or creates it on first contact. It
-// returns nil for a flow that completed and had its state released
-// (streaming retention): such a flow must not be re-created.
-func (ep *Endpoint) recvState(p *sim.Packet) *recvFlow {
-	f := p.Flow
-	rf := ep.pools.recvTab[f.RecvSlot]
-	if rf == nil {
-		if f.Done {
-			return nil
-		}
-		rf = ep.pools.recv.Get()
-		if rf == nil {
-			rf = &recvFlow{slot: int32(len(ep.pools.recvTab))}
-			ep.pools.recvTab = append(ep.pools.recvTab, rf)
-		}
-		*rf = recvFlow{f: f, slot: rf.slot, got: resetBits(rf.got, (packets(f, ep.host.Config())+63)/64)}
-		f.Ref()
-		f.RecvSlot = rf.slot
+// recvState finds the receiver state of a flow that is not yet done, or
+// creates it on first contact.
+func (ep *Endpoint) recvState(f *sim.Flow) *recvFlow {
+	if rf := ep.pools.recvTab[f.RecvSlot]; rf != nil {
+		return rf
 	}
+	rf := ep.pools.recv.Get()
+	if rf == nil {
+		rf = &recvFlow{slot: int32(len(ep.pools.recvTab))}
+		ep.pools.recvTab = append(ep.pools.recvTab, rf)
+	}
+	*rf = recvFlow{f: f, slot: rf.slot, got: resetBits(rf.got, (packets(f, ep.host.Config())+63)/64)}
+	f.Ref()
+	f.RecvSlot = rf.slot
 	return rf
 }
 
@@ -230,42 +224,30 @@ func (ep *Endpoint) releaseRecv(rf *recvFlow) {
 }
 
 // onData handles arrival of a data packet (full or trimmed) at the
-// receiver.
+// receiver. The answer needs no per-flow state: a trimmed header draws a
+// NACK, a whole packet an ACK, whether or not the receiver still holds the
+// flow. Only a whole packet of an unfinished flow touches the receiver's
+// bitmap, and the one that finishes the flow releases it.
 func (ep *Endpoint) onData(p *sim.Packet) {
-	rf := ep.recvState(p)
-	if rf == nil {
-		// Streaming retention released the completed flow's receiver
-		// bitmap; a straggler retransmission of an already-delivered packet
-		// still needs its ACK, or the sender's RTO would retransmit forever.
-		if !p.Trimmed {
-			ep.sendCtrl(sim.KindAck, p.Flow, p.Seq)
-		}
-		p.Release()
-		return
-	}
+	f := p.Flow
+	kind := sim.KindAck
 	if p.Trimmed {
 		// Header survived; payload was cut: NACK for retransmission.
-		ep.sendCtrl(sim.KindNack, rf.f, p.Seq)
-		if !rf.f.Done {
-			ep.addPullCredit(rf.f)
+		kind = sim.KindNack
+	} else if !f.Done {
+		rf := ep.recvState(f)
+		if idx, bit := p.Seq/64, uint64(1)<<uint(p.Seq%64); rf.got[idx]&bit == 0 {
+			rf.got[idx] |= bit
+			// The flow's last byte finishes it (Metrics.FlowDone).
+			ep.metrics.RecordDelivery(f, int(p.PayloadSize), int(p.Hops), ep.host.Engine().Now())
 		}
-		p.Release()
-		return
+		if f.Done {
+			ep.releaseRecv(rf)
+		}
 	}
-	if idx, bit := p.Seq/64, uint64(1)<<uint(p.Seq%64); rf.got[idx]&bit == 0 {
-		rf.got[idx] |= bit
-		// The flow's last byte finishes it (Metrics.FlowDone).
-		ep.metrics.RecordDelivery(rf.f, int(p.PayloadSize), int(p.Hops), ep.host.Engine().Now())
-	}
-	ep.sendCtrl(sim.KindAck, rf.f, p.Seq)
-	if !rf.f.Done {
-		ep.addPullCredit(rf.f)
-	} else if ep.metrics.Streaming() {
-		// Streaming retention: the flow's statistics were absorbed when
-		// it finished, so drop the receiver state (bitmap, flow ref) —
-		// the per-flow memory that would otherwise accumulate forever —
-		// and recycle it through the fabric pool.
-		ep.releaseRecv(rf)
+	ep.sendCtrl(kind, f, p.Seq)
+	if !f.Done {
+		ep.addPullCredit(f)
 	}
 	p.Release()
 }
@@ -373,7 +355,7 @@ func (h *pacerTick) OnEvent(any) {
 	if !ok {
 		return
 	}
-	if f.RecvSlot != 0 && !f.Done {
+	if !f.Done {
 		ep.sendCtrl(sim.KindPull, f, 0)
 	}
 	f.Unref()

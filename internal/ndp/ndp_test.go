@@ -183,9 +183,8 @@ func TestBulkClassFlowOverNDP(t *testing.T) {
 	}
 }
 
-// streamingRig is newRig under RetainSketch: completed flows release their
-// endpoint state, so NDP's straggler re-ACK path (recvState == nil) becomes
-// reachable.
+// streamingRig is newRig under RetainSketch: Metrics recycles the records
+// of pooledFlow once they are done and unreferenced.
 func streamingRig(t *testing.T, n int, cfg sim.Config) *rig {
 	t.Helper()
 	r := newRig(t, n, cfg)
@@ -199,6 +198,9 @@ func streamingRig(t *testing.T, n int, cfg sim.Config) *rig {
 // through Metrics' recycling and sendFlow, recvFlow, both bitmaps, the RTO
 // timer and every event come from pools.
 func TestAllocsFlowChurn(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate, nothing concurrent — skipped under -race")
+	}
 	r := streamingRig(t, 2, sim.DefaultConfig())
 	id := int64(0)
 	round := func() {
@@ -226,6 +228,9 @@ func TestAllocsFlowChurn(t *testing.T) {
 // its capacity (re-slicing from the front leaked one slot per pull and
 // made append regrow it forever).
 func TestAllocsRetransmitChurn(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate, nothing concurrent — skipped under -race")
+	}
 	r := newRig(t, 2, sim.DefaultConfig())
 	delete(r.sw.ports, 1) // the receiver never answers: this test plays it
 	f := r.flow(1, 0, 1, 1_500_000)
@@ -271,6 +276,9 @@ func (k *ticker) OnEvent(any) { k.eng.ContinueCall(10*eventsim.Microsecond, k, n
 // — queued plus pooled — stay at M plus a few for the ports and the ticker;
 // a timer that cancelled and pushed would hold about 50 per flow.
 func TestAllocsRTOChurn(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate, nothing concurrent — skipped under -race")
+	}
 	const flows = 16
 	r := newRig(t, 2, sim.DefaultConfig())
 	delete(r.sw.ports, 1) // the receiver never answers: this test plays it
@@ -344,7 +352,8 @@ func (r *rig) answers(f *sim.Flow, seq int32, trimmed bool) []sim.Kind {
 
 // A released recvFlow recycled into a different flow must serve that flow
 // correctly, and a straggler data packet of the released flow must still
-// get its re-ACK without touching the recycled state.
+// get its answer — ACK when whole, NACK when trimmed — without touching
+// the recycled state.
 func TestStragglerReACKWithPooledRecvFlow(t *testing.T) {
 	r := streamingRig(t, 2, sim.DefaultConfig())
 	fA := r.flow(1, 0, 1, 6000)
@@ -372,13 +381,13 @@ func TestStragglerReACKWithPooledRecvFlow(t *testing.T) {
 	}
 
 	// Stragglers: duplicates of released flow A arrive while B is in flight.
-	// A whole one is re-ACKed; a trimmed one carries nothing to acknowledge
-	// and is dropped. Neither may re-create A's state or touch B's.
+	// A whole one is re-ACKed and a trimmed one NACKed, as for any flow.
+	// Neither may re-create A's state or touch B's.
 	if got := r.answers(fA, 2, false); !slices.Equal(got, []sim.Kind{sim.KindAck}) {
 		t.Fatalf("whole straggler of a released flow answered with %v, want one ack", got)
 	}
-	if got := r.answers(fA, 2, true); len(got) != 0 {
-		t.Fatalf("trimmed straggler of a released flow answered with %v, want silence", got)
+	if got := r.answers(fA, 2, true); !slices.Equal(got, []sim.Kind{sim.KindNack}) {
+		t.Fatalf("trimmed straggler of a released flow answered with %v, want one nack", got)
 	}
 	if fA.RecvSlot != 0 || ep1.pools.recvTab[fB.RecvSlot] != pooled {
 		t.Fatal("a straggler re-created the released flow's receiver state")
@@ -393,9 +402,9 @@ func TestStragglerReACKWithPooledRecvFlow(t *testing.T) {
 }
 
 // A sender that lost every ACK of an already-delivered flow (receiver state
-// released and possibly recycled) must converge through the streaming
-// re-ACK path: each retransmitted packet is ACKed, and the sender's state
-// reaches done and returns to the pool.
+// released and possibly recycled) must converge through the receiver's
+// stateless answers: each retransmitted packet is ACKed, and the sender's
+// state reaches done and returns to the pool.
 func TestStragglerRetransmitConvergesAfterRelease(t *testing.T) {
 	r := streamingRig(t, 2, sim.DefaultConfig())
 	fA := r.flow(1, 0, 1, 6000)
@@ -424,31 +433,38 @@ func TestStragglerRetransmitConvergesAfterRelease(t *testing.T) {
 	}
 }
 
-// The RetainAll half of the same contract: no receiver is released, so the
-// receiver of a finished flow still holds its bitmap and answers a duplicate
-// like any other arrival — ACK when whole, NACK when trimmed.
-func TestStragglerOfFinishedFlowUnderRetainAll(t *testing.T) {
-	r := newRig(t, 2, sim.DefaultConfig())
-	f := r.flow(1, 0, 1, 6000)
-	r.eps[0].StartFlow(f)
-	r.eng.Run()
-	if !f.Done || f.RecvSlot == 0 {
-		t.Fatalf("done=%v, receiver slot %d: RetainAll must finish the flow and keep its state", f.Done, f.RecvSlot)
-	}
-	if got := r.answers(f, 2, false); !slices.Equal(got, []sim.Kind{sim.KindAck}) {
-		t.Fatalf("whole duplicate answered with %v, want one ack", got)
-	}
-	if got := r.answers(f, 2, true); !slices.Equal(got, []sim.Kind{sim.KindNack}) {
-		t.Fatalf("trimmed duplicate answered with %v, want one nack", got)
-	}
-	if f.BytesRcvd != f.Size {
-		t.Fatalf("duplicates were delivered again: %d/%d bytes", f.BytesRcvd, f.Size)
+// Retention is observation: under either policy the receiver of a finished
+// flow is released, and a duplicate is answered without it — ACK when
+// whole, NACK when trimmed — and delivers nothing again.
+func TestStragglerOfFinishedFlow(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rig  func(*testing.T, int, sim.Config) *rig
+	}{{"RetainAll", newRig}, {"RetainSketch", streamingRig}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := tc.rig(t, 2, sim.DefaultConfig())
+			f := r.flow(1, 0, 1, 6000)
+			r.eps[0].StartFlow(f)
+			r.eng.Run()
+			if !f.Done || f.RecvSlot != 0 {
+				t.Fatalf("done=%v, receiver slot %d: want the flow finished and its receiver released", f.Done, f.RecvSlot)
+			}
+			if got := r.answers(f, 2, false); !slices.Equal(got, []sim.Kind{sim.KindAck}) {
+				t.Fatalf("whole duplicate answered with %v, want one ack", got)
+			}
+			if got := r.answers(f, 2, true); !slices.Equal(got, []sim.Kind{sim.KindNack}) {
+				t.Fatalf("trimmed duplicate answered with %v, want one nack", got)
+			}
+			if f.BytesRcvd != f.Size || f.RecvSlot != 0 {
+				t.Fatalf("duplicates were delivered again: %d/%d bytes, receiver slot %d", f.BytesRcvd, f.Size, f.RecvSlot)
+			}
+		})
 	}
 }
 
-// A fully ACKed sender goes back to the pool under RetainAll too: each of a
-// run of sequential flows draws the one sender its predecessor freed,
-// while every receiver keeps its state.
+// Flow state goes back to the pools under RetainAll too: each of a run of
+// sequential flows draws the one sender and the one receiver its
+// predecessor freed.
 func TestSenderReleasedUnderRetainAll(t *testing.T) {
 	r := newRig(t, 2, sim.DefaultConfig())
 	fb := &Fabric{eps: r.eps}
@@ -456,16 +472,16 @@ func TestSenderReleasedUnderRetainAll(t *testing.T) {
 		f := r.flow(id, 0, 1, 6000)
 		r.eps[0].StartFlow(f)
 		r.eng.Run()
-		if !f.Done || f.SendSlot != 0 || f.RecvSlot == 0 {
-			t.Fatalf("flow %d: done=%v, sender slot %d, receiver slot %d; want done, sender freed, receiver kept",
+		if !f.Done || f.SendSlot != 0 || f.RecvSlot != 0 {
+			t.Fatalf("flow %d: done=%v, sender slot %d, receiver slot %d; want done, both freed",
 				id, f.Done, f.SendSlot, f.RecvSlot)
 		}
-		if got := fb.PoolStats(); got != (PoolGauges{SendFree: 1}) {
-			t.Fatalf("after flow %d: pools hold %+v, want one free sender", id, got)
+		if got := fb.PoolStats(); got != (PoolGauges{SendFree: 1, RecvFree: 1}) {
+			t.Fatalf("after flow %d: pools hold %+v, want one free sender and one free receiver", id, got)
 		}
 	}
-	if n := len(r.eps[0].pools.sendTab) - 1; n != 1 {
-		t.Fatalf("%d senders allocated for sequential flows, want 1", n)
+	if s, r := len(r.eps[0].pools.sendTab)-1, len(r.eps[0].pools.recvTab)-1; s != 1 || r != 1 {
+		t.Fatalf("%d senders and %d receivers allocated for sequential flows, want 1 each", s, r)
 	}
 }
 

@@ -117,28 +117,29 @@ func (m *Metrics) AddFlow(f *Flow) {
 	m.flows = append(m.flows, f)
 }
 
-// PooledFlow returns a record holding v that Metrics owns and recycles:
-// once the flow is done (FlowDone) and every reference to it is dropped
-// (Unref), a later PooledFlow call reuses it. The caller registers it with
+// PooledFlow returns a record holding v for a flow whose pointer only
+// transports see. Under RetainSketch Metrics owns and recycles it: once the
+// flow is done (FlowDone) and every reference to it is dropped (Unref), a
+// later PooledFlow call reuses it. Under RetainAll it is a plain record
+// that Metrics retains and never recycles. The caller registers it with
 // AddFlow as usual and must not keep the pointer past completion; every
-// holder takes a reference with Ref. Only RetainSketch recycles — RetainAll
-// keeps every flow — so PooledFlow panics under RetainAll.
+// holder takes a reference with Ref.
 func (m *Metrics) PooledFlow(v Flow) *Flow {
-	if m.tel == nil {
-		panic("sim: PooledFlow under RetainAll")
+	var f *Flow
+	if m.tel != nil {
+		// A straggler keeps its flow at the head until its last packet or
+		// pull credit is released; the ones behind it wait their turn.
+		for m.retired.Len() > 0 && (*m.retired.At(0)).refs == 0 {
+			r, _ := m.retired.PopFront()
+			m.free.Put(r)
+		}
+		f = m.free.Get()
 	}
-	// A straggler keeps its flow at the head until its last packet or
-	// pull credit is released; the ones behind it wait their turn.
-	for m.retired.Len() > 0 && (*m.retired.At(0)).refs == 0 {
-		f, _ := m.retired.PopFront()
-		m.free.Put(f)
-	}
-	f := m.free.Get()
 	if f == nil {
 		f = new(Flow)
 	}
 	*f = v
-	f.pooled, f.refs = true, 0
+	f.pooled, f.refs = m.tel != nil, 0
 	return f
 }
 

@@ -13,8 +13,9 @@ import "github.com/opera-net/opera/internal/telemetry"
 // statistics are absorbed into mergeable quantile sketches (per service
 // class and per workload tag) and trailing-window counters, and the flow
 // is then released — Metrics keeps no record of it beyond recycling a
-// PooledFlow record, and NDP's endpoints drop their receiver state at
-// completion (they ask Metrics.Streaming).
+// PooledFlow record. Retention is observation only: transports behave the
+// same under both policies (NDP, for one, frees a flow's sender and
+// receiver state at completion under either).
 // Steady-state memory becomes O(active flows + sketch) no matter how long
 // the run, which is what makes month-long soaks flat-memory. Quantiles
 // carry the sketch's pinned relative-error bound (Opts.Alpha, default 1%);
@@ -61,10 +62,6 @@ func (m *Metrics) SetRetention(r RetentionPolicy) {
 	m.tel = telemetry.NewCollector(r.opts, int(numClasses))
 	m.DeliveredBytes = nil
 }
-
-// Streaming reports whether the metrics release completed flows into
-// sketches (RetainSketch) rather than retaining them (RetainAll).
-func (m *Metrics) Streaming() bool { return m.tel != nil }
 
 // Telemetry returns the streaming collector, or nil under RetainAll.
 // Consumers (the scenario runner's Result assembly) read quantile

@@ -2,6 +2,7 @@ package scenario_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -251,40 +252,79 @@ func TestFaultEventsOnRotorNet(t *testing.T) {
 
 // Retention is observation, not behaviour: a run under RetainSketch does
 // what the same run under RetainAll does, and reads the same within the
-// sketch's bound. The specs carry bulk flows only, so RotorLB alone
-// decides their fate; the source is tagged, so the cluster pumps it lazily
-// and RetainSketch recycles the flows' records as they finish.
+// sketch's bound. The bulk shuffles leave RotorLB alone to decide their
+// flows' fate; their source is tagged, so the cluster pumps it lazily and
+// RetainSketch recycles the flows' records as they finish. Outside -short
+// the fabric golden's specs and churnSpec add NDP traffic, trimmed
+// stragglers of finished flows included.
 func TestRetentionIsInvisible(t *testing.T) {
 	if raceEnabled {
 		t.Skip("numeric relation, nothing concurrent — skipped under -race")
 	}
+	var specs []scenario.Spec
 	for _, network := range []string{"opera", "rotornet", "rotornet-hybrid"} {
 		for seed := int64(1); seed <= 2; seed++ {
-			spec := func(retention scenario.RetentionSpec) scenario.Scenario {
-				return mustScenario(scenario.Spec{
-					Name: "invisible", Network: network, Seed: seed, Retention: retention,
-					Sources: []scenario.SourceSpec{{Type: "shuffle", Participants: 24, FlowBytes: 200_000,
-						Stagger: eventsim.Millisecond, Tag: "bulk", Bulk: true}},
-					Duration: 200 * eventsim.Millisecond,
-				})
-			}
-			cl, exact := scenario.Collect(spec(scenario.RetentionSpec{}))
-			sketch := scenario.Run(spec(scenario.RetentionSpec{Sketch: true, Alpha: sketchAlpha}))
-			if exact.Err != "" || sketch.Err != "" {
-				t.Fatalf("%s seed %d: %q / %q", network, seed, exact.Err, sketch.Err)
-			}
-			if exact.FlowsTotal != 24*23 || exact.LowLat.N != 0 {
-				t.Fatalf("%s seed %d: %d flows, %d over NDP; want %d bulk flows",
-					network, seed, exact.FlowsTotal, exact.LowLat.N, 24*23)
-			}
-			if sketch.FlowsDone != exact.FlowsDone || sketch.FlowsTotal != exact.FlowsTotal ||
-				sketch.BulkNACKs != exact.BulkNACKs || sketch.SimEvents != exact.SimEvents ||
-				sketch.ThroughputGbps != exact.ThroughputGbps {
-				t.Errorf("%s seed %d: sketch run done %d/%d, %d NACKs, %d events, %v Gb/s; exact run %d/%d, %d, %d, %v",
-					network, seed, sketch.FlowsDone, sketch.FlowsTotal, sketch.BulkNACKs, sketch.SimEvents, sketch.ThroughputGbps,
-					exact.FlowsDone, exact.FlowsTotal, exact.BulkNACKs, exact.SimEvents, exact.ThroughputGbps)
-			}
-			checkWithinBound(t, network+" bulk", sketch.Bulk.P99Us, cl.Metrics(), 99)
+			specs = append(specs, scenario.Spec{
+				Name: "invisible/bulk", Network: network, Seed: seed,
+				Sources: []scenario.SourceSpec{{Type: "shuffle", Participants: 24, FlowBytes: 200_000,
+					Stagger: eventsim.Millisecond, Tag: "bulk", Bulk: true}},
+				Duration: 200 * eventsim.Millisecond,
+			})
 		}
+	}
+	if !testing.Short() {
+		specs = append(specs, goldenSpecs(t)...)
+		specs = append(specs, churnSpec(3), churnSpec(6))
+	}
+	for _, sp := range specs {
+		what := fmt.Sprintf("%s %s seed %d", sp.Name, sp.Network, sp.Seed)
+		cl, exact := scenario.Collect(mustScenario(sp))
+		sp.Retention = scenario.RetentionSpec{Sketch: true, Alpha: sketchAlpha}
+		sketch := scenario.Run(mustScenario(sp))
+		if exact.Err != "" || sketch.Err != "" {
+			t.Fatalf("%s: %q / %q", what, exact.Err, sketch.Err)
+		}
+		if sp.Name == "invisible/bulk" && (exact.FlowsTotal != 24*23 || exact.LowLat.N != 0) {
+			t.Fatalf("%s: %d flows, %d over NDP; want %d bulk flows", what, exact.FlowsTotal, exact.LowLat.N, 24*23)
+		}
+		if sketch.FlowsDone != exact.FlowsDone || sketch.FlowsTotal != exact.FlowsTotal ||
+			sketch.BulkNACKs != exact.BulkNACKs || sketch.SimEvents != exact.SimEvents ||
+			sketch.ThroughputGbps != exact.ThroughputGbps || sketch.AggregateTax != exact.AggregateTax {
+			t.Errorf("%s: sketch run done %d/%d, %d NACKs, %d events, %v Gb/s, tax %v; exact run %d/%d, %d, %d, %v, %v",
+				what, sketch.FlowsDone, sketch.FlowsTotal, sketch.BulkNACKs, sketch.SimEvents, sketch.ThroughputGbps, sketch.AggregateTax,
+				exact.FlowsDone, exact.FlowsTotal, exact.BulkNACKs, exact.SimEvents, exact.ThroughputGbps, exact.AggregateTax)
+			continue
+		}
+		if sketch.All.N != exact.All.N {
+			t.Errorf("%s: sketch summarizes %d flows, exact %d", what, sketch.All.N, exact.All.N)
+		} else if exact.All.N > 0 {
+			checkWithinBound(t, what+" all", sketch.All.P50Us, cl.Metrics(), 50)
+			checkWithinBound(t, what+" all", sketch.All.P99Us, cl.Metrics(), 99)
+		}
+	}
+}
+
+// churnSpec is a 150 ms slice of the benchmark's churn_sweep cell on
+// Opera: short websearch flows and 16-way incasts over NDP, with a lossy
+// and a flapping link, so trimmed stragglers reach receivers of flows that
+// already finished. At seeds 3 and 6 a receiver that answered those
+// stragglers by retention policy ran a different number of events under
+// each.
+func churnSpec(seed int64) scenario.Spec {
+	const ms = eventsim.Millisecond
+	window := 150 * ms
+	return scenario.Spec{
+		Name: "invisible/churn", Network: "opera", Seed: seed,
+		Sources: []scenario.SourceSpec{
+			{Type: "poisson", Dist: "websearch", Load: 0.9, Window: window, MaxFlowBytes: 10_000, Tag: "rpc"},
+			{Type: "incast", Fanin: 16, FlowBytes: 20_000, Period: 2 * ms, Bursts: 75, Tag: "incast"},
+		},
+		Events: []scenario.EventSpec{
+			{At: 20 * ms, Target: sim.FlatLink(3, 2), Fault: sim.Fault{Kind: sim.FaultLossy, Rate: 0.01}},
+			{At: 100 * ms, Op: "recover", Target: sim.FlatLink(3, 2)},
+			{At: 40 * ms, Target: sim.FlatLink(5, 1), Fault: sim.Fault{Kind: sim.FaultFlapping, Up: 2 * ms, Down: ms}},
+			{At: 110 * ms, Op: "recover", Target: sim.FlatLink(5, 1)},
+		},
+		Duration: window + 500*ms,
 	}
 }
