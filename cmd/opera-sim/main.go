@@ -33,17 +33,15 @@ import (
 	"syscall"
 	"time"
 
-	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/obs"
 	"github.com/opera-net/opera/scenario"
 )
 
-// run is what the command line asks for: one run description, the
-// Scenario it resolves to, and the process-local settings that are not
-// part of the description.
+// run is what the command line asks for: the Scenario its run
+// description (Scenario.Spec) resolves to, and the process-local settings
+// that are not part of the description.
 type run struct {
-	spec     scenario.Spec
 	scenario scenario.Scenario
 	// workload is the label printed with the results.
 	workload string
@@ -103,13 +101,13 @@ func parseArgs(fs *flag.FlagSet, args []string) (run, error) {
 		workload:   *wl,
 		statusAddr: *statusAddr, statusEvery: *statusEvery, statusLinger: *statusLinger,
 		eventKinds: *eventKinds,
-		spec: scenario.Spec{
-			Name: *network, Network: *network, Seed: *seed,
-			Duration: dur * eventsim.Time(*drain),
-			Racks:    *racks, HostsPerRack: *hostsPerRack, Uplinks: *uplinks,
-			ClosK: *closK, ClosF: *closF,
-			Events: events,
-		},
+	}
+	spec := scenario.Spec{
+		Name: *network, Network: *network, Seed: *seed,
+		Duration: dur * eventsim.Time(*drain),
+		Racks:    *racks, HostsPerRack: *hostsPerRack, Uplinks: *uplinks,
+		ClosK: *closK, ClosF: *closF,
+		Events: events,
 	}
 	switch {
 	case *tracePath != "":
@@ -122,17 +120,17 @@ func parseArgs(fs *flag.FlagSet, args []string) (run, error) {
 	case *wl == "shuffle" || *wl == "permutation" || *wl == "hotrack":
 		// §5.6's throughput patterns are bulk workloads: application-tag
 		// them so Opera serves them on direct circuits regardless of size.
-		r.spec.AppTaggedBulk = true
+		spec.AppTaggedBulk = true
 	case *wl != "mix":
 		return run{}, fmt.Errorf("unknown workload %q", *wl)
 	}
-	r.spec.Sources = []scenario.SourceSpec{src}
+	spec.Sources = []scenario.SourceSpec{src}
 	if *retention == "sketch" {
-		r.spec.Retention = scenario.RetentionSpec{Sketch: true, Alpha: *sketchAlpha}
+		spec.Retention = scenario.RetentionSpec{Sketch: true, Alpha: *sketchAlpha}
 	} else if *retention != "all" {
 		return run{}, fmt.Errorf("unknown -retention %q (want all or sketch)", *retention)
 	}
-	r.scenario, err = r.spec.Scenario()
+	r.scenario, err = spec.Scenario()
 	return r, err
 }
 
@@ -170,7 +168,7 @@ func simulate(r run) int {
 	var kinds *eventsim.KindCounts
 	if r.eventKinds {
 		kinds = eventsim.CountKinds(eventsim.NewWheelScheduler())
-		sc.Options = append(sc.Options[:len(sc.Options):len(sc.Options)], opera.WithScheduler(kinds))
+		sc.Scheduler = kinds
 	}
 
 	start := time.Now()
@@ -182,7 +180,7 @@ func simulate(r run) int {
 	}
 
 	fmt.Printf("network=%s workload=%s flows=%d completed=%d (%.1f%%) wall=%v\n",
-		sc.Kind, r.workload, res.FlowsTotal, res.FlowsDone,
+		res.Kind, r.workload, res.FlowsTotal, res.FlowsDone,
 		100*float64(res.FlowsDone)/float64(max(res.FlowsTotal, 1)), wall.Round(time.Millisecond))
 	if !res.Completed {
 		fmt.Printf("  (did not finish before drain deadline)\n")

@@ -102,8 +102,8 @@ func TestArgsToSpec(t *testing.T) {
 		}
 		want := base()
 		tc.want(&want)
-		if !reflect.DeepEqual(r.spec, want) {
-			t.Errorf("%q:\ngot  %+v\nwant %+v", tc.args, r.spec, want)
+		if !reflect.DeepEqual(r.scenario.Spec, want) {
+			t.Errorf("%q:\ngot  %+v\nwant %+v", tc.args, r.scenario.Spec, want)
 		}
 		if r.workload != tc.workload {
 			t.Errorf("%q: label %q, want %q", tc.args, r.workload, tc.workload)
@@ -153,7 +153,7 @@ func TestStatusFlagsStayOutOfTheSpec(t *testing.T) {
 	if r.statusAddr != ":0" || r.statusEvery.Milliseconds() != 2 || r.statusLinger.Seconds() != 1 || !r.eventKinds {
 		t.Errorf("status settings = %q %v %v, event kinds %v", r.statusAddr, r.statusEvery, r.statusLinger, r.eventKinds)
 	}
-	if !reflect.DeepEqual(r.spec, plain.spec) {
-		t.Errorf("-status changed the run description:\ngot  %+v\nwant %+v", r.spec, plain.spec)
+	if !reflect.DeepEqual(r.scenario.Spec, plain.scenario.Spec) {
+		t.Errorf("-status changed the run description:\ngot  %+v\nwant %+v", r.scenario.Spec, plain.scenario.Spec)
 	}
 }

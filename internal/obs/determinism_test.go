@@ -125,7 +125,7 @@ func TestObservingDoesNotAttachFaultInjector(t *testing.T) {
 		t.Helper()
 		box := &obs.Mailbox{}
 		sc := observedScenario(obs.NewPublisher(box, 100*eventsim.Microsecond))
-		sc.Events = events
+		sc.Spec.Events = events
 		if res := scenario.Run(sc); res.Err != "" {
 			t.Fatalf("run error: %s", res.Err)
 		}

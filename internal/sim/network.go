@@ -57,7 +57,8 @@ type Transport interface {
 
 // BuildParams carries everything an architecture needs to assemble
 // itself: the shared event engine, physical constants, and the sizing
-// knobs of the root package's ClusterConfig.
+// knobs. The root package's options write the sizing in place and its
+// build hands the value over whole.
 type BuildParams struct {
 	Engine *eventsim.Engine
 	Sim    Config

@@ -34,8 +34,9 @@
 // for RotorNet.
 //
 // For parameter sweeps, the scenario package fans whole clusters out
-// across goroutines: build a []scenario.Scenario and hand it to
-// scenario.RunScenarios.
+// across goroutines: describe each run as a scenario.Spec, resolve it
+// with Spec.Scenario and hand the []scenario.Scenario to
+// scenario.RunScenarios, which builds every cluster through New.
 package opera
 
 import (
@@ -112,48 +113,24 @@ func ParseKind(name string) (Kind, error) {
 // circuits).
 const DefaultBulkThreshold = 15_000_000
 
-// ClusterConfig is the fully resolved description of a simulated
-// datacenter: New starts from the defaults and each Option edits one of
-// these fields.
-type ClusterConfig struct {
-	Kind Kind
-
-	// Racks, HostsPerRack and Uplinks size Opera/RotorNet/expander
-	// networks. For KindExpander, Uplinks is the fabric degree u and
-	// HostsPerRack is d. For KindFoldedClos, ClosK and ClosF are used
-	// instead.
-	Racks        int
-	HostsPerRack int
-	Uplinks      int
-
-	// ClosK and ClosF size the folded Clos (radix, oversubscription).
-	ClosK, ClosF int
-
-	// AppTaggedBulk forces every flow to bulk service regardless of size
-	// (§5.2's application-tagged shuffle).
-	AppTaggedBulk bool
-
-	// Retention selects how Metrics treats completed flows: the zero value
-	// (RetainAll) keeps every flow for exact statistics; RetainSketch
-	// streams completions into quantile sketches and releases all per-flow
-	// state, keeping unbounded soaks flat-memory. See WithRetention.
-	Retention RetentionPolicy
-
-	// MaxSliceDiameter bounds Opera slice diameters at build time (0 = no
-	// bound; 5 reproduces the paper's ε sizing).
-	MaxSliceDiameter int
-
-	Seed int64
-
+// config is the fully resolved description of a simulated datacenter: New
+// starts from the defaults and each Option edits one of these fields.
+type config struct {
+	kind Kind
+	// fabric sizes and seeds the network; build fills in its Engine and
+	// Sim and hands it to sim.Build as it stands.
+	fabric        sim.BuildParams
+	appTaggedBulk bool
+	retention     RetentionPolicy
 	// sched is the engine's pending-event store; nil means the default
-	// timing wheel. See WithScheduler.
+	// timing wheel.
 	sched eventsim.Scheduler
 }
 
 // Cluster is a simulated datacenter network plus attached transports: one
 // sim.Network and a service-class → Transport dispatch table.
 type Cluster struct {
-	cfg     ClusterConfig
+	cfg     config
 	eng     *eventsim.Engine
 	net     sim.Network
 	metrics *sim.Metrics
@@ -176,14 +153,16 @@ type Cluster struct {
 // over defaults sized like the examples' small testbed: 16 racks × 4
 // hosts, 4 uplinks (folded Clos: k=8, F=3), seed 1.
 func New(kind Kind, opts ...Option) (*Cluster, error) {
-	cfg := ClusterConfig{
-		Kind:         kind,
-		Racks:        16,
-		HostsPerRack: 4,
-		Uplinks:      4,
-		ClosK:        8,
-		ClosF:        3,
-		Seed:         1,
+	cfg := config{
+		kind: kind,
+		fabric: sim.BuildParams{
+			Racks:        16,
+			HostsPerRack: 4,
+			Uplinks:      4,
+			ClosK:        8,
+			ClosF:        3,
+			Seed:         1,
+		},
 	}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -193,34 +172,26 @@ func New(kind Kind, opts ...Option) (*Cluster, error) {
 
 // build assembles the cluster: internal/sim builds the architecture by
 // name, and transports attach by capability rather than by Kind.
-func build(cfg ClusterConfig) (*Cluster, error) {
-	name, ok := kindName(cfg.Kind)
+func build(cfg config) (*Cluster, error) {
+	name, ok := kindName(cfg.kind)
 	if !ok {
-		return nil, fmt.Errorf("opera: unknown network kind %v", cfg.Kind)
+		return nil, fmt.Errorf("opera: unknown network kind %v", cfg.kind)
 	}
-	if err := cfg.Retention.Validate(); err != nil {
+	if err := cfg.retention.Validate(); err != nil {
 		return nil, fmt.Errorf("opera: retention: %w", err)
 	}
 
 	if cfg.sched == nil {
 		cfg.sched = eventsim.NewWheelScheduler()
 	}
+	cfg.fabric.Engine = eventsim.NewWith(cfg.sched)
+	cfg.fabric.Sim = sim.DefaultConfig()
 	c := &Cluster{
 		cfg:        cfg,
-		eng:        eventsim.NewWith(cfg.sched),
+		eng:        cfg.fabric.Engine,
 		transports: make(map[sim.Class]sim.Transport),
 	}
-	net, err := sim.Build(name, sim.BuildParams{
-		Engine:           c.eng,
-		Sim:              sim.DefaultConfig(),
-		Racks:            cfg.Racks,
-		HostsPerRack:     cfg.HostsPerRack,
-		Uplinks:          cfg.Uplinks,
-		ClosK:            cfg.ClosK,
-		ClosF:            cfg.ClosF,
-		MaxSliceDiameter: cfg.MaxSliceDiameter,
-		Seed:             cfg.Seed,
-	})
+	net, err := sim.Build(name, cfg.fabric)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +203,7 @@ func build(cfg ClusterConfig) (*Cluster, error) {
 	// The cluster never holds a flow — a packet points at its flow — so
 	// under streaming retention a million-flow soak holds only its active
 	// flows, and the source pump's NDP flows reuse retired records.
-	c.metrics.SetRetention(cfg.Retention)
+	c.metrics.SetRetention(cfg.retention)
 
 	// Bulk rides RotorLB wherever the fabric exposes circuits.
 	if cn, ok := net.(sim.CircuitNetwork); ok {
@@ -292,7 +263,7 @@ func (c *Cluster) HostsPerRack() int { return c.hostsPerRack }
 func (c *Cluster) HostRack(h int) int { return h / c.hostsPerRack }
 
 // Kind returns the cluster's architecture.
-func (c *Cluster) Kind() Kind { return c.cfg.Kind }
+func (c *Cluster) Kind() Kind { return c.cfg.kind }
 
 // OperaNet exposes the underlying Opera fabric (nil for other kinds), for
 // failure injection and slice-level instrumentation.
@@ -343,7 +314,7 @@ func (c *Cluster) BulkNACKCount() uint64 {
 // cluster or the individual spec is application-tagged (§3.4), or when
 // the flow can amortize waiting for direct circuits (§4.1).
 func (c *Cluster) classify(spec workload.FlowSpec) sim.Class {
-	if c.cfg.AppTaggedBulk || spec.Bulk {
+	if c.cfg.appTaggedBulk || spec.Bulk {
 		return sim.ClassBulk
 	}
 	if spec.Bytes >= DefaultBulkThreshold {

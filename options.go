@@ -33,32 +33,32 @@ func RetainSketch(opts SketchOptions) RetentionPolicy { return sim.RetainSketch(
 // Option adjusts one knob of a cluster under construction; pass Options to
 // New. Options are applied in order over the defaults, so later options
 // win.
-type Option func(*ClusterConfig)
+type Option func(*config)
 
 // WithRacks sets the rack count (Opera/RotorNet/expander fabrics).
 func WithRacks(n int) Option {
-	return func(cfg *ClusterConfig) { cfg.Racks = n }
+	return func(cfg *config) { cfg.fabric.Racks = n }
 }
 
 // WithHostsPerRack sets hosts per rack d.
 func WithHostsPerRack(n int) Option {
-	return func(cfg *ClusterConfig) { cfg.HostsPerRack = n }
+	return func(cfg *config) { cfg.fabric.HostsPerRack = n }
 }
 
 // WithUplinks sets uplinks per ToR (the expander's fabric degree u).
 func WithUplinks(n int) Option {
-	return func(cfg *ClusterConfig) { cfg.Uplinks = n }
+	return func(cfg *config) { cfg.fabric.Uplinks = n }
 }
 
 // WithClos sizes the folded Clos: radix k and oversubscription F. A zero
 // argument keeps the current value, so either can be set alone.
 func WithClos(k, f int) Option {
-	return func(cfg *ClusterConfig) {
+	return func(cfg *config) {
 		if k != 0 {
-			cfg.ClosK = k
+			cfg.fabric.ClosK = k
 		}
 		if f != 0 {
-			cfg.ClosF = f
+			cfg.fabric.ClosF = f
 		}
 	}
 }
@@ -66,27 +66,27 @@ func WithClos(k, f int) Option {
 // WithAppTaggedBulk forces every flow to bulk service regardless of size
 // (§5.2's application-tagged shuffle).
 func WithAppTaggedBulk(tagged bool) Option {
-	return func(cfg *ClusterConfig) { cfg.AppTaggedBulk = tagged }
+	return func(cfg *config) { cfg.appTaggedBulk = tagged }
 }
 
 // WithSeed seeds topology generation and per-ToR packet spraying.
 func WithSeed(seed int64) Option {
-	return func(cfg *ClusterConfig) { cfg.Seed = seed }
+	return func(cfg *config) { cfg.fabric.Seed = seed }
 }
 
 // WithMaxSliceDiameter bounds Opera slice diameters at build time (5
 // reproduces the paper's ε sizing; 0 means no bound).
 func WithMaxSliceDiameter(d int) Option {
-	return func(cfg *ClusterConfig) { cfg.MaxSliceDiameter = d }
+	return func(cfg *config) { cfg.fabric.MaxSliceDiameter = d }
 }
 
 // WithRetention selects the metrics retention policy: RetainAll (default,
-// exact) or RetainSketch (streaming, flat-memory). Scenario sweeps opt in
-// per Scenario through Options; the scenario Result keeps its shape, with
-// sketch-fed FCT summaries, ErrorBound set to the sketches' α, and the
-// trailing window as its delivered series.
+// exact) or RetainSketch (streaming, flat-memory). A scenario.Spec selects
+// it through its Retention field; the scenario Result keeps its shape,
+// with sketch-fed FCT summaries, ErrorBound set to the sketches' α, and
+// the trailing window as its delivered series.
 func WithRetention(r RetentionPolicy) Option {
-	return func(cfg *ClusterConfig) { cfg.Retention = r }
+	return func(cfg *config) { cfg.retention = r }
 }
 
 // WithScheduler runs the cluster's engine on the given pending-event store
@@ -94,9 +94,8 @@ func WithRetention(r RetentionPolicy) Option {
 // by contract, so this selects nothing about the simulation: it is how the
 // heap oracle (eventsim.NewHeapScheduler) runs a whole cluster as a
 // differential, and how a counting wrapper (eventsim.CountKinds) sees a
-// run's events. A Scheduler holds one run's events: the option is
-// process-local, not part of the scenario.Spec wire form, and a Scenario
-// carrying it can be run once.
+// run's events. A Scheduler holds one run's events, so it can serve one
+// cluster; scenario.Scenario carries it as a process-local hook.
 func WithScheduler(s eventsim.Scheduler) Option {
-	return func(cfg *ClusterConfig) { cfg.sched = s }
+	return func(cfg *config) { cfg.sched = s }
 }

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/sim"
 	"github.com/opera-net/opera/scenario"
@@ -129,18 +128,45 @@ func line(t *testing.T, out *strings.Builder, sp scenario.Spec) {
 		t.Fatal(err)
 	}
 	wheel := resultLine(t, sc)
-	sc.Options = append(sc.Options, opera.WithScheduler(eventsim.NewHeapScheduler()))
+	sc.Scheduler = eventsim.NewHeapScheduler()
 	if heap := resultLine(t, sc); heap != wheel {
 		t.Fatalf("the heap scheduler runs a different simulation:\nwheel %sheap  %s", wheel, heap)
 	}
 	out.WriteString(wheel)
 }
 
+// TestCountKindsUnderCluster runs a golden spec with a whole cluster's
+// events counted by handler type through Scenario.Scheduler: the count
+// changes nothing in the Result, and the per-type counts add up to the
+// events the run fired.
+func TestCountKindsUnderCluster(t *testing.T) {
+	sp := goldenSpecs(t)[1] // opera/mixed, seed 1: both transports and every fault kind
+	sc, err := sp.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := scenario.Run(sc)
+	kinds := eventsim.CountKinds(eventsim.NewWheelScheduler())
+	sc.Scheduler = kinds
+	counted := scenario.Run(sc)
+	if plain.Err != "" || counted.Err != "" {
+		t.Fatalf("run failed: plain %q, counted %q", plain.Err, counted.Err)
+	}
+	if !counted.Equal(plain) {
+		t.Fatalf("counting events changed the Result:\nplain   %+v\ncounted %+v", plain, counted)
+	}
+	var total uint64
+	kinds.Each(func(_ string, events uint64) { total += events })
+	if total != counted.SimEvents {
+		t.Errorf("per-kind counts sum to %d, want SimEvents %d", total, counted.SimEvents)
+	}
+}
+
 func resultLine(t *testing.T, sc scenario.Scenario) string {
 	t.Helper()
 	cl, res := scenario.Collect(sc)
 	if res.Err != "" {
-		t.Fatalf("%s seed %d: %s", sc.Name, sc.Seed, res.Err)
+		t.Fatalf("%s seed %d: %s", sc.Spec.Name, sc.Spec.Seed, res.Err)
 	}
 	// The hash covers behaviour only: SimEvents is effort, printed beside
 	// it, so an exact event cut moves events= and nothing else.
@@ -148,10 +174,10 @@ func resultLine(t *testing.T, sc scenario.Scenario) string {
 	res.SimEvents = 0
 	blob, err := json.Marshal(res)
 	if err != nil {
-		t.Fatalf("%s seed %d: %v", sc.Name, sc.Seed, err)
+		t.Fatalf("%s seed %d: %v", sc.Spec.Name, sc.Spec.Seed, err)
 	}
 	return fmt.Sprintf("%s seed=%d done=%d/%d events=%d nacks=%d lost=%d sha256=%x\n",
-		sc.Name, sc.Seed, res.FlowsDone, res.FlowsTotal, events, res.BulkNACKs, cl.Faults().Lost, sha256.Sum256(blob))
+		sc.Spec.Name, sc.Spec.Seed, res.FlowsDone, res.FlowsTotal, events, res.BulkNACKs, cl.Faults().Lost, sha256.Sum256(blob))
 }
 
 // TestFaultBeforeTrafficLeavesNoTrace is a fidelity-wall relation that

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/sim"
 	"github.com/opera-net/opera/internal/workload"
@@ -63,14 +62,14 @@ func TestGrayFaultDeterminismUnderParallelism(t *testing.T) {
 	}
 	for i := range scs {
 		if seq[i].Err != "" {
-			t.Fatalf("scenario %d (%s): %s", i, scs[i].Name, seq[i].Err)
+			t.Fatalf("scenario %d (%s): %s", i, scs[i].Spec.Name, seq[i].Err)
 		}
 		if !seq[i].Equal(par[i]) {
-			t.Errorf("scenario %d (%s): gray-fault results diverge across parallelism", i, scs[i].Name)
+			t.Errorf("scenario %d (%s): gray-fault results diverge across parallelism", i, scs[i].Spec.Name)
 		}
 		if !seq[i].Completed {
 			t.Errorf("scenario %d (%s): incomplete (%d/%d flows)",
-				i, scs[i].Name, seq[i].FlowsDone, seq[i].FlowsTotal)
+				i, scs[i].Spec.Name, seq[i].FlowsDone, seq[i].FlowsTotal)
 		}
 	}
 }
@@ -90,10 +89,9 @@ func TestFlapRecoveryRestoresBaselineFaultFree(t *testing.T) {
 	}
 	mk := func(events []scenario.EventSpec) scenario.Scenario {
 		return scenario.Scenario{
-			Name: "flap-baseline", Kind: opera.KindOpera, Seed: 1,
-			Sources:  []scenario.Source{func(scenario.Env) workload.Source { return workload.FromSpecs(late) }},
-			Events:   events,
-			Duration: 4000 * eventsim.Millisecond,
+			Spec: scenario.Spec{Name: "flap-baseline", Network: "opera", Seed: 1,
+				Events: events, Duration: 4000 * eventsim.Millisecond},
+			Sources: []scenario.Source{func(scenario.Env) workload.Source { return workload.FromSpecs(late) }},
 		}
 	}
 	base := scenario.Run(mk(nil))

@@ -13,7 +13,7 @@ import (
 // values and fanned out through RunScenarios like any other sweep.
 
 // eventSeedSalt decorrelates the fault-schedule generator from the
-// topology and workload generators, which consume Scenario.Seed directly.
+// topology and workload generators, which consume Spec.Seed directly.
 const eventSeedSalt = 0x5ca1ab1e
 
 // schedule hands one fault event to the injector. Target errors (a switch
@@ -28,9 +28,6 @@ const eventSeedSalt = 0x5ca1ab1e
 func schedule(inj *sim.Faults, rng *rand.Rand, es EventSpec) error {
 	if err := es.check(); err != nil {
 		return err
-	}
-	if es.At < 0 {
-		return fmt.Errorf("scenario: event %s at negative time %v", es.name(), es.At)
 	}
 	var err error
 	switch es.Op {

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	opera "github.com/opera-net/opera"
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/sim"
 	"github.com/opera-net/opera/internal/workload"
@@ -64,15 +63,15 @@ func TestHookDeterminismUnderParallelism(t *testing.T) {
 	}
 	for i := range scs {
 		if sequential[i].Err != "" {
-			t.Fatalf("scenario %d (%s): %s", i, scs[i].Name, sequential[i].Err)
+			t.Fatalf("scenario %d (%s): %s", i, scs[i].Spec.Name, sequential[i].Err)
 		}
 		if !sequential[i].Equal(parallel[i]) {
 			t.Errorf("scenario %d (%s seed %d): results diverge\n sequential: %+v\n parallel:   %+v",
-				i, scs[i].Name, scs[i].Seed, sequential[i], parallel[i])
+				i, scs[i].Spec.Name, scs[i].Spec.Seed, sequential[i], parallel[i])
 		}
 		if !sequential[i].Completed {
 			t.Errorf("scenario %d (%s): incomplete (%d/%d flows)",
-				i, scs[i].Name, sequential[i].FlowsDone, sequential[i].FlowsTotal)
+				i, scs[i].Spec.Name, sequential[i].FlowsDone, sequential[i].FlowsTotal)
 		}
 	}
 }
@@ -120,11 +119,10 @@ func TestTagOverSharedFixedWorkload(t *testing.T) {
 	specs := workload.Shuffle(8, 25_000, eventsim.Millisecond, 1)
 	mk := func(tag string) scenario.Scenario {
 		return scenario.Scenario{
-			Name: tag, Kind: opera.KindOpera, Seed: 1,
+			Spec: scenario.Spec{Name: tag, Network: "opera", Seed: 1, Duration: 4000 * eventsim.Millisecond},
 			Sources: []scenario.Source{func(scenario.Env) workload.Source {
 				return workload.TagSource(tag, workload.FromSpecs(specs))
 			}},
-			Duration: 4000 * eventsim.Millisecond,
 		}
 	}
 	results, err := scenario.RunScenarios(context.Background(),
@@ -156,13 +154,13 @@ func TestTagOverSharedFixedWorkload(t *testing.T) {
 // architectures support injection itself; the folded Clos — once the
 // unsupported fabric here — now takes the same schedules as the rest.)
 func TestFaultScheduleUnsupportedKind(t *testing.T) {
-	res := scenario.Run(scenario.Scenario{
+	res := scenario.Run(scenario.Scenario{Spec: scenario.Spec{
 		Name:     "expander-switch-fault",
-		Kind:     opera.KindExpander,
+		Network:  "expander",
 		Seed:     1,
 		Events:   []scenario.EventSpec{{Target: sim.Target{Kind: sim.TargetSwitch, ID: 0}}},
 		Duration: eventsim.Millisecond,
-	})
+	}})
 	if res.Err == "" {
 		t.Fatal("expected Err for switch-failure schedule on expander")
 	}
@@ -171,13 +169,13 @@ func TestFaultScheduleUnsupportedKind(t *testing.T) {
 	}
 
 	// The folded Clos now runs flat link schedules like every fabric.
-	res = scenario.Run(scenario.Scenario{
+	res = scenario.Run(scenario.Scenario{Spec: scenario.Spec{
 		Name:     "clos-faults",
-		Kind:     opera.KindFoldedClos,
+		Network:  "foldedclos",
 		Seed:     1,
 		Events:   []scenario.EventSpec{{Target: sim.FlatLink(0, 0)}},
 		Duration: eventsim.Millisecond,
-	})
+	}})
 	if res.Err != "" {
 		t.Fatalf("flat link schedule on foldedclos should run: %v", res.Err)
 	}
@@ -225,13 +223,13 @@ func TestFaultScheduleOnExpander(t *testing.T) {
 // endpoint sampling would fail roughly twice the requested fraction.
 func TestFailRandomLinksExpanderCountsCables(t *testing.T) {
 	const fraction = 0.25
-	cl, res := scenario.Collect(scenario.Scenario{
+	cl, res := scenario.Collect(scenario.Scenario{Spec: scenario.Spec{
 		Name:     "expander-random",
-		Kind:     opera.KindExpander,
+		Network:  "expander",
 		Seed:     1,
 		Events:   []scenario.EventSpec{{Op: "fail-random-links", Fraction: fraction}},
 		Duration: eventsim.Millisecond,
-	})
+	}})
 	if res.Err != "" {
 		t.Fatal(res.Err)
 	}
@@ -250,8 +248,11 @@ func TestFailRandomLinksExpanderCountsCables(t *testing.T) {
 	}
 }
 
-// Out-of-range fault targets are rejected at scheduling time.
+// Out-of-range fault targets are rejected at scheduling time, and a
+// hand-built Scenario that names no network fails in its Result, which
+// still carries the Spec's name and seed.
 func TestFaultScheduleValidation(t *testing.T) {
+	var specs []scenario.Spec
 	for _, ev := range []scenario.EventSpec{
 		{Target: sim.FlatLink(99, 0)},
 		{Target: sim.FlatLink(0, 99)},
@@ -260,12 +261,17 @@ func TestFaultScheduleValidation(t *testing.T) {
 		{Op: "fail-random-links", Fraction: -0.1},
 		{Op: "fail-random-links", Fraction: 1.5},
 	} {
-		res := scenario.Run(scenario.Scenario{
-			Name: "bad", Kind: opera.KindOpera, Seed: 1,
-			Events: []scenario.EventSpec{ev}, Duration: eventsim.Millisecond,
-		})
+		specs = append(specs, scenario.Spec{Name: "bad", Network: "opera", Seed: 1,
+			Events: []scenario.EventSpec{ev}, Duration: eventsim.Millisecond})
+	}
+	specs = append(specs, scenario.Spec{Name: "x", Network: "nope", Seed: 3})
+	for _, sp := range specs {
+		res := scenario.Run(scenario.Scenario{Spec: sp})
 		if res.Err == "" {
-			t.Errorf("event %+v: expected validation error", ev)
+			t.Errorf("spec %+v: expected validation error", sp)
+		}
+		if res.Name != sp.Name || res.Seed != sp.Seed {
+			t.Errorf("spec %+v: Result labelled %q seed %d", sp, res.Name, res.Seed)
 		}
 	}
 }

@@ -56,7 +56,8 @@ func ForEachCluster(ctx context.Context, scs []Scenario, parallelism int, fn fun
 	skipFrom := func(i int) {
 		err = ctx.Err()
 		for j := i; j < len(scs); j++ {
-			results[j] = Result{Name: scs[j].Name, Kind: scs[j].Kind, Seed: scs[j].Seed, Err: err.Error()}
+			results[j], _ = scs[j].Spec.header()
+			results[j].Err = err.Error()
 		}
 	}
 feed:

@@ -9,8 +9,9 @@
 // identical Results at any parallelism, and sweeps can safely use all
 // cores. The Result is the run's whole readout — the paper's figures are
 // reductions of (Spec, Result) pairs, so a Result decoded from a sweep
-// worker serves them as well as one from an in-process run. The one live
-// hook is a read-only Observer.
+// worker serves them as well as one from an in-process run. A Scenario's
+// two process-local hooks, a Scheduler and a read-only Observer, change
+// how a run is executed or watched, never its Result.
 //
 //	sc, err := scenario.Spec{Name: "opera", Network: "opera", Seed: 1,
 //		Sources:  []scenario.SourceSpec{{Type: "shuffle", FlowBytes: 100_000}},
@@ -40,7 +41,7 @@ type Env struct {
 	// LinkRateGbps is the cluster's configured host link rate, so offered
 	// load fractions are correct on non-10G sizings.
 	LinkRateGbps float64
-	// Seed is the Scenario's seed.
+	// Seed is the Spec's seed.
 	Seed int64
 }
 
@@ -73,40 +74,35 @@ func (env Env) poisson(dist *workload.FlowSizeDist, load float64, window eventsi
 	}
 }
 
-// Scenario is the resolved form of a Spec — an architecture, its sizing
-// options, its sources, a fault schedule (Events, the Spec's own data) and
-// a deadline — plus the one process-local hook that cannot be data, a
-// live Observer.
+// Scenario is one run: its Spec, the plain-data description Collect
+// builds the cluster from, plus what cannot be data — the Sources the
+// Spec's traffic resolves to and two process-local hooks, a Scheduler and
+// a live Observer.
 type Scenario struct {
-	// Name labels the scenario in its Result.
-	Name string
-	// Kind picks the architecture; Options size it (applied after
-	// WithSeed(Seed), so an explicit WithSeed among Options wins).
-	Kind    opera.Kind
-	Options []opera.Option
+	// Spec describes the run: architecture, sizing, retention, fault
+	// schedule (Events), deadline (Duration) and seed. Spec.Scenario()
+	// validates it; Collect reports what is wrong with a hand-built one in
+	// Result.Err.
+	Spec Spec
 	// Sources feed flows into the cluster: each entry is built against the
 	// concrete cluster (Env) and all entries run concurrently in virtual
-	// time. Tagged flows (see SourceSpec.Tag) produce per-tag breakdowns in
-	// Result.ByTag.
+	// time. Spec.Scenario() resolves them from Spec.Sources; Collect runs
+	// these, not Spec.Sources. Tagged flows (see SourceSpec.Tag) produce
+	// per-tag breakdowns in Result.ByTag.
 	Sources []Source
-	// Events schedules fault injection and recovery at fixed virtual
-	// times, e.g. {At: t, Target: sim.FlatLink(3, 2)} cuts a link.
-	// fail-random-links draws from a generator derived from Seed, so the
-	// schedule is as deterministic as the workload.
-	Events []EventSpec
-	// Duration is the RunUntilDone deadline in virtual time; the run ends
-	// earlier once every flow completes or the event queue drains.
-	Duration eventsim.Time
-	// Seed seeds the cluster topology, the workload generator, and the
-	// fault schedule's randomness.
-	Seed int64
+	// Scheduler, when non-nil, is the engine's pending-event store in
+	// place of the default timing wheel (opera.WithScheduler): the heap
+	// oracle (eventsim.NewHeapScheduler) or a counting wrapper
+	// (eventsim.CountKinds). Results are scheduler-independent. A
+	// Scheduler holds one run's events, so a Scenario carrying one can be
+	// run once.
+	Scheduler eventsim.Scheduler
 	// Observer, when non-nil, is attached to the built cluster just
 	// before the run starts — the opt-in live-observation hook
 	// (internal/obs.Publisher implements it). Observers sample through
 	// the engine's meta-event surface and must be read-only: the Result
 	// of an observed run is byte-identical to the unobserved run, which
-	// TestObserverDeterminism asserts. Observers are process-local and
-	// are not part of the Spec wire form.
+	// TestObserverDeterminism asserts.
 	Observer Observer
 }
 
@@ -256,14 +252,20 @@ func (r Result) Equal(o Result) bool { return reflect.DeepEqual(r, o) }
 
 // Collect runs one Scenario and returns the finished cluster alongside its
 // Result, for callers that own state the Result does not carry (a sweep
-// worker's telemetry collector). The cluster is nil when the run failed
-// (Result.Err).
+// worker's telemetry collector). It is the one place a Spec becomes
+// cluster options. The cluster is nil when the run failed (Result.Err).
 func Collect(sc Scenario) (*opera.Cluster, Result) {
-	res := Result{Name: sc.Name, Kind: sc.Kind, Seed: sc.Seed}
-	opts := make([]opera.Option, 0, len(sc.Options)+1)
-	opts = append(opts, opera.WithSeed(sc.Seed))
-	opts = append(opts, sc.Options...)
-	cl, err := opera.New(sc.Kind, opts...)
+	sp := sc.Spec
+	res, err := sp.header()
+	if err != nil {
+		res.Err = err.Error()
+		return nil, res
+	}
+	opts := sp.options()
+	if sc.Scheduler != nil {
+		opts = append(opts, opera.WithScheduler(sc.Scheduler))
+	}
+	cl, err := opera.New(res.Kind, opts...)
 	if err != nil {
 		res.Err = err.Error()
 		return nil, res
@@ -272,7 +274,7 @@ func Collect(sc Scenario) (*opera.Cluster, Result) {
 		NumHosts:     cl.NumHosts(),
 		HostsPerRack: cl.HostsPerRack(),
 		LinkRateGbps: cl.Network().Config().LinkRateGbps,
-		Seed:         sc.Seed,
+		Seed:         sp.Seed,
 	}
 	var open []ending
 	defer func() {
@@ -290,9 +292,9 @@ func Collect(sc Scenario) (*opera.Cluster, Result) {
 		}
 		cl.AddSource(src)
 	}
-	if len(sc.Events) > 0 {
-		rng := rand.New(rand.NewSource(sc.Seed ^ eventSeedSalt))
-		for _, es := range sc.Events {
+	if len(sp.Events) > 0 {
+		rng := rand.New(rand.NewSource(sp.Seed ^ eventSeedSalt))
+		for _, es := range sp.Events {
 			if err := schedule(cl.Faults(), rng, es); err != nil {
 				res.Err = err.Error()
 				return nil, res
@@ -300,9 +302,9 @@ func Collect(sc Scenario) (*opera.Cluster, Result) {
 		}
 	}
 	if sc.Observer != nil {
-		sc.Observer.Attach(cl, sc.Duration)
+		sc.Observer.Attach(cl, sp.Duration)
 	}
-	completed := cl.RunUntilDone(sc.Duration)
+	completed := cl.RunUntilDone(sp.Duration)
 	cl.Stop()
 	for _, e := range open {
 		if err := e.Err(); err != nil {

@@ -58,14 +58,14 @@ func TestRunScenariosDeterministicUnderParallelism(t *testing.T) {
 	for i := range scs {
 		if !sequential[i].Equal(parallel[i]) {
 			t.Errorf("scenario %d (%s seed %d): results diverge\n sequential: %+v\n parallel:   %+v",
-				i, scs[i].Name, scs[i].Seed, sequential[i], parallel[i])
+				i, scs[i].Spec.Name, scs[i].Spec.Seed, sequential[i], parallel[i])
 		}
 		if sequential[i].Err != "" {
-			t.Errorf("scenario %d (%s): %s", i, scs[i].Name, sequential[i].Err)
+			t.Errorf("scenario %d (%s): %s", i, scs[i].Spec.Name, sequential[i].Err)
 		}
 		if !sequential[i].Completed {
 			t.Errorf("scenario %d (%s): incomplete (%d/%d flows)",
-				i, scs[i].Name, sequential[i].FlowsDone, sequential[i].FlowsTotal)
+				i, scs[i].Spec.Name, sequential[i].FlowsDone, sequential[i].FlowsTotal)
 		}
 	}
 }
@@ -103,9 +103,8 @@ func TestFigureReadouts(t *testing.T) {
 		{Src: 2, Dst: 20, Bytes: 999},
 	}
 	res := scenario.Run(scenario.Scenario{
-		Name: "opera", Kind: opera.KindOpera, Seed: 1,
-		Sources:  []scenario.Source{func(scenario.Env) workload.Source { return workload.FromSpecs(flows) }},
-		Duration: 2000 * eventsim.Millisecond,
+		Spec:    scenario.Spec{Name: "opera", Network: "opera", Seed: 1, Duration: 2000 * eventsim.Millisecond},
+		Sources: []scenario.Source{func(scenario.Env) workload.Source { return workload.FromSpecs(flows) }},
 	})
 	if res.Err != "" || !res.Completed {
 		t.Fatalf("run failed: %+v", res)
@@ -149,10 +148,7 @@ func TestFigureReadouts(t *testing.T) {
 // A failed build surfaces through Result.Err, not an error return.
 func TestRunScenariosBuildError(t *testing.T) {
 	scs := []scenario.Scenario{{
-		Name:    "bad",
-		Kind:    opera.KindOpera,
-		Seed:    1,
-		Options: []opera.Option{opera.WithRacks(15)}, // Opera needs even racks
+		Spec: scenario.Spec{Name: "bad", Network: "opera", Seed: 1, Racks: 15}, // Opera needs even racks
 	}}
 	results, err := scenario.RunScenarios(context.Background(), scs, 0)
 	if err != nil {
@@ -189,10 +185,7 @@ func TestRunScenariosCancelled(t *testing.T) {
 func TestForEachCluster(t *testing.T) {
 	scs := sweep()[:4]
 	scs = append(scs, scenario.Scenario{
-		Name:    "bad",
-		Kind:    opera.KindOpera,
-		Seed:    1,
-		Options: []opera.Option{opera.WithRacks(15)},
+		Spec: scenario.Spec{Name: "bad", Network: "opera", Seed: 1, Racks: 15},
 	})
 	seen := make([]bool, len(scs))
 	called := make([]bool, len(scs))

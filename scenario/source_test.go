@@ -31,13 +31,11 @@ func sourceSweep() []scenario.Scenario {
 		for _, seed := range []int64{1, 2} {
 			scs = append(scs,
 				scenario.Scenario{
-					Name: "poisson-" + kind.String(),
-					Kind: kind,
-					Seed: seed,
+					Spec: scenario.Spec{Name: "poisson-" + kind.String(), Network: kind.String(), Seed: seed,
+						Duration: 2000 * eventsim.Millisecond},
 					// Fixed-size flows keep the arrival rate high enough for a
 					// short window (heavy-tailed means imply few arrivals).
-					Sources:  []scenario.Source{fixedPoisson(100_000, 0.02, 4*eventsim.Millisecond)},
-					Duration: 2000 * eventsim.Millisecond,
+					Sources: []scenario.Source{fixedPoisson(100_000, 0.02, 4*eventsim.Millisecond)},
 				},
 				mustScenario(scenario.Spec{
 					Name:    "mixed-" + kind.String(),
@@ -76,18 +74,18 @@ func TestSourceScenarioDeterminismUnderParallelism(t *testing.T) {
 	}
 	for i := range scs {
 		if sequential[i].Err != "" {
-			t.Fatalf("scenario %d (%s): %s", i, scs[i].Name, sequential[i].Err)
+			t.Fatalf("scenario %d (%s): %s", i, scs[i].Spec.Name, sequential[i].Err)
 		}
 		if !sequential[i].Equal(parallel[i]) {
 			t.Errorf("scenario %d (%s seed %d): results diverge\n sequential: %+v\n parallel:   %+v",
-				i, scs[i].Name, scs[i].Seed, sequential[i], parallel[i])
+				i, scs[i].Spec.Name, scs[i].Spec.Seed, sequential[i], parallel[i])
 		}
 		if !sequential[i].Completed {
 			t.Errorf("scenario %d (%s): incomplete (%d/%d flows)",
-				i, scs[i].Name, sequential[i].FlowsDone, sequential[i].FlowsTotal)
+				i, scs[i].Spec.Name, sequential[i].FlowsDone, sequential[i].FlowsTotal)
 		}
 		if sequential[i].FlowsTotal == 0 {
-			t.Errorf("scenario %d (%s): no flows", i, scs[i].Name)
+			t.Errorf("scenario %d (%s): no flows", i, scs[i].Spec.Name)
 		}
 	}
 }

@@ -1,12 +1,12 @@
 // Spec is the one description of a run: opera-sim's flags, the figure
-// runners and sweep grids all build Specs, and Spec.Scenario() is the one
-// place a description is validated and resolved into the Sources, Events
-// and Options a cluster runs. A Spec is plain data — strings, numbers,
-// nested structs — that gob/JSON round-trips exactly, so the sweep
-// coordinator can partition grids of Specs into shards and ship them to
-// worker processes; every worker resolves the identical Scenario value,
-// which makes a sharded run a pure reordering of the same deterministic
-// per-scenario computations a local RunScenarios performs.
+// runners and sweep grids all build Specs, Spec.Scenario() is the one
+// place a description is validated and its traffic resolved into
+// Sources, and Collect builds the cluster from it. A Spec is plain data —
+// strings, numbers, nested structs — that gob/JSON round-trips exactly,
+// so the sweep coordinator can partition grids of Specs into shards and
+// ship them to worker processes; every worker resolves the identical
+// Scenario value, which makes a sharded run a pure reordering of the same
+// deterministic per-scenario computations a local RunScenarios performs.
 package scenario
 
 import (
@@ -24,16 +24,17 @@ import (
 
 // Spec describes one Scenario as plain serializable data. The zero value
 // of every sizing field keeps opera.New's defaults (the examples' 16×4
-// small testbed), mirroring how an Options-free Scenario behaves.
+// small testbed).
 type Spec struct {
 	// Name labels the scenario in its Result.
 	Name string
 	// Network is the architecture name: "opera", "expander", "foldedclos",
 	// "rotornet" or "rotornet-hybrid" (opera.ParseKind).
 	Network string
-	// Seed seeds topology, workload and fault randomness (Scenario.Seed).
+	// Seed seeds topology, workload and fault randomness.
 	Seed int64
-	// Duration is the RunUntilDone deadline in virtual time.
+	// Duration is the RunUntilDone deadline in virtual time; the run ends
+	// earlier once every flow completes or the event queue drains.
 	Duration eventsim.Time
 
 	// Sizing (zero = opera.New default). For expanders Uplinks is the
@@ -84,9 +85,12 @@ type (
 	FaultSpec  = sim.Fault
 )
 
-// check validates the event's op, kind strings and fault parameters; the
-// fabric checks coordinates when the run schedules it.
+// check validates the event's time, op, kind strings and fault
+// parameters; the fabric checks coordinates when the run schedules it.
 func (es EventSpec) check() error {
+	if es.At < 0 {
+		return fmt.Errorf("scenario: event %s at negative time %v", es.name(), es.At)
+	}
 	switch es.Op {
 	case "", "inject", "recover":
 		switch es.Target.Kind {
@@ -295,13 +299,12 @@ func (ss SourceSpec) source() (Source, error) {
 	}, nil
 }
 
-// Scenario resolves the Spec into the Scenario value it describes. The
-// mapping is deterministic — two processes resolving equal Specs build
-// clusters, workloads and retention identically — which is what lets a
-// sharded sweep reproduce a local run byte-for-byte.
+// Scenario validates the Spec and resolves its traffic into the Scenario
+// it describes. The mapping is deterministic — two processes resolving
+// equal Specs build clusters, workloads and retention identically — which
+// is what lets a sharded sweep reproduce a local run byte-for-byte.
 func (sp Spec) Scenario() (Scenario, error) {
-	kind, err := opera.ParseKind(sp.Network)
-	if err != nil {
+	if _, err := opera.ParseKind(sp.Network); err != nil {
 		return Scenario{}, err
 	}
 	if sp.Duration <= 0 {
@@ -310,7 +313,41 @@ func (sp Spec) Scenario() (Scenario, error) {
 	if sp.MaxSliceDiameter < 0 {
 		return Scenario{}, fmt.Errorf("scenario: spec %q: MaxSliceDiameter %d must not be negative", sp.Name, sp.MaxSliceDiameter)
 	}
-	var opts []opera.Option
+	if sp.Retention.Sketch {
+		if err := (opera.SketchOptions{Alpha: sp.Retention.Alpha}).Validate(); err != nil {
+			return Scenario{}, fmt.Errorf("scenario: spec %q: %w", sp.Name, err)
+		}
+	}
+	if len(sp.Sources) == 0 {
+		return Scenario{}, fmt.Errorf("scenario: spec %q has no sources", sp.Name)
+	}
+	sources := make([]Source, len(sp.Sources))
+	for i, ss := range sp.Sources {
+		src, err := ss.source()
+		if err != nil {
+			return Scenario{}, fmt.Errorf("scenario: spec %q source %d: %w", sp.Name, i, err)
+		}
+		sources[i] = src
+	}
+	for i, es := range sp.Events {
+		if err := es.check(); err != nil {
+			return Scenario{}, fmt.Errorf("scenario: spec %q event %d: %w", sp.Name, i, err)
+		}
+	}
+	return Scenario{Spec: sp, Sources: sources}, nil
+}
+
+// header is the start of the Spec's Result: its name, kind and seed, and
+// the error naming an unknown Network.
+func (sp Spec) header() (Result, error) {
+	kind, err := opera.ParseKind(sp.Network)
+	return Result{Name: sp.Name, Kind: kind, Seed: sp.Seed}, err
+}
+
+// options are the cluster options the Spec's seed, sizing and retention
+// describe; a zero sizing field keeps opera.New's default.
+func (sp Spec) options() []opera.Option {
+	opts := []opera.Option{opera.WithSeed(sp.Seed)}
 	if sp.Racks != 0 {
 		opts = append(opts, opera.WithRacks(sp.Racks))
 	}
@@ -330,35 +367,7 @@ func (sp Spec) Scenario() (Scenario, error) {
 		opts = append(opts, opera.WithMaxSliceDiameter(sp.MaxSliceDiameter))
 	}
 	if sp.Retention.Sketch {
-		sketchOpts := opera.SketchOptions{Alpha: sp.Retention.Alpha}
-		if err := sketchOpts.Validate(); err != nil {
-			return Scenario{}, fmt.Errorf("scenario: spec %q: %w", sp.Name, err)
-		}
-		opts = append(opts, opera.WithRetention(opera.RetainSketch(sketchOpts)))
+		opts = append(opts, opera.WithRetention(opera.RetainSketch(opera.SketchOptions{Alpha: sp.Retention.Alpha})))
 	}
-	if len(sp.Sources) == 0 {
-		return Scenario{}, fmt.Errorf("scenario: spec %q has no sources", sp.Name)
-	}
-	sources := make([]Source, len(sp.Sources))
-	for i, ss := range sp.Sources {
-		src, err := ss.source()
-		if err != nil {
-			return Scenario{}, fmt.Errorf("scenario: spec %q source %d: %w", sp.Name, i, err)
-		}
-		sources[i] = src
-	}
-	for i, es := range sp.Events {
-		if err := es.check(); err != nil {
-			return Scenario{}, fmt.Errorf("scenario: spec %q event %d: %w", sp.Name, i, err)
-		}
-	}
-	return Scenario{
-		Name:     sp.Name,
-		Kind:     kind,
-		Options:  opts,
-		Sources:  sources,
-		Events:   slices.Clone(sp.Events),
-		Duration: sp.Duration,
-		Seed:     sp.Seed,
-	}, nil
+	return opts
 }

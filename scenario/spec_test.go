@@ -74,13 +74,10 @@ func TestSpecMatchesHandBuiltScenario(t *testing.T) {
 	pattern := func(gen func(env Env) []workload.FlowSpec) Source {
 		return func(env Env) workload.Source { return workload.FromSpecs(gen(env)) }
 	}
-	sketch := []opera.Option{opera.WithRetention(opera.RetainSketch(opera.SketchOptions{}))}
-	bulk := []opera.Option{opera.WithAppTaggedBulk(true)}
 	for _, tc := range []struct {
 		name    string
 		mutate  func(*Spec)
 		sources []SourceSpec
-		options []opera.Option
 		hand    []Source
 	}{
 		{
@@ -89,7 +86,6 @@ func TestSpecMatchesHandBuiltScenario(t *testing.T) {
 				sp.Retention = RetentionSpec{Sketch: true}
 			},
 			sources: []SourceSpec{{Type: "poisson", Dist: "websearch", Load: 0.05, Window: window, MaxFlowBytes: 1_000_000, Tag: "ws"}},
-			options: sketch,
 			hand: []Source{func(env Env) workload.Source {
 				return workload.TagSource("ws", workload.CapBytes(workload.PoissonSource(poisson(env, workload.Websearch(), 0.05)), 1_000_000))
 			}},
@@ -147,7 +143,6 @@ func TestSpecMatchesHandBuiltScenario(t *testing.T) {
 			name:    "permutation",
 			mutate:  func(sp *Spec) { sp.AppTaggedBulk = true },
 			sources: []SourceSpec{{Type: "permutation", FlowBytes: 200_000}},
-			options: bulk,
 			hand: []Source{pattern(func(env Env) []workload.FlowSpec {
 				return workload.Permutation(env.NumHosts, env.HostsPerRack, 200_000, env.Seed)
 			})},
@@ -156,7 +151,6 @@ func TestSpecMatchesHandBuiltScenario(t *testing.T) {
 			name:    "hotrack",
 			mutate:  func(sp *Spec) { sp.AppTaggedBulk = true },
 			sources: []SourceSpec{{Type: "hotrack", FlowBytes: 200_000}},
-			options: bulk,
 			hand:    []Source{pattern(func(env Env) []workload.FlowSpec { return workload.HotRack(env.HostsPerRack, 200_000) })},
 		},
 		{
@@ -197,8 +191,9 @@ func TestSpecMatchesHandBuiltScenario(t *testing.T) {
 			if got.FlowsTotal == 0 {
 				t.Fatal("spec scenario ran no flows")
 			}
-			want := Run(Scenario{Name: "cell", Kind: opera.KindOpera, Seed: 3,
-				Options: tc.options, Sources: tc.hand, Duration: 4 * window})
+			// Collect runs Sources, not Spec.Sources: the hand-written
+			// generators replace the resolved ones.
+			want := Run(Scenario{Spec: sp, Sources: tc.hand})
 			if !got.Equal(want) {
 				t.Fatalf("spec-built result differs from hand-built:\ngot  %+v\nwant %+v", got, want)
 			}
@@ -405,7 +400,7 @@ func TestSpecClosSizingFieldsDefaultIndependently(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		cl, err := opera.New(sc.Kind, sc.Options...)
+		cl, err := opera.New(opera.KindFoldedClos, sc.Spec.options()...)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -456,10 +451,10 @@ func TestSpecEventsGobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("round-tripped spec does not resolve: %v", err)
 	}
-	if len(sc.Events) != len(sp.Events) {
-		t.Fatalf("resolved %d events, want %d", len(sc.Events), len(sp.Events))
+	if len(sc.Spec.Events) != len(sp.Events) {
+		t.Fatalf("resolved %d events, want %d", len(sc.Spec.Events), len(sp.Events))
 	}
-	for i, ev := range sc.Events {
+	for i, ev := range sc.Spec.Events {
 		if ev.At != sp.Events[i].At {
 			t.Fatalf("event %d fires at %v, want %v", i, ev.At, sp.Events[i].At)
 		}
@@ -482,6 +477,7 @@ func TestSpecEventErrors(t *testing.T) {
 		"bad-flap":        {Target: sim.Target{Kind: "link"}, Fault: sim.Fault{Kind: "flapping", Up: -1}},
 		"recover-no-kind": {Op: "recover", Target: sim.Target{Kind: "socket"}},
 		"bad-fraction":    {Op: "fail-random-links", Fraction: 1.5},
+		"negative-time":   {At: -eventsim.Millisecond, Target: sim.FlatLink(0, 0)},
 	} {
 		sp := base
 		sp.Events = []EventSpec{ev}
