@@ -16,7 +16,7 @@
 //	determrand      wall-clock reads and global-RNG draws in simulation code
 //	maporder        order-sensitive range-over-map loops
 //	injecterr       discarded errors that are silent no-ops (Inject/Recover,
-//	                TryMerge, codec UnmarshalBinary)
+//	                Collector Merge, codec UnmarshalBinary)
 //
 // Findings are suppressed line-by-line with
 // `//operalint:allow <check> -- reason`; see internal/lint/lintutil.

@@ -5,20 +5,23 @@
 // return value, and do nothing at all when the call is invalid:
 // sim.Faults.Inject/Recover (bad coordinates or an unsupported
 // target mean the fault is never scheduled — the scenario then measures a
-// healthy fabric and publishes wrong numbers), telemetry's Sketch.TryMerge
-// (an alpha mismatch leaves the receiver untouched — a shard's samples
-// vanish from the pooled quantiles), and the telemetry Collector's
+// healthy fabric and publishes wrong numbers), the telemetry Collector's
+// Merge (collectors with other options or class counts leave the receiver
+// untouched — a shard's samples vanish from the pooled quantiles), and its
 // UnmarshalBinary (a corrupt or version-skewed blob leaves the receiver
 // untouched). A dropped error at any of these call sites is an
 // experiment silently computing the wrong thing.
 //
 // The analyzer flags calls whose error result is discarded — expression
-// statements, go/defer statements, and assignments to blank. Intentional
+// statements, go/defer statements, and assignments to blank. Methods are
+// matched by name, so only callees whose last result is an error count:
+// telemetry's Sketch, TagTally and Window merges cannot fail. Intentional
 // drops carry `//operalint:allow injecterr -- reason`.
 package injecterr
 
 import (
 	"go/ast"
+	"go/types"
 
 	"github.com/opera-net/opera/internal/lint/analysis"
 	"github.com/opera-net/opera/internal/lint/lintutil"
@@ -28,7 +31,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "injecterr",
 	Doc: "require checking the error results that are silent no-ops when dropped\n\n" +
 		"Flags discarded errors from sim Faults Inject/Recover,\n" +
-		"telemetry TryMerge, and the telemetry codec's UnmarshalBinary; a\n" +
+		"telemetry Collector Merge, and the telemetry codec's UnmarshalBinary; a\n" +
 		"dropped error means the fault was never injected or the state never\n" +
 		"merged. Annotate intentional drops with //operalint:allow injecterr.",
 	Run: run,
@@ -42,7 +45,7 @@ var watched = map[string]map[string]string{
 		"Recover": "the recovery is never scheduled",
 	},
 	"telemetry": {
-		"TryMerge":        "the merge leaves the receiver untouched",
+		"Merge":           "the merge leaves the receiver untouched",
 		"UnmarshalBinary": "a failed decode leaves the receiver untouched",
 	},
 }
@@ -55,7 +58,7 @@ func run(pass *analysis.Pass) (any, error) {
 			return
 		}
 		consequence, ok := watched[base][fn.Name()]
-		if !ok || allow.Allows(call.Pos(), "injecterr") {
+		if !ok || !returnsError(fn) || allow.Allows(call.Pos(), "injecterr") {
 			return
 		}
 		pass.Reportf(call.Pos(),
@@ -85,6 +88,12 @@ func run(pass *analysis.Pass) (any, error) {
 		})
 	}
 	return nil, nil
+}
+
+// returnsError reports whether fn's last result is an error.
+func returnsError(fn *types.Func) bool {
+	res := fn.Type().(*types.Signature).Results()
+	return res.Len() > 0 && types.Identical(res.At(res.Len()-1).Type(), types.Universe.Lookup("error").Type())
 }
 
 func allBlank(exprs []ast.Expr) bool {

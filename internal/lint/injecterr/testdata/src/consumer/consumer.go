@@ -5,12 +5,12 @@ import (
 	"telemetry"
 )
 
-func bad(inj sim.FaultInjector, s, o *telemetry.Sketch, c *telemetry.Collector, blob []byte) {
+func bad(inj sim.FaultInjector, c, o *telemetry.Collector, blob []byte) {
 	inj.Inject(sim.Target{}, sim.Fault{}, 5) // want `sim\.Inject error is discarded`
 	inj.Recover(sim.Target{}, 5)             // want `sim\.Recover error is discarded`
-	s.TryMerge(o)                            // want `telemetry\.TryMerge error is discarded`
+	c.Merge(o)                               // want `telemetry\.Merge error is discarded`
 	c.UnmarshalBinary(blob)                  // want `telemetry\.UnmarshalBinary error is discarded`
-	_ = s.TryMerge(o)                        // want `telemetry\.TryMerge error is discarded`
+	_ = c.Merge(o)                           // want `telemetry\.Merge error is discarded`
 	go c.UnmarshalBinary(blob)               // want `telemetry\.UnmarshalBinary error is discarded`
 	defer c.UnmarshalBinary(blob)            // want `telemetry\.UnmarshalBinary error is discarded`
 }
@@ -19,11 +19,12 @@ func concrete(inj sim.Injector) {
 	inj.Inject(sim.Target{}, sim.Fault{}, 5) // want `sim\.Inject error is discarded`
 }
 
-func good(inj sim.FaultInjector, s, o *telemetry.Sketch, c *telemetry.Collector, blob []byte) error {
+func good(inj sim.FaultInjector, s, so *telemetry.Sketch, c, o *telemetry.Collector, blob []byte) error {
 	if err := inj.Inject(sim.Target{}, sim.Fault{}, 5); err != nil {
 		return err
 	}
-	err := s.TryMerge(o)
+	s.Merge(so) // good: this Merge returns no error
+	err := c.Merge(o)
 	if err != nil {
 		return err
 	}

@@ -4,8 +4,10 @@ package telemetry
 
 type Sketch struct{}
 
-func (*Sketch) TryMerge(other *Sketch) error { return nil }
+func (*Sketch) Merge(other *Sketch) {}
 
 type Collector struct{}
+
+func (*Collector) Merge(other *Collector) error { return nil }
 
 func (*Collector) UnmarshalBinary(data []byte) error { return nil }

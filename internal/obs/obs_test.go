@@ -2,11 +2,8 @@ package obs_test
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -225,9 +222,11 @@ func TestSweepTracker(t *testing.T) {
 	}
 }
 
-// TestSweepTrackerSkipsForeignSketchAlpha: a collector blob whose sketches
-// decode cleanly at another alpha than their collector's neither panics
-// the tracker nor disturbs what it has pooled; later good blobs still pool.
+// TestSweepTrackerSkipsForeignSketchAlpha: a collector blob that fails to
+// decode neither panics the tracker nor disturbs what it has pooled; later
+// good blobs still pool. A sketch at another alpha than its collector's
+// can be written only in the version-1 format, so the bad blobs are one
+// labelled version 1 and one truncated.
 func TestSweepTrackerSkipsForeignSketchAlpha(t *testing.T) {
 	col := telemetry.NewCollector(telemetry.Opts{}, 3)
 	for i, fct := range []float64{12, 40, 95, 300, 2500} {
@@ -237,28 +236,29 @@ func TestSweepTrackerSkipsForeignSketchAlpha(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bits := func(x float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)) }
-	// Every sketch claims alpha 0.02; the collector's own alpha, the eight
-	// bytes after the two-byte header, stays the default.
-	bad := append(good[:10:10], bytes.ReplaceAll(good[10:], bits(telemetry.DefaultAlpha), bits(0.02))...)
+	v1 := append([]byte{}, good...)
+	v1[1] = 1 // the version byte
+	truncated := good[:len(good)-1]
 
 	tr := obs.NewSweepTracker()
-	tr.SweepStarted(4, 1, 0)
+	tr.SweepStarted(5, 1, 0)
 	quantiles := func() []obs.ClassQuantiles {
 		data, _ := tr.StatusSnapshot()
 		return data.(*obs.SweepStatus).Quantiles
 	}
-	tr.ResultDelivered(0, scenario.Result{}, bad)
+	tr.ResultDelivered(0, scenario.Result{}, v1)
 	if got := quantiles(); got != nil {
-		t.Fatalf("a foreign-alpha blob alone pooled %+v", got)
+		t.Fatalf("a version-1 blob alone pooled %+v", got)
 	}
 	tr.ResultDelivered(1, scenario.Result{}, good)
 	want := quantiles()
-	tr.ResultDelivered(2, scenario.Result{}, bad)
-	if got := quantiles(); len(got) != 1 || got[0] != want[0] {
-		t.Fatalf("after a foreign-alpha blob: quantiles %+v, want %+v", got, want)
+	for i, bad := range [][]byte{v1, truncated} {
+		tr.ResultDelivered(2+i, scenario.Result{}, bad)
+		if got := quantiles(); len(got) != 1 || got[0] != want[0] {
+			t.Fatalf("after bad blob %d: quantiles %+v, want %+v", i, got, want)
+		}
 	}
-	tr.ResultDelivered(3, scenario.Result{}, good)
+	tr.ResultDelivered(4, scenario.Result{}, good)
 	if got := quantiles(); got[0].N != 2*want[0].N {
 		t.Fatalf("after a second good blob: n = %d, want %d", got[0].N, 2*want[0].N)
 	}

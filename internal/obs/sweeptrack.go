@@ -107,8 +107,7 @@ func (t *SweepTracker) ResultDelivered(index int, res scenario.Result, collector
 			if t.pooled == nil {
 				t.pooled = &col
 			} else {
-				// Mixed sketch configs cannot pool; keep what we have.
-				_ = t.pooled.Merge(&col)
+				_ = t.pooled.Merge(&col) //operalint:allow injecterr -- mixed sketch configs cannot pool; keep what we have
 			}
 		}
 	}

@@ -1,10 +1,8 @@
 package sweep
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
-	"math"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,9 +49,11 @@ func TestTablesGolden(t *testing.T) {
 	}
 }
 
-// TestTablesRejectsForeignSketchAlpha: a collector blob whose sketches
-// decode cleanly at another alpha than their collector's fails Tables with
-// an error naming the cell, instead of panicking in the merge.
+// TestTablesRejectsForeignSketchAlpha: a collector blob that fails to
+// decode fails Tables with an error naming the cell, instead of pooling
+// wrongly. A sketch at another alpha than its collector's can be written
+// only in the version-1 format, so the bad blobs are one labelled version
+// 1 and one truncated.
 func TestTablesRejectsForeignSketchAlpha(t *testing.T) {
 	g := testGrid()
 	specs, cells, err := g.Expand()
@@ -64,17 +64,21 @@ func TestTablesRejectsForeignSketchAlpha(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.Collectors[0] = foreignAlpha(rep.Collectors[0])
-	_, err = Tables(g, specs, cells, rep)
-	if err == nil || !strings.Contains(err.Error(), "cell opera/0.05") || !strings.Contains(err.Error(), "alpha 0.02") {
-		t.Fatalf("Tables = %v, want an error naming cell opera/0.05 and the foreign alpha", err)
+	good := rep.Collectors[0]
+	v1 := append([]byte{}, good...)
+	v1[1] = 1 // the version byte
+	for _, tc := range []struct {
+		name string
+		blob []byte
+		want error
+	}{
+		{"version 1", v1, telemetry.ErrCodecVersion},
+		{"truncated", good[:len(good)-1], telemetry.ErrCorrupt},
+	} {
+		rep.Collectors[0] = tc.blob
+		_, err = Tables(g, specs, cells, rep)
+		if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), "cell opera/0.05") {
+			t.Errorf("%s: Tables = %v, want %v naming cell opera/0.05", tc.name, err, tc.want)
+		}
 	}
-}
-
-// foreignAlpha rewrites every sketch's alpha in a default-alpha collector
-// blob to 0.02, leaving the collector's own, the eight bytes after its
-// two-byte header.
-func foreignAlpha(blob []byte) []byte {
-	bits := func(x float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)) }
-	return append(blob[:10:10], bytes.ReplaceAll(blob[10:], bits(telemetry.DefaultAlpha), bits(0.02))...)
 }

@@ -26,7 +26,7 @@ func BenchmarkSketchAdd(b *testing.B) {
 // BenchmarkWindowRecord measures the trailing-window ring update — the
 // per-delivery cost of the windowed throughput/tax series.
 func BenchmarkWindowRecord(b *testing.B) {
-	w := NewWindow(0.001, 128)
+	w := newWindow()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

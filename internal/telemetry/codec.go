@@ -4,21 +4,23 @@ package telemetry
 // process-sharded sweeps can stream collector state between workers and a
 // coordinator and merge it losslessly.
 //
-// Collector implements encoding.BinaryMarshaler / BinaryUnmarshaler; its
-// sketches, tag tallies and windows are encoded nested inside it, each as
-// its own kind-tagged object. The format is deterministic — encoding a
-// value twice yields identical bytes (map-backed tag tallies are written
-// in sorted name order) — and exact: floats travel as their IEEE-754 bit
-// patterns, so a decoded value is deeply equal to the original and
-// merging decoded shards produces byte-for-byte the same state as merging
-// the originals. Counts use varints, which keeps a six-decade 1%-alpha
-// sketch around 1–2 KiB.
+// Collector implements encoding.BinaryMarshaler / BinaryUnmarshaler. The
+// format is deterministic — encoding a value twice yields identical bytes
+// (map-backed tag tallies are written in sorted name order) — and exact:
+// floats travel as their IEEE-754 bit patterns, so a decoded value is
+// deeply equal to the original and merging decoded shards produces
+// byte-for-byte the same state as merging the originals. Counts use
+// varints, which keeps a six-decade 1%-alpha sketch around 1–2 KiB.
 //
-// Layout (all objects): one kind byte, one version byte, then the
-// version's payload. Decoders reject unknown kinds and versions with
-// ErrCodecVersion, and any truncated or out-of-bounds payload with an
-// error wrapping ErrCorrupt — a partial frame from a killed worker is a
-// clean error, never a silently wrong merge.
+// Layout: one kind byte ('C'), one version byte, the collector's alpha,
+// then its class sketches, its tag tallies (each after its name) and its
+// delivered, goodput and uplink windows. The alpha and the window geometry
+// are the collector's alone: a sketch is written as its counts and
+// buckets, a window as its head, total and live bins. Decoders reject
+// other kinds and versions with ErrCodecVersion, and any truncated or
+// out-of-bounds payload with an error wrapping ErrCorrupt — a partial
+// frame from a killed worker is a clean error, never a silently wrong
+// merge.
 
 import (
 	"encoding/binary"
@@ -29,31 +31,29 @@ import (
 )
 
 const (
-	codecVersion = 1
+	codecVersion = 2
 
-	kindSketch    byte = 'S'
-	kindWindow    byte = 'W'
-	kindTagTally  byte = 'T'
 	kindCollector byte = 'C'
 )
 
 // ErrCodecVersion is returned when decoding an encoding whose kind or
-// version this build does not understand.
+// version this build does not understand, such as a version-1 collector,
+// which repeated the alpha in every sketch and the geometry in every
+// window.
 var ErrCodecVersion = errors.New("telemetry: unsupported codec kind or version")
 
 // ErrCorrupt is returned (wrapped, with detail) when an encoding is
 // truncated or internally inconsistent.
 var ErrCorrupt = errors.New("telemetry: corrupt encoding")
 
-// maxCodecElems bounds decoded element counts (buckets, bins, tags,
-// classes, name bytes) so a corrupt length prefix cannot become a
+// maxCodecElems bounds decoded element counts (buckets, tags, classes,
+// name bytes) so a corrupt length prefix cannot become a
 // multi-gigabyte allocation.
 const maxCodecElems = 1 << 24
 
 // wbuf is an append-only encode buffer.
 type wbuf struct{ b []byte }
 
-func (w *wbuf) header(kind byte) { w.b = append(w.b, kind, codecVersion) }
 func (w *wbuf) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
 func (w *wbuf) varint(v int64)   { w.b = binary.AppendVarint(w.b, v) }
 func (w *wbuf) f64(v float64)    { w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(v)) }
@@ -73,19 +73,16 @@ func (r *rbuf) fail(format string, args ...any) {
 	}
 }
 
-func (r *rbuf) header(kind byte) {
-	if r.err != nil {
-		return
-	}
+func (r *rbuf) header() {
 	if len(r.b) < 2 {
 		r.fail("truncated header")
 		return
 	}
 	k, v := r.b[0], r.b[1]
 	r.b = r.b[2:]
-	if k != kind || v != codecVersion {
+	if k != kindCollector || v != codecVersion {
 		r.err = fmt.Errorf("%w: kind %q version %d (want %q version %d)",
-			ErrCodecVersion, k, v, kind, codecVersion)
+			ErrCodecVersion, k, v, kindCollector, codecVersion)
 	}
 }
 
@@ -144,21 +141,6 @@ func (r *rbuf) count(what string, elemSize int) int {
 	return int(v)
 }
 
-// capacity reads a declared-geometry prefix (a window's span): it bounds
-// the allocation but, unlike count, is not limited by remaining bytes —
-// an empty window legitimately declares 128 bins and encodes none.
-func (r *rbuf) capacity(what string) int {
-	v := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if v > maxCodecElems {
-		r.fail("%s capacity %d out of bounds", what, v)
-		return 0
-	}
-	return int(v)
-}
-
 func (r *rbuf) str() string {
 	n := r.count("string", 1)
 	if r.err != nil {
@@ -171,15 +153,6 @@ func (r *rbuf) str() string {
 	s := string(r.b[:n])
 	r.b = r.b[n:]
 	return s
-}
-
-// windowGeometry fails unless a decoded window geometry is the collector's
-// constant one: a blob with any other geometry could not merge with the
-// collectors this package builds.
-func (r *rbuf) windowGeometry(bin float64, bins int64) {
-	if r.err == nil && (bin != windowBin || bins != windowBins) {
-		r.fail("window geometry %v s × %d bins (want %v s × %d)", bin, bins, windowBin, windowBins)
-	}
 }
 
 // done errors unless the buffer was consumed exactly.
@@ -196,8 +169,6 @@ func (r *rbuf) done() error {
 // --- Sketch ---
 
 func (s *Sketch) marshalTo(w *wbuf) {
-	w.header(kindSketch)
-	w.f64(s.alpha)
 	w.uvarint(s.count)
 	w.f64(s.sum)
 	w.f64(s.min)
@@ -210,99 +181,67 @@ func (s *Sketch) marshalTo(w *wbuf) {
 	}
 }
 
+// unmarshalFrom decodes into an empty sketch built at its collector's
+// alpha.
 func (s *Sketch) unmarshalFrom(r *rbuf) {
-	r.header(kindSketch)
-	alpha := r.f64()
-	if r.err == nil && !(alpha > 0 && alpha < 1) { // rejects NaN too
-		r.fail("sketch alpha %v outside (0,1)", alpha)
-	}
-	count := r.uvarint()
-	sum := r.f64()
-	min := r.f64()
-	max := r.f64()
-	zero := r.uvarint()
+	s.count = r.uvarint()
+	s.sum = r.f64()
+	s.min = r.f64()
+	s.max = r.f64()
+	s.zero = r.uvarint()
 	base := r.varint()
 	n := r.count("sketch bucket", 1)
 	if r.err != nil {
 		return
 	}
-	fresh := NewSketch(alpha)
 	// Buckets outside the indices a float64 observation maps to would make
 	// a merge allocate the gap between two such sketches.
-	lo, hi := int64(fresh.index(minIndexable)), int64(fresh.index(math.MaxFloat64))
+	lo, hi := int64(s.index(minIndexable)), int64(s.index(math.MaxFloat64))
 	if n > 0 && (base < lo || base > hi-int64(n)+1) {
 		r.fail("sketch buckets from %d (%d of them) outside [%d, %d]", base, n, lo, hi)
 		return
 	}
-	fresh.count = count
-	fresh.sum = sum
-	fresh.min = min
-	fresh.max = max
-	fresh.zero = zero
-	fresh.base = int(base)
+	s.base = int(base)
 	if n > 0 {
-		fresh.buckets = make([]uint64, n)
-		for i := range fresh.buckets {
-			fresh.buckets[i] = r.uvarint()
+		s.buckets = make([]uint64, n)
+		for i := range s.buckets {
+			s.buckets[i] = r.uvarint()
 		}
 	}
-	if r.err != nil {
-		return
-	}
-	*s = *fresh
 }
 
 // --- Window ---
 
 func (w *Window) marshalTo(b *wbuf) {
-	b.header(kindWindow)
-	b.f64(w.binWidth)
-	b.uvarint(uint64(len(w.ring)))
 	b.varint(w.head)
 	b.f64(w.total)
 	// Live bins only, oldest first; slots outside the live range are
 	// always zero, so this is lossless.
 	first, n := w.bounds()
 	for bin := first; bin < first+n; bin++ {
-		b.f64(w.ring[bin%int64(len(w.ring))])
+		b.f64(w.ring[bin%windowBins])
 	}
 }
 
+// unmarshalFrom decodes into an empty window.
 func (w *Window) unmarshalFrom(r *rbuf) {
-	r.header(kindWindow)
-	binWidth := r.f64()
-	if r.err == nil && !(binWidth > 0) { // rejects NaN too
-		r.fail("window bin width %v not positive", binWidth)
+	w.head = r.varint()
+	if r.err == nil && w.head < -1 {
+		r.fail("window head %d", w.head)
 	}
-	span := r.capacity("window bin")
-	if r.err == nil && span == 0 {
-		r.fail("window with zero bins")
-	}
-	head := r.varint()
-	if r.err == nil && head < -1 {
-		r.fail("window head %d", head)
-	}
-	total := r.f64()
+	w.total = r.f64()
 	if r.err != nil {
 		return
 	}
-	fresh := NewWindow(binWidth, span)
-	fresh.head = head
-	fresh.total = total
-	first, n := fresh.bounds()
+	first, n := w.bounds()
 	for bin := first; bin < first+n; bin++ {
-		fresh.ring[bin%int64(span)] = r.f64()
+		w.ring[bin%windowBins] = r.f64()
 	}
-	if r.err != nil {
-		return
-	}
-	*w = *fresh
 }
 
 // --- TagTally ---
 
 func (t *TagTally) marshalTo(w *wbuf) {
-	w.header(kindTagTally)
 	t.Sketch.marshalTo(w)
 	w.varint(int64(t.Done))
 	w.varint(int64(t.Total))
@@ -310,19 +249,10 @@ func (t *TagTally) marshalTo(w *wbuf) {
 }
 
 func (t *TagTally) unmarshalFrom(r *rbuf) {
-	r.header(kindTagTally)
-	var s Sketch
-	s.unmarshalFrom(r)
-	done := r.varint()
-	total := r.varint()
-	bytes := r.varint()
-	if r.err != nil {
-		return
-	}
-	t.Sketch = &s
-	t.Done = int(done)
-	t.Total = int(total)
-	t.Bytes = bytes
+	t.Sketch.unmarshalFrom(r)
+	t.Done = int(r.varint())
+	t.Total = int(r.varint())
+	t.Bytes = r.varint()
 }
 
 // --- Collector ---
@@ -333,10 +263,8 @@ func (t *TagTally) unmarshalFrom(r *rbuf) {
 // function of the collector's state.
 func (c *Collector) MarshalBinary() ([]byte, error) {
 	var w wbuf
-	w.header(kindCollector)
+	w.b = append(w.b, kindCollector, codecVersion)
 	w.f64(c.opts.Alpha)
-	w.f64(windowBin)
-	w.varint(windowBins)
 	w.uvarint(uint64(len(c.classes)))
 	for _, s := range c.classes {
 		s.marshalTo(&w)
@@ -360,13 +288,12 @@ func (c *Collector) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary decodes an encoding produced by MarshalBinary into c,
 // replacing its state. The receiver may be the zero Collector; the decoded
 // collector is deeply equal to the encoded one, so merging after decode is
-// indistinguishable from merging in-process.
+// indistinguishable from merging in-process. On error c is left
+// unchanged.
 func (c *Collector) UnmarshalBinary(data []byte) error {
 	r := rbuf{b: data}
-	r.header(kindCollector)
+	r.header()
 	opts := Opts{Alpha: r.f64()}
-	bin := r.f64()
-	r.windowGeometry(bin, r.varint())
 	if r.err == nil {
 		if err := opts.Validate(); err != nil {
 			r.fail("collector options: %v", err)
@@ -380,53 +307,27 @@ func (c *Collector) UnmarshalBinary(data []byte) error {
 	if r.err != nil {
 		return r.err
 	}
-	fresh := &Collector{opts: opts, classes: make([]*Sketch, numClasses)}
-	for i := range fresh.classes {
-		var s Sketch
+	fresh := newCollector(opts, numClasses)
+	for _, s := range fresh.classes {
 		s.unmarshalFrom(&r)
-		// A sketch at another alpha could not merge into Merged or into
-		// another collector's sketches.
-		if r.err == nil && s.alpha != opts.Alpha {
-			r.fail("class %d sketch alpha %v (collector %v)", i, s.alpha, opts.Alpha)
-		}
-		fresh.classes[i] = &s
 	}
 	numTags := r.count("collector tag", 2)
-	if r.err != nil {
-		return r.err
-	}
 	if numTags > 0 {
 		fresh.tags = make(map[string]*TagTally, numTags)
-		for i := 0; i < numTags; i++ {
-			name := r.str()
-			var t TagTally
-			t.unmarshalFrom(&r)
-			if r.err == nil && t.Sketch.alpha != opts.Alpha {
-				r.fail("tag %q sketch alpha %v (collector %v)", name, t.Sketch.alpha, opts.Alpha)
-			}
-			if r.err != nil {
-				return r.err
-			}
-			if _, dup := fresh.tags[name]; dup {
-				r.fail("duplicate tag %q", name)
-				return r.err
-			}
-			fresh.tags[name] = &t
+	}
+	for i := 0; i < numTags && r.err == nil; i++ {
+		name := r.str()
+		if _, dup := fresh.tags[name]; dup {
+			r.fail("duplicate tag %q", name)
 		}
+		fresh.tally(name).unmarshalFrom(&r)
 	}
-	var delivered, goodput, uplink Window
-	delivered.unmarshalFrom(&r)
-	goodput.unmarshalFrom(&r)
-	uplink.unmarshalFrom(&r)
-	for _, w := range []*Window{&delivered, &goodput, &uplink} {
-		r.windowGeometry(w.binWidth, int64(len(w.ring)))
-	}
+	fresh.delivered.unmarshalFrom(&r)
+	fresh.goodput.unmarshalFrom(&r)
+	fresh.uplink.unmarshalFrom(&r)
 	if err := r.done(); err != nil {
 		return err
 	}
-	fresh.delivered = &delivered
-	fresh.goodput = &goodput
-	fresh.uplink = &uplink
-	*c = *fresh
+	*c = fresh
 	return nil
 }

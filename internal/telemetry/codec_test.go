@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -103,10 +102,10 @@ func TestSketchMergeAfterDecode(t *testing.T) {
 	}
 }
 
-// populatedWindow returns a window at the collector's geometry fed n
-// records; 1 000 of them wrap its ring.
-func populatedWindow(seed int64, n int) *Window {
-	w := NewWindow(windowBin, windowBins)
+// populatedWindow returns a window fed n records; 1 000 of them wrap its
+// ring.
+func populatedWindow(seed int64, n int) Window {
+	w := newWindow()
 	rng := rand.New(rand.NewSource(seed))
 	t := 0.0
 	for i := 0; i < n; i++ {
@@ -117,11 +116,11 @@ func populatedWindow(seed int64, n int) *Window {
 }
 
 func TestWindowCodecRoundTrip(t *testing.T) {
-	for name, w := range map[string]*Window{
-		"empty":     NewWindow(windowBin, windowBins),
+	for name, w := range map[string]Window{
+		"empty":     newWindow(),
 		"populated": populatedWindow(3, 1_000),
-		"partial": func() *Window {
-			w := NewWindow(windowBin, windowBins)
+		"partial": func() Window {
+			w := newWindow()
 			w.Record(0.0015, 10)
 			return w
 		}(),
@@ -259,11 +258,11 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 		}
 	})
 	t.Run("wrong-kind", func(t *testing.T) {
-		var w wbuf
-		populatedSketch(t, 0.01, 1, 10).marshalTo(&w)
+		bad := append([]byte{}, good...)
+		bad[0] = 'S'
 		var c Collector
-		if err := c.UnmarshalBinary(w.b); err == nil || !errors.Is(err, ErrCodecVersion) {
-			t.Errorf("sketch bytes into collector: got %v, want ErrCodecVersion", err)
+		if err := c.UnmarshalBinary(bad); err == nil || !errors.Is(err, ErrCodecVersion) {
+			t.Errorf("kind 'S': got %v, want ErrCodecVersion", err)
 		}
 	})
 	t.Run("future-version", func(t *testing.T) {
@@ -277,14 +276,9 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 	t.Run("huge-count", func(t *testing.T) {
 		// A class sketch claiming 2^40 buckets must fail the bounds check,
 		// not attempt the allocation.
-		var w wbuf
-		w.header(kindCollector)
+		w := wbuf{b: []byte{kindCollector, codecVersion}}
 		w.f64(DefaultAlpha)
-		w.f64(windowBin)
-		w.varint(windowBins)
 		w.uvarint(1) // one class
-		w.header(kindSketch)
-		w.f64(0.01)
 		w.uvarint(0) // count
 		w.f64(0)     // sum
 		w.f64(math.Inf(1))
@@ -300,9 +294,9 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 }
 
 // TestCollectorWireBytes pins the collector encoding — two classes, one
-// tag, live window bins — to the bytes it had when the window geometry was
-// still an option: the geometry slots carry 0.001 s and 128, so sweep
-// worker frames written then and now are interchangeable.
+// tag, live window bins — and checks that the same collector's version-1
+// bytes, which repeated the alpha in every sketch and the window geometry
+// in every window, are refused as ErrCodecVersion.
 func TestCollectorWireBytes(t *testing.T) {
 	c := NewCollector(Opts{}, 2)
 	c.FlowAdded("rpc")
@@ -313,14 +307,12 @@ func TestCollectorWireBytes(t *testing.T) {
 	c.RecordDelivered(0.0021, 3_000_000)
 	c.RecordTax(0.0005, 1500, 3000)
 	c.RecordTax(0.0021, 3_000_000, 6_000_000)
-	const want = "43017b14ae47e17a843ffca9f1d24d62503f80020253017b14ae47e17a843f010000000000005e40" +
-		"0000000000005e400000000000005e4000e003010153017b14ae47e17a843f01000000000040af40" +
-		"000000000040af40000000000040af4000be0601010103727063540153017b14ae47e17a843f0100" +
-		"00000000005e400000000000005e400000000000005e4000e00301010204b8175701fca9f1d24d62" +
-		"503f800104000000004ee64641000000000070974000000000000000000000000060e346415701fc" +
-		"a9f1d24d62503f800104000000004ee64641000000000070974000000000000000000000000060e3" +
-		"46415701fca9f1d24d62503f800104000000004ee65641000000000070a740000000000000000000" +
-		"00000060e35641"
+	const want = "43027b14ae47e17a843f02010000000000005e400000000000005e400000000000005e4000e00301" +
+		"0101000000000040af40000000000040af40000000000040af4000be060101010372706301000000" +
+		"0000005e400000000000005e400000000000005e4000e00301010204b81704000000004ee6464100" +
+		"0000000070974000000000000000000000000060e3464104000000004ee646410000000000709740" +
+		"00000000000000000000000060e3464104000000004ee65641000000000070a74000000000000000" +
+		"000000000060e35641"
 	got, err := c.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -328,46 +320,21 @@ func TestCollectorWireBytes(t *testing.T) {
 	if hex.EncodeToString(got) != want {
 		t.Fatalf("collector encodes to\n%x\nwant\n%s", got, want)
 	}
-}
 
-// TestCollectorRejectsOtherWindowGeometry: an empty two-class collector
-// encoded with 2 ms × 32 windows, as the window options could once produce,
-// fails to decode with a named ErrCorrupt rather than merging wrongly.
-func TestCollectorRejectsOtherWindowGeometry(t *testing.T) {
-	blob, err := hex.DecodeString("43017b14ae47e17a843ffca9f1d24d62603f400253017b14ae47e17a843f00" +
-		"0000000000000000000000000000f07f000000000000f0ff00000053017b14ae47e17a843f0000" +
-		"00000000000000000000000000f07f000000000000f0ff000000005701fca9f1d24d62603f2001" +
-		"00000000000000005701fca9f1d24d62603f200100000000000000005701fca9f1d24d62603f20" +
-		"010000000000000000")
+	v1, err := hex.DecodeString("43017b14ae47e17a843ffca9f1d24d62503f80020253017b14ae47e17a843f010000000000005e40" +
+		"0000000000005e400000000000005e4000e003010153017b14ae47e17a843f01000000000040af40" +
+		"000000000040af40000000000040af4000be0601010103727063540153017b14ae47e17a843f0100" +
+		"00000000005e400000000000005e400000000000005e4000e00301010204b8175701fca9f1d24d62" +
+		"503f800104000000004ee64641000000000070974000000000000000000000000060e346415701fc" +
+		"a9f1d24d62503f800104000000004ee64641000000000070974000000000000000000000000060e3" +
+		"46415701fca9f1d24d62503f800104000000004ee65641000000000070a740000000000000000000" +
+		"00000060e35641")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c Collector
-	err = c.UnmarshalBinary(blob)
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "0.002 s × 32 bins") {
-		t.Fatalf("2 ms × 32 collector: got %v, want ErrCorrupt naming the geometry", err)
-	}
-}
-
-// TestCollectorRejectsForeignSketchAlpha: a collector blob that decodes
-// cleanly but holds a non-empty class or tag sketch at another alpha is
-// ErrCorrupt, not a collector whose Merged would panic.
-func TestCollectorRejectsForeignSketchAlpha(t *testing.T) {
-	foreign := populatedSketch(t, 0.02, 4, 50)
-	for name, edit := range map[string]func(*Collector){
-		"class 1 sketch alpha 0.02":       func(c *Collector) { c.classes[1] = foreign },
-		`tag "shuffle" sketch alpha 0.02`: func(c *Collector) { c.tags["shuffle"].Sketch = foreign },
-	} {
-		c := populatedCollector(23, 100)
-		edit(c)
-		blob, err := c.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got Collector
-		if err := got.UnmarshalBinary(blob); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), name) {
-			t.Errorf("%s: got %v, want ErrCorrupt naming it", name, err)
-		}
+	var old Collector
+	if err := old.UnmarshalBinary(v1); !errors.Is(err, ErrCodecVersion) {
+		t.Fatalf("version-1 bytes: got %v, want ErrCodecVersion", err)
 	}
 }
 

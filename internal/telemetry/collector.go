@@ -56,9 +56,7 @@ type Collector struct {
 	classes []*Sketch
 	tags    map[string]*TagTally
 
-	delivered *Window
-	goodput   *Window
-	uplink    *Window
+	delivered, goodput, uplink Window
 }
 
 // NewCollector returns an empty collector with per-class sketches for
@@ -69,13 +67,20 @@ func NewCollector(opts Opts, numClasses int) *Collector {
 	if err := opts.Validate(); err != nil {
 		panic(err)
 	}
-	opts = opts.withDefaults()
-	c := &Collector{
+	c := newCollector(opts.withDefaults(), numClasses)
+	return &c
+}
+
+// newCollector returns an empty collector with resolved options by value,
+// so that UnmarshalBinary can fill one on its stack and copy it over its
+// receiver only once the whole encoding has decoded.
+func newCollector(opts Opts, numClasses int) Collector {
+	c := Collector{
 		opts:      opts,
 		classes:   make([]*Sketch, numClasses),
-		delivered: NewWindow(windowBin, windowBins),
-		goodput:   NewWindow(windowBin, windowBins),
-		uplink:    NewWindow(windowBin, windowBins),
+		delivered: newWindow(),
+		goodput:   newWindow(),
+		uplink:    newWindow(),
 	}
 	for i := range c.classes {
 		c.classes[i] = NewSketch(opts.Alpha)
@@ -151,19 +156,16 @@ func (c *Collector) Merged() *Sketch {
 // Callers must not mutate.
 func (c *Collector) Tags() map[string]*TagTally { return c.tags }
 
-// Merge folds other's tally into t. Both sketches must share an alpha;
-// TryMerge's error is propagated and t is left unchanged on mismatch.
-func (t *TagTally) Merge(other *TagTally) error {
+// Merge folds other's tally into t. Both sketches must share an alpha
+// (see Sketch.Merge).
+func (t *TagTally) Merge(other *TagTally) {
 	if other == nil {
-		return nil
+		return
 	}
-	if err := t.Sketch.TryMerge(other.Sketch); err != nil {
-		return err
-	}
+	t.Sketch.Merge(other.Sketch)
 	t.Done += other.Done
 	t.Total += other.Total
 	t.Bytes += other.Bytes
-	return nil
 }
 
 // Merge folds other into c: per-class and per-tag sketches merge bucket-
@@ -171,10 +173,9 @@ func (t *TagTally) Merge(other *TagTally) error {
 // combine bin-aligned (see Window.Merge). Both collectors must have been
 // built with identical options and class counts — the coordinator-side
 // invariant for shards of one sweep cell — and an error is returned
-// otherwise, before anything merges (matching options make every inner
-// merge infallible, since every sketch has its collector's alpha — built
-// from the options or checked by UnmarshalBinary — and every window has
-// the one constant geometry). other is left unchanged.
+// otherwise, before anything merges; matching options make every inner
+// merge infallible, since every sketch has its collector's alpha and
+// every window the one constant geometry. other is left unchanged.
 func (c *Collector) Merge(other *Collector) error {
 	if other == nil {
 		return nil
@@ -186,32 +187,25 @@ func (c *Collector) Merge(other *Collector) error {
 		return fmt.Errorf("telemetry: merging collectors with %d vs %d classes", len(c.classes), len(other.classes))
 	}
 	for i, s := range other.classes {
-		if err := c.classes[i].TryMerge(s); err != nil {
-			return err
-		}
+		c.classes[i].Merge(s)
 	}
 	for tag, t := range other.tags {
-		if err := c.tally(tag).Merge(t); err != nil {
-			return err
-		}
+		c.tally(tag).Merge(t)
 	}
-	if err := c.delivered.Merge(other.delivered); err != nil {
-		return err
-	}
-	if err := c.goodput.Merge(other.goodput); err != nil {
-		return err
-	}
-	return c.uplink.Merge(other.uplink)
+	c.delivered.Merge(&other.delivered)
+	c.goodput.Merge(&other.goodput)
+	c.uplink.Merge(&other.uplink)
+	return nil
 }
 
 // Delivered returns the trailing delivered-bytes window.
-func (c *Collector) Delivered() *Window { return c.delivered }
+func (c *Collector) Delivered() *Window { return &c.delivered }
 
 // Goodput returns the trailing inter-rack goodput window.
-func (c *Collector) Goodput() *Window { return c.goodput }
+func (c *Collector) Goodput() *Window { return &c.goodput }
 
 // Uplink returns the trailing ToR-to-ToR traversal-bytes window.
-func (c *Collector) Uplink() *Window { return c.uplink }
+func (c *Collector) Uplink() *Window { return &c.uplink }
 
 // WindowTax is the bandwidth tax over the trailing window only (uplink
 // bytes ÷ goodput bytes − 1), or 0 while the window holds no goodput.

@@ -8,10 +8,12 @@ import (
 // FuzzCollectorUnmarshal: any input either fails to decode or decodes to
 // a collector whose encoding survives a second decode byte for byte, and
 // whose readouts and merge do not panic. The seed corpus under
-// testdata/fuzz/ holds the shapes that once did: a class sketch at another
-// alpha than its collector's, and two class sketches whose buckets lie
-// 2^40 indices apart. Windows are not recorded into: a decoded bin width
-// need not suit Record's time arithmetic.
+// testdata/fuzz/ holds the shapes that once did or must still fail: two
+// version-1 blobs (a class sketch at another alpha than its collector's,
+// and two class sketches whose buckets lie 2^40 indices apart), which now
+// stop at the version check, and version-2 blobs with class sketches 2^40
+// bucket indices apart and with a duplicate tag name. Windows are not
+// recorded into: a decoded head need not suit Record's time arithmetic.
 func FuzzCollectorUnmarshal(f *testing.F) {
 	for _, c := range []*Collector{NewCollector(Opts{}, 2), populatedCollector(3, 60)} {
 		blob, err := c.MarshalBinary()

@@ -13,19 +13,9 @@
 package telemetry
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
-
-// ErrAlphaMismatch is the defined diagnostic for merging sketches with
-// different relative-error bounds: their log-spaced buckets disagree on
-// boundaries, so their counts cannot be combined. Sketch.TryMerge returns
-// it (wrapped, with both alphas); Sketch.Merge panics with the same error
-// value, so a recover can identify it with errors.Is. The wire codec makes
-// cross-process mismatches reachable, which is why the failure is defined
-// rather than undefined behavior.
-var ErrAlphaMismatch = errors.New("telemetry: sketch alpha mismatch")
 
 // DefaultAlpha is the sketches' default relative-error bound: quantile
 // estimates are within ±1% of the true value.
@@ -212,26 +202,17 @@ func (s *Sketch) Summary() Summary {
 }
 
 // Merge folds other into s. Both sketches must share the same Alpha (they
-// would otherwise disagree on bucket boundaries); Merge panics with an
-// error matching ErrAlphaMismatch otherwise — use TryMerge where a
-// mismatch is reachable input, e.g. state decoded from another process.
-// Merging adds bucket counts, so it is exactly associative and
-// commutative, and other is left unchanged.
-func (s *Sketch) Merge(other *Sketch) {
-	if err := s.TryMerge(other); err != nil {
-		panic(err)
-	}
-}
-
-// TryMerge is Merge returning an error wrapping ErrAlphaMismatch instead
-// of panicking when the relative-error bounds differ. On error s is left
+// would otherwise disagree on bucket boundaries); Merge panics otherwise.
+// Every sketch a Collector holds, built or decoded, has the collector's
+// alpha, so a mismatch is a programming error. Merging adds bucket counts,
+// so it is exactly associative and commutative, and other is left
 // unchanged.
-func (s *Sketch) TryMerge(other *Sketch) error {
+func (s *Sketch) Merge(other *Sketch) {
 	if other == nil || other.count == 0 {
-		return nil
+		return
 	}
 	if other.alpha != s.alpha {
-		return fmt.Errorf("%w: %v vs %v", ErrAlphaMismatch, s.alpha, other.alpha)
+		panic(fmt.Sprintf("telemetry: merging sketches with alpha %v and %v", s.alpha, other.alpha))
 	}
 	s.count += other.count
 	s.sum += other.sum
@@ -247,5 +228,4 @@ func (s *Sketch) TryMerge(other *Sketch) error {
 			s.bump(other.base+i, c)
 		}
 	}
-	return nil
 }

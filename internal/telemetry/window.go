@@ -1,17 +1,9 @@
 package telemetry
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// ErrWindowMismatch is returned by Window.Merge when the two windows have
-// different bin widths or spans — their bins would not align.
-var ErrWindowMismatch = errors.New("telemetry: window geometry mismatch")
-
-// Window accumulates amounts into fixed-width time bins like
-// stats.TimeSeries, but retains only a fixed number of trailing bins — a
+// Window accumulates amounts into windowBin-second time bins like
+// stats.TimeSeries, but retains only the trailing windowBins bins — a
 // ring — plus an exact running total, so unbounded runs hold O(bins) state
 // instead of one bin per elapsed interval. It backs the throughput and bandwidth-tax
 // series of sketch-retention runs: the recent window stays inspectable
@@ -22,50 +14,38 @@ var ErrWindowMismatch = errors.New("telemetry: window geometry mismatch")
 // bins older than the trailing window are never recorded into (Record
 // panics if one is — it would silently vanish from the rates otherwise).
 type Window struct {
-	binWidth float64 // seconds per bin
-	ring     []float64
-	head     int64 // absolute index of the newest bin covered; -1 when empty
-	total    float64
+	ring  [windowBins]float64
+	head  int64 // absolute index of the newest bin covered; -1 when empty
+	total float64
 }
 
-// NewWindow returns a window of bins trailing bins of the given width in
-// seconds.
-func NewWindow(binWidthSeconds float64, bins int) *Window {
-	if !(binWidthSeconds > 0) || math.IsInf(binWidthSeconds, 0) { // also rejects NaN
-		panic("telemetry: bin width must be positive and finite")
-	}
-	if bins <= 0 {
-		panic("telemetry: non-positive bin count")
-	}
-	return &Window{binWidth: binWidthSeconds, ring: make([]float64, bins), head: -1}
-}
+// newWindow returns an empty window.
+func newWindow() Window { return Window{head: -1} }
 
 // BinWidth returns the width of each bin in seconds.
-func (w *Window) BinWidth() float64 { return w.binWidth }
+func (w *Window) BinWidth() float64 { return windowBin }
 
 // Record adds amount at time t seconds.
 func (w *Window) Record(t, amount float64) {
 	if t < 0 {
 		panic("telemetry: negative time")
 	}
-	bin := int64(t / w.binWidth)
+	bin := int64(t / windowBin)
 	switch {
-	case w.head < 0 || bin-w.head >= int64(len(w.ring)):
+	case w.head < 0 || bin-w.head >= windowBins:
 		// First record, or a gap longer than the whole window: every
 		// retained bin is zero.
-		for i := range w.ring {
-			w.ring[i] = 0
-		}
+		w.ring = [windowBins]float64{}
 		w.head = bin
 	case bin > w.head:
 		for w.head < bin {
 			w.head++
-			w.ring[w.head%int64(len(w.ring))] = 0
+			w.ring[w.head%windowBins] = 0
 		}
-	case bin <= w.head-int64(len(w.ring)):
+	case bin <= w.head-windowBins:
 		panic(fmt.Sprintf("telemetry: record at bin %d below trailing window ending at %d", bin, w.head))
 	}
-	w.ring[bin%int64(len(w.ring))] += amount
+	w.ring[bin%windowBins] += amount
 	w.total += amount
 }
 
@@ -78,7 +58,7 @@ func (w *Window) WindowTotal() float64 {
 	var sum float64
 	first, n := w.bounds()
 	for b := first; b < first+n; b++ {
-		sum += w.ring[b%int64(len(w.ring))]
+		sum += w.ring[b%windowBins]
 	}
 	return sum
 }
@@ -93,7 +73,7 @@ func (w *Window) Rates() (firstBin int64, rates []float64) {
 	}
 	rates = make([]float64, n)
 	for i := range rates {
-		rates[i] = w.ring[(first+int64(i))%int64(len(w.ring))] / w.binWidth
+		rates[i] = w.ring[(first+int64(i))%windowBins] / windowBin
 	}
 	return first, rates
 }
@@ -108,37 +88,26 @@ func (w *Window) Rates() (firstBin int64, rates []float64) {
 // commutative up to float addition order — exactly so when amounts are
 // integral (the collector records byte counts, which stay exact below
 // 2^53); other is left unchanged.
-//
-// Both windows must share the same bin width and span; Merge returns
-// ErrWindowMismatch otherwise.
-func (w *Window) Merge(other *Window) error {
-	if other == nil {
-		return nil
-	}
-	if other.binWidth != w.binWidth || len(other.ring) != len(w.ring) {
-		return fmt.Errorf("%w: %v s × %d bins vs %v s × %d bins",
-			ErrWindowMismatch, w.binWidth, len(w.ring), other.binWidth, len(other.ring))
-	}
+func (w *Window) Merge(other *Window) {
 	if other.head > w.head {
 		// Advance w's coverage without touching its contents: live bins
 		// that remain inside the new trailing range keep their slots (the
 		// slot index depends only on the absolute bin), bins that fall out
 		// must be zeroed exactly as Record's rotation would.
 		first, n := w.bounds()
-		newFirst := other.head - int64(len(w.ring)) + 1
+		newFirst := other.head - windowBins + 1
 		for bin := first; bin < first+n && bin < newFirst; bin++ {
-			w.ring[bin%int64(len(w.ring))] = 0
+			w.ring[bin%windowBins] = 0
 		}
 		w.head = other.head
 	}
 	first, n := other.bounds()
 	for bin := first; bin < first+n; bin++ {
-		if bin > w.head-int64(len(w.ring)) {
-			w.ring[bin%int64(len(w.ring))] += other.ring[bin%int64(len(other.ring))]
+		if bin > w.head-windowBins {
+			w.ring[bin%windowBins] += other.ring[bin%windowBins]
 		}
 	}
 	w.total += other.total
-	return nil
 }
 
 // bounds returns the absolute index of the oldest retained bin and how
@@ -147,7 +116,7 @@ func (w *Window) bounds() (first, n int64) {
 	if w.head < 0 {
 		return 0, 0
 	}
-	first = w.head - int64(len(w.ring)) + 1
+	first = w.head - windowBins + 1
 	if first < 0 {
 		first = 0
 	}

@@ -6,30 +6,31 @@ import (
 )
 
 func TestWindowRetainsTrailingBins(t *testing.T) {
-	w := NewWindow(0.001, 4) // 4 × 1 ms
-	for i := 0; i < 10; i++ {
-		w.Record(float64(i)*0.001, float64(i+1)) // bin i gets i+1
+	const n = windowBins + 6
+	w := newWindow()
+	for i := 0; i < n; i++ {
+		w.Record(float64(i)*windowBin, float64(i+1)) // bin i gets i+1
 	}
-	if w.Total() != 55 {
-		t.Fatalf("Total = %v, want 55 (exact, including rotated-out bins)", w.Total())
+	if w.Total() != n*(n+1)/2 {
+		t.Fatalf("Total = %v, want %d (exact, including rotated-out bins)", w.Total(), n*(n+1)/2)
 	}
 	first, rates := w.Rates()
-	if first != 6 || len(rates) != 4 {
-		t.Fatalf("Rates window = bin %d × %d, want 6 × 4", first, len(rates))
+	if first != 6 || len(rates) != windowBins {
+		t.Fatalf("Rates window = bin %d × %d, want 6 × %d", first, len(rates), windowBins)
 	}
-	// Bins 6..9 hold 7..10; rates divide by the 1 ms width.
-	for i, want := range []float64{7000, 8000, 9000, 10000} {
-		if math.Abs(rates[i]-want) > 1e-9 {
-			t.Fatalf("rate[%d] = %v, want %v", i, rates[i], want)
+	// Bins 6..n-1 hold 7..n; rates divide by the 1 ms width.
+	for i, r := range rates {
+		if want := float64(i+7) * 1000; math.Abs(r-want) > 1e-9 {
+			t.Fatalf("rate[%d] = %v, want %v", i, r, want)
 		}
 	}
-	if got := w.WindowTotal(); got != 7+8+9+10 {
-		t.Fatalf("WindowTotal = %v, want 34", got)
+	if got, want := w.WindowTotal(), float64(n*(n+1)/2-21); got != want {
+		t.Fatalf("WindowTotal = %v, want %v", got, want)
 	}
 }
 
 func TestWindowGapZeroesSkippedBins(t *testing.T) {
-	w := NewWindow(0.001, 4)
+	w := newWindow()
 	w.Record(0, 5)
 	w.Record(0.002, 3) // skips bin 1
 	_, rates := w.Rates()
@@ -39,11 +40,17 @@ func TestWindowGapZeroesSkippedBins(t *testing.T) {
 	// A gap wider than the whole window leaves only zeros behind it.
 	w.Record(1.0, 7)
 	first, rates := w.Rates()
-	if first != 997 || len(rates) != 4 {
+	if first != 1000-windowBins+1 || len(rates) != windowBins {
 		t.Fatalf("post-gap window = bin %d × %d", first, len(rates))
 	}
-	if rates[0] != 0 || rates[1] != 0 || rates[2] != 0 || rates[3] != 7000 {
-		t.Fatalf("post-gap rates = %v", rates)
+	for i, r := range rates {
+		want := 0.0
+		if i == windowBins-1 {
+			want = 7000
+		}
+		if r != want {
+			t.Fatalf("post-gap rate[%d] = %v, want %v", i, r, want)
+		}
 	}
 	if w.Total() != 15 {
 		t.Fatalf("Total = %v, want 15", w.Total())
@@ -51,7 +58,7 @@ func TestWindowGapZeroesSkippedBins(t *testing.T) {
 }
 
 func TestWindowEmptyAndPanics(t *testing.T) {
-	w := NewWindow(0.01, 8)
+	w := newWindow()
 	if first, rates := w.Rates(); first != 0 || rates != nil {
 		t.Fatal("empty window should report no rates")
 	}
@@ -73,6 +80,6 @@ func TestWindowEmptyAndPanics(t *testing.T) {
 				t.Fatal("recording below the trailing window should panic")
 			}
 		}()
-		w.Record(0.5, 1) // bin 50 << head 100 − 8
+		w.Record(0.5, 1) // bin 500 << head 1000 − 128
 	}()
 }

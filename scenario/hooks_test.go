@@ -265,6 +265,10 @@ func TestFaultScheduleValidation(t *testing.T) {
 			Events: []scenario.EventSpec{ev}, Duration: eventsim.Millisecond})
 	}
 	specs = append(specs, scenario.Spec{Name: "x", Network: "nope", Seed: 3})
+	// Hand-built with Sources left unresolved: Collect would run no traffic.
+	specs = append(specs, scenario.Spec{Name: "unresolved", Network: "opera", Seed: 2, Racks: 4, HostsPerRack: 2,
+		Sources:  []scenario.SourceSpec{{Type: "shuffle", FlowBytes: 10_000}},
+		Duration: 10 * eventsim.Millisecond})
 	for _, sp := range specs {
 		res := scenario.Run(scenario.Scenario{Spec: sp})
 		if res.Err == "" {

@@ -21,6 +21,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 
@@ -87,7 +88,8 @@ type Scenario struct {
 	// Sources feed flows into the cluster: each entry is built against the
 	// concrete cluster (Env) and all entries run concurrently in virtual
 	// time. Spec.Scenario() resolves them from Spec.Sources; Collect runs
-	// these, not Spec.Sources. Tagged flows (see SourceSpec.Tag) produce
+	// these, not Spec.Sources, and fail a Scenario whose Spec has sources
+	// but which has none itself. Tagged flows (see SourceSpec.Tag) produce
 	// per-tag breakdowns in Result.ByTag.
 	Sources []Source
 	// Scheduler, when non-nil, is the engine's pending-event store in
@@ -257,6 +259,9 @@ func (r Result) Equal(o Result) bool { return reflect.DeepEqual(r, o) }
 func Collect(sc Scenario) (*opera.Cluster, Result) {
 	sp := sc.Spec
 	res, err := sp.header()
+	if err == nil && len(sc.Sources) == 0 && len(sp.Sources) > 0 {
+		err = fmt.Errorf("scenario: spec %q: Sources are unresolved; build the Scenario with Spec.Scenario()", sp.Name)
+	}
 	if err != nil {
 		res.Err = err.Error()
 		return nil, res
