@@ -60,7 +60,12 @@ func Fig04PathLengths(s Scale) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	emitCDF(&t, fmt.Sprintf("clos-%d:1", s.ClosF), c.ToRPathStats())
+	// Up/down routing's ToR-to-ToR hops: 2 within a pod, 4 across pods.
+	tors := make([]int, c.NumToRs)
+	for i := range tors {
+		tors[i] = i
+	}
+	emitCDF(&t, fmt.Sprintf("clos-%d:1", s.ClosF), bfs.PathStats(c.RackGraph(), tors))
 	return []Table{t}, nil
 }
 

@@ -51,6 +51,11 @@ var ErrCorrupt = errors.New("telemetry: corrupt encoding")
 // multi-gigabyte allocation.
 const maxCodecElems = 1 << 24
 
+// The smallest encodings, which bound the class and tag counts by the
+// bytes left: a class sketch is a count, three floats, a zero count, a base
+// and a bucket count (28 B); a tag adds a name length and three varints.
+const minSketchBytes, minTagBytes = 28, 32
+
 // wbuf is an append-only encode buffer.
 type wbuf struct{ b []byte }
 
@@ -303,7 +308,7 @@ func (c *Collector) UnmarshalBinary(data []byte) error {
 			r.fail("collector options not resolved: %+v", opts)
 		}
 	}
-	numClasses := r.count("collector class", 2)
+	numClasses := r.count("collector class", minSketchBytes)
 	if r.err != nil {
 		return r.err
 	}
@@ -311,7 +316,7 @@ func (c *Collector) UnmarshalBinary(data []byte) error {
 	for _, s := range fresh.classes {
 		s.unmarshalFrom(&r)
 	}
-	numTags := r.count("collector tag", 2)
+	numTags := r.count("collector tag", minTagBytes)
 	if numTags > 0 {
 		fresh.tags = make(map[string]*TagTally, numTags)
 	}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -291,6 +292,39 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 			t.Errorf("huge bucket count: got %v, want ErrCorrupt", err)
 		}
 	})
+}
+
+// countBlob is a collector header declaring n classes, or no classes and
+// n tags, then 100,000 zero bytes: room for 50,000 elements at two bytes
+// each, but too few for that many at their smallest encodings.
+func countBlob(n uint64, tags bool) []byte {
+	w := wbuf{b: []byte{kindCollector, codecVersion}}
+	w.f64(DefaultAlpha)
+	if tags {
+		w.uvarint(0)
+	}
+	w.uvarint(n)
+	return append(w.b, make([]byte, 100_000)...)
+}
+
+// TestCodecBoundsCountsBySmallestEncoding: a blob declaring more classes
+// or tags than its bytes can encode fails before allocating for them —
+// less in all than its own length.
+func TestCodecBoundsCountsBySmallestEncoding(t *testing.T) {
+	for _, tags := range []bool{false, true} {
+		blob := countBlob(50_000, tags)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var c Collector
+		err := c.UnmarshalBinary(blob)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("tags=%v: got %v, want ErrCorrupt", tags, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= uint64(len(blob)) {
+			t.Errorf("tags=%v: a %d B blob allocated %d B before failing", tags, len(blob), alloc)
+		}
+	}
 }
 
 // TestCollectorWireBytes pins the collector encoding — two classes, one

@@ -12,7 +12,8 @@ import (
 // version-1 blobs (a class sketch at another alpha than its collector's,
 // and two class sketches whose buckets lie 2^40 indices apart), which now
 // stop at the version check, and version-2 blobs with class sketches 2^40
-// bucket indices apart and with a duplicate tag name. Windows are not
+// bucket indices apart and with a duplicate tag name; countBlob adds one
+// declaring more classes than its bytes can encode. Windows are not
 // recorded into: a decoded head need not suit Record's time arithmetic.
 func FuzzCollectorUnmarshal(f *testing.F) {
 	for _, c := range []*Collector{NewCollector(Opts{}, 2), populatedCollector(3, 60)} {
@@ -22,6 +23,7 @@ func FuzzCollectorUnmarshal(f *testing.F) {
 		}
 		f.Add(blob)
 	}
+	f.Add(countBlob(50_000, false))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c Collector
 		if c.UnmarshalBinary(data) != nil {

@@ -182,11 +182,18 @@ func TestFoldedClosRackGraphRowOrder(t *testing.T) {
 	}
 }
 
+// Shortest paths over the switch graph are up/down routing's ToR-to-ToR
+// hop counts, which Figure 4 plots.
 func TestFoldedClosToRPathStats(t *testing.T) {
 	c := MustNewFoldedClos(12, 3)
-	ps := c.ToRPathStats()
+	tors := make([]int, c.NumToRs)
+	for i := range tors {
+		tors[i] = i
+	}
+	var bfs graph.BitBFS
+	ps := bfs.PathStats(c.RackGraph(), tors)
 	// 72 ToRs: per ToR, 5 intra-pod (2 hops) and 66 inter-pod (4 hops).
-	if ps.Hist[2] != 72*5 || ps.Hist[4] != 72*66 {
+	if !slices.Equal(ps.Hist, []int{0, 0, 72 * 5, 0, 72 * 66}) {
 		t.Fatalf("hist = %v", ps.Hist)
 	}
 	if ps.Pairs != 72*71 {

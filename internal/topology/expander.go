@@ -258,26 +258,3 @@ func (c *FoldedClos) RackGraph() [][]int32 {
 	}
 	return adj
 }
-
-// ToRPathStats computes hop-count statistics between ToR pairs over the
-// folded-Clos: 2 hops within a pod (ToR-agg-ToR) and 4 hops across pods
-// (ToR-agg-core-agg-ToR), per the standard up/down routing. (A search over
-// RackGraph counts switch-to-switch hops including the intermediate
-// switches; this helper reports ToR-to-ToR hop counts as the paper does.)
-func (c *FoldedClos) ToRPathStats() graph.PathStats {
-	ps := graph.PathStats{Hist: make([]int, 5)}
-	for a := 0; a < c.NumToRs; a++ {
-		for b := 0; b < c.NumToRs; b++ {
-			if a == b {
-				continue
-			}
-			ps.Pairs++
-			if c.ToRPod(a) == c.ToRPod(b) {
-				ps.Hist[2]++
-			} else {
-				ps.Hist[4]++
-			}
-		}
-	}
-	return ps
-}

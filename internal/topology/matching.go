@@ -265,16 +265,17 @@ func Lift(base []Matching, rng *rand.Rand) []Matching {
 	return out
 }
 
-// FactorizeAuto builds a factorization of size n, using direct circulant
-// construction for the base size and doubling by lifting while n is even
-// and large, mirroring the paper's use of lifting for large networks. The
-// result always has exactly n matchings of n racks each.
+// FactorizeAuto builds a factorization of size n. It halves n while n
+// exceeds 512 and its half stays even, factors that base size with
+// FactorizeComplete's randomized hill climbing, and doubles the result back
+// up by lifting, mirroring the paper's use of lifting for large networks.
+// The result always has exactly n matchings of n racks each.
 func FactorizeAuto(n int, rng *rand.Rand) []Matching {
 	if n <= 0 || n%2 != 0 {
 		panic(fmt.Sprintf("topology: FactorizeAuto needs positive even N, got %d", n))
 	}
 	// Halve while the result stays even (FactorizeComplete requires an even
-	// base), build the base directly, then lift back up.
+	// base), factor the base, then lift back up.
 	lifts := 0
 	m := n
 	for m > 512 && m%2 == 0 && (m/2)%2 == 0 {
