@@ -83,7 +83,7 @@ func parseArgs(fs *flag.FlagSet, args []string) (run, error) {
 		"/status JSON, /status/stream SSE, /debug/vars, /debug/pprof")
 	statusEvery := fs.Duration("status-every", time.Millisecond, "snapshot sampling period in virtual time (with -status)")
 	statusLinger := fs.Duration("status-linger", 0, "keep serving -status this long (wall time) after the run finishes; SIGINT/SIGTERM ends the linger early")
-	eventKinds := fs.Bool("event-kinds", false, "after the run, print how many engine events each handler type fired, most first")
+	eventKinds := fs.Bool("event-kinds", false, "after the run, print how many engine events each handler type fired, most first, a port's deliveries by packet kind")
 	if err := fs.Parse(args); err != nil {
 		return run{}, err
 	}

@@ -4,7 +4,11 @@
 // pluggable pending-event store (see Scheduler): by default a hierarchical
 // timing wheel that schedules and pops the dense, near-monotonic timestamp
 // streams of packet simulation in O(1), with a binary-heap implementation
-// retained as a differential-testing oracle. Events scheduled for the same
+// retained as a differential-testing oracle. Beside its buckets the wheel
+// keeps a FIFO lane for hops pushed with one fixed delay
+// (ContinueFixedCall, a port's propagation delay); it holds them in order
+// by appending, on the one precondition that the clock never goes back and
+// seq only grows, which the engine guarantees. Events scheduled for the same
 // instant fire in FIFO order of scheduling — every Scheduler must preserve
 // the (time, seq) total order exactly — which, together with explicit
 // seeding of all random number generators, makes every simulation in this
@@ -122,11 +126,24 @@ type Scheduler interface {
 	Len() int
 }
 
+// FixedDelayPusher is the optional extension of Scheduler that
+// Engine.ContinueFixedCall pushes through. PushFixed(ev, d) stores an
+// event the engine stamped at now + d under a fresh seq. Such pushes made
+// with one d arrive in (at, seq) order, so a scheduler may keep them in a
+// FIFO (the wheel's lane); it must serve them in the same total order as
+// Push would. A re-keyed timer event, whose seq is older, always comes by
+// Push. Engine.ContinueFixedCall falls back to Push on a scheduler without
+// it.
+type FixedDelayPusher interface {
+	PushFixed(ev *Event, d Time)
+}
+
 // Engine is a discrete-event scheduler. The zero value is not usable; call
 // New or NewWith.
 type Engine struct {
 	now    Time
 	sched  Scheduler
+	fixed  FixedDelayPusher // sched's extension, nil without one
 	seq    uint64
 	nSteps uint64 // total events executed, meta events included
 
@@ -167,7 +184,8 @@ func New() *Engine {
 // Simulation results are scheduler-independent by contract; NewWith exists
 // for differential testing (wheel vs heap) and benchmarking.
 func NewWith(s Scheduler) *Engine {
-	return &Engine{sched: s}
+	fixed, _ := s.(FixedDelayPusher)
+	return &Engine{sched: s, fixed: fixed}
 }
 
 // Now returns the current virtual time.
@@ -244,17 +262,38 @@ func (e *Engine) AfterCall(d Time, h Handler, arg any) *Event {
 // ordering, only the object that backs it. At most one ContinueCall can
 // claim the firing event; later schedules in the same callback, and calls
 // made outside any callback, fall back to the pooled AfterCall path.
-func (e *Engine) ContinueCall(d Time, h Handler, arg any) *Event {
+func (e *Engine) ContinueCall(d Time, h Handler, arg any) *Event { return e.hop(d, h, arg, nil) }
+
+// ContinueFixedCall is ContinueCall for a hop whose delay is the same at
+// every call — a port's propagation delay. Its events reach the scheduler
+// through FixedDelayPusher when the scheduler has it, so the wheel files
+// them in its FIFO lane instead of its buckets; the seq, and so the tie
+// order, is exactly ContinueCall's.
+func (e *Engine) ContinueFixedCall(d Time, h Handler, arg any) *Event {
+	return e.hop(d, h, arg, e.fixed)
+}
+
+// hop schedules h.OnEvent(arg) d after now on the firing event when one is
+// unclaimed, a pooled one otherwise, and pushes it through lane when that
+// is not nil.
+func (e *Engine) hop(d Time, h Handler, arg any, lane FixedDelayPusher) *Event {
 	if d < 0 {
 		panic(fmt.Sprintf("eventsim: negative delay %v", d))
 	}
 	ev := e.firing
 	if ev == nil {
-		return e.AtCall(e.now+d, h, arg)
+		ev = e.alloc()
+	} else {
+		e.firing = nil
 	}
-	e.firing = nil
 	ev.at, ev.h, ev.arg = e.now+d, h, arg
-	e.push(ev)
+	if lane == nil {
+		e.push(ev)
+		return ev
+	}
+	ev.seq = e.seq
+	e.seq++
+	lane.PushFixed(ev, d)
 	return ev
 }
 

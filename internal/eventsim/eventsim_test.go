@@ -485,6 +485,53 @@ func TestAllocsWheelColdWindows(t *testing.T) {
 	}
 }
 
+// hopChain re-arms itself every d until hops runs out: through
+// ContinueFixedCall (a propagation chain, the lane) or ContinueCall.
+type hopChain struct {
+	e     *Engine
+	d     Time
+	fixed bool
+	hops  int
+}
+
+func (h *hopChain) OnEvent(any) {
+	if h.hops == 0 {
+		return
+	}
+	h.hops--
+	if h.fixed {
+		h.e.ContinueFixedCall(h.d, h, nil)
+	} else {
+		h.e.ContinueCall(h.d, h, nil)
+	}
+}
+
+// TestAllocsFixedLane gates the propagation hop: a hop through the
+// wheel's lane allocates nothing, with the lane's events tying a bucket
+// chain's at the same nanoseconds. (The name matches CI's
+// `-run 'TestAllocs'` regression step.)
+func TestAllocsFixedLane(t *testing.T) {
+	e := New()
+	chains := []*hopChain{{e: e, d: 100}}
+	for i := 0; i < 8; i++ {
+		chains = append(chains, &hopChain{e: e, d: 500, fixed: true})
+	}
+	run := func() {
+		for i, c := range chains {
+			c.hops = 50
+			e.AtCall(e.Now()+Time(i*100), c, nil)
+		}
+		e.Run()
+	}
+	run() // warm the event pool
+	if avg := testing.AllocsPerRun(100, run); avg != 0 {
+		t.Fatalf("lane hops allocate %.1f per run, want 0", avg)
+	}
+	if got, want := e.Steps(), uint64(102*9*51); got != want {
+		t.Fatalf("fired %d events, want %d", got, want)
+	}
+}
+
 // TestEventSize pins Event to one 64-byte size class: a ninth word puts it
 // in the 80-byte class and costs every pooled event 25% more memory.
 func TestEventSize(t *testing.T) {

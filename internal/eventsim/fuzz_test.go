@@ -13,6 +13,12 @@ var fuzzDeltas = append([]Time{
 	50 * Millisecond, MaxTime, // MaxTime: park at MaxTime itself
 }, edgeDeltas...)
 
+// fuzzLaneDelays is what a fixed-delay push may use: the propagation delay
+// most of the time, so a lane builds, and otherwise a delay that ties in
+// the leaf, lands in a window or parks past the horizon — a push the lane
+// must refuse while it holds 500 ns events, and adopt once it is empty.
+var fuzzLaneDelays = []Time{500, 500, 500, 0, 1300, 2 * Millisecond}
+
 // schedPair drives a wheel and a heap with the same operations. Each side
 // owns its Event objects (the wheel links through them); seq, taken in
 // operation order as Engine.push and Timer.Arm take it, identifies an
@@ -55,6 +61,20 @@ func (p *schedPair) key(d Time) Event {
 func (p *schedPair) push(k Event) {
 	w, h := k, k
 	p.wheel.Push(&w)
+	p.heap.Push(&h)
+}
+
+// pushFixed is a fixed-delay hop (Engine.ContinueFixedCall): the wheel
+// takes it through its lane, the heap through Push. Its key is exactly now
+// + d, the lane's precondition, so none is made once the clock has served
+// a MaxTime park and now + d would not fit.
+func (p *schedPair) pushFixed(d Time) {
+	if d > MaxTime-p.now {
+		return
+	}
+	k := p.key(d)
+	w, h := k, k
+	p.wheel.(FixedDelayPusher).PushFixed(&w, d)
 	p.heap.Push(&h)
 }
 
@@ -102,7 +122,7 @@ func (p *schedPair) popDue(arg int) *Event {
 func (p *schedPair) run(data []byte) {
 	for i := 0; i+1 < len(data); i += 2 {
 		arg := int(data[i+1])
-		switch data[i] % 8 {
+		switch data[i] % 9 {
 		case 0, 1, 2: // push dominates, so a backlog builds
 			p.push(p.key(fuzzDeltas[arg%len(fuzzDeltas)]))
 		case 3:
@@ -118,9 +138,11 @@ func (p *schedPair) run(data []byte) {
 		case 6:
 			p.pushReserved(arg)
 		case 7: // the clock runs ahead of the queue, as RunUntil leaves it
-			if d := fuzzDeltas[arg%len(fuzzDeltas)]; d > 0 && d != MaxTime {
+			if d := fuzzDeltas[arg%len(fuzzDeltas)]; d > 0 && d != MaxTime && d <= MaxTime-p.now {
 				p.now += d
 			}
+		case 8:
+			p.pushFixed(fuzzLaneDelays[arg%len(fuzzLaneDelays)])
 		}
 	}
 	for p.pop() != nil {
@@ -128,11 +150,12 @@ func (p *schedPair) run(data []byte) {
 }
 
 // FuzzSchedulerDifferential feeds a byte stream decoded into push-δ / pop /
-// pop-due / peek / reserve-δ / push-reserved / clock-jump operations to the
-// wheel and the heap through the raw Scheduler interface, including pushes
-// earlier than the last pop and reserved keys pushed after newer ones —
-// older-seq pushes into a leaf bucket, a window slot and the overflow
-// tier — and requires identical results from every Pop, PopDue, Peek and
+// pop-due / peek / reserve-δ / push-reserved / clock-jump / fixed-delay
+// push operations to the wheel and the heap through the raw Scheduler
+// interface, including pushes earlier than the last pop and reserved keys
+// pushed after newer ones — older-seq pushes into a leaf bucket, a window
+// slot and the overflow tier — and lane pushes, which the heap takes by
+// Push, and requires identical results from every Pop, PopDue, Peek and
 // Len. `make fuzz` runs it for 10 s; the seeds below run in every
 // `go test`.
 func FuzzSchedulerDifferential(f *testing.F) {
@@ -160,6 +183,26 @@ func FuzzSchedulerDifferential(f *testing.F) {
 	// reservation order among pushes made in between, in the leaf and in a
 	// window.
 	f.Add([]byte{5, edge(500), 5, edge(500), 0, edge(500), 6, 1, 6, 0, 0, edge(500), 5, edge(1200), 5, edge(1200), 0, edge(1200), 6, 1, 6, 0, 3, 0, 3, 0, 3, 0})
+	lane := func(d Time) byte {
+		for i, v := range fuzzLaneDelays {
+			if v == d {
+				return byte(i)
+			}
+		}
+		panic("not a lane delay")
+	}
+	// the lane head ties a reserved timer key: the key is older, so the
+	// re-keyed event pushed after the lane's must still pop first, in the
+	// leaf and in a window.
+	f.Add([]byte{5, edge(500), 8, lane(500), 6, 0, 4, 0, 3, 0, 3, 0, 7, edge(51), 5, edge(500), 8, lane(500), 8, lane(500), 6, 0, 3, 4, 3, 0, 3, 0})
+	// the lane head ties leaf and window events at one nanosecond,
+	// interleaved by seq, and a lane push of another delay takes the
+	// ordinary path meanwhile.
+	f.Add([]byte{0, edge(500), 8, lane(500), 0, edge(500), 8, lane(500), 8, lane(1300), 0, edge(1200), 3, 0, 4, 0, 3, 0, 3, 0, 7, edge(1023), 8, lane(500), 0, edge(500), 8, lane(0), 3, 0, 3, 0})
+	// the clock jumps 50 ms while the wheel still holds an event, so a push
+	// at now + 500 overflows and ties the lane head there; then the lane
+	// drains and adopts 2 ms, past the horizon, beside an overflow push.
+	f.Add([]byte{0, edge(3), 7, edge(50 * Millisecond), 8, lane(500), 0, edge(500), 8, lane(500), 4, 0, 3, 0, 3, 0, 3, 0, 3, 0, 8, lane(2 * Millisecond), 0, edge(50 * Millisecond), 8, lane(500), 3, 5, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := &schedPair{t: t, wheel: NewWheelScheduler(), heap: NewHeapScheduler()}
 		p.run(data)

@@ -11,7 +11,21 @@ import (
 // one serves or in which order.
 type KindCounts struct {
 	Scheduler
-	n map[reflect.Type]uint64
+	n map[kindKey]uint64
+}
+
+// kindKey is one row of the tally: a handler type, and the sub-kind its
+// event's arg names (see EventKinder), empty for args without one.
+type kindKey struct {
+	h   reflect.Type
+	sub string
+}
+
+// EventKinder is the optional interface of an event's arg that splits its
+// handler's row in KindCounts: a port's delivery hop, for one, is counted
+// per packet kind.
+type EventKinder interface {
+	EventKind() string
 }
 
 // CountKinds wraps s so that every event popped to fire is counted under
@@ -21,7 +35,7 @@ type KindCounts struct {
 // fired), so a timer re-armed any number of times counts once per firing;
 // meta events are counted, under their observer's handler type.
 func CountKinds(s Scheduler) *KindCounts {
-	return &KindCounts{Scheduler: s, n: make(map[reflect.Type]uint64)}
+	return &KindCounts{Scheduler: s, n: make(map[kindKey]uint64)}
 }
 
 func (k *KindCounts) Pop() *Event { return k.count(k.Scheduler.Pop()) }
@@ -30,9 +44,24 @@ func (k *KindCounts) PopDue(deadline Time) *Event { return k.count(k.Scheduler.P
 
 func (k *KindCounts) count(ev *Event) *Event {
 	if ev != nil && stale(ev) == nil {
-		k.n[reflect.TypeOf(ev.h)]++
+		key := kindKey{h: reflect.TypeOf(ev.h)}
+		if a, ok := ev.arg.(EventKinder); ok {
+			key.sub = a.EventKind()
+		}
+		k.n[key]++
 	}
 	return ev
+}
+
+// PushFixed implements FixedDelayPusher by forwarding to the wrapped
+// scheduler, so counting leaves the events on the path they take without
+// it.
+func (k *KindCounts) PushFixed(ev *Event, d Time) {
+	if f, ok := k.Scheduler.(FixedDelayPusher); ok {
+		f.PushFixed(ev, d)
+		return
+	}
+	k.Scheduler.Push(ev)
 }
 
 // SchedStats implements SchedulerStats by asking the wrapped scheduler.
@@ -43,16 +72,22 @@ func (k *KindCounts) SchedStats() SchedStats {
 	return SchedStats{}
 }
 
-// Each calls fn once per handler type seen so far, most events first (ties
-// by name), with the type as fmt's %T prints it, e.g. "*sim.portTxDone".
+// Each calls fn once per row seen so far, most events first (ties by
+// name). A row is named by its handler's type as fmt's %T prints it, e.g.
+// "*sim.portTxDone", followed by "/" and the sub-kind when the event's arg
+// names one, e.g. "*sim.portDeliver/pull".
 func (k *KindCounts) Each(fn func(kind string, events uint64)) {
 	type row struct {
 		kind   string
 		events uint64
 	}
 	rows := make([]row, 0, len(k.n))
-	for t, n := range k.n {
-		rows = append(rows, row{t.String(), n})
+	for key, n := range k.n {
+		kind := key.h.String()
+		if key.sub != "" {
+			kind += "/" + key.sub
+		}
+		rows = append(rows, row{kind, n})
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].events != rows[j].events {

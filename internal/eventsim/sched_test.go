@@ -136,9 +136,10 @@ type denseBed struct {
 }
 
 // denseChain is one self-rescheduling chain: each hop draws an edge delay
-// and re-arms through ContinueCall or AfterCall. A chain with a timer also
-// bumps it to 1 ms per hop, the NDP RTO's re-arm churn; the timer fires
-// (and is recorded) only once its chain has ended.
+// and re-arms through ContinueCall or AfterCall, or takes a 500 ns
+// propagation hop through ContinueFixedCall (the wheel's lane). A chain
+// with a timer also bumps it to 1 ms per hop, the NDP RTO's re-arm churn;
+// the timer fires (and is recorded) only once its chain has ended.
 type denseChain struct {
 	bed  *denseBed
 	id   int
@@ -157,10 +158,13 @@ func (c *denseChain) OnEvent(any) {
 	}
 	c.hops--
 	d := edgeDeltas[b.rng.Intn(len(edgeDeltas))]
-	if b.rng.Intn(2) == 0 {
+	switch b.rng.Intn(3) {
+	case 0:
 		b.e.ContinueCall(d, c, nil)
-	} else {
+	case 1:
 		b.e.AfterCall(d, c, nil)
+	default:
+		b.e.ContinueFixedCall(500, c, nil)
 	}
 }
 
@@ -201,11 +205,18 @@ func runDenseWorkload(mk func() Scheduler, seed int64, timerEvery int, rearm fun
 
 // rekeyCounter counts the pushes that arrive older than the newest seq
 // pushed before them: the re-keyed timer events the wheel must link into a
-// bucket rather than append.
+// bucket rather than append. It counts, and forwards, lane pushes too.
 type rekeyCounter struct {
 	Scheduler
 	newest uint64
 	rekeys int
+	lane   int
+}
+
+func (r *rekeyCounter) PushFixed(ev *Event, d Time) {
+	r.newest = ev.seq
+	r.lane++
+	r.Scheduler.(FixedDelayPusher).PushFixed(ev, d)
 }
 
 func (r *rekeyCounter) Push(ev *Event) {
@@ -250,8 +261,8 @@ func TestSchedulerDifferentialDense(t *testing.T) {
 		if hs.Scheduled != ws.Scheduled || hs.Fired != ws.Fired || hs.Cancelled != ws.Cancelled {
 			t.Fatalf("seed %d: counters diverge: heap %+v, wheel %+v", seed, hs, ws)
 		}
-		if wheel.rekeys == 0 || ws.Fired < 320*40 {
-			t.Fatalf("seed %d: workload too thin: %d re-keys, %+v", seed, wheel.rekeys, ws)
+		if wheel.rekeys == 0 || wheel.lane == 0 || ws.Fired < 320*40 {
+			t.Fatalf("seed %d: workload too thin: %d re-keys, %d lane pushes, %+v", seed, wheel.rekeys, wheel.lane, ws)
 		}
 	}
 }

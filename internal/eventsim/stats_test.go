@@ -1,6 +1,9 @@
 package eventsim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestStatsPinnedSchedule pins every EngineStats counter across a known
 // schedule: pushes, a stopped timer, partial execution, drain, and timer
@@ -73,6 +76,33 @@ func TestStatsPinnedSchedule(t *testing.T) {
 	}
 }
 
+// TestStatsCountLane pins the lane's share of the wheel's occupancy:
+// lane events are Resident and occupy no bucket, so Resident + Overflow
+// is the scheduler's Len at every step; a hop of another delay than the
+// lane's takes a bucket.
+func TestStatsCountLane(t *testing.T) {
+	eng := New()
+	nop := &nopHandler{}
+	eng.ContinueFixedCall(500, nop, nil)
+	eng.ContinueFixedCall(500, nop, nil)
+	eng.ContinueFixedCall(700, nop, nil) // not the lane's delay: a leaf bucket
+	eng.AtCall(2*Millisecond, nop, nil)  // beyond the horizon: overflow
+	want := []SchedStats{
+		{Resident: 3, Buckets: 1, Overflow: 1},
+		{Resident: 2, Buckets: 1, Overflow: 1},
+		{Resident: 1, Buckets: 1, Overflow: 1},
+		{Resident: 0, Buckets: 0, Overflow: 1},
+		{},
+	}
+	for i, w := range want {
+		st := eng.Stats()
+		if st.SchedStats != w || st.Resident+st.Overflow != eng.sched.Len() {
+			t.Fatalf("after %d steps: occupancy %+v, Len %d, want %+v", i, st.SchedStats, eng.sched.Len(), w)
+		}
+		eng.Step()
+	}
+}
+
 // TestStatsHeapScheduler pins the heap scheduler's occupancy convention:
 // everything is overflow.
 func TestStatsHeapScheduler(t *testing.T) {
@@ -142,6 +172,35 @@ func TestMetaEventsInvisible(t *testing.T) {
 	}
 	if st.Fired != plain.Stats().Fired {
 		t.Fatalf("Fired diverged under observation: %d vs %d", st.Fired, plain.Stats().Fired)
+	}
+}
+
+// kindArg is an event arg that names its own sub-kind.
+type kindArg string
+
+func (k kindArg) EventKind() string { return string(k) }
+
+// TestCountKindsSplitsAndKeepsLane pins the two things the counting wrapper
+// adds for a port's delivery hop: an arg that implements EventKinder
+// splits its handler's row, and a fixed-delay hop still reaches the
+// wrapped wheel's lane (it occupies no bucket), so -event-kinds measures
+// the path a run without it takes.
+func TestCountKindsSplitsAndKeepsLane(t *testing.T) {
+	kinds := CountKinds(NewWheelScheduler())
+	eng := NewWith(kinds)
+	nop := &nopHandler{}
+	eng.ContinueFixedCall(500, nop, kindArg("pull"))
+	eng.ContinueFixedCall(500, nop, kindArg("ack"))
+	eng.ContinueFixedCall(500, nop, kindArg("pull"))
+	eng.AtCall(Microsecond, nop, nil)
+	if st := eng.Stats().SchedStats; st != (SchedStats{Resident: 4, Buckets: 1}) {
+		t.Fatalf("occupancy through the wrapper = %+v, want the three hops in the lane", st)
+	}
+	eng.Run()
+	var got []string
+	kinds.Each(func(kind string, events uint64) { got = append(got, fmt.Sprintf("%s=%d", kind, events)) })
+	if want := "[*eventsim.nopHandler/pull=2 *eventsim.nopHandler=1 *eventsim.nopHandler/ack=1]"; fmt.Sprint(got) != want {
+		t.Fatalf("kinds = %v, want %s", got, want)
 	}
 }
 

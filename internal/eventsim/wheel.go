@@ -38,13 +38,27 @@ import "math/bits"
 // They are never migrated: Pop, PopDue and Peek compare the wheel's minimum
 // with the heap's top by Event.before and serve the smaller, which keeps
 // the order exact with no rebucketing pass.
+//
+// The fourth tier is the lane: a plain FIFO for events pushed through
+// PushFixed with one fixed delay — a port's propagation hop, about half of
+// all events. Its one precondition is the engine's: every lane push is at
+// now + d for a clock that never goes back, under a seq that only grows,
+// so the lane arrives in (at, seq) order and stays sorted by appending.
+// Pop, PopDue and Peek serve the smallest of the wheel's minimum, the
+// lane's head and the heap's top, as they serve the overflow tier. A push
+// with another delay than the lane's takes the ordinary path; an empty
+// lane adopts the delay of its next push.
 type wheelSched struct {
 	leaf    [wheelSlots]fifo
 	slots   [wheelSlots]window
 	leafOcc occupancy
 	slotOcc occupancy
 	cur     int64 // absolute number of the window held in leaf
-	count   int   // events resident in the wheel (not overflow)
+	count   int   // events resident in the wheel (not lane or overflow)
+
+	lane      fifo
+	laneLen   int
+	laneDelay Time
 
 	// overflow is a concrete heapSched (not Scheduler) so its ops stay
 	// devirtualized.
@@ -153,12 +167,24 @@ func (o *occupancy) len() int {
 // engine default.
 func NewWheelScheduler() Scheduler { return &wheelSched{} }
 
-func (w *wheelSched) Len() int { return w.count + w.overflow.Len() }
+func (w *wheelSched) Len() int { return w.count + w.laneLen + w.overflow.Len() }
 
-// SchedStats implements SchedulerStats: wheel residents, occupied leaf
-// buckets plus occupied window slots, and the overflow heap's length.
+// SchedStats implements SchedulerStats: wheel and lane residents, occupied
+// leaf buckets plus occupied window slots, and the overflow heap's length.
 func (w *wheelSched) SchedStats() SchedStats {
-	return SchedStats{Resident: w.count, Buckets: w.leafOcc.len() + w.slotOcc.len(), Overflow: w.overflow.Len()}
+	return SchedStats{Resident: w.count + w.laneLen, Buckets: w.leafOcc.len() + w.slotOcc.len(), Overflow: w.overflow.Len()}
+}
+
+// PushFixed implements FixedDelayPusher: ev, at now + d, joins the lane if
+// the lane is empty or holds delay d, and takes Push otherwise.
+func (w *wheelSched) PushFixed(ev *Event, d Time) {
+	if w.laneLen != 0 && d != w.laneDelay {
+		w.Push(ev)
+		return
+	}
+	w.laneDelay = d
+	w.laneLen++
+	w.lane.push(ev)
 }
 
 func (w *wheelSched) Push(ev *Event) {
@@ -208,12 +234,41 @@ func (w *wheelSched) wheelMin() *Event {
 	return nil
 }
 
-func (w *wheelSched) Peek() *Event {
-	wm := w.wheelMin()
-	if om := w.overflow.Peek(); om != nil && (wm == nil || om.before(wm)) {
-		return om
+// The tiers min can find the minimum in.
+const (
+	tierWheel = iota
+	tierLane
+	tierOverflow
+)
+
+// min returns the minimum pending event and the tier holding it, without
+// moving anything, or nil if all three tiers are empty.
+func (w *wheelSched) min() (*Event, int) {
+	var m *Event
+	tier := tierWheel
+	if h := w.lane.head; h == nil {
+		m = w.wheelMin()
+	} else if w.leafOcc.sum != 0 {
+		// The leaf bucket's index is its time, so the lane head is
+		// compared without loading the bucket's event unless they tie.
+		i := w.leafOcc.first()
+		if t := Time(w.cur<<wheelShift | int64(i)); h.at < t || h.at == t && h.seq < w.leaf[i].head.seq {
+			m, tier = h, tierLane
+		} else {
+			m = w.leaf[i].head
+		}
+	} else if m = w.wheelMin(); m == nil || h.before(m) {
+		m, tier = h, tierLane
 	}
-	return wm
+	if o := w.overflow.Peek(); o != nil && (m == nil || o.before(m)) {
+		m, tier = o, tierOverflow
+	}
+	return m, tier
+}
+
+func (w *wheelSched) Peek() *Event {
+	m, _ := w.min()
+	return m
 }
 
 func (w *wheelSched) Pop() *Event { return w.PopDue(MaxTime) }
@@ -222,20 +277,36 @@ func (w *wheelSched) Pop() *Event { return w.PopDue(MaxTime) }
 // unlinked or the cursor moves: a nil return leaves the wheel as Peek
 // would.
 func (w *wheelSched) PopDue(deadline Time) *Event {
-	wm := w.wheelMin()
-	if om := w.overflow.Peek(); om != nil && (wm == nil || om.before(wm)) {
-		if om.at > deadline {
-			return nil
-		}
-		ev := w.overflow.Pop()
-		if win := int64(ev.at) >> wheelShift; w.count == 0 && win > w.cur {
-			w.cur = win
-		}
-		return ev
-	}
-	if wm == nil || wm.at > deadline {
+	m, tier := w.min()
+	if m == nil || m.at > deadline {
 		return nil
 	}
+	switch tier {
+	case tierWheel:
+		w.popWheel(m)
+		return m
+	case tierLane:
+		w.lane.head = m.next
+		if w.lane.head == nil {
+			w.lane.tail = nil
+		}
+		m.next = nil
+		w.laneLen--
+	default:
+		w.overflow.Pop()
+	}
+	// Served off the wheel: with the wheel empty the cursor follows time,
+	// so a phase the lane or heap drives does not strand later pushes
+	// behind it.
+	if win := int64(m.at) >> wheelShift; w.count == 0 && win > w.cur {
+		w.cur = win
+	}
+	return m
+}
+
+// popWheel unlinks the wheel's minimum wm, entering its window first if
+// the leaf is empty.
+func (w *wheelSched) popWheel(wm *Event) {
 	if w.leafOcc.sum == 0 {
 		w.cascade(int64(wm.at) >> wheelShift)
 	}
@@ -250,7 +321,6 @@ func (w *wheelSched) PopDue(deadline Time) *Event {
 	// stale link into its next bucket.
 	wm.next = nil
 	w.count--
-	return wm
 }
 
 // cascade enters window win: the cursor moves to it and its slot's events

@@ -86,15 +86,15 @@ func CalleeMethod(info *types.Info, call *ast.CallExpr) (fn *types.Func, pkgBase
 }
 
 // IsEngineSchedule reports whether call invokes one of the eventsim
-// engine's scheduling methods (AtCall, AfterCall, ContinueCall),
-// returning the method name.
+// engine's scheduling methods (AtCall, AfterCall, ContinueCall,
+// ContinueFixedCall), returning the method name.
 func IsEngineSchedule(info *types.Info, call *ast.CallExpr) (name string, ok bool) {
 	fn, base, ok := CalleeMethod(info, call)
 	if !ok || base != "eventsim" {
 		return "", false
 	}
 	switch fn.Name() {
-	case "AtCall", "AfterCall", "ContinueCall":
+	case "AtCall", "AfterCall", "ContinueCall", "ContinueFixedCall":
 		return fn.Name(), true
 	}
 	return "", false

@@ -11,6 +11,7 @@ type Handler interface{ OnEvent(arg any) }
 
 type Engine struct{}
 
-func (e *Engine) AtCall(t Time, h Handler, arg any) *Event       { return nil }
-func (e *Engine) AfterCall(d Time, h Handler, arg any) *Event    { return nil }
-func (e *Engine) ContinueCall(d Time, h Handler, arg any) *Event { return nil }
+func (e *Engine) AtCall(t Time, h Handler, arg any) *Event            { return nil }
+func (e *Engine) AfterCall(d Time, h Handler, arg any) *Event         { return nil }
+func (e *Engine) ContinueCall(d Time, h Handler, arg any) *Event      { return nil }
+func (e *Engine) ContinueFixedCall(d Time, h Handler, arg any) *Event { return nil }

@@ -51,6 +51,12 @@ func badSchedule(eng *eventsim.Engine, m map[int]eventsim.Time) {
 	}
 }
 
+func badFixedHop(eng *eventsim.Engine, m map[int]eventsim.Handler) {
+	for _, h := range m { // want `schedules engine events in iteration order`
+		eng.ContinueFixedCall(500, h, nil)
+	}
+}
+
 func badWrite(w io.Writer, m map[string]int) {
 	for k, v := range m { // want `writes output in iteration order`
 		fmt.Fprintf(w, "%s,%d\n", k, v)

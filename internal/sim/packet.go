@@ -138,6 +138,16 @@ func (p *Packet) Release() {
 	packetPool.Put(p)
 }
 
+// EventKind implements eventsim.EventKinder: an event carrying the packet,
+// a port's delivery hop above all, is counted under the packet's kind,
+// with trimmed NDP data (the only packets trimmed) apart from whole.
+func (p *Packet) EventKind() string {
+	if p.Trimmed {
+		return "data-trimmed"
+	}
+	return p.Kind.String()
+}
+
 // IsControl reports whether the packet is transport signalling (always
 // forwarded at highest priority and never trimmed or dropped by data-queue
 // limits).

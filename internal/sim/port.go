@@ -37,7 +37,11 @@ type Port struct {
 	// time. For static links this is constant; for a rotor-switch uplink it
 	// follows the installed matching.
 	resolve func(eventsim.Time) Node
-	prop    eventsim.Time
+
+	// serMTU and serHdr are cfg.SerializationDelay of an MTU-sized and a
+	// header-sized packet, the sizes nearly every packet has, computed
+	// once so the transmit path does no float division for them.
+	serMTU, serHdr eventsim.Time
 
 	// q and qBytes are the class queues and their queued bytes, indexed
 	// by Class, which is also their priority order: control and trimmed
@@ -95,7 +99,8 @@ func NewDynamicPort(eng *eventsim.Engine, cfg *Config, name string, resolve func
 		cfg:     cfg,
 		name:    name,
 		resolve: resolve,
-		prop:    cfg.PropDelay,
+		serMTU:  cfg.SerializationDelay(cfg.MTU),
+		serHdr:  cfg.SerializationDelay(cfg.HeaderBytes),
 		enabled: true,
 	}
 	pt.txH.pt = pt
@@ -298,7 +303,7 @@ func (pt *Port) maybeTransmit() {
 	}
 	pt.busy = true
 	pt.inflight = p
-	d := pt.cfg.SerializationDelay(int(p.Size))
+	d := pt.serialization(int(p.Size))
 	if pt.derate != 0 {
 		// Degraded gray link: the transmitter runs at a fraction of its
 		// nominal rate, so every packet stretches by 1/derate.
@@ -308,6 +313,18 @@ func (pt *Port) maybeTransmit() {
 	// callback (a delivery that enqueued here, a reconfiguration tick), the
 	// tx-done hop rides that event's object instead of a pool round trip.
 	pt.eng.ContinueCall(d, &pt.txH, nil)
+}
+
+// serialization returns cfg.SerializationDelay(bytes), from the port's
+// precomputed values for the two common sizes.
+func (pt *Port) serialization(bytes int) eventsim.Time {
+	switch bytes {
+	case pt.cfg.MTU:
+		return pt.serMTU
+	case pt.cfg.HeaderBytes:
+		return pt.serHdr
+	}
+	return pt.cfg.SerializationDelay(bytes)
 }
 
 // txComplete fires when the in-flight packet's last bit leaves the
@@ -332,7 +349,9 @@ func (pt *Port) txComplete() {
 		p.dst = dst
 		// The propagation hop rides the just-fired tx-done event: one Event
 		// object carries the packet through serialize→propagate→deliver.
-		pt.eng.ContinueCall(pt.prop, &pt.dvH, p)
+		// Every port's hop has the one delay cfg.PropDelay, so it goes in
+		// the scheduler's fixed-delay lane.
+		pt.eng.ContinueFixedCall(pt.cfg.PropDelay, &pt.dvH, p)
 	} else {
 		// Link dark (no peer): the photons are lost.
 		pt.lose(p)
