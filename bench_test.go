@@ -173,14 +173,13 @@ func BenchmarkSourceSteadyState(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cl.AddSource(workload.PoissonSource(workload.PoissonConfig{
+		cl.AddSource(workload.Mix(workload.PoissonConfig{
 			NumHosts:     cl.NumHosts(),
 			Load:         0.02,
 			LinkRateGbps: 10,
 			Duration:     10 * eventsim.Millisecond,
-			Dist:         fixedSize(1500),
 			Seed:         1,
-		}))
+		}, workload.MixComponent{Dist: fixedSize(1500), Weight: 1}))
 		if !cl.RunUntilDone(100 * eventsim.Millisecond) {
 			b.Fatal("steady-state run incomplete")
 		}

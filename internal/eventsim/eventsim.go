@@ -1,14 +1,17 @@
 // Package eventsim provides a deterministic discrete-event simulation engine.
 //
 // The engine maintains a virtual clock with nanosecond resolution and a
-// pluggable pending-event store (see Scheduler): by default a hierarchical
-// timing wheel that schedules and pops the dense, near-monotonic timestamp
-// streams of packet simulation in O(1), with a binary-heap implementation
-// retained as a differential-testing oracle. Beside its buckets the wheel
-// keeps a FIFO lane for hops pushed with one fixed delay
-// (ContinueFixedCall, a port's propagation delay); it holds them in order
-// by appending, on the one precondition that the clock never goes back and
-// seq only grows, which the engine guarantees. Events scheduled for the same
+// pluggable pending-event store (see Scheduler, one interface with no
+// optional part): by default a hierarchical timing wheel that schedules
+// and pops the dense, near-monotonic timestamp streams of packet
+// simulation in O(1), with a binary-heap implementation retained as a
+// differential-testing oracle. Beside its buckets the wheel keeps a FIFO
+// lane for hops pushed with one fixed delay (ContinueFixedCall, a port's
+// propagation delay); it holds them in order by appending, on the one
+// precondition that the clock never goes back and seq only grows, which
+// the engine guarantees; the heap takes them as plain pushes. A Timer is
+// not a Handler: only its Arm schedules it, which is how the engine tells
+// a timer's event from any other. Events scheduled for the same
 // instant fire in FIFO order of scheduling — every Scheduler must preserve
 // the (time, seq) total order exactly — which, together with explicit
 // seeding of all random number generators, makes every simulation in this
@@ -100,42 +103,39 @@ func (e *Event) before(o *Event) bool {
 	return e.seq < o.seq
 }
 
-// Scheduler is the engine's pending-event store. Push inserts an event;
-// Pop removes and returns the minimum event in (time, seq) order, nil when
-// empty; PopDue does the same only if that minimum is scheduled at or
-// before the deadline, and otherwise returns nil having changed nothing —
-// RunUntil's one question per event; Peek returns the minimum without
-// removing it; Len reports how many events are stored (including dead
-// timer events, which drain lazily).
+// Scheduler is the engine's pending-event store, and the whole of what
+// the engine asks of one: no method is optional, so no implementation or
+// wrapper can silently lose part of the contract. Push inserts an event;
+// PushFixed(ev, d) inserts one the engine stamped at now + d under a fresh
+// seq, for ContinueFixedCall (a scheduler without a lane for such hops
+// implements it as Push); PopDue removes and returns the minimum event in
+// (time, seq) order if it is scheduled at or before the deadline, and
+// otherwise returns nil having changed nothing — RunUntil's one question
+// per event, and Step's with deadline MaxTime; Peek returns the minimum
+// without removing it; Len reports how many events are stored (including
+// dead timer events, which drain lazily); SchedStats reports occupancy for
+// Engine.Stats.
 //
 // The ordering contract is exact, not approximate: two schedulers fed the
-// same Push sequence must Pop the identical event sequence, including FIFO
-// order among events at the same instant. Pushes arrive in ascending seq
-// (Engine.push stamps it) except a timer's re-keyed event, which comes back
-// under the seq its Timer.Arm reserved and may be older than events pushed
-// since. The wheel (NewWheelScheduler, the default) is O(1) per in-order
-// push because push order within one nanosecond is already (time, seq)
-// order, and walks one bucket to place a re-keyed one; the heap
-// (NewHeapScheduler) is the simple O(log n) oracle the differential tests
-// compare against. Implementations are not safe for concurrent use.
+// same push sequence must serve the identical event sequence, including
+// FIFO order among events at the same instant. Pushes arrive in ascending
+// seq (the engine stamps it) except a timer's re-keyed event, which comes
+// back by Push under the seq its Timer.Arm reserved and may be older than
+// events pushed since. PushFixed pushes made with one d arrive in (at,
+// seq) order, so the wheel keeps them in a FIFO lane; it serves them in
+// the same total order as Push would. The wheel (NewWheelScheduler, the
+// default) is O(1) per in-order push because push order within one
+// nanosecond is already (time, seq) order, and walks one bucket to place a
+// re-keyed one; the heap (NewHeapScheduler) is the simple O(log n) oracle
+// the differential tests compare against. Implementations are not safe for
+// concurrent use.
 type Scheduler interface {
 	Push(*Event)
-	Pop() *Event
+	PushFixed(ev *Event, d Time)
 	PopDue(deadline Time) *Event
 	Peek() *Event
 	Len() int
-}
-
-// FixedDelayPusher is the optional extension of Scheduler that
-// Engine.ContinueFixedCall pushes through. PushFixed(ev, d) stores an
-// event the engine stamped at now + d under a fresh seq. Such pushes made
-// with one d arrive in (at, seq) order, so a scheduler may keep them in a
-// FIFO (the wheel's lane); it must serve them in the same total order as
-// Push would. A re-keyed timer event, whose seq is older, always comes by
-// Push. Engine.ContinueFixedCall falls back to Push on a scheduler without
-// it.
-type FixedDelayPusher interface {
-	PushFixed(ev *Event, d Time)
+	SchedStats() SchedStats
 }
 
 // Engine is a discrete-event scheduler. The zero value is not usable; call
@@ -143,7 +143,6 @@ type FixedDelayPusher interface {
 type Engine struct {
 	now    Time
 	sched  Scheduler
-	fixed  FixedDelayPusher // sched's extension, nil without one
 	seq    uint64
 	nSteps uint64 // total events executed, meta events included
 
@@ -183,10 +182,7 @@ func New() *Engine {
 // NewWith returns an empty engine using the given pending-event store.
 // Simulation results are scheduler-independent by contract; NewWith exists
 // for differential testing (wheel vs heap) and benchmarking.
-func NewWith(s Scheduler) *Engine {
-	fixed, _ := s.(FixedDelayPusher)
-	return &Engine{sched: s, fixed: fixed}
-}
+func NewWith(s Scheduler) *Engine { return &Engine{sched: s} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -262,21 +258,20 @@ func (e *Engine) AfterCall(d Time, h Handler, arg any) *Event {
 // ordering, only the object that backs it. At most one ContinueCall can
 // claim the firing event; later schedules in the same callback, and calls
 // made outside any callback, fall back to the pooled AfterCall path.
-func (e *Engine) ContinueCall(d Time, h Handler, arg any) *Event { return e.hop(d, h, arg, nil) }
+func (e *Engine) ContinueCall(d Time, h Handler, arg any) *Event { return e.hop(d, h, arg, false) }
 
 // ContinueFixedCall is ContinueCall for a hop whose delay is the same at
 // every call — a port's propagation delay. Its events reach the scheduler
-// through FixedDelayPusher when the scheduler has it, so the wheel files
-// them in its FIFO lane instead of its buckets; the seq, and so the tie
-// order, is exactly ContinueCall's.
+// through PushFixed, so the wheel files them in its FIFO lane instead of
+// its buckets; the seq, and so the tie order, is exactly ContinueCall's.
 func (e *Engine) ContinueFixedCall(d Time, h Handler, arg any) *Event {
-	return e.hop(d, h, arg, e.fixed)
+	return e.hop(d, h, arg, true)
 }
 
 // hop schedules h.OnEvent(arg) d after now on the firing event when one is
-// unclaimed, a pooled one otherwise, and pushes it through lane when that
-// is not nil.
-func (e *Engine) hop(d Time, h Handler, arg any, lane FixedDelayPusher) *Event {
+// unclaimed, a pooled one otherwise, and pushes it by PushFixed when fixed
+// and by Push otherwise.
+func (e *Engine) hop(d Time, h Handler, arg any, fixed bool) *Event {
 	if d < 0 {
 		panic(fmt.Sprintf("eventsim: negative delay %v", d))
 	}
@@ -287,13 +282,13 @@ func (e *Engine) hop(d Time, h Handler, arg any, lane FixedDelayPusher) *Event {
 		e.firing = nil
 	}
 	ev.at, ev.h, ev.arg = e.now+d, h, arg
-	if lane == nil {
+	if !fixed {
 		e.push(ev)
 		return ev
 	}
 	ev.seq = e.seq
 	e.seq++
-	lane.PushFixed(ev, d)
+	e.sched.PushFixed(ev, d)
 	return ev
 }
 
@@ -301,7 +296,7 @@ func (e *Engine) hop(d Time, h Handler, arg any, lane FixedDelayPusher) *Event {
 // timestamp. It reports false if the queue is empty.
 func (e *Engine) Step() bool {
 	for {
-		ev := e.sched.Pop()
+		ev := e.sched.PopDue(MaxTime)
 		if ev == nil {
 			return false
 		}
@@ -381,7 +376,7 @@ func (e *Engine) peek() *Event {
 		if t == nil {
 			return ev
 		}
-		e.sched.Pop()
+		e.sched.PopDue(MaxTime)
 		e.requeue(t, ev)
 	}
 }

@@ -199,6 +199,19 @@ func TestTimerStop(t *testing.T) {
 	}
 }
 
+// TestTimerIsNotAHandler pins the rule that makes a timer's event
+// recognisable: only Arm can schedule a Timer, because a *Timer is no
+// Handler, while its event's handler type is one.
+func TestTimerIsNotAHandler(t *testing.T) {
+	handler := reflect.TypeOf((*Handler)(nil)).Elem()
+	if reflect.TypeOf((*Timer)(nil)).Implements(handler) {
+		t.Fatal("*Timer implements Handler: it could be scheduled as a plain handler")
+	}
+	if !reflect.TypeOf((*timerEvent)(nil)).Implements(handler) {
+		t.Fatal("*timerEvent does not implement Handler")
+	}
+}
+
 func TestTimeString(t *testing.T) {
 	cases := []struct {
 		t    Time

@@ -19,29 +19,45 @@ var fuzzDeltas = append([]Time{
 // must refuse while it holds 500 ns events, and adopt once it is empty.
 var fuzzLaneDelays = []Time{500, 500, 500, 0, 1300, 2 * Millisecond}
 
-// schedPair drives a wheel and a heap with the same operations. Each side
-// owns its Event objects (the wheel links through them); seq, taken in
-// operation order as Engine.push and Timer.Arm take it, identifies an
-// event across the two.
+// schedPair drives a wheel and a heap with the same operations, and
+// beside them a wheel under CountKinds, which must serve what the bare
+// wheel serves and report its occupancy. Each side owns its Event objects
+// (the wheel links through them); seq, taken in operation order as
+// Engine.push and Timer.Arm take it, identifies an event across the sides.
 type schedPair struct {
-	t           *testing.T
-	wheel, heap Scheduler
-	seq         uint64
-	reserved    []Event // keys taken but not yet pushed, as Timer.Arm takes them
-	now         Time
+	t                  *testing.T
+	wheel, heap, kinds Scheduler
+	seq                uint64
+	reserved           []Event // keys taken but not yet pushed, as Timer.Arm takes them
+	now                Time
 }
 
-func (p *schedPair) same(op string, w, h *Event) *Event {
-	p.t.Helper()
-	switch {
-	case w == nil && h == nil:
-	case w == nil || h == nil:
-		p.t.Fatalf("%s: wheel %v, heap %v", op, w, h)
-	case w.at != h.at || w.seq != h.seq:
-		p.t.Fatalf("%s: wheel {at %d seq %d}, heap {at %d seq %d}", op, w.at, w.seq, h.at, h.seq)
+func newSchedPair(t *testing.T) *schedPair {
+	return &schedPair{t: t, wheel: NewWheelScheduler(), heap: NewHeapScheduler(), kinds: CountKinds(NewWheelScheduler())}
+}
+
+// sameKey reports whether a and b are both nil or carry one (time, seq)
+// key.
+func sameKey(a, b *Event) bool {
+	if a == nil || b == nil {
+		return a == b
 	}
-	if wl, hl := p.wheel.Len(), p.heap.Len(); wl != hl {
-		p.t.Fatalf("%s: wheel Len %d, heap Len %d", op, wl, hl)
+	return a.at == b.at && a.seq == b.seq
+}
+
+// same asks every side the same question and requires one answer, one Len,
+// and the bare wheel's occupancy from the counted one.
+func (p *schedPair) same(op string, ask func(Scheduler) *Event) *Event {
+	p.t.Helper()
+	w, h, k := ask(p.wheel), ask(p.heap), ask(p.kinds)
+	if !sameKey(w, h) || !sameKey(w, k) {
+		p.t.Fatalf("%s: wheel %+v, heap %+v, counted wheel %+v", op, w, h, k)
+	}
+	if wl, hl, kl := p.wheel.Len(), p.heap.Len(), p.kinds.Len(); wl != hl || wl != kl {
+		p.t.Fatalf("%s: wheel Len %d, heap Len %d, counted wheel Len %d", op, wl, hl, kl)
+	}
+	if ws, ks := p.wheel.SchedStats(), p.kinds.SchedStats(); ws != ks {
+		p.t.Fatalf("%s: wheel occupancy %+v, counted wheel %+v", op, ws, ks)
 	}
 	return w
 }
@@ -58,14 +74,18 @@ func (p *schedPair) key(d Time) Event {
 	return Event{at: at, seq: p.seq}
 }
 
+func (p *schedPair) sides() [3]Scheduler { return [...]Scheduler{p.wheel, p.heap, p.kinds} }
+
+// push hands every side its own copy of k.
 func (p *schedPair) push(k Event) {
-	w, h := k, k
-	p.wheel.Push(&w)
-	p.heap.Push(&h)
+	for _, s := range p.sides() {
+		ev := k
+		s.Push(&ev)
+	}
 }
 
-// pushFixed is a fixed-delay hop (Engine.ContinueFixedCall): the wheel
-// takes it through its lane, the heap through Push. Its key is exactly now
+// pushFixed is a fixed-delay hop (Engine.ContinueFixedCall): the wheels
+// take it through their lane, the heap as a Push. Its key is exactly now
 // + d, the lane's precondition, so none is made once the clock has served
 // a MaxTime park and now + d would not fit.
 func (p *schedPair) pushFixed(d Time) {
@@ -73,9 +93,10 @@ func (p *schedPair) pushFixed(d Time) {
 		return
 	}
 	k := p.key(d)
-	w, h := k, k
-	p.wheel.(FixedDelayPusher).PushFixed(&w, d)
-	p.heap.Push(&h)
+	for _, s := range p.sides() {
+		ev := k
+		s.PushFixed(&ev, d)
+	}
 }
 
 // reserve takes a key now and pushes nothing: a timer re-armed while its
@@ -94,8 +115,9 @@ func (p *schedPair) pushReserved(arg int) {
 	p.push(k)
 }
 
+// pop is Step's question: PopDue with no deadline.
 func (p *schedPair) pop() *Event {
-	return p.served(p.same("pop", p.wheel.Pop(), p.heap.Pop()))
+	return p.served(p.same("pop", func(s Scheduler) *Event { return s.PopDue(MaxTime) }))
 }
 
 // served advances the harness clock to a popped event, as firing it would.
@@ -114,11 +136,11 @@ func (p *schedPair) popDue(arg int) *Event {
 	if min := p.heap.Peek(); min != nil {
 		deadline = min.at + [...]Time{-1, 0, 1024}[arg%3]
 	}
-	return p.served(p.same("popDue", p.wheel.PopDue(deadline), p.heap.PopDue(deadline)))
+	return p.served(p.same("popDue", func(s Scheduler) *Event { return s.PopDue(deadline) }))
 }
 
 // run decodes data two bytes at a time — an op and its parameter — and
-// finishes by draining both schedulers.
+// finishes by draining every side.
 func (p *schedPair) run(data []byte) {
 	for i := 0; i+1 < len(data); i += 2 {
 		arg := int(data[i+1])
@@ -132,7 +154,7 @@ func (p *schedPair) run(data []byte) {
 				p.popDue(arg / 4)
 			}
 		case 4:
-			p.same("peek", p.wheel.Peek(), p.heap.Peek())
+			p.same("peek", Scheduler.Peek)
 		case 5:
 			p.reserve(fuzzDeltas[arg%len(fuzzDeltas)])
 		case 6:
@@ -151,12 +173,13 @@ func (p *schedPair) run(data []byte) {
 
 // FuzzSchedulerDifferential feeds a byte stream decoded into push-δ / pop /
 // pop-due / peek / reserve-δ / push-reserved / clock-jump / fixed-delay
-// push operations to the wheel and the heap through the raw Scheduler
-// interface, including pushes earlier than the last pop and reserved keys
-// pushed after newer ones — older-seq pushes into a leaf bucket, a window
-// slot and the overflow tier — and lane pushes, which the heap takes by
-// Push, and requires identical results from every Pop, PopDue, Peek and
-// Len. `make fuzz` runs it for 10 s; the seeds below run in every
+// push operations to the wheel, the heap and the wheel under CountKinds
+// through the raw Scheduler interface, including pushes earlier than the
+// last pop and reserved keys pushed after newer ones — older-seq pushes
+// into a leaf bucket, a window slot and the overflow tier — and lane
+// pushes, which the heap takes as Push, and requires identical results
+// from every PopDue, Peek and Len, and the bare wheel's SchedStats from
+// the counted one. `make fuzz` runs it for 10 s; the seeds below run in every
 // `go test`.
 func FuzzSchedulerDifferential(f *testing.F) {
 	edge := func(d Time) byte {
@@ -204,8 +227,7 @@ func FuzzSchedulerDifferential(f *testing.F) {
 	// drains and adopts 2 ms, past the horizon, beside an overflow push.
 	f.Add([]byte{0, edge(3), 7, edge(50 * Millisecond), 8, lane(500), 0, edge(500), 8, lane(500), 4, 0, 3, 0, 3, 0, 3, 0, 3, 0, 8, lane(2 * Millisecond), 0, edge(50 * Millisecond), 8, lane(500), 3, 5, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := &schedPair{t: t, wheel: NewWheelScheduler(), heap: NewHeapScheduler()}
-		p.run(data)
+		newSchedPair(t).run(data)
 	})
 }
 
@@ -222,7 +244,6 @@ func TestSchedulerDifferentialRawOps(t *testing.T) {
 	for i := 0; i < streams; i++ {
 		data := make([]byte, 2*(1+rng.Intn(400)))
 		rng.Read(data)
-		p := &schedPair{t: t, wheel: NewWheelScheduler(), heap: NewHeapScheduler()}
-		p.run(data)
+		newSchedPair(t).run(data)
 	}
 }

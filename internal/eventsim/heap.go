@@ -14,9 +14,9 @@ func NewHeapScheduler() Scheduler { return &heapSched{} }
 
 func (h *heapSched) Len() int { return len(h.evs) }
 
-// SchedStats implements SchedulerStats. A bare heap has no wheel tier, so
-// every resident counts as overflow — the convention that keeps "wheel vs
-// overflow occupancy" comparable across scheduler choices.
+// SchedStats counts every resident as overflow: a bare heap has no wheel
+// tier, and the convention keeps "wheel vs overflow occupancy" comparable
+// across scheduler choices.
 func (h *heapSched) SchedStats() SchedStats { return SchedStats{Overflow: len(h.evs)} }
 
 func (h *heapSched) Peek() *Event {
@@ -31,6 +31,12 @@ func (h *heapSched) Push(ev *Event) {
 	h.up(len(h.evs) - 1)
 }
 
+// PushFixed is Push: the heap has no lane, so it stays an oracle for the
+// wheel's.
+func (h *heapSched) PushFixed(ev *Event, _ Time) { h.Push(ev) }
+
+// Pop removes and returns the minimum event, nil when empty. It is not
+// part of Scheduler; the wheel's overflow tier pops by it.
 func (h *heapSched) Pop() *Event {
 	n := len(h.evs)
 	if n == 0 {

@@ -29,20 +29,19 @@ type EventKinder interface {
 }
 
 // CountKinds wraps s so that every event popped to fire is counted under
-// its handler's type. The counting lives in the wrapper's Pop and PopDue:
-// an engine built without one pays nothing, and Step has no branch for it.
-// A stale timer event is not counted (it is re-keyed or dropped, not
-// fired), so a timer re-armed any number of times counts once per firing;
+// its handler's type. The counting lives in the wrapper's PopDue; every
+// other method is s's own, so the wrapper serves what s serves, lane
+// included, and reports s's occupancy. An engine built without one pays
+// nothing, and Step has no branch for it. A stale timer event is not
+// counted (it is re-keyed or dropped, not fired), so a timer re-armed any
+// number of times counts once per firing, under *eventsim.timerEvent;
 // meta events are counted, under their observer's handler type.
 func CountKinds(s Scheduler) *KindCounts {
 	return &KindCounts{Scheduler: s, n: make(map[kindKey]uint64)}
 }
 
-func (k *KindCounts) Pop() *Event { return k.count(k.Scheduler.Pop()) }
-
-func (k *KindCounts) PopDue(deadline Time) *Event { return k.count(k.Scheduler.PopDue(deadline)) }
-
-func (k *KindCounts) count(ev *Event) *Event {
+func (k *KindCounts) PopDue(deadline Time) *Event {
+	ev := k.Scheduler.PopDue(deadline)
 	if ev != nil && stale(ev) == nil {
 		key := kindKey{h: reflect.TypeOf(ev.h)}
 		if a, ok := ev.arg.(EventKinder); ok {
@@ -51,25 +50,6 @@ func (k *KindCounts) count(ev *Event) *Event {
 		k.n[key]++
 	}
 	return ev
-}
-
-// PushFixed implements FixedDelayPusher by forwarding to the wrapped
-// scheduler, so counting leaves the events on the path they take without
-// it.
-func (k *KindCounts) PushFixed(ev *Event, d Time) {
-	if f, ok := k.Scheduler.(FixedDelayPusher); ok {
-		f.PushFixed(ev, d)
-		return
-	}
-	k.Scheduler.Push(ev)
-}
-
-// SchedStats implements SchedulerStats by asking the wrapped scheduler.
-func (k *KindCounts) SchedStats() SchedStats {
-	if ss, ok := k.Scheduler.(SchedulerStats); ok {
-		return ss.SchedStats()
-	}
-	return SchedStats{}
 }
 
 // Each calls fn once per row seen so far, most events first (ties by

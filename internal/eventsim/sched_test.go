@@ -173,8 +173,10 @@ func (c *denseChain) OnEvent(any) {
 // pushes tie with or interleave among residents. Every timerEvery-th chain
 // carries a timer that rearm bumps. Between RunUntil calls it schedules
 // from outside — as a source pump or AddFlow does — before, at and after
-// the event RunUntil's trailing peek saw.
-func runDenseWorkload(mk func() Scheduler, seed int64, timerEvery int, rearm func(*Timer, Time)) ([]fireRec, EngineStats) {
+// the event RunUntil's trailing peek saw. It returns the fire sequence and
+// the engine's Stats after every round, the last taken once it has run
+// dry.
+func runDenseWorkload(mk func() Scheduler, seed int64, timerEvery int, rearm func(*Timer, Time)) ([]fireRec, []EngineStats) {
 	e := NewWith(mk())
 	bed := &denseBed{fireRecorder: fireRecorder{e: e}, rng: rand.New(rand.NewSource(seed)), rearm: rearm}
 	const chains, hops = 320, 40
@@ -187,8 +189,10 @@ func runDenseWorkload(mk func() Scheduler, seed int64, timerEvery int, rearm fun
 		e.AfterCall(Time(bed.rng.Intn(2048)), c, nil)
 	}
 	outside := 2 * chains
+	var stats []EngineStats
 	for round := 0; round < 200 && e.Len() > 0; round++ {
 		e.RunUntil(e.Now() + Time(bed.rng.Intn(300_000)))
+		stats = append(stats, e.Stats())
 		next := e.peek()
 		if next == nil {
 			break
@@ -200,7 +204,7 @@ func runDenseWorkload(mk func() Scheduler, seed int64, timerEvery int, rearm fun
 		}
 	}
 	e.Run()
-	return bed.recs, e.Stats()
+	return bed.recs, append(stats, e.Stats())
 }
 
 // rekeyCounter counts the pushes that arrive older than the newest seq
@@ -216,7 +220,7 @@ type rekeyCounter struct {
 func (r *rekeyCounter) PushFixed(ev *Event, d Time) {
 	r.newest = ev.seq
 	r.lane++
-	r.Scheduler.(FixedDelayPusher).PushFixed(ev, d)
+	r.Scheduler.PushFixed(ev, d)
 }
 
 func (r *rekeyCounter) Push(ev *Event) {
@@ -239,30 +243,62 @@ func eagerArm(t *Timer, d Time) {
 	t.Arm(d)
 }
 
+// sameRecs requires two runs to have fired the same sequence.
+func sameRecs(t *testing.T, name string, want, got []fireRec) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: fired %d, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s: diverge at %d: got %+v, want %+v", name, i, got[i], want[i])
+		}
+	}
+}
+
 // The dense differential: heap and wheel fire identically and agree on the
-// engine's counters.
+// engine's counters, and the wheel under CountKinds fires as the bare
+// wheel does with the same Stats, occupancy included, after every round —
+// and counts every firing once.
 func TestSchedulerDifferentialDense(t *testing.T) {
 	seeds := []int64{1, 2, 3, 5, 8, 13}
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
 	for _, seed := range seeds {
-		h, hs := runDenseWorkload(NewHeapScheduler, seed, 4, armTimer)
+		name := fmt.Sprintf("seed %d", seed)
+		h, hStats := runDenseWorkload(NewHeapScheduler, seed, 4, armTimer)
 		wheel := &rekeyCounter{Scheduler: NewWheelScheduler()}
-		w, ws := runDenseWorkload(func() Scheduler { return wheel }, seed, 4, armTimer)
-		if len(h) != len(w) {
-			t.Fatalf("seed %d: heap fired %d, wheel fired %d", seed, len(h), len(w))
-		}
-		for i := range h {
-			if h[i] != w[i] {
-				t.Fatalf("seed %d: diverge at %d: heap %+v, wheel %+v", seed, i, h[i], w[i])
-			}
-		}
+		w, wStats := runDenseWorkload(func() Scheduler { return wheel }, seed, 4, armTimer)
+		sameRecs(t, name+" heap vs wheel", h, w)
+		hs, ws := hStats[len(hStats)-1], wStats[len(wStats)-1]
 		if hs.Scheduled != ws.Scheduled || hs.Fired != ws.Fired || hs.Cancelled != ws.Cancelled {
-			t.Fatalf("seed %d: counters diverge: heap %+v, wheel %+v", seed, hs, ws)
+			t.Fatalf("%s: counters diverge: heap %+v, wheel %+v", name, hs, ws)
 		}
 		if wheel.rekeys == 0 || wheel.lane == 0 || ws.Fired < 320*40 {
-			t.Fatalf("seed %d: workload too thin: %d re-keys, %d lane pushes, %+v", seed, wheel.rekeys, wheel.lane, ws)
+			t.Fatalf("%s: workload too thin: %d re-keys, %d lane pushes, %+v", name, wheel.rekeys, wheel.lane, ws)
+		}
+
+		kinds := CountKinds(NewWheelScheduler())
+		k, kStats := runDenseWorkload(func() Scheduler { return kinds }, seed, 4, armTimer)
+		sameRecs(t, name+" wheel vs counted wheel", w, k)
+		if len(kStats) != len(wStats) {
+			t.Fatalf("%s: counted wheel ran %d rounds, wheel %d", name, len(kStats), len(wStats))
+		}
+		for i := range wStats {
+			if kStats[i] != wStats[i] {
+				t.Fatalf("%s round %d: counted wheel %+v, wheel %+v", name, i, kStats[i], wStats[i])
+			}
+		}
+		var counted, timers uint64
+		kinds.Each(func(kind string, events uint64) {
+			counted += events
+			if kind == "*eventsim.timerEvent" {
+				timers = events
+			}
+		})
+		if counted != ws.Fired || timers == 0 {
+			t.Fatalf("%s: counted %d events (%d timer firings), wheel fired %d", name, counted, timers, ws.Fired)
 		}
 	}
 }
@@ -284,14 +320,7 @@ func TestTimerRekeyMatchesEagerRearm(t *testing.T) {
 		if len(want.recs) == 0 {
 			t.Fatalf("%s: nothing fired", name)
 		}
-		if len(want.recs) != len(got.recs) {
-			t.Fatalf("%s: want %d fired, got %d", name, len(want.recs), len(got.recs))
-		}
-		for i := range want.recs {
-			if want.recs[i] != got.recs[i] {
-				t.Fatalf("%s: diverge at %d: want %+v, got %+v", name, i, want.recs[i], got.recs[i])
-			}
-		}
+		sameRecs(t, name, want.recs, got.recs)
 		if want.steps != got.steps || want.keys != got.keys {
 			t.Fatalf("%s: want %d steps / %d keys, got %d / %d", name, want.steps, want.keys, got.steps, got.keys)
 		}
@@ -299,7 +328,8 @@ func TestTimerRekeyMatchesEagerRearm(t *testing.T) {
 	for name, mk := range schedulers {
 		for _, seed := range []int64{1, 2, 3} {
 			run := func(arm func(*Timer, Time)) outcome {
-				recs, st := runDenseWorkload(mk, seed, 1, arm)
+				recs, stats := runDenseWorkload(mk, seed, 1, arm)
+				st := stats[len(stats)-1]
 				return outcome{recs, st.Fired, st.Scheduled}
 			}
 			same(t, fmt.Sprintf("%s dense seed %d", name, seed), run(eagerArm), run(armTimer))
@@ -436,7 +466,7 @@ func TestWheelRewindAfterPeek(t *testing.T) {
 func wantPopOrder(t *testing.T, s Scheduler, want ...*Event) {
 	t.Helper()
 	var got []*Event
-	for ev := s.Pop(); ev != nil; ev = s.Pop() {
+	for ev := s.PopDue(MaxTime); ev != nil; ev = s.PopDue(MaxTime) {
 		got = append(got, ev)
 	}
 	if len(got) != len(want) {
@@ -459,7 +489,7 @@ func TestWheelMultiRevolutionBucket(t *testing.T) {
 		w := NewWheelScheduler().(*wheelSched)
 		lead := &Event{at: 1800 << wheelShift, seq: 0}
 		w.Push(lead)
-		if w.Pop() != lead || w.cur != 1800 {
+		if w.PopDue(MaxTime) != lead || w.cur != 1800 {
 			t.Fatalf("cursor at window %d after popping window 1800", w.cur)
 		}
 		ahead := &Event{at: 2000<<wheelShift + 7, seq: 1}  // window slot 976
@@ -494,7 +524,7 @@ func TestWheelMultiRevolutionBucket(t *testing.T) {
 			t.Fatalf("wheel holds %d, heap %d; want 2 and 2", w.count, w.overflow.Len())
 		}
 		for _, want := range []*Event{near, last} {
-			if got := w.Pop(); got != want {
+			if got := w.PopDue(MaxTime); got != want {
 				t.Fatalf("Pop = {at %d seq %d}, want {at %d seq %d}", got.at, got.seq, want.at, want.seq)
 			}
 		}

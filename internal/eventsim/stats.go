@@ -36,8 +36,7 @@ type EngineStats struct {
 	// FreePool is the engine's event free-list size: pooled Event objects
 	// parked between firings.
 	FreePool int `json:"free_pool"`
-	// SchedStats reports pending-event-store occupancy when the scheduler
-	// implements SchedulerStats (both built-ins do); zero otherwise.
+	// SchedStats reports pending-event-store occupancy.
 	SchedStats
 }
 
@@ -52,27 +51,18 @@ type SchedStats struct {
 	Overflow int `json:"overflow_heap"`
 }
 
-// SchedulerStats is the optional occupancy-reporting extension of
-// Scheduler. Engine.Stats consults it when present.
-type SchedulerStats interface {
-	SchedStats() SchedStats
-}
-
 // Stats captures the engine's counters. The caller owns the returned value;
 // it is a copy, never a live view.
 func (e *Engine) Stats() EngineStats {
-	st := EngineStats{
-		Scheduled: e.seq,
-		Fired:     e.nSteps - e.nMetaSteps,
-		MetaFired: e.nMetaSteps,
-		Cancelled: e.nCancelled,
-		Pending:   e.sched.Len() - e.metaPending,
-		FreePool:  e.free.Len(),
+	return EngineStats{
+		Scheduled:  e.seq,
+		Fired:      e.nSteps - e.nMetaSteps,
+		MetaFired:  e.nMetaSteps,
+		Cancelled:  e.nCancelled,
+		Pending:    e.sched.Len() - e.metaPending,
+		FreePool:   e.free.Len(),
+		SchedStats: e.sched.SchedStats(),
 	}
-	if ss, ok := e.sched.(SchedulerStats); ok {
-		st.SchedStats = ss.SchedStats()
-	}
-	return st
 }
 
 // AtMetaCall schedules h.OnEvent(arg) at absolute virtual time t as a meta

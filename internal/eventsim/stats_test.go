@@ -228,7 +228,7 @@ func TestCountKinds(t *testing.T) {
 			rearmed.Arm(i * 1500 * Nanosecond) // the first arm plus five re-arms
 		}
 		eng.AtCall(9*Microsecond, funcHandler(func() {}), nil)
-		if got, want := eng.Stats().SchedStats, kinds.Scheduler.(SchedulerStats).SchedStats(); got != want || got == (SchedStats{}) {
+		if got, want := eng.Stats().SchedStats, kinds.Scheduler.SchedStats(); got != want || got == (SchedStats{}) {
 			t.Fatalf("%s: occupancy through the wrapper = %+v, wrapped scheduler says %+v", name, got, want)
 		}
 
@@ -242,7 +242,7 @@ func TestCountKinds(t *testing.T) {
 		}
 		var got []row
 		kinds.Each(func(kind string, events uint64) { got = append(got, row{kind, events}) })
-		want := []row{{"*eventsim.fireRecorder", 5}, {"*eventsim.nopHandler", 2}, {"*eventsim.Timer", 1}, {"eventsim.funcHandler", 1}}
+		want := []row{{"*eventsim.fireRecorder", 5}, {"*eventsim.nopHandler", 2}, {"*eventsim.timerEvent", 1}, {"eventsim.funcHandler", 1}}
 		if len(got) != len(want) {
 			t.Fatalf("%s: kinds = %v, want %v", name, got, want)
 		}

@@ -42,7 +42,7 @@ func (t *Timer) Arm(d Time) {
 		e.seq++
 		return
 	}
-	t.ev = e.AfterCall(d, t, nil)
+	t.ev = e.AfterCall(d, (*timerEvent)(t), nil)
 	t.at, t.seq = t.ev.at, t.ev.seq
 }
 
@@ -50,8 +50,14 @@ func (t *Timer) Arm(d Time) {
 // the scheduler until its time and is then dropped without firing.
 func (t *Timer) Stop() { t.ev = nil }
 
-// OnEvent implements Handler; the timer is its own pre-bound callback.
-func (t *Timer) OnEvent(any) {
+// timerEvent is the handler of a timer's event: the Timer itself under a
+// type only this package can name. A Timer is no Handler, so nothing but
+// Arm can schedule one, and an event is a timer's exactly when its handler
+// is a *timerEvent, which is how stale tells.
+type timerEvent Timer
+
+func (te *timerEvent) OnEvent(any) {
+	t := (*Timer)(te)
 	t.ev = nil
 	t.h.OnEvent(t.arg)
 }
@@ -60,8 +66,8 @@ func (t *Timer) OnEvent(any) {
 // stands — its timer has since been stopped, rebound or re-armed to a new
 // key — and nil for every other event.
 func stale(ev *Event) *Timer {
-	if t, ok := ev.h.(*Timer); ok && (t.ev != ev || t.seq != ev.seq) {
-		return t
+	if te, ok := ev.h.(*timerEvent); ok && (te.ev != ev || te.seq != ev.seq) {
+		return (*Timer)(te)
 	}
 	return nil
 }

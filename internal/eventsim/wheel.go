@@ -11,7 +11,7 @@ import "math/bits"
 // wheelSlots windows: slot w&wheelMask holds the events of window w for
 // cur < w < cur+wheelSlots, a ≈1.05 ms horizon that keeps slice ticks and
 // the 1 ms NDP RTO wheel-resident. Every bucket and slot is an intrusive
-// list (Event.next), so neither Push nor Pop allocates or moves memory;
+// list (Event.next), so neither Push nor PopDue allocates or moves memory;
 // an occupancy bitmap per level finds the next non-empty one in O(1). The
 // (time, seq) order falls out of two invariants:
 //
@@ -20,13 +20,13 @@ import "math/bits"
 //     Pushes arrive in ascending seq, so keeping it is an append — except
 //     for a timer's re-keyed event (see Scheduler), which carries an older
 //     seq and is linked in by a walk from the bucket's head.
-//   - Windows cascade in push order. When Pop enters a window it deals the
+//   - Windows cascade in push order. When PopDue enters a window it deals the
 //     slot's list into the leaf front to back, each event into its bucket
 //     as a push would, and the slot's min is kept by (at, seq), so a
 //     re-keyed event is its window's minimum whenever it should be.
 //
-// And one rule: cur advances only in Pop and PopDue — to the window of the
-// event served; on a heap pop only when the wheel is empty, so the cursor
+// And one rule: cur advances only in PopDue — to the window of the event
+// served; on a heap pop only when the wheel is empty, so the cursor
 // tracks time through a heap-only phase. Peek moves nothing and Push never
 // moves the cursor, so every engine push (at ≥ now, and now's window ≥ cur)
 // lands at or ahead of the cursor: there is no rewind case.
@@ -35,8 +35,8 @@ import "math/bits"
 // blackout recoveries) or behind it (reachable only by pushing earlier
 // than the last pop, which the engine forbids, or after a Peek-side settle
 // of stale timer events ran ahead of the clock) go to the overflow heap.
-// They are never migrated: Pop, PopDue and Peek compare the wheel's minimum
-// with the heap's top by Event.before and serve the smaller, which keeps
+// They are never migrated: PopDue and Peek compare the wheel's minimum with
+// the heap's top by Event.before and serve the smaller, which keeps
 // the order exact with no rebucketing pass.
 //
 // The fourth tier is the lane: a plain FIFO for events pushed through
@@ -44,8 +44,8 @@ import "math/bits"
 // all events. Its one precondition is the engine's: every lane push is at
 // now + d for a clock that never goes back, under a seq that only grows,
 // so the lane arrives in (at, seq) order and stays sorted by appending.
-// Pop, PopDue and Peek serve the smallest of the wheel's minimum, the
-// lane's head and the heap's top, as they serve the overflow tier. A push
+// PopDue and Peek serve the smallest of the wheel's minimum, the lane's
+// head and the heap's top, as they serve the overflow tier. A push
 // with another delay than the lane's takes the ordinary path; an empty
 // lane adopts the delay of its next push.
 type wheelSched struct {
@@ -169,14 +169,14 @@ func NewWheelScheduler() Scheduler { return &wheelSched{} }
 
 func (w *wheelSched) Len() int { return w.count + w.laneLen + w.overflow.Len() }
 
-// SchedStats implements SchedulerStats: wheel and lane residents, occupied
-// leaf buckets plus occupied window slots, and the overflow heap's length.
+// SchedStats reports wheel and lane residents, occupied leaf buckets plus
+// occupied window slots, and the overflow heap's length.
 func (w *wheelSched) SchedStats() SchedStats {
 	return SchedStats{Resident: w.count + w.laneLen, Buckets: w.leafOcc.len() + w.slotOcc.len(), Overflow: w.overflow.Len()}
 }
 
-// PushFixed implements FixedDelayPusher: ev, at now + d, joins the lane if
-// the lane is empty or holds delay d, and takes Push otherwise.
+// PushFixed files ev, at now + d, in the lane if the lane is empty or
+// holds delay d, and takes Push otherwise.
 func (w *wheelSched) PushFixed(ev *Event, d Time) {
 	if w.laneLen != 0 && d != w.laneDelay {
 		w.Push(ev)
@@ -270,8 +270,6 @@ func (w *wheelSched) Peek() *Event {
 	m, _ := w.min()
 	return m
 }
-
-func (w *wheelSched) Pop() *Event { return w.PopDue(MaxTime) }
 
 // PopDue tests the minimum against the deadline before anything is
 // unlinked or the cursor moves: a nil return leaves the wheel as Peek

@@ -26,7 +26,8 @@ func (s *miniSwitch) Receive(p *sim.Packet, _ *sim.Port) {
 }
 
 // rig builds n hosts all attached to one switch with per-host output
-// ports, NDP everywhere.
+// ports, NDP everywhere, on a fresh engine (newRig) or a given one
+// (newRigOn).
 type rig struct {
 	eng     *eventsim.Engine
 	cfg     sim.Config
@@ -38,8 +39,13 @@ type rig struct {
 
 func newRig(t *testing.T, n int, cfg sim.Config) *rig {
 	t.Helper()
+	return newRigOn(t, eventsim.New(), n, cfg)
+}
+
+func newRigOn(t *testing.T, eng *eventsim.Engine, n int, cfg sim.Config) *rig {
+	t.Helper()
 	r := &rig{
-		eng:     eventsim.New(),
+		eng:     eng,
 		cfg:     cfg,
 		metrics: sim.NewMetrics(),
 	}
@@ -314,6 +320,36 @@ func TestAllocsRTOChurn(t *testing.T) {
 		if f.Retransmits != 0 || f.Done {
 			t.Fatalf("flow %d: %d retransmits, done %v: an RTO fired or the rig finished it", f.ID, f.Retransmits, f.Done)
 		}
+	}
+}
+
+// TestFiredRTOCountsOnce: an RTO that ACKs re-armed and that then fires
+// is one engine event, counted once under the timer's event row — its
+// re-keys are not firings, and the flow's own handler has no row, since a
+// Timer is scheduled only through Arm.
+func TestFiredRTOCountsOnce(t *testing.T) {
+	kinds := eventsim.CountKinds(eventsim.NewWheelScheduler())
+	r := newRigOn(t, eventsim.NewWith(kinds), 2, sim.DefaultConfig())
+	delete(r.sw.ports, 1) // the receiver never answers: this test plays it
+	f := r.flow(1, 0, 1, 1_500_000)
+	r.eps[0].StartFlow(f)
+	for seq := int32(0); seq < 5; seq++ {
+		p := sim.NewPacket()
+		p.Kind, p.Class = sim.KindAck, sim.ClassControl
+		p.Flow, p.Seq = f, seq
+		r.hosts[0].Receive(p, nil)
+		r.eng.RunUntil(r.eng.Now() + 20*eventsim.Microsecond)
+	}
+	// The last ACK armed the RTO for 1 ms after it; it fires once in
+	// the next 1.5 ms and re-arms itself past them.
+	r.eng.RunUntil(r.eng.Now() + rto + rto/2)
+	if f.Retransmits != 1 {
+		t.Fatalf("Retransmits = %d, want the one RTO resend", f.Retransmits)
+	}
+	rows := map[string]uint64{}
+	kinds.Each(func(kind string, events uint64) { rows[kind] = events })
+	if rows["*eventsim.timerEvent"] != 1 || rows["*ndp.sendFlow"] != 0 {
+		t.Fatalf("event kinds %v, want one *eventsim.timerEvent and no *ndp.sendFlow", rows)
 	}
 }
 

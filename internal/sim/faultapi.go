@@ -567,13 +567,14 @@ func (op *faultOp) flapStep() {
 	f.eng.AfterCall(d, op, nil)
 }
 
-// Inject schedules the fault on the target at the given virtual time.
+// Inject schedules the fault on the target at the given virtual time, no
+// earlier than the engine's clock.
 func (f *Faults) Inject(t Target, fault Fault, at eventsim.Time) error {
 	if err := fault.Validate(); err != nil {
 		return err
 	}
-	if at < 0 {
-		return fmt.Errorf("sim: inject %v at negative time %v", t, at)
+	if now := f.eng.Now(); at < now {
+		return fmt.Errorf("sim: inject %v at %v, before now %v", t, at, now)
 	}
 	r, err := f.resolve(t)
 	if err != nil {
@@ -596,10 +597,11 @@ func (f *Faults) Inject(t Target, fault Fault, at eventsim.Time) error {
 }
 
 // Recover schedules the target's down state, gray impairments and any
-// flap cycle to clear at the given virtual time.
+// flap cycle to clear at the given virtual time, no earlier than the
+// engine's clock.
 func (f *Faults) Recover(t Target, at eventsim.Time) error {
-	if at < 0 {
-		return fmt.Errorf("sim: recover %v at negative time %v", t, at)
+	if now := f.eng.Now(); at < now {
+		return fmt.Errorf("sim: recover %v at %v, before now %v", t, at, now)
 	}
 	r, err := f.resolve(t)
 	if err != nil {

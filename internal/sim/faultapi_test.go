@@ -260,6 +260,27 @@ func TestInjectValidation(t *testing.T) {
 	}
 }
 
+// A transition scheduled before the engine's clock is an error naming
+// both times, not a panic inside the engine, and schedules nothing.
+func TestInjectInThePast(t *testing.T) {
+	cl, fs := failureTestbed(t)
+	cl.Run(eventsim.Millisecond)
+	pending := cl.Engine().Len()
+	link := sim.FlatLink(0, 0)
+	for name, err := range map[string]error{
+		"inject":  fs.Inject(link, sim.DownFault(), 500*eventsim.Microsecond),
+		"recover": fs.Recover(link, 500*eventsim.Microsecond),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "500.000µs") || !strings.Contains(err.Error(), "1.000ms") {
+			t.Errorf("%s at 500µs after running to 1ms: err = %v, want both times named", name, err)
+		}
+	}
+	if got := cl.Engine().Len(); got != pending {
+		t.Fatalf("rejected transitions left %d events pending, want %d", got, pending)
+	}
+	mustOK(t, fs.Inject(link, sim.DownFault(), eventsim.Millisecond))
+}
+
 // Flat Tier-0 coordinates normalize onto the Clos ToR-uplink tier: a
 // flat injection can be recovered through its explicit tier-1 name (they
 // are the same target), and traffic flows normally afterwards.

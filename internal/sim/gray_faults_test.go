@@ -190,14 +190,13 @@ func TestLossyFlappingDrainReleasesEveryFlowRef(t *testing.T) {
 	mustOK(t, fs.Recover(sim.FlatLink(3, 2), 4*eventsim.Millisecond))
 	fixed := workload.MustNewFlowSizeDist("fixed", []workload.CDFAnchor{
 		{Bytes: 6000 * (1 - 1e-9)}, {Bytes: 6000, F: 1}})
-	cl.AddSource(workload.PoissonSource(workload.PoissonConfig{
+	cl.AddSource(workload.Mix(workload.PoissonConfig{
 		NumHosts:     cl.NumHosts(),
 		Load:         0.2,
 		LinkRateGbps: 10,
 		Duration:     3 * eventsim.Millisecond,
-		Dist:         fixed,
 		Seed:         1,
-	}))
+	}, workload.MixComponent{Dist: fixed, Weight: 1}))
 	if !cl.RunUntilDone(200 * eventsim.Millisecond) {
 		done, total := cl.Metrics().DoneCount()
 		t.Fatalf("only %d/%d flows done", done, total)

@@ -36,11 +36,13 @@ type MixComponent struct {
 
 // Mix is a weighted blend of traffic classes over one open-loop Poisson
 // arrival process — §5.2's mixed workloads (a bulk shuffle component under
-// latency-sensitive websearch) as a single source. Each arrival is
-// assigned to a component with probability proportional to its Weight and
-// draws its size from that component's distribution; the aggregate rate is
-// set by cfg.Load against the weighted mean flow size (cfg.Dist is
-// ignored).
+// latency-sensitive websearch) as a single source, and with one component
+// the plain Poisson workload of §5.1. Arrivals have exponential gaps at
+// the rate cfg.Load sets against the weighted mean flow size, and uniform
+// random source and destination hosts; each is assigned to a component
+// with probability proportional to its Weight and draws its size from that
+// component's distribution. Flows are yielded one at a time, so memory
+// stays constant however long the window is.
 func Mix(cfg PoissonConfig, comps ...MixComponent) Source {
 	var totalW, meanBits float64
 	for _, c := range comps {

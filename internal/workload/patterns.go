@@ -34,18 +34,8 @@ type PoissonConfig struct {
 	LinkRateGbps float64
 	// Duration is the arrival window.
 	Duration eventsim.Time
-	// Dist draws flow sizes.
-	Dist *FlowSizeDist
 	// Seed drives arrivals, sizes and endpoint selection.
 	Seed int64
-}
-
-// PoissonSource generates flows with exponential inter-arrivals at the rate
-// implied by the offered load and mean flow size, with uniform random
-// source and destination hosts, yielded one flow at a time so memory stays
-// constant no matter how long the window is: a Mix of one component.
-func PoissonSource(cfg PoissonConfig) Source {
-	return Mix(cfg, MixComponent{Dist: cfg.Dist, Weight: 1})
 }
 
 func sameRack(a, b, perRack int) bool { return a/perRack == b/perRack }

@@ -99,22 +99,6 @@ func Take(s Source, n int) Source {
 	})
 }
 
-// CapBytes clamps every flow's size to at most maxBytes (0 = no cap) — the
-// streaming form of the tail cap the small-scale Poisson sweeps apply so
-// test runtimes stay bounded.
-func CapBytes(s Source, maxBytes int64) Source {
-	if maxBytes <= 0 {
-		return s
-	}
-	return SourceFunc(func() (FlowSpec, bool) {
-		spec, ok := s.Next()
-		if ok && spec.Bytes > maxBytes {
-			spec.Bytes = maxBytes
-		}
-		return spec, ok
-	})
-}
-
 // TagSource labels every flow of a source with tag.
 func TagSource(tag string, s Source) Source {
 	return SourceFunc(func() (FlowSpec, bool) {

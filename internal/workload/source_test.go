@@ -28,9 +28,14 @@ func testPoissonCfg(seed int64) PoissonConfig {
 		Load:         0.1,
 		LinkRateGbps: 10,
 		Duration:     5 * eventsim.Millisecond,
-		Dist:         Hadoop(),
 		Seed:         seed,
 	}
+}
+
+// testPoisson is the Poisson workload of testPoissonCfg: a one-component
+// Mix of Hadoop sizes.
+func testPoisson(seed int64) Source {
+	return Mix(testPoissonCfg(seed), MixComponent{Dist: Hadoop(), Weight: 1})
 }
 
 // The Poisson source is a pure function of its seed — same seed, same
@@ -39,8 +44,8 @@ func testPoissonCfg(seed int64) PoissonConfig {
 func TestPoissonSourceMatchesMaterialized(t *testing.T) {
 	var prev []FlowSpec
 	for _, seed := range []int64{1, 2, 7} {
-		want := Drain(PoissonSource(testPoissonCfg(seed)))
-		got := Drain(PoissonSource(testPoissonCfg(seed)))
+		want := Drain(testPoisson(seed))
+		got := Drain(testPoisson(seed))
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("seed %d: two drains of the source diverge (%d vs %d flows)", seed, len(want), len(got))
 		}
@@ -54,16 +59,17 @@ func TestPoissonSourceMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// PoissonSource is a one-component Mix, and that must not move a single
-// draw: the first 200 flows of two configurations, each {src, dst, bytes,
-// arrival}, as the stand-alone Poisson generator that preceded it yielded
-// them.
+// The Poisson workload is a one-component Mix, and that must not move a
+// single draw: the first 200 flows of two configurations, each {src, dst,
+// bytes, arrival}, as the stand-alone Poisson generator that preceded it
+// yielded them.
 func TestPoissonSourceStreamIsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  PoissonConfig
+		dist *FlowSizeDist
 		want [][4]int64
 	}{
-		{PoissonConfig{NumHosts: 64, Load: 0.1, LinkRateGbps: 10, Duration: eventsim.Second, Dist: Websearch(), Seed: 1}, [][4]int64{
+		{PoissonConfig{NumHosts: 64, Load: 0.1, LinkRateGbps: 10, Duration: eventsim.Second, Seed: 1}, Websearch(), [][4]int64{
 			{15, 7, 57304, 117285}, {6, 57, 10946, 126175}, {36, 6, 2266255, 162575}, {49, 24, 64141, 205506},
 			{21, 37, 21563, 232085}, {26, 40, 3545753, 255265}, {43, 47, 20541, 661563}, {55, 53, 1544, 908844},
 			{15, 37, 3386, 987473}, {55, 61, 30234, 1123203}, {18, 10, 27496, 1141261}, {19, 30, 27898, 1453185},
@@ -115,7 +121,7 @@ func TestPoissonSourceStreamIsPinned(t *testing.T) {
 			{35, 4, 1313042, 36229333}, {40, 22, 2147108, 36234545}, {37, 3, 40334, 36890953}, {0, 9, 59323, 36939452},
 			{52, 47, 128039, 36997266}, {17, 30, 2544097, 37010598}, {53, 3, 1198562, 37077790}, {26, 16, 1331438, 37239376},
 		}},
-		{PoissonConfig{NumHosts: 648, Load: 0.5, LinkRateGbps: 10, Duration: eventsim.Second, Dist: Hadoop(), Seed: 2}, [][4]int64{
+		{PoissonConfig{NumHosts: 648, Load: 0.5, LinkRateGbps: 10, Duration: eventsim.Second, Seed: 2}, Hadoop(), [][4]int64{
 			{474, 156, 1338, 6531}, {134, 298, 5101, 33133}, {552, 470, 1291672, 45940}, {208, 236, 3541809, 46478},
 			{576, 409, 2566003, 47753}, {258, 533, 80581, 60853}, {183, 391, 28828, 82944}, {298, 387, 31481, 97193},
 			{487, 571, 448947, 112236}, {445, 393, 37813, 122440}, {20, 104, 59230, 127328}, {621, 344, 61155, 135781},
@@ -168,7 +174,7 @@ func TestPoissonSourceStreamIsPinned(t *testing.T) {
 			{590, 349, 2460, 2745824}, {605, 438, 287408, 2753040}, {172, 151, 1486, 2758777}, {49, 204, 14114, 2776972},
 		}},
 	} {
-		got := Drain(Take(PoissonSource(tc.cfg), len(tc.want)))
+		got := Drain(Take(Mix(tc.cfg, MixComponent{Dist: tc.dist, Weight: 1}), len(tc.want)))
 		if len(got) != len(tc.want) {
 			t.Fatalf("%d hosts: %d flows, want %d", tc.cfg.NumHosts, len(got), len(tc.want))
 		}
@@ -227,21 +233,36 @@ func TestFromSpecsOrdersByArrival(t *testing.T) {
 	}
 }
 
+// Take keeps a prefix of the stream, and a component's MaxFlowBytes clamps
+// sizes without moving a draw: the capped stream is the uncapped one with
+// every size above the cap cut to it.
 func TestTakeUntilCapBytes(t *testing.T) {
-	mk := func() Source { return PoissonSource(testPoissonCfg(1)) }
-	all := Drain(mk())
-	if got := Drain(Take(mk(), 5)); len(got) != 5 || !reflect.DeepEqual(got, all[:5]) {
+	all := Drain(testPoisson(1))
+	if got := Drain(Take(testPoisson(1), 5)); len(got) != 5 || !reflect.DeepEqual(got, all[:5]) {
 		t.Fatalf("Take(5) = %d flows", len(got))
 	}
-	for _, f := range Drain(CapBytes(mk(), 10_000)) {
-		if f.Bytes > 10_000 {
-			t.Fatalf("CapBytes leaked %d bytes", f.Bytes)
+	capped := Drain(Mix(testPoissonCfg(1), MixComponent{Dist: Hadoop(), Weight: 1, MaxFlowBytes: 10_000}))
+	if len(capped) != len(all) {
+		t.Fatalf("capped stream has %d flows, uncapped %d", len(capped), len(all))
+	}
+	clamped := 0
+	for i, f := range capped {
+		want := all[i]
+		if want.Bytes > 10_000 {
+			want.Bytes = 10_000
+			clamped++
 		}
+		if f != want {
+			t.Fatalf("flow %d = %+v, want %+v", i, f, want)
+		}
+	}
+	if clamped == 0 {
+		t.Fatal("no flow exceeded the cap: the test shows nothing")
 	}
 }
 
 func TestTagAndBulkSource(t *testing.T) {
-	for _, f := range Drain(TagSource("x", BulkSource(Take(PoissonSource(testPoissonCfg(1)), 10)))) {
+	for _, f := range Drain(TagSource("x", BulkSource(Take(testPoisson(1), 10)))) {
 		if f.Tag != "x" || !f.Bulk {
 			t.Fatalf("wrapper lost metadata: %+v", f)
 		}

@@ -147,10 +147,9 @@ func TestPoissonLoad(t *testing.T) {
 		Load:         0.10,
 		LinkRateGbps: 10,
 		Duration:     50 * eventsim.Millisecond,
-		Dist:         Websearch(),
 		Seed:         1,
 	}
-	flows := Drain(PoissonSource(cfg))
+	flows := Drain(Mix(cfg, MixComponent{Dist: Websearch(), Weight: 1}))
 	if len(flows) == 0 {
 		t.Fatal("no flows generated")
 	}

@@ -64,13 +64,12 @@ type ending interface {
 }
 
 // poisson is the open-loop arrival process calibrated to the cluster.
-func (env Env) poisson(dist *workload.FlowSizeDist, load float64, window eventsim.Time) workload.PoissonConfig {
+func (env Env) poisson(load float64, window eventsim.Time) workload.PoissonConfig {
 	return workload.PoissonConfig{
 		NumHosts:     env.NumHosts,
 		Load:         load,
 		LinkRateGbps: env.LinkRateGbps,
 		Duration:     window,
-		Dist:         dist,
 		Seed:         env.Seed,
 	}
 }

@@ -16,8 +16,8 @@ func fixedPoisson(bytes int64, load float64, window eventsim.Time) scenario.Sour
 	dist := workload.MustNewFlowSizeDist("fixed", []workload.CDFAnchor{
 		{Bytes: float64(bytes) * (1 - 1e-9)}, {Bytes: float64(bytes), F: 1}})
 	return func(env scenario.Env) workload.Source {
-		return workload.PoissonSource(workload.PoissonConfig{NumHosts: env.NumHosts, Load: load,
-			LinkRateGbps: env.LinkRateGbps, Duration: window, Dist: dist, Seed: env.Seed})
+		return workload.Mix(workload.PoissonConfig{NumHosts: env.NumHosts, Load: load,
+			LinkRateGbps: env.LinkRateGbps, Duration: window, Seed: env.Seed}, workload.MixComponent{Dist: dist, Weight: 1})
 	}
 }
 

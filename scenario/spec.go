@@ -194,10 +194,11 @@ var sourceForms = map[string]struct {
 	build func(ss SourceSpec, env Env) workload.Source
 }{
 	"poisson": {"dlw", func(ss SourceSpec, env Env) workload.Source {
-		return workload.CapBytes(workload.PoissonSource(env.poisson(dists[ss.Dist](), ss.Load, ss.Window)), ss.MaxFlowBytes)
+		return workload.Mix(env.poisson(ss.Load, ss.Window),
+			workload.MixComponent{Dist: dists[ss.Dist](), Weight: 1, MaxFlowBytes: ss.MaxFlowBytes})
 	}},
 	"mix": {"lw", func(ss SourceSpec, env Env) workload.Source {
-		return workload.Mix(env.poisson(nil, ss.Load, ss.Window),
+		return workload.Mix(env.poisson(ss.Load, ss.Window),
 			workload.MixComponent{Dist: workload.Websearch(), Weight: 0.5, Tag: "websearch", MaxFlowBytes: ss.MaxFlowBytes},
 			workload.MixComponent{Dist: workload.Datamining(), Weight: 0.5, Tag: "datamining", Bulk: true, MaxFlowBytes: ss.MaxFlowBytes})
 	}},

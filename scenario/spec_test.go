@@ -67,9 +67,13 @@ func TestSpecMatchesHandBuiltScenario(t *testing.T) {
 		t.Skip("packet-level scenario run")
 	}
 	const window = 2 * eventsim.Millisecond
-	poisson := func(env Env, dist *workload.FlowSizeDist, load float64) workload.PoissonConfig {
+	arrivals := func(env Env, load float64) workload.PoissonConfig {
 		return workload.PoissonConfig{NumHosts: env.NumHosts, Load: load,
-			LinkRateGbps: env.LinkRateGbps, Duration: window, Dist: dist, Seed: env.Seed}
+			LinkRateGbps: env.LinkRateGbps, Duration: window, Seed: env.Seed}
+	}
+	// poisson is a one-component Mix: dist's sizes capped at maxBytes.
+	poisson := func(env Env, dist *workload.FlowSizeDist, load float64, maxBytes int64) workload.Source {
+		return workload.Mix(arrivals(env, load), workload.MixComponent{Dist: dist, Weight: 1, MaxFlowBytes: maxBytes})
 	}
 	pattern := func(gen func(env Env) []workload.FlowSpec) Source {
 		return func(env Env) workload.Source { return workload.FromSpecs(gen(env)) }
@@ -87,21 +91,21 @@ func TestSpecMatchesHandBuiltScenario(t *testing.T) {
 			},
 			sources: []SourceSpec{{Type: "poisson", Dist: "websearch", Load: 0.05, Window: window, MaxFlowBytes: 1_000_000, Tag: "ws"}},
 			hand: []Source{func(env Env) workload.Source {
-				return workload.TagSource("ws", workload.CapBytes(workload.PoissonSource(poisson(env, workload.Websearch(), 0.05)), 1_000_000))
+				return workload.TagSource("ws", poisson(env, workload.Websearch(), 0.05, 1_000_000))
 			}},
 		},
 		{
 			name:    "poisson-hadoop",
 			sources: []SourceSpec{{Type: "poisson", Dist: "hadoop", Load: 0.5, Window: window, MaxFlowBytes: 500_000}},
 			hand: []Source{func(env Env) workload.Source {
-				return workload.CapBytes(workload.PoissonSource(poisson(env, workload.Hadoop(), 0.5)), 500_000)
+				return poisson(env, workload.Hadoop(), 0.5, 500_000)
 			}},
 		},
 		{
 			name:    "mix",
 			sources: []SourceSpec{{Type: "mix", Load: 0.1, Window: window, MaxFlowBytes: 500_000}},
 			hand: []Source{func(env Env) workload.Source {
-				return workload.Mix(poisson(env, nil, 0.1),
+				return workload.Mix(arrivals(env, 0.1),
 					workload.MixComponent{Dist: workload.Websearch(), Weight: 0.5, Tag: "websearch", MaxFlowBytes: 500_000},
 					workload.MixComponent{Dist: workload.Datamining(), Weight: 0.5, Tag: "datamining", Bulk: true, MaxFlowBytes: 500_000})
 			}},
@@ -110,7 +114,7 @@ func TestSpecMatchesHandBuiltScenario(t *testing.T) {
 			name:    "max-flows",
 			sources: []SourceSpec{{Type: "poisson", Dist: "websearch", Load: 0.2, Window: window, MaxFlowBytes: 100_000, MaxFlows: 20}},
 			hand: []Source{func(env Env) workload.Source {
-				return workload.Take(workload.CapBytes(workload.PoissonSource(poisson(env, workload.Websearch(), 0.2)), 100_000), 20)
+				return workload.Take(poisson(env, workload.Websearch(), 0.2, 100_000), 20)
 			}},
 		},
 		{
@@ -119,7 +123,7 @@ func TestSpecMatchesHandBuiltScenario(t *testing.T) {
 			sources: []SourceSpec{{Type: "poisson", Dist: "websearch", Load: 0.2, Window: window, MaxFlowBytes: 100_000,
 				MaxFlows: 20, Bulk: true, Tag: "ws"}},
 			hand: []Source{func(env Env) workload.Source {
-				capped := workload.CapBytes(workload.PoissonSource(poisson(env, workload.Websearch(), 0.2)), 100_000)
+				capped := poisson(env, workload.Websearch(), 0.2, 100_000)
 				return workload.TagSource("ws", workload.BulkSource(workload.Take(capped, 20)))
 			}},
 		},
@@ -170,7 +174,7 @@ func TestSpecMatchesHandBuiltScenario(t *testing.T) {
 					return workload.TagSource("shuffle", workload.BulkSource(oldRackSaturate(window)(env)))
 				},
 				func(env Env) workload.Source {
-					return workload.TagSource("websearch", workload.PoissonSource(poisson(env, workload.Websearch(), 0.05)))
+					return workload.TagSource("websearch", poisson(env, workload.Websearch(), 0.05, 0))
 				},
 			},
 		},

@@ -44,14 +44,13 @@ func fixedSize(bytes int64) *workload.FlowSizeDist {
 }
 
 func steadySource(numHosts int, load float64, window eventsim.Time, seed int64) workload.Source {
-	return workload.PoissonSource(workload.PoissonConfig{
+	return workload.Mix(workload.PoissonConfig{
 		NumHosts:     numHosts,
 		Load:         load,
 		LinkRateGbps: 10,
 		Duration:     window,
-		Dist:         fixedSize(1500),
 		Seed:         seed,
-	})
+	}, workload.MixComponent{Dist: fixedSize(1500), Weight: 1})
 }
 
 // A Source-driven run admits flows lazily — one pending arrival at a time
