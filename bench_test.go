@@ -66,11 +66,9 @@ func BenchmarkFig12CostSweepK24(b *testing.B) {
 }
 
 func BenchmarkFig13Prototype(b *testing.B) {
-	p := prototype.DefaultParams()
-	p.Samples = 5000
 	var shift float64
 	for i := 0; i < b.N; i++ {
-		without, with, err := prototype.Figure13(p)
+		without, with, err := prototype.Figure13(5000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -174,11 +172,10 @@ func BenchmarkSourceSteadyState(b *testing.B) {
 			b.Fatal(err)
 		}
 		cl.AddSource(workload.Mix(workload.PoissonConfig{
-			NumHosts:     cl.NumHosts(),
-			Load:         0.02,
-			LinkRateGbps: 10,
-			Duration:     10 * eventsim.Millisecond,
-			Seed:         1,
+			NumHosts: cl.NumHosts(),
+			Load:     0.02,
+			Duration: 10 * eventsim.Millisecond,
+			Seed:     1,
 		}, workload.MixComponent{Dist: fixedSize(1500), Weight: 1}))
 		if !cl.RunUntilDone(100 * eventsim.Millisecond) {
 			b.Fatal("steady-state run incomplete")
@@ -192,7 +189,7 @@ func BenchmarkSourceSteadyState(b *testing.B) {
 	b.ReportMetric(events, "sim-events/op")
 }
 
-// Ablation benches: the design choices DESIGN.md calls out.
+// Ablation benches: what a design choice of the paper contributes.
 
 func BenchmarkAblationVLB(b *testing.B) {
 	var withVLB, withoutVLB float64

@@ -22,8 +22,10 @@ import (
 
 	"github.com/opera-net/opera/internal/experiments"
 	"github.com/opera-net/opera/internal/plot"
-	"github.com/opera-net/opera/internal/prototype"
 )
+
+// fig13Samples is Figure 13's ping-pong exchanges per scenario.
+const fig13Samples = 20_000
 
 // selectJobs reports which of the jobs named in names -only asks for (all
 // of them when it is empty). A name that is no job is an error, so a typo
@@ -66,7 +68,7 @@ func main() {
 		{"fig10", func() ([]experiments.Table, error) { return experiments.Fig10Mixed(simScale) }},
 		{"fig11", func() ([]experiments.Table, error) { return experiments.Fig11FaultTolerance(analysisScale, trials) }},
 		{"fig12", experiments.Fig12CostSweepK24},
-		{"fig13", func() ([]experiments.Table, error) { return experiments.Fig13Prototype(prototype.DefaultParams()) }},
+		{"fig13", func() ([]experiments.Table, error) { return experiments.Fig13Prototype(fig13Samples) }},
 		{"fig14", func() ([]experiments.Table, error) { return experiments.Fig14CycleTime(), nil }},
 		{"fig15", experiments.Fig15CostSweepK12},
 		{"fig16", func() ([]experiments.Table, error) { return experiments.Fig16PathVsScale(nil) }},

@@ -21,9 +21,10 @@ const internalPrefix = "github.com/opera-net/opera/internal/"
 var testOnlyKeep = map[string]string{
 	"lint/analysistest": "the analyzers' fixture harness, test-only by design",
 
-	"eventsim.NewHeapScheduler":    "the oracle the timing wheel is checked against",
-	"routing.countRules":           "the per-cell rule count RuleCount's closed form is checked against",
-	"topology.VerifyFactorization": "the validator the Opera factorization is checked with",
+	"eventsim.NewHeapScheduler":       "the oracle the timing wheel is checked against",
+	"eventsim.NewTieShuffleScheduler": "the tie-order oracle: how much results depend on FIFO ties",
+	"routing.countRules":              "the per-cell rule count RuleCount's closed form is checked against",
+	"topology.VerifyFactorization":    "the validator the Opera factorization is checked with",
 
 	"(*eventsim.Engine).Run":        "fixture: drives an engine to quiescence in other packages' tests",
 	"topology.MustNewOpera":         "fixture: builds a schedule in other packages' tests",

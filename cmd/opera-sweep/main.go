@@ -45,13 +45,13 @@ func main() {
 		gridFile   = flag.String("grid", "", "JSON grid file; overrides the grid flags below")
 
 		networks     = flag.String("networks", "", "comma-separated architectures (default opera,expander,foldedclos)")
-		workloadName = flag.String("workload", "", "flow-size distribution: datamining (default) or websearch")
-		loads        = flag.String("loads", "", "comma-separated offered-load fractions (default 0.01,0.1,0.25)")
+		workloadName = flag.String("workload", "", "flow-size distribution: datamining (default), websearch or hadoop")
+		loads        = flag.String("loads", "", "comma-separated offered-load fractions (default: the scale's)")
 		scale        = flag.String("scale", "", "small (default) or paper")
-		durationMs   = flag.Float64("duration-ms", 0, "flow-arrival window in ms of virtual time (default 20)")
-		drain        = flag.Int("drain", 0, "run up to drain x the arrival window (default 15)")
-		maxFlowBytes = flag.Int64("max-flow-bytes", 0, "cap sampled flow sizes (default 20MB at small scale)")
-		seed         = flag.Int64("seed", 0, "base seed; replica r runs at seed+r (default 1)")
+		durationMs   = flag.Float64("duration-ms", 0, "flow-arrival window in ms of virtual time (default: the scale's)")
+		drain        = flag.Int("drain", 0, "run up to drain x the arrival window (default: the scale's)")
+		maxFlowBytes = flag.Int64("max-flow-bytes", 0, "cap sampled flow sizes (default: the scale's)")
+		seed         = flag.Int64("seed", 0, "base seed; replica r runs at seed+r (default: the scale's)")
 		replicas     = flag.Int("replicas", 0, "seed replicas per cell; >1 adds sweep_cells confidence intervals")
 		sketch       = flag.Bool("sketch", false, "streaming sketch retention + pooled sweep_telemetry table")
 		alpha        = flag.Float64("alpha", 0, "sketch relative-error bound (default 1%)")

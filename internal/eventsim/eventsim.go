@@ -180,8 +180,8 @@ func New() *Engine {
 }
 
 // NewWith returns an empty engine using the given pending-event store.
-// Simulation results are scheduler-independent by contract; NewWith exists
-// for differential testing (wheel vs heap) and benchmarking.
+// Simulation results are scheduler-independent by contract, bar the
+// tie-order oracle's; NewWith exists for testing and benchmarking.
 func NewWith(s Scheduler) *Engine { return &Engine{sched: s} }
 
 // Now returns the current virtual time.

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"github.com/opera-net/opera/internal/eventsim"
-	"github.com/opera-net/opera/internal/prototype"
 	"github.com/opera-net/opera/scenario"
 )
 
@@ -157,9 +156,7 @@ func TestFig19And20SmallScale(t *testing.T) {
 }
 
 func TestFig13(t *testing.T) {
-	p := prototype.DefaultParams()
-	p.Samples = 2000
-	tables, err := Fig13Prototype(p)
+	tables, err := Fig13Prototype(2000)
 	if err != nil {
 		t.Fatal(err)
 	}

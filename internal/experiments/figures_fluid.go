@@ -21,17 +21,12 @@ const (
 	WorkloadAllToAll    CostSweepWorkload = "alltoall"
 )
 
-// FigCostSweep regenerates Figure 12 (k=24) or Figure 15 (k=12):
-// normalized throughput of cost-equivalent Opera, expander and folded-Clos
-// networks versus the port-cost premium α, for hot-rack, skew[0.2,1] and
-// permutation workloads (plus Opera's all-to-all line on the permutation
-// panel).
-func FigCostSweep(k int, figName string) ([]Table, error) {
-	return FigCostSweepAlphas(k, figName, AlphaSweep)
-}
-
-// FigCostSweepAlphas is FigCostSweep at selectable α resolution (the
-// benchmark harness samples a single point; the cmd runs the full sweep).
+// FigCostSweepAlphas regenerates Figure 12 (k=24) or Figure 15 (k=12)
+// over the given α values (AlphaSweep for the figures; the benchmark
+// samples one point): normalized throughput of cost-equivalent Opera,
+// expander and folded-Clos networks versus the port-cost premium α, for
+// hot-rack, skew[0.2,1] and permutation workloads (plus Opera's all-to-all
+// line on the permutation panel).
 func FigCostSweepAlphas(k int, figName string, alphas []float64) ([]Table, error) {
 	t := Table{Name: figName,
 		Header: []string{"workload", "alpha", "opera", "expander", "foldedclos", "opera_alltoall"}}
@@ -139,14 +134,18 @@ func expanderFluid(eq cost.Equivalent, wl CostSweepWorkload) (float64, error) {
 }
 
 // Fig12CostSweepK24 regenerates Figure 12 (k = 24, 5,184-host networks).
-func Fig12CostSweepK24() ([]Table, error) { return FigCostSweep(24, "fig12_cost_sweep_k24") }
+func Fig12CostSweepK24() ([]Table, error) {
+	return FigCostSweepAlphas(24, "fig12_cost_sweep_k24", AlphaSweep)
+}
 
 // Fig15CostSweepK12 regenerates Figure 15 (k = 12, 648-host networks).
-func Fig15CostSweepK12() ([]Table, error) { return FigCostSweep(12, "fig15_cost_sweep_k12") }
+func Fig15CostSweepK12() ([]Table, error) {
+	return FigCostSweepAlphas(12, "fig15_cost_sweep_k12", AlphaSweep)
+}
 
 // AblationVLB quantifies the contribution of RotorLB's two-hop offloading
-// (a design choice DESIGN.md calls out): Opera throughput with and without
-// VLB for the skewed patterns at α = 4/3, k = 12.
+// (§3.4's Valiant load balancing): Opera throughput with and without VLB
+// for the skewed patterns at α = 4/3, k = 12.
 func AblationVLB() ([]Table, error) {
 	t := Table{Name: "ablation_vlb",
 		Header: []string{"workload", "with_vlb", "without_vlb"}}

@@ -244,9 +244,10 @@ func mixedTables(scale string, specs []scenario.Spec, results []scenario.Result)
 	return []Table{t, byTag}, nil
 }
 
-// Fig13Prototype regenerates Figure 13's RTT distributions.
-func Fig13Prototype(params prototype.Params) ([]Table, error) {
-	without, with, err := prototype.Figure13(params)
+// Fig13Prototype regenerates Figure 13's RTT distributions from samples
+// ping-pong exchanges per scenario.
+func Fig13Prototype(samples int) ([]Table, error) {
+	without, with, err := prototype.Figure13(samples)
 	if err != nil {
 		return nil, err
 	}

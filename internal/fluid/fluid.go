@@ -231,7 +231,7 @@ func RotorBulkThroughput(sched *topology.Opera, demand [][]float64, vlb bool) fl
 				}
 				c := w.cap
 				// Stored relay first (RotorLB service order).
-				x := min3(relay[a][b], c, min2(egress[a], ingress[b]))
+				x := min(relay[a][b], c, egress[a], ingress[b])
 				relay[a][b] -= x
 				c -= x
 				egress[a] -= x
@@ -241,7 +241,7 @@ func RotorBulkThroughput(sched *topology.Opera, demand [][]float64, vlb bool) fl
 					delivered += x
 				}
 				// Own direct.
-				y := min3(own[a][b], c, min2(egress[a], ingress[b]))
+				y := min(own[a][b], c, egress[a], ingress[b])
 				own[a][b] -= y
 				egress[a] -= y
 				ingress[b] -= y
@@ -272,7 +272,7 @@ func RotorBulkThroughput(sched *topology.Opera, demand [][]float64, vlb bool) fl
 						if own[a][cdst] <= vlbThreshold {
 							continue // not skewed: direct circuits will drain it
 						}
-						x := min3(own[a][cdst]-vlbThreshold, rem, min2(egress[a], ingress[b]))
+						x := min(own[a][cdst]-vlbThreshold, rem, egress[a], ingress[b])
 						if x <= 0 {
 							continue
 						}
@@ -297,7 +297,3 @@ func RotorBulkThroughput(sched *topology.Opera, demand [][]float64, vlb bool) fl
 	}
 	return theta
 }
-
-func min2(a, b float64) float64 { return math.Min(a, b) }
-
-func min3(a, b, c float64) float64 { return math.Min(a, math.Min(b, c)) }

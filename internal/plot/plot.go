@@ -115,10 +115,3 @@ func Render(opt Options, series ...Series) string {
 	}
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

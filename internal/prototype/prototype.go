@@ -9,8 +9,7 @@
 // serializing at each of up to eight serialization points per direction
 // (16 per ping-pong RTT), each worth up to 1.2 µs at 10 Gb/s. This package
 // reproduces those RTT distributions by Monte-Carlo over the real 8-ToR
-// Opera topology's path lengths — the substitution for the physical Tofino
-// documented in DESIGN.md.
+// Opera topology's path lengths, in place of the physical Tofino.
 package prototype
 
 import (
@@ -22,114 +21,82 @@ import (
 	"github.com/opera-net/opera/internal/topology"
 )
 
-// Params models the testbed's timing constants.
-type Params struct {
-	// PerHopPipeline is the P4 forwarding latency per switch traversal
+// §6.1's testbed timings.
+const (
+	// perHopPipelineUs is the P4 forwarding latency per switch traversal
 	// (§6.1 reports ≈3 µs through the Tofino pipeline).
-	PerHopPipelineUs float64
-	// MTUSerializationUs is the worst-case blocking per serialization
-	// point (one 1500 B MTU at 10 Gb/s).
-	MTUSerializationUs float64
-	// HostOverheadUs is the RoCE/MPI end-host overhead per RTT, with
-	// HostJitterUs of tail variance.
-	HostOverheadUs float64
-	HostJitterUs   float64
-	// Samples is the number of ping-pong exchanges to draw.
-	Samples int
-	Seed    int64
-}
+	perHopPipelineUs = 3.0
+	// hostOverheadUs is the RoCE/MPI end-host overhead per RTT, with
+	// hostJitterUs of exponential tail variance.
+	hostOverheadUs = 2.0
+	hostJitterUs   = 0.8
+	// seed builds the testbed topology; the ping-pong draws from seed+17.
+	seed = 1
+	// mtuSerializationUs is the worst-case blocking per serialization
+	// point: one MTU at the line rate, 1.2 µs.
+	mtuSerializationUs = float64(topology.DefaultMTU) * 8 / topology.DefaultLinkRateGbps / 1e3
+)
 
-// DefaultParams matches §6.1.
-func DefaultParams() Params {
-	return Params{
-		PerHopPipelineUs:   3.0,
-		MTUSerializationUs: 1.2,
-		HostOverheadUs:     2.0,
-		HostJitterUs:       0.8,
-		Samples:            20000,
-		Seed:               1,
-	}
-}
+// testbed is the emulated prototype's topology: Figure 5's 8 ToRs and 4
+// circuit switches.
+var testbed = topology.Config{NumRacks: 8, HostsPerRack: 1, NumSwitches: 4, Seed: seed}
 
-// Testbed is the emulated 8-ToR, 4-circuit-switch prototype.
-type Testbed struct {
-	topo   *topology.Opera
-	params Params
-}
-
-// New builds the testbed over the same 8-ToR topology as Figure 5.
-func New(params Params) (*Testbed, error) {
-	topo, err := topology.NewOpera(topology.Config{
-		NumRacks:     8,
-		HostsPerRack: 1,
-		NumSwitches:  4,
-		Seed:         params.Seed,
-	})
+// Figure13 runs samples ping-pong exchanges on the testbed without and
+// then with bulk background traffic, and returns the two RTT
+// distributions of Figure 13 in microseconds.
+func Figure13(samples int) (withoutBulk, withBulk *stats.Sample, err error) {
+	topo, err := topology.NewOpera(testbed)
 	if err != nil {
-		return nil, fmt.Errorf("prototype: %w", err)
+		return nil, nil, fmt.Errorf("prototype: %w", err)
 	}
-	return &Testbed{topo: topo, params: params}, nil
-}
-
-// RTTs runs the ping-pong experiment and returns per-exchange RTTs in
-// microseconds, with and without bulk background traffic.
-func (tb *Testbed) RTTs(withBulk bool) *stats.Sample {
-	p := tb.params
-	rng := rand.New(rand.NewSource(p.Seed + 17))
-	var out stats.Sample
-	n := tb.topo.NumRacks()
-	slices := tb.topo.SlicesPerCycle()
+	n := topo.NumRacks()
+	slices := topo.SlicesPerCycle()
 	// dist[s] holds slice s's expander distances.
 	dist := make([][][]int, slices)
-	peers := graph.NewTable(n, tb.topo.Uplinks())
+	peers := graph.NewTable(n, topo.Uplinks())
 	var bfs graph.BitBFS
 	for s := range dist {
-		tb.topo.SlicePeers(s, peers)
+		topo.SlicePeers(s, peers)
 		dist[s] = bfs.Distances(peers)
 	}
-	for i := 0; i < p.Samples; i++ {
-		src := rng.Intn(n)
-		dst := rng.Intn(n - 1)
-		if dst >= src {
-			dst++
+	rtts := func(bulk bool) *stats.Sample {
+		rng := rand.New(rand.NewSource(seed + 17))
+		var out stats.Sample
+		for i := 0; i < samples; i++ {
+			src := rng.Intn(n)
+			dst := rng.Intn(n - 1)
+			if dst >= src {
+				dst++
+			}
+			// The ping lands in a random topology slice; use its expander
+			// distance.
+			h := dist[rng.Intn(slices)][src][dst]
+			if h == graph.Unreachable {
+				continue // disconnected slice cannot occur post-validation
+			}
+			rtt := oneWay(h, bulk, rng) + oneWay(h, bulk, rng) +
+				hostOverheadUs + rng.ExpFloat64()*hostJitterUs
+			out.Add(rtt)
 		}
-		// The ping lands in a random topology slice; use its expander
-		// distance.
-		h := dist[rng.Intn(slices)][src][dst]
-		if h == graph.Unreachable {
-			continue // disconnected slice cannot occur post-validation
-		}
-		rtt := tb.oneWay(h, withBulk, rng) + tb.oneWay(h, withBulk, rng) +
-			p.HostOverheadUs + rng.ExpFloat64()*p.HostJitterUs
-		out.Add(rtt)
+		return &out
 	}
-	return &out
+	return rtts(false), rtts(true), nil
 }
 
 // oneWay returns the one-way latency in µs for a path of h ToR-to-ToR hops.
-func (tb *Testbed) oneWay(h int, withBulk bool, rng *rand.Rand) float64 {
-	p := tb.params
+func oneWay(h int, withBulk bool, rng *rand.Rand) float64 {
 	// §6.1: ≈3 µs of P4 pipeline per ToR-to-ToR hop (ToR + emulated
 	// circuit switch share the ASIC), "up to 9 µs depending on path
 	// length" for the testbed's ≤3-hop paths.
-	lat := float64(h) * p.PerHopPipelineUs
+	lat := float64(h) * perHopPipelineUs
 	// Serialization points: host→ToR, each hop's two emulated-circuit
 	// links, ToR→host: 2 + 2h (≈8 for the longest paths, §6.1), each
 	// blocking behind up to one MTU of bulk currently serializing.
 	if withBulk {
 		points := 2 + 2*h
 		for i := 0; i < points; i++ {
-			lat += rng.Float64() * p.MTUSerializationUs
+			lat += rng.Float64() * mtuSerializationUs
 		}
 	}
 	return lat
-}
-
-// Figure13 returns the two RTT distributions of Figure 13.
-func Figure13(params Params) (withoutBulk, withBulk *stats.Sample, err error) {
-	tb, err := New(params)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tb.RTTs(false), tb.RTTs(true), nil
 }

@@ -2,10 +2,12 @@ package prototype
 
 import (
 	"testing"
+
+	"github.com/opera-net/opera/internal/topology"
 )
 
 func TestFigure13Shapes(t *testing.T) {
-	without, with, err := Figure13(DefaultParams())
+	without, with, err := Figure13(20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +36,11 @@ func TestFigure13Shapes(t *testing.T) {
 }
 
 func TestTestbedDeterminism(t *testing.T) {
-	a, _, err := Figure13(DefaultParams())
+	a, _, err := Figure13(20000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Figure13(DefaultParams())
+	b, _, err := Figure13(20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,14 +50,22 @@ func TestTestbedDeterminism(t *testing.T) {
 }
 
 func TestTestbedTopologyMatchesFigure5(t *testing.T) {
-	tb, err := New(DefaultParams())
+	topo, err := topology.NewOpera(testbed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.topo.NumRacks() != 8 || tb.topo.Uplinks() != 4 {
-		t.Fatalf("testbed is %d ToRs × %d switches, want 8×4", tb.topo.NumRacks(), tb.topo.Uplinks())
+	if topo.NumRacks() != 8 || topo.Uplinks() != 4 {
+		t.Fatalf("testbed is %d ToRs × %d switches, want 8×4", topo.NumRacks(), topo.Uplinks())
 	}
-	if tb.topo.MatchingsPerSwitch() != 2 {
-		t.Fatalf("matchings per switch = %d, want 2 (A and B)", tb.topo.MatchingsPerSwitch())
+	if topo.MatchingsPerSwitch() != 2 {
+		t.Fatalf("matchings per switch = %d, want 2 (A and B)", topo.MatchingsPerSwitch())
+	}
+}
+
+// The per-point blocking is derived from the MTU and the line rate, and is
+// the 1.2 µs §6.1's testbed timings were written with.
+func TestMTUSerializationIs1200ns(t *testing.T) {
+	if mtuSerializationUs != 1.2 {
+		t.Fatalf("mtuSerializationUs = %v, want 1.2", mtuSerializationUs)
 	}
 }

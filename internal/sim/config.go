@@ -6,11 +6,10 @@ import (
 )
 
 // Config carries the physical constants of a simulation. The zero value is
-// not usable; call DefaultConfig and override fields as needed.
+// not usable; call DefaultConfig and override fields as needed. Every
+// link runs at topology.DefaultLinkRateGbps; unit tests vary the queue
+// bounds.
 type Config struct {
-	// LinkRateGbps is the line rate of every link (hosts and fabric); the
-	// paper evaluates 10 Gb/s throughout.
-	LinkRateGbps float64
 	// PropDelay is the one-way propagation delay per hop (500 ns ≈ 100 m).
 	PropDelay eventsim.Time
 	// MTU is the maximum (and default data) packet size in bytes.
@@ -33,7 +32,6 @@ type Config struct {
 // §4.2.2 NACK path handles anything beyond).
 func DefaultConfig() Config {
 	return Config{
-		LinkRateGbps:     topology.DefaultLinkRateGbps,
 		PropDelay:        topology.DefaultPropDelay,
 		MTU:              topology.DefaultMTU,
 		HeaderBytes:      topology.DefaultHeaderBytes,
@@ -44,8 +42,10 @@ func DefaultConfig() Config {
 }
 
 // SerializationDelay returns the time to clock the given bytes onto a link.
+// It is a method only because bench/ calls it as one; ROADMAP item 2d
+// removes that, and the MTU and PropDelay fields bench/ reads.
 func (c *Config) SerializationDelay(bytes int) eventsim.Time {
-	ns := float64(bytes) * 8 / c.LinkRateGbps // Gb/s ⇒ bits/ns
+	ns := float64(bytes) * 8 / topology.DefaultLinkRateGbps // Gb/s ⇒ bits/ns
 	return eventsim.Time(ns + 0.5)
 }
 
@@ -54,5 +54,5 @@ func (c *Config) BytesIn(d eventsim.Time) int {
 	if d <= 0 {
 		return 0
 	}
-	return int(float64(d) * c.LinkRateGbps / 8)
+	return int(float64(d) * topology.DefaultLinkRateGbps / 8)
 }

@@ -191,11 +191,10 @@ func TestLossyFlappingDrainReleasesEveryFlowRef(t *testing.T) {
 	fixed := workload.MustNewFlowSizeDist("fixed", []workload.CDFAnchor{
 		{Bytes: 6000 * (1 - 1e-9)}, {Bytes: 6000, F: 1}})
 	cl.AddSource(workload.Mix(workload.PoissonConfig{
-		NumHosts:     cl.NumHosts(),
-		Load:         0.2,
-		LinkRateGbps: 10,
-		Duration:     3 * eventsim.Millisecond,
-		Seed:         1,
+		NumHosts: cl.NumHosts(),
+		Load:     0.2,
+		Duration: 3 * eventsim.Millisecond,
+		Seed:     1,
 	}, workload.MixComponent{Dist: fixed, Weight: 1}))
 	if !cl.RunUntilDone(200 * eventsim.Millisecond) {
 		done, total := cl.Metrics().DoneCount()

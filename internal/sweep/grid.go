@@ -20,20 +20,23 @@ type Grid struct {
 	// Workload picks the flow-size distribution (scenario.SourceSpec.Dist):
 	// "datamining" (default), "websearch" or "hadoop".
 	Workload string `json:"workload"`
-	// Loads are offered-load fractions of aggregate host bandwidth.
+	// Loads are offered-load fractions of aggregate host bandwidth; empty
+	// defaults to the scale's.
 	Loads []float64 `json:"loads"`
 	// Scale is "small" (64-host test family, default) or "paper" (§5's
 	// 648-host family).
 	Scale string `json:"scale"`
 	// DurationMs is the flow-arrival window in milliseconds of virtual
-	// time (default 20); the run drains for up to DrainFactor× longer.
+	// time; the run drains for up to DrainFactor× longer. Zero takes the
+	// scale's (20 ms × 15 small, 100 ms × 20 paper).
 	DurationMs  float64 `json:"duration_ms"`
 	DrainFactor int     `json:"drain_factor"`
-	// MaxFlowBytes caps sampled flow sizes; 0 defaults to 20 MB at small
-	// scale (keeping the heavy tail test-friendly) and unlimited at
-	// paper scale.
+	// MaxFlowBytes caps sampled flow sizes; 0 defaults to the scale's:
+	// 20 MB at small scale (keeping the heavy tail test-friendly) and
+	// unlimited at paper scale.
 	MaxFlowBytes int64 `json:"max_flow_bytes"`
-	// Seed is the base seed; replica r of every cell runs at Seed+r.
+	// Seed is the base seed (0 = the scale's); replica r of every cell
+	// runs at Seed+r.
 	Seed     int64 `json:"seed"`
 	Replicas int   `json:"replicas"`
 	// Sketch switches runs to streaming sketch retention, at relative
@@ -56,36 +59,43 @@ type Cell struct {
 	Indices []int
 }
 
-// withDefaults fills unset Grid fields; idempotent.
-func (g Grid) withDefaults() Grid {
+// withDefaults fills unset Grid fields, the window and load fields from
+// the family Scale names, and returns that family.
+func (g Grid) withDefaults() (Grid, experiments.Scale, error) {
 	if len(g.Networks) == 0 {
 		g.Networks = []string{"opera", "expander", "foldedclos"}
 	}
 	if g.Workload == "" {
 		g.Workload = "datamining"
 	}
-	if len(g.Loads) == 0 {
-		g.Loads = []float64{0.01, 0.10, 0.25}
+	var s experiments.Scale
+	switch g.Scale {
+	case "", "small":
+		s = experiments.SmallScale()
+	case "paper":
+		s = experiments.PaperScale()
+	default:
+		return g, s, fmt.Errorf("sweep: unknown scale %q (want small or paper)", g.Scale)
 	}
-	if g.Scale == "" {
-		g.Scale = "small"
+	if len(g.Loads) == 0 {
+		g.Loads = s.Loads
 	}
 	if g.DurationMs == 0 {
-		g.DurationMs = 20
+		g.DurationMs = float64(s.Window) / float64(eventsim.Millisecond)
 	}
 	if g.DrainFactor == 0 {
-		g.DrainFactor = 15
+		g.DrainFactor = s.DrainFactor
 	}
-	if g.MaxFlowBytes == 0 && g.Scale == "small" {
-		g.MaxFlowBytes = 20_000_000
+	if g.MaxFlowBytes == 0 {
+		g.MaxFlowBytes = s.MaxFlowBytes
 	}
 	if g.Seed == 0 {
-		g.Seed = 1
+		g.Seed = s.Seed
 	}
 	if g.Replicas <= 0 {
 		g.Replicas = 1
 	}
-	return g
+	return g, s, nil
 }
 
 // Expand resolves the grid into the flat spec list a sweep runs plus the
@@ -94,15 +104,9 @@ func (g Grid) withDefaults() Grid {
 // expand to equal spec lists in every process. Every cell is validated the
 // one way a run description is: by resolving it (Spec.Scenario).
 func (g Grid) Expand() ([]scenario.Spec, []Cell, error) {
-	g = g.withDefaults()
-	var scale experiments.Scale
-	switch g.Scale {
-	case "small":
-		scale = experiments.SmallScale()
-	case "paper":
-		scale = experiments.PaperScale()
-	default:
-		return nil, nil, fmt.Errorf("sweep: unknown scale %q (want small or paper)", g.Scale)
+	g, scale, err := g.withDefaults()
+	if err != nil {
+		return nil, nil, err
 	}
 	window := eventsim.Time(g.DurationMs * float64(eventsim.Millisecond))
 

@@ -25,7 +25,6 @@ import (
 // replica merges ascending by index), so two Reports with equal contents
 // render byte-identical CSVs regardless of how the sweep was sharded.
 func Tables(g Grid, specs []scenario.Spec, cells []Cell, rep Report) ([]experiments.Table, error) {
-	g = g.withDefaults()
 	if len(rep.Results) != len(specs) {
 		return nil, fmt.Errorf("sweep: report has %d results for %d specs", len(rep.Results), len(specs))
 	}

@@ -719,6 +719,42 @@ func TestGridExpand(t *testing.T) {
 	}
 }
 
+// TestGridDefaultsFollowScale: an empty grid takes its loads, window,
+// drain, flow cap and seed from its scale's family. The small family's
+// expands as it always has; a paper grid runs PaperScale's 100 ms × 20
+// over five loads, not the small family's 20 ms × 15 over three.
+func TestGridDefaultsFollowScale(t *testing.T) {
+	expand := func(g Grid) []scenario.Spec {
+		t.Helper()
+		specs, _, err := g.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return specs
+	}
+	small := expand(Grid{})
+	typed := expand(Grid{Scale: "small", Loads: []float64{0.01, 0.10, 0.25},
+		DurationMs: 20, DrainFactor: 15, MaxFlowBytes: 20_000_000, Seed: 1})
+	if !reflect.DeepEqual(small, typed) {
+		t.Errorf("an empty small grid no longer expands to the small family's values:\ngot  %+v\nwant %+v", small, typed)
+	}
+
+	ps := experiments.PaperScale()
+	paper := expand(Grid{Scale: "paper"})
+	if want := 3 * len(ps.Loads); len(paper) != want {
+		t.Fatalf("an empty paper grid expands to %d specs, want %d", len(paper), want)
+	}
+	for i, sp := range paper {
+		src := sp.Sources[0]
+		if src.Window != ps.Window || sp.Duration != ps.Window*eventsim.Time(ps.DrainFactor) ||
+			src.Load != ps.Loads[i%len(ps.Loads)] || src.MaxFlowBytes != ps.MaxFlowBytes || sp.Seed != ps.Seed {
+			t.Errorf("%s: window %v, duration %v, load %g, cap %d, seed %d; want PaperScale's %v, %v, %g, %d, %d",
+				sp.Name, src.Window, sp.Duration, src.Load, src.MaxFlowBytes, sp.Seed,
+				ps.Window, ps.Window*eventsim.Time(ps.DrainFactor), ps.Loads[i%len(ps.Loads)], ps.MaxFlowBytes, ps.Seed)
+		}
+	}
+}
+
 func TestGridExpandErrors(t *testing.T) {
 	for name, g := range map[string]Grid{
 		"bad-scale":    {Scale: "medium"},

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/topology"
 )
 
 // This file holds the composable open-loop generators the streaming
@@ -56,7 +57,7 @@ func Mix(cfg PoissonConfig, comps ...MixComponent) Source {
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// Aggregate offered bits/s = load × hosts × rate; flows/s = that / mean flow bits.
-	bitsPerSec := cfg.Load * float64(cfg.NumHosts) * cfg.LinkRateGbps * 1e9
+	bitsPerSec := cfg.Load * float64(cfg.NumHosts) * topology.DefaultLinkRateGbps * 1e9
 	flowsPerSec := bitsPerSec / meanBits
 	if flowsPerSec <= 0 {
 		return SourceFunc(func() (FlowSpec, bool) { return FlowSpec{}, false })

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"github.com/opera-net/opera/internal/eventsim"
+	"github.com/opera-net/opera/internal/topology"
 )
 
 // FlowSpec is one flow to inject: source and destination hosts, size, and
@@ -24,14 +25,12 @@ type FlowSpec struct {
 
 // PoissonConfig parameterizes an open-loop Poisson flow arrival process
 // (§5.1): load is expressed relative to the aggregate bandwidth of all
-// host links.
+// host links, each topology.DefaultLinkRateGbps.
 type PoissonConfig struct {
 	NumHosts int
 	// Load is the offered load as a fraction of aggregate host bandwidth
 	// (1.0 = every host driving its link at line rate).
 	Load float64
-	// LinkRateGbps is the host link rate.
-	LinkRateGbps float64
 	// Duration is the arrival window.
 	Duration eventsim.Time
 	// Seed drives arrivals, sizes and endpoint selection.
@@ -102,12 +101,12 @@ func HotRack(hostsPerRack int, flowBytes int64) []FlowSpec {
 // Saturate generates the Figure 10 underlay: every host keeps one flow to
 // its counterpart in every other rack, each sized so the host's flows
 // together fill its link for the whole window.
-func Saturate(numHosts, hostsPerRack int, window eventsim.Time, linkRateGbps float64) []FlowSpec {
+func Saturate(numHosts, hostsPerRack int, window eventsim.Time) []FlowSpec {
 	racks := numHosts / hostsPerRack
 	if racks < 2 {
 		return nil
 	}
-	bytes := int64(window.Seconds() * linkRateGbps * 1e9 / 8 / float64(racks-1))
+	bytes := int64(window.Seconds() * topology.DefaultLinkRateGbps * 1e9 / 8 / float64(racks-1))
 	out := make([]FlowSpec, 0, numHosts*(racks-1))
 	for h := 0; h < numHosts; h++ {
 		for r := 0; r < racks; r++ {

@@ -24,11 +24,10 @@ func Drain(s Source) []FlowSpec {
 
 func testPoissonCfg(seed int64) PoissonConfig {
 	return PoissonConfig{
-		NumHosts:     64,
-		Load:         0.1,
-		LinkRateGbps: 10,
-		Duration:     5 * eventsim.Millisecond,
-		Seed:         seed,
+		NumHosts: 64,
+		Load:     0.1,
+		Duration: 5 * eventsim.Millisecond,
+		Seed:     seed,
 	}
 }
 
@@ -69,7 +68,7 @@ func TestPoissonSourceStreamIsPinned(t *testing.T) {
 		dist *FlowSizeDist
 		want [][4]int64
 	}{
-		{PoissonConfig{NumHosts: 64, Load: 0.1, LinkRateGbps: 10, Duration: eventsim.Second, Seed: 1}, Websearch(), [][4]int64{
+		{PoissonConfig{NumHosts: 64, Load: 0.1, Duration: eventsim.Second, Seed: 1}, Websearch(), [][4]int64{
 			{15, 7, 57304, 117285}, {6, 57, 10946, 126175}, {36, 6, 2266255, 162575}, {49, 24, 64141, 205506},
 			{21, 37, 21563, 232085}, {26, 40, 3545753, 255265}, {43, 47, 20541, 661563}, {55, 53, 1544, 908844},
 			{15, 37, 3386, 987473}, {55, 61, 30234, 1123203}, {18, 10, 27496, 1141261}, {19, 30, 27898, 1453185},
@@ -121,7 +120,7 @@ func TestPoissonSourceStreamIsPinned(t *testing.T) {
 			{35, 4, 1313042, 36229333}, {40, 22, 2147108, 36234545}, {37, 3, 40334, 36890953}, {0, 9, 59323, 36939452},
 			{52, 47, 128039, 36997266}, {17, 30, 2544097, 37010598}, {53, 3, 1198562, 37077790}, {26, 16, 1331438, 37239376},
 		}},
-		{PoissonConfig{NumHosts: 648, Load: 0.5, LinkRateGbps: 10, Duration: eventsim.Second, Seed: 2}, Hadoop(), [][4]int64{
+		{PoissonConfig{NumHosts: 648, Load: 0.5, Duration: eventsim.Second, Seed: 2}, Hadoop(), [][4]int64{
 			{474, 156, 1338, 6531}, {134, 298, 5101, 33133}, {552, 470, 1291672, 45940}, {208, 236, 3541809, 46478},
 			{576, 409, 2566003, 47753}, {258, 533, 80581, 60853}, {183, 391, 28828, 82944}, {298, 387, 31481, 97193},
 			{487, 571, 448947, 112236}, {445, 393, 37813, 122440}, {20, 104, 59230, 127328}, {621, 344, 61155, 135781},

@@ -143,11 +143,10 @@ func TestSampleMatchesCDF(t *testing.T) {
 
 func TestPoissonLoad(t *testing.T) {
 	cfg := PoissonConfig{
-		NumHosts:     64,
-		Load:         0.10,
-		LinkRateGbps: 10,
-		Duration:     50 * eventsim.Millisecond,
-		Seed:         1,
+		NumHosts: 64,
+		Load:     0.10,
+		Duration: 50 * eventsim.Millisecond,
+		Seed:     1,
 	}
 	flows := Drain(Mix(cfg, MixComponent{Dist: Websearch(), Weight: 1}))
 	if len(flows) == 0 {

@@ -91,10 +91,10 @@ func WithRetention(r RetentionPolicy) Option {
 
 // WithScheduler runs the cluster's engine on the given pending-event store
 // instead of the default timing wheel. Results are scheduler-independent
-// by contract, so this selects nothing about the simulation: it is how the
-// heap oracle (eventsim.NewHeapScheduler) runs a whole cluster as a
-// differential, and how a counting wrapper (eventsim.CountKinds) sees a
-// run's events. A Scheduler holds one run's events, so it can serve one
+// by contract (bar the tie-order oracle, eventsim.NewTieShuffleScheduler),
+// so this selects nothing about the simulation: it is how the heap oracle
+// (eventsim.NewHeapScheduler) runs a whole cluster as a differential, and
+// how a counting wrapper (eventsim.CountKinds) sees a run's events. A Scheduler holds one run's events, so it can serve one
 // cluster; scenario.Scenario carries it as a process-local hook.
 func WithScheduler(s eventsim.Scheduler) Option {
 	return func(cfg *config) { cfg.sched = s }

@@ -39,9 +39,6 @@ import (
 type Env struct {
 	NumHosts     int
 	HostsPerRack int
-	// LinkRateGbps is the cluster's configured host link rate, so offered
-	// load fractions are correct on non-10G sizings.
-	LinkRateGbps float64
 	// Seed is the Spec's seed.
 	Seed int64
 }
@@ -66,11 +63,10 @@ type ending interface {
 // poisson is the open-loop arrival process calibrated to the cluster.
 func (env Env) poisson(load float64, window eventsim.Time) workload.PoissonConfig {
 	return workload.PoissonConfig{
-		NumHosts:     env.NumHosts,
-		Load:         load,
-		LinkRateGbps: env.LinkRateGbps,
-		Duration:     window,
-		Seed:         env.Seed,
+		NumHosts: env.NumHosts,
+		Load:     load,
+		Duration: window,
+		Seed:     env.Seed,
 	}
 }
 
@@ -94,9 +90,9 @@ type Scenario struct {
 	// Scheduler, when non-nil, is the engine's pending-event store in
 	// place of the default timing wheel (opera.WithScheduler): the heap
 	// oracle (eventsim.NewHeapScheduler) or a counting wrapper
-	// (eventsim.CountKinds). Results are scheduler-independent. A
-	// Scheduler holds one run's events, so a Scenario carrying one can be
-	// run once.
+	// (eventsim.CountKinds), which change no result, or the tie-order
+	// oracle (eventsim.NewTieShuffleScheduler), which does. A Scheduler
+	// holds one run's events, so a Scenario carrying one can run once.
 	Scheduler eventsim.Scheduler
 	// Observer, when non-nil, is attached to the built cluster just
 	// before the run starts — the opt-in live-observation hook
@@ -277,7 +273,6 @@ func Collect(sc Scenario) (*opera.Cluster, Result) {
 	env := Env{
 		NumHosts:     cl.NumHosts(),
 		HostsPerRack: cl.HostsPerRack(),
-		LinkRateGbps: cl.Network().Config().LinkRateGbps,
 		Seed:         sp.Seed,
 	}
 	var open []ending

@@ -216,7 +216,7 @@ var sourceForms = map[string]struct {
 		return workload.FromSpecs(workload.HotRack(env.HostsPerRack, ss.FlowBytes))
 	}},
 	"saturate": {"w", func(ss SourceSpec, env Env) workload.Source {
-		return workload.FromSpecs(workload.Saturate(env.NumHosts, env.HostsPerRack, ss.Window, env.LinkRateGbps))
+		return workload.FromSpecs(workload.Saturate(env.NumHosts, env.HostsPerRack, ss.Window))
 	}},
 	"incast": {"fbpu", func(ss SourceSpec, env Env) workload.Source {
 		return workload.Incast(workload.IncastConfig{NumHosts: env.NumHosts,

@@ -69,7 +69,7 @@ func TestSpecMatchesHandBuiltScenario(t *testing.T) {
 	const window = 2 * eventsim.Millisecond
 	arrivals := func(env Env, load float64) workload.PoissonConfig {
 		return workload.PoissonConfig{NumHosts: env.NumHosts, Load: load,
-			LinkRateGbps: env.LinkRateGbps, Duration: window, Seed: env.Seed}
+			Duration: window, Seed: env.Seed}
 	}
 	// poisson is a one-component Mix: dist's sizes capped at maxBytes.
 	poisson := func(env Env, dist *workload.FlowSizeDist, load float64, maxBytes int64) workload.Source {

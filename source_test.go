@@ -45,11 +45,10 @@ func fixedSize(bytes int64) *workload.FlowSizeDist {
 
 func steadySource(numHosts int, load float64, window eventsim.Time, seed int64) workload.Source {
 	return workload.Mix(workload.PoissonConfig{
-		NumHosts:     numHosts,
-		Load:         load,
-		LinkRateGbps: 10,
-		Duration:     window,
-		Seed:         seed,
+		NumHosts: numHosts,
+		Load:     load,
+		Duration: window,
+		Seed:     seed,
 	}, workload.MixComponent{Dist: fixedSize(1500), Weight: 1})
 }
 
