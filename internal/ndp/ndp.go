@@ -15,6 +15,7 @@ import (
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/freelist"
 	"github.com/opera-net/opera/internal/sim"
+	"github.com/opera-net/opera/internal/topology"
 )
 
 const (
@@ -316,7 +317,7 @@ func (ep *Endpoint) sendCtrl(kind sim.Kind, f *sim.Flow, seq int32) {
 	p.Class = sim.ClassControl
 	p.SrcHost, p.DstHost = f.DstHost, f.SrcHost
 	p.SrcRack, p.DstRack = f.DstRack, f.SrcRack
-	p.Size = int32(ep.host.Config().HeaderBytes)
+	p.Size = topology.DefaultHeaderBytes
 	p.Flow = f
 	f.Ref()
 	p.Seq = seq

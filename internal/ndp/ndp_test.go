@@ -7,6 +7,7 @@ import (
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/sim"
 	"github.com/opera-net/opera/internal/telemetry"
+	"github.com/opera-net/opera/internal/topology"
 )
 
 // miniSwitch is a single-output bottleneck: every packet goes out one port
@@ -377,7 +378,7 @@ func (r *rig) answers(f *sim.Flow, seq int32, trimmed bool) []sim.Kind {
 	p.SrcHost, p.DstHost = f.SrcHost, f.DstHost
 	p.Size, p.PayloadSize = 1500, 1500
 	if trimmed {
-		p.Size, p.Trimmed = int32(r.cfg.HeaderBytes), true
+		p.Size, p.Trimmed = topology.DefaultHeaderBytes, true
 	}
 	p.Flow = f
 	p.Seq = seq

@@ -14,8 +14,6 @@ type Config struct {
 	PropDelay eventsim.Time
 	// MTU is the maximum (and default data) packet size in bytes.
 	MTU int
-	// HeaderBytes is the wire size of trimmed headers and control packets.
-	HeaderBytes int
 	// DataQueueBytes bounds each port's low-latency data queue; arrivals
 	// beyond it are trimmed to headers (§4.2.1: 12 KB ≈ 8 full packets).
 	DataQueueBytes int
@@ -34,7 +32,6 @@ func DefaultConfig() Config {
 	return Config{
 		PropDelay:        topology.DefaultPropDelay,
 		MTU:              topology.DefaultMTU,
-		HeaderBytes:      topology.DefaultHeaderBytes,
 		DataQueueBytes:   topology.DefaultDataQueueBytes,
 		HeaderQueueBytes: topology.DefaultHeaderQueue,
 		BulkQueueBytes:   1 << 20,

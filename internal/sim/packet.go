@@ -84,7 +84,7 @@ type Packet struct {
 	SrcRack, DstRack int32
 
 	// Size is the wire size in bytes, including headers. Trimmed packets
-	// carry HeaderBytes on the wire; PayloadSize remembers the original.
+	// carry topology.DefaultHeaderBytes on the wire; PayloadSize remembers the original.
 	Size        int32
 	PayloadSize int32
 	Trimmed     bool

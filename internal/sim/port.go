@@ -6,6 +6,7 @@ import (
 	"github.com/opera-net/opera/internal/eventsim"
 	"github.com/opera-net/opera/internal/freelist"
 	"github.com/opera-net/opera/internal/stats"
+	"github.com/opera-net/opera/internal/topology"
 )
 
 // Node is anything that can receive packets: hosts and switches.
@@ -100,7 +101,7 @@ func NewDynamicPort(eng *eventsim.Engine, cfg *Config, name string, resolve func
 		name:    name,
 		resolve: resolve,
 		serMTU:  cfg.SerializationDelay(cfg.MTU),
-		serHdr:  cfg.SerializationDelay(cfg.HeaderBytes),
+		serHdr:  cfg.SerializationDelay(topology.DefaultHeaderBytes),
 		enabled: true,
 	}
 	pt.txH.pt = pt
@@ -193,7 +194,7 @@ func (pt *Port) admit(p *Packet, c Class) bool {
 func (pt *Port) trim(p *Packet) {
 	pt.Stats.Trims++
 	p.Trimmed = true
-	p.Size = int32(pt.cfg.HeaderBytes)
+	p.Size = topology.DefaultHeaderBytes
 	if !pt.admit(p, ClassControl) {
 		pt.Stats.HdrDrops++
 		p.Release()
@@ -321,7 +322,7 @@ func (pt *Port) serialization(bytes int) eventsim.Time {
 	switch bytes {
 	case pt.cfg.MTU:
 		return pt.serMTU
-	case pt.cfg.HeaderBytes:
+	case topology.DefaultHeaderBytes:
 		return pt.serHdr
 	}
 	return pt.cfg.SerializationDelay(bytes)

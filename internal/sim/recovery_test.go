@@ -25,7 +25,7 @@ func recoveryTestbed(t testing.TB, racks, uplinks int, traffic bool) (*eventsim.
 			for r, tor := range n.tors {
 				p := NewPacket()
 				p.Kind, p.Class = KindData, ClassLowLatency
-				p.Size = int32(n.cfg.HeaderBytes)
+				p.Size = topology.DefaultHeaderBytes
 				p.SrcRack, p.DstRack = int32(r), int32((r+racks/2)%racks)
 				p.DstHost = p.DstRack * int32(uplinks)
 				p.SliceTag = -1

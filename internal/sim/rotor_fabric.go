@@ -326,7 +326,7 @@ func (t *RotorToR) bulkNACK(p *Packet) {
 	nack := NewPacket()
 	nack.Kind = KindBulkNack
 	nack.Class = ClassControl
-	nack.Size = int32(t.fab.cfg.HeaderBytes)
+	nack.Size = topology.DefaultHeaderBytes
 	nack.SrcHost = p.DstHost // nominal; unused on arrival
 	nack.SrcRack = p.DstRack
 	nack.DstHost = p.SrcHost

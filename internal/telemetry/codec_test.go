@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -50,6 +51,67 @@ func roundTripSketch(t *testing.T, s *Sketch) *Sketch {
 	return roundTrip(t, holding(s)).classes[0]
 }
 
+// sameSketch fails unless got reads out exactly as want does: count, sum,
+// min, max, zero count, every quantile probe, and the encoding, which
+// holds the bucket span and every count in it.
+func sameSketch(t *testing.T, name string, got, want *Sketch) {
+	t.Helper()
+	if got.count != want.count || math.Float64bits(got.sum) != math.Float64bits(want.sum) ||
+		got.min != want.min || got.max != want.max || got.zero != want.zero {
+		t.Errorf("%s: count/sum/min/max/zero %d/%v/%v/%v/%d, want %d/%v/%v/%v/%d", name,
+			got.count, got.sum, got.min, got.max, got.zero,
+			want.count, want.sum, want.min, want.max, want.zero)
+	}
+	for _, q := range quantileProbes {
+		if g, w := got.Quantile(q), want.Quantile(q); math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("%s: Quantile(%v) = %v, want %v", name, q, g, w)
+		}
+	}
+	a, _ := holding(got).MarshalBinary()
+	b, _ := holding(want).MarshalBinary()
+	if !bytes.Equal(a, b) {
+		t.Errorf("%s: encodes to\n%x\nwant\n%x", name, a, b)
+	}
+}
+
+// sameCollector fails unless every class sketch and tag tally of got reads
+// out as want's, its windows equal want's, and the two encode alike.
+func sameCollector(t *testing.T, name string, got, want *Collector) {
+	t.Helper()
+	if len(got.classes) != len(want.classes) || len(got.tags) != len(want.tags) {
+		t.Fatalf("%s: %d classes and %d tags, want %d and %d", name,
+			len(got.classes), len(got.tags), len(want.classes), len(want.tags))
+	}
+	for i := range want.classes {
+		sameSketch(t, fmt.Sprintf("%s class %d", name, i), got.classes[i], want.classes[i])
+	}
+	for tag, w := range want.tags {
+		sameTally(t, name+" tag "+tag, got.tags[tag], w)
+	}
+	if !reflect.DeepEqual([]Window{got.delivered, got.goodput, got.uplink},
+		[]Window{want.delivered, want.goodput, want.uplink}) {
+		t.Errorf("%s: windows differ", name)
+	}
+	a, _ := got.MarshalBinary()
+	b, _ := want.MarshalBinary()
+	if !bytes.Equal(a, b) {
+		t.Errorf("%s: encodings differ", name)
+	}
+}
+
+// sameTally is sameSketch for a tag tally, plus its three totals.
+func sameTally(t *testing.T, name string, got, want *TagTally) {
+	t.Helper()
+	if got == nil {
+		t.Fatalf("%s: missing", name)
+	}
+	if got.Done != want.Done || got.Total != want.Total || got.Bytes != want.Bytes {
+		t.Errorf("%s: done/total/bytes %d/%d/%d, want %d/%d/%d", name,
+			got.Done, got.Total, got.Bytes, want.Done, want.Total, want.Bytes)
+	}
+	sameSketch(t, name, got.Sketch, want.Sketch)
+}
+
 func TestSketchCodecRoundTrip(t *testing.T) {
 	for name, s := range map[string]*Sketch{
 		"empty":     NewSketch(0.01),
@@ -61,11 +123,21 @@ func TestSketchCodecRoundTrip(t *testing.T) {
 			s.Add(3.5)
 			return s
 		}(),
+		// Six decades apart: the pages between the two decode as absent.
+		"sparse": func() *Sketch {
+			s := NewSketch(0.01)
+			s.Add(1)
+			s.Add(1e6)
+			return s
+		}(),
 	} {
 		got := roundTripSketch(t, s)
-		if !reflect.DeepEqual(got, s) {
-			t.Errorf("%s: decoded sketch differs: got %+v want %+v", name, got, s)
-		}
+		sameSketch(t, name, got, s)
+		// Writing to a decoded sketch, flat or paged, moves its counts
+		// into pages without changing what it reads out.
+		got.Add(42)
+		s.Add(42)
+		sameSketch(t, name+" after Add", got, s)
 	}
 }
 
@@ -79,8 +151,8 @@ func TestSketchCodecReencodeDeterministic(t *testing.T) {
 }
 
 // TestSketchMergeAfterDecode is the property process sharding rests on:
-// decode(encode(shard)) merged into a total is indistinguishable — deeply
-// equal state, identical quantiles — from merging the in-process shard.
+// decode(encode(shard)) merged into a total is indistinguishable — the
+// same counts, quantiles and encoding — from merging the in-process shard.
 func TestSketchMergeAfterDecode(t *testing.T) {
 	shardA := populatedSketch(t, 0.01, 1, 20_000)
 	shardB := populatedSketch(t, 0.01, 2, 30_000)
@@ -93,14 +165,7 @@ func TestSketchMergeAfterDecode(t *testing.T) {
 	wire.Merge(roundTripSketch(t, shardA))
 	wire.Merge(roundTripSketch(t, shardB))
 
-	if !reflect.DeepEqual(wire, direct) {
-		t.Fatalf("merge-after-decode state differs from direct merge")
-	}
-	for _, q := range []float64{0, 0.5, 0.9, 0.99, 0.999, 1} {
-		if wire.Quantile(q) != direct.Quantile(q) {
-			t.Fatalf("q%v: wire %v direct %v", q, wire.Quantile(q), direct.Quantile(q))
-		}
-	}
+	sameSketch(t, "merge after decode", wire, direct)
 }
 
 // populatedWindow returns a window fed n records; 1 000 of them wrap its
@@ -138,9 +203,7 @@ func TestTagTallyCodecRoundTrip(t *testing.T) {
 	tt := &TagTally{Sketch: populatedSketch(t, 0.02, 4, 1_000), Done: 900, Total: 1_000, Bytes: 123_456_789}
 	c := NewCollector(Opts{Alpha: 0.02}, 1)
 	c.tags = map[string]*TagTally{"rpc": tt}
-	if got := roundTrip(t, c).tags["rpc"]; !reflect.DeepEqual(got, tt) {
-		t.Errorf("decoded tally differs: got %+v want %+v", got, tt)
-	}
+	sameTally(t, "rpc", roundTrip(t, c).tags["rpc"], tt)
 }
 
 // populatedCollector simulates a shard's collector: per-class FCTs, two
@@ -181,9 +244,7 @@ func TestCollectorCodecRoundTrip(t *testing.T) {
 		if err := got.UnmarshalBinary(data); err != nil {
 			t.Fatalf("%s: unmarshal: %v", name, err)
 		}
-		if !reflect.DeepEqual(&got, c) {
-			t.Errorf("%s: decoded collector differs from original", name)
-		}
+		sameCollector(t, name, &got, c)
 		// Deterministic encoding: same state, same bytes.
 		again, err := got.MarshalBinary()
 		if err != nil {
@@ -212,8 +273,7 @@ func TestCollectorMergeAfterDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wire := NewCollector(Opts{}, 2)
-	for _, shard := range []*Collector{shardA, shardB} {
+	decode := func(shard *Collector) *Collector {
 		data, err := shard.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
@@ -222,19 +282,22 @@ func TestCollectorMergeAfterDecode(t *testing.T) {
 		if err := decoded.UnmarshalBinary(data); err != nil {
 			t.Fatal(err)
 		}
-		if err := wire.Merge(&decoded); err != nil {
+		return &decoded
+	}
+	wire := NewCollector(Opts{}, 2)
+	for _, shard := range []*Collector{shardA, shardB} {
+		if err := wire.Merge(decode(shard)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	sameCollector(t, "merge after decode", wire, direct)
 
-	if !reflect.DeepEqual(wire, direct) {
-		t.Fatalf("merge-after-decode collector differs from direct merge")
+	// Pooling into the first decoded shard, as a sweep's coordinator does.
+	pooled := decode(shardA)
+	if err := pooled.Merge(decode(shardB)); err != nil {
+		t.Fatal(err)
 	}
-	a, _ := wire.MarshalBinary()
-	b, _ := direct.MarshalBinary()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("merged encodings differ")
-	}
+	sameCollector(t, "merge into a decoded shard", pooled, direct)
 }
 
 func TestCodecRejectsCorruptInput(t *testing.T) {
@@ -372,20 +435,90 @@ func TestCollectorWireBytes(t *testing.T) {
 	}
 }
 
+// oneBucketBlob encodes a one-class collector at DefaultAlpha whose class
+// sketch holds one observation, counted in bucket idx.
+func oneBucketBlob(idx int64) []byte {
+	w := wbuf{b: []byte{kindCollector, codecVersion}}
+	w.f64(DefaultAlpha)
+	w.uvarint(1) // one class
+	w.uvarint(1) // count
+	w.f64(1)     // sum
+	w.f64(1)     // min
+	w.f64(1)     // max
+	w.uvarint(0) // zero
+	w.varint(idx)
+	w.uvarint(1) // one bucket,
+	w.uvarint(1) // holding the observation
+	w.uvarint(0) // no tags
+	empty := newWindow()
+	for range 3 {
+		empty.marshalTo(&w)
+	}
+	return w.b
+}
+
 // TestSketchRejectsBucketsOutsideIndexRange: a decoded sketch whose buckets
 // lie beyond every index a float64 observation maps to is ErrCorrupt, so
-// merging it cannot allocate the gap to a real sketch's buckets.
+// merging it cannot build a page table out to it; the end indices decode.
 func TestSketchRejectsBucketsOutsideIndexRange(t *testing.T) {
-	for _, shift := range []int{1 << 40, -1 << 40} {
-		s := populatedSketch(t, 0.01, 6, 50)
-		s.base += shift
-		blob, err := holding(s).MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+	s := NewSketch(DefaultAlpha)
+	lo, hi := int64(s.index(minIndexable)), int64(s.index(math.MaxFloat64))
+	for _, idx := range []int64{lo - 1, hi + 1, lo - 1<<40, hi + 1<<40} {
 		var got Collector
-		if err := got.UnmarshalBinary(blob); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("base shifted by %d: got %v, want ErrCorrupt", shift, err)
+		if err := got.UnmarshalBinary(oneBucketBlob(idx)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("bucket %d outside [%d, %d]: got %v, want ErrCorrupt", idx, lo, hi, err)
+		}
+	}
+	for _, idx := range []int64{lo, hi} {
+		var got Collector
+		if err := got.UnmarshalBinary(oneBucketBlob(idx)); err != nil {
+			t.Errorf("bucket %d: %v", idx, err)
+		}
+	}
+}
+
+// allocBytes returns the heap bytes f allocates.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestMergeFarApartSketchesIsBounded: two valid collectors whose one
+// observation each sits near opposite ends of the decodable bucket range
+// decode and merge within a page table and two pages, not the dense gap
+// between them (1.5 MB at α = 1%, 16.8 MB at α = 0.1%).
+func TestMergeFarApartSketchesIsBounded(t *testing.T) {
+	for _, tc := range []struct {
+		alpha float64
+		bound uint64
+	}{{0.01, 16 << 10}, {0.001, 128 << 10}} {
+		var blobs [2][]byte
+		for i, x := range []float64{2e-9, 1e300} {
+			c := NewCollector(Opts{Alpha: tc.alpha}, 1)
+			c.FlowDone(0, "", x, 0)
+			blobs[i], _ = c.MarshalBinary()
+		}
+		var low, high Collector
+		alloc := allocBytes(func() {
+			if err := low.UnmarshalBinary(blobs[0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := high.UnmarshalBinary(blobs[1]); err != nil {
+				t.Fatal(err)
+			}
+			if err := low.Merge(&high); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if alloc > tc.bound {
+			t.Errorf("alpha %v: decoding and merging allocated %d B (bound %d B)", tc.alpha, alloc, tc.bound)
+		}
+		t.Logf("alpha %v: decoding and merging allocated %d B", tc.alpha, alloc)
+		if got := low.ClassSketch(0).Summary(); got.N != 2 || got.MaxUs != 1e300 {
+			t.Errorf("alpha %v: merged sketch reads %+v", tc.alpha, got)
 		}
 	}
 }

@@ -46,10 +46,14 @@ const minIndexable = 1e-9
 //     property process-sharded sweeps need.
 //
 // Space is O(log(max/min)/α): ~1 000 buckets for six decades at α = 1%.
-// The zero value is not usable; construct with NewSketch.
+// The counts live in pages of pageSize buckets (1 KiB), allocated only
+// when a bucket in them is first written and found through a table of
+// page pointers, so a sketch holds touched pages × 1 KiB plus one pointer
+// per page of its span. A new bucket allocates at most one page, and
+// growing the span in either direction copies page pointers, never
+// counts. The zero value is not usable; construct with NewSketch.
 type Sketch struct {
 	alpha   float64
-	gamma   float64
 	lgGamma float64 // ln γ, the bucket index divisor
 
 	count    uint64
@@ -57,11 +61,36 @@ type Sketch struct {
 	min, max float64
 	zero     uint64 // observations in [0, minIndexable]
 
-	// buckets[i] counts observations x with ceil(ln x / ln γ) == base+i,
-	// i.e. x in (γ^(base+i−1), γ^(base+i)].
-	base    int
-	buckets []uint64
+	// Bucket idx counts observations x with ceil(ln x / ln γ) == idx, i.e.
+	// x in (γ^(idx−1), γ^idx]. The span [base, base+n) runs from the
+	// lowest bucket ever written to the highest; it is what the codec
+	// writes and Quantile walks. A decoded span whose every page holds a
+	// count keeps its counts in flat, one exact-size slice (n =
+	// len(flat)), until the sketch is first written to; otherwise they are
+	// in the paged store, nil while the span is empty. Either way the
+	// struct stays 96 B.
+	base  int
+	flat  []uint64
+	store *store
 }
+
+// store is a Sketch's paged bucket store: pages[k] holds buckets
+// [org+k·pageSize, org+(k+1)·pageSize), a nil page reading as zeros. The
+// pages cover the span [base, base+n); org is the first bucket the store
+// held, less whole pages grown below it.
+type store struct {
+	n, org int
+	pages  []*page
+}
+
+// A page of the store holds pageSize buckets, 1 KiB of counts.
+const (
+	pageBits = 7
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
+)
+
+type page [pageSize]uint64
 
 // NewSketch returns an empty sketch with the given relative-error bound
 // (0 means DefaultAlpha). Alpha must be below 1.
@@ -72,15 +101,16 @@ func NewSketch(alpha float64) *Sketch {
 	if !(alpha > 0 && alpha < 1) { // also rejects NaN
 		panic(fmt.Sprintf("telemetry: alpha %v outside (0,1)", alpha))
 	}
-	gamma := (1 + alpha) / (1 - alpha)
 	return &Sketch{
 		alpha:   alpha,
-		gamma:   gamma,
-		lgGamma: math.Log(gamma),
+		lgGamma: math.Log(gammaOf(alpha)),
 		min:     math.Inf(1),
 		max:     math.Inf(-1),
 	}
 }
+
+// gammaOf returns the bucket width γ = (1+α)/(1−α).
+func gammaOf(alpha float64) float64 { return (1 + alpha) / (1 - alpha) }
 
 // Add records one observation. Observations must be non-negative.
 func (s *Sketch) Add(x float64) {
@@ -99,7 +129,15 @@ func (s *Sketch) Add(x float64) {
 		s.zero++
 		return
 	}
-	s.bump(s.index(x), 1)
+	idx := s.index(x)
+	if st := s.store; st != nil && uint(idx-s.base) < uint(st.n) {
+		o := idx - st.org
+		if pg := st.pages[o>>pageBits]; pg != nil {
+			pg[o&pageMask]++
+			return
+		}
+	}
+	s.bump(idx, 1)
 }
 
 // index maps a positive observation to its bucket index.
@@ -107,24 +145,87 @@ func (s *Sketch) index(x float64) int {
 	return int(math.Ceil(math.Log(x) / s.lgGamma))
 }
 
-// bump adds n to the bucket at absolute index idx, growing the store as
-// needed.
-func (s *Sketch) bump(idx int, n uint64) {
-	switch {
-	case len(s.buckets) == 0:
-		s.base = idx
-		s.buckets = append(s.buckets, 0)
-	case idx < s.base:
-		grown := make([]uint64, s.base-idx+len(s.buckets))
-		copy(grown[s.base-idx:], s.buckets)
-		s.buckets = grown
-		s.base = idx
-	case idx >= s.base+len(s.buckets):
-		for idx >= s.base+len(s.buckets) {
-			s.buckets = append(s.buckets, 0)
-		}
+// span returns the first bucket of the span and its length.
+func (s *Sketch) span() (base, n int) {
+	if s.store != nil {
+		return s.base, s.store.n
 	}
-	s.buckets[idx-s.base] += n
+	return s.base, len(s.flat)
+}
+
+// bump adds c to bucket idx, widening the span and allocating the
+// bucket's page as needed.
+func (s *Sketch) bump(idx int, c uint64) {
+	st := s.widen(idx, idx)
+	o := idx - st.org
+	st.page(o >> pageBits)[o&pageMask] += c
+}
+
+// widen extends the span to cover buckets [lo, hi] and the page table to
+// cover the span, and returns the store. An empty span starts at lo, and
+// a flat one moves into pages first, so that every write lands in a page.
+func (s *Sketch) widen(lo, hi int) *store {
+	st := s.store
+	if st == nil {
+		if len(s.flat) == 0 {
+			s.base = lo
+		}
+		st = &store{n: len(s.flat), org: s.base, pages: make([]*page, (len(s.flat)+pageMask)>>pageBits)}
+		st.add(s.base, s.flat)
+		s.store, s.flat = st, nil
+	}
+	if lo < s.base {
+		s.base, st.n = lo, st.n+s.base-lo
+	}
+	if hi >= s.base+st.n {
+		st.n = hi - s.base + 1
+	}
+	if below := st.org - s.base; below > 0 {
+		// Grow down by at least as many pages as the table holds, so a
+		// sketch growing downward copies its table O(log pages) times.
+		grow := max((below+pageMask)>>pageBits, len(st.pages))
+		table := make([]*page, grow+len(st.pages))
+		copy(table[grow:], st.pages)
+		st.org, st.pages = st.org-grow*pageSize, table
+	}
+	if top := (s.base + st.n - 1 - st.org) >> pageBits; top >= len(st.pages) {
+		st.pages = append(st.pages, make([]*page, top+1-len(st.pages))...)
+	}
+	return st
+}
+
+// page returns the k-th page, allocating it if absent.
+func (st *store) page(k int) *page {
+	pg := st.pages[k]
+	if pg == nil {
+		pg = new(page)
+		st.pages[k] = pg
+	}
+	return pg
+}
+
+// run returns the counts of buckets idx, idx+1, … up to end or the end of
+// idx's page, whichever comes first, and how many buckets that is; the
+// counts are nil where the page is absent. idx and end lie in the span.
+func (s *Sketch) run(idx, end int) ([]uint64, int) {
+	st := s.store
+	if st == nil {
+		return s.flat[idx-s.base : end-s.base], end - idx
+	}
+	o := idx - st.org
+	m := min(end-idx, pageSize-o&pageMask)
+	if pg := st.pages[o>>pageBits]; pg != nil {
+		return pg[o&pageMask:][:m], m
+	}
+	return nil, m
+}
+
+// at returns the count of bucket idx, which lies in the span.
+func (s *Sketch) at(idx int) uint64 {
+	if c, _ := s.run(idx, idx+1); c != nil {
+		return c[0]
+	}
+	return 0
 }
 
 // Mean returns the arithmetic mean, or NaN if empty.
@@ -153,20 +254,26 @@ func (s *Sketch) Quantile(q float64) float64 {
 	if cum > rank {
 		return s.min
 	}
-	for i, c := range s.buckets {
-		cum += float64(c)
-		if cum > rank {
-			v := 2 * math.Pow(s.gamma, float64(s.base+i)) / (s.gamma + 1)
-			// Clamp to the observed range: the end buckets are only
-			// partially filled, and min/max are tracked exactly.
-			if v < s.min {
-				v = s.min
+	base, n := s.span()
+	for idx, end := base, base+n; idx < end; {
+		c, m := s.run(idx, end)
+		for i, v := range c {
+			cum += float64(v)
+			if cum > rank {
+				gamma := gammaOf(s.alpha)
+				v := 2 * math.Pow(gamma, float64(idx+i)) / (gamma + 1)
+				// Clamp to the observed range: the end buckets are only
+				// partially filled, and min/max are tracked exactly.
+				if v < s.min {
+					v = s.min
+				}
+				if v > s.max {
+					v = s.max
+				}
+				return v
 			}
-			if v > s.max {
-				v = s.max
-			}
-			return v
 		}
+		idx += m
 	}
 	return s.max
 }
@@ -223,9 +330,41 @@ func (s *Sketch) Merge(other *Sketch) {
 	if other.max > s.max {
 		s.max = other.max
 	}
-	for i, c := range other.buckets {
-		if c != 0 {
-			s.bump(other.base+i, c)
+	// The span grows to other's lowest and highest nonzero buckets, and
+	// other's counts add page by page; an all-zero run allocates nothing.
+	lo, n := other.span()
+	hi := lo + n - 1
+	for lo <= hi && other.at(lo) == 0 {
+		lo++
+	}
+	for hi > lo && other.at(hi) == 0 {
+		hi--
+	}
+	if lo > hi {
+		return
+	}
+	st := s.widen(lo, hi)
+	for idx := lo; idx <= hi; {
+		c, m := other.run(idx, hi+1)
+		st.add(idx, c)
+		idx += m
+	}
+}
+
+// add adds c[i] to bucket idx+i for each i, allocating a page only for a
+// nonzero count. The buckets lie in the span.
+func (st *store) add(idx int, c []uint64) {
+	for len(c) > 0 {
+		if c[0] == 0 {
+			idx, c = idx+1, c[1:]
+			continue
 		}
+		o := idx - st.org
+		dst := st.page(o >> pageBits)[o&pageMask:]
+		m := min(len(dst), len(c))
+		for i, v := range c[:m] {
+			dst[i] += v
+		}
+		idx, c = idx+m, c[m:]
 	}
 }

@@ -64,9 +64,10 @@ func TestRetainSketchFlatMemorySoak(t *testing.T) {
 	}
 	cl.AddSource(soakSource(cl.NumHosts()))
 
-	// Warm up through the first third so event pools, port rings and the
-	// sketch's bucket span reach steady state, then measure growth to the
-	// end of the run.
+	// Warm up through the first third so event pools and port rings reach
+	// steady state and the sketch holds the pages its flows touch (a later
+	// new bucket allocates at most one 1 KiB page), then measure growth to
+	// the end of the run.
 	warmup := eventsim.Time(soakFlows/3) * 800 * eventsim.Nanosecond
 	cl.Run(warmup)
 	doneAtWarmup, _ := cl.Metrics().DoneCount()
