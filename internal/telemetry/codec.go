@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -247,22 +248,38 @@ func (s *Sketch) unmarshalFrom(r *rbuf) {
 }
 
 // pagesWithCounts returns how many pages of pageSize counts hold one that
-// is nonzero among the next n varints, reading their bytes only. A varint
-// other than the one byte 0 counts as nonzero, so a non-minimal encoding
-// of zero can only raise the answer above the pages decoding fills.
+// is nonzero among the next n varints, reading their bytes only. A page
+// of zeros is pageSize 0 bytes; any other page counts as holding one, so
+// a non-minimal encoding of zero can only raise the answer above the
+// pages decoding fills. A truncated encoding counts every page.
 func (r *rbuf) pagesWithCounts(n int) int {
-	used, last, i, start := 0, -1, 0, 0
-	for j, c := range r.b {
-		if i == n {
-			break
-		}
-		if c >= 0x80 {
+	var zeros [pageSize]byte
+	b, used := r.b, 0
+	for left := n; left > 0; left -= pageSize {
+		m := min(left, pageSize)
+		if len(b) >= m && string(b[:m]) == string(zeros[:m]) {
+			b = b[m:]
 			continue
 		}
-		if (c != 0 || j > start) && i>>pageBits != last {
-			used, last = used+1, i>>pageBits
+		used++
+		// Skip m varints: each ends at a byte below 0x80, counted eight
+		// bytes at a time while more than m remain in the word.
+		for len(b) >= 8 {
+			ends := bits.OnesCount64(^binary.LittleEndian.Uint64(b) & 0x8080808080808080)
+			if ends >= m {
+				break
+			}
+			m, b = m-ends, b[8:]
 		}
-		i, start = i+1, j+1
+		for len(b) > 0 && m > 0 {
+			if b[0] < 0x80 {
+				m--
+			}
+			b = b[1:]
+		}
+		if m > 0 {
+			return (n + pageMask) >> pageBits
+		}
 	}
 	return used
 }
