@@ -208,18 +208,18 @@ func (s *Sketch) unmarshalFrom(r *rbuf) {
 	if r.err != nil {
 		return
 	}
+	s.base = int(base)
+	if n == 0 {
+		return
+	}
 	// Buckets lie within the indices a float64 observation maps to, so
 	// the page table a merge builds to span two decoded sketches is
 	// bounded: 2.3 KB at α = 1%, 23 KB at α = 0.1%.
 	lo, hi := int64(s.index(minIndexable)), int64(s.index(math.MaxFloat64))
-	if n > 0 && (base < lo || base > hi-int64(n)+1) {
+	if base < lo || base > hi-int64(n)+1 {
 		r.fail("sketch buckets from %d (%d of them) outside [%d, %d]", base, n, lo, hi)
 		return
 	}
-	if n == 0 {
-		return
-	}
-	s.base = int(base)
 	// A span whose every page holds a count decodes into one exact-size
 	// slice, which pages could not make smaller; otherwise the counts go
 	// straight into pages aligned at base, allocated in one block and only
@@ -263,7 +263,7 @@ func (r *rbuf) pagesWithCounts(n int) int {
 		}
 		used++
 		// Skip m varints: each ends at a byte below 0x80, counted eight
-		// bytes at a time while more than m remain in the word.
+		// bytes at a time while a word ends fewer than m of them.
 		for len(b) >= 8 {
 			ends := bits.OnesCount64(^binary.LittleEndian.Uint64(b) & 0x8080808080808080)
 			if ends >= m {
