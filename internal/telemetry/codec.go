@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 )
 
@@ -220,68 +219,10 @@ func (s *Sketch) unmarshalFrom(r *rbuf) {
 		r.fail("sketch buckets from %d (%d of them) outside [%d, %d]", base, n, lo, hi)
 		return
 	}
-	// A span whose every page holds a count decodes into one exact-size
-	// slice, which pages could not make smaller; otherwise the counts go
-	// straight into pages aligned at base, allocated in one block and only
-	// where a count is nonzero.
-	pages, used := (n+pageMask)>>pageBits, r.pagesWithCounts(n)
-	if used == pages {
-		s.flat = make([]uint64, n)
-		for i := range s.flat {
-			s.flat[i] = r.uvarint()
-		}
-		return
+	s.flat = make([]uint64, n)
+	for i := range s.flat {
+		s.flat[i] = r.uvarint()
 	}
-	block := make([]page, used)
-	st := &store{n: n, org: s.base, pages: make([]*page, pages)}
-	for i := range n {
-		v := r.uvarint()
-		if v == 0 {
-			continue
-		}
-		if st.pages[i>>pageBits] == nil {
-			st.pages[i>>pageBits], block = &block[0], block[1:]
-		}
-		st.pages[i>>pageBits][i&pageMask] = v
-	}
-	s.store = st
-}
-
-// pagesWithCounts returns how many pages of pageSize counts hold one that
-// is nonzero among the next n varints, reading their bytes only. A page
-// of zeros is pageSize 0 bytes; any other page counts as holding one, so
-// a non-minimal encoding of zero can only raise the answer above the
-// pages decoding fills. A truncated encoding counts every page.
-func (r *rbuf) pagesWithCounts(n int) int {
-	var zeros [pageSize]byte
-	b, used := r.b, 0
-	for left := n; left > 0; left -= pageSize {
-		m := min(left, pageSize)
-		if len(b) >= m && string(b[:m]) == string(zeros[:m]) {
-			b = b[m:]
-			continue
-		}
-		used++
-		// Skip m varints: each ends at a byte below 0x80, counted eight
-		// bytes at a time while a word ends fewer than m of them.
-		for len(b) >= 8 {
-			ends := bits.OnesCount64(^binary.LittleEndian.Uint64(b) & 0x8080808080808080)
-			if ends >= m {
-				break
-			}
-			m, b = m-ends, b[8:]
-		}
-		for len(b) > 0 && m > 0 {
-			if b[0] < 0x80 {
-				m--
-			}
-			b = b[1:]
-		}
-		if m > 0 {
-			return (n + pageMask) >> pageBits
-		}
-	}
-	return used
 }
 
 // --- Window ---

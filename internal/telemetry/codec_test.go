@@ -123,7 +123,7 @@ func TestSketchCodecRoundTrip(t *testing.T) {
 			s.Add(3.5)
 			return s
 		}(),
-		// Six decades apart: the pages between the two decode as absent.
+		// Six decades apart: a span of mostly zeros.
 		"sparse": func() *Sketch {
 			s := NewSketch(0.01)
 			s.Add(1)
@@ -133,8 +133,8 @@ func TestSketchCodecRoundTrip(t *testing.T) {
 	} {
 		got := roundTripSketch(t, s)
 		sameSketch(t, name, got, s)
-		// Writing to a decoded sketch, flat or paged, moves its counts
-		// into pages without changing what it reads out.
+		// Writing to a decoded sketch moves its counts into pages
+		// without changing what it reads out.
 		got.Add(42)
 		s.Add(42)
 		sameSketch(t, name+" after Add", got, s)
@@ -560,36 +560,5 @@ func TestCodecErrorLeavesReceiverUntouched(t *testing.T) {
 	got, _ := c.MarshalBinary()
 	if !bytes.Equal(got, want) {
 		t.Fatal("failed decode mutated the receiver")
-	}
-}
-
-// TestPagesWithCountsMatchesDecode: the byte pre-scan that sizes a
-// decoded sketch's page block finds exactly the pages holding a nonzero
-// count, for spans of random length and sparsity in minimal varints, and
-// stays within the span on a truncated encoding.
-func TestPagesWithCountsMatchesDecode(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for range 2_000 {
-		n := 1 + rng.Intn(1_500)
-		density := 0.05 * math.Pow(rng.Float64(), 2)
-		var w wbuf
-		want, last := 0, -1
-		for i := range n {
-			var v uint64
-			if rng.Float64() < density {
-				v = uint64(rng.Int63n(1 << (1 + rng.Intn(40))))
-			}
-			w.uvarint(v)
-			if v != 0 && i>>pageBits != last {
-				want, last = want+1, i>>pageBits
-			}
-		}
-		if got := (&rbuf{b: w.b}).pagesWithCounts(n); got != want {
-			t.Fatalf("%d counts: %d pages with counts, want %d", n, got, want)
-		}
-		pages := (n + pageMask) >> pageBits
-		if got := (&rbuf{b: w.b[:rng.Intn(len(w.b))]}).pagesWithCounts(n); got < 0 || got > pages {
-			t.Fatalf("%d counts, truncated: %d pages with counts, span has %d", n, got, pages)
-		}
 	}
 }

@@ -64,11 +64,10 @@ type Sketch struct {
 	// Bucket idx counts observations x with ceil(ln x / ln γ) == idx, i.e.
 	// x in (γ^(idx−1), γ^idx]. The span [base, base+n) runs from the
 	// lowest bucket ever written to the highest; it is what the codec
-	// writes and Quantile walks. A decoded span whose every page holds a
-	// count keeps its counts in flat, one exact-size slice (n =
-	// len(flat)), until the sketch is first written to; otherwise they are
-	// in the paged store, nil while the span is empty. Either way the
-	// struct stays 96 B.
+	// writes and Quantile walks. A decoded span keeps its counts in flat,
+	// one exact-size slice (n = len(flat)), until the sketch is first
+	// written to; otherwise they are in the paged store, nil while the
+	// span is empty. Either way the struct stays 96 B.
 	base  int
 	flat  []uint64
 	store *store
